@@ -7,10 +7,9 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use vada_common::obs::{json_escape, Obs};
-use vada_common::{tuple, Parallelism, Relation, Schema, Sharding, Tuple, Value};
+use vada_common::{tuple, Relation, Schema, Tuple};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
-use vada_fusion::{block_by_keys_sharded, block_by_keys_with};
 
 use crate::report::table;
 
@@ -87,13 +86,6 @@ struct RetractRow {
     incremental_ms: f64,
     full_derivations: usize,
     incremental_work: usize,
-}
-
-struct ScanRow {
-    rows: usize,
-    shards: usize,
-    monolithic_ms: f64,
-    sharded_ms: f64,
 }
 
 struct RecoveryRow {
@@ -338,49 +330,6 @@ fn measure_wal_recovery(n: usize, edits: usize, rounds: usize, obs: &Obs) -> Rec
     }
 }
 
-/// The same blocking scan, monolithic vs one scheduling unit per shard —
-/// outputs are asserted byte-identical, so the timing difference is pure
-/// scheduling. Both legs run under the ambient `VADA_THREADS` level (the
-/// `workers` field of the baseline records it): on one worker the sharded
-/// path pays partitioning overhead; with workers, shards become parallel
-/// scan units.
-fn measure_sharded_scan(n: usize, shards: usize, rounds: usize) -> ScanRow {
-    let mut rel = Relation::empty(Schema::all_str("listings", &["street", "price", "postcode"]));
-    for i in 0..n {
-        let postcode = if i % 29 == 0 {
-            Value::Null
-        } else {
-            Value::str(format!("M{} {}AA", i % 97, i % 5))
-        };
-        rel.push(Tuple::new(vec![
-            Value::str(format!("{} high st", i / 3)),
-            Value::str(format!("{}", 100_000 + i * 7)),
-            postcode,
-        ]))
-        .expect("arity 3");
-    }
-    let par = Parallelism::from_env();
-    let mut mono_times = Vec::new();
-    let mut shard_times = Vec::new();
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let mono = block_by_keys_with(&rel, &["postcode"], par).expect("scan succeeds");
-        mono_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        let sharded =
-            block_by_keys_sharded(&rel, &["postcode"], Sharding::Shards(shards), par)
-                .expect("sharded scan succeeds");
-        shard_times.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(sharded, mono, "sharded scan must be byte-identical");
-    }
-    ScanRow {
-        rows: n,
-        shards,
-        monolithic_ms: median_ms(mono_times),
-        sharded_ms: median_ms(shard_times),
-    }
-}
-
 /// The `a` facts of rounds `round*k..(round+1)*k` — disjoint per round, so
 /// repeated retraction rounds always remove rows that are still present.
 fn base_rows_of(k: usize, round: usize) -> Vec<(String, Tuple)> {
@@ -509,7 +458,6 @@ fn family_shapes(obs: &Obs) -> Vec<String> {
 pub(crate) struct Families {
     rows: Vec<Row>,
     retractions: Vec<RetractRow>,
-    scans: Vec<ScanRow>,
     recoveries: Vec<RecoveryRow>,
     magics: Vec<MagicRow>,
     caches: Vec<CacheRow>,
@@ -534,10 +482,6 @@ pub(crate) fn measure_families() -> Families {
         measure_retraction(5_000, 64, 5, &ret_obs),
         measure_retraction(20_000, 64, 5, &ret_obs),
     ];
-    let scans = vec![
-        measure_sharded_scan(10_000, 4, 5),
-        measure_sharded_scan(40_000, 4, 5),
-    ];
     let recoveries = vec![
         measure_wal_recovery(5_000, 128, 5, &rec_obs),
         measure_wal_recovery(20_000, 128, 5, &rec_obs),
@@ -558,13 +502,12 @@ pub(crate) fn measure_families() -> Families {
         ("datalog_magic_vs_full", family_shapes(&magic_obs)),
         ("datalog_query_cache", family_shapes(&cache_obs)),
     ];
-    Families { rows, retractions, scans, recoveries, magics, caches, counters, span_shapes }
+    Families { rows, retractions, recoveries, magics, caches, counters, span_shapes }
 }
 
 fn to_json(
     rows: &[Row],
     retractions: &[RetractRow],
-    scans: &[ScanRow],
     recoveries: &[RecoveryRow],
     magics: &[MagicRow],
     caches: &[CacheRow],
@@ -572,7 +515,7 @@ fn to_json(
     span_shapes: &[(&str, Vec<String>)],
 ) -> String {
     let workers = vada_common::Parallelism::from_env().workers();
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v8\",\n");
+    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v9\",\n");
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str("  \"datalog_incremental_vs_full\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -604,19 +547,6 @@ fn to_json(
             r.incremental_work,
             r.full_ms / r.incremental_ms.max(1e-9),
             if i + 1 == retractions.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"kb_sharded_scan\": [\n");
-    for (i, r) in scans.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"shards\": {}, \"monolithic_ms\": {:.3}, \
-             \"sharded_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.rows,
-            r.shards,
-            r.monolithic_ms,
-            r.sharded_ms,
-            r.monolithic_ms / r.sharded_ms.max(1e-9),
-            if i + 1 == scans.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n  \"kb_wal_recovery\": [\n");
@@ -698,12 +628,10 @@ fn to_json(
 /// the human-readable report.
 pub fn incremental_baseline() -> String {
     let fam = measure_families();
-    let Families { rows, retractions, scans, recoveries, magics, caches, counters, span_shapes } =
-        fam;
+    let Families { rows, retractions, recoveries, magics, caches, counters, span_shapes } = fam;
     let json = to_json(
         &rows,
         &retractions,
-        &scans,
         &recoveries,
         &magics,
         &caches,
@@ -739,18 +667,6 @@ pub fn incremental_baseline() -> String {
                 r.full_derivations.to_string(),
                 r.incremental_work.to_string(),
                 format!("{:.0}x", r.full_ms / r.incremental_ms.max(1e-9)),
-            ]
-        })
-        .collect();
-    let scan_rows: Vec<Vec<String>> = scans
-        .iter()
-        .map(|r| {
-            vec![
-                r.rows.to_string(),
-                r.shards.to_string(),
-                format!("{:.2}", r.monolithic_ms),
-                format!("{:.2}", r.sharded_ms),
-                format!("{:.2}x", r.monolithic_ms / r.sharded_ms.max(1e-9)),
             ]
         })
         .collect();
@@ -803,10 +719,6 @@ pub fn incremental_baseline() -> String {
          == Retraction (counting/DRed) vs full re-derivation ==\n\
          A k-row retraction against an N-row base: the full path re-derives\n\
          the shrunk base from scratch, the counting path touches O(k) facts.\n\n{}\n\n\
-         == Sharded vs monolithic scan (blocking over N rows) ==\n\
-         The same scan as one pass vs one scheduling unit per shard; output\n\
-         is byte-identical, the difference is pure scheduling (at the\n\
-         ambient VADA_THREADS level recorded in the baseline).\n\n{}\n\n\
          == WAL crash recovery (N rows, k edit events) ==\n\
          Reopening a durable knowledge base (snapshot + write-ahead-log\n\
          replay) vs rebuilding the same state in memory from the original\n\
@@ -851,10 +763,6 @@ pub fn incremental_baseline() -> String {
             &retract_rows,
         ),
         table(
-            &["rows", "shards", "monolithic ms", "sharded ms", "speedup"],
-            &scan_rows,
-        ),
-        table(
             &["rows", "edit events", "wal size", "reopen ms", "in-mem rebuild ms", "overhead"],
             &recovery_rows,
         ),
@@ -892,9 +800,6 @@ mod tests {
         assert!(rr.incremental_work < rr.full_derivations / 10,
             "retraction path must touch far less: {} vs {}",
             rr.incremental_work, rr.full_derivations);
-        // the scan measurement asserts byte-identity internally
-        let sr = measure_sharded_scan(2_000, 4, 2);
-        assert!(sr.monolithic_ms > 0.0 && sr.sharded_ms > 0.0);
         // the recovery measurement asserts version equality internally
         let rec = measure_wal_recovery(500, 16, 2, &obs);
         assert!(rec.wal_bytes > 0 && rec.reopen_ms > 0.0);
@@ -927,14 +832,13 @@ mod tests {
         );
         let counters = [("all", snapshot)];
         let span_shapes = [("all", shapes)];
-        let json = to_json(&[r], &[rr], &[sr], &[rec], &[mr], &[cr], &counters, &span_shapes);
+        let json = to_json(&[r], &[rr], &[rec], &[mr], &[cr], &counters, &span_shapes);
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"datalog_retraction_vs_full\""), "{json}");
-        assert!(json.contains("\"kb_sharded_scan\""), "{json}");
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"datalog_query_cache\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v8"), "{json}");
+        assert!(json.contains("vada-bench-baseline/v9"), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();

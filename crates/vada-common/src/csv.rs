@@ -8,7 +8,6 @@ use crate::error::{Result, VadaError};
 use crate::par::{self, Parallelism};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::sharding::{self, Sharding};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -129,8 +128,7 @@ fn split_body(rows: Vec<Vec<String>>, schema: &Schema) -> Result<Vec<Vec<String>
     Ok(it.collect())
 }
 
-/// Type one body row (`line_no` is the 0-based body index) into a tuple —
-/// the per-row unit both the chunked and the sharded ingest paths run.
+/// Type one body row (`line_no` is the 0-based body index) into a tuple.
 fn typed_tuple(line_no: usize, row: &[String], schema: &Schema) -> Result<Tuple> {
     if row.len() != schema.arity() {
         return Err(VadaError::Csv(format!(
@@ -158,65 +156,6 @@ pub fn read_relation_with(text: &str, schema: Schema, par: Parallelism) -> Resul
     let tuples = par::par_try_map(par, "csv/ingest", &body, |line_no, row| {
         typed_tuple(line_no, row, &schema)
     })?;
-    Relation::from_tuples(schema, tuples)
-}
-
-/// [`read_relation_with`] over a sharded scan: body rows are assigned to
-/// shards by a stable content hash, each shard types its rows as one
-/// scheduling unit (see [`crate::par::par_shards`]), and the per-shard
-/// outputs merge back in input row order. The resulting relation — and the
-/// first (lowest-row) error — are byte-identical to the unsharded path at
-/// any shard count and any parallelism level; [`Sharding::Off`] delegates
-/// to the unsharded path outright.
-pub fn read_relation_sharded(
-    text: &str,
-    schema: Schema,
-    sharding: Sharding,
-    par: Parallelism,
-) -> Result<Relation> {
-    if !sharding.is_sharded() {
-        return read_relation_with(text, schema, par);
-    }
-    let body = split_body(parse(text)?, &schema)?;
-    let shards = sharding.shard_count();
-    let assignment: Vec<usize> = body
-        .iter()
-        .map(|row| (sharding::stable_strs_hash(row.iter().map(|s| s.as_str())) % shards as u64) as usize)
-        .collect();
-    let by_shard = sharding::rows_by_shard(&assignment, shards);
-    // Each shard reports its rows (or its first failure, tagged with the
-    // global row index) — the cross-shard minimum reproduces exactly the
-    // error a sequential scan would have stopped on.
-    let scans: Vec<std::result::Result<Vec<Tuple>, (usize, VadaError)>> =
-        par::par_shards(par, "csv/shard_ingest", shards, |s| {
-            let mut out = Vec::with_capacity(by_shard[s].len());
-            for &row_idx in &by_shard[s] {
-                match typed_tuple(row_idx, &body[row_idx], &schema) {
-                    Ok(t) => out.push(t),
-                    Err(e) => return Ok(Err((row_idx, e))),
-                }
-            }
-            Ok(Ok(out))
-        })?;
-    let mut per_shard = Vec::with_capacity(shards);
-    let mut first_error: Option<(usize, VadaError)> = None;
-    for scan in scans {
-        match scan {
-            Ok(tuples) => per_shard.push(tuples),
-            Err((row, e)) => {
-                if first_error.as_ref().is_none_or(|(r, _)| row < *r) {
-                    first_error = Some((row, e));
-                }
-                per_shard.push(Vec::new());
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    // A failed shard stops at its first error, so full coverage only holds
-    // on the all-Ok path the merge runs on.
-    let tuples = sharding::merge_in_order(&assignment, per_shard);
     Relation::from_tuples(schema, tuples)
 }
 
@@ -354,63 +293,6 @@ mod tests {
         for n in [2usize, 3, 8] {
             let par = read_relation_with(&text, schema.clone(), Parallelism::Threads(n)).unwrap();
             assert_eq!(par.tuples(), seq.tuples(), "threads={n}");
-        }
-    }
-
-    #[test]
-    fn sharded_ingest_is_identical_to_monolithic() {
-        let schema = Schema::new(
-            "p",
-            [("n", AttrType::Int), ("s", AttrType::Str), ("f", AttrType::Float)],
-        )
-        .unwrap();
-        let mut text = String::from("n,s,f\n");
-        for i in 0..400 {
-            text.push_str(&format!("{i},\"row, {i}\",{}.5\n", i % 7));
-        }
-        let mono = read_relation_with(&text, schema.clone(), Parallelism::Sequential).unwrap();
-        for shards in [2usize, 4, 9] {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let got = read_relation_sharded(
-                    &text,
-                    schema.clone(),
-                    Sharding::Shards(shards),
-                    par,
-                )
-                .unwrap();
-                assert_eq!(got.tuples(), mono.tuples(), "shards={shards} {par:?}");
-            }
-        }
-        // Off delegates to the unsharded path
-        let off =
-            read_relation_sharded(&text, schema, Sharding::Off, Parallelism::Sequential).unwrap();
-        assert_eq!(off.tuples(), mono.tuples());
-    }
-
-    #[test]
-    fn sharded_ingest_reports_the_lowest_row_error() {
-        let schema = Schema::new("p", [("n", AttrType::Int)]).unwrap();
-        let mut text = String::from("n\n");
-        for i in 0..200 {
-            // two bad rows in (almost surely) different shards: the
-            // sequential-first one must win at every shard count
-            if i == 17 || i == 90 {
-                text.push_str("oops,extra\n");
-            } else {
-                text.push_str(&format!("{i}\n"));
-            }
-        }
-        let seq = read_relation_with(&text, schema.clone(), Parallelism::Sequential).unwrap_err();
-        for shards in [2usize, 4, 8] {
-            let got = read_relation_sharded(
-                &text,
-                schema.clone(),
-                Sharding::Shards(shards),
-                Parallelism::Threads(4),
-            )
-            .unwrap_err();
-            assert_eq!(got, seq, "shards={shards}");
-            assert!(got.message().contains("row 19"), "{got}");
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Every knob used to carry its own ad-hoc parser: `VADA_MAGIC` and
 //! `VADA_INCREMENTAL` accepted `1|true|on` case-insensitively,
-//! `VADA_THREADS` and `VADA_SHARDS` parsed bare integers, and `VADA_WAL`
-//! had a third spelling for "off". The knobs now agree on one set of
-//! trim/case rules, defined here:
+//! `VADA_THREADS` parsed bare integers, and `VADA_WAL` had a third
+//! spelling for "off". The knobs now agree on one set of trim/case rules,
+//! defined here:
 //!
 //! - **flags** ([`parse_flag`]): `1`, `true`, or `on` — case-insensitive,
 //!   surrounding whitespace ignored — mean *enabled*; anything else

@@ -21,7 +21,6 @@ pub mod querycache;
 pub mod querymode;
 pub mod relation;
 pub mod schema;
-pub mod sharding;
 pub mod text;
 pub mod tuple;
 pub mod value;
@@ -33,7 +32,6 @@ pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
 pub use par::Parallelism;
 pub use querycache::QueryCaching;
 pub use querymode::QueryMode;
-pub use sharding::{HashPartitioner, KeyPartitioner, Partitioner, Sharding};
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, Schema};
 pub use tuple::Tuple;

@@ -1,15 +1,15 @@
 //! Deterministic observability: one stats surface for the whole pipeline.
 //!
 //! Every subsystem grown since the seed — the parallel substrate, the
-//! semi-naive engine, the incremental sessions, the sharded store, the
-//! write-ahead log, the demand-driven query path — accumulated its own
-//! ad-hoc peephole (`dep_cache_stats()`, `storage_health()`,
+//! semi-naive engine, the incremental sessions, the write-ahead log, the
+//! demand-driven query path — accumulated its own ad-hoc peephole
+//! (`dep_cache_stats()`, `storage_health()`,
 //! `DeltaOutcome` histories, `Demand::fallback_reason`). This module
 //! replaces those with a single layer:
 //!
 //! - a **counter registry**: named monotone `u64` counters recording
 //!   *semantic events* (stratum passes, delta outcomes, WAL appends,
-//!   shard sync modes, dep-cache patches), never scheduling artifacts;
+//!   dep-cache patches), never scheduling artifacts;
 //! - a **span tree**: hierarchical [`SpanGuard`]s opened on coordinating
 //!   threads only, carrying structural attributes; wall-clock durations
 //!   are quarantined in a separate timing channel so structural output
@@ -24,14 +24,13 @@
 //!
 //! - **structural** counters live under the `pipeline.` prefix
 //!   ([`Obs::is_structural`]) and are byte-identical across the entire
-//!   `{threads × shards × incremental × wal × magic}` knob matrix — they
+//!   `{threads × incremental × wal × magic}` knob matrix — they
 //!   count what the pipeline *computed* (orchestrator steps, writes,
 //!   knowledge-base events), which the equivalence suites already pin.
 //! - everything else is a **mode-scoped** diagnostic: it exists only under
 //!   its knob (`wal.*` only when durable, `incremental.*` only under delta
-//!   evaluation, `shard.*` only when sharded) but is still invariant to
-//!   the *thread count*, because increments happen per semantic event, not
-//!   per scheduling decision.
+//!   evaluation) but is still invariant to the *thread count*, because
+//!   increments happen per semantic event, not per scheduling decision.
 //!
 //! ## Cost contract
 //!
@@ -132,15 +131,6 @@ pub mod key {
     pub const INC_FALLBACK: &str = "incremental.outcome.full_fallback";
     /// Per-reason fallback tally: `incremental.fallback.<slug>`.
     pub const INC_FALLBACK_PREFIX: &str = "incremental.fallback.";
-
-    /// Shard syncs that repartitioned from scratch.
-    pub const SHARD_SYNC_REBUILD: &str = "shard.sync.rebuild";
-    /// Shard syncs that routed journal events.
-    pub const SHARD_SYNC_ROUTED: &str = "shard.sync.routed";
-    /// Shard syncs that found nothing to do.
-    pub const SHARD_SYNC_NOOP: &str = "shard.sync.noop";
-    /// Journal events routed to shards across routed syncs.
-    pub const SHARD_ROUTED_EVENTS: &str = "shard.routed_events";
 
     /// Full (from-scratch) mapping executions.
     pub const MAP_FULL: &str = "map.execute.full";

@@ -201,25 +201,6 @@ where
     })
 }
 
-/// Shard-indexed scheduling: run `f(shard)` for every shard in
-/// `0..shards`, one logical task per shard, and return the per-shard
-/// results **in shard order**. This is the entry point the sharded
-/// knowledge-base scans go through: a shard is a scheduling unit (unlike
-/// [`par_chunks`], whose chunk boundaries move with the worker count), so
-/// the work decomposition is a pure function of the shard layout and the
-/// same at every parallelism level. Failure discipline matches the rest of
-/// the module: the error (or captured panic, surfaced as
-/// [`VadaError::Parallel`] naming `stage` and the shard index) from the
-/// lowest-numbered failing shard wins.
-pub fn par_shards<A, F>(par: Parallelism, stage: &str, shards: usize, f: F) -> Result<Vec<A>>
-where
-    A: Send,
-    F: Fn(usize) -> Result<A> + Sync,
-{
-    let indices: Vec<usize> = (0..shards).collect();
-    par_try_map(par, stage, &indices, |_, &s| f(s))
-}
-
 /// [`par_try_map`] with scheduling telemetry: the stage dispatch and its
 /// item count are recorded on the *coordinating* thread before any worker
 /// runs, so the counters depend only on what was submitted — never on how
@@ -239,38 +220,6 @@ where
     obs.incr(crate::obs::key::PAR_STAGES);
     obs.add(crate::obs::key::PAR_ITEMS, items.len() as u64);
     par_try_map(par, stage, items, f)
-}
-
-/// [`par_shards`] with scheduling telemetry (see [`par_try_map_obs`]).
-///
-/// Also records the dispatch as a span subtree: one `par/shards` span for
-/// the stage with a `par/shard` child per shard. The children are opened
-/// and closed on the *coordinating* thread at submission time — worker
-/// closures never touch the span stack — so the recorded tree is a pure
-/// function of the shard layout, identical at every thread count; their
-/// durations measure submission, not shard runtime (the stage span wraps
-/// the full dispatch-to-join interval).
-pub fn par_shards_obs<A, F>(
-    obs: &crate::obs::Obs,
-    par: Parallelism,
-    stage: &str,
-    shards: usize,
-    f: F,
-) -> Result<Vec<A>>
-where
-    A: Send,
-    F: Fn(usize) -> Result<A> + Sync,
-{
-    obs.incr(crate::obs::key::PAR_STAGES);
-    obs.add(crate::obs::key::PAR_ITEMS, shards as u64);
-    let stage_span = obs.span("par/shards");
-    stage_span.attr("stage", stage);
-    stage_span.attr("shards", shards);
-    for shard in 0..shards {
-        let s = obs.span("par/shard");
-        s.attr("shard", shard);
-    }
-    par_shards(par, stage, shards, f)
 }
 
 #[cfg(test)]
@@ -360,55 +309,6 @@ mod tests {
             assert!(sums.windows(2).all(|w| w[0].0 < w[1].0), "{par:?}");
             assert_eq!(sums.iter().map(|(_, s)| s).sum::<usize>(), 49 * 50 / 2);
         }
-    }
-
-    #[test]
-    fn shard_results_come_back_in_shard_order() {
-        for par in all_levels() {
-            let got = par_shards(par, "t", 9, |s| Ok(s * 10)).unwrap();
-            assert_eq!(got, (0..9).map(|s| s * 10).collect::<Vec<_>>(), "{par:?}");
-            assert!(par_shards(par, "t", 0, |s| Ok(s)).unwrap().is_empty());
-        }
-    }
-
-    #[test]
-    fn lowest_shard_failure_wins_and_panics_name_the_stage() {
-        for par in all_levels() {
-            let err = par_shards(par, "kb/shard_scan", 8, |s| {
-                if s >= 5 {
-                    Err(VadaError::Other(format!("shard {s} failed")))
-                } else {
-                    Ok(s)
-                }
-            })
-            .unwrap_err();
-            assert_eq!(err.message(), "shard 5 failed", "{par:?}");
-            let err = par_shards(par, "kb/shard_scan", 8, |s| {
-                if s == 3 {
-                    panic!("poisoned shard");
-                }
-                Ok(s)
-            })
-            .unwrap_err();
-            assert_eq!(err.kind(), "parallel", "{par:?}");
-            assert!(err.message().contains("kb/shard_scan"), "{err}");
-            assert!(err.message().contains("item 3"), "{err}");
-        }
-    }
-
-    #[test]
-    fn shard_span_tree_is_identical_at_every_level() {
-        use crate::obs::{span_shape, Obs};
-        let mut shapes = Vec::new();
-        for par in all_levels() {
-            let obs = Obs::enabled();
-            par_shards_obs(&obs, par, "unit/shards", 3, Ok).unwrap();
-            shapes.push(span_shape(&obs.span_records()));
-        }
-        assert!(shapes.windows(2).all(|w| w[0] == w[1]), "tree must not depend on threads");
-        assert_eq!(shapes[0].len(), 4, "one stage span plus one per shard");
-        assert_eq!(shapes[0][0], "1 0 par/shards stage=unit/shards;shards=3");
-        assert_eq!(shapes[0][1], "2 1 par/shard shard=0");
     }
 
     #[test]

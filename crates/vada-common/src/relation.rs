@@ -113,20 +113,6 @@ impl Relation {
         Ok(())
     }
 
-    /// Insert a tuple at `row` (shifting later rows up by one),
-    /// validating arity. `row == len` appends.
-    pub fn insert(&mut self, row: usize, tuple: Tuple) -> Result<()> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(VadaError::Schema("arity mismatch in insert".into()));
-        }
-        if row > self.tuples.len() {
-            return Err(VadaError::Schema(format!("row {row} out of range for insert")));
-        }
-        self.indexes.clear();
-        self.tuples.insert(row, tuple);
-        Ok(())
-    }
-
     /// Remove the tuples at the given row indices (interpreted against the
     /// pre-removal numbering; duplicates are collapsed), preserving the
     /// relative order of the remaining rows. Returns the removed tuples in

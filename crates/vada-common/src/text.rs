@@ -5,6 +5,8 @@
 
 use std::collections::HashSet;
 
+use crate::tuple::Tuple;
+
 /// Lower-case, trim, and collapse internal whitespace/punctuation to single
 /// spaces. Matching and blocking both key on this normal form.
 pub fn normalize(s: &str) -> String {
@@ -31,6 +33,37 @@ pub fn normalize_append(s: &str, out: &mut String) {
     while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
+}
+
+/// Build the fusion blocking key of `t` over `cols` into `key` (cleared
+/// first): the normal forms of the non-null key cells joined by `|`.
+/// Returns `false` when every key cell is null (such rows block as
+/// singletons). This is the *single* definition of the blocking key —
+/// `vada_fusion::block_by_keys_with` calls it, and the `vada-match`
+/// property suite pins the matcher's value identity against it. Columns
+/// beyond the tuple's arity are skipped: a missing key cell behaves like
+/// a null one.
+pub fn blocking_key(t: &Tuple, cols: &[usize], key: &mut String) -> bool {
+    key.clear();
+    let mut any = false;
+    for &c in cols {
+        if c >= t.arity() {
+            continue;
+        }
+        let v = &t[c];
+        if v.is_null() {
+            continue;
+        }
+        if any {
+            key.push('|');
+        }
+        any = true;
+        match v.as_str() {
+            Some(s) => normalize_append(s, key),
+            None => normalize_append(&v.to_string(), key),
+        }
+    }
+    any
 }
 
 /// Levenshtein edit distance (unit costs).
@@ -191,11 +224,24 @@ pub fn qgram_sim(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple;
+    use crate::value::Value;
 
     #[test]
     fn normalize_collapses() {
         assert_eq!(normalize("  12,  High-St. "), "12 high st");
         assert_eq!(normalize(""), "");
+    }
+
+    #[test]
+    fn blocking_key_matches_fusion_semantics() {
+        let mut key = String::new();
+        assert!(blocking_key(&tuple!["12 High St.", "M1 1AA"], &[0, 1], &mut key));
+        let first = key.clone();
+        assert!(blocking_key(&tuple!["12 high st", "M1 1AA"], &[0, 1], &mut key));
+        assert_eq!(first, key, "normalisation folds case/punctuation");
+        let null_row = Tuple::new(vec![Value::Null, Value::Null]);
+        assert!(!blocking_key(&null_row, &[0, 1], &mut key));
     }
 
     #[test]

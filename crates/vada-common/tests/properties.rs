@@ -1,15 +1,12 @@
 //! Property-based tests for the shared substrate: total value ordering,
-//! hash/equality consistency, CSV round-trips, similarity bounds, and the
-//! sharding invariants (exactly-one-shard coverage, content-deterministic
-//! assignment, order-exact merge).
+//! hash/equality consistency, CSV round-trips, and similarity bounds.
 
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use vada_common::sharding::{self, Partitioner};
 use vada_common::text::{jaro_winkler, levenshtein, levenshtein_sim, normalize, token_jaccard};
-use vada_common::{csv, Parallelism, Schema, Value};
+use vada_common::{csv, Schema, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -103,94 +100,6 @@ proptest! {
         prop_assert!(!once.contains("  "));
         prop_assert!(once.chars().all(|c| c.is_lowercase() || c.is_numeric() || c == ' '));
     }
-
-    #[test]
-    fn every_row_lands_in_exactly_one_shard(
-        rows in arb_rows(),
-        shards in 1usize..9,
-    ) {
-        for partitioner in partitioners() {
-            let assignment = sharding::assign_shards(
-                Parallelism::Sequential, "prop", &rows, partitioner.as_ref(), shards,
-            ).unwrap();
-            prop_assert_eq!(assignment.len(), rows.len());
-            prop_assert!(assignment.iter().all(|&s| s < shards));
-            let by_shard = sharding::rows_by_shard(&assignment, shards);
-            let mut covered: Vec<usize> = by_shard.concat();
-            covered.sort_unstable();
-            prop_assert_eq!(covered, (0..rows.len()).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic_across_runs(
-        rows in arb_rows(),
-        shards in 1usize..9,
-    ) {
-        for partitioner in partitioners() {
-            // re-assign at a different parallelism level and per single row:
-            // assignment is a pure function of content, never of schedule
-            let a = sharding::assign_shards(
-                Parallelism::Sequential, "prop", &rows, partitioner.as_ref(), shards,
-            ).unwrap();
-            let b = sharding::assign_shards(
-                Parallelism::Threads(3), "prop", &rows, partitioner.as_ref(), shards,
-            ).unwrap();
-            prop_assert_eq!(&a, &b);
-            for (row, &s) in rows.iter().zip(&a) {
-                prop_assert_eq!(partitioner.shard_of(row, shards), s);
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_merge_reproduces_input_order_exactly(
-        rows in arb_rows(),
-        shards in 1usize..9,
-    ) {
-        for partitioner in partitioners() {
-            let assignment = sharding::assign_shards(
-                Parallelism::Sequential, "prop", &rows, partitioner.as_ref(), shards,
-            ).unwrap();
-            let by_shard = sharding::rows_by_shard(&assignment, shards);
-            let per_shard: Vec<Vec<vada_common::Tuple>> = by_shard
-                .iter()
-                .map(|idx| idx.iter().map(|&r| rows[r].clone()).collect())
-                .collect();
-            // within a shard, rows keep ascending input order
-            for idx in &by_shard {
-                prop_assert!(idx.windows(2).all(|w| w[0] < w[1]));
-            }
-            prop_assert_eq!(sharding::merge_in_order(&assignment, per_shard), rows.clone());
-        }
-    }
-
-    #[test]
-    fn key_partitioner_co_locates_equal_blocking_keys(
-        key in "[a-zA-Z0-9 ]{1,10}",
-        rest_a in arb_value(),
-        rest_b in arb_value(),
-        shards in 1usize..9,
-    ) {
-        let p = sharding::KeyPartitioner { cols: vec![0] };
-        let a = vada_common::Tuple::new(vec![Value::str(&key), rest_a]);
-        let b = vada_common::Tuple::new(vec![Value::str(&key), rest_b]);
-        prop_assert_eq!(p.shard_of(&a, shards), p.shard_of(&b, shards));
-    }
-}
-
-fn arb_rows() -> impl Strategy<Value = Vec<vada_common::Tuple>> {
-    proptest::collection::vec(
-        proptest::collection::vec(arb_value(), 3..4).prop_map(vada_common::Tuple::new),
-        0..40,
-    )
-}
-
-fn partitioners() -> Vec<Box<dyn sharding::Partitioner + Sync>> {
-    vec![
-        Box::new(sharding::HashPartitioner),
-        Box::new(sharding::KeyPartitioner { cols: vec![0, 2] }),
-    ]
 }
 
 /// `arb_value` plus the canonical codec's hard cases: every NaN payload,

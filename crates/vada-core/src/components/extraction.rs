@@ -5,7 +5,7 @@
 //! ingester with header-driven schema inference (every column `str`,
 //! wrangling handles typing later).
 
-use vada_common::{csv, Parallelism, Result, Schema, Sharding, VadaError};
+use vada_common::{csv, Parallelism, Result, Schema, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::transducer::{Activity, RunOutcome, Transducer};
@@ -15,9 +15,6 @@ use crate::transducer::{Activity, RunOutcome, Transducer};
 pub struct CsvIngestion {
     /// Workers for batched cell typing during ingest.
     pub parallelism: Parallelism,
-    /// Shard count for the typing scan (rows partitioned by content hash,
-    /// merged back in input order — see `csv::read_relation_sharded`).
-    pub sharding: Sharding,
 }
 
 impl Transducer for CsvIngestion {
@@ -41,10 +38,6 @@ impl Transducer for CsvIngestion {
         self.parallelism = parallelism;
     }
 
-    fn set_sharding(&mut self, sharding: Sharding) {
-        self.sharding = sharding;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let names: Vec<String> = kb
             .staged_documents()
@@ -64,7 +57,7 @@ impl Transducer for CsvIngestion {
                 &name,
                 &header.iter().map(|h| h.trim()).collect::<Vec<_>>(),
             );
-            let rel = csv::read_relation_sharded(&text, schema, self.sharding, self.parallelism)?;
+            let rel = csv::read_relation_with(&text, schema, self.parallelism)?;
             rows += rel.len();
             kb.register_source(rel);
             ingested.push(name);

@@ -2,9 +2,9 @@
 //! two exactly as the paper sketches ("a data fusion transducer may start
 //! to evaluate when duplicates have been detected").
 
-use vada_common::{AttrType, Parallelism, Relation, Result, Schema, Sharding, Tuple, Value};
+use vada_common::{AttrType, Parallelism, Relation, Result, Schema, Tuple, Value};
 use vada_fusion::{
-    cluster_relation_sharded, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
+    cluster_relation_with, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
 };
 use vada_kb::KnowledgeBase;
 
@@ -43,19 +43,11 @@ pub struct DuplicateDetection {
     pub threshold: f64,
     /// Workers for blocking-key extraction and pairwise scoring.
     pub parallelism: Parallelism,
-    /// Shard count for the blocking scan: co-blocked rows land in the same
-    /// shard (blocking-key partitioner), each shard blocks independently,
-    /// and the merged blocks are identical to the monolithic scan.
-    pub sharding: Sharding,
 }
 
 impl Default for DuplicateDetection {
     fn default() -> Self {
-        DuplicateDetection {
-            threshold: 0.88,
-            parallelism: Parallelism::default(),
-            sharding: Sharding::default(),
-        }
+        DuplicateDetection { threshold: 0.88, parallelism: Parallelism::default() }
     }
 }
 
@@ -80,10 +72,6 @@ impl Transducer for DuplicateDetection {
         self.parallelism = parallelism;
     }
 
-    fn set_sharding(&mut self, sharding: Sharding) {
-        self.sharding = sharding;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let target = kb
             .target_schema()
@@ -101,7 +89,7 @@ impl Transducer for DuplicateDetection {
             fields: field_spec_for(result.schema()),
             threshold: self.threshold,
         };
-        let clusters = cluster_relation_sharded(&cfg, &result, self.sharding, self.parallelism)?;
+        let clusters = cluster_relation_with(&cfg, &result, self.parallelism)?;
         let non_singleton: Vec<&Vec<usize>> =
             clusters.iter().filter(|c| c.len() > 1).collect();
         if non_singleton.is_empty() {

@@ -1,8 +1,8 @@
 //! Mapping transducers: generation, selection, execution.
 
-use vada_common::{Evaluation, Parallelism, QueryCaching, Relation, Result, Sharding, VadaError};
+use vada_common::{Evaluation, Parallelism, QueryCaching, Relation, Result, VadaError};
 use vada_context::UserContext;
-use vada_kb::{KnowledgeBase, ShardedStore};
+use vada_kb::KnowledgeBase;
 use vada_map::{
     execute_mapping_cached, generate_candidates, rank_mappings, ExecuteConfig, IncrementalExecutor,
     IndexCache, MapGenConfig, MappingScore,
@@ -151,31 +151,11 @@ pub struct MappingExecution {
     pub config: ExecuteConfig,
     evaluation: Evaluation,
     executor: IncrementalExecutor,
-    /// Persistent sharded views of the catalog (created on demand when
-    /// sharding is on): synced O(change) from the delta journal between
-    /// runs, consumed by the per-shard input-database scans.
-    store: Option<ShardedStore>,
     /// Persistent hash indexes for the directed one-shot execution path,
     /// revalidated per run against the journal identity (see
     /// [`execute_mapping_cached`]); idle unless
     /// [`ExecuteConfig::query_caching`] is on.
     index_cache: IndexCache,
-}
-
-/// The persistent [`ShardedStore`] a mapping-executing transducer scans
-/// through, (re)created when the broadcast sharding level changes.
-pub(crate) fn sharded_store(
-    store: &mut Option<ShardedStore>,
-    sharding: Sharding,
-) -> Option<&mut ShardedStore> {
-    if !sharding.is_sharded() {
-        *store = None;
-        return None;
-    }
-    if store.as_ref().map(|s| s.sharding()) != Some(sharding) {
-        *store = Some(ShardedStore::new(sharding));
-    }
-    store.as_mut()
 }
 
 impl Transducer for MappingExecution {
@@ -206,10 +186,6 @@ impl Transducer for MappingExecution {
         self.evaluation = evaluation;
     }
 
-    fn set_sharding(&mut self, sharding: Sharding) {
-        self.config.sharding = sharding;
-    }
-
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
@@ -229,16 +205,15 @@ impl Transducer for MappingExecution {
             .clone();
         // reuse the candidate materialisation when the quality transducer
         // already executed this mapping
-        let store = sharded_store(&mut self.store, self.config.sharding);
         let mut result: Relation = match kb.relation(&candidate_relation_name(&id)) {
             Ok(cached) => {
                 Relation::from_tuples(cached.schema().renamed(&mapping.target), cached.tuples().to_vec())?
             }
             Err(_) if self.evaluation.is_incremental() => {
-                self.executor.execute_with(&self.config, &mapping, kb, store)?
+                self.executor.execute(&self.config, &mapping, kb)?
             }
             Err(_) => {
-                execute_mapping_cached(&self.config, &mapping, kb, store, &mut self.index_cache)?
+                execute_mapping_cached(&self.config, &mapping, kb, &mut self.index_cache)?
             }
         };
         let vetoed = apply_vetoes(&mut result, kb.vetoes());

@@ -124,10 +124,6 @@ pub struct MappingQuality {
     pub config: ExecuteConfig,
     evaluation: Evaluation,
     executor: IncrementalExecutor,
-    /// Persistent sharded catalog views (see
-    /// [`crate::components::mapping::MappingExecution`]): one store serves
-    /// every candidate, synced O(change) from the journal per run.
-    store: Option<vada_kb::ShardedStore>,
     /// One persistent index cache per candidate mapping for the directed
     /// one-shot execution path (see [`vada_map::execute_mapping_cached`]);
     /// idle unless [`ExecuteConfig::query_caching`] is on.
@@ -167,10 +163,6 @@ impl Transducer for MappingQuality {
         self.evaluation = evaluation;
     }
 
-    fn set_sharding(&mut self, sharding: vada_common::Sharding) {
-        self.config.sharding = sharding;
-    }
-
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
@@ -201,18 +193,13 @@ impl Transducer for MappingQuality {
         let mut written = 0usize;
         let mut materialised: Vec<(String, Relation)> = Vec::new();
         for mapping in &mappings {
-            let store = crate::components::mapping::sharded_store(
-                &mut self.store,
-                self.config.sharding,
-            );
             let result = if self.evaluation.is_incremental() {
-                self.executor.execute_with(&self.config, mapping, kb, store)?
+                self.executor.execute(&self.config, mapping, kb)?
             } else {
                 vada_map::execute_mapping_cached(
                     &self.config,
                     mapping,
                     kb,
-                    store,
                     self.index_caches.entry(mapping.id.clone()).or_default(),
                 )?
             };

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result, Sharding, VadaError};
+use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::network::{GenericPolicy, SchedulingPolicy};
@@ -30,14 +30,6 @@ pub struct OrchestratorConfig {
     /// `incremental_equivalence` suite pins this). Defaults to the
     /// `VADA_INCREMENTAL` override.
     pub evaluation: Evaluation,
-    /// Sharding level broadcast to every registered transducer (see
-    /// [`Transducer::set_sharding`]). Under [`Sharding::Shards`] the
-    /// knowledge-base scans (CSV ingest, fusion blocking, the mapping
-    /// executors' input construction) partition their rows across shards
-    /// and run one scheduling unit per shard; results and traces are
-    /// byte-identical at any shard count (the `shard_equivalence` suite
-    /// pins this). Defaults to the `VADA_SHARDS` override.
-    pub sharding: Sharding,
     /// Query-caching mode broadcast to every registered transducer (see
     /// [`Transducer::set_query_caching`]). Under
     /// [`QueryCaching::Persistent`] the transducers running directed
@@ -54,7 +46,6 @@ impl Default for OrchestratorConfig {
             max_steps: 200,
             parallelism: Parallelism::default(),
             evaluation: Evaluation::default(),
-            sharding: Sharding::default(),
             query_caching: QueryCaching::default(),
         }
     }
@@ -105,29 +96,28 @@ impl Orchestrator {
             step: 0,
             obs: Obs::disabled(),
         };
-        // the orchestrator owns the parallelism, evaluation and sharding
-        // knobs: every registration path (constructor, add_transducer,
-        // set_config) broadcasts the current levels, so behaviour never
-        // depends on how a component reached the fleet
         for t in &mut orch.transducers {
-            t.set_parallelism(orch.config.parallelism);
-            t.set_evaluation(orch.config.evaluation);
-            t.set_sharding(orch.config.sharding);
-            t.set_query_caching(orch.config.query_caching);
+            Orchestrator::adopt_config(&orch.config, t.as_mut());
         }
         orch
     }
 
-    /// Override limits, broadcasting the parallelism level, evaluation
-    /// mode and sharding level to the fleet.
+    /// Hand `t` the execution knobs of `config`. The orchestrator owns
+    /// those knobs, and every registration path (constructor,
+    /// `add_transducer`, `set_config`) goes through this one function, so
+    /// behaviour never depends on how a component reached the fleet.
+    fn adopt_config(config: &OrchestratorConfig, t: &mut dyn Transducer) {
+        t.set_parallelism(config.parallelism);
+        t.set_evaluation(config.evaluation);
+        t.set_query_caching(config.query_caching);
+    }
+
+    /// Override limits, broadcasting the execution knobs to the fleet.
     pub fn set_config(&mut self, config: OrchestratorConfig) {
-        for t in &mut self.transducers {
-            t.set_parallelism(config.parallelism);
-            t.set_evaluation(config.evaluation);
-            t.set_sharding(config.sharding);
-            t.set_query_caching(config.query_caching);
-        }
         self.config = config;
+        for t in &mut self.transducers {
+            Orchestrator::adopt_config(&self.config, t.as_mut());
+        }
     }
 
     /// The current configuration.
@@ -137,12 +127,9 @@ impl Orchestrator {
 
     /// Register an additional transducer (the architecture is extensible:
     /// "additional transducers can be added at any time", §2.3). It adopts
-    /// the orchestrator's current parallelism level.
+    /// the orchestrator's current configuration and registry.
     pub fn add_transducer(&mut self, mut t: Box<dyn Transducer>) {
-        t.set_parallelism(self.config.parallelism);
-        t.set_evaluation(self.config.evaluation);
-        t.set_sharding(self.config.sharding);
-        t.set_query_caching(self.config.query_caching);
+        Orchestrator::adopt_config(&self.config, t.as_mut());
         t.set_obs(self.obs.clone());
         self.transducers.push(t);
     }

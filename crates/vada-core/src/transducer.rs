@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result, Sharding};
+use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result};
 use vada_kb::KnowledgeBase;
 
 /// The wrangling activity a transducer belongs to (paper Table 1 column
@@ -121,14 +121,6 @@ pub trait Transducer {
     /// is always correct because the incremental path is pinned
     /// byte-identical to full evaluation.
     fn set_evaluation(&mut self, _evaluation: Evaluation) {}
-
-    /// Adopt the orchestrator's sharding level (see
-    /// [`crate::OrchestratorConfig::sharding`]). Components whose scans
-    /// have a per-shard substrate (CSV ingest, fusion blocking, mapping
-    /// execution) override this and schedule one unit of work per shard;
-    /// the default ignores it, which is always correct because sharded and
-    /// monolithic scans produce identical output.
-    fn set_sharding(&mut self, _sharding: Sharding) {}
 
     /// Adopt the orchestrator's observability registry (see
     /// [`crate::Orchestrator::set_obs`]). Components whose substrate emits

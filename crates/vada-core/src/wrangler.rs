@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vada_common::{
     Durability, Evaluation, Obs, ObsReport, Parallelism, QueryCaching, Relation, Result, Schema,
-    Sharding,
 };
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
@@ -186,17 +185,6 @@ impl Wrangler {
     /// edits cost O(change).
     pub fn set_evaluation(&mut self, evaluation: Evaluation) {
         let config = OrchestratorConfig { evaluation, ..self.orchestrator.config().clone() };
-        self.orchestrator.set_config(config);
-    }
-
-    /// Set the sharding level for every registered component. Safe to
-    /// change at any point: sharded and monolithic scans produce identical
-    /// results, traces, and errors at any shard count (the
-    /// `shard_equivalence` suite pins this); under sharding, knowledge-base
-    /// scans run one scheduling unit per shard and the per-shard views stay
-    /// in step with the catalog via the delta journal.
-    pub fn set_sharding(&mut self, sharding: Sharding) {
-        let config = OrchestratorConfig { sharding, ..self.orchestrator.config().clone() };
         self.orchestrator.set_config(config);
     }
 

@@ -34,7 +34,7 @@
 //! evaluating a query over the full materialization is byte-identical to
 //! evaluating it over the demanded one (the `query_equivalence`
 //! contract). The root differential suites pin the composed claim across
-//! the `{threads × shards × incremental × wal × magic}` matrix.
+//! the `{threads × incremental × wal × magic}` matrix.
 //!
 //! Note the view deliberately materializes the *full* program fixpoint,
 //! not the demanded restriction: under row-level edits the demand set can

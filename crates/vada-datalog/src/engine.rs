@@ -23,8 +23,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::par::{self, Parallelism};
-use vada_common::sharding::{assign_shards, merge_in_order, rows_by_shard, Sharding};
-use vada_common::{HashPartitioner, QueryMode, Result, Tuple, VadaError, Value};
+use vada_common::{QueryMode, Result, Tuple, VadaError, Value};
 
 use crate::analysis::stratify;
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
@@ -194,40 +193,6 @@ impl Database {
         for t in rel.iter() {
             fs.insert(t.clone());
         }
-    }
-
-    /// [`Database::insert_relation`] over a sharded extensional scan: rows
-    /// are assigned to shards by the stable whole-tuple hash, each shard
-    /// clones its rows as one scheduling unit (stage `datalog/shard_load`),
-    /// and the per-shard outputs merge back into relation row order before
-    /// insertion — so the resulting fact set *and its insertion order* are
-    /// byte-identical to the monolithic load at any shard count.
-    /// [`Sharding::Off`] delegates outright.
-    pub fn insert_relation_sharded(
-        &mut self,
-        rel: &vada_common::Relation,
-        sharding: Sharding,
-        par: Parallelism,
-    ) -> Result<()> {
-        if !sharding.is_sharded() {
-            self.insert_relation(rel);
-            return Ok(());
-        }
-        let n = sharding.shard_count();
-        let assignment =
-            assign_shards(par, "datalog/shard_load_assign", rel.tuples(), &HashPartitioner, n)?;
-        let by_shard = rows_by_shard(&assignment, n);
-        let per_shard = par::par_shards(par, "datalog/shard_load", n, |s| {
-            Ok(by_shard[s]
-                .iter()
-                .map(|&row| rel.tuples()[row].clone())
-                .collect::<Vec<Tuple>>())
-        })?;
-        let fs = self.rels.entry(rel.name().to_string()).or_default();
-        for t in merge_in_order(&assignment, per_shard) {
-            fs.insert(t);
-        }
-        Ok(())
     }
 
     /// Merge another database into this one.
@@ -1448,31 +1413,6 @@ mod tests {
     fn facts_loaded() {
         let db = run(r#"p(1). p(2). p(1)."#);
         assert_eq!(db.facts("p").len(), 2);
-    }
-
-    #[test]
-    fn sharded_extensional_load_is_identical_to_monolithic() {
-        let mut rel =
-            vada_common::Relation::empty(vada_common::Schema::all_str("src", &["a", "b"]));
-        for i in 0..300 {
-            // duplicates included: the fact set must dedup identically
-            rel.push(tuple![format!("{}", i % 250), format!("v{i}")]).unwrap();
-            if i % 50 == 0 {
-                rel.push(tuple![format!("{}", i % 250), format!("v{i}")]).unwrap();
-            }
-        }
-        let mut mono = Database::new();
-        mono.insert_relation(&rel);
-        for shards in [2usize, 4, 7] {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let mut db = Database::new();
-                db.insert_relation_sharded(&rel, Sharding::Shards(shards), par).unwrap();
-                assert_eq!(db.facts("src"), mono.facts("src"), "shards={shards} {par:?}");
-            }
-        }
-        let mut off = Database::new();
-        off.insert_relation_sharded(&rel, Sharding::Off, Parallelism::Sequential).unwrap();
-        assert_eq!(off.facts("src"), mono.facts("src"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use vada_common::par::{self, Parallelism};
-use vada_common::sharding::{blocking_key, rows_by_shard, shard_of_key, Sharding};
-use vada_common::{HashPartitioner, Partitioner, Relation, Result, Tuple};
+use vada_common::text::blocking_key;
+use vada_common::{Relation, Result};
 
 /// Group row indices by the normalised concatenation of the given key
 /// attributes. Rows whose key attributes are all null go into singleton
@@ -35,7 +35,7 @@ pub fn block_by_keys_with(
         let mut singletons: Vec<usize> = Vec::new();
         let mut key = String::new();
         for (off, t) in slice.iter().enumerate() {
-            if extract_key(t, &cols, &mut key) {
+            if blocking_key(t, &cols, &mut key) {
                 if let Some(rows) = blocks.get_mut(key.as_str()) {
                     rows.push(base + off);
                 } else {
@@ -57,83 +57,6 @@ pub fn block_by_keys_with(
     }
     let mut out: Vec<Vec<usize>> = blocks.into_values().collect();
     out.extend(singletons);
-    Ok(out)
-}
-
-/// Build the blocking key of `t` over `cols` into `key` (cleared first):
-/// the normal forms of the non-null key cells joined by `|`. Returns
-/// `false` when every key cell is null (singleton row). Delegates to
-/// [`vada_common::sharding::blocking_key`] — the same definition the
-/// blocking-key partitioner hashes, which is what guarantees a sharded
-/// blocking scan sees every member of every block it owns.
-fn extract_key(t: &Tuple, cols: &[usize], key: &mut String) -> bool {
-    blocking_key(t, cols, key)
-}
-
-/// [`block_by_keys_with`] over a sharded scan: rows are partitioned by the
-/// blocking-key-aware [`KeyPartitioner`] (co-blocked rows land in the same
-/// shard, all-null-key singletons spread by whole-tuple hash), each shard
-/// blocks its own rows as one scheduling unit, and the per-shard block
-/// maps merge back. Because a key's rows never straddle shards, the shard
-/// maps have disjoint key spaces and their sorted union — plus the
-/// singleton lists merged in ascending row order — is byte-identical to
-/// the monolithic blocking at any shard count and parallelism level.
-/// [`Sharding::Off`] delegates to the unsharded path outright.
-pub fn block_by_keys_sharded(
-    rel: &Relation,
-    key_attrs: &[&str],
-    sharding: Sharding,
-    par: Parallelism,
-) -> Result<Vec<Vec<usize>>> {
-    if !sharding.is_sharded() {
-        return block_by_keys_with(rel, key_attrs, par);
-    }
-    let cols: Vec<usize> = key_attrs
-        .iter()
-        .map(|a| rel.schema().require(a))
-        .collect::<Result<_>>()?;
-    let shards = sharding.shard_count();
-    // one normalisation pass computes each row's key (None = all-null
-    // singleton); the shard assignment hashes the precomputed key with the
-    // same formula KeyPartitioner uses, and the per-shard scans below group
-    // by the precomputed keys instead of re-normalising
-    let keys: Vec<Option<String>> =
-        par::par_map(par, "fusion/shard_block_assign", rel.tuples(), |_, t| {
-            let mut key = String::new();
-            extract_key(t, &cols, &mut key).then_some(key)
-        })?;
-    let assignment: Vec<usize> = keys
-        .iter()
-        .zip(rel.tuples())
-        .map(|(key, t)| match key {
-            Some(k) => shard_of_key(k, shards),
-            None => HashPartitioner.shard_of(t, shards),
-        })
-        .collect();
-    let by_shard = rows_by_shard(&assignment, shards);
-    let scans = par::par_shards(par, "fusion/shard_block_scan", shards, |s| {
-        let mut blocks: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut singletons: Vec<usize> = Vec::new();
-        for &row in &by_shard[s] {
-            match &keys[row] {
-                Some(key) => blocks.entry(key.as_str()).or_default().push(row),
-                None => singletons.push(row),
-            }
-        }
-        Ok((blocks, singletons))
-    })?;
-    let mut blocks: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut singletons: Vec<usize> = Vec::new();
-    for (shard_blocks, shard_singletons) in scans {
-        for (k, rows) in shard_blocks {
-            debug_assert!(!blocks.contains_key(k), "key `{k}` straddled shards");
-            blocks.insert(k, rows);
-        }
-        singletons.extend(shard_singletons);
-    }
-    singletons.sort_unstable();
-    let mut out: Vec<Vec<usize>> = blocks.into_values().collect();
-    out.extend(singletons.into_iter().map(|r| vec![r]));
     Ok(out)
 }
 
@@ -206,34 +129,6 @@ mod tests {
     #[test]
     fn unknown_key_errors() {
         assert!(block_by_keys(&rel(), &["nope"]).is_err());
-    }
-
-    #[test]
-    fn sharded_blocking_is_identical_to_monolithic() {
-        // a bigger fixture with shared keys, nulls, and near-duplicates
-        let mut big = Relation::empty(Schema::all_str("r", &["street", "postcode"]));
-        for i in 0..200 {
-            let postcode = if i % 13 == 0 {
-                Value::Null
-            } else {
-                Value::str(format!("M{} {}AA", i % 11, i % 3))
-            };
-            big.push(Tuple::new(vec![Value::str(format!("{} high st", i / 2)), postcode]))
-                .unwrap();
-        }
-        let mono = block_by_keys_with(&big, &["postcode"], Parallelism::Sequential).unwrap();
-        for shards in [2usize, 4, 9] {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let got =
-                    block_by_keys_sharded(&big, &["postcode"], Sharding::Shards(shards), par)
-                        .unwrap();
-                assert_eq!(got, mono, "shards={shards} {par:?}");
-            }
-        }
-        let off =
-            block_by_keys_sharded(&big, &["postcode"], Sharding::Off, Parallelism::Sequential)
-                .unwrap();
-        assert_eq!(off, mono);
     }
 
     #[test]

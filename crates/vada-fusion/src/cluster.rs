@@ -1,10 +1,9 @@
 //! Union-find clustering of above-threshold record pairs within blocks.
 
 use vada_common::par::{self, Parallelism};
-use vada_common::sharding::Sharding;
 use vada_common::{Relation, Result, Tuple};
 
-use crate::blocking::{block_by_keys_sharded, block_by_keys_with};
+use crate::blocking::block_by_keys_with;
 use crate::similarity::{record_similarity, FieldSpec};
 
 /// Disjoint-set forest with path compression and union by size.
@@ -109,35 +108,6 @@ pub fn cluster_relation_scored(
     par: Parallelism,
     scorer: &(dyn Fn(&Tuple, &Tuple) -> Result<f64> + Sync),
 ) -> Result<Vec<Vec<usize>>> {
-    let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
-    let blocks = block_by_keys_with(rel, &keys, par)?;
-    cluster_blocks_scored(cfg, rel, &blocks, par, scorer)
-}
-
-/// [`cluster_relation_with`] over a sharded blocking scan (see
-/// [`block_by_keys_sharded`]): blocking runs per shard, and since the
-/// sharded blocks are byte-identical to the monolithic ones, the pairwise
-/// stage — and therefore the clusters — are unchanged at any shard count.
-pub fn cluster_relation_sharded(
-    cfg: &ClusterConfig,
-    rel: &Relation,
-    sharding: Sharding,
-    par: Parallelism,
-) -> Result<Vec<Vec<usize>>> {
-    let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
-    let blocks = block_by_keys_sharded(rel, &keys, sharding, par)?;
-    cluster_blocks_scored(cfg, rel, &blocks, par, &|a, b| record_similarity(&cfg.fields, a, b))
-}
-
-/// Score and union candidate pairs over precomputed blocks — the shared
-/// tail of the monolithic and sharded clustering paths.
-fn cluster_blocks_scored(
-    cfg: &ClusterConfig,
-    rel: &Relation,
-    blocks: &[Vec<usize>],
-    par: Parallelism,
-    scorer: &(dyn Fn(&Tuple, &Tuple) -> Result<f64> + Sync),
-) -> Result<Vec<Vec<usize>>> {
     // Candidate pairs are quadratic in block size, so they are streamed in
     // bounded rounds rather than materialised: extra memory stays O(round)
     // even for a degenerate single-block key. Rounds cover the pair
@@ -145,6 +115,8 @@ fn cluster_blocks_scored(
     // failing round returns before any later round starts — so clusters
     // and the first error are unchanged by the round boundaries.
     const PAIRS_PER_ROUND: usize = 1 << 16;
+    let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
+    let blocks = block_by_keys_with(rel, &keys, par)?;
     let tuples = rel.tuples();
     let mut uf = UnionFind::new(rel.len());
     let mut round: Vec<(usize, usize)> = Vec::new();
@@ -159,7 +131,7 @@ fn cluster_blocks_scored(
         }
         Ok(())
     };
-    for block in blocks {
+    for block in &blocks {
         for (i, &a) in block.iter().enumerate() {
             for &b in &block[i + 1..] {
                 round.push((a, b));

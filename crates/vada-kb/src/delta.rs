@@ -68,10 +68,9 @@ pub enum DeltaChange {
     /// ([`KnowledgeBase::remove_rows`](crate::KnowledgeBase::remove_rows)):
     /// the remaining rows keep their relative order. Not monotone, but
     /// *row-level*: a retraction-capable consumer can feed `rows` through
-    /// its deletion path instead of re-reading the relation, and a
-    /// position-tracking consumer (the sharded store) can route each
-    /// removal to the exact row it hit — tuples alone cannot distinguish
-    /// which of several equal rows went.
+    /// its deletion path instead of re-reading the relation, and WAL
+    /// replay removes exactly the rows at `positions` — tuples alone
+    /// cannot distinguish which of several equal rows went.
     RowsRemoved {
         /// Relation name.
         relation: String,

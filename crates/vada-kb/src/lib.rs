@@ -23,13 +23,11 @@ pub mod catalog;
 pub mod delta;
 pub mod meta;
 pub mod provenance;
-pub mod shard;
 pub mod storage;
 pub mod store;
 
 pub use catalog::{Catalog, RelationKind};
 pub use delta::{DeltaChange, DeltaEvent, DeltaJournal};
-pub use shard::{ShardedRelation, ShardedStore, SyncMode, SyncReport};
 pub use storage::{Snapshot, StoredRelation, WalRecord};
 pub use meta::{
     CellVeto,

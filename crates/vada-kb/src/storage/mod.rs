@@ -14,8 +14,8 @@
 //! with `seq <=` the snapshot version — the overlap a crash between
 //! "snapshot renamed" and "log truncated" can leave behind. The recovered
 //! catalog, journal window, watermarks, and lineage are byte-identical to
-//! the pre-crash in-memory state as of the last fsynced record, so sharded
-//! views and incremental sessions resume O(change).
+//! the pre-crash in-memory state as of the last fsynced record, so
+//! incremental sessions resume O(change).
 //!
 //! **Single writer.** A WAL directory belongs to one live `KnowledgeBase`
 //! at a time. Reopening a directory restores the persisted lineage;

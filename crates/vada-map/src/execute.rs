@@ -1,27 +1,19 @@
 //! Mapping execution: run the Vadalog program against the source
 //! relations and coerce the answers into the typed target schema.
 
-use vada_common::obs::{key as obs_key, Obs};
-use vada_common::{
-    par, AttrType, Parallelism, QueryCaching, Relation, Result, Schema, Sharding, Tuple,
-    VadaError, Value,
-};
+use vada_common::obs::key as obs_key;
+use vada_common::{AttrType, QueryCaching, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::ast::{Atom, HeadTerm, Literal, Rule, Term};
 use vada_datalog::cache::IndexCache;
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::parse_program;
-use vada_kb::{KnowledgeBase, MappingDef, ShardedStore};
+use vada_kb::{KnowledgeBase, MappingDef};
 
 /// Execution configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecuteConfig {
     /// Engine limits.
     pub engine: EngineConfig,
-    /// Sharding level for the input-database construction: the extensional
-    /// load and the `postcode_district` helper scan run per shard and merge
-    /// back in canonical row order, so the execution result is byte-identical
-    /// at any shard count. Defaults to the `VADA_SHARDS` override.
-    pub sharding: Sharding,
     /// Whether a directed one-shot execution probes a caller-held
     /// [`IndexCache`] (see [`execute_mapping_cached`]) instead of building
     /// per-run indexes. Defaults to the `VADA_QUERY_CACHE` override.
@@ -114,100 +106,16 @@ pub(crate) fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result
     Ok(db)
 }
 
-/// [`build_input_db`] over sharded scans: the extensional rows load via the
-/// engine's per-shard load, and the `postcode_district` helper scan — the
-/// expensive per-row string analysis — runs one scheduling unit per shard
-/// of the [`ShardedStore`]'s journal-synced views, merged back to canonical
-/// row order before insertion. The resulting database (facts *and*
-/// insertion order) is byte-identical to the monolithic build.
-///
-/// Callers that execute repeatedly pass their persistent `store` so the
-/// views sync O(change) from the delta journal between runs; `None` builds
-/// an ephemeral store (one repartition, no reuse).
-pub(crate) fn build_input_db_with(
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    sharding: Sharding,
-    parallelism: Parallelism,
-    obs: &Obs,
-    store: Option<&mut ShardedStore>,
-) -> Result<Database> {
-    if !sharding.is_sharded() {
-        return build_input_db(mapping, kb);
-    }
-    let mut ephemeral;
-    let store = match store {
-        Some(s) => s,
-        None => {
-            ephemeral = ShardedStore::new(sharding);
-            &mut ephemeral
-        }
-    };
-    store.set_parallelism(parallelism);
-    store.set_obs(obs.clone());
-    // only the mapping's sources are scanned here, so the store never pays
-    // to partition results or intermediates (scope only grows, so a store
-    // shared across mappings keeps every source it ever scanned synced)
-    store.add_scope(mapping.sources.iter().cloned());
-    store.sync(kb)?;
-    let mut db = Database::new();
-    for source in &mapping.sources {
-        // one per-shard scan yields both the extensional rows and the
-        // postcode_district helper facts; the ordered merge restores
-        // canonical row order, so the database is byte-identical to the
-        // monolithic build
-        let view = store
-            .view(source)
-            .ok_or_else(|| VadaError::Kb(format!("no sharded view for `{source}`")))?;
-        let per_shard = par::par_shards_obs(
-            obs,
-            parallelism,
-            "map/shard_input_scan",
-            view.shard_count(),
-            |s| {
-                Ok(view
-                    .shard(s)
-                    .iter()
-                    .map(|t| (t.clone(), district_facts(t)))
-                    .collect::<Vec<_>>())
-            },
-        )?;
-        for (row, row_facts) in view.merge_scan(per_shard) {
-            db.insert(source, row);
-            for (full, district) in row_facts {
-                db.insert(
-                    "postcode_district",
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
-            }
-        }
-    }
-    Ok(db)
-}
-
 /// Execute a mapping and return the result in the target schema.
 pub fn execute_mapping(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
-    execute_mapping_with(cfg, mapping, kb, None)
+    execute_mapping_impl(cfg, mapping, kb, None)
 }
 
-/// [`execute_mapping`] with an optional persistent [`ShardedStore`]: under
-/// [`Sharding::Shards`] the input database is built from per-shard scans
-/// of the store's journal-synced views (see [`build_input_db_with`]); the
-/// result is byte-identical either way.
-pub fn execute_mapping_with(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
-) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, None)
-}
-
-/// [`execute_mapping_with`] with a caller-held persistent [`IndexCache`]:
+/// [`execute_mapping`] with a caller-held persistent [`IndexCache`]:
 /// under [`ExecuteConfig::query_caching`] + directed mode the demanded
 /// run's hash indexes survive into the next call instead of dying with it.
 /// The cache is validated against the knowledge base's journal identity —
@@ -219,17 +127,15 @@ pub fn execute_mapping_cached(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
     cache: &mut IndexCache,
 ) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, Some(cache))
+    execute_mapping_impl(cfg, mapping, kb, Some(cache))
 }
 
 fn execute_mapping_impl(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
     cache: Option<&mut IndexCache>,
 ) -> Result<Relation> {
     let target: &Schema = kb
@@ -243,19 +149,12 @@ fn execute_mapping_impl(
     }
     let program = parse_program(&mapping.rules)?;
     cfg.engine.obs.incr(obs_key::MAP_FULL);
-    // wraps input build + engine run: the shard scans and the engine's
-    // stratum spans nest underneath
+    // wraps input build + engine run: the engine's stratum spans nest
+    // underneath
     let span = cfg.engine.obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
-    let input = build_input_db_with(
-        mapping,
-        kb,
-        cfg.sharding,
-        cfg.engine.parallelism,
-        &cfg.engine.obs,
-        store,
-    )?;
+    let input = build_input_db(mapping, kb)?;
     let engine = Engine::new(cfg.engine.clone());
     // A mapping run demands its *entire* target relation — an all-free
     // access pattern — so under QueryMode::Directed the magic rewrite
@@ -329,7 +228,7 @@ pub(crate) fn coerce_fact(t: &Tuple, target: &Schema, mapping_id: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::tuple;
+    use vada_common::{tuple, Obs};
 
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -465,12 +364,12 @@ mod tests {
         cfg.engine.obs = obs.clone();
         let mut cache = IndexCache::new();
 
-        let cold = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let cold = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 1);
         let builds_after_cold = obs.get(obs_key::INDEX_BUILDS);
 
         // unchanged kb: warm reuse, byte-identical result, zero new builds
-        let warm = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let warm = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
         assert_eq!(warm.tuples(), cold.tuples());
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_HITS), 1);
         assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds_after_cold);
@@ -480,9 +379,9 @@ mod tests {
         let mut grown = kb.relation("deprivation").unwrap().clone();
         grown.push(tuple!["EH1", "900"]).unwrap();
         kb.register_source(grown);
-        let edited = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let edited = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 2);
-        let plain = execute_mapping_with(&cfg, &m, &kb, None).unwrap();
+        let plain = execute_mapping(&cfg, &m, &kb).unwrap();
         assert_eq!(edited.tuples(), plain.tuples());
     }
 

@@ -63,7 +63,7 @@ use vada_common::{Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_kb::{DeltaChange, DeltaEvent, KnowledgeBase, MappingDef};
 
-use crate::execute::{build_input_db_with, coerce_fact, district_facts, ExecuteConfig};
+use crate::execute::{build_input_db, coerce_fact, district_facts, ExecuteConfig};
 
 /// Cap on retained sessions; the least recently used is evicted beyond it.
 pub const DEFAULT_SESSION_CAPACITY: usize = 16;
@@ -301,21 +301,6 @@ impl IncrementalExecutor {
         mapping: &MappingDef,
         kb: &KnowledgeBase,
     ) -> Result<Relation> {
-        self.execute_with(cfg, mapping, kb, None)
-    }
-
-    /// [`IncrementalExecutor::execute`] with an optional persistent
-    /// [`ShardedStore`]: under [`vada_common::Sharding::Shards`] the
-    /// bootstrap (from-scratch) input database is built from per-shard
-    /// scans of the store's journal-synced views, while the delta path is
-    /// untouched — it is already O(change) straight from the journal.
-    pub fn execute_with(
-        &mut self,
-        cfg: &ExecuteConfig,
-        mapping: &MappingDef,
-        kb: &KnowledgeBase,
-        store: Option<&mut vada_kb::ShardedStore>,
-    ) -> Result<Relation> {
         let target: Schema = kb
             .target_schema()
             .ok_or_else(|| VadaError::Kb("no target schema registered".into()))?
@@ -361,7 +346,7 @@ impl IncrementalExecutor {
                 }
             }
         }
-        self.bootstrap(&fp, cfg, mapping, &target, kb, store)
+        self.bootstrap(&fp, cfg, mapping, &target, kb)
     }
 
     /// Decide whether the journal entries since the session's watermark
@@ -530,16 +515,8 @@ impl IncrementalExecutor {
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-        store: Option<&mut vada_kb::ShardedStore>,
     ) -> Result<Relation> {
-        let input = build_input_db_with(
-            mapping,
-            kb,
-            cfg.sharding,
-            cfg.engine.parallelism,
-            &cfg.engine.obs,
-            store,
-        )?;
+        let input = build_input_db(mapping, kb)?;
         // first-occurrence source index and contributor count per helper
         // fact, and row multiplicities, in the same scan order
         // build_input_db uses

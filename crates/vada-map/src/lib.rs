@@ -20,7 +20,7 @@ pub mod generate;
 pub mod incremental;
 pub mod select;
 
-pub use execute::{execute_mapping, execute_mapping_cached, execute_mapping_with, ExecuteConfig};
+pub use execute::{execute_mapping, execute_mapping_cached, ExecuteConfig};
 pub use vada_datalog::cache::IndexCache;
 pub use generate::{generate_candidates, MapGenConfig};
 pub use incremental::{ExecutorStats, IncrementalExecutor};

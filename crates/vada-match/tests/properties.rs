@@ -1,13 +1,12 @@
 //! Property-based tests for the matching activity: name-similarity scoring
 //! must be symmetric, thresholds must act as pure filters (raising one only
 //! removes correspondences), and the value normal form the instance matcher
-//! keys on must agree with the fusion/sharding blocking key — two values the
-//! matcher considers identical always land in the same block and shard.
+//! keys on must agree with the fusion blocking key — two values the matcher
+//! considers identical always land in the same block.
 
 use proptest::prelude::*;
 
-use vada_common::sharding::{blocking_key, KeyPartitioner, Partitioner};
-use vada_common::text::normalize;
+use vada_common::text::{blocking_key, normalize};
 use vada_common::{tuple, Schema};
 use vada_match::schema_match::name_similarity;
 use vada_match::{combine, schema_match, CombineConfig, Correspondence, SchemaMatchConfig};
@@ -112,12 +111,10 @@ proptest! {
     fn matcher_value_identity_agrees_with_blocking_key(
         a in "[ a-zA-Z0-9_.,-]{0,16}",
         b in "[ a-zA-Z0-9_.,-]{0,16}",
-        shards in 1usize..6
     ) {
         // the instance matcher equates values by `normalize`; fusion blocking
-        // and the key partitioner equate rows by `blocking_key`. The two
-        // normal forms must be the same function, so co-matched values are
-        // co-blocked and co-sharded by construction.
+        // equates rows by `blocking_key`. The two normal forms must be the
+        // same function, so co-matched values are co-blocked by construction.
         let mut ka = String::new();
         let mut kb = String::new();
         // a non-null cell always keys (even when its normal form is empty:
@@ -128,13 +125,5 @@ proptest! {
         let same_value = normalize(&a) == normalize(&b);
         prop_assert_eq!(same_value, ka == kb,
             "matcher identity and blocking key disagree on {:?} vs {:?}", a, b);
-        if same_value {
-            let part = KeyPartitioner { cols: vec![0] };
-            prop_assert_eq!(
-                part.shard_of(&tuple![a.as_str()], shards),
-                part.shard_of(&tuple![b.as_str()], shards),
-                "co-matched values landed in different shards"
-            );
-        }
     }
 }

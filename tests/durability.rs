@@ -6,16 +6,16 @@
 //! uninterrupted run's state at that point — and a mid-record cut (a torn
 //! tail) must recover exactly the preceding boundary, never misread bytes.
 //! Snapshot compaction, the interrupted-compaction overlap, and O(change)
-//! resume of sharded views and wrangling sessions are pinned alongside.
+//! resume of journal watermarks and wrangling sessions are pinned alongside.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::{Evaluation, OrchestratorConfig, Parallelism, Sharding, Wrangler};
+use vada::{Evaluation, OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::{tuple, AttrType, Relation, Schema, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_kb::storage::{Wal, WAL_FILE};
-use vada_kb::{ContextKind, KnowledgeBase, PairwiseStatement, ShardedStore, SyncMode};
+use vada_kb::{ContextKind, DeltaChange, KnowledgeBase, PairwiseStatement};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("vada-durability-{}-{name}", std::process::id()));
@@ -274,13 +274,14 @@ fn compaction_snapshots_and_survives_the_crash_window() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Sharded views resume O(change) across a crash: the recovered journal
-/// keeps its lineage and watermarks, so a store synced before the crash
-/// sees `Noop` on the reopened base and routes (never rebuilds) the
-/// first post-recovery edit.
+/// Consumer watermarks resume O(change) across a crash: the recovered
+/// journal keeps its lineage and versions, so a watermark taken before the
+/// crash (what the mapping executors cache) reads an empty slice on the
+/// untouched reopened base and exactly the one row-level event after the
+/// first post-recovery edit — never `None`, which would force a rebuild.
 #[test]
-fn sharded_store_resumes_o_change_after_reopen() {
-    let dir = tmpdir("shard-resume");
+fn pre_crash_watermark_resumes_o_change_after_reopen() {
+    let dir = tmpdir("watermark-resume");
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 40, seed: 5 },
         ..Default::default()
@@ -289,100 +290,101 @@ fn sharded_store_resumes_o_change_after_reopen() {
     kb.register_source(s.rightmove.clone());
     kb.persist_to(&dir).unwrap();
     kb.register_source(s.deprivation.clone());
-
-    let mut store = ShardedStore::new(Sharding::Shards(4));
-    assert_eq!(store.sync(&kb).unwrap().mode, SyncMode::Rebuild);
+    let lineage = kb.journal().lineage();
+    let watermark = kb.version();
+    let first_row = kb.relation("rightmove").unwrap().tuples()[0].clone();
     drop(kb);
 
     let mut kb = KnowledgeBase::open(&dir).unwrap();
+    assert_eq!(kb.journal().lineage(), lineage, "recovery must keep the lineage id");
     assert_eq!(
-        store.sync(&kb).unwrap().mode,
-        SyncMode::Noop,
-        "unchanged reopened base must be a no-op for a synced store"
+        kb.drain_deltas_since(watermark),
+        Some(vec![]),
+        "unchanged reopened base must read as no change since the pre-crash watermark"
     );
     kb.remove_rows("rightmove", &[0]).unwrap();
-    let report = store.sync(&kb).unwrap();
-    assert_eq!(report.mode, SyncMode::Routed, "post-recovery edits must route");
-    assert_eq!(report.routed_events, 1);
-    for (name, _, rel) in kb.catalog().entries() {
-        assert_eq!(store.view(name).unwrap().merge().tuples(), rel.tuples());
-    }
-    assert_eq!(store.stats().0, 1, "recovery must not force a rebuild");
+    let events = kb.drain_deltas_since(watermark).expect("post-recovery edits must replay");
+    assert_eq!(events.len(), 1);
+    assert_eq!(
+        events[0].change,
+        DeltaChange::RowsRemoved {
+            relation: "rightmove".into(),
+            rows: vec![first_row],
+            positions: vec![0],
+        }
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Drive the full wrangling pipeline durably under every scheduling ×
-/// sharding configuration, checkpoint the observable state at each
+/// Drive the full wrangling pipeline durably under every scheduling
+/// configuration, checkpoint the observable state at each
 /// pipeline step, then crash and reopen at each of those watermarks: the
 /// recovered state must be byte-identical every time, in every
 /// configuration.
 #[test]
 fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
     for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        for sharding in [Sharding::Off, Sharding::Shards(4)] {
-            let dir = tmpdir(&format!("matrix-{parallelism:?}-{sharding:?}"));
-            let s = Scenario::generate(ScenarioConfig {
-                universe: UniverseConfig { properties: 40, seed: 9 },
-                ..Default::default()
-            });
-            let mut w = Wrangler::new();
-            w.set_orchestrator_config(OrchestratorConfig {
-                parallelism,
-                sharding,
-                evaluation: Evaluation::Incremental,
-                ..OrchestratorConfig::default()
-            });
-            w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
+        let dir = tmpdir(&format!("matrix-{parallelism:?}"));
+        let s = Scenario::generate(ScenarioConfig {
+            universe: UniverseConfig { properties: 40, seed: 9 },
+            ..Default::default()
+        });
+        let mut w = Wrangler::new();
+        w.set_orchestrator_config(OrchestratorConfig {
+            parallelism,
+            evaluation: Evaluation::Incremental,
+            ..OrchestratorConfig::default()
+        });
+        w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
 
-            let mut watermarks = Vec::new();
-            let checkpoint = |w: &Wrangler| (w.kb().version(), fingerprint(w.kb()));
-            w.add_source(s.rightmove.clone());
-            w.add_source(s.deprivation.clone());
-            w.set_target(target_schema());
-            w.run().expect("bootstrap succeeds");
-            watermarks.push(checkpoint(&w));
-            w.add_data_context(
-                s.address.clone(),
-                ContextKind::Reference,
-                &[("street", "street"), ("postcode", "postcode")],
-            )
-            .unwrap();
-            w.run().expect("context step succeeds");
-            watermarks.push(checkpoint(&w));
-            w.remove_source_rows("rightmove", &[1, 3]).unwrap();
-            w.set_user_context(vec![PairwiseStatement {
-                more_important: "completeness(crimerank)".into(),
-                less_important: "completeness(bedrooms)".into(),
-                strength: "strongly".into(),
-            }]);
-            w.run().expect("edit step succeeds");
-            watermarks.push(checkpoint(&w));
-            w.kb().storage_health().unwrap();
-            drop(w);
+        let mut watermarks = Vec::new();
+        let checkpoint = |w: &Wrangler| (w.kb().version(), fingerprint(w.kb()));
+        w.add_source(s.rightmove.clone());
+        w.add_source(s.deprivation.clone());
+        w.set_target(target_schema());
+        w.run().expect("bootstrap succeeds");
+        watermarks.push(checkpoint(&w));
+        w.add_data_context(
+            s.address.clone(),
+            ContextKind::Reference,
+            &[("street", "street"), ("postcode", "postcode")],
+        )
+        .unwrap();
+        w.run().expect("context step succeeds");
+        watermarks.push(checkpoint(&w));
+        w.remove_source_rows("rightmove", &[1, 3]).unwrap();
+        w.set_user_context(vec![PairwiseStatement {
+            more_important: "completeness(crimerank)".into(),
+            less_important: "completeness(bedrooms)".into(),
+            strength: "strongly".into(),
+        }]);
+        w.run().expect("edit step succeeds");
+        watermarks.push(checkpoint(&w));
+        w.kb().storage_health().unwrap();
+        drop(w);
 
-            let wal_path = dir.join(WAL_FILE);
-            let full = std::fs::read(&wal_path).unwrap();
-            let boundaries = record_boundaries(&full);
-            let (_wal, records) = Wal::open(&wal_path).unwrap();
-            assert_eq!(boundaries.len(), records.len() + 1);
+        let wal_path = dir.join(WAL_FILE);
+        let full = std::fs::read(&wal_path).unwrap();
+        let boundaries = record_boundaries(&full);
+        let (_wal, records) = Wal::open(&wal_path).unwrap();
+        assert_eq!(boundaries.len(), records.len() + 1);
 
-            for (version, expected) in &watermarks {
-                // the boundary right after the record that produced `version`
-                let k = records
-                    .iter()
-                    .position(|r| r.event.seq == *version)
-                    .map(|i| i + 1)
-                    .expect("every checkpoint version has a WAL record");
-                std::fs::write(&wal_path, &full[..boundaries[k]]).unwrap();
-                let reopened = KnowledgeBase::open(&dir).unwrap();
-                assert_eq!(
-                    &fingerprint(&reopened),
-                    expected,
-                    "{parallelism:?} × {sharding:?}: crash at v{version} must recover that state"
-                );
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
+        for (version, expected) in &watermarks {
+            // the boundary right after the record that produced `version`
+            let k = records
+                .iter()
+                .position(|r| r.event.seq == *version)
+                .map(|i| i + 1)
+                .expect("every checkpoint version has a WAL record");
+            std::fs::write(&wal_path, &full[..boundaries[k]]).unwrap();
+            let reopened = KnowledgeBase::open(&dir).unwrap();
+            assert_eq!(
+                &fingerprint(&reopened),
+                expected,
+                "{parallelism:?}: crash at v{version} must recover that state"
+            );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

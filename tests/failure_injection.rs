@@ -276,96 +276,6 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
     assert!(kb.drain_deltas_since(0).is_some());
 }
 
-/// A partitioner that panics on demand — the injection seam for the
-/// per-shard scan failure contract.
-#[derive(Debug)]
-struct PoisonPartitioner {
-    armed: std::sync::atomic::AtomicBool,
-}
-
-impl vada_common::Partitioner for PoisonPartitioner {
-    fn name(&self) -> &str {
-        "poison"
-    }
-    fn shard_of(&self, tuple: &vada_common::Tuple, shards: usize) -> usize {
-        if self.armed.load(std::sync::atomic::Ordering::Relaxed)
-            && tuple[0] == vada_common::Value::str("POISON")
-        {
-            panic!("poisoned row reached the partitioner");
-        }
-        vada_common::HashPartitioner.shard_of(tuple, shards)
-    }
-}
-
-#[test]
-fn panic_inside_a_per_shard_scan_names_the_stage_and_poisons_nothing() {
-    use vada::{Parallelism, Sharding};
-    use vada_kb::{ShardedStore, SyncMode};
-
-    let mut kb = KnowledgeBase::new();
-    let mut src = Relation::empty(Schema::all_str("s", &["a"]));
-    for i in 0..64 {
-        src.push(tuple![format!("row {i}")]).unwrap();
-    }
-    src.push(tuple!["POISON"]).unwrap();
-    kb.register_source(src);
-    let seen = kb.version();
-
-    let partitioner = std::sync::Arc::new(PoisonPartitioner {
-        armed: std::sync::atomic::AtomicBool::new(true),
-    });
-    // the panic must come back as an error naming the shard stage — from
-    // worker threads just like from the sequential path, never a hang or
-    // abort — and identically at every parallelism level
-    let mut first: Option<vada_common::VadaError> = None;
-    for par in [Parallelism::Sequential, Parallelism::Threads(4), Parallelism::Threads(8)] {
-        let mut store = ShardedStore::with_partitioner(Sharding::Shards(4), partitioner.clone());
-        store.set_parallelism(par);
-        let err = store.sync(&kb).unwrap_err();
-        assert_eq!(err.kind(), "parallel", "{par:?}: {err}");
-        assert!(err.message().contains("kb/shard_partition"), "{par:?}: {err}");
-        assert!(err.message().contains("poisoned row"), "{par:?}: {err}");
-        match &first {
-            None => first = Some(err),
-            Some(e) => assert_eq!(e, &err, "{par:?} reported a different failure"),
-        }
-        // nothing poisoned: disarm the fault and the same store recovers
-        // with a clean rebuild on the next sync
-        partitioner.armed.store(false, std::sync::atomic::Ordering::Relaxed);
-        let report = store.sync(&kb).unwrap();
-        assert_eq!(report.mode, SyncMode::Rebuild);
-        assert_eq!(
-            store.view("s").unwrap().merge().tuples(),
-            kb.relation("s").unwrap().tuples()
-        );
-        partitioner.armed.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    // the journal was never touched by the failed scans: it still serves
-    // the full slice to any consumer
-    assert!(kb.drain_deltas_since(seen).unwrap().is_empty());
-    assert!(kb.drain_deltas_since(0).is_some());
-
-    // and a failed sync mid-history does not leave half-applied views:
-    // the next successful sync reflects edits made while poisoned
-    partitioner.armed.store(false, std::sync::atomic::Ordering::Relaxed);
-    let mut store = ShardedStore::with_partitioner(Sharding::Shards(4), partitioner.clone());
-    store.sync(&kb).unwrap();
-    partitioner.armed.store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut grown = kb.relation("s").unwrap().clone();
-    grown.push(tuple!["POISON"]).unwrap();
-    kb.register_source(grown);
-    // RowsAppended routing hits the armed partitioner and fails...
-    assert!(store.sync(&kb).unwrap_err().message().contains("poisoned row"));
-    // ...but the store recovers to exactly the canonical state
-    partitioner.armed.store(false, std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(store.sync(&kb).unwrap().mode, SyncMode::Rebuild);
-    assert_eq!(
-        store.view("s").unwrap().merge().tuples(),
-        kb.relation("s").unwrap().tuples()
-    );
-}
-
 #[test]
 fn divergent_user_datalog_is_rejected_not_hung() {
     // a user-supplied mapping with a non-warded existential cycle must be

@@ -1,7 +1,7 @@
 //! Differential tests for the observability layer: the **structural**
 //! counters (the `pipeline.*` names) must be byte-identical across the
-//! whole `{parallelism} × {sharding} × {evaluation} × {query mode} ×
-//! {durability}` knob matrix — observability observes the pipeline's
+//! whole `{parallelism} × {evaluation} × {query mode} × {durability}`
+//! knob matrix — observability observes the pipeline's
 //! semantic structure, never its scheduling — and a broken or panicking
 //! export sink must never change a single byte of the wrangling result.
 //! This is the contract that makes the `VADA_OBS` override safe to flip
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use vada::{Evaluation, OrchestratorConfig, Parallelism, Sharding, Wrangler};
+use vada::{Evaluation, OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::obs::{span_shape, structural_span_shape, Json, Obs, ObsSink};
 use vada_common::{csv, QueryCaching, Result, VadaError};
 use vada_extract::sources::target_schema;
@@ -57,8 +57,7 @@ struct Observed {
 /// Mapping ids (`map<N>`) come from a process-global counter, so their
 /// absolute numbers depend on how many wrangles ran earlier in this
 /// process; rank the distinct ids and rewrite each to `map#<rank>` so
-/// catalogs from different legs compare byte-for-byte (same scheme as
-/// `shard_equivalence`).
+/// catalogs from different legs compare byte-for-byte.
 fn canonicalize_map_ids(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut ids: std::collections::BTreeSet<u64> = Default::default();
@@ -106,7 +105,6 @@ fn canonicalize_map_ids(s: &str) -> String {
 /// phase, a re-run) under one knob combination with a live registry.
 fn wrangle(
     par: Parallelism,
-    sharding: Sharding,
     eval: Evaluation,
     wal: bool,
     caching: QueryCaching,
@@ -118,7 +116,7 @@ fn wrangle(
     let mut w = Wrangler::new();
     if wal {
         let dir = std::env::temp_dir().join(format!(
-            "vada-obs-equivalence-{}-{par:?}-{sharding:?}-{eval:?}",
+            "vada-obs-equivalence-{}-{par:?}-{eval:?}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -126,7 +124,6 @@ fn wrangle(
     }
     w.set_orchestrator_config(OrchestratorConfig {
         parallelism: par,
-        sharding,
         evaluation: eval,
         ..OrchestratorConfig::default()
     });
@@ -178,18 +175,12 @@ fn wrangle(
 }
 
 /// The headline pin: every knob combination tallies the same structural
-/// counters — and materialises the same catalog — as sequential /
-/// unsharded / full / undirected / in-memory.
+/// counters — and materialises the same catalog — as sequential / full /
+/// undirected / in-memory.
 #[test]
 fn structural_counters_identical_across_the_knob_matrix() {
     let baseline = with_query_mode(false, || {
-        wrangle(
-            Parallelism::Sequential,
-            Sharding::Off,
-            Evaluation::Full,
-            false,
-            QueryCaching::Off,
-        )
+        wrangle(Parallelism::Sequential, Evaluation::Full, false, QueryCaching::Off)
     });
     assert!(
         baseline.structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0,
@@ -237,49 +228,44 @@ fn structural_counters_identical_across_the_knob_matrix() {
         baseline.full_spans
     );
 
-    // full span trees per {sharding, eval, directed} combo: the tree is a
+    // full span trees per {eval, directed} combo: the tree is a
     // pure function of the knobs — thread counts must never change it
     let mut full_trees: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    full_trees.insert("Off-Full-false".into(), baseline.full_spans.clone());
+    full_trees.insert("Full-false".into(), baseline.full_spans.clone());
 
     for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        for sharding in [Sharding::Off, Sharding::Shards(4)] {
-            for eval in [Evaluation::Full, Evaluation::Incremental] {
-                for directed in [false, true] {
-                    if (par, sharding, eval, directed)
-                        == (Parallelism::Sequential, Sharding::Off, Evaluation::Full, false)
-                    {
-                        continue;
+        for eval in [Evaluation::Full, Evaluation::Incremental] {
+            for directed in [false, true] {
+                if (par, eval, directed) == (Parallelism::Sequential, Evaluation::Full, false) {
+                    continue;
+                }
+                let got = with_query_mode(directed, || {
+                    wrangle(par, eval, false, QueryCaching::Off)
+                });
+                assert_eq!(
+                    got.structural, baseline.structural,
+                    "{par:?} × {eval:?} × directed={directed} \
+                     diverged structurally"
+                );
+                assert_eq!(
+                    got.catalog, baseline.catalog,
+                    "{par:?} × {eval:?} × directed={directed} \
+                     changed the catalog"
+                );
+                assert_eq!(
+                    got.structural_spans, baseline.structural_spans,
+                    "{par:?} × {eval:?} × directed={directed} \
+                     changed the structural span tree"
+                );
+                let combo = format!("{eval:?}-{directed}");
+                match full_trees.get(&combo) {
+                    None => {
+                        full_trees.insert(combo, got.full_spans);
                     }
-                    let got = with_query_mode(directed, || {
-                        wrangle(par, sharding, eval, false, QueryCaching::Off)
-                    });
-                    assert_eq!(
-                        got.structural, baseline.structural,
-                        "{par:?} × {sharding:?} × {eval:?} × directed={directed} \
-                         diverged structurally"
-                    );
-                    assert_eq!(
-                        got.catalog, baseline.catalog,
-                        "{par:?} × {sharding:?} × {eval:?} × directed={directed} \
-                         changed the catalog"
-                    );
-                    assert_eq!(
-                        got.structural_spans, baseline.structural_spans,
-                        "{par:?} × {sharding:?} × {eval:?} × directed={directed} \
-                         changed the structural span tree"
-                    );
-                    let combo = format!("{sharding:?}-{eval:?}-{directed}");
-                    match full_trees.get(&combo) {
-                        None => {
-                            full_trees.insert(combo, got.full_spans);
-                        }
-                        Some(tree) => assert_eq!(
-                            &got.full_spans, tree,
-                            "{par:?} changed the full span tree of {sharding:?} × \
-                             {eval:?} × directed={directed}"
-                        ),
-                    }
+                    Some(tree) => assert_eq!(
+                        &got.full_spans, tree,
+                        "{par:?} changed the full span tree of {eval:?} × directed={directed}"
+                    ),
                 }
             }
         }
@@ -289,7 +275,7 @@ fn structural_counters_identical_across_the_knob_matrix() {
     // (wal.* diagnostics appear, but only under the pipeline-neutral
     // mode-scoped namespace — and as wal/append spans in the full tree)
     let durable = with_query_mode(false, || {
-        wrangle(Parallelism::Sequential, Sharding::Off, Evaluation::Full, true, QueryCaching::Off)
+        wrangle(Parallelism::Sequential, Evaluation::Full, true, QueryCaching::Off)
     });
     assert_eq!(durable.structural, baseline.structural, "WAL leg diverged structurally");
     assert_eq!(durable.catalog, baseline.catalog, "WAL leg changed the catalog");
@@ -315,16 +301,16 @@ fn structural_counters_identical_across_the_knob_matrix() {
 
     // the caching knob: persistent query caches never change the pipeline's
     // structural shape either — counters, catalog, or structural spans
-    for (par, sharding, eval, directed) in [
-        (Parallelism::Sequential, Sharding::Off, Evaluation::Full, false),
-        (Parallelism::Threads(4), Sharding::Shards(4), Evaluation::Incremental, true),
+    for (par, eval, directed) in [
+        (Parallelism::Sequential, Evaluation::Full, false),
+        (Parallelism::Threads(4), Evaluation::Incremental, true),
     ] {
         let cached = with_query_mode(directed, || {
-            wrangle(par, sharding, eval, false, QueryCaching::Persistent)
+            wrangle(par, eval, false, QueryCaching::Persistent)
         });
         assert_eq!(
             cached.structural, baseline.structural,
-            "cache leg {par:?} × {sharding:?} × {eval:?} × directed={directed} \
+            "cache leg {par:?} × {eval:?} × directed={directed} \
              diverged structurally"
         );
         assert_eq!(cached.catalog, baseline.catalog, "cache leg changed the catalog");

@@ -5,7 +5,7 @@
 //! across randomized programs and query workloads (bound/free argument
 //! patterns, negation, aggregates, positive cycles, multi-adornment
 //! queries, empty demand sets) and across the full knob matrix
-//! `{Sequential, Threads(4)} × {Off, Shards(4)} × {Full, Incremental}`.
+//! `{Sequential, Threads(4)} × {Full, Incremental}`.
 //! Failure injection drives panics into the rewrite and index-build stages
 //! and pins that the surfaced error is the same at every level. This is
 //! the contract that makes the `VADA_MAGIC` override safe to flip in
@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada_common::{AttrType, Parallelism, QueryMode, Relation, Schema, Sharding, Tuple, Value};
+use vada_common::{AttrType, Parallelism, QueryMode, Relation, Schema, Tuple, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::incremental::IncrementalSession;
 use vada_datalog::parser::{parse_program, parse_query};
@@ -115,14 +115,8 @@ fn random_world(rng: &mut StdRng) -> World {
     World { program, e_rows, n_rows, lab_rows, queries }
 }
 
-/// Build the extensional database from per-predicate row slices, loading
-/// through the sharded path when sharding is on (pinning that the directed
-/// path composes with shard-built fact orders).
-fn build_db(
-    rows: &[(&str, &[Tuple])],
-    sharding: Sharding,
-    par: Parallelism,
-) -> Database {
+/// Build the extensional database from per-predicate row slices.
+fn build_db(rows: &[(&str, &[Tuple])]) -> Database {
     let mut db = Database::new();
     for (pred, tuples) in rows {
         let schema = match *pred {
@@ -136,7 +130,7 @@ fn build_db(
         for t in *tuples {
             rel.push(t.clone()).unwrap();
         }
-        db.insert_relation_sharded(&rel, sharding, par).unwrap();
+        db.insert_relation(&rel);
     }
     db
 }
@@ -150,11 +144,9 @@ fn config(par: Parallelism, mode: QueryMode) -> EngineConfig {
 }
 
 const PARS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
-const SHARDS: [Sharding; 2] = [Sharding::Off, Sharding::Shards(4)];
 
 /// The headline pin: directed ≡ undirected per query, across the full
-/// `{parallelism} × {sharding} × {evaluation}` matrix, on seed-logged
-/// randomized worlds.
+/// `{parallelism} × {evaluation}` matrix, on seed-logged randomized worlds.
 #[test]
 fn directed_equals_undirected_across_the_knob_matrix() {
     for seed in 0..5u64 {
@@ -195,7 +187,7 @@ fn directed_equals_undirected_across_the_knob_matrix() {
 
         for (qi, qsrc) in world.queries.iter().enumerate() {
             let query = parse_query(qsrc).unwrap();
-            let baseline_db = build_db(&full_slices, Sharding::Off, Parallelism::Sequential);
+            let baseline_db = build_db(&full_slices);
             let baseline = render(
                 &Engine::new(config(Parallelism::Sequential, QueryMode::Undirected))
                     .run_query(&program, &baseline_db, &query)
@@ -203,50 +195,48 @@ fn directed_equals_undirected_across_the_knob_matrix() {
             );
 
             for par in PARS {
-                for sharding in SHARDS {
-                    // Full evaluation legs
-                    for mode in [QueryMode::Undirected, QueryMode::Directed] {
-                        let db = build_db(&full_slices, sharding, par);
-                        let got = render(
-                            &Engine::new(config(par, mode))
-                                .run_query(&program, &db, &query)
-                                .unwrap(),
-                        );
-                        assert_eq!(
-                            got, baseline,
-                            "seed {seed} query #{qi} `{qsrc}` full {par:?} {sharding:?} {mode:?}"
-                        );
-                    }
-
-                    // Incremental legs: a directed session must behave
-                    // exactly like an undirected one — same outcomes
-                    // (applied / fallback reasons), same materialization,
-                    // same query answers.
-                    let mut observed: Vec<(String, String)> = Vec::new();
-                    for mode in [QueryMode::Undirected, QueryMode::Directed] {
-                        let mut session =
-                            IncrementalSession::new(config(par, mode), &world.program).unwrap();
-                        session
-                            .run_full(build_db(&base_slices, sharding, par))
-                            .unwrap();
-                        session.apply(delta_pairs.clone()).unwrap();
-                        let answers = render(
-                            &Engine::new(config(par, mode))
-                                .eval_query(&query, session.database())
-                                .unwrap(),
-                        );
-                        assert_eq!(
-                            answers, baseline,
-                            "seed {seed} query #{qi} `{qsrc}` incr {par:?} {sharding:?} {mode:?}"
-                        );
-                        observed.push((format!("{:?}", session.history()), answers));
-                    }
+                // Full evaluation legs
+                for mode in [QueryMode::Undirected, QueryMode::Directed] {
+                    let db = build_db(&full_slices);
+                    let got = render(
+                        &Engine::new(config(par, mode))
+                            .run_query(&program, &db, &query)
+                            .unwrap(),
+                    );
                     assert_eq!(
-                        observed[0], observed[1],
-                        "seed {seed} query #{qi}: directed session diverged from undirected \
-                         ({par:?} {sharding:?})"
+                        got, baseline,
+                        "seed {seed} query #{qi} `{qsrc}` full {par:?} {mode:?}"
                     );
                 }
+
+                // Incremental legs: a directed session must behave
+                // exactly like an undirected one — same outcomes
+                // (applied / fallback reasons), same materialization,
+                // same query answers.
+                let mut observed: Vec<(String, String)> = Vec::new();
+                for mode in [QueryMode::Undirected, QueryMode::Directed] {
+                    let mut session =
+                        IncrementalSession::new(config(par, mode), &world.program).unwrap();
+                    session
+                        .run_full(build_db(&base_slices))
+                        .unwrap();
+                    session.apply(delta_pairs.clone()).unwrap();
+                    let answers = render(
+                        &Engine::new(config(par, mode))
+                            .eval_query(&query, session.database())
+                            .unwrap(),
+                    );
+                    assert_eq!(
+                        answers, baseline,
+                        "seed {seed} query #{qi} `{qsrc}` incr {par:?} {mode:?}"
+                    );
+                    observed.push((format!("{:?}", session.history()), answers));
+                }
+                assert_eq!(
+                    observed[0], observed[1],
+                    "seed {seed} query #{qi}: directed session diverged from undirected \
+                     ({par:?})"
+                );
             }
         }
     }
@@ -292,10 +282,10 @@ fn directed_materializes_a_subset_and_prunes_bound_queries() {
 }
 
 /// Failure injection: a panic in the magic-rewrite stage surfaces as the
-/// same [`VadaError::Parallel`]-style error at every parallelism and
-/// sharding level, and only on the directed path (undirected never runs
-/// the rewrite). A directed *session* never runs the rewrite either — it
-/// materializes the full program — so it must stay healthy.
+/// same [`VadaError::Parallel`]-style error at every parallelism level,
+/// and only on the directed path (undirected never runs the rewrite). A
+/// directed *session* never runs the rewrite either — it materializes the
+/// full program — so it must stay healthy.
 #[test]
 fn injected_rewrite_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -307,26 +297,24 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
 
     let mut errors: Vec<String> = Vec::new();
     for par in PARS {
-        for sharding in SHARDS {
-            let db = build_db(&rows, sharding, par);
-            let mut cfg = config(par, QueryMode::Directed);
-            cfg.inject_fault = Some("magic-rewrite");
-            let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
-            assert_eq!(err.kind(), "parallel", "{err}");
-            errors.push(err.to_string());
+        let db = build_db(&rows);
+        let mut cfg = config(par, QueryMode::Directed);
+        cfg.inject_fault = Some("magic-rewrite");
+        let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
+        assert_eq!(err.kind(), "parallel", "{err}");
+        errors.push(err.to_string());
 
-            // undirected ignores the rewrite fault entirely
-            let mut ucfg = config(par, QueryMode::Undirected);
-            ucfg.inject_fault = Some("magic-rewrite");
-            Engine::new(ucfg).run_query(&program, &db, &query).unwrap();
+        // undirected ignores the rewrite fault entirely
+        let mut ucfg = config(par, QueryMode::Undirected);
+        ucfg.inject_fault = Some("magic-rewrite");
+        Engine::new(ucfg).run_query(&program, &db, &query).unwrap();
 
-            // a directed session materializes the full program: no rewrite
-            // stage runs, so the fault never fires
-            let mut scfg = config(par, QueryMode::Directed);
-            scfg.inject_fault = Some("magic-rewrite");
-            let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
-            session.run_full(build_db(&rows, sharding, par)).unwrap();
-        }
+        // a directed session materializes the full program: no rewrite
+        // stage runs, so the fault never fires
+        let mut scfg = config(par, QueryMode::Directed);
+        scfg.inject_fault = Some("magic-rewrite");
+        let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
+        session.run_full(build_db(&rows)).unwrap();
     }
     assert!(errors[0].contains("datalog/magic_rewrite"), "{}", errors[0]);
     assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
@@ -334,8 +322,8 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
 
 /// Failure injection: a panic in the shared-index build stage surfaces as
 /// the same error in **both** modes (the index store serves undirected and
-/// directed runs alike), at every parallelism and sharding level, and
-/// through incremental sessions' full materialization.
+/// directed runs alike), at every parallelism level, and through
+/// incremental sessions' full materialization.
 #[test]
 fn injected_index_build_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -347,21 +335,19 @@ fn injected_index_build_fault_is_identical_at_every_level() {
 
     let mut errors: Vec<String> = Vec::new();
     for par in PARS {
-        for sharding in SHARDS {
-            for mode in [QueryMode::Undirected, QueryMode::Directed] {
-                let db = build_db(&rows, sharding, par);
-                let mut cfg = config(par, mode);
-                cfg.inject_fault = Some("index-build");
-                let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
-                assert_eq!(err.kind(), "parallel", "{err}");
-                errors.push(err.to_string());
+        for mode in [QueryMode::Undirected, QueryMode::Directed] {
+            let db = build_db(&rows);
+            let mut cfg = config(par, mode);
+            cfg.inject_fault = Some("index-build");
+            let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
+            assert_eq!(err.kind(), "parallel", "{err}");
+            errors.push(err.to_string());
 
-                let mut scfg = config(par, mode);
-                scfg.inject_fault = Some("index-build");
-                let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
-                let serr = session.run_full(build_db(&rows, sharding, par)).unwrap_err();
-                errors.push(serr.to_string());
-            }
+            let mut scfg = config(par, mode);
+            scfg.inject_fault = Some("index-build");
+            let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
+            let serr = session.run_full(build_db(&rows)).unwrap_err();
+            errors.push(serr.to_string());
         }
     }
     assert!(errors[0].contains("datalog/index_build"), "{}", errors[0]);
@@ -382,7 +368,7 @@ fn engine_config_default_honours_the_env_knob() {
 /// window), and lineage divergence — with repeated bound-pattern queries
 /// interleaved after every step. Every cached answer must be
 /// byte-identical to a cold directed run over a freshly built database,
-/// across `{parallelism} × {sharding}`; the pruned-window and
+/// at every parallelism level; the pruned-window and
 /// diverged-lineage steps must drop the view and rebuild clean, and the
 /// `magic.cache.*` counters must account for every call exactly once.
 #[test]
@@ -411,131 +397,129 @@ fn cached_queries_equal_cold_directed_runs_across_edit_scripts() {
     for seed in 0..4u64 {
         println!("query_cache_equivalence: seed {seed}");
         for par in PARS {
-            for sharding in SHARDS {
-                let mut rng = StdRng::seed_from_u64(seed * 31 + 5);
-                let obs = Obs::enabled();
-                let mut cfg = config(par, QueryMode::Directed);
-                cfg.obs = obs.clone();
-                let mut cache = QueryCache::new(cfg.clone());
+            let mut rng = StdRng::seed_from_u64(seed * 31 + 5);
+            let obs = Obs::enabled();
+            let mut cfg = config(par, QueryMode::Directed);
+            cfg.obs = obs.clone();
+            let mut cache = QueryCache::new(cfg.clone());
 
-                // ground truth, in knowledge-base row order; edges are
-                // unique so removal-by-value is unambiguous
-                let mut e_rows: Vec<Tuple> = (0..8)
-                    .map(|i| {
-                        Tuple::new(vec![
-                            Value::str(format!("v{i}")),
-                            Value::str(format!("v{}", (i + 1) % 8)),
-                        ])
-                    })
-                    .collect();
-                let mut lab_rows: Vec<Tuple> = (0..8)
-                    .map(|i| {
-                        Tuple::new(vec![
-                            Value::str(format!("v{i}")),
+            // ground truth, in knowledge-base row order; edges are
+            // unique so removal-by-value is unambiguous
+            let mut e_rows: Vec<Tuple> = (0..8)
+                .map(|i| {
+                    Tuple::new(vec![
+                        Value::str(format!("v{i}")),
+                        Value::str(format!("v{}", (i + 1) % 8)),
+                    ])
+                })
+                .collect();
+            let mut lab_rows: Vec<Tuple> = (0..8)
+                .map(|i| {
+                    Tuple::new(vec![
+                        Value::str(format!("v{i}")),
+                        Value::Int(rng.gen_range(0..30i64)),
+                    ])
+                })
+                .collect();
+            let mut fresh = 0usize;
+
+            let mut lineage = seed;
+            let mut version = 0u64;
+            for step in 0..STEPS {
+                let delta = match step {
+                    0 | 1 | 5 => {
+                        // append a unique edge into the live graph plus
+                        // a label for its new endpoint
+                        let a = rng.gen_range(0..8usize);
+                        let b = format!("w{fresh}");
+                        fresh += 1;
+                        let e = Tuple::new(vec![
+                            Value::str(format!("v{a}")),
+                            Value::str(b.clone()),
+                        ]);
+                        let lab = Tuple::new(vec![
+                            Value::str(b),
                             Value::Int(rng.gen_range(0..30i64)),
-                        ])
-                    })
-                    .collect();
-                let mut fresh = 0usize;
+                        ]);
+                        e_rows.push(e.clone());
+                        lab_rows.push(lab.clone());
+                        CacheDelta::Rows(vec![DeltaBatch::Append(vec![
+                            ("e".into(), e),
+                            ("lab".into(), lab),
+                        ])])
+                    }
+                    2 | 7 => {
+                        let victim = e_rows.remove(rng.gen_range(0..e_rows.len()));
+                        CacheDelta::Rows(vec![DeltaBatch::Remove(vec![(
+                            "e".into(),
+                            victim,
+                        )])])
+                    }
+                    3 => CacheDelta::Unchanged,
+                    4 => {
+                        // rewrite a label in place: inexpressible as an
+                        // ordered append/remove suffix, i.e. the journal
+                        // window was pruned under the view
+                        let i = rng.gen_range(0..lab_rows.len());
+                        lab_rows[i] = Tuple::new(vec![
+                            lab_rows[i][0].clone(),
+                            Value::Int(rng.gen_range(0..30i64)),
+                        ]);
+                        CacheDelta::Unknown
+                    }
+                    6 => {
+                        // a different journal identity: even an innocent
+                        // delta claim must not be trusted
+                        lineage += 1000;
+                        e_rows.remove(0);
+                        CacheDelta::Unchanged
+                    }
+                    _ => unreachable!(),
+                };
+                version += 1;
 
-                let mut lineage = seed;
-                let mut version = 0u64;
-                for step in 0..STEPS {
-                    let delta = match step {
-                        0 | 1 | 5 => {
-                            // append a unique edge into the live graph plus
-                            // a label for its new endpoint
-                            let a = rng.gen_range(0..8usize);
-                            let b = format!("w{fresh}");
-                            fresh += 1;
-                            let e = Tuple::new(vec![
-                                Value::str(format!("v{a}")),
-                                Value::str(b.clone()),
-                            ]);
-                            let lab = Tuple::new(vec![
-                                Value::str(b),
-                                Value::Int(rng.gen_range(0..30i64)),
-                            ]);
-                            e_rows.push(e.clone());
-                            lab_rows.push(lab.clone());
-                            CacheDelta::Rows(vec![DeltaBatch::Append(vec![
-                                ("e".into(), e),
-                                ("lab".into(), lab),
-                            ])])
-                        }
-                        2 | 7 => {
-                            let victim = e_rows.remove(rng.gen_range(0..e_rows.len()));
-                            CacheDelta::Rows(vec![DeltaBatch::Remove(vec![(
-                                "e".into(),
-                                victim,
-                            )])])
-                        }
-                        3 => CacheDelta::Unchanged,
-                        4 => {
-                            // rewrite a label in place: inexpressible as an
-                            // ordered append/remove suffix, i.e. the journal
-                            // window was pruned under the view
-                            let i = rng.gen_range(0..lab_rows.len());
-                            lab_rows[i] = Tuple::new(vec![
-                                lab_rows[i][0].clone(),
-                                Value::Int(rng.gen_range(0..30i64)),
-                            ]);
-                            CacheDelta::Unknown
-                        }
-                        6 => {
-                            // a different journal identity: even an innocent
-                            // delta claim must not be trusted
-                            lineage += 1000;
-                            e_rows.remove(0);
-                            CacheDelta::Unchanged
-                        }
-                        _ => unreachable!(),
-                    };
-                    version += 1;
-
-                    let slices: Vec<(&str, &[Tuple])> =
-                        vec![("e", &e_rows), ("lab", &lab_rows)];
-                    for (qi, qsrc) in queries.iter().enumerate() {
-                        let query = parse_query(qsrc).unwrap();
-                        let cold_db = build_db(&slices, sharding, par);
-                        let cold = render(
-                            &Engine::new(cfg.clone())
-                                .run_query(&program, &cold_db, &query)
+                let slices: Vec<(&str, &[Tuple])> =
+                    vec![("e", &e_rows), ("lab", &lab_rows)];
+                for (qi, qsrc) in queries.iter().enumerate() {
+                    let query = parse_query(qsrc).unwrap();
+                    let cold_db = build_db(&slices);
+                    let cold = render(
+                        &Engine::new(cfg.clone())
+                            .run_query(&program, &cold_db, &query)
+                            .unwrap(),
+                    );
+                    // first call maintains or rebuilds, the repeat must
+                    // serve warm; both byte-identical to the cold run
+                    for repeat in 0..2 {
+                        let got = render(
+                            &cache
+                                .query(program_src, qsrc, lineage, version, delta.clone(), || {
+                                    Ok(build_db(&slices))
+                                })
                                 .unwrap(),
                         );
-                        // first call maintains or rebuilds, the repeat must
-                        // serve warm; both byte-identical to the cold run
-                        for repeat in 0..2 {
-                            let got = render(
-                                &cache
-                                    .query(program_src, qsrc, lineage, version, delta.clone(), || {
-                                        Ok(build_db(&slices, sharding, par))
-                                    })
-                                    .unwrap(),
-                            );
-                            assert_eq!(
-                                got, cold,
-                                "seed {seed} step {step} query #{qi} `{qsrc}` repeat {repeat} \
-                                 {par:?} {sharding:?}"
-                            );
-                        }
+                        assert_eq!(
+                            got, cold,
+                            "seed {seed} step {step} query #{qi} `{qsrc}` repeat {repeat} \
+                             {par:?}"
+                        );
                     }
                 }
-
-                // counter audit: every call lands on exactly one counter;
-                // only the initial colds are misses, and exactly the
-                // pruned-window + diverged-lineage steps invalidate
-                let q = queries.len() as u64;
-                let calls = (STEPS as u64) * q * 2;
-                let (hits, misses, invalidations) = (
-                    obs.get(vada_common::obs::key::MAGIC_CACHE_HITS),
-                    obs.get(vada_common::obs::key::MAGIC_CACHE_MISSES),
-                    obs.get(vada_common::obs::key::MAGIC_CACHE_INVALIDATIONS),
-                );
-                assert_eq!(misses, q, "{par:?} {sharding:?}");
-                assert_eq!(invalidations, 2 * q, "{par:?} {sharding:?}");
-                assert_eq!(hits, calls - misses - invalidations, "{par:?} {sharding:?}");
             }
+
+            // counter audit: every call lands on exactly one counter;
+            // only the initial colds are misses, and exactly the
+            // pruned-window + diverged-lineage steps invalidate
+            let q = queries.len() as u64;
+            let calls = (STEPS as u64) * q * 2;
+            let (hits, misses, invalidations) = (
+                obs.get(vada_common::obs::key::MAGIC_CACHE_HITS),
+                obs.get(vada_common::obs::key::MAGIC_CACHE_MISSES),
+                obs.get(vada_common::obs::key::MAGIC_CACHE_INVALIDATIONS),
+            );
+            assert_eq!(misses, q, "{par:?}");
+            assert_eq!(invalidations, 2 * q, "{par:?}");
+            assert_eq!(hits, calls - misses - invalidations, "{par:?}");
         }
     }
 }
