@@ -10,7 +10,9 @@ use vada_common::obs::{json_escape, Obs};
 use vada_common::{tuple, Relation, Schema, Tuple};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
+use vada_extract::{ScenarioConfig, UniverseConfig};
 
+use crate::paygo::{run_paygo, PaygoConfig};
 use crate::report::table;
 
 /// Median of raw wall-clock samples.
@@ -110,6 +112,39 @@ struct CacheRow {
     cold_ms: f64,
     warm_ms: f64,
     delta_ms: f64,
+}
+
+struct WrangleRow {
+    properties: usize,
+    steps: usize,
+    candidates: usize,
+    total_ms: f64,
+}
+
+/// The four-step pay-as-you-go wrangle (bootstrap, data context,
+/// feedback, user context) of the real-estate scenario at a fixed small
+/// seeded size. Its counters and span tree are what `--check` defends
+/// end to end: how many transducer steps a wrangle takes, and that each
+/// candidate mapping structure is materialised once (`map.execute.full`)
+/// and reused thereafter (`map.execute.reused`).
+fn measure_wrangle(properties: usize, obs: &Obs) -> WrangleRow {
+    let cfg = PaygoConfig {
+        scenario: ScenarioConfig {
+            universe: UniverseConfig { properties, seed: 20170514 },
+            ..Default::default()
+        },
+        obs: Some(obs.clone()),
+        ..Default::default()
+    };
+    let start = Instant::now();
+    let outcome = run_paygo(&cfg);
+    let total_ms = start.elapsed().as_secs_f64() * 1e3;
+    WrangleRow {
+        properties,
+        steps: outcome.steps.iter().map(|s| s.executed).sum(),
+        candidates: outcome.wrangler.kb().mappings().count(),
+        total_ms,
+    }
 }
 
 /// Transitive closure over disconnected blocks: a bound-argument query
@@ -441,11 +476,23 @@ fn measure(n: usize, k: usize, rounds: usize, obs: &Obs) -> Row {
 /// magnitudes are environment-sensitive (they get a tolerance band in the
 /// *counter* channel as `wal.bytes`, not exactness in the span channel).
 fn family_shapes(obs: &Obs) -> Vec<String> {
+    // mapping ids come from a process-global counter: rewrite each to its
+    // first-seen ordinal so the shape does not depend on what ran before
+    let mut mapping_ids: Vec<String> = Vec::new();
     let records: Vec<_> = obs
         .span_records()
         .into_iter()
         .map(|mut r| {
             r.attrs.retain(|(k, _)| k != "bytes");
+            for (k, v) in r.attrs.iter_mut() {
+                if k == "mapping" {
+                    let ord = mapping_ids.iter().position(|id| id == v).unwrap_or_else(|| {
+                        mapping_ids.push(v.clone());
+                        mapping_ids.len() - 1
+                    });
+                    *v = format!("map#{ord}");
+                }
+            }
             r
         })
         .collect();
@@ -461,6 +508,7 @@ pub(crate) struct Families {
     recoveries: Vec<RecoveryRow>,
     magics: Vec<MagicRow>,
     caches: Vec<CacheRow>,
+    wrangles: Vec<WrangleRow>,
     pub(crate) counters: Vec<(&'static str, BTreeMap<String, u64>)>,
     pub(crate) span_shapes: Vec<(&'static str, Vec<String>)>,
 }
@@ -474,6 +522,7 @@ pub(crate) fn measure_families() -> Families {
     let rec_obs = Obs::enabled();
     let magic_obs = Obs::enabled();
     let cache_obs = Obs::enabled();
+    let wrangle_obs = Obs::enabled();
     let rows = vec![
         measure(5_000, 64, 5, &inc_obs),
         measure(20_000, 64, 5, &inc_obs),
@@ -488,12 +537,14 @@ pub(crate) fn measure_families() -> Families {
     ];
     let magics = vec![measure_magic(20_000, 50, 5, &magic_obs)];
     let caches = vec![measure_query_cache(20_000, 64, 5, &cache_obs)];
+    let wrangles = vec![measure_wrangle(400, &wrangle_obs)];
     let counters = vec![
         ("datalog_incremental_vs_full", inc_obs.counters()),
         ("datalog_retraction_vs_full", ret_obs.counters()),
         ("kb_wal_recovery", rec_obs.counters()),
         ("datalog_magic_vs_full", magic_obs.counters()),
         ("datalog_query_cache", cache_obs.counters()),
+        ("wrangle_paygo", wrangle_obs.counters()),
     ];
     let span_shapes = vec![
         ("datalog_incremental_vs_full", family_shapes(&inc_obs)),
@@ -501,21 +552,16 @@ pub(crate) fn measure_families() -> Families {
         ("kb_wal_recovery", family_shapes(&rec_obs)),
         ("datalog_magic_vs_full", family_shapes(&magic_obs)),
         ("datalog_query_cache", family_shapes(&cache_obs)),
+        ("wrangle_paygo", family_shapes(&wrangle_obs)),
     ];
-    Families { rows, retractions, recoveries, magics, caches, counters, span_shapes }
+    Families { rows, retractions, recoveries, magics, caches, wrangles, counters, span_shapes }
 }
 
-fn to_json(
-    rows: &[Row],
-    retractions: &[RetractRow],
-    recoveries: &[RecoveryRow],
-    magics: &[MagicRow],
-    caches: &[CacheRow],
-    counters: &[(&str, BTreeMap<String, u64>)],
-    span_shapes: &[(&str, Vec<String>)],
-) -> String {
+fn to_json(fam: &Families) -> String {
+    let Families { rows, retractions, recoveries, magics, caches, wrangles, counters, span_shapes } =
+        fam;
     let workers = vada_common::Parallelism::from_env().workers();
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v9\",\n");
+    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v10\",\n");
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str("  \"datalog_incremental_vs_full\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -593,6 +639,17 @@ fn to_json(
             if i + 1 == caches.len() { "" } else { "," }
         ));
     }
+    out.push_str("  ],\n  \"wrangle_paygo\": [\n");
+    for (i, r) in wrangles.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"properties\": {}, \"steps\": {}, \"candidates\": {}, \"total_ms\": {:.3}}}{}\n",
+            r.properties,
+            r.steps,
+            r.candidates,
+            r.total_ms,
+            if i + 1 == wrangles.len() { "" } else { "," }
+        ));
+    }
     // per-experiment observability snapshots: what the substrate tallied
     // while the family above was measured (schema v7)
     out.push_str("  ],\n  \"counters\": {\n");
@@ -628,16 +685,8 @@ fn to_json(
 /// the human-readable report.
 pub fn incremental_baseline() -> String {
     let fam = measure_families();
-    let Families { rows, retractions, recoveries, magics, caches, counters, span_shapes } = fam;
-    let json = to_json(
-        &rows,
-        &retractions,
-        &recoveries,
-        &magics,
-        &caches,
-        &counters,
-        &span_shapes,
-    );
+    let json = to_json(&fam);
+    let Families { rows, retractions, recoveries, magics, caches, wrangles, .. } = fam;
     let write_note = match std::fs::write(BASELINE_PATH, &json) {
         Ok(()) => format!("baseline written to {BASELINE_PATH}"),
         Err(e) => format!("could not write {BASELINE_PATH}: {e}"),
@@ -712,6 +761,17 @@ pub fn incremental_baseline() -> String {
             ]
         })
         .collect();
+    let wrangle_rows: Vec<Vec<String>> = wrangles
+        .iter()
+        .map(|r| {
+            vec![
+                r.properties.to_string(),
+                r.steps.to_string(),
+                r.candidates.to_string(),
+                format!("{:.1}", r.total_ms),
+            ]
+        })
+        .collect();
     format!(
         "== Incremental delta evaluation vs full re-derivation ==\n\
          A k-row delta against an N-row base: the full path re-derives\n\
@@ -737,7 +797,12 @@ pub fn incremental_baseline() -> String {
          cold call pays the demanded build, the warm repeat is a pure\n\
          lookup (zero stratum passes, zero index builds — the counters\n\
          prove it), and a k-row edit maintains the cached view O(change)\n\
-         through the incremental session instead of rebuilding it.\n\n{}\n{}",
+         through the incremental session instead of rebuilding it.\n\n{}\n\n\
+         == Pay-as-you-go wrangle (structural gate) ==\n\
+         The paper's four steps over the seeded real-estate scenario. The\n\
+         counters and span tree of this run are pinned in the baseline, so\n\
+         an extra transducer step or a candidate mapping materialised\n\
+         twice fails `--check` by an exact count.\n\n{}\n{}",
         table(
             &[
                 "base rows",
@@ -781,6 +846,7 @@ pub fn incremental_baseline() -> String {
             &["base rows", "delta rows", "cold ms", "warm ms", "delta ms", "warm speedup"],
             &cache_rows,
         ),
+        table(&["properties", "steps", "candidates", "total ms"], &wrangle_rows),
         write_note,
     )
 }
@@ -811,6 +877,23 @@ mod tests {
         // answer byte-identity internally
         let cr = measure_query_cache(2_000, 32, 2, &obs);
         assert!(cr.cold_ms > 0.0 && cr.warm_ms > 0.0 && cr.delta_ms > 0.0);
+        // the wrangle family: candidate structures are materialised, then
+        // reused by the data-context re-run of mapping_quality (at this toy
+        // size feedback also revises the matches, so a second generation
+        // of structures is materialised on top)
+        let wobs = Obs::enabled();
+        let wr = measure_wrangle(60, &wobs);
+        assert!(wr.steps > 0 && wr.candidates > 0);
+        assert!(wobs.get("map.execute.full") >= wr.candidates as u64);
+        assert!(wobs.get("map.execute.reused") >= wr.candidates as u64);
+        let wshapes = family_shapes(&wobs);
+        assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");
+        // (map/execute spans, and so mapping ids, only exist under
+        // Evaluation::Full — the default)
+        assert!(
+            wshapes.iter().all(|l| !l.contains("mapping=") || l.contains("mapping=map#")),
+            "mapping ids are canonicalised: {wshapes:?}"
+        );
         let snapshot = obs.counters();
         assert!(snapshot.get("incremental.outcome.incremental").copied().unwrap_or(0) > 0);
         assert!(snapshot.get("wal.appends").copied().unwrap_or(0) > 0);
@@ -830,15 +913,23 @@ mod tests {
             shapes.iter().all(|l| !l.contains("bytes=")),
             "byte magnitudes are redacted from the pinned shapes: {shapes:?}"
         );
-        let counters = [("all", snapshot)];
-        let span_shapes = [("all", shapes)];
-        let json = to_json(&[r], &[rr], &[rec], &[mr], &[cr], &counters, &span_shapes);
+        let json = to_json(&Families {
+            rows: vec![r],
+            retractions: vec![rr],
+            recoveries: vec![rec],
+            magics: vec![mr],
+            caches: vec![cr],
+            wrangles: vec![wr],
+            counters: vec![("all", snapshot)],
+            span_shapes: vec![("all", shapes)],
+        });
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"datalog_retraction_vs_full\""), "{json}");
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"datalog_query_cache\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v9"), "{json}");
+        assert!(json.contains("\"wrangle_paygo\""), "{json}");
+        assert!(json.contains("vada-bench-baseline/v10"), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use vada_common::Obs;
 use vada_core::{SchedulingPolicy, Wrangler};
 use vada_extract::{score_result, Oracle, ResultQuality, Scenario, ScenarioConfig};
 use vada_extract::sources::target_schema;
@@ -24,6 +25,9 @@ pub struct PaygoConfig {
     pub user_context: Vec<PairwiseStatement>,
     /// Optional network-transducer policy override.
     pub policy: Option<fn() -> Box<dyn SchedulingPolicy>>,
+    /// Observability registry to attach to the wrangler (`None` keeps
+    /// whatever `VADA_OBS` selected).
+    pub obs: Option<Obs>,
 }
 
 impl Default for PaygoConfig {
@@ -35,6 +39,7 @@ impl Default for PaygoConfig {
             feedback_seed: 11,
             user_context: paper_user_context(),
             policy: None,
+            obs: None,
         }
     }
 }
@@ -118,6 +123,9 @@ pub fn run_paygo(cfg: &PaygoConfig) -> PaygoOutcome {
         Some(make) => Wrangler::with_policy(make()),
         None => Wrangler::new(),
     };
+    if let Some(obs) = &cfg.obs {
+        w.set_obs(obs.clone());
+    }
 
     // --- step 1: automatic bootstrapping -------------------------------
     w.add_source(scenario.rightmove.clone());

@@ -136,6 +136,9 @@ pub mod key {
     pub const MAP_FULL: &str = "map.execute.full";
     /// Incremental mapping executions (delta-maintained).
     pub const MAP_INCREMENTAL: &str = "map.execute.incremental";
+    /// Mapping executions answered from the stored materialisation: the
+    /// journal proved no source changed since it was built.
+    pub const MAP_REUSED: &str = "map.execute.reused";
 
     /// Parallel stages dispatched through the obs-aware entry points.
     pub const PAR_STAGES: &str = "par.stages";

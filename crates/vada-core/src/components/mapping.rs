@@ -1,11 +1,11 @@
 //! Mapping transducers: generation, selection, execution.
 
-use vada_common::{Evaluation, Parallelism, QueryCaching, Relation, Result, VadaError};
+use vada_common::{Evaluation, Parallelism, Relation, Result, VadaError};
 use vada_context::UserContext;
 use vada_kb::KnowledgeBase;
 use vada_map::{
-    execute_mapping_cached, generate_candidates, rank_mappings, ExecuteConfig, IncrementalExecutor,
-    IndexCache, MapGenConfig, MappingScore,
+    generate_candidates, rank_mappings, ExecuteConfig, IncrementalExecutor, MapGenConfig,
+    MappingScore,
 };
 
 use crate::components::feedback::apply_vetoes;
@@ -140,22 +140,18 @@ impl Transducer for MappingSelection {
 
 /// Execute the selected mapping and materialise the result (re-applying
 /// any feedback-derived vetoes so user corrections survive
-/// re-materialisation). Under [`Evaluation::Incremental`] the Datalog
-/// materialization persists between runs and only knowledge-base deltas
-/// are re-derived — row appends through the semi-naive fast path, row
-/// removals and tail rewrites through the counting/DRed retraction path —
-/// with the output byte-identical either way.
+/// re-materialisation). A selection the quality transducer did not leave a
+/// candidate relation for goes through the [`IncrementalExecutor`] result
+/// store: reused while the journal proves no source changed, otherwise
+/// refreshed — from scratch under [`Evaluation::Full`], by row-level delta
+/// (appends through the semi-naive fast path, removals and tail rewrites
+/// through counting/DRed) under [`Evaluation::Incremental`] — with the
+/// output byte-identical either way.
 #[derive(Debug, Default)]
 pub struct MappingExecution {
     /// Execution configuration.
     pub config: ExecuteConfig,
-    evaluation: Evaluation,
     executor: IncrementalExecutor,
-    /// Persistent hash indexes for the directed one-shot execution path,
-    /// revalidated per run against the journal identity (see
-    /// [`execute_mapping_cached`]); idle unless
-    /// [`ExecuteConfig::query_caching`] is on.
-    index_cache: IndexCache,
 }
 
 impl Transducer for MappingExecution {
@@ -183,15 +179,11 @@ impl Transducer for MappingExecution {
     }
 
     fn set_evaluation(&mut self, evaluation: Evaluation) {
-        self.evaluation = evaluation;
+        self.executor.set_evaluation(evaluation);
     }
 
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
-    }
-
-    fn set_query_caching(&mut self, caching: QueryCaching) {
-        self.config.query_caching = caching;
     }
 
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
@@ -209,12 +201,7 @@ impl Transducer for MappingExecution {
             Ok(cached) => {
                 Relation::from_tuples(cached.schema().renamed(&mapping.target), cached.tuples().to_vec())?
             }
-            Err(_) if self.evaluation.is_incremental() => {
-                self.executor.execute(&self.config, &mapping, kb)?
-            }
-            Err(_) => {
-                execute_mapping_cached(&self.config, &mapping, kb, &mut self.index_cache)?
-            }
+            Err(_) => self.executor.execute(&self.config, &mapping, kb)?.clone(),
         };
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();

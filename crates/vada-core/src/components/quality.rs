@@ -5,7 +5,7 @@ use vada_common::{Evaluation, Parallelism, Relation, Result};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
 use vada_map::{ExecuteConfig, ExecutorStats, IncrementalExecutor};
-use vada_quality::{accuracy_against_reference, consistency, learn_cfds_with, CfdLearnConfig};
+use vada_quality::{consistency, learn_cfds_with, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::candidate_relation_name;
 use crate::transducer::{Activity, RunOutcome, Transducer};
@@ -115,26 +115,34 @@ impl Transducer for SourceProfiling {
 /// and measuring completeness (per target attribute), consistency (against
 /// the learned CFDs) and syntactic accuracy (against reference
 /// populations). These are the metrics mapping selection weighs under the
-/// user context. Under [`Evaluation::Incremental`] candidate
-/// materialisations persist between runs and re-derive only journalled
-/// row-level changes, deletions included.
+/// user context. Candidates materialise through the
+/// [`IncrementalExecutor`] result store, so a re-run caused by new CFDs or
+/// reference data recomputes the metrics but re-executes only the
+/// candidates whose sources changed ([`Evaluation`] selects how those are
+/// refreshed: from scratch, or by journalled row-level delta).
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     /// Execution configuration for candidate materialisation.
     pub config: ExecuteConfig,
-    evaluation: Evaluation,
     executor: IncrementalExecutor,
-    /// One persistent index cache per candidate mapping for the directed
-    /// one-shot execution path (see [`vada_map::execute_mapping_cached`]);
-    /// idle unless [`ExecuteConfig::query_caching`] is on.
-    index_caches: std::collections::BTreeMap<String, vada_map::IndexCache>,
 }
 
 impl MappingQuality {
-    /// Counters from the incremental execution path (how many candidate
-    /// materialisations went through the semi-naive fast path).
+    /// Counters from the result store (how many candidate materialisations
+    /// were reused, refreshed by delta, or rebuilt).
     pub fn executor_stats(&self) -> &ExecutorStats {
         self.executor.stats()
+    }
+}
+
+/// One quality fact about candidate mapping `id`.
+fn mapping_fact(id: &str, metric: &str, criterion: String, value: f64) -> QualityFact {
+    QualityFact {
+        entity_kind: "mapping".into(),
+        entity: id.into(),
+        metric: metric.into(),
+        criterion,
+        value,
     }
 }
 
@@ -160,110 +168,72 @@ impl Transducer for MappingQuality {
     }
 
     fn set_evaluation(&mut self, evaluation: Evaluation) {
-        self.evaluation = evaluation;
+        self.executor.set_evaluation(evaluation);
     }
 
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
 
-    fn set_query_caching(&mut self, caching: vada_common::QueryCaching) {
-        self.config.query_caching = caching;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let mappings: Vec<_> = kb.mappings().cloned().collect();
         let cfds: Vec<_> = kb.cfds().cloned().collect();
-        // reference populations per target attribute, from context bindings
-        let mut reference_cols: Vec<(String, Relation, String)> = Vec::new();
-        for (ctx_rel, ctx_attr, tgt_attr) in kb.context_bindings().to_vec() {
-            if let Some(kind) = kb
+        // reference populations per bound target attribute, normalised once
+        // per run
+        let mut references: Vec<(String, ReferencePopulation)> = Vec::new();
+        for (ctx_rel, ctx_attr, tgt_attr) in kb.context_bindings() {
+            let is_reference = kb
                 .context_relations()
                 .iter()
-                .find(|(n, _)| *n == ctx_rel)
-                .map(|(_, k)| *k)
-            {
-                if capabilities(kind).quality_reference {
-                    let rel = kb.relation(&ctx_rel)?.clone();
-                    reference_cols.push((tgt_attr, rel, ctx_attr));
-                }
+                .any(|(n, k)| n == ctx_rel && capabilities(*k).quality_reference);
+            if is_reference {
+                let population = ReferencePopulation::new(kb.relation(ctx_rel)?, ctx_attr)?;
+                references.push((tgt_attr.clone(), population));
             }
         }
         kb.clear_quality("mapping");
         let mut written = 0usize;
-        let mut materialised: Vec<(String, Relation)> = Vec::new();
+        let mut candidates: Vec<Relation> = Vec::new();
         for mapping in &mappings {
-            let result = if self.evaluation.is_incremental() {
-                self.executor.execute(&self.config, mapping, kb)?
-            } else {
-                vada_map::execute_mapping_cached(
-                    &self.config,
-                    mapping,
-                    kb,
-                    self.index_caches.entry(mapping.id.clone()).or_default(),
-                )?
+            let result = self.executor.execute(&self.config, mapping, kb)?;
+            let mut add = |metric: &str, criterion: String, value: f64| {
+                kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
+                written += 1;
             };
             // completeness per target attribute
-            for attr in result.schema().attr_names().iter().map(|s| s.to_string()) {
-                let value = result.completeness(&attr)?;
-                kb.add_quality(QualityFact {
-                    entity_kind: "mapping".into(),
-                    entity: mapping.id.clone(),
-                    metric: "completeness".into(),
-                    criterion: format!("completeness({attr})"),
-                    value,
-                });
-                written += 1;
+            for attr in result.schema().attr_names() {
+                add("completeness", format!("completeness({attr})"), result.completeness(attr)?);
             }
             // consistency against learned CFDs (only meaningful once CFDs
             // exist — before that every mapping scores 1.0 vacuously)
-            let value = consistency(&result, &cfds);
-            kb.add_quality(QualityFact {
-                entity_kind: "mapping".into(),
-                entity: mapping.id.clone(),
-                metric: "consistency".into(),
-                criterion: format!("consistency({})", result.name()),
-                value,
-            });
-            written += 1;
+            let value = consistency(result, &cfds);
+            add("consistency", format!("consistency({})", result.name()), value);
             // syntactic accuracy against reference populations
-            for (tgt_attr, ref_rel, ref_attr) in &reference_cols {
+            for (tgt_attr, population) in &references {
                 if result.schema().index_of(tgt_attr).is_some() {
-                    let value =
-                        accuracy_against_reference(&result, tgt_attr, ref_rel, ref_attr)?;
-                    kb.add_quality(QualityFact {
-                        entity_kind: "mapping".into(),
-                        entity: mapping.id.clone(),
-                        metric: "accuracy".into(),
-                        criterion: format!("accuracy({tgt_attr})"),
-                        value,
-                    });
-                    written += 1;
+                    let value = population.accuracy(result, tgt_attr)?;
+                    add("accuracy", format!("accuracy({tgt_attr})"), value);
                 }
             }
-            materialised.push((mapping.id.clone(), result));
+            // the one deep copy per candidate: the materialisation cached
+            // in the knowledge base for execution reuse
+            candidates.push(Relation::from_tuples(
+                result.schema().renamed(candidate_relation_name(&mapping.id)),
+                result.tuples().to_vec(),
+            )?);
         }
         // relative row coverage: a union over sources reaches more of the
         // domain than any single source, which per-attribute completeness
         // fractions cannot see
-        let max_rows = materialised.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
-        for (id, result) in materialised {
+        let max_rows = candidates.iter().map(Relation::len).max().unwrap_or(0);
+        for (mapping, candidate) in mappings.iter().zip(candidates) {
             if max_rows > 0 {
-                kb.add_quality(QualityFact {
-                    entity_kind: "mapping".into(),
-                    entity: id.clone(),
-                    metric: "coverage".into(),
-                    criterion: format!("coverage({})", result.name()),
-                    value: result.len() as f64 / max_rows as f64,
-                });
+                let value = candidate.len() as f64 / max_rows as f64;
+                let criterion = format!("coverage({})", mapping.target);
+                kb.add_quality(mapping_fact(&mapping.id, "coverage", criterion, value));
                 written += 1;
             }
-            // cache the materialisation for execution reuse
-            let cached = Relation::from_tuples(
-                result.schema().renamed(candidate_relation_name(&id)),
-                result.tuples().to_vec(),
-            )?;
-            kb.put_intermediate(cached);
+            kb.put_intermediate(candidate);
         }
         kb.log("mapping_quality", "add_quality", &written.to_string());
         Ok(RunOutcome::new(

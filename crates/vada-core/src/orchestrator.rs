@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result, VadaError};
+use vada_common::{Evaluation, Obs, Parallelism, Result, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::network::{GenericPolicy, SchedulingPolicy};
@@ -23,21 +23,15 @@ pub struct OrchestratorConfig {
     /// to the `VADA_THREADS` override.
     pub parallelism: Parallelism,
     /// Evaluation mode broadcast to every registered transducer (see
-    /// [`Transducer::set_evaluation`]). Under [`Evaluation::Incremental`]
-    /// the mapping transducers keep materialized Datalog state between
-    /// runs and re-derive only what the knowledge-base delta journal says
-    /// changed; results and traces are identical in both modes (the
+    /// [`Transducer::set_evaluation`]). The mapping transducers reuse a
+    /// stored materialisation in either mode while the delta journal
+    /// proves its sources unchanged; the mode selects how a stale one is
+    /// refreshed — from scratch, or under [`Evaluation::Incremental`] by
+    /// re-deriving only the journalled row changes over live Datalog
+    /// state. Results and traces are identical in both modes (the
     /// `incremental_equivalence` suite pins this). Defaults to the
     /// `VADA_INCREMENTAL` override.
     pub evaluation: Evaluation,
-    /// Query-caching mode broadcast to every registered transducer (see
-    /// [`Transducer::set_query_caching`]). Under
-    /// [`QueryCaching::Persistent`] the transducers running directed
-    /// one-shot Datalog executions keep their hash indexes alive between
-    /// runs and revalidate them against the delta journal's identity;
-    /// results and traces are byte-identical either way. Defaults to the
-    /// `VADA_QUERY_CACHE` override.
-    pub query_caching: QueryCaching,
 }
 
 impl Default for OrchestratorConfig {
@@ -46,7 +40,6 @@ impl Default for OrchestratorConfig {
             max_steps: 200,
             parallelism: Parallelism::default(),
             evaluation: Evaluation::default(),
-            query_caching: QueryCaching::default(),
         }
     }
 }
@@ -109,7 +102,6 @@ impl Orchestrator {
     fn adopt_config(config: &OrchestratorConfig, t: &mut dyn Transducer) {
         t.set_parallelism(config.parallelism);
         t.set_evaluation(config.evaluation);
-        t.set_query_caching(config.query_caching);
     }
 
     /// Override limits, broadcasting the execution knobs to the fleet.

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use vada_common::{Evaluation, Obs, Parallelism, QueryCaching, Result};
+use vada_common::{Evaluation, Obs, Parallelism, Result};
 use vada_kb::KnowledgeBase;
 
 /// The wrangling activity a transducer belongs to (paper Table 1 column
@@ -128,14 +128,6 @@ pub trait Transducer {
     /// `EngineConfig`) override this; the default ignores it, which is
     /// always correct because the registry never influences results.
     fn set_obs(&mut self, _obs: Obs) {}
-
-    /// Adopt the orchestrator's query-caching mode (see
-    /// [`crate::OrchestratorConfig::query_caching`]). Components that run
-    /// directed one-shot Datalog executions override this to keep their
-    /// hash indexes alive between runs; the default ignores it, which is
-    /// always correct because cached and uncached runs are pinned
-    /// byte-identical.
-    fn set_query_caching(&mut self, _caching: QueryCaching) {}
 
     /// Execute against the knowledge base.
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome>;

@@ -190,19 +190,13 @@ impl Wrangler {
 
     /// Set the query-caching mode. Under [`QueryCaching::Persistent`] the
     /// knowledge base keeps hash indexes over its dependency-fact view
-    /// alive across [`KnowledgeBase::query`] calls, and the transducers
-    /// running directed one-shot Datalog executions keep theirs between
-    /// runs, revalidated against the delta journal's identity. Safe to
-    /// change at any point: cached and uncached paths produce identical
-    /// results, traces, and errors (the `query_equivalence` suite pins
-    /// this); the `magic.cache.{hits,misses,invalidations}` counters
-    /// record how the cache behaved. Defaults to the `VADA_QUERY_CACHE`
-    /// override.
+    /// alive across [`KnowledgeBase::query`] calls. Safe to change at any
+    /// point: cached and uncached paths produce identical results, traces,
+    /// and errors (the `query_equivalence` suite pins this); the
+    /// `magic.cache.{hits,misses,invalidations}` counters record how the
+    /// cache behaved. Defaults to the `VADA_QUERY_CACHE` override.
     pub fn set_query_caching(&mut self, caching: QueryCaching) {
         self.kb.set_query_caching(caching);
-        let config =
-            OrchestratorConfig { query_caching: caching, ..self.orchestrator.config().clone() };
-        self.orchestrator.set_config(config);
     }
 
     /// Register a source relation.
@@ -426,5 +420,101 @@ mod tests {
         let report = w.run().unwrap();
         // selection must have re-run under the new weights
         assert!(report.trace_summary.contains("mapping_selection"));
+    }
+
+    /// The paper's four steps — bootstrap, data context, feedback, user
+    /// context — materialise each distinct candidate structure once: the
+    /// second `mapping_quality` run (new CFDs and reference data, same
+    /// sources) recomputes metrics over stored results.
+    #[test]
+    fn four_step_wrangle_executes_each_candidate_structure_once() {
+        use vada_common::obs::key;
+        use vada_kb::{FeedbackRecord, FeedbackTarget, Verdict};
+
+        for evaluation in [Evaluation::Full, Evaluation::Incremental] {
+            let mut w = Wrangler::new();
+            w.set_evaluation(evaluation);
+            let obs = Obs::enabled();
+            w.set_obs(obs.clone());
+            let (rm, dep) = sources();
+            w.add_source(rm);
+            w.add_source(dep);
+            w.set_target(target());
+            w.run().unwrap();
+            let candidates = w.kb().mappings().count() as u64;
+            assert!(candidates >= 2, "plain and augmented candidates");
+            assert_eq!(obs.get(key::MAP_FULL), candidates);
+            assert_eq!(obs.get(key::MAP_REUSED), 0);
+
+            let mut addr =
+                Relation::empty(Schema::all_str("address", &["street", "city", "postcode"]));
+            for (s, c, p) in [
+                ("1 high st", "manchester", "M1 1AA"),
+                ("2 park rd", "manchester", "M1 1AB"),
+                ("3 kings ave", "edinburgh", "EH1 1AA"),
+                ("4 mill ln", "manchester", "M1 1AC"),
+                ("5 queens dr", "edinburgh", "EH1 1AB"),
+            ] {
+                addr.push(tuple![s, c, p]).unwrap();
+            }
+            w.add_data_context(
+                addr,
+                ContextKind::Reference,
+                &[("street", "street"), ("postcode", "postcode")],
+            )
+            .unwrap();
+            w.run().unwrap();
+            w.add_feedback([FeedbackRecord {
+                id: "fb0".into(),
+                target: FeedbackTarget::Attribute {
+                    relation: "property".into(),
+                    row: 1,
+                    attr: "bedrooms".into(),
+                },
+                verdict: Verdict::Incorrect,
+            }]);
+            w.run().unwrap();
+            w.set_user_context(vec![PairwiseStatement {
+                more_important: "completeness(crimerank)".into(),
+                less_important: "completeness(bedrooms)".into(),
+                strength: "very strongly".into(),
+            }]);
+            w.run().unwrap();
+
+            let quality_steps: Vec<&crate::TraceEntry> = w
+                .trace()
+                .entries()
+                .iter()
+                .filter(|e| e.transducer == "mapping_quality")
+                .collect();
+            assert_eq!(quality_steps.len(), 2, "bootstrap, then the data context");
+            assert_eq!(w.kb().mappings().count() as u64, candidates);
+            assert_eq!(obs.get(key::MAP_FULL), candidates, "{evaluation:?}");
+            assert_eq!(obs.get(key::MAP_INCREMENTAL), 0, "{evaluation:?}");
+            assert_eq!(obs.get(key::MAP_REUSED), candidates, "{evaluation:?}");
+            // the step's own counter delta says the same thing…
+            assert!(quality_steps[1].counters.contains(&(key::MAP_REUSED.to_string(), candidates)));
+            assert!(quality_steps[1].counters.iter().all(|(k, _)| k != key::MAP_FULL));
+            // …and nothing was derived underneath it
+            let spans = obs.span_records();
+            let below: Vec<Vec<&str>> = spans
+                .iter()
+                .filter(|r| {
+                    r.name == "orchestrator/step"
+                        && r.attrs.contains(&("transducer".into(), "mapping_quality".into()))
+                })
+                .map(|step| {
+                    // (a durable knowledge base also logs its writes here)
+                    spans
+                        .iter()
+                        .filter(|r| r.parent == step.id && !r.name.starts_with("wal/"))
+                        .map(|r| r.name.as_str())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(below.len(), 2);
+            assert_eq!(below[0].len() as u64, candidates, "{evaluation:?}: {:?}", below[0]);
+            assert!(below[1].is_empty(), "{evaluation:?}: {:?}", below[1]);
+        }
     }
 }

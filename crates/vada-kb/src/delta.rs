@@ -285,16 +285,20 @@ impl DeltaJournal {
     ///   that advanced and was then rolled back to an earlier clone): the
     ///   empty slice would falsely claim "nothing changed".
     pub fn events_since(&self, version: u64) -> Option<Vec<DeltaEvent>> {
+        Some(self.scan_since(version)?.cloned().collect())
+    }
+
+    /// [`events_since`](Self::events_since) without the copy: a borrowing
+    /// scan over the same slice, `None` under the same two conditions.
+    /// For consumers that only classify events (which relation, which
+    /// aspect) and never keep the row payloads.
+    pub fn scan_since(&self, version: u64) -> Option<impl Iterator<Item = &DeltaEvent>> {
         if version < self.pruned_through || version > self.last_seq {
             return None;
         }
-        Some(
-            self.events
-                .iter()
-                .filter(|e| e.seq > version)
-                .cloned()
-                .collect(),
-        )
+        // sequence numbers are strictly monotone along the window
+        let start = self.events.partition_point(|e| e.seq <= version);
+        Some(self.events.range(start..))
     }
 
     /// Number of retained events.
@@ -353,6 +357,10 @@ mod tests {
         assert_eq!(since2[0].seq, 5);
         assert_eq!(j.events_since(0).unwrap().len(), 3);
         assert!(j.events_since(5).unwrap().is_empty());
+        // the borrowing scan serves the same slice without copying
+        let seqs: Vec<u64> = j.scan_since(1).unwrap().map(|e| e.seq).collect();
+        assert_eq!(seqs, [2, 5]);
+        assert!(j.scan_since(6).is_none());
     }
 
     #[test]

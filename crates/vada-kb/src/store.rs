@@ -1007,10 +1007,10 @@ impl KnowledgeBase {
                 cache.entry = Some((v, db));
             }
             Some((v, mut db)) => {
-                match self.journal.events_since(v) {
+                match self.journal.scan_since(v) {
                     Some(events) => {
                         let changed: std::collections::BTreeSet<&str> =
-                            events.iter().map(|e| e.aspect).collect();
+                            events.map(|e| e.aspect).collect();
                         for pred in predicates_of_aspects(&changed) {
                             db.clear_predicate(pred);
                             self.insert_dependency_pred(&mut db, pred);

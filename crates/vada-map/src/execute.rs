@@ -2,9 +2,8 @@
 //! relations and coerce the answers into the typed target schema.
 
 use vada_common::obs::key as obs_key;
-use vada_common::{AttrType, QueryCaching, Relation, Result, Schema, Tuple, VadaError, Value};
+use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::ast::{Atom, HeadTerm, Literal, Rule, Term};
-use vada_datalog::cache::IndexCache;
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::parse_program;
 use vada_kb::{KnowledgeBase, MappingDef};
@@ -14,10 +13,6 @@ use vada_kb::{KnowledgeBase, MappingDef};
 pub struct ExecuteConfig {
     /// Engine limits.
     pub engine: EngineConfig,
-    /// Whether a directed one-shot execution probes a caller-held
-    /// [`IndexCache`] (see [`execute_mapping_cached`]) instead of building
-    /// per-run indexes. Defaults to the `VADA_QUERY_CACHE` override.
-    pub query_caching: QueryCaching,
 }
 
 /// Extract the outward code (district) of a postcode-shaped string.
@@ -106,39 +101,12 @@ pub(crate) fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result
     Ok(db)
 }
 
-/// Execute a mapping and return the result in the target schema.
-pub fn execute_mapping(
-    cfg: &ExecuteConfig,
+/// The registered target schema, checked to be the one `mapping` writes.
+pub(crate) fn registered_target<'a>(
     mapping: &MappingDef,
-    kb: &KnowledgeBase,
-) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, None)
-}
-
-/// [`execute_mapping`] with a caller-held persistent [`IndexCache`]:
-/// under [`ExecuteConfig::query_caching`] + directed mode the demanded
-/// run's hash indexes survive into the next call instead of dying with it.
-/// The cache is validated against the knowledge base's journal identity —
-/// indexes are reused only at an unchanged `(lineage, version)`, where the
-/// input database this call builds is byte-identical to the one they
-/// cover; any other identity drops them (`magic.cache.*` counters record
-/// the outcome). The result is byte-identical to the uncached call.
-pub fn execute_mapping_cached(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    cache: &mut IndexCache,
-) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, Some(cache))
-}
-
-fn execute_mapping_impl(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    cache: Option<&mut IndexCache>,
-) -> Result<Relation> {
-    let target: &Schema = kb
+    kb: &'a KnowledgeBase,
+) -> Result<&'a Schema> {
+    let target = kb
         .target_schema()
         .ok_or_else(|| VadaError::Kb("no target schema registered".into()))?;
     if target.name != mapping.target {
@@ -147,6 +115,19 @@ fn execute_mapping_impl(
             mapping.id, mapping.target, target.name
         )));
     }
+    Ok(target)
+}
+
+/// Execute a mapping from scratch and return the result in the target
+/// schema. The transducers go through
+/// [`IncrementalExecutor`](crate::IncrementalExecutor), which calls this
+/// only when its stored materialisation is stale.
+pub fn execute_mapping(
+    cfg: &ExecuteConfig,
+    mapping: &MappingDef,
+    kb: &KnowledgeBase,
+) -> Result<Relation> {
+    let target = registered_target(mapping, kb)?;
     let program = parse_program(&mapping.rules)?;
     cfg.engine.obs.incr(obs_key::MAP_FULL);
     // wraps input build + engine run: the engine's stratum spans nest
@@ -163,22 +144,7 @@ fn execute_mapping_impl(
     // end-to-end while the result stays byte-identical by construction.
     let output = if cfg.engine.query_mode.is_directed() {
         let query = all_free_query(&target.name, target.arity());
-        match cache {
-            // the cache only pays off (and is only sound to consult) on
-            // the directed path with the knob on; the `ensure` key pins
-            // reuse to an input database byte-identical to the one the
-            // surviving indexes were built over
-            Some(cache) if cfg.query_caching.is_enabled() => {
-                let warm = cache.ensure(kb.journal().lineage(), kb.version());
-                cfg.engine.obs.incr(if warm {
-                    obs_key::MAGIC_CACHE_HITS
-                } else {
-                    obs_key::MAGIC_CACHE_MISSES
-                });
-                engine.run_directed_cached(&program, input, &query, cache)?
-            }
-            _ => engine.run_directed(&program, input, &query)?,
-        }
+        engine.run_directed(&program, input, &query)?
     } else {
         engine.run(&program, input)?
     };
@@ -228,7 +194,7 @@ pub(crate) fn coerce_fact(t: &Tuple, target: &Schema, mapping_id: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::{tuple, Obs};
+    use vada_common::tuple;
 
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -342,47 +308,6 @@ mod tests {
             coerce_value(&Value::str("2.5"), AttrType::Float),
             Value::Float(2.5)
         );
-    }
-
-    #[test]
-    fn cached_directed_execution_matches_and_reuses_indexes() {
-        use vada_common::QueryMode;
-
-        let rules = r#"
-            property(S, PC, P, C) :- rightmove(P, S, PC), postcode_district(PC, D), deprivation(D, C).
-            property(S, PC, P, null) :- rightmove(P, S, PC), not has_crime(PC).
-            has_crime(PC) :- postcode_district(PC, D), deprivation(D, _).
-        "#;
-        let m = mapping(rules, &["rightmove", "deprivation"]);
-        let mut kb = kb();
-        let obs = Obs::enabled();
-        let mut cfg = ExecuteConfig {
-            query_caching: QueryCaching::Persistent,
-            ..ExecuteConfig::default()
-        };
-        cfg.engine.query_mode = QueryMode::Directed;
-        cfg.engine.obs = obs.clone();
-        let mut cache = IndexCache::new();
-
-        let cold = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
-        assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 1);
-        let builds_after_cold = obs.get(obs_key::INDEX_BUILDS);
-
-        // unchanged kb: warm reuse, byte-identical result, zero new builds
-        let warm = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
-        assert_eq!(warm.tuples(), cold.tuples());
-        assert_eq!(obs.get(obs_key::MAGIC_CACHE_HITS), 1);
-        assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds_after_cold);
-
-        // a kb edit changes the journal identity: the cache is dropped and
-        // the run matches the uncached path on the new state
-        let mut grown = kb.relation("deprivation").unwrap().clone();
-        grown.push(tuple!["EH1", "900"]).unwrap();
-        kb.register_source(grown);
-        let edited = execute_mapping_cached(&cfg, &m, &kb, &mut cache).unwrap();
-        assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 2);
-        let plain = execute_mapping(&cfg, &m, &kb).unwrap();
-        assert_eq!(edited.tuples(), plain.tuples());
     }
 
     #[test]

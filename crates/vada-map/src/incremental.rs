@@ -1,26 +1,38 @@
-//! Incremental mapping execution: the bridge between the knowledge-base
-//! [delta journal](vada_kb::DeltaJournal) and the Datalog engine's
-//! [`IncrementalSession`].
+//! The mapping **result store**: the one way both mapping transducers
+//! materialise a mapping, in both evaluation modes.
 //!
-//! An [`IncrementalExecutor`] keeps one session per *structurally
-//! distinct* mapping (fingerprinted by rules, source list and target
-//! schema — mapping ids regenerate on every generation pass, the
-//! structure usually does not). On re-execution it reads the journal
-//! entries since its last run; when every relevant entry is *row-level*
-//! it replays just those rows through the session — appends through the
-//! semi-naive fast path, removals (`RowsRemoved`, and tail
-//! `RowsReplaced` rewrites as retract-old + append-new) through the
-//! counting/DRed retraction path — so the derivation work is O(rows
-//! changed), not O(sources). Relations are bags while the fact view is a
-//! set, so the executor tracks row multiplicities and retracts a fact
-//! only when its last occurrence disappears; likewise a
-//! `postcode_district` helper fact is retracted only when its last
-//! contributing row goes. Anything else — a replaced source, a
-//! mid-relation rewrite, a stale journal window, a schema change, a
-//! helper fact whose scratch position a replayed edit cannot reproduce —
-//! rebuilds the input from the knowledge base and re-materializes,
-//! keeping the output byte-identical to
-//! [`execute_mapping`](crate::execute_mapping) in every case.
+//! An [`IncrementalExecutor`] keeps one entry per *structurally distinct*
+//! mapping (fingerprinted by rules, source list and target schema —
+//! mapping ids regenerate on every generation pass, the structure usually
+//! does not): the coerced result plus the [delta
+//! journal](vada_kb::DeltaJournal) position (lineage, watermark) it is
+//! current at. On re-execution it scans the journal since that watermark.
+//! When the lineage matches, the window still covers the watermark, and no
+//! event names one of the mapping's sources, nothing the mapping reads has
+//! changed and the stored result is handed back as is — no parse, no input
+//! database, no engine run (`map.execute.reused`). Otherwise the entry is
+//! **refreshed**, and [`Evaluation`] only selects how:
+//!
+//! - [`Evaluation::Full`] re-materialises from scratch through
+//!   [`execute_mapping`](crate::execute_mapping);
+//! - [`Evaluation::Incremental`] additionally keeps a live
+//!   [`IncrementalSession`] per entry and, when every relevant journal
+//!   entry is *row-level*, replays just those rows through it — appends
+//!   through the semi-naive fast path, removals (`RowsRemoved`, and tail
+//!   `RowsReplaced` rewrites as retract-old + append-new) through the
+//!   counting/DRed retraction path — so the derivation work is O(rows
+//!   changed), not O(sources). Relations are bags while the fact view is a
+//!   set, so the executor tracks row multiplicities and retracts a fact
+//!   only when its last occurrence disappears; likewise a
+//!   `postcode_district` helper fact is retracted only when its last
+//!   contributing row goes. Anything else — a replaced source, a
+//!   mid-relation rewrite, a stale journal window, a helper fact whose
+//!   scratch position a replayed edit cannot reproduce — rebuilds the
+//!   input from the knowledge base and re-materializes.
+//!
+//! The output is byte-identical to
+//! [`execute_mapping`](crate::execute_mapping) on the same knowledge base
+//! in every case.
 //!
 //! ```
 //! use vada_common::{tuple, AttrType, Relation, Schema};
@@ -45,55 +57,99 @@
 //! let mut exec = IncrementalExecutor::default();
 //! let cfg = ExecuteConfig::default();
 //! let first = exec.execute(&cfg, &mapping, &kb).unwrap();
+//! assert_eq!(first.len(), 1);
+//!
+//! // nothing the mapping reads has changed: the stored result comes back
+//! exec.execute(&cfg, &mapping, &kb).unwrap();
+//! assert_eq!(exec.stats().reused_runs, 1);
 //!
 //! // append a row and re-execute: one delta fact through the fast path
 //! src.push(tuple!["2 park rd", "300000"]).unwrap();
 //! kb.register_source(src);
 //! let second = exec.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(second.len(), 2);
-//! assert_eq!(exec.stats().incremental_runs, 1);
 //! // …and byte-identical to a from-scratch execution
 //! assert_eq!(second.tuples(), execute_mapping(&cfg, &mapping, &kb).unwrap().tuples());
+//! assert_eq!(exec.stats().incremental_runs, 1);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Relation, Result, Schema, Tuple, VadaError, Value};
+use vada_common::{Evaluation, Relation, Result, Schema, Tuple, Value};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_kb::{DeltaChange, DeltaEvent, KnowledgeBase, MappingDef};
 
-use crate::execute::{build_input_db, coerce_fact, district_facts, ExecuteConfig};
+use crate::execute::{
+    build_input_db, coerce_fact, district_facts, execute_mapping, registered_target, ExecuteConfig,
+};
 
-/// Cap on retained sessions; the least recently used is evicted beyond it.
+/// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_SESSION_CAPACITY: usize = 16;
 
 /// Executor-level counters, for benches and the repro driver.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// From-scratch materializations: bootstraps, journal/session
-    /// fallbacks, structural changes.
+    /// From-scratch materializations: first sights, journal/session
+    /// fallbacks, every stale entry under [`Evaluation::Full`].
     pub full_runs: usize,
     /// Executions that went through the semi-naive fast path end to end.
     pub incremental_runs: usize,
-    /// The most recent reason a fast path was refused, if any.
+    /// Executions answered from the stored result (no source changed).
+    pub reused_runs: usize,
+    /// The most recent reason a stored entry could not be refreshed by
+    /// delta, if any.
     pub last_fallback: Option<String>,
 }
 
-/// One persistent session plus the state needed to mirror the scratch
-/// input construction and the coerced result incrementally.
+/// One stored materialisation and the journal position it is current at.
 #[derive(Debug)]
-struct MappingSession {
-    session: IncrementalSession,
-    /// KB version consumed through (journal watermark).
-    last_version: u64,
+struct Materialisation {
     /// Journal lineage the watermark was taken against: a mismatch means
     /// the history may have diverged under the same sequence numbers
     /// (e.g. work resumed on a clone), so the watermark is meaningless.
-    last_lineage: u64,
-    /// Cached coerced result; extended in place on append-only deltas.
+    lineage: u64,
+    /// KB version consumed through (journal watermark).
+    watermark: u64,
+    /// The coerced result; extended in place on append-only deltas.
     result: Relation,
-    /// Target facts already represented in `result`.
+    /// The live session behind `result` — only under
+    /// [`Evaluation::Incremental`].
+    session: Option<MappingSession>,
+}
+
+impl Materialisation {
+    /// The journal events since the watermark, or why they cannot be
+    /// trusted to be all of them.
+    fn events_since<'a>(
+        &self,
+        kb: &'a KnowledgeBase,
+    ) -> Result<impl Iterator<Item = &'a DeltaEvent>, String> {
+        if kb.journal().lineage() != self.lineage {
+            return Err("knowledge-base journal lineage changed since the last run".into());
+        }
+        kb.journal()
+            .scan_since(self.watermark)
+            .ok_or_else(|| "journal window no longer covers the last run".into())
+    }
+
+    /// Whether anything `mapping` reads changed since the watermark. The
+    /// fingerprint already pins rules, sources and target, so only events
+    /// naming a source relation count; metadata aspects never reach the
+    /// execution input.
+    fn is_stale(&self, mapping: &MappingDef, kb: &KnowledgeBase) -> Result<bool, String> {
+        Ok(self.events_since(kb)?.any(|e| {
+            e.change.relation().is_some_and(|r| mapping.sources.iter().any(|s| s == r))
+        }))
+    }
+}
+
+/// One persistent session plus the state needed to mirror the scratch
+/// input construction incrementally.
+#[derive(Debug)]
+struct MappingSession {
+    session: IncrementalSession,
+    /// Target facts already represented in the stored result.
     target_facts: usize,
     /// Full postcode → index (into `mapping.sources`) of the source whose
     /// scan first contributes its `postcode_district` fact. The helper
@@ -116,23 +172,28 @@ struct MappingSession {
     district_first: HashMap<String, Tuple>,
 }
 
-/// A fleet of [`IncrementalSession`]s keyed by mapping structure. See the
-/// module docs.
+/// The result store: one [`Materialisation`] per mapping structure. See
+/// the module docs.
 #[derive(Debug)]
 pub struct IncrementalExecutor {
-    sessions: BTreeMap<String, MappingSession>,
+    entries: BTreeMap<String, Materialisation>,
     /// Fingerprints in least→most recently used order.
     lru: Vec<String>,
     capacity: usize,
+    /// How a stale entry is refreshed.
+    evaluation: Evaluation,
     stats: ExecutorStats,
 }
 
+/// A standalone executor refreshes by delta (its name); the transducers
+/// overwrite that with the orchestrator's mode.
 impl Default for IncrementalExecutor {
     fn default() -> Self {
         IncrementalExecutor {
-            sessions: BTreeMap::new(),
+            entries: BTreeMap::new(),
             lru: Vec::new(),
             capacity: DEFAULT_SESSION_CAPACITY,
+            evaluation: Evaluation::Incremental,
             stats: ExecutorStats::default(),
         }
     }
@@ -281,9 +342,15 @@ impl PlannedDelta {
 }
 
 impl IncrementalExecutor {
-    /// An executor retaining at most `capacity` sessions.
+    /// An executor retaining at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> IncrementalExecutor {
         IncrementalExecutor { capacity: capacity.max(1), ..Default::default() }
+    }
+
+    /// Select how stale entries are refreshed from now on. Stored results
+    /// stay valid across a switch: freshness never depends on the mode.
+    pub fn set_evaluation(&mut self, evaluation: Evaluation) {
+        self.evaluation = evaluation;
     }
 
     /// Executor-level counters.
@@ -291,8 +358,9 @@ impl IncrementalExecutor {
         &self.stats
     }
 
-    /// Execute `mapping`, incrementally when the journal proves the inputs
-    /// only grew. The result is byte-identical to
+    /// Materialise `mapping`: the stored result when the journal proves
+    /// no source changed since it was built, a refreshed one otherwise.
+    /// The result is byte-identical to
     /// [`execute_mapping`](crate::execute_mapping) on the same knowledge
     /// base — including row order — in every case.
     pub fn execute(
@@ -300,142 +368,79 @@ impl IncrementalExecutor {
         cfg: &ExecuteConfig,
         mapping: &MappingDef,
         kb: &KnowledgeBase,
-    ) -> Result<Relation> {
-        let target: Schema = kb
-            .target_schema()
-            .ok_or_else(|| VadaError::Kb("no target schema registered".into()))?
-            .clone();
-        if target.name != mapping.target {
-            return Err(VadaError::Kb(format!(
-                "mapping `{}` targets `{}` but the registered target is `{}`",
-                mapping.id, mapping.target, target.name
-            )));
-        }
-        let fp = fingerprint(mapping, &target);
+    ) -> Result<&Relation> {
+        let target = registered_target(mapping, kb)?;
+        let fp = fingerprint(mapping, target);
         self.lru.retain(|f| f != &fp);
         self.lru.push(fp.clone());
 
-        if let Some(ms) = self.sessions.get_mut(&fp) {
-            // adopt the current worker count and registry: the orchestrator
-            // may have re-broadcast since this session was bootstrapped
-            // (output is level-invariant, only wall-clock changes)
-            ms.session.set_parallelism(cfg.engine.parallelism);
-            ms.session.set_obs(cfg.engine.obs.clone());
-            match self.plan_delta(&fp, mapping, kb) {
-                Ok(plan) => {
-                    cfg.engine.obs.incr(obs_key::MAP_INCREMENTAL);
-                    // the session's apply/retract spans nest underneath
-                    let span = cfg.engine.obs.span("map/execute_incremental");
-                    span.attr("mapping", &mapping.id);
-                    span.attr("target", &mapping.target);
-                    let outcome = self.apply_delta(&fp, plan, mapping, &target, kb);
-                    match outcome {
-                        Ok(rel) => return Ok(rel),
-                        Err(e) => {
-                            // a failed apply leaves the session poisoned:
-                            // drop it so the next execution rebuilds clean
-                            self.sessions.remove(&fp);
-                            self.lru.retain(|f| f != &fp);
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(reason) => {
-                    self.stats.last_fallback = Some(reason);
-                    self.sessions.remove(&fp);
+        let mut plan = None;
+        match self.entries.get(&fp).map(|e| e.is_stale(mapping, kb)) {
+            Some(Ok(false)) => {
+                cfg.engine.obs.incr(obs_key::MAP_REUSED);
+                self.stats.reused_runs += 1;
+                let entry = self.entries.get_mut(&fp).expect("looked up above");
+                entry.watermark = kb.version();
+                return Ok(&entry.result);
+            }
+            Some(Ok(true)) if self.evaluation.is_incremental() => {
+                match plan_delta(&self.entries[&fp], mapping, kb) {
+                    Ok(delta) => plan = Some(delta),
+                    Err(reason) => self.stats.last_fallback = Some(reason),
                 }
             }
+            Some(Err(reason)) => self.stats.last_fallback = Some(reason),
+            _ => {}
         }
-        self.bootstrap(&fp, cfg, mapping, &target, kb)
+        if let Err(e) = self.refresh(&fp, plan, cfg, mapping, target, kb) {
+            // a failed refresh may leave the session poisoned: drop the
+            // entry so the next execution rebuilds clean
+            self.entries.remove(&fp);
+            self.lru.retain(|f| f != &fp);
+            return Err(e);
+        }
+        while self.lru.len() > self.capacity {
+            let evicted = self.lru.remove(0);
+            self.entries.remove(&evicted);
+        }
+        Ok(&self.entries[&fp].result)
     }
 
-    /// Decide whether the journal entries since the session's watermark
-    /// form an order-safe row-level delta; returns the append/retract
-    /// steps in journal order plus the updated bookkeeping, or the
-    /// refusal reason.
-    fn plan_delta(
-        &self,
+    /// Bring the entry for `fp` up to the knowledge base's current state:
+    /// by the planned journal delta when there is one, from scratch
+    /// otherwise.
+    fn refresh(
+        &mut self,
         fp: &str,
+        plan: Option<PlannedDelta>,
+        cfg: &ExecuteConfig,
         mapping: &MappingDef,
+        target: &Schema,
         kb: &KnowledgeBase,
-    ) -> Result<PlannedDelta, String> {
-        let ms = &self.sessions[fp];
-        if kb.journal().lineage() != ms.last_lineage {
-            return Err("knowledge-base journal lineage changed since the last run".into());
+    ) -> Result<()> {
+        if let Some(plan) = plan {
+            cfg.engine.obs.incr(obs_key::MAP_INCREMENTAL);
+            // the session's apply/retract spans nest underneath
+            let span = cfg.engine.obs.span("map/execute_incremental");
+            span.attr("mapping", &mapping.id);
+            span.attr("target", &mapping.target);
+            return self.apply_delta(fp, plan, cfg, mapping, target, kb);
         }
-        let Some(events) = kb.drain_deltas_since(ms.last_version) else {
-            return Err("journal window no longer covers the last run".into());
+        let (result, session) = if self.evaluation.is_incremental() {
+            let (result, session) = bootstrap(cfg, mapping, target, kb)?;
+            (result, Some(session))
+        } else {
+            (execute_mapping(cfg, mapping, kb)?, None)
         };
-        let mut plan = PlannedDelta {
-            ops: Vec::new(),
-            districts: ms.districts.clone(),
-            max_source: ms.max_district_source,
-            mult: ms.mult.clone(),
-            district_support: ms.district_support.clone(),
-            district_first: ms.district_first.clone(),
+        self.stats.full_runs += 1;
+        let entry = Materialisation {
+            lineage: kb.journal().lineage(),
+            watermark: kb.version(),
+            result,
+            session,
         };
-        for DeltaEvent { change, .. } in &events {
-            match change {
-                DeltaChange::RowsAppended { relation, rows } => {
-                    let Some(src_idx) =
-                        mapping.sources.iter().position(|s| s == relation)
-                    else {
-                        continue;
-                    };
-                    for row in rows {
-                        plan.append_row(relation, src_idx, row)?;
-                    }
-                }
-                DeltaChange::RowsRemoved { relation, rows, .. } => {
-                    let Some(src_idx) =
-                        mapping.sources.iter().position(|s| s == relation)
-                    else {
-                        continue;
-                    };
-                    for row in rows {
-                        plan.remove_row(relation, src_idx, row)?;
-                    }
-                }
-                DeltaChange::RowsReplaced { relation, removed, added, tail, .. } => {
-                    let Some(src_idx) =
-                        mapping.sources.iter().position(|s| s == relation)
-                    else {
-                        continue;
-                    };
-                    // retract-old + append-new replays an in-place rewrite
-                    // only when the rewritten rows were the trailing ones —
-                    // anywhere else the new rows' scan positions sit in the
-                    // middle of the relation, which an append cannot
-                    // reproduce
-                    if !tail {
-                        return Err(format!(
-                            "mid-relation rewrite of `{relation}` changes the scan order"
-                        ));
-                    }
-                    for row in removed {
-                        plan.remove_row(relation, src_idx, row)?;
-                    }
-                    for row in added {
-                        plan.append_row(relation, src_idx, row)?;
-                    }
-                }
-                // a brand-new relation cannot be one of this session's
-                // sources (they existed at bootstrap), but if a source
-                // was removed and re-added the pair of events must force
-                // a rebuild — treat it like a replacement
-                DeltaChange::RelationAdded { relation }
-                | DeltaChange::RelationReplaced { relation }
-                | DeltaChange::RelationRemoved { relation } => {
-                    if mapping.sources.contains(relation) {
-                        return Err(format!("source `{relation}` was replaced"));
-                    }
-                }
-                // metadata aspects never reach the execution input; the
-                // fingerprint already pins rules, sources and target
-                DeltaChange::AspectChanged { .. } => {}
-            }
-        }
-        Ok(plan)
+        self.entries.insert(fp.to_string(), entry);
+        Ok(())
     }
 
     /// Feed a planned delta through the session, step by step in journal
@@ -445,11 +450,18 @@ impl IncrementalExecutor {
         &mut self,
         fp: &str,
         plan: PlannedDelta,
+        cfg: &ExecuteConfig,
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-    ) -> Result<Relation> {
-        let ms = self.sessions.get_mut(fp).expect("caller checked presence");
+    ) -> Result<()> {
+        let entry = self.entries.get_mut(fp).expect("caller checked presence");
+        let ms = entry.session.as_mut().expect("a delta is only planned over a session");
+        // adopt the current worker count and registry: the orchestrator
+        // may have re-broadcast since this session was bootstrapped
+        // (output is level-invariant, only wall-clock changes)
+        ms.session.set_parallelism(cfg.engine.parallelism);
+        ms.session.set_obs(cfg.engine.obs.clone());
         ms.districts = plan.districts;
         ms.max_district_source = plan.max_source;
         ms.mult = plan.mult;
@@ -491,82 +503,136 @@ impl IncrementalExecutor {
         if fast && append_only {
             // new target facts are a suffix: append-coerce only those
             for t in &facts[ms.target_facts.min(facts.len())..] {
-                ms.result.push(coerce_fact(t, target, &mapping.id)?)?;
+                entry.result.push(coerce_fact(t, target, &mapping.id)?)?;
             }
         } else {
             let mut rel = Relation::empty(target.clone());
             for t in facts {
                 rel.push(coerce_fact(t, target, &mapping.id)?)?;
             }
-            ms.result = rel;
+            entry.result = rel;
         }
         ms.target_facts = facts.len();
-        ms.last_version = kb.version();
-        ms.last_lineage = kb.journal().lineage();
-        Ok(ms.result.clone())
+        entry.watermark = kb.version();
+        Ok(())
     }
+}
 
-    /// Build a fresh session from the knowledge base (first sight of this
-    /// mapping structure, or recovery from a refused/failed delta).
-    fn bootstrap(
-        &mut self,
-        fp: &str,
-        cfg: &ExecuteConfig,
-        mapping: &MappingDef,
-        target: &Schema,
-        kb: &KnowledgeBase,
-    ) -> Result<Relation> {
-        let input = build_input_db(mapping, kb)?;
-        // first-occurrence source index and contributor count per helper
-        // fact, and row multiplicities, in the same scan order
-        // build_input_db uses
-        let mut districts: HashMap<String, usize> = HashMap::new();
-        let mut district_support: HashMap<String, usize> = HashMap::new();
-        let mut district_first: HashMap<String, Tuple> = HashMap::new();
-        let mut mult: HashMap<(usize, Tuple), u32> = HashMap::new();
-        let mut max_district_source = 0usize;
-        for (src_idx, source) in mapping.sources.iter().enumerate() {
-            let rel = kb.relation(source)?;
-            for row in rel.iter() {
-                *mult.entry((src_idx, row.clone())).or_insert(0) += 1;
-                for (full, _) in district_facts(row) {
-                    *district_support.entry(full.clone()).or_insert(0) += 1;
-                    district_first.entry(full.clone()).or_insert_with(|| row.clone());
-                    districts.entry(full).or_insert_with(|| {
-                        max_district_source = max_district_source.max(src_idx);
-                        src_idx
-                    });
+/// Decide whether the journal entries since the entry's watermark form
+/// an order-safe row-level delta; returns the append/retract steps in
+/// journal order plus the updated bookkeeping, or the refusal reason.
+fn plan_delta(
+    entry: &Materialisation,
+    mapping: &MappingDef,
+    kb: &KnowledgeBase,
+) -> Result<PlannedDelta, String> {
+    let Some(ms) = &entry.session else {
+        return Err("the stored result was materialised without a session".into());
+    };
+    let events = entry.events_since(kb)?;
+    let mut plan = PlannedDelta {
+        ops: Vec::new(),
+        districts: ms.districts.clone(),
+        max_source: ms.max_district_source,
+        mult: ms.mult.clone(),
+        district_support: ms.district_support.clone(),
+        district_first: ms.district_first.clone(),
+    };
+    for DeltaEvent { change, .. } in events {
+        // events on relations this mapping does not read, and metadata
+        // aspects, never reach the execution input
+        let Some(relation) = change.relation() else { continue };
+        let Some(src_idx) = mapping.sources.iter().position(|s| s == relation) else {
+            continue;
+        };
+        match change {
+            DeltaChange::RowsAppended { rows, .. } => {
+                for row in rows {
+                    plan.append_row(relation, src_idx, row)?;
                 }
             }
+            DeltaChange::RowsRemoved { rows, .. } => {
+                for row in rows {
+                    plan.remove_row(relation, src_idx, row)?;
+                }
+            }
+            DeltaChange::RowsReplaced { removed, added, tail, .. } => {
+                // retract-old + append-new replays an in-place rewrite
+                // only when the rewritten rows were the trailing ones —
+                // anywhere else the new rows' scan positions sit in the
+                // middle of the relation, which an append cannot
+                // reproduce
+                if !tail {
+                    return Err(format!(
+                        "mid-relation rewrite of `{relation}` changes the scan order"
+                    ));
+                }
+                for row in removed {
+                    plan.remove_row(relation, src_idx, row)?;
+                }
+                for row in added {
+                    plan.append_row(relation, src_idx, row)?;
+                }
+            }
+            // a brand-new relation cannot be one of this session's
+            // sources (they existed at bootstrap), but if a source was
+            // removed and re-added the pair of events must force a
+            // rebuild — treat it like a replacement
+            _ => return Err(format!("source `{relation}` was replaced")),
         }
-        cfg.engine.obs.incr(obs_key::MAP_FULL);
-        let mut session = IncrementalSession::new(cfg.engine.clone(), &mapping.rules)?;
-        session.run_full(input)?;
-        let mut result = Relation::empty(target.clone());
-        let facts = session.database().facts(&target.name);
-        for t in facts {
-            result.push(coerce_fact(t, target, &mapping.id)?)?;
-        }
-        let ms = MappingSession {
-            last_version: kb.version(),
-            last_lineage: kb.journal().lineage(),
-            target_facts: facts.len(),
-            districts,
-            max_district_source,
-            mult,
-            district_support,
-            district_first,
-            result,
-            session,
-        };
-        self.stats.full_runs += 1;
-        self.sessions.insert(fp.to_string(), ms);
-        while self.lru.len() > self.capacity {
-            let evicted = self.lru.remove(0);
-            self.sessions.remove(&evicted);
-        }
-        Ok(self.sessions[fp].result.clone())
     }
+    Ok(plan)
+}
+
+/// Materialise `mapping` through a fresh session (first sight of this
+/// mapping structure, or recovery from a refused/failed delta).
+fn bootstrap(
+    cfg: &ExecuteConfig,
+    mapping: &MappingDef,
+    target: &Schema,
+    kb: &KnowledgeBase,
+) -> Result<(Relation, MappingSession)> {
+    let input = build_input_db(mapping, kb)?;
+    // first-occurrence source index and contributor count per helper
+    // fact, and row multiplicities, in the same scan order
+    // build_input_db uses
+    let mut districts: HashMap<String, usize> = HashMap::new();
+    let mut district_support: HashMap<String, usize> = HashMap::new();
+    let mut district_first: HashMap<String, Tuple> = HashMap::new();
+    let mut mult: HashMap<(usize, Tuple), u32> = HashMap::new();
+    let mut max_district_source = 0usize;
+    for (src_idx, source) in mapping.sources.iter().enumerate() {
+        let rel = kb.relation(source)?;
+        for row in rel.iter() {
+            *mult.entry((src_idx, row.clone())).or_insert(0) += 1;
+            for (full, _) in district_facts(row) {
+                *district_support.entry(full.clone()).or_insert(0) += 1;
+                district_first.entry(full.clone()).or_insert_with(|| row.clone());
+                districts.entry(full).or_insert_with(|| {
+                    max_district_source = max_district_source.max(src_idx);
+                    src_idx
+                });
+            }
+        }
+    }
+    cfg.engine.obs.incr(obs_key::MAP_FULL);
+    let mut session = IncrementalSession::new(cfg.engine.clone(), &mapping.rules)?;
+    session.run_full(input)?;
+    let mut result = Relation::empty(target.clone());
+    let facts = session.database().facts(&target.name);
+    for t in facts {
+        result.push(coerce_fact(t, target, &mapping.id)?)?;
+    }
+    let ms = MappingSession {
+        target_facts: facts.len(),
+        districts,
+        max_district_source,
+        mult,
+        district_support,
+        district_first,
+        session,
+    };
+    Ok((result, ms))
 }
 
 #[cfg(test)]
@@ -800,7 +866,7 @@ mod tests {
         rm2.push(tuple!["888", "8 other st", "M1 1AA"]).unwrap();
         kb2.register_source(rm2);
         let full_before = exec.stats().full_runs;
-        let inc = exec.execute(&cfg, &mapping, &kb2).unwrap();
+        let inc = exec.execute(&cfg, &mapping, &kb2).unwrap().clone();
         assert_eq!(exec.stats().full_runs, full_before + 1, "{:?}", exec.stats());
         assert!(
             exec.stats()
@@ -838,33 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_kb_churn_is_ignored() {
-        let (mut kb, mapping) = kb_and_mapping();
-        let cfg = ExecuteConfig::default();
-        let mut exec = IncrementalExecutor::default();
-        exec.execute(&cfg, &mapping, &kb).unwrap();
-
-        // metadata churn plus an unrelated relation: no reason to rerun
-        kb.add_quality(vada_kb::QualityFact {
-            entity_kind: "mapping".into(),
-            entity: "m".into(),
-            metric: "completeness".into(),
-            criterion: "completeness(price)".into(),
-            value: 1.0,
-        });
-        let mut other = Relation::empty(Schema::all_str("unrelated", &["a"]));
-        other.push(tuple!["x"]).unwrap();
-        kb.register_source(other);
-
-        let rel = exec.execute(&cfg, &mapping, &kb).unwrap();
-        assert_eq!(exec.stats().incremental_runs, 1);
-        assert_eq!(
-            rel.tuples(),
-            execute_mapping(&cfg, &mapping, &kb).unwrap().tuples()
-        );
-    }
-
-    #[test]
     fn structural_change_creates_a_fresh_session() {
         let (mut kb, mut mapping) = kb_and_mapping();
         let cfg = ExecuteConfig::default();
@@ -880,49 +919,289 @@ mod tests {
         // changed rules: new fingerprint, fresh full run
         mapping.rules = "property(S, PC, P, null) :- rightmove(P, S, PC).".into();
         let rel = exec.execute(&cfg, &mapping, &kb).unwrap();
-        assert_eq!(exec.stats().full_runs, 2);
         assert_eq!(
             rel.tuples(),
             execute_mapping(&cfg, &mapping, &kb).unwrap().tuples()
         );
+        assert_eq!(exec.stats().full_runs, 2);
+    }
+
+    // ---- the result store: when is the stored result handed back? ----
+
+    /// A fresh executor per evaluation mode: freshness never depends on
+    /// how a stale entry would be refreshed.
+    fn both_modes() -> [IncrementalExecutor; 2] {
+        [Evaluation::Full, Evaluation::Incremental].map(|evaluation| {
+            let mut exec = IncrementalExecutor::default();
+            exec.set_evaluation(evaluation);
+            exec
+        })
+    }
+
+    /// Execute through the store and pin the answer to the scratch path.
+    fn checked(exec: &mut IncrementalExecutor, mapping: &MappingDef, kb: &KnowledgeBase) {
+        let cfg = ExecuteConfig::default();
+        let got = exec.execute(&cfg, mapping, kb).unwrap();
+        let scratch = execute_mapping(&cfg, mapping, kb).unwrap();
+        assert_eq!(got.schema(), scratch.schema());
+        assert_eq!(got.tuples(), scratch.tuples());
+    }
+
+    /// `(materialised from scratch or by delta, reused)` so far.
+    fn tally(exec: &IncrementalExecutor) -> (usize, usize) {
+        let s = exec.stats();
+        (s.full_runs + s.incremental_runs, s.reused_runs)
+    }
+
+    #[test]
+    fn store_hits_on_an_unchanged_kb_and_across_regenerated_ids() {
+        for mut exec in both_modes() {
+            let (kb, mut mapping) = kb_and_mapping();
+            let obs = vada_common::Obs::enabled();
+            let mut cfg = ExecuteConfig::default();
+            cfg.engine.obs = obs.clone();
+            let first = exec.execute(&cfg, &mapping, &kb).unwrap().clone();
+            let runs_after_first = obs.get(obs_key::STRATUM_PASSES);
+            assert!(runs_after_first > 0);
+
+            // same knowledge base: nothing is parsed, built or derived
+            let again = exec.execute(&cfg, &mapping, &kb).unwrap();
+            assert_eq!(again.tuples(), first.tuples());
+            // a generation pass re-issues the same structure under a new id
+            mapping.id = "m_regenerated".into();
+            let renamed = exec.execute(&cfg, &mapping, &kb).unwrap();
+            assert_eq!(renamed.tuples(), first.tuples());
+
+            assert_eq!(tally(&exec), (1, 2), "{:?}", exec.stats());
+            assert_eq!(obs.get(obs_key::MAP_REUSED), 2);
+            assert_eq!(obs.get(obs_key::MAP_FULL), 1);
+            assert_eq!(obs.get(obs_key::STRATUM_PASSES), runs_after_first);
+        }
+    }
+
+    #[test]
+    fn store_misses_on_every_kind_of_source_change() {
+        type Change = fn(&mut KnowledgeBase);
+        let changes: [(&str, Change); 5] = [
+            ("RowsAppended", |kb| {
+                let mut rm = kb.relation("rightmove").unwrap().clone();
+                rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
+                kb.register_source(rm);
+            }),
+            ("RowsRemoved", |kb| {
+                kb.remove_rows("rightmove", &[0]).unwrap();
+            }),
+            ("RowsReplaced", |kb| {
+                kb.update_source("rightmove", &[(1, tuple!["1", "9 park rd", "EH1 1AA"])])
+                    .unwrap();
+            }),
+            ("RelationReplaced", |kb| {
+                let mut rm = Relation::empty(kb.relation("rightmove").unwrap().schema().clone());
+                rm.push(tuple!["1", "x st", "M1 1AA"]).unwrap();
+                kb.register_source(rm);
+            }),
+            // the *other* source of the join counts just the same
+            ("RowsAppended(deprivation)", |kb| {
+                let mut dep = kb.relation("deprivation").unwrap().clone();
+                dep.push(tuple!["EH1", "900"]).unwrap();
+                kb.register_source(dep);
+            }),
+        ];
+        for (name, change) in changes {
+            for mut exec in both_modes() {
+                let (mut kb, mapping) = kb_and_mapping();
+                checked(&mut exec, &mapping, &kb);
+                change(&mut kb);
+                checked(&mut exec, &mapping, &kb);
+                assert_eq!(tally(&exec), (2, 0), "{name}: {:?}", exec.stats());
+                // refreshed and stored: the next look is a hit again
+                checked(&mut exec, &mapping, &kb);
+                assert_eq!(tally(&exec), (2, 1), "{name}: {:?}", exec.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn store_misses_when_the_journal_cannot_vouch_for_the_watermark() {
+        for mut exec in both_modes() {
+            // lineage: work resumed on a clone, even an untouched one
+            let (kb, mapping) = kb_and_mapping();
+            checked(&mut exec, &mapping, &kb);
+            let resumed = kb.clone();
+            checked(&mut exec, &mapping, &resumed);
+            assert_eq!(tally(&exec), (2, 0), "{:?}", exec.stats());
+            assert!(
+                exec.stats().last_fallback.as_deref().is_some_and(|r| r.contains("lineage")),
+                "{:?}",
+                exec.stats()
+            );
+        }
+        for mut exec in both_modes() {
+            // window: more events than the journal retains, none on a source
+            let (seed, mapping) = kb_and_mapping();
+            let mut kb = KnowledgeBase::with_journal_capacity(4);
+            kb.register_source(seed.relation("rightmove").unwrap().clone());
+            kb.register_source(seed.relation("deprivation").unwrap().clone());
+            kb.register_target_schema(seed.target_schema().unwrap().clone());
+            checked(&mut exec, &mapping, &kb);
+            for _ in 0..5 {
+                kb.set_user_context(Vec::new());
+            }
+            checked(&mut exec, &mapping, &kb);
+            assert_eq!(tally(&exec), (2, 0), "{:?}", exec.stats());
+            assert!(
+                exec.stats().last_fallback.as_deref().is_some_and(|r| r.contains("window")),
+                "{:?}",
+                exec.stats()
+            );
+            // a hit advances the watermark, so steady churn below the
+            // window size never loses the entry
+            for _ in 0..3 {
+                kb.set_user_context(Vec::new());
+                kb.set_user_context(Vec::new());
+                checked(&mut exec, &mapping, &kb);
+            }
+            assert_eq!(tally(&exec), (2, 3), "{:?}", exec.stats());
+        }
+    }
+
+    #[test]
+    fn store_misses_on_a_target_schema_change() {
+        for mut exec in both_modes() {
+            let (mut kb, mapping) = kb_and_mapping();
+            checked(&mut exec, &mapping, &kb);
+            // same name and arity, but crimerank is now text: the coerced
+            // result differs although no source moved
+            kb.register_target_schema(
+                Schema::new(
+                    "property",
+                    [
+                        ("street", AttrType::Str),
+                        ("postcode", AttrType::Str),
+                        ("price", AttrType::Int),
+                        ("crimerank", AttrType::Str),
+                    ],
+                )
+                .unwrap(),
+            );
+            checked(&mut exec, &mapping, &kb);
+            assert_eq!(tally(&exec), (2, 0), "{:?}", exec.stats());
+        }
+    }
+
+    #[test]
+    fn store_respects_the_lru_bound() {
+        for evaluation in [Evaluation::Full, Evaluation::Incremental] {
+            let (kb, mapping) = kb_and_mapping();
+            let mut exec = IncrementalExecutor::with_capacity(2);
+            exec.set_evaluation(evaluation);
+            let variant = |n: usize| MappingDef {
+                rules: format!("property(S, PC, P, {n}) :- rightmove(P, S, PC)."),
+                ..mapping.clone()
+            };
+            for n in 0..3 {
+                checked(&mut exec, &variant(n), &kb);
+            }
+            assert_eq!(exec.entries.len(), 2);
+            assert_eq!(exec.lru.len(), 2);
+            // the two most recent structures are still stored…
+            checked(&mut exec, &variant(2), &kb);
+            checked(&mut exec, &variant(1), &kb);
+            assert_eq!(tally(&exec), (3, 2), "{:?}", exec.stats());
+            // …the least recently used one was evicted
+            checked(&mut exec, &variant(0), &kb);
+            assert_eq!(tally(&exec), (4, 2), "{:?}", exec.stats());
+            assert_eq!(exec.entries.len(), 2);
+        }
+    }
+
+    #[test]
+    fn unrelated_kb_churn_is_ignored() {
+        for mut exec in both_modes() {
+            let (mut kb, mapping) = kb_and_mapping();
+            checked(&mut exec, &mapping, &kb);
+            // metadata aspects, an unrelated relation (added, grown,
+            // replaced, removed), a result and an intermediate
+            kb.add_cfd(vada_kb::CfdRule {
+                id: "c".into(),
+                relation: "property".into(),
+                lhs: vec![("postcode".into(), None)],
+                rhs: ("street".into(), None),
+                support: 1,
+            });
+            kb.set_user_context(Vec::new());
+            let mut other = Relation::empty(Schema::all_str("unrelated", &["a"]));
+            other.push(tuple!["x"]).unwrap();
+            kb.register_source(other.clone());
+            other.push(tuple!["y"]).unwrap();
+            kb.register_source(other.clone());
+            kb.register_source(Relation::empty(other.schema().clone()));
+            kb.put_intermediate(Relation::empty(Schema::all_str("candidate_m", &["a"])));
+            kb.remove_intermediate("candidate_m");
+            kb.put_result(Relation::empty(kb.target_schema().unwrap().clone()));
+            checked(&mut exec, &mapping, &kb);
+            assert_eq!(tally(&exec), (1, 1), "{:?}", exec.stats());
+        }
     }
 
     #[test]
     fn failed_apply_drops_the_session_and_recovers() {
-        let mut kb = KnowledgeBase::new();
-        let mut src = Relation::empty(Schema::all_str("s", &["a"]));
-        src.push(tuple![1]).unwrap();
-        kb.register_source(src.clone());
-        kb.register_target_schema(
-            Schema::new("t", [("a", AttrType::Str)]).unwrap(),
-        );
-        let mapping = MappingDef {
-            id: "m".into(),
-            target: "t".into(),
-            rules: "t(Y) :- s(X), Y = X + 0.".into(),
-            sources: vec!["s".into()],
-            matches_used: vec![],
-        };
-        let cfg = ExecuteConfig::default();
-        let mut exec = IncrementalExecutor::default();
-        exec.execute(&cfg, &mapping, &kb).unwrap();
+        for mut exec in both_modes() {
+            let mut kb = KnowledgeBase::new();
+            let mut src = Relation::empty(Schema::all_str("s", &["a"]));
+            src.push(tuple![1]).unwrap();
+            kb.register_source(src.clone());
+            kb.register_target_schema(Schema::new("t", [("a", AttrType::Str)]).unwrap());
+            let mapping = MappingDef {
+                id: "m".into(),
+                target: "t".into(),
+                rules: "t(Y) :- s(X), Y = X + 0.".into(),
+                sources: vec!["s".into()],
+                matches_used: vec![],
+            };
+            checked(&mut exec, &mapping, &kb);
+            assert_eq!(exec.entries.len(), 1);
 
-        // a delta row that breaks the arithmetic mid-delta-pass
-        src.push(tuple!["not a number"]).unwrap();
-        kb.register_source(src.clone());
-        let err = exec.execute(&cfg, &mapping, &kb).unwrap_err();
-        assert_eq!(err.kind(), "eval", "{err}");
-        // …the scratch path fails identically (no divergence), and once
-        // the poison row is gone the executor rebuilds cleanly
-        assert!(execute_mapping(&cfg, &mapping, &kb).is_err());
-        let mut fixed = Relation::empty(src.schema().clone());
-        fixed.push(tuple![1]).unwrap();
-        fixed.push(tuple![2]).unwrap();
-        kb.register_source(fixed);
-        let rel = exec.execute(&cfg, &mapping, &kb).unwrap();
-        assert_eq!(
-            rel.tuples(),
-            execute_mapping(&cfg, &mapping, &kb).unwrap().tuples()
-        );
+            // a row that breaks the arithmetic: the refresh fails in either
+            // mode and must not leave the pre-edit result behind as a hit
+            src.push(tuple!["not a number"]).unwrap();
+            kb.register_source(src.clone());
+            let cfg = ExecuteConfig::default();
+            let err = exec.execute(&cfg, &mapping, &kb).unwrap_err();
+            assert_eq!(err.kind(), "eval", "{err}");
+            assert!(execute_mapping(&cfg, &mapping, &kb).is_err(), "scratch fails identically");
+            assert!(exec.entries.is_empty() && exec.lru.is_empty());
+            assert!(exec.execute(&cfg, &mapping, &kb).is_err(), "no stale hit");
+            assert_eq!(exec.stats().reused_runs, 0);
+
+            kb.remove_rows("s", &[1]).unwrap();
+            checked(&mut exec, &mapping, &kb);
+        }
+    }
+
+    #[test]
+    fn switching_the_mode_keeps_stored_results_and_refreshes_the_new_way() {
+        let (mut kb, mapping) = kb_and_mapping();
+        let mut exec = IncrementalExecutor::default();
+        exec.set_evaluation(Evaluation::Full);
+        checked(&mut exec, &mapping, &kb);
+        // Full → Incremental: the session-less entry still answers…
+        exec.set_evaluation(Evaluation::Incremental);
+        checked(&mut exec, &mapping, &kb);
+        assert_eq!(tally(&exec), (1, 1), "{:?}", exec.stats());
+        // …a source edit bootstraps a session, the next one replays by delta
+        for street in ["3 kings ave", "4 mill ln"] {
+            let mut rm = kb.relation("rightmove").unwrap().clone();
+            rm.push(tuple!["410000", street, "M1 1AA"]).unwrap();
+            kb.register_source(rm);
+            checked(&mut exec, &mapping, &kb);
+        }
+        assert_eq!(exec.stats().incremental_runs, 1, "{:?}", exec.stats());
+        // Incremental → Full: a stale entry re-materialises from scratch
+        exec.set_evaluation(Evaluation::Full);
+        kb.remove_rows("rightmove", &[0]).unwrap();
+        checked(&mut exec, &mapping, &kb);
+        assert_eq!(exec.stats().incremental_runs, 1, "{:?}", exec.stats());
+        assert_eq!(exec.stats().full_runs, 3, "{:?}", exec.stats());
     }
 }

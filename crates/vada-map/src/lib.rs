@@ -11,6 +11,10 @@
 //! * [`execute`] — runs a mapping through the Datalog engine against the
 //!   source relations and coerces the answers into the typed target schema
 //!   (this is where `£250,000`-style format drift is normalised);
+//! * [`incremental`] — the result store the mapping transducers execute
+//!   through: one materialisation per mapping *structure*, handed back
+//!   while the knowledge-base delta journal proves no source changed,
+//!   refreshed from scratch or by row-level delta otherwise;
 //! * [`select`] — ranks candidates by weighted utility over their quality
 //!   metrics, with weights from the AHP user context (paper §2.2/Fig 3(d)
 //!   "mapping selection based on multi-dimensional optimisation").
@@ -20,8 +24,7 @@ pub mod generate;
 pub mod incremental;
 pub mod select;
 
-pub use execute::{execute_mapping, execute_mapping_cached, ExecuteConfig};
-pub use vada_datalog::cache::IndexCache;
+pub use execute::{execute_mapping, ExecuteConfig};
 pub use generate::{generate_candidates, MapGenConfig};
 pub use incremental::{ExecutorStats, IncrementalExecutor};
 pub use select::{rank_mappings, MappingScore};

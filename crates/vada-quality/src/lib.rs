@@ -23,6 +23,6 @@ pub mod repair;
 pub mod violations;
 
 pub use cfd::{learn_cfds, learn_cfds_with, CfdLearnConfig};
-pub use metrics::{accuracy_against_reference, consistency, master_coverage};
+pub use metrics::{accuracy_against_reference, consistency, master_coverage, ReferencePopulation};
 pub use repair::{repair_with_reference, RepairConfig, RepairReport};
 pub use violations::{detect_violations, Violation};

@@ -21,34 +21,57 @@ pub fn consistency(rel: &Relation, cfds: &[CfdRule]) -> f64 {
     1.0 - violating_row_count(&violations) as f64 / rel.len() as f64
 }
 
+/// A reference column normalised once, for scoring many relations against
+/// it (see [`accuracy_against_reference`]).
+#[derive(Debug, Clone)]
+pub struct ReferencePopulation(HashSet<String>);
+
+impl ReferencePopulation {
+    /// The normal forms of the non-null values of `reference.ref_attr`.
+    pub fn new(reference: &Relation, ref_attr: &str) -> Result<ReferencePopulation> {
+        let ref_col = reference.schema().require(ref_attr)?;
+        Ok(ReferencePopulation(
+            reference
+                .iter()
+                .filter(|t| !t[ref_col].is_null())
+                .map(|t| normalize(&t[ref_col].to_string()))
+                .collect(),
+        ))
+    }
+
+    /// Syntactic accuracy of `rel.attr`: the fraction of non-null values
+    /// whose normal form is in the population. Returns 1.0 when the column
+    /// has no values.
+    pub fn accuracy(&self, rel: &Relation, attr: &str) -> Result<f64> {
+        let col = rel.schema().require(attr)?;
+        let mut total = 0usize;
+        let mut hits = 0usize;
+        for t in rel.iter() {
+            if t[col].is_null() {
+                continue;
+            }
+            total += 1;
+            if self.0.contains(&normalize(&t[col].to_string())) {
+                hits += 1;
+            }
+        }
+        Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
+    }
+}
+
 /// Syntactic accuracy of `attr` against a reference population: the
 /// fraction of non-null values that appear in the reference column
 /// (compared on normal forms). Returns 1.0 when the column has no values.
+/// Scoring several relations against one column? Build the
+/// [`ReferencePopulation`] once instead.
 pub fn accuracy_against_reference(
     rel: &Relation,
     attr: &str,
     reference: &Relation,
     ref_attr: &str,
 ) -> Result<f64> {
-    let col = rel.schema().require(attr)?;
-    let ref_col = reference.schema().require(ref_attr)?;
-    let population: HashSet<String> = reference
-        .iter()
-        .filter(|t| !t[ref_col].is_null())
-        .map(|t| normalize(&t[ref_col].to_string()))
-        .collect();
-    let mut total = 0usize;
-    let mut hits = 0usize;
-    for t in rel.iter() {
-        if t[col].is_null() {
-            continue;
-        }
-        total += 1;
-        if population.contains(&normalize(&t[col].to_string())) {
-            hits += 1;
-        }
-    }
-    Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
+    rel.schema().require(attr)?;
+    ReferencePopulation::new(reference, ref_attr)?.accuracy(rel, attr)
 }
 
 /// Coverage of master data: the fraction of distinct master keys present

@@ -417,6 +417,98 @@ fn delete_everything_identical_across_modes() {
     compare(&fleet, "after recovery");
 }
 
+/// The result store against the scratch path: every candidate mapping,
+/// executed through one long-lived [`vada_map::IncrementalExecutor`] per
+/// `{Full, Incremental} × {Sequential, Threads(4)}`, must equal a fresh
+/// `execute_mapping` on the same knowledge base — same rows, same order —
+/// after every batch of a randomized edit script, with no-op
+/// re-executions interleaved (a second look at an unchanged base, and a
+/// look after metadata-only churn), which the store must answer from the
+/// stored result.
+#[test]
+fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
+    use vada_map::{execute_mapping, ExecuteConfig, IncrementalExecutor};
+
+    for seed in [5u64, 23, 71] {
+        // seed-logged so a failing case is reproducible from the test output
+        println!("store_backed_execution_matches_scratch_with_noop_reexecutions: seed {seed}");
+        let scenario = Scenario::generate(ScenarioConfig {
+            universe: UniverseConfig { properties: 60, seed: 13 + seed },
+            ..Default::default()
+        });
+        // the wrangler only bootstraps the candidates and carries the edit
+        // script; it never runs again, so every execution below is ours
+        let mut w = wrangler(&scenario, Evaluation::Full, Parallelism::Sequential);
+        w.run().expect("bootstrap succeeds");
+        let mappings: Vec<_> = w.kb().mappings().cloned().collect();
+        assert!(mappings.len() >= 2, "seed {seed}: several candidate structures");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let script = random_script(&mut rng, 8);
+
+        let mut fleet = Vec::new();
+        for evaluation in [Evaluation::Full, Evaluation::Incremental] {
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                let mut cfg = ExecuteConfig::default();
+                cfg.engine.parallelism = parallelism;
+                let mut exec = IncrementalExecutor::default();
+                exec.set_evaluation(evaluation);
+                fleet.push((format!("{evaluation:?}/{parallelism:?}"), cfg, exec));
+            }
+        }
+        let scratch_cfg = ExecuteConfig::default();
+        let mut compare = |w: &Wrangler, stage: &str, expect_reuse: bool| {
+            for (name, cfg, exec) in &mut fleet {
+                let reused_before = exec.stats().reused_runs;
+                for mapping in &mappings {
+                    let scratch = execute_mapping(&scratch_cfg, mapping, w.kb());
+                    match (exec.execute(cfg, mapping, w.kb()), scratch) {
+                        (Ok(got), Ok(scratch)) => {
+                            assert_eq!(got.schema(), scratch.schema());
+                            assert_eq!(
+                                got.tuples(),
+                                scratch.tuples(),
+                                "seed {seed}: {name} diverged on {} {stage}",
+                                mapping.id
+                            );
+                        }
+                        (Err(got), Err(scratch)) => {
+                            assert_eq!(got.to_string(), scratch.to_string())
+                        }
+                        (got, scratch) => panic!(
+                            "seed {seed}: {name} on {} {stage}: store {:?} vs scratch {:?}",
+                            mapping.id,
+                            got.map(|r| r.len()),
+                            scratch.map(|r| r.len())
+                        ),
+                    }
+                }
+                if expect_reuse {
+                    assert_eq!(
+                        exec.stats().reused_runs - reused_before,
+                        mappings.len(),
+                        "seed {seed}: {name} re-materialised an unchanged mapping {stage}"
+                    );
+                }
+            }
+        };
+
+        compare(&w, "at bootstrap", false);
+        for (step, batch) in script.iter().enumerate() {
+            for edit in batch {
+                apply_edit(&mut w, &scenario, edit);
+            }
+            compare(&w, &format!("after step {step} ({batch:?})"), false);
+            // a second look at the unchanged base
+            compare(&w, &format!("re-executing step {step}"), true);
+            // metadata-only churn names no source relation
+            w.kb_mut().clear_quality("mapping");
+            w.set_user_context(Vec::new());
+            w.kb_mut().stage_document(format!("noop_{step}"), "a,b\n1,2\n");
+            compare(&w, &format!("after metadata churn {step}"), true);
+        }
+    }
+}
+
 /// The incremental path must actually fire on append-only growth — and do
 /// measurably less derivation work than a full re-run — not silently fall
 /// back everywhere. Pinned at the executor level where the counters live.
@@ -451,10 +543,10 @@ fn incremental_path_fires_and_does_less_work() {
     w.kb_mut().register_source(rel);
 
     let incremental = exec.execute(&cfg, &mapping, w.kb()).unwrap();
-    assert_eq!(exec.stats().incremental_runs, 1, "{:?}", exec.stats());
-    // and byte-identical to scratch
+    // byte-identical to scratch
     let scratch = vada_map::execute_mapping(&cfg, &mapping, w.kb()).unwrap();
     assert_eq!(incremental.tuples(), scratch.tuples());
+    assert_eq!(exec.stats().incremental_runs, 1, "{:?}", exec.stats());
 }
 
 /// A failing delta pass must surface as an engine error, leave the
