@@ -888,8 +888,8 @@ mod tests {
         assert!(wobs.get("map.execute.reused") >= wr.candidates as u64);
         let wshapes = family_shapes(&wobs);
         assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");
-        // (map/execute spans, and so mapping ids, only exist under
-        // Evaluation::Full — the default)
+        // (every materialisation opens a map/execute span carrying the
+        // mapping id)
         assert!(
             wshapes.iter().all(|l| !l.contains("mapping=") || l.contains("mapping=map#")),
             "mapping ids are canonicalised: {wshapes:?}"

@@ -1,7 +1,7 @@
 //! Shared parsing rules for the `VADA_*` environment knobs.
 //!
-//! Every knob used to carry its own ad-hoc parser: `VADA_MAGIC` and
-//! `VADA_INCREMENTAL` accepted `1|true|on` case-insensitively,
+//! Every knob used to carry its own ad-hoc parser: `VADA_MAGIC`
+//! accepted `1|true|on` case-insensitively,
 //! `VADA_THREADS` parsed bare integers, and `VADA_WAL` had a third
 //! spelling for "off". The knobs now agree on one set of trim/case rules,
 //! defined here:

@@ -13,7 +13,6 @@ pub mod csv;
 pub mod durability;
 pub mod env;
 pub mod error;
-pub mod evaluation;
 pub mod idgen;
 pub mod obs;
 pub mod par;
@@ -27,7 +26,6 @@ pub mod value;
 
 pub use durability::Durability;
 pub use error::{Result, VadaError};
-pub use evaluation::Evaluation;
 pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
 pub use par::Parallelism;
 pub use querycache::QueryCaching;

@@ -24,13 +24,14 @@
 //!
 //! - **structural** counters live under the `pipeline.` prefix
 //!   ([`Obs::is_structural`]) and are byte-identical across the entire
-//!   `{threads × incremental × wal × magic}` knob matrix — they
+//!   `{threads × wal × magic × query cache}` knob matrix — they
 //!   count what the pipeline *computed* (orchestrator steps, writes,
 //!   knowledge-base events), which the equivalence suites already pin.
 //! - everything else is a **mode-scoped** diagnostic: it exists only under
-//!   its knob (`wal.*` only when durable, `incremental.*` only under delta
-//!   evaluation) but is still invariant to the *thread count*, because
-//!   increments happen per semantic event, not per scheduling decision.
+//!   its knob (`wal.*` only when durable, `incremental.*` only where a
+//!   datalog session runs) but is still invariant to the *thread count*,
+//!   because increments happen per semantic event, not per scheduling
+//!   decision.
 //!
 //! ## Cost contract
 //!
@@ -134,8 +135,6 @@ pub mod key {
 
     /// Full (from-scratch) mapping executions.
     pub const MAP_FULL: &str = "map.execute.full";
-    /// Incremental mapping executions (delta-maintained).
-    pub const MAP_INCREMENTAL: &str = "map.execute.incremental";
     /// Mapping executions answered from the stored materialisation: the
     /// journal proved no source changed since it was built.
     pub const MAP_REUSED: &str = "map.execute.reused";

@@ -11,9 +11,9 @@
 //! unchanged base costs a lookup, and a query after a small edit costs
 //! O(change).
 //!
-//! Like [`crate::Parallelism`], [`crate::Evaluation`] and
-//! [`crate::QueryMode`], the knob is safe to flip at any time: cached
-//! answers are pinned **byte-identical** to cold directed runs — same
+//! Like [`crate::Parallelism`] and [`crate::QueryMode`], the knob is
+//! safe to flip at any time: cached answers are pinned
+//! **byte-identical** to cold directed runs — same
 //! answer set, same order, same first error — by the root
 //! `query_equivalence` differential suite, and every cache layer
 //! invalidates on journal lineage or version divergence, never serving a

@@ -8,8 +8,8 @@
 //! then materializes only the demanded portion of the fixpoint, so a query
 //! touching one postcode no longer derives facts for all of them.
 //!
-//! Like [`crate::Parallelism`] and [`crate::Evaluation`], the knob is
-//! safe to flip at any time: per query,
+//! Like [`crate::Parallelism`], the knob is safe to flip at any time:
+//! per query,
 //! directed evaluation is pinned **byte-identical** to undirected — same
 //! answer set, same answer order, same first error — by the root
 //! `query_equivalence` differential suite. Whenever the demand analysis
@@ -21,8 +21,7 @@
 ///
 /// The default is read from the `VADA_MAGIC` environment variable
 /// (`1`/`true`/`on` select [`QueryMode::Directed`]), mirroring the
-/// `VADA_THREADS` / `VADA_INCREMENTAL` / `VADA_WAL`
-/// overrides.
+/// `VADA_THREADS` / `VADA_WAL` overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     /// Run the full program fixpoint, then evaluate the query against it.

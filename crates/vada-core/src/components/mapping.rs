@@ -1,11 +1,10 @@
 //! Mapping transducers: generation, selection, execution.
 
-use vada_common::{Evaluation, Parallelism, Relation, Result, VadaError};
+use vada_common::{Parallelism, Relation, Result, VadaError};
 use vada_context::UserContext;
 use vada_kb::KnowledgeBase;
 use vada_map::{
-    generate_candidates, rank_mappings, ExecuteConfig, IncrementalExecutor, MapGenConfig,
-    MappingScore,
+    generate_candidates, rank_mappings, ExecuteConfig, MapGenConfig, MappingScore, ResultStore,
 };
 
 use crate::components::feedback::apply_vetoes;
@@ -141,17 +140,14 @@ impl Transducer for MappingSelection {
 /// Execute the selected mapping and materialise the result (re-applying
 /// any feedback-derived vetoes so user corrections survive
 /// re-materialisation). A selection the quality transducer did not leave a
-/// candidate relation for goes through the [`IncrementalExecutor`] result
-/// store: reused while the journal proves no source changed, otherwise
-/// refreshed — from scratch under [`Evaluation::Full`], by row-level delta
-/// (appends through the semi-naive fast path, removals and tail rewrites
-/// through counting/DRed) under [`Evaluation::Incremental`] — with the
-/// output byte-identical either way.
+/// candidate relation for goes through the [`ResultStore`]: reused while
+/// the journal proves no source changed, re-executed from scratch
+/// otherwise.
 #[derive(Debug, Default)]
 pub struct MappingExecution {
     /// Execution configuration.
     pub config: ExecuteConfig,
-    executor: IncrementalExecutor,
+    store: ResultStore,
 }
 
 impl Transducer for MappingExecution {
@@ -178,10 +174,6 @@ impl Transducer for MappingExecution {
         self.config.engine.parallelism = parallelism;
     }
 
-    fn set_evaluation(&mut self, evaluation: Evaluation) {
-        self.executor.set_evaluation(evaluation);
-    }
-
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
@@ -201,7 +193,7 @@ impl Transducer for MappingExecution {
             Ok(cached) => {
                 Relation::from_tuples(cached.schema().renamed(&mapping.target), cached.tuples().to_vec())?
             }
-            Err(_) => self.executor.execute(&self.config, &mapping, kb)?.clone(),
+            Err(_) => self.store.execute(&self.config, &mapping, kb)?.clone(),
         };
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();

@@ -1,10 +1,10 @@
 //! Quality transducers: CFD learning, source profiling, and per-mapping
 //! quality metrics.
 
-use vada_common::{Evaluation, Parallelism, Relation, Result};
+use vada_common::{Parallelism, Relation, Result};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
-use vada_map::{ExecuteConfig, ExecutorStats, IncrementalExecutor};
+use vada_map::{ExecuteConfig, ResultStore};
 use vada_quality::{consistency, learn_cfds_with, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::candidate_relation_name;
@@ -116,23 +116,14 @@ impl Transducer for SourceProfiling {
 /// the learned CFDs) and syntactic accuracy (against reference
 /// populations). These are the metrics mapping selection weighs under the
 /// user context. Candidates materialise through the
-/// [`IncrementalExecutor`] result store, so a re-run caused by new CFDs or
-/// reference data recomputes the metrics but re-executes only the
-/// candidates whose sources changed ([`Evaluation`] selects how those are
-/// refreshed: from scratch, or by journalled row-level delta).
+/// [`ResultStore`], so a re-run caused by new CFDs or reference data
+/// recomputes the metrics but re-executes only the candidates whose
+/// sources changed.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     /// Execution configuration for candidate materialisation.
     pub config: ExecuteConfig,
-    executor: IncrementalExecutor,
-}
-
-impl MappingQuality {
-    /// Counters from the result store (how many candidate materialisations
-    /// were reused, refreshed by delta, or rebuilt).
-    pub fn executor_stats(&self) -> &ExecutorStats {
-        self.executor.stats()
-    }
+    store: ResultStore,
 }
 
 /// One quality fact about candidate mapping `id`.
@@ -167,10 +158,6 @@ impl Transducer for MappingQuality {
         self.config.engine.parallelism = parallelism;
     }
 
-    fn set_evaluation(&mut self, evaluation: Evaluation) {
-        self.executor.set_evaluation(evaluation);
-    }
-
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
@@ -195,7 +182,7 @@ impl Transducer for MappingQuality {
         let mut written = 0usize;
         let mut candidates: Vec<Relation> = Vec::new();
         for mapping in &mappings {
-            let result = self.executor.execute(&self.config, mapping, kb)?;
+            let result = self.store.execute(&self.config, mapping, kb)?;
             let mut add = |metric: &str, criterion: String, value: f64| {
                 kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
                 written += 1;

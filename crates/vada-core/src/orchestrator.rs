@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Evaluation, Obs, Parallelism, Result, VadaError};
+use vada_common::{Obs, Parallelism, Result, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::network::{GenericPolicy, SchedulingPolicy};
@@ -22,16 +22,6 @@ pub struct OrchestratorConfig {
     /// stable fields, and any error are identical at every level; defaults
     /// to the `VADA_THREADS` override.
     pub parallelism: Parallelism,
-    /// Evaluation mode broadcast to every registered transducer (see
-    /// [`Transducer::set_evaluation`]). The mapping transducers reuse a
-    /// stored materialisation in either mode while the delta journal
-    /// proves its sources unchanged; the mode selects how a stale one is
-    /// refreshed — from scratch, or under [`Evaluation::Incremental`] by
-    /// re-deriving only the journalled row changes over live Datalog
-    /// state. Results and traces are identical in both modes (the
-    /// `incremental_equivalence` suite pins this). Defaults to the
-    /// `VADA_INCREMENTAL` override.
-    pub evaluation: Evaluation,
 }
 
 impl Default for OrchestratorConfig {
@@ -39,7 +29,6 @@ impl Default for OrchestratorConfig {
         OrchestratorConfig {
             max_steps: 200,
             parallelism: Parallelism::default(),
-            evaluation: Evaluation::default(),
         }
     }
 }
@@ -101,7 +90,6 @@ impl Orchestrator {
     /// behaviour never depends on how a component reached the fleet.
     fn adopt_config(config: &OrchestratorConfig, t: &mut dyn Transducer) {
         t.set_parallelism(config.parallelism);
-        t.set_evaluation(config.evaluation);
     }
 
     /// Override limits, broadcasting the execution knobs to the fleet.

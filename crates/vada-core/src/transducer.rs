@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use vada_common::{Evaluation, Obs, Parallelism, Result};
+use vada_common::{Obs, Parallelism, Result};
 use vada_kb::KnowledgeBase;
 
 /// The wrangling activity a transducer belongs to (paper Table 1 column
@@ -114,17 +114,9 @@ pub trait Transducer {
     /// produce identical output.
     fn set_parallelism(&mut self, _parallelism: Parallelism) {}
 
-    /// Adopt the orchestrator's evaluation mode (see
-    /// [`crate::OrchestratorConfig::evaluation`]). Components that can
-    /// keep materialized state between runs and re-evaluate only
-    /// knowledge-base deltas override this; the default ignores it, which
-    /// is always correct because the incremental path is pinned
-    /// byte-identical to full evaluation.
-    fn set_evaluation(&mut self, _evaluation: Evaluation) {}
-
     /// Adopt the orchestrator's observability registry (see
     /// [`crate::Orchestrator::set_obs`]). Components whose substrate emits
-    /// counters (the mapping executors, anything holding an
+    /// counters (the mapping result stores, anything holding an
     /// `EngineConfig`) override this; the default ignores it, which is
     /// always correct because the registry never influences results.
     fn set_obs(&mut self, _obs: Obs) {}

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vada_common::{
-    Durability, Evaluation, Obs, ObsReport, Parallelism, QueryCaching, Relation, Result, Schema,
+    Durability, Obs, ObsReport, Parallelism, QueryCaching, Relation, Result, Schema,
 };
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
@@ -178,16 +178,6 @@ impl Wrangler {
         self.orchestrator.set_config(config);
     }
 
-    /// Set the evaluation mode for every registered component. Safe to
-    /// change at any point: incremental and full evaluation produce
-    /// identical results, traces, and errors (the `incremental_equivalence`
-    /// suite pins this); incremental re-runs after small knowledge-base
-    /// edits cost O(change).
-    pub fn set_evaluation(&mut self, evaluation: Evaluation) {
-        let config = OrchestratorConfig { evaluation, ..self.orchestrator.config().clone() };
-        self.orchestrator.set_config(config);
-    }
-
     /// Set the query-caching mode. Under [`QueryCaching::Persistent`] the
     /// knowledge base keeps hash indexes over its dependency-fact view
     /// alive across [`KnowledgeBase::query`] calls. Safe to change at any
@@ -207,9 +197,8 @@ impl Wrangler {
 
     /// Remove rows from a registered relation (the paper's feedback loop:
     /// users retract low-quality rows and re-wrangle). Journalled as a
-    /// row-level retraction, so under [`Evaluation::Incremental`] the next
-    /// run re-derives O(rows removed), not O(database). Returns the
-    /// removed tuples in ascending row order.
+    /// row-level retraction; mappings that read the relation re-execute
+    /// on the next run. Returns the removed tuples in ascending row order.
     pub fn remove_source_rows(&mut self, name: &str, rows: &[usize]) -> Result<Vec<vada_common::Tuple>> {
         let removed = self.kb.remove_rows(name, rows)?;
         self.kb.log("user", "remove_rows", &format!("{name}:{}", removed.len()));
@@ -217,8 +206,8 @@ impl Wrangler {
     }
 
     /// Rewrite rows of a registered source in place (`edits` pairs a row
-    /// index with its new tuple). Journalled as a row-level rewrite; tail
-    /// rewrites replay incrementally, mid-relation rewrites rebuild.
+    /// index with its new tuple). Journalled as a row-level rewrite;
+    /// mappings that read the relation re-execute on the next run.
     pub fn update_source_rows(&mut self, name: &str, edits: &[(usize, vada_common::Tuple)]) -> Result<()> {
         self.kb.update_source(name, edits)?;
         self.kb.log("user", "update_rows", &format!("{name}:{}", edits.len()));
@@ -431,90 +420,86 @@ mod tests {
         use vada_common::obs::key;
         use vada_kb::{FeedbackRecord, FeedbackTarget, Verdict};
 
-        for evaluation in [Evaluation::Full, Evaluation::Incremental] {
-            let mut w = Wrangler::new();
-            w.set_evaluation(evaluation);
-            let obs = Obs::enabled();
-            w.set_obs(obs.clone());
-            let (rm, dep) = sources();
-            w.add_source(rm);
-            w.add_source(dep);
-            w.set_target(target());
-            w.run().unwrap();
-            let candidates = w.kb().mappings().count() as u64;
-            assert!(candidates >= 2, "plain and augmented candidates");
-            assert_eq!(obs.get(key::MAP_FULL), candidates);
-            assert_eq!(obs.get(key::MAP_REUSED), 0);
+        let mut w = Wrangler::new();
+        let obs = Obs::enabled();
+        w.set_obs(obs.clone());
+        let (rm, dep) = sources();
+        w.add_source(rm);
+        w.add_source(dep);
+        w.set_target(target());
+        w.run().unwrap();
+        let candidates = w.kb().mappings().count() as u64;
+        assert!(candidates >= 2, "plain and augmented candidates");
+        assert_eq!(obs.get(key::MAP_FULL), candidates);
+        assert_eq!(obs.get(key::MAP_REUSED), 0);
 
-            let mut addr =
-                Relation::empty(Schema::all_str("address", &["street", "city", "postcode"]));
-            for (s, c, p) in [
-                ("1 high st", "manchester", "M1 1AA"),
-                ("2 park rd", "manchester", "M1 1AB"),
-                ("3 kings ave", "edinburgh", "EH1 1AA"),
-                ("4 mill ln", "manchester", "M1 1AC"),
-                ("5 queens dr", "edinburgh", "EH1 1AB"),
-            ] {
-                addr.push(tuple![s, c, p]).unwrap();
-            }
-            w.add_data_context(
-                addr,
-                ContextKind::Reference,
-                &[("street", "street"), ("postcode", "postcode")],
-            )
-            .unwrap();
-            w.run().unwrap();
-            w.add_feedback([FeedbackRecord {
-                id: "fb0".into(),
-                target: FeedbackTarget::Attribute {
-                    relation: "property".into(),
-                    row: 1,
-                    attr: "bedrooms".into(),
-                },
-                verdict: Verdict::Incorrect,
-            }]);
-            w.run().unwrap();
-            w.set_user_context(vec![PairwiseStatement {
-                more_important: "completeness(crimerank)".into(),
-                less_important: "completeness(bedrooms)".into(),
-                strength: "very strongly".into(),
-            }]);
-            w.run().unwrap();
-
-            let quality_steps: Vec<&crate::TraceEntry> = w
-                .trace()
-                .entries()
-                .iter()
-                .filter(|e| e.transducer == "mapping_quality")
-                .collect();
-            assert_eq!(quality_steps.len(), 2, "bootstrap, then the data context");
-            assert_eq!(w.kb().mappings().count() as u64, candidates);
-            assert_eq!(obs.get(key::MAP_FULL), candidates, "{evaluation:?}");
-            assert_eq!(obs.get(key::MAP_INCREMENTAL), 0, "{evaluation:?}");
-            assert_eq!(obs.get(key::MAP_REUSED), candidates, "{evaluation:?}");
-            // the step's own counter delta says the same thing…
-            assert!(quality_steps[1].counters.contains(&(key::MAP_REUSED.to_string(), candidates)));
-            assert!(quality_steps[1].counters.iter().all(|(k, _)| k != key::MAP_FULL));
-            // …and nothing was derived underneath it
-            let spans = obs.span_records();
-            let below: Vec<Vec<&str>> = spans
-                .iter()
-                .filter(|r| {
-                    r.name == "orchestrator/step"
-                        && r.attrs.contains(&("transducer".into(), "mapping_quality".into()))
-                })
-                .map(|step| {
-                    // (a durable knowledge base also logs its writes here)
-                    spans
-                        .iter()
-                        .filter(|r| r.parent == step.id && !r.name.starts_with("wal/"))
-                        .map(|r| r.name.as_str())
-                        .collect()
-                })
-                .collect();
-            assert_eq!(below.len(), 2);
-            assert_eq!(below[0].len() as u64, candidates, "{evaluation:?}: {:?}", below[0]);
-            assert!(below[1].is_empty(), "{evaluation:?}: {:?}", below[1]);
+        let mut addr =
+            Relation::empty(Schema::all_str("address", &["street", "city", "postcode"]));
+        for (s, c, p) in [
+            ("1 high st", "manchester", "M1 1AA"),
+            ("2 park rd", "manchester", "M1 1AB"),
+            ("3 kings ave", "edinburgh", "EH1 1AA"),
+            ("4 mill ln", "manchester", "M1 1AC"),
+            ("5 queens dr", "edinburgh", "EH1 1AB"),
+        ] {
+            addr.push(tuple![s, c, p]).unwrap();
         }
+        w.add_data_context(
+            addr,
+            ContextKind::Reference,
+            &[("street", "street"), ("postcode", "postcode")],
+        )
+        .unwrap();
+        w.run().unwrap();
+        w.add_feedback([FeedbackRecord {
+            id: "fb0".into(),
+            target: FeedbackTarget::Attribute {
+                relation: "property".into(),
+                row: 1,
+                attr: "bedrooms".into(),
+            },
+            verdict: Verdict::Incorrect,
+        }]);
+        w.run().unwrap();
+        w.set_user_context(vec![PairwiseStatement {
+            more_important: "completeness(crimerank)".into(),
+            less_important: "completeness(bedrooms)".into(),
+            strength: "very strongly".into(),
+        }]);
+        w.run().unwrap();
+
+        let quality_steps: Vec<&crate::TraceEntry> = w
+            .trace()
+            .entries()
+            .iter()
+            .filter(|e| e.transducer == "mapping_quality")
+            .collect();
+        assert_eq!(quality_steps.len(), 2, "bootstrap, then the data context");
+        assert_eq!(w.kb().mappings().count() as u64, candidates);
+        assert_eq!(obs.get(key::MAP_FULL), candidates);
+        assert_eq!(obs.get(key::MAP_REUSED), candidates);
+        // the step's own counter delta says the same thing…
+        assert!(quality_steps[1].counters.contains(&(key::MAP_REUSED.to_string(), candidates)));
+        assert!(quality_steps[1].counters.iter().all(|(k, _)| k != key::MAP_FULL));
+        // …and nothing was derived underneath it
+        let spans = obs.span_records();
+        let below: Vec<Vec<&str>> = spans
+            .iter()
+            .filter(|r| {
+                r.name == "orchestrator/step"
+                    && r.attrs.contains(&("transducer".into(), "mapping_quality".into()))
+            })
+            .map(|step| {
+                // (a durable knowledge base also logs its writes here)
+                spans
+                    .iter()
+                    .filter(|r| r.parent == step.id && !r.name.starts_with("wal/"))
+                    .map(|r| r.name.as_str())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(below.len(), 2);
+        assert_eq!(below[0].len() as u64, candidates, "{:?}", below[0]);
+        assert!(below[1].is_empty(), "{:?}", below[1]);
     }
 }

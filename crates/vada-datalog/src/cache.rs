@@ -30,11 +30,11 @@
 //!
 //! A cached answer is pinned byte-identical to a cold directed run by
 //! composition: the session's materialization is byte-identical to a
-//! from-scratch full run (the `incremental_equivalence` contract), and
+//! from-scratch full run (the [`crate::incremental`] contract), and
 //! evaluating a query over the full materialization is byte-identical to
 //! evaluating it over the demanded one (the `query_equivalence`
 //! contract). The root differential suites pin the composed claim across
-//! the `{threads × incremental × wal × magic}` matrix.
+//! the `{threads × wal × magic}` matrix.
 //!
 //! Note the view deliberately materializes the *full* program fixpoint,
 //! not the demanded restriction: under row-level edits the demand set can

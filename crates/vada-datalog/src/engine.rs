@@ -584,12 +584,6 @@ impl Engine {
         &self.config
     }
 
-    /// Engine configuration (mutable access for the incremental layer;
-    /// changing the parallelism level never changes output).
-    pub(crate) fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.config
-    }
-
     /// The level a stratum pass should run at: tiny inputs (a
     /// near-converged delta iteration, a trivial program) don't amortise
     /// worker spawn, so they drop to sequential. The level never affects

@@ -11,9 +11,10 @@
 //! cannot be *proven* order-safe by the analysis below, the session falls
 //! back to a full re-derivation — recording why in its
 //! [`history`](IncrementalSession::history) — never to divergent output.
-//! The root `incremental_equivalence` differential suite pins this for
-//! randomized edit scripts, at every [`Parallelism`] level (delta passes
-//! reuse the engine's independent-rule batching, so they parallelise too).
+//! This module's randomized edit-script test and, through the query
+//! cache, the root `query_equivalence` suite pin this at every
+//! [`vada_common::Parallelism`] level (delta passes reuse the engine's
+//! independent-rule batching, so they parallelise too).
 //!
 //! ## Retractions
 //!
@@ -119,7 +120,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use vada_common::obs::{key as obs_key, slug, Obs};
-use vada_common::par::{self, Parallelism};
+use vada_common::par;
 use vada_common::{Result, Tuple, VadaError};
 
 use crate::analysis::{stratify, Stratification};
@@ -164,11 +165,6 @@ pub struct DeltaOutcome {
     /// the total deletion-side work, the quantity the O(change) benchmark
     /// pins against full re-derivation.
     pub rederived_facts: usize,
-    /// Predicates whose fact order was re-established from segments or by
-    /// order repair (their extension is *not* an append to the previous
-    /// state; consumers that mirror fact order must rebuild these, and may
-    /// append for the rest).
-    pub reordered: BTreeSet<String>,
 }
 
 impl DeltaOutcome {
@@ -182,7 +178,6 @@ impl DeltaOutcome {
             derived_facts: 0,
             retracted_facts: 0,
             rederived_facts: 0,
-            reordered: BTreeSet::new(),
         }
     }
 }
@@ -552,24 +547,6 @@ impl IncrementalSession {
         self.history.last()
     }
 
-    /// Change the worker count for delta passes. Output is invariant to
-    /// the level (see [`vada_common::par`]), so this is always safe.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.engine.config_mut().parallelism = parallelism;
-    }
-
-    /// Attach a shared observability registry. Tallies accumulated so far
-    /// migrate into it, and both the session's outcome counters and the
-    /// engine's pass counters flow there from now on. A disabled handle is
-    /// ignored (the session keeps its always-on local registry).
-    pub fn set_obs(&mut self, obs: Obs) {
-        if obs.is_enabled() {
-            obs.merge_counters_from(&self.obs);
-            self.obs = obs.clone();
-            self.engine.config_mut().obs = obs;
-        }
-    }
-
     /// The registry holding this session's outcome tallies.
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -645,7 +622,6 @@ impl IncrementalSession {
             derived_facts: derived,
             retracted_facts: 0,
             rederived_facts: 0,
-            reordered: BTreeSet::new(),
         });
         Ok(&self.db)
     }
@@ -907,13 +883,11 @@ impl IncrementalSession {
     /// (outermost) predicate has fired — analysis has excluded positive
     /// cycles, so the affected sub-graph is a DAG and the waves drain.
     /// Each wave reuses the engine's independent-rule batching, so deltas
-    /// evaluate under [`Parallelism`] exactly like full passes.
+    /// evaluate under [`vada_common::Parallelism`] exactly like full passes.
     fn fast_path(&mut self, fresh: Vec<(String, Tuple)>) -> Result<&Database> {
         self.poisoned = true; // cleared on success
         let delta_facts = fresh.len();
         let mut derived = 0usize;
-        let mut reordered: BTreeSet<String> = BTreeSet::new();
-
         let affected = self.affected_preds(&fresh);
         // pending new facts per predicate, in arrival order — the delta
         // the engine's occurrence-restricted passes consume
@@ -1043,11 +1017,6 @@ impl IncrementalSession {
             let rebuilt = segs.reconstruct();
             let old_len = self.db.facts(&head).len();
             derived += rebuilt.len().saturating_sub(old_len);
-            let append_only = rebuilt.tuples()[..old_len.min(rebuilt.len())]
-                == *self.db.facts(&head);
-            if !append_only {
-                reordered.insert(head.clone());
-            }
             self.db.set_fact_set(&head, rebuilt);
         }
         // facts derived into tracked segments bypass the per-stratum cap
@@ -1069,7 +1038,6 @@ impl IncrementalSession {
             derived_facts: derived,
             retracted_facts: 0,
             rederived_facts: 0,
-            reordered,
         });
         Ok(&self.db)
     }
@@ -1319,7 +1287,6 @@ impl IncrementalSession {
         }
 
         // ---- order repair, upstream before downstream (unit order) ----
-        let mut reordered: BTreeSet<String> = BTreeSet::new();
         let repair_order: Vec<String> = units
             .iter()
             .filter_map(|u| match u {
@@ -1330,9 +1297,6 @@ impl IncrementalSession {
         for head in &repair_order {
             let (rebuilt, work) = self.repair_head_order(head)?;
             rederived += work;
-            if rebuilt.tuples() != self.db.facts(head) {
-                reordered.insert(head.clone());
-            }
             self.db.set_fact_set(head, rebuilt);
         }
 
@@ -1345,7 +1309,6 @@ impl IncrementalSession {
             derived_facts: 0,
             retracted_facts: retracted,
             rederived_facts: rederived,
-            reordered,
         });
         Ok(&self.db)
     }
@@ -1709,7 +1672,7 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::tuple;
+    use vada_common::{tuple, Parallelism};
 
     /// Scratch evaluation of `source` over `input`, dumped in the
     /// order-sensitive way downstream components observe.
@@ -1849,7 +1812,6 @@ mod tests {
         input.insert("a", tuple![2]);
         let out = s.last_outcome().unwrap();
         assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
-        assert!(out.reordered.contains("all"), "insertion is mid-sequence: {out:?}");
         assert_eq!(dump(s.database()), scratch(src, &input));
         assert_eq!(
             s.database().facts("all"),
@@ -1861,7 +1823,6 @@ mod tests {
         input.insert("b", tuple![12]);
         let out = s.last_outcome().unwrap();
         assert_eq!(out.mode, DeltaMode::Incremental);
-        assert!(out.reordered.is_empty(), "{out:?}");
         assert_eq!(dump(s.database()), scratch(src, &input));
     }
 
@@ -1947,9 +1908,8 @@ mod tests {
             let mut sessions: Vec<IncrementalSession> = levels
                 .iter()
                 .map(|&par| {
-                    let mut s =
-                        IncrementalSession::new(EngineConfig::default(), src).unwrap();
-                    s.set_parallelism(par);
+                    let config = EngineConfig { parallelism: par, ..EngineConfig::default() };
+                    let mut s = IncrementalSession::new(config, src).unwrap();
                     s.run_full(input.clone()).unwrap();
                     s
                 })
@@ -2144,7 +2104,6 @@ mod tests {
         assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
         assert_eq!(out.retracted_facts, 0, "q(1) keeps one derivation");
         assert!(out.rederived_facts > 0, "order repair re-enumerated q: {out:?}");
-        assert!(out.reordered.contains("q"), "{out:?}");
         assert_eq!(s.database().facts("q"), &[tuple![2], tuple![1]]);
         let mut shrunk = Database::new();
         shrunk.insert("r", tuple![2, "a"]);

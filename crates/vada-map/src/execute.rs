@@ -64,10 +64,8 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
 }
 
 /// The `postcode_district(full, district)` helper facts one row
-/// contributes, in value order. The single definition of the helper-fact
-/// condition: the incremental delta planner must mirror the scratch input
-/// construction exactly, so both paths call this.
-pub(crate) fn district_facts(row: &Tuple) -> Vec<(String, String)> {
+/// contributes, in value order.
+fn district_facts(row: &Tuple) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for v in row.iter() {
         if let Value::Str(s) = v {
@@ -84,7 +82,7 @@ pub(crate) fn district_facts(row: &Tuple) -> Vec<(String, String)> {
 /// Build the execution database: the mapping's source relations plus
 /// `postcode_district(full, district)` helper facts derived from every
 /// postcode-shaped value in those relations.
-pub(crate) fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result<Database> {
+fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result<Database> {
     let mut db = Database::new();
     for source in &mapping.sources {
         let rel = kb.relation(source)?;
@@ -120,8 +118,8 @@ pub(crate) fn registered_target<'a>(
 
 /// Execute a mapping from scratch and return the result in the target
 /// schema. The transducers go through
-/// [`IncrementalExecutor`](crate::IncrementalExecutor), which calls this
-/// only when its stored materialisation is stale.
+/// [`ResultStore`](crate::ResultStore), which calls this only when its
+/// stored materialisation is stale.
 pub fn execute_mapping(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
@@ -173,9 +171,8 @@ fn all_free_query(pred: &str, arity: usize) -> Rule {
     }
 }
 
-/// Coerce one derived target fact into the typed target schema, shared by
-/// the from-scratch and incremental execution paths.
-pub(crate) fn coerce_fact(t: &Tuple, target: &Schema, mapping_id: &str) -> Result<Tuple> {
+/// Coerce one derived target fact into the typed target schema.
+fn coerce_fact(t: &Tuple, target: &Schema, mapping_id: &str) -> Result<Tuple> {
     if t.arity() != target.arity() {
         return Err(VadaError::Eval(format!(
             "mapping `{mapping_id}` produced arity {} for target arity {}",

@@ -14,7 +14,7 @@
 //! * [`incremental`] — the result store the mapping transducers execute
 //!   through: one materialisation per mapping *structure*, handed back
 //!   while the knowledge-base delta journal proves no source changed,
-//!   refreshed from scratch or by row-level delta otherwise;
+//!   re-materialised through [`execute`] otherwise;
 //! * [`select`] — ranks candidates by weighted utility over their quality
 //!   metrics, with weights from the AHP user context (paper §2.2/Fig 3(d)
 //!   "mapping selection based on multi-dimensional optimisation").
@@ -26,5 +26,5 @@ pub mod select;
 
 pub use execute::{execute_mapping, ExecuteConfig};
 pub use generate::{generate_candidates, MapGenConfig};
-pub use incremental::{ExecutorStats, IncrementalExecutor};
+pub use incremental::{ExecutorStats, ResultStore};
 pub use select::{rank_mappings, MappingScore};

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::{Evaluation, OrchestratorConfig, Parallelism, Wrangler};
+use vada::{OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::{tuple, AttrType, Relation, Schema, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
@@ -276,7 +276,7 @@ fn compaction_snapshots_and_survives_the_crash_window() {
 
 /// Consumer watermarks resume O(change) across a crash: the recovered
 /// journal keeps its lineage and versions, so a watermark taken before the
-/// crash (what the mapping executors cache) reads an empty slice on the
+/// crash (what the mapping result stores keep) reads an empty slice on the
 /// untouched reopened base and exactly the one row-level event after the
 /// first post-recovery edit — never `None`, which would force a rebuild.
 #[test]
@@ -332,7 +332,6 @@ fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
         let mut w = Wrangler::new();
         w.set_orchestrator_config(OrchestratorConfig {
             parallelism,
-            evaluation: Evaluation::Incremental,
             ..OrchestratorConfig::default()
         });
         w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();

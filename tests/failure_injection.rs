@@ -143,15 +143,10 @@ fn panicking_similarity_errors_instead_of_hanging_and_names_the_stage() {
 
 #[test]
 fn incremental_mode_survives_transducer_failure() {
-    // a failing transducer under Evaluation::Incremental must surface the
-    // same diagnostic as under Full, leave the knowledge base (and its
-    // delta journal) usable, and let the retry proceed
-    use vada::{Evaluation, OrchestratorConfig};
+    // a failing transducer must surface its diagnostic, leave the
+    // knowledge base (and its delta journal) usable, and let the retry
+    // proceed
     let mut w = Wrangler::with_transducers(vec![Box::new(Flaky::default())]);
-    w.set_orchestrator_config(OrchestratorConfig {
-        evaluation: Evaluation::Incremental,
-        ..OrchestratorConfig::default()
-    });
     let mut src = Relation::empty(Schema::all_str("s", &["a"]));
     src.push(tuple!["x"]).unwrap();
     w.add_source(src);
@@ -159,9 +154,9 @@ fn incremental_mode_survives_transducer_failure() {
     let err = w.run().unwrap_err();
     assert!(err.to_string().contains("flaky"), "{err}");
     // the journal recorded the registration and nothing from the failed
-    // run — consistent for any incremental consumer that reads it next
+    // run — consistent for any journal consumer that reads it next
     assert_eq!(w.kb().journal().len(), journal_before);
-    let report = w.run().expect("retry recovers under incremental mode");
+    let report = w.run().expect("retry recovers");
     assert_eq!(report.executed, 1);
 }
 

@@ -1,14 +1,16 @@
-//! Differential tests for the incremental delta-evaluation subsystem:
-//! a wrangle under [`Evaluation::Incremental`] must produce output that is
-//! byte-identical to [`Evaluation::Full`] — same result relation (rows in
-//! the same order), same trace shape (every stable field), same errors —
-//! across randomized knowledge-base edit scripts, including the
-//! composition `Incremental × Threads(n)`. This is the contract that
-//! makes the `VADA_INCREMENTAL` override safe to flip in production.
+//! Differential tests for re-wrangling after knowledge-base edits. The
+//! only suite that drives append / remove / update / feedback scripts
+//! through a long-lived [`Wrangler`], it pins two things: the re-wrangle
+//! is thread-invariant — same result relation (rows in the same order),
+//! same trace shape (every stable field), same errors at `Sequential` and
+//! `Threads(4)` after every step — and a mapping executed through the
+//! journal-validated [`vada_map::ResultStore`] is byte-identical to a
+//! scratch `execute_mapping` on the same knowledge base, whether the
+//! store re-materialised it or handed the stored result back.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::{Evaluation, OrchestratorConfig, Parallelism, Wrangler};
+use vada::{OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::{csv, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
@@ -258,10 +260,9 @@ fn apply_edit(w: &mut Wrangler, scenario: &Scenario, edit: &Edit) {
     }
 }
 
-fn wrangler(scenario: &Scenario, evaluation: Evaluation, parallelism: Parallelism) -> Wrangler {
+fn wrangler(scenario: &Scenario, parallelism: Parallelism) -> Wrangler {
     let mut w = Wrangler::new();
     w.set_orchestrator_config(OrchestratorConfig {
-        evaluation,
         parallelism,
         ..OrchestratorConfig::default()
     });
@@ -284,12 +285,9 @@ fn randomized_edit_scripts_identical_across_modes() {
         let mut rng = StdRng::seed_from_u64(seed);
         let script = random_script(&mut rng, 5);
 
-        // baseline plus the three interesting compositions
         let mut fleet = vec![
-            ("full/seq", wrangler(&scenario, Evaluation::Full, Parallelism::Sequential)),
-            ("inc/seq", wrangler(&scenario, Evaluation::Incremental, Parallelism::Sequential)),
-            ("inc/t4", wrangler(&scenario, Evaluation::Incremental, Parallelism::Threads(4))),
-            ("full/t4", wrangler(&scenario, Evaluation::Full, Parallelism::Threads(4))),
+            ("seq", wrangler(&scenario, Parallelism::Sequential)),
+            ("t4", wrangler(&scenario, Parallelism::Threads(4))),
         ];
 
         // bootstrap
@@ -331,10 +329,8 @@ fn delete_then_reinsert_identical_across_modes() {
         ..Default::default()
     });
     let mut fleet = vec![
-        ("full/seq", wrangler(&scenario, Evaluation::Full, Parallelism::Sequential)),
-        ("inc/seq", wrangler(&scenario, Evaluation::Incremental, Parallelism::Sequential)),
-        ("inc/t4", wrangler(&scenario, Evaluation::Incremental, Parallelism::Threads(4))),
-        ("full/t4", wrangler(&scenario, Evaluation::Full, Parallelism::Threads(4))),
+        ("seq", wrangler(&scenario, Parallelism::Sequential)),
+        ("t4", wrangler(&scenario, Parallelism::Threads(4))),
     ];
     let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
         let baseline = observe(&fleet[0].1);
@@ -381,10 +377,8 @@ fn delete_everything_identical_across_modes() {
         ..Default::default()
     });
     let mut fleet = vec![
-        ("full/seq", wrangler(&scenario, Evaluation::Full, Parallelism::Sequential)),
-        ("inc/seq", wrangler(&scenario, Evaluation::Incremental, Parallelism::Sequential)),
-        ("inc/t4", wrangler(&scenario, Evaluation::Incremental, Parallelism::Threads(4))),
-        ("full/t4", wrangler(&scenario, Evaluation::Full, Parallelism::Threads(4))),
+        ("seq", wrangler(&scenario, Parallelism::Sequential)),
+        ("t4", wrangler(&scenario, Parallelism::Threads(4))),
     ];
     let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
         let baseline = observe(&fleet[0].1);
@@ -418,8 +412,8 @@ fn delete_everything_identical_across_modes() {
 }
 
 /// The result store against the scratch path: every candidate mapping,
-/// executed through one long-lived [`vada_map::IncrementalExecutor`] per
-/// `{Full, Incremental} × {Sequential, Threads(4)}`, must equal a fresh
+/// executed through one long-lived [`vada_map::ResultStore`] per
+/// `{Sequential, Threads(4)}`, must equal a fresh
 /// `execute_mapping` on the same knowledge base — same rows, same order —
 /// after every batch of a randomized edit script, with no-op
 /// re-executions interleaved (a second look at an unchanged base, and a
@@ -427,7 +421,7 @@ fn delete_everything_identical_across_modes() {
 /// stored result.
 #[test]
 fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
-    use vada_map::{execute_mapping, ExecuteConfig, IncrementalExecutor};
+    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
 
     for seed in [5u64, 23, 71] {
         // seed-logged so a failing case is reproducible from the test output
@@ -438,7 +432,7 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         });
         // the wrangler only bootstraps the candidates and carries the edit
         // script; it never runs again, so every execution below is ours
-        let mut w = wrangler(&scenario, Evaluation::Full, Parallelism::Sequential);
+        let mut w = wrangler(&scenario, Parallelism::Sequential);
         w.run().expect("bootstrap succeeds");
         let mappings: Vec<_> = w.kb().mappings().cloned().collect();
         assert!(mappings.len() >= 2, "seed {seed}: several candidate structures");
@@ -446,22 +440,18 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         let script = random_script(&mut rng, 8);
 
         let mut fleet = Vec::new();
-        for evaluation in [Evaluation::Full, Evaluation::Incremental] {
-            for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let mut cfg = ExecuteConfig::default();
-                cfg.engine.parallelism = parallelism;
-                let mut exec = IncrementalExecutor::default();
-                exec.set_evaluation(evaluation);
-                fleet.push((format!("{evaluation:?}/{parallelism:?}"), cfg, exec));
-            }
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let mut cfg = ExecuteConfig::default();
+            cfg.engine.parallelism = parallelism;
+            fleet.push((format!("{parallelism:?}"), cfg, ResultStore::default()));
         }
         let scratch_cfg = ExecuteConfig::default();
         let mut compare = |w: &Wrangler, stage: &str, expect_reuse: bool| {
-            for (name, cfg, exec) in &mut fleet {
-                let reused_before = exec.stats().reused_runs;
+            for (name, cfg, store) in &mut fleet {
+                let reused_before = store.stats().reused_runs;
                 for mapping in &mappings {
                     let scratch = execute_mapping(&scratch_cfg, mapping, w.kb());
-                    match (exec.execute(cfg, mapping, w.kb()), scratch) {
+                    match (store.execute(cfg, mapping, w.kb()), scratch) {
                         (Ok(got), Ok(scratch)) => {
                             assert_eq!(got.schema(), scratch.schema());
                             assert_eq!(
@@ -484,7 +474,7 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
                 }
                 if expect_reuse {
                     assert_eq!(
-                        exec.stats().reused_runs - reused_before,
+                        store.stats().reused_runs - reused_before,
                         mappings.len(),
                         "seed {seed}: {name} re-materialised an unchanged mapping {stage}"
                     );
@@ -509,54 +499,14 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
     }
 }
 
-/// The incremental path must actually fire on append-only growth — and do
-/// measurably less derivation work than a full re-run — not silently fall
-/// back everywhere. Pinned at the executor level where the counters live.
+/// A failing refresh must surface as an engine error, leave the journal
+/// untouched and drop the stored entry, and the next execution must
+/// succeed.
 #[test]
-fn incremental_path_fires_and_does_less_work() {
-    use vada_map::{ExecuteConfig, IncrementalExecutor};
-
-    let scenario = Scenario::generate(ScenarioConfig {
-        universe: UniverseConfig { properties: 80, seed: 23 },
-        ..Default::default()
-    });
-    let mut w = wrangler(&scenario, Evaluation::Incremental, Parallelism::Sequential);
-    w.run().expect("bootstrap succeeds");
-    let mapping = w
-        .kb()
-        .get_mapping(w.kb().selected_mapping().expect("a mapping is selected"))
-        .unwrap()
-        .clone();
-
-    let cfg = ExecuteConfig::default();
-    let mut exec = IncrementalExecutor::default();
-    exec.execute(&cfg, &mapping, w.kb()).unwrap();
-    assert_eq!(exec.stats().full_runs, 1);
-
-    // append one cloned row (existing postcode): the re-execution must be
-    // a fast-path apply
-    let source = mapping.sources[0].clone();
-    let mut rel = w.kb().relation(&source).unwrap().clone();
-    let mut values: Vec<Value> = rel.tuples()[0].iter().cloned().collect();
-    values[1] = Value::str("1 delta row");
-    rel.push(Tuple::new(values)).unwrap();
-    w.kb_mut().register_source(rel);
-
-    let incremental = exec.execute(&cfg, &mapping, w.kb()).unwrap();
-    // byte-identical to scratch
-    let scratch = vada_map::execute_mapping(&cfg, &mapping, w.kb()).unwrap();
-    assert_eq!(incremental.tuples(), scratch.tuples());
-    assert_eq!(exec.stats().incremental_runs, 1, "{:?}", exec.stats());
-}
-
-/// A failing delta pass must surface as an engine error, leave the
-/// journal consistent, and let the next full run succeed — the orchestror
-/// analogue of the datalog-level poisoning tests.
-#[test]
-fn delta_path_failure_recovers_via_full_run() {
+fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     use vada_common::{Relation, Schema};
     use vada_kb::{KnowledgeBase, MappingDef};
-    use vada_map::{ExecuteConfig, IncrementalExecutor};
+    use vada_map::{ExecuteConfig, ResultStore};
 
     let mut kb = KnowledgeBase::new();
     let mut src = Relation::empty(Schema::all_str("s", &["a"]));
@@ -571,25 +521,28 @@ fn delta_path_failure_recovers_via_full_run() {
         matches_used: vec![],
     };
     let cfg = ExecuteConfig::default();
-    let mut exec = IncrementalExecutor::default();
-    exec.execute(&cfg, &mapping, &kb).unwrap();
+    let mut store = ResultStore::default();
+    store.execute(&cfg, &mapping, &kb).unwrap();
     let journal_before = kb.drain_deltas_since(0).unwrap().len();
 
-    // poison row: the delta pass errors mid-way
+    // poison row: the re-materialisation errors mid-way
     src.push(Tuple::new(vec![Value::str("boom")])).unwrap();
     kb.register_source(src);
-    let err = exec.execute(&cfg, &mapping, &kb).unwrap_err();
+    let err = store.execute(&cfg, &mapping, &kb).unwrap_err();
     assert_eq!(err.kind(), "eval", "{err}");
     // reading the journal never mutates it: the failed run added exactly
     // the one append event, nothing was rolled back or duplicated
     assert_eq!(kb.drain_deltas_since(0).unwrap().len(), journal_before + 1);
+    // the pre-edit result is gone, not handed back as a stale hit
+    assert!(store.execute(&cfg, &mapping, &kb).is_err());
+    assert_eq!(store.stats().reused_runs, 0);
 
     // drop the poison row (a replacement) and the next run succeeds fully
     let mut fixed = Relation::empty(Schema::all_str("s", &["a"]));
     fixed.push(Tuple::new(vec![Value::Int(1)])).unwrap();
     fixed.push(Tuple::new(vec![Value::Int(2)])).unwrap();
     kb.register_source(fixed);
-    let rel = exec.execute(&cfg, &mapping, &kb).unwrap();
+    let rel = store.execute(&cfg, &mapping, &kb).unwrap();
     assert_eq!(rel.len(), 2);
     let scratch = vada_map::execute_mapping(&cfg, &mapping, &kb).unwrap();
     assert_eq!(rel.tuples(), scratch.tuples());

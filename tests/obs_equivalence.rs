@@ -1,8 +1,7 @@
 //! Differential tests for the observability layer: the **structural**
 //! counters (the `pipeline.*` names) must be byte-identical across the
-//! whole `{parallelism} × {evaluation} × {query mode} × {durability}`
-//! knob matrix — observability observes the pipeline's
-//! semantic structure, never its scheduling — and a broken or panicking
+//! whole `{parallelism} × {query mode} × {durability}` knob matrix —
+//! observability observes the pipeline's semantic structure, never its scheduling — and a broken or panicking
 //! export sink must never change a single byte of the wrangling result.
 //! This is the contract that makes the `VADA_OBS` override safe to flip
 //! in production.
@@ -10,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use vada::{Evaluation, OrchestratorConfig, Parallelism, Wrangler};
+use vada::{OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::obs::{span_shape, structural_span_shape, Json, Obs, ObsSink};
 use vada_common::{csv, QueryCaching, Result, VadaError};
 use vada_extract::sources::target_schema;
@@ -105,7 +104,6 @@ fn canonicalize_map_ids(s: &str) -> String {
 /// phase, a re-run) under one knob combination with a live registry.
 fn wrangle(
     par: Parallelism,
-    eval: Evaluation,
     wal: bool,
     caching: QueryCaching,
 ) -> Observed {
@@ -116,7 +114,7 @@ fn wrangle(
     let mut w = Wrangler::new();
     if wal {
         let dir = std::env::temp_dir().join(format!(
-            "vada-obs-equivalence-{}-{par:?}-{eval:?}",
+            "vada-obs-equivalence-{}-{par:?}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -124,7 +122,6 @@ fn wrangle(
     }
     w.set_orchestrator_config(OrchestratorConfig {
         parallelism: par,
-        evaluation: eval,
         ..OrchestratorConfig::default()
     });
     w.set_query_caching(caching);
@@ -180,7 +177,7 @@ fn wrangle(
 #[test]
 fn structural_counters_identical_across_the_knob_matrix() {
     let baseline = with_query_mode(false, || {
-        wrangle(Parallelism::Sequential, Evaluation::Full, false, QueryCaching::Off)
+        wrangle(Parallelism::Sequential, false, QueryCaching::Off)
     });
     assert!(
         baseline.structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0,
@@ -228,45 +225,39 @@ fn structural_counters_identical_across_the_knob_matrix() {
         baseline.full_spans
     );
 
-    // full span trees per {eval, directed} combo: the tree is a
+    // full span trees per query mode: the tree is a
     // pure function of the knobs — thread counts must never change it
-    let mut full_trees: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    full_trees.insert("Full-false".into(), baseline.full_spans.clone());
+    let mut full_trees: BTreeMap<bool, Vec<String>> = BTreeMap::new();
+    full_trees.insert(false, baseline.full_spans.clone());
 
     for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        for eval in [Evaluation::Full, Evaluation::Incremental] {
-            for directed in [false, true] {
-                if (par, eval, directed) == (Parallelism::Sequential, Evaluation::Full, false) {
-                    continue;
+        for directed in [false, true] {
+            if (par, directed) == (Parallelism::Sequential, false) {
+                continue;
+            }
+            let got = with_query_mode(directed, || {
+                wrangle(par, false, QueryCaching::Off)
+            });
+            assert_eq!(
+                got.structural, baseline.structural,
+                "{par:?} × directed={directed} diverged structurally"
+            );
+            assert_eq!(
+                got.catalog, baseline.catalog,
+                "{par:?} × directed={directed} changed the catalog"
+            );
+            assert_eq!(
+                got.structural_spans, baseline.structural_spans,
+                "{par:?} × directed={directed} changed the structural span tree"
+            );
+            match full_trees.get(&directed) {
+                None => {
+                    full_trees.insert(directed, got.full_spans);
                 }
-                let got = with_query_mode(directed, || {
-                    wrangle(par, eval, false, QueryCaching::Off)
-                });
-                assert_eq!(
-                    got.structural, baseline.structural,
-                    "{par:?} × {eval:?} × directed={directed} \
-                     diverged structurally"
-                );
-                assert_eq!(
-                    got.catalog, baseline.catalog,
-                    "{par:?} × {eval:?} × directed={directed} \
-                     changed the catalog"
-                );
-                assert_eq!(
-                    got.structural_spans, baseline.structural_spans,
-                    "{par:?} × {eval:?} × directed={directed} \
-                     changed the structural span tree"
-                );
-                let combo = format!("{eval:?}-{directed}");
-                match full_trees.get(&combo) {
-                    None => {
-                        full_trees.insert(combo, got.full_spans);
-                    }
-                    Some(tree) => assert_eq!(
-                        &got.full_spans, tree,
-                        "{par:?} changed the full span tree of {eval:?} × directed={directed}"
-                    ),
-                }
+                Some(tree) => assert_eq!(
+                    &got.full_spans, tree,
+                    "{par:?} changed the full span tree of directed={directed}"
+                ),
             }
         }
     }
@@ -275,7 +266,7 @@ fn structural_counters_identical_across_the_knob_matrix() {
     // (wal.* diagnostics appear, but only under the pipeline-neutral
     // mode-scoped namespace — and as wal/append spans in the full tree)
     let durable = with_query_mode(false, || {
-        wrangle(Parallelism::Sequential, Evaluation::Full, true, QueryCaching::Off)
+        wrangle(Parallelism::Sequential, true, QueryCaching::Off)
     });
     assert_eq!(durable.structural, baseline.structural, "WAL leg diverged structurally");
     assert_eq!(durable.catalog, baseline.catalog, "WAL leg changed the catalog");
@@ -301,17 +292,13 @@ fn structural_counters_identical_across_the_knob_matrix() {
 
     // the caching knob: persistent query caches never change the pipeline's
     // structural shape either — counters, catalog, or structural spans
-    for (par, eval, directed) in [
-        (Parallelism::Sequential, Evaluation::Full, false),
-        (Parallelism::Threads(4), Evaluation::Incremental, true),
-    ] {
+    for (par, directed) in [(Parallelism::Sequential, false), (Parallelism::Threads(4), true)] {
         let cached = with_query_mode(directed, || {
-            wrangle(par, eval, false, QueryCaching::Persistent)
+            wrangle(par, false, QueryCaching::Persistent)
         });
         assert_eq!(
             cached.structural, baseline.structural,
-            "cache leg {par:?} × {eval:?} × directed={directed} \
-             diverged structurally"
+            "cache leg {par:?} × directed={directed} diverged structurally"
         );
         assert_eq!(cached.catalog, baseline.catalog, "cache leg changed the catalog");
         assert_eq!(
