@@ -11,6 +11,7 @@ use vada_common::{tuple, Relation, Schema, Tuple};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
 use vada_extract::{ScenarioConfig, UniverseConfig};
+use vada_kb::delta::DEFAULT_JOURNAL_CAPACITY;
 
 use crate::paygo::{run_paygo, PaygoConfig};
 use crate::report::table;
@@ -93,6 +94,7 @@ struct RetractRow {
 struct RecoveryRow {
     rows: usize,
     edit_events: usize,
+    journal_capacity: usize,
     wal_bytes: u64,
     reopen_ms: f64,
     reingest_ms: f64,
@@ -295,7 +297,16 @@ fn measure_query_cache(n: usize, k: usize, rounds: usize, obs: &Obs) -> CacheRow
 /// base (the producer-side cost a crash would otherwise force, *before*
 /// re-running extraction). The reopened base is asserted to land on the
 /// same version as the original, so the timing compares equal states.
-fn measure_wal_recovery(n: usize, edits: usize, rounds: usize, obs: &Obs) -> RecoveryRow {
+/// `capacity` is the journal window, which is also the checkpoint cadence:
+/// with `edits > capacity` the run crosses checkpoints, and the family's
+/// `wal.compactions` pins one per `capacity` records — not one per edit.
+fn measure_wal_recovery(
+    n: usize,
+    edits: usize,
+    rounds: usize,
+    capacity: usize,
+    obs: &Obs,
+) -> RecoveryRow {
     use vada_kb::KnowledgeBase;
     let dir = std::env::temp_dir().join(format!(
         "vada-bench-recovery-{}-{n}-{edits}",
@@ -319,7 +330,7 @@ fn measure_wal_recovery(n: usize, edits: usize, rounds: usize, obs: &Obs) -> Rec
         )
     };
 
-    let mut kb = KnowledgeBase::new();
+    let mut kb = KnowledgeBase::with_journal_capacity(capacity);
     // route the KB's wal.* tallies AND its wal/append / wal/compact spans
     // straight into the experiment's registry (a post-hoc counter merge
     // would drop the span records)
@@ -346,7 +357,7 @@ fn measure_wal_recovery(n: usize, edits: usize, rounds: usize, obs: &Obs) -> Rec
     for _ in 0..rounds {
         let fresh = rel.clone(); // the producer's relation is a given; time only the KB work
         let start = Instant::now();
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KnowledgeBase::with_journal_capacity(capacity);
         kb.register_source(fresh);
         for e in 0..edits {
             kb.update_source("listings", &[edit_row(e)]).expect("edit applies");
@@ -359,6 +370,7 @@ fn measure_wal_recovery(n: usize, edits: usize, rounds: usize, obs: &Obs) -> Rec
     RecoveryRow {
         rows: n,
         edit_events: edits,
+        journal_capacity: capacity,
         wal_bytes,
         reopen_ms: median_ms(reopen_times),
         reingest_ms: median_ms(reingest_times),
@@ -532,8 +544,11 @@ pub(crate) fn measure_families() -> Families {
         measure_retraction(20_000, 64, 5, &ret_obs),
     ];
     let recoveries = vec![
-        measure_wal_recovery(5_000, 128, 5, &rec_obs),
-        measure_wal_recovery(20_000, 128, 5, &rec_obs),
+        measure_wal_recovery(5_000, 128, 5, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
+        measure_wal_recovery(20_000, 128, 5, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
+        // past the window: 321 records at a 64-event window checkpoint
+        // five times; per-edit compaction would make it 257
+        measure_wal_recovery(5_000, 320, 5, 64, &rec_obs),
     ];
     let magics = vec![measure_magic(20_000, 50, 5, &magic_obs)];
     let caches = vec![measure_query_cache(20_000, 64, 5, &cache_obs)];
@@ -561,7 +576,7 @@ fn to_json(fam: &Families) -> String {
     let Families { rows, retractions, recoveries, magics, caches, wrangles, counters, span_shapes } =
         fam;
     let workers = vada_common::Parallelism::from_env().workers();
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v10\",\n");
+    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v11\",\n");
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str("  \"datalog_incremental_vs_full\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -598,10 +613,12 @@ fn to_json(fam: &Families) -> String {
     out.push_str("  ],\n  \"kb_wal_recovery\": [\n");
     for (i, r) in recoveries.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rows\": {}, \"edit_events\": {}, \"wal_bytes\": {}, \
-             \"reopen_ms\": {:.3}, \"reingest_ms\": {:.3}, \"reopen_overhead\": {:.2}}}{}\n",
+            "    {{\"rows\": {}, \"edit_events\": {}, \"journal_capacity\": {}, \
+             \"wal_bytes\": {}, \"reopen_ms\": {:.3}, \"reingest_ms\": {:.3}, \
+             \"reopen_overhead\": {:.2}}}{}\n",
             r.rows,
             r.edit_events,
+            r.journal_capacity,
             r.wal_bytes,
             r.reopen_ms,
             r.reingest_ms,
@@ -754,6 +771,7 @@ pub fn incremental_baseline() -> String {
             vec![
                 r.rows.to_string(),
                 r.edit_events.to_string(),
+                r.journal_capacity.to_string(),
                 format!("{:.1} KiB", r.wal_bytes as f64 / 1024.0),
                 format!("{:.2}", r.reopen_ms),
                 format!("{:.2}", r.reingest_ms),
@@ -828,7 +846,15 @@ pub fn incremental_baseline() -> String {
             &retract_rows,
         ),
         table(
-            &["rows", "edit events", "wal size", "reopen ms", "in-mem rebuild ms", "overhead"],
+            &[
+                "rows",
+                "edit events",
+                "window",
+                "wal size",
+                "reopen ms",
+                "in-mem rebuild ms",
+                "overhead",
+            ],
             &recovery_rows,
         ),
         table(
@@ -867,7 +893,7 @@ mod tests {
             "retraction path must touch far less: {} vs {}",
             rr.incremental_work, rr.full_derivations);
         // the recovery measurement asserts version equality internally
-        let rec = measure_wal_recovery(500, 16, 2, &obs);
+        let rec = measure_wal_recovery(500, 16, 2, 8, &obs);
         assert!(rec.wal_bytes > 0 && rec.reopen_ms > 0.0);
         // the magic measurement asserts the >=10x derivation cut and
         // answer byte-identity internally
@@ -897,6 +923,8 @@ mod tests {
         let snapshot = obs.counters();
         assert!(snapshot.get("incremental.outcome.incremental").copied().unwrap_or(0) > 0);
         assert!(snapshot.get("wal.appends").copied().unwrap_or(0) > 0);
+        // 17 records at an 8-event window: a checkpoint per window
+        assert_eq!(snapshot.get("wal.compactions").copied(), Some(2));
         assert!(snapshot.get("magic.rewrite.applied").copied().unwrap_or(0) > 0);
         assert!(snapshot.get("magic.cache.hits").copied().unwrap_or(0) > 0);
         assert!(snapshot.get("magic.cache.misses").copied().unwrap_or(0) > 0);
@@ -929,7 +957,7 @@ mod tests {
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"datalog_query_cache\""), "{json}");
         assert!(json.contains("\"wrangle_paygo\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v10"), "{json}");
+        assert!(json.contains("vada-bench-baseline/v11"), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();

@@ -116,7 +116,8 @@ impl Relation {
     /// Remove the tuples at the given row indices (interpreted against the
     /// pre-removal numbering; duplicates are collapsed), preserving the
     /// relative order of the remaining rows. Returns the removed tuples in
-    /// ascending row order.
+    /// ascending row order. Compacts in place: the cost is the rows
+    /// removed plus the tail behind the first of them, not the relation.
     pub fn remove_rows(&mut self, rows: &[usize]) -> Result<Vec<Tuple>> {
         let mut sorted: Vec<usize> = rows.to_vec();
         sorted.sort_unstable();
@@ -130,21 +131,27 @@ impl Relation {
                 )));
             }
         }
-        if sorted.is_empty() {
+        let Some(&first) = sorted.first() else {
             return Ok(Vec::new());
-        }
+        };
         self.indexes.clear();
+        if sorted.len() == 1 {
+            return Ok(vec![self.tuples.remove(first)]);
+        }
         let removed: Vec<Tuple> = sorted.iter().map(|&r| self.tuples[r].clone()).collect();
-        let mut next = sorted.iter().peekable();
-        let mut kept = Vec::with_capacity(self.tuples.len() - sorted.len());
-        for (row, t) in self.tuples.drain(..).enumerate() {
-            if next.peek() == Some(&&row) {
+        // one pass over the tail: each surviving row is swapped down into
+        // the next free slot, which leaves the removed rows behind `write`
+        let mut write = first;
+        let mut next = sorted[1..].iter().peekable();
+        for read in first + 1..self.tuples.len() {
+            if next.peek() == Some(&&read) {
                 next.next();
             } else {
-                kept.push(t);
+                self.tuples.swap(write, read);
+                write += 1;
             }
         }
-        self.tuples = kept;
+        self.tuples.truncate(write);
         Ok(removed)
     }
 

@@ -6,7 +6,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use vada_common::text::{jaro_winkler, levenshtein, levenshtein_sim, normalize, token_jaccard};
-use vada_common::{csv, Schema, Value};
+use vada_common::{csv, Relation, Schema, Tuple, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -99,6 +99,71 @@ proptest! {
         // and produces only lowercase alphanumerics and single spaces
         prop_assert!(!once.contains("  "));
         prop_assert!(once.chars().all(|c| c.is_lowercase() || c.is_numeric() || c == ' '));
+    }
+}
+
+/// `Relation::remove_rows` as it was first written — drain every tuple
+/// into a fresh `Vec`, skipping the removed positions — kept as the oracle
+/// for the in-place compaction. Returns `(removed, kept)`.
+fn remove_rows_by_rebuild(tuples: &[Tuple], rows: &[usize]) -> (Vec<Tuple>, Vec<Tuple>) {
+    let mut sorted = rows.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let removed = sorted.iter().map(|&r| tuples[r].clone()).collect();
+    let mut next = sorted.iter().peekable();
+    let mut kept = Vec::with_capacity(tuples.len() - sorted.len());
+    for (row, t) in tuples.iter().enumerate() {
+        if next.peek() == Some(&&row) {
+            next.next();
+        } else {
+            kept.push(t.clone());
+        }
+    }
+    (removed, kept)
+}
+
+proptest! {
+    /// In-place `remove_rows` ≡ drain-and-rebuild on arbitrary position
+    /// sets — empty, single, duplicated, unsorted — plus the fixed hard
+    /// cases (first row, last row, both, every row): same removed tuples,
+    /// same surviving order, and lookups answer against the shrunk rows.
+    #[test]
+    fn in_place_row_removal_matches_the_rebuild(
+        len in 1usize..40,
+        picks in proptest::collection::vec(0usize..1000, 0..12),
+    ) {
+        let schema = Schema::all_str("r", &["id", "bucket"]);
+        let tuples: Vec<Tuple> = (0..len)
+            .map(|i| Tuple::new(vec![Value::str(i.to_string()), Value::str((i % 3).to_string())]))
+            .collect();
+        let random: Vec<usize> = picks.iter().map(|p| p % len).collect();
+        let cases = [
+            random,
+            vec![],
+            vec![0],
+            vec![len - 1],
+            vec![len - 1, 0, len - 1],
+            (0..len).rev().collect(),
+        ];
+        for rows in &cases {
+            let mut rel = Relation::from_tuples(schema.clone(), tuples.clone()).unwrap();
+            // a warm index must not survive the removal
+            let _ = rel.lookup(&[1], &Tuple::new(vec![Value::str("0")]));
+            let (want_removed, want_kept) = remove_rows_by_rebuild(&tuples, rows);
+            prop_assert_eq!(rel.remove_rows(rows).unwrap(), want_removed, "rows {:?}", rows);
+            prop_assert_eq!(rel.tuples(), &want_kept[..], "rows {:?}", rows);
+            let want_hits: Vec<usize> = want_kept
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t[1] == Value::str("0"))
+                .map(|(i, _)| i)
+                .collect();
+            prop_assert_eq!(
+                rel.lookup(&[1], &Tuple::new(vec![Value::str("0")])),
+                &want_hits[..],
+                "rows {:?}", rows
+            );
+        }
     }
 }
 

@@ -121,17 +121,42 @@ impl StoredRelation {
         }
     }
 
+    /// The borrowed form the encoder takes.
+    pub fn view(&self) -> RelationRef<'_> {
+        RelationRef { kind: self.kind, schema: &self.schema, rows: &self.rows }
+    }
+
     /// Rebuild the relation.
     pub fn into_relation(self) -> Result<(RelationKind, Relation)> {
         Ok((self.kind, Relation::from_tuples(self.schema, self.rows)?))
     }
 }
 
+/// A relation to persist, borrowed: the encoders write checkpoints and
+/// records straight from the catalog, and [`StoredRelation`] is only what
+/// decoding hands back.
+#[derive(Debug, Clone, Copy)]
+pub struct RelationRef<'a> {
+    /// The catalog role of the relation.
+    pub kind: RelationKind,
+    /// Schema (which carries the relation name).
+    pub schema: &'a Schema,
+    /// All rows, in catalog order.
+    pub rows: &'a [vada_common::Tuple],
+}
+
+impl<'a> RelationRef<'a> {
+    /// Borrow a catalog entry.
+    pub fn of(kind: RelationKind, rel: &'a Relation) -> RelationRef<'a> {
+        RelationRef { kind, schema: rel.schema(), rows: rel.tuples() }
+    }
+}
+
 /// Append a stored relation.
-pub fn encode_stored_relation(rel: &StoredRelation, out: &mut Vec<u8>) {
+pub fn encode_stored_relation(rel: RelationRef<'_>, out: &mut Vec<u8>) {
     encode_kind(rel.kind, out);
-    encode_schema(&rel.schema, out);
-    encode_tuples(&rel.rows, out);
+    encode_schema(rel.schema, out);
+    encode_tuples(rel.rows, out);
 }
 
 /// Decode a stored relation.
@@ -248,11 +273,12 @@ pub fn decode_change(r: &mut Reader<'_>) -> Result<DeltaChange> {
     }
 }
 
-/// Append one journal event.
-pub fn encode_event(e: &DeltaEvent, out: &mut Vec<u8>) {
-    put_u64(out, e.seq);
-    put_str(out, e.aspect);
-    encode_change(&e.change, out);
+/// Append one journal event, given as its parts (a [`DeltaEvent`] in the
+/// snapshot's window, a not-yet-journalled mutation in a WAL record).
+pub fn encode_event(seq: u64, aspect: &str, change: &DeltaChange, out: &mut Vec<u8>) {
+    put_u64(out, seq);
+    put_str(out, aspect);
+    encode_change(change, out);
 }
 
 /// Decode one journal event (the aspect is mapped back to its static).
@@ -279,11 +305,37 @@ pub struct WalRecord {
     pub payload: Option<StoredRelation>,
 }
 
+impl WalRecord {
+    /// The borrowed form the encoder takes.
+    pub fn view(&self) -> RecordRef<'_> {
+        RecordRef {
+            seq: self.event.seq,
+            aspect: self.event.aspect,
+            change: &self.event.change,
+            payload: self.payload.as_ref().map(StoredRelation::view),
+        }
+    }
+}
+
+/// A WAL record to append, borrowed from the mutation in flight — the
+/// write path never builds an owned [`WalRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// The sequence number (= KB version) the mutation produces.
+    pub seq: u64,
+    /// The aspect the mutation bumps.
+    pub aspect: &'a str,
+    /// What changes.
+    pub change: &'a DeltaChange,
+    /// The full relation for relation-level changes; `None` otherwise.
+    pub payload: Option<RelationRef<'a>>,
+}
+
 /// Encode a WAL record payload (the frame — length + CRC — is the WAL's
 /// job, not the codec's).
-pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
-    encode_event(&rec.event, out);
-    match &rec.payload {
+pub fn encode_record(rec: RecordRef<'_>, out: &mut Vec<u8>) {
+    encode_event(rec.seq, rec.aspect, rec.change, out);
+    match rec.payload {
         None => put_u8(out, 0),
         Some(rel) => {
             put_u8(out, 1);
@@ -316,7 +368,7 @@ mod tests {
             payload: None,
         };
         let mut buf = Vec::new();
-        encode_record(&rec, &mut buf);
+        encode_record(rec.view(), &mut buf);
         assert_eq!(decode_record(&buf).unwrap(), rec);
     }
 
@@ -360,7 +412,7 @@ mod tests {
             payload: Some(StoredRelation::capture(RelationKind::Source, &rel)),
         };
         let mut buf = Vec::new();
-        encode_record(&rec, &mut buf);
+        encode_record(rec.view(), &mut buf);
         let back = decode_record(&buf).unwrap();
         assert_eq!(back, rec);
         let (kind, rebuilt) = back.payload.unwrap().into_relation().unwrap();

@@ -24,7 +24,7 @@ use vada_common::{Result, VadaError};
 
 use super::codec::{
     decode_event, decode_stored_relation, encode_event, encode_stored_relation, static_aspect,
-    StoredRelation,
+    RelationRef, StoredRelation,
 };
 use super::wal::crc32;
 use crate::delta::DeltaEvent;
@@ -51,26 +51,60 @@ pub struct Snapshot {
     pub relations: Vec<StoredRelation>,
 }
 
-fn encode_body(snap: &Snapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, snap.version);
-    put_u64(&mut out, snap.lineage);
-    put_u64(&mut out, snap.pruned_through);
-    put_u64(&mut out, snap.capacity);
-    put_u32(&mut out, snap.aspect_versions.len() as u32);
+impl Snapshot {
+    /// The borrowed form the encoder takes.
+    pub fn view(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
+            version: self.version,
+            lineage: self.lineage,
+            pruned_through: self.pruned_through,
+            capacity: self.capacity,
+            aspect_versions: self.aspect_versions.iter().map(|(a, v)| (a.as_str(), *v)).collect(),
+            events: self.events.iter().collect(),
+            relations: self.relations.iter().map(StoredRelation::view).collect(),
+        }
+    }
+}
+
+/// A checkpoint to write, borrowed from the live knowledge base: no tuple
+/// and no journal event is copied on the way to the encoder. Field for
+/// field the [`Snapshot`] that reading it back yields.
+#[derive(Debug, Clone)]
+pub struct SnapshotRef<'a> {
+    /// The KB version at capture time.
+    pub version: u64,
+    /// The journal lineage.
+    pub lineage: u64,
+    /// The journal's pruned-through watermark.
+    pub pruned_through: u64,
+    /// The journal's retention capacity.
+    pub capacity: u64,
+    /// Per-aspect versions, sorted by aspect.
+    pub aspect_versions: Vec<(&'a str, u64)>,
+    /// The journal's retained event window, oldest first.
+    pub events: Vec<&'a DeltaEvent>,
+    /// Every catalog relation.
+    pub relations: Vec<RelationRef<'a>>,
+}
+
+fn encode_body(snap: &SnapshotRef<'_>, out: &mut Vec<u8>) {
+    put_u64(out, snap.version);
+    put_u64(out, snap.lineage);
+    put_u64(out, snap.pruned_through);
+    put_u64(out, snap.capacity);
+    put_u32(out, snap.aspect_versions.len() as u32);
     for (aspect, v) in &snap.aspect_versions {
-        put_str(&mut out, aspect);
-        put_u64(&mut out, *v);
+        put_str(out, aspect);
+        put_u64(out, *v);
     }
-    put_u32(&mut out, snap.events.len() as u32);
+    put_u32(out, snap.events.len() as u32);
     for e in &snap.events {
-        encode_event(e, &mut out);
+        encode_event(e.seq, e.aspect, &e.change, out);
     }
-    put_u32(&mut out, snap.relations.len() as u32);
+    put_u32(out, snap.relations.len() as u32);
     for rel in &snap.relations {
-        encode_stored_relation(rel, &mut out);
+        encode_stored_relation(*rel, out);
     }
-    out
 }
 
 fn decode_body(body: &[u8]) -> Result<Snapshot> {
@@ -111,13 +145,16 @@ fn decode_body(body: &[u8]) -> Result<Snapshot> {
 
 /// Write `snap` to `<dir>/<file>` atomically (temp + rename), fsyncing the
 /// file and its directory entry.
-pub fn write_snapshot(dir: &Path, file: &str, snap: &Snapshot) -> Result<()> {
-    let body = encode_body(snap);
-    let mut bytes = Vec::with_capacity(body.len() + 12);
+pub fn write_snapshot(dir: &Path, file: &str, snap: &SnapshotRef<'_>) -> Result<()> {
+    // the body is encoded straight behind the header, whose CRC field is a
+    // placeholder until the body is complete
+    let mut bytes = Vec::new();
     bytes.extend_from_slice(MAGIC);
     bytes.push(FORMAT_VERSION);
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&[0u8; 4]);
+    encode_body(snap, &mut bytes);
+    let crc = crc32(&bytes[12..]);
+    bytes[8..12].copy_from_slice(&crc.to_le_bytes());
 
     let tmp = dir.join(format!("{file}.tmp"));
     let path = dir.join(file);
@@ -212,7 +249,7 @@ mod tests {
     fn round_trips() {
         let dir = tmpdir("rt");
         let snap = sample();
-        write_snapshot(&dir, "snapshot.bin", &snap).unwrap();
+        write_snapshot(&dir, "snapshot.bin", &snap.view()).unwrap();
         let back = read_snapshot(&dir, "snapshot.bin").unwrap().unwrap();
         assert_eq!(back, snap);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -228,7 +265,7 @@ mod tests {
     #[test]
     fn corruption_is_an_error_not_empty() {
         let dir = tmpdir("bad");
-        write_snapshot(&dir, "snapshot.bin", &sample()).unwrap();
+        write_snapshot(&dir, "snapshot.bin", &sample().view()).unwrap();
         let mut bytes = std::fs::read(dir.join("snapshot.bin")).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;

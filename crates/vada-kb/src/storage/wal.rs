@@ -30,34 +30,69 @@ use std::path::{Path, PathBuf};
 use vada_common::codec::FORMAT_VERSION;
 use vada_common::{Result, VadaError};
 
-use super::codec::{decode_record, encode_record, WalRecord};
+use super::codec::{decode_record, encode_record, RecordRef, WalRecord};
 
 const MAGIC: &[u8; 7] = b"VADAWAL";
 const HEADER_LEN: u64 = 8;
-/// Sanity cap on a single record frame (64 MiB). A length field beyond it
-/// is treated like any other torn tail: garbage, truncate.
+/// Cap on a single record payload (64 MiB). [`Wal::append`] refuses a
+/// larger record before writing a byte, so on open a length field beyond
+/// the cap can only be garbage and is treated like any other torn tail:
+/// truncate. (Unit tests lower the cap so the refusal is testable without
+/// a 64 MiB allocation.)
+#[cfg(not(test))]
 const MAX_RECORD_LEN: u32 = 64 << 20;
+#[cfg(test)]
+const MAX_RECORD_LEN: u32 = 64 << 10;
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables for CRC-32 (IEEE 802.3, the zlib polynomial):
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial), eight bytes per step. Guards
+/// both WAL frames and snapshot bodies.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -184,13 +219,27 @@ impl Wal {
     /// Append one record: frame, write, fsync. After this returns the
     /// record will survive a crash. Returns the framed byte count — the
     /// observability layer's `wal.bytes` currency.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
-        let mut payload = Vec::new();
-        encode_record(record, &mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+    ///
+    /// A record whose payload exceeds the 64 MiB frame cap is refused with
+    /// [`VadaError::Storage`] before a byte is written: [`Wal::open`] reads
+    /// such a length as a torn tail, so writing it would lose the record
+    /// and everything appended after it on the next open.
+    pub fn append(&mut self, record: RecordRef<'_>) -> Result<u64> {
+        // the payload is encoded straight behind a placeholder frame
+        // header, which is patched once length and CRC are known
+        let mut frame = vec![0u8; 8];
+        encode_record(record, &mut frame);
+        let len = frame.len() - 8;
+        if len > MAX_RECORD_LEN as usize {
+            return Err(VadaError::Storage(format!(
+                "{}: record {} is {len} bytes, over the {MAX_RECORD_LEN}-byte frame cap",
+                self.path.display(),
+                record.seq
+            )));
+        }
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         Ok(frame.len() as u64)
@@ -243,12 +292,46 @@ mod tests {
         let path = tmp("append");
         let mut wal = Wal::create(&path).unwrap();
         for s in 1..=5 {
-            wal.append(&rec(s, s as usize)).unwrap();
+            wal.append(rec(s, s as usize).view()).unwrap();
         }
         drop(wal);
         let (_wal, records) = Wal::open(&path).unwrap();
         assert_eq!(records.len(), 5);
         assert_eq!(records[4], rec(5, 5));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A record over the frame cap is refused before a byte is written:
+    /// accepted, it would read as a torn tail on the next open and take
+    /// every later record with it.
+    #[test]
+    fn oversized_record_is_refused_and_the_log_survives() {
+        let path = tmp("oversized");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(rec(1, 1).view()).unwrap();
+        wal.append(rec(2, 2).view()).unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        let oversized = WalRecord {
+            event: DeltaEvent {
+                seq: 3,
+                aspect: "relations",
+                change: DeltaChange::RowsAppended {
+                    relation: "r".into(),
+                    rows: vec![tuple!["x".repeat(MAX_RECORD_LEN as usize)]],
+                },
+            },
+            payload: None,
+        };
+        let err = wal.append(oversized.view()).unwrap_err();
+        assert_eq!(err.kind(), "storage");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a refused append writes nothing");
+
+        // the log is still appendable, and a reopen keeps every record
+        wal.append(rec(3, 1).view()).unwrap();
+        drop(wal);
+        let (_wal, records) = Wal::open(&path).unwrap();
+        assert_eq!(records, vec![rec(1, 1), rec(2, 2), rec(3, 1)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -258,7 +341,7 @@ mod tests {
         let mut wal = Wal::create(&path).unwrap();
         let originals: Vec<WalRecord> = (1..=4).map(|s| rec(s, s as usize)).collect();
         for r in &originals {
-            wal.append(r).unwrap();
+            wal.append(r.view()).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -283,7 +366,7 @@ mod tests {
     fn corrupt_payload_with_valid_frame_is_rejected() {
         let path = tmp("corrupt");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(&rec(1, 1)).unwrap();
+        wal.append(rec(1, 1).view()).unwrap();
         drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
         // flip a payload byte and fix the CRC so the frame still verifies
@@ -302,8 +385,8 @@ mod tests {
     fn flipped_payload_byte_without_crc_fix_truncates() {
         let path = tmp("flip");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(&rec(1, 1)).unwrap();
-        wal.append(&rec(2, 1)).unwrap();
+        wal.append(rec(1, 1).view()).unwrap();
+        wal.append(rec(2, 1).view()).unwrap();
         drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;

@@ -13,7 +13,7 @@ use vada_datalog::parser::parse_query;
 
 use crate::catalog::{Catalog, RelationKind};
 use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal};
-use crate::storage::{self, Snapshot, StoredRelation, WalRecord};
+use crate::storage::{self, RecordRef, RelationRef, Snapshot, SnapshotRef, WalRecord};
 use crate::meta::{
     CellVeto, CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MatchDef,
     PairwiseStatement, QualityFact, Verdict,
@@ -256,7 +256,8 @@ impl KnowledgeBase {
     /// An empty knowledge base with a custom journal retention window
     /// (tests and memory-tuned deployments; the default window is
     /// [`crate::delta::DEFAULT_JOURNAL_CAPACITY`]). The window also sets
-    /// the WAL compaction cadence — see [`KnowledgeBase::persist_to`].
+    /// the WAL checkpoint cadence — one snapshot per `capacity` logged
+    /// events, see [`KnowledgeBase::persist_to`].
     pub fn with_journal_capacity(capacity: usize) -> KnowledgeBase {
         KnowledgeBase {
             journal: DeltaJournal::with_capacity(capacity),
@@ -272,47 +273,57 @@ impl KnowledgeBase {
         self.touch_full(aspect, change, None);
     }
 
-    /// The single version-bump path: checkpoint if the journal window is
-    /// about to prune, make the event durable, then record it. Relation
-    /// mutators call this **before** touching the catalog (write-ahead:
-    /// the event is fsync'd before it is applied), passing the full
-    /// relation as `payload` when the change does not carry its rows.
-    /// Metadata mutators apply first — their `AspectChanged` events carry
-    /// no state, so replay has nothing to misorder.
+    /// The single version-bump path: checkpoint if the log has grown to a
+    /// full journal window, make the event durable, then record it.
+    /// Relation mutators call this **before** touching the catalog
+    /// (write-ahead: the event is fsync'd before it is applied), passing
+    /// the full relation as `payload` when the change does not carry its
+    /// rows. Metadata mutators apply first — their `AspectChanged` events
+    /// carry no state, so replay has nothing to misorder.
     fn touch_full(
         &mut self,
         aspect: &'static str,
         change: DeltaChange,
         payload: Option<(RelationKind, &Relation)>,
     ) {
-        if self.durable.is_some() && self.journal.len() >= self.journal.capacity() {
-            // the incoming event would prune the in-memory window: compact
-            // now, so the log never holds events the journal has forgotten
-            // (recovery replays log records on top of the snapshot, and
-            // both must describe the same window)
+        let capacity = self.journal.capacity();
+        // the handle is taken out while the checkpoint borrows the rest of
+        // the base, and only a successful compaction puts it back
+        if let Some(mut durable) = self.durable.take_if(|d| d.log_records() >= capacity) {
+            // the log holds a full window of records since the last
+            // checkpoint: fold them into a new snapshot before appending.
+            // One snapshot per `capacity` events keeps the write cost of an
+            // edit amortised-constant, and keeps the invariant recovery
+            // rests on — the log never holds more than the last `capacity`
+            // events, all of which the in-memory window still retains, so
+            // snapshot + replay (which prunes through the same
+            // `DeltaJournal::record`) rebuilds exactly the live window
             let span = self.obs.span("wal/compact");
             span.attr("events", self.journal.len());
-            let snap = self.snapshot_state();
-            match self.durable.as_mut().expect("checked above").compact(&snap) {
-                Ok(()) => self.obs.incr(obs_key::WAL_COMPACTIONS),
+            match durable.compact(&self.snapshot_state()) {
+                Ok(()) => {
+                    self.obs.incr(obs_key::WAL_COMPACTIONS);
+                    self.durable = Some(durable);
+                }
                 Err(e) => {
                     span.attr("detached", "true");
                     self.obs.incr(obs_key::STORAGE_ERRORS);
                     self.storage_error.get_or_insert(e);
-                    self.durable = None;
                 }
             }
         }
         self.version += 1;
         self.aspect_versions.insert(aspect, self.version);
-        if self.durable.is_some() {
+        if let Some(durable) = self.durable.as_mut() {
             let span = self.obs.span("wal/append");
             span.attr("aspect", aspect);
-            let record = WalRecord {
-                event: DeltaEvent { seq: self.version, aspect, change: change.clone() },
-                payload: payload.map(|(kind, rel)| StoredRelation::capture(kind, rel)),
+            let record = RecordRef {
+                seq: self.version,
+                aspect,
+                change: &change,
+                payload: payload.map(|(kind, rel)| RelationRef::of(kind, rel)),
             };
-            match self.durable.as_mut().expect("checked above").append(&record) {
+            match durable.append(record) {
                 Ok(bytes) => {
                     // one fsync per append under the current WAL contract
                     span.attr("bytes", bytes);
@@ -337,26 +348,23 @@ impl KnowledgeBase {
     }
 
     /// The full persistent image of the current extensional state — what a
-    /// snapshot stores and what recovery restores.
-    fn snapshot_state(&self) -> Snapshot {
-        Snapshot {
+    /// snapshot stores and what recovery restores — borrowed, not copied.
+    fn snapshot_state(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
             version: self.version,
             lineage: self.journal.lineage(),
             pruned_through: self.journal.pruned_through(),
             capacity: self.journal.capacity() as u64,
-            aspect_versions: self
-                .aspect_versions
-                .iter()
-                .map(|(a, v)| (a.to_string(), *v))
-                .collect(),
+            aspect_versions: self.aspect_versions.iter().map(|(a, v)| (*a, *v)).collect(),
             events: self
                 .journal
-                .events_since(self.journal.pruned_through())
-                .expect("a journal can always serve its own pruned-through watermark"),
+                .scan_since(self.journal.pruned_through())
+                .expect("a journal can always serve its own pruned-through watermark")
+                .collect(),
             relations: self
                 .catalog
                 .entries()
-                .map(|(_, kind, rel)| StoredRelation::capture(kind, rel))
+                .map(|(_, kind, rel)| RelationRef::of(kind, rel))
                 .collect(),
         }
     }
@@ -401,10 +409,14 @@ impl KnowledgeBase {
 
     /// Make this knowledge base durable under `dir` (created if needed):
     /// write the current state as the base snapshot, start a fresh WAL,
-    /// and append every subsequent mutation to it. The journal's bounded
-    /// window doubles as the compaction cadence: whenever the next event
-    /// would prune the in-memory window, the log is compacted into a new
-    /// snapshot first.
+    /// and append every subsequent mutation to it. The journal's window
+    /// capacity doubles as the checkpoint cadence, counted in log records:
+    /// once the log holds `capacity` records since the last checkpoint,
+    /// the next event first folds them into a new snapshot and resets the
+    /// log. An acknowledged edit therefore costs one framed, fsync'd
+    /// append plus `1/capacity` of a snapshot at any journal age, the log
+    /// is always a suffix of the retained window, and recovery is the
+    /// snapshot plus at most `capacity` replayed records.
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<()> {
         let snap = self.snapshot_state();
         self.durable = Some(storage::DurableStore::create(dir.as_ref(), &snap)?);
@@ -1721,5 +1733,30 @@ mod tests {
         assert!(kb
             .query_satisfied("user_context(_, _, \"very strongly\")")
             .unwrap());
+    }
+
+    /// A relation too large for one WAL frame is not acknowledged as
+    /// durable: the log detaches with a sticky storage error instead of
+    /// writing a frame the next open would discard with everything behind it.
+    #[test]
+    fn oversized_registration_detaches_with_a_sticky_error() {
+        let dir = std::env::temp_dir().join(format!("vada-kb-oversized-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut kb = kb_with_scenario();
+        kb.persist_to(&dir).unwrap();
+        kb.stage_document("before", "a\n1\n");
+        let durable_version = kb.version();
+
+        // the unit-test frame cap is 64 KiB (see storage::wal)
+        let mut big = Relation::empty(Schema::all_str("big", &["a"]));
+        big.push(tuple!["x".repeat(70_000)]).unwrap();
+        kb.register_source(big);
+        assert_eq!(kb.storage_health().unwrap_err().kind(), "storage");
+        assert_eq!(kb.durable_dir(), None);
+        assert!(kb.relation("big").is_ok(), "in-memory operation continues");
+
+        let reopened = KnowledgeBase::open(&dir).unwrap();
+        assert_eq!(reopened.version(), durable_version, "every earlier record survives");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

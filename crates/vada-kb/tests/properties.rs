@@ -11,6 +11,7 @@ use vada_common::{Schema, Tuple, Value};
 use vada_kb::catalog::RelationKind;
 use vada_kb::storage::codec::{decode_record, encode_record};
 use vada_kb::storage::snapshot::{read_snapshot, write_snapshot};
+use vada_kb::storage::wal::crc32;
 use vada_kb::storage::{Snapshot, StoredRelation, Wal, WalRecord};
 use vada_kb::{DeltaChange, DeltaEvent};
 
@@ -99,6 +100,20 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
         })
 }
 
+/// The byte-at-a-time CRC-32 the log and snapshots were first written
+/// with — the oracle the sliced implementation must agree with, or every
+/// file on disk stops verifying.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 fn scratch(name: &str, case: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "vada-kb-prop-{}-{name}-{case}",
@@ -110,12 +125,28 @@ fn scratch(name: &str, case: u64) -> std::path::PathBuf {
 }
 
 proptest! {
+    /// The slice-by-8 CRC equals the bytewise reference on every length
+    /// 0–64 (no chunk, a remainder only, whole chunks, chunks + every
+    /// remainder) at every alignment of the slice within its buffer.
+    #[test]
+    fn sliced_crc_matches_the_bytewise_reference(
+        words in proptest::collection::vec(any::<u64>(), 9..10),
+    ) {
+        let buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "offset {} len {}", offset, len);
+            }
+        }
+    }
+
     /// decode∘encode is the identity over every change variant — the
     /// WAL's and the snapshot's shared foundation.
     #[test]
     fn every_change_variant_round_trips(record in arb_record()) {
         let mut bytes = Vec::new();
-        encode_record(&record, &mut bytes);
+        encode_record(record.view(), &mut bytes);
         prop_assert_eq!(decode_record(&bytes).unwrap(), record);
     }
 
@@ -136,7 +167,7 @@ proptest! {
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path).unwrap();
         for r in &records {
-            wal.append(r).unwrap();
+            wal.append(r.view()).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -189,7 +220,7 @@ proptest! {
             relations: vec![StoredRelation::capture(RelationKind::Context, &rel)],
         };
         let dir = scratch("snap", case);
-        write_snapshot(&dir, "snapshot.bin", &snap).unwrap();
+        write_snapshot(&dir, "snapshot.bin", &snap.view()).unwrap();
         prop_assert_eq!(read_snapshot(&dir, "snapshot.bin").unwrap().unwrap(), snap);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,8 +5,9 @@
 //! journal window, watermarks, and lineage byte-identical to the
 //! uninterrupted run's state at that point — and a mid-record cut (a torn
 //! tail) must recover exactly the preceding boundary, never misread bytes.
-//! Snapshot compaction, the interrupted-compaction overlap, and O(change)
-//! resume of journal watermarks and wrangling sessions are pinned alongside.
+//! Snapshot compaction and its once-per-window cadence, the
+//! interrupted-compaction overlap, and O(change) resume of journal
+//! watermarks and wrangling sessions are pinned alongside.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,7 +15,8 @@ use vada::{OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::{tuple, AttrType, Relation, Schema, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
-use vada_kb::storage::{Wal, WAL_FILE};
+use vada_common::obs::key as obs_key;
+use vada_kb::storage::{Wal, SNAPSHOT_FILE, WAL_FILE};
 use vada_kb::{ContextKind, DeltaChange, KnowledgeBase, PairwiseStatement};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -163,74 +165,143 @@ fn random_mutation(kb: &mut KnowledgeBase, rng: &mut StdRng, step: usize) {
     }
 }
 
-/// The core differential: a randomized edit script against a durable KB,
-/// then — from the surviving log bytes — a reopen at **every** record
-/// boundary plus torn cuts inside every record, each compared
-/// byte-for-byte against the state the uninterrupted run had at exactly
-/// that point.
-#[test]
-fn truncation_at_every_record_boundary_recovers_that_exact_state() {
-    for seed in [11u64, 23, 47] {
-        let dir = tmpdir(&format!("boundary-{seed}"));
-        let mut rng = StdRng::seed_from_u64(seed);
+/// One stretch of the log between two checkpoints, as a crash could find
+/// it on disk: the snapshot it sits on, every byte the log reached before
+/// the next checkpoint reset it, and the script step the snapshot captured
+/// (log record `j` of the epoch is step `base + j`).
+struct Epoch {
+    snapshot: Vec<u8>,
+    log: Vec<u8>,
+    base: usize,
+}
 
-        let mut kb = KnowledgeBase::new();
-        let mut base = Relation::empty(mixed_schema("mixed"));
-        for _ in 0..3 {
-            base.push(adversarial_row(&mut rng)).unwrap();
+/// Run `steps` random single-event mutations on the (already persisted)
+/// `kb`, then crash it everywhere: within every checkpoint epoch, truncate
+/// the log at **every** record boundary plus torn cuts inside every record,
+/// reopen, and compare byte-for-byte against the state the uninterrupted
+/// run had at exactly that point. Returns how many epochs the run crossed.
+fn crash_at_every_boundary(
+    label: &str,
+    mut kb: KnowledgeBase,
+    dir: &std::path::Path,
+    rng: &mut StdRng,
+    steps: usize,
+) -> usize {
+    let wal_path = dir.join(WAL_FILE);
+    let snap_path = dir.join(SNAPSHOT_FILE);
+    let on_disk = || (std::fs::read(&snap_path).unwrap(), std::fs::read(&wal_path).unwrap());
+
+    // fingerprints[k] = state once the first k post-persist events are on disk
+    let mut fingerprints = vec![fingerprint(&kb)];
+    let mut epochs = Vec::new();
+    let mut base = 0;
+    for step in 0..steps {
+        let before = kb.version();
+        let (snapshot, log) = on_disk();
+        random_mutation(&mut kb, rng, step);
+        assert_eq!(kb.version(), before + 1, "script steps must be single-event");
+        fingerprints.push(fingerprint(&kb));
+        if std::fs::read(&wal_path).unwrap().len() < log.len() {
+            // this step checkpointed first: the log it found is complete,
+            // and the new snapshot holds the state after `step` events
+            epochs.push(Epoch { snapshot, log, base });
+            base = step;
         }
-        kb.register_source(base);
-        kb.persist_to(&dir).unwrap();
-        kb.storage_health().unwrap();
+    }
+    kb.storage_health().unwrap();
+    drop(kb);
+    let (snapshot, log) = on_disk();
+    epochs.push(Epoch { snapshot, log, base });
 
-        // fingerprints[k] = state once the first k post-persist events are on disk
-        let mut fingerprints = vec![fingerprint(&kb)];
-        for step in 0..30 {
-            let before = kb.version();
-            random_mutation(&mut kb, &mut rng, step);
-            assert_eq!(kb.version(), before + 1, "script steps must be single-event");
-            fingerprints.push(fingerprint(&kb));
-        }
-        kb.storage_health().unwrap();
-        drop(kb);
-
-        let wal_path = dir.join(WAL_FILE);
-        let full = std::fs::read(&wal_path).unwrap();
-        let boundaries = record_boundaries(&full);
-        assert_eq!(boundaries.len(), fingerprints.len(), "one WAL record per step");
-
-        for (k, &cut) in boundaries.iter().enumerate() {
-            // a crash right after record k's fsync
-            std::fs::write(&wal_path, &full[..cut]).unwrap();
-            let reopened = KnowledgeBase::open(&dir).unwrap();
+    let mut records = 0;
+    for (e, epoch) in epochs.iter().enumerate() {
+        std::fs::write(&snap_path, &epoch.snapshot).unwrap();
+        let boundaries = record_boundaries(&epoch.log);
+        records += boundaries.len() - 1;
+        for (j, &cut) in boundaries.iter().enumerate() {
+            let k = epoch.base + j;
+            // a crash right after record j's fsync
+            std::fs::write(&wal_path, &epoch.log[..cut]).unwrap();
+            let reopened = KnowledgeBase::open(dir).unwrap();
             assert_eq!(
                 fingerprint(&reopened),
                 fingerprints[k],
-                "seed {seed}: boundary {k} must recover the state at step {k}"
+                "{label}: epoch {e} boundary {j} must recover the state at step {k}"
             );
-            // torn tails inside the *next* record recover boundary k exactly
-            if k + 1 < boundaries.len() {
-                let next = boundaries[k + 1];
+            // torn tails inside the *next* record recover boundary j exactly
+            if j + 1 < boundaries.len() {
+                let next = boundaries[j + 1];
                 for torn in [cut + 1, cut + 9, next - 1] {
-                    std::fs::write(&wal_path, &full[..torn]).unwrap();
-                    let reopened = KnowledgeBase::open(&dir).unwrap();
+                    std::fs::write(&wal_path, &epoch.log[..torn]).unwrap();
+                    let reopened = KnowledgeBase::open(dir).unwrap();
                     assert_eq!(
                         fingerprint(&reopened),
                         fingerprints[k],
-                        "seed {seed}: torn cut at byte {torn} must fall back to boundary {k}"
+                        "{label}: torn cut at byte {torn} must fall back to boundary {j} of epoch {e}"
                     );
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert_eq!(records, steps, "one WAL record per step, each in exactly one epoch");
+    epochs.len()
+}
+
+/// The core differential: a randomized edit script against a durable KB,
+/// then — from the surviving log bytes — a reopen at **every** record
+/// boundary plus torn cuts inside every record, each compared
+/// byte-for-byte against the state the uninterrupted run had at exactly
+/// that point. Run once on the default window (the whole script fits one
+/// log) and once on an 8-event window that is already pruning when the
+/// base is persisted, so the boundaries cross window pruning without a
+/// checkpoint, and checkpoints.
+#[test]
+fn truncation_at_every_record_boundary_recovers_that_exact_state() {
+    for seed in [11u64, 23, 47] {
+        for (capacity, steps) in [(None, 30), (Some(8), 44)] {
+            let dir = tmpdir(&format!("boundary-{seed}-{capacity:?}"));
+            let mut rng = StdRng::seed_from_u64(seed);
+
+            let mut kb = match capacity {
+                Some(c) => KnowledgeBase::with_journal_capacity(c),
+                None => KnowledgeBase::new(),
+            };
+            let mut base = Relation::empty(mixed_schema("mixed"));
+            for _ in 0..3 {
+                base.push(adversarial_row(&mut rng)).unwrap();
+            }
+            kb.register_source(base);
+            if capacity.is_some() {
+                // four more events: the window starts pruning at the fifth
+                // log record, four records before the first checkpoint
+                for i in 0..4 {
+                    kb.stage_document(format!("pre{i}"), "a\n1\n");
+                }
+            }
+            kb.persist_to(&dir).unwrap();
+            kb.storage_health().unwrap();
+
+            let label = format!("seed {seed} capacity {capacity:?}");
+            let epochs = crash_at_every_boundary(&label, kb, &dir, &mut rng, steps);
+            // a checkpoint lands on the event after the log reaches `capacity` records
+            let expected = capacity.map_or(1, |c| 1 + (steps - 1) / c);
+            assert_eq!(epochs, expected, "{label}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
-/// Compaction: when the journal window would prune, the log is folded
-/// into a snapshot first. A reopen after compaction restores the full
-/// state; restoring the *pre-compaction* log next to the new snapshot —
-/// exactly what a crash between "snapshot renamed" and "log reset"
-/// leaves — replays no stale records and recovers the checkpoint state.
+/// Records in the log file right now, counted off its frame headers.
+fn log_records(dir: &std::path::Path) -> usize {
+    record_boundaries(&std::fs::read(dir.join(WAL_FILE)).unwrap()).len() - 1
+}
+
+/// Compaction: once the log holds a full window of records, the next event
+/// folds it into a snapshot first — however long the in-memory window has
+/// been pruning. A reopen after compaction restores the full state;
+/// restoring the *pre-compaction* log next to the new snapshot — exactly
+/// what a crash between "snapshot renamed" and "log reset" leaves —
+/// replays no stale records and recovers the checkpoint state.
 #[test]
 fn compaction_snapshots_and_survives_the_crash_window() {
     let dir = tmpdir("compaction");
@@ -238,26 +309,32 @@ fn compaction_snapshots_and_survives_the_crash_window() {
     let mut rel = Relation::empty(mixed_schema("mixed"));
     rel.push(tuple!["a", 1i64, 1.5f64]).unwrap();
     kb.register_source(rel);
-    kb.persist_to(&dir).unwrap();
-
-    // fill the window exactly: no pruning, no compaction yet
-    for i in 0..7 {
-        kb.stage_document(format!("d{i}"), "a\n1\n");
+    // the window is full and pruning before the base is even persisted
+    for i in 0..10 {
+        kb.stage_document(format!("pre{i}"), "a\n1\n");
     }
-    assert_eq!(kb.journal().pruned_through(), 0);
+    assert_eq!(kb.journal().pruned_through(), 3);
+    kb.persist_to(&dir).unwrap();
+    let compactions = |kb: &KnowledgeBase| kb.obs().get(obs_key::WAL_COMPACTIONS);
+
+    // every event prunes the window, none checkpoints: the cadence counts
+    // log records, and the log holds fewer than 8
+    for i in 0..8 {
+        kb.stage_document(format!("d{i}"), "a\n1\n");
+        assert_eq!(log_records(&dir), i + 1);
+    }
+    assert_eq!(kb.journal().pruned_through(), 11);
+    assert_eq!(compactions(&kb), 0, "a full log is compacted by the next event, not before");
     let pre_compaction = fingerprint(&kb);
     let old_log = std::fs::read(dir.join(WAL_FILE)).unwrap();
 
-    // the next event would prune the window → compact first, then append
+    // the event after the 8th record: checkpoint first, then append
     kb.stage_document("overflow", "a\n1\n");
-    assert_eq!(kb.journal().pruned_through(), 1, "window pruned after overflow");
+    assert_eq!(compactions(&kb), 1);
+    assert_eq!(log_records(&dir), 1, "compaction resets the log to the overflow record");
     kb.storage_health().unwrap();
     let post_compaction = fingerprint(&kb);
     drop(kb);
-
-    // the log was reset: only the overflow record survives in it
-    let (_wal, records) = Wal::open(dir.join(WAL_FILE)).unwrap();
-    assert_eq!(records.len(), 1, "compaction resets the log");
 
     let reopened = KnowledgeBase::open(&dir).unwrap();
     assert_eq!(fingerprint(&reopened), post_compaction);
@@ -265,12 +342,56 @@ fn compaction_snapshots_and_survives_the_crash_window() {
 
     // simulate the interrupted compaction: new snapshot + the old log
     std::fs::write(dir.join(WAL_FILE), &old_log).unwrap();
-    let reopened = KnowledgeBase::open(&dir).unwrap();
+    let mut reopened = KnowledgeBase::open(&dir).unwrap();
     assert_eq!(
         fingerprint(&reopened),
         pre_compaction,
         "stale records at or below the snapshot version must be skipped"
     );
+    // the stale records still fill the log, so the next event finishes
+    // the interrupted compaction instead of growing the log past a window
+    reopened.stage_document("overflow", "a\n1\n");
+    assert_eq!(log_records(&dir), 1);
+    assert_eq!(fingerprint(&reopened), post_compaction);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cadence, counted exactly: a checkpoint lands on the event *after*
+/// the log reaches `capacity` records, so `records` single-row edits on a
+/// persisted base cost `(records - 1) / capacity` snapshots — never one per
+/// edit — while every one of them is still framed and fsync'd on its own.
+#[test]
+fn single_row_edits_checkpoint_once_per_window() {
+    const CAPACITY: usize = 16;
+    let dir = tmpdir("cadence");
+    let mut kb = KnowledgeBase::with_journal_capacity(CAPACITY);
+    let mut rel = Relation::empty(mixed_schema("mixed"));
+    for i in 0..200i64 {
+        rel.push(tuple!["row", i, 0.5f64]).unwrap();
+    }
+    kb.register_source(rel);
+    kb.persist_to(&dir).unwrap();
+
+    for records in 1..=(4 * CAPACITY + 3) {
+        if records % 2 == 0 {
+            kb.remove_rows("mixed", &[records % 7]).unwrap();
+        } else {
+            kb.update_source("mixed", &[(records % 5, tuple!["edited", records as i64, 1.5f64])])
+                .unwrap();
+        }
+        let obs = kb.obs();
+        assert_eq!(
+            obs.get(obs_key::WAL_COMPACTIONS) as usize,
+            (records - 1) / CAPACITY,
+            "after {records} records"
+        );
+        assert_eq!(obs.get(obs_key::WAL_APPENDS) as usize, records);
+        assert_eq!(obs.get(obs_key::WAL_FSYNCS) as usize, records);
+    }
+    kb.storage_health().unwrap();
+    let live = fingerprint(&kb);
+    drop(kb);
+    assert_eq!(fingerprint(&KnowledgeBase::open(&dir).unwrap()), live);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
