@@ -108,14 +108,6 @@ struct MagicRow {
     directed_derivations: usize,
 }
 
-struct CacheRow {
-    base_rows: usize,
-    delta_rows: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    delta_ms: f64,
-}
-
 struct WrangleRow {
     properties: usize,
     steps: usize,
@@ -217,78 +209,6 @@ fn measure_magic(n: usize, block: usize, rounds: usize, obs: &Obs) -> MagicRow {
         directed_ms: median_ms(directed_times),
         full_derivations,
         directed_derivations,
-    }
-}
-
-/// A repeated bound-pattern query served through the persistent
-/// [`vada_datalog::QueryCache`]: the cold call pays the demanded build,
-/// the warm repeat is a pure lookup — the counters prove zero stratum
-/// passes and zero `datalog/index_build` work — and a k-row edit
-/// maintains the cached view O(change) instead of rebuilding it.
-fn measure_query_cache(n: usize, k: usize, rounds: usize, obs: &Obs) -> CacheRow {
-    use vada_common::obs::key as obs_key;
-    use vada_datalog::{CacheDelta, DeltaBatch, QueryCache};
-    let cfg = EngineConfig { obs: obs.clone(), ..Default::default() };
-    let qsrc = "picked(3, P)";
-
-    // cold: a fresh cache per round pays the full demanded build
-    let mut cold_times = Vec::new();
-    for _ in 0..rounds {
-        let mut cache = QueryCache::new(cfg.clone());
-        let start = Instant::now();
-        let answers = cache
-            .query(PROGRAM, qsrc, 1, 1, CacheDelta::Unchanged, || Ok(base_db(n)))
-            .expect("cold query evaluates");
-        cold_times.push(start.elapsed().as_secs_f64() * 1e3);
-        assert!(!answers.is_empty(), "the bound query must have answers");
-    }
-
-    // warm: repeats on an unchanged base must serve the cached view with
-    // no evaluation work at all
-    let mut cache = QueryCache::new(cfg.clone());
-    let cold_answers = cache
-        .query(PROGRAM, qsrc, 1, 1, CacheDelta::Unchanged, || Ok(base_db(n)))
-        .expect("cold query evaluates");
-    let passes = obs.get(obs_key::STRATUM_PASSES);
-    let builds = obs.get(obs_key::INDEX_BUILDS);
-    let mut warm_times = Vec::new();
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let warm = cache
-            .query(PROGRAM, qsrc, 1, 1, CacheDelta::Unchanged, || Ok(base_db(n)))
-            .expect("warm query evaluates");
-        warm_times.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(warm, cold_answers, "warm answers must be byte-identical");
-    }
-    assert_eq!(obs.get(obs_key::STRATUM_PASSES), passes, "a warm hit must not derive");
-    assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds, "a warm hit must not re-index");
-
-    // delta: a k-row edit maintains the view through the session's fast
-    // path (the build closure must never run)
-    let mut delta_times = Vec::new();
-    for round in 0..rounds {
-        let facts = delta(k, round);
-        let version = 2 + round as u64;
-        let start = Instant::now();
-        cache
-            .query(
-                PROGRAM,
-                qsrc,
-                1,
-                version,
-                CacheDelta::Rows(vec![DeltaBatch::Append(facts)]),
-                || unreachable!("a row delta must maintain the view, not rebuild it"),
-            )
-            .expect("delta query evaluates");
-        delta_times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    CacheRow {
-        base_rows: n,
-        delta_rows: k,
-        cold_ms: median_ms(cold_times),
-        warm_ms: median_ms(warm_times),
-        delta_ms: median_ms(delta_times),
     }
 }
 
@@ -519,7 +439,6 @@ pub(crate) struct Families {
     retractions: Vec<RetractRow>,
     recoveries: Vec<RecoveryRow>,
     magics: Vec<MagicRow>,
-    caches: Vec<CacheRow>,
     wrangles: Vec<WrangleRow>,
     pub(crate) counters: Vec<(&'static str, BTreeMap<String, u64>)>,
     pub(crate) span_shapes: Vec<(&'static str, Vec<String>)>,
@@ -533,7 +452,6 @@ pub(crate) fn measure_families() -> Families {
     let ret_obs = Obs::enabled();
     let rec_obs = Obs::enabled();
     let magic_obs = Obs::enabled();
-    let cache_obs = Obs::enabled();
     let wrangle_obs = Obs::enabled();
     let rows = vec![
         measure(5_000, 64, 5, &inc_obs),
@@ -551,14 +469,12 @@ pub(crate) fn measure_families() -> Families {
         measure_wal_recovery(5_000, 320, 5, 64, &rec_obs),
     ];
     let magics = vec![measure_magic(20_000, 50, 5, &magic_obs)];
-    let caches = vec![measure_query_cache(20_000, 64, 5, &cache_obs)];
     let wrangles = vec![measure_wrangle(400, &wrangle_obs)];
     let counters = vec![
         ("datalog_incremental_vs_full", inc_obs.counters()),
         ("datalog_retraction_vs_full", ret_obs.counters()),
         ("kb_wal_recovery", rec_obs.counters()),
         ("datalog_magic_vs_full", magic_obs.counters()),
-        ("datalog_query_cache", cache_obs.counters()),
         ("wrangle_paygo", wrangle_obs.counters()),
     ];
     let span_shapes = vec![
@@ -566,17 +482,15 @@ pub(crate) fn measure_families() -> Families {
         ("datalog_retraction_vs_full", family_shapes(&ret_obs)),
         ("kb_wal_recovery", family_shapes(&rec_obs)),
         ("datalog_magic_vs_full", family_shapes(&magic_obs)),
-        ("datalog_query_cache", family_shapes(&cache_obs)),
         ("wrangle_paygo", family_shapes(&wrangle_obs)),
     ];
-    Families { rows, retractions, recoveries, magics, caches, wrangles, counters, span_shapes }
+    Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes }
 }
 
 fn to_json(fam: &Families) -> String {
-    let Families { rows, retractions, recoveries, magics, caches, wrangles, counters, span_shapes } =
-        fam;
+    let Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes } = fam;
     let workers = vada_common::Parallelism::from_env().workers();
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v11\",\n");
+    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v12\",\n");
     out.push_str(&format!("  \"workers\": {workers},\n"));
     out.push_str("  \"datalog_incremental_vs_full\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -642,20 +556,6 @@ fn to_json(fam: &Families) -> String {
             if i + 1 == magics.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n  \"datalog_query_cache\": [\n");
-    for (i, r) in caches.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"base_rows\": {}, \"delta_rows\": {}, \"cold_ms\": {:.3}, \
-             \"warm_ms\": {:.3}, \"delta_ms\": {:.3}, \"warm_speedup\": {:.1}}}{}\n",
-            r.base_rows,
-            r.delta_rows,
-            r.cold_ms,
-            r.warm_ms,
-            r.delta_ms,
-            r.cold_ms / r.warm_ms.max(1e-9),
-            if i + 1 == caches.len() { "" } else { "," }
-        ));
-    }
     out.push_str("  ],\n  \"wrangle_paygo\": [\n");
     for (i, r) in wrangles.iter().enumerate() {
         out.push_str(&format!(
@@ -703,7 +603,7 @@ fn to_json(fam: &Families) -> String {
 pub fn incremental_baseline() -> String {
     let fam = measure_families();
     let json = to_json(&fam);
-    let Families { rows, retractions, recoveries, magics, caches, wrangles, .. } = fam;
+    let Families { rows, retractions, recoveries, magics, wrangles, .. } = fam;
     let write_note = match std::fs::write(BASELINE_PATH, &json) {
         Ok(()) => format!("baseline written to {BASELINE_PATH}"),
         Err(e) => format!("could not write {BASELINE_PATH}: {e}"),
@@ -752,19 +652,6 @@ pub fn incremental_baseline() -> String {
             ]
         })
         .collect();
-    let cache_rows: Vec<Vec<String>> = caches
-        .iter()
-        .map(|r| {
-            vec![
-                r.base_rows.to_string(),
-                r.delta_rows.to_string(),
-                format!("{:.2}", r.cold_ms),
-                format!("{:.3}", r.warm_ms),
-                format!("{:.2}", r.delta_ms),
-                format!("{:.0}x", r.cold_ms / r.warm_ms.max(1e-9)),
-            ]
-        })
-        .collect();
     let recovery_rows: Vec<Vec<String>> = recoveries
         .iter()
         .map(|r| {
@@ -806,16 +693,10 @@ pub fn incremental_baseline() -> String {
          is the whole price of durability: decoding the full state back\n\
          from disk, a few milliseconds even at tens of thousands of rows.\n\n{}\n\n\
          == Demand-driven (magic) query vs full fixpoint ==\n\
-         A bound-argument query answered under QueryMode::Directed derives\n\
+         A bound-argument query answered by Engine::run_directed derives\n\
          only the facts its demand set reaches; the full fixpoint derives\n\
          every block of the base. Answers are asserted byte-identical, so\n\
          the derivation gap is the pure benefit of demand.\n\n{}\n\n\
-         == Persistent query cache (warm vs cold bound queries) ==\n\
-         A repeated bound-pattern query served through the QueryCache: the\n\
-         cold call pays the demanded build, the warm repeat is a pure\n\
-         lookup (zero stratum passes, zero index builds — the counters\n\
-         prove it), and a k-row edit maintains the cached view O(change)\n\
-         through the incremental session instead of rebuilding it.\n\n{}\n\n\
          == Pay-as-you-go wrangle (structural gate) ==\n\
          The paper's four steps over the seeded real-estate scenario. The\n\
          counters and span tree of this run are pinned in the baseline, so\n\
@@ -868,10 +749,6 @@ pub fn incremental_baseline() -> String {
             ],
             &magic_rows,
         ),
-        table(
-            &["base rows", "delta rows", "cold ms", "warm ms", "delta ms", "warm speedup"],
-            &cache_rows,
-        ),
         table(&["properties", "steps", "candidates", "total ms"], &wrangle_rows),
         write_note,
     )
@@ -899,10 +776,6 @@ mod tests {
         // answer byte-identity internally
         let mr = measure_magic(2_000, 50, 2, &obs);
         assert!(mr.directed_derivations > 0, "the demanded chain must still derive");
-        // the cache measurement asserts zero warm evaluation work and
-        // answer byte-identity internally
-        let cr = measure_query_cache(2_000, 32, 2, &obs);
-        assert!(cr.cold_ms > 0.0 && cr.warm_ms > 0.0 && cr.delta_ms > 0.0);
         // the wrangle family: candidate structures are materialised, then
         // reused by the data-context re-run of mapping_quality (at this toy
         // size feedback also revises the matches, so a second generation
@@ -926,8 +799,6 @@ mod tests {
         // 17 records at an 8-event window: a checkpoint per window
         assert_eq!(snapshot.get("wal.compactions").copied(), Some(2));
         assert!(snapshot.get("magic.rewrite.applied").copied().unwrap_or(0) > 0);
-        assert!(snapshot.get("magic.cache.hits").copied().unwrap_or(0) > 0);
-        assert!(snapshot.get("magic.cache.misses").copied().unwrap_or(0) > 0);
         let shapes = family_shapes(&obs);
         assert!(
             shapes.iter().any(|l| l.contains("datalog/stratum")),
@@ -946,7 +817,6 @@ mod tests {
             retractions: vec![rr],
             recoveries: vec![rec],
             magics: vec![mr],
-            caches: vec![cr],
             wrangles: vec![wr],
             counters: vec![("all", snapshot)],
             span_shapes: vec![("all", shapes)],
@@ -955,9 +825,8 @@ mod tests {
         assert!(json.contains("\"datalog_retraction_vs_full\""), "{json}");
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
-        assert!(json.contains("\"datalog_query_cache\""), "{json}");
         assert!(json.contains("\"wrangle_paygo\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v11"), "{json}");
+        assert!(json.contains("vada-bench-baseline/v12"), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();

@@ -1,14 +1,8 @@
-//! Shared parsing rules for the `VADA_*` environment knobs.
+//! Shared parsing rules for the environment knobs.
 //!
-//! Every knob used to carry its own ad-hoc parser: `VADA_MAGIC`
-//! accepted `1|true|on` case-insensitively,
-//! `VADA_THREADS` parsed bare integers, and `VADA_WAL` had a third
-//! spelling for "off". The knobs now agree on one set of trim/case rules,
-//! defined here:
+//! `VADA_THREADS` is a count and `VADA_WAL` a payload with an "off"
+//! spelling; both agree on one set of trim/case rules, defined here:
 //!
-//! - **flags** ([`parse_flag`]): `1`, `true`, or `on` — case-insensitive,
-//!   surrounding whitespace ignored — mean *enabled*; anything else
-//!   (including unset, empty, and garbage) means *disabled*.
 //! - **counts** ([`parse_count`]): a bare non-negative integer, surrounding
 //!   whitespace ignored; anything unparseable reads as absent, letting the
 //!   knob fall back to its default rather than erroring at startup.
@@ -18,14 +12,8 @@
 //!
 //! The parsers are pure functions over string slices so they can be tested
 //! exhaustively without mutating the process environment (the test suite is
-//! multi-threaded; `std::env::set_var` would race). The [`flag`] and
-//! [`count`] wrappers do the `std::env::var` read.
-
-/// Whether a flag knob's value means *enabled*: `1`, `true`, or `on`,
-/// case-insensitive, surrounding whitespace ignored.
-pub fn parse_flag(v: &str) -> bool {
-    matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on")
-}
+//! multi-threaded; `std::env::set_var` would race). The [`count`] wrapper
+//! does the `std::env::var` read.
 
 /// A count knob's value as a non-negative integer, if it parses as one
 /// after trimming; `None` for anything else (garbage falls back to the
@@ -41,12 +29,6 @@ pub fn parse_off(v: &str) -> bool {
     v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off")
 }
 
-/// Read an environment flag under the shared rules: unset reads as
-/// disabled.
-pub fn flag(name: &str) -> bool {
-    std::env::var(name).map(|v| parse_flag(&v)).unwrap_or(false)
-}
-
 /// Read an environment count under the shared rules: unset or unparseable
 /// reads as absent.
 pub fn count(name: &str) -> Option<usize> {
@@ -58,22 +40,8 @@ mod tests {
     use super::*;
 
     // parsers only: tests must not mutate the process environment (the
-    // suite is multi-threaded), so the `flag`/`count` readers are covered
-    // by each knob's ambient-tolerant `env_contract` test instead.
-
-    #[test]
-    fn flags_accept_the_three_spellings_case_insensitively() {
-        for v in ["1", "true", "on", "TRUE", "On", " 1 ", "\ttrue\n", " ON "] {
-            assert!(parse_flag(v), "{v:?} should enable");
-        }
-    }
-
-    #[test]
-    fn flags_reject_everything_else() {
-        for v in ["", "0", "off", "false", "yes", "2", "enabled", "o n", "tru e", "1x", "☃"] {
-            assert!(!parse_flag(v), "{v:?} should disable");
-        }
-    }
+    // suite is multi-threaded), so the `count` reader is covered by
+    // `par`'s ambient-tolerant `from_env_parses_thread_counts` instead.
 
     #[test]
     fn counts_parse_trimmed_integers_only() {

@@ -16,8 +16,6 @@ pub mod error;
 pub mod idgen;
 pub mod obs;
 pub mod par;
-pub mod querycache;
-pub mod querymode;
 pub mod relation;
 pub mod schema;
 pub mod text;
@@ -28,8 +26,6 @@ pub use durability::Durability;
 pub use error::{Result, VadaError};
 pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
 pub use par::Parallelism;
-pub use querycache::QueryCaching;
-pub use querymode::QueryMode;
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, Schema};
 pub use tuple::Tuple;

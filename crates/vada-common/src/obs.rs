@@ -24,9 +24,9 @@
 //!
 //! - **structural** counters live under the `pipeline.` prefix
 //!   ([`Obs::is_structural`]) and are byte-identical across the entire
-//!   `{threads × wal × magic × query cache}` knob matrix — they
-//!   count what the pipeline *computed* (orchestrator steps, writes,
-//!   knowledge-base events), which the equivalence suites already pin.
+//!   `{threads × wal}` knob matrix — they count what the pipeline
+//!   *computed* (orchestrator steps, writes, knowledge-base events),
+//!   which the equivalence suites already pin.
 //! - everything else is a **mode-scoped** diagnostic: it exists only under
 //!   its knob (`wal.*` only when durable, `incremental.*` only where a
 //!   datalog session runs) but is still invariant to the *thread count*,
@@ -113,16 +113,6 @@ pub mod key {
     pub const MAGIC_RULES: &str = "magic.rules";
     /// Seed demand facts generated across applied rewrites.
     pub const MAGIC_DEMAND_FACTS: &str = "magic.demand_facts";
-
-    /// Query-cache answers served (or maintained in O(change)) from a
-    /// cached demanded view.
-    pub const MAGIC_CACHE_HITS: &str = "magic.cache.hits";
-    /// Query-cache cold builds (first sight of a (program, query) pair).
-    pub const MAGIC_CACHE_MISSES: &str = "magic.cache.misses";
-    /// Cached views (or persistent index sets) discarded: journal lineage
-    /// diverged, the delta window was pruned, or the deltas were not
-    /// provably replayable.
-    pub const MAGIC_CACHE_INVALIDATIONS: &str = "magic.cache.invalidations";
 
     /// Incremental steps that ran as explicit bootstraps.
     pub const INC_BOOTSTRAP: &str = "incremental.outcome.bootstrap";

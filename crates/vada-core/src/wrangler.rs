@@ -3,9 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vada_common::{
-    Durability, Obs, ObsReport, Parallelism, QueryCaching, Relation, Result, Schema,
-};
+use vada_common::{Durability, Obs, ObsReport, Parallelism, Relation, Result, Schema};
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
 use crate::network::SchedulingPolicy;
@@ -176,17 +174,6 @@ impl Wrangler {
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         let config = OrchestratorConfig { parallelism, ..self.orchestrator.config().clone() };
         self.orchestrator.set_config(config);
-    }
-
-    /// Set the query-caching mode. Under [`QueryCaching::Persistent`] the
-    /// knowledge base keeps hash indexes over its dependency-fact view
-    /// alive across [`KnowledgeBase::query`] calls. Safe to change at any
-    /// point: cached and uncached paths produce identical results, traces,
-    /// and errors (the `query_equivalence` suite pins this); the
-    /// `magic.cache.{hits,misses,invalidations}` counters record how the
-    /// cache behaved. Defaults to the `VADA_QUERY_CACHE` override.
-    pub fn set_query_caching(&mut self, caching: QueryCaching) {
-        self.kb.set_query_caching(caching);
     }
 
     /// Register a source relation.

@@ -23,7 +23,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::par::{self, Parallelism};
-use vada_common::{QueryMode, Result, Tuple, VadaError, Value};
+use vada_common::{Result, Tuple, VadaError, Value};
 
 use crate::analysis::stratify;
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
@@ -99,10 +99,9 @@ pub struct Database {
     /// shrink or rewrite a predicate's row-id space (removals, clears,
     /// wholesale replacement) — never by inserts, which only append. A
     /// shared index records the epoch it was built against, so an index
-    /// that survives across mutations (see [`crate::cache::IndexCache`])
-    /// can tell "rows were appended" (extend in O(change)) from "row ids
-    /// moved" (rebuild), even when the predicate regrows to its old
-    /// length. Kept outside [`FactSet`] deliberately: `clear_predicate`
+    /// that survives across mutations can tell "rows were appended"
+    /// (extend in O(change)) from "row ids moved" (rebuild), even when the
+    /// predicate regrows to its old length. Kept outside [`FactSet`] deliberately: `clear_predicate`
     /// drops the fact set entirely, and the epoch must survive that.
     epochs: HashMap<String, u64>,
 }
@@ -231,11 +230,6 @@ pub struct EngineConfig {
     /// every level (see [`vada_common::par`]); defaults to the
     /// `VADA_THREADS` override.
     pub parallelism: Parallelism,
-    /// How [`Engine::run_query`] answers a stand-alone query: undirected
-    /// (full fixpoint) or directed (magic-set demand restriction, see
-    /// [`crate::magic`]). Answers are byte-identical either way; defaults
-    /// to the `VADA_MAGIC` override.
-    pub query_mode: QueryMode,
     /// Test-only fault injection: `Some("magic-rewrite")` panics inside the
     /// demand-rewrite stage, `Some("index-build")` inside the shared-index
     /// refresh. Both surface as [`VadaError::Parallel`] naming the stage,
@@ -256,7 +250,6 @@ impl Default for EngineConfig {
             max_skolem_depth: 12,
             max_facts: 50_000_000,
             parallelism: Parallelism::default(),
-            query_mode: QueryMode::default(),
             inject_fault: None,
             obs: Obs::disabled(),
         }
@@ -278,7 +271,7 @@ impl Engine {
     /// Evaluate `program` starting from `db` (extensional facts); returns
     /// the database extended with all derived facts.
     pub fn run(&self, program: &Program, db: Database) -> Result<Database> {
-        self.run_impl(program, db, None, None)
+        self.run_impl(program, db, None)
     }
 
     /// Demand-driven evaluation: compute the [`Demand`] a query's bound
@@ -289,21 +282,6 @@ impl Engine {
     /// touch is kept — so `eval_query` over either database returns the
     /// same answers in the same order.
     pub fn run_directed(&self, program: &Program, db: Database, query: &Rule) -> Result<Database> {
-        self.run_directed_with(program, db, query, None)
-    }
-
-    /// [`Engine::run_directed`] with an optional *persistent*
-    /// [`IndexStore`] (see [`crate::cache::IndexCache`]): the shared hash
-    /// indexes survive into the caller's next run instead of dying with
-    /// this one. Output is unaffected — a surviving index is extended or
-    /// rebuilt by `refresh` exactly as a fresh one would be populated.
-    pub(crate) fn run_directed_with(
-        &self,
-        program: &Program,
-        db: Database,
-        query: &Rule,
-        store: Option<&mut IndexStore>,
-    ) -> Result<Database> {
         let demand = magic::demand_for(self, program, &db, query)?;
         let obs = &self.config.obs;
         if demand.is_unrestricted() {
@@ -313,22 +291,22 @@ impl Engine {
             obs.add(obs_key::MAGIC_RULES, demand.magic_rule_count() as u64);
             obs.add(obs_key::MAGIC_DEMAND_FACTS, demand.demand_fact_count() as u64);
         }
-        self.run_impl(program, db, Some(&demand), store)
+        self.run_impl(program, db, Some(&demand))
     }
 
-    /// Answer a stand-alone query over `program` + `db`, honouring
-    /// [`EngineConfig::query_mode`]. An empty program short-circuits to
-    /// [`Engine::eval_query`] against `db` as-is (no clone, no fixpoint) —
-    /// the knowledge-base dependency view takes this path.
+    /// Answer a stand-alone query over `program` + `db`, demand-driven:
+    /// [`Engine::run_directed`] then [`Engine::eval_query`] — answers,
+    /// their order and the first error are byte-identical to evaluating
+    /// the query over [`Engine::run`]'s full fixpoint. An empty program
+    /// short-circuits to [`Engine::eval_query`] against `db` as-is (no
+    /// clone, no fixpoint) — the knowledge-base dependency view takes
+    /// this path.
     pub fn run_query(&self, program: &Program, db: &Database, query: &Rule) -> Result<Vec<Tuple>> {
         if program.rules.is_empty() {
             return self.eval_query(query, db);
         }
-        let full = match self.config.query_mode {
-            QueryMode::Undirected => self.run(program, db.clone())?,
-            QueryMode::Directed => self.run_directed(program, db.clone(), query)?,
-        };
-        self.eval_query(query, &full)
+        let demanded = self.run_directed(program, db.clone(), query)?;
+        self.eval_query(query, &demanded)
     }
 
     /// The [`Demand`] this engine would evaluate `query` under — exposed
@@ -342,7 +320,6 @@ impl Engine {
         program: &Program,
         mut db: Database,
         demand: Option<&Demand>,
-        external: Option<&mut IndexStore>,
     ) -> Result<Database> {
         let strat = stratify(program)?;
         let fault = self.config.inject_fault;
@@ -350,16 +327,8 @@ impl Engine {
         // shared hash indexes over the growing database, registered from
         // each stratum's compiled lookup shapes and refreshed incrementally
         // before every parallel batch; identical to the per-pass lazy
-        // indexes by construction, so it only changes wall-clock. A caller
-        // may pass in a store that outlives the run (the cross-query index
-        // cache); `refresh` extends or rebuilds its surviving indexes
-        // against this run's database, so reuse is output-invariant too.
-        let mut local = IndexStore::default();
-        let store: &mut IndexStore = match external {
-            Some(s) => s,
-            None => &mut local,
-        };
-        store.obs = obs.clone();
+        // indexes by construction, so it only changes wall-clock.
+        let mut store = IndexStore { obs: obs.clone(), ..Default::default() };
 
         // ground facts
         for rule in &program.rules {
@@ -445,7 +414,7 @@ impl Engine {
                     initial_par,
                     "datalog/stratum-initial",
                     &batch,
-                    |_, &ci| self.eval_rule_with(&compiled[ci], &db, None, Some(&*store)),
+                    |_, &ci| self.eval_rule_with(&compiled[ci], &db, None, Some(&store)),
                 )?;
                 for derived in outs {
                     for (pred, t) in derived {
@@ -510,7 +479,7 @@ impl Engine {
                                 &compiled[ci],
                                 &db,
                                 Some(DeltaSpec::Insert { delta: &delta, occ }),
-                                Some(&*store),
+                                Some(&store),
                             )
                         },
                     )?;
@@ -547,36 +516,6 @@ impl Engine {
             }
         }
         Ok(out)
-    }
-
-    /// [`Engine::eval_query`] against a *persistent* [`IndexStore`]: the
-    /// query's lookup shapes are registered, the store is refreshed
-    /// (O(change) for appended rows, rebuild for shrunk/rewritten
-    /// predicates), and the evaluation probes the shared indexes instead
-    /// of building lazy per-call ones. Answers are byte-identical to
-    /// [`Engine::eval_query`]; returns whether the refresh had to index
-    /// anything, so callers can tell a warm hit from index work.
-    pub(crate) fn eval_query_with_store(
-        &self,
-        query: &Rule,
-        db: &Database,
-        store: &mut IndexStore,
-    ) -> Result<(Vec<Tuple>, bool)> {
-        let cr = CompiledRule::compile(query, usize::MAX)?;
-        store.obs = self.config.obs.clone();
-        for (pred, cols) in cr.indexed_lookups() {
-            store.register(pred, cols);
-        }
-        let refreshed = store.refresh(db, self.config.inject_fault)?;
-        let derived = self.eval_rule_with(&cr, db, None, Some(&*store))?;
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for (_, t) in derived {
-            if seen.insert(t.clone()) {
-                out.push(t);
-            }
-        }
-        Ok((out, refreshed))
     }
 
     /// Engine configuration (read access for the incremental layer).
@@ -1062,11 +1001,6 @@ struct SharedIndex {
 }
 
 impl IndexStore {
-    /// Whether no shape has been registered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.indexes.is_empty()
-    }
-
     /// Ensure an index exists for this lookup shape (idempotent).
     pub(crate) fn register(&mut self, pred: &str, cols: &[usize]) {
         self.indexes

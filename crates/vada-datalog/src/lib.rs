@@ -40,7 +40,6 @@
 pub mod analysis;
 pub mod ast;
 pub mod builtins;
-pub mod cache;
 pub mod engine;
 pub mod incremental;
 pub mod lexer;
@@ -51,12 +50,10 @@ pub mod skolem;
 
 pub use analysis::{stratify, Stratification};
 pub use ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
-pub use cache::{CacheDelta, DeltaBatch, IndexCache, QueryCache};
 pub use engine::{Database, Engine, EngineConfig};
 pub use incremental::{DeltaMode, DeltaOutcome, IncrementalSession};
 pub use magic::Demand;
 pub use parser::parse_program;
-pub use vada_common::QueryMode;
 
 use vada_common::Result;
 

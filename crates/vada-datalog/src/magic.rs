@@ -4,8 +4,10 @@
 //!
 //! ## How demand restricts the fixpoint without changing it
 //!
-//! The engine's signature guarantee is byte-identity across knob settings,
-//! and the directed path earns it structurally rather than by re-sorting:
+//! [`Engine::run_query`] is always demand-driven, and its answers are
+//! byte-identical to evaluating the query over [`Engine::run`]'s full
+//! fixpoint. The directed path earns that structurally rather than by
+//! re-sorting:
 //! the stratified semi-naive loop runs **exactly the same rules in exactly
 //! the same pass order** as the undirected run, with one change — a derived
 //! fact is inserted only if the precomputed [`Demand`] keeps it. Because
@@ -49,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use vada_common::{QueryMode, Result, Tuple, VadaError};
+use vada_common::{Result, Tuple, VadaError};
 
 use crate::ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
 use crate::engine::{CompiledRule, Database, Engine, EngineConfig};
@@ -600,11 +602,7 @@ pub(crate) fn demand_for(
     let planned = Program {
         rules: analysis.magic.rules.iter().map(|r| plan_rule(r, &stats)).collect(),
     };
-    let mcfg = EngineConfig {
-        query_mode: QueryMode::Undirected,
-        inject_fault: None,
-        ..engine.config().clone()
-    };
+    let mcfg = EngineConfig { inject_fault: None, ..engine.config().clone() };
     let magic_db = match Engine::new(mcfg).run(&planned, mdb) {
         Ok(d) => d,
         Err(e) => return Ok(Demand::fallback(format!("demand evaluation failed: {e}"))),

@@ -5,9 +5,8 @@ use std::path::Path;
 
 use parking_lot::Mutex;
 use vada_common::obs::{key as obs_key, Obs};
-use vada_common::{QueryCaching, Relation, Result, Schema, Tuple, VadaError, Value};
+use vada_common::{Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::ast::Program;
-use vada_datalog::cache::IndexCache;
 use vada_datalog::engine::{Database, Engine};
 use vada_datalog::parser::parse_query;
 
@@ -45,10 +44,6 @@ pub struct KnowledgeBase {
     /// cached dependency view, patched from journal deltas (see
     /// [`KnowledgeBase::query`]).
     dep_cache: Mutex<DepCache>,
-    /// Whether [`KnowledgeBase::query`] answers through the persistent
-    /// [`IndexCache`] on the dependency view (`VADA_QUERY_CACHE`; see
-    /// [`KnowledgeBase::set_query_caching`]).
-    query_caching: QueryCaching,
     /// write-ahead log + snapshot directory, when durable (see
     /// [`KnowledgeBase::open`] / [`KnowledgeBase::persist_to`]).
     durable: Option<storage::DurableStore>,
@@ -72,15 +67,6 @@ pub struct KnowledgeBase {
 struct DepCache {
     /// `(kb version the view reflects, the view)`.
     entry: Option<(u64, Database)>,
-    /// Persistent hash indexes over the view, probed by
-    /// [`KnowledgeBase::query`] under [`QueryCaching::Persistent`]. Kept
-    /// across journal-driven *patches* — the view object survives them,
-    /// and `clear_predicate` bumps the patched predicates' reorder
-    /// epochs, so a surviving index is extended or rebuilt exactly where
-    /// needed — but dropped on a from-scratch *rebuild*, whose fresh
-    /// [`Database`] restarts every epoch at zero and could otherwise
-    /// alias stale row ids.
-    index: IndexCache,
 }
 
 /// Every predicate of the dependency fact view, in the canonical build
@@ -165,7 +151,6 @@ impl Clone for KnowledgeBase {
             journal: self.journal.clone(),
             provenance: self.provenance.clone(),
             dep_cache: Mutex::new(DepCache::default()),
-            query_caching: self.query_caching,
             // a clone is a new lineage (see the journal's Clone impl), and
             // a WAL directory has exactly one writer: the clone is
             // in-memory only until persist_to is called on it
@@ -200,7 +185,6 @@ impl Default for KnowledgeBase {
             journal: Default::default(),
             provenance: Default::default(),
             dep_cache: Mutex::new(DepCache::default()),
-            query_caching: QueryCaching::from_env(),
             durable: None,
             storage_error: None,
             // always-on local registry: the stats accessors must work on a
@@ -231,26 +215,6 @@ impl KnowledgeBase {
     /// The observability registry this base records into.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Choose whether [`KnowledgeBase::query`] keeps persistent hash
-    /// indexes over the dependency view across calls (the
-    /// `VADA_QUERY_CACHE` knob; the environment sets the default).
-    /// Answers are byte-identical either way — caching only skips
-    /// re-deriving index structure the view already proved.
-    pub fn set_query_caching(&mut self, caching: QueryCaching) {
-        if self.query_caching != caching {
-            // flipping the knob must not let a warm cache linger where the
-            // scan path would then mutate the view underneath it unseen
-            self.dep_cache.lock().index.reset();
-        }
-        self.query_caching = caching;
-    }
-
-    /// The query-caching mode in effect (see
-    /// [`KnowledgeBase::set_query_caching`]).
-    pub fn query_caching(&self) -> QueryCaching {
-        self.query_caching
     }
 
     /// An empty knowledge base with a custom journal retention window
@@ -1027,57 +991,24 @@ impl KnowledgeBase {
                             db.clear_predicate(pred);
                             self.insert_dependency_pred(&mut db, pred);
                         }
-                        // the view object survives a patch, and
-                        // clear_predicate bumped the patched predicates'
-                        // reorder epochs: the index cache stays and
-                        // self-repairs exactly where facts moved
                         self.obs.incr(obs_key::DEPCACHE_PATCHES);
                         cache.entry = Some((self.version, db));
                     }
                     None => {
-                        self.invalidate_query_index(&mut cache);
                         self.obs.incr(obs_key::DEPCACHE_REBUILDS);
                         cache.entry = Some((self.version, self.build_dependency_db()));
                     }
                 }
             }
             None => {
-                self.invalidate_query_index(&mut cache);
                 self.obs.incr(obs_key::DEPCACHE_REBUILDS);
                 cache.entry = Some((self.version, self.build_dependency_db()));
             }
         }
-        // split-borrow: the view is read while its index cache is refreshed
-        let DepCache { entry, index } = &mut *cache;
-        let (_, db) = entry.as_ref().expect("populated above");
-        if self.query_caching.is_enabled() {
-            // deliberately a fresh disabled-obs engine (like the scan arm):
-            // datalog.* counters must not leak onto the kb registry from
-            // here, so the cache outcome is recorded on self.obs instead
-            let (rows, built) = Engine::default().eval_query_cached(&q, db, index)?;
-            self.obs.incr(if built {
-                obs_key::MAGIC_CACHE_MISSES
-            } else {
-                obs_key::MAGIC_CACHE_HITS
-            });
-            Ok(rows)
-        } else {
-            // the dependency view is a pure extensional fact base (no
-            // program rules), so run_query short-circuits to direct query
-            // evaluation: directed and undirected modes are trivially
-            // identical here
-            Engine::default().run_query(&Program { rules: Vec::new() }, db, &q)
-        }
-    }
-
-    /// Drop the persistent query index (the dependency view is about to be
-    /// rebuilt from scratch, so its reorder epochs restart and staleness
-    /// would no longer be detectable), recording the invalidation if a
-    /// warm cache was lost.
-    fn invalidate_query_index(&self, cache: &mut DepCache) {
-        if cache.index.reset() {
-            self.obs.incr(obs_key::MAGIC_CACHE_INVALIDATIONS);
-        }
+        let (_, db) = cache.entry.as_ref().expect("populated above");
+        // the dependency view is a pure extensional fact base (no program
+        // rules), so run_query short-circuits to direct query evaluation
+        Engine::default().run_query(&Program { rules: Vec::new() }, db, &q)
     }
 
     /// `(from-scratch builds, journal-driven patches)` of the dependency
@@ -1542,56 +1473,26 @@ mod tests {
     }
 
     #[test]
-    fn persistent_query_cache_hits_misses_and_survives_patches() {
+    fn dependency_query_answers_track_the_patched_view() {
         let mut kb = kb_with_scenario();
-        kb.set_query_caching(QueryCaching::Persistent);
-        assert_eq!(kb.query_caching(), QueryCaching::Persistent);
         let q = "relation(\"rightmove\", K, R)";
         let cold = kb.query(q).unwrap();
         assert!(!cold.is_empty());
-        assert_eq!(kb.obs().get(obs_key::MAGIC_CACHE_MISSES), 1);
 
-        // unchanged base: served straight from the warm index, no build
-        let warm = kb.query(q).unwrap();
-        assert_eq!(warm, cold);
-        assert_eq!(kb.obs().get(obs_key::MAGIC_CACHE_HITS), 1);
-
-        // a journal-patchable mutation elsewhere keeps the index cache:
-        // the patch only bumps the touched predicates' epochs
+        // a journal-patchable mutation elsewhere leaves the answer alone
         kb.stage_document("doc", "a\n1\n");
         assert_eq!(kb.query(q).unwrap(), cold);
-        assert_eq!(kb.obs().get(obs_key::MAGIC_CACHE_INVALIDATIONS), 0);
 
-        // a patch that rewrites the indexed predicate itself: the epoch
-        // bump forces a rebuild of exactly that index, and the answers
-        // track the new state
+        // a patch that rewrites the queried predicate itself: the answer
+        // tracks the new state and equals a freshly built view's (a clone
+        // starts with an empty dependency cache)
         let mut grown = kb.relation("rightmove").unwrap().clone();
         grown.push(tuple!["410000", "3 kings ave", "EH1 1AA"]).unwrap();
         kb.register_source(grown);
         let after = kb.query(q).unwrap();
         assert_ne!(after, cold, "the row count changed");
-
-        // byte-identity with the scan path on the same state
-        let mut scan = kb.clone();
-        scan.set_query_caching(QueryCaching::Off);
-        assert_eq!(scan.query(q).unwrap(), after);
-    }
-
-    #[test]
-    fn query_cache_dropped_when_the_view_is_rebuilt_from_scratch() {
-        let mut kb = kb_with_scenario();
-        kb.set_query_caching(QueryCaching::Persistent);
-        let q = "relation(\"rightmove\", K, R)";
-        let cold = kb.query(q).unwrap();
-        for i in 0..(crate::delta::DEFAULT_JOURNAL_CAPACITY + 4) {
-            kb.stage_document(format!("d{i}"), "a\n1\n");
-        }
-        // journal window pruned → the view is rebuilt from scratch, and
-        // the fresh Database restarts its reorder epochs: the warm cache
-        // must go rather than alias stale row ids
-        assert_eq!(kb.query(q).unwrap(), cold);
-        assert_eq!(kb.obs().get(obs_key::MAGIC_CACHE_INVALIDATIONS), 1);
-        assert_eq!(kb.obs().get(obs_key::MAGIC_CACHE_MISSES), 2);
+        assert_eq!(kb.dep_cache_stats().0, 1, "patched, never rebuilt");
+        assert_eq!(kb.clone().query(q).unwrap(), after);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use vada_common::obs::key as obs_key;
 use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
-use vada_datalog::ast::{Atom, HeadTerm, Literal, Rule, Term};
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::parse_program;
 use vada_kb::{KnowledgeBase, MappingDef};
@@ -135,40 +134,15 @@ pub fn execute_mapping(
     span.attr("target", &mapping.target);
     let input = build_input_db(mapping, kb)?;
     let engine = Engine::new(cfg.engine.clone());
-    // A mapping run demands its *entire* target relation — an all-free
-    // access pattern — so under QueryMode::Directed the magic rewrite
-    // resolves to the identity program and the demanded fixpoint equals
-    // the full one; routing through run_directed keeps the knob live
-    // end-to-end while the result stays byte-identical by construction.
-    let output = if cfg.engine.query_mode.is_directed() {
-        let query = all_free_query(&target.name, target.arity());
-        engine.run_directed(&program, input, &query)?
-    } else {
-        engine.run(&program, input)?
-    };
+    // a mapping materialises its whole target relation — an all-free
+    // access pattern demand cannot restrict — so it runs the full fixpoint
+    let output = engine.run(&program, input)?;
 
     let mut rel = Relation::empty(target.clone());
     for t in output.facts(&target.name) {
         rel.push(coerce_fact(t, target, &mapping.id)?)?;
     }
     Ok(rel)
-}
-
-/// The query "every row of `pred`": one positive atom with `arity`
-/// distinct free variables. This is the access pattern a mapping
-/// materialization has — no bound arguments anywhere — which the demand
-/// analysis rewrites to the identity program.
-fn all_free_query(pred: &str, arity: usize) -> Rule {
-    let names: Vec<String> = (0..arity).map(|i| format!("C{i}")).collect();
-    let terms: Vec<Term> =
-        names.iter().enumerate().map(|(i, n)| Term::Var(i, n.clone())).collect();
-    Rule {
-        head_pred: "__query".into(),
-        head_terms: terms.iter().map(|t| HeadTerm::Term(t.clone())).collect(),
-        body: vec![Literal::Pos(Atom { pred: pred.to_string(), terms })],
-        var_count: arity,
-        var_names: names,
-    }
 }
 
 /// Coerce one derived target fact into the typed target schema.

@@ -1,8 +1,9 @@
 //! Differential tests for the observability layer: the **structural**
 //! counters (the `pipeline.*` names) must be byte-identical across the
-//! whole `{parallelism} × {query mode} × {durability}` knob matrix —
-//! observability observes the pipeline's semantic structure, never its scheduling — and a broken or panicking
-//! export sink must never change a single byte of the wrangling result.
+//! whole `{parallelism} × {durability}` knob matrix — observability
+//! observes the pipeline's semantic structure, never its scheduling — and
+//! a broken or panicking export sink must never change a single byte of
+//! the wrangling result.
 //! This is the contract that makes the `VADA_OBS` override safe to flip
 //! in production.
 
@@ -11,40 +12,29 @@ use std::sync::Mutex;
 
 use vada::{OrchestratorConfig, Parallelism, Wrangler};
 use vada_common::obs::{span_shape, structural_span_shape, Json, Obs, ObsSink};
-use vada_common::{csv, QueryCaching, Result, VadaError};
+use vada_common::{csv, Result, VadaError};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 
 /// Serialises the tests in this binary around the env-read knob
-/// defaults: `QueryMode::default()` reads `VADA_MAGIC` at component
-/// construction, and the durability / export defaults come from
-/// `VADA_WAL` / `VADA_OBS` — so every Wrangler in this file is built
-/// under the lock with all three pinned (the tests drive durability and
-/// export explicitly; an ambient CI leg must not re-enable them).
+/// defaults: the durability / export defaults come from `VADA_WAL` /
+/// `VADA_OBS` — so every Wrangler in this file is built under the lock
+/// with both pinned (the tests drive durability and export explicitly; an
+/// ambient CI leg must not re-enable them).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_query_mode<T>(directed: bool, f: impl FnOnce() -> T) -> T {
+fn with_pinned_env<T>(f: impl FnOnce() -> T) -> T {
     let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     std::env::remove_var("VADA_WAL");
     std::env::remove_var("VADA_OBS");
-    // the caching knob is driven explicitly via set_query_caching below;
-    // an ambient all-knobs CI leg must not skew individual legs
-    std::env::remove_var("VADA_QUERY_CACHE");
-    if directed {
-        std::env::set_var("VADA_MAGIC", "directed");
-    } else {
-        std::env::remove_var("VADA_MAGIC");
-    }
-    let out = f();
-    std::env::remove_var("VADA_MAGIC");
-    out
+    f()
 }
 
 /// What one wrangle leaves behind: the result catalog (byte-for-byte),
 /// the registry's counters (split structural / full), and the span tree
 /// in both renderings — the structural slice (`orchestrator/` spans,
 /// pinned across the whole matrix) and the full deep tree (pinned across
-/// thread counts for each fixed knob combination).
+/// thread counts).
 struct Observed {
     catalog: String,
     structural: BTreeMap<String, u64>,
@@ -102,11 +92,7 @@ fn canonicalize_map_ids(s: &str) -> String {
 
 /// Drive the pay-as-you-go pipeline (bootstrap, data context, an edit
 /// phase, a re-run) under one knob combination with a live registry.
-fn wrangle(
-    par: Parallelism,
-    wal: bool,
-    caching: QueryCaching,
-) -> Observed {
+fn wrangle(par: Parallelism, wal: bool) -> Observed {
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 60, seed: 11 },
         ..Default::default()
@@ -124,7 +110,6 @@ fn wrangle(
         parallelism: par,
         ..OrchestratorConfig::default()
     });
-    w.set_query_caching(caching);
     w.set_obs(Obs::enabled());
     w.add_source(s.rightmove.clone());
     w.add_source(s.deprivation.clone());
@@ -172,13 +157,11 @@ fn wrangle(
 }
 
 /// The headline pin: every knob combination tallies the same structural
-/// counters — and materialises the same catalog — as sequential / full /
-/// undirected / in-memory.
+/// counters — and materialises the same catalog — as sequential /
+/// in-memory.
 #[test]
 fn structural_counters_identical_across_the_knob_matrix() {
-    let baseline = with_query_mode(false, || {
-        wrangle(Parallelism::Sequential, false, QueryCaching::Off)
-    });
+    let baseline = with_pinned_env(|| wrangle(Parallelism::Sequential, false));
     assert!(
         baseline.structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0,
         "the pipeline must take orchestrator steps: {:?}",
@@ -225,49 +208,21 @@ fn structural_counters_identical_across_the_knob_matrix() {
         baseline.full_spans
     );
 
-    // full span trees per query mode: the tree is a
-    // pure function of the knobs — thread counts must never change it
-    let mut full_trees: BTreeMap<bool, Vec<String>> = BTreeMap::new();
-    full_trees.insert(false, baseline.full_spans.clone());
-
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        for directed in [false, true] {
-            if (par, directed) == (Parallelism::Sequential, false) {
-                continue;
-            }
-            let got = with_query_mode(directed, || {
-                wrangle(par, false, QueryCaching::Off)
-            });
-            assert_eq!(
-                got.structural, baseline.structural,
-                "{par:?} × directed={directed} diverged structurally"
-            );
-            assert_eq!(
-                got.catalog, baseline.catalog,
-                "{par:?} × directed={directed} changed the catalog"
-            );
-            assert_eq!(
-                got.structural_spans, baseline.structural_spans,
-                "{par:?} × directed={directed} changed the structural span tree"
-            );
-            match full_trees.get(&directed) {
-                None => {
-                    full_trees.insert(directed, got.full_spans);
-                }
-                Some(tree) => assert_eq!(
-                    &got.full_spans, tree,
-                    "{par:?} changed the full span tree of directed={directed}"
-                ),
-            }
-        }
-    }
+    // the thread knob: same structure, same catalog — and the full span
+    // tree, deep mode-scoped spans included, never depends on it
+    let threaded = with_pinned_env(|| wrangle(Parallelism::Threads(4), false));
+    assert_eq!(threaded.structural, baseline.structural, "Threads(4) diverged structurally");
+    assert_eq!(threaded.catalog, baseline.catalog, "Threads(4) changed the catalog");
+    assert_eq!(
+        threaded.structural_spans, baseline.structural_spans,
+        "Threads(4) changed the structural span tree"
+    );
+    assert_eq!(threaded.full_spans, baseline.full_spans, "Threads(4) changed the full span tree");
 
     // the durability knob: a WAL-backed run is structurally identical too
     // (wal.* diagnostics appear, but only under the pipeline-neutral
     // mode-scoped namespace — and as wal/append spans in the full tree)
-    let durable = with_query_mode(false, || {
-        wrangle(Parallelism::Sequential, true, QueryCaching::Off)
-    });
+    let durable = with_pinned_env(|| wrangle(Parallelism::Sequential, true));
     assert_eq!(durable.structural, baseline.structural, "WAL leg diverged structurally");
     assert_eq!(durable.catalog, baseline.catalog, "WAL leg changed the catalog");
     assert_eq!(
@@ -289,23 +244,6 @@ fn structural_counters_identical_across_the_knob_matrix() {
         "the in-memory leg must not: {:?}",
         baseline.counters
     );
-
-    // the caching knob: persistent query caches never change the pipeline's
-    // structural shape either — counters, catalog, or structural spans
-    for (par, directed) in [(Parallelism::Sequential, false), (Parallelism::Threads(4), true)] {
-        let cached = with_query_mode(directed, || {
-            wrangle(par, false, QueryCaching::Persistent)
-        });
-        assert_eq!(
-            cached.structural, baseline.structural,
-            "cache leg {par:?} × directed={directed} diverged structurally"
-        );
-        assert_eq!(cached.catalog, baseline.catalog, "cache leg changed the catalog");
-        assert_eq!(
-            cached.structural_spans, baseline.structural_spans,
-            "cache leg changed the structural span tree"
-        );
-    }
 }
 
 /// The exported JSON-lines stream: every line parses, the span tree is
@@ -318,7 +256,7 @@ fn exported_stream_parses_and_matches_the_report() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let report = with_query_mode(false, || {
+    let report = with_pinned_env(|| {
         let s = Scenario::generate(ScenarioConfig {
             universe: UniverseConfig { properties: 40, seed: 5 },
             ..Default::default()
@@ -393,7 +331,7 @@ impl ObsSink for PanickingSink {
 #[test]
 fn broken_sinks_never_poison_the_run() {
     let run = |obs: Option<Obs>| {
-        with_query_mode(false, || {
+        with_pinned_env(|| {
             let s = Scenario::generate(ScenarioConfig {
                 universe: UniverseConfig { properties: 40, seed: 9 },
                 ..Default::default()

@@ -1,19 +1,18 @@
 //! Differential tests for demand-driven (magic-set) query evaluation:
-//! answering a query under [`QueryMode::Directed`] must be **byte-identical**
-//! to [`QueryMode::Undirected`] — same answer set, same answer order
-//! (including deterministic skolem values), same first error — per query,
-//! across randomized programs and query workloads (bound/free argument
-//! patterns, negation, aggregates, positive cycles, multi-adornment
-//! queries, empty demand sets) and across the full knob matrix
-//! `{Sequential, Threads(4)} × {Full, Incremental}`.
+//! [`Engine::run_query`] — always demand-driven — must be **byte-identical**
+//! to evaluating the query over [`Engine::run`]'s full fixpoint — same
+//! answer set, same answer order (including deterministic skolem values),
+//! same first error — per query, across randomized programs and query
+//! workloads (bound/free argument patterns, negation, aggregates, positive
+//! cycles, multi-adornment queries, empty demand sets) and across the
+//! matrix `{Sequential, Threads(4)} × {Full, Incremental}`.
 //! Failure injection drives panics into the rewrite and index-build stages
-//! and pins that the surfaced error is the same at every level. This is
-//! the contract that makes the `VADA_MAGIC` override safe to flip in
-//! production.
+//! and pins that the surfaced error is the same at every level.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada_common::{AttrType, Parallelism, QueryMode, Relation, Schema, Tuple, Value};
+use vada_common::obs::key as obs_key;
+use vada_common::{AttrType, Obs, Parallelism, Relation, Result, Schema, Tuple, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::incremental::IncrementalSession;
 use vada_datalog::parser::{parse_program, parse_query};
@@ -135,17 +134,22 @@ fn build_db(rows: &[(&str, &[Tuple])]) -> Database {
     db
 }
 
-fn render(rows: &[Tuple]) -> String {
-    rows.iter().map(|t| format!("{t:?}")).collect::<Vec<_>>().join("\n")
+/// Answers in order, or the error: "same first error" is part of the pin.
+fn render(answers: &Result<Vec<Tuple>>) -> String {
+    match answers {
+        Ok(rows) => rows.iter().map(|t| format!("{t:?}")).collect::<Vec<_>>().join("\n"),
+        Err(e) => format!("error: {e}"),
+    }
 }
 
-fn config(par: Parallelism, mode: QueryMode) -> EngineConfig {
-    EngineConfig { parallelism: par, query_mode: mode, ..EngineConfig::default() }
+fn config(par: Parallelism) -> EngineConfig {
+    EngineConfig { parallelism: par, ..EngineConfig::default() }
 }
 
 const PARS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
 
-/// The headline pin: directed ≡ undirected per query, across the full
+/// The headline pin: `run_query` (directed) ≡ `Engine::run` + `eval_query`
+/// (undirected, the reference) per query, across the full
 /// `{parallelism} × {evaluation}` matrix, on seed-logged randomized worlds.
 #[test]
 fn directed_equals_undirected_across_the_knob_matrix() {
@@ -185,61 +189,93 @@ fn directed_equals_undirected_across_the_knob_matrix() {
             ("lab", lab_base.as_slice()),
         ];
 
-        for (qi, qsrc) in world.queries.iter().enumerate() {
-            let query = parse_query(qsrc).unwrap();
-            let baseline_db = build_db(&full_slices);
-            let baseline = render(
-                &Engine::new(config(Parallelism::Sequential, QueryMode::Undirected))
-                    .run_query(&program, &baseline_db, &query)
-                    .unwrap(),
-            );
+        // the reference: every query evaluated over the sequential full
+        // fixpoint, which is query-independent
+        let reference = Engine::new(config(Parallelism::Sequential));
+        let fixpoint = reference.run(&program, build_db(&full_slices));
+        let queries: Vec<_> = world.queries.iter().map(|q| parse_query(q).unwrap()).collect();
+        let baselines: Vec<String> = queries
+            .iter()
+            .map(|query| match &fixpoint {
+                Ok(full) => render(&reference.eval_query(query, full)),
+                Err(e) => render(&Err(e.clone())),
+            })
+            .collect();
 
-            for par in PARS {
-                // Full evaluation legs
-                for mode in [QueryMode::Undirected, QueryMode::Directed] {
-                    let db = build_db(&full_slices);
-                    let got = render(
-                        &Engine::new(config(par, mode))
-                            .run_query(&program, &db, &query)
-                            .unwrap(),
-                    );
-                    assert_eq!(
-                        got, baseline,
-                        "seed {seed} query #{qi} `{qsrc}` full {par:?} {mode:?}"
-                    );
-                }
+        let db = build_db(&full_slices);
+        for par in PARS {
+            let engine = Engine::new(config(par));
+            // Incremental leg: a session materializes the full program, so
+            // evaluating over its database must give the reference answers
+            let mut session = IncrementalSession::new(config(par), &world.program).unwrap();
+            session.run_full(build_db(&base_slices)).unwrap();
+            session.apply(delta_pairs.clone()).unwrap();
 
-                // Incremental legs: a directed session must behave
-                // exactly like an undirected one — same outcomes
-                // (applied / fallback reasons), same materialization,
-                // same query answers.
-                let mut observed: Vec<(String, String)> = Vec::new();
-                for mode in [QueryMode::Undirected, QueryMode::Directed] {
-                    let mut session =
-                        IncrementalSession::new(config(par, mode), &world.program).unwrap();
-                    session
-                        .run_full(build_db(&base_slices))
-                        .unwrap();
-                    session.apply(delta_pairs.clone()).unwrap();
-                    let answers = render(
-                        &Engine::new(config(par, mode))
-                            .eval_query(&query, session.database())
-                            .unwrap(),
-                    );
-                    assert_eq!(
-                        answers, baseline,
-                        "seed {seed} query #{qi} `{qsrc}` incr {par:?} {mode:?}"
-                    );
-                    observed.push((format!("{:?}", session.history()), answers));
-                }
+            for (qi, (query, baseline)) in queries.iter().zip(&baselines).enumerate() {
+                let qsrc = &world.queries[qi];
                 assert_eq!(
-                    observed[0], observed[1],
-                    "seed {seed} query #{qi}: directed session diverged from undirected \
-                     ({par:?})"
+                    &render(&engine.run_query(&program, &db, query)),
+                    baseline,
+                    "seed {seed} query #{qi} `{qsrc}` full {par:?}"
+                );
+                assert_eq!(
+                    &render(&engine.eval_query(query, session.database())),
+                    baseline,
+                    "seed {seed} query #{qi} `{qsrc}` incr {par:?}"
                 );
             }
         }
     }
+}
+
+/// `run_query` under the default config is the demand-driven path: a bound
+/// recursive query rewrites and reaches its fixpoint in strictly fewer
+/// semi-naive passes than `Engine::run`, an all-free query resolves to the
+/// identity rewrite, and an empty program short-circuits before either.
+#[test]
+fn run_query_is_demand_driven_under_the_default_config() {
+    let mut src = String::new();
+    for i in 0..40 {
+        src.push_str(&format!("e(\"c{i}\", \"c{}\").\n", i + 1));
+    }
+    src.push_str("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).");
+    let program = parse_program(&src).unwrap();
+    let observed = || {
+        let obs = Obs::enabled();
+        (Engine::new(EngineConfig { obs: obs.clone(), ..Default::default() }), obs)
+    };
+
+    let (engine, full_obs) = observed();
+    engine.run(&program, Database::new()).unwrap();
+    assert_eq!(full_obs.get(obs_key::MAGIC_APPLIED), 0, "Engine::run never rewrites");
+
+    let (engine, obs) = observed();
+    let bound = parse_query(r#"tc("c35", Y)"#).unwrap();
+    assert_eq!(engine.run_query(&program, &Database::new(), &bound).unwrap().len(), 5);
+    assert_eq!(obs.get(obs_key::MAGIC_APPLIED), 1);
+    assert_eq!(obs.get(obs_key::MAGIC_UNRESTRICTED), 0);
+    // magic-program passes included, demand still converges far sooner
+    assert!(
+        obs.get(obs_key::DELTA_PASSES) < full_obs.get(obs_key::DELTA_PASSES),
+        "demanded {} vs full {} delta passes",
+        obs.get(obs_key::DELTA_PASSES),
+        full_obs.get(obs_key::DELTA_PASSES)
+    );
+
+    let (engine, obs) = observed();
+    let free = parse_query("tc(X, Y)").unwrap();
+    engine.run_query(&program, &Database::new(), &free).unwrap();
+    assert_eq!(obs.get(obs_key::MAGIC_UNRESTRICTED), 1);
+    assert_eq!(obs.get(obs_key::MAGIC_APPLIED), 0);
+
+    let (engine, obs) = observed();
+    let mut db = Database::new();
+    db.insert("e", Tuple::new(vec![Value::str("c0"), Value::str("c1")]));
+    let ext = parse_query(r#"e("c0", Y)"#).unwrap();
+    let empty = parse_program("").unwrap();
+    assert_eq!(engine.run_query(&empty, &db, &ext).unwrap().len(), 1);
+    assert_eq!(obs.get(obs_key::MAGIC_APPLIED) + obs.get(obs_key::MAGIC_UNRESTRICTED), 0);
+    assert!(obs.span_records().iter().all(|s| s.name != "datalog/run"));
 }
 
 /// Bound queries must actually restrict: on a world where demand provably
@@ -281,11 +317,11 @@ fn directed_materializes_a_subset_and_prunes_bound_queries() {
     );
 }
 
-/// Failure injection: a panic in the magic-rewrite stage surfaces as the
-/// same [`VadaError::Parallel`]-style error at every parallelism level,
-/// and only on the directed path (undirected never runs the rewrite). A
-/// directed *session* never runs the rewrite either — it materializes the
-/// full program — so it must stay healthy.
+/// Failure injection: a panic in the magic-rewrite stage surfaces through
+/// `run_query` as the same [`VadaError::Parallel`]-style error at every
+/// parallelism level — and nowhere else: `Engine::run` and incremental
+/// sessions materialize the full program, so the rewrite stage never runs
+/// and the fault never fires.
 #[test]
 fn injected_rewrite_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -297,23 +333,15 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
 
     let mut errors: Vec<String> = Vec::new();
     for par in PARS {
-        let db = build_db(&rows);
-        let mut cfg = config(par, QueryMode::Directed);
+        let mut cfg = config(par);
         cfg.inject_fault = Some("magic-rewrite");
-        let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
+        let engine = Engine::new(cfg.clone());
+        let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
         assert_eq!(err.kind(), "parallel", "{err}");
         errors.push(err.to_string());
 
-        // undirected ignores the rewrite fault entirely
-        let mut ucfg = config(par, QueryMode::Undirected);
-        ucfg.inject_fault = Some("magic-rewrite");
-        Engine::new(ucfg).run_query(&program, &db, &query).unwrap();
-
-        // a directed session materializes the full program: no rewrite
-        // stage runs, so the fault never fires
-        let mut scfg = config(par, QueryMode::Directed);
-        scfg.inject_fault = Some("magic-rewrite");
-        let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
+        engine.run(&program, build_db(&rows)).unwrap();
+        let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
         session.run_full(build_db(&rows)).unwrap();
     }
     assert!(errors[0].contains("datalog/magic_rewrite"), "{}", errors[0]);
@@ -321,9 +349,9 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
 }
 
 /// Failure injection: a panic in the shared-index build stage surfaces as
-/// the same error in **both** modes (the index store serves undirected and
-/// directed runs alike), at every parallelism level, and through
-/// incremental sessions' full materialization.
+/// the same error through `run_query` and `Engine::run` alike (the index
+/// store serves demanded and full runs), at every parallelism level, and
+/// through incremental sessions' full materialization.
 #[test]
 fn injected_index_build_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -335,238 +363,17 @@ fn injected_index_build_fault_is_identical_at_every_level() {
 
     let mut errors: Vec<String> = Vec::new();
     for par in PARS {
-        for mode in [QueryMode::Undirected, QueryMode::Directed] {
-            let db = build_db(&rows);
-            let mut cfg = config(par, mode);
-            cfg.inject_fault = Some("index-build");
-            let err = Engine::new(cfg).run_query(&program, &db, &query).unwrap_err();
-            assert_eq!(err.kind(), "parallel", "{err}");
-            errors.push(err.to_string());
+        let mut cfg = config(par);
+        cfg.inject_fault = Some("index-build");
+        let engine = Engine::new(cfg.clone());
+        let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
+        assert_eq!(err.kind(), "parallel", "{err}");
+        errors.push(err.to_string());
+        errors.push(engine.run(&program, build_db(&rows)).unwrap_err().to_string());
 
-            let mut scfg = config(par, mode);
-            scfg.inject_fault = Some("index-build");
-            let mut session = IncrementalSession::new(scfg, &world.program).unwrap();
-            let serr = session.run_full(build_db(&rows)).unwrap_err();
-            errors.push(serr.to_string());
-        }
+        let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
+        errors.push(session.run_full(build_db(&rows)).unwrap_err().to_string());
     }
     assert!(errors[0].contains("datalog/index_build"), "{}", errors[0]);
     assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
-}
-
-/// The `VADA_MAGIC` env default reaches `EngineConfig` like the other
-/// knobs: unset → undirected; the all-knobs CI leg runs with it on.
-#[test]
-fn engine_config_default_honours_the_env_knob() {
-    let expect = QueryMode::from_env();
-    assert_eq!(EngineConfig::default().query_mode, expect);
-}
-
-/// The cache leg: a [`QueryCache`] driven through seed-logged randomized
-/// edit scripts — appends, row removals, metadata-only steps, in-place
-/// rewrites the row-delta vocabulary can't express (a pruned journal
-/// window), and lineage divergence — with repeated bound-pattern queries
-/// interleaved after every step. Every cached answer must be
-/// byte-identical to a cold directed run over a freshly built database,
-/// at every parallelism level; the pruned-window and
-/// diverged-lineage steps must drop the view and rebuild clean, and the
-/// `magic.cache.*` counters must account for every call exactly once.
-#[test]
-fn cached_queries_equal_cold_directed_runs_across_edit_scripts() {
-    use vada_common::Obs;
-    use vada_datalog::{CacheDelta, DeltaBatch, QueryCache};
-
-    // one tc cycle + one non-recursive join + a filter: the recursive view
-    // maintains through full fallback, the flat ones through the semi-naive
-    // fast path — both must stay byte-identical to cold runs
-    let program_src = r#"
-        tc(X, Y) :- e(X, Y).
-        tc(X, Z) :- tc(X, Y), e(Y, Z).
-        res(X, W) :- e(X, Y), lab(Y, W).
-        big(X) :- lab(X, V), V > 10.
-    "#;
-    let program = parse_program(program_src).unwrap();
-    let queries =
-        [r#"tc("v0", Y)"#, r#"res("v3", W)"#, "big(X)", r#"e(X, "v5")"#];
-
-    // the deterministic script skeleton (content is seed-randomized):
-    // 0 append, 1 append, 2 remove, 3 metadata-only, 4 in-place rewrite
-    // (pruned window → Unknown), 5 append, 6 lineage divergence, 7 remove
-    const STEPS: usize = 8;
-
-    for seed in 0..4u64 {
-        println!("query_cache_equivalence: seed {seed}");
-        for par in PARS {
-            let mut rng = StdRng::seed_from_u64(seed * 31 + 5);
-            let obs = Obs::enabled();
-            let mut cfg = config(par, QueryMode::Directed);
-            cfg.obs = obs.clone();
-            let mut cache = QueryCache::new(cfg.clone());
-
-            // ground truth, in knowledge-base row order; edges are
-            // unique so removal-by-value is unambiguous
-            let mut e_rows: Vec<Tuple> = (0..8)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Value::str(format!("v{i}")),
-                        Value::str(format!("v{}", (i + 1) % 8)),
-                    ])
-                })
-                .collect();
-            let mut lab_rows: Vec<Tuple> = (0..8)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Value::str(format!("v{i}")),
-                        Value::Int(rng.gen_range(0..30i64)),
-                    ])
-                })
-                .collect();
-            let mut fresh = 0usize;
-
-            let mut lineage = seed;
-            let mut version = 0u64;
-            for step in 0..STEPS {
-                let delta = match step {
-                    0 | 1 | 5 => {
-                        // append a unique edge into the live graph plus
-                        // a label for its new endpoint
-                        let a = rng.gen_range(0..8usize);
-                        let b = format!("w{fresh}");
-                        fresh += 1;
-                        let e = Tuple::new(vec![
-                            Value::str(format!("v{a}")),
-                            Value::str(b.clone()),
-                        ]);
-                        let lab = Tuple::new(vec![
-                            Value::str(b),
-                            Value::Int(rng.gen_range(0..30i64)),
-                        ]);
-                        e_rows.push(e.clone());
-                        lab_rows.push(lab.clone());
-                        CacheDelta::Rows(vec![DeltaBatch::Append(vec![
-                            ("e".into(), e),
-                            ("lab".into(), lab),
-                        ])])
-                    }
-                    2 | 7 => {
-                        let victim = e_rows.remove(rng.gen_range(0..e_rows.len()));
-                        CacheDelta::Rows(vec![DeltaBatch::Remove(vec![(
-                            "e".into(),
-                            victim,
-                        )])])
-                    }
-                    3 => CacheDelta::Unchanged,
-                    4 => {
-                        // rewrite a label in place: inexpressible as an
-                        // ordered append/remove suffix, i.e. the journal
-                        // window was pruned under the view
-                        let i = rng.gen_range(0..lab_rows.len());
-                        lab_rows[i] = Tuple::new(vec![
-                            lab_rows[i][0].clone(),
-                            Value::Int(rng.gen_range(0..30i64)),
-                        ]);
-                        CacheDelta::Unknown
-                    }
-                    6 => {
-                        // a different journal identity: even an innocent
-                        // delta claim must not be trusted
-                        lineage += 1000;
-                        e_rows.remove(0);
-                        CacheDelta::Unchanged
-                    }
-                    _ => unreachable!(),
-                };
-                version += 1;
-
-                let slices: Vec<(&str, &[Tuple])> =
-                    vec![("e", &e_rows), ("lab", &lab_rows)];
-                for (qi, qsrc) in queries.iter().enumerate() {
-                    let query = parse_query(qsrc).unwrap();
-                    let cold_db = build_db(&slices);
-                    let cold = render(
-                        &Engine::new(cfg.clone())
-                            .run_query(&program, &cold_db, &query)
-                            .unwrap(),
-                    );
-                    // first call maintains or rebuilds, the repeat must
-                    // serve warm; both byte-identical to the cold run
-                    for repeat in 0..2 {
-                        let got = render(
-                            &cache
-                                .query(program_src, qsrc, lineage, version, delta.clone(), || {
-                                    Ok(build_db(&slices))
-                                })
-                                .unwrap(),
-                        );
-                        assert_eq!(
-                            got, cold,
-                            "seed {seed} step {step} query #{qi} `{qsrc}` repeat {repeat} \
-                             {par:?}"
-                        );
-                    }
-                }
-            }
-
-            // counter audit: every call lands on exactly one counter;
-            // only the initial colds are misses, and exactly the
-            // pruned-window + diverged-lineage steps invalidate
-            let q = queries.len() as u64;
-            let calls = (STEPS as u64) * q * 2;
-            let (hits, misses, invalidations) = (
-                obs.get(vada_common::obs::key::MAGIC_CACHE_HITS),
-                obs.get(vada_common::obs::key::MAGIC_CACHE_MISSES),
-                obs.get(vada_common::obs::key::MAGIC_CACHE_INVALIDATIONS),
-            );
-            assert_eq!(misses, q, "{par:?}");
-            assert_eq!(invalidations, 2 * q, "{par:?}");
-            assert_eq!(hits, calls - misses - invalidations, "{par:?}");
-        }
-    }
-}
-
-/// The warm-path acceptance pin at the engine level: a repeated bound
-/// query over an unchanged base does **zero** `datalog/index_build` work
-/// and **zero** stratum passes — the counters prove the repeat never
-/// re-derives or re-indexes anything.
-#[test]
-fn repeated_bound_query_on_unchanged_base_does_no_evaluation_work() {
-    use vada_common::Obs;
-    use vada_datalog::{CacheDelta, QueryCache};
-
-    let program_src = "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).";
-    let mut db = Database::new();
-    for i in 0..30 {
-        db.insert(
-            "e",
-            Tuple::new(vec![Value::Int(i), Value::Int(i + 1)]),
-        );
-    }
-
-    let obs = Obs::enabled();
-    let mut cfg = EngineConfig { query_mode: QueryMode::Directed, ..EngineConfig::default() };
-    cfg.obs = obs.clone();
-    let mut cache = QueryCache::new(cfg);
-
-    let build = || {
-        let mut fresh = Database::new();
-        for i in 0..30 {
-            fresh.insert("e", Tuple::new(vec![Value::Int(i), Value::Int(i + 1)]));
-        }
-        Ok(fresh)
-    };
-    let cold = cache
-        .query(program_src, r#"tc(3, Y)"#, 1, 1, CacheDelta::Unchanged, build)
-        .unwrap();
-    assert!(!cold.is_empty());
-
-    use vada_common::obs::key as obs_key;
-    let passes = obs.get(obs_key::STRATUM_PASSES);
-    assert!(passes > 0, "the cold build must have derived something");
-    let builds = obs.get(obs_key::INDEX_BUILDS);
-    let warm = cache
-        .query(program_src, r#"tc(3, Y)"#, 1, 1, CacheDelta::Unchanged, build)
-        .unwrap();
-    assert_eq!(warm, cold);
-    assert_eq!(obs.get(obs_key::STRATUM_PASSES), passes, "a warm hit re-derived");
-    assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds, "a warm hit re-indexed");
 }
