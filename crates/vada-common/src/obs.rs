@@ -102,8 +102,11 @@ pub mod key {
     pub const INDEX_PROBES: &str = "datalog.index.probes";
     /// Join-planner choices: literals planned against a shared index.
     pub const JOIN_INDEXED: &str = "datalog.join.indexed";
-    /// Join-planner choices: literals planned as scans.
-    pub const JOIN_SCAN: &str = "datalog.join.scan";
+    /// Join-planner choices: literals with no bound column — a rule's
+    /// generators, enumerated in full. Every rule has at least its
+    /// outermost one, so this never reaches 0; a literal *with* a bound
+    /// column is always served by an index.
+    pub const JOIN_GENERATOR: &str = "datalog.join.generator";
 
     /// Demand rewrites that restricted the program (magic rules emitted).
     pub const MAGIC_APPLIED: &str = "magic.rewrite.applied";

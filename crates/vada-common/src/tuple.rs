@@ -1,5 +1,6 @@
 //! Tuples: fixed-arity rows of [`Value`]s.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 
@@ -64,6 +65,15 @@ impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, idx: usize) -> &Value {
         &self.0[idx]
+    }
+}
+
+/// A tuple hashes and compares exactly like its value slice (the derived
+/// impls delegate to the boxed slice), so a `HashMap<Tuple, _>` can be probed
+/// with a borrowed `&[Value]` — no key tuple allocated per lookup.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
     }
 }
 
@@ -152,6 +162,18 @@ mod tests {
         assert_eq!(t.with_value(1, Value::Int(9)), tuple![1, 9]);
         // original untouched
         assert_eq!(t, tuple![1, 2]);
+    }
+
+    #[test]
+    fn borrowed_slice_probes_a_tuple_keyed_map() {
+        use std::collections::HashMap;
+        let mut m: HashMap<Tuple, usize> = HashMap::new();
+        m.insert(tuple!["a", 1, 2.5], 7);
+        m.insert(tuple![], 9);
+        let key = [Value::str("a"), Value::Float(1.0), Value::Float(2.5)];
+        assert_eq!(m.get(&key[..]), Some(&7), "Int(1) and Float(1.0) are one key");
+        assert_eq!(m.get(&key[..2]), None);
+        assert_eq!(m.get(&[][..]), Some(&9));
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! indexes on the bound positions of each positive literal are built lazily
 //! per pass.
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::par::{self, Parallelism};
@@ -31,39 +33,124 @@ use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
 use crate::magic::{self, Demand};
 use crate::skolem;
 
-/// A deduplicated, insertion-ordered set of facts for one predicate.
+/// Marks a free slot in a [`FactSet`]'s table.
+const FREE: usize = usize::MAX;
+
+/// Hash a fact's values under a process-random SipHash key (facts come from
+/// outside the program, so the table keeps the flooding resistance of the
+/// `HashSet` it replaced). Taking an iterator lets a probe hash a projection
+/// or a scratch buffer without building a tuple first.
+fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    let mut hasher = KEYS.get_or_init(RandomState::new).build_hasher();
+    for v in values {
+        v.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// A deduplicated, insertion-ordered set of facts for one predicate: one
+/// tuple arena plus an open-addressing table of **row ids** into it. A probe
+/// hashes the candidate's values and compares against `tuples[row]`, so no
+/// tuple is ever stored (or cloned) twice.
 #[derive(Debug, Clone, Default)]
 pub struct FactSet {
     tuples: Vec<Tuple>,
-    set: HashSet<Tuple>,
+    /// Linear-probing table over `tuples`: a row id or [`FREE`] per slot.
+    /// The length is zero or a power of two and at least twice
+    /// `tuples.len()`, so every probe sequence ends at a free slot. Row ids
+    /// are `usize` — an arena too long for its own ids cannot exist.
+    slots: Vec<usize>,
 }
 
 impl FactSet {
+    /// Walk the probe sequence of `hash`: `Ok(row)` of the first fact
+    /// `is_match` accepts, or `Err(slot)` of the free slot that ends the
+    /// sequence. The table must be non-empty.
+    fn probe(
+        &self,
+        hash: u64,
+        is_match: impl Fn(&Tuple) -> bool,
+    ) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                FREE => return Err(slot),
+                row if is_match(&self.tuples[row]) => return Ok(row),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Re-seat every row in a table of `capacity` slots (a power of two).
+    fn rebuild(&mut self, capacity: usize) {
+        self.slots.clear();
+        self.slots.resize(capacity, FREE);
+        let mask = capacity - 1;
+        for (row, t) in self.tuples.iter().enumerate() {
+            let mut slot = hash_values(t) as usize & mask;
+            while self.slots[slot] != FREE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = row;
+        }
+    }
+
+    /// Make room for `additional` more facts, so a bulk load grows (and
+    /// re-hashes) the table once instead of once per doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tuples.reserve(additional);
+        let needed = (self.tuples.len() + additional) * 2;
+        if needed > self.slots.len() {
+            self.rebuild(needed.next_power_of_two().max(8));
+        }
+    }
+
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        if self.set.insert(t.clone()) {
-            self.tuples.push(t);
-            true
-        } else {
-            false
+        self.reserve(1);
+        match self.probe(hash_values(&t), |f| *f == t) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.slots[slot] = self.tuples.len();
+                self.tuples.push(t);
+                true
+            }
         }
+    }
+
+    /// Row id of the fact with exactly these values, if present.
+    pub(crate) fn find(&self, values: &[Value]) -> Option<usize> {
+        if self.tuples.is_empty() {
+            return None;
+        }
+        self.probe(hash_values(values), |f| f.values() == values).ok()
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.set.contains(t)
+        self.find(t.values()).is_some()
+    }
+
+    /// Whether the set holds `t` projected onto `cols` — without building
+    /// the projection. `cols` must be in range for `t`.
+    pub(crate) fn contains_projection(&self, t: &Tuple, cols: &[usize]) -> bool {
+        if self.tuples.is_empty() {
+            return false;
+        }
+        let projected = || cols.iter().map(|&c| &t[c]);
+        self.probe(hash_values(projected()), |f| f.iter().eq(projected())).is_ok()
     }
 
     /// Remove a fact, preserving the insertion order of the rest; returns
-    /// `true` if it was present.
+    /// `true` if it was present. Later rows move down one id, so the table
+    /// is rebuilt — the arena shift is O(n) already.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if self.set.remove(t) {
-            let pos = self.tuples.iter().position(|x| x == t).expect("set and vec agree");
-            self.tuples.remove(pos);
-            true
-        } else {
-            false
-        }
+        let Some(row) = self.find(t.values()) else { return false };
+        self.tuples.remove(row);
+        self.rebuild(self.slots.len());
+        true
     }
 
     /// Remove every fact in `gone` in one pass, preserving the insertion
@@ -71,13 +158,21 @@ impl FactSet {
     pub fn remove_all(&mut self, gone: &HashSet<Tuple>) -> usize {
         let before = self.tuples.len();
         self.tuples.retain(|t| !gone.contains(t));
-        self.set.retain(|t| !gone.contains(t));
-        before - self.tuples.len()
+        let removed = before - self.tuples.len();
+        if removed > 0 {
+            self.rebuild(self.slots.len());
+        }
+        removed
     }
 
     /// Facts in insertion order.
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples
+    }
+
+    /// The facts in insertion order, consuming the set.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
     }
 
     /// Number of facts.
@@ -91,10 +186,13 @@ impl FactSet {
     }
 }
 
-/// A fact database: predicate name → fact set.
+/// A fact database: predicate name → fact set. Relations are
+/// reference-counted and copied on first write, so cloning a database costs
+/// O(#predicates) and a relation nobody writes is never copied — an engine
+/// run shares its untouched extensional input with the caller.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    rels: HashMap<String, FactSet>,
+    rels: HashMap<String, Arc<FactSet>>,
     /// Per-predicate *reorder epoch*: bumped by every mutation that can
     /// shrink or rewrite a predicate's row-id space (removals, clears,
     /// wholesale replacement) — never by inserts, which only append. A
@@ -112,9 +210,21 @@ impl Database {
         Database::default()
     }
 
-    /// Insert a fact; returns `true` if new.
+    /// Insert a fact; returns `true` if new. Only a predicate's first fact
+    /// allocates its name, and a duplicate never copies a shared relation.
     pub fn insert(&mut self, pred: &str, t: Tuple) -> bool {
-        self.rels.entry(pred.to_string()).or_default().insert(t)
+        match self.rels.get_mut(pred) {
+            Some(rel) => match Arc::get_mut(rel) {
+                Some(fs) => fs.insert(t),
+                None => !rel.contains(&t) && Arc::make_mut(rel).insert(t),
+            },
+            None => {
+                let mut fs = FactSet::default();
+                fs.insert(t);
+                self.rels.insert(pred.to_string(), Arc::new(fs));
+                true
+            }
+        }
     }
 
     /// Whether the fact is present.
@@ -125,7 +235,10 @@ impl Database {
     /// Remove a fact, preserving the insertion order of the remaining facts
     /// of the predicate; returns `true` if it was present.
     pub fn remove(&mut self, pred: &str, t: &Tuple) -> bool {
-        let removed = self.rels.get_mut(pred).is_some_and(|fs| fs.remove(t));
+        let removed = self
+            .rels
+            .get_mut(pred)
+            .is_some_and(|rel| rel.contains(t) && Arc::make_mut(rel).remove(t));
         if removed {
             self.bump_epoch(pred);
         }
@@ -136,7 +249,13 @@ impl Database {
     /// preserving the insertion order of the rest; returns how many were
     /// present and removed.
     pub fn remove_facts(&mut self, pred: &str, gone: &HashSet<Tuple>) -> usize {
-        let removed = self.rels.get_mut(pred).map_or(0, |fs| fs.remove_all(gone));
+        let removed = self.rels.get_mut(pred).map_or(0, |rel| {
+            if gone.iter().any(|t| rel.contains(t)) {
+                Arc::make_mut(rel).remove_all(gone)
+            } else {
+                0
+            }
+        });
         if removed > 0 {
             self.bump_epoch(pred);
         }
@@ -171,7 +290,23 @@ impl Database {
 
     /// The fact set for a predicate, if any.
     pub fn fact_set(&self, pred: &str) -> Option<&FactSet> {
-        self.rels.get(pred)
+        self.rels.get(pred).map(|rel| &**rel)
+    }
+
+    /// The shared handle of a predicate's fact set, if any — for handing
+    /// the relation to another database without copying a tuple.
+    pub(crate) fn shared_fact_set(&self, pred: &str) -> Option<Arc<FactSet>> {
+        self.rels.get(pred).cloned()
+    }
+
+    /// Whether `pred` is one relation, not two equal copies, in `self` and
+    /// `other` — the copy-on-write sharing the tests pin.
+    #[cfg(test)]
+    pub(crate) fn shares(&self, pred: &str, other: &Database) -> bool {
+        match (self.rels.get(pred), other.rels.get(pred)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Predicate names, sorted (deterministic iteration).
@@ -188,28 +323,20 @@ impl Database {
 
     /// Bulk-load all tuples of a [`vada_common::Relation`] under its name.
     pub fn insert_relation(&mut self, rel: &vada_common::Relation) {
-        let fs = self.rels.entry(rel.name().to_string()).or_default();
+        let fs = Arc::make_mut(self.rels.entry(rel.name().to_string()).or_default());
+        fs.reserve(rel.len());
         for t in rel.iter() {
             fs.insert(t.clone());
         }
     }
 
-    /// Merge another database into this one.
-    pub fn merge(&mut self, other: &Database) {
-        for (pred, fs) in &other.rels {
-            let dst = self.rels.entry(pred.clone()).or_default();
-            for t in fs.tuples() {
-                dst.insert(t.clone());
-            }
-        }
-    }
-
     /// Replace the fact set of one predicate wholesale. Used by the
     /// incremental layer to re-establish the scratch insertion order of a
-    /// multi-rule head after a delta pass; never exposed publicly because
+    /// multi-rule head after a delta pass, and by the demand rewrite to
+    /// share extensional relations; never exposed publicly because
     /// arbitrary replacement would break the append-only order reasoning.
-    pub(crate) fn set_fact_set(&mut self, pred: &str, fs: FactSet) {
-        self.rels.insert(pred.to_string(), fs);
+    pub(crate) fn set_fact_set(&mut self, pred: &str, fs: impl Into<Arc<FactSet>>) {
+        self.rels.insert(pred.to_string(), fs.into());
         // replacement gives no prefix guarantee, so row ids may have moved
         self.bump_epoch(pred);
     }
@@ -367,14 +494,15 @@ impl Engine {
                 .map(|&ri| CompiledRule::compile(&program.rules[ri], ri))
                 .collect::<Result<_>>()?;
             for cr in &compiled {
-                // join-planner telemetry: which positive literals got an
-                // indexable lookup shape vs a scan — a per-rule compile
+                // join-planner telemetry: which positive literals have a
+                // bound column (served by an index) and which are
+                // generators, enumerated in full — a per-rule compile
                 // decision, so the tallies are knob-invariant up to the
                 // program being evaluated
                 let indexed = cr.indexed_lookups().len();
                 obs.add(obs_key::JOIN_INDEXED, indexed as u64);
                 obs.add(
-                    obs_key::JOIN_SCAN,
+                    obs_key::JOIN_GENERATOR,
                     (cr.positive_lit_indices.len() - indexed) as u64,
                 );
                 for (pred, cols) in cr.indexed_lookups() {
@@ -382,6 +510,28 @@ impl Engine {
                 }
             }
             let recursive = strat.recursive_preds(program, stratum);
+            // a rule's emissions enter the database under its own head,
+            // filtered by demand; returns how many were new. Only a
+            // recursive head's new facts are copied into the delta — no
+            // pass ever reads the others back.
+            let absorb = |db: &mut Database, delta: &mut Database, head, derived: Vec<Tuple>| {
+                let feeds_delta = recursive.contains(head);
+                let mut fresh = 0usize;
+                for t in derived {
+                    if demand.is_some_and(|d| !d.keeps(head, &t)) {
+                        continue;
+                    }
+                    if feeds_delta {
+                        if db.insert(head, t.clone()) {
+                            delta.insert(head, t);
+                            fresh += 1;
+                        }
+                    } else if db.insert(head, t) {
+                        fresh += 1;
+                    }
+                }
+                fresh
+            };
             // body predicates per rule, for independence batching: a rule
             // that reads a predicate written earlier in the same pass must
             // observe those writes, so it cannot share a snapshot with the
@@ -404,6 +554,8 @@ impl Engine {
             // the same snapshot; their derivations then insert in rule
             // order, reproducing the sequential pass byte for byte.
             let mut delta = Database::new();
+            // facts the last pass added: what keeps the iteration going
+            let mut fresh = 0usize;
             let all_rules: Vec<usize> = (0..compiled.len()).collect();
             let initial_par = self.pass_parallelism(db.total_facts());
             obs.incr(obs_key::STRATUM_PASSES);
@@ -414,24 +566,17 @@ impl Engine {
                     initial_par,
                     "datalog/stratum-initial",
                     &batch,
-                    |_, &ci| self.eval_rule_with(&compiled[ci], &db, None, Some(&store)),
+                    |_, &ci| self.eval_rule(&compiled[ci], &db, None, Some(&store)),
                 )?;
-                for derived in outs {
-                    for (pred, t) in derived {
-                        if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
-                            continue;
-                        }
-                        if db.insert(&pred, t.clone()) {
-                            delta.insert(&pred, t);
-                        }
-                    }
+                for (&ci, derived) in batch.iter().zip(outs) {
+                    fresh += absorb(&mut db, &mut delta, rule_heads[ci], derived);
                 }
             }
             self.check_size(&db)?;
 
             // semi-naive iteration
             let mut iter = 0usize;
-            while delta.total_facts() > 0 {
+            while fresh > 0 {
                 iter += 1;
                 if iter > self.config.max_iterations {
                     return Err(VadaError::Eval(format!(
@@ -440,6 +585,7 @@ impl Engine {
                     )));
                 }
                 let mut new_delta = Database::new();
+                let mut new_fresh = 0usize;
                 // one pass per occurrence of a recursive predicate, in the
                 // same flattened (rule, occurrence) order the sequential
                 // loop visits; pass eligibility depends only on the
@@ -464,7 +610,7 @@ impl Engine {
                     }
                 }
                 let pass_rules: Vec<usize> = passes.iter().map(|&(ci, _)| ci).collect();
-                let delta_par = self.pass_parallelism(delta.total_facts());
+                let delta_par = self.pass_parallelism(fresh);
                 obs.incr(obs_key::DELTA_PASSES);
                 for batch in independent_batches(&pass_rules, &rule_reads, &rule_heads) {
                     store.refresh(&db, fault)?;
@@ -475,7 +621,7 @@ impl Engine {
                         &batch,
                         |_, &pi| {
                             let (ci, occ) = passes[pi];
-                            self.eval_rule_with(
+                            self.eval_rule(
                                 &compiled[ci],
                                 &db,
                                 Some(DeltaSpec::Insert { delta: &delta, occ }),
@@ -483,19 +629,14 @@ impl Engine {
                             )
                         },
                     )?;
-                    for derived in outs {
-                        for (pred, t) in derived {
-                            if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
-                                continue;
-                            }
-                            if db.insert(&pred, t.clone()) {
-                                new_delta.insert(&pred, t);
-                            }
-                        }
+                    for (&pi, derived) in batch.iter().zip(outs) {
+                        new_fresh +=
+                            absorb(&mut db, &mut new_delta, rule_heads[passes[pi].0], derived);
                     }
                 }
                 self.check_size(&db)?;
                 delta = new_delta;
+                fresh = new_fresh;
             }
             stratum_span.attr("delta_passes", iter);
         }
@@ -507,15 +648,11 @@ impl Engine {
     /// database; returns the distinct head tuples.
     pub fn eval_query(&self, query: &Rule, db: &Database) -> Result<Vec<Tuple>> {
         let cr = CompiledRule::compile(query, usize::MAX)?;
-        let derived = self.eval_rule(&cr, db, None)?;
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for (_, t) in derived {
-            if seen.insert(t.clone()) {
-                out.push(t);
-            }
+        let mut answers = FactSet::default();
+        for t in self.eval_rule(&cr, db, None, None)? {
+            answers.insert(t);
         }
-        Ok(out)
+        Ok(answers.into_tuples())
     }
 
     /// Engine configuration (read access for the incremental layer).
@@ -546,49 +683,49 @@ impl Engine {
         Ok(())
     }
 
-    /// Evaluate one rule; returns `(pred, tuple)` pairs (possibly with
-    /// duplicates — the caller dedups on insert).
+    /// Evaluate one rule; returns its head tuples in emission order
+    /// (possibly with duplicates — the caller dedups on insert, under the
+    /// compiled rule's head predicate). `shared` is the run's
+    /// [`IndexStore`] over `db`, serving full-database lookups;
+    /// delta/filtered sources, and every source without a store, build
+    /// their index lazily per call.
     pub(crate) fn eval_rule(
         &self,
         cr: &CompiledRule,
         db: &Database,
         spec: Option<DeltaSpec<'_>>,
-    ) -> Result<Vec<(String, Tuple)>> {
-        self.eval_rule_with(cr, db, spec, None)
-    }
-
-    /// [`Engine::eval_rule`] with an optional shared [`IndexStore`] over
-    /// `db` for full-database lookups; delta/filtered sources keep their
-    /// lazy per-call indexes either way.
-    pub(crate) fn eval_rule_with(
-        &self,
-        cr: &CompiledRule,
-        db: &Database,
-        spec: Option<DeltaSpec<'_>>,
         shared: Option<&IndexStore>,
-    ) -> Result<Vec<(String, Tuple)>> {
-        let ctx = EvalCtx { db, spec, shared, cache: RefCell::new(HashMap::new()) };
+    ) -> Result<Vec<Tuple>> {
+        let ctx = EvalCtx::new(cr, db, spec, shared);
         let mut binding: Binding = vec![None; cr.rule.var_count];
+        let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut results = Vec::new();
 
-        if cr.rule.has_aggregate() {
+        let outcome = if cr.rule.has_aggregate() {
             let mut rows: Vec<Binding> = Vec::new();
             let mut seen: HashSet<Vec<Option<Value>>> = HashSet::new();
-            join(cr, &ctx, 0, &mut binding, &mut |b| {
+            join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
                 if seen.insert(b.to_vec()) {
                     rows.push(b.to_vec());
                 }
                 Ok(())
-            })?;
-            aggregate(cr, &rows, &mut results)?;
+            })
+            .and_then(|()| aggregate(cr, &rows, &mut results))
         } else {
             let cfg_depth = self.config.max_skolem_depth;
-            join(cr, &ctx, 0, &mut binding, &mut |b| {
-                let t = head_tuple(cr, b, cfg_depth)?;
-                results.push((cr.rule.head_pred.clone(), t));
+            join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
+                results.push(head_tuple(cr, b, cfg_depth)?);
                 Ok(())
-            })?;
+            })
+        };
+        // probe tallies are commutative adds: the total depends only on
+        // which (literal, binding) probes the evaluation performs — fixed
+        // by the program and database — never on worker scheduling; one
+        // add per evaluation keeps the registry lock off the probe path
+        if let Some(store) = shared.filter(|_| ctx.probes.get() > 0) {
+            store.obs.add(obs_key::INDEX_PROBES, ctx.probes.get());
         }
+        outcome?;
         Ok(results)
     }
 
@@ -643,15 +780,11 @@ impl Engine {
                 HeadTerm::Agg(..) => unreachable!("aggregate rules rejected above"),
             }
         }
-        let ctx = EvalCtx {
-            db,
-            spec: Some(DeltaSpec::Except { dead }),
-            shared: None,
-            cache: RefCell::new(HashMap::new()),
-        };
+        let ctx = EvalCtx::new(cr, db, Some(DeltaSpec::Except { dead }), None);
+        let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut found = false;
         let depth = self.config.max_skolem_depth;
-        let outcome = join(cr, &ctx, 0, &mut binding, &mut |b| {
+        let outcome = join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
             if head_tuple(cr, b, depth)? == *fact {
                 found = true;
                 return Err(VadaError::Eval(STOP_SENTINEL.into()));
@@ -701,6 +834,26 @@ pub(crate) fn independent_batches(
 /// Build the head tuple for a satisfied binding, inventing skolems for
 /// existential variables.
 fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<Tuple> {
+    // no existential head variable (the common case): every term resolves,
+    // so the tuple is built directly — no frontier, no skolem table
+    let mut values = Vec::with_capacity(cr.rule.head_terms.len());
+    for ht in &cr.rule.head_terms {
+        match ht {
+            HeadTerm::Term(t) => match resolve(t, binding) {
+                Some(v) => values.push(v),
+                None => return skolemized_head_tuple(cr, binding, max_depth),
+            },
+            HeadTerm::Agg(..) => {
+                return Err(VadaError::Eval("aggregate outside aggregate path".into()))
+            }
+        }
+    }
+    Ok(Tuple::new(values))
+}
+
+/// [`head_tuple`] for a head with an existential variable: one skolem per
+/// variable, over the frontier of resolved head values.
+fn skolemized_head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<Tuple> {
     // frontier: resolved non-existential head var/const values, in order
     let mut frontier: Vec<Value> = Vec::new();
     for ht in &cr.rule.head_terms {
@@ -743,7 +896,7 @@ fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<
 fn aggregate(
     cr: &CompiledRule,
     rows: &[Binding],
-    out: &mut Vec<(String, Tuple)>,
+    out: &mut Vec<Tuple>,
 ) -> Result<()> {
     use crate::ast::AggFunc;
     // group key: resolved plain head terms
@@ -814,7 +967,7 @@ fn aggregate(
                 }
             }
         }
-        out.push((cr.rule.head_pred.clone(), Tuple::new(values)));
+        out.push(Tuple::new(values));
     }
     Ok(())
 }
@@ -997,7 +1150,7 @@ struct SharedIndex {
     /// ids point at different facts, so the index is version-keyed on the
     /// reorder epoch and rebuilt whenever it no longer matches.
     epoch: u64,
-    map: HashMap<Tuple, Vec<usize>>,
+    map: RowIndex,
 }
 
 impl IndexStore {
@@ -1021,9 +1174,7 @@ impl IndexStore {
     /// knob: `"index-build"` panics here (on every call, whether or not
     /// work was pending, so fault identity is schedule-independent),
     /// surfacing as a [`VadaError::Parallel`] naming the
-    /// `datalog/index_build` stage. Rows too short to project
-    /// (mixed-arity predicates) are skipped — the join's arity check
-    /// would reject them anyway.
+    /// `datalog/index_build` stage.
     pub(crate) fn refresh(&mut self, db: &Database, fault: Option<&'static str>) -> Result<bool> {
         let mut built = false;
         magic::guard_stage("datalog/index_build", || {
@@ -1043,11 +1194,7 @@ impl IndexStore {
                         continue;
                     }
                     built = true;
-                    for (row, t) in facts.iter().enumerate().skip(index.covered) {
-                        if cols.iter().all(|&c| c < t.arity()) {
-                            index.map.entry(t.project(cols)).or_default().push(row);
-                        }
-                    }
+                    index_rows(&mut index.map, cols, facts.iter().enumerate().skip(index.covered));
                     index.covered = facts.len();
                 }
             }
@@ -1059,19 +1206,12 @@ impl IndexStore {
         Ok(built)
     }
 
-    /// Row ids matching `key`, if this shape is registered and covers the
+    /// The index for this lookup shape, if it is registered and covers the
     /// predicate's current length *and* reorder epoch (`None` falls back
     /// to the lazy index).
-    fn lookup(&self, db: &Database, pred: &str, cols: &[usize], key: &Tuple) -> Option<Vec<usize>> {
+    fn current(&self, db: &Database, pred: &str, cols: &[usize]) -> Option<&SharedIndex> {
         let index = self.indexes.get(pred)?.get(cols)?;
-        if index.covered != db.facts(pred).len() || index.epoch != db.epoch(pred) {
-            return None;
-        }
-        // probe tallies are commutative adds: the total depends only on
-        // which (literal, binding) probes the evaluation performs — fixed
-        // by the program and database — never on worker scheduling
-        self.obs.incr(obs_key::INDEX_PROBES);
-        Some(index.map.get(key).cloned().unwrap_or_default())
+        (index.covered == db.facts(pred).len() && index.epoch == db.epoch(pred)).then_some(index)
     }
 }
 
@@ -1109,120 +1249,187 @@ pub(crate) enum DeltaSpec<'a> {
     },
 }
 
-/// Index namespace per source shape (full / delta / filtered view).
-type IndexKey = (u8, String, Vec<usize>);
+/// Projection → ascending row ids: the shape of every join index.
+type RowIndex = HashMap<Tuple, Vec<usize>>;
 
-/// One positive literal's resolved source: the backing database, its index
-/// namespace, and an optional set of facts to treat as absent.
-struct SourceSel<'a> {
-    db: &'a Database,
-    tag: u8,
-    minus: Option<&'a Database>,
+/// File `rows` (ascending) under their projection on `cols`. Rows too short
+/// to project (mixed-arity predicates) are skipped — the join's arity check
+/// would reject them anyway.
+fn index_rows<'t>(
+    index: &mut RowIndex,
+    cols: &[usize],
+    rows: impl Iterator<Item = (usize, &'t Tuple)>,
+) {
+    for (row, t) in rows {
+        if cols.iter().all(|&c| c < t.arity()) {
+            index.entry(t.project(cols)).or_default().push(row);
+        }
+    }
+}
+
+/// One positive literal's source, resolved once per rule evaluation — the
+/// database is immutable while a rule evaluates, so no probe repeats a
+/// predicate lookup or an index staleness check.
+struct Source<'a> {
+    facts: &'a [Tuple],
+    /// Facts to treat as absent (the retraction views).
+    minus: Option<&'a FactSet>,
+    /// The run's shared index for this lookup shape, when the literal reads
+    /// the full database and the store is current.
+    shared: Option<&'a RowIndex>,
+    /// Slot in [`EvalCtx::lazy`] of the per-call index otherwise.
+    lazy: usize,
+}
+
+/// What the join needs of the literal at one evaluation-order position.
+enum Resolved<'a> {
+    Pos(Source<'a>),
+    /// The relation a negated atom must be absent from, if it exists.
+    Neg(Option<&'a FactSet>),
+    Cmp,
+}
+
+/// Reused buffers of one join depth.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// The bound-column key of the current probe (or the whole negated
+    /// atom), so probing allocates nothing.
+    key: Vec<Value>,
+    /// Variables the literal binds in the current call; reset after every
+    /// row in place of a per-row trail.
+    fresh: Vec<usize>,
 }
 
 struct EvalCtx<'a> {
-    db: &'a Database,
-    spec: Option<DeltaSpec<'a>>,
-    /// persistent indexes over `db` (full-source lookups only)
-    shared: Option<&'a IndexStore>,
-    /// lazily built hash indexes: (tag, pred, cols) → key → row ids
-    cache: RefCell<HashMap<IndexKey, HashMap<Tuple, Vec<usize>>>>,
+    /// Aligned with `CompiledRule::order`.
+    lits: Vec<Resolved<'a>>,
+    /// Lazily built indexes, one per distinct (source, pred, cols) shape.
+    lazy: Vec<OnceCell<RowIndex>>,
+    /// Shared-index probes served, flushed to the registry by `eval_rule`.
+    probes: Cell<u64>,
 }
 
 impl<'a> EvalCtx<'a> {
-    fn source_for(&self, cr: &CompiledRule, lit_idx: usize) -> SourceSel<'a> {
-        let full = SourceSel { db: self.db, tag: 0, minus: None };
-        match self.spec {
-            None => full,
-            Some(DeltaSpec::Insert { delta, occ }) => {
-                if cr.occurrence_of(lit_idx) == Some(occ) {
-                    SourceSel { db: delta, tag: 1, minus: None }
-                } else {
-                    full
+    fn new(
+        cr: &CompiledRule,
+        db: &'a Database,
+        spec: Option<DeltaSpec<'a>>,
+        shared: Option<&'a IndexStore>,
+    ) -> EvalCtx<'a> {
+        // index namespaces: the full database, the delta, a filtered view
+        const FULL: u8 = 0;
+        const DELTA: u8 = 1;
+        const FILTERED: u8 = 2;
+        let mut shapes: Vec<(u8, &str, &[usize])> = Vec::new();
+        let lits = cr
+            .order
+            .iter()
+            .zip(&cr.bound_positions)
+            .map(|(&lit_idx, cols)| match &cr.rule.body[lit_idx] {
+                Literal::Pos(atom) => {
+                    let (source, tag, minus) = match (spec, cr.occurrence_of(lit_idx)) {
+                        (Some(DeltaSpec::Insert { delta, occ }), Some(o)) if o == occ => {
+                            (delta, DELTA, None)
+                        }
+                        (Some(DeltaSpec::Delete { removed, occ }), Some(o)) if o == occ => {
+                            (removed, DELTA, None)
+                        }
+                        (Some(DeltaSpec::Delete { removed, occ }), Some(o)) if o < occ => {
+                            (db, FILTERED, Some(removed))
+                        }
+                        (Some(DeltaSpec::Except { dead }), _) => (db, FILTERED, Some(dead)),
+                        _ => (db, FULL, None),
+                    };
+                    let shape = (tag, atom.pred.as_str(), cols.as_slice());
+                    let lazy = shapes.iter().position(|s| *s == shape).unwrap_or_else(|| {
+                        shapes.push(shape);
+                        shapes.len() - 1
+                    });
+                    Resolved::Pos(Source {
+                        facts: source.facts(&atom.pred),
+                        minus: minus.and_then(|m| m.fact_set(&atom.pred)),
+                        shared: shared
+                            .filter(|_| tag == FULL && !cols.is_empty())
+                            .and_then(|s| s.current(db, &atom.pred, cols))
+                            .map(|index| &index.map),
+                        lazy,
+                    })
                 }
-            }
-            Some(DeltaSpec::Delete { removed, occ }) => {
-                match cr.occurrence_of(lit_idx) {
-                    Some(o) if o == occ => SourceSel { db: removed, tag: 1, minus: None },
-                    Some(o) if o < occ => {
-                        SourceSel { db: self.db, tag: 2, minus: Some(removed) }
-                    }
-                    _ => full,
-                }
-            }
-            Some(DeltaSpec::Except { dead }) => {
-                SourceSel { db: self.db, tag: 2, minus: Some(dead) }
-            }
+                Literal::Neg(atom) => Resolved::Neg(db.fact_set(&atom.pred)),
+                Literal::Cmp(..) => Resolved::Cmp,
+            })
+            .collect();
+        EvalCtx {
+            lits,
+            lazy: shapes.iter().map(|_| OnceCell::new()).collect(),
+            probes: Cell::new(0),
         }
     }
 
-    /// Row ids of `pred` facts (within the selected source, respecting its
-    /// exclusion set) whose projection on `cols` equals `key`.
-    fn candidates(&self, sel: &SourceSel<'a>, pred: &str, cols: &[usize], key: &Tuple) -> Vec<usize> {
-        let visible = |t: &Tuple| sel.minus.is_none_or(|m| !m.contains(pred, t));
-        if cols.is_empty() {
-            return sel
-                .db
-                .facts(pred)
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| visible(t))
-                .map(|(row, _)| row)
-                .collect();
-        }
-        // the full-database source first consults the run's shared indexes
-        if sel.tag == 0 && sel.minus.is_none() {
-            if let Some(rows) = self
-                .shared
-                .and_then(|s| s.lookup(sel.db, pred, cols, key))
-            {
-                return rows;
+    /// Row ids of `src` whose projection on `cols` (non-empty) equals
+    /// `key`, ascending — borrowed from the index that serves them.
+    fn matching_rows<'c>(&'c self, src: &Source<'c>, cols: &[usize], key: &[Value]) -> &'c [usize] {
+        let index = match src.shared {
+            Some(index) => {
+                self.probes.set(self.probes.get() + 1);
+                index
             }
-        }
-        let cache_key = (sel.tag, pred.to_string(), cols.to_vec());
-        let mut cache = self.cache.borrow_mut();
-        let index = cache.entry(cache_key).or_insert_with(|| {
-            let mut idx: HashMap<Tuple, Vec<usize>> = HashMap::new();
-            for (row, t) in sel.db.facts(pred).iter().enumerate() {
-                if visible(t) && cols.iter().all(|&c| c < t.arity()) {
-                    idx.entry(t.project(cols)).or_default().push(row);
-                }
-            }
-            idx
-        });
-        index.get(key).cloned().unwrap_or_default()
+            None => self.lazy[src.lazy].get_or_init(|| {
+                let mut index = RowIndex::new();
+                let visible = src
+                    .facts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| src.minus.is_none_or(|m| !m.contains(t)));
+                index_rows(&mut index, cols, visible);
+                index
+            }),
+        };
+        index.get(key).map_or(&[], Vec::as_slice)
     }
 }
 
 /// Recursive join over the compiled literal order. Calls `emit` for every
-/// satisfying binding.
+/// satisfying binding. `scratch` holds one buffer set per remaining depth.
 fn join(
     cr: &CompiledRule,
     ctx: &EvalCtx,
     depth: usize,
     binding: &mut Binding,
+    scratch: &mut [Scratch],
     emit: &mut dyn FnMut(&Binding) -> Result<()>,
 ) -> Result<()> {
-    if depth == cr.order.len() {
+    let Some((cur, scratch)) = scratch.split_first_mut() else {
         return emit(binding);
-    }
+    };
     let lit_idx = cr.order[depth];
-    match &cr.rule.body[lit_idx] {
-        Literal::Pos(atom) => {
-            let sel = ctx.source_for(cr, lit_idx);
+    match (&cr.rule.body[lit_idx], &ctx.lits[depth]) {
+        (Literal::Pos(atom), Resolved::Pos(src)) => {
             let cols = &cr.bound_positions[depth];
-            let key: Tuple = cols
-                .iter()
-                .map(|&p| resolve(&atom.terms[p], binding).expect("bound position must resolve"))
-                .collect();
-            let rows = ctx.candidates(&sel, &atom.pred, cols, &key);
-            let facts = sel.db.facts(&atom.pred);
-            for row in rows {
-                let fact = &facts[row];
+            cur.key.clear();
+            cur.key.extend(cols.iter().map(|&p| {
+                resolve(&atom.terms[p], binding).expect("bound position must resolve")
+            }));
+            cur.fresh.clear();
+            cur.fresh.extend(atom.terms.iter().filter_map(|t| match t {
+                Term::Var(id, _) if binding[*id].is_none() => Some(*id),
+                _ => None,
+            }));
+            // an unbound literal walks the whole relation (and must skip
+            // the hidden facts itself); a bound one walks its index entry
+            let (all, indexed) = if cols.is_empty() {
+                (0..src.facts.len(), &[][..])
+            } else {
+                (0..0, ctx.matching_rows(src, cols, &cur.key))
+            };
+            for row in all.chain(indexed.iter().copied()) {
+                let fact = &src.facts[row];
                 if fact.arity() != atom.terms.len() {
                     continue;
                 }
-                let mut trail: Vec<usize> = Vec::new();
+                if cols.is_empty() && src.minus.is_some_and(|m| m.contains(fact)) {
+                    continue;
+                }
                 let mut ok = true;
                 for (t, v) in atom.terms.iter().zip(fact.iter()) {
                     match t {
@@ -1239,40 +1446,36 @@ fn join(
                                     break;
                                 }
                             }
-                            None => {
-                                binding[*id] = Some(v.clone());
-                                trail.push(*id);
-                            }
+                            None => binding[*id] = Some(v.clone()),
                         },
                     }
                 }
                 if ok {
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, scratch, emit)?;
                 }
-                for id in trail {
+                for &id in &cur.fresh {
                     binding[id] = None;
                 }
             }
             Ok(())
         }
-        Literal::Neg(atom) => {
-            let t: Option<Tuple> = atom
-                .terms
-                .iter()
-                .map(|t| resolve(t, binding))
-                .collect();
-            let Some(t) = t else {
-                return Err(VadaError::Eval(format!(
-                    "unbound variable in negated atom `{atom}` of rule `{}`",
-                    cr.rule
-                )));
-            };
-            if !ctx.db.contains(&atom.pred, &t) {
-                join(cr, ctx, depth + 1, binding, emit)?;
+        (Literal::Neg(atom), Resolved::Neg(rel)) => {
+            cur.key.clear();
+            for t in &atom.terms {
+                let Some(v) = resolve(t, binding) else {
+                    return Err(VadaError::Eval(format!(
+                        "unbound variable in negated atom `{atom}` of rule `{}`",
+                        cr.rule
+                    )));
+                };
+                cur.key.push(v);
+            }
+            if !rel.is_some_and(|fs| fs.find(&cur.key).is_some()) {
+                join(cr, ctx, depth + 1, binding, scratch, emit)?;
             }
             Ok(())
         }
-        Literal::Cmp(op, l, r) => {
+        (Literal::Cmp(op, l, r), _) => {
             let l_bound = expr_bound(l, binding);
             let r_bound = expr_bound(r, binding);
             match (l_bound, r_bound) {
@@ -1280,7 +1483,7 @@ fn join(
                     let lv = eval_expr(l, binding)?;
                     let rv = eval_expr(r, binding)?;
                     if apply_cmp(*op, &lv, &rv) {
-                        join(cr, ctx, depth + 1, binding, emit)?;
+                        join(cr, ctx, depth + 1, binding, scratch, emit)?;
                     }
                     Ok(())
                 }
@@ -1293,7 +1496,7 @@ fn join(
                     };
                     let lv = eval_expr(l, binding)?;
                     binding[var] = Some(lv);
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, scratch, emit)?;
                     binding[var] = None;
                     Ok(())
                 }
@@ -1306,7 +1509,7 @@ fn join(
                     };
                     let rv = eval_expr(r, binding)?;
                     binding[var] = Some(rv);
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, scratch, emit)?;
                     binding[var] = None;
                     Ok(())
                 }
@@ -1316,6 +1519,7 @@ fn join(
                 ))),
             }
         }
+        _ => unreachable!("`EvalCtx::new` resolves each literal by its own kind"),
     }
 }
 
@@ -1335,6 +1539,18 @@ mod tests {
         Engine::default()
             .run(&parse_program(src).unwrap(), Database::new())
             .unwrap()
+    }
+
+    /// The row ids the store serves for `key`; `None` when it is stale.
+    fn lookup(
+        store: &IndexStore,
+        db: &Database,
+        pred: &str,
+        cols: &[usize],
+        key: &Tuple,
+    ) -> Option<Vec<usize>> {
+        let index = store.current(db, pred, cols)?;
+        Some(index.map.get(key.values()).cloned().unwrap_or_default())
     }
 
     #[test]
@@ -1506,6 +1722,88 @@ mod tests {
     }
 
     #[test]
+    fn clones_are_isolated_copy_on_write() {
+        let mut original = Database::new();
+        for i in 0..4i64 {
+            original.insert("p", tuple![i]);
+            original.insert("q", tuple![i, i]);
+        }
+        let p_before = original.facts("p").to_vec();
+        let q_before = original.facts("q").to_vec();
+
+        let mut copy = original.clone();
+        assert!(copy.shares("p", &original) && copy.shares("q", &original));
+        // writes that change nothing copy nothing
+        assert!(!copy.insert("p", tuple![2]));
+        assert!(!copy.remove("p", &tuple![99]));
+        assert_eq!(copy.remove_facts("p", &[tuple![98]].into_iter().collect()), 0);
+        assert!(copy.shares("p", &original));
+        assert_eq!(copy.epoch("p"), 0);
+
+        // an append, a removal and a clear on the clone never reach the
+        // original — facts or epoch
+        assert!(copy.insert("p", tuple![10]));
+        assert!(copy.remove("p", &tuple![0]));
+        copy.clear_predicate("q");
+        assert!(!copy.shares("p", &original));
+        assert_eq!(copy.facts("p"), &[tuple![1], tuple![2], tuple![3], tuple![10]]);
+        assert_eq!((copy.epoch("p"), copy.epoch("q")), (1, 1));
+        assert_eq!(original.facts("p"), p_before);
+        assert_eq!(original.facts("q"), q_before);
+        assert_eq!((original.epoch("p"), original.epoch("q")), (0, 0));
+
+        // and the reverse
+        let copy = original.clone();
+        assert!(original.insert("p", tuple![20]));
+        assert_eq!(original.remove_facts("q", &[tuple![1, 1]].into_iter().collect()), 1);
+        assert_eq!(copy.facts("p"), p_before);
+        assert_eq!(copy.facts("q"), q_before);
+        assert_eq!(copy.epoch("q"), 0);
+        assert!(copy.contains("q", &tuple![1, 1]) && !original.contains("q", &tuple![1, 1]));
+    }
+
+    #[test]
+    fn runs_share_the_relations_they_do_not_write() {
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let engine = Engine::new(EngineConfig { parallelism, ..Default::default() });
+
+            // `Engine::run`: only `a` is written (a ground fact lands in it)
+            let program = parse_program(
+                "a(1000). all(X) :- a(X). all(X) :- b(X). picked(X) :- a(X), k(X).",
+            )
+            .unwrap();
+            let mut input = Database::new();
+            for i in 0..200i64 {
+                input.insert("a", tuple![i]);
+                input.insert("b", tuple![i + 500]);
+                input.insert("k", tuple![i * 2]);
+            }
+            let out = engine.run(&program, input.clone()).unwrap();
+            assert!(out.shares("b", &input) && out.shares("k", &input), "{parallelism:?}");
+            assert!(!out.shares("a", &input));
+            assert_eq!((input.facts("a").len(), out.facts("a").len()), (200, 201));
+            assert_eq!(out.facts("all").len(), 401);
+
+            // `run_query`: the caller's database comes back untouched, and
+            // the directed run read its `e` relation in place
+            let tc = parse_program("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).").unwrap();
+            let mut edges = Database::new();
+            for i in 0..200i64 {
+                edges.insert("e", tuple![i, i + 1]);
+            }
+            let e_before = edges.facts("e").to_vec();
+            let query = parse_query("tc(3, Y)").unwrap();
+            assert_eq!(engine.run_query(&tc, &edges, &query).unwrap().len(), 197);
+            assert_eq!(edges.predicates(), vec!["e"]);
+            assert_eq!(edges.facts("e"), e_before);
+            assert_eq!(edges.epoch("e"), 0);
+            let demanded = engine.run_directed(&tc, edges.clone(), &query).unwrap();
+            assert!(demanded.shares("e", &edges), "{parallelism:?}");
+            assert_eq!(demanded.facts("tc").len(), 197);
+        }
+    }
+
+    #[test]
     fn shrunk_then_regrown_predicate_is_reindexed() {
         // regression: `covered` used to be treated as an append-only
         // watermark, so a predicate that shrank and regrew to the same
@@ -1518,24 +1816,24 @@ mod tests {
         let mut store = IndexStore::default();
         store.register("e", &[0]);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![2]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![2]));
 
         // shrink by one row, regrow to the same length with a new row:
         // facts are now [(1,10), (3,30), (4,40)] — same length as covered
         db.remove("e", &tuple![2, 20]);
         db.insert("e", tuple![4, 40]);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![1]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![4]), Some(vec![2]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![2]), Some(vec![]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![1]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![4]), Some(vec![2]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![2]), Some(vec![]));
 
         // the observable symptom: an indexed join must match a scan-join
         let program = parse_program("q(Y) :- e(4, Y).").unwrap();
         let cr = CompiledRule::compile(&program.rules[0], 0).unwrap();
         let engine = Engine::default();
-        let scan = engine.eval_rule(&cr, &db, None).unwrap();
-        let indexed = engine.eval_rule_with(&cr, &db, None, Some(&store)).unwrap();
-        assert_eq!(scan, vec![("q".to_string(), tuple![40])]);
+        let scan = engine.eval_rule(&cr, &db, None, None).unwrap();
+        let indexed = engine.eval_rule(&cr, &db, None, Some(&store)).unwrap();
+        assert_eq!(scan, vec![tuple![40]]);
         assert_eq!(indexed, scan);
 
         // clear-and-reinsert to the same length (the dependency-view
@@ -1545,8 +1843,8 @@ mod tests {
             db.insert("e", tuple![a, b]);
         }
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![8]), Some(vec![1]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![8]), Some(vec![1]));
+        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![]));
     }
 
     #[test]
@@ -1562,11 +1860,11 @@ mod tests {
         store.register("p", &[0]);
         store.refresh(&db, None).unwrap();
         db.remove("p", &tuple![1]);
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), None);
+        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), None);
         db.insert("p", tuple![3]);
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), None);
+        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), None);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), Some(vec![0]));
+        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), Some(vec![0]));
     }
 
     #[test]
@@ -1631,11 +1929,11 @@ mod tests {
         for occ in 0..2 {
             destroyed.extend(
                 engine
-                    .eval_rule(&cr, &db, Some(DeltaSpec::Delete { removed: &removed, occ }))
+                    .eval_rule(&cr, &db, Some(DeltaSpec::Delete { removed: &removed, occ }), None)
                     .unwrap(),
             );
         }
-        assert_eq!(destroyed, vec![("q".to_string(), tuple![2])]);
+        assert_eq!(destroyed, vec![tuple![2]]);
     }
 
     #[test]

@@ -677,7 +677,7 @@ impl IncrementalSession {
             let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
             let mut seg = FactSet::default();
             let mut cnt: HashMap<Tuple, u64> = HashMap::new();
-            for (_, t) in self.engine.eval_rule(&cr, db, None)? {
+            for t in self.engine.eval_rule(&cr, db, None, None)? {
                 emissions += 1;
                 *cnt.entry(t.clone()).or_insert(0) += 1;
                 seg.insert(t.clone());
@@ -959,17 +959,19 @@ impl IncrementalSession {
                                 &compiled[wi],
                                 &self.db,
                                 Some(DeltaSpec::Insert { delta: &pending, occ }),
+                                None,
                             )
                         },
                     )?;
                     for (wi, out) in batch.iter().zip(outs) {
                         let (ri, _) = wave[*wi];
-                        for (pred, t) in out {
+                        let pred = heads[*wi];
+                        for t in out {
                             // every emission is one new derivation: keep
                             // the retraction path's counts (if captured)
                             // in step
                             if let Some(rcs) =
-                                self.counts.as_mut().and_then(|c| c.get_mut(&pred))
+                                self.counts.as_mut().and_then(|c| c.get_mut(pred))
                             {
                                 let (_, cnt) = rcs
                                     .iter_mut()
@@ -977,7 +979,7 @@ impl IncrementalSession {
                                     .expect("firing rule defines this head");
                                 *cnt.entry(t.clone()).or_insert(0) += 1;
                             }
-                            if let Some(segs) = self.segments.get_mut(&pred) {
+                            if let Some(segs) = self.segments.get_mut(pred) {
                                 // tracked head: record in the rule's
                                 // segment; db order re-established below
                                 if segs
@@ -988,11 +990,11 @@ impl IncrementalSession {
                                     .1
                                     .insert(t)
                                 {
-                                    touched_segments.insert(pred.clone());
+                                    touched_segments.insert(pred.to_string());
                                 }
-                            } else if self.db.insert(&pred, t.clone()) {
+                            } else if self.db.insert(pred, t.clone()) {
                                 derived += 1;
-                                pending.insert(&pred, t);
+                                pending.insert(pred, t);
                             }
                         }
                     }
@@ -1357,13 +1359,14 @@ impl IncrementalSession {
                     &compiled[slot],
                     &self.db,
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
+                    None,
                 )
             },
         )?;
         let mut head_dec: Vec<HashMap<Tuple, u64>> = vec![HashMap::new(); ris.len()];
         let mut emit_order: Vec<Tuple> = Vec::new();
         for (&(slot, _), out) in passes.iter().zip(&outs) {
-            for (_, t) in out {
+            for t in out {
                 *head_dec[slot].entry(t.clone()).or_insert(0) += 1;
                 emit_order.push(t.clone());
             }
@@ -1481,21 +1484,23 @@ impl IncrementalSession {
                         &compiled[ci],
                         &self.db,
                         Some(DeltaSpec::Delete { removed: frontier_view, occ }),
+                        None,
                     )
                 },
             )?;
             let mut next_frontier = Database::new();
-            for out in outs {
-                for (h, t) in out {
+            for (&(ci, _), out) in passes.iter().zip(outs) {
+                let h = &compiled[ci].rule.head_pred;
+                for t in out {
                     // input-prefix facts keep extensional support the
                     // rules cannot see: never over-delete them
-                    if self.db.contains(&h, &t)
-                        && !dead.contains(&h, &t)
-                        && !self.base.contains(&h, &t)
+                    if self.db.contains(h, &t)
+                        && !dead.contains(h, &t)
+                        && !self.base.contains(h, &t)
                     {
-                        dead.insert(&h, t.clone());
-                        next_frontier.insert(&h, t.clone());
-                        deleted.push((h, t));
+                        dead.insert(h, t.clone());
+                        next_frontier.insert(h, t.clone());
+                        deleted.push((h.clone(), t));
                     }
                 }
             }
@@ -2328,7 +2333,7 @@ mod tests {
         for (pred, ri) in [("q", 0usize), ("wide", 1usize)] {
             let cr = CompiledRule::compile(&program.rules[ri], ri).unwrap();
             let mut want: HashMap<Tuple, u64> = HashMap::new();
-            for (_, t) in Engine::default().eval_rule(&cr, &scratch_db, None).unwrap() {
+            for t in Engine::default().eval_rule(&cr, &scratch_db, None, None).unwrap() {
                 *want.entry(t).or_insert(0) += 1;
             }
             assert_eq!(s.derivation_counts(pred).unwrap(), want, "counts drifted for {pred}");

@@ -50,11 +50,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use vada_common::{Result, Tuple, VadaError};
 
 use crate::ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
-use crate::engine::{CompiledRule, Database, Engine, EngineConfig};
+use crate::engine::{CompiledRule, Database, Engine, EngineConfig, FactSet};
 
 /// Guard cap: distinct adornments per predicate before giving up.
 const MAX_ADORNMENTS: usize = 16;
@@ -104,8 +105,9 @@ pub(crate) fn guard_stage<R>(stage: &str, f: impl FnOnce() -> Result<R>) -> Resu
 enum PredDemand {
     /// Derive fully (negation reads it, or no sound restriction exists).
     Unrestricted,
-    /// Keep a fact iff some adornment's demand set contains its projection.
-    Restricted(Vec<(Vec<usize>, HashSet<Tuple>)>),
+    /// Keep a fact iff some adornment's demand set — the demand run's own
+    /// relation, shared — contains its projection.
+    Restricted(Vec<(Vec<usize>, Arc<FactSet>)>),
 }
 
 /// The result of demand analysis for one query: which facts the directed
@@ -142,7 +144,7 @@ impl Demand {
             None => false,
             Some(PredDemand::Unrestricted) => true,
             Some(PredDemand::Restricted(adorns)) => adorns.iter().any(|(cols, set)| {
-                cols.iter().all(|&c| c < t.arity()) && set.contains(&t.project(cols))
+                cols.iter().all(|&c| c < t.arity()) && set.contains_projection(t, cols)
             }),
         }
     }
@@ -541,6 +543,33 @@ fn plan_rule(r: &Rule, stats: &Stats) -> Rule {
     Rule { body, ..r.clone() }
 }
 
+/// The demand run's input: the extensional relations the magic bodies read
+/// — `db`'s own, shared rather than copied, plus the program's ground
+/// fact-rules (the main run loads those only after demand is computed; one
+/// landing in a shared relation copies it first).
+fn demand_input(analysis: &Analysis, program: &Program, db: &Database) -> Database {
+    let mut mdb = Database::new();
+    for pred in &analysis.ext_reads {
+        if let Some(rel) = db.shared_fact_set(pred) {
+            mdb.set_fact_set(pred, rel);
+        }
+    }
+    for rule in &program.rules {
+        if rule.is_fact() && analysis.ext_reads.contains(&rule.head_pred) {
+            let t: Tuple = rule
+                .head_terms
+                .iter()
+                .filter_map(|ht| match ht {
+                    HeadTerm::Term(Term::Const(v)) => Some(v.clone()),
+                    _ => None,
+                })
+                .collect();
+            mdb.insert(&rule.head_pred, t);
+        }
+    }
+    mdb
+}
+
 /// Compute the [`Demand`] for `query` over `program` and the extensional
 /// `db`. Analysis shortfalls fall back to the identity demand (directed ≡
 /// undirected by construction) — only injected rewrite-stage panics
@@ -574,28 +603,7 @@ pub(crate) fn demand_for(
         });
     }
 
-    // demand database: the extensional relations the magic bodies read —
-    // from the input database AND from the program's own ground fact-rules
-    // (the main run loads those only after demand is computed)
-    let mut mdb = Database::new();
-    for pred in &analysis.ext_reads {
-        for t in db.facts(pred) {
-            mdb.insert(pred, t.clone());
-        }
-    }
-    for rule in &program.rules {
-        if rule.is_fact() && analysis.ext_reads.contains(&rule.head_pred) {
-            let t: Tuple = rule
-                .head_terms
-                .iter()
-                .filter_map(|ht| match ht {
-                    HeadTerm::Term(Term::Const(v)) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            mdb.insert(&rule.head_pred, t);
-        }
-    }
+    let mdb = demand_input(&analysis, program, db);
 
     // plan the demand program against per-relation statistics and run it
     let stats = Stats::collect(&mdb, &analysis.ext_reads);
@@ -616,8 +624,7 @@ pub(crate) fn demand_for(
         }
         let mut v = Vec::with_capacity(adorns.len());
         for cols in adorns {
-            let set: HashSet<Tuple> =
-                magic_db.facts(&magic_name(pred, cols)).iter().cloned().collect();
+            let set = magic_db.shared_fact_set(&magic_name(pred, cols)).unwrap_or_default();
             demand_facts += set.len();
             v.push((cols.clone(), set));
         }
@@ -664,6 +671,35 @@ mod tests {
         assert_eq!(d.demand_fact_count(), 1);
         assert!(d.keeps("tc", &tuple![3, 7]));
         assert!(!d.keeps("tc", &tuple![4, 7]));
+    }
+
+    #[test]
+    fn demand_run_shares_the_relations_it_reads() {
+        use vada_common::par::Parallelism;
+        let mut db = Database::new();
+        for i in 0..200i64 {
+            db.insert("edge", tuple![i, i + 1]);
+        }
+        let program =
+            parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
+        let query = parse_query("tc(3, W)").unwrap();
+        let analysis = analyze(&program, &query).unwrap();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let input = demand_input(&analysis, &program, &db);
+            assert!(input.shares("edge", &db));
+            let engine = Engine::new(EngineConfig { parallelism, ..EngineConfig::default() });
+            let magic_db = engine.run(&analysis.magic, input).unwrap();
+            assert!(magic_db.shares("edge", &db), "{parallelism:?}: the demand run copied");
+            assert_eq!(magic_db.facts(&magic_name("tc", &[0])), &[tuple![3]]);
+        }
+        // a ground fact-rule of the program lands in a copy, never in `db`
+        let with_fact = parse_program(
+            "edge(900, 901). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).",
+        )
+        .unwrap();
+        let input = demand_input(&analysis, &with_fact, &db);
+        assert!(!input.shares("edge", &db));
+        assert_eq!((input.facts("edge").len(), db.facts("edge").len()), (201, 200));
     }
 
     #[test]

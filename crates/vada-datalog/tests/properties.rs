@@ -37,7 +37,109 @@ fn reference_tc(edges: &[(u8, u8)]) -> std::collections::BTreeSet<(u8, u8)> {
     tc
 }
 
+/// The fact-set representation the row-id table replaced, kept as the
+/// oracle: every tuple stored twice, in a `Vec` for order and a `HashSet`
+/// for membership.
+#[derive(Default)]
+struct OracleSet {
+    tuples: Vec<Tuple>,
+    set: std::collections::HashSet<Tuple>,
+}
+
+impl OracleSet {
+    fn insert(&mut self, t: Tuple) -> bool {
+        let new = self.set.insert(t.clone());
+        if new {
+            self.tuples.push(t);
+        }
+        new
+    }
+
+    fn remove(&mut self, t: &Tuple) -> bool {
+        let present = self.set.remove(t);
+        if present {
+            let pos = self.tuples.iter().position(|x| x == t).unwrap();
+            self.tuples.remove(pos);
+        }
+        present
+    }
+
+    fn remove_all(&mut self, gone: &std::collections::HashSet<Tuple>) -> usize {
+        let before = self.tuples.len();
+        self.tuples.retain(|t| !gone.contains(t));
+        self.set.retain(|t| !gone.contains(t));
+        before - self.tuples.len()
+    }
+}
+
+/// A fact of arity 0–3 over values chosen to collide under `Value`'s
+/// equality: `Int(1)`/`Float(1.0)`, `0.0`/`-0.0`/`Int(0)`, NaN, null, and
+/// the empty string beside plain ints and strings.
+fn store_fact(code: u16) -> Tuple {
+    use vada_common::Value;
+    let pool = [
+        Value::Null,
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(f64::NAN),
+        Value::Float(1.5),
+        Value::Bool(true),
+        Value::str(""),
+        Value::str("a"),
+        Value::Int(7),
+    ];
+    let arity = (code % 4) as usize;
+    let mut rest = (code / 4) as usize;
+    let mut values = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        values.push(pool[rest % pool.len()].clone());
+        rest /= pool.len();
+    }
+    Tuple::new(values)
+}
+
 proptest! {
+    #[test]
+    fn fact_set_matches_the_two_copy_oracle(
+        script in proptest::collection::vec((0u8..8, 0u16..6912), 1..600)
+    ) {
+        // random insert / contains / remove / remove_all scripts, long
+        // enough to double the table several times, compared with the old
+        // representation after every step
+        use vada_datalog::engine::FactSet;
+        let mut fs = FactSet::default();
+        let mut oracle = OracleSet::default();
+        for &(op, code) in &script {
+            let t = store_fact(code);
+            match op {
+                0..=4 => prop_assert_eq!(fs.insert(t.clone()), oracle.insert(t), "insert {}", code),
+                5 => prop_assert_eq!(fs.contains(&t), oracle.set.contains(&t), "contains {}", code),
+                6 => prop_assert_eq!(fs.remove(&t), oracle.remove(&t), "remove {}", code),
+                _ => {
+                    let gone: std::collections::HashSet<Tuple> =
+                        (0..5).map(|k| store_fact(code.wrapping_add(k * 13))).collect();
+                    prop_assert_eq!(fs.remove_all(&gone), oracle.remove_all(&gone));
+                }
+            }
+            prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
+            prop_assert_eq!(fs.len(), oracle.tuples.len());
+        }
+        for code in 0u16..6912 {
+            let t = store_fact(code);
+            prop_assert_eq!(fs.contains(&t), oracle.set.contains(&t), "membership of {}", t);
+        }
+        // remove-then-reinsert moves a fact to the end, like a first insert
+        if let Some(first) = oracle.tuples.first().cloned() {
+            prop_assert!(fs.remove(&first) && oracle.remove(&first));
+            prop_assert!(fs.insert(first.clone()) && oracle.insert(first.clone()));
+            prop_assert_eq!(fs.tuples().last(), Some(&first));
+            prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
+        }
+    }
+
     #[test]
     fn seminaive_matches_reference_closure(
         edges in proptest::collection::vec((0u8..12, 0u8..12), 0..40)

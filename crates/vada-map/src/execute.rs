@@ -31,7 +31,10 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
         return Value::Null;
     }
     match ty {
-        AttrType::Str => Value::str(v.to_string()),
+        AttrType::Str => match v {
+            Value::Str(_) => v.clone(),
+            other => Value::str(other.to_string()),
+        },
         AttrType::Int | AttrType::Float => {
             let direct = v.coerce(ty);
             if let Ok(x) = direct {
@@ -63,19 +66,12 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
 }
 
 /// The `postcode_district(full, district)` helper facts one row
-/// contributes, in value order.
-fn district_facts(row: &Tuple) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for v in row.iter() {
-        if let Value::Str(s) = v {
-            if let Some(d) = district_of(s) {
-                if s.contains(' ') {
-                    out.push((s.to_string(), d.to_string()));
-                }
-            }
-        }
-    }
-    out
+/// contributes, in value order; the full postcode is the cell's own string.
+fn district_facts(row: &Tuple) -> impl Iterator<Item = Tuple> + '_ {
+    row.iter().filter_map(|v| {
+        let s = v.as_str().filter(|s| s.contains(' '))?;
+        Some(Tuple::new(vec![v.clone(), Value::str(district_of(s)?)]))
+    })
 }
 
 /// Build the execution database: the mapping's source relations plus
@@ -87,11 +83,8 @@ fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result<Database> 
         let rel = kb.relation(source)?;
         db.insert_relation(rel);
         for t in rel.iter() {
-            for (full, district) in district_facts(t) {
-                db.insert(
-                    "postcode_district",
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
+            for fact in district_facts(t) {
+                db.insert("postcode_district", fact);
             }
         }
     }
