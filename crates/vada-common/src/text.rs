@@ -23,7 +23,11 @@ pub fn normalize_append(s: &str, out: &mut String) {
     let mut last_space = true;
     for c in s.trim().chars() {
         if c.is_alphanumeric() {
-            out.extend(c.to_lowercase());
+            if c.is_ascii() {
+                out.push(c.to_ascii_lowercase());
+            } else {
+                out.extend(c.to_lowercase());
+            }
             last_space = false;
         } else if !last_space {
             out.push(' ');
@@ -102,41 +106,54 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_chars(&a, &b)
+}
+
+/// [`jaro`] over already-decoded characters, for callers that compare the
+/// same strings many times (pairwise record scoring, fuzzy repair): no
+/// decoding and no heap allocation per call — the match flags live in a
+/// stack buffer, with a heap fallback only for inputs longer than it.
+pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    const STACK_FLAGS: usize = 128;
+    let mut stack = [false; STACK_FLAGS];
+    let mut heap;
+    let flags: &mut [bool] = if a.len() + b.len() <= STACK_FLAGS {
+        &mut stack[..a.len() + b.len()]
+    } else {
+        heap = vec![false; a.len() + b.len()];
+        &mut heap
+    };
+    let (a_used, b_used) = flags.split_at_mut(a.len());
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a = Vec::new();
+    let mut m = 0usize;
     for (i, ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
         for j in lo..hi {
             if !b_used[j] && b[j] == *ca {
                 b_used[j] = true;
-                matches_a.push(i);
+                a_used[i] = true;
+                m += 1;
                 break;
             }
         }
     }
-    let m = matches_a.len();
     if m == 0 {
         return 0.0;
     }
-    let matched_b: Vec<char> = b_used
-        .iter()
-        .zip(&b)
-        .filter(|(u, _)| **u)
-        .map(|(_, c)| *c)
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .map(|&i| a[i])
-        .zip(&matched_b)
-        .filter(|(x, y)| x != *y)
+    // the k-th matched character of `a` against the k-th of `b`
+    fn matched<'a>(chars: &'a [char], used: &'a [bool]) -> impl Iterator<Item = char> + 'a {
+        chars.iter().zip(used).filter(|(_, u)| **u).map(|(c, _)| *c)
+    }
+    let transpositions = matched(a, a_used)
+        .zip(matched(b, b_used))
+        .filter(|(x, y)| x != y)
         .count()
         / 2;
     let m = m as f64;
@@ -145,13 +162,15 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 
 /// Jaro-Winkler similarity (common-prefix boost, `p = 0.1`, max prefix 4).
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    jaro_winkler_chars(&a, &b)
+}
+
+/// [`jaro_winkler`] over already-decoded characters (see [`jaro_chars`]).
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    let j = jaro_chars(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
     j + prefix as f64 * 0.1 * (1.0 - j)
 }
 

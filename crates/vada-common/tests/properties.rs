@@ -5,7 +5,10 @@ use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use vada_common::text::{jaro_winkler, levenshtein, levenshtein_sim, normalize, token_jaccard};
+use vada_common::text::{
+    jaro, jaro_chars, jaro_winkler, jaro_winkler_chars, levenshtein, levenshtein_sim, normalize,
+    normalize_append, token_jaccard,
+};
 use vada_common::{csv, Relation, Schema, Tuple, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -101,6 +104,137 @@ proptest! {
         prop_assert!(once.chars().all(|c| c.is_lowercase() || c.is_numeric() || c == ' '));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The text primitives fusion and repair score with, against the
+// implementations they replaced: Jaro over `&str` allocating four vectors a
+// call, and a normal form that sent every character through the Unicode
+// lower-casing iterator. Scores are compared bit for bit — clustering and
+// fuzzy repair threshold them, so "close" is a different answer.
+// ---------------------------------------------------------------------------
+
+/// Jaro as it was before `jaro_chars`.
+fn jaro_oracle(a: &str, b: &str) -> f64 {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let mut b_used = vec![false; b.len()];
+    let mut matches_a = Vec::new();
+    for (i, ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for j in lo..hi {
+            if !b_used[j] && b[j] == *ca {
+                b_used[j] = true;
+                matches_a.push(i);
+                break;
+            }
+        }
+    }
+    let m = matches_a.len();
+    if m == 0 {
+        return 0.0;
+    }
+    let matched_b: Vec<char> = b_used
+        .iter()
+        .zip(&b)
+        .filter(|(u, _)| **u)
+        .map(|(_, c)| *c)
+        .collect();
+    let transpositions = matches_a
+        .iter()
+        .map(|&i| a[i])
+        .zip(&matched_b)
+        .filter(|(x, y)| x != *y)
+        .count()
+        / 2;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// Jaro-Winkler as it was before `jaro_winkler_chars`.
+fn jaro_winkler_oracle(a: &str, b: &str) -> f64 {
+    let j = jaro_oracle(a, b);
+    let prefix = a
+        .chars()
+        .zip(b.chars())
+        .take(4)
+        .take_while(|(x, y)| x == y)
+        .count();
+    j + prefix as f64 * 0.1 * (1.0 - j)
+}
+
+/// The normal form with no ASCII shortcut.
+fn normalize_oracle(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut last_space = true;
+    for c in s.trim().chars() {
+        if c.is_alphanumeric() {
+            out.extend(c.to_lowercase());
+            last_space = false;
+        } else if !last_space {
+            out.push(' ');
+            last_space = true;
+        }
+    }
+    while out.ends_with(' ') {
+        out.pop();
+    }
+    out
+}
+
+/// Short strings over a small alphabet (so characters match, transpose and
+/// share prefixes by chance), with characters whose lower case is another
+/// character (`É`), two characters (`İ`) or position-dependent in other
+/// libraries (`Σ`), and separators.
+const SHORT_TEXT: &str = "[a-dA-D ÉéßİıΣσ1².,-]{0,12}";
+/// Longer than the 128 match flags `jaro_chars` keeps on the stack.
+const LONG_TEXT: &str = "[abc ]{60,150}";
+
+fn assert_jaro_agrees(a: &str, b: &str) -> Result<(), TestCaseError> {
+    let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let want = jaro_oracle(a, b).to_bits();
+    prop_assert_eq!(jaro(a, b).to_bits(), want, "jaro({:?}, {:?})", a, b);
+    prop_assert_eq!(jaro_chars(&ca, &cb).to_bits(), want, "jaro_chars({:?}, {:?})", a, b);
+    let want = jaro_winkler_oracle(a, b).to_bits();
+    prop_assert_eq!(jaro_winkler(a, b).to_bits(), want, "jaro_winkler({:?}, {:?})", a, b);
+    prop_assert_eq!(
+        jaro_winkler_chars(&ca, &cb).to_bits(), want, "jaro_winkler_chars({:?}, {:?})", a, b
+    );
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn jaro_over_chars_matches_the_allocating_oracle_bit_for_bit(
+        a in SHORT_TEXT, b in SHORT_TEXT, long_a in LONG_TEXT, long_b in LONG_TEXT
+    ) {
+        assert_jaro_agrees(&a, &b)?;
+        assert_jaro_agrees(&a, &a)?;
+        // past the stack scratch, on either side and on both
+        assert_jaro_agrees(&long_a, &long_b)?;
+        assert_jaro_agrees(&long_a, &b)?;
+        assert_jaro_agrees(&a, &long_b)?;
+    }
+
+    #[test]
+    fn normal_form_matches_the_unicode_only_oracle(
+        s in "[a-cA-C ÉéßİıΣσǅ1²٣.,_|-]{0,16}", prefix in "[a-c |]{0,4}"
+    ) {
+        prop_assert_eq!(normalize(&s), normalize_oracle(&s), "{:?}", s);
+        // appending leaves what was there alone
+        let mut out = prefix.clone();
+        normalize_append(&s, &mut out);
+        prop_assert_eq!(out, format!("{prefix}{}", normalize_oracle(&s)), "{:?}", s);
+    }
+}
+
 
 /// `Relation::remove_rows` as it was first written — drain every tuple
 /// into a fresh `Vec`, skipping the removed positions — kept as the oracle

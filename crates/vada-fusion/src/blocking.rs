@@ -1,7 +1,7 @@
 //! Key-based blocking: restrict pairwise comparison to rows sharing a
 //! blocking key.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use vada_common::par::{self, Parallelism};
 use vada_common::text::blocking_key;
@@ -20,7 +20,8 @@ pub fn block_by_keys(rel: &Relation, key_attrs: &[&str]) -> Result<Vec<Vec<usize
 /// for the normal form instead of allocating per cell), and the per-worker
 /// maps merge in chunk order. Row chunks ascend, so every block's row list
 /// comes out in ascending row order — identical to the sequential scan at
-/// any worker count.
+/// any worker count. Rows are grouped by hashing; the keys are ordered
+/// once, at the end, one comparison sort over the distinct keys.
 pub fn block_by_keys_with(
     rel: &Relation,
     key_attrs: &[&str],
@@ -31,7 +32,7 @@ pub fn block_by_keys_with(
         .map(|a| rel.schema().require(a))
         .collect::<Result<_>>()?;
     let chunks = par::par_chunks(par, "fusion/block_keys", rel.tuples(), |base, slice| {
-        let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut blocks: HashMap<String, Vec<usize>> = HashMap::new();
         let mut singletons: Vec<usize> = Vec::new();
         let mut key = String::new();
         for (off, t) in slice.iter().enumerate() {
@@ -47,16 +48,19 @@ pub fn block_by_keys_with(
         }
         Ok((blocks, singletons))
     })?;
-    let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let mut singletons: Vec<Vec<usize>> = Vec::new();
+    let mut chunks = chunks.into_iter();
+    let (mut blocks, mut singletons) = chunks.next().unwrap_or_default();
     for (chunk_blocks, chunk_singletons) in chunks {
         for (k, rows) in chunk_blocks {
             blocks.entry(k).or_default().extend(rows);
         }
-        singletons.extend(chunk_singletons.into_iter().map(|r| vec![r]));
+        singletons.extend(chunk_singletons);
     }
-    let mut out: Vec<Vec<usize>> = blocks.into_values().collect();
-    out.extend(singletons);
+    let mut keyed: Vec<(String, Vec<usize>)> = blocks.into_iter().collect();
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut out: Vec<Vec<usize>> = Vec::with_capacity(keyed.len() + singletons.len());
+    out.extend(keyed.into_iter().map(|(_, rows)| rows));
+    out.extend(singletons.into_iter().map(|r| vec![r]));
     Ok(out)
 }
 
@@ -73,9 +77,10 @@ pub struct BlockingStats {
     pub total_pairs: usize,
 }
 
-/// Compute statistics for a blocking over `n` rows.
+/// Compute statistics for a blocking over `n` rows. An empty block holds
+/// no pair.
 pub fn blocking_stats(blocks: &[Vec<usize>], n: usize) -> BlockingStats {
-    let candidate_pairs = blocks.iter().map(|b| b.len() * (b.len() - 1) / 2).sum();
+    let candidate_pairs = blocks.iter().map(|b| b.len() * b.len().saturating_sub(1) / 2).sum();
     BlockingStats {
         blocks: blocks.len(),
         max_block: blocks.iter().map(|b| b.len()).max().unwrap_or(0),
@@ -124,6 +129,14 @@ mod tests {
         assert_eq!(stats.total_pairs, 6);
         assert_eq!(stats.candidate_pairs, 1);
         assert_eq!(stats.max_block, 2);
+    }
+
+    #[test]
+    fn an_empty_block_counts_no_pairs() {
+        let stats = blocking_stats(&[vec![], vec![0, 1, 2], vec![]], 3);
+        assert_eq!(stats.candidate_pairs, 3);
+        assert_eq!(stats.blocks, 3);
+        assert_eq!(stats.max_block, 3);
     }
 
     #[test]

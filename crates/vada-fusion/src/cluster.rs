@@ -4,7 +4,7 @@ use vada_common::par::{self, Parallelism};
 use vada_common::{Relation, Result, Tuple};
 
 use crate::blocking::block_by_keys_with;
-use crate::similarity::{record_similarity, FieldSpec};
+use crate::similarity::{FieldSpec, PreparedRows};
 
 /// Disjoint-set forest with path compression and union by size.
 #[derive(Debug, Clone)]
@@ -55,14 +55,20 @@ impl UnionFind {
 
     /// Extract clusters (each sorted, clusters ordered by smallest member).
     pub fn clusters(&mut self) -> Vec<Vec<usize>> {
+        // members are visited in ascending order, so a cluster is opened by
+        // its smallest member and filled in order: one pass, already sorted
+        const UNOPENED: usize = usize::MAX;
         let n = self.parent.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        let mut cluster_of_root = vec![UNOPENED; n];
+        let mut out: Vec<Vec<usize>> = Vec::new();
         for x in 0..n {
             let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+            if cluster_of_root[r] == UNOPENED {
+                cluster_of_root[r] = out.len();
+                out.push(Vec::with_capacity(self.size[r]));
+            }
+            out[cluster_of_root[r]].push(x);
         }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        out.sort_by_key(|c| c[0]);
         out
     }
 }
@@ -90,12 +96,28 @@ pub fn cluster_relation(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<u
 /// enumerated in block order, scored across workers, and unioned in the
 /// same pair order — so the union-find evolves exactly as in the
 /// sequential loop and the clusters are identical at any worker count.
+/// Every row that has a block mate is normalised once, up front; pairs are
+/// scored from those prepared rows.
 pub fn cluster_relation_with(
     cfg: &ClusterConfig,
     rel: &Relation,
     par: Parallelism,
 ) -> Result<Vec<Vec<usize>>> {
-    cluster_relation_scored(cfg, rel, par, &|a, b| record_similarity(&cfg.fields, a, b))
+    let mut prepared = PreparedRows::new(&cfg.fields, rel.schema().arity())?;
+    let blocks = blocks_of(cfg, rel, par)?;
+    // a row alone in its block is never scored, so never prepared
+    let mut has_mate = vec![false; rel.len()];
+    for &row in blocks.iter().filter(|b| b.len() > 1).flatten() {
+        has_mate[row] = true;
+    }
+    let slot: Vec<usize> = rel
+        .iter()
+        .zip(&has_mate)
+        .map(|(t, &mate)| if mate { prepared.push(t) } else { usize::MAX })
+        .collect();
+    cluster_pairs(&blocks, rel.len(), cfg.threshold, par, |a, b| {
+        Ok(prepared.similarity(slot[a], slot[b]))
+    })
 }
 
 /// [`cluster_relation_with`] with an injected pair scorer, the seam used by
@@ -108,6 +130,25 @@ pub fn cluster_relation_scored(
     par: Parallelism,
     scorer: &(dyn Fn(&Tuple, &Tuple) -> Result<f64> + Sync),
 ) -> Result<Vec<Vec<usize>>> {
+    let blocks = blocks_of(cfg, rel, par)?;
+    let tuples = rel.tuples();
+    cluster_pairs(&blocks, rel.len(), cfg.threshold, par, |a, b| scorer(&tuples[a], &tuples[b]))
+}
+
+fn blocks_of(cfg: &ClusterConfig, rel: &Relation, par: Parallelism) -> Result<Vec<Vec<usize>>> {
+    let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
+    block_by_keys_with(rel, &keys, par)
+}
+
+/// Score every within-block pair of row indices with `score` and union the
+/// pairs that reach `threshold`, over `n` rows.
+fn cluster_pairs(
+    blocks: &[Vec<usize>],
+    n: usize,
+    threshold: f64,
+    par: Parallelism,
+    score: impl Fn(usize, usize) -> Result<f64> + Sync,
+) -> Result<Vec<Vec<usize>>> {
     // Candidate pairs are quadratic in block size, so they are streamed in
     // bounded rounds rather than materialised: extra memory stays O(round)
     // even for a degenerate single-block key. Rounds cover the pair
@@ -115,23 +156,18 @@ pub fn cluster_relation_scored(
     // failing round returns before any later round starts — so clusters
     // and the first error are unchanged by the round boundaries.
     const PAIRS_PER_ROUND: usize = 1 << 16;
-    let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
-    let blocks = block_by_keys_with(rel, &keys, par)?;
-    let tuples = rel.tuples();
-    let mut uf = UnionFind::new(rel.len());
+    let mut uf = UnionFind::new(n);
     let mut round: Vec<(usize, usize)> = Vec::new();
     let score_round = |round: &[(usize, usize)], uf: &mut UnionFind| -> Result<()> {
-        let sims = par::par_try_map(par, "fusion/pairwise", round, |_, &(a, b)| {
-            scorer(&tuples[a], &tuples[b])
-        })?;
+        let sims = par::par_try_map(par, "fusion/pairwise", round, |_, &(a, b)| score(a, b))?;
         for (&(a, b), sim) in round.iter().zip(&sims) {
-            if *sim >= cfg.threshold {
+            if *sim >= threshold {
                 uf.union(a, b);
             }
         }
         Ok(())
     };
-    for block in &blocks {
+    for block in blocks {
         for (i, &a) in block.iter().enumerate() {
             for &b in &block[i + 1..] {
                 round.push((a, b));
@@ -189,6 +225,31 @@ mod tests {
         // {0,1}, {2}, {3}
         assert_eq!(clusters.len(), 3);
         assert!(clusters.iter().any(|c| c == &vec![0, 1]));
+    }
+
+    #[test]
+    fn a_field_past_the_arity_is_a_schema_error_not_a_captured_panic() {
+        let rel = Relation::from_tuples(
+            Schema::all_str("r", &["street", "postcode"]),
+            vec![tuple!["a st", "M1 1AA"], tuple!["a st", "M1 1AA"]],
+        )
+        .unwrap();
+        let cfg = ClusterConfig {
+            block_keys: vec!["postcode".into()],
+            fields: vec![
+                FieldSpec { col: 0, weight: 1.0, kind: FieldKind::Text },
+                FieldSpec { col: 2, weight: 1.0, kind: FieldKind::Exact },
+            ],
+            threshold: 0.9,
+        };
+        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let err = cluster_relation_with(&cfg, &rel, par).unwrap_err();
+            assert_eq!(err.kind(), "schema", "{par:?}: {err}");
+            assert!(err.message().contains("field spec 1 compares column 2"), "{par:?}: {err}");
+        }
+        // and with no pair to score: the spec is wrong whatever the data
+        let lone = Relation::from_tuples(rel.schema().clone(), vec![tuple!["a st", "M1 1AA"]]);
+        assert!(cluster_relation(&cfg, &lone.unwrap()).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use vada_common::{Relation, Result, Tuple, Value};
+use vada_common::{Relation, Result, Tuple, VadaError, Value};
 
 /// Survivorship rule applied per cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,70 +38,90 @@ impl FusionReport {
 /// Fuse `rel`'s duplicate `clusters` into one tuple each.
 ///
 /// `trust` supplies per-row trust scores for
-/// [`Survivorship::TrustWeighted`] (defaults to uniform when `None`).
+/// [`Survivorship::TrustWeighted`] (uniform when `None`). An empty cluster,
+/// a row index past the relation's end and a trust slice shorter than the
+/// relation are errors naming the offender.
 pub fn fuse_clusters(
     rel: &Relation,
     clusters: &[Vec<usize>],
     rule: Survivorship,
     trust: Option<&[f64]>,
 ) -> Result<(Relation, FusionReport)> {
+    let tuples = rel.tuples();
     let arity = rel.schema().arity();
-    let mut out = Relation::empty(rel.schema().clone());
-    let mut merged = 0usize;
-    for cluster in clusters {
-        if cluster.len() > 1 {
-            merged += 1;
+    if let (Survivorship::TrustWeighted, Some(trust)) = (rule, trust) {
+        if trust.len() < tuples.len() {
+            return Err(VadaError::Schema(format!(
+                "{} trust score(s) for the {} row(s) of `{}`",
+                trust.len(),
+                tuples.len(),
+                rel.name()
+            )));
         }
-        let tuple = match rule {
-            Survivorship::MostComplete => {
-                let &best = cluster
-                    .iter()
-                    .min_by_key(|&&r| (rel.tuples()[r].null_count(), r))
-                    .expect("clusters are non-empty");
-                rel.tuples()[best].clone()
-            }
-            Survivorship::Majority => {
-                let mut values = Vec::with_capacity(arity);
-                for col in 0..arity {
-                    let mut counts: HashMap<&Value, (usize, usize)> = HashMap::new();
-                    for &r in cluster {
-                        let v = &rel.tuples()[r][col];
-                        if v.is_null() {
-                            continue;
-                        }
-                        let e = counts.entry(v).or_insert((0, r));
-                        e.0 += 1;
-                        e.1 = e.1.min(r);
+    }
+    let trust_of = |row: usize| trust.map_or(1.0, |t| t[row]);
+    let mut fused: Vec<Tuple> = Vec::with_capacity(clusters.len());
+    let mut merged = 0usize;
+    // value → (votes, earliest contributing row), cleared per attribute
+    let mut votes: HashMap<&Value, (usize, usize)> = HashMap::new();
+    for (ci, cluster) in clusters.iter().enumerate() {
+        if let Some(row) = cluster.iter().find(|&&r| r >= tuples.len()) {
+            return Err(VadaError::Schema(format!(
+                "cluster {ci} names row {row}, but `{}` has {} row(s)",
+                rel.name(),
+                tuples.len()
+            )));
+        }
+        let tuple = match cluster.as_slice() {
+            [] => return Err(VadaError::Other(format!("cluster {ci} is empty"))),
+            // every rule keeps a lone row as it is
+            [row] => tuples[*row].clone(),
+            rows => {
+                merged += 1;
+                match rule {
+                    Survivorship::MostComplete => {
+                        let best = rows
+                            .iter()
+                            .copied()
+                            .min_by_key(|&r| (tuples[r].null_count(), r))
+                            .expect("the cluster has members");
+                        tuples[best].clone()
                     }
-                    let winner = counts
-                        .iter()
-                        .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
-                        .map(|(v, _)| (*v).clone())
-                        .unwrap_or(Value::Null);
-                    values.push(winner);
-                }
-                Tuple::new(values)
-            }
-            Survivorship::TrustWeighted => {
-                let uniform = vec![1.0; rel.len()];
-                let trust = trust.unwrap_or(&uniform);
-                let mut values = Vec::with_capacity(arity);
-                for col in 0..arity {
-                    let winner = cluster
-                        .iter()
-                        .filter(|&&r| !rel.tuples()[r][col].is_null())
-                        .max_by(|&&a, &&b| {
-                            trust[a].total_cmp(&trust[b]).then(b.cmp(&a))
+                    Survivorship::Majority => (0..arity)
+                        .map(|col| {
+                            votes.clear();
+                            for &r in rows {
+                                let v = &tuples[r][col];
+                                if v.is_null() {
+                                    continue;
+                                }
+                                let e = votes.entry(v).or_insert((0, r));
+                                e.0 += 1;
+                                e.1 = e.1.min(r);
+                            }
+                            votes
+                                .iter()
+                                .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
+                                .map_or(Value::Null, |(v, _)| (*v).clone())
                         })
-                        .map(|&r| rel.tuples()[r][col].clone())
-                        .unwrap_or(Value::Null);
-                    values.push(winner);
+                        .collect(),
+                    Survivorship::TrustWeighted => (0..arity)
+                        .map(|col| {
+                            rows.iter()
+                                .copied()
+                                .filter(|&r| !tuples[r][col].is_null())
+                                .max_by(|&a, &b| {
+                                    trust_of(a).total_cmp(&trust_of(b)).then(b.cmp(&a))
+                                })
+                                .map_or(Value::Null, |r| tuples[r][col].clone())
+                        })
+                        .collect(),
                 }
-                Tuple::new(values)
             }
         };
-        out.push(tuple)?;
+        fused.push(tuple);
     }
+    let out = Relation::from_tuples(rel.schema().clone(), fused)?;
     let report = FusionReport {
         input_rows: rel.len(),
         output_rows: out.len(),
@@ -166,6 +186,47 @@ mod tests {
     fn singleton_clusters_pass_through() {
         let (fused, _) = fuse_clusters(&rel(), &clusters(), Survivorship::Majority, None).unwrap();
         assert_eq!(fused.tuples()[1], rel().tuples()[3]);
+    }
+
+    #[test]
+    fn an_empty_cluster_is_an_error_naming_it() {
+        for rule in [Survivorship::MostComplete, Survivorship::Majority, Survivorship::TrustWeighted] {
+            let err = fuse_clusters(&rel(), &[vec![0, 1, 2], vec![], vec![3]], rule, None)
+                .unwrap_err();
+            assert!(err.message().contains("cluster 1 is empty"), "{rule:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_row_past_the_end_is_an_error_naming_cluster_and_row() {
+        for cluster in [vec![4], vec![0, 9]] {
+            let bad = cluster[cluster.len() - 1];
+            let err = fuse_clusters(&rel(), &[vec![3], cluster], Survivorship::Majority, None)
+                .unwrap_err();
+            assert_eq!(err.kind(), "schema", "{err}");
+            assert!(err.message().contains(&format!("cluster 1 names row {bad}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_short_trust_slice_is_an_error() {
+        let err = fuse_clusters(&rel(), &clusters(), Survivorship::TrustWeighted, Some(&[0.5; 3]))
+            .unwrap_err();
+        assert_eq!(err.kind(), "schema", "{err}");
+        assert!(err.message().contains("3 trust score(s) for the 4 row(s)"), "{err}");
+        // the rules that never read it do not mind
+        fuse_clusters(&rel(), &clusters(), Survivorship::Majority, Some(&[0.5; 3])).unwrap();
+    }
+
+    #[test]
+    fn missing_trust_is_uniform_so_the_earliest_value_wins() {
+        let (fused, _) =
+            fuse_clusters(&rel(), &clusters(), Survivorship::TrustWeighted, None).unwrap();
+        let (uniform, _) =
+            fuse_clusters(&rel(), &clusters(), Survivorship::TrustWeighted, Some(&[1.0; 4]))
+                .unwrap();
+        assert_eq!(fused.tuples(), uniform.tuples());
+        assert_eq!(fused.tuples()[0][2], Value::str("3")); // row 0's null does not compete
     }
 
     #[test]

@@ -132,3 +132,347 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential tests: every fusion stage against the implementation it
+// replaced, kept here as a test-only oracle — blocking through a
+// `BTreeMap<String, _>`, pair scoring that formats and normalises both
+// cells of every field of every pair, cluster extraction through a
+// `BTreeMap` of roots, and a majority vote that builds a map per column.
+// The contract is the same output, not an equally good one: same blocks in
+// the same order, same clusters, same fused tuples value for value (the
+// representative "as written" — `Int(1)` is not `Float(1.0)` here), scores
+// equal bit for bit. The oracles sit on `vada_common::text::{normalize,
+// jaro_winkler, blocking_key}`, which the `vada-common` suite pins against
+// their own predecessors.
+// ---------------------------------------------------------------------------
+
+mod oracle {
+    use std::collections::{BTreeMap, HashMap};
+
+    use vada_common::text::{blocking_key, jaro_winkler, normalize};
+    use vada_common::{Relation, Tuple, Value};
+    use vada_fusion::{FieldKind, FieldSpec, Survivorship, UnionFind};
+
+    pub fn blocks(rel: &Relation, key_attrs: &[&str]) -> Vec<Vec<usize>> {
+        let cols: Vec<usize> =
+            key_attrs.iter().map(|a| rel.schema().require(a).unwrap()).collect();
+        let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut singletons: Vec<Vec<usize>> = Vec::new();
+        let mut key = String::new();
+        for (row, t) in rel.iter().enumerate() {
+            if blocking_key(t, &cols, &mut key) {
+                blocks.entry(key.clone()).or_default().push(row);
+            } else {
+                singletons.push(vec![row]);
+            }
+        }
+        let mut out: Vec<Vec<usize>> = blocks.into_values().collect();
+        out.extend(singletons);
+        out
+    }
+
+    fn numeric_of(v: &Value) -> Option<f64> {
+        match v {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            Value::Str(s) => s.trim().parse().ok(),
+            _ => None,
+        }
+    }
+
+    fn field_similarity(kind: FieldKind, a: &Value, b: &Value) -> Option<f64> {
+        if a.is_null() || b.is_null() {
+            return None;
+        }
+        match kind {
+            FieldKind::Exact => {
+                Some(f64::from(normalize(&a.to_string()) == normalize(&b.to_string())))
+            }
+            FieldKind::Text => {
+                Some(jaro_winkler(&normalize(&a.to_string()), &normalize(&b.to_string())))
+            }
+            FieldKind::Numeric => {
+                let (x, y) = (numeric_of(a)?, numeric_of(b)?);
+                let denom = x.abs().max(y.abs());
+                if denom == 0.0 {
+                    Some(1.0)
+                } else {
+                    Some((1.0 - (x - y).abs() / denom).max(0.0))
+                }
+            }
+        }
+    }
+
+    pub fn record_similarity(spec: &[FieldSpec], a: &Tuple, b: &Tuple) -> f64 {
+        let mut total_weight = 0.0;
+        let mut acc = 0.0;
+        for f in spec {
+            if let Some(sim) = field_similarity(f.kind, &a[f.col], &b[f.col]) {
+                acc += f.weight * sim;
+                total_weight += f.weight;
+            }
+        }
+        if total_weight == 0.0 {
+            0.0
+        } else {
+            acc / total_weight
+        }
+    }
+
+    pub fn clusters_of(uf: &mut UnionFind, n: usize) -> Vec<Vec<usize>> {
+        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for x in 0..n {
+            by_root.entry(uf.find(x)).or_default().push(x);
+        }
+        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
+        out.sort_by_key(|c| c[0]);
+        out
+    }
+
+    pub fn cluster_relation(
+        rel: &Relation,
+        block_keys: &[&str],
+        spec: &[FieldSpec],
+        threshold: f64,
+    ) -> Vec<Vec<usize>> {
+        let mut uf = UnionFind::new(rel.len());
+        for block in blocks(rel, block_keys) {
+            for (i, &a) in block.iter().enumerate() {
+                for &b in &block[i + 1..] {
+                    if record_similarity(spec, &rel.tuples()[a], &rel.tuples()[b]) >= threshold {
+                        uf.union(a, b);
+                    }
+                }
+            }
+        }
+        clusters_of(&mut uf, rel.len())
+    }
+
+    /// Returns the fused tuples and the number of merged clusters.
+    pub fn fuse(
+        rel: &Relation,
+        clusters: &[Vec<usize>],
+        rule: Survivorship,
+        trust: Option<&[f64]>,
+    ) -> (Vec<Tuple>, usize) {
+        let arity = rel.schema().arity();
+        let mut out = Vec::new();
+        let mut merged = 0usize;
+        for cluster in clusters {
+            if cluster.len() > 1 {
+                merged += 1;
+            }
+            let tuple = match rule {
+                Survivorship::MostComplete => {
+                    let &best = cluster
+                        .iter()
+                        .min_by_key(|&&r| (rel.tuples()[r].null_count(), r))
+                        .unwrap();
+                    rel.tuples()[best].clone()
+                }
+                Survivorship::Majority => {
+                    let mut values = Vec::with_capacity(arity);
+                    for col in 0..arity {
+                        let mut counts: HashMap<&Value, (usize, usize)> = HashMap::new();
+                        for &r in cluster {
+                            let v = &rel.tuples()[r][col];
+                            if v.is_null() {
+                                continue;
+                            }
+                            let e = counts.entry(v).or_insert((0, r));
+                            e.0 += 1;
+                            e.1 = e.1.min(r);
+                        }
+                        let winner = counts
+                            .iter()
+                            .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
+                            .map(|(v, _)| (*v).clone())
+                            .unwrap_or(Value::Null);
+                        values.push(winner);
+                    }
+                    Tuple::new(values)
+                }
+                Survivorship::TrustWeighted => {
+                    let uniform = vec![1.0; rel.len()];
+                    let trust = trust.unwrap_or(&uniform);
+                    let mut values = Vec::with_capacity(arity);
+                    for col in 0..arity {
+                        let winner = cluster
+                            .iter()
+                            .filter(|&&r| !rel.tuples()[r][col].is_null())
+                            .max_by(|&&a, &&b| trust[a].total_cmp(&trust[b]).then(b.cmp(&a)))
+                            .map(|&r| rel.tuples()[r][col].clone())
+                            .unwrap_or(Value::Null);
+                        values.push(winner);
+                    }
+                    Tuple::new(values)
+                }
+            };
+            out.push(tuple);
+        }
+        (out, merged)
+    }
+}
+
+/// A small palette of cells chosen to collide: values that are equal under
+/// `Value`'s `Eq` but written differently (`Int(1)`, `Float(1.0)`), strings
+/// that normalise to the same key (`"12 High St."`, `"12 high st"`), to
+/// the empty key (`"..."`, `""`), to the same key only through non-ASCII
+/// case folding, numeric strings, a near-duplicate typo, another type, and
+/// a string longer than `jaro_chars`' stack scratch.
+fn cell(i: u8) -> Value {
+    match i % 16 {
+        0 => Value::Null,
+        1 => Value::Int(1),
+        2 => Value::Float(1.0),
+        3 => Value::str("1"),
+        4 => Value::str("12 High St."),
+        5 => Value::str("12 high st"),
+        6 => Value::str("12 hgih st"),
+        7 => Value::str("..."),
+        8 => Value::str(""),
+        9 => Value::str("ÉCOLE İ"),
+        10 => Value::str("école i\u{307}"),
+        11 => Value::Int(250_000),
+        12 => Value::str(" 250500 "),
+        13 => Value::Bool(true),
+        14 => Value::str("a very long street name ".repeat(6)),
+        _ => Value::str("a very long street name ".repeat(5) + "a very lnog street name"),
+    }
+}
+
+/// Exact rendering of a value: variant and payload, floats by bit pattern.
+/// (`Value`'s `Eq` would let `Float(1.0)` pass for `Int(1)`.)
+fn written(v: &Value) -> String {
+    match v {
+        Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+fn written_rows<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<Vec<String>> {
+    tuples.into_iter().map(|t| t.iter().map(written).collect()).collect()
+}
+
+fn palette_relation(rows: &[(u8, u8, u8, u8)], one_block: bool) -> Relation {
+    let mut rel = Relation::empty(Schema::all_str("r", &["k1", "k2", "name", "n"]));
+    for &(k1, k2, name, n) in rows {
+        let (k1, k2) = if one_block { (4, 0) } else { (k1, k2) };
+        rel.push(Tuple::new(vec![cell(k1), cell(k2), cell(name), cell(n)])).unwrap();
+    }
+    rel
+}
+
+const LEVELS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
+
+proptest! {
+    #[test]
+    fn blocks_and_clusters_match_the_btreemap_oracles(
+        rows in proptest::collection::vec((0u8..16, 0u8..16, 0u8..16, 0u8..16), 1..40),
+        one_block in 0u8..4,
+        threshold in 0u8..4,
+    ) {
+        use vada_fusion::{
+            cluster_relation_scored, cluster_relation_with, record_similarity, ClusterConfig,
+            FieldKind, FieldSpec,
+        };
+        // a quarter of the cases put every row in one block
+        let rel = palette_relation(&rows, one_block == 0);
+        let cfg = ClusterConfig {
+            block_keys: vec!["k1".into(), "k2".into()],
+            fields: vec![
+                FieldSpec { col: 2, weight: 3.0, kind: FieldKind::Text },
+                FieldSpec { col: 3, weight: 1.0, kind: FieldKind::Numeric },
+                FieldSpec { col: 0, weight: 2.0, kind: FieldKind::Exact },
+                FieldSpec { col: 3, weight: 0.5, kind: FieldKind::Text },
+            ],
+            threshold: [0.0, 0.6, 0.88, 1.0][threshold as usize],
+        };
+        let keys = ["k1", "k2"];
+        let want_blocks = oracle::blocks(&rel, &keys);
+        let want_clusters = oracle::cluster_relation(&rel, &keys, &cfg.fields, cfg.threshold);
+        for par in LEVELS {
+            prop_assert_eq!(
+                &block_by_keys_with(&rel, &keys, par).unwrap(), &want_blocks, "{:?}", par
+            );
+            prop_assert_eq!(
+                &cluster_relation_with(&cfg, &rel, par).unwrap(), &want_clusters, "{:?}", par
+            );
+            // the injected-scorer seam runs the same pair loop
+            let scorer = |a: &Tuple, b: &Tuple| record_similarity(&cfg.fields, a, b);
+            prop_assert_eq!(
+                &cluster_relation_scored(&cfg, &rel, par, &scorer).unwrap(),
+                &want_clusters,
+                "scored, {:?}", par
+            );
+        }
+        // every pair's score, bit for bit
+        for a in rel.iter() {
+            for b in rel.iter() {
+                prop_assert_eq!(
+                    record_similarity(&cfg.fields, a, b).unwrap().to_bits(),
+                    oracle::record_similarity(&cfg.fields, a, b).to_bits(),
+                    "{:?} vs {:?}", a, b
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_extraction_matches_the_btreemap_oracle(
+        n in 1usize..60,
+        unions in proptest::collection::vec((0usize..60, 0usize..60), 0..80)
+    ) {
+        let mut uf = UnionFind::new(n);
+        for (a, b) in unions {
+            if a < n && b < n {
+                uf.union(a, b);
+            }
+        }
+        let want = oracle::clusters_of(&mut uf.clone(), n);
+        prop_assert_eq!(uf.clusters(), want);
+    }
+
+    #[test]
+    fn fusion_matches_the_map_per_column_oracle(
+        rows in proptest::collection::vec((0u8..16, 0u8..16, 0u8..16, 0u8..16), 1..30),
+        assignment in proptest::collection::vec(0u8..6, 30..31),
+        trust in proptest::collection::vec(0u8..4, 30..31),
+        shape in 0u8..4,
+    ) {
+        let rel = palette_relation(&rows, false);
+        // clusters of one, two and many rows; some cases fuse every row
+        // into one cluster, some leave every row alone
+        let cluster_of = |row: usize| match shape {
+            0 => 0,
+            1 => row,
+            _ => assignment[row] as usize,
+        };
+        let mut clusters: Vec<Vec<usize>> = Vec::new();
+        let mut index: std::collections::HashMap<usize, usize> = Default::default();
+        for row in 0..rel.len() {
+            let i = *index.entry(cluster_of(row)).or_insert_with(|| {
+                clusters.push(Vec::new());
+                clusters.len() - 1
+            });
+            clusters[i].push(row);
+        }
+        // ties in trust are the interesting case: the earliest row wins
+        let trust: Vec<f64> = trust[..rel.len()].iter().map(|&t| f64::from(t) / 2.0).collect();
+        for rule in [Survivorship::MostComplete, Survivorship::Majority, Survivorship::TrustWeighted] {
+            for trust in [None, Some(trust.as_slice())] {
+                let (fused, report) = fuse_clusters(&rel, &clusters, rule, trust).unwrap();
+                let (want, want_merged) = oracle::fuse(&rel, &clusters, rule, trust);
+                prop_assert_eq!(
+                    written_rows(fused.iter()), written_rows(&want), "{:?} {:?}", rule, trust
+                );
+                prop_assert_eq!(report, vada_fusion::FusionReport {
+                    input_rows: rel.len(),
+                    output_rows: clusters.len(),
+                    merged_clusters: want_merged,
+                });
+            }
+        }
+    }
+}

@@ -69,11 +69,10 @@ struct NumericProfile {
     max: f64,
 }
 
-fn profile(values: &[Value], sample: usize) -> NumericProfile {
+fn profile(sample: &[&Value]) -> NumericProfile {
     let mut nums = Vec::new();
-    let mut total = 0usize;
-    for v in values.iter().take(sample) {
-        total += 1;
+    let total = sample.len();
+    for v in sample {
         let parsed = match v {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
@@ -108,13 +107,17 @@ fn profile_similarity(a: &NumericProfile, b: &NumericProfile) -> f64 {
     0.5 * range_sim + 0.5 * mean_sim
 }
 
-fn value_set(values: &[Value], sample: usize) -> HashSet<String> {
-    values
-        .iter()
-        .take(sample)
-        .filter(|v| !v.is_null())
-        .map(|v| normalize(&v.to_string()))
-        .collect()
+/// The distinct normal forms of the sampled non-null values.
+fn value_set(sample: &[&Value]) -> HashSet<String> {
+    sample.iter().filter(|v| !v.is_null()).map(|v| normalize(&v.to_string())).collect()
+}
+
+/// The first `sample` non-null values, and whether there is any non-null
+/// value at all (a sample cap of 0 empties the sample, not the column).
+fn sample_of<'v>(values: impl Iterator<Item = &'v Value>, sample: usize) -> Option<Vec<&'v Value>> {
+    let mut non_null = values.filter(|v| !v.is_null()).peekable();
+    non_null.peek()?;
+    Some(non_null.take(sample).collect())
 }
 
 /// Match source columns against context-supplied target instances.
@@ -123,28 +126,27 @@ pub fn instance_match(
     src: &Relation,
     context: &[ContextColumn],
 ) -> Vec<Correspondence> {
+    // the context side is the same for every source attribute
+    let context: Vec<(&ContextColumn, HashSet<String>, NumericProfile)> = context
+        .iter()
+        .filter(|ctx| !ctx.values.is_empty())
+        .map(|ctx| {
+            let sample: Vec<&Value> = ctx.values.iter().take(cfg.sample).collect();
+            (ctx, value_set(&sample), profile(&sample))
+        })
+        .collect();
     let mut out = Vec::new();
     for (i, sa) in src.schema().attributes().iter().enumerate() {
-        let src_values: Vec<Value> = src
-            .iter()
-            .map(|t| t[i].clone())
-            .filter(|v| !v.is_null())
-            .collect();
-        if src_values.is_empty() {
+        let Some(sample) = sample_of(src.iter().map(|t| &t[i]), cfg.sample) else {
             continue;
-        }
-        let src_set = value_set(&src_values, cfg.sample);
-        let src_profile = profile(&src_values, cfg.sample);
-        for ctx in context {
-            if ctx.values.is_empty() {
-                continue;
-            }
-            let ctx_set = value_set(&ctx.values, cfg.sample);
-            let inter = src_set.intersection(&ctx_set).count();
+        };
+        let src_set = value_set(&sample);
+        let src_profile = profile(&sample);
+        for (ctx, ctx_set, ctx_profile) in &context {
+            let inter = src_set.intersection(ctx_set).count();
             let union = src_set.len() + ctx_set.len() - inter;
             let overlap = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
-            let ctx_profile = profile(&ctx.values, cfg.sample);
-            let prof = profile_similarity(&src_profile, &ctx_profile);
+            let prof = profile_similarity(&src_profile, ctx_profile);
             let score = if prof > 0.0 {
                 cfg.overlap_weight * overlap + (1.0 - cfg.overlap_weight) * prof
             } else {

@@ -127,3 +127,185 @@ proptest! {
             "matcher identity and blocking key disagree on {:?} vs {:?}", a, b);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: the instance matcher against the implementation it
+// replaced, kept here as a test-only oracle — every non-null cell of every
+// source column cloned before the first `sample` of them are read, and the
+// context side's value set and profile rebuilt for every source attribute.
+// Same correspondences in the same order, scores equal bit for bit, same
+// evidence strings.
+// ---------------------------------------------------------------------------
+
+mod oracle {
+    use std::collections::HashSet;
+
+    use vada_common::text::normalize;
+    use vada_common::{Relation, Value};
+    use vada_match::{ContextColumn, Correspondence, InstanceMatchConfig};
+
+    struct NumericProfile {
+        numeric_fraction: f64,
+        mean: f64,
+        min: f64,
+        max: f64,
+    }
+
+    fn profile(values: &[Value], sample: usize) -> NumericProfile {
+        let mut nums = Vec::new();
+        let mut total = 0usize;
+        for v in values.iter().take(sample) {
+            total += 1;
+            let parsed = match v {
+                Value::Int(i) => Some(*i as f64),
+                Value::Float(f) => Some(*f),
+                Value::Str(s) => s.trim().parse::<f64>().ok(),
+                _ => None,
+            };
+            if let Some(x) = parsed {
+                nums.push(x);
+            }
+        }
+        if nums.is_empty() || total == 0 {
+            return NumericProfile { numeric_fraction: 0.0, mean: 0.0, min: 0.0, max: 0.0 };
+        }
+        let mean = nums.iter().sum::<f64>() / nums.len() as f64;
+        let min = nums.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        NumericProfile { numeric_fraction: nums.len() as f64 / total as f64, mean, min, max }
+    }
+
+    fn profile_similarity(a: &NumericProfile, b: &NumericProfile) -> f64 {
+        if a.numeric_fraction < 0.5 || b.numeric_fraction < 0.5 {
+            return 0.0;
+        }
+        let lo = a.min.max(b.min);
+        let hi = a.max.min(b.max);
+        let overlap = (hi - lo).max(0.0);
+        let span = (a.max.max(b.max) - a.min.min(b.min)).max(1e-9);
+        let range_sim = overlap / span;
+        let mean_scale = a.mean.abs().max(b.mean.abs()).max(1e-9);
+        let mean_sim = 1.0 - ((a.mean - b.mean).abs() / mean_scale).min(1.0);
+        0.5 * range_sim + 0.5 * mean_sim
+    }
+
+    fn value_set(values: &[Value], sample: usize) -> HashSet<String> {
+        values
+            .iter()
+            .take(sample)
+            .filter(|v| !v.is_null())
+            .map(|v| normalize(&v.to_string()))
+            .collect()
+    }
+
+    pub fn instance_match(
+        cfg: &InstanceMatchConfig,
+        src: &Relation,
+        context: &[ContextColumn],
+    ) -> Vec<Correspondence> {
+        let mut out = Vec::new();
+        for (i, sa) in src.schema().attributes().iter().enumerate() {
+            let src_values: Vec<Value> =
+                src.iter().map(|t| t[i].clone()).filter(|v| !v.is_null()).collect();
+            if src_values.is_empty() {
+                continue;
+            }
+            let src_set = value_set(&src_values, cfg.sample);
+            let src_profile = profile(&src_values, cfg.sample);
+            for ctx in context {
+                if ctx.values.is_empty() {
+                    continue;
+                }
+                let ctx_set = value_set(&ctx.values, cfg.sample);
+                let inter = src_set.intersection(&ctx_set).count();
+                let union = src_set.len() + ctx_set.len() - inter;
+                let overlap = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
+                let ctx_profile = profile(&ctx.values, cfg.sample);
+                let prof = profile_similarity(&src_profile, &ctx_profile);
+                let score = if prof > 0.0 {
+                    cfg.overlap_weight * overlap + (1.0 - cfg.overlap_weight) * prof
+                } else {
+                    overlap
+                };
+                if score >= cfg.threshold {
+                    out.push(Correspondence {
+                        src_rel: src.name().to_string(),
+                        src_attr: sa.name.clone(),
+                        tgt_attr: ctx.tgt_attr.clone(),
+                        score,
+                        matcher: "instance".into(),
+                        evidence: format!(
+                            "value overlap {overlap:.2}, profile {prof:.2} over {} src / {} ctx values",
+                            src_set.len(),
+                            ctx_set.len()
+                        ),
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Cells that overlap after normalisation only, numbers as integers,
+/// floats and strings (so numeric profiles apply to some columns and not
+/// others), nulls, and another type.
+fn cell(i: u8) -> vada_common::Value {
+    use vada_common::Value;
+    match i % 12 {
+        0 => Value::Null,
+        1 => Value::Int(3),
+        2 => Value::Float(2.5),
+        3 => Value::str(" 4 "),
+        4 => Value::Int(250_000),
+        5 => Value::str("M1 1AA"),
+        6 => Value::str("m1-1aa"),
+        7 => Value::str("EH8 9AB"),
+        8 => Value::str("École"),
+        9 => Value::str("ÉCOLE"),
+        10 => Value::Bool(false),
+        _ => Value::str("..."),
+    }
+}
+
+proptest! {
+    #[test]
+    fn instance_matching_matches_the_clone_every_column_oracle(
+        rows in proptest::collection::vec((0u8..12, 0u8..5, 4u8..8), 0..30),
+        context in proptest::collection::vec(proptest::collection::vec(0u8..12, 0..12), 0..4),
+        sample in 0usize..8,
+        threshold in 0u8..3,
+    ) {
+        use vada_common::{Relation, Tuple};
+        use vada_match::{instance_match, ContextColumn, InstanceMatchConfig};
+        let mut src = Relation::empty(Schema::all_str("s", &["any", "numeric", "text"]));
+        for (a, b, c) in rows {
+            src.push(Tuple::new(vec![cell(a), cell(b), cell(c)])).unwrap();
+        }
+        // hand-built context columns may hold nulls; `from_relation` drops them
+        let context: Vec<ContextColumn> = context
+            .into_iter()
+            .enumerate()
+            .map(|(i, values)| ContextColumn {
+                tgt_attr: format!("t{i}"),
+                values: values.into_iter().map(cell).collect(),
+            })
+            .collect();
+        // a cap below, at and above the column lengths; a bar of zero
+        // reports every pair, scores and evidence included
+        let cfg = InstanceMatchConfig {
+            sample: if sample == 7 { 500 } else { sample },
+            threshold: [0.0, 0.3, 0.9][threshold as usize],
+            ..Default::default()
+        };
+        let got = instance_match(&cfg, &src, &context);
+        let want = oracle::instance_match(&cfg, &src, &context);
+        let shape = |c: &Correspondence| {
+            (c.pair_key(), c.score.to_bits(), c.matcher.clone(), c.evidence.clone())
+        };
+        prop_assert_eq!(
+            got.iter().map(shape).collect::<Vec<_>>(),
+            want.iter().map(shape).collect::<Vec<_>>()
+        );
+    }
+}

@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use vada_common::idgen::IdGen;
 use vada_common::par::{self, Parallelism};
-use vada_common::{Relation, Result, Value};
+use vada_common::{Relation, Result, VadaError, Value};
 use vada_kb::CfdRule;
 
 static CFD_IDS: IdGen = IdGen::new("cfd");
@@ -50,50 +50,100 @@ impl Default for CfdLearnConfig {
     }
 }
 
-/// Partition the rows of `rel` by the values of `cols`, ignoring rows with
-/// nulls in those columns.
-fn partition(rel: &Relation, cols: &[usize]) -> HashMap<Vec<Value>, Vec<usize>> {
-    let mut parts: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    'rows: for (row, t) in rel.iter().enumerate() {
-        let mut key = Vec::with_capacity(cols.len());
-        for &c in cols {
-            if t[c].is_null() {
-                continue 'rows;
-            }
-            key.push(t[c].clone());
-        }
-        parts.entry(key).or_default().push(row);
-    }
-    parts
+/// The code of a null cell, and the group of a row left out of a partition
+/// (one with a null in a partitioning column).
+const NONE: u32 = u32::MAX;
+
+/// One column, dictionary-encoded: a dense code per row, numbered by first
+/// appearance under `Value`'s own `Eq`/`Hash` — so `Int(1)` and
+/// `Float(1.0)` share a code exactly as they would share a hash-map key.
+/// A code column *is* the partition of the rows by that column.
+struct CodeColumn {
+    /// Code per row; [`NONE`] for a null.
+    codes: Vec<u32>,
+    /// The row each code first appeared in; its cell is the code's
+    /// representative, as written.
+    first_row: Vec<usize>,
 }
 
-/// Does `X → A` hold (exactly) on the non-null rows? Returns the number of
-/// supporting rows when it does.
-fn fd_holds(rel: &Relation, lhs: &[usize], rhs: usize) -> Option<usize> {
-    let parts = partition(rel, lhs);
-    let mut support = 0usize;
-    for rows in parts.values() {
-        let mut value: Option<&Value> = None;
-        for &row in rows {
-            let v = &rel.tuples()[row][rhs];
-            if v.is_null() {
+impl CodeColumn {
+    fn encode(rel: &Relation, col: usize) -> CodeColumn {
+        let mut dict: HashMap<&Value, u32> = HashMap::new();
+        let mut first_row = Vec::new();
+        let codes = rel
+            .iter()
+            .enumerate()
+            .map(|(row, t)| {
+                let v = &t[col];
+                if v.is_null() {
+                    return NONE;
+                }
+                *dict.entry(v).or_insert_with(|| {
+                    first_row.push(row);
+                    (first_row.len() - 1) as u32
+                })
+            })
+            .collect();
+        CodeColumn { codes, first_row }
+    }
+
+    fn partition(&self) -> Partition {
+        Partition { group: self.codes.clone(), groups: self.first_row.len() }
+    }
+}
+
+/// The rows grouped by the values of a column set: a dense group id per
+/// row, [`NONE`] for rows with a null in any of the columns.
+struct Partition {
+    group: Vec<u32>,
+    groups: usize,
+}
+
+impl Partition {
+    /// The partition by this one's columns plus `col`.
+    fn refine(&self, col: &CodeColumn) -> Partition {
+        let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
+        let group = self
+            .group
+            .iter()
+            .zip(&col.codes)
+            .map(|(&g, &c)| {
+                if g == NONE || c == NONE {
+                    return NONE;
+                }
+                let next = ids.len() as u32;
+                *ids.entry((g, c)).or_insert(next)
+            })
+            .collect();
+        Partition { group, groups: ids.len() }
+    }
+
+    /// Does `X → A` hold (exactly) on the non-null rows, `X` being this
+    /// partition's columns? Returns the number of supporting rows when it
+    /// does. One pass, stopping at the first group with two `A` values.
+    fn determines(&self, rhs: &CodeColumn) -> Option<usize> {
+        let mut value_of_group = vec![NONE; self.groups];
+        let mut support = 0usize;
+        for (&g, &v) in self.group.iter().zip(&rhs.codes) {
+            if g == NONE || v == NONE {
                 continue;
             }
-            match value {
-                None => value = Some(v),
-                Some(prev) if prev == v => {}
-                Some(_) => return None,
+            let seen = &mut value_of_group[g as usize];
+            if *seen == NONE {
+                *seen = v;
+            } else if *seen != v {
+                return None;
             }
             support += 1;
         }
+        Some(support)
     }
-    Some(support)
 }
 
 /// Mine CFDs from a training relation (sequential).
 pub fn learn_cfds(cfg: &CfdLearnConfig, rel: &Relation) -> Vec<CfdRule> {
     learn_cfds_with(cfg, rel, Parallelism::Sequential)
-        .expect("sequential mining has no failure modes")
+        .expect("sequential mining fails only past 2^32 rows, more than memory holds")
 }
 
 /// An FD/CFD candidate before it receives an id (workers produce these;
@@ -114,13 +164,29 @@ struct Candidate {
 /// workers share a read-only snapshot of `found` and their candidates are
 /// merged back in input order — rule order and content are identical at
 /// every [`Parallelism`] level.
+///
+/// Every column is dictionary-encoded once and the relation's values are
+/// not read again. A LHS set is partitioned once — level 1 is the code
+/// column itself, level *k* refines the level *k − 1* partition of the set
+/// without its largest column by that column's codes (TANE's partition
+/// product) — and each `X → A` is then an array pass over group ids and
+/// codes.
 pub fn learn_cfds_with(
     cfg: &CfdLearnConfig,
     rel: &Relation,
     parallelism: Parallelism,
 ) -> Result<Vec<CfdRule>> {
     let n_attrs = rel.schema().arity();
+    // codes and group ids are row-bounded `u32`s, `NONE` excluded
+    if rel.len() >= NONE as usize {
+        return Err(VadaError::Other(format!(
+            "`{}` has {} rows, more than CFD mining can number",
+            rel.name(),
+            rel.len()
+        )));
+    }
     let attr_name = |i: usize| rel.schema().attr(i).name.clone();
+    let columns: Vec<CodeColumn> = (0..n_attrs).map(|c| CodeColumn::encode(rel, c)).collect();
     let mut out: Vec<CfdRule> = Vec::new();
     // (lhs column set, rhs column) of already-found variable FDs, for
     // minimality pruning
@@ -129,26 +195,37 @@ pub fn learn_cfds_with(
     // variable FDs, levelwise by LHS size
     let mut level: Vec<BTreeSet<usize>> =
         (0..n_attrs).map(|i| BTreeSet::from([i])).collect();
-    for _size in 1..=cfg.max_lhs {
-        let per_set: Vec<Vec<Candidate>> = par::par_try_map(
+    // the previous level's partitions, by column set
+    let mut coarser: HashMap<BTreeSet<usize>, Partition> = HashMap::new();
+    for size in 1..=cfg.max_lhs {
+        let last_level = size == cfg.max_lhs;
+        let per_set: Vec<(Vec<Candidate>, Option<Partition>)> = par::par_try_map(
             parallelism,
             "quality/cfd-level-scan",
             &level,
             |_, lhs_set| {
-                let lhs_vec: Vec<usize> = lhs_set.iter().copied().collect();
-                let mut cands = Vec::new();
-                for rhs in 0..n_attrs {
-                    if lhs_set.contains(&rhs) {
-                        continue;
-                    }
+                let rhs_cols: Vec<usize> = (0..n_attrs)
+                    .filter(|rhs| !lhs_set.contains(rhs))
                     // minimality: a subset already determines rhs
-                    if found.iter().any(|(l, r)| *r == rhs && l.is_subset(lhs_set)) {
-                        continue;
-                    }
-                    if let Some(support) = fd_holds(rel, &lhs_vec, rhs) {
+                    .filter(|rhs| !found.iter().any(|(l, r)| r == rhs && l.is_subset(lhs_set)))
+                    .collect();
+                if rhs_cols.is_empty() && last_level {
+                    return Ok((Vec::new(), None)); // nothing reads this partition
+                }
+                let last = *lhs_set.last().expect("LHS sets are non-empty");
+                let partition = if size == 1 {
+                    columns[last].partition()
+                } else {
+                    let mut rest = lhs_set.clone();
+                    rest.remove(&last);
+                    coarser[&rest].refine(&columns[last])
+                };
+                let mut cands = Vec::new();
+                for rhs in rhs_cols {
+                    if let Some(support) = partition.determines(&columns[rhs]) {
                         if support >= cfg.min_support {
                             cands.push(Candidate {
-                                lhs: lhs_vec.iter().map(|&c| (attr_name(c), None)).collect(),
+                                lhs: lhs_set.iter().map(|&c| (attr_name(c), None)).collect(),
                                 rhs: (attr_name(rhs), None),
                                 support,
                                 lhs_cols: lhs_set.clone(),
@@ -157,19 +234,27 @@ pub fn learn_cfds_with(
                         }
                     }
                 }
-                Ok(cands)
+                // only a finer level reads it again
+                Ok((cands, (!last_level).then_some(partition)))
             },
         )?;
-        for cand in per_set.into_iter().flatten() {
-            found.push((cand.lhs_cols.clone(), cand.rhs_col));
-            out.push(CfdRule {
-                id: CFD_IDS.next_id(),
-                relation: rel.name().to_string(),
-                lhs: cand.lhs,
-                rhs: cand.rhs,
-                support: cand.support,
-            });
+        let mut partitions = HashMap::new();
+        for (lhs_set, (cands, partition)) in level.iter().zip(per_set) {
+            if let Some(partition) = partition {
+                partitions.insert(lhs_set.clone(), partition);
+            }
+            for cand in cands {
+                found.push((cand.lhs_cols.clone(), cand.rhs_col));
+                out.push(CfdRule {
+                    id: CFD_IDS.next_id(),
+                    relation: rel.name().to_string(),
+                    lhs: cand.lhs,
+                    rhs: cand.rhs,
+                    support: cand.support,
+                });
+            }
         }
+        coarser = partitions;
         // next level: expand each set by one attribute
         let mut next: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
         for s in &level {
@@ -185,7 +270,7 @@ pub fn learn_cfds_with(
     }
 
     // constant CFDs with single-attribute LHS, one worker item per LHS
-    // attribute (deterministic: partitions are scanned in sorted key order)
+    // attribute (deterministic: groups are scanned in sorted value order)
     if cfg.mine_constants {
         let lhs_attrs: Vec<usize> = (0..n_attrs).collect();
         let per_lhs: Vec<Vec<Candidate>> = par::par_try_map(
@@ -193,36 +278,56 @@ pub fn learn_cfds_with(
             "quality/cfd-constant-scan",
             &lhs_attrs,
             |_, &lhs| {
+                let rhs_cols: Vec<usize> = (0..n_attrs)
+                    .filter(|&rhs| rhs != lhs)
+                    // subsumed by the variable FD lhs → rhs
+                    .filter(|rhs| {
+                        !found.iter().any(|(l, r)| r == rhs && l.len() == 1 && l.contains(&lhs))
+                    })
+                    .collect();
                 let mut cands = Vec::new();
-                let parts = partition(rel, &[lhs]);
-                let mut keys: Vec<&Vec<Value>> = parts.keys().collect();
-                keys.sort();
-                for key in keys {
-                    let rows = &parts[key];
-                    if rows.len() < cfg.min_pattern_support {
-                        continue;
+                if rhs_cols.is_empty() {
+                    return Ok(cands);
+                }
+                // counting sort of the rows by LHS code: group `c` is
+                // `rows[start[c]..start[c + 1]]`, rows ascending
+                let column = &columns[lhs];
+                let mut start = vec![0usize; column.first_row.len() + 1];
+                for &c in column.codes.iter().filter(|&&c| c != NONE) {
+                    start[c as usize + 1] += 1;
+                }
+                for c in 1..start.len() {
+                    start[c] += start[c - 1];
+                }
+                let mut fill = start.clone();
+                let mut rows = vec![0usize; start[start.len() - 1]];
+                for (row, &c) in column.codes.iter().enumerate() {
+                    if c != NONE {
+                        rows[fill[c as usize]] = row;
+                        fill[c as usize] += 1;
                     }
-                    for rhs in 0..n_attrs {
-                        if rhs == lhs {
-                            continue;
-                        }
-                        if found
-                            .iter()
-                            .any(|(l, r)| *r == rhs && l.len() == 1 && l.contains(&lhs))
-                        {
-                            continue; // subsumed by variable FD lhs → rhs
-                        }
-                        let mut value: Option<&Value> = None;
+                }
+                // only the groups large enough to carry a pattern, by value
+                let value_of = |c: usize| &rel.tuples()[column.first_row[c]][lhs];
+                let mut groups: Vec<usize> = (0..column.first_row.len())
+                    .filter(|&c| start[c + 1] - start[c] >= cfg.min_pattern_support)
+                    .collect();
+                groups.sort_by(|&a, &b| value_of(a).cmp(value_of(b)));
+                for c in groups {
+                    for &rhs in &rhs_cols {
+                        let codes = &columns[rhs].codes;
+                        // (first row with a value, its code)
+                        let mut constant: Option<(usize, u32)> = None;
                         let mut ok = true;
                         let mut support = 0usize;
-                        for &row in rows {
-                            let v = &rel.tuples()[row][rhs];
-                            if v.is_null() {
+                        for &row in &rows[start[c]..start[c + 1]] {
+                            let v = codes[row];
+                            if v == NONE {
                                 continue;
                             }
-                            match value {
-                                None => value = Some(v),
-                                Some(prev) if prev == v => {}
+                            match constant {
+                                None => constant = Some((row, v)),
+                                Some((_, prev)) if prev == v => {}
                                 Some(_) => {
                                     ok = false;
                                     break;
@@ -231,10 +336,10 @@ pub fn learn_cfds_with(
                             support += 1;
                         }
                         if ok && support >= cfg.min_pattern_support {
-                            if let Some(v) = value {
+                            if let Some((row, _)) = constant {
                                 cands.push(Candidate {
-                                    lhs: vec![(attr_name(lhs), Some(key[0].clone()))],
-                                    rhs: (attr_name(rhs), Some(v.clone())),
+                                    lhs: vec![(attr_name(lhs), Some(value_of(c).clone()))],
+                                    rhs: (attr_name(rhs), Some(rel.tuples()[row][rhs].clone())),
                                     support,
                                     lhs_cols: BTreeSet::from([lhs]),
                                     rhs_col: rhs,
@@ -246,33 +351,24 @@ pub fn learn_cfds_with(
                 Ok(cands)
             },
         )?;
-        let mut constants: Vec<Candidate> = per_lhs.into_iter().flatten().collect();
         // ids are assigned after the deterministic sort, so the id ↔ rule
         // association no longer depends on scan order
-        let display_of = |c: &Candidate| {
-            CfdRule {
+        let mut constants: Vec<CfdRule> = per_lhs
+            .into_iter()
+            .flatten()
+            .map(|c| CfdRule {
                 id: String::new(),
                 relation: rel.name().to_string(),
-                lhs: c.lhs.clone(),
-                rhs: c.rhs.clone(),
+                lhs: c.lhs,
+                rhs: c.rhs,
                 support: c.support,
-            }
-            .display()
-        };
-        constants.sort_by(|a, b| {
-            b.support
-                .cmp(&a.support)
-                .then_with(|| display_of(a).cmp(&display_of(b)))
-        });
+            })
+            .collect();
+        constants.sort_by_cached_key(|c| (std::cmp::Reverse(c.support), c.display()));
         constants.truncate(cfg.max_constant_cfds);
-        for cand in constants {
-            out.push(CfdRule {
-                id: CFD_IDS.next_id(),
-                relation: rel.name().to_string(),
-                lhs: cand.lhs,
-                rhs: cand.rhs,
-                support: cand.support,
-            });
+        for mut rule in constants {
+            rule.id = CFD_IDS.next_id();
+            out.push(rule);
         }
     }
 

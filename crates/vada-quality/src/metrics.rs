@@ -5,7 +5,7 @@
 
 use std::collections::HashSet;
 
-use vada_common::text::normalize;
+use vada_common::text::{blocking_key, normalize};
 use vada_common::{Relation, Result};
 use vada_kb::CfdRule;
 
@@ -46,12 +46,15 @@ impl ReferencePopulation {
         let col = rel.schema().require(attr)?;
         let mut total = 0usize;
         let mut hits = 0usize;
+        let mut norm = String::new();
         for t in rel.iter() {
-            if t[col].is_null() {
+            // one key column: the key is the cell's normal form, and a null
+            // cell has none
+            if !blocking_key(t, &[col], &mut norm) {
                 continue;
             }
             total += 1;
-            if self.0.contains(&normalize(&t[col].to_string())) {
+            if self.0.contains(norm.as_str()) {
                 hits += 1;
             }
         }

@@ -14,9 +14,11 @@
 
 use std::collections::HashMap;
 
-use vada_common::text::{jaro_winkler, normalize};
-use vada_common::{Relation, Value};
+use vada_common::text::{blocking_key, jaro_winkler_chars};
+use vada_common::{Relation, Schema, Value};
 use vada_kb::CfdRule;
+
+use crate::violations::resolve_columns;
 
 /// Repair configuration.
 #[derive(Debug, Clone)]
@@ -61,54 +63,111 @@ impl RepairReport {
     }
 }
 
-/// One lookup table: `(lhs attrs, rhs attr, lhs values → rhs value)`.
-type Lookup = (Vec<String>, String, HashMap<Vec<Value>, Value>);
+/// One variable FD `X → A`, resolved for a repair call: where `X` and `A`
+/// sit in the repaired relation, and the reference's `X values → A value`
+/// table.
+struct Lookup {
+    lhs_cols: Vec<usize>,
+    rhs_col: usize,
+    table: HashMap<Vec<Value>, Value>,
+}
 
-/// Lookup tables built from the reference relation for each variable FD.
-fn build_lookups(cfds: &[CfdRule], reference: &Relation) -> Vec<Lookup> {
+/// Lookup tables built from the reference relation for each variable FD
+/// whose attributes both the repaired relation and the reference have. The
+/// repaired relation is asked first: an FD it cannot apply costs no scan of
+/// the reference.
+fn build_lookups(cfds: &[CfdRule], rel: &Relation, reference: &Relation) -> Vec<Lookup> {
     let mut out = Vec::new();
+    let mut key: Vec<Value> = Vec::new();
     for cfd in cfds {
         if cfd.rhs.1.is_some() || cfd.lhs.iter().any(|(_, p)| p.is_some()) {
             continue; // constant CFDs handled through violations, not lookup
         }
-        let lhs_attrs: Vec<String> = cfd.lhs.iter().map(|(a, _)| a.clone()).collect();
-        let lhs_cols: Option<Vec<usize>> = lhs_attrs
-            .iter()
-            .map(|a| reference.schema().index_of(a))
-            .collect();
-        let rhs_col = reference.schema().index_of(&cfd.rhs.0);
-        let (Some(lhs_cols), Some(rhs_col)) = (lhs_cols, rhs_col) else {
-            continue;
-        };
+        let Some((lhs_cols, rhs_col)) = resolve_columns(rel, cfd) else { continue };
+        let Some((ref_lhs, ref_rhs)) = resolve_columns(reference, cfd) else { continue };
         let mut table: HashMap<Vec<Value>, Value> = HashMap::new();
         let mut conflicted: std::collections::HashSet<Vec<Value>> = Default::default();
         for t in reference.iter() {
-            if lhs_cols.iter().any(|&c| t[c].is_null()) || t[rhs_col].is_null() {
+            if ref_lhs.iter().any(|&c| t[c].is_null()) || t[ref_rhs].is_null() {
                 continue;
             }
-            let key: Vec<Value> = lhs_cols.iter().map(|&c| t[c].clone()).collect();
-            match table.get(&key) {
+            key.clear();
+            key.extend(ref_lhs.iter().map(|&c| t[c].clone()));
+            match table.get(key.as_slice()) {
                 None => {
-                    table.insert(key, t[rhs_col].clone());
+                    table.insert(key.clone(), t[ref_rhs].clone());
                 }
-                Some(v) if *v == t[rhs_col] => {}
+                Some(v) if *v == t[ref_rhs] => {}
                 Some(_) => {
-                    conflicted.insert(key);
+                    conflicted.insert(key.clone());
                 }
             }
         }
         for key in conflicted {
             table.remove(&key); // FD does not actually hold here: no repair
         }
-        out.push((lhs_attrs, cfd.rhs.0.clone(), table));
+        out.push(Lookup { lhs_cols, rhs_col, table });
     }
     out
+}
+
+/// A reference value a typo can snap to: the value as written, and its
+/// normal form as a span of [`FuzzyIndex::chars`].
+struct SnapTarget<'r> {
+    value: &'r Value,
+    start: usize,
+    end: usize,
+}
+
+/// The reference's values of the fuzzy attribute, grouped by the grouping
+/// attribute (reference order within a group), normal forms decoded once.
+struct FuzzyIndex<'r> {
+    /// The fuzzy and grouping attributes' columns in the repaired relation.
+    fuzzy_col: usize,
+    group_col: usize,
+    by_group: HashMap<&'r Value, Vec<SnapTarget<'r>>>,
+    chars: Vec<char>,
+}
+
+impl<'r> FuzzyIndex<'r> {
+    /// `None` when either relation lacks either attribute.
+    fn build(
+        schema: &Schema,
+        reference: &'r Relation,
+        fuzzy_attr: &str,
+        group_attr: &str,
+    ) -> Option<FuzzyIndex<'r>> {
+        let (fuzzy_col, group_col) = (schema.index_of(fuzzy_attr)?, schema.index_of(group_attr)?);
+        let (f_ref, g_ref) =
+            (reference.schema().index_of(fuzzy_attr)?, reference.schema().index_of(group_attr)?);
+        let mut by_group: HashMap<&Value, Vec<SnapTarget>> = HashMap::new();
+        let mut chars: Vec<char> = Vec::new();
+        let mut norm = String::new();
+        for t in reference.iter() {
+            // one key column: the key is the cell's normal form, and a null
+            // cell has none
+            if !t[g_ref].is_null() && blocking_key(t, &[f_ref], &mut norm) {
+                let start = chars.len();
+                chars.extend(norm.chars());
+                by_group.entry(&t[g_ref]).or_default().push(SnapTarget {
+                    value: &t[f_ref],
+                    start,
+                    end: chars.len(),
+                });
+            }
+        }
+        Some(FuzzyIndex { fuzzy_col, group_col, by_group, chars })
+    }
 }
 
 /// Repair `rel` in place using CFD lookups over `reference`, then fuzzy
 /// key repair of `fuzzy_attr` grouped by `group_attr` (pass `None` to skip
 /// the fuzzy pass). Iterates the pass to a fixpoint (chase-style): a
 /// filled cell can enable further lookups.
+///
+/// The reference is read once, into the lookup tables and the fuzzy index.
+/// A row's repairs read only that row and those, so a pass after the first
+/// revisits exactly the rows the pass before it changed.
 pub fn repair_with_reference(
     cfg: &RepairConfig,
     rel: &mut Relation,
@@ -116,119 +175,105 @@ pub fn repair_with_reference(
     reference: &Relation,
     fuzzy: Option<(&str, &str)>,
 ) -> RepairReport {
+    let lookups = build_lookups(cfds, rel, reference);
+    let fuzzy = fuzzy.and_then(|(fuzzy_attr, group_attr)| {
+        FuzzyIndex::build(rel.schema(), reference, fuzzy_attr, group_attr)
+    });
     let mut report = RepairReport::default();
+    let mut scratch = Scratch::default();
+    let mut worklist: Vec<usize> = (0..rel.len()).collect();
     for pass in 0..cfg.max_passes.max(1) {
-        let step = repair_pass(cfg, rel, cfds, reference, fuzzy);
         report.passes = pass + 1;
-        if step.total() == 0 {
+        let before = report.total();
+        worklist.retain(|&row| {
+            let fixes = report.total();
+            repair_row(cfg, rel, row, &lookups, fuzzy.as_ref(), &mut scratch, &mut report);
+            report.total() > fixes
+        });
+        if report.total() == before {
             report.converged = true;
             break;
         }
-        report.cfd_fixes += step.cfd_fixes;
-        report.null_fills += step.null_fills;
-        report.fuzzy_fixes += step.fuzzy_fixes;
     }
     report
 }
 
-/// One repair pass over all CFD lookups plus the fuzzy pass.
-fn repair_pass(
+/// Buffers one repair call reuses across rows.
+#[derive(Default)]
+struct Scratch {
+    key: Vec<Value>,
+    norm: String,
+    chars: Vec<char>,
+}
+
+/// One chase step on one row: every CFD lookup in rule order, then the
+/// fuzzy snap, each reading the row as the step before left it.
+fn repair_row(
     cfg: &RepairConfig,
     rel: &mut Relation,
-    cfds: &[CfdRule],
-    reference: &Relation,
-    fuzzy: Option<(&str, &str)>,
-) -> RepairReport {
-    let mut report = RepairReport::default();
-
+    row: usize,
+    lookups: &[Lookup],
+    fuzzy: Option<&FuzzyIndex>,
+    scratch: &mut Scratch,
+    report: &mut RepairReport,
+) {
     // 1. CFD lookup repair
-    for (lhs_attrs, rhs_attr, table) in build_lookups(cfds, reference) {
-        let lhs_cols: Option<Vec<usize>> = lhs_attrs
-            .iter()
-            .map(|a| rel.schema().index_of(a))
-            .collect();
-        let rhs_col = rel.schema().index_of(&rhs_attr);
-        let (Some(lhs_cols), Some(rhs_col)) = (lhs_cols, rhs_col) else {
+    for Lookup { lhs_cols, rhs_col, table } in lookups {
+        let t = &rel.tuples()[row];
+        if lhs_cols.iter().any(|&c| t[c].is_null()) {
             continue;
-        };
-        for row in 0..rel.len() {
-            let t = &rel.tuples()[row];
-            if lhs_cols.iter().any(|&c| t[c].is_null()) {
+        }
+        scratch.key.clear();
+        scratch.key.extend(lhs_cols.iter().map(|&c| t[c].clone()));
+        let Some(want) = table.get(scratch.key.as_slice()) else { continue };
+        let got = &t[*rhs_col];
+        let fixes = if got.is_null() {
+            if !cfg.fill_nulls {
                 continue;
             }
-            let key: Vec<Value> = lhs_cols.iter().map(|&c| t[c].clone()).collect();
-            let Some(want) = table.get(&key) else { continue };
-            let got = &t[rhs_col];
-            if got.is_null() {
-                if cfg.fill_nulls {
-                    let fixed = t.with_value(rhs_col, want.clone());
-                    rel.replace(row, fixed).expect("same arity");
-                    report.null_fills += 1;
-                }
-            } else if got != want {
-                let fixed = t.with_value(rhs_col, want.clone());
-                rel.replace(row, fixed).expect("same arity");
-                report.cfd_fixes += 1;
-            }
-        }
+            &mut report.null_fills
+        } else if got != want {
+            &mut report.cfd_fixes
+        } else {
+            continue;
+        };
+        let fixed = t.with_value(*rhs_col, want.clone());
+        rel.replace(row, fixed).expect("same arity");
+        *fixes += 1;
     }
 
     // 2. fuzzy key repair
-    if let Some((fuzzy_attr, group_attr)) = fuzzy {
-        let (Some(f_rel), Some(g_rel)) = (
-            rel.schema().index_of(fuzzy_attr),
-            rel.schema().index_of(group_attr),
-        ) else {
-            return report;
-        };
-        let (Some(f_ref), Some(g_ref)) = (
-            reference.schema().index_of(fuzzy_attr),
-            reference.schema().index_of(group_attr),
-        ) else {
-            return report;
-        };
-        // group reference values of fuzzy_attr by group_attr
-        let mut by_group: HashMap<Value, Vec<&Value>> = HashMap::new();
-        for t in reference.iter() {
-            if !t[g_ref].is_null() && !t[f_ref].is_null() {
-                by_group.entry(t[g_ref].clone()).or_default().push(&t[f_ref]);
-            }
-        }
-        for row in 0..rel.len() {
-            let t = &rel.tuples()[row];
-            let (got, group) = (&t[f_rel], &t[g_rel]);
-            if got.is_null() || group.is_null() {
-                continue;
-            }
-            let Some(candidates) = by_group.get(group) else { continue };
-            let got_norm = normalize(&got.to_string());
-            if candidates
-                .iter()
-                .any(|c| normalize(&c.to_string()) == got_norm)
-            {
-                continue; // already a reference value
-            }
-            // unique candidate above the similarity threshold?
-            let mut best: Option<(&Value, f64)> = None;
-            let mut ambiguous = false;
-            for c in candidates {
-                let sim = jaro_winkler(&got_norm, &normalize(&c.to_string()));
-                if sim >= cfg.fuzzy_threshold {
-                    match best {
-                        None => best = Some((c, sim)),
-                        Some((prev, _)) if prev == *c => {}
-                        Some(_) => ambiguous = true,
-                    }
-                }
-            }
-            if let (Some((want, _)), false) = (best, ambiguous) {
-                let fixed = t.with_value(f_rel, want.clone());
-                rel.replace(row, fixed).expect("same arity");
-                report.fuzzy_fixes += 1;
+    let Some(index) = fuzzy else { return };
+    let t = &rel.tuples()[row];
+    let group = &t[index.group_col];
+    if group.is_null() || !blocking_key(t, &[index.fuzzy_col], &mut scratch.norm) {
+        return;
+    }
+    let Some(candidates) = index.by_group.get(group) else { return };
+    scratch.chars.clear();
+    scratch.chars.extend(scratch.norm.chars());
+    let got = scratch.chars.as_slice();
+    let normal_form = |c: &SnapTarget| &index.chars[c.start..c.end];
+    if candidates.iter().any(|c| normal_form(c) == got) {
+        return; // already a reference value
+    }
+    // unique candidate above the similarity threshold?
+    let mut best: Option<&Value> = None;
+    let mut ambiguous = false;
+    for c in candidates {
+        if jaro_winkler_chars(got, normal_form(c)) >= cfg.fuzzy_threshold {
+            match best {
+                None => best = Some(c.value),
+                Some(prev) if prev == c.value => {}
+                Some(_) => ambiguous = true,
             }
         }
     }
-    report
+    if let (Some(want), false) = (best, ambiguous) {
+        let fixed = t.with_value(index.fuzzy_col, want.clone());
+        rel.replace(row, fixed).expect("same arity");
+        report.fuzzy_fixes += 1;
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ pub struct Violation {
 
 /// Resolve the column indices a CFD needs on `rel`; `None` if any is
 /// missing.
-fn resolve_columns(rel: &Relation, cfd: &CfdRule) -> Option<(Vec<usize>, usize)> {
+pub(crate) fn resolve_columns(rel: &Relation, cfd: &CfdRule) -> Option<(Vec<usize>, usize)> {
     let lhs: Option<Vec<usize>> = cfd
         .lhs
         .iter()
