@@ -3,12 +3,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vada_bench::par_group;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_quality::{learn_cfds, CfdLearnConfig};
 
 fn bench_rows(c: &mut Criterion) {
-    let mut group = c.benchmark_group(par_group("cfd/rows"));
+    let mut group = c.benchmark_group("cfd/rows");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for props in [200usize, 1000, 4000] {
         group.bench_with_input(BenchmarkId::from_parameter(props), &props, |b, &props| {
@@ -24,7 +23,7 @@ fn bench_rows(c: &mut Criterion) {
 }
 
 fn bench_lhs_size(c: &mut Criterion) {
-    let mut group = c.benchmark_group(par_group("cfd/max_lhs"));
+    let mut group = c.benchmark_group("cfd/max_lhs");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 1000, seed: 1 },

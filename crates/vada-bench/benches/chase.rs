@@ -4,14 +4,13 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vada_bench::par_group;
 use vada_common::tuple;
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
 
 fn bench_flat_invention(c: &mut Criterion) {
     // one invented owner per property
     let program = parse_program("owner(X, Z) :- prop(X). owned(Z) :- owner(_, Z).").unwrap();
-    let mut group = c.benchmark_group(par_group("chase/flat_invention"));
+    let mut group = c.benchmark_group("chase/flat_invention");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for n in [1000usize, 10_000, 40_000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -37,7 +36,7 @@ fn bench_nested_invention(c: &mut Criterion) {
         "person(X) :- seed(X). parent(X, Z) :- person(X). person(Z) :- parent(_, Z).",
     )
     .unwrap();
-    let mut group = c.benchmark_group(par_group("chase/nested_invention_depth"));
+    let mut group = c.benchmark_group("chase/nested_invention_depth");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for depth in [4usize, 8, 12] {
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &depth| {

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use vada_bench::par_group;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vada_common::tuple;
 use vada_datalog::{parse_program, Database, Engine};
@@ -23,7 +22,7 @@ fn chain_db(n: usize) -> Database {
 fn bench_transitive_closure(c: &mut Criterion) {
     let program =
         parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
-    let mut group = c.benchmark_group(par_group("datalog/transitive_closure"));
+    let mut group = c.benchmark_group("datalog/transitive_closure");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for n in [50usize, 100, 200] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -45,7 +44,7 @@ fn bench_join_pipeline(c: &mut Criterion) {
         "j(A, C, E) :- r(A, B), s(B, C), t(C, D), D > 10, E = D * 2.",
     )
     .unwrap();
-    let mut group = c.benchmark_group(par_group("datalog/join_pipeline"));
+    let mut group = c.benchmark_group("datalog/join_pipeline");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for n in [200usize, 1000, 4000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -74,7 +73,7 @@ fn bench_negation(c: &mut Criterion) {
          noreach(X, Y) :- node(X), node(Y), not reach(X, Y).",
     )
     .unwrap();
-    let mut group = c.benchmark_group(par_group("datalog/stratified_negation"));
+    let mut group = c.benchmark_group("datalog/stratified_negation");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for n in [30usize, 60, 120] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -93,7 +92,7 @@ fn bench_negation(c: &mut Criterion) {
 
 fn bench_aggregates(c: &mut Criterion) {
     let program = parse_program("agg(G, count(V), sum(V), avg(V)) :- item(G, V).").unwrap();
-    let mut group = c.benchmark_group(par_group("datalog/aggregates"));
+    let mut group = c.benchmark_group("datalog/aggregates");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for n in [1000usize, 10_000, 50_000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {

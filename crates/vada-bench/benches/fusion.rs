@@ -3,12 +3,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vada_bench::par_group;
-use vada_common::{Parallelism, Relation, Schema, Tuple, Value};
+use vada_common::{Relation, Schema, Tuple, Value};
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_fusion::{
-    cluster_relation, cluster_relation_with, fuse_clusters, ClusterConfig, FieldKind, FieldSpec,
-    Survivorship,
+    cluster_relation, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
 };
 
 fn dirty_union(props: usize) -> Relation {
@@ -45,7 +43,7 @@ fn spec() -> Vec<FieldSpec> {
 }
 
 fn bench_clustering(c: &mut Criterion) {
-    let mut group = c.benchmark_group(par_group("fusion/cluster_with_blocking"));
+    let mut group = c.benchmark_group("fusion/cluster_with_blocking");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for props in [200usize, 1000, 4000] {
         group.bench_with_input(BenchmarkId::from_parameter(props), &props, |b, &props| {
@@ -64,7 +62,7 @@ fn bench_clustering(c: &mut Criterion) {
 fn bench_blocking_ablation(c: &mut Criterion) {
     // blocking on postcode vs a degenerate single block (the first char of
     // street) — shows why blocking matters
-    let mut group = c.benchmark_group(par_group("fusion/blocking_ablation_1000"));
+    let mut group = c.benchmark_group("fusion/blocking_ablation_1000");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
     let rel = dirty_union(1000);
     for (label, key) in [("postcode_block", "postcode"), ("no_real_block", "bedrooms")] {
@@ -80,10 +78,8 @@ fn bench_blocking_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pairwise_parallel(c: &mut Criterion) {
-    // the acceptance gauge for the parallel substrate: pairwise scoring on
-    // a ~10k-row dirty union at 1 vs 4 workers; the t4 series should run
-    // ≥1.5× faster than t1 on a 4-core machine, with identical clusters
+fn bench_pairwise(c: &mut Criterion) {
+    // pairwise scoring on a ~10k-row dirty union
     let mut group = c.benchmark_group("fusion/pairwise_10k");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
     let rel = dirty_union(6250); // two 80% sources ≈ 10k rows
@@ -92,19 +88,9 @@ fn bench_pairwise_parallel(c: &mut Criterion) {
         fields: spec(),
         threshold: 0.9,
     };
-    let baseline = cluster_relation_with(&cfg, &rel, Parallelism::Sequential).expect("clusters");
-    for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Threads(4)] {
-        // determinism spot-check before timing: identical clusters (full
-        // vectors, not counts) at every level
-        assert_eq!(
-            cluster_relation_with(&cfg, &rel, par).expect("clusters"),
-            baseline,
-            "{par:?} diverged from sequential clustering"
-        );
-        group.bench_function(format!("t{}", par.workers()), |b| {
-            b.iter(|| cluster_relation_with(&cfg, &rel, par).expect("clusters").len());
-        });
-    }
+    group.bench_function("cluster", |b| {
+        b.iter(|| cluster_relation(&cfg, &rel).expect("clusters").len());
+    });
     group.finish();
 }
 
@@ -159,7 +145,7 @@ criterion_group!(
     benches,
     bench_clustering,
     bench_blocking_ablation,
-    bench_pairwise_parallel,
+    bench_pairwise,
     bench_survivorship,
     bench_value_normalisation
 );

@@ -7,7 +7,6 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vada_bench::par_group;
 use vada_common::{tuple, Tuple};
 use vada_datalog::incremental::IncrementalSession;
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
@@ -47,7 +46,7 @@ fn delta(k: usize, round: usize) -> Vec<(String, Tuple)> {
 
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let program = parse_program(PROGRAM).unwrap();
-    let mut group = c.benchmark_group(par_group("datalog/incremental_vs_full"));
+    let mut group = c.benchmark_group("datalog/incremental_vs_full");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     const K: usize = 64;
     for n in [5_000usize, 20_000] {

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use vada_bench::par_group;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vada_bench::paygo::{run_paygo, PaygoConfig};
 use vada_core::Wrangler;
@@ -18,7 +17,7 @@ fn scenario_cfg(props: usize) -> ScenarioConfig {
 }
 
 fn bench_bootstrap(c: &mut Criterion) {
-    let mut group = c.benchmark_group(par_group("pipeline/bootstrap"));
+    let mut group = c.benchmark_group("pipeline/bootstrap");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
     for props in [100usize, 300, 800] {
         group.bench_with_input(BenchmarkId::from_parameter(props), &props, |b, &props| {
@@ -38,7 +37,7 @@ fn bench_bootstrap(c: &mut Criterion) {
 }
 
 fn bench_full_paygo(c: &mut Criterion) {
-    let mut group = c.benchmark_group(par_group("pipeline/full_paygo"));
+    let mut group = c.benchmark_group("pipeline/full_paygo");
     group.sample_size(10).measurement_time(Duration::from_secs(8));
     for props in [100usize, 300] {
         group.bench_with_input(BenchmarkId::from_parameter(props), &props, |b, &props| {

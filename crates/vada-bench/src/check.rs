@@ -171,9 +171,9 @@ pub fn run_check() -> Result<String, String> {
     })?;
     let doc = Json::parse(&raw).map_err(|e| format!("{BASELINE_PATH} does not parse: {e}"))?;
     let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-    if schema != "vada-bench-baseline/v13" {
+    if schema != "vada-bench-baseline/v14" {
         return Err(format!(
-            "unsupported baseline schema `{schema}` (want vada-bench-baseline/v13) \
+            "unsupported baseline schema `{schema}` (want vada-bench-baseline/v14) \
              — regenerate with `repro bench`"
         ));
     }

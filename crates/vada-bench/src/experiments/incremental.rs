@@ -489,9 +489,7 @@ pub(crate) fn measure_families() -> Families {
 
 fn to_json(fam: &Families) -> String {
     let Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes } = fam;
-    let workers = vada_common::Parallelism::from_env().workers();
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v13\",\n");
-    out.push_str(&format!("  \"workers\": {workers},\n"));
+    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v14\",\n");
     out.push_str("  \"datalog_incremental_vs_full\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -826,7 +824,7 @@ mod tests {
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"wrangle_paygo\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v13"), "{json}");
+        assert!(json.contains("vada-bench-baseline/v14"), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();

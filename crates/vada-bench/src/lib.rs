@@ -12,36 +12,3 @@ pub mod paygo;
 pub mod report;
 
 pub use paygo::{run_paygo, PaygoConfig, PaygoOutcome, StepSnapshot};
-
-/// Criterion group label recording the active worker count, so sequential
-/// and parallel runs of a bench land in distinct series instead of
-/// polluting each other's history. The assert re-derives the worker count
-/// from the *documented* `VADA_THREADS` contract (trim, parse, ≥ 2 means
-/// threads) and pins `Parallelism::from_env` to it — if the substrate's
-/// parsing ever drifts from that spec, parallel bench runs fail loudly
-/// instead of recording mislabelled timings.
-pub fn par_group(base: &str) -> String {
-    let workers = vada_common::Parallelism::from_env().workers();
-    if let Some(requested) = std::env::var("VADA_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 2)
-    {
-        assert_eq!(
-            workers,
-            requested.min(vada_common::par::MAX_WORKERS),
-            "VADA_THREADS={requested} must be recorded in the bench label"
-        );
-    }
-    format!("{base}/t{workers}")
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn par_group_records_worker_count() {
-        let label = super::par_group("area/bench");
-        let workers = vada_common::Parallelism::from_env().workers();
-        assert_eq!(label, format!("area/bench/t{workers}"));
-    }
-}

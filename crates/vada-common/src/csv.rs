@@ -4,8 +4,7 @@
 //! scenario; this module is deliberately minimal — comma separator, `"`
 //! quoting with doubled-quote escapes, and `\n`/`\r\n` row terminators.
 
-use crate::error::{Result, VadaError};
-use crate::par::{self, Parallelism};
+use crate::error::{guard_stage, Result, VadaError};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -103,10 +102,18 @@ pub fn serialize<S: AsRef<str>>(rows: &[Vec<S>]) -> String {
 
 /// Read CSV text (first row = header) into a [`Relation`], parsing each cell
 /// according to the schema's attribute types. The header must match the
-/// schema's attribute names (order included). Ingest parallelism follows the
-/// `VADA_THREADS` override; see [`read_relation_with`].
+/// schema's attribute names (order included). Rows are typed in file order,
+/// so the first bad row is the one reported; a panic while typing surfaces
+/// as an error naming the `csv/ingest` stage.
 pub fn read_relation(text: &str, schema: Schema) -> Result<Relation> {
-    read_relation_with(text, schema, Parallelism::from_env())
+    let body = split_body(parse(text)?, &schema)?;
+    let tuples = guard_stage("csv/ingest", || {
+        body.iter()
+            .enumerate()
+            .map(|(line_no, row)| typed_tuple(line_no, row, &schema))
+            .collect::<Result<Vec<_>>>()
+    })?;
+    Relation::from_tuples(schema, tuples)
 }
 
 /// Split parsed CSV rows into header + body, validating the header
@@ -128,7 +135,9 @@ fn split_body(rows: Vec<Vec<String>>, schema: &Schema) -> Result<Vec<Vec<String>
     Ok(it.collect())
 }
 
-/// Type one body row (`line_no` is the 0-based body index) into a tuple.
+/// Type one body row (`line_no` is the 0-based body index) into a tuple. A
+/// cell that does not parse as its attribute's type is reported with its
+/// row and column.
 fn typed_tuple(line_no: usize, row: &[String], schema: &Schema) -> Result<Tuple> {
     if row.len() != schema.arity() {
         return Err(VadaError::Csv(format!(
@@ -141,22 +150,19 @@ fn typed_tuple(line_no: usize, row: &[String], schema: &Schema) -> Result<Tuple>
     let values: Vec<Value> = row
         .iter()
         .enumerate()
-        .map(|(i, cell)| Value::parse_as(cell, schema.attr(i).ty))
+        .map(|(i, cell)| {
+            let attr = schema.attr(i);
+            Value::parse_as(cell, attr.ty).map_err(|e| {
+                VadaError::Type(format!(
+                    "row {}, column `{}`: {}",
+                    line_no + 2,
+                    attr.name,
+                    e.message()
+                ))
+            })
+        })
         .collect::<Result<_>>()?;
     Ok(Tuple::new(values))
-}
-
-/// [`read_relation`] with explicit ingest parallelism: splitting into rows is
-/// sequential (the quoting state machine is inherently serial), but cell
-/// typing — the expensive part on wide, numeric relations — is batched
-/// across workers. Row order, the resulting relation, and the first error
-/// reported are identical at every parallelism level.
-pub fn read_relation_with(text: &str, schema: Schema, par: Parallelism) -> Result<Relation> {
-    let body = split_body(parse(text)?, &schema)?;
-    let tuples = par::par_try_map(par, "csv/ingest", &body, |line_no, row| {
-        typed_tuple(line_no, row, &schema)
-    })?;
-    Relation::from_tuples(schema, tuples)
 }
 
 /// Write a [`Relation`] to CSV text (header row included).
@@ -279,25 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_is_identical_to_sequential() {
-        let schema = Schema::new(
-            "p",
-            [("n", AttrType::Int), ("s", AttrType::Str), ("f", AttrType::Float)],
-        )
-        .unwrap();
-        let mut text = String::from("n,s,f\n");
-        for i in 0..500 {
-            text.push_str(&format!("{i},\"row, {i}\",{}.5\n", i % 7));
-        }
-        let seq = read_relation_with(&text, schema.clone(), Parallelism::Sequential).unwrap();
-        for n in [2usize, 3, 8] {
-            let par = read_relation_with(&text, schema.clone(), Parallelism::Threads(n)).unwrap();
-            assert_eq!(par.tuples(), seq.tuples(), "threads={n}");
-        }
-    }
-
-    #[test]
-    fn parallel_ingest_reports_the_first_bad_row() {
+    fn ingest_reports_the_first_bad_row() {
         let schema = Schema::new("p", [("n", AttrType::Int)]).unwrap();
         let mut text = String::from("n\n");
         for i in 0..200 {
@@ -305,9 +293,26 @@ mod tests {
         }
         let mut bad = text.clone();
         bad.insert_str("n\n0\n1\n2\n".len(), "oops,extra\n");
-        let seq = read_relation_with(&bad, schema.clone(), Parallelism::Sequential).unwrap_err();
-        let par = read_relation_with(&bad, schema, Parallelism::Threads(4)).unwrap_err();
-        assert_eq!(seq, par);
-        assert!(seq.message().contains("row 5"), "{seq}");
+        let err = read_relation(&bad, schema).unwrap_err();
+        assert!(err.message().contains("row 5"), "{err}");
+    }
+
+    #[test]
+    fn bad_cell_names_its_row_and_column() {
+        let schema = Schema::new(
+            "p",
+            [("street", AttrType::Str), ("price", AttrType::Int), ("area", AttrType::Float)],
+        )
+        .unwrap();
+        let mut text = String::from("street,price,area\n");
+        for i in 0..50 {
+            text.push_str(&format!("{i} high st,{},{i}.5\n", 100_000 + i));
+        }
+        // two bad cells: the one earlier in file order is reported
+        text.push_str("x,abc,2.5\n");
+        text.push_str("y,7,not a float\n");
+        let err = read_relation(&text, schema).unwrap_err();
+        assert_eq!(err.kind(), "type", "{err}");
+        assert_eq!(err.message(), "row 52, column `price`: cannot parse `abc` as int");
     }
 }

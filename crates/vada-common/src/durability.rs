@@ -1,13 +1,11 @@
 //! The durability knob: whether the knowledge base persists its delta
 //! events to an on-disk write-ahead log.
 //!
-//! This mirrors the [`crate::par::Parallelism`] pattern — an enum with an
-//! environment-variable default (`VADA_WAL`) so an operator can make every
-//! `Wrangler` in a process durable without touching call sites — with one
-//! structural difference: durability is a property of
-//! the `KnowledgeBase` itself, not of how transducers are scheduled, so the
-//! knob is consumed by `Wrangler`/`KnowledgeBase` rather than broadcast
-//! through the orchestrator config to each transducer.
+//! An enum with an environment-variable default (`VADA_WAL`), so an
+//! operator can make every `Wrangler` in a process durable without
+//! touching call sites. Durability is a property of the `KnowledgeBase`
+//! itself, not of how transducers are scheduled, so the knob is consumed by
+//! `Wrangler`/`KnowledgeBase` rather than broadcast to each transducer.
 
 use std::path::PathBuf;
 

@@ -1,6 +1,7 @@
 //! Error types shared across the VADA workspace.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Convenience alias used throughout the workspace.
 pub type Result<T, E = VadaError> = std::result::Result<T, E>;
@@ -31,7 +32,7 @@ pub enum VadaError {
     Transducer(String),
     /// User-context / AHP input is invalid (e.g. inconsistent matrix shape).
     Context(String),
-    /// A parallel stage failed (captured worker panic, named stage).
+    /// A panic captured inside a named stage (see [`guard_stage`]).
     Parallel(String),
     /// Durable storage failed (WAL/snapshot I/O, corrupt or truncated
     /// records, codec mismatches).
@@ -98,6 +99,25 @@ impl From<std::io::Error> for VadaError {
     }
 }
 
+/// Run `f` under a panic guard: a panic inside the stage surfaces as
+/// [`VadaError::Parallel`] naming `stage` and the panic payload — never an
+/// abort — and an `Err` from `f` passes through untouched.
+pub fn guard_stage<R>(stage: &str, f: impl FnOnce() -> Result<R>) -> Result<R> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r,
+        Err(payload) => {
+            let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
+                *s
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.as_str()
+            } else {
+                "non-string panic payload"
+            };
+            Err(VadaError::Parallel(format!("stage `{stage}` panicked: {msg}")))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +136,28 @@ mod tests {
         let e: VadaError = io.into();
         assert_eq!(e.kind(), "other");
         assert!(e.message().contains("gone"));
+    }
+
+    #[test]
+    fn guard_stage_names_the_stage_and_the_payload() {
+        let from_str = guard_stage("unit/str", || -> Result<()> { panic!("poisoned item") });
+        let from_string =
+            guard_stage("unit/string", || -> Result<()> { panic!("poisoned item {}", 13) });
+        let from_other =
+            guard_stage("unit/other", || -> Result<()> { std::panic::panic_any(13usize) });
+        for (err, stage, payload) in [
+            (from_str, "unit/str", "poisoned item"),
+            (from_string, "unit/string", "poisoned item 13"),
+            (from_other, "unit/other", "non-string panic payload"),
+        ] {
+            let err = err.unwrap_err();
+            assert!(matches!(err, VadaError::Parallel(_)), "{err:?}");
+            assert_eq!(err.kind(), "parallel");
+            assert_eq!(err.message(), format!("stage `{stage}` panicked: {payload}"));
+        }
+        let passed = guard_stage("unit/err", || -> Result<()> { Err(VadaError::Csv("bad".into())) });
+        assert_eq!(passed, Err(VadaError::Csv("bad".into())));
+        assert_eq!(guard_stage("unit/ok", || Ok(7)), Ok(7));
     }
 
     #[test]

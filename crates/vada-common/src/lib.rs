@@ -15,7 +15,6 @@ pub mod env;
 pub mod error;
 pub mod idgen;
 pub mod obs;
-pub mod par;
 pub mod relation;
 pub mod schema;
 pub mod text;
@@ -25,7 +24,6 @@ pub mod value;
 pub use durability::Durability;
 pub use error::{Result, VadaError};
 pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
-pub use par::Parallelism;
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, Schema};
 pub use tuple::Tuple;

@@ -1,8 +1,8 @@
 //! Deterministic observability: one stats surface for the whole pipeline.
 //!
-//! Every subsystem grown since the seed — the parallel substrate, the
-//! semi-naive engine, the incremental sessions, the write-ahead log, the
-//! demand-driven query path — accumulated its own ad-hoc peephole
+//! Every subsystem grown since the seed — the semi-naive engine, the
+//! incremental sessions, the write-ahead log, the demand-driven query
+//! path — accumulated its own ad-hoc peephole
 //! (`dep_cache_stats()`, `storage_health()`,
 //! `DeltaOutcome` histories, `Demand::fallback_reason`). This module
 //! replaces those with a single layer:
@@ -15,7 +15,7 @@
 //!   are quarantined in a separate timing channel so structural output
 //!   stays byte-comparable;
 //! - a **JSON-lines export** via the `VADA_OBS` knob (`stderr`, `tmpfile`,
-//!   or a path — mirroring the `VADA_THREADS`/`VADA_WAL` env-default
+//!   or a path — mirroring the `VADA_WAL` env-default
 //!   pattern) and a programmatic [`ObsReport`].
 //!
 //! ## Determinism contract
@@ -24,14 +24,13 @@
 //!
 //! - **structural** counters live under the `pipeline.` prefix
 //!   ([`Obs::is_structural`]) and are byte-identical across the entire
-//!   `{threads × wal}` knob matrix — they count what the pipeline
+//!   `VADA_WAL` knob — they count what the pipeline
 //!   *computed* (orchestrator steps, writes, knowledge-base events),
 //!   which the equivalence suites already pin.
 //! - everything else is a **mode-scoped** diagnostic: it exists only under
 //!   its knob (`wal.*` only when durable, `incremental.*` only where a
-//!   datalog session runs) but is still invariant to the *thread count*,
-//!   because increments happen per semantic event, not per scheduling
-//!   decision.
+//!   datalog session runs), and increments happen per semantic event,
+//!   never per scheduling decision.
 //!
 //! ## Cost contract
 //!
@@ -62,7 +61,7 @@ use crate::error::{Result, VadaError};
 /// Canonical counter names, so call sites and tests cannot drift.
 ///
 /// Names under `pipeline.` are **structural** (knob-matrix invariant);
-/// everything else is a mode-scoped diagnostic (still thread-invariant).
+/// everything else is a mode-scoped diagnostic.
 pub mod key {
     /// Orchestrator steps taken (trace entries). Structural.
     pub const ORCH_STEPS: &str = "pipeline.orchestrator.steps";
@@ -132,11 +131,6 @@ pub mod key {
     /// journal proved no source changed since it was built.
     pub const MAP_REUSED: &str = "map.execute.reused";
 
-    /// Parallel stages dispatched through the obs-aware entry points.
-    pub const PAR_STAGES: &str = "par.stages";
-    /// Items submitted to those stages.
-    pub const PAR_ITEMS: &str = "par.items";
-
     /// Sink failures observed, plus every export write suppressed after
     /// the sink detached — the size of the telemetry loss, not just the
     /// sticky first error.
@@ -148,9 +142,9 @@ pub mod key {
     pub const OBS_SAMPLES: &str = "obs.samples";
 }
 
-/// Lock a mutex, recovering from poisoning (a panicking worker must not
-/// take the whole registry down — counters are monotone `u64`s, so the
-/// state is valid regardless of where the panic hit).
+/// Lock a mutex, recovering from poisoning (a panic caught by a stage
+/// guard must not take the whole registry down — counters are monotone
+/// `u64`s, so the state is valid regardless of where the panic hit).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -546,7 +540,7 @@ impl Obs {
     }
 
     /// Read the `VADA_OBS` override (the env-default pattern shared with
-    /// `VADA_THREADS` / `VADA_WAL`):
+    /// `VADA_WAL`):
     ///
     /// - unset, empty, `0`, or `off` (case-insensitive) → disabled
     /// - `stderr` → JSON lines on standard error
@@ -631,8 +625,7 @@ impl Obs {
 
     /// Whether a span name belongs to the structural span class — the
     /// spans pinned byte-identical across the whole knob matrix (the
-    /// rest of the tree is mode-scoped: it exists only under its knob,
-    /// but is still pinned invariant to the thread count).
+    /// rest of the tree is mode-scoped: it exists only under its knob).
     pub fn is_structural_span(name: &str) -> bool {
         name.starts_with("orchestrator/")
     }
@@ -1472,7 +1465,7 @@ mod tests {
         assert!(Obs::is_structural(key::ORCH_STEPS));
         assert!(Obs::is_structural(key::KB_EVENTS));
         assert!(!Obs::is_structural(key::WAL_APPENDS));
-        assert!(!Obs::is_structural(key::PAR_ITEMS));
+        assert!(!Obs::is_structural(key::MAP_FULL));
         let obs = Obs::enabled();
         obs.incr(key::ORCH_STEPS);
         obs.incr(key::WAL_APPENDS);

@@ -5,17 +5,14 @@
 //! ingester with header-driven schema inference (every column `str`,
 //! wrangling handles typing later).
 
-use vada_common::{csv, Parallelism, Result, Schema, VadaError};
+use vada_common::{csv, Result, Schema, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Ingest staged CSV documents as source relations.
 #[derive(Debug, Default)]
-pub struct CsvIngestion {
-    /// Workers for batched cell typing during ingest.
-    pub parallelism: Parallelism,
-}
+pub struct CsvIngestion;
 
 impl Transducer for CsvIngestion {
     fn name(&self) -> &str {
@@ -32,10 +29,6 @@ impl Transducer for CsvIngestion {
 
     fn input_aspects(&self) -> &'static [&'static str] {
         &["staged"]
-    }
-
-    fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
@@ -57,7 +50,7 @@ impl Transducer for CsvIngestion {
                 &name,
                 &header.iter().map(|h| h.trim()).collect::<Vec<_>>(),
             );
-            let rel = csv::read_relation_with(&text, schema, self.parallelism)?;
+            let rel = csv::read_relation(&text, schema)?;
             rows += rel.len();
             kb.register_source(rel);
             ingested.push(name);
@@ -78,7 +71,7 @@ mod tests {
     #[test]
     fn ingests_staged_documents_as_sources() {
         let mut kb = KnowledgeBase::new();
-        let mut t = CsvIngestion::default();
+        let mut t = CsvIngestion;
         assert!(!t.ready(&kb).unwrap());
         kb.stage_document(
             "rightmove",
@@ -98,7 +91,7 @@ mod tests {
     fn empty_document_is_an_error() {
         let mut kb = KnowledgeBase::new();
         kb.stage_document("broken", "");
-        assert!(CsvIngestion::default().run(&mut kb).is_err());
+        assert!(CsvIngestion.run(&mut kb).is_err());
     }
 
     #[test]
@@ -106,7 +99,7 @@ mod tests {
         let mut kb = KnowledgeBase::new();
         kb.stage_document("a", "x\n1\n");
         kb.stage_document("b", "y\n2\n3\n");
-        let out = CsvIngestion::default().run(&mut kb).unwrap();
+        let out = CsvIngestion.run(&mut kb).unwrap();
         assert_eq!(out.writes, 3);
         assert!(kb.relation("a").is_ok());
         assert!(kb.relation("b").is_ok());

@@ -2,9 +2,9 @@
 //! two exactly as the paper sketches ("a data fusion transducer may start
 //! to evaluate when duplicates have been detected").
 
-use vada_common::{AttrType, Parallelism, Relation, Result, Schema, Tuple, Value};
+use vada_common::{AttrType, Relation, Result, Schema, Tuple, Value};
 use vada_fusion::{
-    cluster_relation_with, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
+    cluster_relation, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
 };
 use vada_kb::KnowledgeBase;
 
@@ -41,13 +41,11 @@ fn field_spec_for(schema: &Schema) -> Vec<FieldSpec> {
 pub struct DuplicateDetection {
     /// Pair-similarity threshold.
     pub threshold: f64,
-    /// Workers for blocking-key extraction and pairwise scoring.
-    pub parallelism: Parallelism,
 }
 
 impl Default for DuplicateDetection {
     fn default() -> Self {
-        DuplicateDetection { threshold: 0.88, parallelism: Parallelism::default() }
+        DuplicateDetection { threshold: 0.88 }
     }
 }
 
@@ -68,10 +66,6 @@ impl Transducer for DuplicateDetection {
         &["result"]
     }
 
-    fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let target = kb
             .target_schema()
@@ -89,7 +83,7 @@ impl Transducer for DuplicateDetection {
             fields: field_spec_for(result.schema()),
             threshold: self.threshold,
         };
-        let clusters = cluster_relation_with(&cfg, &result, self.parallelism)?;
+        let clusters = cluster_relation(&cfg, &result)?;
         let non_singleton: Vec<&Vec<usize>> =
             clusters.iter().filter(|c| c.len() > 1).collect();
         if non_singleton.is_empty() {

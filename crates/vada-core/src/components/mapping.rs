@@ -1,6 +1,6 @@
 //! Mapping transducers: generation, selection, execution.
 
-use vada_common::{Parallelism, Relation, Result, VadaError};
+use vada_common::{Relation, Result, VadaError};
 use vada_context::UserContext;
 use vada_kb::KnowledgeBase;
 use vada_map::{
@@ -168,10 +168,6 @@ impl Transducer for MappingExecution {
         // feedback_repair transducer; execution re-applies them only when a
         // re-materialisation happens for structural reasons.
         &["selection", "mappings", "relations"]
-    }
-
-    fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.config.engine.parallelism = parallelism;
     }
 
     fn set_obs(&mut self, obs: vada_common::Obs) {

@@ -1,11 +1,12 @@
 //! Quality transducers: CFD learning, source profiling, and per-mapping
 //! quality metrics.
 
-use vada_common::{Parallelism, Relation, Result};
+use vada_common::error::guard_stage;
+use vada_common::{Relation, Result};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
 use vada_map::{ExecuteConfig, ResultStore};
-use vada_quality::{consistency, learn_cfds_with, CfdLearnConfig, ReferencePopulation};
+use vada_quality::{consistency, learn_cfds, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::candidate_relation_name;
 use crate::transducer::{Activity, RunOutcome, Transducer};
@@ -18,8 +19,6 @@ use crate::transducer::{Activity, RunOutcome, Transducer};
 pub struct CfdLearning {
     /// Learner configuration.
     pub config: CfdLearnConfig,
-    /// Workers for the levelwise scan over LHS candidate sets.
-    pub parallelism: Parallelism,
 }
 
 impl Transducer for CfdLearning {
@@ -39,10 +38,6 @@ impl Transducer for CfdLearning {
         &["data_context", "relations"]
     }
 
-    fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let contexts = cfd_training_contexts(kb)?;
         if contexts.is_empty() {
@@ -54,7 +49,7 @@ impl Transducer for CfdLearning {
         let mut written = 0usize;
         for (rel_name, _coverage) in &contexts {
             let rel = kb.relation(rel_name)?.clone();
-            for cfd in learn_cfds_with(&self.config, &rel, self.parallelism)? {
+            for cfd in guard_stage("quality/cfd_learn", || Ok(learn_cfds(&self.config, &rel)))? {
                 kb.add_cfd(cfd);
                 written += 1;
             }
@@ -152,10 +147,6 @@ impl Transducer for MappingQuality {
 
     fn input_aspects(&self) -> &'static [&'static str] {
         &["mappings", "cfds", "data_context"]
-    }
-
-    fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.config.engine.parallelism = parallelism;
     }
 
     fn set_obs(&mut self, obs: vada_common::Obs) {

@@ -35,7 +35,7 @@ pub mod transducer;
 pub mod wrangler;
 
 pub use network::{GenericPolicy, SchedulingPolicy, SpecificPolicy};
-pub use vada_common::{Durability, Parallelism};
+pub use vada_common::Durability;
 pub use orchestrator::{Orchestrator, OrchestratorConfig};
 pub use registry::{default_transducers, TransducerCatalog};
 pub use trace::{Trace, TraceEntry};

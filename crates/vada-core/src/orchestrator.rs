@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Obs, Parallelism, Result, VadaError};
+use vada_common::{Obs, Result, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::network::{GenericPolicy, SchedulingPolicy};
@@ -17,19 +17,11 @@ use crate::transducer::Transducer;
 pub struct OrchestratorConfig {
     /// Maximum transducer executions per `run_to_fixpoint` call.
     pub max_steps: usize,
-    /// Parallelism broadcast to every registered transducer (see
-    /// [`Transducer::set_parallelism`]). The wrangling result, the trace's
-    /// stable fields, and any error are identical at every level; defaults
-    /// to the `VADA_THREADS` override.
-    pub parallelism: Parallelism,
 }
 
 impl Default for OrchestratorConfig {
     fn default() -> Self {
-        OrchestratorConfig {
-            max_steps: 200,
-            parallelism: Parallelism::default(),
-        }
+        OrchestratorConfig { max_steps: 200 }
     }
 }
 
@@ -69,7 +61,7 @@ impl Orchestrator {
         transducers: Vec<Box<dyn Transducer>>,
         policy: Box<dyn SchedulingPolicy>,
     ) -> Orchestrator {
-        let mut orch = Orchestrator {
+        Orchestrator {
             transducers,
             policy,
             config: OrchestratorConfig::default(),
@@ -77,27 +69,12 @@ impl Orchestrator {
             trace: Trace::default(),
             step: 0,
             obs: Obs::disabled(),
-        };
-        for t in &mut orch.transducers {
-            Orchestrator::adopt_config(&orch.config, t.as_mut());
         }
-        orch
     }
 
-    /// Hand `t` the execution knobs of `config`. The orchestrator owns
-    /// those knobs, and every registration path (constructor,
-    /// `add_transducer`, `set_config`) goes through this one function, so
-    /// behaviour never depends on how a component reached the fleet.
-    fn adopt_config(config: &OrchestratorConfig, t: &mut dyn Transducer) {
-        t.set_parallelism(config.parallelism);
-    }
-
-    /// Override limits, broadcasting the execution knobs to the fleet.
+    /// Override limits.
     pub fn set_config(&mut self, config: OrchestratorConfig) {
         self.config = config;
-        for t in &mut self.transducers {
-            Orchestrator::adopt_config(&self.config, t.as_mut());
-        }
     }
 
     /// The current configuration.
@@ -107,15 +84,14 @@ impl Orchestrator {
 
     /// Register an additional transducer (the architecture is extensible:
     /// "additional transducers can be added at any time", §2.3). It adopts
-    /// the orchestrator's current configuration and registry.
+    /// the orchestrator's current registry.
     pub fn add_transducer(&mut self, mut t: Box<dyn Transducer>) {
-        Orchestrator::adopt_config(&self.config, t.as_mut());
         t.set_obs(self.obs.clone());
         self.transducers.push(t);
     }
 
-    /// Broadcast an observability registry to the fleet. Like the other
-    /// knobs the registry never influences results — it only observes —
+    /// Broadcast an observability registry to the fleet. The registry
+    /// never influences results — it only observes —
     /// so this is safe at any point; a disabled handle turns collection
     /// back off everywhere.
     pub fn set_obs(&mut self, obs: Obs) {

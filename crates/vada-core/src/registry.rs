@@ -13,7 +13,7 @@ use crate::transducer::Transducer;
 /// transducers to the returned vector.
 pub fn default_transducers() -> Vec<Box<dyn Transducer>> {
     vec![
-        Box::new(CsvIngestion::default()),
+        Box::new(CsvIngestion),
         Box::new(FeedbackRepair::default()),
         Box::new(MappingEvaluation::default()),
         Box::new(SchemaMatching::default()),

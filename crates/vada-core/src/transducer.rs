@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use vada_common::{Obs, Parallelism, Result};
+use vada_common::{Obs, Result};
 use vada_kb::KnowledgeBase;
 
 /// The wrangling activity a transducer belongs to (paper Table 1 column
@@ -106,13 +106,6 @@ pub trait Transducer {
     fn ready(&self, kb: &KnowledgeBase) -> Result<bool> {
         kb.query_satisfied(self.input_dependency())
     }
-
-    /// Adopt the orchestrator's parallelism level (see
-    /// [`crate::OrchestratorConfig::parallelism`]). Components whose hot
-    /// loops have a parallel substrate override this; the default ignores
-    /// it, which is always correct because parallel and sequential paths
-    /// produce identical output.
-    fn set_parallelism(&mut self, _parallelism: Parallelism) {}
 
     /// Adopt the orchestrator's observability registry (see
     /// [`crate::Orchestrator::set_obs`]). Components whose substrate emits

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vada_common::{Durability, Obs, ObsReport, Parallelism, Relation, Result, Schema};
+use vada_common::{Durability, Obs, ObsReport, Relation, Result, Schema};
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
 use crate::network::SchedulingPolicy;
@@ -164,15 +164,6 @@ impl Wrangler {
 
     /// Override orchestrator limits.
     pub fn set_orchestrator_config(&mut self, config: OrchestratorConfig) {
-        self.orchestrator.set_config(config);
-    }
-
-    /// Set the parallelism level for every registered component. Safe to
-    /// change at any point: parallel and sequential runs produce identical
-    /// results, traces, and errors (the `parallel_equivalence` suite pins
-    /// this).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        let config = OrchestratorConfig { parallelism, ..self.orchestrator.config().clone() };
         self.orchestrator.set_config(config);
     }
 

@@ -23,8 +23,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::{Arc, OnceLock};
 
+use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, Obs};
-use vada_common::par::{self, Parallelism};
 use vada_common::{Result, Tuple, VadaError, Value};
 
 use crate::analysis::stratify;
@@ -352,18 +352,13 @@ pub struct EngineConfig {
     pub max_skolem_depth: usize,
     /// Total derived-fact cap.
     pub max_facts: usize,
-    /// Worker threads for evaluating independent rules of a stratum.
-    /// Derived facts, their insertion order, and errors are identical at
-    /// every level (see [`vada_common::par`]); defaults to the
-    /// `VADA_THREADS` override.
-    pub parallelism: Parallelism,
     /// Test-only fault injection: `Some("magic-rewrite")` panics inside the
     /// demand-rewrite stage, `Some("index-build")` inside the shared-index
     /// refresh. Both surface as [`VadaError::Parallel`] naming the stage,
-    /// exactly like a worker panic at any parallelism level.
+    /// exactly like a panic inside a rule evaluation.
     pub inject_fault: Option<&'static str>,
-    /// Counter registry for evaluation telemetry (`datalog.*`, `magic.*`,
-    /// `par.*`). Defaults to the disabled stub — a single branch per
+    /// Counter registry for evaluation telemetry (`datalog.*`,
+    /// `magic.*`). Defaults to the disabled stub — a single branch per
     /// counter site — and is threaded in by the owning layer (`Wrangler`,
     /// sessions, the bench harness); an embedded config must not open its
     /// own export sink.
@@ -376,7 +371,6 @@ impl Default for EngineConfig {
             max_iterations: 100_000,
             max_skolem_depth: 12,
             max_facts: 50_000_000,
-            parallelism: Parallelism::default(),
             inject_fault: None,
             obs: Obs::disabled(),
         }
@@ -453,8 +447,9 @@ impl Engine {
         let obs = &self.config.obs;
         // shared hash indexes over the growing database, registered from
         // each stratum's compiled lookup shapes and refreshed incrementally
-        // before every parallel batch; identical to the per-pass lazy
-        // indexes by construction, so it only changes wall-clock.
+        // before every batch of independent rules; identical to the
+        // per-pass lazy indexes by construction, so it only changes
+        // wall-clock.
         let mut store = IndexStore { obs: obs.clone(), ..Default::default() };
 
         // ground facts
@@ -485,7 +480,7 @@ impl Engine {
             }
             // structural attributes only: the stratum index, its rule
             // count, and (attached at close) the semi-naive iteration
-            // count — all invariant across the thread knob
+            // count
             let stratum_span = obs.span("datalog/stratum");
             stratum_span.attr("stratum", stratum);
             stratum_span.attr("rules", rule_idxs.len());
@@ -534,9 +529,9 @@ impl Engine {
             };
             // body predicates per rule, for independence batching: a rule
             // that reads a predicate written earlier in the same pass must
-            // observe those writes, so it cannot share a snapshot with the
-            // writer. Negated predicates live in lower strata (stratified),
-            // but are included for robustness.
+            // observe those writes, so the shared indexes are refreshed
+            // before it runs. Negated predicates live in lower strata
+            // (stratified), but are included for robustness.
             let rule_reads: Vec<BTreeSet<&str>> = compiled
                 .iter()
                 .map(|cr| {
@@ -549,26 +544,21 @@ impl Engine {
             let rule_heads: Vec<&str> =
                 compiled.iter().map(|cr| cr.rule.head_pred.as_str()).collect();
 
-            // initial pass: all rules, full database. Maximal runs of
-            // consecutive independent rules evaluate in parallel against
-            // the same snapshot; their derivations then insert in rule
-            // order, reproducing the sequential pass byte for byte.
+            // initial pass: all rules, full database, in rule order. The
+            // shared indexes are refreshed once per maximal run of
+            // consecutive independent rules — no rule of a run reads what
+            // an earlier one wrote, so its indexes stay current.
             let mut delta = Database::new();
             // facts the last pass added: what keeps the iteration going
             let mut fresh = 0usize;
             let all_rules: Vec<usize> = (0..compiled.len()).collect();
-            let initial_par = self.pass_parallelism(db.total_facts());
             obs.incr(obs_key::STRATUM_PASSES);
             for batch in independent_batches(&all_rules, &rule_reads, &rule_heads) {
                 store.refresh(&db, fault)?;
-                let outs = par::par_try_map_obs(
-                    obs,
-                    initial_par,
-                    "datalog/stratum-initial",
-                    &batch,
-                    |_, &ci| self.eval_rule(&compiled[ci], &db, None, Some(&store)),
-                )?;
-                for (&ci, derived) in batch.iter().zip(outs) {
+                for ci in batch {
+                    let derived = guard_stage("datalog/stratum-initial", || {
+                        self.eval_rule(&compiled[ci], &db, None, Some(&store))
+                    })?;
                     fresh += absorb(&mut db, &mut delta, rule_heads[ci], derived);
                 }
             }
@@ -586,11 +576,11 @@ impl Engine {
                 }
                 let mut new_delta = Database::new();
                 let mut new_fresh = 0usize;
-                // one pass per occurrence of a recursive predicate, in the
-                // same flattened (rule, occurrence) order the sequential
-                // loop visits; pass eligibility depends only on the
-                // previous iteration's delta, so the work list is fixed
-                // up front and batches by the same independence rule.
+                // one pass per occurrence of a recursive predicate, in
+                // flattened (rule, occurrence) order; pass eligibility
+                // depends only on the previous iteration's delta, so the
+                // work list is fixed up front and batches by the same
+                // independence rule.
                 let mut passes: Vec<(usize, usize)> = Vec::new();
                 for (ci, cr) in compiled.iter().enumerate() {
                     if cr.rule.has_aggregate() {
@@ -610,28 +600,20 @@ impl Engine {
                     }
                 }
                 let pass_rules: Vec<usize> = passes.iter().map(|&(ci, _)| ci).collect();
-                let delta_par = self.pass_parallelism(fresh);
                 obs.incr(obs_key::DELTA_PASSES);
                 for batch in independent_batches(&pass_rules, &rule_reads, &rule_heads) {
                     store.refresh(&db, fault)?;
-                    let outs = par::par_try_map_obs(
-                        obs,
-                        delta_par,
-                        "datalog/stratum-delta",
-                        &batch,
-                        |_, &pi| {
-                            let (ci, occ) = passes[pi];
+                    for pi in batch {
+                        let (ci, occ) = passes[pi];
+                        let derived = guard_stage("datalog/stratum-delta", || {
                             self.eval_rule(
                                 &compiled[ci],
                                 &db,
                                 Some(DeltaSpec::Insert { delta: &delta, occ }),
                                 Some(&store),
                             )
-                        },
-                    )?;
-                    for (&pi, derived) in batch.iter().zip(outs) {
-                        new_fresh +=
-                            absorb(&mut db, &mut new_delta, rule_heads[passes[pi].0], derived);
+                        })?;
+                        new_fresh += absorb(&mut db, &mut new_delta, rule_heads[ci], derived);
                     }
                 }
                 self.check_size(&db)?;
@@ -658,19 +640,6 @@ impl Engine {
     /// Engine configuration (read access for the incremental layer).
     pub(crate) fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The level a stratum pass should run at: tiny inputs (a
-    /// near-converged delta iteration, a trivial program) don't amortise
-    /// worker spawn, so they drop to sequential. The level never affects
-    /// output, only wall-clock, so this heuristic is safe by construction.
-    pub(crate) fn pass_parallelism(&self, input_facts: usize) -> Parallelism {
-        const MIN_FACTS_FOR_WORKERS: usize = 64;
-        if input_facts < MIN_FACTS_FOR_WORKERS {
-            Parallelism::Sequential
-        } else {
-            self.config.parallelism
-        }
     }
 
     fn check_size(&self, db: &Database) -> Result<()> {
@@ -720,8 +689,8 @@ impl Engine {
         };
         // probe tallies are commutative adds: the total depends only on
         // which (literal, binding) probes the evaluation performs — fixed
-        // by the program and database — never on worker scheduling; one
-        // add per evaluation keeps the registry lock off the probe path
+        // by the program and database; one add per evaluation keeps the
+        // registry lock off the probe path
         if let Some(store) = shared.filter(|_| ctx.probes.get() > 0) {
             store.obs.add(obs_key::INDEX_PROBES, ctx.probes.get());
         }
@@ -804,12 +773,11 @@ impl Engine {
 const STOP_SENTINEL: &str = "__vada_derivability_probe_stop__";
 
 /// Split a sequence of work items (each evaluating one rule) into maximal
-/// runs that may share a database snapshot: an item joins the current run
-/// iff its rule's body predicates don't intersect the head predicates the
-/// run already writes — evaluating such a run in parallel and inserting
-/// its derivations in item order is indistinguishable from the sequential
-/// eval-insert-eval interleaving. Returns runs of work-item indices.
-pub(crate) fn independent_batches(
+/// runs that may share one refresh of the run's [`IndexStore`]: an item
+/// joins the current run iff its rule's body predicates don't intersect
+/// the head predicates the run already writes, so every index it reads is
+/// still current. Returns runs of work-item indices.
+fn independent_batches(
     item_rules: &[usize],
     reads: &[BTreeSet<&str>],
     heads: &[&str],
@@ -1128,9 +1096,9 @@ impl<'a> CompiledRule<'a> {
 /// Persistent hash indexes over the growing fixpoint database, shared by
 /// every rule evaluation of a run: `(pred, cols) → projection → row ids`.
 /// Registered up front from the compiled lookup shapes of each stratum and
-/// refreshed *incrementally* before every parallel batch (facts only ever
-/// append during a run), it replaces the per-pass lazily rebuilt indexes
-/// for full-database sources. Row-id lists are identical to what the lazy
+/// refreshed *incrementally* before every batch of independent rules
+/// (facts only ever append during a run), it replaces the per-pass lazily
+/// rebuilt indexes for full-database sources. Row-id lists are identical to what the lazy
 /// build would produce, so it affects wall-clock only.
 #[derive(Default)]
 pub(crate) struct IndexStore {
@@ -1177,7 +1145,7 @@ impl IndexStore {
     /// `datalog/index_build` stage.
     pub(crate) fn refresh(&mut self, db: &Database, fault: Option<&'static str>) -> Result<bool> {
         let mut built = false;
-        magic::guard_stage("datalog/index_build", || {
+        guard_stage("datalog/index_build", || {
             if fault == Some("index-build") {
                 panic!("injected index-build fault");
             }
@@ -1764,43 +1732,41 @@ mod tests {
 
     #[test]
     fn runs_share_the_relations_they_do_not_write() {
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let engine = Engine::new(EngineConfig { parallelism, ..Default::default() });
+        let engine = Engine::default();
 
-            // `Engine::run`: only `a` is written (a ground fact lands in it)
-            let program = parse_program(
-                "a(1000). all(X) :- a(X). all(X) :- b(X). picked(X) :- a(X), k(X).",
-            )
-            .unwrap();
-            let mut input = Database::new();
-            for i in 0..200i64 {
-                input.insert("a", tuple![i]);
-                input.insert("b", tuple![i + 500]);
-                input.insert("k", tuple![i * 2]);
-            }
-            let out = engine.run(&program, input.clone()).unwrap();
-            assert!(out.shares("b", &input) && out.shares("k", &input), "{parallelism:?}");
-            assert!(!out.shares("a", &input));
-            assert_eq!((input.facts("a").len(), out.facts("a").len()), (200, 201));
-            assert_eq!(out.facts("all").len(), 401);
-
-            // `run_query`: the caller's database comes back untouched, and
-            // the directed run read its `e` relation in place
-            let tc = parse_program("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).").unwrap();
-            let mut edges = Database::new();
-            for i in 0..200i64 {
-                edges.insert("e", tuple![i, i + 1]);
-            }
-            let e_before = edges.facts("e").to_vec();
-            let query = parse_query("tc(3, Y)").unwrap();
-            assert_eq!(engine.run_query(&tc, &edges, &query).unwrap().len(), 197);
-            assert_eq!(edges.predicates(), vec!["e"]);
-            assert_eq!(edges.facts("e"), e_before);
-            assert_eq!(edges.epoch("e"), 0);
-            let demanded = engine.run_directed(&tc, edges.clone(), &query).unwrap();
-            assert!(demanded.shares("e", &edges), "{parallelism:?}");
-            assert_eq!(demanded.facts("tc").len(), 197);
+        // `Engine::run`: only `a` is written (a ground fact lands in it)
+        let program = parse_program(
+            "a(1000). all(X) :- a(X). all(X) :- b(X). picked(X) :- a(X), k(X).",
+        )
+        .unwrap();
+        let mut input = Database::new();
+        for i in 0..200i64 {
+            input.insert("a", tuple![i]);
+            input.insert("b", tuple![i + 500]);
+            input.insert("k", tuple![i * 2]);
         }
+        let out = engine.run(&program, input.clone()).unwrap();
+        assert!(out.shares("b", &input) && out.shares("k", &input));
+        assert!(!out.shares("a", &input));
+        assert_eq!((input.facts("a").len(), out.facts("a").len()), (200, 201));
+        assert_eq!(out.facts("all").len(), 401);
+
+        // `run_query`: the caller's database comes back untouched, and
+        // the directed run read its `e` relation in place
+        let tc = parse_program("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).").unwrap();
+        let mut edges = Database::new();
+        for i in 0..200i64 {
+            edges.insert("e", tuple![i, i + 1]);
+        }
+        let e_before = edges.facts("e").to_vec();
+        let query = parse_query("tc(3, Y)").unwrap();
+        assert_eq!(engine.run_query(&tc, &edges, &query).unwrap().len(), 197);
+        assert_eq!(edges.predicates(), vec!["e"]);
+        assert_eq!(edges.facts("e"), e_before);
+        assert_eq!(edges.epoch("e"), 0);
+        let demanded = engine.run_directed(&tc, edges.clone(), &query).unwrap();
+        assert!(demanded.shares("e", &edges));
+        assert_eq!(demanded.facts("tc").len(), 197);
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! cannot be *proven* order-safe by the analysis below, the session falls
 //! back to a full re-derivation — recording why in its
 //! [`history`](IncrementalSession::history) — never to divergent output.
-//! This module's randomized edit-script test and, through the query
-//! cache, the root `query_equivalence` suite pin this at every
-//! [`vada_common::Parallelism`] level (delta passes reuse the engine's
-//! independent-rule batching, so they parallelise too).
+//! This module's randomized edit-script test and the incremental legs of
+//! the root `query_equivalence` suite pin this.
 //!
 //! ## Retractions
 //!
@@ -119,15 +117,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
+use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, slug, Obs};
-use vada_common::par;
 use vada_common::{Result, Tuple, VadaError};
 
 use crate::analysis::{stratify, Stratification};
 use crate::ast::{Literal, Program};
-use crate::engine::{
-    independent_batches, CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet,
-};
+use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
 use crate::parser::parse_program;
 
 /// How one call to [`IncrementalSession::apply`] (or
@@ -882,8 +878,7 @@ impl IncrementalSession {
     /// stratum: a rule becomes ready when the producer of its affected
     /// (outermost) predicate has fired — analysis has excluded positive
     /// cycles, so the affected sub-graph is a DAG and the waves drain.
-    /// Each wave reuses the engine's independent-rule batching, so deltas
-    /// evaluate under [`vada_common::Parallelism`] exactly like full passes.
+    /// Within a wave, rules fire one by one in program order.
     fn fast_path(&mut self, fresh: Vec<(String, Tuple)>) -> Result<&Database> {
         self.poisoned = true; // cleared on success
         let delta_facts = fresh.len();
@@ -934,68 +929,42 @@ impl IncrementalSession {
                     .iter()
                     .map(|&(ri, _)| CompiledRule::compile(&self.program.rules[ri], ri))
                     .collect::<Result<_>>()?;
-                let reads: Vec<BTreeSet<&str>> = compiled
-                    .iter()
-                    .map(|cr| {
-                        cr.rule
-                            .positive_preds()
-                            .chain(cr.rule.negative_preds())
-                            .collect()
-                    })
-                    .collect();
-                let heads: Vec<&str> =
-                    compiled.iter().map(|cr| cr.rule.head_pred.as_str()).collect();
-                let all: Vec<usize> = (0..wave.len()).collect();
-                let par_level = self.engine.pass_parallelism(pending.total_facts());
-                for batch in independent_batches(&all, &reads, &heads) {
-                    let outs = par::par_try_map_obs(
-                        &self.obs,
-                        par_level,
-                        "datalog/incremental-delta",
-                        &batch,
-                        |_, &wi| {
-                            let (_, occ) = wave[wi];
-                            self.engine.eval_rule(
-                                &compiled[wi],
-                                &self.db,
-                                Some(DeltaSpec::Insert { delta: &pending, occ }),
-                                None,
-                            )
-                        },
-                    )?;
-                    for (wi, out) in batch.iter().zip(outs) {
-                        let (ri, _) = wave[*wi];
-                        let pred = heads[*wi];
-                        for t in out {
-                            // every emission is one new derivation: keep
-                            // the retraction path's counts (if captured)
-                            // in step
-                            if let Some(rcs) =
-                                self.counts.as_mut().and_then(|c| c.get_mut(pred))
+                for (&(ri, occ), cr) in wave.iter().zip(&compiled) {
+                    let out = guard_stage("datalog/incremental-delta", || {
+                        self.engine.eval_rule(
+                            cr,
+                            &self.db,
+                            Some(DeltaSpec::Insert { delta: &pending, occ }),
+                            None,
+                        )
+                    })?;
+                    let pred = cr.rule.head_pred.as_str();
+                    for t in out {
+                        // every emission is one new derivation: keep the
+                        // retraction path's counts (if captured) in step
+                        if let Some(rcs) = self.counts.as_mut().and_then(|c| c.get_mut(pred)) {
+                            let (_, cnt) = rcs
+                                .iter_mut()
+                                .find(|(r, _)| *r == ri)
+                                .expect("firing rule defines this head");
+                            *cnt.entry(t.clone()).or_insert(0) += 1;
+                        }
+                        if let Some(segs) = self.segments.get_mut(pred) {
+                            // tracked head: record in the rule's segment;
+                            // db order re-established below
+                            if segs
+                                .by_rule
+                                .iter_mut()
+                                .find(|(r, _)| *r == ri)
+                                .expect("firing rule defines this head")
+                                .1
+                                .insert(t)
                             {
-                                let (_, cnt) = rcs
-                                    .iter_mut()
-                                    .find(|(r, _)| *r == ri)
-                                    .expect("firing rule defines this head");
-                                *cnt.entry(t.clone()).or_insert(0) += 1;
+                                touched_segments.insert(pred.to_string());
                             }
-                            if let Some(segs) = self.segments.get_mut(pred) {
-                                // tracked head: record in the rule's
-                                // segment; db order re-established below
-                                if segs
-                                    .by_rule
-                                    .iter_mut()
-                                    .find(|(r, _)| *r == ri)
-                                    .expect("firing rule defines this head")
-                                    .1
-                                    .insert(t)
-                                {
-                                    touched_segments.insert(pred.to_string());
-                                }
-                            } else if self.db.insert(pred, t.clone()) {
-                                derived += 1;
-                                pending.insert(pred, t);
-                            }
+                        } else if self.db.insert(pred, t.clone()) {
+                            derived += 1;
+                            pending.insert(pred, t);
                         }
                     }
                 }
@@ -1344,14 +1313,11 @@ impl IncrementalSession {
             .iter()
             .map(|&ri| CompiledRule::compile(&self.program.rules[ri], ri))
             .collect::<Result<_>>()?;
-        let level = self.engine.pass_parallelism(removed.total_facts());
         let removed_view: &Database = removed;
-        let outs = par::par_try_map_obs(
-            &self.obs,
-            level,
-            "datalog/incremental-retract",
-            &passes,
-            |_, &(slot, occ)| {
+        let mut head_dec: Vec<HashMap<Tuple, u64>> = vec![HashMap::new(); ris.len()];
+        let mut emit_order: Vec<Tuple> = Vec::new();
+        for &(slot, occ) in &passes {
+            let out = guard_stage("datalog/incremental-retract", || {
                 if self.fault == Some("retract-enumerate") {
                     panic!("injected fault at retract-enumerate (fault-injection hook)");
                 }
@@ -1361,14 +1327,10 @@ impl IncrementalSession {
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
                     None,
                 )
-            },
-        )?;
-        let mut head_dec: Vec<HashMap<Tuple, u64>> = vec![HashMap::new(); ris.len()];
-        let mut emit_order: Vec<Tuple> = Vec::new();
-        for (&(slot, _), out) in passes.iter().zip(&outs) {
+            })?;
             for t in out {
                 *head_dec[slot].entry(t.clone()).or_insert(0) += 1;
-                emit_order.push(t.clone());
+                emit_order.push(t);
             }
         }
         let per_rule = self
@@ -1469,27 +1431,19 @@ impl IncrementalSession {
             if passes.is_empty() {
                 break;
             }
-            let level = self.engine.pass_parallelism(frontier.total_facts());
-            let frontier_view: &Database = &frontier;
-            let outs = par::par_try_map_obs(
-                &self.obs,
-                level,
-                "datalog/incremental-retract",
-                &passes,
-                |_, &(ci, occ)| {
+            let mut next_frontier = Database::new();
+            for &(ci, occ) in &passes {
+                let out = guard_stage("datalog/incremental-retract", || {
                     if self.fault == Some("dred-overdelete") {
                         panic!("injected fault at dred-overdelete (fault-injection hook)");
                     }
                     self.engine.eval_rule(
                         &compiled[ci],
                         &self.db,
-                        Some(DeltaSpec::Delete { removed: frontier_view, occ }),
+                        Some(DeltaSpec::Delete { removed: &frontier, occ }),
                         None,
                     )
-                },
-            )?;
-            let mut next_frontier = Database::new();
-            for (&(ci, _), out) in passes.iter().zip(outs) {
+                })?;
                 let h = &compiled[ci].rule.head_pred;
                 for t in out {
                     // input-prefix facts keep extensional support the
@@ -1677,7 +1631,7 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::{tuple, Parallelism};
+    use vada_common::tuple;
 
     /// Scratch evaluation of `source` over `input`, dumped in the
     /// order-sensitive way downstream components observe.
@@ -1909,16 +1863,8 @@ mod tests {
                 }
                 input.insert("w", tuple![i, i * 2]);
             }
-            let levels = [Parallelism::Sequential, Parallelism::Threads(4)];
-            let mut sessions: Vec<IncrementalSession> = levels
-                .iter()
-                .map(|&par| {
-                    let config = EngineConfig { parallelism: par, ..EngineConfig::default() };
-                    let mut s = IncrementalSession::new(config, src).unwrap();
-                    s.run_full(input.clone()).unwrap();
-                    s
-                })
-                .collect();
+            let mut s = IncrementalSession::new(EngineConfig::default(), src).unwrap();
+            s.run_full(input.clone()).unwrap();
             let mut fast = 0usize;
             let mut fast_retract = 0usize;
             for _step in 0..16 {
@@ -1958,30 +1904,23 @@ mod tests {
                         input.insert(p, t.clone());
                     }
                 }
-                let mut dumps = Vec::new();
-                for s in &mut sessions {
+                if retracting {
+                    s.retract(delta.clone()).unwrap();
+                } else {
+                    s.apply(delta.clone()).unwrap();
+                }
+                if s.last_outcome().unwrap().mode == DeltaMode::Incremental {
                     if retracting {
-                        s.retract(delta.clone()).unwrap();
+                        fast_retract += 1;
                     } else {
-                        s.apply(delta.clone()).unwrap();
+                        fast += 1;
                     }
-                    if s.last_outcome().unwrap().mode == DeltaMode::Incremental {
-                        if retracting {
-                            fast_retract += 1;
-                        } else {
-                            fast += 1;
-                        }
-                    }
-                    dumps.push(dump(s.database()));
                 }
-                let expected = scratch(src, &input);
-                for (i, d) in dumps.iter().enumerate() {
-                    assert_eq!(
-                        d, &expected,
-                        "seed {seed} level {:?} (retracting={retracting})",
-                        levels[i]
-                    );
-                }
+                assert_eq!(
+                    dump(s.database()),
+                    scratch(src, &input),
+                    "seed {seed} (retracting={retracting})"
+                );
             }
             assert!(fast > 0, "seed {seed}: append fast path never fired");
             assert!(fast_retract > 0, "seed {seed}: retraction fast path never fired");

@@ -49,10 +49,10 @@
 //! planner safe to apply here and nowhere else.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use vada_common::{Result, Tuple, VadaError};
+use vada_common::error::guard_stage;
+use vada_common::{Result, Tuple};
 
 use crate::ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
 use crate::engine::{CompiledRule, Database, Engine, EngineConfig, FactSet};
@@ -78,26 +78,6 @@ fn magic_name(pred: &str, cols: &[usize]) -> String {
         s.push_str(&c.to_string());
     }
     s
-}
-
-/// Run `f` under a panic guard, surfacing panics as
-/// [`VadaError::Parallel`] naming `stage` — the same discipline as
-/// [`vada_common::par`], so injected faults in the rewrite and index-build
-/// stages fail loudly and identically at every parallelism level.
-pub(crate) fn guard_stage<R>(stage: &str, f: impl FnOnce() -> Result<R>) -> Result<R> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
-                *s
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.as_str()
-            } else {
-                "non-string panic payload"
-            };
-            Err(VadaError::Parallel(format!("stage `{stage}` panicked: {msg}")))
-        }
-    }
 }
 
 /// What directed evaluation may keep per predicate.
@@ -573,7 +553,8 @@ fn demand_input(analysis: &Analysis, program: &Program, db: &Database) -> Databa
 /// Compute the [`Demand`] for `query` over `program` and the extensional
 /// `db`. Analysis shortfalls fall back to the identity demand (directed ≡
 /// undirected by construction) — only injected rewrite-stage panics
-/// surface as errors, matching the parallel-stage failure discipline.
+/// surface as errors, through the same [`guard_stage`] as every engine
+/// stage.
 pub(crate) fn demand_for(
     engine: &Engine,
     program: &Program,
@@ -675,7 +656,6 @@ mod tests {
 
     #[test]
     fn demand_run_shares_the_relations_it_reads() {
-        use vada_common::par::Parallelism;
         let mut db = Database::new();
         for i in 0..200i64 {
             db.insert("edge", tuple![i, i + 1]);
@@ -684,14 +664,11 @@ mod tests {
             parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
         let query = parse_query("tc(3, W)").unwrap();
         let analysis = analyze(&program, &query).unwrap();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let input = demand_input(&analysis, &program, &db);
-            assert!(input.shares("edge", &db));
-            let engine = Engine::new(EngineConfig { parallelism, ..EngineConfig::default() });
-            let magic_db = engine.run(&analysis.magic, input).unwrap();
-            assert!(magic_db.shares("edge", &db), "{parallelism:?}: the demand run copied");
-            assert_eq!(magic_db.facts(&magic_name("tc", &[0])), &[tuple![3]]);
-        }
+        let input = demand_input(&analysis, &program, &db);
+        assert!(input.shares("edge", &db));
+        let magic_db = Engine::default().run(&analysis.magic, input).unwrap();
+        assert!(magic_db.shares("edge", &db), "the demand run copied");
+        assert_eq!(magic_db.facts(&magic_name("tc", &[0])), &[tuple![3]]);
         // a ground fact-rule of the program lands in a copy, never in `db`
         let with_fact = parse_program(
             "edge(900, 901). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).",

@@ -3,59 +3,40 @@
 
 use std::collections::HashMap;
 
-use vada_common::par::{self, Parallelism};
+use vada_common::error::guard_stage;
 use vada_common::text::blocking_key;
 use vada_common::{Relation, Result};
 
 /// Group row indices by the normalised concatenation of the given key
 /// attributes. Rows whose key attributes are all null go into singleton
-/// blocks (they cannot be safely compared with anything). Parallelism
-/// follows the `VADA_THREADS` override; see [`block_by_keys_with`].
+/// blocks (they cannot be safely compared with anything).
+///
+/// One hash-grouping pass in row order (reusing a scratch buffer for the
+/// normal form instead of allocating per cell), so every block's row list
+/// is ascending; the keys are ordered once, at the end, one comparison
+/// sort over the distinct keys.
 pub fn block_by_keys(rel: &Relation, key_attrs: &[&str]) -> Result<Vec<Vec<usize>>> {
-    block_by_keys_with(rel, key_attrs, Parallelism::from_env())
-}
-
-/// [`block_by_keys`] with explicit parallelism: each worker extracts keys
-/// for one contiguous row chunk into its own map (reusing a scratch buffer
-/// for the normal form instead of allocating per cell), and the per-worker
-/// maps merge in chunk order. Row chunks ascend, so every block's row list
-/// comes out in ascending row order — identical to the sequential scan at
-/// any worker count. Rows are grouped by hashing; the keys are ordered
-/// once, at the end, one comparison sort over the distinct keys.
-pub fn block_by_keys_with(
-    rel: &Relation,
-    key_attrs: &[&str],
-    par: Parallelism,
-) -> Result<Vec<Vec<usize>>> {
     let cols: Vec<usize> = key_attrs
         .iter()
         .map(|a| rel.schema().require(a))
         .collect::<Result<_>>()?;
-    let chunks = par::par_chunks(par, "fusion/block_keys", rel.tuples(), |base, slice| {
+    let (blocks, singletons) = guard_stage("fusion/block_keys", || {
         let mut blocks: HashMap<String, Vec<usize>> = HashMap::new();
         let mut singletons: Vec<usize> = Vec::new();
         let mut key = String::new();
-        for (off, t) in slice.iter().enumerate() {
+        for (row, t) in rel.iter().enumerate() {
             if blocking_key(t, &cols, &mut key) {
                 if let Some(rows) = blocks.get_mut(key.as_str()) {
-                    rows.push(base + off);
+                    rows.push(row);
                 } else {
-                    blocks.insert(key.clone(), vec![base + off]);
+                    blocks.insert(key.clone(), vec![row]);
                 }
             } else {
-                singletons.push(base + off);
+                singletons.push(row);
             }
         }
         Ok((blocks, singletons))
     })?;
-    let mut chunks = chunks.into_iter();
-    let (mut blocks, mut singletons) = chunks.next().unwrap_or_default();
-    for (chunk_blocks, chunk_singletons) in chunks {
-        for (k, rows) in chunk_blocks {
-            blocks.entry(k).or_default().extend(rows);
-        }
-        singletons.extend(chunk_singletons);
-    }
     let mut keyed: Vec<(String, Vec<usize>)> = blocks.into_iter().collect();
     keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut out: Vec<Vec<usize>> = Vec::with_capacity(keyed.len() + singletons.len());

@@ -1,9 +1,9 @@
 //! Union-find clustering of above-threshold record pairs within blocks.
 
-use vada_common::par::{self, Parallelism};
+use vada_common::error::guard_stage;
 use vada_common::{Relation, Result, Tuple};
 
-use crate::blocking::block_by_keys_with;
+use crate::blocking::block_by_keys;
 use crate::similarity::{FieldSpec, PreparedRows};
 
 /// Disjoint-set forest with path compression and union by size.
@@ -86,25 +86,11 @@ pub struct ClusterConfig {
 
 /// Detect duplicate clusters in a relation: blocking, pairwise similarity
 /// within blocks, union of above-threshold pairs. Returns clusters of row
-/// indices (singletons included). Parallelism follows the `VADA_THREADS`
-/// override; see [`cluster_relation_with`].
+/// indices (singletons included). Every row that has a block mate is
+/// normalised once, up front; pairs are scored from those prepared rows.
 pub fn cluster_relation(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<usize>>> {
-    cluster_relation_with(cfg, rel, Parallelism::from_env())
-}
-
-/// [`cluster_relation`] with explicit parallelism: candidate pairs are
-/// enumerated in block order, scored across workers, and unioned in the
-/// same pair order — so the union-find evolves exactly as in the
-/// sequential loop and the clusters are identical at any worker count.
-/// Every row that has a block mate is normalised once, up front; pairs are
-/// scored from those prepared rows.
-pub fn cluster_relation_with(
-    cfg: &ClusterConfig,
-    rel: &Relation,
-    par: Parallelism,
-) -> Result<Vec<Vec<usize>>> {
     let mut prepared = PreparedRows::new(&cfg.fields, rel.schema().arity())?;
-    let blocks = blocks_of(cfg, rel, par)?;
+    let blocks = blocks_of(cfg, rel)?;
     // a row alone in its block is never scored, so never prepared
     let mut has_mate = vec![false; rel.len()];
     for &row in blocks.iter().filter(|b| b.len() > 1).flatten() {
@@ -115,70 +101,54 @@ pub fn cluster_relation_with(
         .zip(&has_mate)
         .map(|(t, &mate)| if mate { prepared.push(t) } else { usize::MAX })
         .collect();
-    cluster_pairs(&blocks, rel.len(), cfg.threshold, par, |a, b| {
+    cluster_pairs(&blocks, rel.len(), cfg.threshold, |a, b| {
         Ok(prepared.similarity(slot[a], slot[b]))
     })
 }
 
-/// [`cluster_relation_with`] with an injected pair scorer, the seam used by
+/// [`cluster_relation`] with an injected pair scorer, the seam used by
 /// failure-injection tests and custom similarity metrics. A scorer that
-/// errors (or panics — captured, never a hang) surfaces the failure for the
-/// lowest-indexed candidate pair, naming the `fusion/pairwise` stage.
+/// errors (or panics — captured, never an abort) surfaces the failure for
+/// the first candidate pair in block order, naming the `fusion/pairwise`
+/// stage.
 pub fn cluster_relation_scored(
     cfg: &ClusterConfig,
     rel: &Relation,
-    par: Parallelism,
-    scorer: &(dyn Fn(&Tuple, &Tuple) -> Result<f64> + Sync),
+    scorer: &dyn Fn(&Tuple, &Tuple) -> Result<f64>,
 ) -> Result<Vec<Vec<usize>>> {
-    let blocks = blocks_of(cfg, rel, par)?;
+    let blocks = blocks_of(cfg, rel)?;
     let tuples = rel.tuples();
-    cluster_pairs(&blocks, rel.len(), cfg.threshold, par, |a, b| scorer(&tuples[a], &tuples[b]))
+    cluster_pairs(&blocks, rel.len(), cfg.threshold, |a, b| scorer(&tuples[a], &tuples[b]))
 }
 
-fn blocks_of(cfg: &ClusterConfig, rel: &Relation, par: Parallelism) -> Result<Vec<Vec<usize>>> {
+fn blocks_of(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<usize>>> {
     let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
-    block_by_keys_with(rel, &keys, par)
+    block_by_keys(rel, &keys)
 }
 
-/// Score every within-block pair of row indices with `score` and union the
-/// pairs that reach `threshold`, over `n` rows.
+/// Score every within-block pair of row indices with `score`, in block
+/// order, and union the pairs that reach `threshold`, over `n` rows. Pairs
+/// are streamed, never materialised, so extra memory stays O(1) even for a
+/// degenerate single-block key.
 fn cluster_pairs(
     blocks: &[Vec<usize>],
     n: usize,
     threshold: f64,
-    par: Parallelism,
-    score: impl Fn(usize, usize) -> Result<f64> + Sync,
+    score: impl Fn(usize, usize) -> Result<f64>,
 ) -> Result<Vec<Vec<usize>>> {
-    // Candidate pairs are quadratic in block size, so they are streamed in
-    // bounded rounds rather than materialised: extra memory stays O(round)
-    // even for a degenerate single-block key. Rounds cover the pair
-    // sequence in block order, scores apply in that same order, and a
-    // failing round returns before any later round starts — so clusters
-    // and the first error are unchanged by the round boundaries.
-    const PAIRS_PER_ROUND: usize = 1 << 16;
     let mut uf = UnionFind::new(n);
-    let mut round: Vec<(usize, usize)> = Vec::new();
-    let score_round = |round: &[(usize, usize)], uf: &mut UnionFind| -> Result<()> {
-        let sims = par::par_try_map(par, "fusion/pairwise", round, |_, &(a, b)| score(a, b))?;
-        for (&(a, b), sim) in round.iter().zip(&sims) {
-            if *sim >= threshold {
-                uf.union(a, b);
-            }
-        }
-        Ok(())
-    };
-    for block in blocks {
-        for (i, &a) in block.iter().enumerate() {
-            for &b in &block[i + 1..] {
-                round.push((a, b));
-                if round.len() == PAIRS_PER_ROUND {
-                    score_round(&round, &mut uf)?;
-                    round.clear();
+    guard_stage("fusion/pairwise", || {
+        for block in blocks {
+            for (i, &a) in block.iter().enumerate() {
+                for &b in &block[i + 1..] {
+                    if score(a, b)? >= threshold {
+                        uf.union(a, b);
+                    }
                 }
             }
         }
-    }
-    score_round(&round, &mut uf)?;
+        Ok(())
+    })?;
     Ok(uf.clusters())
 }
 
@@ -242,11 +212,9 @@ mod tests {
             ],
             threshold: 0.9,
         };
-        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let err = cluster_relation_with(&cfg, &rel, par).unwrap_err();
-            assert_eq!(err.kind(), "schema", "{par:?}: {err}");
-            assert!(err.message().contains("field spec 1 compares column 2"), "{par:?}: {err}");
-        }
+        let err = cluster_relation(&cfg, &rel).unwrap_err();
+        assert_eq!(err.kind(), "schema", "{err}");
+        assert!(err.message().contains("field spec 1 compares column 2"), "{err}");
         // and with no pair to score: the spec is wrong whatever the data
         let lone = Relation::from_tuples(rel.schema().clone(), vec![tuple!["a st", "M1 1AA"]]);
         assert!(cluster_relation(&cfg, &lone.unwrap()).is_err());

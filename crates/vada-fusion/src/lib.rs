@@ -19,9 +19,7 @@ pub mod cluster;
 pub mod fuse;
 pub mod similarity;
 
-pub use blocking::{block_by_keys, block_by_keys_with, blocking_stats, BlockingStats};
-pub use cluster::{
-    cluster_relation, cluster_relation_scored, cluster_relation_with, ClusterConfig, UnionFind,
-};
+pub use blocking::{block_by_keys, blocking_stats, BlockingStats};
+pub use cluster::{cluster_relation, cluster_relation_scored, ClusterConfig, UnionFind};
 pub use fuse::{fuse_clusters, FusionReport, Survivorship};
 pub use similarity::{record_similarity, FieldKind, FieldSpec};

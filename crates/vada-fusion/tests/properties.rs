@@ -3,10 +3,8 @@
 
 use proptest::prelude::*;
 
-use vada_common::{Parallelism, Relation, Schema, Tuple, Value};
-use vada_fusion::{
-    block_by_keys, block_by_keys_with, blocking_stats, fuse_clusters, Survivorship, UnionFind,
-};
+use vada_common::{Relation, Schema, Tuple, Value};
+use vada_fusion::{block_by_keys, blocking_stats, fuse_clusters, Survivorship, UnionFind};
 
 proptest! {
     #[test]
@@ -93,11 +91,6 @@ proptest! {
         let stats = blocking_stats(&blocks, rel.len());
         prop_assert!(stats.candidate_pairs <= stats.total_pairs);
         prop_assert_eq!(stats.blocks, blocks.len());
-        // parallel key extraction is indistinguishable from sequential
-        for n in [2usize, 3, 8] {
-            let par = block_by_keys_with(&rel, &["k1", "k2"], Parallelism::Threads(n)).unwrap();
-            prop_assert_eq!(&par, &blocks, "Threads({}) diverged", n);
-        }
     }
 
     #[test]
@@ -364,8 +357,6 @@ fn palette_relation(rows: &[(u8, u8, u8, u8)], one_block: bool) -> Relation {
     rel
 }
 
-const LEVELS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
-
 proptest! {
     #[test]
     fn blocks_and_clusters_match_the_btreemap_oracles(
@@ -374,7 +365,7 @@ proptest! {
         threshold in 0u8..4,
     ) {
         use vada_fusion::{
-            cluster_relation_scored, cluster_relation_with, record_similarity, ClusterConfig,
+            cluster_relation, cluster_relation_scored, record_similarity, ClusterConfig,
             FieldKind, FieldSpec,
         };
         // a quarter of the cases put every row in one block
@@ -392,21 +383,13 @@ proptest! {
         let keys = ["k1", "k2"];
         let want_blocks = oracle::blocks(&rel, &keys);
         let want_clusters = oracle::cluster_relation(&rel, &keys, &cfg.fields, cfg.threshold);
-        for par in LEVELS {
-            prop_assert_eq!(
-                &block_by_keys_with(&rel, &keys, par).unwrap(), &want_blocks, "{:?}", par
-            );
-            prop_assert_eq!(
-                &cluster_relation_with(&cfg, &rel, par).unwrap(), &want_clusters, "{:?}", par
-            );
-            // the injected-scorer seam runs the same pair loop
-            let scorer = |a: &Tuple, b: &Tuple| record_similarity(&cfg.fields, a, b);
-            prop_assert_eq!(
-                &cluster_relation_scored(&cfg, &rel, par, &scorer).unwrap(),
-                &want_clusters,
-                "scored, {:?}", par
-            );
-        }
+        prop_assert_eq!(&block_by_keys(&rel, &keys).unwrap(), &want_blocks);
+        prop_assert_eq!(&cluster_relation(&cfg, &rel).unwrap(), &want_clusters);
+        // the injected-scorer seam runs the same pair loop
+        let scorer = |a: &Tuple, b: &Tuple| record_similarity(&cfg.fields, a, b);
+        prop_assert_eq!(
+            &cluster_relation_scored(&cfg, &rel, &scorer).unwrap(), &want_clusters, "scored"
+        );
         // every pair's score, bit for bit
         for a in rel.iter() {
             for b in rel.iter() {

@@ -16,8 +16,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use vada_common::idgen::IdGen;
-use vada_common::par::{self, Parallelism};
-use vada_common::{Relation, Result, VadaError, Value};
+use vada_common::{Relation, Value};
 use vada_kb::CfdRule;
 
 static CFD_IDS: IdGen = IdGen::new("cfd");
@@ -140,30 +139,9 @@ impl Partition {
     }
 }
 
-/// Mine CFDs from a training relation (sequential).
-pub fn learn_cfds(cfg: &CfdLearnConfig, rel: &Relation) -> Vec<CfdRule> {
-    learn_cfds_with(cfg, rel, Parallelism::Sequential)
-        .expect("sequential mining fails only past 2^32 rows, more than memory holds")
-}
-
-/// An FD/CFD candidate before it receives an id (workers produce these;
-/// the caller assigns ids in deterministic merge order).
-struct Candidate {
-    lhs: Vec<(String, Option<Value>)>,
-    rhs: (String, Option<Value>),
-    support: usize,
-    /// LHS column set, for minimality bookkeeping of variable FDs.
-    lhs_cols: BTreeSet<usize>,
-    rhs_col: usize,
-}
-
-/// Mine CFDs from a training relation, scanning the LHS candidate sets of
-/// each level in parallel. The mining is embarrassingly parallel within a
-/// level: minimality pruning only consults dependencies found at strictly
-/// smaller LHS sizes (equal-size sets can never subsume one another), so
-/// workers share a read-only snapshot of `found` and their candidates are
-/// merged back in input order — rule order and content are identical at
-/// every [`Parallelism`] level.
+/// Mine CFDs from a training relation, levelwise by LHS size. Minimality
+/// pruning only consults dependencies found at strictly smaller LHS sizes
+/// (equal-size sets can never subsume one another).
 ///
 /// Every column is dictionary-encoded once and the relation's values are
 /// not read again. A LHS set is partitioned once — level 1 is the code
@@ -171,20 +149,15 @@ struct Candidate {
 /// without its largest column by that column's codes (TANE's partition
 /// product) — and each `X → A` is then an array pass over group ids and
 /// codes.
-pub fn learn_cfds_with(
-    cfg: &CfdLearnConfig,
-    rel: &Relation,
-    parallelism: Parallelism,
-) -> Result<Vec<CfdRule>> {
+pub fn learn_cfds(cfg: &CfdLearnConfig, rel: &Relation) -> Vec<CfdRule> {
     let n_attrs = rel.schema().arity();
     // codes and group ids are row-bounded `u32`s, `NONE` excluded
-    if rel.len() >= NONE as usize {
-        return Err(VadaError::Other(format!(
-            "`{}` has {} rows, more than CFD mining can number",
-            rel.name(),
-            rel.len()
-        )));
-    }
+    assert!(
+        rel.len() < NONE as usize,
+        "`{}` has {} rows, more than CFD mining can number",
+        rel.name(),
+        rel.len()
+    );
     let attr_name = |i: usize| rel.schema().attr(i).name.clone();
     let columns: Vec<CodeColumn> = (0..n_attrs).map(|c| CodeColumn::encode(rel, c)).collect();
     let mut out: Vec<CfdRule> = Vec::new();
@@ -199,59 +172,41 @@ pub fn learn_cfds_with(
     let mut coarser: HashMap<BTreeSet<usize>, Partition> = HashMap::new();
     for size in 1..=cfg.max_lhs {
         let last_level = size == cfg.max_lhs;
-        let per_set: Vec<(Vec<Candidate>, Option<Partition>)> = par::par_try_map(
-            parallelism,
-            "quality/cfd-level-scan",
-            &level,
-            |_, lhs_set| {
-                let rhs_cols: Vec<usize> = (0..n_attrs)
-                    .filter(|rhs| !lhs_set.contains(rhs))
-                    // minimality: a subset already determines rhs
-                    .filter(|rhs| !found.iter().any(|(l, r)| r == rhs && l.is_subset(lhs_set)))
-                    .collect();
-                if rhs_cols.is_empty() && last_level {
-                    return Ok((Vec::new(), None)); // nothing reads this partition
-                }
-                let last = *lhs_set.last().expect("LHS sets are non-empty");
-                let partition = if size == 1 {
-                    columns[last].partition()
-                } else {
-                    let mut rest = lhs_set.clone();
-                    rest.remove(&last);
-                    coarser[&rest].refine(&columns[last])
-                };
-                let mut cands = Vec::new();
-                for rhs in rhs_cols {
-                    if let Some(support) = partition.determines(&columns[rhs]) {
-                        if support >= cfg.min_support {
-                            cands.push(Candidate {
-                                lhs: lhs_set.iter().map(|&c| (attr_name(c), None)).collect(),
-                                rhs: (attr_name(rhs), None),
-                                support,
-                                lhs_cols: lhs_set.clone(),
-                                rhs_col: rhs,
-                            });
-                        }
+        let mut partitions = HashMap::new();
+        for lhs_set in &level {
+            let rhs_cols: Vec<usize> = (0..n_attrs)
+                .filter(|rhs| !lhs_set.contains(rhs))
+                // minimality: a subset already determines rhs
+                .filter(|rhs| !found.iter().any(|(l, r)| r == rhs && l.is_subset(lhs_set)))
+                .collect();
+            if rhs_cols.is_empty() && last_level {
+                continue; // nothing reads this partition
+            }
+            let last = *lhs_set.last().expect("LHS sets are non-empty");
+            let partition = if size == 1 {
+                columns[last].partition()
+            } else {
+                let mut rest = lhs_set.clone();
+                rest.remove(&last);
+                coarser[&rest].refine(&columns[last])
+            };
+            for rhs in rhs_cols {
+                if let Some(support) = partition.determines(&columns[rhs]) {
+                    if support >= cfg.min_support {
+                        found.push((lhs_set.clone(), rhs));
+                        out.push(CfdRule {
+                            id: CFD_IDS.next_id(),
+                            relation: rel.name().to_string(),
+                            lhs: lhs_set.iter().map(|&c| (attr_name(c), None)).collect(),
+                            rhs: (attr_name(rhs), None),
+                            support,
+                        });
                     }
                 }
-                // only a finer level reads it again
-                Ok((cands, (!last_level).then_some(partition)))
-            },
-        )?;
-        let mut partitions = HashMap::new();
-        for (lhs_set, (cands, partition)) in level.iter().zip(per_set) {
-            if let Some(partition) = partition {
-                partitions.insert(lhs_set.clone(), partition);
             }
-            for cand in cands {
-                found.push((cand.lhs_cols.clone(), cand.rhs_col));
-                out.push(CfdRule {
-                    id: CFD_IDS.next_id(),
-                    relation: rel.name().to_string(),
-                    lhs: cand.lhs,
-                    rhs: cand.rhs,
-                    support: cand.support,
-                });
+            // only a finer level reads it again
+            if !last_level {
+                partitions.insert(lhs_set.clone(), partition);
             }
         }
         coarser = partitions;
@@ -269,101 +224,83 @@ pub fn learn_cfds_with(
         level = next.into_iter().collect();
     }
 
-    // constant CFDs with single-attribute LHS, one worker item per LHS
-    // attribute (deterministic: groups are scanned in sorted value order)
+    // constant CFDs with single-attribute LHS, one LHS attribute at a time
+    // (deterministic: groups are scanned in sorted value order)
     if cfg.mine_constants {
-        let lhs_attrs: Vec<usize> = (0..n_attrs).collect();
-        let per_lhs: Vec<Vec<Candidate>> = par::par_try_map(
-            parallelism,
-            "quality/cfd-constant-scan",
-            &lhs_attrs,
-            |_, &lhs| {
-                let rhs_cols: Vec<usize> = (0..n_attrs)
-                    .filter(|&rhs| rhs != lhs)
-                    // subsumed by the variable FD lhs → rhs
-                    .filter(|rhs| {
-                        !found.iter().any(|(l, r)| r == rhs && l.len() == 1 && l.contains(&lhs))
-                    })
-                    .collect();
-                let mut cands = Vec::new();
-                if rhs_cols.is_empty() {
-                    return Ok(cands);
+        let mut constants: Vec<CfdRule> = Vec::new();
+        for lhs in 0..n_attrs {
+            let rhs_cols: Vec<usize> = (0..n_attrs)
+                .filter(|&rhs| rhs != lhs)
+                // subsumed by the variable FD lhs → rhs
+                .filter(|rhs| {
+                    !found.iter().any(|(l, r)| r == rhs && l.len() == 1 && l.contains(&lhs))
+                })
+                .collect();
+            if rhs_cols.is_empty() {
+                continue;
+            }
+            // counting sort of the rows by LHS code: group `c` is
+            // `rows[start[c]..start[c + 1]]`, rows ascending
+            let column = &columns[lhs];
+            let mut start = vec![0usize; column.first_row.len() + 1];
+            for &c in column.codes.iter().filter(|&&c| c != NONE) {
+                start[c as usize + 1] += 1;
+            }
+            for c in 1..start.len() {
+                start[c] += start[c - 1];
+            }
+            let mut fill = start.clone();
+            let mut rows = vec![0usize; start[start.len() - 1]];
+            for (row, &c) in column.codes.iter().enumerate() {
+                if c != NONE {
+                    rows[fill[c as usize]] = row;
+                    fill[c as usize] += 1;
                 }
-                // counting sort of the rows by LHS code: group `c` is
-                // `rows[start[c]..start[c + 1]]`, rows ascending
-                let column = &columns[lhs];
-                let mut start = vec![0usize; column.first_row.len() + 1];
-                for &c in column.codes.iter().filter(|&&c| c != NONE) {
-                    start[c as usize + 1] += 1;
-                }
-                for c in 1..start.len() {
-                    start[c] += start[c - 1];
-                }
-                let mut fill = start.clone();
-                let mut rows = vec![0usize; start[start.len() - 1]];
-                for (row, &c) in column.codes.iter().enumerate() {
-                    if c != NONE {
-                        rows[fill[c as usize]] = row;
-                        fill[c as usize] += 1;
-                    }
-                }
-                // only the groups large enough to carry a pattern, by value
-                let value_of = |c: usize| &rel.tuples()[column.first_row[c]][lhs];
-                let mut groups: Vec<usize> = (0..column.first_row.len())
-                    .filter(|&c| start[c + 1] - start[c] >= cfg.min_pattern_support)
-                    .collect();
-                groups.sort_by(|&a, &b| value_of(a).cmp(value_of(b)));
-                for c in groups {
-                    for &rhs in &rhs_cols {
-                        let codes = &columns[rhs].codes;
-                        // (first row with a value, its code)
-                        let mut constant: Option<(usize, u32)> = None;
-                        let mut ok = true;
-                        let mut support = 0usize;
-                        for &row in &rows[start[c]..start[c + 1]] {
-                            let v = codes[row];
-                            if v == NONE {
-                                continue;
-                            }
-                            match constant {
-                                None => constant = Some((row, v)),
-                                Some((_, prev)) if prev == v => {}
-                                Some(_) => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            support += 1;
+            }
+            // only the groups large enough to carry a pattern, by value
+            let value_of = |c: usize| &rel.tuples()[column.first_row[c]][lhs];
+            let mut groups: Vec<usize> = (0..column.first_row.len())
+                .filter(|&c| start[c + 1] - start[c] >= cfg.min_pattern_support)
+                .collect();
+            groups.sort_by(|&a, &b| value_of(a).cmp(value_of(b)));
+            for c in groups {
+                for &rhs in &rhs_cols {
+                    let codes = &columns[rhs].codes;
+                    // (first row with a value, its code)
+                    let mut constant: Option<(usize, u32)> = None;
+                    let mut ok = true;
+                    let mut support = 0usize;
+                    for &row in &rows[start[c]..start[c + 1]] {
+                        let v = codes[row];
+                        if v == NONE {
+                            continue;
                         }
-                        if ok && support >= cfg.min_pattern_support {
-                            if let Some((row, _)) = constant {
-                                cands.push(Candidate {
-                                    lhs: vec![(attr_name(lhs), Some(value_of(c).clone()))],
-                                    rhs: (attr_name(rhs), Some(rel.tuples()[row][rhs].clone())),
-                                    support,
-                                    lhs_cols: BTreeSet::from([lhs]),
-                                    rhs_col: rhs,
-                                });
+                        match constant {
+                            None => constant = Some((row, v)),
+                            Some((_, prev)) if prev == v => {}
+                            Some(_) => {
+                                ok = false;
+                                break;
                             }
+                        }
+                        support += 1;
+                    }
+                    if ok && support >= cfg.min_pattern_support {
+                        if let Some((row, _)) = constant {
+                            constants.push(CfdRule {
+                                id: String::new(),
+                                relation: rel.name().to_string(),
+                                lhs: vec![(attr_name(lhs), Some(value_of(c).clone()))],
+                                rhs: (attr_name(rhs), Some(rel.tuples()[row][rhs].clone())),
+                                support,
+                            });
                         }
                     }
                 }
-                Ok(cands)
-            },
-        )?;
+            }
+        }
         // ids are assigned after the deterministic sort, so the id ↔ rule
         // association no longer depends on scan order
-        let mut constants: Vec<CfdRule> = per_lhs
-            .into_iter()
-            .flatten()
-            .map(|c| CfdRule {
-                id: String::new(),
-                relation: rel.name().to_string(),
-                lhs: c.lhs,
-                rhs: c.rhs,
-                support: c.support,
-            })
-            .collect();
         constants.sort_by_cached_key(|c| (std::cmp::Reverse(c.support), c.display()));
         constants.truncate(cfg.max_constant_cfds);
         for mut rule in constants {
@@ -372,7 +309,7 @@ pub fn learn_cfds_with(
         }
     }
 
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -478,37 +415,6 @@ mod tests {
         let rel = Relation::from_tuples(schema, rows).unwrap();
         let cfds = learn_cfds(&CfdLearnConfig::default(), &rel);
         assert!(has_variable_fd(&cfds, &["a"], "b"));
-    }
-
-    #[test]
-    fn parallel_mining_matches_sequential_rule_for_rule() {
-        for rel in [address(), {
-            // wide mixed relation with constants and nulls
-            let schema = Schema::all_str("r", &["a", "b", "c", "d"]);
-            let mut rows = Vec::new();
-            for i in 0..40 {
-                rows.push(tuple![
-                    format!("k{}", i % 6),
-                    format!("v{}", (i % 6) * 2),
-                    format!("w{}", i % 3),
-                    if i % 11 == 0 { "odd".to_string() } else { "even".to_string() }
-                ]);
-            }
-            Relation::from_tuples(schema, rows).unwrap()
-        }] {
-            let cfg = CfdLearnConfig { max_lhs: 3, ..Default::default() };
-            let seq = learn_cfds_with(&cfg, &rel, Parallelism::Sequential).unwrap();
-            for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-                let got = learn_cfds_with(&cfg, &rel, par).unwrap();
-                assert_eq!(got.len(), seq.len(), "{par:?}");
-                for (a, b) in got.iter().zip(&seq) {
-                    // ids come from a process-global counter; everything
-                    // else must line up rule for rule
-                    assert_eq!(a.display(), b.display(), "{par:?}");
-                    assert_eq!(a.support, b.support, "{par:?}");
-                }
-            }
-        }
     }
 
     #[test]

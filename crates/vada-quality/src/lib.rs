@@ -22,7 +22,7 @@ pub mod profile;
 pub mod repair;
 pub mod violations;
 
-pub use cfd::{learn_cfds, learn_cfds_with, CfdLearnConfig};
+pub use cfd::{learn_cfds, CfdLearnConfig};
 pub use metrics::{accuracy_against_reference, consistency, master_coverage, ReferencePopulation};
 pub use repair::{repair_with_reference, RepairConfig, RepairReport};
 pub use violations::{detect_violations, Violation};

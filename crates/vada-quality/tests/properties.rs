@@ -459,9 +459,8 @@ mod oracle {
     }
 }
 
-use vada_common::Parallelism;
 use vada_kb::CfdRule;
-use vada_quality::{learn_cfds_with, RepairReport};
+use vada_quality::RepairReport;
 
 /// A small palette of cells chosen to collide: values equal under `Value`'s
 /// `Eq` but written differently (`Int(1)` / `Float(1.0)`, `0.0` / `-0.0`,
@@ -556,8 +555,6 @@ fn rule_catalogue(i: u8) -> CfdRule {
     }
 }
 
-const LEVELS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
-
 proptest! {
     #[test]
     fn mined_rules_match_the_partition_per_pair_oracle(
@@ -578,11 +575,9 @@ proptest! {
             };
             let want = oracle::learn_cfds(&cfg, &rel);
             let want_shapes: Vec<_> = want.iter().map(rule_shape).collect();
-            for par in LEVELS {
-                let got = learn_cfds_with(&cfg, &rel, par).unwrap();
-                let got_shapes: Vec<_> = got.iter().map(rule_shape).collect();
-                prop_assert_eq!(&got_shapes, &want_shapes, "max_lhs {} at {:?}", max_lhs, par);
-            }
+            let got = learn_cfds(&cfg, &rel);
+            let got_shapes: Vec<_> = got.iter().map(rule_shape).collect();
+            prop_assert_eq!(&got_shapes, &want_shapes, "max_lhs {}", max_lhs);
             // the same rules find the same violations on other data (ids
             // aside: the oracle assigns none, so number both lists alike)
             let number = |rules: Vec<CfdRule>| -> Vec<CfdRule> {
@@ -594,7 +589,7 @@ proptest! {
             };
             let dirty = palette_relation("dirty", &["a", "b", "c", "d"], &dirty);
             prop_assert_eq!(
-                detect_violations(&dirty, &number(learn_cfds(&cfg, &rel))),
+                detect_violations(&dirty, &number(got)),
                 detect_violations(&dirty, &number(want))
             );
         }

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::{OrchestratorConfig, Parallelism, Wrangler};
+use vada::Wrangler;
 use vada_common::{tuple, AttrType, Relation, Schema, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
@@ -437,75 +437,67 @@ fn pre_crash_watermark_resumes_o_change_after_reopen() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Drive the full wrangling pipeline durably under every scheduling
-/// configuration, checkpoint the observable state at each
-/// pipeline step, then crash and reopen at each of those watermarks: the
-/// recovered state must be byte-identical every time, in every
-/// configuration.
+/// Drive the full wrangling pipeline durably, checkpoint the observable
+/// state at each pipeline step, then crash and reopen at each of those
+/// watermarks: the recovered state must be byte-identical every time.
 #[test]
 fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
-    for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let dir = tmpdir(&format!("matrix-{parallelism:?}"));
-        let s = Scenario::generate(ScenarioConfig {
-            universe: UniverseConfig { properties: 40, seed: 9 },
-            ..Default::default()
-        });
-        let mut w = Wrangler::new();
-        w.set_orchestrator_config(OrchestratorConfig {
-            parallelism,
-            ..OrchestratorConfig::default()
-        });
-        w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
+    let dir = tmpdir("matrix");
+    let s = Scenario::generate(ScenarioConfig {
+        universe: UniverseConfig { properties: 40, seed: 9 },
+        ..Default::default()
+    });
+    let mut w = Wrangler::new();
+    w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
 
-        let mut watermarks = Vec::new();
-        let checkpoint = |w: &Wrangler| (w.kb().version(), fingerprint(w.kb()));
-        w.add_source(s.rightmove.clone());
-        w.add_source(s.deprivation.clone());
-        w.set_target(target_schema());
-        w.run().expect("bootstrap succeeds");
-        watermarks.push(checkpoint(&w));
-        w.add_data_context(
-            s.address.clone(),
-            ContextKind::Reference,
-            &[("street", "street"), ("postcode", "postcode")],
-        )
-        .unwrap();
-        w.run().expect("context step succeeds");
-        watermarks.push(checkpoint(&w));
-        w.remove_source_rows("rightmove", &[1, 3]).unwrap();
-        w.set_user_context(vec![PairwiseStatement {
-            more_important: "completeness(crimerank)".into(),
-            less_important: "completeness(bedrooms)".into(),
-            strength: "strongly".into(),
-        }]);
-        w.run().expect("edit step succeeds");
-        watermarks.push(checkpoint(&w));
-        w.kb().storage_health().unwrap();
-        drop(w);
+    let mut watermarks = Vec::new();
+    let checkpoint = |w: &Wrangler| (w.kb().version(), fingerprint(w.kb()));
+    w.add_source(s.rightmove.clone());
+    w.add_source(s.deprivation.clone());
+    w.set_target(target_schema());
+    w.run().expect("bootstrap succeeds");
+    watermarks.push(checkpoint(&w));
+    w.add_data_context(
+        s.address.clone(),
+        ContextKind::Reference,
+        &[("street", "street"), ("postcode", "postcode")],
+    )
+    .unwrap();
+    w.run().expect("context step succeeds");
+    watermarks.push(checkpoint(&w));
+    w.remove_source_rows("rightmove", &[1, 3]).unwrap();
+    w.set_user_context(vec![PairwiseStatement {
+        more_important: "completeness(crimerank)".into(),
+        less_important: "completeness(bedrooms)".into(),
+        strength: "strongly".into(),
+    }]);
+    w.run().expect("edit step succeeds");
+    watermarks.push(checkpoint(&w));
+    w.kb().storage_health().unwrap();
+    drop(w);
 
-        let wal_path = dir.join(WAL_FILE);
-        let full = std::fs::read(&wal_path).unwrap();
-        let boundaries = record_boundaries(&full);
-        let (_wal, records) = Wal::open(&wal_path).unwrap();
-        assert_eq!(boundaries.len(), records.len() + 1);
+    let wal_path = dir.join(WAL_FILE);
+    let full = std::fs::read(&wal_path).unwrap();
+    let boundaries = record_boundaries(&full);
+    let (_wal, records) = Wal::open(&wal_path).unwrap();
+    assert_eq!(boundaries.len(), records.len() + 1);
 
-        for (version, expected) in &watermarks {
-            // the boundary right after the record that produced `version`
-            let k = records
-                .iter()
-                .position(|r| r.event.seq == *version)
-                .map(|i| i + 1)
-                .expect("every checkpoint version has a WAL record");
-            std::fs::write(&wal_path, &full[..boundaries[k]]).unwrap();
-            let reopened = KnowledgeBase::open(&dir).unwrap();
-            assert_eq!(
-                &fingerprint(&reopened),
-                expected,
-                "{parallelism:?}: crash at v{version} must recover that state"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+    for (version, expected) in &watermarks {
+        // the boundary right after the record that produced `version`
+        let k = records
+            .iter()
+            .position(|r| r.event.seq == *version)
+            .map(|i| i + 1)
+            .expect("every checkpoint version has a WAL record");
+        std::fs::write(&wal_path, &full[..boundaries[k]]).unwrap();
+        let reopened = KnowledgeBase::open(&dir).unwrap();
+        assert_eq!(
+            &fingerprint(&reopened),
+            expected,
+            "crash at v{version} must recover that state"
+        );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Re-wrangling a recovered knowledge base reproduces the pre-crash

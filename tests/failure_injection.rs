@@ -2,7 +2,7 @@
 //! with a diagnostic naming it, without corrupting the knowledge base, and
 //! degenerate inputs must produce errors rather than wrong results.
 
-use vada::{Activity, Parallelism, RunOutcome, Transducer, Wrangler};
+use vada::{Activity, RunOutcome, Transducer, Wrangler};
 use vada_common::{tuple, Relation, Result, Schema, VadaError};
 use vada_kb::KnowledgeBase;
 
@@ -127,18 +127,11 @@ fn panicking_similarity_errors_instead_of_hanging_and_names_the_stage() {
         record_similarity(&cfg.fields, a, b)
     };
     // the panic payload must come back as an error naming the offending
-    // stage — from the worker threads just like from the sequential path,
-    // never a deadlock or process abort
-    for par in [Parallelism::Sequential, Parallelism::Threads(4), Parallelism::Threads(8)] {
-        let err = cluster_relation_scored(&cfg, &rel, par, &scorer).unwrap_err();
-        assert_eq!(err.kind(), "parallel", "{par:?}: {err}");
-        assert!(err.message().contains("fusion/pairwise"), "{par:?}: {err}");
-        assert!(err.message().contains("poisoned row"), "{par:?}: {err}");
-    }
-    // all parallelism levels report the same (lowest-pair-index) failure
-    let seq = cluster_relation_scored(&cfg, &rel, Parallelism::Sequential, &scorer).unwrap_err();
-    let par = cluster_relation_scored(&cfg, &rel, Parallelism::Threads(4), &scorer).unwrap_err();
-    assert_eq!(seq, par);
+    // stage, never a deadlock or process abort
+    let err = cluster_relation_scored(&cfg, &rel, &scorer).unwrap_err();
+    assert_eq!(err.kind(), "parallel", "{err}");
+    assert!(err.message().contains("fusion/pairwise"), "{err}");
+    assert!(err.message().contains("poisoned row"), "{err}");
 }
 
 #[test]
@@ -187,8 +180,8 @@ fn poisoned_incremental_session_refuses_deltas_until_rematerialized() {
 #[test]
 fn panic_mid_dred_poisons_the_session_and_run_full_recovers() {
     // the deletion path's failure contract: a panic injected inside DRed's
-    // over-deletion pass (captured by the parallel layer at every level)
-    // poisons the session, every further delta or retraction is refused,
+    // over-deletion pass (captured by the stage's panic guard) poisons the
+    // session, every further delta or retraction is refused,
     // and the next run_full restores service
     use vada_datalog::incremental::{DeltaMode, IncrementalSession};
     use vada_datalog::{Database, EngineConfig};

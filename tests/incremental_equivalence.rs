@@ -1,16 +1,17 @@
 //! Differential tests for re-wrangling after knowledge-base edits. The
 //! only suite that drives append / remove / update / feedback scripts
 //! through a long-lived [`Wrangler`], it pins two things: the re-wrangle
-//! is thread-invariant — same result relation (rows in the same order),
-//! same trace shape (every stable field), same errors at `Sequential` and
-//! `Threads(4)` after every step — and a mapping executed through the
+//! is deterministic — two independently built wranglers (each with its own
+//! hash seeds) produce the same result relation (rows in the same order),
+//! the same trace shape (every stable field) and the same errors after
+//! every step — and a mapping executed through the
 //! journal-validated [`vada_map::ResultStore`] is byte-identical to a
 //! scratch `execute_mapping` on the same knowledge base, whether the
 //! store re-materialised it or handed the stored result back.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::{OrchestratorConfig, Parallelism, Wrangler};
+use vada::Wrangler;
 use vada_common::{csv, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
@@ -260,12 +261,8 @@ fn apply_edit(w: &mut Wrangler, scenario: &Scenario, edit: &Edit) {
     }
 }
 
-fn wrangler(scenario: &Scenario, parallelism: Parallelism) -> Wrangler {
+fn wrangler(scenario: &Scenario) -> Wrangler {
     let mut w = Wrangler::new();
-    w.set_orchestrator_config(OrchestratorConfig {
-        parallelism,
-        ..OrchestratorConfig::default()
-    });
     w.add_source(scenario.rightmove.clone());
     w.add_source(scenario.onthemarket.clone());
     w.add_source(scenario.deprivation.clone());
@@ -285,10 +282,7 @@ fn randomized_edit_scripts_identical_across_modes() {
         let mut rng = StdRng::seed_from_u64(seed);
         let script = random_script(&mut rng, 5);
 
-        let mut fleet = vec![
-            ("seq", wrangler(&scenario, Parallelism::Sequential)),
-            ("t4", wrangler(&scenario, Parallelism::Threads(4))),
-        ];
+        let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
 
         // bootstrap
         for (_, w) in &mut fleet {
@@ -321,17 +315,14 @@ fn randomized_edit_scripts_identical_across_modes() {
 
 /// Delete-then-reinsert: a removed row that comes back lands at the *end*
 /// of the relation, so the scratch row order differs from the original —
-/// every mode must agree on the reordered output at every step.
+/// both wranglers must agree on the reordered output at every step.
 #[test]
 fn delete_then_reinsert_identical_across_modes() {
     let scenario = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 40, seed: 11 },
         ..Default::default()
     });
-    let mut fleet = vec![
-        ("seq", wrangler(&scenario, Parallelism::Sequential)),
-        ("t4", wrangler(&scenario, Parallelism::Threads(4))),
-    ];
+    let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
     let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
         let baseline = observe(&fleet[0].1);
         for (name, w) in &fleet[1..] {
@@ -368,18 +359,15 @@ fn delete_then_reinsert_identical_across_modes() {
 }
 
 /// Delete-everything: draining a source to zero rows (and wrangling over
-/// the emptiness) must stay byte-identical across modes, and so must the
-/// recovery when data comes back.
+/// the emptiness) must stay byte-identical across wranglers, and so must
+/// the recovery when data comes back.
 #[test]
 fn delete_everything_identical_across_modes() {
     let scenario = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 30, seed: 29 },
         ..Default::default()
     });
-    let mut fleet = vec![
-        ("seq", wrangler(&scenario, Parallelism::Sequential)),
-        ("t4", wrangler(&scenario, Parallelism::Threads(4))),
-    ];
+    let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
     let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
         let baseline = observe(&fleet[0].1);
         for (name, w) in &fleet[1..] {
@@ -412,8 +400,8 @@ fn delete_everything_identical_across_modes() {
 }
 
 /// The result store against the scratch path: every candidate mapping,
-/// executed through one long-lived [`vada_map::ResultStore`] per
-/// `{Sequential, Threads(4)}`, must equal a fresh
+/// executed through one long-lived [`vada_map::ResultStore`], must equal a
+/// fresh
 /// `execute_mapping` on the same knowledge base — same rows, same order —
 /// after every batch of a randomized edit script, with no-op
 /// re-executions interleaved (a second look at an unchanged base, and a
@@ -432,53 +420,44 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         });
         // the wrangler only bootstraps the candidates and carries the edit
         // script; it never runs again, so every execution below is ours
-        let mut w = wrangler(&scenario, Parallelism::Sequential);
+        let mut w = wrangler(&scenario);
         w.run().expect("bootstrap succeeds");
         let mappings: Vec<_> = w.kb().mappings().cloned().collect();
         assert!(mappings.len() >= 2, "seed {seed}: several candidate structures");
         let mut rng = StdRng::seed_from_u64(seed);
         let script = random_script(&mut rng, 8);
 
-        let mut fleet = Vec::new();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let mut cfg = ExecuteConfig::default();
-            cfg.engine.parallelism = parallelism;
-            fleet.push((format!("{parallelism:?}"), cfg, ResultStore::default()));
-        }
-        let scratch_cfg = ExecuteConfig::default();
+        let cfg = ExecuteConfig::default();
+        let mut store = ResultStore::default();
         let mut compare = |w: &Wrangler, stage: &str, expect_reuse: bool| {
-            for (name, cfg, store) in &mut fleet {
-                let reused_before = store.stats().reused_runs;
-                for mapping in &mappings {
-                    let scratch = execute_mapping(&scratch_cfg, mapping, w.kb());
-                    match (store.execute(cfg, mapping, w.kb()), scratch) {
-                        (Ok(got), Ok(scratch)) => {
-                            assert_eq!(got.schema(), scratch.schema());
-                            assert_eq!(
-                                got.tuples(),
-                                scratch.tuples(),
-                                "seed {seed}: {name} diverged on {} {stage}",
-                                mapping.id
-                            );
-                        }
-                        (Err(got), Err(scratch)) => {
-                            assert_eq!(got.to_string(), scratch.to_string())
-                        }
-                        (got, scratch) => panic!(
-                            "seed {seed}: {name} on {} {stage}: store {:?} vs scratch {:?}",
-                            mapping.id,
-                            got.map(|r| r.len()),
-                            scratch.map(|r| r.len())
-                        ),
+            let reused_before = store.stats().reused_runs;
+            for mapping in &mappings {
+                let scratch = execute_mapping(&cfg, mapping, w.kb());
+                match (store.execute(&cfg, mapping, w.kb()), scratch) {
+                    (Ok(got), Ok(scratch)) => {
+                        assert_eq!(got.schema(), scratch.schema());
+                        assert_eq!(
+                            got.tuples(),
+                            scratch.tuples(),
+                            "seed {seed}: the store diverged on {} {stage}",
+                            mapping.id
+                        );
                     }
+                    (Err(got), Err(scratch)) => assert_eq!(got.to_string(), scratch.to_string()),
+                    (got, scratch) => panic!(
+                        "seed {seed}: on {} {stage}: store {:?} vs scratch {:?}",
+                        mapping.id,
+                        got.map(|r| r.len()),
+                        scratch.map(|r| r.len())
+                    ),
                 }
-                if expect_reuse {
-                    assert_eq!(
-                        store.stats().reused_runs - reused_before,
-                        mappings.len(),
-                        "seed {seed}: {name} re-materialised an unchanged mapping {stage}"
-                    );
-                }
+            }
+            if expect_reuse {
+                assert_eq!(
+                    store.stats().reused_runs - reused_before,
+                    mappings.len(),
+                    "seed {seed}: the store re-materialised an unchanged mapping {stage}"
+                );
             }
         };
 

@@ -1,7 +1,7 @@
 //! Differential tests for the observability layer: the **structural**
-//! counters (the `pipeline.*` names) must be byte-identical across the
-//! whole `{parallelism} × {durability}` knob matrix — observability
-//! observes the pipeline's semantic structure, never its scheduling — and
+//! counters (the `pipeline.*` names) must be byte-identical with and
+//! without durability — observability observes the pipeline's semantic
+//! structure, never its storage — and
 //! a broken or panicking export sink must never change a single byte of
 //! the wrangling result.
 //! This is the contract that makes the `VADA_OBS` override safe to flip
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use vada::{OrchestratorConfig, Parallelism, Wrangler};
+use vada::Wrangler;
 use vada_common::obs::{span_shape, structural_span_shape, Json, Obs, ObsSink};
 use vada_common::{csv, Result, VadaError};
 use vada_extract::sources::target_schema;
@@ -33,8 +33,7 @@ fn with_pinned_env<T>(f: impl FnOnce() -> T) -> T {
 /// What one wrangle leaves behind: the result catalog (byte-for-byte),
 /// the registry's counters (split structural / full), and the span tree
 /// in both renderings — the structural slice (`orchestrator/` spans,
-/// pinned across the whole matrix) and the full deep tree (pinned across
-/// thread counts).
+/// pinned across the whole matrix) and the full deep tree.
 struct Observed {
     catalog: String,
     structural: BTreeMap<String, u64>,
@@ -92,24 +91,18 @@ fn canonicalize_map_ids(s: &str) -> String {
 
 /// Drive the pay-as-you-go pipeline (bootstrap, data context, an edit
 /// phase, a re-run) under one knob combination with a live registry.
-fn wrangle(par: Parallelism, wal: bool) -> Observed {
+fn wrangle(wal: bool) -> Observed {
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 60, seed: 11 },
         ..Default::default()
     });
     let mut w = Wrangler::new();
     if wal {
-        let dir = std::env::temp_dir().join(format!(
-            "vada-obs-equivalence-{}-{par:?}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("vada-obs-equivalence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         w.set_durability(vada_common::Durability::Wal(dir)).expect("durable dir initialises");
     }
-    w.set_orchestrator_config(OrchestratorConfig {
-        parallelism: par,
-        ..OrchestratorConfig::default()
-    });
     w.set_obs(Obs::enabled());
     w.add_source(s.rightmove.clone());
     w.add_source(s.deprivation.clone());
@@ -157,11 +150,10 @@ fn wrangle(par: Parallelism, wal: bool) -> Observed {
 }
 
 /// The headline pin: every knob combination tallies the same structural
-/// counters — and materialises the same catalog — as sequential /
-/// in-memory.
+/// counters — and materialises the same catalog — as in-memory.
 #[test]
 fn structural_counters_identical_across_the_knob_matrix() {
-    let baseline = with_pinned_env(|| wrangle(Parallelism::Sequential, false));
+    let baseline = with_pinned_env(|| wrangle(false));
     assert!(
         baseline.structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0,
         "the pipeline must take orchestrator steps: {:?}",
@@ -208,21 +200,10 @@ fn structural_counters_identical_across_the_knob_matrix() {
         baseline.full_spans
     );
 
-    // the thread knob: same structure, same catalog — and the full span
-    // tree, deep mode-scoped spans included, never depends on it
-    let threaded = with_pinned_env(|| wrangle(Parallelism::Threads(4), false));
-    assert_eq!(threaded.structural, baseline.structural, "Threads(4) diverged structurally");
-    assert_eq!(threaded.catalog, baseline.catalog, "Threads(4) changed the catalog");
-    assert_eq!(
-        threaded.structural_spans, baseline.structural_spans,
-        "Threads(4) changed the structural span tree"
-    );
-    assert_eq!(threaded.full_spans, baseline.full_spans, "Threads(4) changed the full span tree");
-
     // the durability knob: a WAL-backed run is structurally identical too
     // (wal.* diagnostics appear, but only under the pipeline-neutral
     // mode-scoped namespace — and as wal/append spans in the full tree)
-    let durable = with_pinned_env(|| wrangle(Parallelism::Sequential, true));
+    let durable = with_pinned_env(|| wrangle(true));
     assert_eq!(durable.structural, baseline.structural, "WAL leg diverged structurally");
     assert_eq!(durable.catalog, baseline.catalog, "WAL leg changed the catalog");
     assert_eq!(

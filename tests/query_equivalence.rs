@@ -4,15 +4,16 @@
 //! answer set, same answer order (including deterministic skolem values),
 //! same first error — per query, across randomized programs and query
 //! workloads (bound/free argument patterns, negation, aggregates, positive
-//! cycles, multi-adornment queries, empty demand sets) and across the
-//! matrix `{Sequential, Threads(4)} × {Full, Incremental}`.
+//! cycles, multi-adornment queries, empty demand sets) and across
+//! `{Full, Incremental}` evaluation.
 //! Failure injection drives panics into the rewrite and index-build stages
-//! and pins that the surfaced error is the same at every level.
+//! and pins that the surfaced error is the same on every path that runs
+//! the stage.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vada_common::obs::key as obs_key;
-use vada_common::{AttrType, Obs, Parallelism, Relation, Result, Schema, Tuple, Value};
+use vada_common::{AttrType, Obs, Relation, Result, Schema, Tuple, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::incremental::IncrementalSession;
 use vada_datalog::parser::{parse_program, parse_query};
@@ -142,15 +143,9 @@ fn render(answers: &Result<Vec<Tuple>>) -> String {
     }
 }
 
-fn config(par: Parallelism) -> EngineConfig {
-    EngineConfig { parallelism: par, ..EngineConfig::default() }
-}
-
-const PARS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Threads(4)];
-
 /// The headline pin: `run_query` (directed) ≡ `Engine::run` + `eval_query`
-/// (undirected, the reference) per query, across the full
-/// `{parallelism} × {evaluation}` matrix, on seed-logged randomized worlds.
+/// (undirected, the reference) per query, for full and incremental
+/// evaluation, on seed-logged randomized worlds.
 #[test]
 fn directed_equals_undirected_across_the_knob_matrix() {
     for seed in 0..5u64 {
@@ -189,41 +184,38 @@ fn directed_equals_undirected_across_the_knob_matrix() {
             ("lab", lab_base.as_slice()),
         ];
 
-        // the reference: every query evaluated over the sequential full
-        // fixpoint, which is query-independent
-        let reference = Engine::new(config(Parallelism::Sequential));
-        let fixpoint = reference.run(&program, build_db(&full_slices));
+        // the reference: every query evaluated over the full fixpoint,
+        // which is query-independent
+        let engine = Engine::default();
+        let fixpoint = engine.run(&program, build_db(&full_slices));
         let queries: Vec<_> = world.queries.iter().map(|q| parse_query(q).unwrap()).collect();
         let baselines: Vec<String> = queries
             .iter()
             .map(|query| match &fixpoint {
-                Ok(full) => render(&reference.eval_query(query, full)),
+                Ok(full) => render(&engine.eval_query(query, full)),
                 Err(e) => render(&Err(e.clone())),
             })
             .collect();
 
         let db = build_db(&full_slices);
-        for par in PARS {
-            let engine = Engine::new(config(par));
-            // Incremental leg: a session materializes the full program, so
-            // evaluating over its database must give the reference answers
-            let mut session = IncrementalSession::new(config(par), &world.program).unwrap();
-            session.run_full(build_db(&base_slices)).unwrap();
-            session.apply(delta_pairs.clone()).unwrap();
+        // Incremental leg: a session materializes the full program, so
+        // evaluating over its database must give the reference answers
+        let mut session = IncrementalSession::new(EngineConfig::default(), &world.program).unwrap();
+        session.run_full(build_db(&base_slices)).unwrap();
+        session.apply(delta_pairs.clone()).unwrap();
 
-            for (qi, (query, baseline)) in queries.iter().zip(&baselines).enumerate() {
-                let qsrc = &world.queries[qi];
-                assert_eq!(
-                    &render(&engine.run_query(&program, &db, query)),
-                    baseline,
-                    "seed {seed} query #{qi} `{qsrc}` full {par:?}"
-                );
-                assert_eq!(
-                    &render(&engine.eval_query(query, session.database())),
-                    baseline,
-                    "seed {seed} query #{qi} `{qsrc}` incr {par:?}"
-                );
-            }
+        for (qi, (query, baseline)) in queries.iter().zip(&baselines).enumerate() {
+            let qsrc = &world.queries[qi];
+            assert_eq!(
+                &render(&engine.run_query(&program, &db, query)),
+                baseline,
+                "seed {seed} query #{qi} `{qsrc}` full"
+            );
+            assert_eq!(
+                &render(&engine.eval_query(query, session.database())),
+                baseline,
+                "seed {seed} query #{qi} `{qsrc}` incr"
+            );
         }
     }
 }
@@ -318,8 +310,8 @@ fn directed_materializes_a_subset_and_prunes_bound_queries() {
 }
 
 /// Failure injection: a panic in the magic-rewrite stage surfaces through
-/// `run_query` as the same [`VadaError::Parallel`]-style error at every
-/// parallelism level — and nowhere else: `Engine::run` and incremental
+/// `run_query` as a [`VadaError::Parallel`]-style error naming the stage —
+/// and nowhere else: `Engine::run` and incremental
 /// sessions materialize the full program, so the rewrite stage never runs
 /// and the fault never fires.
 #[test]
@@ -331,27 +323,21 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
     let rows: Vec<(&str, &[Tuple])> =
         vec![("e", &world.e_rows), ("n", &world.n_rows), ("lab", &world.lab_rows)];
 
-    let mut errors: Vec<String> = Vec::new();
-    for par in PARS {
-        let mut cfg = config(par);
-        cfg.inject_fault = Some("magic-rewrite");
-        let engine = Engine::new(cfg.clone());
-        let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
-        assert_eq!(err.kind(), "parallel", "{err}");
-        errors.push(err.to_string());
+    let cfg = EngineConfig { inject_fault: Some("magic-rewrite"), ..EngineConfig::default() };
+    let engine = Engine::new(cfg.clone());
+    let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
+    assert_eq!(err.kind(), "parallel", "{err}");
+    assert!(err.to_string().contains("datalog/magic_rewrite"), "{err}");
 
-        engine.run(&program, build_db(&rows)).unwrap();
-        let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
-        session.run_full(build_db(&rows)).unwrap();
-    }
-    assert!(errors[0].contains("datalog/magic_rewrite"), "{}", errors[0]);
-    assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
+    engine.run(&program, build_db(&rows)).unwrap();
+    let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
+    session.run_full(build_db(&rows)).unwrap();
 }
 
 /// Failure injection: a panic in the shared-index build stage surfaces as
 /// the same error through `run_query` and `Engine::run` alike (the index
-/// store serves demanded and full runs), at every parallelism level, and
-/// through incremental sessions' full materialization.
+/// store serves demanded and full runs), and through incremental
+/// sessions' full materialization.
 #[test]
 fn injected_index_build_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -361,19 +347,15 @@ fn injected_index_build_fault_is_identical_at_every_level() {
     let rows: Vec<(&str, &[Tuple])> =
         vec![("e", &world.e_rows), ("n", &world.n_rows), ("lab", &world.lab_rows)];
 
-    let mut errors: Vec<String> = Vec::new();
-    for par in PARS {
-        let mut cfg = config(par);
-        cfg.inject_fault = Some("index-build");
-        let engine = Engine::new(cfg.clone());
-        let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
-        assert_eq!(err.kind(), "parallel", "{err}");
-        errors.push(err.to_string());
-        errors.push(engine.run(&program, build_db(&rows)).unwrap_err().to_string());
+    let cfg = EngineConfig { inject_fault: Some("index-build"), ..EngineConfig::default() };
+    let engine = Engine::new(cfg.clone());
+    let err = engine.run_query(&program, &build_db(&rows), &query).unwrap_err();
+    assert_eq!(err.kind(), "parallel", "{err}");
+    let mut errors = vec![err.to_string()];
+    errors.push(engine.run(&program, build_db(&rows)).unwrap_err().to_string());
 
-        let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
-        errors.push(session.run_full(build_db(&rows)).unwrap_err().to_string());
-    }
+    let mut session = IncrementalSession::new(cfg, &world.program).unwrap();
+    errors.push(session.run_full(build_db(&rows)).unwrap_err().to_string());
     assert!(errors[0].contains("datalog/index_build"), "{}", errors[0]);
     assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
 }
