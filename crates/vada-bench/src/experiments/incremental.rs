@@ -119,8 +119,10 @@ struct WrangleRow {
 /// feedback, user context) of the real-estate scenario at a fixed small
 /// seeded size. Its counters and span tree are what `--check` defends
 /// end to end: how many transducer steps a wrangle takes, and that each
-/// candidate mapping structure is materialised once (`map.execute.full`)
-/// and reused thereafter (`map.execute.reused`).
+/// candidate mapping structure is materialised once — run through the
+/// engine (`map.execute.full`), or for a union assembled from its parts
+/// (`map.execute.assembled`) — and reused thereafter
+/// (`map.execute.reused`).
 fn measure_wrangle(properties: usize, obs: &Obs) -> WrangleRow {
     let cfg = PaygoConfig {
         scenario: ScenarioConfig {
@@ -774,14 +776,16 @@ mod tests {
         // answer byte-identity internally
         let mr = measure_magic(2_000, 50, 2, &obs);
         assert!(mr.directed_derivations > 0, "the demanded chain must still derive");
-        // the wrangle family: candidate structures are materialised, then
-        // reused by the data-context re-run of mapping_quality (at this toy
-        // size feedback also revises the matches, so a second generation
-        // of structures is materialised on top)
+        // the wrangle family: candidate structures are materialised — the
+        // parts run, the unions assembled from them — then reused by the
+        // data-context re-run of mapping_quality (at this toy size feedback
+        // also revises the matches, so a second generation of structures
+        // is materialised on top)
         let wobs = Obs::enabled();
         let wr = measure_wrangle(60, &wobs);
         assert!(wr.steps > 0 && wr.candidates > 0);
-        assert!(wobs.get("map.execute.full") >= wr.candidates as u64);
+        let (full, assembled) = (wobs.get("map.execute.full"), wobs.get("map.execute.assembled"));
+        assert!(assembled > 0 && full + assembled >= wr.candidates as u64);
         assert!(wobs.get("map.execute.reused") >= wr.candidates as u64);
         let wshapes = family_shapes(&wobs);
         assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");

@@ -130,6 +130,9 @@ pub mod key {
     /// Mapping executions answered from the stored materialisation: the
     /// journal proved no source changed since it was built.
     pub const MAP_REUSED: &str = "map.execute.reused";
+    /// Union mappings assembled from their parts' stored results instead
+    /// of being run as one program.
+    pub const MAP_ASSEMBLED: &str = "map.execute.assembled";
 
     /// Sink failures observed, plus every export write suppressed after
     /// the sink detached — the size of the telemetry loss, not just the

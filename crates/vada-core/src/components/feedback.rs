@@ -383,6 +383,7 @@ mod tests {
             rules: String::new(),
             sources: vec!["rightmove".into()],
             matches_used: vec!["m_beds".into()],
+            parts: vec![],
         });
         kb.select_mapping("map0").unwrap();
         // 3 annotations, 2 incorrect: error rate 0.67 >= 0.3
@@ -428,6 +429,7 @@ mod tests {
             rules: String::new(),
             sources: vec![],
             matches_used: vec!["m_beds".into()],
+            parts: vec![],
         });
         kb.select_mapping("map0").unwrap();
         kb.add_feedback(FeedbackRecord {

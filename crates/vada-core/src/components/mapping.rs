@@ -1,6 +1,9 @@
 //! Mapping transducers: generation, selection, execution.
 
-use vada_common::{Relation, Result, VadaError};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use vada_common::{Result, VadaError};
 use vada_context::UserContext;
 use vada_kb::KnowledgeBase;
 use vada_map::{
@@ -11,10 +14,11 @@ use crate::components::feedback::apply_vetoes;
 use crate::criteria::canonicalize_statements;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
-/// Name of the intermediate relation holding a candidate's materialisation.
-pub fn candidate_relation_name(mapping_id: &str) -> String {
-    format!("candidate_{mapping_id}")
-}
+/// One [`ResultStore`] handle shared by the mapping transducers of a
+/// fleet: [`MappingQuality`](crate::components::MappingQuality)
+/// materialises every candidate into it, and [`MappingExecution`] takes
+/// the selected one back out.
+pub type SharedStore = Rc<RefCell<ResultStore>>;
 
 /// Generate candidate mappings from the current matches (paper Table 1:
 /// "Mapping Generation — Src/Target Schemas"; the schemas enter through
@@ -139,15 +143,24 @@ impl Transducer for MappingSelection {
 
 /// Execute the selected mapping and materialise the result (re-applying
 /// any feedback-derived vetoes so user corrections survive
-/// re-materialisation). A selection the quality transducer did not leave a
-/// candidate relation for goes through the [`ResultStore`]: reused while
-/// the journal proves no source changed, re-executed from scratch
+/// re-materialisation). The selected mapping comes from the
+/// [`ResultStore`] — in the default fleet the one
+/// [`MappingQuality`](crate::components::MappingQuality) filled, so it is a
+/// hit while the journal proves no source changed, and is rebuilt
 /// otherwise.
 #[derive(Debug, Default)]
 pub struct MappingExecution {
     /// Execution configuration.
     pub config: ExecuteConfig,
-    store: ResultStore,
+    store: SharedStore,
+}
+
+impl MappingExecution {
+    /// A mapping-execution transducer reading through `store`. [`Default`]
+    /// gives it a private store of its own.
+    pub fn with_store(store: SharedStore) -> MappingExecution {
+        MappingExecution { config: ExecuteConfig::default(), store }
+    }
 }
 
 impl Transducer for MappingExecution {
@@ -183,14 +196,8 @@ impl Transducer for MappingExecution {
             .get_mapping(&id)
             .ok_or_else(|| VadaError::Kb(format!("selected mapping `{id}` vanished")))?
             .clone();
-        // reuse the candidate materialisation when the quality transducer
-        // already executed this mapping
-        let mut result: Relation = match kb.relation(&candidate_relation_name(&id)) {
-            Ok(cached) => {
-                Relation::from_tuples(cached.schema().renamed(&mapping.target), cached.tuples().to_vec())?
-            }
-            Err(_) => self.store.execute(&self.config, &mapping, kb)?.clone(),
-        };
+        // the one copy: the result the vetoes apply to and the KB keeps
+        let mut result = self.store.borrow_mut().execute(&self.config, &mapping, kb)?.clone();
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();
         kb.put_result(result);
@@ -205,7 +212,7 @@ impl Transducer for MappingExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::{tuple, AttrType, Schema};
+    use vada_common::{tuple, AttrType, Relation, Schema};
     use vada_kb::{MatchDef, QualityFact};
 
     fn kb_ready_for_mapping() -> KnowledgeBase {

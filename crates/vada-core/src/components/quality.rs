@@ -2,13 +2,13 @@
 //! quality metrics.
 
 use vada_common::error::guard_stage;
-use vada_common::{Relation, Result};
+use vada_common::Result;
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
-use vada_map::{ExecuteConfig, ResultStore};
+use vada_map::ExecuteConfig;
 use vada_quality::{consistency, learn_cfds, CfdLearnConfig, ReferencePopulation};
 
-use crate::components::mapping::candidate_relation_name;
+use crate::components::mapping::SharedStore;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Learn CFDs from data-context relations (paper Table 1: "CFD Learning —
@@ -111,14 +111,27 @@ impl Transducer for SourceProfiling {
 /// the learned CFDs) and syntactic accuracy (against reference
 /// populations). These are the metrics mapping selection weighs under the
 /// user context. Candidates materialise through the
-/// [`ResultStore`], so a re-run caused by new CFDs or reference data
-/// recomputes the metrics but re-executes only the candidates whose
-/// sources changed.
+/// [`ResultStore`](vada_map::ResultStore), which is their only home:
+/// nothing is copied into the knowledge base, and
+/// [`MappingExecution`](crate::components::MappingExecution) reads the
+/// selected candidate from the same store (see
+/// [`default_transducers`](crate::default_transducers)). A re-run caused
+/// by new CFDs or reference data therefore recomputes the metrics but
+/// re-executes only the candidates whose sources changed — and of a union,
+/// only the parts that read them.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     /// Execution configuration for candidate materialisation.
     pub config: ExecuteConfig,
-    store: ResultStore,
+    store: SharedStore,
+}
+
+impl MappingQuality {
+    /// A mapping-quality transducer materialising through `store`.
+    /// [`Default`] gives it a private store of its own.
+    pub fn with_store(store: SharedStore) -> MappingQuality {
+        MappingQuality { config: ExecuteConfig::default(), store }
+    }
 }
 
 /// One quality fact about candidate mapping `id`.
@@ -171,9 +184,10 @@ impl Transducer for MappingQuality {
         }
         kb.clear_quality("mapping");
         let mut written = 0usize;
-        let mut candidates: Vec<Relation> = Vec::new();
+        let mut store = self.store.borrow_mut();
+        let mut row_counts = Vec::with_capacity(mappings.len());
         for mapping in &mappings {
-            let result = self.store.execute(&self.config, mapping, kb)?;
+            let result = store.execute(&self.config, mapping, kb)?;
             let mut add = |metric: &str, criterion: String, value: f64| {
                 kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
                 written += 1;
@@ -193,25 +207,19 @@ impl Transducer for MappingQuality {
                     add("accuracy", format!("accuracy({tgt_attr})"), value);
                 }
             }
-            // the one deep copy per candidate: the materialisation cached
-            // in the knowledge base for execution reuse
-            candidates.push(Relation::from_tuples(
-                result.schema().renamed(candidate_relation_name(&mapping.id)),
-                result.tuples().to_vec(),
-            )?);
+            row_counts.push(result.len());
         }
         // relative row coverage: a union over sources reaches more of the
         // domain than any single source, which per-attribute completeness
         // fractions cannot see
-        let max_rows = candidates.iter().map(Relation::len).max().unwrap_or(0);
-        for (mapping, candidate) in mappings.iter().zip(candidates) {
-            if max_rows > 0 {
-                let value = candidate.len() as f64 / max_rows as f64;
+        let max_rows = row_counts.iter().copied().max().unwrap_or(0);
+        if max_rows > 0 {
+            for (mapping, rows) in mappings.iter().zip(row_counts) {
+                let value = rows as f64 / max_rows as f64;
                 let criterion = format!("coverage({})", mapping.target);
                 kb.add_quality(mapping_fact(&mapping.id, "coverage", criterion, value));
                 written += 1;
             }
-            kb.put_intermediate(candidate);
         }
         kb.log("mapping_quality", "add_quality", &written.to_string());
         Ok(RunOutcome::new(
@@ -224,7 +232,7 @@ impl Transducer for MappingQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vada_common::{tuple, AttrType, Schema};
+    use vada_common::{tuple, AttrType, Relation, Schema};
     use vada_kb::{ContextKind, MappingDef};
 
     fn kb() -> KnowledgeBase {
@@ -323,6 +331,7 @@ mod tests {
             rules: "property(S, PC, P) :- rightmove(P, S, PC).".into(),
             sources: vec!["rightmove".into()],
             matches_used: vec![],
+            parts: vec![],
         });
         let mut t = MappingQuality::default();
         assert!(t.ready(&kb).unwrap());
@@ -340,7 +349,7 @@ mod tests {
             .find(|q| q.entity == "map0" && q.criterion == "accuracy(street)")
             .unwrap();
         assert!(acc_street.value > 0.99, "streets are all in the reference");
-        // candidate materialisation cached
-        assert!(kb.relation("candidate_map0").is_ok());
+        // the materialisation lives in the result store, not the catalog
+        assert!(kb.catalog().entries().all(|(name, _, _)| !name.starts_with("candidate_")));
     }
 }

@@ -6,12 +6,16 @@ use crate::components::{
     MappingEvaluation, MappingExecution, MappingGeneration, MappingQuality, MappingSelection,
     ResultRepair, SchemaMatching, SourceProfiling,
 };
+use crate::components::mapping::SharedStore;
 use crate::transducer::Transducer;
 
 /// The default transducer fleet covering the full wrangling lifecycle.
 /// The architecture is extensible — callers can append their own
-/// transducers to the returned vector.
+/// transducers to the returned vector. The two mapping transducers share
+/// one result store: mapping quality materialises every candidate into it,
+/// and mapping execution takes the selected one back out.
 pub fn default_transducers() -> Vec<Box<dyn Transducer>> {
+    let store = SharedStore::default();
     vec![
         Box::new(CsvIngestion),
         Box::new(FeedbackRepair::default()),
@@ -21,9 +25,9 @@ pub fn default_transducers() -> Vec<Box<dyn Transducer>> {
         Box::new(MappingGeneration::default()),
         Box::new(CfdLearning::default()),
         Box::new(SourceProfiling),
-        Box::new(MappingQuality::default()),
+        Box::new(MappingQuality::with_store(store.clone())),
         Box::new(MappingSelection),
-        Box::new(MappingExecution::default()),
+        Box::new(MappingExecution::with_store(store)),
         Box::new(ResultRepair::default()),
         Box::new(DuplicateDetection::default()),
         Box::new(DataFusion::default()),

@@ -390,9 +390,11 @@ mod tests {
     }
 
     /// The paper's four steps — bootstrap, data context, feedback, user
-    /// context — materialise each distinct candidate structure once: the
-    /// second `mapping_quality` run (new CFDs and reference data, same
-    /// sources) recomputes metrics over stored results.
+    /// context — over two listing sources run each candidate *part* through
+    /// the engine once and assemble each union once: the second
+    /// `mapping_quality` run (new CFDs and reference data, same sources)
+    /// recomputes metrics over stored results, and `mapping_execution`
+    /// reads the selected candidate from the same store.
     #[test]
     fn four_step_wrangle_executes_each_candidate_structure_once() {
         use vada_common::obs::key;
@@ -402,14 +404,23 @@ mod tests {
         let obs = Obs::enabled();
         w.set_obs(obs.clone());
         let (rm, dep) = sources();
+        // a second primary: one raw fact shared with rightmove, one its own
+        let mut zoopla = Relation::empty(rm.schema().renamed("zoopla"));
+        zoopla.push(rm.tuples()[1].clone()).unwrap();
+        zoopla.push(tuple!["150000", "4 mill ln", "M1 1AC", "2"]).unwrap();
         w.add_source(rm);
+        w.add_source(zoopla);
         w.add_source(dep);
         w.set_target(target());
         w.run().unwrap();
         let candidates = w.kb().mappings().count() as u64;
-        assert!(candidates >= 2, "plain and augmented candidates");
-        assert_eq!(obs.get(key::MAP_FULL), candidates);
-        assert_eq!(obs.get(key::MAP_REUSED), 0);
+        let unions = w.kb().mappings().filter(|m| !m.parts.is_empty()).count() as u64;
+        // each primary plain and augmented, and the union of each shape
+        assert_eq!((candidates, unions), (6, 2));
+        // every other candidate is a part of a union
+        let parts = candidates - unions;
+        let materialised = || (obs.get(key::MAP_FULL), obs.get(key::MAP_ASSEMBLED));
+        assert_eq!(materialised(), (parts, unions));
 
         let mut addr =
             Relation::empty(Schema::all_str("address", &["street", "city", "postcode"]));
@@ -446,20 +457,32 @@ mod tests {
         }]);
         w.run().unwrap();
 
-        let quality_steps: Vec<&crate::TraceEntry> = w
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| e.transducer == "mapping_quality")
-            .collect();
+        let steps = |name: &str| -> Vec<&crate::TraceEntry> {
+            w.trace().entries().iter().filter(|e| e.transducer == name).collect()
+        };
+        let quality_steps = steps("mapping_quality");
         assert_eq!(quality_steps.len(), 2, "bootstrap, then the data context");
         assert_eq!(w.kb().mappings().count() as u64, candidates);
-        assert_eq!(obs.get(key::MAP_FULL), candidates);
-        assert_eq!(obs.get(key::MAP_REUSED), candidates);
+        assert_eq!(materialised(), (parts, unions));
+        // every second look — the second quality run, every execution —
+        // was a store hit (beside any in the first run: the stand-alone
+        // candidates a union ran as its parts, if it came first in id order)
+        let reused_in = |e: &crate::TraceEntry| {
+            e.counters.iter().find(|(k, _)| k == key::MAP_REUSED).map_or(0, |(_, n)| *n)
+        };
+        let executions = steps("mapping_execution").len() as u64;
+        assert!(executions >= 1);
+        assert_eq!(
+            obs.get(key::MAP_REUSED),
+            reused_in(quality_steps[0]) + candidates + executions
+        );
         // the step's own counter delta says the same thing…
         assert!(quality_steps[1].counters.contains(&(key::MAP_REUSED.to_string(), candidates)));
-        assert!(quality_steps[1].counters.iter().all(|(k, _)| k != key::MAP_FULL));
-        // …and nothing was derived underneath it
+        assert!(quality_steps[1]
+            .counters
+            .iter()
+            .all(|(k, _)| k != key::MAP_FULL && k != key::MAP_ASSEMBLED));
+        // …and nothing was derived or assembled underneath it
         let spans = obs.span_records();
         let below: Vec<Vec<&str>> = spans
             .iter()
@@ -469,15 +492,24 @@ mod tests {
             })
             .map(|step| {
                 // (a durable knowledge base also logs its writes here)
-                spans
-                    .iter()
-                    .filter(|r| r.parent == step.id && !r.name.starts_with("wal/"))
-                    .map(|r| r.name.as_str())
-                    .collect()
+                let mut inside = std::collections::HashSet::from([step.id]);
+                let mut names = Vec::new();
+                for r in &spans {
+                    if inside.contains(&r.parent) && !r.name.starts_with("wal/") {
+                        inside.insert(r.id);
+                        if r.name.starts_with("map/") {
+                            names.push(r.name.as_str());
+                        }
+                    }
+                }
+                names.sort_unstable();
+                names
             })
             .collect();
         assert_eq!(below.len(), 2);
-        assert_eq!(below[0].len() as u64, candidates, "{:?}", below[0]);
+        let mut first = vec!["map/assemble"; unions as usize];
+        first.extend(vec!["map/execute"; parts as usize]);
+        assert_eq!(below[0], first);
         assert!(below[1].is_empty(), "{:?}", below[1]);
     }
 }

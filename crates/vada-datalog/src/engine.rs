@@ -294,8 +294,9 @@ impl Database {
     }
 
     /// The shared handle of a predicate's fact set, if any — for handing
-    /// the relation to another database without copying a tuple.
-    pub(crate) fn shared_fact_set(&self, pred: &str) -> Option<Arc<FactSet>> {
+    /// the relation on (to another database, or past the database's own
+    /// lifetime) without copying a tuple.
+    pub fn shared_fact_set(&self, pred: &str) -> Option<Arc<FactSet>> {
         self.rels.get(pred).cloned()
     }
 

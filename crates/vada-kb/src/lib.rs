@@ -31,7 +31,7 @@ pub use delta::{DeltaChange, DeltaEvent, DeltaJournal};
 pub use storage::{Snapshot, StoredRelation, WalRecord};
 pub use meta::{
     CellVeto,
-    CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MatchDef, PairwiseStatement,
-    QualityFact, Verdict,
+    CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MappingPart, MatchDef,
+    PairwiseStatement, QualityFact, Verdict,
 };
 pub use store::KnowledgeBase;

@@ -73,6 +73,23 @@ pub struct MappingDef {
     pub sources: Vec<String>,
     /// Ids of the matches the mapping was generated from.
     pub matches_used: Vec<String>,
+    /// A union's per-source blocks, in order: `rules` is exactly their
+    /// concatenation, and the union's answer is theirs, concatenated with
+    /// repeated facts dropped. Empty for a mapping that is not a union.
+    pub parts: Vec<MappingPart>,
+}
+
+/// One block of a union mapping: the rules one primary source contributes
+/// (with its augmentations) and the relations they read. A part is itself
+/// a complete mapping of the union's target — the stand-alone candidate of
+/// the same structure — and derives the same target facts, in the same
+/// order, inside the union as on its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MappingPart {
+    /// The part's rules, verbatim as they appear in the union's `rules`.
+    pub rules: String,
+    /// Source relations the part reads.
+    pub sources: Vec<String>,
 }
 
 /// A conditional functional dependency `relation: (lhs, patterns) → (rhs,

@@ -1347,6 +1347,7 @@ mod tests {
             rules: "property(S, P, C) :- rightmove(S, P, C).".into(),
             sources: vec!["rightmove".into()],
             matches_used: vec![],
+            parts: vec![],
         });
         kb.select_mapping("map0").unwrap();
         assert_eq!(kb.selected_mapping(), Some("map0"));
@@ -1425,6 +1426,7 @@ mod tests {
             rules: "property(S, P, C) :- rightmove(S, P, C).".into(),
             sources: vec!["rightmove".into()],
             matches_used: vec![],
+            parts: vec![],
         });
         kb.select_mapping("map0").unwrap();
         kb.add_cfd(CfdRule {

@@ -1,9 +1,11 @@
 //! Mapping execution: run the Vadalog program against the source
 //! relations and coerce the answers into the typed target schema.
 
+use std::sync::Arc;
+
 use vada_common::obs::key as obs_key;
 use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
-use vada_datalog::engine::{Database, Engine, EngineConfig};
+use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
 use vada_datalog::parse_program;
 use vada_kb::{KnowledgeBase, MappingDef};
 
@@ -110,14 +112,26 @@ pub(crate) fn registered_target<'a>(
 
 /// Execute a mapping from scratch and return the result in the target
 /// schema. The transducers go through
-/// [`ResultStore`](crate::ResultStore), which calls this only when its
-/// stored materialisation is stale.
+/// [`ResultStore`](crate::ResultStore), which runs the engine the same way
+/// only when its stored materialisation is stale.
 pub fn execute_mapping(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
     let target = registered_target(mapping, kb)?;
+    Ok(materialise(cfg, mapping, target, kb)?.0)
+}
+
+/// One engine run of `mapping` into `target`: the coerced result, and the
+/// engine's raw target facts it was coerced from — row `i` of the result is
+/// fact `i`. The facts are the run's own fact set, not a copy.
+pub(crate) fn materialise(
+    cfg: &ExecuteConfig,
+    mapping: &MappingDef,
+    target: &Schema,
+    kb: &KnowledgeBase,
+) -> Result<(Relation, Arc<FactSet>)> {
     let program = parse_program(&mapping.rules)?;
     cfg.engine.obs.incr(obs_key::MAP_FULL);
     // wraps input build + engine run: the engine's stratum spans nest
@@ -131,11 +145,12 @@ pub fn execute_mapping(
     // access pattern demand cannot restrict — so it runs the full fixpoint
     let output = engine.run(&program, input)?;
 
+    let facts = output.shared_fact_set(&target.name).unwrap_or_default();
     let mut rel = Relation::empty(target.clone());
-    for t in output.facts(&target.name) {
+    for t in facts.tuples() {
         rel.push(coerce_fact(t, target, &mapping.id)?)?;
     }
-    Ok(rel)
+    Ok((rel, facts))
 }
 
 /// Coerce one derived target fact into the typed target schema.
@@ -196,6 +211,7 @@ mod tests {
             rules: rules.into(),
             sources: sources.iter().map(|s| s.to_string()).collect(),
             matches_used: vec![],
+            parts: vec![],
         }
     }
 
@@ -251,6 +267,7 @@ mod tests {
             rules: "other(X) :- rightmove(X, _, _).".into(),
             sources: vec!["rightmove".into()],
             matches_used: vec![],
+            parts: vec![],
         };
         assert!(execute_mapping(&ExecuteConfig::default(), &m, &kb()).is_err());
     }

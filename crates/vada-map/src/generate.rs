@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use vada_common::idgen::IdGen;
 use vada_common::{Result, Schema, VadaError};
-use vada_kb::{KnowledgeBase, MappingDef, MatchDef};
+use vada_kb::{KnowledgeBase, MappingDef, MappingPart, MatchDef};
 
 static MAPPING_IDS: IdGen = IdGen::new("map");
 
@@ -260,36 +260,42 @@ pub fn generate_candidates(cfg: &MapGenConfig, kb: &KnowledgeBase) -> Result<Vec
     let mut out = Vec::new();
     for shape in &shapes {
         for augs in &aug_options {
-            let mut rules = String::new();
-            let mut matches_used = Vec::new();
-            let mut sources = Vec::new();
-            let mut ok = true;
-            for p in shape {
-                match rules_for_primary(cfg, &target, p, augs) {
-                    Ok(r) => rules.push_str(&r),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-                sources.push(p.name.clone());
-                matches_used.extend(p.matches.values().map(|m| m.id.clone()));
-            }
-            if !ok {
+            // one part per primary, each the stand-alone candidate of its
+            // own structure: the primary's rules, read from the primary
+            // and the augmenting sources
+            let aug_names = augs.iter().map(|a| a.name.clone());
+            let Ok(mut parts) = shape
+                .iter()
+                .map(|p| {
+                    let rules = rules_for_primary(cfg, &target, p, augs)?;
+                    let sources = std::iter::once(p.name.clone()).chain(aug_names.clone());
+                    Ok(MappingPart { rules, sources: sources.collect() })
+                })
+                .collect::<Result<Vec<_>>>()
+            else {
                 continue;
-            }
-            for a in augs {
-                sources.push(a.name.clone());
-                matches_used.extend(a.matches.values().map(|m| m.id.clone()));
-            }
+            };
+            let rules: String = parts.iter().map(|p| p.rules.as_str()).collect();
+            let sources: Vec<String> =
+                shape.iter().map(|p| p.name.clone()).chain(aug_names).collect();
+            let mut matches_used: Vec<String> = shape
+                .iter()
+                .chain(augs)
+                .flat_map(|r| r.matches.values().map(|m| m.id.clone()))
+                .collect();
             matches_used.sort();
             matches_used.dedup();
+            if parts.len() == 1 {
+                // a single primary is not a union
+                parts.clear();
+            }
             out.push(MappingDef {
                 id: MAPPING_IDS.next_id(),
                 target: target.name.clone(),
                 rules,
                 sources,
                 matches_used,
+                parts,
             });
         }
     }
@@ -441,5 +447,22 @@ mod tests {
             .unwrap();
         // union rules contain two rules for the target head
         assert!(union.rules.matches("property(").count() >= 2);
+
+        // the unions, plain and augmented, record one part per primary:
+        // the parts concatenate to the rules, and each is the stand-alone
+        // candidate of the same structure
+        let unions: Vec<&MappingDef> = cands.iter().filter(|c| !c.parts.is_empty()).collect();
+        assert_eq!(unions.len(), 2);
+        for union in unions {
+            assert_eq!(union.parts.len(), 2);
+            let concatenated: String = union.parts.iter().map(|p| p.rules.as_str()).collect();
+            assert_eq!(concatenated, union.rules);
+            for part in &union.parts {
+                assert!(
+                    cands.iter().any(|c| c.rules == part.rules && c.sources == part.sources),
+                    "{part:?}"
+                );
+            }
+        }
     }
 }

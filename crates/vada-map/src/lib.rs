@@ -11,20 +11,22 @@
 //! * [`execute`] — runs a mapping through the Datalog engine against the
 //!   source relations and coerces the answers into the typed target schema
 //!   (this is where `£250,000`-style format drift is normalised);
-//! * [`incremental`] — the result store the mapping transducers execute
-//!   through: one materialisation per mapping *structure*, handed back
-//!   while the knowledge-base delta journal proves no source changed,
-//!   re-materialised through [`execute`] otherwise;
+//! * [`store`] — the result store the mapping transducers execute
+//!   through, and the one home of candidate results: one materialisation
+//!   per mapping *structure*, handed back while the knowledge-base delta
+//!   journal proves no source changed, re-run through [`execute`]
+//!   otherwise — a union assembled from its per-source parts, so that an
+//!   edit to one source re-runs only the parts reading it;
 //! * [`select`] — ranks candidates by weighted utility over their quality
 //!   metrics, with weights from the AHP user context (paper §2.2/Fig 3(d)
 //!   "mapping selection based on multi-dimensional optimisation").
 
 pub mod execute;
 pub mod generate;
-pub mod incremental;
 pub mod select;
+pub mod store;
 
 pub use execute::{execute_mapping, ExecuteConfig};
 pub use generate::{generate_candidates, MapGenConfig};
-pub use incremental::{ExecutorStats, ResultStore};
 pub use select::{rank_mappings, MappingScore};
+pub use store::{ExecutorStats, ResultStore};

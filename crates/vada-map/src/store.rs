@@ -1,5 +1,5 @@
-//! The mapping **result store**: the one way both mapping transducers
-//! materialise a mapping.
+//! The mapping **result store**: the one home of candidate results, and
+//! the one way both mapping transducers materialise a mapping.
 //!
 //! A [`ResultStore`] keeps one entry per *structurally distinct* mapping
 //! (fingerprinted by rules, source list and target schema — mapping ids
@@ -10,31 +10,48 @@
 //! window still covers the watermark, and no event names one of the
 //! mapping's sources, nothing the mapping reads has changed and the stored
 //! result is handed back as is — no parse, no input database, no engine
-//! run (`map.execute.reused`). Otherwise the entry is re-materialised from
-//! scratch through [`execute_mapping`] and stored again: a stale mapping
-//! is re-run, never maintained.
+//! run (`map.execute.reused`). Otherwise the entry is rebuilt and stored
+//! again: a stale mapping is re-run, never maintained. How it is rebuilt
+//! depends on the mapping:
+//!
+//! * A mapping without [`parts`](vada_kb::MappingDef::parts) runs through
+//!   the engine exactly as [`execute_mapping`] does (`map.execute.full`).
+//!   Its entry keeps the engine's raw target facts beside the coerced rows.
+//! * A union is **assembled** from its parts (`map.execute.assembled`).
+//!   Each part is a mapping in its own right, with its own entry — the
+//!   same entry as the stand-alone candidate of that structure. The parts
+//!   are brought up to date first: a fresh one is reused, a stale one
+//!   re-runs. The union is then their coerced rows in part order, keeping
+//!   a row only when its *raw* fact came from no earlier part. Coercion
+//!   can map distinct facts to equal rows, and the engine keeps both, so
+//!   the union does too. After an edit to one source, only the parts that
+//!   read it re-run.
 //!
 //! The output is byte-identical to [`execute_mapping`] on the same
-//! knowledge base in every case.
+//! knowledge base in every case, row order included. For a union this
+//! rests on the contract of [`MappingPart`](vada_kb::MappingPart). The
+//! store checks that the parts concatenate to the rules and read only the
+//! mapping's sources; it never parses rule text to find them.
 //!
 //! ```
 //! use vada_common::{tuple, AttrType, Relation, Schema};
-//! use vada_kb::{KnowledgeBase, MappingDef};
+//! use vada_kb::{KnowledgeBase, MappingDef, MappingPart};
 //! use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
 //!
 //! let mut kb = KnowledgeBase::new();
-//! let mut src = Relation::empty(Schema::all_str("listings", &["street", "price"]));
-//! src.push(tuple!["1 high st", "250000"]).unwrap();
-//! kb.register_source(src.clone());
+//! let mut listings = Relation::empty(Schema::all_str("listings", &["street", "price"]));
+//! listings.push(tuple!["1 high st", "250000"]).unwrap();
+//! kb.register_source(listings.clone());
 //! kb.register_target_schema(
 //!     Schema::new("property", [("street", AttrType::Str), ("price", AttrType::Int)]).unwrap(),
 //! );
 //! let mapping = MappingDef {
 //!     id: "m0".into(),
 //!     target: "property".into(),
-//!     rules: "property(S, P) :- listings(S, P).".into(),
+//!     rules: "property(S, P) :- listings(S, P).\n".into(),
 //!     sources: vec!["listings".into()],
 //!     matches_used: vec![],
+//!     parts: vec![],
 //! };
 //!
 //! let mut store = ResultStore::default();
@@ -48,22 +65,61 @@
 //!
 //! // append a row and re-execute: the journal names `listings`, so the
 //! // entry is re-materialised…
-//! src.push(tuple!["2 park rd", "300000"]).unwrap();
-//! kb.register_source(src);
+//! listings.push(tuple!["2 park rd", "300000"]).unwrap();
+//! kb.register_source(listings.clone());
 //! let second = store.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(second.len(), 2);
 //! // …byte-identical to a from-scratch execution, which it was
 //! assert_eq!(second.tuples(), execute_mapping(&cfg, &mapping, &kb).unwrap().tuples());
 //! assert_eq!(store.stats().full_runs, 2);
+//!
+//! // a second source, and the union of both, recorded as its two parts;
+//! // the first part has the structure of `mapping`, so it is that entry
+//! let mut adverts = Relation::empty(Schema::all_str("adverts", &["price", "street"]));
+//! adverts.push(tuple!["250000", "1 high st"]).unwrap();
+//! adverts.push(tuple!["£250,000", "1 high st"]).unwrap();
+//! kb.register_source(adverts);
+//! let part = |rules: &str, source: &str| MappingPart {
+//!     rules: rules.into(),
+//!     sources: vec![source.into()],
+//! };
+//! let union = MappingDef {
+//!     id: "m1".into(),
+//!     rules: "property(S, P) :- listings(S, P).\nproperty(S, P) :- adverts(P, S).\n".into(),
+//!     sources: vec!["listings".into(), "adverts".into()],
+//!     parts: vec![
+//!         part("property(S, P) :- listings(S, P).\n", "listings"),
+//!         part("property(S, P) :- adverts(P, S).\n", "adverts"),
+//!     ],
+//!     ..mapping.clone()
+//! };
+//! let assembled = store.execute(&cfg, &union, &kb).unwrap().clone();
+//! // one engine run, for `adverts`; the `listings` part came from the store
+//! assert_eq!((store.stats().full_runs, store.stats().assembled_runs), (3, 1));
+//! // a fact both parts derive appears once; `£250,000` is a second fact
+//! // that coerces to an equal row, and stays, as in the engine's answer
+//! assert_eq!(assembled.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
+//! assert_eq!(assembled.len(), 3);
+//!
+//! // an edit to `listings` re-runs its part only
+//! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
+//! kb.register_source(listings);
+//! let edited = store.execute(&cfg, &union, &kb).unwrap();
+//! assert_eq!(edited.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
+//! assert_eq!((store.stats().full_runs, store.stats().assembled_runs), (4, 2));
 //! ```
+//!
+//! [`execute_mapping`]: crate::execute_mapping
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Relation, Result, Schema};
+use vada_common::{Relation, Result, Schema, VadaError};
+use vada_datalog::engine::FactSet;
 use vada_kb::{KnowledgeBase, MappingDef};
 
-use crate::execute::{execute_mapping, registered_target, ExecuteConfig};
+use crate::execute::{materialise, registered_target, ExecuteConfig};
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
@@ -71,10 +127,13 @@ pub const DEFAULT_STORE_CAPACITY: usize = 16;
 /// Store-level counters, for benches and the repro driver.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// From-scratch materializations: first sights and every stale entry.
+    /// Engine runs: first sights and every stale entry, union parts
+    /// included.
     pub full_runs: usize,
     /// Executions answered from the stored result (no source changed).
     pub reused_runs: usize,
+    /// Unions assembled from their parts' stored results.
+    pub assembled_runs: usize,
     /// The most recent reason the journal could not vouch for a stored
     /// entry, if any.
     pub last_fallback: Option<String>,
@@ -91,14 +150,18 @@ struct Materialisation {
     watermark: u64,
     /// The coerced result.
     result: Relation,
+    /// The engine's raw target facts, row for row beside `result` — what a
+    /// union deduplicates on when this entry is one of its parts. `None`
+    /// for an assembled union.
+    facts: Option<Arc<FactSet>>,
 }
 
 impl Materialisation {
-    /// Whether anything `mapping` reads changed since the watermark, or
-    /// why the journal cannot be trusted to say. The fingerprint already
-    /// pins rules, sources and target, so only events naming a source
-    /// relation count; metadata aspects never reach the execution input.
-    fn is_stale(&self, mapping: &MappingDef, kb: &KnowledgeBase) -> Result<bool, String> {
+    /// Whether any of `sources` changed since the watermark, or why the
+    /// journal cannot be trusted to say. The fingerprint already pins
+    /// rules, sources and target, so only events naming a source relation
+    /// count; metadata aspects never reach the execution input.
+    fn is_stale(&self, sources: &[String], kb: &KnowledgeBase) -> Result<bool, String> {
         if kb.journal().lineage() != self.lineage {
             return Err("knowledge-base journal lineage changed since the last run".into());
         }
@@ -106,9 +169,7 @@ impl Materialisation {
             .journal()
             .scan_since(self.watermark)
             .ok_or("journal window no longer covers the last run")?;
-        Ok(events.any(|e| {
-            e.change.relation().is_some_and(|r| mapping.sources.iter().any(|s| s == r))
-        }))
+        Ok(events.any(|e| e.change.relation().is_some_and(|r| sources.iter().any(|s| s == r))))
     }
 }
 
@@ -130,16 +191,38 @@ impl Default for ResultStore {
 }
 
 /// The structural identity of a mapping execution: same fingerprint ⇒
-/// same program, same input sources, same output typing.
-fn fingerprint(mapping: &MappingDef, target: &Schema) -> String {
+/// same program, same input sources, same output typing. A union part and
+/// the stand-alone mapping of the same structure share it.
+fn fingerprint(rules: &str, sources: &[String], target: &Schema) -> String {
     let mut fp = String::new();
     fp.push_str(&target.name);
     for a in target.attributes() {
         fp.push_str(&format!("|{}:{}", a.name, a.ty.name()));
     }
-    fp.push_str(&format!("|src={:?}|", mapping.sources));
-    fp.push_str(&mapping.rules);
+    fp.push_str(&format!("|src={sources:?}|"));
+    fp.push_str(rules);
     fp
+}
+
+/// Refuse a union whose parts are not its rules cut into blocks, or read a
+/// relation the union does not declare (its staleness check would miss
+/// edits to it).
+fn check_parts(mapping: &MappingDef) -> Result<()> {
+    let refuse = |why: String| Err(VadaError::Kb(format!("mapping `{}`: {why}", mapping.id)));
+    if mapping.parts.is_empty() {
+        return Ok(());
+    }
+    let rest = mapping
+        .parts
+        .iter()
+        .try_fold(mapping.rules.as_str(), |rest, part| rest.strip_prefix(part.rules.as_str()));
+    if rest != Some("") {
+        return refuse("its parts do not concatenate to its rules".into());
+    }
+    match mapping.parts.iter().flat_map(|p| &p.sources).find(|s| !mapping.sources.contains(s)) {
+        Some(s) => refuse(format!("a part reads `{s}`, which is not one of its sources")),
+        None => Ok(()),
+    }
 }
 
 impl ResultStore {
@@ -159,10 +242,13 @@ impl ResultStore {
     }
 
     /// Materialise `mapping`: the stored result when the journal proves
-    /// no source changed since it was built, a re-materialised one
-    /// otherwise. The result is byte-identical to
-    /// [`execute_mapping`] on the same knowledge base — including row
-    /// order — in every case.
+    /// no source changed since it was built, a rebuilt one otherwise — run
+    /// through the engine, or for a union assembled from its parts. The
+    /// result is byte-identical to
+    /// [`execute_mapping`](crate::execute_mapping) on the same knowledge
+    /// base — including row order — in every case. A failed
+    /// rebuild leaves no entry for the mapping (nor for a part that
+    /// failed), so a stale result is never handed back.
     pub fn execute(
         &mut self,
         cfg: &ExecuteConfig,
@@ -170,50 +256,163 @@ impl ResultStore {
         kb: &KnowledgeBase,
     ) -> Result<&Relation> {
         let target = registered_target(mapping, kb)?;
-        let fp = fingerprint(mapping, target);
-        self.lru.retain(|f| f != &fp);
-        self.lru.push(fp.clone());
-
-        match self.entries.get(&fp).map(|e| e.is_stale(mapping, kb)) {
-            Some(Ok(false)) => {
-                cfg.engine.obs.incr(obs_key::MAP_REUSED);
-                self.stats.reused_runs += 1;
-                let entry = self.entries.get_mut(&fp).expect("looked up above");
-                entry.watermark = kb.version();
-                return Ok(&entry.result);
-            }
-            Some(Err(reason)) => self.stats.last_fallback = Some(reason),
-            _ => {}
+        check_parts(mapping)?;
+        let fp = fingerprint(&mapping.rules, &mapping.sources, target);
+        if self.vouch(&fp, &mapping.sources, kb) {
+            cfg.engine.obs.incr(obs_key::MAP_REUSED);
+            self.stats.reused_runs += 1;
+            return Ok(&self.entries[&fp].result);
         }
-        let result = match execute_mapping(cfg, mapping, kb) {
-            Ok(result) => result,
+        let rebuilt = if mapping.parts.is_empty() {
+            self.run(cfg, mapping, target, kb)
+        } else {
+            self.assemble(cfg, mapping, target, kb)
+        };
+        match rebuilt {
+            Ok(entry) => self.insert(fp.clone(), entry),
             Err(e) => {
                 // the journal names a source since the watermark, so the
                 // pre-edit result can never be handed back: free it now
-                self.entries.remove(&fp);
-                self.lru.retain(|f| f != &fp);
+                self.forget(&fp);
                 return Err(e);
             }
-        };
-        self.stats.full_runs += 1;
-        let entry = Materialisation {
-            lineage: kb.journal().lineage(),
-            watermark: kb.version(),
-            result,
-        };
-        self.entries.insert(fp.clone(), entry);
+        }
         while self.lru.len() > self.capacity {
             let evicted = self.lru.remove(0);
             self.entries.remove(&evicted);
         }
         Ok(&self.entries[&fp].result)
     }
+
+    /// Whether the entry under `fp` is current — stored, and the journal
+    /// proves none of `sources` changed since — advancing its watermark
+    /// and recency if so.
+    fn vouch(&mut self, fp: &str, sources: &[String], kb: &KnowledgeBase) -> bool {
+        let Some(entry) = self.entries.get_mut(fp) else { return false };
+        match entry.is_stale(sources, kb) {
+            Ok(false) => {
+                entry.watermark = kb.version();
+                self.touch(fp);
+                true
+            }
+            Ok(true) => false,
+            Err(reason) => {
+                self.stats.last_fallback = Some(reason);
+                false
+            }
+        }
+    }
+
+    /// One engine run of `mapping`, keeping its raw facts.
+    fn run(
+        &mut self,
+        cfg: &ExecuteConfig,
+        mapping: &MappingDef,
+        target: &Schema,
+        kb: &KnowledgeBase,
+    ) -> Result<Materialisation> {
+        let (result, facts) = materialise(cfg, mapping, target, kb)?;
+        self.stats.full_runs += 1;
+        Ok(Materialisation {
+            lineage: kb.journal().lineage(),
+            watermark: kb.version(),
+            result,
+            facts: Some(facts),
+        })
+    }
+
+    /// Bring every part of `union` up to date, then concatenate their rows,
+    /// dropping each row whose raw fact an earlier part already produced.
+    fn assemble(
+        &mut self,
+        cfg: &ExecuteConfig,
+        union: &MappingDef,
+        target: &Schema,
+        kb: &KnowledgeBase,
+    ) -> Result<Materialisation> {
+        cfg.engine.obs.incr(obs_key::MAP_ASSEMBLED);
+        // stale parts re-run beneath this span
+        let span = cfg.engine.obs.span("map/assemble");
+        span.attr("mapping", &union.id);
+        span.attr("target", &union.target);
+        span.attr("parts", union.parts.len());
+        let mut fps = Vec::with_capacity(union.parts.len());
+        for (i, part) in union.parts.iter().enumerate() {
+            let fp = fingerprint(&part.rules, &part.sources, target);
+            // an entry without facts was assembled, not run: never a part
+            let fresh = self.vouch(&fp, &part.sources, kb) && self.entries[&fp].facts.is_some();
+            if !fresh {
+                let part_mapping = MappingDef {
+                    id: format!("{}.part{i}", union.id),
+                    target: union.target.clone(),
+                    rules: part.rules.clone(),
+                    sources: part.sources.clone(),
+                    matches_used: Vec::new(),
+                    parts: Vec::new(),
+                };
+                match self.run(cfg, &part_mapping, target, kb) {
+                    Ok(entry) => self.insert(fp.clone(), entry),
+                    Err(e) => {
+                        self.forget(&fp);
+                        return Err(e);
+                    }
+                }
+            }
+            fps.push(fp);
+        }
+
+        let parts: Vec<(&Relation, &FactSet)> = fps
+            .iter()
+            .map(|fp| {
+                let entry = &self.entries[fp];
+                (&entry.result, entry.facts.as_deref().expect("parts keep their facts"))
+            })
+            .collect();
+        let mut rows = Vec::new();
+        for (k, (coerced, facts)) in parts.iter().enumerate() {
+            for (row, fact) in coerced.iter().zip(facts.tuples()) {
+                if !parts[..k].iter().any(|(_, earlier)| earlier.contains(fact)) {
+                    rows.push(row.clone());
+                }
+            }
+        }
+        let result = Relation::from_tuples(target.clone(), rows)?;
+        self.stats.assembled_runs += 1;
+        Ok(Materialisation {
+            lineage: kb.journal().lineage(),
+            watermark: kb.version(),
+            result,
+            facts: None,
+        })
+    }
+
+    /// Store `entry` under `fp` as the most recently used. Eviction waits
+    /// for the end of [`ResultStore::execute`], so assembling a union never
+    /// evicts one of its own parts.
+    fn insert(&mut self, fp: String, entry: Materialisation) {
+        self.touch(&fp);
+        self.entries.insert(fp, entry);
+    }
+
+    /// Mark `fp` most recently used.
+    fn touch(&mut self, fp: &str) {
+        self.lru.retain(|f| f != fp);
+        self.lru.push(fp.to_string());
+    }
+
+    /// Drop the entry under `fp`, if any.
+    fn forget(&mut self, fp: &str) {
+        self.entries.remove(fp);
+        self.lru.retain(|f| f != fp);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_mapping;
     use vada_common::{tuple, AttrType};
+    use vada_kb::MappingPart;
 
     fn kb_and_mapping() -> (KnowledgeBase, MappingDef) {
         let mut kb = KnowledgeBase::new();
@@ -250,6 +449,7 @@ mod tests {
             rules: rules.into(),
             sources: vec!["deprivation".into(), "rightmove".into()],
             matches_used: vec![],
+            parts: vec![],
         };
         (kb, mapping)
     }
@@ -357,6 +557,7 @@ mod tests {
             rules: "t(X) :- s(X).".into(),
             sources: vec!["s".into()],
             matches_used: vec![],
+            parts: vec![],
         };
         let cfg = ExecuteConfig::default();
         let mut store = ResultStore::default();
@@ -620,8 +821,8 @@ mod tests {
         other.push(tuple!["y"]).unwrap();
         kb.register_source(other.clone());
         kb.register_source(Relation::empty(other.schema().clone()));
-        kb.put_intermediate(Relation::empty(Schema::all_str("candidate_m", &["a"])));
-        kb.remove_intermediate("candidate_m");
+        kb.put_intermediate(Relation::empty(Schema::all_str("scratch", &["a"])));
+        kb.remove_intermediate("scratch");
         kb.put_result(Relation::empty(kb.target_schema().unwrap().clone()));
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&store), (1, 1), "{:?}", store.stats());
@@ -641,6 +842,7 @@ mod tests {
             rules: "t(Y) :- s(X), Y = X + 0.".into(),
             sources: vec!["s".into()],
             matches_used: vec![],
+            parts: vec![],
         };
         checked(&mut store, &mapping, &kb);
         assert_eq!(store.entries.len(), 1);
@@ -658,5 +860,254 @@ mod tests {
 
         kb.remove_rows("s", &[1]).unwrap();
         checked(&mut store, &mapping, &kb);
+    }
+
+    // ---- unions, assembled from their parts ----
+
+    /// `kb_and_mapping`'s base plus a second listing source, and the six
+    /// candidates the generator shapes over them: each primary plain and
+    /// augmented (the parts), then the plain and the augmented union.
+    fn union_kb() -> (KnowledgeBase, Vec<MappingDef>) {
+        let (mut kb, _) = kb_and_mapping();
+        let mut otm = Relation::empty(Schema::all_str(
+            "onthemarket",
+            &["street", "postcode", "asking"],
+        ));
+        // the same raw fact as a rightmove row…
+        otm.push(tuple!["9 park rd", "EH1 1AA", "300000"]).unwrap();
+        // …a different raw fact that coerces to the same row as one…
+        otm.push(tuple!["12 high st", "M1 1AA", "250000"]).unwrap();
+        // …and one of its own
+        otm.push(tuple!["4 mill ln", "M1 2BB", "120000"]).unwrap();
+        kb.register_source(otm);
+
+        let part = |primary: &str, augmented: bool| {
+            let (atom, tag) = match primary {
+                "rightmove" => ("rightmove(P, S, PC)", "rm"),
+                _ => ("onthemarket(S, PC, P)", "otm"),
+            };
+            let mut sources = vec![primary.to_string()];
+            let rules = if augmented {
+                sources.push("deprivation".into());
+                format!(
+                    "property(S, PC, P, C) :- {atom}, postcode_district(PC, D), deprivation(D, C).\n\
+                     property(S, PC, P, null) :- {atom}, not has_crime_{tag}(PC).\n\
+                     has_crime_{tag}(PC) :- postcode_district(PC, D), deprivation(D, _).\n"
+                )
+            } else {
+                format!("property(S, PC, P, null) :- {atom}.\n")
+            };
+            MappingPart { rules, sources }
+        };
+        let candidate = |id: String, parts: Vec<MappingPart>| {
+            let mut sources: Vec<String> = parts.iter().map(|p| p.sources[0].clone()).collect();
+            sources.extend(parts[0].sources[1..].iter().cloned());
+            MappingDef {
+                id,
+                target: "property".into(),
+                rules: parts.iter().map(|p| p.rules.as_str()).collect(),
+                sources,
+                matches_used: vec![],
+                parts: if parts.len() > 1 { parts } else { vec![] },
+            }
+        };
+        let mut candidates = Vec::new();
+        for augmented in [false, true] {
+            for primary in ["rightmove", "onthemarket"] {
+                let id = format!("{primary}_{augmented}");
+                candidates.push(candidate(id, vec![part(primary, augmented)]));
+            }
+        }
+        for augmented in [false, true] {
+            let parts = vec![part("rightmove", augmented), part("onthemarket", augmented)];
+            candidates.push(candidate(format!("union_{augmented}"), parts));
+        }
+        (kb, candidates)
+    }
+
+    #[test]
+    fn assembled_unions_match_scratch_across_every_kind_of_edit() {
+        type Edit = fn(&mut KnowledgeBase);
+        let edits: [(&str, Edit); 10] = [
+            ("append to rightmove", |kb| {
+                let mut rm = kb.relation("rightmove").unwrap().clone();
+                rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
+                kb.register_source(rm);
+            }),
+            ("append a fresh postcode to onthemarket", |kb| {
+                let mut otm = kb.relation("onthemarket").unwrap().clone();
+                otm.push(tuple!["7 new rd", "Z9 9ZZ", "99000"]).unwrap();
+                kb.register_source(otm);
+            }),
+            ("append to deprivation", |kb| {
+                let mut dep = kb.relation("deprivation").unwrap().clone();
+                dep.push(tuple!["EH1", "900"]).unwrap();
+                kb.register_source(dep);
+            }),
+            // the row onthemarket shares: its copy becomes the first seen
+            ("remove a rightmove row", |kb| {
+                kb.remove_rows("rightmove", &[1]).unwrap();
+            }),
+            ("remove onthemarket rows", |kb| {
+                kb.remove_rows("onthemarket", &[0, 2]).unwrap();
+            }),
+            ("rewrite onthemarket's tail", |kb| {
+                let last = kb.relation("onthemarket").unwrap().len() - 1;
+                kb.update_source("onthemarket", &[(last, tuple!["7 new rd", "Z9 9ZZ", "98000"])])
+                    .unwrap();
+            }),
+            ("rewrite rightmove mid-relation", |kb| {
+                kb.update_source("rightmove", &[(0, tuple!["199000", "12 high st", "M1 1AA"])])
+                    .unwrap();
+            }),
+            ("replace rightmove", |kb| {
+                let mut rm = Relation::empty(kb.relation("rightmove").unwrap().schema().clone());
+                rm.push(tuple!["1", "x st", "M1 1AA"]).unwrap();
+                kb.register_source(rm);
+            }),
+            // the same raw fact as rightmove's only row
+            ("replace onthemarket", |kb| {
+                let mut otm =
+                    Relation::empty(kb.relation("onthemarket").unwrap().schema().clone());
+                otm.push(tuple!["x st", "M1 1AA", "1"]).unwrap();
+                otm.push(tuple!["y st", "EH1 2CD", "£2"]).unwrap();
+                kb.register_source(otm);
+            }),
+            ("replace deprivation", |kb| {
+                let mut dep =
+                    Relation::empty(kb.relation("deprivation").unwrap().schema().clone());
+                dep.push(tuple!["M1", "700"]).unwrap();
+                dep.push(tuple!["EH1", "800"]).unwrap();
+                kb.register_source(dep);
+            }),
+        ];
+        let (mut kb, mut candidates) = union_kb();
+        let mut store = ResultStore::default();
+        for c in &candidates {
+            checked(&mut store, c, &kb);
+        }
+        for (step, (name, edit)) in edits.into_iter().enumerate() {
+            edit(&mut kb);
+            // every other step, the unions go first and refresh the parts
+            candidates.reverse();
+            for c in &candidates {
+                checked(&mut store, c, &kb);
+                assert!(store.entries.len() <= 6, "{name}: {step}");
+            }
+        }
+        // both unions at first sight and after each of the eight listing
+        // edits, the augmented one alone after the two deprivation edits
+        assert_eq!(store.stats().assembled_runs, 2 + 8 * 2 + 2, "{:?}", store.stats());
+    }
+
+    #[test]
+    fn an_edit_to_one_primary_reruns_only_its_parts() {
+        let (mut kb, mut candidates) = union_kb();
+        let obs = vada_common::Obs::enabled();
+        let mut cfg = ExecuteConfig::default();
+        cfg.engine.obs = obs.clone();
+        let mut store = ResultStore::default();
+        let counts = || {
+            [obs_key::MAP_FULL, obs_key::MAP_ASSEMBLED, obs_key::MAP_REUSED].map(|k| obs.get(k))
+        };
+        for c in &candidates {
+            store.execute(&cfg, c, &kb).unwrap();
+        }
+        // four engine runs, the parts; the unions reuse them
+        assert_eq!(counts(), [4, 2, 0]);
+
+        let mut rm = kb.relation("rightmove").unwrap().clone();
+        rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
+        kb.register_source(rm);
+        // unions first: each re-runs its rightmove part and reuses its
+        // onthemarket part, and the stand-alone candidates are then all
+        // current — onthemarket's untouched, rightmove's just refreshed
+        candidates.reverse();
+        for c in &candidates {
+            store.execute(&cfg, c, &kb).unwrap();
+        }
+        assert_eq!(counts(), [4 + 2, 2 + 2, 4]);
+        for c in &candidates {
+            checked(&mut store, c, &kb);
+        }
+
+        // the stale part ran beneath its union's assembly span: none at
+        // first sight (the parts were current), one each after the edit
+        let spans = obs.span_records();
+        let beneath: Vec<Vec<&str>> = spans
+            .iter()
+            .filter(|r| r.name == "map/assemble")
+            .map(|a| spans.iter().filter(|r| r.parent == a.id).map(|r| r.name.as_str()).collect())
+            .collect();
+        assert_eq!(
+            beneath,
+            [vec![], vec![], vec!["map/execute"], vec!["map/execute"]],
+            "{beneath:?}"
+        );
+    }
+
+    #[test]
+    fn parts_that_are_not_the_rules_are_refused() {
+        let (kb, candidates) = union_kb();
+        let union = candidates.last().unwrap();
+        let mut swapped = union.clone();
+        swapped.parts.reverse();
+        let mut short = union.clone();
+        short.parts.pop();
+        let mut stray = union.clone();
+        stray.parts[0].sources.push("address".into());
+        let cfg = ExecuteConfig::default();
+        let mut store = ResultStore::default();
+        for bad in [swapped, short, stray] {
+            let err = store.execute(&cfg, &bad, &kb).unwrap_err();
+            assert_eq!(err.kind(), "kb", "{err}");
+            assert!(err.to_string().contains(&union.id), "{err}");
+        }
+        assert!(store.entries.is_empty() && store.lru.is_empty());
+        assert_eq!(store.stats(), &ExecutorStats::default());
+        checked(&mut store, union, &kb);
+    }
+
+    #[test]
+    fn failed_part_refresh_drops_the_part_and_the_union() {
+        let mut kb = KnowledgeBase::new();
+        for name in ["s1", "s2"] {
+            let mut src = Relation::empty(Schema::all_str(name, &["a"]));
+            src.push(tuple![1]).unwrap();
+            kb.register_source(src);
+        }
+        kb.register_target_schema(Schema::new("t", [("a", AttrType::Str)]).unwrap());
+        let part = |s: &str| MappingPart {
+            rules: format!("t(Y) :- {s}(X), Y = X + 0.\n"),
+            sources: vec![s.into()],
+        };
+        let union = MappingDef {
+            id: "u".into(),
+            target: "t".into(),
+            rules: part("s1").rules + &part("s2").rules,
+            sources: vec!["s1".into(), "s2".into()],
+            matches_used: vec![],
+            parts: vec![part("s1"), part("s2")],
+        };
+        let mut store = ResultStore::default();
+        checked(&mut store, &union, &kb);
+        assert_eq!(store.entries.len(), 3, "two parts and the union");
+
+        // a row that breaks s1's arithmetic: its part's refresh fails and
+        // neither it nor the union may be handed back as a hit
+        let mut s1 = kb.relation("s1").unwrap().clone();
+        s1.push(tuple!["not a number"]).unwrap();
+        kb.register_source(s1);
+        let cfg = ExecuteConfig::default();
+        let err = store.execute(&cfg, &union, &kb).unwrap_err();
+        assert_eq!(err.kind(), "eval", "{err}");
+        assert_eq!(store.entries.len(), 1, "only the s2 part survives");
+        assert_eq!(store.lru.len(), 1);
+        assert!(store.execute(&cfg, &union, &kb).is_err(), "no stale hit");
+        assert_eq!(store.stats().reused_runs, 0);
+
+        kb.remove_rows("s1", &[1]).unwrap();
+        checked(&mut store, &union, &kb);
+        assert_eq!(store.entries.len(), 3);
     }
 }

@@ -65,6 +65,7 @@ fn malformed_mapping_rules_surface_as_errors() {
         rules: "t(X :- s(X).".into(), // syntax error
         sources: vec!["s".into()],
         matches_used: vec![],
+        parts: vec![],
     };
     let err = execute_mapping(&ExecuteConfig::default(), &broken, &kb).unwrap_err();
     assert_eq!(err.kind(), "parse");
@@ -82,6 +83,7 @@ fn unknown_source_in_mapping_is_a_kb_error() {
         rules: "t(X) :- ghost(X).".into(),
         sources: vec!["ghost".into()],
         matches_used: vec![],
+        parts: vec![],
     };
     let err = execute_mapping(&ExecuteConfig::default(), &mapping, &kb).unwrap_err();
     assert_eq!(err.kind(), "kb");

@@ -399,14 +399,15 @@ fn delete_everything_identical_across_modes() {
     compare(&fleet, "after recovery");
 }
 
-/// The result store against the scratch path: every candidate mapping,
-/// executed through one long-lived [`vada_map::ResultStore`], must equal a
-/// fresh
-/// `execute_mapping` on the same knowledge base — same rows, same order —
-/// after every batch of a randomized edit script, with no-op
-/// re-executions interleaved (a second look at an unchanged base, and a
-/// look after metadata-only churn), which the store must answer from the
-/// stored result.
+/// The result store against the scratch path: every generated candidate
+/// mapping — the unions included, which the store assembles from their
+/// per-source parts instead of running — executed through one long-lived
+/// [`vada_map::ResultStore`], must equal a fresh `execute_mapping` of the
+/// whole mapping on the same knowledge base — same rows, same order — after
+/// every batch of a randomized edit script, with no-op re-executions
+/// interleaved (a second look at an unchanged base, and a look after
+/// metadata-only churn), which the store must answer from the stored
+/// result.
 #[test]
 fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
     use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
@@ -424,6 +425,8 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         w.run().expect("bootstrap succeeds");
         let mappings: Vec<_> = w.kb().mappings().cloned().collect();
         assert!(mappings.len() >= 2, "seed {seed}: several candidate structures");
+        let unions = mappings.iter().filter(|m| !m.parts.is_empty()).count();
+        assert!(unions > 0, "seed {seed}: two listing sources make unions");
         let mut rng = StdRng::seed_from_u64(seed);
         let script = random_script(&mut rng, 8);
 
@@ -475,6 +478,8 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
             w.kb_mut().stage_document(format!("noop_{step}"), "a,b\n1,2\n");
             compare(&w, &format!("after metadata churn {step}"), true);
         }
+        // every union materialisation was an assembly from its parts
+        assert!(store.stats().assembled_runs >= unions, "seed {seed}: {:?}", store.stats());
     }
 }
 
@@ -498,6 +503,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
         rules: "t(Y) :- s(X), Y = X + 1.".into(),
         sources: vec!["s".into()],
         matches_used: vec![],
+        parts: vec![],
     };
     let cfg = ExecuteConfig::default();
     let mut store = ResultStore::default();

@@ -184,3 +184,60 @@ fn small_sources_still_converge() {
     assert!(report.executed > 0);
     assert!(w.result().is_some());
 }
+
+/// Candidate results live in the mapping result store, not the catalog:
+/// every cycle of edits regenerates every candidate mapping under fresh
+/// ids, and the catalog — sources, context, result — keeps its size.
+#[test]
+fn catalog_stays_flat_across_edit_cycles() {
+    use vada_common::{Tuple, Value};
+    use vada_kb::{FeedbackRecord, FeedbackTarget, Verdict};
+
+    let s = scenario();
+    let mut w = Wrangler::new();
+    run_full(&mut w, &s);
+    let relations = |w: &Wrangler| w.kb().catalog().entries().count();
+    let before = relations(&w);
+    let generations = |w: &Wrangler| {
+        w.trace().entries().iter().filter(|e| e.transducer == "mapping_generation").count()
+    };
+    let generated_before = generations(&w);
+    // column 0 is the price in both listing sources, never the postcode
+    let retyped = |row: &Tuple, tag: String| {
+        let mut values: Vec<Value> = row.iter().cloned().collect();
+        values[0] = Value::str(tag);
+        Tuple::new(values)
+    };
+    for cycle in 0..4 {
+        let mut rm = w.kb().relation("rightmove").unwrap().clone();
+        for k in 0..4 {
+            let row = retyped(&rm.tuples()[k], format!("append {cycle}.{k}"));
+            rm.push(row).unwrap();
+        }
+        w.add_source(rm);
+        w.run().expect("append re-run");
+
+        w.remove_source_rows("rightmove", &[0, 2]).expect("rows exist");
+        w.run().expect("removal re-run");
+
+        let otm = w.kb().relation("onthemarket").unwrap();
+        let row = retyped(&otm.tuples()[1], format!("update {cycle}"));
+        w.update_source_rows("onthemarket", &[(1, row)]).expect("row exists");
+        w.run().expect("update re-run");
+
+        let result = w.result().expect("a result").name().to_string();
+        w.add_feedback([FeedbackRecord {
+            id: format!("fb{cycle}"),
+            target: FeedbackTarget::Attribute {
+                relation: result,
+                row: cycle,
+                attr: "price".into(),
+            },
+            verdict: Verdict::Incorrect,
+        }]);
+        w.run().expect("feedback re-run");
+
+        assert_eq!(relations(&w), before, "cycle {cycle}");
+    }
+    assert!(generations(&w) >= generated_before + 4, "every cycle regenerated the candidates");
+}
