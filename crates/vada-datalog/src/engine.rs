@@ -56,6 +56,10 @@ fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct FactSet {
     tuples: Vec<Tuple>,
+    /// `hash_values(tuples[row])` per row, kept in lockstep with the arena,
+    /// so growing the table or re-seating it after a removal or a reorder
+    /// never hashes a fact again.
+    hashes: Vec<u64>,
     /// Linear-probing table over `tuples`: a row id or [`FREE`] per slot.
     /// The length is zero or a power of two and at least twice
     /// `tuples.len()`, so every probe sequence ends at a free slot. Row ids
@@ -83,13 +87,14 @@ impl FactSet {
         }
     }
 
-    /// Re-seat every row in a table of `capacity` slots (a power of two).
+    /// Re-seat every row in a table of `capacity` slots (a power of two),
+    /// from the stored hashes.
     fn rebuild(&mut self, capacity: usize) {
         self.slots.clear();
         self.slots.resize(capacity, FREE);
         let mask = capacity - 1;
-        for (row, t) in self.tuples.iter().enumerate() {
-            let mut slot = hash_values(t) as usize & mask;
+        for (row, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & mask;
             while self.slots[slot] != FREE {
                 slot = (slot + 1) & mask;
             }
@@ -98,9 +103,10 @@ impl FactSet {
     }
 
     /// Make room for `additional` more facts, so a bulk load grows (and
-    /// re-hashes) the table once instead of once per doubling.
+    /// re-seats) the table once instead of once per doubling.
     pub fn reserve(&mut self, additional: usize) {
         self.tuples.reserve(additional);
+        self.hashes.reserve(additional);
         let needed = (self.tuples.len() + additional) * 2;
         if needed > self.slots.len() {
             self.rebuild(needed.next_power_of_two().max(8));
@@ -110,12 +116,59 @@ impl FactSet {
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
         self.reserve(1);
-        match self.probe(hash_values(&t), |f| *f == t) {
+        let hash = hash_values(&t);
+        match self.probe(hash, |f| *f == t) {
             Ok(_) => false,
             Err(slot) => {
                 self.slots[slot] = self.tuples.len();
                 self.tuples.push(t);
+                self.hashes.push(hash);
                 true
+            }
+        }
+    }
+
+    /// Insert `facts` as a block starting at row `row` (at most `len()`),
+    /// in their order, shifting the rows from `row` on up past the block;
+    /// facts already present (or repeated in the block) are skipped.
+    /// Returns how many were inserted. Only the inserted facts are hashed:
+    /// they are appended, then rotated into place by one integer pass over
+    /// the table. With [`FactSet::move_row`], the incremental layer's
+    /// splice primitive — public only for the property suite's oracle.
+    #[doc(hidden)]
+    pub fn insert_at(&mut self, row: usize, facts: impl IntoIterator<Item = Tuple>) -> usize {
+        assert!(row <= self.len(), "insert_at row {row} past the end ({})", self.len());
+        let before = self.len();
+        for t in facts {
+            self.insert(t);
+        }
+        let added = self.len() - before;
+        self.rotate_rows(row, self.len(), added);
+        added
+    }
+
+    /// Move the fact at row `from` to row `to` (`to <= from`), shifting rows
+    /// `to..from` up by one. Clones and hashes nothing.
+    #[doc(hidden)]
+    pub fn move_row(&mut self, from: usize, to: usize) {
+        assert!(to <= from && from < self.len(), "move_row {from} -> {to} out of order or range");
+        self.rotate_rows(to, from + 1, 1);
+    }
+
+    /// Rotate rows `lo..hi` right by `k`: the last `k` of them move to `lo`,
+    /// the others up by `k`. The arena and the hashes rotate in lockstep
+    /// and one pass over the table re-labels the row ids.
+    fn rotate_rows(&mut self, lo: usize, hi: usize, k: usize) {
+        if k == 0 || k == hi - lo {
+            return;
+        }
+        self.tuples[lo..hi].rotate_right(k);
+        self.hashes[lo..hi].rotate_right(k);
+        let split = hi - k;
+        for id in &mut self.slots {
+            // `FREE` is past every `hi`, so free slots never match
+            if (lo..hi).contains(id) {
+                *id = if *id >= split { *id - split + lo } else { *id + k };
             }
         }
     }
@@ -144,25 +197,50 @@ impl FactSet {
     }
 
     /// Remove a fact, preserving the insertion order of the rest; returns
-    /// `true` if it was present. Later rows move down one id, so the table
-    /// is rebuilt — the arena shift is O(n) already.
-    pub fn remove(&mut self, t: &Tuple) -> bool {
-        let Some(row) = self.find(t.values()) else { return false };
-        self.tuples.remove(row);
-        self.rebuild(self.slots.len());
-        true
+    /// the row it held, if it was present.
+    pub fn remove(&mut self, t: &Tuple) -> Option<usize> {
+        let row = self.find(t.values())?;
+        self.remove_rows(&[row]);
+        Some(row)
     }
 
-    /// Remove every fact in `gone` in one pass, preserving the insertion
-    /// order of the rest; returns how many were present and removed.
-    pub fn remove_all(&mut self, gone: &HashSet<Tuple>) -> usize {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| !gone.contains(t));
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            self.rebuild(self.slots.len());
+    /// Remove every listed fact in one pass, preserving the insertion order
+    /// of the rest; returns the rows the removed facts held, ascending.
+    pub fn remove_all<'a>(&mut self, gone: impl IntoIterator<Item = &'a Tuple>) -> Vec<usize> {
+        let rows = self.rows_of(gone);
+        self.remove_rows(&rows);
+        rows
+    }
+
+    /// The rows of the listed facts that are present, ascending and
+    /// deduplicated: one probe per listed fact.
+    fn rows_of<'a>(&self, facts: impl IntoIterator<Item = &'a Tuple>) -> Vec<usize> {
+        let mut rows: Vec<usize> =
+            facts.into_iter().filter_map(|t| self.find(t.values())).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// Drop `rows` (ascending, distinct): the arena and the hashes compact
+    /// in lockstep, later rows move down, and the table is re-seated from
+    /// the stored hashes.
+    fn remove_rows(&mut self, rows: &[usize]) {
+        if rows.is_empty() {
+            return;
         }
-        removed
+        let mut gone = rows.iter().peekable();
+        let mut kept = 0;
+        for row in 0..self.tuples.len() {
+            if gone.next_if_eq(&&row).is_none() {
+                self.tuples.swap(kept, row);
+                self.hashes[kept] = self.hashes[row];
+                kept += 1;
+            }
+        }
+        self.tuples.truncate(kept);
+        self.hashes.truncate(kept);
+        self.rebuild(self.slots.len());
     }
 
     /// Facts in insertion order.
@@ -238,7 +316,7 @@ impl Database {
         let removed = self
             .rels
             .get_mut(pred)
-            .is_some_and(|rel| rel.contains(t) && Arc::make_mut(rel).remove(t));
+            .is_some_and(|rel| rel.contains(t) && Arc::make_mut(rel).remove(t).is_some());
         if removed {
             self.bump_epoch(pred);
         }
@@ -246,20 +324,21 @@ impl Database {
     }
 
     /// Remove every listed fact of one predicate in a single pass,
-    /// preserving the insertion order of the rest; returns how many were
-    /// present and removed.
-    pub fn remove_facts(&mut self, pred: &str, gone: &HashSet<Tuple>) -> usize {
-        let removed = self.rels.get_mut(pred).map_or(0, |rel| {
-            if gone.iter().any(|t| rel.contains(t)) {
-                Arc::make_mut(rel).remove_all(gone)
-            } else {
-                0
-            }
-        });
-        if removed > 0 {
+    /// preserving the insertion order of the rest; returns the rows the
+    /// removed facts held, ascending. A shared relation is copied only when
+    /// something is removed.
+    pub fn remove_facts<'a>(
+        &mut self,
+        pred: &str,
+        gone: impl IntoIterator<Item = &'a Tuple>,
+    ) -> Vec<usize> {
+        let Some(rel) = self.rels.get_mut(pred) else { return Vec::new() };
+        let rows = rel.rows_of(gone);
+        if !rows.is_empty() {
+            Arc::make_mut(rel).remove_rows(&rows);
             self.bump_epoch(pred);
         }
-        removed
+        rows
     }
 
     /// Drop every fact of one predicate. Used by the knowledge-base
@@ -332,14 +411,23 @@ impl Database {
     }
 
     /// Replace the fact set of one predicate wholesale. Used by the
-    /// incremental layer to re-establish the scratch insertion order of a
-    /// multi-rule head after a delta pass, and by the demand rewrite to
-    /// share extensional relations; never exposed publicly because
-    /// arbitrary replacement would break the append-only order reasoning.
+    /// incremental layer's order repair, which re-enumerates a head in
+    /// scratch order, and by the demand rewrite to share extensional
+    /// relations; never exposed publicly because arbitrary replacement
+    /// would break the append-only order reasoning.
     pub(crate) fn set_fact_set(&mut self, pred: &str, fs: impl Into<Arc<FactSet>>) {
         self.rels.insert(pred.to_string(), fs.into());
         // replacement gives no prefix guarantee, so row ids may have moved
         self.bump_epoch(pred);
+    }
+
+    /// A predicate's fact set, for an in-place reorder
+    /// ([`FactSet::insert_at`], [`FactSet::move_row`]): the incremental
+    /// layer's splice of a multi-rule head. Row ids move, so the reorder
+    /// epoch is bumped.
+    pub(crate) fn reorder(&mut self, pred: &str) -> &mut FactSet {
+        self.bump_epoch(pred);
+        Arc::make_mut(self.rels.entry(pred.to_string()).or_default())
     }
 }
 
@@ -1100,7 +1188,10 @@ impl<'a> CompiledRule<'a> {
 /// refreshed *incrementally* before every batch of independent rules
 /// (facts only ever append during a run), it replaces the per-pass lazily
 /// rebuilt indexes for full-database sources. Row-id lists are identical to what the lazy
-/// build would produce, so it affects wall-clock only.
+/// build would produce, so it affects wall-clock only. An
+/// [`IncrementalSession`](crate::incremental::IncrementalSession) keeps one
+/// for its whole lifetime, so an index over a relation its deltas never
+/// touch is built once per session.
 #[derive(Default)]
 pub(crate) struct IndexStore {
     indexes: HashMap<String, HashMap<Vec<usize>, SharedIndex>>,
@@ -1130,6 +1221,15 @@ impl IndexStore {
             .or_default()
             .entry(cols.to_vec())
             .or_default();
+    }
+
+    /// Drop every index's rows, keeping the registered shapes, so the next
+    /// refresh rebuilds each from row 0 — for an owner that swaps in a
+    /// different database, whose epochs say nothing about the old one's.
+    pub(crate) fn reset(&mut self) {
+        for index in self.indexes.values_mut().flat_map(|shapes| shapes.values_mut()) {
+            *index = SharedIndex::default();
+        }
     }
 
     /// Bring every registered index up to date with `db`: an index whose
@@ -1681,11 +1781,11 @@ mod tests {
         for i in 0..5i64 {
             fs.insert(tuple![i]);
         }
-        assert!(fs.remove(&tuple![2]));
-        assert!(!fs.remove(&tuple![2]));
+        assert_eq!(fs.remove(&tuple![2]), Some(2));
+        assert_eq!(fs.remove(&tuple![2]), None);
         assert_eq!(fs.tuples(), &[tuple![0], tuple![1], tuple![3], tuple![4]]);
-        let gone: HashSet<Tuple> = [tuple![0], tuple![4], tuple![9]].into_iter().collect();
-        assert_eq!(fs.remove_all(&gone), 2);
+        // removed row ids come back ascending, whatever the listing order
+        assert_eq!(fs.remove_all(&[tuple![4], tuple![9], tuple![0], tuple![4]]), vec![0, 3]);
         assert_eq!(fs.tuples(), &[tuple![1], tuple![3]]);
         assert!(!fs.contains(&tuple![0]));
     }
@@ -1705,7 +1805,7 @@ mod tests {
         // writes that change nothing copy nothing
         assert!(!copy.insert("p", tuple![2]));
         assert!(!copy.remove("p", &tuple![99]));
-        assert_eq!(copy.remove_facts("p", &[tuple![98]].into_iter().collect()), 0);
+        assert!(copy.remove_facts("p", &[tuple![98]]).is_empty());
         assert!(copy.shares("p", &original));
         assert_eq!(copy.epoch("p"), 0);
 
@@ -1724,7 +1824,7 @@ mod tests {
         // and the reverse
         let copy = original.clone();
         assert!(original.insert("p", tuple![20]));
-        assert_eq!(original.remove_facts("q", &[tuple![1, 1]].into_iter().collect()), 1);
+        assert_eq!(original.remove_facts("q", &[tuple![1, 1]]), vec![1]);
         assert_eq!(copy.facts("p"), p_before);
         assert_eq!(copy.facts("q"), q_before);
         assert_eq!(copy.epoch("q"), 0);

@@ -10,7 +10,8 @@
 //! [`FactSet`](crate::engine::FactSet) insertion order. Whenever a delta
 //! cannot be *proven* order-safe by the analysis below, the session falls
 //! back to a full re-derivation — recording why in its
-//! [`history`](IncrementalSession::history) — never to divergent output.
+//! [`last_outcome`](IncrementalSession::last_outcome) and its registry's
+//! `incremental.fallback.*` tallies — never to divergent output.
 //! This module's randomized edit-script test and the incremental legs of
 //! the root `query_equivalence` suite pin this.
 //!
@@ -46,14 +47,23 @@
 //! tracks exactly the predicates holding a partially-supported fact —
 //! plus everything downstream of them — and re-establishes their scratch
 //! order by re-enumerating their defining rules over the repaired
-//! database. Repair is exact only for initial-pass-only heads (validated
+//! database. Pure removals splice: a tracked multi-rule head (condition 6
+//! below) loses the removed rows in place, and each of its region ends
+//! moves down by the removed row ids below it, so its order stays
+//! `dedup(input ++ seg_0 ++ … ++ seg_n)` without a rebuild. Repair is
+//! exact only for initial-pass-only heads (validated
 //! against the scratch order at capture time); a partially-supported fact
 //! in a recursive or otherwise non-reconstructible predicate falls back
 //! to a full re-derivation, as does any DRed phase-2 restoration (the
 //! restored fact's scratch position is unknowable without counts).
 //! Deletions under negation, deletions reaching an aggregate input, and
 //! deletions affecting a predicate that mixes ground facts with rules
-//! also fall back — same contract, reason recorded in the history.
+//! also fall back — same contract, reason recorded in the outcome.
+//!
+//! Every pass reads its full-database lookups through one
+//! [`IndexStore`] that lives as long as the session: appends extend an
+//! index in O(change), a reorder rebuilds it, and an index over a relation
+//! no delta touches is built once.
 //!
 //! ## Order-safety analysis (appends)
 //!
@@ -81,9 +91,13 @@
 //!    (*"multiple changed body literals"* / *"changed literal not
 //!    outermost"*);
 //! 6. an affected head defined by several rules must be *terminal* (read
-//!    nowhere) with rules firing only in the initial pass, in which case
-//!    its scratch order is re-established from per-rule emission segments
-//!    (*"multi-rule predicate is read downstream"*).
+//!    nowhere) with rules firing only in the initial pass
+//!    (*"multi-rule predicate is read downstream"*). Its stored order is
+//!    then `dedup(input ++ seg_0 ++ … ++ seg_n)` over per-rule emission
+//!    segments, and the session records where each rule's region ends.
+//!    An emission new to `seg_r` is spliced in place: absent from the head,
+//!    it is inserted at the end of region `r`; sitting in a later region,
+//!    it moves there; sitting in an earlier one, it stays.
 //!
 //! ## Example
 //!
@@ -123,7 +137,7 @@ use vada_common::{Result, Tuple, VadaError};
 
 use crate::analysis::{stratify, Stratification};
 use crate::ast::{Literal, Program};
-use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
+use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet, IndexStore};
 use crate::parser::parse_program;
 
 /// How one call to [`IncrementalSession::apply`] (or
@@ -215,10 +229,20 @@ struct ProgramInfo {
     /// and the semi-naive re-passes derive only duplicates. The heads the
     /// order-repair step may rebuild by re-enumeration.
     order_reconstructible: BTreeSet<String>,
+    /// The retraction plan over every derived head, in topological order
+    /// of the positive dependency graph: a counted head alone, or a
+    /// positive-cycle SCC (members sorted) that DRed maintains as one.
+    units: Vec<Vec<String>>,
 }
 
 impl ProgramInfo {
-    fn build(program: &Program, strat: &Stratification) -> Result<ProgramInfo> {
+    /// Analyse `program` once, registering every rule's lookup shapes in
+    /// `store`.
+    fn build(
+        program: &Program,
+        strat: &Stratification,
+        store: &mut IndexStore,
+    ) -> Result<ProgramInfo> {
         let mut defining: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut read_pos = BTreeSet::new();
         let mut read_neg = BTreeSet::new();
@@ -232,6 +256,9 @@ impl ProgramInfo {
             }
             defining.entry(rule.head_pred.clone()).or_default().push(ri);
             let cr = CompiledRule::compile(rule, ri)?;
+            for (pred, cols) in cr.indexed_lookups() {
+                store.register(pred, cols);
+            }
             let outermost_occ = cr
                 .order
                 .iter()
@@ -254,33 +281,42 @@ impl ProgramInfo {
         for stratum in 0..strat.stratum_count {
             stratum_recursive.extend(strat.recursive_preds(program, stratum));
         }
-        // genuine positive cycles: body-pred → head edges, then every
-        // predicate that can reach itself
+        // positive reachability over body-pred → head edges; a predicate
+        // that reaches itself lies on a genuine cycle
         let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if rules[ri].is_none() {
-                continue;
-            }
+        for rule in program.rules.iter().filter(|r| !r.is_fact()) {
             for p in rule.positive_preds() {
                 edges.entry(p).or_default().insert(rule.head_pred.as_str());
             }
         }
-        let mut cyclic = BTreeSet::new();
-        for start in edges.keys().copied().collect::<Vec<_>>() {
-            let mut stack: Vec<&str> = edges[start].iter().copied().collect();
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
+        let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for &start in edges.keys() {
+            let (mut seen, mut stack) = (BTreeSet::new(), vec![start]);
             while let Some(p) = stack.pop() {
-                if p == start {
-                    cyclic.insert(start.to_string());
-                    break;
-                }
-                if seen.insert(p) {
-                    if let Some(next) = edges.get(p) {
-                        stack.extend(next.iter().copied());
-                    }
-                }
+                stack.extend(edges.get(p).into_iter().flatten().filter(|&&q| seen.insert(q)));
+            }
+            reach.insert(start, seen);
+        }
+        let reaches = |p: &str, q: &str| reach.get(p).is_some_and(|r| r.contains(q));
+        let cyclic: BTreeSet<String> =
+            reach.keys().filter(|p| reaches(p, p)).map(|p| p.to_string()).collect();
+        // the retraction plan's units: each derived head alone, or with the
+        // rest of its positive-cycle SCC. A unit that reaches another has
+        // strictly fewer outside ancestors, so sorting by that count is a
+        // topological order.
+        let mut units: Vec<Vec<String>> = Vec::new();
+        for head in defining.keys() {
+            let scc: Vec<String> = if cyclic.contains(head) {
+                defining.keys().filter(|q| reaches(head, q) && reaches(q, head)).cloned().collect()
+            } else {
+                vec![head.clone()]
+            };
+            if scc[0] == *head {
+                units.push(scc);
             }
         }
+        let depth = |x: &str| reach.iter().filter(|(p, r)| r.contains(x) && !reaches(x, p)).count();
+        units.sort_by_cached_key(|u| (depth(&u[0]), u[0].clone()));
         // a multi-rule head can keep scratch order under deltas only when
         // nothing observes that order downstream (terminal) and its rules
         // fire exclusively in the initial pass (no body predicate the
@@ -354,74 +390,90 @@ impl ProgramInfo {
             tracked_candidates,
             counted,
             order_reconstructible,
+            units,
         })
     }
 }
 
-/// The recorded emission order of one tracked head: its extensional prefix
-/// plus one deduplicated segment per defining rule, in program order.
-/// `dedup(concat(input, segments))` is exactly the scratch insertion order,
+/// The recorded emission order of one tracked head: one deduplicated
+/// segment per defining rule, in program order, and where each rule's
+/// region of the stored order ends. The stored order is
+/// `dedup(input ++ seg_0 ++ … ++ seg_n)` — the scratch insertion order,
 /// because the tracked head's rules fire once each, in rule order, over
 /// inputs that are finalized before their stratum starts.
 struct HeadSegments {
-    input: FactSet,
     /// `(rule index, emissions)` in program order.
     by_rule: Vec<(usize, FactSet)>,
+    /// Region ends in the stored order: `ends[0]` closes the extensional
+    /// prefix, `ends[s + 1]` the region of the rule in slot `s` — the
+    /// facts whose first segment is `seg_s`.
+    ends: Vec<usize>,
 }
 
 impl HeadSegments {
-    fn reconstruct(&self) -> FactSet {
-        let mut fs = FactSet::default();
-        for t in self.input.tuples() {
-            fs.insert(t.clone());
-        }
-        for (_, seg) in &self.by_rule {
-            for t in seg.tuples() {
-                fs.insert(t.clone());
+    /// Splice rule slot `slot`'s emissions into `head`, the stored order:
+    /// each one new to the slot's segment is inserted at the end of the
+    /// slot's region if the head lacks it, moved there from a later region,
+    /// or left in an earlier one. Consecutive inserts go in as one block.
+    /// Returns how many facts the head gained.
+    fn splice(&mut self, head: &mut FactSet, slot: usize, emitted: Vec<Tuple>) -> usize {
+        let mut block: Vec<Tuple> = Vec::new();
+        let mut gained = 0;
+        for t in emitted {
+            if !self.by_rule[slot].1.insert(t.clone()) {
+                continue;
+            }
+            match head.find(t.values()) {
+                None => block.push(t),
+                Some(row) => {
+                    let region = self.ends.partition_point(|&end| end <= row);
+                    if region > slot + 1 {
+                        // the pending block lands first, ahead of `row`
+                        let added = self.insert_block(head, slot, std::mem::take(&mut block));
+                        gained += added;
+                        head.move_row(row + added, self.ends[slot + 1]);
+                        for end in &mut self.ends[slot + 1..region] {
+                            *end += 1;
+                        }
+                    }
+                }
             }
         }
-        fs
+        gained + self.insert_block(head, slot, block)
     }
-}
 
-/// One node of the retraction plan: the affected predicates partitioned
-/// into lone extensional predicates, counting-maintained heads, and
-/// positive-cycle SCCs (DRed units), in topological order.
-enum RetractUnit {
-    /// An extensional predicate — its removals seed the plan.
-    Extensional,
-    /// A non-recursive derived head maintained by derivation counting.
-    Counted(String),
-    /// A positive-cycle SCC maintained by DRed.
-    Scc(Vec<String>),
-}
+    fn insert_block(&mut self, head: &mut FactSet, slot: usize, block: Vec<Tuple>) -> usize {
+        let added = head.insert_at(self.ends[slot + 1], block);
+        for end in &mut self.ends[slot + 1..] {
+            *end += added;
+        }
+        added
+    }
 
-/// What one DRed pass concluded.
-enum DredVerdict {
-    /// Every over-deleted fact was truly underivable: survivor order is
-    /// untouched and the deletions commit.
-    PureRemoval,
-    /// Phase 2 found a restorable fact (probing stops at the first hit —
-    /// the caller falls back either way, because a restored fact's
-    /// scratch position is unknowable without counts).
-    Rederived,
+    /// Move every region end down by the removed rows (ascending) below it.
+    fn shift_ends(&mut self, rows: &[usize]) {
+        for end in &mut self.ends {
+            *end -= rows.partition_point(|&row| row < *end);
+        }
+    }
 }
 
 /// One head's re-enumeration over a database: its scratch-order fact set
 /// (input prefix + per-rule emissions), per-rule derivation counts and
-/// emission segments (slot-aligned with `info.defining[head]`), and the
-/// total emission count. Produced by `IncrementalSession::enumerate_head`.
+/// emission segments (slot-aligned with `info.defining[head]`), the
+/// region ends in `rebuilt` (as [`HeadSegments::ends`]), and the total
+/// emission count. Produced by `IncrementalSession::enumerate_head`.
 struct HeadEnumeration {
     rebuilt: FactSet,
     counts: Vec<(usize, HashMap<Tuple, u64>)>,
     segments: Vec<(usize, FactSet)>,
+    ends: Vec<usize>,
     emissions: usize,
 }
 
 /// A persistent evaluation session for one program. See the module docs.
 pub struct IncrementalSession {
     engine: Engine,
-    source: String,
     program: Program,
     strat: Stratification,
     info: ProgramInfo,
@@ -443,13 +495,16 @@ pub struct IncrementalSession {
     /// scratch insertion order exactly — the heads the order-repair step
     /// may rebuild by re-enumeration. Captured together with `counts`.
     order_exact: BTreeSet<String>,
-    history: Vec<DeltaOutcome>,
-    /// Outcome tallies (bootstrap / incremental / fallback-by-reason).
-    /// Always an enabled registry so the counts are available even when the
-    /// engine config carries the disabled stub; [`set_obs`] swaps in a
-    /// shared registry, carrying accumulated tallies along.
-    ///
-    /// [`set_obs`]: IncrementalSession::set_obs
+    /// Hash indexes over `db` for every lookup shape of the program's
+    /// rules, registered at build, refreshed before each delta and
+    /// retraction pass, and reset when a full run replaces `db`.
+    store: IndexStore,
+    /// The most recent step; the registry's tallies are the totals.
+    last: Option<DeltaOutcome>,
+    /// Outcome tallies (bootstrap / incremental / fallback-by-reason) and
+    /// the session store's `datalog.index.*`: the engine config's registry
+    /// when it is enabled, otherwise a private enabled one, so the counts
+    /// are always available.
     obs: Obs,
     /// Set while a failed `apply`/`retract` may have left `db`
     /// half-updated; every later delta refuses until `run_full`
@@ -465,7 +520,9 @@ impl std::fmt::Debug for IncrementalSession {
         f.debug_struct("IncrementalSession")
             .field("rules", &self.program.rules.len())
             .field("facts", &self.db.total_facts())
-            .field("steps", &self.history.len())
+            .field("bootstrap", &self.obs.get(obs_key::INC_BOOTSTRAP))
+            .field("incremental", &self.obs.get(obs_key::INC_INCREMENTAL))
+            .field("full_fallback", &self.obs.get(obs_key::INC_FALLBACK))
             .field("poisoned", &self.poisoned)
             .finish()
     }
@@ -478,12 +535,13 @@ impl IncrementalSession {
     pub fn new(config: EngineConfig, source: &str) -> Result<IncrementalSession> {
         let program = parse_program(source)?;
         let strat = stratify(&program)?;
-        let info = ProgramInfo::build(&program, &strat)?;
         let obs = if config.obs.is_enabled() { config.obs.clone() } else { Obs::enabled() };
+        let mut store = IndexStore::default();
+        store.obs = obs.clone();
+        let info = ProgramInfo::build(&program, &strat, &mut store)?;
         Ok(IncrementalSession {
             engine: Engine::new(config),
             obs,
-            source: source.to_string(),
             program,
             strat,
             info,
@@ -492,7 +550,8 @@ impl IncrementalSession {
             segments: BTreeMap::new(),
             counts: None,
             order_exact: BTreeSet::new(),
-            history: Vec::new(),
+            store,
+            last: None,
             poisoned: false,
             bootstrapped: false,
             fault: None,
@@ -500,8 +559,8 @@ impl IncrementalSession {
     }
 
     /// Arm (or clear) an injected failure point — fault-injection hook for
-    /// the deletion-path tests; a no-op unless the retraction code reaches
-    /// the named point.
+    /// the deletion-path tests and, as `"index-build"`, the session store's
+    /// refresh; a no-op unless a pass reaches the named point.
     #[doc(hidden)]
     pub fn inject_fault(&mut self, point: Option<&'static str>) {
         self.fault = point;
@@ -522,25 +581,14 @@ impl IncrementalSession {
         Some(total)
     }
 
-    /// The program text this session evaluates.
-    pub fn program_source(&self) -> &str {
-        &self.source
-    }
-
     /// The materialized database (inputs plus everything derived).
     pub fn database(&self) -> &Database {
         &self.db
     }
 
-    /// One entry per evaluation step, oldest first — the incremental
-    /// layer's trace, including every fallback and its reason.
-    pub fn history(&self) -> &[DeltaOutcome] {
-        &self.history
-    }
-
-    /// The most recent evaluation step.
+    /// The most recent evaluation step, including a fallback's reason.
     pub fn last_outcome(&self) -> Option<&DeltaOutcome> {
-        self.history.last()
+        self.last.as_ref()
     }
 
     /// The registry holding this session's outcome tallies.
@@ -548,12 +596,12 @@ impl IncrementalSession {
         &self.obs
     }
 
-    /// Tally the outcome on the registry, then append it to the history.
-    /// Every history entry goes through here, so
-    /// `incremental.outcome.*` always sums to `history().len()` — and
-    /// every step leaves one `incremental/outcome` leaf span under the
-    /// step's session span, naming the mode (and fallback reason) the
-    /// order-safety analysis chose.
+    /// Tally the outcome on the registry, then keep it as the last one.
+    /// Every step goes through here, so `incremental.outcome.*` always
+    /// sums to the steps taken — and every step leaves one
+    /// `incremental/outcome` leaf span under the step's session span,
+    /// naming the mode (and fallback reason) the order-safety analysis
+    /// chose.
     fn record_outcome(&mut self, outcome: DeltaOutcome) {
         {
             let s = self.obs.span("incremental/outcome");
@@ -580,7 +628,7 @@ impl IncrementalSession {
                 }
             }
         }
-        self.history.push(outcome);
+        self.last = Some(outcome);
     }
 
     /// Materialize from scratch over a fresh extensional input, replacing
@@ -603,6 +651,8 @@ impl IncrementalSession {
     ) -> Result<&Database> {
         let db = self.engine.run(&self.program, input.clone())?;
         let derived = db.total_facts().saturating_sub(input.total_facts());
+        // the new database's epochs say nothing about the old one's rows
+        self.store.reset();
         self.segments = self.capture_segments(&input, &db)?;
         self.counts = None;
         self.order_exact = BTreeSet::new();
@@ -616,10 +666,25 @@ impl IncrementalSession {
             delta_facts,
             removed_facts,
             derived_facts: derived,
-            retracted_facts: 0,
-            rederived_facts: 0,
+            ..DeltaOutcome::noop()
         });
         Ok(&self.db)
+    }
+
+    /// Refuse a delta or a retraction before bootstrap, or after a failed
+    /// one until `run_full` re-materializes.
+    fn ensure_live(&self) -> Result<()> {
+        if !self.bootstrapped {
+            return Err(VadaError::Eval(
+                "incremental session not bootstrapped: call run_full first".into(),
+            ));
+        }
+        if self.poisoned {
+            return Err(VadaError::Eval(
+                "incremental session poisoned by an earlier failure: run_full required".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Capture per-rule emission segments for every tracked candidate by
@@ -636,12 +701,8 @@ impl IncrementalSession {
         let mut out = BTreeMap::new();
         for head in &self.info.tracked_candidates {
             let e = self.enumerate_head(head, input, db)?;
-            let segs = HeadSegments {
-                input: input.fact_set(head).cloned().unwrap_or_default(),
-                by_rule: e.segments,
-            };
             if e.rebuilt.tuples() == db.facts(head) {
-                out.insert(head.clone(), segs);
+                out.insert(head.clone(), HeadSegments { by_rule: e.segments, ends: e.ends });
             }
         }
         Ok(out)
@@ -653,7 +714,8 @@ impl IncrementalSession {
     /// program order. The single reconstruction primitive behind segment
     /// capture, lazy count capture, and order repair — every consumer
     /// indexes counts/segments by the same positional slot, so keeping
-    /// one loop keeps the alignment structural.
+    /// one loop keeps the alignment structural. Lookups go through the
+    /// session store where it is current for `db`.
     fn enumerate_head(
         &self,
         head: &str,
@@ -668,12 +730,13 @@ impl IncrementalSession {
         }
         let mut counts: Vec<(usize, HashMap<Tuple, u64>)> = Vec::new();
         let mut segments: Vec<(usize, FactSet)> = Vec::new();
+        let mut ends = vec![rebuilt.len()];
         let mut emissions = 0usize;
         for &ri in &self.info.defining[head] {
             let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
             let mut seg = FactSet::default();
             let mut cnt: HashMap<Tuple, u64> = HashMap::new();
-            for t in self.engine.eval_rule(&cr, db, None, None)? {
+            for t in self.engine.eval_rule(&cr, db, None, Some(&self.store))? {
                 emissions += 1;
                 *cnt.entry(t.clone()).or_insert(0) += 1;
                 seg.insert(t.clone());
@@ -681,8 +744,9 @@ impl IncrementalSession {
             }
             counts.push((ri, cnt));
             segments.push((ri, seg));
+            ends.push(rebuilt.len());
         }
-        Ok(HeadEnumeration { rebuilt, counts, segments, emissions })
+        Ok(HeadEnumeration { rebuilt, counts, segments, ends, emissions })
     }
 
     /// Capture derivation counts for every counted head over the *current*
@@ -721,26 +785,13 @@ impl IncrementalSession {
         let obs = self.obs.clone();
         let span = obs.span("incremental/apply");
         span.attr("facts", delta.len());
-        if !self.bootstrapped {
-            return Err(VadaError::Eval(
-                "incremental session not bootstrapped: call run_full first".into(),
-            ));
-        }
-        if self.poisoned {
-            return Err(VadaError::Eval(
-                "incremental session poisoned by an earlier failure: run_full required".into(),
-            ));
-        }
+        self.ensure_live()?;
 
         // deltas must be extensional: a fact for a derived predicate would
         // occupy an input position in a scratch run, which appending can
         // never reproduce
-        for (pred, _) in &delta {
-            if self.info.defining.contains_key(pred) || self.info.fact_heads.contains(pred) {
-                let reason = format!("delta targets derived predicate `{pred}`");
-                return self.fallback(delta, reason);
-            }
-        }
+        let refused = self.derived_target(&delta);
+        let refused = refused.map(|p| format!("delta targets derived predicate `{p}`"));
 
         // extend the accumulated input; only genuinely new facts matter
         // (scratch would dedup repeats into their existing positions)
@@ -749,6 +800,9 @@ impl IncrementalSession {
             if self.base.insert(&pred, t.clone()) {
                 fresh.push((pred, t));
             }
+        }
+        if let Some(reason) = refused {
+            return self.fallback_rerun(reason, fresh.len(), 0);
         }
         if fresh.is_empty() {
             self.record_outcome(DeltaOutcome::noop());
@@ -765,7 +819,7 @@ impl IncrementalSession {
     /// batch of fresh extensional facts; `Some(reason)` refuses the fast
     /// path.
     fn refuse_reason(&self, fresh: &[(String, Tuple)]) -> Option<String> {
-        let affected = self.affected_preds(fresh);
+        let affected = self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
         for p in &affected {
             if self.info.read_neg.contains(p) {
                 return Some(format!("negated predicate `{p}` changed"));
@@ -815,9 +869,13 @@ impl IncrementalSession {
         None
     }
 
-    /// Delta predicates closed under rule heads.
-    fn affected_preds(&self, fresh: &[(String, Tuple)]) -> BTreeSet<String> {
-        self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect())
+    /// The first predicate among `facts` that a rule or a ground fact
+    /// defines: no delta or retraction may target one.
+    fn derived_target<'a>(&self, facts: &'a [(String, Tuple)]) -> Option<&'a String> {
+        facts
+            .iter()
+            .map(|(p, _)| p)
+            .find(|p| self.info.defining.contains_key(*p) || self.info.fact_heads.contains(*p))
     }
 
     /// `seeds` closed under rule heads: a rule with a seed (or closed)
@@ -840,18 +898,6 @@ impl IncrementalSession {
                 return closed;
             }
         }
-    }
-
-    /// Full re-derivation after extending the base with a delta that never
-    /// made it past the extensional check.
-    fn fallback(&mut self, delta: Vec<(String, Tuple)>, reason: String) -> Result<&Database> {
-        let mut fresh = 0usize;
-        for (pred, t) in delta {
-            if self.base.insert(&pred, t) {
-                fresh += 1;
-            }
-        }
-        self.fallback_rerun(reason, fresh, 0)
     }
 
     fn fallback_rerun(
@@ -883,7 +929,7 @@ impl IncrementalSession {
         self.poisoned = true; // cleared on success
         let delta_facts = fresh.len();
         let mut derived = 0usize;
-        let affected = self.affected_preds(&fresh);
+        let affected = self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
         // pending new facts per predicate, in arrival order — the delta
         // the engine's occurrence-restricted passes consume
         let mut pending = Database::new();
@@ -898,8 +944,9 @@ impl IncrementalSession {
             .filter(|p| !self.info.defining.contains_key(*p))
             .map(|p| p.as_str())
             .collect();
-        // emissions appended to tracked segments this step
-        let mut touched_segments: BTreeSet<String> = BTreeSet::new();
+        // a non-delta literal never reads an affected predicate (condition
+        // 5), so one refresh serves every wave
+        self.store.refresh(&self.db, self.fault)?;
 
         for stratum in 0..self.strat.stratum_count {
             // rules of this stratum with an affected outermost literal,
@@ -935,34 +982,33 @@ impl IncrementalSession {
                             cr,
                             &self.db,
                             Some(DeltaSpec::Insert { delta: &pending, occ }),
-                            None,
+                            Some(&self.store),
                         )
                     })?;
                     let pred = cr.rule.head_pred.as_str();
-                    for t in out {
-                        // every emission is one new derivation: keep the
-                        // retraction path's counts (if captured) in step
-                        if let Some(rcs) = self.counts.as_mut().and_then(|c| c.get_mut(pred)) {
-                            let (_, cnt) = rcs
-                                .iter_mut()
-                                .find(|(r, _)| *r == ri)
-                                .expect("firing rule defines this head");
+                    // every emission is one new derivation: keep the
+                    // retraction path's counts (if captured) in step
+                    if let Some(rcs) = self.counts.as_mut().and_then(|c| c.get_mut(pred)) {
+                        let (_, cnt) = rcs
+                            .iter_mut()
+                            .find(|(r, _)| *r == ri)
+                            .expect("firing rule defines this head");
+                        for t in &out {
                             *cnt.entry(t.clone()).or_insert(0) += 1;
                         }
-                        if let Some(segs) = self.segments.get_mut(pred) {
-                            // tracked head: record in the rule's segment;
-                            // db order re-established below
-                            if segs
-                                .by_rule
-                                .iter_mut()
-                                .find(|(r, _)| *r == ri)
-                                .expect("firing rule defines this head")
-                                .1
-                                .insert(t)
-                            {
-                                touched_segments.insert(pred.to_string());
-                            }
-                        } else if self.db.insert(pred, t.clone()) {
+                    }
+                    if let Some(segs) = self.segments.get_mut(pred) {
+                        // tracked (terminal) head: spliced into place
+                        let slot = segs
+                            .by_rule
+                            .iter()
+                            .position(|(r, _)| *r == ri)
+                            .expect("firing rule defines this head");
+                        derived += segs.splice(self.db.reorder(pred), slot, out);
+                        continue;
+                    }
+                    for t in out {
+                        if self.db.insert(pred, t.clone()) {
                             derived += 1;
                             pending.insert(pred, t);
                         }
@@ -982,33 +1028,11 @@ impl IncrementalSession {
             }
         }
 
-        // re-establish scratch order for tracked heads that grew
-        for head in touched_segments {
-            let segs = &self.segments[&head];
-            let rebuilt = segs.reconstruct();
-            let old_len = self.db.facts(&head).len();
-            derived += rebuilt.len().saturating_sub(old_len);
-            self.db.set_fact_set(&head, rebuilt);
-        }
-        // facts derived into tracked segments bypass the per-stratum cap
-        // checks above; re-check so the fast path errors wherever a full
-        // run would (the modes must agree on errors, not just results)
-        if self.db.total_facts() > self.engine.config().max_facts {
-            return Err(VadaError::Eval(format!(
-                "derived fact count exceeded the cap of {}",
-                self.engine.config().max_facts
-            )));
-        }
-
         self.poisoned = false;
         self.record_outcome(DeltaOutcome {
-            mode: DeltaMode::Incremental,
-            fallback_reason: None,
             delta_facts,
-            removed_facts: 0,
             derived_facts: derived,
-            retracted_facts: 0,
-            rederived_facts: 0,
+            ..DeltaOutcome::noop()
         });
         Ok(&self.db)
     }
@@ -1025,31 +1049,21 @@ impl IncrementalSession {
         let obs = self.obs.clone();
         let span = obs.span("incremental/retract");
         span.attr("facts", removals.len());
-        if !self.bootstrapped {
-            return Err(VadaError::Eval(
-                "incremental session not bootstrapped: call run_full first".into(),
-            ));
-        }
-        if self.poisoned {
-            return Err(VadaError::Eval(
-                "incremental session poisoned by an earlier failure: run_full required".into(),
-            ));
-        }
+        self.ensure_live()?;
 
         // retractions must target extensional predicates, mirroring the
         // append path: a derived fact's presence is a consequence, not an
         // input, so "removing" one only makes sense against the base
-        for (pred, _) in &removals {
-            if self.info.defining.contains_key(pred) || self.info.fact_heads.contains(pred) {
-                let reason = format!("retraction targets derived predicate `{pred}`");
-                return self.fallback_retract(removals, reason);
-            }
-        }
+        let refused = self.derived_target(&removals);
+        let refused = refused.map(|p| format!("retraction targets derived predicate `{p}`"));
 
         // base mutation starts here: any later failure leaves the session
         // poisoned until run_full re-materializes
         self.poisoned = true;
         let fresh = self.remove_from_base(removals);
+        if let Some(reason) = refused {
+            return self.fallback_rerun(reason, 0, fresh.len());
+        }
         if fresh.is_empty() {
             self.poisoned = false;
             self.record_outcome(DeltaOutcome::noop());
@@ -1084,17 +1098,6 @@ impl IncrementalSession {
         fresh
     }
 
-    /// Full re-derivation after removing from the base a retraction that
-    /// never made it past the extensional check.
-    fn fallback_retract(
-        &mut self,
-        removals: Vec<(String, Tuple)>,
-        reason: String,
-    ) -> Result<&Database> {
-        let fresh = self.remove_from_base(removals).len();
-        self.fallback_rerun(reason, 0, fresh)
-    }
-
     /// Static refusal conditions for the retraction path. Narrower than
     /// the append analysis: deletion needs no outermost/single-literal
     /// conditions (the delta-delete enumeration handles arbitrary and
@@ -1127,9 +1130,12 @@ impl IncrementalSession {
         fresh: Vec<(String, Tuple)>,
         affected: BTreeSet<String>,
     ) -> Result<&Database> {
+        // planning reads `db` as it stands — the pending base removal has
+        // not touched it — so one refresh serves the count capture and
+        // every counting and DRed pass
+        self.store.refresh(&self.db, self.fault)?;
         // first retraction since the last full run: capture the counts it
-        // plans against (the capture reads only `db`, which the pending
-        // base removal has not touched)
+        // plans against
         self.ensure_counts()?;
         let removed_facts = fresh.len();
         let mut retracted = 0usize;
@@ -1142,7 +1148,11 @@ impl IncrementalSession {
             removed.insert(pred, t.clone());
         }
 
-        let units = self.retraction_units(&affected)?;
+        // the affected units of the static plan, so every unit fires with
+        // the complete removal sets of its inputs (an SCC is affected whole
+        // or not at all: its members reach each other)
+        let units: Vec<Vec<String>> =
+            self.info.units.iter().filter(|u| affected.contains(&u[0])).cloned().collect();
         // planned count decrements per counted head, aligned with its
         // defining rules
         let mut dec: BTreeMap<String, Vec<HashMap<Tuple, u64>>> = BTreeMap::new();
@@ -1151,29 +1161,20 @@ impl IncrementalSession {
         let mut suspects: BTreeSet<String> = BTreeSet::new();
 
         for unit in &units {
-            match unit {
-                RetractUnit::Extensional => {}
-                RetractUnit::Counted(head) => {
-                    self.plan_counted_retraction(
-                        head,
-                        &mut removed,
-                        &mut dec,
-                        &mut suspects,
-                        &mut retracted,
-                    )?;
-                }
-                RetractUnit::Scc(preds) => {
-                    match self.dred(preds, &mut removed, &mut retracted)? {
-                        DredVerdict::PureRemoval => {}
-                        DredVerdict::Rederived => {
-                            let reason = format!(
-                                "DRed re-derived fact(s) in recursive predicate(s) \
-                                 {preds:?} — scratch order not reconstructible"
-                            );
-                            return self.fallback_rerun(reason, 0, removed_facts);
-                        }
-                    }
-                }
+            if !self.info.cyclic.contains(&unit[0]) {
+                self.plan_counted_retraction(
+                    &unit[0],
+                    &mut removed,
+                    &mut dec,
+                    &mut suspects,
+                    &mut retracted,
+                )?;
+            } else if self.dred(unit, &mut removed, &mut retracted)? {
+                let reason = format!(
+                    "DRed re-derived fact(s) in recursive predicate(s) \
+                     {unit:?} — scratch order not reconstructible"
+                );
+                return self.fallback_rerun(reason, 0, removed_facts);
             }
         }
 
@@ -1203,8 +1204,10 @@ impl IncrementalSession {
         // ---- commit: everything below is pure bookkeeping plus the
         // order-repair re-enumerations ----
         for pred in removed.predicates() {
-            let gone: HashSet<Tuple> = removed.facts(pred).iter().cloned().collect();
-            self.db.remove_facts(pred, &gone);
+            let rows = self.db.remove_facts(pred, removed.facts(pred));
+            if let Some(segs) = self.segments.get_mut(pred) {
+                segs.shift_ends(&rows);
+            }
         }
         for (head, head_dec) in &dec {
             let per_rule = self
@@ -1240,14 +1243,9 @@ impl IncrementalSession {
             if let Some(segs) = self.segments.get_mut(head) {
                 let per_rule = &self.counts.as_ref().expect("counts captured")[head];
                 for (slot, (_, seg)) in segs.by_rule.iter_mut().enumerate() {
-                    let zero: HashSet<Tuple> = head_dec[slot]
-                        .keys()
-                        .filter(|t| !per_rule[slot].1.contains_key(*t))
-                        .cloned()
-                        .collect();
-                    if !zero.is_empty() {
-                        seg.remove_all(&zero);
-                    }
+                    seg.remove_all(
+                        head_dec[slot].keys().filter(|t| !per_rule[slot].1.contains_key(*t)),
+                    );
                 }
             }
         }
@@ -1258,14 +1256,9 @@ impl IncrementalSession {
         }
 
         // ---- order repair, upstream before downstream (unit order) ----
-        let repair_order: Vec<String> = units
-            .iter()
-            .filter_map(|u| match u {
-                RetractUnit::Counted(h) if suspects.contains(h) => Some(h.clone()),
-                _ => None,
-            })
-            .collect();
-        for head in &repair_order {
+        // (a suspect is never cyclic here: that fell back above)
+        for head in units.iter().map(|u| &u[0]).filter(|h| suspects.contains(*h)) {
+            self.store.refresh(&self.db, self.fault)?;
             let (rebuilt, work) = self.repair_head_order(head)?;
             rederived += work;
             self.db.set_fact_set(head, rebuilt);
@@ -1273,13 +1266,10 @@ impl IncrementalSession {
 
         self.poisoned = false;
         self.record_outcome(DeltaOutcome {
-            mode: DeltaMode::Incremental,
-            fallback_reason: None,
-            delta_facts: 0,
             removed_facts,
-            derived_facts: 0,
             retracted_facts: retracted,
             rederived_facts: rederived,
+            ..DeltaOutcome::noop()
         });
         Ok(&self.db)
     }
@@ -1325,7 +1315,7 @@ impl IncrementalSession {
                     &compiled[slot],
                     &self.db,
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
-                    None,
+                    Some(&self.store),
                 )
             })?;
             for t in out {
@@ -1374,13 +1364,14 @@ impl IncrementalSession {
     /// alternative derivation from the surviving view. Pure removals
     /// commit (survivor order is untouched — no surviving fact lost any
     /// derivation); any restoration reports back so the caller can fall
-    /// back (the restored fact's scratch position is unknowable).
+    /// back (the restored fact's scratch position is unknowable). Returns
+    /// whether phase 2 found a restorable fact.
     fn dred(
         &self,
         preds: &[String],
         removed: &mut Database,
         retracted: &mut usize,
-    ) -> Result<DredVerdict> {
+    ) -> Result<bool> {
         let scc: BTreeSet<&str> = preds.iter().map(|p| p.as_str()).collect();
         let rule_list: Vec<usize> = self
             .info
@@ -1441,7 +1432,7 @@ impl IncrementalSession {
                         &compiled[ci],
                         &self.db,
                         Some(DeltaSpec::Delete { removed: &frontier, occ }),
-                        None,
+                        Some(&self.store),
                     )
                 })?;
                 let h = &compiled[ci].rule.head_pred;
@@ -1464,7 +1455,7 @@ impl IncrementalSession {
             frontier = next_frontier;
         }
         if deleted.is_empty() {
-            return Ok(DredVerdict::PureRemoval);
+            return Ok(false);
         }
 
         if self.fault == Some("dred-rederive") {
@@ -1482,7 +1473,7 @@ impl IncrementalSession {
             for &ri in &self.info.defining[h] {
                 let ci = rule_list.iter().position(|r| *r == ri).expect("SCC rule");
                 if self.engine.derives_fact(&compiled[ci], &self.db, &dead, t)? {
-                    return Ok(DredVerdict::Rederived);
+                    return Ok(true);
                 }
             }
         }
@@ -1490,7 +1481,7 @@ impl IncrementalSession {
             removed.insert(&h, t);
             *retracted += 1;
         }
-        Ok(DredVerdict::PureRemoval)
+        Ok(false)
     }
 
     /// Re-enumerate the defining rules of one suspect head over the
@@ -1504,127 +1495,9 @@ impl IncrementalSession {
             *per_rule = e.counts;
         }
         if let Some(segs) = self.segments.get_mut(head) {
-            segs.by_rule = e.segments;
+            *segs = HeadSegments { by_rule: e.segments, ends: e.ends };
         }
         Ok((e.rebuilt, e.emissions))
-    }
-
-    /// Partition the affected predicates into retraction units — lone
-    /// extensional predicates, counted heads, and positive-cycle SCCs —
-    /// in a topological order of the positive dependency graph, so every
-    /// unit fires with the complete removal sets of its inputs.
-    fn retraction_units(&self, affected: &BTreeSet<String>) -> Result<Vec<RetractUnit>> {
-        // positive edges among affected predicates: body → head
-        let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for info in self.info.rules.iter().flatten() {
-            if !affected.contains(&info.head) {
-                continue;
-            }
-            for p in &info.positive {
-                if affected.contains(p) && *p != info.head {
-                    edges.entry(p.as_str()).or_default().insert(info.head.as_str());
-                }
-            }
-        }
-        let reach = |from: &str| -> BTreeSet<&str> {
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            let mut stack: Vec<&str> =
-                edges.get(from).map(|s| s.iter().copied().collect()).unwrap_or_default();
-            while let Some(p) = stack.pop() {
-                if seen.insert(p) {
-                    if let Some(next) = edges.get(p) {
-                        stack.extend(next.iter().copied());
-                    }
-                }
-            }
-            seen
-        };
-        // group cyclic predicates into SCCs by mutual reachability
-        let cyclic_affected: Vec<&String> =
-            affected.iter().filter(|p| self.info.cyclic.contains(*p)).collect();
-        let reachable: BTreeMap<&str, BTreeSet<&str>> = cyclic_affected
-            .iter()
-            .map(|p| (p.as_str(), reach(p)))
-            .collect();
-        let mut scc_of: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut sccs: Vec<Vec<String>> = Vec::new();
-        for p in &cyclic_affected {
-            if scc_of.contains_key(p.as_str()) {
-                continue;
-            }
-            let id = sccs.len();
-            let mut members = vec![p.to_string()];
-            scc_of.insert(p.as_str(), id);
-            for q in cyclic_affected.iter().skip_while(|q| q != &p).skip(1) {
-                if !scc_of.contains_key(q.as_str())
-                    && reachable[p.as_str()].contains(q.as_str())
-                    && reachable[q.as_str()].contains(p.as_str())
-                {
-                    scc_of.insert(q.as_str(), id);
-                    members.push(q.to_string());
-                }
-            }
-            sccs.push(members);
-        }
-        // unit ids: one per non-cyclic predicate, one per SCC
-        let unit_of = |p: &str| -> String {
-            scc_of
-                .get(p)
-                .map(|id| format!("\u{0}scc{id}"))
-                .unwrap_or_else(|| p.to_string())
-        };
-        let mut unit_deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut unit_members: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for p in affected {
-            let u = unit_of(p);
-            unit_members.entry(u.clone()).or_default().push(p.clone());
-            unit_deps.entry(u).or_default();
-        }
-        for (from, tos) in &edges {
-            let fu = unit_of(from);
-            for to in tos {
-                let tu = unit_of(to);
-                if fu != tu {
-                    unit_deps.entry(tu).or_default().insert(fu.clone());
-                }
-            }
-        }
-        // Kahn, smallest unit key first (determinism)
-        let mut order: Vec<RetractUnit> = Vec::new();
-        let mut done: BTreeSet<String> = BTreeSet::new();
-        while done.len() < unit_deps.len() {
-            let mut fired = false;
-            let ready: Vec<String> = unit_deps
-                .iter()
-                .filter(|(u, deps)| !done.contains(*u) && deps.iter().all(|d| done.contains(d)))
-                .map(|(u, _)| u.clone())
-                .collect();
-            for u in ready {
-                fired = true;
-                let members = &unit_members[&u];
-                let unit = if u.starts_with('\u{0}') {
-                    RetractUnit::Scc(members.clone())
-                } else {
-                    let p = &members[0];
-                    if self.info.defining.contains_key(p) {
-                        RetractUnit::Counted(p.clone())
-                    } else {
-                        RetractUnit::Extensional
-                    }
-                };
-                order.push(unit);
-                done.insert(u);
-            }
-            if !fired {
-                // the SCC condensation should leave an acyclic unit graph;
-                // committing a partial plan would silently diverge, so fail
-                // (the session is already poisoned and run_full recovers)
-                return Err(VadaError::Eval(
-                    "retraction unit graph is cyclic (internal invariant)".into(),
-                ));
-            }
-        }
-        Ok(order)
     }
 }
 
@@ -2306,5 +2179,129 @@ mod tests {
         let mut s = IncrementalSession::new(EngineConfig::default(), "q(X) :- p(X).").unwrap();
         let err = s.apply(vec![("p".into(), tuple![1])]).unwrap_err();
         assert!(err.message().contains("bootstrapped"), "{err}");
+    }
+
+    #[test]
+    fn overlapping_rule_regions_splice_like_scratch() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // `u` is tracked and its rules overlap: a value in `a` and `b` is
+        // derived twice, appending it to `a` moves it into an earlier region,
+        // and retracting one of its derivations sends `u` through repair
+        let src = "u(X) :- a(X). u(X) :- b(X). u(X) :- c(X, _). v(X, Y) :- c(X, Y), k(Y).";
+        let fact = |pred: &str, rng: &mut StdRng| {
+            let (x, y) = (rng.gen_range(0i64..6), rng.gen_range(0i64..3));
+            match pred {
+                "c" => tuple![x, y],
+                "k" => tuple![y],
+                _ => tuple![x],
+            }
+        };
+        let mut input = Database::new();
+        input.insert("b", tuple![5]);
+        input.insert("b", tuple![6]);
+        input.insert("c", tuple![4, 0]);
+        let mut s = session(src, input);
+        s.apply(vec![("a".into(), tuple![6])]).unwrap();
+        assert_eq!(s.database().facts("u"), &[tuple![6], tuple![5], tuple![4]]);
+        let mut repairs = 0;
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut input = Database::new();
+            if seed % 2 == 1 {
+                input.insert("u", tuple![3]); // an extensional prefix region
+            }
+            for pred in ["a", "b", "c", "c", "k"].repeat(3) {
+                input.insert(pred, fact(pred, &mut rng));
+            }
+            let mut s = session(src, input.clone());
+            for step in 0..24 {
+                // `k` stays put: it is not `v`'s outermost literal
+                let edits: Vec<(String, Tuple)> = (0..rng.gen_range(1usize..4))
+                    .map(|_| {
+                        let pred = ["a", "b", "c"][rng.gen_range(0usize..3)];
+                        (pred.to_string(), fact(pred, &mut rng))
+                    })
+                    .collect();
+                let retracting = step % 3 == 2;
+                for (p, t) in &edits {
+                    if retracting {
+                        input.remove(p, t);
+                    } else {
+                        input.insert(p, t.clone());
+                    }
+                }
+                if retracting {
+                    s.retract(edits).unwrap();
+                    repairs += usize::from(s.last_outcome().unwrap().rederived_facts > 0);
+                } else {
+                    s.apply(edits).unwrap();
+                }
+                assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental, "seed {seed}");
+                assert_eq!(dump(s.database()), scratch(src, &input), "seed {seed} step {step}");
+            }
+        }
+        assert!(repairs > 0, "no retraction went through order repair");
+    }
+
+    #[test]
+    fn steady_state_pairs_build_no_index() {
+        // the `k` and `w` indexes are built by the first apply, then only
+        // probed: neither relation changes along the session
+        let src = "all(X, P) :- a(X, P). all(X, P) :- b(X, P). \
+                   picked(X, P) :- a(X, P), k(X). wide(X, P, Q) :- picked(X, P), w(P, Q).";
+        let mut input = Database::new();
+        for i in 0..300i64 {
+            input.insert("a", tuple![i % 17, i]);
+            input.insert("b", tuple![i % 13, i + 1000]);
+            input.insert("k", tuple![i % 17]);
+            input.insert("w", tuple![i, i * 2]);
+        }
+        let mut s = session(src, input.clone());
+        let mut builds = 0;
+        for round in 0..9i64 {
+            let rows = |from: i64| (from..from + 8).map(|i| ("a".to_string(), tuple![i % 17, i]));
+            s.apply(rows(500 + round * 8).collect()).unwrap();
+            s.retract(rows(round * 8).collect()).unwrap();
+            for ((p, fresh), (_, old)) in rows(500 + round * 8).zip(rows(round * 8)) {
+                input.insert(&p, fresh);
+                input.remove(&p, &old);
+            }
+            assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+            if round == 0 {
+                builds = s.obs().get(obs_key::INDEX_BUILDS);
+                assert!(builds > 0);
+            }
+        }
+        assert_eq!(s.obs().get(obs_key::INDEX_BUILDS), builds, "a steady pass built an index");
+        assert!(s.obs().get(obs_key::INDEX_PROBES) > 0);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+    }
+
+    #[test]
+    fn injected_index_build_fault_poisons_until_run_full() {
+        let src = "q(X, Y) :- p(X), r(X, Y).";
+        let mut input = Database::new();
+        input.insert("p", tuple![1]);
+        input.insert("r", tuple![1, 10]);
+        let mut s = session(src, input.clone());
+        s.inject_fault(Some("index-build"));
+        // a full run never refreshes the session store, so it recovers
+        // with the fault still armed; the next pass of either kind fails
+        for retracting in [false, true] {
+            let edit = vec![("p".into(), tuple![if retracting { 1 } else { 2 }])];
+            let err = if retracting { s.retract(edit) } else { s.apply(edit) }.unwrap_err();
+            assert_eq!(err.kind(), "parallel", "{err}");
+            assert!(err.to_string().contains("datalog/index_build"), "{err}");
+            let err = s.apply(vec![("p".into(), tuple![3])]).unwrap_err();
+            assert!(err.message().contains("poisoned"), "{err}");
+            s.run_full(input.clone()).unwrap();
+        }
+        s.inject_fault(None);
+        s.apply(vec![("p".into(), tuple![2])]).unwrap();
+        s.retract(vec![("p".into(), tuple![1])]).unwrap();
+        input.insert("p", tuple![2]);
+        input.remove("p", &tuple![1]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
     }
 }

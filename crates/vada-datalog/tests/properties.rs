@@ -55,20 +55,30 @@ impl OracleSet {
         new
     }
 
-    fn remove(&mut self, t: &Tuple) -> bool {
-        let present = self.set.remove(t);
-        if present {
-            let pos = self.tuples.iter().position(|x| x == t).unwrap();
-            self.tuples.remove(pos);
-        }
-        present
+    fn remove(&mut self, t: &Tuple) -> Option<usize> {
+        let row = self.tuples.iter().position(|x| x == t)?;
+        self.set.remove(t);
+        self.tuples.remove(row);
+        Some(row)
     }
 
-    fn remove_all(&mut self, gone: &std::collections::HashSet<Tuple>) -> usize {
-        let before = self.tuples.len();
+    fn remove_all(&mut self, gone: &[Tuple]) -> Vec<usize> {
+        let rows = (0..self.tuples.len()).filter(|&r| gone.contains(&self.tuples[r])).collect();
         self.tuples.retain(|t| !gone.contains(t));
         self.set.retain(|t| !gone.contains(t));
-        before - self.tuples.len()
+        rows
+    }
+
+    fn insert_at(&mut self, row: usize, facts: Vec<Tuple>) -> usize {
+        let block: Vec<Tuple> = facts.into_iter().filter(|t| self.set.insert(t.clone())).collect();
+        let added = block.len();
+        self.tuples.splice(row..row, block);
+        added
+    }
+
+    fn move_row(&mut self, from: usize, to: usize) {
+        let t = self.tuples.remove(from);
+        self.tuples.insert(to, t);
     }
 }
 
@@ -104,24 +114,46 @@ fn store_fact(code: u16) -> Tuple {
 proptest! {
     #[test]
     fn fact_set_matches_the_two_copy_oracle(
-        script in proptest::collection::vec((0u8..8, 0u16..6912), 1..600)
+        script in proptest::collection::vec((0u8..10, 0u16..6912), 1..600)
     ) {
-        // random insert / contains / remove / remove_all scripts, long
-        // enough to double the table several times, compared with the old
-        // representation after every step
+        // random insert / contains / remove / remove_all / insert_at /
+        // move_row scripts, long enough to double the table several times,
+        // compared with the old representation after every step: the
+        // reorders must re-label every row id the table holds, and the
+        // removals report the rows they emptied
         use vada_datalog::engine::FactSet;
         let mut fs = FactSet::default();
         let mut oracle = OracleSet::default();
         for &(op, code) in &script {
             let t = store_fact(code);
+            let len = oracle.tuples.len();
             match op {
                 0..=4 => prop_assert_eq!(fs.insert(t.clone()), oracle.insert(t), "insert {}", code),
                 5 => prop_assert_eq!(fs.contains(&t), oracle.set.contains(&t), "contains {}", code),
                 6 => prop_assert_eq!(fs.remove(&t), oracle.remove(&t), "remove {}", code),
-                _ => {
-                    let gone: std::collections::HashSet<Tuple> =
+                7 => {
+                    let gone: Vec<Tuple> =
                         (0..5).map(|k| store_fact(code.wrapping_add(k * 13))).collect();
                     prop_assert_eq!(fs.remove_all(&gone), oracle.remove_all(&gone));
+                }
+                8 => {
+                    // a block of three, present or repeated facts among them
+                    let row = code as usize % (len + 1);
+                    let block: Vec<Tuple> =
+                        [0u16, 17, 0].iter().map(|k| store_fact(code.wrapping_add(*k))).collect();
+                    prop_assert_eq!(
+                        fs.insert_at(row, block.clone()),
+                        oracle.insert_at(row, block),
+                        "insert_at {} row {}", code, row
+                    );
+                }
+                _ => {
+                    if len > 0 {
+                        let from = code as usize % len;
+                        let to = code as usize / 7 % (from + 1);
+                        fs.move_row(from, to);
+                        oracle.move_row(from, to);
+                    }
                 }
             }
             prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
@@ -133,7 +165,7 @@ proptest! {
         }
         // remove-then-reinsert moves a fact to the end, like a first insert
         if let Some(first) = oracle.tuples.first().cloned() {
-            prop_assert!(fs.remove(&first) && oracle.remove(&first));
+            prop_assert!(fs.remove(&first) == Some(0) && oracle.remove(&first) == Some(0));
             prop_assert!(fs.insert(first.clone()) && oracle.insert(first.clone()));
             prop_assert_eq!(fs.tuples().last(), Some(&first));
             prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
