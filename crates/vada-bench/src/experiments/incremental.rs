@@ -253,9 +253,8 @@ fn measure_wal_recovery(
     };
 
     let mut kb = KnowledgeBase::with_journal_capacity(capacity);
-    // route the KB's wal.* tallies AND its wal/append / wal/compact spans
-    // straight into the experiment's registry (a post-hoc counter merge
-    // would drop the span records)
+    // the KB's wal.* tallies and wal/append / wal/compact spans go to the
+    // experiment's registry
     kb.set_obs(obs.clone());
     kb.persist_to(&dir).expect("durable dir initialises");
     kb.register_source(rel.clone());

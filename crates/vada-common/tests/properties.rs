@@ -371,18 +371,16 @@ proptest! {
 
 proptest! {
     /// The disabled observability stub is observably free: any script of
-    /// counter bumps, spans, attributes, merges, and flushes leaves no
-    /// trace — no counter values, no span ids, an empty report, permanent
-    /// health. This is the property that lets `Obs::disabled_ref()` sit on
-    /// every hot path unconditionally.
+    /// counter bumps, spans, attributes, and flushes leaves no trace — no
+    /// counter values, no span ids, an empty report, permanent health. This
+    /// is the property that lets `Obs::disabled_ref()` sit on every hot path
+    /// unconditionally.
     #[test]
     fn disabled_obs_collection_is_observably_free(
         script in proptest::collection::vec(("[a-z.]{1,12}", 0u64..1000), 0..24)
     ) {
         use vada_common::Obs;
         let obs = Obs::disabled();
-        let feeder = Obs::enabled();
-        feeder.add("kb.queries", 7);
         for (name, n) in &script {
             obs.add(name, *n);
             obs.incr(name);
@@ -390,7 +388,6 @@ proptest! {
             span.attr("n", n);
             prop_assert_eq!(span.id(), 0, "disabled spans are elided");
             drop(span);
-            obs.merge_counters_from(&feeder);
             obs.flush();
             prop_assert_eq!(obs.get(name), 0);
         }
@@ -405,8 +402,6 @@ proptest! {
         prop_assert!(report.spans.is_empty());
         prop_assert!(report.timings.is_empty());
         prop_assert!(report.health.is_none());
-        // and the static stub is the same stub every time
-        prop_assert!(Obs::disabled_ref().same_registry(&obs));
     }
 }
 

@@ -150,8 +150,6 @@ impl Transducer for MappingSelection {
 /// otherwise.
 #[derive(Debug, Default)]
 pub struct MappingExecution {
-    /// Execution configuration.
-    pub config: ExecuteConfig,
     store: SharedStore,
 }
 
@@ -159,7 +157,7 @@ impl MappingExecution {
     /// A mapping-execution transducer reading through `store`. [`Default`]
     /// gives it a private store of its own.
     pub fn with_store(store: SharedStore) -> MappingExecution {
-        MappingExecution { config: ExecuteConfig::default(), store }
+        MappingExecution { store }
     }
 }
 
@@ -183,10 +181,6 @@ impl Transducer for MappingExecution {
         &["selection", "mappings", "relations"]
     }
 
-    fn set_obs(&mut self, obs: vada_common::Obs) {
-        self.config.engine.obs = obs;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let id = kb
             .selected_mapping()
@@ -197,7 +191,8 @@ impl Transducer for MappingExecution {
             .ok_or_else(|| VadaError::Kb(format!("selected mapping `{id}` vanished")))?
             .clone();
         // the one copy: the result the vetoes apply to and the KB keeps
-        let mut result = self.store.borrow_mut().execute(&self.config, &mapping, kb)?.clone();
+        let mut result =
+            self.store.borrow_mut().execute(&ExecuteConfig::default(), &mapping, kb)?.clone();
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();
         kb.put_result(result);

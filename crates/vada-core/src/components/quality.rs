@@ -121,8 +121,6 @@ impl Transducer for SourceProfiling {
 /// only the parts that read them.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
-    /// Execution configuration for candidate materialisation.
-    pub config: ExecuteConfig,
     store: SharedStore,
 }
 
@@ -130,7 +128,7 @@ impl MappingQuality {
     /// A mapping-quality transducer materialising through `store`.
     /// [`Default`] gives it a private store of its own.
     pub fn with_store(store: SharedStore) -> MappingQuality {
-        MappingQuality { config: ExecuteConfig::default(), store }
+        MappingQuality { store }
     }
 }
 
@@ -162,10 +160,6 @@ impl Transducer for MappingQuality {
         &["mappings", "cfds", "data_context"]
     }
 
-    fn set_obs(&mut self, obs: vada_common::Obs) {
-        self.config.engine.obs = obs;
-    }
-
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let mappings: Vec<_> = kb.mappings().cloned().collect();
         let cfds: Vec<_> = kb.cfds().cloned().collect();
@@ -185,9 +179,10 @@ impl Transducer for MappingQuality {
         kb.clear_quality("mapping");
         let mut written = 0usize;
         let mut store = self.store.borrow_mut();
+        let cfg = ExecuteConfig::default();
         let mut row_counts = Vec::with_capacity(mappings.len());
         for mapping in &mappings {
-            let result = store.execute(&self.config, mapping, kb)?;
+            let result = store.execute(&cfg, mapping, kb)?;
             let mut add = |metric: &str, criterion: String, value: f64| {
                 kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
                 written += 1;

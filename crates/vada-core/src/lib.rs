@@ -36,7 +36,7 @@ pub mod wrangler;
 
 pub use network::{GenericPolicy, SchedulingPolicy, SpecificPolicy};
 pub use vada_common::Durability;
-pub use orchestrator::{Orchestrator, OrchestratorConfig};
+pub use orchestrator::Orchestrator;
 pub use registry::{default_transducers, TransducerCatalog};
 pub use trace::{Trace, TraceEntry};
 pub use transducer::{Activity, RunOutcome, Transducer};

@@ -5,39 +5,25 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Obs, Result, VadaError};
+use vada_common::{Result, VadaError};
 use vada_kb::KnowledgeBase;
 
 use crate::network::{GenericPolicy, SchedulingPolicy};
 use crate::trace::{Trace, TraceEntry};
 use crate::transducer::Transducer;
 
-/// Orchestrator limits.
-#[derive(Debug, Clone)]
-pub struct OrchestratorConfig {
-    /// Maximum transducer executions per `run_to_fixpoint` call.
-    pub max_steps: usize,
-}
-
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig { max_steps: 200 }
-    }
-}
+/// Maximum transducer executions per `run_to_fixpoint` call: the guard
+/// against transducers that keep re-enabling each other.
+const MAX_STEPS: usize = 200;
 
 /// Owns the transducer fleet, the policy, and the trace.
 pub struct Orchestrator {
     transducers: Vec<Box<dyn Transducer>>,
     policy: Box<dyn SchedulingPolicy>,
-    config: OrchestratorConfig,
     /// KB version at the end of each transducer's last run.
     last_run: HashMap<String, u64>,
     trace: Trace,
     step: usize,
-    /// Observability registry: per-step spans, structural counters, and
-    /// whatever the fleet's substrates tally. Disabled (a no-op stub) by
-    /// default; [`set_obs`](Orchestrator::set_obs) broadcasts a live one.
-    obs: Obs,
 }
 
 impl std::fmt::Debug for Orchestrator {
@@ -64,46 +50,16 @@ impl Orchestrator {
         Orchestrator {
             transducers,
             policy,
-            config: OrchestratorConfig::default(),
             last_run: HashMap::new(),
             trace: Trace::default(),
             step: 0,
-            obs: Obs::disabled(),
         }
-    }
-
-    /// Override limits.
-    pub fn set_config(&mut self, config: OrchestratorConfig) {
-        self.config = config;
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> &OrchestratorConfig {
-        &self.config
     }
 
     /// Register an additional transducer (the architecture is extensible:
-    /// "additional transducers can be added at any time", §2.3). It adopts
-    /// the orchestrator's current registry.
-    pub fn add_transducer(&mut self, mut t: Box<dyn Transducer>) {
-        t.set_obs(self.obs.clone());
+    /// "additional transducers can be added at any time", §2.3).
+    pub fn add_transducer(&mut self, t: Box<dyn Transducer>) {
         self.transducers.push(t);
-    }
-
-    /// Broadcast an observability registry to the fleet. The registry
-    /// never influences results — it only observes —
-    /// so this is safe at any point; a disabled handle turns collection
-    /// back off everywhere.
-    pub fn set_obs(&mut self, obs: Obs) {
-        for t in &mut self.transducers {
-            t.set_obs(obs.clone());
-        }
-        self.obs = obs;
-    }
-
-    /// The orchestrator's observability registry.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// The execution trace so far.
@@ -138,19 +94,21 @@ impl Orchestrator {
     }
 
     /// Run transducers until no transducer is eligible (fixpoint) or the
-    /// step limit trips. Returns the number of executions performed.
+    /// step limit trips. Returns the number of executions performed. Step
+    /// spans and `pipeline.*` counters go to the knowledge base's registry.
     pub fn run_to_fixpoint(&mut self, kb: &mut KnowledgeBase) -> Result<usize> {
+        // a step's span borrows the registry across `t.run(kb)`
+        let obs = kb.obs().clone();
         let mut executed = 0usize;
         loop {
             let eligible = self.eligible(kb)?;
             if eligible.is_empty() {
                 return Ok(executed);
             }
-            if executed >= self.config.max_steps {
+            if executed >= MAX_STEPS {
                 return Err(VadaError::Transducer(format!(
-                    "orchestration exceeded {} steps without reaching a fixpoint; \
+                    "orchestration exceeded {MAX_STEPS} steps without reaching a fixpoint; \
                      eligible: {:?}",
-                    self.config.max_steps,
                     eligible
                         .iter()
                         .map(|&i| self.transducers[i].name().to_string())
@@ -162,25 +120,23 @@ impl Orchestrator {
             // before/after counter snapshots bracket the whole step, so
             // the trace entry's delta includes everything the substrate
             // tallied on the step's behalf (engine passes, WAL appends, …)
-            let counters_before = self.obs.counters();
-            let span = self.obs.span("orchestrator/step");
+            let counters_before = obs.counters();
+            let span = obs.span("orchestrator/step");
             let started = Instant::now();
             let t = &mut self.transducers[chosen];
             let outcome = t.run(kb).map_err(|e| {
                 VadaError::Transducer(format!("{} failed: {e}", t.name()))
             })?;
             let after = kb.version();
-            self.obs.incr(obs_key::ORCH_STEPS);
-            self.obs.add(obs_key::ORCH_WRITES, outcome.writes as u64);
-            self.obs
-                .incr(&format!("{}{}", obs_key::ACTIVITY_PREFIX, t.activity().tag()));
+            obs.incr(obs_key::ORCH_STEPS);
+            obs.add(obs_key::ORCH_WRITES, outcome.writes as u64);
+            obs.incr(&format!("{}{}", obs_key::ACTIVITY_PREFIX, t.activity().tag()));
             span.attr("step", self.step);
             span.attr("transducer", t.name());
             span.attr("activity", t.activity().tag());
             span.attr("writes", outcome.writes);
             drop(span);
-            let counters = self
-                .obs
+            let counters = obs
                 .counters()
                 .into_iter()
                 .filter_map(|(name, v)| {
@@ -326,9 +282,9 @@ mod tests {
             // reads intermediates, writes quality
             Box::new(PingPong { name: "b", reads: &["intermediates"], write_quality: true }),
         ]);
-        orch.set_config(OrchestratorConfig { max_steps: 10, ..Default::default() });
         let err = orch.run_to_fixpoint(&mut kb).unwrap_err();
-        assert!(err.to_string().contains("10 steps"));
+        assert!(err.to_string().contains("200 steps"), "{err}");
+        assert_eq!(orch.trace().len(), 200);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use vada_common::{Obs, Result};
+use vada_common::Result;
 use vada_kb::KnowledgeBase;
 
 /// The wrangling activity a transducer belongs to (paper Table 1 column
@@ -86,6 +86,11 @@ impl RunOutcome {
 /// run. Together these give the paper's behaviour: "each transducer knows
 /// what data it needs, and becomes available for execution when that data
 /// is available in the knowledge base".
+///
+/// A transducer holds no observability registry: whatever it (or the
+/// substrate it drives) tallies goes to the knowledge base's
+/// [`obs`](KnowledgeBase::obs), the registry the orchestrator records the
+/// enclosing step into.
 pub trait Transducer {
     /// Unique component name, e.g. `schema_matching`.
     fn name(&self) -> &str;
@@ -106,13 +111,6 @@ pub trait Transducer {
     fn ready(&self, kb: &KnowledgeBase) -> Result<bool> {
         kb.query_satisfied(self.input_dependency())
     }
-
-    /// Adopt the orchestrator's observability registry (see
-    /// [`crate::Orchestrator::set_obs`]). Components whose substrate emits
-    /// counters (the mapping result stores, anything holding an
-    /// `EngineConfig`) override this; the default ignores it, which is
-    /// always correct because the registry never influences results.
-    fn set_obs(&mut self, _obs: Obs) {}
 
     /// Execute against the knowledge base.
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome>;

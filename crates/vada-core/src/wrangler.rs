@@ -7,7 +7,7 @@ use vada_common::{Durability, Obs, ObsReport, Relation, Result, Schema};
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
 use crate::network::SchedulingPolicy;
-use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+use crate::orchestrator::Orchestrator;
 use crate::registry::default_transducers;
 use crate::trace::Trace;
 use crate::transducer::Transducer;
@@ -72,10 +72,9 @@ fn kb_from_env() -> KnowledgeBase {
 }
 
 impl Wrangler {
-    /// Honour the `VADA_OBS` env default: wire the orchestrator, the
-    /// fleet, and the knowledge base to one shared registry (with the
-    /// configured sink, if any). When the env leaves observability off,
-    /// everything keeps its no-op/local default.
+    /// Honour the `VADA_OBS` env default: attach a registry (with the
+    /// configured sink, if any) to the knowledge base. When the env leaves
+    /// observability off, the base keeps the registry it has.
     fn finish(mut self) -> Wrangler {
         let obs = Obs::from_env();
         if obs.is_enabled() {
@@ -113,45 +112,41 @@ impl Wrangler {
         Wrangler { kb, orchestrator: Orchestrator::new(default_transducers()) }.finish()
     }
 
-    /// Attach an observability registry: the orchestrator records a span
-    /// per step, the fleet's substrates tally counters into it, and the
-    /// knowledge base migrates its accumulated local tallies over. The
-    /// registry observes — it never influences results, and a sink that
-    /// fails or panics is detached rather than poisoning the run (see
-    /// [`obs_health`](Wrangler::obs_health)).
+    /// Attach an observability registry to the knowledge base
+    /// ([`KnowledgeBase::set_obs`]), the one place every layer records
+    /// into: the orchestrator's step spans and `pipeline.*` counters, the
+    /// mapping result store and the engine runs beneath it, the journal and
+    /// the WAL. The registry observes — it never influences results, and a
+    /// sink that fails or panics is detached rather than poisoning the run
+    /// (see [`obs_health`](Wrangler::obs_health)).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.kb.set_obs(obs.clone());
-        self.orchestrator.set_obs(obs);
+        self.kb.set_obs(obs);
     }
 
     /// The active observability registry (the disabled stub unless
     /// [`set_obs`](Wrangler::set_obs) or `VADA_OBS` wired a live one).
     pub fn obs(&self) -> &Obs {
-        self.orchestrator.obs()
+        self.kb.obs()
     }
 
-    /// Counters, spans, and timings collected so far. With observability
-    /// disabled this is the empty report; the knowledge base's always-on
-    /// local tallies are still available via [`Wrangler::kb`].
+    /// Counters, spans, and timings collected so far by the knowledge
+    /// base's registry; the empty report while observability is disabled.
     pub fn obs_report(&self) -> ObsReport {
-        self.orchestrator.obs().report()
+        self.kb.obs().report()
     }
 
     /// First sink failure, if any — sticky, mirroring
     /// [`KnowledgeBase::storage_health`]. A failing sink is detached and
     /// the run continues unchanged; this is where the detachment surfaces.
     pub fn obs_health(&self) -> Result<()> {
-        self.orchestrator.obs().health()
+        self.kb.obs().health()
     }
 
     /// Set the durability mode. [`Durability::Wal`] makes the knowledge
     /// base persistent under the given directory (every mutation is
     /// fsync'd to a write-ahead log before it is applied — see
     /// [`KnowledgeBase::persist_to`]); [`Durability::Off`] detaches the
-    /// log, leaving its files on disk. Unlike the other knobs this one is
-    /// consumed by the knowledge base itself, not broadcast to the
-    /// transducer fleet: durability is a storage property, not an
-    /// evaluation-strategy property.
+    /// log, leaving its files on disk.
     pub fn set_durability(&mut self, durability: Durability) -> Result<()> {
         match durability {
             Durability::Off => {
@@ -160,11 +155,6 @@ impl Wrangler {
             }
             Durability::Wal(dir) => self.kb.persist_to(dir),
         }
-    }
-
-    /// Override orchestrator limits.
-    pub fn set_orchestrator_config(&mut self, config: OrchestratorConfig) {
-        self.orchestrator.set_config(config);
     }
 
     /// Register a source relation.
@@ -231,7 +221,7 @@ impl Wrangler {
     pub fn run(&mut self) -> Result<RunReport> {
         // structural root span: every `orchestrator/step` child (and the
         // mode-scoped subtrees below them) groups under one run
-        let obs = self.orchestrator.obs().clone();
+        let obs = self.kb.obs().clone();
         let executed = {
             let span = obs.span("orchestrator/run");
             let executed = self.orchestrator.run_to_fixpoint(&mut self.kb)?;
@@ -240,7 +230,7 @@ impl Wrangler {
         };
         // push the counter snapshot out through the sink (if one is
         // attached) so an exported JSON stream is complete per run
-        self.orchestrator.obs().flush();
+        obs.flush();
         let trace_summary = self
             .orchestrator
             .trace()

@@ -448,8 +448,9 @@ pub struct EngineConfig {
     pub inject_fault: Option<&'static str>,
     /// Counter registry for evaluation telemetry (`datalog.*`,
     /// `magic.*`). Defaults to the disabled stub — a single branch per
-    /// counter site — and is threaded in by the owning layer (`Wrangler`,
-    /// sessions, the bench harness); an embedded config must not open its
+    /// counter site — and is threaded in by the owning layer (mapping
+    /// execution passes the knowledge base's registry; sessions and the
+    /// bench harness pass their own); an embedded config must not open its
     /// own export sink.
     pub obs: Obs,
 }

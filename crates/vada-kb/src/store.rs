@@ -51,12 +51,8 @@ pub struct KnowledgeBase {
     /// fails, at which point the log is detached (see
     /// [`KnowledgeBase::storage_health`]).
     storage_error: Option<VadaError>,
-    /// The counter registry this base records into: dep-cache maintenance,
-    /// query counts, journal events, WAL traffic. Starts as a local
-    /// always-on collector so the stats shims ([`dep_cache_stats`]
-    /// (KnowledgeBase::dep_cache_stats)) work stand-alone; the `Wrangler`
-    /// rebases it onto the pipeline-wide registry via
-    /// [`KnowledgeBase::set_obs`].
+    /// The pipeline's observability registry (see
+    /// [`KnowledgeBase::set_obs`]): the disabled stub until one is attached.
     obs: Obs,
 }
 
@@ -156,10 +152,8 @@ impl Clone for KnowledgeBase {
             // in-memory only until persist_to is called on it
             durable: None,
             storage_error: None,
-            // a clone is a new lineage for telemetry too: its events are
-            // bookkeeping copies, not pipeline events, so it records into
-            // a fresh local registry rather than the shared one
-            obs: Obs::enabled(),
+            // a clone's events are bookkeeping copies, not pipeline events
+            obs: Obs::disabled(),
         }
     }
 }
@@ -187,10 +181,7 @@ impl Default for KnowledgeBase {
             dep_cache: Mutex::new(DepCache::default()),
             durable: None,
             storage_error: None,
-            // always-on local registry: the stats accessors must work on a
-            // stand-alone base; counter adds on the (cold) mutation/query
-            // paths are a map increment under an uncontended lock
-            obs: Obs::enabled(),
+            obs: Obs::disabled(),
         }
     }
 }
@@ -201,18 +192,18 @@ impl KnowledgeBase {
         KnowledgeBase::default()
     }
 
-    /// Rebase this knowledge base onto a shared observability registry
-    /// (the pipeline-wide collector): counters recorded so far are folded
-    /// into the new registry so nothing is lost, then all further events
-    /// record there.
+    /// Attach the observability registry, replacing the current one (a
+    /// disabled handle turns collection off). The knowledge base is its
+    /// only owner: everything that runs against the base — its own journal,
+    /// query and WAL tallies, the orchestrator's step spans, mapping
+    /// execution and the engine runs beneath it — records into this one
+    /// registry. Nothing recorded before the call moves over.
     pub fn set_obs(&mut self, obs: Obs) {
-        if obs.is_enabled() {
-            obs.merge_counters_from(&self.obs);
-            self.obs = obs;
-        }
+        self.obs = obs;
     }
 
-    /// The observability registry this base records into.
+    /// The observability registry every layer working on this base records
+    /// into: the disabled stub until [`KnowledgeBase::set_obs`] attaches one.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -1011,17 +1002,6 @@ impl KnowledgeBase {
         Engine::default().run_query(&Program { rules: Vec::new() }, db, &q)
     }
 
-    /// `(from-scratch builds, journal-driven patches)` of the dependency
-    /// view over this knowledge base's lifetime. A thin shim over the
-    /// counter registry (`kb.depcache.rebuilds` / `kb.depcache.patches`)
-    /// kept for the no-rebuild-on-unchanged-aspects regression tests.
-    pub fn dep_cache_stats(&self) -> (u64, u64) {
-        (
-            self.obs.get(obs_key::DEPCACHE_REBUILDS),
-            self.obs.get(obs_key::DEPCACHE_PATCHES),
-        )
-    }
-
     /// Whether a dependency query has at least one answer.
     pub fn query_satisfied(&self, query_src: &str) -> Result<bool> {
         Ok(!self.query(query_src)?.is_empty())
@@ -1386,13 +1366,27 @@ mod tests {
         out
     }
 
+    /// `(from-scratch builds, journal-driven patches)` of the dependency
+    /// view, off the registry attached with [`observed`].
+    fn depcache(kb: &KnowledgeBase) -> (u64, u64) {
+        let obs = kb.obs();
+        (obs.get(obs_key::DEPCACHE_REBUILDS), obs.get(obs_key::DEPCACHE_PATCHES))
+    }
+
+    /// [`kb_with_scenario`] recording into a live registry.
+    fn observed() -> KnowledgeBase {
+        let mut kb = kb_with_scenario();
+        kb.set_obs(Obs::enabled());
+        kb
+    }
+
     #[test]
     fn dependency_view_is_patched_not_rebuilt_on_metadata_change() {
-        let mut kb = kb_with_scenario();
+        let mut kb = observed();
         kb.query_satisfied("relation(_, _, _)").unwrap();
-        assert_eq!(kb.dep_cache_stats(), (1, 0), "first query builds");
+        assert_eq!(depcache(&kb), (1, 0), "first query builds");
         kb.query_satisfied("relation(_, _, _)").unwrap();
-        assert_eq!(kb.dep_cache_stats(), (1, 0), "unchanged version is a pure hit");
+        assert_eq!(depcache(&kb), (1, 0), "unchanged version is a pure hit");
 
         // a metadata-only mutation must patch, never rebuild
         kb.add_match(MatchDef {
@@ -1404,17 +1398,17 @@ mod tests {
             matcher: "schema".into(),
         });
         assert!(kb.query_satisfied("match(_, _, _, _, _, _)").unwrap());
-        assert_eq!(kb.dep_cache_stats(), (1, 1), "metadata change patches");
+        assert_eq!(depcache(&kb), (1, 1), "metadata change patches");
 
         // row-level relation edits patch too
         kb.remove_rows("rightmove", &[0]).unwrap();
         assert!(!kb.query_satisfied("has_instances(\"rightmove\")").unwrap());
-        assert_eq!(kb.dep_cache_stats(), (1, 2));
+        assert_eq!(depcache(&kb), (1, 2));
     }
 
     #[test]
     fn patched_dependency_view_is_byte_identical_to_a_fresh_build() {
-        let mut kb = kb_with_scenario();
+        let mut kb = observed();
         kb.query_satisfied("relation(_, _, _)").unwrap();
         // a mixed mutation sequence touching many aspects
         let mut grown = kb.relation("rightmove").unwrap().clone();
@@ -1441,7 +1435,7 @@ mod tests {
         kb.clear_mappings();
         // force the patch path, then compare against a from-scratch build
         kb.query_satisfied("relation(_, _, _)").unwrap();
-        let (rebuilds, patches) = kb.dep_cache_stats();
+        let (rebuilds, patches) = depcache(&kb);
         assert_eq!(rebuilds, 1, "only the initial build");
         assert!(patches >= 1);
         let cache = kb.dep_cache.lock();
@@ -1451,13 +1445,13 @@ mod tests {
 
     #[test]
     fn stale_journal_window_falls_back_to_rebuild() {
-        let mut kb = kb_with_scenario();
+        let mut kb = observed();
         kb.query_satisfied("relation(_, _, _)").unwrap();
         for i in 0..(crate::delta::DEFAULT_JOURNAL_CAPACITY + 4) {
             kb.stage_document(format!("d{i}"), "a\n1\n");
         }
         assert!(kb.query_satisfied("staged_document(\"d0\")").unwrap());
-        assert_eq!(kb.dep_cache_stats().0, 2, "pruned window forces a rebuild");
+        assert_eq!(depcache(&kb).0, 2, "pruned window forces a rebuild");
     }
 
     #[test]
@@ -1476,7 +1470,7 @@ mod tests {
 
     #[test]
     fn dependency_query_answers_track_the_patched_view() {
-        let mut kb = kb_with_scenario();
+        let mut kb = observed();
         let q = "relation(\"rightmove\", K, R)";
         let cold = kb.query(q).unwrap();
         assert!(!cold.is_empty());
@@ -1493,7 +1487,7 @@ mod tests {
         kb.register_source(grown);
         let after = kb.query(q).unwrap();
         assert_ne!(after, cold, "the row count changed");
-        assert_eq!(kb.dep_cache_stats().0, 1, "patched, never rebuilt");
+        assert_eq!(depcache(&kb).0, 1, "patched, never rebuilt");
         assert_eq!(kb.clone().query(q).unwrap(), after);
     }
 

@@ -12,7 +12,9 @@ use vada_kb::{KnowledgeBase, MappingDef};
 /// Execution configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecuteConfig {
-    /// Engine limits.
+    /// Engine limits. Its `obs` is not read: an execution records into the
+    /// knowledge base's registry ([`KnowledgeBase::obs`]), the engine run
+    /// included.
     pub engine: EngineConfig,
 }
 
@@ -125,7 +127,8 @@ pub fn execute_mapping(
 
 /// One engine run of `mapping` into `target`: the coerced result, and the
 /// engine's raw target facts it was coerced from — row `i` of the result is
-/// fact `i`. The facts are the run's own fact set, not a copy.
+/// fact `i`. The facts are the run's own fact set, not a copy. The run
+/// records into the knowledge base's registry.
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
@@ -133,14 +136,15 @@ pub(crate) fn materialise(
     kb: &KnowledgeBase,
 ) -> Result<(Relation, Arc<FactSet>)> {
     let program = parse_program(&mapping.rules)?;
-    cfg.engine.obs.incr(obs_key::MAP_FULL);
+    let obs = kb.obs();
+    obs.incr(obs_key::MAP_FULL);
     // wraps input build + engine run: the engine's stratum spans nest
     // underneath
-    let span = cfg.engine.obs.span("map/execute");
+    let span = obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
     let input = build_input_db(mapping, kb)?;
-    let engine = Engine::new(cfg.engine.clone());
+    let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
     // a mapping materialises its whole target relation — an all-free
     // access pattern demand cannot restrict — so it runs the full fixpoint
     let output = engine.run(&program, input)?;

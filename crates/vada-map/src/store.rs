@@ -248,7 +248,9 @@ impl ResultStore {
     /// [`execute_mapping`](crate::execute_mapping) on the same knowledge
     /// base — including row order — in every case. A failed
     /// rebuild leaves no entry for the mapping (nor for a part that
-    /// failed), so a stale result is never handed back.
+    /// failed), so a stale result is never handed back. The
+    /// `map.execute.*` tallies and spans go to the knowledge base's
+    /// registry.
     pub fn execute(
         &mut self,
         cfg: &ExecuteConfig,
@@ -259,7 +261,7 @@ impl ResultStore {
         check_parts(mapping)?;
         let fp = fingerprint(&mapping.rules, &mapping.sources, target);
         if self.vouch(&fp, &mapping.sources, kb) {
-            cfg.engine.obs.incr(obs_key::MAP_REUSED);
+            kb.obs().incr(obs_key::MAP_REUSED);
             self.stats.reused_runs += 1;
             return Ok(&self.entries[&fp].result);
         }
@@ -330,9 +332,9 @@ impl ResultStore {
         target: &Schema,
         kb: &KnowledgeBase,
     ) -> Result<Materialisation> {
-        cfg.engine.obs.incr(obs_key::MAP_ASSEMBLED);
+        kb.obs().incr(obs_key::MAP_ASSEMBLED);
         // stale parts re-run beneath this span
-        let span = cfg.engine.obs.span("map/assemble");
+        let span = kb.obs().span("map/assemble");
         span.attr("mapping", &union.id);
         span.attr("target", &union.target);
         span.attr("parts", union.parts.len());
@@ -648,10 +650,10 @@ mod tests {
     #[test]
     fn store_hits_on_an_unchanged_kb_and_across_regenerated_ids() {
         let mut store = ResultStore::default();
-        let (kb, mut mapping) = kb_and_mapping();
+        let (mut kb, mut mapping) = kb_and_mapping();
         let obs = vada_common::Obs::enabled();
-        let mut cfg = ExecuteConfig::default();
-        cfg.engine.obs = obs.clone();
+        kb.set_obs(obs.clone());
+        let cfg = ExecuteConfig::default();
         let first = store.execute(&cfg, &mapping, &kb).unwrap().clone();
         let runs_after_first = obs.get(obs_key::STRATUM_PASSES);
         assert!(runs_after_first > 0);
@@ -1004,8 +1006,8 @@ mod tests {
     fn an_edit_to_one_primary_reruns_only_its_parts() {
         let (mut kb, mut candidates) = union_kb();
         let obs = vada_common::Obs::enabled();
-        let mut cfg = ExecuteConfig::default();
-        cfg.engine.obs = obs.clone();
+        kb.set_obs(obs.clone());
+        let cfg = ExecuteConfig::default();
         let mut store = ResultStore::default();
         let counts = || {
             [obs_key::MAP_FULL, obs_key::MAP_ASSEMBLED, obs_key::MAP_REUSED].map(|k| obs.get(k))

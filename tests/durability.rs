@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vada::Wrangler;
-use vada_common::{tuple, AttrType, Relation, Schema, Tuple, Value};
+use vada_common::{tuple, AttrType, Obs, Relation, Schema, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_common::obs::key as obs_key;
@@ -315,6 +315,7 @@ fn compaction_snapshots_and_survives_the_crash_window() {
     }
     assert_eq!(kb.journal().pruned_through(), 3);
     kb.persist_to(&dir).unwrap();
+    kb.set_obs(Obs::enabled());
     let compactions = |kb: &KnowledgeBase| kb.obs().get(obs_key::WAL_COMPACTIONS);
 
     // every event prunes the window, none checkpoints: the cadence counts
@@ -371,6 +372,7 @@ fn single_row_edits_checkpoint_once_per_window() {
     }
     kb.register_source(rel);
     kb.persist_to(&dir).unwrap();
+    kb.set_obs(Obs::enabled());
 
     for records in 1..=(4 * CAPACITY + 3) {
         if records % 2 == 0 {
@@ -392,6 +394,57 @@ fn single_row_edits_checkpoint_once_per_window() {
     let live = fingerprint(&kb);
     drop(kb);
     assert_eq!(fingerprint(&KnowledgeBase::open(&dir).unwrap()), live);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A knowledge base records nothing until a registry is attached. A
+/// stand-alone durable base — a long edit session outside any wrangler —
+/// keeps no counters, spans or timings for its edits and queries, however
+/// many it makes. An attached registry sees exactly the events after the
+/// attach, and a clone of the attached base records into nothing.
+#[test]
+fn a_knowledge_base_records_nothing_until_a_registry_is_attached() {
+    const N: usize = 64;
+    const M: usize = 9;
+    let dir = tmpdir("unobserved");
+    let mut kb = KnowledgeBase::new();
+    let mut rel = Relation::empty(mixed_schema("mixed"));
+    for i in 0..8i64 {
+        rel.push(tuple!["row", i, 0.5f64]).unwrap();
+    }
+    kb.register_source(rel);
+    kb.persist_to(&dir).unwrap();
+    let edit = |kb: &mut KnowledgeBase, i: usize| {
+        kb.update_source("mixed", &[(i % 8, tuple!["edited", i as i64, 1.5f64])]).unwrap();
+        kb.query("relation(R, K, N)").unwrap();
+    };
+
+    for i in 0..N {
+        edit(&mut kb, i);
+    }
+    let report = kb.obs().report();
+    assert!(!report.enabled, "a fresh base starts with the disabled stub");
+    assert!(report.counters.is_empty(), "{:?}", report.counters);
+    assert!(report.spans.is_empty() && report.timings.is_empty(), "{} spans", report.spans.len());
+
+    let obs = Obs::enabled();
+    kb.set_obs(obs.clone());
+    for i in 0..M {
+        edit(&mut kb, N + i);
+    }
+    assert_eq!(obs.get(obs_key::KB_EVENTS), M as u64, "nothing recorded before the attach");
+    assert_eq!(obs.get(obs_key::WAL_APPENDS), M as u64);
+    let appends = obs.span_records().iter().filter(|s| s.name == "wal/append").count();
+    assert_eq!(appends, M);
+
+    let before = obs.report();
+    let mut clone = kb.clone();
+    edit(&mut clone, 0);
+    assert!(!clone.obs().is_enabled(), "a clone's events are not pipeline events");
+    let after = obs.report();
+    assert_eq!(after.counters, before.counters);
+    assert_eq!(after.spans.len(), before.spans.len());
+    kb.storage_health().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
