@@ -136,6 +136,14 @@ pub mod key {
     /// of being run as one program.
     pub const MAP_ASSEMBLED: &str = "map.execute.assembled";
 
+    /// Reference-derived state a quality transducer built afresh: reference
+    /// populations, a fuzzy repair index, learned CFDs — once per version
+    /// of the context relations it reads.
+    pub const QUALITY_REF_PREPARED: &str = "quality.reference.prepared";
+    /// Runs that reused that state: the journal proved its relations
+    /// unchanged since it was built.
+    pub const QUALITY_REF_REUSED: &str = "quality.reference.reused";
+
     /// Sink failures observed, plus every export write suppressed after
     /// the sink detached — the size of the telemetry loss, not just the
     /// sticky first error.

@@ -72,7 +72,7 @@ impl Transducer for DuplicateDetection {
             .expect("result implies target")
             .name
             .clone();
-        let result = kb.relation(&target)?.clone();
+        let result = kb.relation(&target)?;
         let block_key = if result.schema().index_of("postcode").is_some() {
             "postcode".to_string()
         } else {
@@ -83,7 +83,7 @@ impl Transducer for DuplicateDetection {
             fields: field_spec_for(result.schema()),
             threshold: self.threshold,
         };
-        let clusters = cluster_relation(&cfg, &result)?;
+        let clusters = cluster_relation(&cfg, result)?;
         let non_singleton: Vec<&Vec<usize>> =
             clusters.iter().filter(|c| c.len() > 1).collect();
         if non_singleton.is_empty() {
@@ -146,8 +146,8 @@ impl Transducer for DataFusion {
             .expect("clusters imply a result")
             .name
             .clone();
-        let result = kb.relation(&target)?.clone();
-        let clusters_rel = kb.relation(CLUSTERS_REL)?.clone();
+        let result = kb.relation(&target)?;
+        let clusters_rel = kb.relation(CLUSTERS_REL)?;
         // rebuild cluster lists; add singletons for uncovered rows
         let mut clusters: std::collections::BTreeMap<i64, Vec<usize>> = Default::default();
         let mut covered = vec![false; result.len()];
@@ -168,7 +168,7 @@ impl Transducer for DataFusion {
             }
         }
         all.sort_by_key(|c| c[0]);
-        let (fused, report) = fuse_clusters(&result, &all, self.rule, None)?;
+        let (fused, report) = fuse_clusters(result, &all, self.rule, None)?;
         kb.remove_intermediate(CLUSTERS_REL);
         let removed = report.duplicates_removed();
         if removed == 0 {

@@ -24,6 +24,7 @@ pub mod feedback;
 pub mod fusion_t;
 pub mod mapping;
 pub mod matching;
+mod prepared;
 pub mod quality;
 pub mod repair_t;
 

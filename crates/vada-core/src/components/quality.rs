@@ -4,21 +4,29 @@
 use vada_common::error::guard_stage;
 use vada_common::Result;
 use vada_context::data_context::{capabilities, cfd_training_contexts};
-use vada_kb::{KnowledgeBase, QualityFact};
+use vada_kb::{CfdRule, KnowledgeBase, QualityFact};
 use vada_map::ExecuteConfig;
 use vada_quality::{consistency, learn_cfds, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::SharedStore;
+use crate::components::prepared::Prepared;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Learn CFDs from data-context relations (paper Table 1: "CFD Learning —
 /// Data Examples"; §2.2: reference data "can be used to learn CFDs,
 /// against which the consistency of the address information within the
 /// property table can be established").
+///
+/// Keeps the CFDs it learned, with the configuration and context relations
+/// it learned them under and the journal mark they are current at. A run
+/// whose configuration and contexts are the same, and for which the journal
+/// proves that no context relation changed, re-emits the kept CFDs through
+/// the same `clear_cfds` + `add_cfd` writes instead of learning them again.
 #[derive(Debug, Default)]
 pub struct CfdLearning {
     /// Learner configuration.
     pub config: CfdLearnConfig,
+    learned: Prepared<(CfdLearnConfig, Vec<String>), Vec<CfdRule>>,
 }
 
 impl Transducer for CfdLearning {
@@ -45,18 +53,30 @@ impl Transducer for CfdLearning {
                 "no reference/master context to learn from (example data does not license CFDs)",
             ));
         }
+        let names: Vec<String> = contexts.into_iter().map(|(name, _coverage)| name).collect();
+        let relations: Vec<&str> = names.iter().map(String::as_str).collect();
+        let cfds = self.learned.reuse_or_build(
+            kb,
+            (self.config.clone(), names.clone()),
+            &relations,
+            || {
+                let mut cfds = Vec::new();
+                for name in &names {
+                    let rel = kb.relation(name)?;
+                    let learn = || Ok(learn_cfds(&self.config, rel));
+                    cfds.extend(guard_stage("quality/cfd_learn", learn)?);
+                }
+                Ok(cfds)
+            },
+        )?;
         kb.clear_cfds();
-        let mut written = 0usize;
-        for (rel_name, _coverage) in &contexts {
-            let rel = kb.relation(rel_name)?.clone();
-            for cfd in guard_stage("quality/cfd_learn", || Ok(learn_cfds(&self.config, &rel)))? {
-                kb.add_cfd(cfd);
-                written += 1;
-            }
+        for cfd in cfds.iter() {
+            kb.add_cfd(cfd.clone());
         }
+        let written = cfds.len();
         kb.log("cfd_learning", "add_cfd", &written.to_string());
         Ok(RunOutcome::new(
-            format!("{written} CFDs from {} context relation(s)", contexts.len()),
+            format!("{written} CFDs from {} context relation(s)", names.len()),
             written,
         ))
     }
@@ -89,14 +109,19 @@ impl Transducer for SourceProfiling {
         kb.clear_quality("source");
         let mut written = 0usize;
         for source in kb.source_names() {
-            let rel = kb.relation(&source)?.clone();
-            for attr in rel.schema().attr_names() {
-                let value = rel.completeness(attr)?;
+            let rel = kb.relation(&source)?;
+            let metrics = rel
+                .schema()
+                .attr_names()
+                .into_iter()
+                .map(|attr| Ok((format!("completeness({attr})"), rel.completeness(attr)?)))
+                .collect::<Result<Vec<_>>>()?;
+            for (criterion, value) in metrics {
                 kb.add_quality(QualityFact {
                     entity_kind: "source".into(),
                     entity: source.clone(),
                     metric: "completeness".into(),
-                    criterion: format!("completeness({attr})"),
+                    criterion,
                     value,
                 });
                 written += 1;
@@ -119,16 +144,24 @@ impl Transducer for SourceProfiling {
 /// by new CFDs or reference data therefore recomputes the metrics but
 /// re-executes only the candidates whose sources changed — and of a union,
 /// only the parts that read them.
+///
+/// The reference populations are kept across runs too, with the reference
+/// bindings they were built for and the journal mark they are current at.
+/// They are rebuilt when the bindings differ or the journal cannot prove
+/// that no bound reference relation changed since; otherwise a run reuses
+/// them, and with them the verdicts each population remembers for the
+/// strings it has scored.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     store: SharedStore,
+    references: Prepared<Vec<(String, String, String)>, Vec<ReferencePopulation>>,
 }
 
 impl MappingQuality {
     /// A mapping-quality transducer materialising through `store`.
     /// [`Default`] gives it a private store of its own.
     pub fn with_store(store: SharedStore) -> MappingQuality {
-        MappingQuality { store }
+        MappingQuality { store, references: Prepared::default() }
     }
 }
 
@@ -163,19 +196,31 @@ impl Transducer for MappingQuality {
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let mappings: Vec<_> = kb.mappings().cloned().collect();
         let cfds: Vec<_> = kb.cfds().cloned().collect();
-        // reference populations per bound target attribute, normalised once
-        // per run
-        let mut references: Vec<(String, ReferencePopulation)> = Vec::new();
-        for (ctx_rel, ctx_attr, tgt_attr) in kb.context_bindings() {
-            let is_reference = kb
-                .context_relations()
-                .iter()
-                .any(|(n, k)| n == ctx_rel && capabilities(*k).quality_reference);
-            if is_reference {
-                let population = ReferencePopulation::new(kb.relation(ctx_rel)?, ctx_attr)?;
-                references.push((tgt_attr.clone(), population));
-            }
-        }
+        // the bindings of reference contexts: one population per bound
+        // target attribute, normalised once per version of its relation
+        let contexts = kb.context_relations();
+        let bindings: Vec<(String, String, String)> = kb
+            .context_bindings()
+            .iter()
+            .filter(|(ctx_rel, _, _)| {
+                contexts.iter().any(|(n, k)| n == ctx_rel && capabilities(*k).quality_reference)
+            })
+            .cloned()
+            .collect();
+        let populations: &mut [ReferencePopulation] = if bindings.is_empty() {
+            &mut []
+        } else {
+            let relations: Vec<&str> = bindings.iter().map(|(r, _, _)| r.as_str()).collect();
+            let build = || {
+                bindings
+                    .iter()
+                    .map(|(ctx_rel, ctx_attr, _)| {
+                        ReferencePopulation::new(kb.relation(ctx_rel)?, ctx_attr)
+                    })
+                    .collect()
+            };
+            self.references.reuse_or_build(kb, bindings.clone(), &relations, build)?
+        };
         kb.clear_quality("mapping");
         let mut written = 0usize;
         let mut store = self.store.borrow_mut();
@@ -196,7 +241,7 @@ impl Transducer for MappingQuality {
             let value = consistency(result, &cfds);
             add("consistency", format!("consistency({})", result.name()), value);
             // syntactic accuracy against reference populations
-            for (tgt_attr, population) in &references {
+            for ((_, _, tgt_attr), population) in bindings.iter().zip(populations.iter_mut()) {
                 if result.schema().index_of(tgt_attr).is_some() {
                     let value = population.accuracy(result, tgt_attr)?;
                     add("accuracy", format!("accuracy({tgt_attr})"), value);

@@ -5,15 +5,23 @@
 use vada_common::Result;
 use vada_context::data_context::cfd_training_contexts;
 use vada_kb::KnowledgeBase;
-use vada_quality::{repair_with_reference, RepairConfig};
+use vada_quality::{repair, FuzzyIndex, RepairConfig};
 
+use crate::components::prepared::Prepared;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Repair the result relation against the best-covering reference context.
+///
+/// Keeps the fuzzy street index it built over the reference, with the
+/// reference's name, the fuzzy attributes and the journal mark it is
+/// current at. A run against the same reference and attributes, for which
+/// the journal proves the reference unchanged, reuses the index; any other
+/// run rebuilds it. The reference itself is read in place, never copied.
 #[derive(Debug, Default)]
 pub struct ResultRepair {
     /// Repair configuration.
     pub config: RepairConfig,
+    fuzzy_index: Prepared<(String, &'static str, &'static str), Option<FuzzyIndex>>,
 }
 
 impl Transducer for ResultRepair {
@@ -43,7 +51,7 @@ impl Transducer for ResultRepair {
         let Some((reference_name, _)) = contexts.first() else {
             return Ok(RunOutcome::noop("no reference context for repair"));
         };
-        let reference = kb.relation(reference_name)?.clone();
+        let reference = kb.relation(reference_name)?;
         let cfds: Vec<_> = kb.cfds().cloned().collect();
         let mut result = kb.relation(&target)?.clone();
         // fuzzy street repair grouped by postcode when both attrs exist on
@@ -54,7 +62,15 @@ impl Transducer for ResultRepair {
                 result.schema().index_of(a).is_some() && reference.schema().index_of(a).is_some()
             })
             .then_some(("street", "postcode"));
-        let report = repair_with_reference(&self.config, &mut result, &cfds, &reference, fuzzy);
+        let index = match fuzzy {
+            Some((fuzzy_attr, group_attr)) => {
+                let key = (reference_name.clone(), fuzzy_attr, group_attr);
+                let build = || Ok(FuzzyIndex::new(reference, fuzzy_attr, group_attr));
+                self.fuzzy_index.reuse_or_build(kb, key, &[reference_name], build)?.as_ref()
+            }
+            None => None,
+        };
+        let report = repair(&self.config, &mut result, &cfds, reference, index);
         if report.total() == 0 {
             return Ok(RunOutcome::noop("nothing to repair"));
         }

@@ -167,6 +167,22 @@ pub struct DeltaEvent {
     pub change: DeltaChange,
 }
 
+/// A consumer's position in a knowledge base's journal: the history
+/// ([`DeltaJournal::lineage`]) and the KB version it had consumed through.
+/// Taken with [`KnowledgeBase::mark`](crate::KnowledgeBase::mark) when a
+/// consumer builds something from the base, and handed back to
+/// [`KnowledgeBase::changed_since`](crate::KnowledgeBase::changed_since) to
+/// ask whether the relations it was built from have been touched since.
+/// A mark from another lineage (a clone, or the original of one) or one
+/// the bounded window has pruned past can vouch for nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalMark {
+    /// Journal lineage the version was taken against.
+    pub(crate) lineage: u64,
+    /// KB version consumed through.
+    pub(crate) version: u64,
+}
+
 /// Default cap on retained events. Generous enough for many orchestration
 /// steps between two runs of the same consumer, small enough that the
 /// journal never dominates KB memory.
@@ -204,8 +220,8 @@ impl Default for DeltaJournal {
 /// Cloning a journal starts a **new lineage**: the clone's history can
 /// diverge from the original's under the same sequence numbers, so a
 /// watermark taken against one must never be replayed against the other.
-/// Consumers that cache a watermark must cache [`DeltaJournal::lineage`]
-/// beside it and fall back to a full read when it changes.
+/// A [`JournalMark`] carries the lineage beside the version for exactly
+/// this reason, and a mark from another lineage vouches for nothing.
 impl Clone for DeltaJournal {
     fn clone(&self) -> Self {
         DeltaJournal {

@@ -27,7 +27,7 @@ pub mod storage;
 pub mod store;
 
 pub use catalog::{Catalog, RelationKind};
-pub use delta::{DeltaChange, DeltaEvent, DeltaJournal};
+pub use delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark};
 pub use storage::{Snapshot, StoredRelation, WalRecord};
 pub use meta::{
     CellVeto,

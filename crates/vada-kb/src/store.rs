@@ -11,7 +11,7 @@ use vada_datalog::engine::{Database, Engine};
 use vada_datalog::parser::parse_query;
 
 use crate::catalog::{Catalog, RelationKind};
-use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal};
+use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark};
 use crate::storage::{self, RecordRef, RelationRef, Snapshot, SnapshotRef, WalRecord};
 use crate::meta::{
     CellVeto, CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MatchDef,
@@ -521,6 +521,34 @@ impl KnowledgeBase {
     /// The change journal itself (read access).
     pub fn journal(&self) -> &DeltaJournal {
         &self.journal
+    }
+
+    /// This base's current journal position, for a consumer to keep beside
+    /// whatever it builds from the base now (see [`JournalMark`]).
+    pub fn mark(&self) -> JournalMark {
+        JournalMark { lineage: self.journal.lineage(), version: self.version }
+    }
+
+    /// Whether any of `relations` may have changed since `mark`: `Ok(false)`
+    /// only when the journal proves that no event after the mark named one
+    /// of them. `Err` says why the journal cannot vouch at all — the mark
+    /// belongs to another lineage, or the bounded window has pruned past
+    /// it — and callers treat it as changed.
+    pub fn changed_since(
+        &self,
+        mark: &JournalMark,
+        relations: &[impl AsRef<str>],
+    ) -> std::result::Result<bool, String> {
+        if self.journal.lineage() != mark.lineage {
+            return Err("knowledge-base journal lineage changed since the mark".into());
+        }
+        let mut events = self
+            .journal
+            .scan_since(mark.version)
+            .ok_or("journal window no longer covers the mark")?;
+        Ok(events.any(|e| {
+            e.change.relation().is_some_and(|r| relations.iter().any(|n| n.as_ref() == r))
+        }))
     }
 
     /// The version at which `aspect` last changed (0 if never). Aspects:
@@ -1617,6 +1645,35 @@ mod tests {
         }
         assert!(kb.drain_deltas_since(stale).is_none(), "window must have pruned");
         assert!(kb.drain_deltas_since(kb.version()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn changed_since_names_relations_and_refuses_foreign_or_pruned_marks() {
+        let mut kb = KnowledgeBase::with_journal_capacity(4);
+        let mut a = Relation::empty(Schema::all_str("a", &["x"]));
+        a.push(tuple!["1"]).unwrap();
+        kb.register_source(a.clone());
+        kb.register_source(Relation::empty(Schema::all_str("b", &["x"])));
+        let mark = kb.mark();
+        assert_eq!(kb.changed_since(&mark, &["a", "b"]), Ok(false));
+        // metadata and other relations leave `a` unchanged
+        kb.set_user_context(Vec::new());
+        kb.update_source("b", &[]).unwrap();
+        kb.register_source(Relation::empty(Schema::all_str("c", &["x"])));
+        assert_eq!(kb.changed_since(&mark, &["a"]), Ok(false));
+        assert_eq!(kb.changed_since(&mark, &["a", "c"]), Ok(true));
+        kb.update_source("a", &[(0, tuple!["2"])]).unwrap();
+        assert_eq!(kb.changed_since(&mark, &["a"]), Ok(true));
+        assert_eq!(kb.changed_since(&kb.mark(), &["a"]), Ok(false));
+
+        // a clone is another history, even where its versions coincide
+        let clone = kb.clone();
+        assert!(clone.changed_since(&kb.mark(), &["a"]).unwrap_err().contains("lineage"));
+        // the window of four events prunes past `mark`
+        for _ in 0..4 {
+            kb.set_user_context(Vec::new());
+        }
+        assert!(kb.changed_since(&mark, &["zz"]).unwrap_err().contains("window"));
     }
 
     #[test]

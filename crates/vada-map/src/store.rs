@@ -4,13 +4,13 @@
 //! A [`ResultStore`] keeps one entry per *structurally distinct* mapping
 //! (fingerprinted by rules, source list and target schema — mapping ids
 //! regenerate on every generation pass, the structure usually does not):
-//! the coerced result plus the [delta journal](vada_kb::DeltaJournal)
-//! position (lineage, watermark) it is current at. On re-execution it
-//! scans the journal since that watermark. When the lineage matches, the
-//! window still covers the watermark, and no event names one of the
-//! mapping's sources, nothing the mapping reads has changed and the stored
-//! result is handed back as is — no parse, no input database, no engine
-//! run (`map.execute.reused`). Otherwise the entry is rebuilt and stored
+//! the coerced result plus the [journal mark](vada_kb::JournalMark) it is
+//! current at. On re-execution it asks the knowledge base whether any of
+//! the mapping's sources changed since that mark
+//! ([`KnowledgeBase::changed_since`](vada_kb::KnowledgeBase::changed_since)).
+//! When the journal proves none did, nothing the mapping reads has changed
+//! and the stored result is handed back as is — no parse, no input
+//! database, no engine run (`map.execute.reused`). Otherwise the entry is rebuilt and stored
 //! again: a stale mapping is re-run, never maintained. How it is rebuilt
 //! depends on the mapping:
 //!
@@ -117,7 +117,7 @@ use std::sync::Arc;
 use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Schema, VadaError};
 use vada_datalog::engine::FactSet;
-use vada_kb::{KnowledgeBase, MappingDef};
+use vada_kb::{JournalMark, KnowledgeBase, MappingDef};
 
 use crate::execute::{materialise, registered_target, ExecuteConfig};
 
@@ -140,37 +140,19 @@ pub struct ExecutorStats {
 }
 
 /// One stored materialisation and the journal position it is current at.
+/// The fingerprint already pins rules, sources and target, so only events
+/// naming a source relation make it stale; metadata aspects never reach
+/// the execution input.
 #[derive(Debug)]
 struct Materialisation {
-    /// Journal lineage the watermark was taken against: a mismatch means
-    /// the history may have diverged under the same sequence numbers
-    /// (e.g. work resumed on a clone), so the watermark is meaningless.
-    lineage: u64,
-    /// KB version consumed through (journal watermark).
-    watermark: u64,
+    /// Where in the journal the result was last known current.
+    mark: JournalMark,
     /// The coerced result.
     result: Relation,
     /// The engine's raw target facts, row for row beside `result` — what a
     /// union deduplicates on when this entry is one of its parts. `None`
     /// for an assembled union.
     facts: Option<Arc<FactSet>>,
-}
-
-impl Materialisation {
-    /// Whether any of `sources` changed since the watermark, or why the
-    /// journal cannot be trusted to say. The fingerprint already pins
-    /// rules, sources and target, so only events naming a source relation
-    /// count; metadata aspects never reach the execution input.
-    fn is_stale(&self, sources: &[String], kb: &KnowledgeBase) -> Result<bool, String> {
-        if kb.journal().lineage() != self.lineage {
-            return Err("knowledge-base journal lineage changed since the last run".into());
-        }
-        let mut events = kb
-            .journal()
-            .scan_since(self.watermark)
-            .ok_or("journal window no longer covers the last run")?;
-        Ok(events.any(|e| e.change.relation().is_some_and(|r| sources.iter().any(|s| s == r))))
-    }
 }
 
 /// The result store: one [`Materialisation`] per mapping structure. See
@@ -273,7 +255,7 @@ impl ResultStore {
         match rebuilt {
             Ok(entry) => self.insert(fp.clone(), entry),
             Err(e) => {
-                // the journal names a source since the watermark, so the
+                // the journal names a source since the mark, so the
                 // pre-edit result can never be handed back: free it now
                 self.forget(&fp);
                 return Err(e);
@@ -287,13 +269,13 @@ impl ResultStore {
     }
 
     /// Whether the entry under `fp` is current — stored, and the journal
-    /// proves none of `sources` changed since — advancing its watermark
-    /// and recency if so.
+    /// proves none of `sources` changed since — advancing its mark and
+    /// recency if so.
     fn vouch(&mut self, fp: &str, sources: &[String], kb: &KnowledgeBase) -> bool {
         let Some(entry) = self.entries.get_mut(fp) else { return false };
-        match entry.is_stale(sources, kb) {
+        match kb.changed_since(&entry.mark, sources) {
             Ok(false) => {
-                entry.watermark = kb.version();
+                entry.mark = kb.mark();
                 self.touch(fp);
                 true
             }
@@ -316,8 +298,7 @@ impl ResultStore {
         let (result, facts) = materialise(cfg, mapping, target, kb)?;
         self.stats.full_runs += 1;
         Ok(Materialisation {
-            lineage: kb.journal().lineage(),
-            watermark: kb.version(),
+            mark: kb.mark(),
             result,
             facts: Some(facts),
         })
@@ -381,8 +362,7 @@ impl ResultStore {
         let result = Relation::from_tuples(target.clone(), rows)?;
         self.stats.assembled_runs += 1;
         Ok(Materialisation {
-            lineage: kb.journal().lineage(),
-            watermark: kb.version(),
+            mark: kb.mark(),
             result,
             facts: None,
         })

@@ -22,7 +22,7 @@ use vada_kb::CfdRule;
 static CFD_IDS: IdGen = IdGen::new("cfd");
 
 /// Learner configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfdLearnConfig {
     /// Maximum LHS size for variable FDs.
     pub max_lhs: usize,

@@ -24,5 +24,5 @@ pub mod violations;
 
 pub use cfd::{learn_cfds, CfdLearnConfig};
 pub use metrics::{accuracy_against_reference, consistency, master_coverage, ReferencePopulation};
-pub use repair::{repair_with_reference, RepairConfig, RepairReport};
+pub use repair::{repair, repair_with_reference, FuzzyIndex, RepairConfig, RepairReport};
 pub use violations::{detect_violations, Violation};

@@ -3,10 +3,11 @@
 //! consistency needs CFDs learned from the data context, accuracy needs a
 //! reference population).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use vada_common::text::{blocking_key, normalize};
-use vada_common::{Relation, Result};
+use vada_common::text::{blocking_key, normalize, normalize_append};
+use vada_common::{Relation, Result, Value};
 use vada_kb::CfdRule;
 
 use crate::violations::{detect_violations, violating_row_count};
@@ -21,42 +22,72 @@ pub fn consistency(rel: &Relation, cfds: &[CfdRule]) -> f64 {
     1.0 - violating_row_count(&violations) as f64 / rel.len() as f64
 }
 
+/// Bound on [`ReferencePopulation`]'s verdict memo: past it the memo is
+/// emptied and refills from the cells scored next.
+const VERDICT_MEMO_CAP: usize = 1 << 16;
+
 /// A reference column normalised once, for scoring many relations against
 /// it (see [`accuracy_against_reference`]).
+///
+/// Scoring remembers each string cell's verdict — whether its normal form
+/// is in the population — keyed by the cell's content (never its address),
+/// so a string scored before, in this relation or an earlier one, costs a
+/// hash lookup instead of a normalisation. The memo holds at most 65 536
+/// strings (it is emptied when full) and lives and dies with the
+/// population: a consumer that rebuilds the population when its reference
+/// changes drops the verdicts with it. Non-string cells are normalised every time.
 #[derive(Debug, Clone)]
-pub struct ReferencePopulation(HashSet<String>);
+pub struct ReferencePopulation {
+    normal_forms: HashSet<String>,
+    verdicts: HashMap<Arc<str>, bool>,
+}
 
 impl ReferencePopulation {
     /// The normal forms of the non-null values of `reference.ref_attr`.
     pub fn new(reference: &Relation, ref_attr: &str) -> Result<ReferencePopulation> {
         let ref_col = reference.schema().require(ref_attr)?;
-        Ok(ReferencePopulation(
-            reference
+        Ok(ReferencePopulation {
+            normal_forms: reference
                 .iter()
                 .filter(|t| !t[ref_col].is_null())
                 .map(|t| normalize(&t[ref_col].to_string()))
                 .collect(),
-        ))
+            verdicts: HashMap::new(),
+        })
     }
 
     /// Syntactic accuracy of `rel.attr`: the fraction of non-null values
     /// whose normal form is in the population. Returns 1.0 when the column
     /// has no values.
-    pub fn accuracy(&self, rel: &Relation, attr: &str) -> Result<f64> {
+    pub fn accuracy(&mut self, rel: &Relation, attr: &str) -> Result<f64> {
         let col = rel.schema().require(attr)?;
         let mut total = 0usize;
         let mut hits = 0usize;
         let mut norm = String::new();
         for t in rel.iter() {
-            // one key column: the key is the cell's normal form, and a null
-            // cell has none
-            if !blocking_key(t, &[col], &mut norm) {
-                continue;
-            }
+            let hit = match &t[col] {
+                Value::Null => continue,
+                Value::Str(s) => match self.verdicts.get(&**s) {
+                    Some(&hit) => hit,
+                    None => {
+                        norm.clear();
+                        normalize_append(s, &mut norm);
+                        let hit = self.normal_forms.contains(norm.as_str());
+                        if self.verdicts.len() >= VERDICT_MEMO_CAP {
+                            self.verdicts.clear();
+                        }
+                        self.verdicts.insert(s.clone(), hit);
+                        hit
+                    }
+                },
+                // one key column: the key is the cell's normal form
+                _ => {
+                    blocking_key(t, &[col], &mut norm)
+                        && self.normal_forms.contains(norm.as_str())
+                }
+            };
             total += 1;
-            if self.0.contains(norm.as_str()) {
-                hits += 1;
-            }
+            hits += usize::from(hit);
         }
         Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
     }
@@ -152,6 +183,27 @@ mod tests {
         let a = accuracy_against_reference(&rel, "pc", &reference, "postcode").unwrap();
         assert!((a - 2.0 / 3.0).abs() < 1e-12);
         assert!(accuracy_against_reference(&rel, "nope", &reference, "postcode").is_err());
+    }
+
+    #[test]
+    fn the_verdict_memo_stays_bounded_and_exact() {
+        let reference = Relation::from_tuples(
+            Schema::all_str("ref", &["street"]),
+            vec![tuple!["1 High St"], tuple!["2 park rd"]],
+        )
+        .unwrap();
+        // more distinct strings than the memo holds, two of them in the
+        // reference under another spelling
+        let mut rows: Vec<_> =
+            (0..VERDICT_MEMO_CAP + 10).map(|i| tuple![format!("{i} elm st")]).collect();
+        rows.extend([tuple!["1 high st"], tuple!["2 PARK RD"]]);
+        let rel = Relation::from_tuples(Schema::all_str("r", &["street"]), rows).unwrap();
+        let mut population = ReferencePopulation::new(&reference, "street").unwrap();
+        let want = 2.0 / rel.len() as f64;
+        for _ in 0..2 {
+            assert_eq!(population.accuracy(&rel, "street").unwrap(), want);
+            assert!(population.verdicts.len() <= VERDICT_MEMO_CAP);
+        }
     }
 
     #[test]

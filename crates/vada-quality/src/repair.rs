@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use vada_common::text::{blocking_key, jaro_winkler_chars};
-use vada_common::{Relation, Schema, Value};
+use vada_common::{Relation, Value};
 use vada_kb::CfdRule;
 
 use crate::violations::resolve_columns;
@@ -113,34 +113,34 @@ fn build_lookups(cfds: &[CfdRule], rel: &Relation, reference: &Relation) -> Vec<
 
 /// A reference value a typo can snap to: the value as written, and its
 /// normal form as a span of [`FuzzyIndex::chars`].
-struct SnapTarget<'r> {
-    value: &'r Value,
+#[derive(Debug)]
+struct SnapTarget {
+    value: Value,
     start: usize,
     end: usize,
 }
 
-/// The reference's values of the fuzzy attribute, grouped by the grouping
-/// attribute (reference order within a group), normal forms decoded once.
-struct FuzzyIndex<'r> {
-    /// The fuzzy and grouping attributes' columns in the repaired relation.
-    fuzzy_col: usize,
-    group_col: usize,
-    by_group: HashMap<&'r Value, Vec<SnapTarget<'r>>>,
+/// The reference side of fuzzy key repair: the reference's values of the
+/// fuzzy attribute, grouped by the grouping attribute (reference order
+/// within a group), normal forms decoded once. It depends on the reference
+/// and the two attribute names only — never on the relation being
+/// repaired, whose columns [`repair`] resolves per call — so one index
+/// serves every repair against the same version of the reference.
+#[derive(Debug)]
+pub struct FuzzyIndex {
+    fuzzy_attr: String,
+    group_attr: String,
+    by_group: HashMap<Value, Vec<SnapTarget>>,
     chars: Vec<char>,
 }
 
-impl<'r> FuzzyIndex<'r> {
-    /// `None` when either relation lacks either attribute.
-    fn build(
-        schema: &Schema,
-        reference: &'r Relation,
-        fuzzy_attr: &str,
-        group_attr: &str,
-    ) -> Option<FuzzyIndex<'r>> {
-        let (fuzzy_col, group_col) = (schema.index_of(fuzzy_attr)?, schema.index_of(group_attr)?);
+impl FuzzyIndex {
+    /// Index `reference.fuzzy_attr` by `reference.group_attr`; `None` when
+    /// the reference lacks either attribute.
+    pub fn new(reference: &Relation, fuzzy_attr: &str, group_attr: &str) -> Option<FuzzyIndex> {
         let (f_ref, g_ref) =
             (reference.schema().index_of(fuzzy_attr)?, reference.schema().index_of(group_attr)?);
-        let mut by_group: HashMap<&Value, Vec<SnapTarget>> = HashMap::new();
+        let mut by_group: HashMap<Value, Vec<SnapTarget>> = HashMap::new();
         let mut chars: Vec<char> = Vec::new();
         let mut norm = String::new();
         for t in reference.iter() {
@@ -149,15 +149,31 @@ impl<'r> FuzzyIndex<'r> {
             if !t[g_ref].is_null() && blocking_key(t, &[f_ref], &mut norm) {
                 let start = chars.len();
                 chars.extend(norm.chars());
-                by_group.entry(&t[g_ref]).or_default().push(SnapTarget {
-                    value: &t[f_ref],
-                    start,
-                    end: chars.len(),
-                });
+                let target = SnapTarget { value: t[f_ref].clone(), start, end: chars.len() };
+                // the group's value is cloned once, for its first target
+                match by_group.get_mut(&t[g_ref]) {
+                    Some(targets) => targets.push(target),
+                    None => {
+                        by_group.insert(t[g_ref].clone(), vec![target]);
+                    }
+                }
             }
         }
-        Some(FuzzyIndex { fuzzy_col, group_col, by_group, chars })
+        Some(FuzzyIndex {
+            fuzzy_attr: fuzzy_attr.to_string(),
+            group_attr: group_attr.to_string(),
+            by_group,
+            chars,
+        })
     }
+}
+
+/// A [`FuzzyIndex`] with its attributes resolved against the relation
+/// being repaired.
+struct FuzzyPass<'i> {
+    index: &'i FuzzyIndex,
+    fuzzy_col: usize,
+    group_col: usize,
 }
 
 /// Repair `rel` in place using CFD lookups over `reference`, then fuzzy
@@ -165,9 +181,9 @@ impl<'r> FuzzyIndex<'r> {
 /// the fuzzy pass). Iterates the pass to a fixpoint (chase-style): a
 /// filled cell can enable further lookups.
 ///
-/// The reference is read once, into the lookup tables and the fuzzy index.
-/// A row's repairs read only that row and those, so a pass after the first
-/// revisits exactly the rows the pass before it changed.
+/// This prepares a [`FuzzyIndex`] and hands it to [`repair`]; a caller
+/// repairing against one reference many times builds the index once and
+/// calls [`repair`] itself.
 pub fn repair_with_reference(
     cfg: &RepairConfig,
     rel: &mut Relation,
@@ -175,9 +191,34 @@ pub fn repair_with_reference(
     reference: &Relation,
     fuzzy: Option<(&str, &str)>,
 ) -> RepairReport {
+    let index = fuzzy.and_then(|(fuzzy_attr, group_attr)| {
+        FuzzyIndex::new(reference, fuzzy_attr, group_attr)
+    });
+    repair(cfg, rel, cfds, reference, index.as_ref())
+}
+
+/// [`repair_with_reference`] with the fuzzy index already built: CFD
+/// lookups over `reference`, then the fuzzy snap through `fuzzy` when
+/// `rel` has both of its attributes, iterated to a fixpoint.
+///
+/// The reference is read once, into the lookup tables. A row's repairs read
+/// only that row, those and the index, so a pass after the first revisits
+/// exactly the rows the pass before it changed.
+pub fn repair(
+    cfg: &RepairConfig,
+    rel: &mut Relation,
+    cfds: &[CfdRule],
+    reference: &Relation,
+    fuzzy: Option<&FuzzyIndex>,
+) -> RepairReport {
     let lookups = build_lookups(cfds, rel, reference);
-    let fuzzy = fuzzy.and_then(|(fuzzy_attr, group_attr)| {
-        FuzzyIndex::build(rel.schema(), reference, fuzzy_attr, group_attr)
+    let fuzzy = fuzzy.and_then(|index| {
+        let schema = rel.schema();
+        Some(FuzzyPass {
+            index,
+            fuzzy_col: schema.index_of(&index.fuzzy_attr)?,
+            group_col: schema.index_of(&index.group_attr)?,
+        })
     });
     let mut report = RepairReport::default();
     let mut scratch = Scratch::default();
@@ -213,7 +254,7 @@ fn repair_row(
     rel: &mut Relation,
     row: usize,
     lookups: &[Lookup],
-    fuzzy: Option<&FuzzyIndex>,
+    fuzzy: Option<&FuzzyPass>,
     scratch: &mut Scratch,
     report: &mut RepairReport,
 ) {
@@ -243,10 +284,10 @@ fn repair_row(
     }
 
     // 2. fuzzy key repair
-    let Some(index) = fuzzy else { return };
+    let Some(FuzzyPass { index, fuzzy_col, group_col }) = fuzzy else { return };
     let t = &rel.tuples()[row];
-    let group = &t[index.group_col];
-    if group.is_null() || !blocking_key(t, &[index.fuzzy_col], &mut scratch.norm) {
+    let group = &t[*group_col];
+    if group.is_null() || !blocking_key(t, &[*fuzzy_col], &mut scratch.norm) {
         return;
     }
     let Some(candidates) = index.by_group.get(group) else { return };
@@ -263,14 +304,14 @@ fn repair_row(
     for c in candidates {
         if jaro_winkler_chars(got, normal_form(c)) >= cfg.fuzzy_threshold {
             match best {
-                None => best = Some(c.value),
-                Some(prev) if prev == c.value => {}
+                None => best = Some(&c.value),
+                Some(prev) if *prev == c.value => {}
                 Some(_) => ambiguous = true,
             }
         }
     }
     if let (Some(want), false) = (best, ambiguous) {
-        let fixed = t.with_value(index.fuzzy_col, want.clone());
+        let fixed = t.with_value(*fuzzy_col, want.clone());
         rel.replace(row, fixed).expect("same arity");
         report.fuzzy_fixes += 1;
     }

@@ -740,3 +740,100 @@ fn named_repair_cases_match_the_oracle() {
     let (_, report) = run(&cfg, &dirty, &[fd("postcode", "city")], &reference);
     assert_eq!(report, RepairReport { passes: 1, converged: true, ..Default::default() });
 }
+
+// ---------------------------------------------------------------------------
+// Prepared reference objects: a population that has scored before, and a
+// fuzzy index built once, answer exactly as their one-shot counterparts.
+// ---------------------------------------------------------------------------
+
+/// [`cell`]'s palette plus non-ASCII strings, some of them equal after
+/// normalisation and some only differently spaced.
+fn mixed_cell(i: u8) -> Value {
+    match i % 20 {
+        14 => Value::str("Straße 7"),
+        15 => Value::str("STRASSE 7"),
+        16 => Value::str("  straße  7 "),
+        17 => Value::str("Ångström Rd"),
+        18 => Value::str("ångström rd"),
+        19 => Value::str("東京 1"),
+        i => cell(i),
+    }
+}
+
+fn mixed_relation(name: &str, rows: &[(u8, u8)]) -> Relation {
+    let mut rel = Relation::empty(Schema::all_str(name, &["a", "b"]));
+    for &(a, b) in rows {
+        rel.push(Tuple::new(vec![mixed_cell(a), mixed_cell(b)])).unwrap();
+    }
+    rel
+}
+
+fn arb_mixed_rows() -> impl Strategy<Value = Vec<(u8, u8)>> {
+    // a narrow first column repeats cells; the second spans the palette
+    proptest::collection::vec((14u8..20, 0u8..20), 0..30)
+}
+
+proptest! {
+    #[test]
+    fn a_warm_population_scores_as_a_fresh_one(
+        reference in arb_mixed_rows(),
+        scored in proptest::collection::vec(arb_mixed_rows(), 1..4),
+    ) {
+        use vada_quality::ReferencePopulation;
+        let reference = mixed_relation("reference", &reference);
+        let scored: Vec<Relation> =
+            scored.iter().map(|rows| mixed_relation("result", rows)).collect();
+        for ref_attr in ["a", "b"] {
+            let mut warm = ReferencePopulation::new(&reference, ref_attr).unwrap();
+            // twice over every relation: the second round is all memo hits
+            for round in 0..2 {
+                for (i, rel) in scored.iter().enumerate() {
+                    for attr in ["a", "b"] {
+                        let got = warm.accuracy(rel, attr).unwrap();
+                        let mut fresh = ReferencePopulation::new(&reference, ref_attr).unwrap();
+                        let want = fresh.accuracy(rel, attr).unwrap();
+                        prop_assert_eq!(
+                            got.to_bits(), want.to_bits(), "round {} relation {} {}", round, i, attr
+                        );
+                        let oracle = oracle::accuracy(rel, attr, &reference, ref_attr);
+                        prop_assert_eq!(got.to_bits(), oracle.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_fuzzy_index_repairs_as_the_one_shot_path(
+        reference in arb_rows(30),
+        dirty in proptest::collection::vec(arb_rows(20), 1..4),
+        rules in proptest::collection::vec(0u8..10, 0..4),
+        fuzzy in 0u8..4,
+        threshold in 0usize..3,
+    ) {
+        use vada_quality::{repair, FuzzyIndex};
+        let reference = palette_relation("reference", &["a", "b", "c", "d"], &reference);
+        let cfds: Vec<CfdRule> = rules.into_iter().map(rule_catalogue).collect();
+        let (fuzzy_attr, group_attr) =
+            [("c", "d"), ("a", "zz"), ("c", "a"), ("a", "b")][fuzzy as usize];
+        let cfg = RepairConfig {
+            fuzzy_threshold: [0.0, 0.88, 1.0][threshold],
+            ..RepairConfig::default()
+        };
+        let index = FuzzyIndex::new(&reference, fuzzy_attr, group_attr);
+        // the repaired relations name their columns in different orders,
+        // which the one index must resolve per call
+        for (i, rows) in dirty.iter().enumerate() {
+            let attrs: &[&str] = if i % 2 == 0 { &["a", "b", "c"] } else { &["c", "a", "b"] };
+            let dirty = palette_relation("result", attrs, rows);
+            let mut want = dirty.clone();
+            let want_report = repair_with_reference(
+                &cfg, &mut want, &cfds, &reference, Some((fuzzy_attr, group_attr)),
+            );
+            let mut got = dirty;
+            let got_report = repair(&cfg, &mut got, &cfds, &reference, index.as_ref());
+            prop_assert_eq!(got_report, want_report, "relation {}", i);
+            prop_assert_eq!(written_rows(&got), written_rows(&want));
+        }
+    }
+}

@@ -241,3 +241,129 @@ fn catalog_stays_flat_across_edit_cycles() {
     }
     assert!(generations(&w) >= generated_before + 4, "every cycle regenerated the candidates");
 }
+
+/// What the three reference consumers produced: mapping-quality facts keyed
+/// by the mapping's rules (ids regenerate), the learned CFDs without their
+/// ids, and the result rows.
+type ReferenceView = (Vec<(String, String, u64)>, Vec<(String, usize)>, Vec<vada_common::Tuple>);
+
+fn reference_view(w: &Wrangler) -> ReferenceView {
+    let kb = w.kb();
+    let mut quality: Vec<(String, String, u64)> = kb
+        .quality_facts()
+        .iter()
+        .filter(|q| q.entity_kind == "mapping")
+        .map(|q| {
+            let rules = kb.mappings().find(|m| m.id == q.entity).expect("a fact names a mapping");
+            (rules.rules.clone(), q.criterion.clone(), q.value.to_bits())
+        })
+        .collect();
+    quality.sort();
+    let mut cfds: Vec<(String, usize)> = kb.cfds().map(|c| (c.display(), c.support)).collect();
+    cfds.sort();
+    let result = w.result().expect("a result").tuples().to_vec();
+    (quality, cfds, result)
+}
+
+/// A from-scratch wrangle of `sources` with `address` as the reference.
+fn fresh_view(sources: [Relation; 3], address: Relation) -> ReferenceView {
+    let mut w = Wrangler::new();
+    for source in sources {
+        w.add_source(source);
+    }
+    w.set_target(target_schema());
+    w.run().expect("bootstrap");
+    let bindings = [("street", "street"), ("postcode", "postcode")];
+    w.add_data_context(address, ContextKind::Reference, &bindings).expect("context");
+    w.run().expect("context step");
+    reference_view(&w)
+}
+
+fn sources_of(w: &Wrangler) -> [Relation; 3] {
+    ["rightmove", "onthemarket", "deprivation"].map(|n| w.kb().relation(n).unwrap().clone())
+}
+
+/// Edit `address` so that every reference consumer sees it: row `row`'s
+/// street becomes a near variant, which the listings' spelling now snaps
+/// to, and row `row + 1` takes row `row + 2`'s postcode under a new city,
+/// which breaks `postcode → city` and `postcode → street`.
+fn edit_address(w: &mut Wrangler, row: usize, tag: &str) {
+    let address = w.kb().relation("address").unwrap().tuples();
+    let (first, second, third) = (&address[row], &address[row + 1], &address[row + 2]);
+    let variant = tuple![format!("{} {tag}", first[0]), first[1].clone(), first[2].clone()];
+    let clash = tuple![second[0].clone(), format!("{tag}ville"), third[2].clone()];
+    w.update_source_rows("address", &[(row, variant), (row + 1, clash)]).expect("rows exist");
+    w.run().expect("re-run after the reference edit");
+}
+
+/// The quality transducers keep what they derive from the reference across
+/// runs. An edit to the reference must be seen as if it had been there
+/// from the start, also once the knowledge base has moved to a new lineage.
+#[test]
+fn an_edit_to_the_reference_is_seen() {
+    let s = scenario();
+    let mut w = Wrangler::new();
+    run_full(&mut w, &s);
+    let before = reference_view(&w);
+
+    edit_address(&mut w, 0, "a");
+    let edited = w.kb().relation("address").unwrap().clone();
+    let after = reference_view(&w);
+    assert_eq!(after, fresh_view(sources_of(&w), edited.clone()));
+    assert_ne!(after.0, before.0, "the edit moves the mapping-quality facts");
+    assert_ne!(after.1, before.1, "the edit moves the learned CFDs");
+    assert_ne!(after.2, before.2, "the edit moves the repaired result");
+
+    // a wrangler resumed on a clone (a new lineage): same contract
+    let mut resumed = Wrangler::with_kb(w.kb().clone());
+    resumed.run().expect("resumed run");
+    edit_address(&mut resumed, 3, "b");
+    let edited = resumed.kb().relation("address").unwrap().clone();
+    assert_eq!(reference_view(&resumed), fresh_view(sources_of(&resumed), edited));
+
+    // warm transducers over a base whose history diverged: `stale` holds
+    // the address as it was before `w` saw the edit below. Source edits
+    // carry it past the version `w` had consumed, with no event naming
+    // `address`, so only the lineage tells the two histories apart
+    let stale = w.kb().clone();
+    edit_address(&mut w, 6, "c");
+    let consumed = w.kb().version();
+    *w.kb_mut() = stale;
+    for k in 0.. {
+        if w.kb().version() > consumed {
+            break;
+        }
+        let row = w.kb().relation("rightmove").unwrap().tuples()[k % 8].clone();
+        w.update_source_rows("rightmove", &[(k % 8, row)]).expect("row exists");
+    }
+    w.run().expect("re-run on the diverged base");
+    let address = w.kb().relation("address").unwrap().clone();
+    assert_eq!(reference_view(&w), fresh_view(sources_of(&w), address));
+}
+
+/// The cache-hit side: source edits never touch the reference, so each
+/// quality transducer prepares it once for the whole session.
+#[test]
+fn source_edits_prepare_the_reference_once() {
+    use vada_common::obs::{key, Obs};
+
+    let s = scenario();
+    let mut w = Wrangler::new();
+    w.set_obs(Obs::enabled());
+    run_full(&mut w, &s);
+    let counter = |w: &Wrangler, k: &str| w.obs().counters().get(k).copied().unwrap_or(0);
+    // cfd_learning, mapping_quality and result_repair, one reference each
+    assert_eq!(counter(&w, key::QUALITY_REF_PREPARED), 3);
+    let reused = counter(&w, key::QUALITY_REF_REUSED);
+    for cycle in 0..3 {
+        let mut rm = w.kb().relation("rightmove").unwrap().clone();
+        let row = rm.tuples()[cycle].clone();
+        rm.push(row).unwrap();
+        w.add_source(rm);
+        w.run().expect("append re-run");
+        w.remove_source_rows("onthemarket", &[cycle]).expect("row exists");
+        w.run().expect("removal re-run");
+    }
+    assert_eq!(counter(&w, key::QUALITY_REF_PREPARED), 3, "no re-preparation");
+    assert!(counter(&w, key::QUALITY_REF_REUSED) >= reused + 6 * 3, "every re-run reused");
+}
