@@ -122,7 +122,11 @@ struct WrangleRow {
 /// candidate mapping structure is materialised once — run through the
 /// engine (`map.execute.full`), or for a union assembled from its parts
 /// (`map.execute.assembled`) — and reused thereafter
-/// (`map.execute.reused`).
+/// (`map.execute.reused`); that each source version is loaded into one
+/// execution input every run shares (`map.input.built`, then
+/// `map.input.reused`); and that mapping quality counts each part version's
+/// metric tallies once and derives the unions' from them
+/// (`quality.metrics.computed`, then `quality.metrics.reused`).
 fn measure_wrangle(properties: usize, obs: &Obs) -> WrangleRow {
     let cfg = PaygoConfig {
         scenario: ScenarioConfig {
@@ -786,6 +790,12 @@ mod tests {
         let (full, assembled) = (wobs.get("map.execute.full"), wobs.get("map.execute.assembled"));
         assert!(assembled > 0 && full + assembled >= wr.candidates as u64);
         assert!(wobs.get("map.execute.reused") >= wr.candidates as u64);
+        // every engine run loads each of its sources, at most one built per
+        // run; the unions' tallies come from their parts'
+        let (built, loaded) = (wobs.get("map.input.built"), wobs.get("map.input.reused"));
+        assert!(built > 0 && built + loaded >= full, "{built} + {loaded} vs {full}");
+        assert!(wobs.get("quality.metrics.computed") > 0);
+        assert!(wobs.get("quality.metrics.reused") >= 2 * assembled, "{:?}", wobs.counters());
         let wshapes = family_shapes(&wobs);
         assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");
         // (every materialisation opens a map/execute span carrying the

@@ -135,6 +135,12 @@ pub mod key {
     /// Union mappings assembled from their parts' stored results instead
     /// of being run as one program.
     pub const MAP_ASSEMBLED: &str = "map.execute.assembled";
+    /// Source execution inputs the result store built: once per version of
+    /// a source some mapping executes against.
+    pub const MAP_INPUT_BUILT: &str = "map.input.built";
+    /// Executions that loaded a source's kept input: the journal proved
+    /// the source unchanged since the input was built.
+    pub const MAP_INPUT_REUSED: &str = "map.input.reused";
 
     /// Reference-derived state a quality transducer built afresh: reference
     /// populations, a fuzzy repair index, learned CFDs — once per version
@@ -143,6 +149,12 @@ pub mod key {
     /// Runs that reused that state: the journal proved its relations
     /// unchanged since it was built.
     pub const QUALITY_REF_REUSED: &str = "quality.reference.reused";
+    /// Candidate parts whose metric tallies mapping quality counted over
+    /// their rows: once per version of a part's result.
+    pub const QUALITY_METRICS_COMPUTED: &str = "quality.metrics.computed";
+    /// Candidate parts whose kept tallies mapping quality used again — a
+    /// part read by a union, or one no edit touched.
+    pub const QUALITY_METRICS_REUSED: &str = "quality.metrics.reused";
 
     /// Sink failures observed, plus every export write suppressed after
     /// the sink detached — the size of the telemetry loss, not just the

@@ -191,8 +191,11 @@ impl Transducer for MappingExecution {
             .ok_or_else(|| VadaError::Kb(format!("selected mapping `{id}` vanished")))?
             .clone();
         // the one copy: the result the vetoes apply to and the KB keeps
-        let mut result =
-            self.store.borrow_mut().execute(&ExecuteConfig::default(), &mapping, kb)?.clone();
+        let mut result = self
+            .store
+            .borrow_mut()
+            .candidate(&ExecuteConfig::default(), &mapping, kb)?
+            .to_relation();
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();
         kb.put_result(result);

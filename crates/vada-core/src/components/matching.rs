@@ -96,24 +96,22 @@ impl Transducer for InstanceMatching {
             let rel = kb.relation(&ctx_rel)?;
             columns.push(ContextColumn::from_relation(rel, &ctx_attr, &tgt_attr));
         }
-        let mut written = 0usize;
+        // match every source in place, then write: no source is copied
+        let mut found = Vec::new();
         for source in kb.source_names() {
-            let rel = kb.relation(&source)?.clone();
-            for corr in instance_match(&self.config, &rel, &columns) {
-                let id = format!(
-                    "instance:{}.{}->{}",
-                    corr.src_rel, corr.src_attr, corr.tgt_attr
-                );
-                kb.add_match(MatchDef {
-                    id,
-                    src_rel: corr.src_rel,
-                    src_attr: corr.src_attr,
-                    tgt_attr: corr.tgt_attr,
-                    score: corr.score,
-                    matcher: "instance".into(),
-                });
-                written += 1;
-            }
+            found.extend(instance_match(&self.config, kb.relation(&source)?, &columns));
+        }
+        let written = found.len();
+        for corr in found {
+            let id = format!("instance:{}.{}->{}", corr.src_rel, corr.src_attr, corr.tgt_attr);
+            kb.add_match(MatchDef {
+                id,
+                src_rel: corr.src_rel,
+                src_attr: corr.src_attr,
+                tgt_attr: corr.tgt_attr,
+                score: corr.score,
+                matcher: "instance".into(),
+            });
         }
         kb.log("instance_matching", "add_match", &written.to_string());
         Ok(RunOutcome::new(

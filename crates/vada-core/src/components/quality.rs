@@ -1,12 +1,18 @@
 //! Quality transducers: CFD learning, source profiling, and per-mapping
 //! quality metrics.
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+
 use vada_common::error::guard_stage;
-use vada_common::Result;
+use vada_common::obs::key as obs_key;
+use vada_common::{Result, Schema, Tuple};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{CfdRule, KnowledgeBase, QualityFact};
 use vada_map::ExecuteConfig;
-use vada_quality::{consistency, learn_cfds, CfdLearnConfig, ReferencePopulation};
+use vada_quality::{
+    consistency, consistency_applies, learn_cfds, CfdLearnConfig, MetricTally, ReferencePopulation,
+};
 
 use crate::components::mapping::SharedStore;
 use crate::components::prepared::Prepared;
@@ -131,6 +137,10 @@ impl Transducer for SourceProfiling {
     }
 }
 
+/// A reference binding: `(context relation, context attribute, target
+/// attribute)`.
+type Binding = (String, String, String);
+
 /// Compute quality metrics for every candidate mapping by materialising it
 /// and measuring completeness (per target attribute), consistency (against
 /// the learned CFDs) and syntactic accuracy (against reference
@@ -141,9 +151,8 @@ impl Transducer for SourceProfiling {
 /// [`MappingExecution`](crate::components::MappingExecution) reads the
 /// selected candidate from the same store (see
 /// [`default_transducers`](crate::default_transducers)). A re-run caused
-/// by new CFDs or reference data therefore recomputes the metrics but
-/// re-executes only the candidates whose sources changed — and of a union,
-/// only the parts that read them.
+/// by new CFDs or reference data therefore re-executes only the candidates
+/// whose sources changed — and of a union, only the parts that read them.
 ///
 /// The reference populations are kept across runs too, with the reference
 /// bindings they were built for and the journal mark they are current at.
@@ -151,17 +160,42 @@ impl Transducer for SourceProfiling {
 /// that no bound reference relation changed since; otherwise a run reuses
 /// them, and with them the verdicts each population remembers for the
 /// strings it has scored.
+///
+/// **Tallies.** Completeness, coverage and accuracy are ratios of integer
+/// counts ([`MetricTally`]): rows, non-null cells per target attribute, and
+/// `(hits, total)` per bound reference attribute. They are counted once per
+/// *version of a part* — a run's rows, as the store names them
+/// ([`Part::version`](vada_map::Part::version)) — and kept. A candidate's
+/// tally is the sum of its parts' tallies minus the tallies of the rows it
+/// drops, so a union is measured from its parts and never copied, and a
+/// part no edit touched is not counted again. The division comes last, with
+/// the same formulas as measuring the candidate's relation, so every
+/// quality fact is bit-identical to that. The kept tallies are dropped when
+/// the populations are rebuilt or the bindings or the target schema
+/// change, and a part version no candidate read in a run is forgotten at
+/// its end. Consistency does not add up over parts, since violation groups
+/// span them: it is measured on the candidate's relation — built, for a
+/// union, only when some CFD names only target attributes.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     store: SharedStore,
-    references: Prepared<Vec<(String, String, String)>, Vec<ReferencePopulation>>,
+    references: Prepared<Vec<Binding>, Vec<ReferencePopulation>>,
+    tallies: Tallies,
+}
+
+/// Metric tallies per part version, and the bindings and target schema they
+/// were counted under.
+#[derive(Debug, Default)]
+struct Tallies {
+    under: Option<(Vec<Binding>, Option<Schema>)>,
+    by_version: HashMap<u64, MetricTally>,
 }
 
 impl MappingQuality {
     /// A mapping-quality transducer materialising through `store`.
     /// [`Default`] gives it a private store of its own.
     pub fn with_store(store: SharedStore) -> MappingQuality {
-        MappingQuality { store, references: Prepared::default() }
+        MappingQuality { store, references: Prepared::default(), tallies: Tallies::default() }
     }
 }
 
@@ -174,6 +208,25 @@ fn mapping_fact(id: &str, metric: &str, criterion: String, value: f64) -> Qualit
         criterion,
         value,
     }
+}
+
+/// The tally of `rows` of a candidate typed in `schema`, scoring each bound
+/// target attribute of the schema against its population.
+fn measure<'t, I>(
+    rows: I,
+    schema: &Schema,
+    bindings: &[Binding],
+    populations: &mut [ReferencePopulation],
+) -> MetricTally
+where
+    I: IntoIterator<Item = &'t Tuple>,
+    I::IntoIter: Clone,
+{
+    let scored = bindings
+        .iter()
+        .zip(populations.iter_mut())
+        .filter_map(|((_, _, tgt), population)| Some((schema.index_of(tgt)?, population)));
+    MetricTally::measure(rows, schema.arity(), scored)
 }
 
 impl Transducer for MappingQuality {
@@ -199,7 +252,7 @@ impl Transducer for MappingQuality {
         // the bindings of reference contexts: one population per bound
         // target attribute, normalised once per version of its relation
         let contexts = kb.context_relations();
-        let bindings: Vec<(String, String, String)> = kb
+        let bindings: Vec<Binding> = kb
             .context_bindings()
             .iter()
             .filter(|(ctx_rel, _, _)| {
@@ -207,11 +260,20 @@ impl Transducer for MappingQuality {
             })
             .cloned()
             .collect();
+        let tallies = &mut self.tallies;
+        let under = (bindings.clone(), kb.target_schema().cloned());
+        if tallies.under.as_ref() != Some(&under) {
+            tallies.by_version.clear();
+            tallies.under = Some(under);
+        }
         let populations: &mut [ReferencePopulation] = if bindings.is_empty() {
             &mut []
         } else {
             let relations: Vec<&str> = bindings.iter().map(|(r, _, _)| r.as_str()).collect();
             let build = || {
+                // new populations score differently: nothing counted
+                // against the old ones stands
+                tallies.by_version.clear();
                 bindings
                     .iter()
                     .map(|(ctx_rel, ctx_attr, _)| {
@@ -225,30 +287,63 @@ impl Transducer for MappingQuality {
         let mut written = 0usize;
         let mut store = self.store.borrow_mut();
         let cfg = ExecuteConfig::default();
+        let obs = kb.obs().clone();
+        let mut read = HashSet::new();
         let mut row_counts = Vec::with_capacity(mappings.len());
         for mapping in &mappings {
-            let result = store.execute(&cfg, mapping, kb)?;
+            let candidate = store.candidate(&cfg, mapping, kb)?;
+            let schema = candidate.schema();
+            let mut tally: Option<MetricTally> = None;
+            for part in candidate.parts() {
+                read.insert(part.version);
+                let counted = match tallies.by_version.entry(part.version) {
+                    Entry::Occupied(kept) => {
+                        obs.incr(obs_key::QUALITY_METRICS_REUSED);
+                        kept.into_mut()
+                    }
+                    Entry::Vacant(slot) => {
+                        obs.incr(obs_key::QUALITY_METRICS_COMPUTED);
+                        slot.insert(measure(part.rows.iter(), schema, &bindings, populations))
+                    }
+                };
+                let sum = match &mut tally {
+                    Some(sum) => {
+                        sum.add(counted);
+                        sum
+                    }
+                    None => tally.insert(counted.clone()),
+                };
+                if !part.dropped.is_empty() {
+                    let dropped = part.dropped.iter().map(|&row| &part.rows.tuples()[row]);
+                    sum.subtract(&measure(dropped, schema, &bindings, populations));
+                }
+            }
+            let tally = tally.expect("a candidate has at least one part");
             let mut add = |metric: &str, criterion: String, value: f64| {
                 kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
                 written += 1;
             };
             // completeness per target attribute
-            for attr in result.schema().attr_names() {
-                add("completeness", format!("completeness({attr})"), result.completeness(attr)?);
+            for (col, attr) in schema.attr_names().into_iter().enumerate() {
+                add("completeness", format!("completeness({attr})"), tally.completeness(col));
             }
             // consistency against learned CFDs (only meaningful once CFDs
             // exist — before that every mapping scores 1.0 vacuously)
-            let value = consistency(result, &cfds);
-            add("consistency", format!("consistency({})", result.name()), value);
+            let value = if consistency_applies(schema, &cfds) {
+                consistency(candidate.relation(), &cfds)
+            } else {
+                1.0
+            };
+            add("consistency", format!("consistency({})", schema.name), value);
             // syntactic accuracy against reference populations
-            for ((_, _, tgt_attr), population) in bindings.iter().zip(populations.iter_mut()) {
-                if result.schema().index_of(tgt_attr).is_some() {
-                    let value = population.accuracy(result, tgt_attr)?;
-                    add("accuracy", format!("accuracy({tgt_attr})"), value);
-                }
+            let scored = bindings.iter().filter(|(_, _, tgt)| schema.index_of(tgt).is_some());
+            for ((_, _, tgt_attr), accuracy) in scored.zip(&tally.accuracy) {
+                add("accuracy", format!("accuracy({tgt_attr})"), accuracy.value());
             }
-            row_counts.push(result.len());
+            row_counts.push(tally.rows);
         }
+        // part versions no candidate read any more are gone from the store
+        tallies.by_version.retain(|version, _| read.contains(version));
         // relative row coverage: a union over sources reaches more of the
         // domain than any single source, which per-attribute completeness
         // fractions cannot see
@@ -391,5 +486,124 @@ mod tests {
         assert!(acc_street.value > 0.99, "streets are all in the reference");
         // the materialisation lives in the result store, not the catalog
         assert!(kb.catalog().entries().all(|(name, _, _)| !name.starts_with("candidate_")));
+    }
+
+    /// Every mapping quality fact, in write order, with its value's bits.
+    fn mapping_facts(kb: &KnowledgeBase) -> Vec<(String, String, u64)> {
+        kb.quality_facts()
+            .iter()
+            .filter(|q| q.entity_kind == "mapping")
+            .map(|q| (q.entity.clone(), q.criterion.clone(), q.value.to_bits()))
+            .collect()
+    }
+
+    /// The facts measured on each candidate's from-scratch relation.
+    fn measured_from_scratch(kb: &KnowledgeBase) -> Vec<(String, String, u64)> {
+        let cfds: Vec<CfdRule> = kb.cfds().cloned().collect();
+        let address = kb.relation("address").unwrap();
+        let mut facts = Vec::new();
+        let mut rows = Vec::new();
+        for m in kb.mappings() {
+            let rel = vada_map::execute_mapping(&ExecuteConfig::default(), m, kb).unwrap();
+            let mut add = |criterion: String, value: f64| {
+                facts.push((m.id.clone(), criterion, value.to_bits()));
+            };
+            for attr in rel.schema().attr_names() {
+                add(format!("completeness({attr})"), rel.completeness(attr).unwrap());
+            }
+            add("consistency(property)".into(), consistency(&rel, &cfds));
+            for attr in ["street", "postcode"] {
+                let value = vada_quality::accuracy_against_reference(&rel, attr, address, attr);
+                add(format!("accuracy({attr})"), value.unwrap());
+            }
+            rows.push(rel.len());
+        }
+        let max = rows.iter().copied().max().unwrap();
+        for (m, n) in kb.mappings().zip(rows) {
+            let value = n as f64 / max as f64;
+            facts.push((m.id.clone(), "coverage(property)".into(), value.to_bits()));
+        }
+        facts
+    }
+
+    #[test]
+    fn union_quality_facts_equal_measuring_the_scratch_relation() {
+        use vada_kb::MappingPart;
+        let mut kb = kb();
+        address_context(&mut kb);
+        let obs = vada_common::Obs::enabled();
+        kb.set_obs(obs.clone());
+        let schema = Schema::all_str("onthemarket", &["street", "postcode", "p"]);
+        let mut otm = Relation::empty(schema);
+        // rightmove's first raw fact (dropped from the union), a price that
+        // coerces, and one that does not
+        otm.push(tuple!["1 high st", "M1 1AA", "250000"]).unwrap();
+        otm.push(tuple!["3 kings ave", "M1 1AC", "£120,000"]).unwrap();
+        otm.push(tuple!["9 nowhere", "ZZ9 9ZZ", "n/a"]).unwrap();
+        kb.register_source(otm);
+        let rm = "property(S, PC, P) :- rightmove(P, S, PC).\n";
+        let om = "property(S, PC, P) :- onthemarket(S, PC, P).\n";
+        let candidate = |id: &str, parts: &[(&str, &str)]| MappingDef {
+            id: id.into(),
+            target: "property".into(),
+            rules: parts.iter().map(|(rules, _)| *rules).collect(),
+            sources: parts.iter().map(|(_, source)| source.to_string()).collect(),
+            matches_used: vec![],
+            parts: match parts {
+                [_] => vec![],
+                _ => parts
+                    .iter()
+                    .map(|(rules, source)| MappingPart {
+                        rules: rules.to_string(),
+                        sources: vec![source.to_string()],
+                    })
+                    .collect(),
+            },
+        };
+        kb.add_mapping(candidate("rm", &[(rm, "rightmove")]));
+        kb.add_mapping(candidate("otm", &[(om, "onthemarket")]));
+        kb.add_mapping(candidate("union", &[(rm, "rightmove"), (om, "onthemarket")]));
+        let keys = [obs_key::QUALITY_METRICS_COMPUTED, obs_key::QUALITY_METRICS_REUSED];
+        let tallies = || keys.map(|k| obs.get(k));
+        let mut t = MappingQuality::default();
+        t.run(&mut kb).unwrap();
+        assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
+        // the two parts measured, the union derived from them
+        assert_eq!(tallies(), [2, 2]);
+
+        // an edit to rightmove: its part is measured again, the rest kept
+        let mut rows = kb.relation("rightmove").unwrap().clone();
+        rows.push(tuple!["99", "5 queens dr", "EH1 1AA"]).unwrap();
+        kb.register_source(rows);
+        t.run(&mut kb).unwrap();
+        assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
+        assert_eq!(tallies(), [2 + 1, 2 + 3]);
+
+        // a CFD over target attributes: consistency needs the union's rows
+        kb.add_cfd(CfdRule {
+            id: "pc_street".into(),
+            relation: "property".into(),
+            lhs: vec![("postcode".into(), None)],
+            rhs: ("street".into(), None),
+            support: 1,
+        });
+        let mut rows = kb.relation("rightmove").unwrap().clone();
+        rows.push(tuple!["1", "6 albert sq", "EH1 1AA"]).unwrap();
+        kb.register_source(rows);
+        t.run(&mut kb).unwrap();
+        let facts = mapping_facts(&kb);
+        assert_eq!(facts, measured_from_scratch(&kb));
+        assert!(
+            facts.iter().any(|(_, c, v)| c == "consistency(property)" && *v != 1f64.to_bits()),
+            "a violation shows: {facts:?}"
+        );
+
+        // new reference data: no part changed, but every tally counted
+        // against the old populations is dropped
+        kb.remove_rows("address", &[0]).unwrap();
+        let before = tallies();
+        t.run(&mut kb).unwrap();
+        assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
+        assert_eq!(tallies(), [before[0] + 2, before[1] + 2]);
     }
 }

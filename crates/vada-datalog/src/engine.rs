@@ -181,6 +181,17 @@ impl FactSet {
         self.probe(hash_values(values), |f| f.values() == values).ok()
     }
 
+    /// Whether this set holds fact `row` of `other` — the same answer as
+    /// `self.contains(&other.tuples()[row])`, but probed with the hash
+    /// `other` stored for the fact instead of hashing its values again.
+    pub fn contains_row_of(&self, other: &FactSet, row: usize) -> bool {
+        if self.tuples.is_empty() {
+            return false;
+        }
+        let t = &other.tuples[row];
+        self.probe(other.hashes[row], |f| f == t).is_ok()
+    }
+
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
         self.find(t.values()).is_some()
@@ -407,6 +418,33 @@ impl Database {
         fs.reserve(rel.len());
         for t in rel.iter() {
             fs.insert(t.clone());
+        }
+    }
+
+    /// Insert every fact of `facts` under `pred`, in order — the same
+    /// result as inserting them one by one, without copying a tuple where
+    /// that can be avoided; an empty `facts` still declares the predicate,
+    /// as [`Database::insert_relation`] does. A predicate with no facts yet
+    /// takes the handle as is, so a relation several databases load is one fact set until
+    /// one of them writes to it (copy-on-write, as for any shared
+    /// relation). Otherwise the new facts are appended behind the present
+    /// ones; `facts` itself is never modified.
+    pub fn insert_shared(&mut self, pred: &str, facts: Arc<FactSet>) {
+        match self.rels.get_mut(pred) {
+            Some(rel) if !rel.is_empty() => {
+                if Arc::ptr_eq(rel, &facts) {
+                    return;
+                }
+                for t in facts.tuples() {
+                    if !rel.contains(t) {
+                        Arc::make_mut(rel).insert(t.clone());
+                    }
+                }
+            }
+            Some(rel) => *rel = facts,
+            None => {
+                self.rels.insert(pred.to_string(), facts);
+            }
         }
     }
 

@@ -163,6 +163,15 @@ proptest! {
             let t = store_fact(code);
             prop_assert_eq!(fs.contains(&t), oracle.set.contains(&t), "membership of {}", t);
         }
+        // probing with another set's stored hashes answers the same
+        let mut every = FactSet::default();
+        for code in 0u16..6912 {
+            every.insert(store_fact(code));
+        }
+        for (row, t) in every.tuples().iter().enumerate() {
+            let held = oracle.set.contains(t);
+            prop_assert_eq!(fs.contains_row_of(&every, row), held, "row of {}", t);
+        }
         // remove-then-reinsert moves a fact to the end, like a first insert
         if let Some(first) = oracle.tuples.first().cloned() {
             prop_assert!(fs.remove(&first) == Some(0) && oracle.remove(&first) == Some(0));
@@ -170,6 +179,51 @@ proptest! {
             prop_assert_eq!(fs.tuples().last(), Some(&first));
             prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
         }
+    }
+
+    #[test]
+    fn insert_shared_equals_one_by_one_insertion(
+        blocks in proptest::collection::vec(proptest::collection::vec(0u16..300, 0..40), 1..6),
+        loose in proptest::collection::vec((0u8..6, 0u16..300), 0..20)
+    ) {
+        // fact-set blocks loaded shared (the same block more than once
+        // among them), with single inserts in between, against the same
+        // facts inserted one by one: same order, same dedup, and every
+        // donor's facts untouched — by the load and by later writes
+        use std::sync::Arc;
+        use vada_datalog::engine::FactSet;
+        let donors: Vec<Arc<FactSet>> = blocks
+            .iter()
+            .map(|codes| {
+                let mut fs = FactSet::default();
+                for &c in codes {
+                    fs.insert(store_fact(c));
+                }
+                Arc::new(fs)
+            })
+            .collect();
+        let before: Vec<Vec<Tuple>> = donors.iter().map(|d| d.tuples().to_vec()).collect();
+        let mut shared = Database::new();
+        let mut one_by_one = Database::new();
+        for (i, donor) in donors.iter().chain(donors.first()).enumerate() {
+            shared.insert_shared("p", donor.clone());
+            for t in donor.tuples() {
+                one_by_one.insert("p", t.clone());
+            }
+            for &(at, code) in &loose {
+                if at as usize == i {
+                    let t = store_fact(code);
+                    prop_assert_eq!(shared.insert("p", t.clone()), one_by_one.insert("p", t));
+                }
+            }
+            prop_assert_eq!(shared.facts("p"), one_by_one.facts("p"));
+        }
+        if let Some(t) = shared.facts("p").first().cloned() {
+            prop_assert_eq!(shared.remove("p", &t), one_by_one.remove("p", &t));
+        }
+        prop_assert_eq!(shared.facts("p"), one_by_one.facts("p"));
+        let after: Vec<Vec<Tuple>> = donors.iter().map(|d| d.tuples().to_vec()).collect();
+        prop_assert_eq!(after, before);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use vada_common::obs::key as obs_key;
 use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
-use vada_datalog::parse_program;
+use vada_datalog::{parse_program, Program};
 use vada_kb::{KnowledgeBase, MappingDef};
 
 /// Execution configuration.
@@ -69,6 +69,9 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
     }
 }
 
+/// The helper predicate a mapping reads a postcode's district through.
+const DISTRICT: &str = "postcode_district";
+
 /// The `postcode_district(full, district)` helper facts one row
 /// contributes, in value order; the full postcode is the cell's own string.
 fn district_facts(row: &Tuple) -> impl Iterator<Item = Tuple> + '_ {
@@ -78,21 +81,51 @@ fn district_facts(row: &Tuple) -> impl Iterator<Item = Tuple> + '_ {
     })
 }
 
-/// Build the execution database: the mapping's source relations plus
+/// One source relation as an execution reads it: its rows as facts, and the
 /// `postcode_district(full, district)` helper facts derived from every
-/// postcode-shaped value in those relations.
-fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result<Database> {
-    let mut db = Database::new();
-    for source in &mapping.sources {
-        let rel = kb.relation(source)?;
-        db.insert_relation(rel);
+/// postcode-shaped value in them, each in first-occurrence order. Both are
+/// shared handles, so every execution over the same version of the source
+/// can load them without copying a tuple.
+#[derive(Debug)]
+pub(crate) struct SourceInput {
+    rows: Arc<FactSet>,
+    districts: Arc<FactSet>,
+}
+
+impl SourceInput {
+    /// Build the input of `rel` at its current contents.
+    pub(crate) fn build(rel: &Relation) -> SourceInput {
+        let mut rows = FactSet::default();
+        rows.reserve(rel.len());
+        let mut districts = FactSet::default();
         for t in rel.iter() {
+            rows.insert(t.clone());
             for fact in district_facts(t) {
-                db.insert("postcode_district", fact);
+                districts.insert(fact);
             }
         }
+        SourceInput { rows: Arc::new(rows), districts: Arc::new(districts) }
     }
-    Ok(db)
+}
+
+/// The execution database of `program`: each source's rows under its name
+/// and, when the program mentions `postcode_district`, each source's helper
+/// facts under that name, in the order the sources come — the facts and
+/// their order are those of inserting every row, then its helper facts,
+/// one by one.
+pub(crate) fn input_db<'a>(
+    program: &Program,
+    sources: impl IntoIterator<Item = (&'a str, &'a SourceInput)>,
+) -> Database {
+    let districts = program.all_predicates().contains(DISTRICT);
+    let mut db = Database::new();
+    for (name, input) in sources {
+        db.insert_shared(name, input.rows.clone());
+        if districts && !input.districts.is_empty() {
+            db.insert_shared(DISTRICT, input.districts.clone());
+        }
+    }
+    db
 }
 
 /// The registered target schema, checked to be the one `mapping` writes.
@@ -122,18 +155,28 @@ pub fn execute_mapping(
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
     let target = registered_target(mapping, kb)?;
-    Ok(materialise(cfg, mapping, target, kb)?.0)
+    let scratch = |program: &Program| {
+        let inputs = mapping
+            .sources
+            .iter()
+            .map(|s| Ok((s.as_str(), SourceInput::build(kb.relation(s)?))))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(input_db(program, inputs.iter().map(|(s, input)| (*s, input))))
+    };
+    Ok(materialise(cfg, mapping, target, kb, scratch)?.0)
 }
 
-/// One engine run of `mapping` into `target`: the coerced result, and the
-/// engine's raw target facts it was coerced from — row `i` of the result is
-/// fact `i`. The facts are the run's own fact set, not a copy. The run
-/// records into the knowledge base's registry.
+/// One engine run of `mapping` into `target` over the database `input`
+/// builds for the parsed program: the coerced result, and the engine's raw
+/// target facts it was coerced from — row `i` of the result is fact `i`.
+/// The facts are the run's own fact set, not a copy. The run records into
+/// the knowledge base's registry.
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     target: &Schema,
     kb: &KnowledgeBase,
+    input: impl FnOnce(&Program) -> Result<Database>,
 ) -> Result<(Relation, Arc<FactSet>)> {
     let program = parse_program(&mapping.rules)?;
     let obs = kb.obs();
@@ -143,7 +186,7 @@ pub(crate) fn materialise(
     let span = obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
-    let input = build_input_db(mapping, kb)?;
+    let input = input(&program)?;
     let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
     // a mapping materialises its whole target relation — an all-free
     // access pattern demand cannot restrict — so it runs the full fixpoint
@@ -293,6 +336,30 @@ mod tests {
             coerce_value(&Value::str("2.5"), AttrType::Float),
             Value::Float(2.5)
         );
+    }
+
+    #[test]
+    fn only_a_program_that_mentions_districts_loads_them() {
+        let kb = kb();
+        let rm = SourceInput::build(kb.relation("rightmove").unwrap());
+        let dep = SourceInput::build(kb.relation("deprivation").unwrap());
+        let plain = parse_program("property(S, PC, P, null) :- rightmove(P, S, PC).").unwrap();
+        let db = input_db(&plain, [("rightmove", &rm)]);
+        assert!(db.fact_set(DISTRICT).is_none(), "{:?}", db.predicates());
+        assert_eq!(db.facts("rightmove").len(), 3);
+        // the source's facts are the kept input itself, not a copy
+        assert!(Arc::ptr_eq(&db.shared_fact_set("rightmove").unwrap(), &rm.rows));
+
+        let joined = parse_program(
+            "property(S, PC, P, C) :- \
+             rightmove(P, S, PC), postcode_district(PC, D), deprivation(D, C).",
+        )
+        .unwrap();
+        let db = input_db(&joined, [("rightmove", &rm), ("deprivation", &dep)]);
+        let district = |pc: &str, d: &str| Tuple::new(vec![Value::str(pc), Value::str(d)]);
+        assert_eq!(db.facts(DISTRICT), [district("M1 1AA", "M1"), district("EH1 1AA", "EH1")]);
+        assert!(Arc::ptr_eq(&db.shared_fact_set(DISTRICT).unwrap(), &rm.districts));
+        assert!(rm.districts.len() == 2 && dep.districts.is_empty());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   per mapping *structure*, handed back while the knowledge-base delta
 //!   journal proves no source changed, re-run through [`execute`]
 //!   otherwise — a union assembled from its per-source parts, so that an
-//!   edit to one source re-runs only the parts reading it;
+//!   edit to one source re-runs only the parts reading it, and kept as
+//!   those parts rather than copied; every run over one version of a
+//!   source shares one execution input;
 //! * [`select`] — ranks candidates by weighted utility over their quality
 //!   metrics, with weights from the AHP user context (paper §2.2/Fig 3(d)
 //!   "mapping selection based on multi-dimensional optimisation").
@@ -29,4 +31,4 @@ pub mod store;
 pub use execute::{execute_mapping, ExecuteConfig};
 pub use generate::{generate_candidates, MapGenConfig};
 pub use select::{rank_mappings, MappingScore};
-pub use store::{ExecutorStats, ResultStore};
+pub use store::{Candidate, ExecutorStats, Part, ResultStore};

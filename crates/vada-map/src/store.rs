@@ -4,34 +4,58 @@
 //! A [`ResultStore`] keeps one entry per *structurally distinct* mapping
 //! (fingerprinted by rules, source list and target schema — mapping ids
 //! regenerate on every generation pass, the structure usually does not):
-//! the coerced result plus the [journal mark](vada_kb::JournalMark) it is
-//! current at. On re-execution it asks the knowledge base whether any of
-//! the mapping's sources changed since that mark
+//! the result plus the [journal mark](vada_kb::JournalMark) it is current
+//! at. On re-execution it asks the knowledge base whether any of the
+//! mapping's sources changed since that mark
 //! ([`KnowledgeBase::changed_since`](vada_kb::KnowledgeBase::changed_since)).
 //! When the journal proves none did, nothing the mapping reads has changed
 //! and the stored result is handed back as is — no parse, no input
-//! database, no engine run (`map.execute.reused`). Otherwise the entry is rebuilt and stored
-//! again: a stale mapping is re-run, never maintained. How it is rebuilt
-//! depends on the mapping:
+//! database, no engine run (`map.execute.reused`). Otherwise the entry is
+//! rebuilt and stored again: a stale mapping is re-run, never maintained.
+//! How it is rebuilt depends on the mapping:
 //!
 //! * A mapping without [`parts`](vada_kb::MappingDef::parts) runs through
 //!   the engine exactly as [`execute_mapping`] does (`map.execute.full`).
-//!   Its entry keeps the engine's raw target facts beside the coerced rows.
+//!   Its entry is the run: the coerced rows, the engine's raw target facts
+//!   beside them, and a *version* number no other run of the store gets.
 //! * A union is **assembled** from its parts (`map.execute.assembled`).
 //!   Each part is a mapping in its own right, with its own entry — the
 //!   same entry as the stand-alone candidate of that structure. The parts
 //!   are brought up to date first: a fresh one is reused, a stale one
-//!   re-runs. The union is then their coerced rows in part order, keeping
+//!   re-runs. The union's rows are then their rows in part order, keeping
 //!   a row only when its *raw* fact came from no earlier part. Coercion
 //!   can map distinct facts to equal rows, and the engine keeps both, so
 //!   the union does too. After an edit to one source, only the parts that
 //!   read it re-run.
 //!
-//! The output is byte-identical to [`execute_mapping`] on the same
-//! knowledge base in every case, row order included. For a union this
-//! rests on the contract of [`MappingPart`](vada_kb::MappingPart). The
-//! store checks that the parts concatenate to the rules and read only the
-//! mapping's sources; it never parses rule text to find them.
+//! **A union is not copied.** Its entry holds its parts' runs (shared, not
+//! copied) and, per part, the rows assembly drops — all that the raw-fact
+//! probe finds. [`ResultStore::candidate`] hands an entry back as these
+//! [`Part`]s, so a consumer that only counts over rows (mapping quality's
+//! tallies) never needs the union's relation. The relation is built on the
+//! first request — [`ResultStore::execute`], or [`Candidate::relation`] —
+//! and kept in the entry until the entry is rebuilt or evicted. A consumer
+//! that keeps its own copy ([`Candidate::to_relation`]) gets the rows
+//! copied straight out of the parts, and nothing is kept for it.
+//!
+//! **One input per source version.** An engine run reads its sources from
+//! an execution input the store keeps per source relation: the rows as a
+//! shared fact set, and the `postcode_district` facts derived from them
+//! as another, at the journal mark they were built at. Every run over the
+//! same version of a source loads the same two fact sets, without copying
+//! a tuple (`map.input.reused`); the engine copies one only if it writes to
+//! it. An input is rebuilt when the journal cannot prove its source
+//! unchanged since its mark (`map.input.built`), and dropped once its
+//! source is gone from the knowledge base. The district facts are loaded
+//! only into programs that mention `postcode_district`. The input database
+//! holds the same facts in the same order as loading every row one by one.
+//!
+//! The output is byte-identical to [`execute_mapping`], which builds its
+//! input from scratch, on the same knowledge base in every case, row order
+//! included. For a union this rests on the contract of
+//! [`MappingPart`](vada_kb::MappingPart). The store checks that the parts
+//! concatenate to the rules and read only the mapping's sources; it never
+//! parses rule text to find them.
 //!
 //! ```
 //! use vada_common::{tuple, AttrType, Relation, Schema};
@@ -100,6 +124,14 @@
 //! // that coerces to an equal row, and stays, as in the engine's answer
 //! assert_eq!(assembled.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
 //! assert_eq!(assembled.len(), 3);
+//! // the entry itself is the parts' rows and the row the second drops
+//! let parts: Vec<(usize, Vec<usize>)> = store
+//!     .candidate(&cfg, &union, &kb)
+//!     .unwrap()
+//!     .parts()
+//!     .map(|p| (p.rows.len(), p.dropped.to_vec()))
+//!     .collect();
+//! assert_eq!(parts, [(2, vec![]), (2, vec![0])]);
 //!
 //! // an edit to `listings` re-runs its part only
 //! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
@@ -112,14 +144,14 @@
 //! [`execute_mapping`]: crate::execute_mapping
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Schema, VadaError};
 use vada_datalog::engine::FactSet;
 use vada_kb::{JournalMark, KnowledgeBase, MappingDef};
 
-use crate::execute::{materialise, registered_target, ExecuteConfig};
+use crate::execute::{input_db, materialise, registered_target, ExecuteConfig, SourceInput};
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
@@ -139,6 +171,17 @@ pub struct ExecutorStats {
     pub last_fallback: Option<String>,
 }
 
+/// One engine run's result: the coerced rows and, row for row beside them,
+/// the engine's raw target facts they were coerced from — what a union
+/// deduplicates on when the run is one of its parts.
+#[derive(Debug)]
+struct Run {
+    /// Names these rows among every run of this store.
+    version: u64,
+    rows: Relation,
+    facts: Arc<FactSet>,
+}
+
 /// One stored materialisation and the journal position it is current at.
 /// The fingerprint already pins rules, sources and target, so only events
 /// naming a source relation make it stale; metadata aspects never reach
@@ -147,22 +190,115 @@ pub struct ExecutorStats {
 struct Materialisation {
     /// Where in the journal the result was last known current.
     mark: JournalMark,
-    /// The coerced result.
-    result: Relation,
-    /// The engine's raw target facts, row for row beside `result` — what a
-    /// union deduplicates on when this entry is one of its parts. `None`
-    /// for an assembled union.
-    facts: Option<Arc<FactSet>>,
+    /// The runs the result is made of, each with the rows of it the result
+    /// drops (ascending): one run, dropping nothing, for a mapping without
+    /// parts.
+    parts: Vec<(Arc<Run>, Vec<usize>)>,
+    /// A union's own rows, built on first request and kept.
+    union: OnceLock<Relation>,
 }
 
-/// The result store: one [`Materialisation`] per mapping structure. See
-/// the module docs.
+impl Materialisation {
+    /// The one run this entry is, whole — what a union can take as a part.
+    fn whole_run(&self) -> Option<&Arc<Run>> {
+        match self.parts.as_slice() {
+            [(run, dropped)] if dropped.is_empty() => Some(run),
+            _ => None,
+        }
+    }
+
+    /// The result: a run's rows as they are, a union's rows built once.
+    fn relation(&self) -> &Relation {
+        match self.whole_run() {
+            Some(run) => &run.rows,
+            None => self.union.get_or_init(|| self.copy_parts()),
+        }
+    }
+
+    /// The parts' kept rows, copied into one relation.
+    fn copy_parts(&self) -> Relation {
+        let mut rows = Vec::new();
+        for (run, dropped) in &self.parts {
+            let mut dropped = dropped.iter().peekable();
+            for (row, t) in run.rows.iter().enumerate() {
+                if dropped.next_if_eq(&&row).is_none() {
+                    rows.push(t.clone());
+                }
+            }
+        }
+        let schema = self.parts[0].0.rows.schema().clone();
+        Relation::from_tuples(schema, rows).expect("parts share the target schema")
+    }
+}
+
+/// A candidate result as the store holds it (see
+/// [`ResultStore::candidate`]): the parts it is made of, and the whole
+/// relation on request.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate<'a>(&'a Materialisation);
+
+/// One part of a [`Candidate`].
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    /// Names this version of the part's rows: the store never hands out
+    /// other rows under it, so anything derived from the rows can be kept
+    /// under it.
+    pub version: u64,
+    /// The part's coerced rows.
+    pub rows: &'a Relation,
+    /// The rows of `rows` the candidate drops, ascending: those whose raw
+    /// fact an earlier part already produced.
+    pub dropped: &'a [usize],
+}
+
+impl<'a> Candidate<'a> {
+    /// The parts, in order; the candidate's rows are theirs, minus the
+    /// dropped ones, in this order. A mapping without parts is one part
+    /// that drops nothing.
+    pub fn parts(self) -> impl Iterator<Item = Part<'a>> {
+        self.0.parts.iter().map(|(run, dropped)| Part {
+            version: run.version,
+            rows: &run.rows,
+            dropped,
+        })
+    }
+
+    /// The target schema the rows are typed in.
+    pub fn schema(self) -> &'a Schema {
+        self.0.parts[0].0.rows.schema()
+    }
+
+    /// The whole result. A union's relation is built on the first request
+    /// and kept with the entry.
+    pub fn relation(self) -> &'a Relation {
+        self.0.relation()
+    }
+
+    /// An owned copy of the whole result, for a consumer that keeps it: a
+    /// union not built yet is copied straight out of its parts and not
+    /// kept, so the copy handed out is the only one made.
+    pub fn to_relation(self) -> Relation {
+        match (self.0.whole_run(), self.0.union.get()) {
+            (Some(run), _) => run.rows.clone(),
+            (None, Some(built)) => built.clone(),
+            (None, None) => self.0.copy_parts(),
+        }
+    }
+}
+
+/// The result store: one [`Materialisation`] per mapping structure, and one
+/// execution input per source version. See the module docs.
 #[derive(Debug)]
 pub struct ResultStore {
     entries: BTreeMap<String, Materialisation>,
     /// Fingerprints in least→most recently used order.
     lru: Vec<String>,
     capacity: usize,
+    /// Per source relation, its execution input and the journal position it
+    /// is current at.
+    inputs: BTreeMap<String, (JournalMark, SourceInput)>,
+    /// The version the next run gets.
+    next_version: u64,
     stats: ExecutorStats,
 }
 
@@ -214,6 +350,8 @@ impl ResultStore {
             entries: BTreeMap::new(),
             lru: Vec::new(),
             capacity: capacity.max(1),
+            inputs: BTreeMap::new(),
+            next_version: 0,
             stats: ExecutorStats::default(),
         }
     }
@@ -231,29 +369,43 @@ impl ResultStore {
     /// base — including row order — in every case. A failed
     /// rebuild leaves no entry for the mapping (nor for a part that
     /// failed), so a stale result is never handed back. The
-    /// `map.execute.*` tallies and spans go to the knowledge base's
-    /// registry.
+    /// `map.execute.*` and `map.input.*` tallies and spans go to the
+    /// knowledge base's registry.
     pub fn execute(
         &mut self,
         cfg: &ExecuteConfig,
         mapping: &MappingDef,
         kb: &KnowledgeBase,
     ) -> Result<&Relation> {
+        Ok(self.candidate(cfg, mapping, kb)?.relation())
+    }
+
+    /// Bring `mapping`'s entry up to date exactly as
+    /// [`ResultStore::execute`] does, and hand it back as its parts, without
+    /// building a union's relation.
+    pub fn candidate(
+        &mut self,
+        cfg: &ExecuteConfig,
+        mapping: &MappingDef,
+        kb: &KnowledgeBase,
+    ) -> Result<Candidate<'_>> {
         let target = registered_target(mapping, kb)?;
         check_parts(mapping)?;
+        // an input never outlives its source
+        self.inputs.retain(|source, _| kb.relation(source).is_ok());
         let fp = fingerprint(&mapping.rules, &mapping.sources, target);
         if self.vouch(&fp, &mapping.sources, kb) {
             kb.obs().incr(obs_key::MAP_REUSED);
             self.stats.reused_runs += 1;
-            return Ok(&self.entries[&fp].result);
+            return Ok(Candidate(&self.entries[&fp]));
         }
         let rebuilt = if mapping.parts.is_empty() {
-            self.run(cfg, mapping, target, kb)
+            self.run(cfg, mapping, target, kb).map(|run| vec![(run, Vec::new())])
         } else {
             self.assemble(cfg, mapping, target, kb)
         };
         match rebuilt {
-            Ok(entry) => self.insert(fp.clone(), entry),
+            Ok(parts) => self.insert(fp.clone(), parts, kb),
             Err(e) => {
                 // the journal names a source since the mark, so the
                 // pre-edit result can never be handed back: free it now
@@ -265,7 +417,7 @@ impl ResultStore {
             let evicted = self.lru.remove(0);
             self.entries.remove(&evicted);
         }
-        Ok(&self.entries[&fp].result)
+        Ok(Candidate(&self.entries[&fp]))
     }
 
     /// Whether the entry under `fp` is current — stored, and the journal
@@ -287,92 +439,110 @@ impl ResultStore {
         }
     }
 
-    /// One engine run of `mapping`, keeping its raw facts.
+    /// The execution input of `source`: the kept one while the journal
+    /// proves the source unchanged since it was built, a new one otherwise.
+    fn input(&mut self, source: &str, kb: &KnowledgeBase) -> Result<()> {
+        if let Some((mark, _)) = self.inputs.get_mut(source) {
+            if kb.changed_since(mark, &[source]) == Ok(false) {
+                *mark = kb.mark();
+                kb.obs().incr(obs_key::MAP_INPUT_REUSED);
+                return Ok(());
+            }
+        }
+        self.inputs.remove(source);
+        let input = SourceInput::build(kb.relation(source)?);
+        kb.obs().incr(obs_key::MAP_INPUT_BUILT);
+        self.inputs.insert(source.to_string(), (kb.mark(), input));
+        Ok(())
+    }
+
+    /// One engine run of `mapping` over the kept inputs of its sources.
     fn run(
         &mut self,
         cfg: &ExecuteConfig,
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-    ) -> Result<Materialisation> {
-        let (result, facts) = materialise(cfg, mapping, target, kb)?;
+    ) -> Result<Arc<Run>> {
+        let (rows, facts) = materialise(cfg, mapping, target, kb, |program| {
+            for source in &mapping.sources {
+                self.input(source, kb)?;
+            }
+            let inputs = mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1));
+            Ok(input_db(program, inputs))
+        })?;
         self.stats.full_runs += 1;
-        Ok(Materialisation {
-            mark: kb.mark(),
-            result,
-            facts: Some(facts),
-        })
+        self.next_version += 1;
+        Ok(Arc::new(Run { version: self.next_version, rows, facts }))
     }
 
-    /// Bring every part of `union` up to date, then concatenate their rows,
-    /// dropping each row whose raw fact an earlier part already produced.
+    /// Bring every part of `union` up to date, then record, per part, the
+    /// rows whose raw fact an earlier part already produced.
     fn assemble(
         &mut self,
         cfg: &ExecuteConfig,
         union: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-    ) -> Result<Materialisation> {
+    ) -> Result<Vec<(Arc<Run>, Vec<usize>)>> {
         kb.obs().incr(obs_key::MAP_ASSEMBLED);
         // stale parts re-run beneath this span
         let span = kb.obs().span("map/assemble");
         span.attr("mapping", &union.id);
         span.attr("target", &union.target);
         span.attr("parts", union.parts.len());
-        let mut fps = Vec::with_capacity(union.parts.len());
+        let mut runs: Vec<Arc<Run>> = Vec::with_capacity(union.parts.len());
         for (i, part) in union.parts.iter().enumerate() {
             let fp = fingerprint(&part.rules, &part.sources, target);
-            // an entry without facts was assembled, not run: never a part
-            let fresh = self.vouch(&fp, &part.sources, kb) && self.entries[&fp].facts.is_some();
-            if !fresh {
-                let part_mapping = MappingDef {
-                    id: format!("{}.part{i}", union.id),
-                    target: union.target.clone(),
-                    rules: part.rules.clone(),
-                    sources: part.sources.clone(),
-                    matches_used: Vec::new(),
-                    parts: Vec::new(),
-                };
-                match self.run(cfg, &part_mapping, target, kb) {
-                    Ok(entry) => self.insert(fp.clone(), entry),
-                    Err(e) => {
-                        self.forget(&fp);
-                        return Err(e);
+            let fresh = self.vouch(&fp, &part.sources, kb);
+            let kept = fresh.then(|| self.entries[&fp].whole_run().cloned()).flatten();
+            let run = match kept {
+                Some(run) => run,
+                None => {
+                    let part_mapping = MappingDef {
+                        id: format!("{}.part{i}", union.id),
+                        target: union.target.clone(),
+                        rules: part.rules.clone(),
+                        sources: part.sources.clone(),
+                        matches_used: Vec::new(),
+                        parts: Vec::new(),
+                    };
+                    match self.run(cfg, &part_mapping, target, kb) {
+                        Ok(run) => {
+                            self.insert(fp, vec![(run.clone(), Vec::new())], kb);
+                            run
+                        }
+                        Err(e) => {
+                            self.forget(&fp);
+                            return Err(e);
+                        }
                     }
                 }
-            }
-            fps.push(fp);
+            };
+            runs.push(run);
         }
 
-        let parts: Vec<(&Relation, &FactSet)> = fps
+        let parts = runs
             .iter()
-            .map(|fp| {
-                let entry = &self.entries[fp];
-                (&entry.result, entry.facts.as_deref().expect("parts keep their facts"))
+            .enumerate()
+            .map(|(k, run)| {
+                let earlier = &runs[..k];
+                let dropped = (0..run.facts.len())
+                    .filter(|&row| earlier.iter().any(|e| e.facts.contains_row_of(&run.facts, row)))
+                    .collect();
+                (run.clone(), dropped)
             })
             .collect();
-        let mut rows = Vec::new();
-        for (k, (coerced, facts)) in parts.iter().enumerate() {
-            for (row, fact) in coerced.iter().zip(facts.tuples()) {
-                if !parts[..k].iter().any(|(_, earlier)| earlier.contains(fact)) {
-                    rows.push(row.clone());
-                }
-            }
-        }
-        let result = Relation::from_tuples(target.clone(), rows)?;
         self.stats.assembled_runs += 1;
-        Ok(Materialisation {
-            mark: kb.mark(),
-            result,
-            facts: None,
-        })
+        Ok(parts)
     }
 
-    /// Store `entry` under `fp` as the most recently used. Eviction waits
-    /// for the end of [`ResultStore::execute`], so assembling a union never
-    /// evicts one of its own parts.
-    fn insert(&mut self, fp: String, entry: Materialisation) {
+    /// Store `parts` under `fp`, current now, as the most recently used.
+    /// Eviction waits for the end of [`ResultStore::candidate`], so
+    /// assembling a union never evicts one of its own parts.
+    fn insert(&mut self, fp: String, parts: Vec<(Arc<Run>, Vec<usize>)>, kb: &KnowledgeBase) {
         self.touch(&fp);
+        let entry = Materialisation { mark: kb.mark(), parts, union: OnceLock::new() };
         self.entries.insert(fp, entry);
     }
 
@@ -395,6 +565,7 @@ mod tests {
     use crate::execute_mapping;
     use vada_common::{tuple, AttrType};
     use vada_kb::MappingPart;
+    use vada_quality::{MetricTally, ReferencePopulation};
 
     fn kb_and_mapping() -> (KnowledgeBase, MappingDef) {
         let mut kb = KnowledgeBase::new();
@@ -907,10 +1078,12 @@ mod tests {
         (kb, candidates)
     }
 
-    #[test]
-    fn assembled_unions_match_scratch_across_every_kind_of_edit() {
-        type Edit = fn(&mut KnowledgeBase);
-        let edits: [(&str, Edit); 10] = [
+    type Edit = fn(&mut KnowledgeBase);
+
+    /// Every kind of source edit, to `union_kb`'s listings and to the
+    /// source both augmented parts read.
+    fn union_edits() -> [(&'static str, Edit); 10] {
+        [
             ("append to rightmove", |kb| {
                 let mut rm = kb.relation("rightmove").unwrap().clone();
                 rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
@@ -962,13 +1135,17 @@ mod tests {
                 dep.push(tuple!["EH1", "800"]).unwrap();
                 kb.register_source(dep);
             }),
-        ];
+        ]
+    }
+
+    #[test]
+    fn assembled_unions_match_scratch_across_every_kind_of_edit() {
         let (mut kb, mut candidates) = union_kb();
         let mut store = ResultStore::default();
         for c in &candidates {
             checked(&mut store, c, &kb);
         }
-        for (step, (name, edit)) in edits.into_iter().enumerate() {
+        for (step, (name, edit)) in union_edits().into_iter().enumerate() {
             edit(&mut kb);
             // every other step, the unions go first and refresh the parts
             candidates.reverse();
@@ -1026,6 +1203,130 @@ mod tests {
             [vec![], vec![], vec!["map/execute"], vec!["map/execute"]],
             "{beneath:?}"
         );
+    }
+
+    /// `rows` counted as mapping quality counts them: the bound target
+    /// attributes, each scored against its population.
+    fn measure<'t, I>(
+        rows: I,
+        schema: &Schema,
+        bound: &mut [(&str, ReferencePopulation)],
+    ) -> MetricTally
+    where
+        I: IntoIterator<Item = &'t vada_common::Tuple>,
+        I::IntoIter: Clone,
+    {
+        let scored = bound.iter_mut().map(|(attr, p)| (schema.require(attr).unwrap(), p));
+        MetricTally::measure(rows, schema.arity(), scored)
+    }
+
+    #[test]
+    fn derived_tallies_match_scratch_across_every_kind_of_edit() {
+        let (mut kb, mut candidates) = union_kb();
+        // nulls beside the raw-fact overlap and the coerce-equal rows
+        // `union_kb` has: an unparseable price and no postcode
+        let mut rm = kb.relation("rightmove").unwrap().clone();
+        rm.push(vada_common::Tuple::new(vec![
+            vada_common::Value::str("n/a"),
+            vada_common::Value::str("5 elm rd"),
+            vada_common::Value::Null,
+        ]))
+        .unwrap();
+        kb.register_source(rm);
+        let reference = Relation::from_tuples(
+            Schema::all_str("address", &["street", "postcode", "price"]),
+            vec![
+                tuple!["12 High St", "M1 1AA", "250000"],
+                tuple!["4 mill ln", "EH1 1AA", "1"],
+                tuple!["x st", "Z9 9ZZ", "300000"],
+            ],
+        )
+        .unwrap();
+        let mut bound: Vec<(&str, ReferencePopulation)> = ["street", "postcode", "price"]
+            .into_iter()
+            .map(|attr| (attr, ReferencePopulation::new(&reference, attr).unwrap()))
+            .collect();
+        let cfg = ExecuteConfig::default();
+        let mut store = ResultStore::default();
+        let mut compare = |store: &mut ResultStore, kb: &KnowledgeBase, cs: &[MappingDef], step| {
+            for c in cs {
+                let candidate = store.candidate(&cfg, c, kb).unwrap();
+                let schema = candidate.schema();
+                // the parts' tallies, minus the tallies of the rows dropped
+                let mut derived: Option<MetricTally> = None;
+                for part in candidate.parts() {
+                    let whole = measure(part.rows.iter(), schema, &mut bound);
+                    let dropped = part.dropped.iter().map(|&r| &part.rows.tuples()[r]);
+                    let dropped = measure(dropped, schema, &mut bound);
+                    let sum = match &mut derived {
+                        Some(sum) => {
+                            sum.add(&whole);
+                            sum
+                        }
+                        None => derived.insert(whole),
+                    };
+                    sum.subtract(&dropped);
+                }
+                let derived = derived.unwrap();
+                let scratch = execute_mapping(&cfg, c, kb).unwrap();
+                let at = format!("{step}: {}", c.id);
+                // nothing built the union's relation: this copies the parts
+                assert_eq!(candidate.to_relation().tuples(), scratch.tuples(), "{at}");
+                assert_eq!(derived, measure(scratch.iter(), schema, &mut bound), "{at}");
+                assert_eq!(derived.rows, scratch.len(), "{at}");
+                for (col, attr) in schema.attr_names().into_iter().enumerate() {
+                    let want = scratch.completeness(attr).unwrap();
+                    assert_eq!(derived.completeness(col).to_bits(), want.to_bits(), "{at}");
+                }
+                for ((attr, population), got) in bound.iter_mut().zip(&derived.accuracy) {
+                    let want = population.accuracy(&scratch, attr).unwrap();
+                    assert_eq!(got.value().to_bits(), want.to_bits(), "{at}: {attr}");
+                }
+            }
+        };
+        compare(&mut store, &kb, &candidates, "first sight");
+        for (name, edit) in union_edits() {
+            edit(&mut kb);
+            candidates.reverse();
+            compare(&mut store, &kb, &candidates, name);
+        }
+        // the unions dropped rows along the way, so the subtraction ran
+        assert!(store.stats().assembled_runs > 2, "{:?}", store.stats());
+    }
+
+    #[test]
+    fn an_edit_to_a_source_both_augmented_parts_read_rebuilds_its_input_once() {
+        let (mut kb, candidates) = union_kb();
+        let obs = vada_common::Obs::enabled();
+        kb.set_obs(obs.clone());
+        let mut store = ResultStore::default();
+        for c in &candidates {
+            checked(&mut store, c, &kb);
+        }
+        // one input per source: rightmove, onthemarket, deprivation
+        let inputs = || [obs_key::MAP_INPUT_BUILT, obs_key::MAP_INPUT_REUSED].map(|k| obs.get(k));
+        assert_eq!(inputs(), [3, 3]);
+        assert_eq!(store.stats().full_runs, 4);
+
+        let mut dep = Relation::empty(kb.relation("deprivation").unwrap().schema().clone());
+        dep.push(tuple!["M1", "700"]).unwrap();
+        dep.push(tuple!["EH1", "800"]).unwrap();
+        kb.register_source(dep);
+        for c in &candidates {
+            checked(&mut store, c, &kb);
+        }
+        // the two augmented parts re-ran: deprivation was built for the
+        // first and kept for the second, and both loaded their listing's
+        // kept input
+        assert_eq!(store.stats().full_runs, 6);
+        assert_eq!(inputs(), [3 + 1, 3 + 3]);
+        let cfg = ExecuteConfig::default();
+        for id in ["rightmove_true", "onthemarket_true"] {
+            let c = candidates.iter().find(|c| c.id == id).unwrap();
+            let result = store.execute(&cfg, c, &kb).unwrap();
+            let crime: Vec<_> = result.iter().map(|t| t[3].clone()).collect();
+            assert!(crime.contains(&vada_common::Value::Int(800)), "{id}: {crime:?}");
+        }
     }
 
     #[test]

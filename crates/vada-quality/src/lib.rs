@@ -23,6 +23,9 @@ pub mod repair;
 pub mod violations;
 
 pub use cfd::{learn_cfds, CfdLearnConfig};
-pub use metrics::{accuracy_against_reference, consistency, master_coverage, ReferencePopulation};
+pub use metrics::{
+    accuracy_against_reference, consistency, consistency_applies, master_coverage,
+    AccuracyTally, MetricTally, ReferencePopulation,
+};
 pub use repair::{repair, repair_with_reference, FuzzyIndex, RepairConfig, RepairReport};
 pub use violations::{detect_violations, Violation};

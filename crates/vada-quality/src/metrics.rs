@@ -7,10 +7,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use vada_common::text::{blocking_key, normalize, normalize_append};
-use vada_common::{Relation, Result, Value};
+use vada_common::{Relation, Result, Schema, Tuple, Value};
 use vada_kb::CfdRule;
 
-use crate::violations::{detect_violations, violating_row_count};
+use crate::violations::{detect_violations, resolve_columns, violating_row_count};
 
 /// Consistency of a relation w.r.t. a CFD set: `1 − violating rows / rows`.
 /// An empty relation is vacuously consistent.
@@ -20,6 +20,107 @@ pub fn consistency(rel: &Relation, cfds: &[CfdRule]) -> f64 {
     }
     let violations = detect_violations(rel, cfds);
     1.0 - violating_row_count(&violations) as f64 / rel.len() as f64
+}
+
+/// Whether some CFD of `cfds` names only attributes of `schema`. When none
+/// does, every CFD is skipped on relations of the schema, and
+/// [`consistency`] is exactly 1.0 on each of them.
+pub fn consistency_applies(schema: &Schema, cfds: &[CfdRule]) -> bool {
+    cfds.iter().any(|cfd| resolve_columns(schema, cfd).is_some())
+}
+
+/// `part / whole`, or 1.0 when `whole` is 0: the shape of every quality
+/// ratio here — a metric over no values violates nothing.
+fn ratio(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        1.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// The two counts a syntactic accuracy is the ratio of: non-null cells, and
+/// the hits among them (see [`ReferencePopulation::tally`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AccuracyTally {
+    /// Non-null cells whose normal form is in the population.
+    pub hits: usize,
+    /// Non-null cells.
+    pub total: usize,
+}
+
+impl AccuracyTally {
+    /// `hits / total`, or 1.0 when there are no values.
+    pub fn value(self) -> f64 {
+        ratio(self.hits, self.total)
+    }
+}
+
+/// The integer counts a relation's completeness, coverage and accuracy are
+/// ratios of. Counts add up over disjoint sets of rows, so the tally of a
+/// union is its parts' tallies minus the tallies of the rows it drops, and
+/// the division comes last: the metrics are bit-identical to measuring the
+/// union itself.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MetricTally {
+    /// Rows.
+    pub rows: usize,
+    /// Non-null cells, per column.
+    pub non_null: Vec<usize>,
+    /// One accuracy tally per scored column, in the order they were scored.
+    pub accuracy: Vec<AccuracyTally>,
+}
+
+impl MetricTally {
+    /// Count `rows` over `arity` columns, scoring column `col` against
+    /// `population` for each `(col, population)` of `scored`.
+    pub fn measure<'t, 'p, I>(
+        rows: I,
+        arity: usize,
+        scored: impl IntoIterator<Item = (usize, &'p mut ReferencePopulation)>,
+    ) -> MetricTally
+    where
+        I: IntoIterator<Item = &'t Tuple>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        let mut tally = MetricTally { non_null: vec![0; arity], ..MetricTally::default() };
+        for t in rows.clone() {
+            tally.rows += 1;
+            for (count, v) in tally.non_null.iter_mut().zip(t.iter()) {
+                *count += usize::from(!v.is_null());
+            }
+        }
+        tally.accuracy = scored.into_iter().map(|(col, p)| p.tally(rows.clone(), col)).collect();
+        tally
+    }
+
+    /// Add the counts of `other`, tallied over the same columns.
+    pub fn add(&mut self, other: &MetricTally) {
+        self.combine(other, |a, b| a + b);
+    }
+
+    /// Take away the counts of `other`: rows among those this tally counts.
+    pub fn subtract(&mut self, other: &MetricTally) {
+        self.combine(other, |a, b| a - b);
+    }
+
+    fn combine(&mut self, other: &MetricTally, op: impl Fn(usize, usize) -> usize) {
+        self.rows = op(self.rows, other.rows);
+        for (a, b) in self.non_null.iter_mut().zip(&other.non_null) {
+            *a = op(*a, *b);
+        }
+        for (a, b) in self.accuracy.iter_mut().zip(&other.accuracy) {
+            a.hits = op(a.hits, b.hits);
+            a.total = op(a.total, b.total);
+        }
+    }
+
+    /// Completeness of column `col`: its non-null fraction, 1.0 over no
+    /// rows — [`Relation::completeness`] from the counts.
+    pub fn completeness(&self, col: usize) -> f64 {
+        ratio(self.non_null[col], self.rows)
+    }
 }
 
 /// Bound on [`ReferencePopulation`]'s verdict memo: past it the memo is
@@ -61,10 +162,19 @@ impl ReferencePopulation {
     /// has no values.
     pub fn accuracy(&mut self, rel: &Relation, attr: &str) -> Result<f64> {
         let col = rel.schema().require(attr)?;
-        let mut total = 0usize;
-        let mut hits = 0usize;
+        Ok(self.tally(rel.iter(), col).value())
+    }
+
+    /// The counts [`ReferencePopulation::accuracy`] divides, over column
+    /// `col` of `rows`: the non-null cells, and the hits among them.
+    pub fn tally<'t>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'t Tuple>,
+        col: usize,
+    ) -> AccuracyTally {
+        let mut tally = AccuracyTally::default();
         let mut norm = String::new();
-        for t in rel.iter() {
+        for t in rows {
             let hit = match &t[col] {
                 Value::Null => continue,
                 Value::Str(s) => match self.verdicts.get(&**s) {
@@ -86,10 +196,10 @@ impl ReferencePopulation {
                         && self.normal_forms.contains(norm.as_str())
                 }
             };
-            total += 1;
-            hits += usize::from(hit);
+            tally.total += 1;
+            tally.hits += usize::from(hit);
         }
-        Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
+        tally
     }
 }
 

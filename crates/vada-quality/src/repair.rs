@@ -83,8 +83,8 @@ fn build_lookups(cfds: &[CfdRule], rel: &Relation, reference: &Relation) -> Vec<
         if cfd.rhs.1.is_some() || cfd.lhs.iter().any(|(_, p)| p.is_some()) {
             continue; // constant CFDs handled through violations, not lookup
         }
-        let Some((lhs_cols, rhs_col)) = resolve_columns(rel, cfd) else { continue };
-        let Some((ref_lhs, ref_rhs)) = resolve_columns(reference, cfd) else { continue };
+        let Some((lhs_cols, rhs_col)) = resolve_columns(rel.schema(), cfd) else { continue };
+        let Some((ref_lhs, ref_rhs)) = resolve_columns(reference.schema(), cfd) else { continue };
         let mut table: HashMap<Vec<Value>, Value> = HashMap::new();
         let mut conflicted: std::collections::HashSet<Vec<Value>> = Default::default();
         for t in reference.iter() {

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use vada_common::{Relation, Value};
+use vada_common::{Relation, Schema, Value};
 use vada_kb::CfdRule;
 
 /// A detected violation.
@@ -20,15 +20,11 @@ pub struct Violation {
     pub attr: String,
 }
 
-/// Resolve the column indices a CFD needs on `rel`; `None` if any is
-/// missing.
-pub(crate) fn resolve_columns(rel: &Relation, cfd: &CfdRule) -> Option<(Vec<usize>, usize)> {
-    let lhs: Option<Vec<usize>> = cfd
-        .lhs
-        .iter()
-        .map(|(a, _)| rel.schema().index_of(a))
-        .collect();
-    let rhs = rel.schema().index_of(&cfd.rhs.0)?;
+/// Resolve the column indices a CFD needs on relations of `schema`; `None`
+/// if any is missing.
+pub(crate) fn resolve_columns(schema: &Schema, cfd: &CfdRule) -> Option<(Vec<usize>, usize)> {
+    let lhs: Option<Vec<usize>> = cfd.lhs.iter().map(|(a, _)| schema.index_of(a)).collect();
+    let rhs = schema.index_of(&cfd.rhs.0)?;
     Some((lhs?, rhs))
 }
 
@@ -57,7 +53,7 @@ fn lhs_matches(rel: &Relation, row: usize, cfd: &CfdRule, lhs_cols: &[usize]) ->
 pub fn detect_violations(rel: &Relation, cfds: &[CfdRule]) -> Vec<Violation> {
     let mut out = Vec::new();
     for cfd in cfds {
-        let Some((lhs_cols, rhs_col)) = resolve_columns(rel, cfd) else {
+        let Some((lhs_cols, rhs_col)) = resolve_columns(rel.schema(), cfd) else {
             continue;
         };
         if let Some(want) = &cfd.rhs.1 {
