@@ -214,12 +214,18 @@ pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
 
 /// Decode one tuple.
 pub fn decode_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
+    decode_tuple_with(r, &mut Vec::new())
+}
+
+/// Decode one tuple through `values`, a buffer reused across tuples.
+fn decode_tuple_with(r: &mut Reader<'_>, values: &mut Vec<Value>) -> Result<Tuple> {
     let arity = r.u32()? as usize;
-    let mut values = Vec::with_capacity(arity.min(1024));
+    values.clear();
+    values.reserve(arity.min(1024));
     for _ in 0..arity {
         values.push(decode_value(r)?);
     }
-    Ok(Tuple::new(values))
+    Ok(Tuple::from_drain(values))
 }
 
 /// Append a count-prefixed sequence of tuples.
@@ -234,8 +240,9 @@ pub fn encode_tuples(ts: &[Tuple], out: &mut Vec<u8>) {
 pub fn decode_tuples(r: &mut Reader<'_>) -> Result<Vec<Tuple>> {
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(65_536));
+    let mut values = Vec::new();
     for _ in 0..n {
-        out.push(decode_tuple(r)?);
+        out.push(decode_tuple_with(r, &mut values)?);
     }
     Ok(out)
 }

@@ -106,11 +106,19 @@ pub fn serialize<S: AsRef<str>>(rows: &[Vec<S>]) -> String {
 /// so the first bad row is the one reported; a panic while typing surfaces
 /// as an error naming the `csv/ingest` stage.
 pub fn read_relation(text: &str, schema: Schema) -> Result<Relation> {
-    let body = split_body(parse(text)?, &schema)?;
+    relation_from_rows(parse(text)?, schema)
+}
+
+/// [`read_relation`] over rows already [`parse`]d, header row first: for a
+/// caller that read the header to build `schema`, so the text is parsed
+/// once. Same checks, same errors.
+pub fn relation_from_rows(rows: Vec<Vec<String>>, schema: Schema) -> Result<Relation> {
+    let body = split_body(rows, &schema)?;
     let tuples = guard_stage("csv/ingest", || {
+        let mut values = Vec::with_capacity(schema.arity());
         body.iter()
             .enumerate()
-            .map(|(line_no, row)| typed_tuple(line_no, row, &schema))
+            .map(|(line_no, row)| typed_tuple(line_no, row, &schema, &mut values))
             .collect::<Result<Vec<_>>>()
     })?;
     Relation::from_tuples(schema, tuples)
@@ -135,10 +143,15 @@ fn split_body(rows: Vec<Vec<String>>, schema: &Schema) -> Result<Vec<Vec<String>
     Ok(it.collect())
 }
 
-/// Type one body row (`line_no` is the 0-based body index) into a tuple. A
-/// cell that does not parse as its attribute's type is reported with its
-/// row and column.
-fn typed_tuple(line_no: usize, row: &[String], schema: &Schema) -> Result<Tuple> {
+/// Type one body row (`line_no` is the 0-based body index) into a tuple,
+/// through `values`, a buffer reused across rows. A cell that does not
+/// parse as its attribute's type is reported with its row and column.
+fn typed_tuple(
+    line_no: usize,
+    row: &[String],
+    schema: &Schema,
+    values: &mut Vec<Value>,
+) -> Result<Tuple> {
     if row.len() != schema.arity() {
         return Err(VadaError::Csv(format!(
             "row {} has {} fields, expected {}",
@@ -147,22 +160,20 @@ fn typed_tuple(line_no: usize, row: &[String], schema: &Schema) -> Result<Tuple>
             schema.arity()
         )));
     }
-    let values: Vec<Value> = row
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            let attr = schema.attr(i);
-            Value::parse_as(cell, attr.ty).map_err(|e| {
-                VadaError::Type(format!(
-                    "row {}, column `{}`: {}",
-                    line_no + 2,
-                    attr.name,
-                    e.message()
-                ))
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(Tuple::new(values))
+    values.clear();
+    for (i, cell) in row.iter().enumerate() {
+        let attr = schema.attr(i);
+        let value = Value::parse_as(cell, attr.ty).map_err(|e| {
+            VadaError::Type(format!(
+                "row {}, column `{}`: {}",
+                line_no + 2,
+                attr.name,
+                e.message()
+            ))
+        })?;
+        values.push(value);
+    }
+    Ok(Tuple::from_drain(values))
 }
 
 /// Write a [`Relation`] to CSV text (header row included).

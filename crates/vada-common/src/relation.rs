@@ -1,12 +1,10 @@
-//! In-memory relations: a [`Schema`] plus a bag of [`Tuple`]s with optional
-//! hash indexes.
+//! In-memory relations: a [`Schema`] plus a bag of [`Tuple`]s.
 //!
 //! Relations are the unit of data exchanged between wrangling components and
 //! stored in the knowledge base. They are bags (duplicates allowed) because
 //! extraction output routinely contains duplicates — deduplication is itself
 //! a wrangling step (`vada-fusion`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::{Result, VadaError};
@@ -14,20 +12,18 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// An in-memory relation (bag semantics) with lazily built hash indexes.
+/// An in-memory relation (bag semantics). Its rows are shared [`Tuple`]s,
+/// so cloning a relation copies one handle per row, never a value.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     tuples: Vec<Tuple>,
-    /// column set -> (key values -> row ids). Rebuilt on demand, invalidated
-    /// by mutation.
-    indexes: HashMap<Vec<usize>, HashMap<Tuple, Vec<usize>>>,
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation { schema, tuples: Vec::new(), indexes: HashMap::new() }
+        Relation { schema, tuples: Vec::new() }
     }
 
     /// Build a relation from tuples, validating arity (types are not strictly
@@ -44,7 +40,7 @@ impl Relation {
                 )));
             }
         }
-        Ok(Relation { schema, tuples, indexes: HashMap::new() })
+        Ok(Relation { schema, tuples })
     }
 
     /// The relation's schema.
@@ -87,7 +83,6 @@ impl Relation {
                 self.schema.arity()
             )));
         }
-        self.indexes.clear();
         self.tuples.push(tuple);
         Ok(())
     }
@@ -100,7 +95,7 @@ impl Relation {
         Ok(())
     }
 
-    /// Replace tuple at `row`, keeping indexes coherent.
+    /// Replace the tuple at `row`.
     pub fn replace(&mut self, row: usize, tuple: Tuple) -> Result<()> {
         if tuple.arity() != self.schema.arity() {
             return Err(VadaError::Schema("arity mismatch in replace".into()));
@@ -108,7 +103,6 @@ impl Relation {
         if row >= self.tuples.len() {
             return Err(VadaError::Schema(format!("row {row} out of range")));
         }
-        self.indexes.clear();
         self.tuples[row] = tuple;
         Ok(())
     }
@@ -134,7 +128,6 @@ impl Relation {
         let Some(&first) = sorted.first() else {
             return Ok(Vec::new());
         };
-        self.indexes.clear();
         if sorted.len() == 1 {
             return Ok(vec![self.tuples.remove(first)]);
         }
@@ -157,31 +150,12 @@ impl Relation {
 
     /// Retain only tuples matching the predicate.
     pub fn retain(&mut self, f: impl FnMut(&Tuple) -> bool) {
-        self.indexes.clear();
         self.tuples.retain(f);
     }
 
     /// Remove all tuples.
     pub fn clear(&mut self) {
-        self.indexes.clear();
         self.tuples.clear();
-    }
-
-    /// Ensure a hash index exists on the given columns and return row ids
-    /// whose key equals `key`.
-    pub fn lookup(&mut self, cols: &[usize], key: &Tuple) -> &[usize] {
-        if !self.indexes.contains_key(cols) {
-            let mut idx: HashMap<Tuple, Vec<usize>> = HashMap::new();
-            for (row, t) in self.tuples.iter().enumerate() {
-                idx.entry(t.project(cols)).or_default().push(row);
-            }
-            self.indexes.insert(cols.to_vec(), idx);
-        }
-        self.indexes
-            .get(cols)
-            .and_then(|i| i.get(key))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 
     /// Project to the named attributes (bag semantics preserved).
@@ -234,7 +208,6 @@ impl Relation {
 
     /// Deduplicate identical tuples in place (set semantics snapshot).
     pub fn dedup(&mut self) {
-        self.indexes.clear();
         let mut seen = std::collections::HashSet::new();
         self.tuples.retain(|t| seen.insert(t.clone()));
     }
@@ -314,22 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_finds_rows() {
-        let mut r = rel();
-        let rows = r.lookup(&[0], &tuple![1]).to_vec();
-        assert_eq!(rows, vec![0, 2]);
-        assert!(r.lookup(&[0], &tuple![99]).is_empty());
-    }
-
-    #[test]
-    fn index_invalidated_on_push() {
-        let mut r = rel();
-        assert_eq!(r.lookup(&[0], &tuple![1]).len(), 2);
-        r.push(tuple![1, "w"]).unwrap();
-        assert_eq!(r.lookup(&[0], &tuple![1]).len(), 3);
-    }
-
-    #[test]
     fn project_and_select() {
         let r = rel();
         let p = r.project(&["b"]).unwrap();
@@ -378,9 +335,6 @@ mod tests {
         assert_eq!(r.tuples(), &[tuple![2, "y"]]);
         assert!(r.remove_rows(&[5]).is_err());
         assert!(r.remove_rows(&[]).unwrap().is_empty());
-        // indexes rebuilt against the shrunk relation
-        assert!(r.lookup(&[0], &tuple![1]).is_empty());
-        assert_eq!(r.lookup(&[0], &tuple![2]), &[0]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn normalize_append(s: &str, out: &mut String) {
 /// first): the normal forms of the non-null key cells joined by `|`.
 /// Returns `false` when every key cell is null (such rows block as
 /// singletons). This is the *single* definition of the blocking key —
-/// `vada_fusion::block_by_keys_with` calls it, and the `vada-match`
+/// `vada_fusion`'s blocking calls it, and the `vada-match`
 /// property suite pins the matcher's value identity against it. Columns
 /// beyond the tuple's arity are skipped: a missing key cell behaves like
 /// a null one.

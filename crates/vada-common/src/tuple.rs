@@ -3,19 +3,35 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 use crate::value::Value;
 
-/// A row of values. Cheap to clone relative to `Vec` churn (boxed slice, no
-/// spare capacity), hashable and totally ordered so it can serve as a join
-/// or index key.
+/// A row of values: immutable and reference-counted, so a clone is one
+/// refcount increment and every layer a row passes through (source,
+/// execution input, engine fact, result, repair copy, fusion survivor,
+/// journal event) shares one allocation instead of copying it. Hashable and
+/// totally ordered so it can serve as a join or index key.
+///
+/// The refcounts and the values sit in one allocation. [`Tuple::new`] moves
+/// an existing `Vec` into a fresh one; hot construction paths avoid that
+/// copy by collecting an iterator of known length (`FromIterator` over a
+/// slice, range or array iterator) or by draining a reused buffer
+/// ([`Tuple::from_drain`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Tuple(Box<[Value]>);
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: impl Into<Vec<Value>>) -> Tuple {
-        Tuple(values.into().into_boxed_slice())
+        Tuple(Arc::from(values.into()))
+    }
+
+    /// Build a tuple from the values in `buf`, leaving `buf` empty with its
+    /// capacity kept — for construction that can fail half-way (parsing,
+    /// decoding, head resolution) and reuses one buffer across rows.
+    pub fn from_drain(buf: &mut Vec<Value>) -> Tuple {
+        Tuple(buf.drain(..).collect())
     }
 
     /// Number of fields.
@@ -38,11 +54,15 @@ impl Tuple {
         Tuple(indices.iter().map(|&i| self.0[i].clone()).collect())
     }
 
-    /// A new tuple with field `idx` replaced by `value`.
+    /// A new tuple with field `idx` replaced by `value`; `self` is left
+    /// untouched. Panics if `idx` is out of range.
     pub fn with_value(&self, idx: usize, value: Value) -> Tuple {
-        let mut v: Vec<Value> = self.0.to_vec();
-        v[idx] = value;
-        Tuple::new(v)
+        assert!(idx < self.0.len(), "field {idx} out of range for arity {}", self.0.len());
+        self.0
+            .iter()
+            .enumerate()
+            .map(|(i, v)| if i == idx { value.clone() } else { v.clone() })
+            .collect()
     }
 
     /// Concatenate two tuples.
@@ -69,8 +89,9 @@ impl Index<usize> for Tuple {
 }
 
 /// A tuple hashes and compares exactly like its value slice (the derived
-/// impls delegate to the boxed slice), so a `HashMap<Tuple, _>` can be probed
-/// with a borrowed `&[Value]` — no key tuple allocated per lookup.
+/// impls delegate through the `Arc` to the slice), so a `HashMap<Tuple, _>`
+/// can be probed with a borrowed `&[Value]` — no key tuple allocated per
+/// lookup.
 impl Borrow<[Value]> for Tuple {
     fn borrow(&self) -> &[Value] {
         &self.0
@@ -110,7 +131,9 @@ impl fmt::Display for Tuple {
     }
 }
 
-/// Build a [`Tuple`] from a list of expressions convertible to [`Value`].
+/// Build a [`Tuple`] from a list of expressions convertible to [`Value`],
+/// in one allocation (the values are collected from an array, not moved
+/// out of a `Vec`).
 ///
 /// ```
 /// use vada_common::{tuple, Value};
@@ -121,7 +144,9 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
+        <$crate::Tuple as ::core::iter::FromIterator<$crate::Value>>::from_iter([
+            $($crate::Value::from($v)),*
+        ])
     };
 }
 
@@ -162,6 +187,53 @@ mod tests {
         assert_eq!(t.with_value(1, Value::Int(9)), tuple![1, 9]);
         // original untouched
         assert_eq!(t, tuple![1, 2]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_values() {
+        let t = tuple!["a", 1, 2.5];
+        let c = t.clone();
+        assert!(std::ptr::eq(t.values().as_ptr(), c.values().as_ptr()));
+        let changed = c.with_value(0, Value::str("b"));
+        assert!(!std::ptr::eq(t.values().as_ptr(), changed.values().as_ptr()));
+        assert_eq!(c, tuple!["a", 1, 2.5], "with_value leaves the shared original untouched");
+        assert_eq!(changed, tuple!["b", 1, 2.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn with_value_out_of_range_panics() {
+        let _ = tuple![1, 2].with_value(2, Value::Null);
+    }
+
+    #[test]
+    fn every_constructor_builds_the_same_key() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash_of<T: Hash + ?Sized>(x: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let values = vec![Value::str("a"), Value::Int(1), Value::Null, Value::Float(2.5)];
+        // `Int(1)` and `Float(1.0)` are one value, so they must be one key
+        let written_apart = [Value::str("a"), Value::Float(1.0), Value::Null, Value::Float(2.5)];
+        let mut buf = values.clone();
+        let capacity = buf.capacity();
+        let built = [
+            Tuple::new(values.clone()),
+            values.iter().cloned().collect::<Tuple>(),
+            Tuple::from_drain(&mut buf),
+        ];
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), capacity, "the drained buffer keeps its capacity");
+        for t in &built {
+            assert_eq!(t, &built[0]);
+            assert_eq!(t.values(), &values[..]);
+            assert_eq!(hash_of(t), hash_of(&values[..]), "Borrow<[Value]> contract");
+            assert_eq!(hash_of(t), hash_of(&written_apart[..]));
+        }
+        assert_eq!(Tuple::from_drain(&mut buf), tuple![], "an empty buffer is the empty tuple");
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Transducer for CsvIngestion {
                 &name,
                 &header.iter().map(|h| h.trim()).collect::<Vec<_>>(),
             );
-            let rel = csv::read_relation(&text, schema)?;
+            let rel = csv::relation_from_rows(parsed, schema)?;
             rows += rel.len();
             kb.register_source(rel);
             ingested.push(name);

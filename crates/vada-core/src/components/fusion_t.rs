@@ -2,7 +2,7 @@
 //! two exactly as the paper sketches ("a data fusion transducer may start
 //! to evaluate when duplicates have been detected").
 
-use vada_common::{AttrType, Relation, Result, Schema, Tuple, Value};
+use vada_common::{AttrType, Relation, Result, Schema, Value};
 use vada_fusion::{
     cluster_relation, fuse_clusters, ClusterConfig, FieldKind, FieldSpec, Survivorship,
 };
@@ -96,10 +96,7 @@ impl Transducer for DuplicateDetection {
         );
         for (ci, cluster) in non_singleton.iter().enumerate() {
             for &row in cluster.iter() {
-                rel.push(Tuple::new(vec![
-                    Value::Int(ci as i64),
-                    Value::Int(row as i64),
-                ]))?;
+                rel.push([Value::Int(ci as i64), Value::Int(row as i64)].into_iter().collect())?;
             }
         }
         let n = non_singleton.len();

@@ -797,6 +797,7 @@ impl Engine {
         let mut binding: Binding = vec![None; cr.rule.var_count];
         let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut results = Vec::new();
+        let mut head = Vec::with_capacity(cr.rule.head_terms.len());
 
         let outcome = if cr.rule.has_aggregate() {
             let mut rows: Vec<Binding> = Vec::new();
@@ -811,7 +812,7 @@ impl Engine {
         } else {
             let cfg_depth = self.config.max_skolem_depth;
             join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
-                results.push(head_tuple(cr, b, cfg_depth)?);
+                results.push(head_tuple(cr, b, cfg_depth, &mut head)?);
                 Ok(())
             })
         };
@@ -881,8 +882,9 @@ impl Engine {
         let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut found = false;
         let depth = self.config.max_skolem_depth;
+        let mut head = Vec::with_capacity(cr.rule.head_terms.len());
         let outcome = join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
-            if head_tuple(cr, b, depth)? == *fact {
+            if head_tuple(cr, b, depth, &mut head)? == *fact {
                 found = true;
                 return Err(VadaError::Eval(STOP_SENTINEL.into()));
             }
@@ -928,11 +930,17 @@ fn independent_batches(
 }
 
 /// Build the head tuple for a satisfied binding, inventing skolems for
-/// existential variables.
-fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<Tuple> {
+/// existential variables. `values` is the join's head buffer, reused
+/// across bindings so the tuple is the only allocation.
+fn head_tuple(
+    cr: &CompiledRule,
+    binding: &Binding,
+    max_depth: usize,
+    values: &mut Vec<Value>,
+) -> Result<Tuple> {
     // no existential head variable (the common case): every term resolves,
     // so the tuple is built directly — no frontier, no skolem table
-    let mut values = Vec::with_capacity(cr.rule.head_terms.len());
+    values.clear();
     for ht in &cr.rule.head_terms {
         match ht {
             HeadTerm::Term(t) => match resolve(t, binding) {
@@ -944,7 +952,7 @@ fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<
             }
         }
     }
-    Ok(Tuple::new(values))
+    Ok(Tuple::from_drain(values))
 }
 
 /// [`head_tuple`] for a head with an existential variable: one skolem per

@@ -132,12 +132,8 @@ impl Scenario {
         ).expect("static schema"));
         for (district, rank) in &universe.crime_by_district {
             if rng.gen_bool(config.deprivation_coverage.clamp(0.0, 1.0)) {
-                deprivation
-                    .push(Tuple::new(vec![
-                        Value::str(district),
-                        Value::str(rank.to_string()),
-                    ]))
-                    .expect("arity 2");
+                let row = [Value::str(district), Value::str(rank.to_string())];
+                deprivation.push(row.into_iter().collect()).expect("arity 2");
             }
         }
 
@@ -151,13 +147,8 @@ impl Scenario {
             ],
         ).expect("static schema"));
         for p in &universe.properties {
-            address
-                .push(Tuple::new(vec![
-                    Value::str(&p.street),
-                    Value::str(&p.city),
-                    Value::str(&p.postcode),
-                ]))
-                .expect("arity 3");
+            let row = [Value::str(&p.street), Value::str(&p.city), Value::str(&p.postcode)];
+            address.push(row.into_iter().collect()).expect("arity 3");
         }
 
         Scenario { universe, rightmove, onthemarket, deprivation, address, config }
@@ -192,7 +183,7 @@ fn extract_source(
 /// Extract one row (canonical column order: price, street, postcode,
 /// bedrooms, type, description) with defects applied.
 fn extract_row(p: &GroundProperty, e: &ErrorModel, rng: &mut StdRng) -> Tuple {
-    let mut field = |canonical: Field| -> Value {
+    let field = |canonical: Field| -> Value {
         if rng.gen_bool(e.missing_rate) {
             return Value::Null;
         }
@@ -239,14 +230,11 @@ fn extract_row(p: &GroundProperty, e: &ErrorModel, rng: &mut StdRng) -> Tuple {
             Field::Description => Value::str(&p.description),
         }
     };
-    Tuple::new(vec![
-        field(Field::Price),
-        field(Field::Street),
-        field(Field::Postcode),
-        field(Field::Bedrooms),
-        field(Field::Type),
-        field(Field::Description),
-    ])
+    // the fields draw from `rng` in column order
+    [Field::Price, Field::Street, Field::Postcode, Field::Bedrooms, Field::Type, Field::Description]
+        .into_iter()
+        .map(field)
+        .collect()
 }
 
 #[derive(Clone, Copy)]

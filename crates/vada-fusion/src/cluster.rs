@@ -1,9 +1,18 @@
 //! Union-find clustering of above-threshold record pairs within blocks.
+//!
+//! Both entry points score pairs over the flat grouping of
+//! [`crate::blocking`], never a `Vec` per block.
+//! [`cluster_relation`] visits blocks in first-row order: union-find's
+//! partition does not depend on the order pairs are united in, and clusters
+//! come out ordered by their smallest member, so the output is the same in
+//! any block order. [`cluster_relation_scored`] visits blocks in key order,
+//! the order [`crate::block_by_keys`] returns them, because its error
+//! contract names the first failing pair in that order.
 
 use vada_common::error::guard_stage;
 use vada_common::{Relation, Result, Tuple};
 
-use crate::blocking::block_by_keys;
+use crate::blocking::Blocks;
 use crate::similarity::{FieldSpec, PreparedRows};
 
 /// Disjoint-set forest with path compression and union by size.
@@ -91,9 +100,11 @@ pub struct ClusterConfig {
 pub fn cluster_relation(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<usize>>> {
     let mut prepared = PreparedRows::new(&cfg.fields, rel.schema().arity())?;
     let blocks = blocks_of(cfg, rel)?;
+    let shared: Vec<&[usize]> =
+        (0..blocks.len()).map(|b| blocks.block(b)).filter(|rows| rows.len() > 1).collect();
     // a row alone in its block is never scored, so never prepared
     let mut has_mate = vec![false; rel.len()];
-    for &row in blocks.iter().filter(|b| b.len() > 1).flatten() {
+    for &row in shared.iter().copied().flatten() {
         has_mate[row] = true;
     }
     let slot: Vec<usize> = rel
@@ -101,7 +112,7 @@ pub fn cluster_relation(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<u
         .zip(&has_mate)
         .map(|(t, &mate)| if mate { prepared.push(t) } else { usize::MAX })
         .collect();
-    cluster_pairs(&blocks, rel.len(), cfg.threshold, |a, b| {
+    cluster_pairs(shared, rel.len(), cfg.threshold, |a, b| {
         Ok(prepared.similarity(slot[a], slot[b]))
     })
 }
@@ -117,21 +128,22 @@ pub fn cluster_relation_scored(
     scorer: &dyn Fn(&Tuple, &Tuple) -> Result<f64>,
 ) -> Result<Vec<Vec<usize>>> {
     let blocks = blocks_of(cfg, rel)?;
+    let in_key_order = blocks.key_order().into_iter().map(|b| blocks.block(b));
     let tuples = rel.tuples();
-    cluster_pairs(&blocks, rel.len(), cfg.threshold, |a, b| scorer(&tuples[a], &tuples[b]))
+    cluster_pairs(in_key_order, rel.len(), cfg.threshold, |a, b| scorer(&tuples[a], &tuples[b]))
 }
 
-fn blocks_of(cfg: &ClusterConfig, rel: &Relation) -> Result<Vec<Vec<usize>>> {
+fn blocks_of(cfg: &ClusterConfig, rel: &Relation) -> Result<Blocks> {
     let keys: Vec<&str> = cfg.block_keys.iter().map(|s| s.as_str()).collect();
-    block_by_keys(rel, &keys)
+    Blocks::group(rel, &keys)
 }
 
 /// Score every within-block pair of row indices with `score`, in block
 /// order, and union the pairs that reach `threshold`, over `n` rows. Pairs
 /// are streamed, never materialised, so extra memory stays O(1) even for a
 /// degenerate single-block key.
-fn cluster_pairs(
-    blocks: &[Vec<usize>],
+fn cluster_pairs<'b>(
+    blocks: impl IntoIterator<Item = &'b [usize]>,
     n: usize,
     threshold: f64,
     score: impl Fn(usize, usize) -> Result<f64>,

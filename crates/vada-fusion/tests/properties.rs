@@ -459,3 +459,91 @@ proptest! {
         }
     }
 }
+
+/// A blocking-key cell under one of four shapes: every key null, one
+/// giant block written many ways, all singletons, or a mix of keys that
+/// differ only in case, punctuation, spacing or non-ASCII case folding.
+fn key_cell(shape: u8, row: usize, pick: u8) -> Value {
+    const ONE_KEY: [&str; 6] = ["M1 1AA", "m1 1aa", "M1-1AA", "  M1   1AA ", "m1.1aa!", "M1\t1aa"];
+    const MIXED: [&str; 12] = [
+        "M1 1AA", "m1-1aa", "EH1 1AA", "eh1  1aa.", "ÉCOLE", "école", "Straße", "STRASSE",
+        "İstanbul", "i\u{307}stanbul", "...", "",
+    ];
+    match shape % 4 {
+        0 => Value::Null,
+        1 => Value::str(ONE_KEY[pick as usize % ONE_KEY.len()]),
+        2 => Value::str(format!("Row {row}")),
+        _ => match pick % 16 {
+            0..=11 => Value::str(MIXED[pick as usize % MIXED.len()]),
+            12 => Value::Int(1),
+            13 => Value::Float(1.0),
+            _ => Value::Null,
+        },
+    }
+}
+
+fn key_shaped_relation(shape: u8, rows: &[(u8, u8, u8, u8)]) -> Relation {
+    let mut rel = Relation::empty(Schema::all_str("r", &["k1", "k2", "name", "n"]));
+    for (row, &(k1, k2, name, n)) in rows.iter().enumerate() {
+        // the second key column is null for the one-block shape, so every
+        // row shares the first column's normal form
+        let k2 = if shape % 4 == 1 { Value::Null } else { key_cell(shape, row, k2) };
+        rel.push(Tuple::new(vec![key_cell(shape, row, k1), k2, cell(name), cell(n)])).unwrap();
+    }
+    rel
+}
+
+proptest! {
+    #[test]
+    fn blocks_match_a_btreemap_of_normalized_keys(
+        rows in proptest::collection::vec((0u8..16, 0u8..16, 0u8..16, 0u8..16), 1..40),
+        shape in 0u8..4,
+    ) {
+        use std::collections::BTreeMap;
+        use vada_common::text::normalize;
+        let rel = key_shaped_relation(shape, &rows);
+        let mut keyed: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut singletons: Vec<Vec<usize>> = Vec::new();
+        for (row, t) in rel.iter().enumerate() {
+            let parts: Vec<String> = t.values()[..2]
+                .iter()
+                .filter(|v| !v.is_null())
+                .map(|v| normalize(v.as_str().map_or(&v.to_string(), |s| s)))
+                .collect();
+            if parts.is_empty() {
+                singletons.push(vec![row]);
+            } else {
+                keyed.entry(parts.join("|")).or_default().push(row);
+            }
+        }
+        let want: Vec<Vec<usize>> = keyed.into_values().chain(singletons).collect();
+        prop_assert_eq!(block_by_keys(&rel, &["k1", "k2"]).unwrap(), want);
+    }
+
+    #[test]
+    fn clustering_equals_the_scored_seam_with_record_similarity(
+        rows in proptest::collection::vec((0u8..16, 0u8..16, 0u8..16, 0u8..16), 1..40),
+        shape in 0u8..4,
+        threshold in 0u8..4,
+    ) {
+        use vada_fusion::{
+            cluster_relation, cluster_relation_scored, record_similarity, ClusterConfig,
+            FieldKind, FieldSpec,
+        };
+        let rel = key_shaped_relation(shape, &rows);
+        let cfg = ClusterConfig {
+            block_keys: vec!["k1".into(), "k2".into()],
+            fields: vec![
+                FieldSpec { col: 2, weight: 3.0, kind: FieldKind::Text },
+                FieldSpec { col: 3, weight: 1.0, kind: FieldKind::Numeric },
+                FieldSpec { col: 0, weight: 1.0, kind: FieldKind::Exact },
+            ],
+            threshold: [0.0, 0.6, 0.88, 1.0][threshold as usize],
+        };
+        let scorer = |a: &Tuple, b: &Tuple| record_similarity(&cfg.fields, a, b);
+        prop_assert_eq!(
+            cluster_relation(&cfg, &rel).unwrap(),
+            cluster_relation_scored(&cfg, &rel, &scorer).unwrap()
+        );
+    }
+}

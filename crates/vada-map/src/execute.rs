@@ -77,7 +77,8 @@ const DISTRICT: &str = "postcode_district";
 fn district_facts(row: &Tuple) -> impl Iterator<Item = Tuple> + '_ {
     row.iter().filter_map(|v| {
         let s = v.as_str().filter(|s| s.contains(' '))?;
-        Some(Tuple::new(vec![v.clone(), Value::str(district_of(s)?)]))
+        let district = Value::str(district_of(s)?);
+        Some([v.clone(), district].into_iter().collect())
     })
 }
 
@@ -209,12 +210,7 @@ fn coerce_fact(t: &Tuple, target: &Schema, mapping_id: &str) -> Result<Tuple> {
             target.arity()
         )));
     }
-    Ok(Tuple::new(
-        t.iter()
-            .zip(target.attributes())
-            .map(|(v, a)| coerce_value(v, a.ty))
-            .collect::<Vec<Value>>(),
-    ))
+    Ok(t.iter().zip(target.attributes()).map(|(v, a)| coerce_value(v, a.ty)).collect())
 }
 
 #[cfg(test)]
