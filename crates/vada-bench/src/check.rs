@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use vada_common::obs::{key, Json};
 
-use crate::experiments::incremental::{measure_families, BASELINE_PATH};
+use crate::experiments::incremental::{measure_families, BASELINE_PATH, BASELINE_SCHEMA};
 
 /// Relative tolerance for one counter key: `0.0` means exact match.
 /// The table is the declared list of environment-sensitive counters —
@@ -171,9 +171,9 @@ pub fn run_check() -> Result<String, String> {
     })?;
     let doc = Json::parse(&raw).map_err(|e| format!("{BASELINE_PATH} does not parse: {e}"))?;
     let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-    if schema != "vada-bench-baseline/v14" {
+    if schema != BASELINE_SCHEMA {
         return Err(format!(
-            "unsupported baseline schema `{schema}` (want vada-bench-baseline/v14) \
+            "unsupported baseline schema `{schema}` (want {BASELINE_SCHEMA}) \
              — regenerate with `repro bench`"
         ));
     }

@@ -1,10 +1,12 @@
-//! The incremental-evaluation baseline: quantify full vs delta
-//! re-derivation and persist the numbers as machine-readable JSON
-//! (`BENCH_baseline.json`) so the performance trajectory accumulates
-//! across PRs instead of living only in terminal scrollback.
+//! The structural baseline: what each experiment family derives, tallies
+//! and records as spans, persisted as machine-readable JSON
+//! (`BENCH_baseline.json`) that `repro bench --check` diffs exactly. It
+//! answers *how much work* a change does, never *how long* it takes:
+//! wall-clock time is measured end to end by the external benchmark
+//! harness (`benchmark/`, paired runs via `scripts/bench_pairs.sh`), so
+//! nothing here is timed.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use vada_common::obs::{json_escape, Obs};
 use vada_common::{tuple, Relation, Schema, Tuple};
@@ -16,33 +18,23 @@ use vada_kb::delta::DEFAULT_JOURNAL_CAPACITY;
 use crate::paygo::{run_paygo, PaygoConfig};
 use crate::report::table;
 
-/// Median of raw wall-clock samples.
-fn median_ms(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
-/// Median wall-clock of re-deriving `input` from scratch `rounds` times,
-/// plus the derivation count — the full-path half of both baselines.
-fn time_full_runs(input: &Database, rounds: usize, obs: &Obs) -> (f64, usize) {
+/// Re-derive `input` from scratch once and return the derivation count —
+/// the full-path half of both session baselines.
+fn derive_once(input: Database, obs: &Obs) -> usize {
     let program = parse_program(PROGRAM).unwrap();
     let engine = Engine::new(EngineConfig { obs: obs.clone(), ..Default::default() });
     let input_facts = input.total_facts();
-    let mut times = Vec::new();
-    let mut derivations = 0usize;
-    for _ in 0..rounds {
-        let db = input.clone();
-        let start = Instant::now();
-        let out = engine.run(&program, db).expect("full run evaluates");
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-        derivations = out.total_facts() - input_facts;
-    }
-    (median_ms(times), derivations)
+    let out = engine.run(&program, input).expect("full run evaluates");
+    out.total_facts() - input_facts
 }
 
 /// Where the machine-readable baseline lands (repo root when the driver
 /// runs from there; always printed in the report).
 pub const BASELINE_PATH: &str = "BENCH_baseline.json";
+
+/// The baseline's schema tag, written by `repro bench` and required by
+/// `--check`.
+pub const BASELINE_SCHEMA: &str = "vada-bench-baseline/v15";
 
 const PROGRAM: &str = r#"
     all(X, P) :- a(X, P).
@@ -76,8 +68,6 @@ fn delta(k: usize, round: usize) -> Vec<(String, Tuple)> {
 struct Row {
     base_rows: usize,
     delta_rows: usize,
-    full_ms: f64,
-    incremental_ms: f64,
     full_derivations: usize,
     incremental_derivations: usize,
 }
@@ -85,8 +75,6 @@ struct Row {
 struct RetractRow {
     base_rows: usize,
     removed_rows: usize,
-    full_ms: f64,
-    incremental_ms: f64,
     full_derivations: usize,
     incremental_work: usize,
 }
@@ -96,14 +84,10 @@ struct RecoveryRow {
     edit_events: usize,
     journal_capacity: usize,
     wal_bytes: u64,
-    reopen_ms: f64,
-    reingest_ms: f64,
 }
 
 struct MagicRow {
     base_rows: usize,
-    full_ms: f64,
-    directed_ms: f64,
     full_derivations: usize,
     directed_derivations: usize,
 }
@@ -112,7 +96,6 @@ struct WrangleRow {
     properties: usize,
     steps: usize,
     candidates: usize,
-    total_ms: f64,
 }
 
 /// The four-step pay-as-you-go wrangle (bootstrap, data context,
@@ -136,14 +119,11 @@ fn measure_wrangle(properties: usize, obs: &Obs) -> WrangleRow {
         obs: Some(obs.clone()),
         ..Default::default()
     };
-    let start = Instant::now();
     let outcome = run_paygo(&cfg);
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
     WrangleRow {
         properties,
         steps: outcome.steps.iter().map(|s| s.executed).sum(),
         candidates: outcome.wrangler.kb().mappings().count(),
-        total_ms,
     }
 }
 
@@ -170,7 +150,7 @@ fn magic_base(n: usize, block: usize) -> Database {
 /// byte-identity guarantee), so the derivation-count gap is the pure
 /// benefit of demand: the directed run derives one chain, the full run
 /// derives all of them.
-fn measure_magic(n: usize, block: usize, rounds: usize, obs: &Obs) -> MagicRow {
+fn measure_magic(n: usize, block: usize, obs: &Obs) -> MagicRow {
     use vada_datalog::parser::parse_query;
     let program = parse_program(MAGIC_PROGRAM).unwrap();
     let start_node = 3 * block as i64; // a block start well inside the base
@@ -179,60 +159,32 @@ fn measure_magic(n: usize, block: usize, rounds: usize, obs: &Obs) -> MagicRow {
     let input = magic_base(n, block);
     let input_facts = input.total_facts();
 
-    let mut full_times = Vec::new();
-    let mut full_derivations = 0usize;
-    let mut full_answers = Vec::new();
-    for _ in 0..rounds {
-        let db = input.clone();
-        let start = Instant::now();
-        let out = engine.run(&program, db).expect("full run evaluates");
-        full_times.push(start.elapsed().as_secs_f64() * 1e3);
-        full_derivations = out.total_facts() - input_facts;
-        full_answers = engine.eval_query(&query, &out).expect("query evaluates");
-    }
+    let full = engine.run(&program, input.clone()).expect("full run evaluates");
+    let full_derivations = full.total_facts() - input_facts;
+    let full_answers = engine.eval_query(&query, &full).expect("query evaluates");
 
-    let mut directed_times = Vec::new();
-    let mut directed_derivations = 0usize;
-    for _ in 0..rounds {
-        let db = input.clone();
-        let start = Instant::now();
-        let out = engine
-            .run_directed(&program, db, &query)
-            .expect("directed run evaluates");
-        directed_times.push(start.elapsed().as_secs_f64() * 1e3);
-        directed_derivations = out.total_facts() - input_facts;
-        let answers = engine.eval_query(&query, &out).expect("query evaluates");
-        assert_eq!(answers, full_answers, "directed answers must be byte-identical");
-    }
+    let directed = engine
+        .run_directed(&program, input, &query)
+        .expect("directed run evaluates");
+    let directed_derivations = directed.total_facts() - input_facts;
+    let answers = engine.eval_query(&query, &directed).expect("query evaluates");
+    assert_eq!(answers, full_answers, "directed answers must be byte-identical");
 
     assert!(
         directed_derivations * 10 <= full_derivations,
         "demand must cut derivations >= 10x: {directed_derivations} vs {full_derivations}"
     );
-    MagicRow {
-        base_rows: n,
-        full_ms: median_ms(full_times),
-        directed_ms: median_ms(directed_times),
-        full_derivations,
-        directed_derivations,
-    }
+    MagicRow { base_rows: n, full_derivations, directed_derivations }
 }
 
-/// Crash recovery of a durable knowledge base: reopening (snapshot +
-/// WAL replay) vs re-ingesting the same history into a fresh in-memory
-/// base (the producer-side cost a crash would otherwise force, *before*
-/// re-running extraction). The reopened base is asserted to land on the
-/// same version as the original, so the timing compares equal states.
+/// Crash recovery of a durable knowledge base: the base reopened from its
+/// snapshot and WAL is asserted to land on the version of the original,
+/// and that version to be the one an in-memory base reaches from the same
+/// history — persistence adds no journal event of its own.
 /// `capacity` is the journal window, which is also the checkpoint cadence:
 /// with `edits > capacity` the run crosses checkpoints, and the family's
 /// `wal.compactions` pins one per `capacity` records — not one per edit.
-fn measure_wal_recovery(
-    n: usize,
-    edits: usize,
-    rounds: usize,
-    capacity: usize,
-    obs: &Obs,
-) -> RecoveryRow {
+fn measure_wal_recovery(n: usize, edits: usize, capacity: usize, obs: &Obs) -> RecoveryRow {
     use vada_kb::KnowledgeBase;
     let dir = std::env::temp_dir().join(format!(
         "vada-bench-recovery-{}-{n}-{edits}",
@@ -249,11 +201,12 @@ fn measure_wal_recovery(
         ])
         .expect("arity 3");
     }
-    let edit_row = |e: usize| {
-        (
-            e % n,
-            tuple![format!("{} rewritten", e), format!("{}", 200_000 + e), "M1 1AA"],
-        )
+    let edit_history = |kb: &mut KnowledgeBase| {
+        kb.register_source(rel.clone());
+        for e in 0..edits {
+            let row = tuple![format!("{} rewritten", e), format!("{}", 200_000 + e), "M1 1AA"];
+            kb.update_source("listings", &[(e % n, row)]).expect("edit applies");
+        }
     };
 
     let mut kb = KnowledgeBase::with_journal_capacity(capacity);
@@ -261,45 +214,20 @@ fn measure_wal_recovery(
     // experiment's registry
     kb.set_obs(obs.clone());
     kb.persist_to(&dir).expect("durable dir initialises");
-    kb.register_source(rel.clone());
-    for e in 0..edits {
-        kb.update_source("listings", &[edit_row(e)]).expect("edit applies");
-    }
+    edit_history(&mut kb);
     kb.storage_health().expect("log stays healthy");
     let version = kb.version();
     drop(kb);
     let wal_bytes = std::fs::metadata(dir.join("wal.log")).expect("log exists").len();
 
-    let mut reopen_times = Vec::new();
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let recovered = KnowledgeBase::open(&dir).expect("recovery succeeds");
-        reopen_times.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(recovered.version(), version, "recovery must land on the crash state");
-    }
-
-    let mut reingest_times = Vec::new();
-    for _ in 0..rounds {
-        let fresh = rel.clone(); // the producer's relation is a given; time only the KB work
-        let start = Instant::now();
-        let mut kb = KnowledgeBase::with_journal_capacity(capacity);
-        kb.register_source(fresh);
-        for e in 0..edits {
-            kb.update_source("listings", &[edit_row(e)]).expect("edit applies");
-        }
-        reingest_times.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(kb.version(), version, "re-ingest must reproduce the same history");
-    }
+    let recovered = KnowledgeBase::open(&dir).expect("recovery succeeds");
+    assert_eq!(recovered.version(), version, "recovery must land on the crash state");
+    let mut in_memory = KnowledgeBase::with_journal_capacity(capacity);
+    edit_history(&mut in_memory);
+    assert_eq!(in_memory.version(), version, "persistence must not shift the version");
     let _ = std::fs::remove_dir_all(&dir);
 
-    RecoveryRow {
-        rows: n,
-        edit_events: edits,
-        journal_capacity: capacity,
-        wal_bytes,
-        reopen_ms: median_ms(reopen_times),
-        reingest_ms: median_ms(reingest_times),
-    }
+    RecoveryRow { rows: n, edit_events: edits, journal_capacity: capacity, wal_bytes }
 }
 
 /// The `a` facts of rounds `round*k..(round+1)*k` — disjoint per round, so
@@ -318,7 +246,7 @@ fn base_rows_of(k: usize, round: usize) -> Vec<(String, Tuple)> {
 /// retracts O(k) facts. The derivation-count asymmetry is the headline
 /// O(change) claim for deletions.
 fn measure_retraction(n: usize, k: usize, rounds: usize, obs: &Obs) -> RetractRow {
-    // full: median wall-clock of re-deriving base-minus-k from scratch
+    // full: re-derive base-minus-k from scratch
     let mut shrunk = Database::new();
     let gone: std::collections::HashSet<Tuple> =
         base_rows_of(k, 0).into_iter().map(|(_, t)| t).collect();
@@ -333,21 +261,17 @@ fn measure_retraction(n: usize, k: usize, rounds: usize, obs: &Obs) -> RetractRo
             }
         }
     }
-    let (full_ms, full_derivations) = time_full_runs(&shrunk, rounds, obs);
+    let full_derivations = derive_once(shrunk, obs);
 
-    // incremental: median wall-clock of one k-row retraction (each round
-    // removes a distinct slice of the base)
+    // incremental: `rounds` k-row retractions, each removing a distinct
+    // slice of the base and each asserted to take the counting path
     let mut session =
         IncrementalSession::new(EngineConfig { obs: obs.clone(), ..Default::default() }, PROGRAM)
             .unwrap();
     session.run_full(base_db(n)).unwrap();
-    let mut inc_times = Vec::new();
     let mut inc_work = 0usize;
     for round in 0..rounds {
-        let removals = base_rows_of(k, round);
-        let start = Instant::now();
-        session.retract(removals).expect("retraction applies");
-        inc_times.push(start.elapsed().as_secs_f64() * 1e3);
+        session.retract(base_rows_of(k, round)).expect("retraction applies");
         let outcome = session.last_outcome().expect("retract records an outcome");
         assert_eq!(
             outcome.mode,
@@ -361,37 +285,27 @@ fn measure_retraction(n: usize, k: usize, rounds: usize, obs: &Obs) -> RetractRo
         inc_work = outcome.retracted_facts + outcome.rederived_facts;
     }
 
-    RetractRow {
-        base_rows: n,
-        removed_rows: k,
-        full_ms,
-        incremental_ms: median_ms(inc_times),
-        full_derivations,
-        incremental_work: inc_work,
-    }
+    RetractRow { base_rows: n, removed_rows: k, full_derivations, incremental_work: inc_work }
 }
 
 fn measure(n: usize, k: usize, rounds: usize, obs: &Obs) -> Row {
-    // full: median wall-clock of re-deriving base+delta from scratch
+    // full: re-derive base+delta from scratch
     let mut grown = base_db(n);
     for (p, t) in delta(k, 0) {
         grown.insert(&p, t);
     }
-    let (full_ms, full_derivations) = time_full_runs(&grown, rounds, obs);
+    let full_derivations = derive_once(grown, obs);
 
-    // incremental: median wall-clock of one k-fact delta apply
+    // incremental: `rounds` distinct k-fact delta applies, each asserted
+    // to take the fast path
     let mut session =
         IncrementalSession::new(EngineConfig { obs: obs.clone(), ..Default::default() }, PROGRAM)
             .unwrap();
     session.run_full(base_db(n)).unwrap();
     session.apply(delta(k, 0)).unwrap();
-    let mut inc_times = Vec::new();
     let mut inc_derivations = 0usize;
     for round in 1..=rounds {
-        let facts = delta(k, round);
-        let start = Instant::now();
-        session.apply(facts).expect("delta applies");
-        inc_times.push(start.elapsed().as_secs_f64() * 1e3);
+        session.apply(delta(k, round)).expect("delta applies");
         let outcome = session.last_outcome().expect("apply records an outcome");
         assert_eq!(outcome.mode, DeltaMode::Incremental, "baseline must hit the fast path");
         assert_eq!(outcome.delta_facts, k, "every delta row must be genuinely new");
@@ -401,11 +315,93 @@ fn measure(n: usize, k: usize, rounds: usize, obs: &Obs) -> Row {
     Row {
         base_rows: n,
         delta_rows: k,
-        full_ms,
-        incremental_ms: median_ms(inc_times),
         full_derivations,
         incremental_derivations: inc_derivations,
     }
+}
+
+/// A baseline row: the JSON key of its experiment family, and its
+/// structural columns — written under these names into the JSON and as the
+/// report table's header, every cell a JSON number.
+trait BaselineRow {
+    const FAMILY: &'static str;
+    const COLUMNS: &'static [&'static str];
+    fn cells(&self) -> Vec<String>;
+}
+
+impl BaselineRow for Row {
+    const FAMILY: &'static str = "datalog_incremental_vs_full";
+    const COLUMNS: &'static [&'static str] =
+        &["base_rows", "delta_rows", "full_derivations", "incremental_derivations"];
+    fn cells(&self) -> Vec<String> {
+        [self.base_rows, self.delta_rows, self.full_derivations, self.incremental_derivations]
+            .map(|v| v.to_string())
+            .to_vec()
+    }
+}
+
+impl BaselineRow for RetractRow {
+    const FAMILY: &'static str = "datalog_retraction_vs_full";
+    const COLUMNS: &'static [&'static str] =
+        &["base_rows", "removed_rows", "full_derivations", "incremental_work"];
+    fn cells(&self) -> Vec<String> {
+        [self.base_rows, self.removed_rows, self.full_derivations, self.incremental_work]
+            .map(|v| v.to_string())
+            .to_vec()
+    }
+}
+
+impl BaselineRow for RecoveryRow {
+    const FAMILY: &'static str = "kb_wal_recovery";
+    const COLUMNS: &'static [&'static str] =
+        &["rows", "edit_events", "journal_capacity", "wal_bytes"];
+    fn cells(&self) -> Vec<String> {
+        [self.rows as u64, self.edit_events as u64, self.journal_capacity as u64, self.wal_bytes]
+            .map(|v| v.to_string())
+            .to_vec()
+    }
+}
+
+impl BaselineRow for MagicRow {
+    const FAMILY: &'static str = "datalog_magic_vs_full";
+    const COLUMNS: &'static [&'static str] =
+        &["base_rows", "full_derivations", "directed_derivations", "derivation_ratio"];
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.base_rows.to_string(),
+            self.full_derivations.to_string(),
+            self.directed_derivations.to_string(),
+            format!(
+                "{:.1}",
+                self.full_derivations as f64 / (self.directed_derivations as f64).max(1.0)
+            ),
+        ]
+    }
+}
+
+impl BaselineRow for WrangleRow {
+    const FAMILY: &'static str = "wrangle_paygo";
+    const COLUMNS: &'static [&'static str] = &["properties", "steps", "candidates"];
+    fn cells(&self) -> Vec<String> {
+        [self.properties, self.steps, self.candidates].map(|v| v.to_string()).to_vec()
+    }
+}
+
+/// `"family": [ {column: cell, ...}, ... ],` — one object per row.
+fn json_rows<R: BaselineRow>(rows: &[R]) -> String {
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let fields: Vec<String> =
+                R::COLUMNS.iter().zip(r.cells()).map(|(c, v)| format!("\"{c}\": {v}")).collect();
+            format!("    {{{}}}", fields.join(", "))
+        })
+        .collect();
+    format!("  \"{}\": [\n{}\n  ],\n", R::FAMILY, objects.join(",\n"))
+}
+
+fn report_table<R: BaselineRow>(rows: &[R]) -> String {
+    table(R::COLUMNS, &rows.iter().map(R::cells).collect::<Vec<_>>())
 }
 
 /// Canonical span-tree rendering for one experiment family, fit for exact
@@ -436,9 +432,9 @@ fn family_shapes(obs: &Obs) -> Vec<String> {
     vada_common::obs::span_shape(&records)
 }
 
-/// Everything one measurement pass produces: the timing rows feeding the
-/// human-readable report, plus the structural channels (counters and span
-/// shapes) that `BENCH_baseline.json` pins and `--check` diffs.
+/// Everything one measurement pass produces: the structural rows feeding
+/// the human-readable report, plus the counters and span shapes that
+/// `BENCH_baseline.json` pins and `--check` diffs.
 pub(crate) struct Families {
     rows: Vec<Row>,
     retractions: Vec<RetractRow>,
@@ -467,113 +463,37 @@ pub(crate) fn measure_families() -> Families {
         measure_retraction(20_000, 64, 5, &ret_obs),
     ];
     let recoveries = vec![
-        measure_wal_recovery(5_000, 128, 5, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
-        measure_wal_recovery(20_000, 128, 5, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
+        measure_wal_recovery(5_000, 128, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
+        measure_wal_recovery(20_000, 128, DEFAULT_JOURNAL_CAPACITY, &rec_obs),
         // past the window: 321 records at a 64-event window checkpoint
         // five times; per-edit compaction would make it 257
-        measure_wal_recovery(5_000, 320, 5, 64, &rec_obs),
+        measure_wal_recovery(5_000, 320, 64, &rec_obs),
     ];
-    let magics = vec![measure_magic(20_000, 50, 5, &magic_obs)];
+    let magics = vec![measure_magic(20_000, 50, &magic_obs)];
     let wrangles = vec![measure_wrangle(400, &wrangle_obs)];
-    let counters = vec![
-        ("datalog_incremental_vs_full", inc_obs.counters()),
-        ("datalog_retraction_vs_full", ret_obs.counters()),
-        ("kb_wal_recovery", rec_obs.counters()),
-        ("datalog_magic_vs_full", magic_obs.counters()),
-        ("wrangle_paygo", wrangle_obs.counters()),
+    let families = [
+        (Row::FAMILY, &inc_obs),
+        (RetractRow::FAMILY, &ret_obs),
+        (RecoveryRow::FAMILY, &rec_obs),
+        (MagicRow::FAMILY, &magic_obs),
+        (WrangleRow::FAMILY, &wrangle_obs),
     ];
-    let span_shapes = vec![
-        ("datalog_incremental_vs_full", family_shapes(&inc_obs)),
-        ("datalog_retraction_vs_full", family_shapes(&ret_obs)),
-        ("kb_wal_recovery", family_shapes(&rec_obs)),
-        ("datalog_magic_vs_full", family_shapes(&magic_obs)),
-        ("wrangle_paygo", family_shapes(&wrangle_obs)),
-    ];
+    let counters = families.iter().map(|(f, obs)| (*f, obs.counters())).collect();
+    let span_shapes = families.iter().map(|(f, obs)| (*f, family_shapes(obs))).collect();
     Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes }
 }
 
 fn to_json(fam: &Families) -> String {
-    let Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes } = fam;
-    let mut out = String::from("{\n  \"schema\": \"vada-bench-baseline/v14\",\n");
-    out.push_str("  \"datalog_incremental_vs_full\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"base_rows\": {}, \"delta_rows\": {}, \"full_ms\": {:.3}, \
-             \"incremental_ms\": {:.3}, \"full_derivations\": {}, \
-             \"incremental_derivations\": {}, \"speedup\": {:.1}}}{}\n",
-            r.base_rows,
-            r.delta_rows,
-            r.full_ms,
-            r.incremental_ms,
-            r.full_derivations,
-            r.incremental_derivations,
-            r.full_ms / r.incremental_ms.max(1e-9),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"datalog_retraction_vs_full\": [\n");
-    for (i, r) in retractions.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"base_rows\": {}, \"removed_rows\": {}, \"full_ms\": {:.3}, \
-             \"incremental_ms\": {:.3}, \"full_derivations\": {}, \
-             \"incremental_work\": {}, \"speedup\": {:.1}}}{}\n",
-            r.base_rows,
-            r.removed_rows,
-            r.full_ms,
-            r.incremental_ms,
-            r.full_derivations,
-            r.incremental_work,
-            r.full_ms / r.incremental_ms.max(1e-9),
-            if i + 1 == retractions.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"kb_wal_recovery\": [\n");
-    for (i, r) in recoveries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"edit_events\": {}, \"journal_capacity\": {}, \
-             \"wal_bytes\": {}, \"reopen_ms\": {:.3}, \"reingest_ms\": {:.3}, \
-             \"reopen_overhead\": {:.2}}}{}\n",
-            r.rows,
-            r.edit_events,
-            r.journal_capacity,
-            r.wal_bytes,
-            r.reopen_ms,
-            r.reingest_ms,
-            r.reopen_ms / r.reingest_ms.max(1e-9),
-            if i + 1 == recoveries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"datalog_magic_vs_full\": [\n");
-    for (i, r) in magics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"base_rows\": {}, \"full_ms\": {:.3}, \"directed_ms\": {:.3}, \
-             \"full_derivations\": {}, \"directed_derivations\": {}, \
-             \"derivation_ratio\": {:.1}, \"speedup\": {:.1}}}{}\n",
-            r.base_rows,
-            r.full_ms,
-            r.directed_ms,
-            r.full_derivations,
-            r.directed_derivations,
-            r.full_derivations as f64 / (r.directed_derivations as f64).max(1.0),
-            r.full_ms / r.directed_ms.max(1e-9),
-            if i + 1 == magics.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"wrangle_paygo\": [\n");
-    for (i, r) in wrangles.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"properties\": {}, \"steps\": {}, \"candidates\": {}, \"total_ms\": {:.3}}}{}\n",
-            r.properties,
-            r.steps,
-            r.candidates,
-            r.total_ms,
-            if i + 1 == wrangles.len() { "" } else { "," }
-        ));
-    }
+    let mut out = format!("{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n");
+    out.push_str(&json_rows(&fam.rows));
+    out.push_str(&json_rows(&fam.retractions));
+    out.push_str(&json_rows(&fam.recoveries));
+    out.push_str(&json_rows(&fam.magics));
+    out.push_str(&json_rows(&fam.wrangles));
     // per-experiment observability snapshots: what the substrate tallied
-    // while the family above was measured (schema v7)
-    out.push_str("  ],\n  \"counters\": {\n");
-    for (i, (family, snapshot)) in counters.iter().enumerate() {
+    // while the family above was measured
+    out.push_str("  \"counters\": {\n");
+    for (i, (family, snapshot)) in fam.counters.iter().enumerate() {
         out.push_str(&format!("    \"{}\": {{", json_escape(family)));
         for (j, (name, v)) in snapshot.iter().enumerate() {
             if j > 0 {
@@ -581,13 +501,12 @@ fn to_json(fam: &Families) -> String {
             }
             out.push_str(&format!("\"{}\": {v}", json_escape(name)));
         }
-        out.push_str(if i + 1 == counters.len() { "}\n" } else { "},\n" });
+        out.push_str(if i + 1 == fam.counters.len() { "}\n" } else { "},\n" });
     }
-    // per-experiment span trees in the canonical shape rendering (schema
-    // v8): names, parent edges and structural attrs — durations are
-    // quarantined in the timing channel and never land here
+    // per-experiment span trees in the canonical shape rendering: names,
+    // parent edges and structural attrs — durations never land here
     out.push_str("  },\n  \"span_shapes\": {\n");
-    for (i, (family, lines)) in span_shapes.iter().enumerate() {
+    for (i, (family, lines)) in fam.span_shapes.iter().enumerate() {
         out.push_str(&format!("    \"{}\": [", json_escape(family)));
         for (j, line) in lines.iter().enumerate() {
             if j > 0 {
@@ -595,7 +514,7 @@ fn to_json(fam: &Families) -> String {
             }
             out.push_str(&format!("\"{}\"", json_escape(line)));
         }
-        out.push_str(if i + 1 == span_shapes.len() { "]\n" } else { "],\n" });
+        out.push_str(if i + 1 == fam.span_shapes.len() { "]\n" } else { "],\n" });
     }
     out.push_str("  }\n}\n");
     out
@@ -605,81 +524,10 @@ fn to_json(fam: &Families) -> String {
 /// the human-readable report.
 pub fn incremental_baseline() -> String {
     let fam = measure_families();
-    let json = to_json(&fam);
-    let Families { rows, retractions, recoveries, magics, wrangles, .. } = fam;
-    let write_note = match std::fs::write(BASELINE_PATH, &json) {
+    let write_note = match std::fs::write(BASELINE_PATH, to_json(&fam)) {
         Ok(()) => format!("baseline written to {BASELINE_PATH}"),
         Err(e) => format!("could not write {BASELINE_PATH}: {e}"),
     };
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.base_rows.to_string(),
-                r.delta_rows.to_string(),
-                format!("{:.2}", r.full_ms),
-                format!("{:.2}", r.incremental_ms),
-                r.full_derivations.to_string(),
-                r.incremental_derivations.to_string(),
-                format!("{:.0}x", r.full_ms / r.incremental_ms.max(1e-9)),
-            ]
-        })
-        .collect();
-    let retract_rows: Vec<Vec<String>> = retractions
-        .iter()
-        .map(|r| {
-            vec![
-                r.base_rows.to_string(),
-                r.removed_rows.to_string(),
-                format!("{:.2}", r.full_ms),
-                format!("{:.2}", r.incremental_ms),
-                r.full_derivations.to_string(),
-                r.incremental_work.to_string(),
-                format!("{:.0}x", r.full_ms / r.incremental_ms.max(1e-9)),
-            ]
-        })
-        .collect();
-    let magic_rows: Vec<Vec<String>> = magics
-        .iter()
-        .map(|r| {
-            vec![
-                r.base_rows.to_string(),
-                format!("{:.2}", r.full_ms),
-                format!("{:.2}", r.directed_ms),
-                r.full_derivations.to_string(),
-                r.directed_derivations.to_string(),
-                format!(
-                    "{:.0}x",
-                    r.full_derivations as f64 / (r.directed_derivations as f64).max(1.0)
-                ),
-            ]
-        })
-        .collect();
-    let recovery_rows: Vec<Vec<String>> = recoveries
-        .iter()
-        .map(|r| {
-            vec![
-                r.rows.to_string(),
-                r.edit_events.to_string(),
-                r.journal_capacity.to_string(),
-                format!("{:.1} KiB", r.wal_bytes as f64 / 1024.0),
-                format!("{:.2}", r.reopen_ms),
-                format!("{:.2}", r.reingest_ms),
-                format!("{:.1}x", r.reopen_ms / r.reingest_ms.max(1e-9)),
-            ]
-        })
-        .collect();
-    let wrangle_rows: Vec<Vec<String>> = wrangles
-        .iter()
-        .map(|r| {
-            vec![
-                r.properties.to_string(),
-                r.steps.to_string(),
-                r.candidates.to_string(),
-                format!("{:.1}", r.total_ms),
-            ]
-        })
-        .collect();
     format!(
         "== Incremental delta evaluation vs full re-derivation ==\n\
          A k-row delta against an N-row base: the full path re-derives\n\
@@ -688,13 +536,9 @@ pub fn incremental_baseline() -> String {
          A k-row retraction against an N-row base: the full path re-derives\n\
          the shrunk base from scratch, the counting path touches O(k) facts.\n\n{}\n\n\
          == WAL crash recovery (N rows, k edit events) ==\n\
-         Reopening a durable knowledge base (snapshot + write-ahead-log\n\
-         replay) vs rebuilding the same state in memory from the original\n\
-         relation and edit history. The rebuild is a lower bound that\n\
-         presumes the lost state is still available — after a real crash\n\
-         it is not (that is why the log exists) — so the overhead column\n\
-         is the whole price of durability: decoding the full state back\n\
-         from disk, a few milliseconds even at tens of thousands of rows.\n\n{}\n\n\
+         A durable knowledge base (snapshot + write-ahead log) reopened after\n\
+         the edits lands on the same version as the original; the log size\n\
+         and one checkpoint per journal window are pinned.\n\n{}\n\n\
          == Demand-driven (magic) query vs full fixpoint ==\n\
          A bound-argument query answered by Engine::run_directed derives\n\
          only the facts its demand set reaches; the full fixpoint derives\n\
@@ -705,54 +549,11 @@ pub fn incremental_baseline() -> String {
          counters and span tree of this run are pinned in the baseline, so\n\
          an extra transducer step or a candidate mapping materialised\n\
          twice fails `--check` by an exact count.\n\n{}\n{}",
-        table(
-            &[
-                "base rows",
-                "delta rows",
-                "full ms",
-                "incr ms",
-                "full derivations",
-                "incr derivations",
-                "speedup"
-            ],
-            &table_rows,
-        ),
-        table(
-            &[
-                "base rows",
-                "removed rows",
-                "full ms",
-                "incr ms",
-                "full derivations",
-                "incr work",
-                "speedup"
-            ],
-            &retract_rows,
-        ),
-        table(
-            &[
-                "rows",
-                "edit events",
-                "window",
-                "wal size",
-                "reopen ms",
-                "in-mem rebuild ms",
-                "overhead",
-            ],
-            &recovery_rows,
-        ),
-        table(
-            &[
-                "base rows",
-                "full ms",
-                "directed ms",
-                "full derivations",
-                "directed derivations",
-                "derivation ratio"
-            ],
-            &magic_rows,
-        ),
-        table(&["properties", "steps", "candidates", "total ms"], &wrangle_rows),
+        report_table(&fam.rows),
+        report_table(&fam.retractions),
+        report_table(&fam.recoveries),
+        report_table(&fam.magics),
+        report_table(&fam.wrangles),
         write_note,
     )
 }
@@ -760,6 +561,21 @@ pub fn incremental_baseline() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vada_common::obs::Json;
+
+    /// Every object key anywhere in `doc`.
+    fn keys(doc: &Json, out: &mut Vec<String>) {
+        match doc {
+            Json::Obj(entries) => {
+                for (k, v) in entries {
+                    out.push(k.clone());
+                    keys(v, out);
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| keys(v, out)),
+            _ => {}
+        }
+    }
 
     #[test]
     fn baseline_rows_show_less_work() {
@@ -773,11 +589,11 @@ mod tests {
             "retraction path must touch far less: {} vs {}",
             rr.incremental_work, rr.full_derivations);
         // the recovery measurement asserts version equality internally
-        let rec = measure_wal_recovery(500, 16, 2, 8, &obs);
-        assert!(rec.wal_bytes > 0 && rec.reopen_ms > 0.0);
+        let rec = measure_wal_recovery(500, 16, 8, &obs);
+        assert!(rec.wal_bytes > 0);
         // the magic measurement asserts the >=10x derivation cut and
         // answer byte-identity internally
-        let mr = measure_magic(2_000, 50, 2, &obs);
+        let mr = measure_magic(2_000, 50, &obs);
         assert!(mr.directed_derivations > 0, "the demanded chain must still derive");
         // the wrangle family: candidate structures are materialised — the
         // parts run, the unions assembled from them — then reused by the
@@ -832,17 +648,25 @@ mod tests {
             counters: vec![("all", snapshot)],
             span_shapes: vec![("all", shapes)],
         });
-        assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"datalog_retraction_vs_full\""), "{json}");
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"wrangle_paygo\""), "{json}");
-        assert!(json.contains("vada-bench-baseline/v14"), "{json}");
+        assert!(json.contains(BASELINE_SCHEMA), "{json}");
         // the whole baseline must be well-formed JSON, counters included
-        let doc = vada_common::obs::Json::parse(&json).expect("baseline parses");
+        let doc = Json::parse(&json).expect("baseline parses");
         let all = doc.get("counters").unwrap().get("all").unwrap();
         assert!(all.get("datalog.stratum.passes").unwrap().as_u64().unwrap() > 0);
         let shapes = doc.get("span_shapes").unwrap().get("all").unwrap();
         assert!(!shapes.items().unwrap().is_empty(), "{json}");
+        // structure only: no wall-clock value may creep back into the rows
+        let mut all_keys = Vec::new();
+        keys(&doc, &mut all_keys);
+        assert!(all_keys.contains(&"derivation_ratio".to_string()), "{json}");
+        let timed: Vec<_> = all_keys
+            .iter()
+            .filter(|k| k.ends_with("_ms") || *k == "speedup" || *k == "reopen_overhead")
+            .collect();
+        assert!(timed.is_empty(), "wall-clock keys in the baseline: {timed:?}");
     }
 }

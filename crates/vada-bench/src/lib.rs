@@ -3,8 +3,8 @@
 //! The experiment harness: everything needed to regenerate the paper's
 //! displays (Table 1, Figures 2–3) and to quantify the demonstration's
 //! pay-as-you-go claims. The `repro` binary drives the experiments listed
-//! in DESIGN.md §4; the Criterion benches cover the scaling behaviour of
-//! every subsystem.
+//! in DESIGN.md §4, and `repro bench --check` gates their structural cost;
+//! wall-clock time is the external benchmark harness's (`benchmark/`).
 
 pub mod check;
 pub mod experiments;

@@ -10,7 +10,6 @@ use std::fmt;
 use crate::error::{Result, VadaError};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// An in-memory relation (bag semantics). Its rows are shared [`Tuple`]s,
 /// so cloning a relation copies one handle per row, never a value.
@@ -169,32 +168,6 @@ impl Relation {
         Relation::from_tuples(schema, tuples)
     }
 
-    /// Select tuples where attribute `name` equals `value`.
-    pub fn select_eq(&self, name: &str, value: &Value) -> Result<Relation> {
-        let idx = self.schema.require(name)?;
-        let tuples = self
-            .tuples
-            .iter()
-            .filter(|t| &t[idx] == value)
-            .cloned()
-            .collect();
-        Relation::from_tuples(self.schema.clone(), tuples)
-    }
-
-    /// The distinct values in column `name` (nulls excluded), sorted.
-    pub fn distinct_values(&self, name: &str) -> Result<Vec<Value>> {
-        let idx = self.schema.require(name)?;
-        let mut set: Vec<Value> = self
-            .tuples
-            .iter()
-            .map(|t| t[idx].clone())
-            .filter(|v| !v.is_null())
-            .collect();
-        set.sort();
-        set.dedup();
-        Ok(set)
-    }
-
     /// Fraction of non-null cells in column `name` (1.0 for empty relations:
     /// an empty column violates nothing).
     pub fn completeness(&self, name: &str) -> Result<f64> {
@@ -263,6 +236,7 @@ mod tests {
     use super::*;
     use crate::schema::AttrType;
     use crate::tuple;
+    use crate::value::Value;
 
     fn rel() -> Relation {
         let schema = Schema::new(
@@ -292,8 +266,6 @@ mod tests {
         let p = r.project(&["b"]).unwrap();
         assert_eq!(p.schema().arity(), 1);
         assert_eq!(p.len(), 3);
-        let s = r.select_eq("a", &Value::Int(1)).unwrap();
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -308,23 +280,6 @@ mod tests {
         )
         .unwrap();
         assert!((r.completeness("a").unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distinct_values_sorted_no_nulls() {
-        let schema = Schema::all_str("r", &["a"]);
-        let r = Relation::from_tuples(
-            schema,
-            vec![
-                Tuple::new(vec![Value::str("b")]),
-                Tuple::new(vec![Value::Null]),
-                Tuple::new(vec![Value::str("a")]),
-                Tuple::new(vec![Value::str("b")]),
-            ],
-        )
-        .unwrap();
-        let d = r.distinct_values("a").unwrap();
-        assert_eq!(d, vec![Value::str("a"), Value::str("b")]);
     }
 
     #[test]

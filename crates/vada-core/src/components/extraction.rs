@@ -55,7 +55,6 @@ impl Transducer for CsvIngestion {
             kb.register_source(rel);
             ingested.push(name);
         }
-        kb.log("csv_ingestion", "ingest", &ingested.join(","));
         Ok(RunOutcome::new(
             format!("ingested {} document(s), {rows} rows: {}", ingested.len(), ingested.join(", ")),
             rows,

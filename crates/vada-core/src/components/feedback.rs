@@ -155,7 +155,6 @@ impl Transducer for FeedbackRepair {
         if changed > 0 {
             kb.put_result(repaired);
         }
-        kb.log("feedback_repair", "vetoes", &n.to_string());
         Ok(RunOutcome::new(
             format!("{n} vetoes recorded, {changed} cells/rows changed"),
             changed.max(n),
@@ -255,7 +254,6 @@ impl Transducer for MappingEvaluation {
         if revised == 0 {
             return Ok(RunOutcome::noop("feedback below revision thresholds"));
         }
-        kb.log("mapping_evaluation", "revise_match", &revised.to_string());
         Ok(RunOutcome::new(
             format!("revised {revised} match score(s): {}", notes.join(", ")),
             revised,
@@ -405,7 +403,7 @@ mod tests {
         assert!(t.ready(&kb).unwrap());
         let out = t.run(&mut kb).unwrap();
         assert_eq!(out.writes, 1, "{}", out.summary);
-        let revised = kb.get_match("m_beds").unwrap().score;
+        let revised = kb.matches().find(|m| m.id == "m_beds").unwrap().score;
         assert!(revised < 0.3, "0.8 * (1 - 2/3) ≈ 0.27, got {revised}");
         // same feedback not double-counted
         let out = t.run(&mut kb).unwrap();
@@ -444,6 +442,6 @@ mod tests {
         let mut t = MappingEvaluation::default();
         let out = t.run(&mut kb).unwrap();
         assert_eq!(out.writes, 0, "one annotation is not enough evidence");
-        assert_eq!(kb.get_match("m_beds").unwrap().score, 0.8);
+        assert_eq!(kb.matches().find(|m| m.id == "m_beds").unwrap().score, 0.8);
     }
 }

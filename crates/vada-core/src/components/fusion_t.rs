@@ -101,7 +101,6 @@ impl Transducer for DuplicateDetection {
         }
         let n = non_singleton.len();
         kb.put_intermediate(rel);
-        kb.log("duplicate_detection", "clusters", &n.to_string());
         Ok(RunOutcome::new(format!("{n} duplicate cluster(s)"), n))
     }
 }
@@ -172,7 +171,6 @@ impl Transducer for DataFusion {
             return Ok(RunOutcome::noop("clusters contained no duplicates"));
         }
         kb.put_result(fused);
-        kb.log("data_fusion", "fused", &removed.to_string());
         Ok(RunOutcome::new(
             format!(
                 "fused {} cluster(s), removed {removed} duplicate row(s)",

@@ -54,7 +54,6 @@ impl Transducer for MappingGeneration {
         for c in candidates {
             kb.add_mapping(c);
         }
-        kb.log("mapping_generation", "add_mapping", &n.to_string());
         Ok(RunOutcome::new(format!("{n} candidate mappings"), n))
     }
 }
@@ -128,7 +127,6 @@ impl Transducer for MappingSelection {
         let changed = kb.selected_mapping() != Some(best.as_str());
         if changed {
             kb.select_mapping(&best)?;
-            kb.log("mapping_selection", "select_mapping", &best);
         }
         Ok(RunOutcome::new(
             format!(
@@ -199,7 +197,6 @@ impl Transducer for MappingExecution {
         let vetoed = apply_vetoes(&mut result, kb.vetoes());
         let rows = result.len();
         kb.put_result(result);
-        kb.log("mapping_execution", "put_result", &id);
         Ok(RunOutcome::new(
             format!("materialised {rows} rows from {id} ({vetoed} cells vetoed)"),
             rows,

@@ -54,7 +54,6 @@ impl Transducer for SchemaMatching {
                 written += 1;
             }
         }
-        kb.log("schema_matching", "add_match", &written.to_string());
         Ok(RunOutcome::new(
             format!("{written} schema-level correspondences"),
             written,
@@ -113,7 +112,6 @@ impl Transducer for InstanceMatching {
                 matcher: "instance".into(),
             });
         }
-        kb.log("instance_matching", "add_match", &written.to_string());
         Ok(RunOutcome::new(
             format!("{written} instance-level correspondences"),
             written,

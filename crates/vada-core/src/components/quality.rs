@@ -80,7 +80,6 @@ impl Transducer for CfdLearning {
             kb.add_cfd(cfd.clone());
         }
         let written = cfds.len();
-        kb.log("cfd_learning", "add_cfd", &written.to_string());
         Ok(RunOutcome::new(
             format!("{written} CFDs from {} context relation(s)", names.len()),
             written,
@@ -356,7 +355,6 @@ impl Transducer for MappingQuality {
                 written += 1;
             }
         }
-        kb.log("mapping_quality", "add_quality", &written.to_string());
         Ok(RunOutcome::new(
             format!("{written} metrics over {} candidate mappings", mappings.len()),
             written,

@@ -75,7 +75,6 @@ impl Transducer for ResultRepair {
             return Ok(RunOutcome::noop("nothing to repair"));
         }
         kb.put_result(result);
-        kb.log("result_repair", "repair", &report.total().to_string());
         Ok(RunOutcome::new(
             format!(
                 "{} CFD fixes, {} null fills, {} fuzzy fixes (reference `{reference_name}`)",

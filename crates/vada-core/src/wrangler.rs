@@ -159,7 +159,6 @@ impl Wrangler {
 
     /// Register a source relation.
     pub fn add_source(&mut self, rel: Relation) {
-        self.kb.log("user", "register_source", rel.name());
         self.kb.register_source(rel);
     }
 
@@ -168,23 +167,18 @@ impl Wrangler {
     /// row-level retraction; mappings that read the relation re-execute
     /// on the next run. Returns the removed tuples in ascending row order.
     pub fn remove_source_rows(&mut self, name: &str, rows: &[usize]) -> Result<Vec<vada_common::Tuple>> {
-        let removed = self.kb.remove_rows(name, rows)?;
-        self.kb.log("user", "remove_rows", &format!("{name}:{}", removed.len()));
-        Ok(removed)
+        self.kb.remove_rows(name, rows)
     }
 
     /// Rewrite rows of a registered source in place (`edits` pairs a row
     /// index with its new tuple). Journalled as a row-level rewrite;
     /// mappings that read the relation re-execute on the next run.
     pub fn update_source_rows(&mut self, name: &str, edits: &[(usize, vada_common::Tuple)]) -> Result<()> {
-        self.kb.update_source(name, edits)?;
-        self.kb.log("user", "update_rows", &format!("{name}:{}", edits.len()));
-        Ok(())
+        self.kb.update_source(name, edits)
     }
 
     /// Register the target schema.
     pub fn set_target(&mut self, schema: Schema) {
-        self.kb.log("user", "register_target", &schema.name);
         self.kb.register_target_schema(schema);
     }
 
@@ -196,23 +190,18 @@ impl Wrangler {
         kind: ContextKind,
         bindings: &[(&str, &str)],
     ) -> Result<()> {
-        self.kb.log("user", "register_data_context", rel.name());
         self.kb.register_data_context(rel, kind, bindings)
     }
 
     /// Assert feedback annotations (step 3).
     pub fn add_feedback(&mut self, records: impl IntoIterator<Item = FeedbackRecord>) {
-        let mut n = 0usize;
         for r in records {
             self.kb.add_feedback(r);
-            n += 1;
         }
-        self.kb.log("user", "feedback", &n.to_string());
     }
 
     /// Set the user context (step 4).
     pub fn set_user_context(&mut self, statements: Vec<PairwiseStatement>) {
-        self.kb.log("user", "user_context", &statements.len().to_string());
         self.kb.set_user_context(statements);
     }
 

@@ -22,7 +22,6 @@
 pub mod catalog;
 pub mod delta;
 pub mod meta;
-pub mod provenance;
 pub mod storage;
 pub mod store;
 

@@ -15,9 +15,8 @@ use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark};
 use crate::storage::{self, RecordRef, RelationRef, Snapshot, SnapshotRef, WalRecord};
 use crate::meta::{
     CellVeto, CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MatchDef,
-    PairwiseStatement, QualityFact, Verdict,
+    PairwiseStatement, QualityFact,
 };
-use crate::provenance::ProvenanceLog;
 
 /// The VADA knowledge base. See the crate docs for the model.
 #[derive(Debug)]
@@ -40,7 +39,6 @@ pub struct KnowledgeBase {
     version: u64,
     aspect_versions: BTreeMap<&'static str, u64>,
     journal: DeltaJournal,
-    provenance: ProvenanceLog,
     /// cached dependency view, patched from journal deltas (see
     /// [`KnowledgeBase::query`]).
     dep_cache: Mutex<DepCache>,
@@ -145,7 +143,6 @@ impl Clone for KnowledgeBase {
             version: self.version,
             aspect_versions: self.aspect_versions.clone(),
             journal: self.journal.clone(),
-            provenance: self.provenance.clone(),
             dep_cache: Mutex::new(DepCache::default()),
             // a clone is a new lineage (see the journal's Clone impl), and
             // a WAL directory has exactly one writer: the clone is
@@ -177,7 +174,6 @@ impl Default for KnowledgeBase {
             version: 0,
             aspect_versions: Default::default(),
             journal: Default::default(),
-            provenance: Default::default(),
             dep_cache: Mutex::new(DepCache::default()),
             durable: None,
             storage_error: None,
@@ -558,16 +554,6 @@ impl KnowledgeBase {
         self.aspect_versions.get(aspect).copied().unwrap_or(0)
     }
 
-    /// The provenance log.
-    pub fn provenance(&self) -> &ProvenanceLog {
-        &self.provenance
-    }
-
-    /// Append a provenance entry.
-    pub fn log(&mut self, actor: &str, action: &str, detail: &str) {
-        self.provenance.log(actor, action, detail);
-    }
-
     // ------------------------------------------------------------------
     // extensional data
     // ------------------------------------------------------------------
@@ -840,11 +826,6 @@ impl KnowledgeBase {
         self.matches.values()
     }
 
-    /// The match with the given id.
-    pub fn get_match(&self, id: &str) -> Option<&MatchDef> {
-        self.matches.get(id)
-    }
-
     /// Revise a match score (feedback propagation, paper §2.3).
     pub fn set_match_score(&mut self, id: &str, score: f64) -> Result<()> {
         let m = self
@@ -854,12 +835,6 @@ impl KnowledgeBase {
         m.score = score;
         self.touch("matches");
         Ok(())
-    }
-
-    /// Remove all matches (e.g. before re-matching with new evidence).
-    pub fn clear_matches(&mut self) {
-        self.matches.clear();
-        self.touch("matches");
     }
 
     // ------------------------------------------------------------------
@@ -1247,24 +1222,12 @@ impl KnowledgeBase {
             other => unreachable!("unknown dependency predicate `{other}`"),
         }
     }
-
-    /// Feedback annotations as convenient `(target, verdict)` pairs for a
-    /// result relation.
-    pub fn feedback_for(&self, relation: &str) -> Vec<(&FeedbackTarget, Verdict)> {
-        self.feedback
-            .iter()
-            .filter(|f| match &f.target {
-                FeedbackTarget::Tuple { relation: r, .. }
-                | FeedbackTarget::Attribute { relation: r, .. } => r == relation,
-            })
-            .map(|f| (&f.target, f.verdict))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::Verdict;
     use vada_common::{tuple, AttrType};
 
     fn kb_with_scenario() -> KnowledgeBase {
@@ -1378,8 +1341,6 @@ mod tests {
             .query("feedback(F, \"attribute\", \"property\", Row, \"bedrooms\", \"incorrect\")")
             .unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(kb.feedback_for("property").len(), 1);
-        assert_eq!(kb.feedback_for("other").len(), 0);
     }
 
     /// Render a database fully: predicates sorted, facts in insertion
@@ -1553,9 +1514,9 @@ mod tests {
 
         // metadata mutations are journalled as aspect changes
         let seen = kb.version();
-        kb.clear_matches();
+        kb.clear_mappings();
         let events = kb.drain_deltas_since(seen).unwrap();
-        assert_eq!(events[0].aspect, "matches");
+        assert_eq!(events[0].aspect, "mappings");
         assert!(!events[0].change.is_monotone());
     }
 
