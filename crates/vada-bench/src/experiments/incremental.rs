@@ -532,7 +532,7 @@ pub fn incremental_baseline() -> String {
         "== Incremental delta evaluation vs full re-derivation ==\n\
          A k-row delta against an N-row base: the full path re-derives\n\
          everything, the incremental session re-derives O(k).\n\n{}\n\n\
-         == Retraction (counting/DRed) vs full re-derivation ==\n\
+         == Retraction (counting) vs full re-derivation ==\n\
          A k-row retraction against an N-row base: the full path re-derives\n\
          the shrunk base from scratch, the counting path touches O(k) facts.\n\n{}\n\n\
          == WAL crash recovery (N rows, k edit events) ==\n\

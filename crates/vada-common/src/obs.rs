@@ -495,14 +495,6 @@ impl Obs {
         }
     }
 
-    /// Snapshot of the structural subset, sorted by name.
-    pub fn structural_counters(&self) -> BTreeMap<String, u64> {
-        self.counters()
-            .into_iter()
-            .filter(|(k, _)| Obs::is_structural(k))
-            .collect()
-    }
-
     /// Open a span. Spans are opened on coordinating threads only — worker
     /// closures never call this — so the stack discipline (and hence the
     /// recorded tree) is deterministic. Disabled handles elide the span
@@ -532,14 +524,6 @@ impl Obs {
         match &self.inner {
             None => Vec::new(),
             Some(c) => lock(&c.spans).records.clone(),
-        }
-    }
-
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        match &self.inner {
-            None => 0,
-            Some(c) => lock(&c.spans).records.len(),
         }
     }
 
@@ -1171,7 +1155,7 @@ mod tests {
         assert!(!obs.is_enabled());
         assert_eq!(obs.get("anything"), 0);
         assert!(obs.counters().is_empty());
-        assert_eq!(obs.span_count(), 0);
+        assert_eq!(obs.span_records().len(), 0);
         assert!(obs.timings().is_empty());
         assert!(obs.health().is_ok());
         let report = obs.report();
@@ -1216,7 +1200,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.incr(key::ORCH_STEPS);
         obs.incr(key::WAL_APPENDS);
-        let structural = obs.structural_counters();
+        let structural = obs.report().structural();
         assert_eq!(structural.len(), 1);
         assert!(structural.contains_key(key::ORCH_STEPS));
     }
@@ -1301,7 +1285,7 @@ mod tests {
         // one failure plus span "a"'s suppressed timing line
         assert_eq!(obs.get(key::SINK_ERRORS), 2);
         obs.span("b"); // collection continues, error stays the first one
-        assert_eq!(obs.span_count(), 2);
+        assert_eq!(obs.span_records().len(), 2);
         assert_eq!(obs.health().unwrap_err(), first);
         // the loss keeps being sized after the detach: span "b" attempted
         // a span line and a timing line, both suppressed
@@ -1403,7 +1387,7 @@ mod tests {
         // both guards closed on the way out: no dangling open spans, and
         // each closed span recorded its timing
         assert_eq!(obs.open_span_count(), 0, "unwind must close every span");
-        assert_eq!(obs.span_count(), 2);
+        assert_eq!(obs.span_records().len(), 2);
         assert_eq!(obs.timings().len(), 2);
         // a span opened after the panic is a clean top-level root, not a
         // child of a zombie

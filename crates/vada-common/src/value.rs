@@ -76,14 +76,6 @@ impl Value {
         }
     }
 
-    /// The bool payload, if this is a boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Numeric view used by comparison built-ins: ints and floats compare on
     /// the real line.
     pub fn numeric(&self) -> Option<f64> {

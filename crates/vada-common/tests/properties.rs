@@ -381,7 +381,7 @@ proptest! {
         prop_assert!(!obs.is_enabled());
         prop_assert!(!obs.sink_attached());
         prop_assert!(obs.counters().is_empty());
-        prop_assert!(obs.structural_counters().is_empty());
+        prop_assert!(obs.report().structural().is_empty());
         prop_assert!(obs.health().is_ok());
         let report = obs.report();
         prop_assert!(!report.enabled);

@@ -826,81 +826,7 @@ impl Engine {
         outcome?;
         Ok(results)
     }
-
-    /// Whether `cr` (a non-aggregate rule) can derive exactly `fact` from
-    /// `db` minus `dead` — DRed's re-derivation probe. Head variables that
-    /// occur in the body are pre-bound from `fact`, so the join explores
-    /// only bindings compatible with the candidate and exits on the first
-    /// supporting derivation; O(probe), not O(rule enumeration).
-    pub(crate) fn derives_fact(
-        &self,
-        cr: &CompiledRule,
-        db: &Database,
-        dead: &Database,
-        fact: &Tuple,
-    ) -> Result<bool> {
-        if cr.rule.has_aggregate() {
-            return Err(VadaError::Eval(
-                "derivability probe on an aggregate rule (internal invariant)".into(),
-            ));
-        }
-        if fact.arity() != cr.rule.head_terms.len() {
-            return Ok(false);
-        }
-        let mut body_vars = BTreeSet::new();
-        for lit in &cr.rule.body {
-            match lit {
-                Literal::Pos(a) | Literal::Neg(a) => a.vars(&mut body_vars),
-                Literal::Cmp(_, l, r) => {
-                    l.vars(&mut body_vars);
-                    r.vars(&mut body_vars);
-                }
-            }
-        }
-        let mut binding: Binding = vec![None; cr.rule.var_count];
-        for (i, ht) in cr.rule.head_terms.iter().enumerate() {
-            match ht {
-                HeadTerm::Term(Term::Const(c)) => {
-                    if c != &fact[i] {
-                        return Ok(false);
-                    }
-                }
-                HeadTerm::Term(Term::Var(id, _)) if body_vars.contains(id) => {
-                    match &binding[*id] {
-                        Some(v) if v != &fact[i] => return Ok(false),
-                        Some(_) => {}
-                        None => binding[*id] = Some(fact[i].clone()),
-                    }
-                }
-                // existential head variable: left unbound, checked via the
-                // regenerated (deterministic) skolem below
-                HeadTerm::Term(Term::Var(..)) => {}
-                HeadTerm::Agg(..) => unreachable!("aggregate rules rejected above"),
-            }
-        }
-        let ctx = EvalCtx::new(cr, db, Some(DeltaSpec::Except { dead }), None);
-        let mut scratch = vec![Scratch::default(); cr.order.len()];
-        let mut found = false;
-        let depth = self.config.max_skolem_depth;
-        let mut head = Vec::with_capacity(cr.rule.head_terms.len());
-        let outcome = join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
-            if head_tuple(cr, b, depth, &mut head)? == *fact {
-                found = true;
-                return Err(VadaError::Eval(STOP_SENTINEL.into()));
-            }
-            Ok(())
-        });
-        match outcome {
-            Ok(()) => Ok(found),
-            Err(VadaError::Eval(m)) if m == STOP_SENTINEL => Ok(true),
-            Err(e) => Err(e),
-        }
-    }
 }
-
-/// Early-exit marker threaded through the join's `Result` channel by
-/// [`Engine::derives_fact`]; never surfaces to callers.
-const STOP_SENTINEL: &str = "__vada_derivability_probe_stop__";
 
 /// Split a sequence of work items (each evaluating one rule) into maximal
 /// runs that may share one refresh of the run's [`IndexStore`]: an item
@@ -1357,12 +1283,6 @@ pub(crate) enum DeltaSpec<'a> {
         /// Positive-literal occurrence forced to the removed set.
         occ: usize,
     },
-    /// Every positive literal reads the database minus `dead` — the
-    /// surviving view DRed's re-derivation phase probes against.
-    Except {
-        /// Facts excluded from view.
-        dead: &'a Database,
-    },
 }
 
 /// Projection → ascending row ids: the shape of every join index.
@@ -1453,7 +1373,6 @@ impl<'a> EvalCtx<'a> {
                         (Some(DeltaSpec::Delete { removed, occ }), Some(o)) if o < occ => {
                             (db, FILTERED, Some(removed))
                         }
-                        (Some(DeltaSpec::Except { dead }), _) => (db, FILTERED, Some(dead)),
                         _ => (db, FULL, None),
                     };
                     let shape = (tag, atom.pred.as_str(), cols.as_slice());
@@ -2048,35 +1967,6 @@ mod tests {
             );
         }
         assert_eq!(destroyed, vec![tuple![2]]);
-    }
-
-    #[test]
-    fn derivability_probe_respects_the_dead_view() {
-        let program =
-            parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
-        let mut db = Database::new();
-        db.insert("edge", tuple![1, 2]);
-        db.insert("edge", tuple![1, 3]);
-        db.insert("edge", tuple![3, 2]);
-        db.insert("tc", tuple![1, 2]);
-        db.insert("tc", tuple![1, 3]);
-        db.insert("tc", tuple![3, 2]);
-        let engine = Engine::default();
-        let base = CompiledRule::compile(&program.rules[0], 0).unwrap();
-        let step = CompiledRule::compile(&program.rules[1], 1).unwrap();
-        // tc(1,2) is directly supported by edge(1,2)…
-        let empty = Database::new();
-        assert!(engine.derives_fact(&base, &db, &empty, &tuple![1, 2]).unwrap());
-        // …and still derivable via 1→3→2 when edge(1,2) is dead
-        let mut dead = Database::new();
-        dead.insert("edge", tuple![1, 2]);
-        assert!(!engine.derives_fact(&base, &db, &dead, &tuple![1, 2]).unwrap());
-        assert!(engine.derives_fact(&step, &db, &dead, &tuple![1, 2]).unwrap());
-        // kill the alternative path too
-        dead.insert("tc", tuple![1, 3]);
-        assert!(!engine.derives_fact(&step, &db, &dead, &tuple![1, 2]).unwrap());
-        // a fact the rule could never produce
-        assert!(!engine.derives_fact(&base, &db, &empty, &tuple![9, 9]).unwrap());
     }
 
     #[test]

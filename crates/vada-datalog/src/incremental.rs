@@ -18,25 +18,16 @@
 //! ## Retractions
 //!
 //! [`IncrementalSession::retract`] removes extensional facts and maintains
-//! the materialization in O(change) using two classic algorithms, chosen
-//! per predicate:
-//!
-//! - **Counting** for non-recursive derived predicates: the session keeps
-//!   per-fact, per-rule derivation counts (captured lazily on the first
-//!   retraction after a full run — append-only workloads never pay for
-//!   them — then maintained by both the append and the deletion path). A
-//!   deletion
-//!   enumerates exactly the destroyed derivations — each rule runs once
-//!   per shrunk body occurrence with that occurrence bound to the removed
-//!   facts, earlier occurrences reading the post-removal view and later
-//!   ones the pre-removal view — and decrements counts; a fact leaves the
-//!   materialization exactly when its count reaches zero.
-//! - **DRed** (over-delete, then re-derive) for predicates on a positive
-//!   cycle, where counting is unsound: phase 1 transitively over-deletes
-//!   every fact with a destroyed derivation; phase 2 probes each
-//!   over-deleted fact for an alternative derivation from the surviving
-//!   view (head-bound, index-driven — O(probe), not O(stratum)) and
-//!   restores the supported ones.
+//! the materialization in O(change) by **derivation counting**, the
+//! classic algorithm for non-recursive views. The session keeps per-fact,
+//! per-rule derivation counts (captured lazily on the first retraction
+//! after a full run — append-only workloads never pay for them — then
+//! maintained by both the append and the deletion path). A deletion
+//! enumerates exactly the destroyed derivations — each rule runs once per
+//! shrunk body occurrence with that occurrence bound to the removed facts,
+//! earlier occurrences reading the post-removal view and later ones the
+//! pre-removal view — and decrements counts; a fact leaves the
+//! materialization exactly when its count reaches zero.
 //!
 //! Deletion preserves the byte-identity contract through an **order
 //! repair** step: counting alone cannot reproduce scratch insertion order,
@@ -53,12 +44,13 @@
 //! `dedup(input ++ seg_0 ++ … ++ seg_n)` without a rebuild. Repair is
 //! exact only for initial-pass-only heads (validated
 //! against the scratch order at capture time); a partially-supported fact
-//! in a recursive or otherwise non-reconstructible predicate falls back
-//! to a full re-derivation, as does any DRed phase-2 restoration (the
-//! restored fact's scratch position is unknowable without counts).
-//! Deletions under negation, deletions reaching an aggregate input, and
-//! deletions affecting a predicate that mixes ground facts with rules
-//! also fall back — same contract, reason recorded in the outcome.
+//! in a non-reconstructible predicate falls back to a full re-derivation.
+//!
+//! Counting is unsound on a positive cycle, so a deletion reaching a
+//! recursive predicate falls back, exactly as an append does (condition 4
+//! below). So do deletions under negation, deletions reaching an
+//! aggregate, and deletions affecting a predicate that mixes ground facts
+//! with rules — same contract, reason recorded in the outcome.
 //!
 //! Every pass reads its full-database lookups through one
 //! [`IndexStore`] that lives as long as the session: appends extend an
@@ -168,7 +160,7 @@ pub struct DeltaOutcome {
     /// Facts newly derived by this step (for full runs: all derived facts).
     pub derived_facts: usize,
     /// Derived facts that left the materialization (counting decrements
-    /// reaching zero, plus DRed's net over-deletions).
+    /// reaching zero).
     pub retracted_facts: usize,
     /// Derivations re-enumerated by the order-repair step — the deletion
     /// path's re-derivation work. Together with `retracted_facts` this is
@@ -229,10 +221,9 @@ struct ProgramInfo {
     /// and the semi-naive re-passes derive only duplicates. The heads the
     /// order-repair step may rebuild by re-enumeration.
     order_reconstructible: BTreeSet<String>,
-    /// The retraction plan over every derived head, in topological order
-    /// of the positive dependency graph: a counted head alone, or a
-    /// positive-cycle SCC (members sorted) that DRed maintains as one.
-    units: Vec<Vec<String>>,
+    /// The retraction plan: every counted head, in topological order of
+    /// the positive dependency graph.
+    units: Vec<String>,
 }
 
 impl ProgramInfo {
@@ -300,23 +291,6 @@ impl ProgramInfo {
         let reaches = |p: &str, q: &str| reach.get(p).is_some_and(|r| r.contains(q));
         let cyclic: BTreeSet<String> =
             reach.keys().filter(|p| reaches(p, p)).map(|p| p.to_string()).collect();
-        // the retraction plan's units: each derived head alone, or with the
-        // rest of its positive-cycle SCC. A unit that reaches another has
-        // strictly fewer outside ancestors, so sorting by that count is a
-        // topological order.
-        let mut units: Vec<Vec<String>> = Vec::new();
-        for head in defining.keys() {
-            let scc: Vec<String> = if cyclic.contains(head) {
-                defining.keys().filter(|q| reaches(head, q) && reaches(q, head)).cloned().collect()
-            } else {
-                vec![head.clone()]
-            };
-            if scc[0] == *head {
-                units.push(scc);
-            }
-        }
-        let depth = |x: &str| reach.iter().filter(|(p, r)| r.contains(x) && !reaches(x, p)).count();
-        units.sort_by_cached_key(|u| (depth(&u[0]), u[0].clone()));
         // a multi-rule head can keep scratch order under deltas only when
         // nothing observes that order downstream (terminal) and its rules
         // fire exclusively in the initial pass (no body predicate the
@@ -352,6 +326,12 @@ impl ProgramInfo {
                 counted.insert(head.clone());
             }
         }
+        // the retraction plan's units: the counted heads, none on a cycle,
+        // so a head that reaches another has strictly fewer ancestors and
+        // sorting by that count is a topological order
+        let mut units: Vec<String> = counted.iter().cloned().collect();
+        let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
+        units.sort_by_cached_key(|h| (depth(h), h.clone()));
         // initial-complete rules, in program order: every same-stratum
         // derived body predicate is fully emitted by strictly earlier
         // initial-complete rules (lower strata are complete regardless)
@@ -1040,9 +1020,8 @@ impl IncrementalSession {
     /// Retract a batch of extensional facts from the session. Facts not
     /// present in the accumulated input are ignored (a scratch input build
     /// never held them); the rest are removed and the materialization is
-    /// maintained by counting (non-recursive predicates) and DRed
-    /// (positive-cycle predicates) — see the module docs. The result is
-    /// byte-identical to a scratch run over the shrunk input; whenever
+    /// maintained by derivation counting — see the module docs. The result
+    /// is byte-identical to a scratch run over the shrunk input; whenever
     /// that cannot be guaranteed the session re-derives from scratch,
     /// recording why.
     pub fn retract(&mut self, removals: Vec<(String, Tuple)>) -> Result<&Database> {
@@ -1102,29 +1081,34 @@ impl IncrementalSession {
     /// the append analysis: deletion needs no outermost/single-literal
     /// conditions (the delta-delete enumeration handles arbitrary and
     /// multiple occurrences), but shrinking under negation grows
-    /// conclusions, aggregates change value rather than membership, and a
-    /// head mixing ground facts with rules has support the counts cannot
-    /// see.
+    /// conclusions, counts are unsound on a positive cycle, aggregates
+    /// change value rather than membership, and a head mixing ground facts
+    /// with rules has support the counts cannot see. A retraction that
+    /// passes reaches counted heads only.
     fn refuse_retraction(&self, affected: &BTreeSet<String>) -> Option<String> {
         for p in affected {
             if self.info.read_neg.contains(p) {
                 return Some(format!("negated predicate `{p}` shrank"));
+            }
+            if self.info.cyclic.contains(p) {
+                return Some(format!("recursive predicate `{p}` shrank"));
             }
             if self.info.fact_heads.contains(p) && self.info.defining.contains_key(p) {
                 return Some(format!("predicate `{p}` mixes ground facts and rules"));
             }
         }
         for info in self.info.rules.iter().flatten() {
-            if info.has_aggregate && info.positive.iter().any(|p| affected.contains(p)) {
+            // an aggregate rule's head is affected exactly when the rule
+            // reads an affected predicate, or it shares the head with one
+            if info.has_aggregate && affected.contains(&info.head) {
                 return Some(format!("aggregate input shrank (head `{}`)", info.head));
             }
         }
         None
     }
 
-    /// The retraction fast path: counting for non-recursive units, DRed
-    /// for positive-cycle SCCs, then order repair. `fresh` holds facts
-    /// already removed from `base`.
+    /// The retraction fast path: counting over the affected units, then
+    /// order repair. `fresh` holds facts already removed from `base`.
     fn retract_fast(
         &mut self,
         fresh: Vec<(String, Tuple)>,
@@ -1132,7 +1116,7 @@ impl IncrementalSession {
     ) -> Result<&Database> {
         // planning reads `db` as it stands — the pending base removal has
         // not touched it — so one refresh serves the count capture and
-        // every counting and DRed pass
+        // every counting pass
         self.store.refresh(&self.db, self.fault)?;
         // first retraction since the last full run: capture the counts it
         // plans against
@@ -1149,10 +1133,9 @@ impl IncrementalSession {
         }
 
         // the affected units of the static plan, so every unit fires with
-        // the complete removal sets of its inputs (an SCC is affected whole
-        // or not at all: its members reach each other)
-        let units: Vec<Vec<String>> =
-            self.info.units.iter().filter(|u| affected.contains(&u[0])).cloned().collect();
+        // the complete removal sets of its inputs
+        let units: Vec<String> =
+            self.info.units.iter().filter(|h| affected.contains(*h)).cloned().collect();
         // planned count decrements per counted head, aligned with its
         // defining rules
         let mut dec: BTreeMap<String, Vec<HashMap<Tuple, u64>>> = BTreeMap::new();
@@ -1160,35 +1143,20 @@ impl IncrementalSession {
         // order is suspect and must be repaired
         let mut suspects: BTreeSet<String> = BTreeSet::new();
 
-        for unit in &units {
-            if !self.info.cyclic.contains(&unit[0]) {
-                self.plan_counted_retraction(
-                    &unit[0],
-                    &mut removed,
-                    &mut dec,
-                    &mut suspects,
-                    &mut retracted,
-                )?;
-            } else if self.dred(unit, &mut removed, &mut retracted)? {
-                let reason = format!(
-                    "DRed re-derived fact(s) in recursive predicate(s) \
-                     {unit:?} — scratch order not reconstructible"
-                );
-                return self.fallback_rerun(reason, 0, removed_facts);
-            }
+        for head in &units {
+            self.plan_counted_retraction(
+                head,
+                &mut removed,
+                &mut dec,
+                &mut suspects,
+                &mut retracted,
+            )?;
         }
 
         // everything downstream of a suspect inherits its order doubt: a
         // reader enumerates its inputs in their insertion order
         let suspects = self.closure_of(suspects);
         for p in &suspects {
-            if self.info.cyclic.contains(p) {
-                let reason = format!(
-                    "partially-supported retraction reaches recursive predicate `{p}` — \
-                     scratch order not reconstructible"
-                );
-                return self.fallback_rerun(reason, 0, removed_facts);
-            }
             let multi = self.info.defining.get(p).map_or(0, |v| v.len()) >= 2;
             let repairable = self.info.order_reconstructible.contains(p)
                 && self.order_exact.contains(p)
@@ -1256,8 +1224,7 @@ impl IncrementalSession {
         }
 
         // ---- order repair, upstream before downstream (unit order) ----
-        // (a suspect is never cyclic here: that fell back above)
-        for head in units.iter().map(|u| &u[0]).filter(|h| suspects.contains(*h)) {
+        for head in units.iter().filter(|h| suspects.contains(*h)) {
             self.store.refresh(&self.db, self.fault)?;
             let (rebuilt, work) = self.repair_head_order(head)?;
             rederived += work;
@@ -1357,131 +1324,6 @@ impl IncrementalSession {
         }
         dec.insert(head.to_string(), head_dec);
         Ok(())
-    }
-
-    /// DRed over one positive-cycle SCC: transitively over-delete every
-    /// fact with a destroyed derivation, then probe each for an
-    /// alternative derivation from the surviving view. Pure removals
-    /// commit (survivor order is untouched — no surviving fact lost any
-    /// derivation); any restoration reports back so the caller can fall
-    /// back (the restored fact's scratch position is unknowable). Returns
-    /// whether phase 2 found a restorable fact.
-    fn dred(
-        &self,
-        preds: &[String],
-        removed: &mut Database,
-        retracted: &mut usize,
-    ) -> Result<bool> {
-        let scc: BTreeSet<&str> = preds.iter().map(|p| p.as_str()).collect();
-        let rule_list: Vec<usize> = self
-            .info
-            .rules
-            .iter()
-            .enumerate()
-            .filter_map(|(ri, info)| {
-                info.as_ref()
-                    .filter(|i| scc.contains(i.head.as_str()))
-                    .map(|_| ri)
-            })
-            .collect();
-        let compiled: Vec<CompiledRule> = rule_list
-            .iter()
-            .map(|&ri| CompiledRule::compile(&self.program.rules[ri], ri))
-            .collect::<Result<_>>()?;
-
-        // `dead` = removals visible to this SCC plus everything
-        // over-deleted so far; `frontier` = the facts that became dead in
-        // the previous wave, the only ones the next wave's delta passes
-        // enumerate (a derivation touching older dead facts only was
-        // already enumerated when those facts entered the frontier), so
-        // over-deletion stays O(destroyed derivations), not
-        // O(waves × dead)
-        let mut dead = Database::new();
-        for &ri in &rule_list {
-            let info = self.info.rules[ri].as_ref().expect("non-fact rule");
-            for p in &info.positive {
-                for t in removed.facts(p) {
-                    dead.insert(p, t.clone());
-                }
-            }
-        }
-        let mut frontier = dead.clone();
-        let mut deleted: Vec<(String, Tuple)> = Vec::new();
-
-        // phase 1: over-delete to fixpoint
-        loop {
-            let mut passes: Vec<(usize, usize)> = Vec::new(); // (compiled idx, occ)
-            for (ci, &ri) in rule_list.iter().enumerate() {
-                let info = self.info.rules[ri].as_ref().expect("non-fact rule");
-                for (occ, p) in info.positive.iter().enumerate() {
-                    if !frontier.facts(p).is_empty() {
-                        passes.push((ci, occ));
-                    }
-                }
-            }
-            if passes.is_empty() {
-                break;
-            }
-            let mut next_frontier = Database::new();
-            for &(ci, occ) in &passes {
-                let out = guard_stage("datalog/incremental-retract", || {
-                    if self.fault == Some("dred-overdelete") {
-                        panic!("injected fault at dred-overdelete (fault-injection hook)");
-                    }
-                    self.engine.eval_rule(
-                        &compiled[ci],
-                        &self.db,
-                        Some(DeltaSpec::Delete { removed: &frontier, occ }),
-                        Some(&self.store),
-                    )
-                })?;
-                let h = &compiled[ci].rule.head_pred;
-                for t in out {
-                    // input-prefix facts keep extensional support the
-                    // rules cannot see: never over-delete them
-                    if self.db.contains(h, &t)
-                        && !dead.contains(h, &t)
-                        && !self.base.contains(h, &t)
-                    {
-                        dead.insert(h, t.clone());
-                        next_frontier.insert(h, t.clone());
-                        deleted.push((h.clone(), t));
-                    }
-                }
-            }
-            if next_frontier.total_facts() == 0 {
-                break;
-            }
-            frontier = next_frontier;
-        }
-        if deleted.is_empty() {
-            return Ok(false);
-        }
-
-        if self.fault == Some("dred-rederive") {
-            return Err(VadaError::Eval(
-                "injected fault at dred-rederive (fault-injection hook)".into(),
-            ));
-        }
-
-        // phase 2: re-derivation probes against the surviving view. The
-        // caller falls back to a full re-derivation on ANY restoration
-        // (the restored fact's scratch position is unknowable without
-        // counts), so the first successful probe settles the verdict —
-        // no point finishing the restoration fixpoint just to discard it
-        for (h, t) in &deleted {
-            for &ri in &self.info.defining[h] {
-                let ci = rule_list.iter().position(|r| *r == ri).expect("SCC rule");
-                if self.engine.derives_fact(&compiled[ci], &self.db, &dead, t)? {
-                    return Ok(true);
-                }
-            }
-        }
-        for (h, t) in deleted {
-            removed.insert(&h, t);
-            *retracted += 1;
-        }
-        Ok(false)
     }
 
     /// Re-enumerate the defining rules of one suspect head over the
@@ -1806,56 +1648,31 @@ mod tests {
         let mut input = Database::new();
         input.insert("p", tuple![1]);
         input.insert("r", tuple![1, 10]);
-        let mut s = session(src, input.clone());
-        s.inject_fault(Some("retract-enumerate"));
-        let err = s.retract(vec![("p".into(), tuple![1])]).unwrap_err();
-        assert_eq!(err.kind(), "parallel", "{err}");
-        assert!(err.message().contains("injected fault"), "{err}");
-        // poisoned: both deltas and retractions are refused…
-        assert!(s.apply(vec![("p".into(), tuple![2])]).unwrap_err().message().contains("poisoned"));
-        assert!(s
-            .retract(vec![("r".into(), tuple![1, 10])])
-            .unwrap_err()
-            .message()
-            .contains("poisoned"));
-        // …until run_full re-materializes (fault cleared first)
-        s.inject_fault(None);
-        let mut shrunk = Database::new();
-        shrunk.insert("r", tuple![1, 10]);
-        s.run_full(shrunk.clone()).unwrap();
-        s.retract(vec![("r".into(), tuple![1, 10])]).unwrap();
-        assert_eq!(dump(s.database()), scratch(src, &Database::new()));
-    }
-
-    #[test]
-    fn injected_panic_mid_dred_poisons_until_run_full() {
-        let src = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).";
-        let mut input = Database::new();
-        for i in 0..6i64 {
-            input.insert("edge", tuple![i, i + 1]);
-        }
-        for fault in ["dred-overdelete", "dred-rederive", "retract-commit"] {
+        // a panic while enumerating destroyed derivations, and a failure
+        // after the commit has started mutating the materialization
+        for fault in ["retract-enumerate", "retract-commit"] {
             let mut s = session(src, input.clone());
             s.inject_fault(Some(fault));
-            let err = s.retract(vec![("edge".into(), tuple![2i64, 3i64])]).unwrap_err();
+            let err = s.retract(vec![("p".into(), tuple![1])]).unwrap_err();
+            if fault == "retract-enumerate" {
+                assert_eq!(err.kind(), "parallel", "{err}");
+            }
             assert!(err.message().contains("injected fault"), "{fault}: {err}");
-            let err = s.retract(vec![("edge".into(), tuple![0i64, 1i64])]).unwrap_err();
+            // poisoned: both deltas and retractions are refused…
+            let err = s.apply(vec![("p".into(), tuple![2])]).unwrap_err();
             assert!(err.message().contains("poisoned"), "{fault}: {err}");
-            // recovery: run_full over the post-retraction base
+            let err = s.retract(vec![("r".into(), tuple![1, 10])]).unwrap_err();
+            assert!(err.message().contains("poisoned"), "{fault}: {err}");
+            // …until run_full re-materializes (fault cleared first)
             s.inject_fault(None);
             let mut shrunk = Database::new();
-            for i in 0..6i64 {
-                if i != 2 {
-                    shrunk.insert("edge", tuple![i, i + 1]);
-                }
-            }
+            shrunk.insert("r", tuple![1, 10]);
             s.run_full(shrunk.clone()).unwrap();
             assert_eq!(dump(s.database()), scratch(src, &shrunk), "{fault}");
             // and the deletion path works again
-            s.retract(vec![("edge".into(), tuple![4i64, 5i64])]).unwrap();
+            s.retract(vec![("r".into(), tuple![1, 10])]).unwrap();
             assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental, "{fault}");
-            shrunk.remove("edge", &tuple![4i64, 5i64]);
-            assert_eq!(dump(s.database()), scratch(src, &shrunk), "{fault}");
+            assert_eq!(dump(s.database()), scratch(src, &Database::new()), "{fault}");
         }
     }
 
@@ -1962,9 +1779,9 @@ mod tests {
     }
 
     #[test]
-    fn recursive_pure_removal_goes_through_dred() {
-        // a chain has no alternative paths: removing an edge over-deletes
-        // a suffix of tc and re-derives nothing — pure removal, fast path
+    fn recursive_pure_removal_falls_back_and_matches() {
+        // a chain has no alternative paths, so the removal only shrinks
+        // tc — but counting is unsound on a cycle, so it still falls back
         let src = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).";
         let mut input = Database::new();
         for i in 0..10i64 {
@@ -1973,9 +1790,13 @@ mod tests {
         let mut s = session(src, input);
         s.retract(vec![("edge".into(), tuple![5i64, 6i64])]).unwrap();
         let out = s.last_outcome().unwrap();
-        assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
-        // destroyed: every path crossing 5→6, i.e. (a,b) with a<=5 < 6<=b
-        assert_eq!(out.retracted_facts, 30);
+        assert_eq!(out.mode, DeltaMode::FullFallback, "{out:?}");
+        assert_eq!(
+            out.fallback_reason.as_deref(),
+            Some("recursive predicate `tc` shrank"),
+            "{out:?}"
+        );
+        assert_eq!(out.removed_facts, 1);
         let mut shrunk = Database::new();
         for i in 0..10i64 {
             if i != 5 {
@@ -1983,12 +1804,19 @@ mod tests {
             }
         }
         assert_eq!(dump(s.database()), scratch(src, &shrunk));
+        // the full run left the session live: the next retraction falls
+        // back the same way and still matches
+        s.retract(vec![("edge".into(), tuple![0i64, 1i64])]).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::FullFallback);
+        shrunk.remove("edge", &tuple![0i64, 1i64]);
+        assert_eq!(dump(s.database()), scratch(src, &shrunk));
     }
 
     #[test]
     fn recursive_rederivation_falls_back_and_matches() {
         // diamond: 0→1→3 and 0→2→3, so tc(0,3) survives the removal of
-        // edge(1,3) — DRed re-derives it and the session must fall back
+        // edge(1,3) on its other path — a partially-supported fact in a
+        // recursive predicate, refused before any pass runs
         let src = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).";
         let mut input = Database::new();
         for (a, b) in [(0i64, 1i64), (1, 3), (0, 2), (2, 3), (3, 4)] {
@@ -1998,8 +1826,9 @@ mod tests {
         s.retract(vec![("edge".into(), tuple![1i64, 3i64])]).unwrap();
         let out = s.last_outcome().unwrap();
         assert_eq!(out.mode, DeltaMode::FullFallback, "{out:?}");
-        assert!(
-            out.fallback_reason.as_deref().unwrap().contains("re-derived"),
+        assert_eq!(
+            out.fallback_reason.as_deref(),
+            Some("recursive predicate `tc` shrank"),
             "{out:?}"
         );
         let mut shrunk = Database::new();
@@ -2037,6 +1866,24 @@ mod tests {
         let out = s.last_outcome().unwrap();
         assert_eq!(out.mode, DeltaMode::FullFallback);
         shrunk = Database::new();
+        shrunk.insert("node", tuple![1]);
+        assert_eq!(dump(s.database()), scratch(src, &shrunk));
+    }
+
+    #[test]
+    fn retraction_into_a_head_shared_with_an_aggregate_falls_back() {
+        // `size` is defined by a plain rule and an aggregate: shrinking the
+        // plain rule's input reaches a head the counts do not cover
+        let src = "size(X) :- pinned(X). size(count(X)) :- node(X).";
+        let mut input = Database::new();
+        input.insert("pinned", tuple![7]);
+        input.insert("node", tuple![1]);
+        let mut s = session(src, input);
+        s.retract(vec![("pinned".into(), tuple![7])]).unwrap();
+        let out = s.last_outcome().unwrap();
+        assert_eq!(out.mode, DeltaMode::FullFallback, "{out:?}");
+        assert!(out.fallback_reason.as_deref().unwrap().contains("aggregate"), "{out:?}");
+        let mut shrunk = Database::new();
         shrunk.insert("node", tuple![1]);
         assert_eq!(dump(s.database()), scratch(src, &shrunk));
     }

@@ -45,7 +45,6 @@ pub mod incremental;
 pub mod lexer;
 pub mod magic;
 pub mod parser;
-pub mod pretty;
 pub mod skolem;
 
 pub use analysis::{stratify, Stratification};

@@ -390,55 +390,6 @@ proptest! {
     }
 
     #[test]
-    fn dred_restores_exactly_the_still_derivable_facts(
-        edges in proptest::collection::vec((0u8..8, 0u8..8), 1..24),
-        kills in proptest::collection::vec(0u8..24, 1..5)
-    ) {
-        // recursive closure under deletion: DRed over-deletes everything
-        // reachable from the removed edges, then re-derives what survives.
-        // Whatever the path taken (pure removal commits; any restoration
-        // falls back), the result must equal the scratch fixpoint — i.e.
-        // phase 2 restored exactly the still-derivable over-deletions.
-        use vada_datalog::incremental::{DeltaMode, IncrementalSession};
-        use vada_datalog::EngineConfig;
-        let mut input = edges_db(&edges);
-        let mut session = IncrementalSession::new(EngineConfig::default(), TC_PROGRAM).unwrap();
-        session.run_full(input.clone()).unwrap();
-
-        let mut removals: Vec<(String, Tuple)> = Vec::new();
-        for &nth in &kills {
-            let facts = input.facts("edge");
-            removals.push(("edge".to_string(), facts[nth as usize % facts.len()].clone()));
-        }
-        for (_, t) in &removals {
-            input.remove("edge", t);
-        }
-        session.retract(removals).unwrap();
-
-        let program = parse_program(TC_PROGRAM).unwrap();
-        let scratch = Engine::default().run(&program, input.clone()).unwrap();
-        prop_assert_eq!(
-            session.database().facts("tc"),
-            scratch.facts("tc"),
-            "tc diverged from scratch after retraction ({:?})",
-            session.last_outcome().map(|o| o.mode)
-        );
-        prop_assert_eq!(session.database().facts("edge"), scratch.facts("edge"));
-        let out = session.last_outcome().unwrap();
-        match out.mode {
-            // pure removal: nothing re-derived, every removed tc fact is
-            // genuinely underivable (it is absent from scratch)
-            DeltaMode::Incremental => prop_assert_eq!(out.rederived_facts, 0, "{:?}", out),
-            // a restoration happened: the fallback reason names DRed
-            DeltaMode::FullFallback => prop_assert!(
-                out.fallback_reason.as_deref().unwrap().contains("re-derived"),
-                "{:?}", out
-            ),
-            DeltaMode::Bootstrap => prop_assert!(false, "unexpected bootstrap"),
-        }
-    }
-
-    #[test]
     fn magic_restriction_equals_full_on_demanded_atoms(
         edges in proptest::collection::vec((0u8..10, 0u8..10), 1..40),
         start in 0u8..10

@@ -31,4 +31,4 @@ pub mod store;
 pub use execute::{execute_mapping, ExecuteConfig};
 pub use generate::{generate_candidates, MapGenConfig};
 pub use select::{rank_mappings, MappingScore};
-pub use store::{Candidate, ExecutorStats, Part, ResultStore};
+pub use store::{Candidate, Part, ResultStore};

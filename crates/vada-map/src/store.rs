@@ -58,11 +58,17 @@
 //! parses rule text to find them.
 //!
 //! ```
+//! use vada_common::obs::{key, Obs};
 //! use vada_common::{tuple, AttrType, Relation, Schema};
 //! use vada_kb::{KnowledgeBase, MappingDef, MappingPart};
 //! use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
 //!
 //! let mut kb = KnowledgeBase::new();
+//! // the store tallies its work in the knowledge base's registry
+//! kb.set_obs(Obs::enabled());
+//! let tally = |kb: &KnowledgeBase| {
+//!     [key::MAP_FULL, key::MAP_REUSED, key::MAP_ASSEMBLED].map(|k| kb.obs().get(k))
+//! };
 //! let mut listings = Relation::empty(Schema::all_str("listings", &["street", "price"]));
 //! listings.push(tuple!["1 high st", "250000"]).unwrap();
 //! kb.register_source(listings.clone());
@@ -85,7 +91,7 @@
 //!
 //! // nothing the mapping reads has changed: the stored result comes back
 //! store.execute(&cfg, &mapping, &kb).unwrap();
-//! assert_eq!(store.stats().reused_runs, 1);
+//! assert_eq!(tally(&kb), [1, 1, 0]);
 //!
 //! // append a row and re-execute: the journal names `listings`, so the
 //! // entry is re-materialised…
@@ -93,9 +99,9 @@
 //! kb.register_source(listings.clone());
 //! let second = store.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(second.len(), 2);
+//! assert_eq!(tally(&kb), [2, 1, 0]);
 //! // …byte-identical to a from-scratch execution, which it was
 //! assert_eq!(second.tuples(), execute_mapping(&cfg, &mapping, &kb).unwrap().tuples());
-//! assert_eq!(store.stats().full_runs, 2);
 //!
 //! // a second source, and the union of both, recorded as its two parts;
 //! // the first part has the structure of `mapping`, so it is that entry
@@ -118,13 +124,15 @@
 //!     ..mapping.clone()
 //! };
 //! let assembled = store.execute(&cfg, &union, &kb).unwrap().clone();
-//! // one engine run, for `adverts`; the `listings` part came from the store
-//! assert_eq!((store.stats().full_runs, store.stats().assembled_runs), (3, 1));
+//! // one engine run, for `adverts` (the scratch execution above was the
+//! // third); the `listings` part came from the store
+//! assert_eq!(tally(&kb), [4, 1, 1]);
 //! // a fact both parts derive appears once; `£250,000` is a second fact
 //! // that coerces to an equal row, and stays, as in the engine's answer
 //! assert_eq!(assembled.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
 //! assert_eq!(assembled.len(), 3);
 //! // the entry itself is the parts' rows and the row the second drops
+//! // (handing the entry back as its parts is a store hit)
 //! let parts: Vec<(usize, Vec<usize>)> = store
 //!     .candidate(&cfg, &union, &kb)
 //!     .unwrap()
@@ -137,8 +145,8 @@
 //! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
 //! kb.register_source(listings);
 //! let edited = store.execute(&cfg, &union, &kb).unwrap();
+//! assert_eq!(tally(&kb), [6, 2, 2]);
 //! assert_eq!(edited.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
-//! assert_eq!((store.stats().full_runs, store.stats().assembled_runs), (4, 2));
 //! ```
 //!
 //! [`execute_mapping`]: crate::execute_mapping
@@ -155,21 +163,6 @@ use crate::execute::{input_db, materialise, registered_target, ExecuteConfig, So
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
-
-/// Store-level counters, for benches and the repro driver.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecutorStats {
-    /// Engine runs: first sights and every stale entry, union parts
-    /// included.
-    pub full_runs: usize,
-    /// Executions answered from the stored result (no source changed).
-    pub reused_runs: usize,
-    /// Unions assembled from their parts' stored results.
-    pub assembled_runs: usize,
-    /// The most recent reason the journal could not vouch for a stored
-    /// entry, if any.
-    pub last_fallback: Option<String>,
-}
 
 /// One engine run's result: the coerced rows and, row for row beside them,
 /// the engine's raw target facts they were coerced from — what a union
@@ -299,7 +292,6 @@ pub struct ResultStore {
     inputs: BTreeMap<String, (JournalMark, SourceInput)>,
     /// The version the next run gets.
     next_version: u64,
-    stats: ExecutorStats,
 }
 
 impl Default for ResultStore {
@@ -352,13 +344,7 @@ impl ResultStore {
             capacity: capacity.max(1),
             inputs: BTreeMap::new(),
             next_version: 0,
-            stats: ExecutorStats::default(),
         }
-    }
-
-    /// Store-level counters.
-    pub fn stats(&self) -> &ExecutorStats {
-        &self.stats
     }
 
     /// Materialise `mapping`: the stored result when the journal proves
@@ -396,7 +382,6 @@ impl ResultStore {
         let fp = fingerprint(&mapping.rules, &mapping.sources, target);
         if self.vouch(&fp, &mapping.sources, kb) {
             kb.obs().incr(obs_key::MAP_REUSED);
-            self.stats.reused_runs += 1;
             return Ok(Candidate(&self.entries[&fp]));
         }
         let rebuilt = if mapping.parts.is_empty() {
@@ -425,18 +410,12 @@ impl ResultStore {
     /// recency if so.
     fn vouch(&mut self, fp: &str, sources: &[String], kb: &KnowledgeBase) -> bool {
         let Some(entry) = self.entries.get_mut(fp) else { return false };
-        match kb.changed_since(&entry.mark, sources) {
-            Ok(false) => {
-                entry.mark = kb.mark();
-                self.touch(fp);
-                true
-            }
-            Ok(true) => false,
-            Err(reason) => {
-                self.stats.last_fallback = Some(reason);
-                false
-            }
+        if kb.changed_since(&entry.mark, sources) != Ok(false) {
+            return false;
         }
+        entry.mark = kb.mark();
+        self.touch(fp);
+        true
     }
 
     /// The execution input of `source`: the kept one while the journal
@@ -471,7 +450,6 @@ impl ResultStore {
             let inputs = mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1));
             Ok(input_db(program, inputs))
         })?;
-        self.stats.full_runs += 1;
         self.next_version += 1;
         Ok(Arc::new(Run { version: self.next_version, rows, facts }))
     }
@@ -533,7 +511,6 @@ impl ResultStore {
                 (run.clone(), dropped)
             })
             .collect();
-        self.stats.assembled_runs += 1;
         Ok(parts)
     }
 
@@ -563,12 +540,13 @@ impl ResultStore {
 mod tests {
     use super::*;
     use crate::execute_mapping;
-    use vada_common::{tuple, AttrType};
+    use vada_common::{tuple, AttrType, Obs};
     use vada_kb::MappingPart;
     use vada_quality::{MetricTally, ReferencePopulation};
 
     fn kb_and_mapping() -> (KnowledgeBase, MappingDef) {
         let mut kb = KnowledgeBase::new();
+        kb.set_obs(Obs::enabled());
         let mut rm = Relation::empty(Schema::all_str(
             "rightmove",
             &["price", "street", "postcode"],
@@ -607,19 +585,20 @@ mod tests {
         (kb, mapping)
     }
 
-    /// Execute through the store and pin the answer to the scratch path.
+    /// Execute through the store and pin the answer to the scratch path,
+    /// run on a clone so its engine run stays out of `kb`'s tallies.
     fn checked(store: &mut ResultStore, mapping: &MappingDef, kb: &KnowledgeBase) {
         let cfg = ExecuteConfig::default();
         let got = store.execute(&cfg, mapping, kb).unwrap();
-        let scratch = execute_mapping(&cfg, mapping, kb).unwrap();
+        let scratch = execute_mapping(&cfg, mapping, &kb.clone()).unwrap();
         assert_eq!(got.schema(), scratch.schema());
         assert_eq!(got.tuples(), scratch.tuples());
     }
 
-    /// `(materialised from scratch, reused)` so far.
-    fn tally(store: &ResultStore) -> (usize, usize) {
-        let s = store.stats();
-        (s.full_runs, s.reused_runs)
+    /// `(materialised from scratch, reused)` so far, as the store tallied
+    /// them in `kb`'s registry.
+    fn tally(kb: &KnowledgeBase) -> (u64, u64) {
+        (kb.obs().get(obs_key::MAP_FULL), kb.obs().get(obs_key::MAP_REUSED))
     }
 
     #[test]
@@ -627,14 +606,14 @@ mod tests {
         let (mut kb, mapping) = kb_and_mapping();
         let mut store = ResultStore::default();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(store.stats().full_runs, 1);
+        assert_eq!(tally(&kb), (1, 0));
 
         // grow the last source (rightmove) with an already-seen postcode
         let mut rm = kb.relation("rightmove").unwrap().clone();
         rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
         kb.register_source(rm.clone());
         checked(&mut store, &mapping, &kb);
-        assert_eq!(store.stats().full_runs, 2, "{:?}", store.stats());
+        assert_eq!(tally(&kb), (2, 0));
 
         // a new postcode adds a postcode_district fact feeding the negated
         // has_crime
@@ -655,7 +634,7 @@ mod tests {
         rm2.push(tuple!["1", "x st", "M1 1AA"]).unwrap();
         kb.register_source(rm2);
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (5, 0), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (5, 0));
     }
 
     #[test]
@@ -671,7 +650,7 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         kb.remove_rows("rightmove", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (3, 0), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (3, 0));
 
         // removing the only EH1 1AA row orphans its helper fact and
         // shrinks the negated `has_crime`
@@ -692,12 +671,13 @@ mod tests {
         rm.push(tuple!["5000", "9 new st", "M1 1AA"]).unwrap();
         kb.register_source(rm);
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (7, 1), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (7, 1));
     }
 
     #[test]
     fn duplicate_rows_keep_the_fact_alive() {
         let mut kb = KnowledgeBase::new();
+        kb.set_obs(Obs::enabled());
         let mut src = Relation::empty(Schema::all_str("s", &["a"]));
         src.push(tuple!["x"]).unwrap();
         src.push(tuple!["x"]).unwrap();
@@ -727,7 +707,7 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         let got = store.execute(&cfg, &mapping, &kb).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(tally(&store), (3, 2), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (3, 2));
     }
 
     #[test]
@@ -749,18 +729,15 @@ mod tests {
         checked(&mut store, &mapping, &kb);
 
         // the clone's lineage advances differently, past the watermark
+        // (a clone records nothing until it is given a registry)
         let mut kb2 = clone;
+        kb2.set_obs(kb.obs().clone());
         let mut rm2 = kb2.relation("rightmove").unwrap().clone();
         rm2.push(tuple!["777", "7 other st", "M1 1AA"]).unwrap();
         rm2.push(tuple!["888", "8 other st", "M1 1AA"]).unwrap();
         kb2.register_source(rm2);
         checked(&mut store, &mapping, &kb2);
-        assert_eq!(tally(&store), (3, 0), "{:?}", store.stats());
-        assert!(
-            store.stats().last_fallback.as_deref().is_some_and(|r| r.contains("lineage")),
-            "{:?}",
-            store.stats()
-        );
+        assert_eq!(tally(&kb), (3, 0));
     }
 
     #[test]
@@ -772,7 +749,7 @@ mod tests {
         kb.update_source("rightmove", &[(0, tuple!["111", "12 high st", "M1 1AA"])])
             .unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (2, 0), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (2, 0));
     }
 
     #[test]
@@ -783,7 +760,7 @@ mod tests {
         // a different mapping id with identical structure shares the entry
         mapping.id = "m2".into();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (1, 1), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (1, 1));
         let mut rm = kb.relation("rightmove").unwrap().clone();
         rm.push(tuple!["500000", "4 mill ln", "EH1 1AA"]).unwrap();
         kb.register_source(rm);
@@ -792,7 +769,7 @@ mod tests {
         // changed rules: new fingerprint, a second entry
         mapping.rules = "property(S, PC, P, null) :- rightmove(P, S, PC).".into();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (3, 1), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (3, 1));
         assert_eq!(store.entries.len(), 2);
     }
 
@@ -817,7 +794,7 @@ mod tests {
         let renamed = store.execute(&cfg, &mapping, &kb).unwrap();
         assert_eq!(renamed.tuples(), first.tuples());
 
-        assert_eq!(tally(&store), (1, 2), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (1, 2));
         assert_eq!(obs.get(obs_key::MAP_REUSED), 2);
         assert_eq!(obs.get(obs_key::MAP_FULL), 1);
         assert_eq!(obs.get(obs_key::STRATUM_PASSES), runs_after_first);
@@ -857,10 +834,10 @@ mod tests {
             checked(&mut store, &mapping, &kb);
             change(&mut kb);
             checked(&mut store, &mapping, &kb);
-            assert_eq!(tally(&store), (2, 0), "{name}: {:?}", store.stats());
+            assert_eq!(tally(&kb), (2, 0), "{name}");
             // refreshed and stored: the next look is a hit again
             checked(&mut store, &mapping, &kb);
-            assert_eq!(tally(&store), (2, 1), "{name}: {:?}", store.stats());
+            assert_eq!(tally(&kb), (2, 1), "{name}");
         }
     }
 
@@ -870,19 +847,16 @@ mod tests {
         let mut store = ResultStore::default();
         let (kb, mapping) = kb_and_mapping();
         checked(&mut store, &mapping, &kb);
-        let resumed = kb.clone();
+        let mut resumed = kb.clone();
+        resumed.set_obs(kb.obs().clone());
         checked(&mut store, &mapping, &resumed);
-        assert_eq!(tally(&store), (2, 0), "{:?}", store.stats());
-        assert!(
-            store.stats().last_fallback.as_deref().is_some_and(|r| r.contains("lineage")),
-            "{:?}",
-            store.stats()
-        );
+        assert_eq!(tally(&kb), (2, 0));
 
         // window: more events than the journal retains, none on a source
         let mut store = ResultStore::default();
         let (seed, mapping) = kb_and_mapping();
         let mut kb = KnowledgeBase::with_journal_capacity(4);
+        kb.set_obs(Obs::enabled());
         kb.register_source(seed.relation("rightmove").unwrap().clone());
         kb.register_source(seed.relation("deprivation").unwrap().clone());
         kb.register_target_schema(seed.target_schema().unwrap().clone());
@@ -891,12 +865,7 @@ mod tests {
             kb.set_user_context(Vec::new());
         }
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (2, 0), "{:?}", store.stats());
-        assert!(
-            store.stats().last_fallback.as_deref().is_some_and(|r| r.contains("window")),
-            "{:?}",
-            store.stats()
-        );
+        assert_eq!(tally(&kb), (2, 0));
         // a hit advances the watermark, so steady churn below the
         // window size never loses the entry
         for _ in 0..3 {
@@ -904,7 +873,7 @@ mod tests {
             kb.set_user_context(Vec::new());
             checked(&mut store, &mapping, &kb);
         }
-        assert_eq!(tally(&store), (2, 3), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (2, 3));
     }
 
     #[test]
@@ -927,7 +896,7 @@ mod tests {
             .unwrap(),
         );
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (2, 0), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (2, 0));
     }
 
     #[test]
@@ -946,10 +915,10 @@ mod tests {
         // the two most recent structures are still stored…
         checked(&mut store, &variant(2), &kb);
         checked(&mut store, &variant(1), &kb);
-        assert_eq!(tally(&store), (3, 2), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (3, 2));
         // …the least recently used one was evicted
         checked(&mut store, &variant(0), &kb);
-        assert_eq!(tally(&store), (4, 2), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (4, 2));
         assert_eq!(store.entries.len(), 2);
     }
 
@@ -978,13 +947,14 @@ mod tests {
         kb.remove_intermediate("scratch");
         kb.put_result(Relation::empty(kb.target_schema().unwrap().clone()));
         checked(&mut store, &mapping, &kb);
-        assert_eq!(tally(&store), (1, 1), "{:?}", store.stats());
+        assert_eq!(tally(&kb), (1, 1));
     }
 
     #[test]
     fn failed_apply_drops_the_session_and_recovers() {
         let mut store = ResultStore::default();
         let mut kb = KnowledgeBase::new();
+        kb.set_obs(Obs::enabled());
         let mut src = Relation::empty(Schema::all_str("s", &["a"]));
         src.push(tuple![1]).unwrap();
         kb.register_source(src.clone());
@@ -1009,7 +979,7 @@ mod tests {
         assert_eq!(err.kind(), "eval", "{err}");
         assert!(store.entries.is_empty() && store.lru.is_empty());
         assert!(store.execute(&cfg, &mapping, &kb).is_err(), "no stale hit");
-        assert_eq!(store.stats().reused_runs, 0);
+        assert_eq!(kb.obs().get(obs_key::MAP_REUSED), 0);
 
         kb.remove_rows("s", &[1]).unwrap();
         checked(&mut store, &mapping, &kb);
@@ -1156,7 +1126,7 @@ mod tests {
         }
         // both unions at first sight and after each of the eight listing
         // edits, the augmented one alone after the two deprivation edits
-        assert_eq!(store.stats().assembled_runs, 2 + 8 * 2 + 2, "{:?}", store.stats());
+        assert_eq!(kb.obs().get(obs_key::MAP_ASSEMBLED), 2 + 8 * 2 + 2);
     }
 
     #[test]
@@ -1291,7 +1261,7 @@ mod tests {
             compare(&mut store, &kb, &candidates, name);
         }
         // the unions dropped rows along the way, so the subtraction ran
-        assert!(store.stats().assembled_runs > 2, "{:?}", store.stats());
+        assert!(kb.obs().get(obs_key::MAP_ASSEMBLED) > 2);
     }
 
     #[test]
@@ -1306,7 +1276,7 @@ mod tests {
         // one input per source: rightmove, onthemarket, deprivation
         let inputs = || [obs_key::MAP_INPUT_BUILT, obs_key::MAP_INPUT_REUSED].map(|k| obs.get(k));
         assert_eq!(inputs(), [3, 3]);
-        assert_eq!(store.stats().full_runs, 4);
+        assert_eq!(obs.get(obs_key::MAP_FULL), 4);
 
         let mut dep = Relation::empty(kb.relation("deprivation").unwrap().schema().clone());
         dep.push(tuple!["M1", "700"]).unwrap();
@@ -1318,7 +1288,7 @@ mod tests {
         // the two augmented parts re-ran: deprivation was built for the
         // first and kept for the second, and both loaded their listing's
         // kept input
-        assert_eq!(store.stats().full_runs, 6);
+        assert_eq!(obs.get(obs_key::MAP_FULL), 6);
         assert_eq!(inputs(), [3 + 1, 3 + 3]);
         let cfg = ExecuteConfig::default();
         for id in ["rightmove_true", "onthemarket_true"] {
@@ -1347,13 +1317,15 @@ mod tests {
             assert!(err.to_string().contains(&union.id), "{err}");
         }
         assert!(store.entries.is_empty() && store.lru.is_empty());
-        assert_eq!(store.stats(), &ExecutorStats::default());
+        let work = [obs_key::MAP_FULL, obs_key::MAP_REUSED, obs_key::MAP_ASSEMBLED];
+        assert_eq!(work.map(|k| kb.obs().get(k)), [0; 3]);
         checked(&mut store, union, &kb);
     }
 
     #[test]
     fn failed_part_refresh_drops_the_part_and_the_union() {
         let mut kb = KnowledgeBase::new();
+        kb.set_obs(Obs::enabled());
         for name in ["s1", "s2"] {
             let mut src = Relation::empty(Schema::all_str(name, &["a"]));
             src.push(tuple![1]).unwrap();
@@ -1387,7 +1359,7 @@ mod tests {
         assert_eq!(store.entries.len(), 1, "only the s2 part survives");
         assert_eq!(store.lru.len(), 1);
         assert!(store.execute(&cfg, &union, &kb).is_err(), "no stale hit");
-        assert_eq!(store.stats().reused_runs, 0);
+        assert_eq!(kb.obs().get(obs_key::MAP_REUSED), 0);
 
         kb.remove_rows("s1", &[1]).unwrap();
         checked(&mut store, &union, &kb);

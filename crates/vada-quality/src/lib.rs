@@ -14,11 +14,9 @@
 //!   street normalisation against the address list.
 //! * [`metrics`] — completeness / consistency / (syntactic) accuracy
 //!   estimators, the quality evidence the paper's user context trades off.
-//! * [`profile`] — lightweight column profiling for reports.
 
 pub mod cfd;
 pub mod metrics;
-pub mod profile;
 pub mod repair;
 pub mod violations;
 

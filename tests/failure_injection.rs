@@ -180,45 +180,45 @@ fn poisoned_incremental_session_refuses_deltas_until_rematerialized() {
 }
 
 #[test]
-fn panic_mid_dred_poisons_the_session_and_run_full_recovers() {
-    // the deletion path's failure contract: a panic injected inside DRed's
-    // over-deletion pass (captured by the stage's panic guard) poisons the
-    // session, every further delta or retraction is refused,
-    // and the next run_full restores service
+fn panic_mid_retraction_poisons_the_session_and_run_full_recovers() {
+    // the deletion path's failure contract: a panic injected while counting
+    // enumerates the destroyed derivations (captured by the stage's panic
+    // guard) poisons the session, every further delta or retraction is
+    // refused, and the next run_full restores service
     use vada_datalog::incremental::{DeltaMode, IncrementalSession};
     use vada_datalog::{Database, EngineConfig};
     let mut input = Database::new();
     for i in 0..8i64 {
-        input.insert("edge", tuple![i, i + 1]);
+        input.insert("p", tuple![i]);
+        input.insert("r", tuple![i, i * 10]);
     }
-    let mut session = IncrementalSession::new(
-        EngineConfig::default(),
-        "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).",
-    )
-    .unwrap();
+    let mut session =
+        IncrementalSession::new(EngineConfig::default(), "q(X, Y) :- p(X), r(X, Y).").unwrap();
     session.run_full(input).unwrap();
 
-    session.inject_fault(Some("dred-overdelete"));
-    let err = session.retract(vec![("edge".into(), tuple![3i64, 4i64])]).unwrap_err();
+    session.inject_fault(Some("retract-enumerate"));
+    let err = session.retract(vec![("p".into(), tuple![3i64])]).unwrap_err();
     assert_eq!(err.kind(), "parallel", "{err}");
     assert!(err.message().contains("injected fault"), "{err}");
-    let err = session.apply(vec![("edge".into(), tuple![20i64, 21i64])]).unwrap_err();
+    let err = session.apply(vec![("p".into(), tuple![20i64])]).unwrap_err();
     assert!(err.message().contains("poisoned"), "{err}");
-    let err = session.retract(vec![("edge".into(), tuple![0i64, 1i64])]).unwrap_err();
+    let err = session.retract(vec![("p".into(), tuple![0i64])]).unwrap_err();
     assert!(err.message().contains("poisoned"), "{err}");
 
     // recovery: run_full over the post-retraction base (the failed retract
-    // had already removed edge(3,4) from the accumulated input)
+    // had already removed p(3) from the accumulated input)
     session.inject_fault(None);
     let mut shrunk = Database::new();
     for i in 0..8i64 {
         if i != 3 {
-            shrunk.insert("edge", tuple![i, i + 1]);
+            shrunk.insert("p", tuple![i]);
         }
+        shrunk.insert("r", tuple![i, i * 10]);
     }
     session.run_full(shrunk).unwrap();
-    session.retract(vec![("edge".into(), tuple![6i64, 7i64])]).unwrap();
+    session.retract(vec![("p".into(), tuple![6i64])]).unwrap();
     assert_eq!(session.last_outcome().unwrap().mode, DeltaMode::Incremental);
+    assert_eq!(session.database().facts("q").len(), 6);
 }
 
 #[test]

@@ -101,7 +101,7 @@ enum Edit {
     UserContext { strength: &'static str },
     /// Remove rows from a source (retraction path: the journal records a
     /// row-level `RowsRemoved`, the incremental side routes it through
-    /// counting/DRed, the full side re-reads the shrunk relation).
+    /// counting, the full side re-reads the shrunk relation).
     RemoveRows { source: &'static str, nth: u64, count: usize },
     /// Rewrite one row in place (`RowsReplaced`): tail rewrites can replay
     /// as retract+append, mid-relation rewrites force a rebuild — both
@@ -410,6 +410,7 @@ fn delete_everything_identical_across_modes() {
 /// result.
 #[test]
 fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
+    use vada_common::obs::{key, Obs};
     use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
 
     for seed in [5u64, 23, 71] {
@@ -423,6 +424,8 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         // script; it never runs again, so every execution below is ours
         let mut w = wrangler(&scenario);
         w.run().expect("bootstrap succeeds");
+        // a fresh registry, so its `map.execute.*` tallies are ours alone
+        w.set_obs(Obs::enabled());
         let mappings: Vec<_> = w.kb().mappings().cloned().collect();
         assert!(mappings.len() >= 2, "seed {seed}: several candidate structures");
         let unions = mappings.iter().filter(|m| !m.parts.is_empty()).count();
@@ -433,7 +436,7 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
         let cfg = ExecuteConfig::default();
         let mut store = ResultStore::default();
         let mut compare = |w: &Wrangler, stage: &str, expect_reuse: bool| {
-            let reused_before = store.stats().reused_runs;
+            let reused_before = w.obs().get(key::MAP_REUSED);
             for mapping in &mappings {
                 let scratch = execute_mapping(&cfg, mapping, w.kb());
                 match (store.execute(&cfg, mapping, w.kb()), scratch) {
@@ -457,8 +460,8 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
             }
             if expect_reuse {
                 assert_eq!(
-                    store.stats().reused_runs - reused_before,
-                    mappings.len(),
+                    w.obs().get(key::MAP_REUSED) - reused_before,
+                    mappings.len() as u64,
                     "seed {seed}: the store re-materialised an unchanged mapping {stage}"
                 );
             }
@@ -479,7 +482,7 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
             compare(&w, &format!("after metadata churn {step}"), true);
         }
         // every union materialisation was an assembly from its parts
-        assert!(store.stats().assembled_runs >= unions, "seed {seed}: {:?}", store.stats());
+        assert!(w.obs().get(key::MAP_ASSEMBLED) >= unions as u64, "seed {seed}");
     }
 }
 
@@ -488,11 +491,13 @@ fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
 /// succeed.
 #[test]
 fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
+    use vada_common::obs::{key, Obs};
     use vada_common::{Relation, Schema};
     use vada_kb::{KnowledgeBase, MappingDef};
     use vada_map::{ExecuteConfig, ResultStore};
 
     let mut kb = KnowledgeBase::new();
+    kb.set_obs(Obs::enabled());
     let mut src = Relation::empty(Schema::all_str("s", &["a"]));
     src.push(Tuple::new(vec![Value::Int(1)])).unwrap();
     kb.register_source(src.clone());
@@ -520,7 +525,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     assert_eq!(kb.drain_deltas_since(0).unwrap().len(), journal_before + 1);
     // the pre-edit result is gone, not handed back as a stale hit
     assert!(store.execute(&cfg, &mapping, &kb).is_err());
-    assert_eq!(store.stats().reused_runs, 0);
+    assert_eq!(kb.obs().get(key::MAP_REUSED), 0);
 
     // drop the poison row (a replacement) and the next run succeeds fully
     let mut fixed = Relation::empty(Schema::all_str("s", &["a"]));

@@ -142,7 +142,7 @@ fn wrangle(wal: bool) -> Observed {
     };
     Observed {
         catalog,
-        structural: obs.structural_counters(),
+        structural: obs.report().structural(),
         counters: obs.counters(),
         structural_spans: canonical_lines(structural_span_shape(&records)),
         full_spans: canonical_lines(span_shape(&records)),
