@@ -1677,6 +1677,51 @@ mod tests {
     }
 
     #[test]
+    fn injected_panic_mid_dred_poisons_until_run_full() {
+        // the recursive deletion path: a retraction reaching `tc` re-derives
+        // in full, so the fault is armed on the counted half of the program
+        // and the poison must still hold against the recursive retraction
+        let src = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z). \
+                   q(X, Y) :- p(X), r(X, Y).";
+        let mut input = Database::new();
+        for i in 0..6i64 {
+            input.insert("edge", tuple![i, i + 1]);
+        }
+        input.insert("p", tuple![1i64]);
+        input.insert("r", tuple![1i64, 10i64]);
+        for fault in ["retract-enumerate", "retract-commit"] {
+            let mut s = session(src, input.clone());
+            s.inject_fault(Some(fault));
+            let err = s.retract(vec![("p".into(), tuple![1i64])]).unwrap_err();
+            assert!(err.message().contains("injected fault"), "{fault}: {err}");
+            // a full re-derivation would repair anything, yet it is refused
+            let err = s.retract(vec![("edge".into(), tuple![2i64, 3i64])]).unwrap_err();
+            assert!(err.message().contains("poisoned"), "{fault}: {err}");
+            // recovery: run_full over the post-retraction base
+            s.inject_fault(None);
+            let mut shrunk = input.clone();
+            shrunk.remove("p", &tuple![1i64]);
+            s.run_full(shrunk.clone()).unwrap();
+            assert_eq!(dump(s.database()), scratch(src, &shrunk), "{fault}");
+            // and both deletion paths work again
+            s.retract(vec![("edge".into(), tuple![2i64, 3i64])]).unwrap();
+            let out = s.last_outcome().unwrap();
+            assert_eq!(out.mode, DeltaMode::FullFallback, "{fault}: {out:?}");
+            assert_eq!(
+                out.fallback_reason.as_deref(),
+                Some("recursive predicate `tc` shrank"),
+                "{fault}: {out:?}"
+            );
+            shrunk.remove("edge", &tuple![2i64, 3i64]);
+            assert_eq!(dump(s.database()), scratch(src, &shrunk), "{fault}");
+            s.retract(vec![("r".into(), tuple![1i64, 10i64])]).unwrap();
+            assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental, "{fault}");
+            shrunk.remove("r", &tuple![1i64, 10i64]);
+            assert_eq!(dump(s.database()), scratch(src, &shrunk), "{fault}");
+        }
+    }
+
+    #[test]
     fn retraction_takes_counting_path_and_matches_scratch() {
         let src = "q(X, Y) :- p(X), r(X, Y).";
         let mut input = Database::new();
