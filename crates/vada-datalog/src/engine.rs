@@ -14,14 +14,17 @@
 //!    guarantees their inputs live in strictly lower strata.
 //!
 //! Join orders are compiled per rule with a greedy ordering that places
-//! comparisons and negations as soon as their variables are bound, and hash
-//! indexes on the bound positions of each positive literal are built lazily
-//! per pass.
+//! comparisons and negations as soon as their variables are bound. A
+//! positive literal with bound positions walks a row-id chained index on
+//! them (see [`crate::index`]): over the full database, the run's
+//! [`IndexStore`], registered from each stratum's lookup shapes and
+//! extended over appended rows before every batch of independent rules;
+//! over a delta or a filtered view, an index built once per rule
+//! evaluation.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, Obs};
@@ -30,24 +33,9 @@ use vada_common::{Result, Tuple, VadaError, Value};
 use crate::analysis::stratify;
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
 use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
+use crate::index::{hash_values, probe, reseat, IndexStore, RowIndex, Rows};
 use crate::magic::{self, Demand};
 use crate::skolem;
-
-/// Marks a free slot in a [`FactSet`]'s table.
-const FREE: usize = usize::MAX;
-
-/// Hash a fact's values under a process-random SipHash key (facts come from
-/// outside the program, so the table keeps the flooding resistance of the
-/// `HashSet` it replaced). Taking an iterator lets a probe hash a projection
-/// or a scratch buffer without building a tuple first.
-fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
-    static KEYS: OnceLock<RandomState> = OnceLock::new();
-    let mut hasher = KEYS.get_or_init(RandomState::new).build_hasher();
-    for v in values {
-        v.hash(&mut hasher);
-    }
-    hasher.finish()
-}
 
 /// A deduplicated, insertion-ordered set of facts for one predicate: one
 /// tuple arena plus an open-addressing table of **row ids** into it. A probe
@@ -60,7 +48,8 @@ pub struct FactSet {
     /// so growing the table or re-seating it after a removal or a reorder
     /// never hashes a fact again.
     hashes: Vec<u64>,
-    /// Linear-probing table over `tuples`: a row id or [`FREE`] per slot.
+    /// Linear-probing table over `tuples`: a row id or
+    /// [`FREE`](crate::index::FREE) per slot.
     /// The length is zero or a power of two and at least twice
     /// `tuples.len()`, so every probe sequence ends at a free slot. Row ids
     /// are `usize` — an arena too long for its own ids cannot exist.
@@ -68,38 +57,21 @@ pub struct FactSet {
 }
 
 impl FactSet {
-    /// Walk the probe sequence of `hash`: `Ok(row)` of the first fact
-    /// `is_match` accepts, or `Err(slot)` of the free slot that ends the
-    /// sequence. The table must be non-empty.
+    /// [`probe`] over the facts: `Ok(row)` of the first fact `is_match`
+    /// accepts, or `Err(slot)` of the free slot that ends the sequence.
+    /// The table must be non-empty.
     fn probe(
         &self,
         hash: u64,
         is_match: impl Fn(&Tuple) -> bool,
     ) -> std::result::Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                FREE => return Err(slot),
-                row if is_match(&self.tuples[row]) => return Ok(row),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
+        probe(&self.slots, hash, |row| is_match(&self.tuples[row]))
     }
 
     /// Re-seat every row in a table of `capacity` slots (a power of two),
     /// from the stored hashes.
     fn rebuild(&mut self, capacity: usize) {
-        self.slots.clear();
-        self.slots.resize(capacity, FREE);
-        let mask = capacity - 1;
-        for (row, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = hash as usize & mask;
-            while self.slots[slot] != FREE {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = row;
-        }
+        reseat(&mut self.slots, capacity, self.hashes.iter().copied());
     }
 
     /// Make room for `additional` more facts, so a bulk load grows (and
@@ -199,7 +171,7 @@ impl FactSet {
 
     /// Whether the set holds `t` projected onto `cols` — without building
     /// the projection. `cols` must be in range for `t`.
-    pub(crate) fn contains_projection(&self, t: &Tuple, cols: &[usize]) -> bool {
+    pub(crate) fn contains_projection(&self, t: &[Value], cols: &[usize]) -> bool {
         if self.tuples.is_empty() {
             return false;
         }
@@ -559,7 +531,7 @@ impl Engine {
     }
 
     /// The [`Demand`] this engine would evaluate `query` under — exposed
-    /// for the property suites and the `datalog_magic_vs_full` benchmark.
+    /// for the `vada-datalog` property suite.
     pub fn demand(&self, program: &Program, db: &Database, query: &Rule) -> Result<Demand> {
         magic::demand_for(self, program, db, query)
     }
@@ -578,7 +550,8 @@ impl Engine {
         // before every batch of independent rules; identical to the
         // per-pass lazy indexes by construction, so it only changes
         // wall-clock.
-        let mut store = IndexStore { obs: obs.clone(), ..Default::default() };
+        let mut store = IndexStore::default();
+        store.obs = obs.clone();
 
         // ground facts
         for rule in &program.rules {
@@ -633,17 +606,14 @@ impl Engine {
                 }
             }
             let recursive = strat.recursive_preds(program, stratum);
-            // a rule's emissions enter the database under its own head,
-            // filtered by demand; returns how many were new. Only a
-            // recursive head's new facts are copied into the delta — no
+            // a rule's emissions (already filtered by demand) enter the
+            // database under its own head; returns how many were new. Only
+            // a recursive head's new facts are copied into the delta — no
             // pass ever reads the others back.
             let absorb = |db: &mut Database, delta: &mut Database, head, derived: Vec<Tuple>| {
                 let feeds_delta = recursive.contains(head);
                 let mut fresh = 0usize;
                 for t in derived {
-                    if demand.is_some_and(|d| !d.keeps(head, &t)) {
-                        continue;
-                    }
                     if feeds_delta {
                         if db.insert(head, t.clone()) {
                             delta.insert(head, t);
@@ -685,7 +655,7 @@ impl Engine {
                 store.refresh(&db, fault)?;
                 for ci in batch {
                     let derived = guard_stage("datalog/stratum-initial", || {
-                        self.eval_rule(&compiled[ci], &db, None, Some(&store))
+                        self.eval_rule(&compiled[ci], &db, None, Some(&store), demand)
                     })?;
                     fresh += absorb(&mut db, &mut delta, rule_heads[ci], derived);
                 }
@@ -739,6 +709,7 @@ impl Engine {
                                 &db,
                                 Some(DeltaSpec::Insert { delta: &delta, occ }),
                                 Some(&store),
+                                demand,
                             )
                         })?;
                         new_fresh += absorb(&mut db, &mut new_delta, rule_heads[ci], derived);
@@ -759,7 +730,7 @@ impl Engine {
     pub fn eval_query(&self, query: &Rule, db: &Database) -> Result<Vec<Tuple>> {
         let cr = CompiledRule::compile(query, usize::MAX)?;
         let mut answers = FactSet::default();
-        for t in self.eval_rule(&cr, db, None, None)? {
+        for t in self.eval_rule(&cr, db, None, None, None)? {
             answers.insert(t);
         }
         Ok(answers.into_tuples())
@@ -782,22 +753,24 @@ impl Engine {
 
     /// Evaluate one rule; returns its head tuples in emission order
     /// (possibly with duplicates — the caller dedups on insert, under the
-    /// compiled rule's head predicate). `shared` is the run's
-    /// [`IndexStore`] over `db`, serving full-database lookups;
-    /// delta/filtered sources, and every source without a store, build
-    /// their index lazily per call.
+    /// compiled rule's head predicate), less those `demand` does not keep.
+    /// `shared` is the run's [`IndexStore`] over `db`, serving
+    /// full-database lookups; delta/filtered sources, and every source
+    /// without a store, build their index lazily per call.
     pub(crate) fn eval_rule(
         &self,
         cr: &CompiledRule,
         db: &Database,
         spec: Option<DeltaSpec<'_>>,
         shared: Option<&IndexStore>,
+        demand: Option<&Demand>,
     ) -> Result<Vec<Tuple>> {
         let ctx = EvalCtx::new(cr, db, spec, shared);
         let mut binding: Binding = vec![None; cr.rule.var_count];
         let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut results = Vec::new();
         let mut head = Vec::with_capacity(cr.rule.head_terms.len());
+        let keeps = |values: &[Value]| demand.is_none_or(|d| d.keeps(&cr.rule.head_pred, values));
 
         let outcome = if cr.rule.has_aggregate() {
             let mut rows: Vec<Binding> = Vec::new();
@@ -809,10 +782,11 @@ impl Engine {
                 Ok(())
             })
             .and_then(|()| aggregate(cr, &rows, &mut results))
+            .map(|()| results.retain(|t| keeps(t.values())))
         } else {
             let cfg_depth = self.config.max_skolem_depth;
             join(cr, &ctx, 0, &mut binding, &mut scratch, &mut |b| {
-                results.push(head_tuple(cr, b, cfg_depth, &mut head)?);
+                results.extend(head_tuple(cr, b, cfg_depth, &mut head, keeps)?);
                 Ok(())
             })
         };
@@ -856,29 +830,36 @@ fn independent_batches(
 }
 
 /// Build the head tuple for a satisfied binding, inventing skolems for
-/// existential variables. `values` is the join's head buffer, reused
-/// across bindings so the tuple is the only allocation.
+/// existential variables; `None` when `keeps` rejects its values.
+/// `values` is the join's head buffer, reused across bindings so a kept
+/// tuple is the only allocation and a rejected one costs none.
 fn head_tuple(
     cr: &CompiledRule,
     binding: &Binding,
     max_depth: usize,
     values: &mut Vec<Value>,
-) -> Result<Tuple> {
+    keeps: impl Fn(&[Value]) -> bool,
+) -> Result<Option<Tuple>> {
     // no existential head variable (the common case): every term resolves,
-    // so the tuple is built directly — no frontier, no skolem table
+    // so the values are checked in the buffer — no frontier, no skolem
+    // table, no tuple for a rejected head. A head with an existential
+    // variable is built first: its skolems are among the values checked.
     values.clear();
     for ht in &cr.rule.head_terms {
         match ht {
             HeadTerm::Term(t) => match resolve(t, binding) {
                 Some(v) => values.push(v),
-                None => return skolemized_head_tuple(cr, binding, max_depth),
+                None => {
+                    let t = skolemized_head_tuple(cr, binding, max_depth)?;
+                    return Ok(keeps(t.values()).then_some(t));
+                }
             },
             HeadTerm::Agg(..) => {
                 return Err(VadaError::Eval("aggregate outside aggregate path".into()))
             }
         }
     }
-    Ok(Tuple::from_drain(values))
+    Ok(keeps(values).then(|| Tuple::from_drain(values)))
 }
 
 /// [`head_tuple`] for a head with an existential variable: one skolem per
@@ -1155,108 +1136,6 @@ impl<'a> CompiledRule<'a> {
     }
 }
 
-/// Persistent hash indexes over the growing fixpoint database, shared by
-/// every rule evaluation of a run: `(pred, cols) → projection → row ids`.
-/// Registered up front from the compiled lookup shapes of each stratum and
-/// refreshed *incrementally* before every batch of independent rules
-/// (facts only ever append during a run), it replaces the per-pass lazily
-/// rebuilt indexes for full-database sources. Row-id lists are identical to what the lazy
-/// build would produce, so it affects wall-clock only. An
-/// [`IncrementalSession`](crate::incremental::IncrementalSession) keeps one
-/// for its whole lifetime, so an index over a relation its deltas never
-/// touch is built once per session.
-#[derive(Default)]
-pub(crate) struct IndexStore {
-    indexes: HashMap<String, HashMap<Vec<usize>, SharedIndex>>,
-    /// Evaluation telemetry (`datalog.index.*`); the run's registry,
-    /// cloned in by `run_impl`.
-    pub(crate) obs: Obs,
-}
-
-#[derive(Default)]
-struct SharedIndex {
-    /// How many rows of the predicate are already indexed.
-    covered: usize,
-    /// The predicate's [`Database::epoch`] the covered rows were read
-    /// under. `covered` alone cannot be trusted: a predicate that shrinks
-    /// and regrows to the same length keeps its old length while its row
-    /// ids point at different facts, so the index is version-keyed on the
-    /// reorder epoch and rebuilt whenever it no longer matches.
-    epoch: u64,
-    map: RowIndex,
-}
-
-impl IndexStore {
-    /// Ensure an index exists for this lookup shape (idempotent).
-    pub(crate) fn register(&mut self, pred: &str, cols: &[usize]) {
-        self.indexes
-            .entry(pred.to_string())
-            .or_default()
-            .entry(cols.to_vec())
-            .or_default();
-    }
-
-    /// Drop every index's rows, keeping the registered shapes, so the next
-    /// refresh rebuilds each from row 0 — for an owner that swaps in a
-    /// different database, whose epochs say nothing about the old one's.
-    pub(crate) fn reset(&mut self) {
-        for index in self.indexes.values_mut().flat_map(|shapes| shapes.values_mut()) {
-            *index = SharedIndex::default();
-        }
-    }
-
-    /// Bring every registered index up to date with `db`: an index whose
-    /// predicate only grew is extended over the appended rows in
-    /// O(change); one whose predicate shrank or changed reorder epoch is
-    /// rebuilt from row 0 (its row ids may point at different facts —
-    /// including the shrink-and-regrow-to-the-same-length case a bare
-    /// length watermark cannot see). `datalog.index.builds` counts only
-    /// refreshes that indexed at least one row, so the counter tracks
-    /// actual work, not call sites. `fault` is the engine's injection
-    /// knob: `"index-build"` panics here (on every call, whether or not
-    /// work was pending, so fault identity is schedule-independent),
-    /// surfacing as a [`VadaError::Parallel`] naming the
-    /// `datalog/index_build` stage.
-    pub(crate) fn refresh(&mut self, db: &Database, fault: Option<&'static str>) -> Result<bool> {
-        let mut built = false;
-        guard_stage("datalog/index_build", || {
-            if fault == Some("index-build") {
-                panic!("injected index-build fault");
-            }
-            for (pred, shapes) in self.indexes.iter_mut() {
-                let facts = db.facts(pred);
-                let epoch = db.epoch(pred);
-                for (cols, index) in shapes.iter_mut() {
-                    if index.epoch != epoch || facts.len() < index.covered {
-                        index.map.clear();
-                        index.covered = 0;
-                        index.epoch = epoch;
-                    }
-                    if index.covered == facts.len() {
-                        continue;
-                    }
-                    built = true;
-                    index_rows(&mut index.map, cols, facts.iter().enumerate().skip(index.covered));
-                    index.covered = facts.len();
-                }
-            }
-            Ok(())
-        })?;
-        if built {
-            self.obs.incr(obs_key::INDEX_BUILDS);
-        }
-        Ok(built)
-    }
-
-    /// The index for this lookup shape, if it is registered and covers the
-    /// predicate's current length *and* reorder epoch (`None` falls back
-    /// to the lazy index).
-    fn current(&self, db: &Database, pred: &str, cols: &[usize]) -> Option<&SharedIndex> {
-        let index = self.indexes.get(pred)?.get(cols)?;
-        (index.covered == db.facts(pred).len() && index.epoch == db.epoch(pred)).then_some(index)
-    }
-}
-
 /// How one rule evaluation sources its positive literals — the engine's
 /// single mechanism behind full passes, semi-naive insertion deltas, and
 /// the retraction machinery.
@@ -1283,24 +1162,6 @@ pub(crate) enum DeltaSpec<'a> {
         /// Positive-literal occurrence forced to the removed set.
         occ: usize,
     },
-}
-
-/// Projection → ascending row ids: the shape of every join index.
-type RowIndex = HashMap<Tuple, Vec<usize>>;
-
-/// File `rows` (ascending) under their projection on `cols`. Rows too short
-/// to project (mixed-arity predicates) are skipped — the join's arity check
-/// would reject them anyway.
-fn index_rows<'t>(
-    index: &mut RowIndex,
-    cols: &[usize],
-    rows: impl Iterator<Item = (usize, &'t Tuple)>,
-) {
-    for (row, t) in rows {
-        if cols.iter().all(|&c| c < t.arity()) {
-            index.entry(t.project(cols)).or_default().push(row);
-        }
-    }
 }
 
 /// One positive literal's source, resolved once per rule evaluation — the
@@ -1385,8 +1246,7 @@ impl<'a> EvalCtx<'a> {
                         minus: minus.and_then(|m| m.fact_set(&atom.pred)),
                         shared: shared
                             .filter(|_| tag == FULL && !cols.is_empty())
-                            .and_then(|s| s.current(db, &atom.pred, cols))
-                            .map(|index| &index.map),
+                            .and_then(|s| s.current(db, &atom.pred, cols)),
                         lazy,
                     })
                 }
@@ -1402,25 +1262,23 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Row ids of `src` whose projection on `cols` (non-empty) equals
-    /// `key`, ascending — borrowed from the index that serves them.
-    fn matching_rows<'c>(&'c self, src: &Source<'c>, cols: &[usize], key: &[Value]) -> &'c [usize] {
+    /// `key`, ascending — a walk along the chain of the index that serves
+    /// them.
+    fn matching_rows<'c>(&'c self, src: &Source<'c>, cols: &[usize], key: &[Value]) -> Rows<'c> {
         let index = match src.shared {
             Some(index) => {
                 self.probes.set(self.probes.get() + 1);
                 index
             }
             None => self.lazy[src.lazy].get_or_init(|| {
-                let mut index = RowIndex::new();
-                let visible = src
-                    .facts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| src.minus.is_none_or(|m| !m.contains(t)));
-                index_rows(&mut index, cols, visible);
+                let mut index = RowIndex::default();
+                let visible = (0..src.facts.len())
+                    .filter(|&row| src.minus.is_none_or(|m| !m.contains(&src.facts[row])));
+                index.extend(src.facts, cols, visible);
                 index
             }),
         };
-        index.get(key).map_or(&[], Vec::as_slice)
+        index.rows(src.facts, cols, key)
     }
 }
 
@@ -1453,11 +1311,11 @@ fn join(
             // an unbound literal walks the whole relation (and must skip
             // the hidden facts itself); a bound one walks its index entry
             let (all, indexed) = if cols.is_empty() {
-                (0..src.facts.len(), &[][..])
+                (0..src.facts.len(), Rows::NONE)
             } else {
                 (0..0, ctx.matching_rows(src, cols, &cur.key))
             };
-            for row in all.chain(indexed.iter().copied()) {
+            for row in all.chain(indexed) {
                 let fact = &src.facts[row];
                 if fact.arity() != atom.terms.len() {
                     continue;
@@ -1585,7 +1443,7 @@ mod tests {
         key: &Tuple,
     ) -> Option<Vec<usize>> {
         let index = store.current(db, pred, cols)?;
-        Some(index.map.get(key.values()).cloned().unwrap_or_default())
+        Some(index.rows(db.facts(pred), cols, key.values()).collect())
     }
 
     #[test]
@@ -1864,8 +1722,8 @@ mod tests {
         let program = parse_program("q(Y) :- e(4, Y).").unwrap();
         let cr = CompiledRule::compile(&program.rules[0], 0).unwrap();
         let engine = Engine::default();
-        let scan = engine.eval_rule(&cr, &db, None, None).unwrap();
-        let indexed = engine.eval_rule(&cr, &db, None, Some(&store)).unwrap();
+        let scan = engine.eval_rule(&cr, &db, None, None, None).unwrap();
+        let indexed = engine.eval_rule(&cr, &db, None, Some(&store), None).unwrap();
         assert_eq!(scan, vec![tuple![40]]);
         assert_eq!(indexed, scan);
 
@@ -1962,7 +1820,13 @@ mod tests {
         for occ in 0..2 {
             destroyed.extend(
                 engine
-                    .eval_rule(&cr, &db, Some(DeltaSpec::Delete { removed: &removed, occ }), None)
+                    .eval_rule(
+                        &cr,
+                        &db,
+                        Some(DeltaSpec::Delete { removed: &removed, occ }),
+                        None,
+                        None,
+                    )
                     .unwrap(),
             );
         }

@@ -129,7 +129,8 @@ use vada_common::{Result, Tuple, VadaError};
 
 use crate::analysis::{stratify, Stratification};
 use crate::ast::{Literal, Program};
-use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet, IndexStore};
+use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
+use crate::index::IndexStore;
 use crate::parser::parse_program;
 
 /// How one call to [`IncrementalSession::apply`] (or
@@ -716,7 +717,7 @@ impl IncrementalSession {
             let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
             let mut seg = FactSet::default();
             let mut cnt: HashMap<Tuple, u64> = HashMap::new();
-            for t in self.engine.eval_rule(&cr, db, None, Some(&self.store))? {
+            for t in self.engine.eval_rule(&cr, db, None, Some(&self.store), None)? {
                 emissions += 1;
                 *cnt.entry(t.clone()).or_insert(0) += 1;
                 seg.insert(t.clone());
@@ -963,6 +964,7 @@ impl IncrementalSession {
                             &self.db,
                             Some(DeltaSpec::Insert { delta: &pending, occ }),
                             Some(&self.store),
+                            None,
                         )
                     })?;
                     let pred = cr.rule.head_pred.as_str();
@@ -1283,6 +1285,7 @@ impl IncrementalSession {
                     &self.db,
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
                     Some(&self.store),
+                    None,
                 )
             })?;
             for t in out {
@@ -2037,7 +2040,7 @@ mod tests {
         for (pred, ri) in [("q", 0usize), ("wide", 1usize)] {
             let cr = CompiledRule::compile(&program.rules[ri], ri).unwrap();
             let mut want: HashMap<Tuple, u64> = HashMap::new();
-            for t in Engine::default().eval_rule(&cr, &scratch_db, None, None).unwrap() {
+            for t in Engine::default().eval_rule(&cr, &scratch_db, None, None, None).unwrap() {
                 *want.entry(t).or_insert(0) += 1;
             }
             assert_eq!(s.derivation_counts(pred).unwrap(), want, "counts drifted for {pred}");

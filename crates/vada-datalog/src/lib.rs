@@ -42,6 +42,7 @@ pub mod ast;
 pub mod builtins;
 pub mod engine;
 pub mod incremental;
+mod index;
 pub mod lexer;
 pub mod magic;
 pub mod parser;

@@ -52,7 +52,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use vada_common::error::guard_stage;
-use vada_common::{Result, Tuple};
+use vada_common::{Result, Tuple, Value};
 
 use crate::ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
 use crate::engine::{CompiledRule, Database, Engine, EngineConfig, FactSet};
@@ -115,8 +115,9 @@ impl Demand {
         }
     }
 
-    /// Whether directed evaluation should insert this derived fact.
-    pub fn keeps(&self, pred: &str, t: &Tuple) -> bool {
+    /// Whether directed evaluation should insert the derived fact with
+    /// these values.
+    pub fn keeps(&self, pred: &str, values: &[Value]) -> bool {
         if self.unrestricted {
             return true;
         }
@@ -124,7 +125,7 @@ impl Demand {
             None => false,
             Some(PredDemand::Unrestricted) => true,
             Some(PredDemand::Restricted(adorns)) => adorns.iter().any(|(cols, set)| {
-                cols.iter().all(|&c| c < t.arity()) && set.contains_projection(t, cols)
+                cols.iter().all(|&c| c < values.len()) && set.contains_projection(values, cols)
             }),
         }
     }
@@ -141,7 +142,8 @@ impl Demand {
     }
 
     /// Predicates with an adornment-restricted demand set, sorted.
-    pub fn restricted_preds(&self) -> Vec<&str> {
+    #[cfg(test)]
+    fn restricted_preds(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self
             .info
             .iter()
@@ -153,7 +155,8 @@ impl Demand {
     }
 
     /// Predicates pinned unrestricted (fully derived), sorted.
-    pub fn unrestricted_preds(&self) -> Vec<&str> {
+    #[cfg(test)]
+    fn unrestricted_preds(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self
             .info
             .iter()
@@ -489,7 +492,7 @@ impl Stats {
 /// observable — while query and program rules keep the canonical order the
 /// byte-identity guarantee is argued over.
 fn plan_rule(r: &Rule, stats: &Stats) -> Rule {
-    if r.body.len() <= 2 {
+    if !reorders(r) {
         return r.clone();
     }
     let mut body = vec![r.body[0].clone()];
@@ -521,6 +524,28 @@ fn plan_rule(r: &Rule, stats: &Stats) -> Rule {
     }
     body.extend(cmps.into_iter().cloned());
     Rule { body, ..r.clone() }
+}
+
+/// Whether [`plan_rule`] reorders `r`: the demand source stays first, so a
+/// body of two literals or fewer has nothing to reorder.
+fn reorders(r: &Rule) -> bool {
+    r.body.len() > 2
+}
+
+/// The relations the planner estimates: the extensional atoms after the
+/// demand source of every magic rule it reorders. Statistics of any other
+/// relation would never be read.
+fn planned_reads(magic: &Program) -> BTreeSet<String> {
+    magic
+        .rules
+        .iter()
+        .filter(|r| reorders(r))
+        .flat_map(|r| &r.body[1..])
+        .filter_map(|lit| match lit {
+            Literal::Pos(a) => Some(a.pred.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The demand run's input: the extensional relations the magic bodies read
@@ -587,7 +612,7 @@ pub(crate) fn demand_for(
     let mdb = demand_input(&analysis, program, db);
 
     // plan the demand program against per-relation statistics and run it
-    let stats = Stats::collect(&mdb, &analysis.ext_reads);
+    let stats = Stats::collect(&mdb, &planned_reads(&analysis.magic));
     let planned = Program {
         rules: analysis.magic.rules.iter().map(|r| plan_rule(r, &stats)).collect(),
     };
@@ -650,8 +675,8 @@ mod tests {
         assert_eq!(d.restricted_preds(), vec!["tc"]);
         // demand reaches only the source constant — one demand fact
         assert_eq!(d.demand_fact_count(), 1);
-        assert!(d.keeps("tc", &tuple![3, 7]));
-        assert!(!d.keeps("tc", &tuple![4, 7]));
+        assert!(d.keeps("tc", tuple![3, 7].values()));
+        assert!(!d.keeps("tc", tuple![4, 7].values()));
     }
 
     #[test]
@@ -693,9 +718,9 @@ mod tests {
         );
         assert_eq!(d.restricted_preds(), vec!["sg"]);
         // demand covers "a" and its ancestor "x"
-        assert!(d.keeps("sg", &tuple!["a", "b"]));
-        assert!(d.keeps("sg", &tuple!["x", "y"]));
-        assert!(!d.keeps("sg", &tuple!["c", "c"]));
+        assert!(d.keeps("sg", tuple!["a", "b"].values()));
+        assert!(d.keeps("sg", tuple!["x", "y"].values()));
+        assert!(!d.keeps("sg", tuple!["c", "c"].values()));
     }
 
     #[test]
@@ -703,7 +728,7 @@ mod tests {
         let d = demand("p(X) :- q(X).", "p(X)", &Database::new());
         assert!(d.is_unrestricted());
         assert!(d.fallback_reason().unwrap().contains("all-free"));
-        assert!(d.keeps("anything", &tuple![1]));
+        assert!(d.keeps("anything", tuple![1].values()));
     }
 
     #[test]
@@ -722,9 +747,9 @@ mod tests {
         // dead is demanded but read... probe(7) binds dead's argument; dead's
         // body negates reach, so reach (and nothing else) must derive fully
         assert_eq!(d.unrestricted_preds(), vec!["reach"]);
-        assert!(d.keeps("reach", &tuple![99, 99]));
-        assert!(d.keeps("dead", &tuple![7]));
-        assert!(!d.keeps("dead", &tuple![8]));
+        assert!(d.keeps("reach", tuple![99, 99].values()));
+        assert!(d.keeps("dead", tuple![7].values()));
+        assert!(!d.keeps("dead", tuple![8].values()));
     }
 
     #[test]
@@ -734,15 +759,15 @@ mod tests {
             "p(1)",
             &Database::new(),
         );
-        assert!(!d.keeps("unrelated", &tuple![1]));
-        assert!(d.keeps("p", &tuple![1]));
+        assert!(!d.keeps("unrelated", tuple![1].values()));
+        assert!(d.keeps("p", tuple![1].values()));
     }
 
     #[test]
     fn query_over_extensional_only_demands_nothing() {
         let d = demand("p(X) :- e(X).", "e(1)", &Database::new());
         assert!(!d.is_unrestricted());
-        assert!(!d.keeps("p", &tuple![1]));
+        assert!(!d.keeps("p", tuple![1].values()));
     }
 
     #[test]
@@ -758,8 +783,19 @@ mod tests {
         );
         // total is demanded on its group key; the aggregate value position
         // is matched by a wildcard
-        assert!(d.keeps("total", &tuple!["a", 999]));
-        assert!(!d.keeps("total", &tuple!["b", 3]));
+        assert!(d.keeps("total", tuple!["a", 999].values()));
+        assert!(!d.keeps("total", tuple!["b", 3].values()));
+    }
+
+    #[test]
+    fn bound_query_demand_collects_no_statistics() {
+        // every magic rule of the bound tc query has at most two literals,
+        // so the planner reorders none and reads no relation's statistics
+        let program =
+            parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
+        let analysis = analyze(&program, &parse_query("tc(3, W)").unwrap()).unwrap();
+        assert!(analysis.ext_reads.contains("edge"));
+        assert!(planned_reads(&analysis.magic).is_empty());
     }
 
     #[test]
@@ -769,14 +805,14 @@ mod tests {
             db.insert("wide", tuple![i % 2, i]);
         }
         db.insert("narrow", tuple![0, 7]);
-        let mut preds = BTreeSet::new();
-        preds.insert("wide".to_string());
-        preds.insert("narrow".to_string());
-        let stats = Stats::collect(&db, &preds);
         let program = parse_program(
             "seed(1). m(A, B) :- seed(S), wide(S, A), narrow(S, B).",
         )
         .unwrap();
+        // the rule is reordered, so both of its relations are measured
+        let preds = planned_reads(&program);
+        assert_eq!(preds.iter().map(String::as_str).collect::<Vec<_>>(), ["narrow", "wide"]);
+        let stats = Stats::collect(&db, &preds);
         let planned = plan_rule(&program.rules[1], &stats);
         // narrow (1 row) must be joined before wide (100 rows)
         let pos: Vec<&str> = planned

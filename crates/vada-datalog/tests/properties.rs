@@ -408,7 +408,7 @@ proptest! {
         let full = engine.run(&program, edges_db(&edges)).unwrap();
         let directed = engine.run_directed(&program, edges_db(&edges), &query).unwrap();
         let kept: Vec<&Tuple> =
-            full.facts("tc").iter().filter(|t| demand.keeps("tc", t)).collect();
+            full.facts("tc").iter().filter(|t| demand.keeps("tc", t.values())).collect();
         let got: Vec<&Tuple> = directed.facts("tc").iter().collect();
         prop_assert_eq!(got, kept, "directed run drifted from the demand projection");
         prop_assert_eq!(
