@@ -47,6 +47,9 @@ pub enum Expr {
     Term(Term),
     /// Binary arithmetic.
     BinOp(ArithOp, Box<Expr>, Box<Expr>),
+    /// A call of the built-in `district` function
+    /// ([`builtins::district`](crate::builtins::district)).
+    District(Box<Expr>),
 }
 
 impl Expr {
@@ -61,6 +64,7 @@ impl Expr {
                 a.vars(out);
                 b.vars(out);
             }
+            Expr::District(a) => a.vars(out),
         }
     }
 
@@ -78,6 +82,7 @@ impl fmt::Display for Expr {
         match self {
             Expr::Term(t) => write!(f, "{t}"),
             Expr::BinOp(op, a, b) => write!(f, "({a} {op} {b})"),
+            Expr::District(a) => write!(f, "district({a})"),
         }
     }
 }

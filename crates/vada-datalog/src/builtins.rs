@@ -1,4 +1,18 @@
-//! Evaluation of arithmetic expressions and comparison built-ins.
+//! Evaluation of arithmetic expressions, comparison built-ins and the one
+//! built-in function, `district`.
+//!
+//! `district(X)` is the postcode→district transformation the paper's
+//! mapping generation joins the data context through: the outward code of a
+//! postcode-shaped string, null for any other value. It is written in
+//! expression position, usually as an assignment:
+//!
+//! ```text
+//! crime(S, C) :- listing(S, PC), D = district(PC), D != null, deprivation(D, C).
+//! ```
+//!
+//! `=` treats null as equal to null, so a rule that joins on the district
+//! guards it with `D != null`: a value that is no postcode must not meet a
+//! null key.
 
 use vada_common::{Result, VadaError, Value};
 
@@ -26,6 +40,26 @@ pub fn eval_expr(expr: &Expr, binding: &Binding) -> Result<Value> {
             let vb = eval_expr(b, binding)?;
             apply_arith(*op, &va, &vb)
         }
+        Expr::District(a) => Ok(district(&eval_expr(a, binding)?)),
+    }
+}
+
+/// The built-in `district(X)`: the outward code of a postcode-shaped
+/// string, e.g. `M13` for `M13 9PL`. A string is postcode-shaped when it
+/// contains a space and its first whitespace-separated word — the outward
+/// code — has both an ASCII letter and an ASCII digit. Any other value,
+/// null included, yields null.
+pub fn district(v: &Value) -> Value {
+    let outward =
+        v.as_str().filter(|s| s.contains(' ')).and_then(|s| s.split_whitespace().next());
+    match outward {
+        Some(o)
+            if o.chars().any(|c| c.is_ascii_alphabetic())
+                && o.chars().any(|c| c.is_ascii_digit()) =>
+        {
+            Value::str(o)
+        }
+        _ => Value::Null,
     }
 }
 
@@ -181,6 +215,34 @@ mod tests {
         assert!(apply_cmp(CmpOp::Lt, &int(1), &int(2)));
         assert!(apply_cmp(CmpOp::Le, &int(2), &Value::Float(2.0)));
         assert!(apply_cmp(CmpOp::Gt, &Value::str("b"), &Value::str("a")));
+    }
+
+    #[test]
+    fn district_shapes() {
+        let d = |v: Value| district(&v);
+        assert_eq!(d(Value::str("M13 9PL")), Value::str("M13"));
+        assert_eq!(d(Value::str("EH8 9AB")), Value::str("EH8"));
+        // the space test looks at the whole string, the outward code at
+        // its first word
+        assert_eq!(d(Value::str(" SW1A  2AA")), Value::str("SW1A"));
+        assert_eq!(d(Value::str("M1 ")), Value::str("M1"));
+        for not_a_postcode in [
+            Value::str("hello world"),
+            Value::str("123 456"),
+            Value::str("M1"),
+            Value::str("M1\t1AA"),
+            Value::str(""),
+            Value::str(" "),
+            Value::Int(1),
+            Value::Null,
+        ] {
+            assert_eq!(d(not_a_postcode.clone()), Value::Null, "{not_a_postcode:?}");
+        }
+        // in an expression, the argument is evaluated first
+        let call = Expr::District(Box::new(Expr::Term(Term::Var(0, "PC".into()))));
+        let binding = vec![Some(Value::str("OX1 2JD"))];
+        assert_eq!(eval_expr(&call, &binding).unwrap(), Value::str("OX1"));
+        assert_eq!(call.to_string(), "district(PC)");
     }
 
     #[test]

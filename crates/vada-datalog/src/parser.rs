@@ -453,13 +453,28 @@ impl Parser {
         Ok(lhs)
     }
 
-    /// primary := "(" expr ")" | term
+    /// primary := "(" expr ")" | "district" "(" expr ")" | term
+    ///
+    /// `district` is the one built-in function; any other name followed by
+    /// `(` is an error, and a bare `district` is a string constant.
     fn primary(&mut self) -> Result<Expr> {
         if self.peek_kind() == &TokenKind::LParen {
             self.advance();
             let e = self.expr()?;
             self.expect(TokenKind::RParen)?;
             return Ok(e);
+        }
+        if let TokenKind::Ident(name) = self.peek_kind() {
+            if self.peek2_kind() == &TokenKind::LParen {
+                if name != "district" {
+                    return Err(self.err_here(&format!("unknown function `{name}`")));
+                }
+                self.advance();
+                self.advance();
+                let arg = self.expr()?;
+                self.expect(TokenKind::RParen)?;
+                return Ok(Expr::District(Box::new(arg)));
+            }
         }
         Ok(Expr::Term(self.term()?))
     }
@@ -500,6 +515,25 @@ mod tests {
     fn parses_arithmetic_assignment() {
         let p = parse_program("vat(S, T) :- listing(S, P), T = P * 12 / 10.").unwrap();
         assert!(matches!(p.rules[0].body[1], Literal::Cmp(CmpOp::Eq, _, _)));
+    }
+
+    #[test]
+    fn parses_the_district_call() {
+        let src = "d(S, D) :- listing(S, PC), D = district(PC), D != \"\".";
+        let p = parse_program(src).unwrap();
+        let Literal::Cmp(CmpOp::Eq, _, rhs) = &p.rules[0].body[1] else { panic!("{p}") };
+        assert_eq!(rhs, &Expr::District(Box::new(Expr::Term(Term::Var(2, "PC".into())))));
+        assert_eq!(p.to_string(), format!("{src}\n"));
+        // a bare `district` stays a string constant
+        let p = parse_program("d(S) :- listing(S, K), K = district.").unwrap();
+        let Literal::Cmp(_, _, rhs) = &p.rules[0].body[1] else { panic!("{p}") };
+        assert_eq!(rhs, &Expr::Term(Term::Const(Value::str("district"))));
+        // no other function exists
+        for src in ["d(S, D) :- listing(S, PC), D = city(PC).", "d(D) :- D = 1 + upper(\"x\")."] {
+            let err = parse_program(src).unwrap_err();
+            assert!(matches!(err, VadaError::Parse(_)), "{src}: {err}");
+            assert!(err.to_string().contains("unknown function"), "{err}");
+        }
     }
 
     #[test]

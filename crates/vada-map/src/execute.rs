@@ -6,7 +6,7 @@ use std::sync::Arc;
 use vada_common::obs::key as obs_key;
 use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
-use vada_datalog::{parse_program, Program};
+use vada_datalog::parse_program;
 use vada_kb::{KnowledgeBase, MappingDef};
 
 /// Execution configuration.
@@ -16,14 +16,6 @@ pub struct ExecuteConfig {
     /// knowledge base's registry ([`KnowledgeBase::obs`]), the engine run
     /// included.
     pub engine: EngineConfig,
-}
-
-/// Extract the outward code (district) of a postcode-shaped string.
-pub(crate) fn district_of(postcode: &str) -> Option<&str> {
-    let outward = postcode.split_whitespace().next()?;
-    let has_alpha = outward.chars().any(|c| c.is_ascii_alphabetic());
-    let has_digit = outward.chars().any(|c| c.is_ascii_digit());
-    (has_alpha && has_digit).then_some(outward)
 }
 
 /// Normalise a raw extracted value into the target attribute type.
@@ -69,62 +61,26 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
     }
 }
 
-/// The helper predicate a mapping reads a postcode's district through.
-const DISTRICT: &str = "postcode_district";
-
-/// The `postcode_district(full, district)` helper facts one row
-/// contributes, in value order; the full postcode is the cell's own string.
-fn district_facts(row: &Tuple) -> impl Iterator<Item = Tuple> + '_ {
-    row.iter().filter_map(|v| {
-        let s = v.as_str().filter(|s| s.contains(' '))?;
-        let district = Value::str(district_of(s)?);
-        Some([v.clone(), district].into_iter().collect())
-    })
-}
-
-/// One source relation as an execution reads it: its rows as facts, and the
-/// `postcode_district(full, district)` helper facts derived from every
-/// postcode-shaped value in them, each in first-occurrence order. Both are
-/// shared handles, so every execution over the same version of the source
-/// can load them without copying a tuple.
-#[derive(Debug)]
-pub(crate) struct SourceInput {
-    rows: Arc<FactSet>,
-    districts: Arc<FactSet>,
-}
-
-impl SourceInput {
-    /// Build the input of `rel` at its current contents.
-    pub(crate) fn build(rel: &Relation) -> SourceInput {
-        let mut rows = FactSet::default();
-        rows.reserve(rel.len());
-        let mut districts = FactSet::default();
-        for t in rel.iter() {
-            rows.insert(t.clone());
-            for fact in district_facts(t) {
-                districts.insert(fact);
-            }
-        }
-        SourceInput { rows: Arc::new(rows), districts: Arc::new(districts) }
+/// The execution input of one source relation: its rows as facts, in
+/// first-occurrence order. The handle is shared, so every execution over the
+/// same version of the source loads it without copying a tuple.
+pub(crate) fn source_input(rel: &Relation) -> Arc<FactSet> {
+    let mut rows = FactSet::default();
+    rows.reserve(rel.len());
+    for t in rel.iter() {
+        rows.insert(t.clone());
     }
+    Arc::new(rows)
 }
 
-/// The execution database of `program`: each source's rows under its name
-/// and, when the program mentions `postcode_district`, each source's helper
-/// facts under that name, in the order the sources come — the facts and
-/// their order are those of inserting every row, then its helper facts,
-/// one by one.
+/// The execution database of a mapping: each source's rows under its name,
+/// in the order the sources come.
 pub(crate) fn input_db<'a>(
-    program: &Program,
-    sources: impl IntoIterator<Item = (&'a str, &'a SourceInput)>,
+    sources: impl IntoIterator<Item = (&'a str, &'a Arc<FactSet>)>,
 ) -> Database {
-    let districts = program.all_predicates().contains(DISTRICT);
     let mut db = Database::new();
-    for (name, input) in sources {
-        db.insert_shared(name, input.rows.clone());
-        if districts && !input.districts.is_empty() {
-            db.insert_shared(DISTRICT, input.districts.clone());
-        }
+    for (name, rows) in sources {
+        db.insert_shared(name, rows.clone());
     }
     db
 }
@@ -156,28 +112,28 @@ pub fn execute_mapping(
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
     let target = registered_target(mapping, kb)?;
-    let scratch = |program: &Program| {
+    let scratch = || {
         let inputs = mapping
             .sources
             .iter()
-            .map(|s| Ok((s.as_str(), SourceInput::build(kb.relation(s)?))))
+            .map(|s| Ok((s.as_str(), source_input(kb.relation(s)?))))
             .collect::<Result<Vec<_>>>()?;
-        Ok(input_db(program, inputs.iter().map(|(s, input)| (*s, input))))
+        Ok(input_db(inputs.iter().map(|(s, rows)| (*s, rows))))
     };
     Ok(materialise(cfg, mapping, target, kb, scratch)?.0)
 }
 
 /// One engine run of `mapping` into `target` over the database `input`
-/// builds for the parsed program: the coerced result, and the engine's raw
-/// target facts it was coerced from — row `i` of the result is fact `i`.
-/// The facts are the run's own fact set, not a copy. The run records into
-/// the knowledge base's registry.
+/// builds: the coerced result, and the engine's raw target facts it was
+/// coerced from — row `i` of the result is fact `i`. The facts are the
+/// run's own fact set, not a copy. The run records into the knowledge
+/// base's registry.
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     target: &Schema,
     kb: &KnowledgeBase,
-    input: impl FnOnce(&Program) -> Result<Database>,
+    input: impl FnOnce() -> Result<Database>,
 ) -> Result<(Relation, Arc<FactSet>)> {
     let program = parse_program(&mapping.rules)?;
     let obs = kb.obs();
@@ -187,7 +143,7 @@ pub(crate) fn materialise(
     let span = obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
-    let input = input(&program)?;
+    let input = input()?;
     let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
     // a mapping materialises its whole target relation — an all-free
     // access pattern demand cannot restrict — so it runs the full fixpoint
@@ -283,9 +239,9 @@ mod tests {
     #[test]
     fn left_outer_district_join() {
         let rules = r#"
-            property(S, PC, P, C) :- rightmove(P, S, PC), postcode_district(PC, D), deprivation(D, C).
-            property(S, PC, P, null) :- rightmove(P, S, PC), not has_crime(PC).
-            has_crime(PC) :- postcode_district(PC, D), deprivation(D, _).
+            property(S, PC, P, C) :- rightmove(P, S, PC), D = district(PC), D != null, deprivation(D, C).
+            property(S, PC, P, null) :- rightmove(P, S, PC), D = district(PC), not has_crime(D).
+            has_crime(D) :- deprivation(D, _), D != null.
         "#;
         let m = mapping(rules, &["rightmove", "deprivation"]);
         let rel = execute_mapping(&ExecuteConfig::default(), &m, &kb()).unwrap();
@@ -332,37 +288,5 @@ mod tests {
             coerce_value(&Value::str("2.5"), AttrType::Float),
             Value::Float(2.5)
         );
-    }
-
-    #[test]
-    fn only_a_program_that_mentions_districts_loads_them() {
-        let kb = kb();
-        let rm = SourceInput::build(kb.relation("rightmove").unwrap());
-        let dep = SourceInput::build(kb.relation("deprivation").unwrap());
-        let plain = parse_program("property(S, PC, P, null) :- rightmove(P, S, PC).").unwrap();
-        let db = input_db(&plain, [("rightmove", &rm)]);
-        assert!(db.fact_set(DISTRICT).is_none(), "{:?}", db.predicates());
-        assert_eq!(db.facts("rightmove").len(), 3);
-        // the source's facts are the kept input itself, not a copy
-        assert!(Arc::ptr_eq(&db.shared_fact_set("rightmove").unwrap(), &rm.rows));
-
-        let joined = parse_program(
-            "property(S, PC, P, C) :- \
-             rightmove(P, S, PC), postcode_district(PC, D), deprivation(D, C).",
-        )
-        .unwrap();
-        let db = input_db(&joined, [("rightmove", &rm), ("deprivation", &dep)]);
-        let district = |pc: &str, d: &str| Tuple::new(vec![Value::str(pc), Value::str(d)]);
-        assert_eq!(db.facts(DISTRICT), [district("M1 1AA", "M1"), district("EH1 1AA", "EH1")]);
-        assert!(Arc::ptr_eq(&db.shared_fact_set(DISTRICT).unwrap(), &rm.districts));
-        assert!(rm.districts.len() == 2 && dep.districts.is_empty());
-    }
-
-    #[test]
-    fn district_of_shapes() {
-        assert_eq!(district_of("M13 9PL"), Some("M13"));
-        assert_eq!(district_of("EH8 9AB"), Some("EH8"));
-        assert_eq!(district_of("hello world"), None);
-        assert_eq!(district_of(""), None);
     }
 }

@@ -6,7 +6,8 @@
 //! extra attributes — the deprivation table). Candidates are the cross
 //! product of {each primary, the union of all primaries} × {without /
 //! with all augmenting joins}; joins are left-outer so augmentation never
-//! loses rows.
+//! loses rows. The augmenting source is keyed by district, so a join goes
+//! through the engine's built-in `district` function.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,9 +26,6 @@ pub struct MapGenConfig {
     /// A source whose matches cover at least this many target attributes
     /// is primary.
     pub primary_min_attrs: usize,
-    /// Join augmenting sources through the postcode→district
-    /// transformation (the scenario's deprivation table is district-keyed).
-    pub district_join: bool,
     /// The target attribute acting as join key for augmentation.
     pub join_key: String,
 }
@@ -37,7 +35,6 @@ impl Default for MapGenConfig {
         MapGenConfig {
             match_threshold: 0.5,
             primary_min_attrs: 3,
-            district_join: true,
             join_key: "postcode".into(),
         }
     }
@@ -71,10 +68,21 @@ struct SourceRole<'a> {
     matches: BTreeMap<String, MatchDef>,
 }
 
-/// Emit the body atom for a source with fresh variables `prefix0..n`;
+/// Emit the body atom for a source with fresh variables `prefix0..n`, the
+/// column matched to target attribute `key.0` named `key.1` instead;
 /// returns `(atom text, target attr → variable name)`.
-fn source_atom(role: &SourceRole, prefix: &str) -> (String, BTreeMap<String, String>) {
-    let vars: Vec<String> = (0..role.schema.arity()).map(|i| format!("{prefix}{i}")).collect();
+fn source_atom(
+    role: &SourceRole,
+    prefix: &str,
+    key: Option<(&str, &str)>,
+) -> (String, BTreeMap<String, String>) {
+    let mut vars: Vec<String> =
+        (0..role.schema.arity()).map(|i| format!("{prefix}{i}")).collect();
+    if let Some((attr, var)) = key {
+        if let Some(idx) = role.matches.get(attr).and_then(|m| role.schema.index_of(&m.src_attr)) {
+            vars[idx] = var.to_string();
+        }
+    }
     let atom = format!("{}({})", role.name, vars.join(", "));
     let mut var_of_target = BTreeMap::new();
     for (tgt, m) in &role.matches {
@@ -92,7 +100,7 @@ fn rules_for_primary(
     primary: &SourceRole,
     augmenting: &[&SourceRole],
 ) -> Result<String> {
-    let (p_atom, p_vars) = source_atom(primary, "S");
+    let (p_atom, p_vars) = source_atom(primary, "S", None);
     let mut rules = String::new();
 
     if augmenting.is_empty() {
@@ -107,9 +115,10 @@ fn rules_for_primary(
     }
 
     // with augmentation: a matched rule plus a null-padded complement rule
-    // per augmenting source (left outer join). We support one augmenting
-    // source per join for clarity; several augmentations compose by
-    // sequential application in candidate enumeration.
+    // per augmenting source (left outer join), both reading the primary's
+    // key through `district`. We support one augmenting source per join for
+    // clarity; several augmentations compose by sequential application in
+    // candidate enumeration.
     let aug = augmenting[0];
     let Some(key_var) = p_vars.get(&cfg.join_key) else {
         return Err(VadaError::Other(format!(
@@ -117,20 +126,15 @@ fn rules_for_primary(
             primary.name, cfg.join_key
         )));
     };
-    let (a_atom, a_vars) = source_atom(aug, "A");
-    let Some(a_key_var) = a_vars.get(&cfg.join_key) else {
+    // the augmenting source is keyed by district: its key column reads `D`
+    let (a_atom, a_vars) = source_atom(aug, "A", Some((&cfg.join_key, "D")));
+    if !a_vars.contains_key(&cfg.join_key) {
         return Err(VadaError::Other(format!(
             "augmenting source `{}` has no match for join key `{}`",
             aug.name, cfg.join_key
         )));
-    };
-
-    // join condition: either direct key equality or via district facts
-    let join_cond = if cfg.district_join {
-        format!("postcode_district({key_var}, {a_key_var})")
-    } else {
-        format!("{a_key_var} = {key_var}")
-    };
+    }
+    let district = format!("D = district({key_var})");
 
     let head_args_joined: Vec<String> = target
         .attr_names()
@@ -143,14 +147,13 @@ fn rules_for_primary(
                 .unwrap_or_else(|| "null".into())
         })
         .collect();
+    // `=` holds between nulls, so a value that is no postcode must not
+    // meet a null key: both the join and the helper guard `D`
     writeln!(
         rules,
-        "{}({}) :- {}, {}, {}.",
+        "{}({}) :- {p_atom}, {district}, D != null, {a_atom}.",
         target.name,
         head_args_joined.join(", "),
-        p_atom,
-        join_cond,
-        a_atom
     )
     .expect("string write");
 
@@ -163,56 +166,13 @@ fn rules_for_primary(
         .collect();
     writeln!(
         rules,
-        "{}({}) :- {}, not {}({}).",
+        "{}({}) :- {p_atom}, {district}, not {has_pred}(D).",
         target.name,
         head_args_plain.join(", "),
-        p_atom,
-        has_pred,
-        key_var
     )
     .expect("string write");
-    if cfg.district_join {
-        writeln!(
-            rules,
-            "{has_pred}(PC) :- postcode_district(PC, D), {}.",
-            replace_var(&a_atom, a_key_var, "D")
-        )
-        .expect("string write");
-    } else {
-        writeln!(
-            rules,
-            "{has_pred}({a_key_var}) :- {a_atom}.",
-        )
-        .expect("string write");
-    }
+    writeln!(rules, "{has_pred}(D) :- {a_atom}, D != null.").expect("string write");
     Ok(rules)
-}
-
-/// Replace a variable name inside a rendered atom (used to re-key the
-/// augmenting atom in the helper rule).
-fn replace_var(atom: &str, from: &str, to: &str) -> String {
-    // variables are comma/paren delimited; do a token-boundary replace
-    let mut out = String::with_capacity(atom.len());
-    let mut token = String::new();
-    for c in atom.chars() {
-        if c.is_alphanumeric() || c == '_' {
-            token.push(c);
-        } else {
-            if token == from {
-                out.push_str(to);
-            } else {
-                out.push_str(&token);
-            }
-            token.clear();
-            out.push(c);
-        }
-    }
-    if token == from {
-        out.push_str(to);
-    } else {
-        out.push_str(&token);
-    }
-    out
 }
 
 /// Generate candidate mappings from the knowledge base's matches.
@@ -363,8 +323,14 @@ mod tests {
         assert!(plain.rules.contains("null"));
         let aug = &cands[1];
         assert!(aug.sources.contains(&"deprivation".to_string()));
-        assert!(aug.rules.contains("postcode_district"));
-        assert!(aug.rules.contains("not aux_has_deprivation_rightmove"));
+        assert_eq!(
+            aug.rules,
+            "property(S4, S1, S2, S0, A1) :- rightmove(S0, S1, S2, S3, S4, S5), \
+             D = district(S2), D != null, deprivation(D, A1).\n\
+             property(S4, S1, S2, S0, null) :- rightmove(S0, S1, S2, S3, S4, S5), \
+             D = district(S2), not aux_has_deprivation_rightmove(D).\n\
+             aux_has_deprivation_rightmove(D) :- deprivation(D, A1), D != null.\n"
+        );
     }
 
     #[test]
@@ -407,12 +373,6 @@ mod tests {
             matcher: "schema".into(),
         });
         assert!(generate_candidates(&MapGenConfig::default(), &kb).is_err());
-    }
-
-    #[test]
-    fn replace_var_respects_token_boundaries() {
-        assert_eq!(replace_var("d(A0, A01)", "A0", "D"), "d(D, A01)");
-        assert_eq!(replace_var("d(A0)", "A0", "D"), "d(D)");
     }
 
     #[test]

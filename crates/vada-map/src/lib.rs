@@ -7,7 +7,8 @@
 //! * [`generate`] — turns the matches in the knowledge base into candidate
 //!   mapping programs: per-source projections, unions over primary
 //!   sources, and (left-outer) joins with augmenting sources such as the
-//!   deprivation table, via the postcode-district transformation;
+//!   deprivation table, through the engine's built-in `district` function
+//!   (the postcode→district transformation);
 //! * [`execute`] — runs a mapping through the Datalog engine against the
 //!   source relations and coerces the answers into the typed target schema
 //!   (this is where `£250,000`-style format drift is normalised);

@@ -39,16 +39,16 @@
 //! copied straight out of the parts, and nothing is kept for it.
 //!
 //! **One input per source version.** An engine run reads its sources from
-//! an execution input the store keeps per source relation: the rows as a
-//! shared fact set, and the `postcode_district` facts derived from them
-//! as another, at the journal mark they were built at. Every run over the
-//! same version of a source loads the same two fact sets, without copying
-//! a tuple (`map.input.reused`); the engine copies one only if it writes to
-//! it. An input is rebuilt when the journal cannot prove its source
-//! unchanged since its mark (`map.input.built`), and dropped once its
-//! source is gone from the knowledge base. The district facts are loaded
-//! only into programs that mention `postcode_district`. The input database
-//! holds the same facts in the same order as loading every row one by one.
+//! an execution input the store keeps per source relation: the rows as one
+//! shared fact set, at the journal mark it was built at. A mapping reads
+//! nothing else: a postcode's district is computed in the rules, by the
+//! engine's `district` function. Every run over the same version of a
+//! source loads the same fact set, without copying a tuple
+//! (`map.input.reused`); the engine copies it only if it writes to it. An
+//! input is rebuilt when the journal cannot prove its source unchanged
+//! since its mark (`map.input.built`), and dropped once its source is gone
+//! from the knowledge base. The input database holds the same facts in the
+//! same order as loading every row one by one.
 //!
 //! The output is byte-identical to [`execute_mapping`], which builds its
 //! input from scratch, on the same knowledge base in every case, row order
@@ -159,7 +159,7 @@ use vada_common::{Relation, Result, Schema, VadaError};
 use vada_datalog::engine::FactSet;
 use vada_kb::{JournalMark, KnowledgeBase, MappingDef};
 
-use crate::execute::{input_db, materialise, registered_target, ExecuteConfig, SourceInput};
+use crate::execute::{input_db, materialise, registered_target, source_input, ExecuteConfig};
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
@@ -289,7 +289,7 @@ pub struct ResultStore {
     capacity: usize,
     /// Per source relation, its execution input and the journal position it
     /// is current at.
-    inputs: BTreeMap<String, (JournalMark, SourceInput)>,
+    inputs: BTreeMap<String, (JournalMark, Arc<FactSet>)>,
     /// The version the next run gets.
     next_version: u64,
 }
@@ -429,7 +429,7 @@ impl ResultStore {
             }
         }
         self.inputs.remove(source);
-        let input = SourceInput::build(kb.relation(source)?);
+        let input = source_input(kb.relation(source)?);
         kb.obs().incr(obs_key::MAP_INPUT_BUILT);
         self.inputs.insert(source.to_string(), (kb.mark(), input));
         Ok(())
@@ -443,12 +443,11 @@ impl ResultStore {
         target: &Schema,
         kb: &KnowledgeBase,
     ) -> Result<Arc<Run>> {
-        let (rows, facts) = materialise(cfg, mapping, target, kb, |program| {
+        let (rows, facts) = materialise(cfg, mapping, target, kb, || {
             for source in &mapping.sources {
                 self.input(source, kb)?;
             }
-            let inputs = mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1));
-            Ok(input_db(program, inputs))
+            Ok(input_db(mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1))))
         })?;
         self.next_version += 1;
         Ok(Arc::new(Run { version: self.next_version, rows, facts }))
@@ -570,9 +569,9 @@ mod tests {
             .unwrap(),
         );
         let rules = r#"
-            property(S, PC, P, C) :- rightmove(P, S, PC), postcode_district(PC, D), deprivation(D, C).
-            property(S, PC, P, null) :- rightmove(P, S, PC), not has_crime(PC).
-            has_crime(PC) :- postcode_district(PC, D), deprivation(D, _).
+            property(S, PC, P, C) :- rightmove(P, S, PC), D = district(PC), D != null, deprivation(D, C).
+            property(S, PC, P, null) :- rightmove(P, S, PC), D = district(PC), not has_crime(D).
+            has_crime(D) :- deprivation(D, _), D != null.
         "#;
         let mapping = MappingDef {
             id: "m".into(),
@@ -615,15 +614,15 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (2, 0));
 
-        // a new postcode adds a postcode_district fact feeding the negated
-        // has_crime
+        // a new postcode in a district no deprivation row covers: the
+        // complement rule keeps it
         let mut rm_new = kb.relation("rightmove").unwrap().clone();
         rm_new.push(tuple!["99000", "7 new rd", "M9 9ZZ"]).unwrap();
         kb.register_source(rm_new);
         checked(&mut store, &mapping, &kb);
 
-        // a brand-new district-shaped value in the non-final source lands
-        // before rightmove's helper facts in the input
+        // a postcode-shaped key in deprivation is no district: it joins
+        // nothing
         let mut dep = kb.relation("deprivation").unwrap().clone();
         dep.push(tuple!["EH1 1ZZ", "900"]).unwrap();
         kb.register_source(dep);
@@ -652,8 +651,7 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (3, 0));
 
-        // removing the only EH1 1AA row orphans its helper fact and
-        // shrinks the negated `has_crime`
+        // removing the only EH1 1AA row empties the complement
         kb.remove_rows("rightmove", &[1]).unwrap();
         checked(&mut store, &mapping, &kb);
 
@@ -1013,9 +1011,10 @@ mod tests {
             let rules = if augmented {
                 sources.push("deprivation".into());
                 format!(
-                    "property(S, PC, P, C) :- {atom}, postcode_district(PC, D), deprivation(D, C).\n\
-                     property(S, PC, P, null) :- {atom}, not has_crime_{tag}(PC).\n\
-                     has_crime_{tag}(PC) :- postcode_district(PC, D), deprivation(D, _).\n"
+                    "property(S, PC, P, C) :- \
+                     {atom}, D = district(PC), D != null, deprivation(D, C).\n\
+                     property(S, PC, P, null) :- {atom}, D = district(PC), not has_crime_{tag}(D).\n\
+                     has_crime_{tag}(D) :- deprivation(D, _), D != null.\n"
                 )
             } else {
                 format!("property(S, PC, P, null) :- {atom}.\n")
