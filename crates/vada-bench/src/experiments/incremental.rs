@@ -409,23 +409,11 @@ fn report_table<R: BaselineRow>(rows: &[R]) -> String {
 /// magnitudes are environment-sensitive (they get a tolerance band in the
 /// *counter* channel as `wal.bytes`, not exactness in the span channel).
 fn family_shapes(obs: &Obs) -> Vec<String> {
-    // mapping ids come from a process-global counter: rewrite each to its
-    // first-seen ordinal so the shape does not depend on what ran before
-    let mut mapping_ids: Vec<String> = Vec::new();
     let records: Vec<_> = obs
         .span_records()
         .into_iter()
         .map(|mut r| {
             r.attrs.retain(|(k, _)| k != "bytes");
-            for (k, v) in r.attrs.iter_mut() {
-                if k == "mapping" {
-                    let ord = mapping_ids.iter().position(|id| id == v).unwrap_or_else(|| {
-                        mapping_ids.push(v.clone());
-                        mapping_ids.len() - 1
-                    });
-                    *v = format!("map#{ord}");
-                }
-            }
             r
         })
         .collect();
@@ -615,10 +603,13 @@ mod tests {
         let wshapes = family_shapes(&wobs);
         assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");
         // (every materialisation opens a map/execute span carrying the
-        // mapping id)
+        // mapping id: its position in the generation pass's output)
+        let ids: Vec<String> = (0..wr.candidates).map(|k| format!("mapping=map{k};")).collect();
         assert!(
-            wshapes.iter().all(|l| !l.contains("mapping=") || l.contains("mapping=map#")),
-            "mapping ids are canonicalised: {wshapes:?}"
+            wshapes
+                .iter()
+                .all(|l| !l.contains("mapping=") || ids.iter().any(|id| l.contains(id.as_str()))),
+            "mapping ids are positional: {wshapes:?}"
         );
         let snapshot = obs.counters();
         assert!(snapshot.get("incremental.outcome.incremental").copied().unwrap_or(0) > 0);

@@ -25,8 +25,8 @@ pub struct PaygoConfig {
     pub user_context: Vec<PairwiseStatement>,
     /// Optional network-transducer policy override.
     pub policy: Option<fn() -> Box<dyn SchedulingPolicy>>,
-    /// Observability registry to attach to the wrangler (`None` keeps
-    /// whatever `VADA_OBS` selected).
+    /// Observability registry to attach to the wrangler (`None` leaves
+    /// observability disabled).
     pub obs: Option<Obs>,
 }
 

@@ -20,7 +20,7 @@ pub enum VadaError {
     Type(String),
     /// Malformed CSV input.
     Csv(String),
-    /// Datalog parse error (position-annotated).
+    /// Malformed Datalog source or JSON text (position-annotated).
     Parse(String),
     /// Datalog program is unsafe or not stratifiable.
     Program(String),
@@ -37,10 +37,6 @@ pub enum VadaError {
     /// Durable storage failed (WAL/snapshot I/O, corrupt or truncated
     /// records, codec mismatches).
     Storage(String),
-    /// The observability layer failed (sink I/O, sink panic, malformed
-    /// telemetry). Never aborts a pipeline run — surfaced sticky through
-    /// `obs_health()`.
-    Obs(String),
     /// Anything else.
     Other(String),
 }
@@ -60,7 +56,6 @@ impl VadaError {
             | VadaError::Context(m)
             | VadaError::Parallel(m)
             | VadaError::Storage(m)
-            | VadaError::Obs(m)
             | VadaError::Other(m) => m,
         }
     }
@@ -79,7 +74,6 @@ impl VadaError {
             VadaError::Context(_) => "context",
             VadaError::Parallel(_) => "parallel",
             VadaError::Storage(_) => "storage",
-            VadaError::Obs(_) => "obs",
             VadaError::Other(_) => "other",
         }
     }
@@ -174,7 +168,6 @@ mod tests {
             VadaError::Context(String::new()).kind(),
             VadaError::Parallel(String::new()).kind(),
             VadaError::Storage(String::new()).kind(),
-            VadaError::Obs(String::new()).kind(),
             VadaError::Other(String::new()).kind(),
         ];
         let set: std::collections::HashSet<_> = kinds.iter().collect();

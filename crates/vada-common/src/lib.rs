@@ -23,7 +23,7 @@ pub mod value;
 
 pub use durability::Durability;
 pub use error::{Result, VadaError};
-pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
+pub use obs::{Obs, ObsReport, SpanGuard};
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, Schema};
 pub use tuple::Tuple;

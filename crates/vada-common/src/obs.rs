@@ -2,10 +2,9 @@
 //!
 //! The registry has one owner: the knowledge base (`KnowledgeBase::obs`),
 //! the one object every layer is handed. It starts as the disabled stub;
-//! `KnowledgeBase::set_obs` (or `Wrangler::set_obs`, or the `VADA_OBS`
-//! env default a `Wrangler` reads) attaches a live one, and the
-//! orchestrator, the mapping result store, the engine runs beneath them
-//! and the write-ahead log all record into it. (An engine or incremental
+//! `KnowledgeBase::set_obs` (or `Wrangler::set_obs`) attaches a live one,
+//! and the orchestrator, the mapping result store, the engine runs beneath
+//! them and the write-ahead log all record into it. (An engine or incremental
 //! session used on its own takes a registry through its `EngineConfig`.)
 //! The layer provides:
 //!
@@ -16,9 +15,9 @@
 //!   threads only, carrying structural attributes; wall-clock durations
 //!   are quarantined in a separate timing channel so structural output
 //!   stays byte-comparable;
-//! - a **JSON-lines export** via the `VADA_OBS` knob (`stderr`, `tmpfile`,
-//!   or a path — mirroring the `VADA_WAL` env-default
-//!   pattern) and a programmatic [`ObsReport`].
+//! - a **report** ([`ObsReport`]) read after the run: a counter summary
+//!   ([`ObsReport::render`]) and a lossless JSON document
+//!   ([`ObsReport::to_json`]), which [`Json`] parses back.
 //!
 //! ## Determinism contract
 //!
@@ -41,20 +40,9 @@
 //! `&'static` instance). When disabled, every counter call is a single
 //! branch, spans are elided entirely (no allocation, no lock), and no
 //! state is ever observable — the property suite pins this.
-//!
-//! ## Failure contract
-//!
-//! A sink must never poison a run. Sink writes are wrapped in
-//! `catch_unwind`; the first failure (panic or `Err`) detaches the sink
-//! and is surfaced — sticky — through [`Obs::health`], mirroring the
-//! knowledge base's `storage_health()`. Collection continues in memory.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -156,10 +144,6 @@ pub mod key {
     /// part read by a union, or one no edit touched.
     pub const QUALITY_METRICS_REUSED: &str = "quality.metrics.reused";
 
-    /// Sink failures observed, plus every export write suppressed after
-    /// the sink detached — the size of the telemetry loss, not just the
-    /// sticky first error.
-    pub const SINK_ERRORS: &str = "obs.sink_errors";
 }
 
 /// Lock a mutex, recovering from poisoning (a panic caught by a stage
@@ -196,93 +180,6 @@ pub fn slug(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// sinks
-// ---------------------------------------------------------------------
-
-/// Where exported JSON lines go. Implementations must be `Send`; they are
-/// invoked under the collector's sink lock, wrapped in `catch_unwind`.
-pub trait ObsSink: Send {
-    /// Write one complete JSON line (no trailing newline).
-    fn write_line(&mut self, line: &str) -> Result<()>;
-    /// Flush buffered output, if any.
-    fn flush(&mut self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// JSON lines to standard error.
-pub struct StderrSink;
-
-impl ObsSink for StderrSink {
-    fn write_line(&mut self, line: &str) -> Result<()> {
-        let mut err = std::io::stderr().lock();
-        writeln!(err, "{line}").map_err(|e| VadaError::Obs(format!("stderr: {e}")))
-    }
-}
-
-/// JSON lines appended to a file. Each line is a single `write` on an
-/// append-mode handle, so concurrent collectors sharing a path interleave
-/// whole lines, never fragments.
-pub struct FileSink {
-    file: std::fs::File,
-}
-
-impl FileSink {
-    /// Open (append, create) the sink file, creating parent directories.
-    pub fn open(path: &std::path::Path) -> Result<FileSink> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| VadaError::Obs(format!("create {}: {e}", dir.display())))?;
-            }
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| VadaError::Obs(format!("open {}: {e}", path.display())))?;
-        Ok(FileSink { file })
-    }
-}
-
-impl ObsSink for FileSink {
-    fn write_line(&mut self, line: &str) -> Result<()> {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        self.file
-            .write_all(buf.as_bytes())
-            .map_err(|e| VadaError::Obs(format!("write: {e}")))
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.file
-            .flush()
-            .map_err(|e| VadaError::Obs(format!("flush: {e}")))
-    }
-}
-
-/// A sink that collects lines in memory — the test harness's sink.
-pub struct MemorySink {
-    lines: Arc<Mutex<Vec<String>>>,
-}
-
-impl MemorySink {
-    /// The sink plus a shared handle to the lines it will collect.
-    pub fn new() -> (MemorySink, Arc<Mutex<Vec<String>>>) {
-        let lines = Arc::new(Mutex::new(Vec::new()));
-        (MemorySink { lines: lines.clone() }, lines)
-    }
-}
-
-impl ObsSink for MemorySink {
-    fn write_line(&mut self, line: &str) -> Result<()> {
-        lock(&self.lines).push(line.to_string());
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // collector
 // ---------------------------------------------------------------------
 
@@ -315,35 +212,22 @@ struct SpanState {
     stack: Vec<u64>,
 }
 
-struct SinkState {
-    sink: Option<Box<dyn ObsSink>>,
-    error: Option<VadaError>,
-}
-
 /// The shared collection state behind an enabled [`Obs`] handle.
 pub struct ObsCollector {
     counters: Mutex<BTreeMap<String, u64>>,
     spans: Mutex<SpanState>,
     timings: Mutex<Vec<Timing>>,
-    sink: Mutex<SinkState>,
-    sink_failures: AtomicU64,
 }
 
 impl ObsCollector {
-    fn new(sink: Option<Box<dyn ObsSink>>) -> ObsCollector {
+    fn new() -> ObsCollector {
         ObsCollector {
             counters: Mutex::new(BTreeMap::new()),
             spans: Mutex::new(SpanState { records: Vec::new(), stack: Vec::new() }),
             timings: Mutex::new(Vec::new()),
-            sink: Mutex::new(SinkState { sink, error: None }),
-            sink_failures: AtomicU64::new(0),
         }
     }
 }
-
-/// Sequence for `VADA_OBS=tmpfile` file names: several collectors in one
-/// process must not clobber each other's telemetry.
-static NEXT_OBS_FILE: AtomicU64 = AtomicU64::new(0);
 
 /// A cheap clonable observability handle: either a shared collector or
 /// the disabled no-op stub. Cloning shares the underlying registry.
@@ -353,9 +237,8 @@ pub struct Obs {
 }
 
 impl Default for Obs {
-    /// Disabled. Collection is opt-in from the owning knowledge base
-    /// (`Wrangler` reads `VADA_OBS`); embedded configs must not each open
-    /// a sink.
+    /// Disabled. Collection is opt-in: the owning knowledge base attaches
+    /// a live registry through `KnowledgeBase::set_obs`.
     fn default() -> Obs {
         Obs::disabled()
     }
@@ -384,63 +267,9 @@ impl Obs {
         &DISABLED
     }
 
-    /// An enabled in-memory collector with no export sink.
+    /// An enabled in-memory collector.
     pub fn enabled() -> Obs {
-        Obs { inner: Some(Arc::new(ObsCollector::new(None))) }
-    }
-
-    /// An enabled collector exporting JSON lines to `sink`.
-    pub fn with_sink(sink: Box<dyn ObsSink>) -> Obs {
-        Obs { inner: Some(Arc::new(ObsCollector::new(Some(sink)))) }
-    }
-
-    /// Read the `VADA_OBS` override (the env-default pattern shared with
-    /// `VADA_WAL`):
-    ///
-    /// - unset, empty, `0`, or `off` (case-insensitive) → disabled
-    /// - `stderr` → JSON lines on standard error
-    /// - `tmpfile` → a fresh `obs-<pid>-<n>.jsonl` under
-    ///   `$TMPDIR/vada-obs/` — the spelling the CI all-knobs leg uses
-    /// - anything else → treated as a file path (append mode)
-    ///
-    /// A sink that cannot be opened never fails construction: the
-    /// collector starts detached with the error sticky in [`Obs::health`].
-    pub fn from_env() -> Obs {
-        match std::env::var("VADA_OBS") {
-            Err(_) => Obs::disabled(),
-            Ok(raw) => {
-                let spec = raw.trim();
-                if spec.is_empty() || spec == "0" || spec.eq_ignore_ascii_case("off") {
-                    Obs::disabled()
-                } else if spec.eq_ignore_ascii_case("stderr") {
-                    Obs::with_sink(Box::new(StderrSink))
-                } else {
-                    let path = if spec.eq_ignore_ascii_case("tmpfile") {
-                        let n = NEXT_OBS_FILE.fetch_add(1, Ordering::Relaxed);
-                        std::env::temp_dir().join("vada-obs").join(format!(
-                            "obs-{}-{n}.jsonl",
-                            std::process::id()
-                        ))
-                    } else {
-                        PathBuf::from(spec)
-                    };
-                    Obs::at_path(path)
-                }
-            }
-        }
-    }
-
-    /// An enabled collector exporting to a file at `path` (append mode).
-    pub fn at_path(path: PathBuf) -> Obs {
-        match FileSink::open(&path) {
-            Ok(sink) => Obs::with_sink(Box::new(sink)),
-            Err(e) => {
-                let c = ObsCollector::new(None);
-                lock(&c.sink).error = Some(e);
-                c.sink_failures.fetch_add(1, Ordering::Relaxed);
-                Obs { inner: Some(Arc::new(c)) }
-            }
-        }
+        Obs { inner: Some(Arc::new(ObsCollector::new())) }
     }
 
     /// Whether collection is live.
@@ -546,129 +375,25 @@ impl Obs {
         }
     }
 
-    /// `Ok(())` while the export sink (if any) has never failed; the
-    /// sticky first failure otherwise. Mirrors `storage_health()`.
-    pub fn health(&self) -> Result<()> {
-        match &self.inner {
-            None => Ok(()),
-            Some(c) => match &lock(&c.sink).error {
-                None => Ok(()),
-                Some(e) => Err(e.clone()),
-            },
-        }
-    }
-
-    /// Total sink failures plus suppressed export writes — the size of
-    /// the telemetry loss behind the sticky [`Obs::health`] error.
-    pub fn sink_failures(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(c) => c.sink_failures.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Whether an export sink is currently attached (a failed sink is
-    /// detached, collection continues in memory).
-    pub fn sink_attached(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(c) => lock(&c.sink).sink.is_some(),
-        }
-    }
-
-    /// Emit the counter snapshot as a JSON line and flush the sink.
-    /// Call once per pipeline run, after the last span closes.
-    pub fn flush(&self) {
-        let Some(c) = &self.inner else { return };
-        let counters = lock(&c.counters).clone();
-        let mut line = String::from("{\"type\":\"counters\",\"counters\":{");
-        push_counters_body(&mut line, &counters);
-        line.push_str("}}");
-        self.emit_line(&line);
-        self.with_sink_guarded(|sink| sink.flush());
-    }
-
-    /// A full programmatic report: counters, span tree, timing channel,
-    /// and sink health.
+    /// A full programmatic report: counters, span tree and timing channel.
     pub fn report(&self) -> ObsReport {
         ObsReport {
             enabled: self.is_enabled(),
             counters: self.counters(),
             spans: self.span_records(),
             timings: self.timings(),
-            health: self.health().err(),
-            sink_failures: self.sink_failures(),
         }
     }
 
-    /// Run one sink operation under the failure contract: a panic or an
-    /// `Err` detaches the sink, records the sticky first error, and bumps
-    /// the failure tally — the run itself never observes the problem.
-    /// Once detached, every further attempt still bumps the tally, so
-    /// `obs.sink_errors` sizes the telemetry loss instead of freezing at
-    /// the first failure. (A collector that never had a sink counts
-    /// nothing — there is no export to lose.)
-    fn with_sink_guarded(&self, f: impl FnOnce(&mut Box<dyn ObsSink>) -> Result<()>) {
-        let Some(c) = &self.inner else { return };
-        let failed = {
-            let mut s = lock(&c.sink);
-            let Some(sink) = s.sink.as_mut() else {
-                let suppressed = s.error.is_some();
-                drop(s);
-                if suppressed {
-                    c.sink_failures.fetch_add(1, Ordering::Relaxed);
-                    self.incr(key::SINK_ERRORS);
-                }
-                return;
-            };
-            let failed = match catch_unwind(AssertUnwindSafe(|| f(sink))) {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(e),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "sink panicked".to_string());
-                    Some(VadaError::Obs(format!("sink panicked: {msg}")))
-                }
-            }
-            .map(|e| {
-                s.sink = None;
-                if s.error.is_none() {
-                    s.error = Some(e);
-                }
-            });
-            failed
-        };
-        if failed.is_some() {
-            c.sink_failures.fetch_add(1, Ordering::Relaxed);
-            self.incr(key::SINK_ERRORS);
-        }
-    }
-
-    fn emit_line(&self, line: &str) {
-        self.with_sink_guarded(|sink| sink.write_line(line));
-    }
-
-    /// Close span `id`: record the timing into the separate channel, pop
-    /// it from the open stack, and export its JSON line.
+    /// Close span `id`: record the timing into the separate channel and
+    /// pop it from the open stack.
     fn close_span(&self, id: u64, started: Instant) {
         let Some(c) = &self.inner else { return };
         let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         lock(&c.timings).push(Timing { span: id, micros });
-        let record = {
-            let mut spans = lock(&c.spans);
-            if let Some(pos) = spans.stack.iter().rposition(|&s| s == id) {
-                spans.stack.truncate(pos);
-            }
-            spans.records.get(id as usize - 1).cloned()
-        };
-        if let Some(r) = record {
-            self.emit_line(&span_json(&r));
-            self.emit_line(&format!(
-                "{{\"type\":\"timing\",\"span\":{id},\"micros\":{micros}}}"
-            ));
+        let mut spans = lock(&c.spans);
+        if let Some(pos) = spans.stack.iter().rposition(|&s| s == id) {
+            spans.stack.truncate(pos);
         }
     }
 
@@ -678,21 +403,6 @@ impl Obs {
         if let Some(r) = spans.records.get_mut(id as usize - 1) {
             r.attrs.push((name.to_string(), value));
         }
-    }
-}
-
-/// Serialize a counter map's entries (without the surrounding braces).
-fn push_counters_body(out: &mut String, counters: &BTreeMap<String, u64>) {
-    let mut first = true;
-    for (k, v) in counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        out.push_str(&json_escape(k));
-        out.push_str("\":");
-        out.push_str(&v.to_string());
     }
 }
 
@@ -767,9 +477,8 @@ fn span_json(r: &SpanRecord) -> String {
 }
 
 /// RAII handle for an open span: attach structural attributes while the
-/// stage runs; the drop closes the span, records its duration into the
-/// quarantined timing channel, and exports it. The disabled stub's guard
-/// does nothing.
+/// stage runs; the drop closes the span and records its duration into
+/// the quarantined timing channel. The disabled stub's guard does nothing.
 pub struct SpanGuard<'a> {
     obs: &'a Obs,
     /// 0 when the span was elided (disabled handle).
@@ -803,7 +512,7 @@ impl Drop for SpanGuard<'_> {
 // report
 // ---------------------------------------------------------------------
 
-/// A point-in-time export of everything a collector holds.
+/// A point-in-time snapshot of everything a collector holds.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
     /// Whether collection was live (a disabled handle reports empty).
@@ -814,11 +523,6 @@ pub struct ObsReport {
     pub spans: Vec<SpanRecord>,
     /// The quarantined timing channel.
     pub timings: Vec<Timing>,
-    /// The sticky first sink error, if any.
-    pub health: Option<VadaError>,
-    /// Sink failures plus suppressed export writes — how much telemetry
-    /// the detached sink lost.
-    pub sink_failures: u64,
 }
 
 impl ObsReport {
@@ -835,24 +539,17 @@ impl ObsReport {
     /// deliberately omitted so the rendering is structural.
     pub fn render(&self) -> String {
         if !self.enabled {
-            return "observability disabled (set VADA_OBS to collect)".to_string();
+            return "observability disabled (attach a registry with `set_obs` to collect)".to_string();
         }
         let mut out = format!("observability: {} spans\n", self.spans.len());
         for (k, v) in &self.counters {
             out.push_str(&format!("  {k} = {v}\n"));
         }
-        match &self.health {
-            None => out.push_str("  sink: healthy\n"),
-            Some(e) => out.push_str(&format!(
-                "  sink: detached ({e}; {} writes lost)\n",
-                self.sink_failures
-            )),
-        }
         out
     }
 
-    /// Lossless JSON object: counters, spans, timings (separate array),
-    /// and health.
+    /// Lossless JSON object: counters, spans and timings (a separate
+    /// array).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"enabled\":");
         out.push_str(if self.enabled { "true" } else { "false" });
@@ -882,16 +579,7 @@ impl ObsReport {
             }
             out.push_str(&format!("{{\"span\":{},\"micros\":{}}}", t.span, t.micros));
         }
-        out.push_str("],\"health\":");
-        match &self.health {
-            None => out.push_str("null"),
-            Some(e) => {
-                out.push('"');
-                out.push_str(&json_escape(&e.to_string()));
-                out.push('"');
-            }
-        }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 }
@@ -917,10 +605,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value — the validation half of the export format. The
-/// workspace is dependency-free by design, so the telemetry consumers
-/// (tests, the bench harness, CI assertions) parse with this instead of a
-/// vendored serde.
+/// A parsed JSON value — the reading half of [`ObsReport::to_json`]'s
+/// format. The workspace is dependency-free by design, so its readers
+/// (tests, and `repro bench --check` reading its baseline) parse with this
+/// instead of a vendored serde.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -945,7 +633,7 @@ impl Json {
         let v = parse_value(bytes, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(VadaError::Obs(format!("trailing JSON at byte {pos}")));
+            return Err(VadaError::Parse(format!("trailing JSON at byte {pos}")));
         }
         Ok(v)
     }
@@ -1002,14 +690,14 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<()> {
         *pos += lit.len();
         Ok(())
     } else {
-        Err(VadaError::Obs(format!("expected `{lit}` at byte {pos}", pos = *pos)))
+        Err(VadaError::Parse(format!("expected `{lit}` at byte {pos}", pos = *pos)))
     }
 }
 
 fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err(VadaError::Obs("unexpected end of JSON".into())),
+        None => Err(VadaError::Parse("unexpected end of JSON".into())),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
@@ -1031,7 +719,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(VadaError::Obs(format!("bad array at byte {}", *pos))),
+                    _ => return Err(VadaError::Parse(format!("bad array at byte {}", *pos))),
                 }
             }
         }
@@ -1057,7 +745,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
                         *pos += 1;
                         return Ok(Json::Obj(entries));
                     }
-                    _ => return Err(VadaError::Obs(format!("bad object at byte {}", *pos))),
+                    _ => return Err(VadaError::Parse(format!("bad object at byte {}", *pos))),
                 }
             }
         }
@@ -1067,13 +755,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String> {
     if b.get(*pos) != Some(&b'"') {
-        return Err(VadaError::Obs(format!("expected string at byte {}", *pos)));
+        return Err(VadaError::Parse(format!("expected string at byte {}", *pos)));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err(VadaError::Obs("unterminated JSON string".into())),
+            None => return Err(VadaError::Parse("unterminated JSON string".into())),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -1092,17 +780,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String> {
                     Some(b'u') => {
                         let hex = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| VadaError::Obs("truncated \\u escape".into()))?;
+                            .ok_or_else(|| VadaError::Parse("truncated \\u escape".into()))?;
                         let hex = std::str::from_utf8(hex)
-                            .map_err(|_| VadaError::Obs("bad \\u escape".into()))?;
+                            .map_err(|_| VadaError::Parse("bad \\u escape".into()))?;
                         let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| VadaError::Obs("bad \\u escape".into()))?;
+                            .map_err(|_| VadaError::Parse("bad \\u escape".into()))?;
                         // surrogate pairs are not emitted by this format;
                         // lone surrogates decode to the replacement char
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(VadaError::Obs("bad escape in JSON string".into())),
+                    _ => return Err(VadaError::Parse("bad escape in JSON string".into())),
                 }
                 *pos += 1;
             }
@@ -1114,7 +802,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String> {
                     *pos += 1;
                 }
                 let s = std::str::from_utf8(&b[start..*pos])
-                    .map_err(|_| VadaError::Obs("invalid UTF-8 in JSON".into()))?;
+                    .map_err(|_| VadaError::Parse("invalid UTF-8 in JSON".into()))?;
                 out.push_str(s);
             }
         }
@@ -1132,15 +820,16 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos])
-        .map_err(|_| VadaError::Obs("invalid number".into()))?;
+        .map_err(|_| VadaError::Parse("invalid number".into()))?;
     text.parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| VadaError::Obs(format!("bad JSON number `{text}`")))
+        .map_err(|_| VadaError::Parse(format!("bad JSON number `{text}`")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn disabled_is_observably_free() {
@@ -1157,7 +846,6 @@ mod tests {
         assert!(obs.counters().is_empty());
         assert_eq!(obs.span_records().len(), 0);
         assert!(obs.timings().is_empty());
-        assert!(obs.health().is_ok());
         let report = obs.report();
         assert!(!report.enabled);
         assert!(report.counters.is_empty() && report.spans.is_empty());
@@ -1227,119 +915,6 @@ mod tests {
         // durations live only in the timing channel, one per closed span
         assert_eq!(obs.timings().len(), 3);
         assert!(spans.iter().all(|s| s.attrs.iter().all(|(k, _)| k != "micros")));
-    }
-
-    #[test]
-    fn export_emits_parseable_json_lines() {
-        let (sink, lines) = MemorySink::new();
-        let obs = Obs::with_sink(Box::new(sink));
-        {
-            let span = obs.span("stage \"quoted\"");
-            span.attr("detail", "a\nb");
-        }
-        obs.incr(key::ORCH_STEPS);
-        obs.flush();
-        let lines = lines.lock().unwrap();
-        assert_eq!(lines.len(), 3, "span + timing + counters");
-        for line in lines.iter() {
-            Json::parse(line).expect("every exported line parses");
-        }
-        let span = Json::parse(&lines[0]).unwrap();
-        assert_eq!(span.get("type").and_then(Json::as_str), Some("span"));
-        assert_eq!(
-            span.get("name").and_then(Json::as_str),
-            Some("stage \"quoted\"")
-        );
-        let counters = Json::parse(&lines[2]).unwrap();
-        assert_eq!(
-            counters
-                .get("counters")
-                .and_then(|c| c.get(key::ORCH_STEPS))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-    }
-
-    struct FailingSink;
-    impl ObsSink for FailingSink {
-        fn write_line(&mut self, _line: &str) -> Result<()> {
-            Err(VadaError::Obs("sink refused".into()))
-        }
-    }
-
-    struct PanickingSink;
-    impl ObsSink for PanickingSink {
-        fn write_line(&mut self, _line: &str) -> Result<()> {
-            panic!("sink exploded");
-        }
-    }
-
-    #[test]
-    fn failing_sink_detaches_with_sticky_first_error() {
-        let obs = Obs::with_sink(Box::new(FailingSink));
-        assert!(obs.sink_attached());
-        obs.span("a"); // immediate close triggers the first write
-        assert!(!obs.sink_attached(), "failed sink is detached");
-        let first = obs.health().unwrap_err();
-        assert!(first.to_string().contains("sink refused"));
-        // one failure plus span "a"'s suppressed timing line
-        assert_eq!(obs.get(key::SINK_ERRORS), 2);
-        obs.span("b"); // collection continues, error stays the first one
-        assert_eq!(obs.span_records().len(), 2);
-        assert_eq!(obs.health().unwrap_err(), first);
-        // the loss keeps being sized after the detach: span "b" attempted
-        // a span line and a timing line, both suppressed
-        assert_eq!(obs.get(key::SINK_ERRORS), 4);
-        assert_eq!(obs.sink_failures(), 4);
-        let report = obs.report();
-        assert!(report.render().contains("4 writes lost"));
-    }
-
-    #[test]
-    fn sinkless_collector_counts_no_suppressed_writes() {
-        let obs = Obs::enabled();
-        obs.span("a");
-        obs.flush();
-        assert_eq!(obs.get(key::SINK_ERRORS), 0, "no sink, no export to lose");
-        assert_eq!(obs.sink_failures(), 0);
-    }
-
-    #[test]
-    fn panicking_sink_detaches_and_surfaces_error() {
-        let obs = Obs::with_sink(Box::new(PanickingSink));
-        obs.span("a");
-        assert!(!obs.sink_attached());
-        let err = obs.health().unwrap_err();
-        assert!(err.to_string().contains("sink exploded"), "got: {err}");
-        // the collector itself stays usable
-        obs.incr("x");
-        assert_eq!(obs.get("x"), 1);
-    }
-
-    #[test]
-    fn file_sink_round_trips() {
-        let dir = std::env::temp_dir().join("vada-obs-test");
-        let path = dir.join(format!("roundtrip-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let obs = Obs::at_path(path.clone());
-        obs.incr(key::KB_EVENTS);
-        obs.flush();
-        assert!(obs.health().is_ok());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let last = text.lines().last().unwrap();
-        let parsed = Json::parse(last).unwrap();
-        assert_eq!(parsed.get("type").and_then(Json::as_str), Some("counters"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unopenable_sink_path_is_sticky_not_fatal() {
-        let obs = Obs::at_path(PathBuf::from("/proc/definitely/not/writable.jsonl"));
-        assert!(obs.is_enabled());
-        assert!(!obs.sink_attached());
-        assert!(obs.health().is_err());
-        obs.incr("x");
-        assert_eq!(obs.get("x"), 1);
     }
 
     #[test]

@@ -72,24 +72,12 @@ fn kb_from_env() -> KnowledgeBase {
 }
 
 impl Wrangler {
-    /// Honour the `VADA_OBS` env default: attach a registry (with the
-    /// configured sink, if any) to the knowledge base. When the env leaves
-    /// observability off, the base keeps the registry it has.
-    fn finish(mut self) -> Wrangler {
-        let obs = Obs::from_env();
-        if obs.is_enabled() {
-            self.set_obs(obs);
-        }
-        self
-    }
-
     /// A wrangler with the default transducer fleet and generic policy.
     pub fn new() -> Wrangler {
         Wrangler {
             kb: kb_from_env(),
             orchestrator: Orchestrator::new(default_transducers()),
         }
-        .finish()
     }
 
     /// A wrangler with an explicit network-transducer policy.
@@ -98,33 +86,30 @@ impl Wrangler {
             kb: kb_from_env(),
             orchestrator: Orchestrator::with_policy(default_transducers(), policy),
         }
-        .finish()
     }
 
     /// A wrangler with a custom fleet (e.g. extended with user transducers).
     pub fn with_transducers(transducers: Vec<Box<dyn Transducer>>) -> Wrangler {
-        Wrangler { kb: kb_from_env(), orchestrator: Orchestrator::new(transducers) }.finish()
+        Wrangler { kb: kb_from_env(), orchestrator: Orchestrator::new(transducers) }
     }
 
     /// A wrangler over an existing knowledge base — typically one recovered
     /// via [`KnowledgeBase::open`] — with the default fleet.
     pub fn with_kb(kb: KnowledgeBase) -> Wrangler {
-        Wrangler { kb, orchestrator: Orchestrator::new(default_transducers()) }.finish()
+        Wrangler { kb, orchestrator: Orchestrator::new(default_transducers()) }
     }
 
     /// Attach an observability registry to the knowledge base
     /// ([`KnowledgeBase::set_obs`]), the one place every layer records
     /// into: the orchestrator's step spans and `pipeline.*` counters, the
     /// mapping result store and the engine runs beneath it, the journal and
-    /// the WAL. The registry observes — it never influences results, and a
-    /// sink that fails or panics is detached rather than poisoning the run
-    /// (see [`obs_health`](Wrangler::obs_health)).
+    /// the WAL. The registry observes — it never influences results.
     pub fn set_obs(&mut self, obs: Obs) {
         self.kb.set_obs(obs);
     }
 
     /// The active observability registry (the disabled stub unless
-    /// [`set_obs`](Wrangler::set_obs) or `VADA_OBS` wired a live one).
+    /// [`set_obs`](Wrangler::set_obs) attached a live one).
     pub fn obs(&self) -> &Obs {
         self.kb.obs()
     }
@@ -133,13 +118,6 @@ impl Wrangler {
     /// base's registry; the empty report while observability is disabled.
     pub fn obs_report(&self) -> ObsReport {
         self.kb.obs().report()
-    }
-
-    /// First sink failure, if any — sticky, mirroring
-    /// [`KnowledgeBase::storage_health`]. A failing sink is detached and
-    /// the run continues unchanged; this is where the detachment surfaces.
-    pub fn obs_health(&self) -> Result<()> {
-        self.kb.obs().health()
     }
 
     /// Set the durability mode. [`Durability::Wal`] makes the knowledge
@@ -217,9 +195,6 @@ impl Wrangler {
             span.attr("executed", executed);
             executed
         };
-        // push the counter snapshot out through the sink (if one is
-        // attached) so an exported JSON stream is complete per run
-        obs.flush();
         let trace_summary = self
             .orchestrator
             .trace()

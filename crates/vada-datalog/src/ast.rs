@@ -35,6 +35,9 @@ impl fmt::Display for Term {
         match self {
             Term::Var(_, name) => write!(f, "{name}"),
             Term::Const(Value::Str(s)) => write!(f, "{s:?}"),
+            // `Value`'s own rendering of null is the empty string, which
+            // does not parse back
+            Term::Const(Value::Null) => write!(f, "null"),
             Term::Const(v) => write!(f, "{v}"),
         }
     }

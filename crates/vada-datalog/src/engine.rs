@@ -460,8 +460,7 @@ pub struct EngineConfig {
     /// `magic.*`). Defaults to the disabled stub — a single branch per
     /// counter site — and is threaded in by the owning layer (mapping
     /// execution passes the knowledge base's registry; sessions and the
-    /// bench harness pass their own); an embedded config must not open its
-    /// own export sink.
+    /// bench harness pass their own).
     pub obs: Obs,
 }
 

@@ -12,11 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use vada_common::idgen::IdGen;
 use vada_common::{Result, Schema, VadaError};
 use vada_kb::{KnowledgeBase, MappingDef, MappingPart, MatchDef};
-
-static MAPPING_IDS: IdGen = IdGen::new("map");
 
 /// Generation configuration.
 #[derive(Debug, Clone)]
@@ -175,7 +172,10 @@ fn rules_for_primary(
     Ok(rules)
 }
 
-/// Generate candidate mappings from the knowledge base's matches.
+/// Generate candidate mappings from the knowledge base's matches. A
+/// candidate's id is its position in the output (`map0`, `map1`, …), so
+/// ids depend on the knowledge base alone, never on how many passes ran
+/// before in the process.
 pub fn generate_candidates(cfg: &MapGenConfig, kb: &KnowledgeBase) -> Result<Vec<MappingDef>> {
     let target = kb
         .target_schema()
@@ -250,7 +250,7 @@ pub fn generate_candidates(cfg: &MapGenConfig, kb: &KnowledgeBase) -> Result<Vec
                 parts.clear();
             }
             out.push(MappingDef {
-                id: MAPPING_IDS.next_id(),
+                id: format!("map{}", out.len()),
                 target: target.name.clone(),
                 rules,
                 sources,

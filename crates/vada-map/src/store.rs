@@ -2,8 +2,9 @@
 //! the one way both mapping transducers materialise a mapping.
 //!
 //! A [`ResultStore`] keeps one entry per *structurally distinct* mapping
-//! (fingerprinted by rules, source list and target schema — mapping ids
-//! regenerate on every generation pass, the structure usually does not):
+//! (fingerprinted by rules, source list and target schema — a mapping id
+//! is only a position in one generation pass, and a caller-built mapping
+//! may carry any id, so the id proves nothing about what it computes):
 //! the result plus the [journal mark](vada_kb::JournalMark) it is current
 //! at. On re-execution it asks the knowledge base whether any of the
 //! mapping's sources changed since that mark
@@ -302,7 +303,8 @@ impl Default for ResultStore {
 
 /// The structural identity of a mapping execution: same fingerprint ⇒
 /// same program, same input sources, same output typing. A union part and
-/// the stand-alone mapping of the same structure share it.
+/// the stand-alone mapping of the same structure share it. The mapping id
+/// takes no part: the same id can name different rules in two passes.
 fn fingerprint(rules: &str, sources: &[String], target: &Schema) -> String {
     let mut fp = String::new();
     fp.push_str(&target.name);

@@ -327,6 +327,21 @@ fn generated_district_joins_match_the_helper_relation_form() {
     assert!(joined > 100, "{joined} joined facts");
 }
 
+/// A printed rule parses back to itself: every generated candidate, null
+/// heads and both null guards included. (The rules depend on the matches
+/// alone, which every seed of the fixture shares.)
+#[test]
+fn printed_candidates_parse_back_to_themselves() {
+    let candidates = generate_candidates(&MapGenConfig::default(), &seeded_kb(1)).unwrap();
+    assert_eq!(candidates.len(), 6, "{candidates:#?}");
+    for mapping in candidates {
+        let program = parse_program(&mapping.rules).unwrap();
+        let printed = program.to_string();
+        let reparsed = parse_program(&printed).unwrap_or_else(|e| panic!("{e}\n{printed}"));
+        assert_eq!(reparsed, program, "{printed}");
+    }
+}
+
 // ---- the joined part under an incremental session ----
 
 /// `n` distinct listing rows numbered from `from`, over districts that

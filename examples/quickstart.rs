@@ -41,11 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let mut wrangler = Wrangler::new();
-    // collect pipeline counters even without a VADA_OBS export target
-    // (under VADA_OBS the env-configured sink is already attached)
-    if !wrangler.obs().is_enabled() {
-        wrangler.set_obs(Obs::enabled());
-    }
+    // collect pipeline counters for the report printed at the end
+    wrangler.set_obs(Obs::enabled());
     wrangler.add_source(rightmove);
     wrangler.add_source(onthemarket);
     wrangler.set_target(target);

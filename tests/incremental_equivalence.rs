@@ -39,45 +39,7 @@ fn observe(w: &Wrangler) -> String {
             )
         })
         .collect();
-    canonicalize_map_ids(&format!(
-        "{}\n=== result ===\n{}",
-        trace.join("\n"),
-        result.unwrap_or_default()
-    ))
-}
-
-/// Mapping ids (`map<N>`) come from a process-global counter, so their
-/// absolute numbers depend on how many wrangles ran earlier in this test
-/// process. Rewrite each distinct id to its first-seen ordinal so two runs
-/// compare structurally while the order and count of ids stay pinned.
-fn canonicalize_map_ids(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut seen: Vec<&str> = Vec::new();
-    let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if s[i..].starts_with("map") && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric()) {
-            let start = i + 3;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            if end > start {
-                let id = &s[i..end];
-                let ord = seen.iter().position(|x| *x == id).unwrap_or_else(|| {
-                    seen.push(id);
-                    seen.len() - 1
-                });
-                out.push_str(&format!("map#{ord}"));
-                i = end;
-                continue;
-            }
-        }
-        let c = s[i..].chars().next().unwrap();
-        out.push(c);
-        i += c.len_utf8();
-    }
-    out
+    format!("{}\n=== result ===\n{}", trace.join("\n"), result.unwrap_or_default())
 }
 
 /// One step of the randomized edit script, applied identically to every
@@ -311,6 +273,29 @@ fn randomized_edit_scripts_identical_across_modes() {
             }
         }
     }
+}
+
+/// Mapping ids are positions in a generation pass's output, so the same
+/// wrangle run twice in one process gives the same trace (step summaries
+/// name mapping ids) and the same mapping ids in the knowledge base,
+/// compared raw — no matter how many wrangles ran before.
+#[test]
+fn mapping_ids_do_not_depend_on_earlier_wrangles() {
+    let scenario = Scenario::generate(ScenarioConfig {
+        universe: UniverseConfig { properties: 40, seed: 5 },
+        ..Default::default()
+    });
+    let wrangle = || {
+        let mut w = wrangler(&scenario);
+        w.run().expect("bootstrap succeeds");
+        let ids: Vec<String> = w.kb().mappings().map(|m| m.id.clone()).collect();
+        let selected = w.kb().selected_mapping().map(String::from);
+        (observe(&w), ids, selected)
+    };
+    let first = wrangle();
+    assert!(first.1.len() > 1, "the scenario generates several candidates");
+    assert!(first.2.is_some(), "the bootstrap selects a mapping");
+    assert_eq!(wrangle(), first, "a second wrangle in the process moved the mapping ids");
 }
 
 /// Delete-then-reinsert: a removed row that comes back lands at the *end*

@@ -1,92 +1,42 @@
 //! Differential tests for the observability layer: the **structural**
 //! counters (the `pipeline.*` names) must be byte-identical with and
 //! without durability — observability observes the pipeline's semantic
-//! structure, never its storage — and
-//! a broken or panicking export sink must never change a single byte of
-//! the wrangling result.
-//! This is the contract that makes the `VADA_OBS` override safe to flip
-//! in production.
+//! structure, never its storage — and the report a run leaves behind
+//! must survive being written out as JSON and read back.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use vada::Wrangler;
-use vada_common::obs::{span_shape, structural_span_shape, Json, Obs, ObsSink};
-use vada_common::{csv, Result, VadaError};
+use vada_common::csv;
+use vada_common::obs::{span_shape, structural_span_shape, Json, Obs};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 
-/// Serialises the tests in this binary around the env-read knob
-/// defaults: the durability / export defaults come from `VADA_WAL` /
-/// `VADA_OBS` — so every Wrangler in this file is built under the lock
-/// with both pinned (the tests drive durability and export explicitly; an
-/// ambient CI leg must not re-enable them).
+/// Serialises the tests in this binary around the env-read knob default:
+/// the durability default comes from `VADA_WAL` — so every Wrangler in
+/// this file is built under the lock with it pinned (the tests drive
+/// durability explicitly; an ambient CI leg must not re-enable it).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_pinned_env<T>(f: impl FnOnce() -> T) -> T {
     let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     std::env::remove_var("VADA_WAL");
-    std::env::remove_var("VADA_OBS");
     f()
 }
 
 /// What one wrangle leaves behind: the result catalog (byte-for-byte),
-/// the registry's counters (split structural / full), and the span tree
+/// the registry's counters (split structural / full), the span tree
 /// in both renderings — the structural slice (`orchestrator/` spans,
-/// pinned across the whole matrix) and the full deep tree.
+/// pinned across the whole matrix) and the full deep tree — and the
+/// report written as JSON.
 struct Observed {
+    json: String,
     catalog: String,
     structural: BTreeMap<String, u64>,
     counters: BTreeMap<String, u64>,
     structural_spans: Vec<String>,
     full_spans: Vec<String>,
-}
-
-/// Mapping ids (`map<N>`) come from a process-global counter, so their
-/// absolute numbers depend on how many wrangles ran earlier in this
-/// process; rank the distinct ids and rewrite each to `map#<rank>` so
-/// catalogs from different legs compare byte-for-byte.
-fn canonicalize_map_ids(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut ids: std::collections::BTreeSet<u64> = Default::default();
-    let mut i = 0;
-    while i < bytes.len() {
-        if s[i..].starts_with("map") && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric()) {
-            let start = i + 3;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            if end > start {
-                ids.insert(s[start..end].parse().unwrap());
-                i = end;
-                continue;
-            }
-        }
-        i += s[i..].chars().next().unwrap().len_utf8();
-    }
-    let ranks: BTreeMap<u64, usize> = ids.into_iter().enumerate().map(|(r, id)| (id, r)).collect();
-    let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if s[i..].starts_with("map") && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric()) {
-            let start = i + 3;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            if end > start {
-                let id: u64 = s[start..end].parse().unwrap();
-                out.push_str(&format!("map#{}", ranks[&id]));
-                i = end;
-                continue;
-            }
-        }
-        let c = s[i..].chars().next().unwrap();
-        out.push(c);
-        i += c.len_utf8();
-    }
-    out
 }
 
 /// Drive the pay-as-you-go pipeline (bootstrap, data context, an edit
@@ -120,7 +70,7 @@ fn wrangle(wal: bool) -> Observed {
     w.remove_source_rows("rightmove", &[1, 3]).expect("removal applies");
     w.run().expect("edit re-run succeeds");
 
-    let sections: Vec<String> = w
+    let mut sections: Vec<String> = w
         .kb()
         .catalog()
         .entries()
@@ -128,24 +78,17 @@ fn wrangle(wal: bool) -> Observed {
             format!("=== {name} [{}] ===\n{}", kind.tag(), csv::write_relation(rel))
         })
         .collect();
-    let mut sections: Vec<String> =
-        canonicalize_map_ids(&sections.join("\x1e")).split('\x1e').map(String::from).collect();
     sections.sort();
     let catalog = sections.join("");
     let obs = w.obs();
     let records = obs.span_records();
-    // span attrs carry mapping ids (`mapping=map<N>`) from the same
-    // process-global counter as the catalog — rank-rewrite them the same
-    // way so trees from different legs compare byte-for-byte
-    let canonical_lines = |lines: Vec<String>| -> Vec<String> {
-        canonicalize_map_ids(&lines.join("\n")).split('\n').map(String::from).collect()
-    };
     Observed {
+        json: obs.report().to_json(),
         catalog,
         structural: obs.report().structural(),
         counters: obs.counters(),
-        structural_spans: canonical_lines(structural_span_shape(&records)),
-        full_spans: canonical_lines(span_shape(&records)),
+        structural_spans: structural_span_shape(&records),
+        full_spans: span_shape(&records),
     }
 }
 
@@ -227,123 +170,50 @@ fn structural_counters_identical_across_the_knob_matrix() {
     );
 }
 
-/// The exported JSON-lines stream: every line parses, the span tree is
-/// rooted, and the final counter snapshot agrees with the programmatic
-/// report byte-for-byte.
+/// The report as a document: a durable wrangle's `obs_report().to_json()`
+/// parses, carries exactly the programmatic report's counters and a
+/// rooted span tree, and its structural (`pipeline.*`) subset equals an
+/// in-memory wrangle's.
 #[test]
-fn exported_stream_parses_and_matches_the_report() {
-    let path = std::env::temp_dir().join(format!(
-        "vada-obs-equivalence-export-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let report = with_pinned_env(|| {
-        let s = Scenario::generate(ScenarioConfig {
-            universe: UniverseConfig { properties: 40, seed: 5 },
-            ..Default::default()
-        });
-        let mut w = Wrangler::new();
-        w.set_obs(Obs::at_path(path.clone()));
-        w.add_source(s.rightmove.clone());
-        w.add_source(s.deprivation.clone());
-        w.set_target(target_schema());
-        w.run().expect("bootstrap succeeds");
-        w.obs_health().expect("file sink stays healthy");
-        w.obs_report()
-    });
+fn report_json_parses_and_matches_the_in_memory_run() {
+    let durable = with_pinned_env(|| wrangle(true));
+    let in_memory = with_pinned_env(|| wrangle(false));
+    assert!(durable.counters.get("wal.appends").copied().unwrap_or(0) > 0, "the leg is durable");
 
-    let text = std::fs::read_to_string(&path).expect("export file exists");
-    let mut spans = 0usize;
-    let mut last_counters = None;
-    for line in text.lines() {
-        let doc = Json::parse(line).unwrap_or_else(|e| panic!("unparseable line {line}: {e}"));
-        match doc.get("type").and_then(|t| t.as_str()) {
-            Some("span") => {
-                spans += 1;
-                assert!(doc.get("name").and_then(|n| n.as_str()).is_some());
-            }
-            Some("timing") => {
-                assert!(doc.get("micros").and_then(|m| m.as_u64()).is_some());
-            }
-            Some("counters") => last_counters = Some(doc),
-            other => panic!("unexpected line type {other:?} in {line}"),
-        }
+    let text = &durable.json;
+    let doc = Json::parse(text).unwrap_or_else(|e| panic!("unparseable report {text}: {e}"));
+    let counters: BTreeMap<String, u64> = doc
+        .get("counters")
+        .and_then(Json::entries)
+        .expect("a counters object")
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_u64().unwrap_or_else(|| panic!("`{k}` is not a count"))))
+        .collect();
+    assert_eq!(counters, durable.counters, "the document's counters are the report's");
+
+    let spans = doc.get("spans").and_then(Json::items).expect("a spans array");
+    assert_eq!(spans.len(), durable.full_spans.len());
+    let mut seen = BTreeSet::new();
+    for span in spans {
+        let id = span.get("id").and_then(Json::as_u64).expect("a span id");
+        let parent = span.get("parent").and_then(Json::as_u64).expect("a parent id");
+        assert!(span.get("name").and_then(Json::as_str).is_some(), "{span:?}");
+        assert!(parent == 0 || seen.contains(&parent), "span {id} dangles off {parent}");
+        seen.insert(id);
     }
-    assert!(spans > 0, "the orchestrator must export per-step spans");
-    let last = last_counters.expect("run() flushes a counter snapshot");
-    let exported = last.get("counters").expect("counters payload");
-    for (name, v) in &report.counters {
-        assert_eq!(
-            exported.get(name).and_then(|x| x.as_u64()),
-            Some(*v),
-            "exported `{name}` must match the programmatic report"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
+    // each of the three runs is a root; the WAL appends between runs are
+    // roots of their own
+    let roots: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.get("parent").and_then(Json::as_u64) == Some(0))
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(roots.iter().filter(|n| **n == "orchestrator/run").count(), 3, "{roots:?}");
+    let timings = doc.get("timings").and_then(Json::items).expect("a timings array");
+    assert_eq!(timings.len(), spans.len(), "every span closed and was timed");
 
-/// A sink that fails after a few lines — the detach path.
-struct FlakySink {
-    written: usize,
-}
-
-impl ObsSink for FlakySink {
-    fn write_line(&mut self, _line: &str) -> Result<()> {
-        self.written += 1;
-        if self.written > 3 {
-            return Err(VadaError::Obs("injected sink failure".into()));
-        }
-        Ok(())
-    }
-}
-
-/// A sink that panics outright — the catch_unwind path.
-struct PanickingSink;
-
-impl ObsSink for PanickingSink {
-    fn write_line(&mut self, _line: &str) -> Result<()> {
-        panic!("injected sink panic");
-    }
-}
-
-/// Fault injection: a failing or panicking export sink detaches, surfaces
-/// through `obs_health`, and never changes a byte of the wrangling result
-/// — mirroring the `storage_health` contract exactly.
-#[test]
-fn broken_sinks_never_poison_the_run() {
-    let run = |obs: Option<Obs>| {
-        with_pinned_env(|| {
-            let s = Scenario::generate(ScenarioConfig {
-                universe: UniverseConfig { properties: 40, seed: 9 },
-                ..Default::default()
-            });
-            let mut w = Wrangler::new();
-            if let Some(obs) = obs {
-                w.set_obs(obs);
-            }
-            w.add_source(s.rightmove.clone());
-            w.add_source(s.deprivation.clone());
-            w.set_target(target_schema());
-            w.run().expect("wrangle succeeds despite the sink");
-            let result = csv::write_relation(w.result().expect("result materialises"));
-            let health = w.obs_health().err().map(|e| e.kind());
-            let attached = w.obs().sink_attached();
-            let steps = w.obs().get("pipeline.orchestrator.steps");
-            (result, health, attached, steps)
-        })
-    };
-
-    let (clean, clean_health, _, _) = run(None);
-    assert_eq!(clean_health, None, "the disabled stub is always healthy");
-
-    for (label, sink) in [
-        ("flaky", Box::new(FlakySink { written: 0 }) as Box<dyn ObsSink>),
-        ("panicking", Box::new(PanickingSink) as Box<dyn ObsSink>),
-    ] {
-        let (result, health, attached, steps) = run(Some(Obs::with_sink(sink)));
-        assert_eq!(result, clean, "{label} sink changed the wrangling result");
-        assert_eq!(health, Some("obs"), "{label} sink failure must surface sticky");
-        assert!(!attached, "{label} sink must be detached after its first failure");
-        assert!(steps > 0, "{label}: counters keep collecting after the detach");
-    }
+    let structural: BTreeMap<String, u64> =
+        counters.into_iter().filter(|(k, _)| k.starts_with("pipeline.")).collect();
+    assert!(structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0);
+    assert_eq!(structural, in_memory.structural, "the durable leg diverged structurally");
 }
