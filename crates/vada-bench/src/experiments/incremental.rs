@@ -15,7 +15,7 @@ use vada_datalog::{parse_program, Database, Engine, EngineConfig};
 use vada_extract::{ScenarioConfig, UniverseConfig};
 use vada_kb::delta::DEFAULT_JOURNAL_CAPACITY;
 
-use crate::paygo::{run_paygo, PaygoConfig};
+use crate::paygo::{run_edit_session, run_paygo, PaygoConfig, EDIT_CYCLE};
 use crate::report::table;
 
 /// Re-derive `input` from scratch once and return the derivation count —
@@ -125,6 +125,26 @@ fn measure_wrangle(properties: usize, obs: &Obs) -> WrangleRow {
         steps: outcome.steps.iter().map(|s| s.executed).sum(),
         candidates: outcome.wrangler.kb().mappings().count(),
     }
+}
+
+struct EditRow {
+    properties: usize,
+    operations: usize,
+    steps: usize,
+}
+
+/// An interactive edit session over the `wrangle_paygo` scenario:
+/// `cycles` cycles of append, remove, reprice and annotate, each followed
+/// by a re-run. Its counters and span tree pin what re-wrangling after an edit
+/// costs — which transducers re-run, what is re-materialised and what is
+/// reused.
+fn measure_wrangle_edit(properties: usize, cycles: usize, obs: &Obs) -> EditRow {
+    let scenario = ScenarioConfig {
+        universe: UniverseConfig { properties, seed: 20170514 },
+        ..Default::default()
+    };
+    let executed = run_edit_session(scenario, cycles, obs);
+    EditRow { properties, operations: cycles * EDIT_CYCLE, steps: executed.iter().sum() }
 }
 
 /// Transitive closure over disconnected blocks: a bound-argument query
@@ -387,6 +407,14 @@ impl BaselineRow for WrangleRow {
     }
 }
 
+impl BaselineRow for EditRow {
+    const FAMILY: &'static str = "wrangle_edit";
+    const COLUMNS: &'static [&'static str] = &["properties", "operations", "steps"];
+    fn cells(&self) -> Vec<String> {
+        [self.properties, self.operations, self.steps].map(|v| v.to_string()).to_vec()
+    }
+}
+
 /// `"family": [ {column: cell, ...}, ... ],` — one object per row.
 fn json_rows<R: BaselineRow>(rows: &[R]) -> String {
     let objects: Vec<String> = rows
@@ -429,6 +457,7 @@ pub(crate) struct Families {
     recoveries: Vec<RecoveryRow>,
     magics: Vec<MagicRow>,
     wrangles: Vec<WrangleRow>,
+    edits: Vec<EditRow>,
     pub(crate) counters: Vec<(&'static str, BTreeMap<String, u64>)>,
     pub(crate) span_shapes: Vec<(&'static str, Vec<String>)>,
 }
@@ -442,6 +471,7 @@ pub(crate) fn measure_families() -> Families {
     let rec_obs = Obs::enabled();
     let magic_obs = Obs::enabled();
     let wrangle_obs = Obs::enabled();
+    let edit_obs = Obs::enabled();
     let rows = vec![
         measure(5_000, 64, 5, &inc_obs),
         measure(20_000, 64, 5, &inc_obs),
@@ -459,16 +489,18 @@ pub(crate) fn measure_families() -> Families {
     ];
     let magics = vec![measure_magic(20_000, 50, &magic_obs)];
     let wrangles = vec![measure_wrangle(400, &wrangle_obs)];
+    let edits = vec![measure_wrangle_edit(400, 2, &edit_obs)];
     let families = [
         (Row::FAMILY, &inc_obs),
         (RetractRow::FAMILY, &ret_obs),
         (RecoveryRow::FAMILY, &rec_obs),
         (MagicRow::FAMILY, &magic_obs),
         (WrangleRow::FAMILY, &wrangle_obs),
+        (EditRow::FAMILY, &edit_obs),
     ];
     let counters = families.iter().map(|(f, obs)| (*f, obs.counters())).collect();
     let span_shapes = families.iter().map(|(f, obs)| (*f, family_shapes(obs))).collect();
-    Families { rows, retractions, recoveries, magics, wrangles, counters, span_shapes }
+    Families { rows, retractions, recoveries, magics, wrangles, edits, counters, span_shapes }
 }
 
 fn to_json(fam: &Families) -> String {
@@ -478,6 +510,7 @@ fn to_json(fam: &Families) -> String {
     out.push_str(&json_rows(&fam.recoveries));
     out.push_str(&json_rows(&fam.magics));
     out.push_str(&json_rows(&fam.wrangles));
+    out.push_str(&json_rows(&fam.edits));
     // per-experiment observability snapshots: what the substrate tallied
     // while the family above was measured
     out.push_str("  \"counters\": {\n");
@@ -536,12 +569,17 @@ pub fn incremental_baseline() -> String {
          The paper's four steps over the seeded real-estate scenario. The\n\
          counters and span tree of this run are pinned in the baseline, so\n\
          an extra transducer step or a candidate mapping materialised\n\
-         twice fails `--check` by an exact count.\n\n{}\n{}",
+         twice fails `--check` by an exact count.\n\n{}\n\n\
+         == Edit session (structural gate) ==\n\
+         Two cycles of append, remove, reprice and annotate on the same\n\
+         scenario, each followed by a re-run: what re-wrangling after an\n\
+         edit re-runs, re-materialises and reuses is pinned exactly.\n\n{}\n{}",
         report_table(&fam.rows),
         report_table(&fam.retractions),
         report_table(&fam.recoveries),
         report_table(&fam.magics),
         report_table(&fam.wrangles),
+        report_table(&fam.edits),
         write_note,
     )
 }
@@ -611,6 +649,12 @@ mod tests {
                 .all(|l| !l.contains("mapping=") || ids.iter().any(|id| l.contains(id.as_str()))),
             "mapping ids are positional: {wshapes:?}"
         );
+        // the edit family, one cycle at a toy size: the session runs
+        // transducers and materialises mappings
+        let eobs = Obs::enabled();
+        let er = measure_wrangle_edit(120, 1, &eobs);
+        assert_eq!(er.operations, EDIT_CYCLE);
+        assert!(er.steps > 0 && eobs.get("map.execute.full") > 0, "{:?}", eobs.counters());
         let snapshot = obs.counters();
         assert!(snapshot.get("incremental.outcome.incremental").copied().unwrap_or(0) > 0);
         assert!(snapshot.get("wal.appends").copied().unwrap_or(0) > 0);
@@ -636,6 +680,7 @@ mod tests {
             recoveries: vec![rec],
             magics: vec![mr],
             wrangles: vec![wr],
+            edits: vec![er],
             counters: vec![("all", snapshot)],
             span_shapes: vec![("all", shapes)],
         });
@@ -643,6 +688,7 @@ mod tests {
         assert!(json.contains("\"kb_wal_recovery\""), "{json}");
         assert!(json.contains("\"datalog_magic_vs_full\""), "{json}");
         assert!(json.contains("\"wrangle_paygo\""), "{json}");
+        assert!(json.contains("\"wrangle_edit\""), "{json}");
         assert!(json.contains(BASELINE_SCHEMA), "{json}");
         // the whole baseline must be well-formed JSON, counters included
         let doc = Json::parse(&json).expect("baseline parses");

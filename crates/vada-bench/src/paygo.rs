@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use vada_common::Obs;
+use vada_common::{Obs, Relation, Value};
 use vada_core::{SchedulingPolicy, Wrangler};
 use vada_extract::{score_result, Oracle, ResultQuality, Scenario, ScenarioConfig};
 use vada_extract::sources::target_schema;
@@ -176,6 +176,83 @@ pub fn run_paygo(cfg: &PaygoConfig) -> PaygoOutcome {
     }
 
     PaygoOutcome { steps, wrangler: w, scenario }
+}
+
+/// Rows per source edit of [`run_edit_session`].
+const EDIT_BATCH: usize = 16;
+/// Cells annotated per feedback operation of [`run_edit_session`].
+const EDIT_ANNOTATIONS: usize = 20;
+/// Operations per cycle of [`run_edit_session`]: append, remove, update,
+/// annotate.
+pub const EDIT_CYCLE: usize = 4;
+
+/// An interactive edit session: bootstrap on the first four fifths of
+/// `rightmove` plus `onthemarket` and `deprivation`, add the `address`
+/// data context, then `cycles` cycles of [`EDIT_CYCLE`] operations with a
+/// `run()` after each — append the next 16 held-back `rightmove` rows,
+/// remove 16 rows, reprice the last 16 rows, and annotate 20 result cells
+/// through one [`Oracle`], whose record ids stay unique across the session.
+/// Returns the transducer executions of each run: the bootstrap, the
+/// data-context step, then one run per edit operation.
+pub fn run_edit_session(scenario: ScenarioConfig, cycles: usize, obs: &Obs) -> Vec<usize> {
+    let scenario = Scenario::generate(scenario);
+    let keep = scenario.rightmove.len() * 4 / 5;
+    let (bootstrap_rows, held_back) = scenario.rightmove.tuples().split_at(keep);
+    assert!(held_back.len() >= cycles * EDIT_BATCH, "too few held-back rows for {cycles} appends");
+    let schema = scenario.rightmove.schema().clone();
+    let mut w = Wrangler::new();
+    w.set_obs(obs.clone());
+    w.add_source(Relation::from_tuples(schema, bootstrap_rows.to_vec()).expect("same schema"));
+    w.add_source(scenario.onthemarket.clone());
+    w.add_source(scenario.deprivation.clone());
+    w.set_target(target_schema());
+    let mut executed = vec![w.run().expect("bootstrap orchestration").executed];
+    w.add_data_context(
+        scenario.address.clone(),
+        ContextKind::Reference,
+        &[("street", "street"), ("postcode", "postcode")],
+    )
+    .expect("address context binds to target attrs");
+    executed.push(w.run().expect("data-context orchestration").executed);
+
+    let mut oracle = Oracle::new(&scenario.universe);
+    for cycle in 0..cycles {
+        for op in 0..EDIT_CYCLE {
+            let current = w.kb().relation("rightmove").expect("rightmove is registered").clone();
+            let len = current.len();
+            match op {
+                0 => {
+                    let mut grown = current;
+                    let batch = &held_back[cycle * EDIT_BATCH..(cycle + 1) * EDIT_BATCH];
+                    grown.extend(batch.iter().cloned()).expect("same schema");
+                    w.add_source(grown);
+                }
+                1 => {
+                    let first = (cycle * 131) % (len - 2 * EDIT_BATCH);
+                    let rows: Vec<usize> = (0..EDIT_BATCH).map(|k| first + 2 * k).collect();
+                    w.remove_source_rows("rightmove", &rows).expect("the rows exist");
+                }
+                2 => {
+                    let price = current.schema().require("price").expect("rightmove has a price");
+                    let edits: Vec<_> = (len - EDIT_BATCH..len)
+                        .zip(0..)
+                        .map(|(row, k)| {
+                            let repriced = Value::str((100_000 + 1_000 * cycle + k).to_string());
+                            (row, current.tuples()[row].with_value(price, repriced))
+                        })
+                        .collect();
+                    w.update_source_rows("rightmove", &edits).expect("the rows exist");
+                }
+                _ => {
+                    let result = w.result().expect("every run materialises a result");
+                    let records = oracle.annotate(result, EDIT_ANNOTATIONS, 10 + cycle as u64);
+                    w.add_feedback(records);
+                }
+            }
+            executed.push(w.run().expect("edit orchestration").executed);
+        }
+    }
+    executed
 }
 
 /// Per-attribute metric rows for a snapshot (attr → (completeness,

@@ -10,8 +10,6 @@
 
 pub mod codec;
 pub mod csv;
-pub mod durability;
-pub mod env;
 pub mod error;
 pub mod idgen;
 pub mod obs;
@@ -21,7 +19,6 @@ pub mod text;
 pub mod tuple;
 pub mod value;
 
-pub use durability::Durability;
 pub use error::{Result, VadaError};
 pub use obs::{Obs, ObsReport, SpanGuard};
 pub use relation::Relation;

@@ -24,12 +24,12 @@
 //! Counters split into two classes by name:
 //!
 //! - **structural** counters live under the `pipeline.` prefix
-//!   ([`Obs::is_structural`]) and are byte-identical across the entire
-//!   `VADA_WAL` knob — they count what the pipeline
+//!   ([`Obs::is_structural`]) and are byte-identical whether or not the
+//!   knowledge base writes a WAL — they count what the pipeline
 //!   *computed* (orchestrator steps, writes, knowledge-base events),
 //!   which the equivalence suites already pin.
-//! - everything else is a **mode-scoped** diagnostic: it exists only under
-//!   its knob (`wal.*` only when durable, `incremental.*` only where a
+//! - everything else is a **mode-scoped** diagnostic: it exists only in
+//!   its mode (`wal.*` only when durable, `incremental.*` only where a
 //!   datalog session runs), and increments happen per semantic event,
 //!   never per scheduling decision.
 //!
@@ -50,7 +50,7 @@ use crate::error::{Result, VadaError};
 
 /// Canonical counter names, so call sites and tests cannot drift.
 ///
-/// Names under `pipeline.` are **structural** (knob-matrix invariant);
+/// Names under `pipeline.` are **structural** (storage-invariant);
 /// everything else is a mode-scoped diagnostic.
 pub mod key {
     /// Orchestrator steps taken (trace entries). Structural.
@@ -278,15 +278,14 @@ impl Obs {
     }
 
     /// Whether `name` belongs to the structural class — the counters the
-    /// determinism contract pins byte-identical across the whole knob
-    /// matrix.
+    /// determinism contract pins byte-identical in memory and durable.
     pub fn is_structural(name: &str) -> bool {
         name.starts_with("pipeline.")
     }
 
     /// Whether a span name belongs to the structural span class — the
-    /// spans pinned byte-identical across the whole knob matrix (the
-    /// rest of the tree is mode-scoped: it exists only under its knob).
+    /// spans pinned byte-identical in memory and durable (the rest of the
+    /// tree is mode-scoped: it exists only in its mode).
     pub fn is_structural_span(name: &str) -> bool {
         name.starts_with("orchestrator/")
     }
@@ -433,7 +432,7 @@ fn shape_line_with(id: u64, parent: u64, s: &SpanRecord) -> String {
 /// [`span_shape`] restricted to the structural span class
 /// ([`Obs::is_structural_span`]), with ids renumbered densely and each
 /// parent edge lifted to the nearest structural ancestor — so the
-/// rendering is identical across knobs even though mode-scoped spans
+/// rendering is identical across modes even though mode-scoped spans
 /// shift the absolute ids between runs.
 pub fn structural_span_shape(spans: &[SpanRecord]) -> Vec<String> {
     let parent_of: BTreeMap<u64, u64> = spans.iter().map(|s| (s.id, s.parent)).collect();
@@ -526,7 +525,7 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// The structural (knob-matrix-invariant) counter subset.
+    /// The structural (storage-invariant) counter subset.
     pub fn structural(&self) -> BTreeMap<String, u64> {
         self.counters
             .iter()

@@ -35,7 +35,6 @@ pub mod transducer;
 pub mod wrangler;
 
 pub use network::{GenericPolicy, SchedulingPolicy, SpecificPolicy};
-pub use vada_common::Durability;
 pub use orchestrator::Orchestrator;
 pub use registry::{default_transducers, TransducerCatalog};
 pub use trace::{Trace, TraceEntry};

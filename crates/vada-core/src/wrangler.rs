@@ -1,9 +1,7 @@
 //! The [`Wrangler`] facade: the end-user surface of the architecture,
 //! driving the four pay-as-you-go steps of the demonstration (paper §3).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use vada_common::{Durability, Obs, ObsReport, Relation, Result, Schema};
+use vada_common::{Obs, ObsReport, Relation, Result, Schema};
 use vada_kb::{ContextKind, FeedbackRecord, KnowledgeBase, PairwiseStatement};
 
 use crate::network::SchedulingPolicy;
@@ -36,6 +34,9 @@ pub struct RunReport {
 ///    into vetoes and match-score revisions;
 /// 4. [`set_user_context`](Wrangler::set_user_context), `run` — mapping
 ///    selection re-optimises under the new weights.
+///
+/// The knowledge base is in memory until `w.kb_mut().persist_to(dir)`
+/// backs it with a write-ahead log ([`KnowledgeBase::persist_to`]).
 #[derive(Debug)]
 pub struct Wrangler {
     kb: KnowledgeBase,
@@ -48,34 +49,11 @@ impl Default for Wrangler {
     }
 }
 
-/// Distinguishes the WAL directories of wranglers created in the same
-/// process when the env default ([`Durability::from_env`]) is in force.
-static NEXT_KB_DIR: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh knowledge base honouring the `VADA_WAL` env default: durable
-/// wranglers each get their own subdirectory (`kb-<pid>-<n>`) under the
-/// configured base, so concurrent wranglers never share a log. An
-/// unwritable default location degrades to in-memory rather than failing
-/// construction; explicit opt-in via [`Wrangler::set_durability`] surfaces
-/// the error instead.
-fn kb_from_env() -> KnowledgeBase {
-    let mut kb = KnowledgeBase::new();
-    if let Durability::Wal(base) = Durability::from_env() {
-        let dir = base.join(format!(
-            "kb-{}-{}",
-            std::process::id(),
-            NEXT_KB_DIR.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = kb.persist_to(dir);
-    }
-    kb
-}
-
 impl Wrangler {
     /// A wrangler with the default transducer fleet and generic policy.
     pub fn new() -> Wrangler {
         Wrangler {
-            kb: kb_from_env(),
+            kb: KnowledgeBase::new(),
             orchestrator: Orchestrator::new(default_transducers()),
         }
     }
@@ -83,14 +61,14 @@ impl Wrangler {
     /// A wrangler with an explicit network-transducer policy.
     pub fn with_policy(policy: Box<dyn SchedulingPolicy>) -> Wrangler {
         Wrangler {
-            kb: kb_from_env(),
+            kb: KnowledgeBase::new(),
             orchestrator: Orchestrator::with_policy(default_transducers(), policy),
         }
     }
 
     /// A wrangler with a custom fleet (e.g. extended with user transducers).
     pub fn with_transducers(transducers: Vec<Box<dyn Transducer>>) -> Wrangler {
-        Wrangler { kb: kb_from_env(), orchestrator: Orchestrator::new(transducers) }
+        Wrangler { kb: KnowledgeBase::new(), orchestrator: Orchestrator::new(transducers) }
     }
 
     /// A wrangler over an existing knowledge base — typically one recovered
@@ -118,21 +96,6 @@ impl Wrangler {
     /// base's registry; the empty report while observability is disabled.
     pub fn obs_report(&self) -> ObsReport {
         self.kb.obs().report()
-    }
-
-    /// Set the durability mode. [`Durability::Wal`] makes the knowledge
-    /// base persistent under the given directory (every mutation is
-    /// fsync'd to a write-ahead log before it is applied — see
-    /// [`KnowledgeBase::persist_to`]); [`Durability::Off`] detaches the
-    /// log, leaving its files on disk.
-    pub fn set_durability(&mut self, durability: Durability) -> Result<()> {
-        match durability {
-            Durability::Off => {
-                self.kb.disable_durability();
-                Ok(())
-            }
-            Durability::Wal(dir) => self.kb.persist_to(dir),
-        }
     }
 
     /// Register a source relation.

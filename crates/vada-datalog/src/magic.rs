@@ -1,6 +1,5 @@
-//! Demand-driven evaluation: magic-set / sideways-information-passing
-//! rewrite, per-relation statistics, and a cost-based join-order planner
-//! for the demand program.
+//! Demand-driven evaluation: the magic-set / sideways-information-passing
+//! rewrite and the demand run that evaluates it.
 //!
 //! ## How demand restricts the fixpoint without changing it
 //!
@@ -42,13 +41,11 @@
 //!
 //! The demand program is pure positive Datalog over the seed fact and the
 //! extensional relations it reads, so it is evaluated to fixpoint once by
-//! the ordinary engine — after a cost-based planner reorders each magic
-//! rule body greedily by estimated cardinality (per-relation row counts and
-//! per-column distinct counts). Demand-set insertion order is never
-//! observable (sets are only membership-tested), which is what makes the
-//! planner safe to apply here and nowhere else.
+//! the ordinary engine, its magic rules in the order the rewrite wrote
+//! them. Demand sets are only membership-tested, so the order their facts
+//! arrive in is never observable.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use vada_common::error::guard_stage;
@@ -434,120 +431,6 @@ fn analyze(program: &Program, query: &Rule) -> std::result::Result<Analysis, Str
     })
 }
 
-/// Per-relation statistics for the demand-program planner.
-struct Stats {
-    per_pred: HashMap<String, PredStats>,
-}
-
-struct PredStats {
-    rows: usize,
-    /// Distinct value count per column (up to the widest fact's arity).
-    distinct: Vec<usize>,
-}
-
-impl Stats {
-    fn collect(db: &Database, preds: &BTreeSet<String>) -> Stats {
-        let mut per_pred = HashMap::new();
-        for pred in preds {
-            let facts = db.facts(pred);
-            let arity = facts.iter().map(|t| t.arity()).max().unwrap_or(0);
-            let mut seen: Vec<HashSet<&vada_common::Value>> = vec![HashSet::new(); arity];
-            for t in facts {
-                for (c, v) in t.values().iter().enumerate() {
-                    seen[c].insert(v);
-                }
-            }
-            per_pred.insert(
-                pred.clone(),
-                PredStats { rows: facts.len(), distinct: seen.iter().map(|s| s.len()).collect() },
-            );
-        }
-        Stats { per_pred }
-    }
-
-    /// Estimated rows of `atom` given the bound variable set: row count
-    /// divided by the distinct counts of its bound columns.
-    fn estimate(&self, atom: &Atom, bound: &BTreeSet<usize>) -> f64 {
-        let Some(ps) = self.per_pred.get(&atom.pred) else { return 0.0 };
-        let mut est = ps.rows as f64;
-        for (c, t) in atom.terms.iter().enumerate() {
-            let is_bound = match t {
-                Term::Const(_) => true,
-                Term::Var(v, _) => bound.contains(v),
-            };
-            if is_bound {
-                let d = ps.distinct.get(c).copied().unwrap_or(1).max(1);
-                est /= d as f64;
-            }
-        }
-        est
-    }
-}
-
-/// Cost-based join-order planning for one magic rule: the demand-source
-/// atom stays first, the extensional atoms follow greedily by estimated
-/// cardinality (ties broken by source position), comparisons trail and are
-/// hoisted by the ordinary rule compiler once their variables bind. Only
-/// demand rules are planned this way — their fact *order* is never
-/// observable — while query and program rules keep the canonical order the
-/// byte-identity guarantee is argued over.
-fn plan_rule(r: &Rule, stats: &Stats) -> Rule {
-    if !reorders(r) {
-        return r.clone();
-    }
-    let mut body = vec![r.body[0].clone()];
-    let mut bound = BTreeSet::new();
-    if let Literal::Pos(a) = &r.body[0] {
-        a.vars(&mut bound);
-    }
-    let mut atoms: Vec<(usize, &Atom)> = Vec::new();
-    let mut cmps: Vec<&Literal> = Vec::new();
-    for (i, lit) in r.body[1..].iter().enumerate() {
-        match lit {
-            Literal::Pos(a) => atoms.push((i, a)),
-            other => cmps.push(other),
-        }
-    }
-    while !atoms.is_empty() {
-        let mut best = 0usize;
-        let mut best_est = f64::INFINITY;
-        for (k, (_, a)) in atoms.iter().enumerate() {
-            let est = stats.estimate(a, &bound);
-            if est < best_est {
-                best_est = est;
-                best = k;
-            }
-        }
-        let (_, a) = atoms.remove(best);
-        a.vars(&mut bound);
-        body.push(Literal::Pos(a.clone()));
-    }
-    body.extend(cmps.into_iter().cloned());
-    Rule { body, ..r.clone() }
-}
-
-/// Whether [`plan_rule`] reorders `r`: the demand source stays first, so a
-/// body of two literals or fewer has nothing to reorder.
-fn reorders(r: &Rule) -> bool {
-    r.body.len() > 2
-}
-
-/// The relations the planner estimates: the extensional atoms after the
-/// demand source of every magic rule it reorders. Statistics of any other
-/// relation would never be read.
-fn planned_reads(magic: &Program) -> BTreeSet<String> {
-    magic
-        .rules
-        .iter()
-        .filter(|r| reorders(r))
-        .flat_map(|r| &r.body[1..])
-        .filter_map(|lit| match lit {
-            Literal::Pos(a) => Some(a.pred.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
 /// The demand run's input: the extensional relations the magic bodies read
 /// — `db`'s own, shared rather than copied, plus the program's ground
 /// fact-rules (the main run loads those only after demand is computed; one
@@ -611,13 +494,8 @@ pub(crate) fn demand_for(
 
     let mdb = demand_input(&analysis, program, db);
 
-    // plan the demand program against per-relation statistics and run it
-    let stats = Stats::collect(&mdb, &planned_reads(&analysis.magic));
-    let planned = Program {
-        rules: analysis.magic.rules.iter().map(|r| plan_rule(r, &stats)).collect(),
-    };
     let mcfg = EngineConfig { inject_fault: None, ..engine.config().clone() };
-    let magic_db = match Engine::new(mcfg).run(&planned, mdb) {
+    let magic_db = match Engine::new(mcfg).run(&analysis.magic, mdb) {
         Ok(d) => d,
         Err(e) => return Ok(Demand::fallback(format!("demand evaluation failed: {e}"))),
     };
@@ -785,45 +663,6 @@ mod tests {
         // is matched by a wildcard
         assert!(d.keeps("total", tuple!["a", 999].values()));
         assert!(!d.keeps("total", tuple!["b", 3].values()));
-    }
-
-    #[test]
-    fn bound_query_demand_collects_no_statistics() {
-        // every magic rule of the bound tc query has at most two literals,
-        // so the planner reorders none and reads no relation's statistics
-        let program =
-            parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
-        let analysis = analyze(&program, &parse_query("tc(3, W)").unwrap()).unwrap();
-        assert!(analysis.ext_reads.contains("edge"));
-        assert!(planned_reads(&analysis.magic).is_empty());
-    }
-
-    #[test]
-    fn planner_orders_selective_atoms_first() {
-        let mut db = Database::new();
-        for i in 0..100i64 {
-            db.insert("wide", tuple![i % 2, i]);
-        }
-        db.insert("narrow", tuple![0, 7]);
-        let program = parse_program(
-            "seed(1). m(A, B) :- seed(S), wide(S, A), narrow(S, B).",
-        )
-        .unwrap();
-        // the rule is reordered, so both of its relations are measured
-        let preds = planned_reads(&program);
-        assert_eq!(preds.iter().map(String::as_str).collect::<Vec<_>>(), ["narrow", "wide"]);
-        let stats = Stats::collect(&db, &preds);
-        let planned = plan_rule(&program.rules[1], &stats);
-        // narrow (1 row) must be joined before wide (100 rows)
-        let pos: Vec<&str> = planned
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Pos(a) => Some(a.pred.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(pos, vec!["seed", "narrow", "wide"]);
     }
 
     #[test]

@@ -257,13 +257,10 @@ mod tests {
     use crate::delta::{DeltaChange, DeltaEvent};
     use vada_common::tuple;
 
+    /// A log file directly under the temp dir, so removing it at the end
+    /// of a test leaves nothing behind.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "vada-wal-test-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+        std::env::temp_dir().join(format!("vada-wal-test-{}-{name}.log", std::process::id()))
     }
 
     fn rec(seq: u64, n: usize) -> WalRecord {

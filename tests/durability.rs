@@ -1,10 +1,11 @@
 //! Crash-recovery differential tests for the durable knowledge base
-//! (`VADA_WAL`): every mutation is fsync'd to the write-ahead log before
-//! it is applied, so truncating the log at **any** record boundary (a
-//! crash after that record's fsync) and reopening must yield a catalog,
-//! journal window, watermarks, and lineage byte-identical to the
-//! uninterrupted run's state at that point — and a mid-record cut (a torn
-//! tail) must recover exactly the preceding boundary, never misread bytes.
+//! (`KnowledgeBase::persist_to`): every mutation is fsync'd to the
+//! write-ahead log before it is applied, so truncating the log at **any**
+//! record boundary (a crash after that record's fsync) and reopening must
+//! yield a catalog, journal window, watermarks, and lineage byte-identical
+//! to the uninterrupted run's state at that point — and a mid-record cut
+//! (a torn tail) must recover exactly the preceding boundary, never
+//! misread bytes.
 //! Snapshot compaction and its once-per-window cadence, the
 //! interrupted-compaction overlap, and O(change) resume of journal
 //! watermarks and wrangling sessions are pinned alongside.
@@ -19,12 +20,8 @@ use vada_common::obs::key as obs_key;
 use vada_kb::storage::{Wal, SNAPSHOT_FILE, WAL_FILE};
 use vada_kb::{ContextKind, DeltaChange, KnowledgeBase, PairwiseStatement};
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("vada-durability-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::TempDir;
 
 /// Fingerprint exactly what recovery promises to restore: the version,
 /// the journal (lineage, watermarks, full retained window), per-aspect
@@ -259,7 +256,7 @@ fn crash_at_every_boundary(
 fn truncation_at_every_record_boundary_recovers_that_exact_state() {
     for seed in [11u64, 23, 47] {
         for (capacity, steps) in [(None, 30), (Some(8), 44)] {
-            let dir = tmpdir(&format!("boundary-{seed}-{capacity:?}"));
+            let dir = TempDir::new(&format!("boundary-{seed}-{capacity:?}"));
             let mut rng = StdRng::seed_from_u64(seed);
 
             let mut kb = match capacity {
@@ -286,7 +283,6 @@ fn truncation_at_every_record_boundary_recovers_that_exact_state() {
             // a checkpoint lands on the event after the log reaches `capacity` records
             let expected = capacity.map_or(1, |c| 1 + (steps - 1) / c);
             assert_eq!(epochs, expected, "{label}");
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -304,7 +300,7 @@ fn log_records(dir: &std::path::Path) -> usize {
 /// replays no stale records and recovers the checkpoint state.
 #[test]
 fn compaction_snapshots_and_survives_the_crash_window() {
-    let dir = tmpdir("compaction");
+    let dir = TempDir::new("compaction");
     let mut kb = KnowledgeBase::with_journal_capacity(8);
     let mut rel = Relation::empty(mixed_schema("mixed"));
     rel.push(tuple!["a", 1i64, 1.5f64]).unwrap();
@@ -354,7 +350,6 @@ fn compaction_snapshots_and_survives_the_crash_window() {
     reopened.stage_document("overflow", "a\n1\n");
     assert_eq!(log_records(&dir), 1);
     assert_eq!(fingerprint(&reopened), post_compaction);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The cadence, counted exactly: a checkpoint lands on the event *after*
@@ -364,7 +359,7 @@ fn compaction_snapshots_and_survives_the_crash_window() {
 #[test]
 fn single_row_edits_checkpoint_once_per_window() {
     const CAPACITY: usize = 16;
-    let dir = tmpdir("cadence");
+    let dir = TempDir::new("cadence");
     let mut kb = KnowledgeBase::with_journal_capacity(CAPACITY);
     let mut rel = Relation::empty(mixed_schema("mixed"));
     for i in 0..200i64 {
@@ -394,7 +389,6 @@ fn single_row_edits_checkpoint_once_per_window() {
     let live = fingerprint(&kb);
     drop(kb);
     assert_eq!(fingerprint(&KnowledgeBase::open(&dir).unwrap()), live);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A knowledge base records nothing until a registry is attached. A
@@ -406,7 +400,7 @@ fn single_row_edits_checkpoint_once_per_window() {
 fn a_knowledge_base_records_nothing_until_a_registry_is_attached() {
     const N: usize = 64;
     const M: usize = 9;
-    let dir = tmpdir("unobserved");
+    let dir = TempDir::new("unobserved");
     let mut kb = KnowledgeBase::new();
     let mut rel = Relation::empty(mixed_schema("mixed"));
     for i in 0..8i64 {
@@ -445,7 +439,6 @@ fn a_knowledge_base_records_nothing_until_a_registry_is_attached() {
     assert_eq!(after.counters, before.counters);
     assert_eq!(after.spans.len(), before.spans.len());
     kb.storage_health().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Consumer watermarks resume O(change) across a crash: the recovered
@@ -455,7 +448,7 @@ fn a_knowledge_base_records_nothing_until_a_registry_is_attached() {
 /// first post-recovery edit — never `None`, which would force a rebuild.
 #[test]
 fn pre_crash_watermark_resumes_o_change_after_reopen() {
-    let dir = tmpdir("watermark-resume");
+    let dir = TempDir::new("watermark-resume");
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 40, seed: 5 },
         ..Default::default()
@@ -487,7 +480,6 @@ fn pre_crash_watermark_resumes_o_change_after_reopen() {
             positions: vec![0],
         }
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Drive the full wrangling pipeline durably, checkpoint the observable
@@ -495,13 +487,13 @@ fn pre_crash_watermark_resumes_o_change_after_reopen() {
 /// watermarks: the recovered state must be byte-identical every time.
 #[test]
 fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
-    let dir = tmpdir("matrix");
+    let dir = TempDir::new("matrix");
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 40, seed: 9 },
         ..Default::default()
     });
     let mut w = Wrangler::new();
-    w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
+    w.kb_mut().persist_to(&dir).unwrap();
 
     let mut watermarks = Vec::new();
     let checkpoint = |w: &Wrangler| (w.kb().version(), fingerprint(w.kb()));
@@ -550,7 +542,6 @@ fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
             "crash at v{version} must recover that state"
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Re-wrangling a recovered knowledge base reproduces the pre-crash
@@ -559,13 +550,13 @@ fn wrangled_kb_recovers_byte_identically_across_the_config_matrix() {
 /// pipeline — the paper's pay-as-you-go loop picks up where it left off.
 #[test]
 fn recovered_kb_rewrangles_to_the_same_result() {
-    let dir = tmpdir("rewrangle");
+    let dir = TempDir::new("rewrangle");
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 40, seed: 13 },
         ..Default::default()
     });
     let mut w = Wrangler::new();
-    w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
+    w.kb_mut().persist_to(&dir).unwrap();
     w.add_source(s.rightmove.clone());
     w.add_source(s.deprivation.clone());
     w.set_target(target_schema());
@@ -583,29 +574,27 @@ fn recovered_kb_rewrangles_to_the_same_result() {
         &result_before[..],
         "re-wrangling the recovered catalog must reproduce the result"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The `VADA_WAL=tmpdir` env default gives every wrangler its own WAL
-/// subdirectory (no two wranglers may share a log), and an explicit
-/// `Durability::Off` detaches cleanly.
+/// A wrangler's base is durable from `persist_to` until
+/// `disable_durability`: the detach leaves the files on disk, and they
+/// reopen to the state the log reached.
 #[test]
-fn env_default_durability_knob_round_trips() {
-    // from_env is consulted at construction; this test controls it via
-    // the explicit setter to stay independent of the ambient environment
-    let dir = tmpdir("knob");
+fn a_detached_log_keeps_its_files_and_reopens() {
+    let dir = TempDir::new("detach");
     let mut w = Wrangler::new();
-    w.set_durability(vada::Durability::Wal(dir.clone())).unwrap();
-    assert_eq!(w.kb().durable_dir(), Some(dir.as_path()));
+    assert_eq!(w.kb().durable_dir(), None, "a wrangler starts in memory");
+    w.kb_mut().persist_to(&dir).unwrap();
+    assert_eq!(w.kb().durable_dir(), Some(&*dir));
     w.add_source({
         let mut r = Relation::empty(mixed_schema("mixed"));
         r.push(tuple!["x", 7i64, 0.5f64]).unwrap();
         r
     });
-    w.set_durability(vada::Durability::Off).unwrap();
+    w.kb_mut().disable_durability();
     assert_eq!(w.kb().durable_dir(), None);
-    // the files survive the detach and still reopen
+    w.kb_mut().remove_rows("mixed", &[0]).unwrap();
+    // the files survive the detach and reopen to the last logged state
     let kb = KnowledgeBase::open(&dir).unwrap();
     assert_eq!(kb.relation("mixed").unwrap().len(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

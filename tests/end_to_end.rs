@@ -7,6 +7,9 @@ use vada_extract::sources::target_schema;
 use vada_extract::{score_result, ErrorModel, Scenario, ScenarioConfig, UniverseConfig};
 use vada_kb::ContextKind;
 
+mod common;
+use common::TempDir;
+
 fn scenario(props: usize, seed: u64) -> Scenario {
     Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: props, seed },
@@ -15,7 +18,10 @@ fn scenario(props: usize, seed: u64) -> Scenario {
 }
 
 fn bootstrap(s: &Scenario) -> Wrangler {
-    let mut w = Wrangler::new();
+    bootstrap_with(Wrangler::new(), s)
+}
+
+fn bootstrap_with(mut w: Wrangler, s: &Scenario) -> Wrangler {
     w.add_source(s.rightmove.clone());
     w.add_source(s.onthemarket.clone());
     w.add_source(s.deprivation.clone());
@@ -131,12 +137,17 @@ fn rerun_without_new_information_is_stable() {
     assert_eq!(w.result().expect("result").tuples(), before.tuples());
 }
 
+/// The same seed wrangles to the same result, and a base writing a WAL
+/// wrangles to the result an in-memory one does.
 #[test]
 fn determinism_same_seed_same_result() {
-    let build = || {
-        let s = scenario(60, 6);
-        let w = bootstrap(&s);
+    let build = |w: Wrangler| {
+        let w = bootstrap_with(w, &scenario(60, 6));
+        w.kb().storage_health().expect("the WAL stayed healthy");
         w.result().expect("result").tuples().to_vec()
     };
-    assert_eq!(build(), build());
+    let dir = TempDir::new("determinism");
+    let mut durable = Wrangler::new();
+    durable.kb_mut().persist_to(&dir).unwrap();
+    assert_eq!(build(durable), build(Wrangler::new()));
 }

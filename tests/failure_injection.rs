@@ -3,8 +3,11 @@
 //! degenerate inputs must produce errors rather than wrong results.
 
 use vada::{Activity, RunOutcome, Transducer, Wrangler};
-use vada_common::{tuple, Relation, Result, Schema, VadaError};
+use vada_common::{tuple, Relation, Result, Schema, Tuple, VadaError};
 use vada_kb::KnowledgeBase;
+
+mod common;
+use common::TempDir;
 
 /// Fails on its first run, succeeds afterwards.
 #[derive(Debug, Default)]
@@ -138,10 +141,12 @@ fn panicking_similarity_errors_instead_of_hanging_and_names_the_stage() {
 
 #[test]
 fn incremental_mode_survives_transducer_failure() {
-    // a failing transducer must surface its diagnostic, leave the
-    // knowledge base (and its delta journal) usable, and let the retry
-    // proceed
+    // a failing transducer must surface its diagnostic and leave the
+    // knowledge base usable — its delta journal and its write-ahead log
+    // both: a reopen recovers the live catalog, and the retry proceeds
+    let dir = TempDir::new("flaky");
     let mut w = Wrangler::with_transducers(vec![Box::new(Flaky::default())]);
+    w.kb_mut().persist_to(&dir).unwrap();
     let mut src = Relation::empty(Schema::all_str("s", &["a"]));
     src.push(tuple!["x"]).unwrap();
     w.add_source(src);
@@ -151,6 +156,16 @@ fn incremental_mode_survives_transducer_failure() {
     // the journal recorded the registration and nothing from the failed
     // run — consistent for any journal consumer that reads it next
     assert_eq!(w.kb().journal().len(), journal_before);
+    w.kb().storage_health().expect("the failed run left the WAL healthy");
+    let catalog = |kb: &KnowledgeBase| -> Vec<(String, &'static str, Vec<Tuple>)> {
+        kb.catalog()
+            .entries()
+            .map(|(name, kind, rel)| (name.to_string(), kind.tag(), rel.tuples().to_vec()))
+            .collect()
+    };
+    let recovered = KnowledgeBase::open(&dir).unwrap();
+    assert_eq!(catalog(&recovered), catalog(w.kb()), "a reopen recovers the live catalog");
+    drop(recovered);
     let report = w.run().expect("retry recovers");
     assert_eq!(report.executed, 1);
 }

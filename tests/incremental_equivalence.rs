@@ -1,10 +1,12 @@
 //! Differential tests for re-wrangling after knowledge-base edits. The
 //! only suite that drives append / remove / update / feedback scripts
 //! through a long-lived [`Wrangler`], it pins two things: the re-wrangle
-//! is deterministic — two independently built wranglers (each with its own
-//! hash seeds) produce the same result relation (rows in the same order),
-//! the same trace shape (every stable field) and the same errors after
-//! every step — and a mapping executed through the
+//! is deterministic and storage-blind — two independently built wranglers
+//! (each with its own hash seeds), one in memory and one whose base writes
+//! a WAL from before its first mutation, produce the same result relation
+//! (rows in the same order), the same trace shape (every stable field) and
+//! the same errors after every step, with the log healthy throughout — and
+//! a mapping executed through the
 //! journal-validated [`vada_map::ResultStore`] is byte-identical to a
 //! scratch `execute_mapping` on the same knowledge base, whether the
 //! store re-materialised it or handed the stored result back.
@@ -16,6 +18,9 @@ use vada_common::{csv, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_kb::{ContextKind, FeedbackRecord, FeedbackTarget, PairwiseStatement, Verdict};
+
+mod common;
+use common::TempDir;
 
 /// Render everything observable about a wrangle: the result relation as
 /// CSV bytes and the trace's stable fields (everything but duration).
@@ -223,13 +228,35 @@ fn apply_edit(w: &mut Wrangler, scenario: &Scenario, edit: &Edit) {
     }
 }
 
-fn wrangler(scenario: &Scenario) -> Wrangler {
-    let mut w = Wrangler::new();
+/// Register the scenario's listing and deprivation sources and the target.
+fn register(mut w: Wrangler, scenario: &Scenario) -> Wrangler {
     w.add_source(scenario.rightmove.clone());
     w.add_source(scenario.onthemarket.clone());
     w.add_source(scenario.deprivation.clone());
     w.set_target(target_schema());
     w
+}
+
+fn wrangler(scenario: &Scenario) -> Wrangler {
+    register(Wrangler::new(), scenario)
+}
+
+/// The pair the differential tests compare: `[in memory, durable]`, the
+/// second writing its WAL under `dir` from before its first mutation.
+fn pair(scenario: &Scenario, dir: &TempDir) -> [Wrangler; 2] {
+    let mut durable = Wrangler::new();
+    durable.kb_mut().persist_to(dir).expect("the WAL directory initialises");
+    [wrangler(scenario), register(durable, scenario)]
+}
+
+/// Both wranglers observe identically, and the durable one's log is still
+/// attached and healthy — a detached log would make the comparison vacuous.
+fn assert_identical([memory, durable]: &[Wrangler; 2], stage: &str) {
+    assert!(durable.kb().durable_dir().is_some(), "the WAL was detached {stage}");
+    if let Err(e) = durable.kb().storage_health() {
+        panic!("the WAL failed {stage}: {e}");
+    }
+    assert_eq!(observe(durable), observe(memory), "the durable wrangler diverged {stage}");
 }
 
 #[test]
@@ -244,33 +271,23 @@ fn randomized_edit_scripts_identical_across_modes() {
         let mut rng = StdRng::seed_from_u64(seed);
         let script = random_script(&mut rng, 5);
 
-        let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
+        let dir = TempDir::new(&format!("edit-script-{seed}"));
+        let mut pair = pair(&scenario, &dir);
 
-        // bootstrap
-        for (_, w) in &mut fleet {
+        for w in &mut pair {
             w.run().expect("bootstrap succeeds");
         }
-        let baseline = observe(&fleet[0].1);
-        for (name, w) in &fleet[1..] {
-            assert_eq!(observe(w), baseline, "seed {seed}: {name} diverged at bootstrap");
-        }
+        assert_identical(&pair, &format!("at bootstrap (seed {seed})"));
 
         // replay the edit script, comparing after every orchestration run
         for (step, batch) in script.iter().enumerate() {
-            for (_, w) in &mut fleet {
+            for w in &mut pair {
                 for edit in batch {
                     apply_edit(w, &scenario, edit);
                 }
                 w.run().expect("edit step succeeds");
             }
-            let baseline = observe(&fleet[0].1);
-            for (name, w) in &fleet[1..] {
-                assert_eq!(
-                    observe(w),
-                    baseline,
-                    "seed {seed}: {name} diverged after step {step} ({batch:?})"
-                );
-            }
+            assert_identical(&pair, &format!("after step {step} (seed {seed}, {batch:?})"));
         }
     }
 }
@@ -307,32 +324,26 @@ fn delete_then_reinsert_identical_across_modes() {
         universe: UniverseConfig { properties: 40, seed: 11 },
         ..Default::default()
     });
-    let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
-    let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
-        let baseline = observe(&fleet[0].1);
-        for (name, w) in &fleet[1..] {
-            assert_eq!(observe(w), baseline, "{name} diverged at {stage}");
-        }
-    };
-    for (_, w) in &mut fleet {
+    let dir = TempDir::new("reinsert");
+    let mut pair = pair(&scenario, &dir);
+    for w in &mut pair {
         w.run().expect("bootstrap succeeds");
     }
-    compare(&fleet, "bootstrap");
+    assert_identical(&pair, "at bootstrap");
 
     // remove a mid-relation row, run, then push the same row back and run
     let removed_rows: Vec<Tuple> = {
-        let w = &fleet[0].1;
-        let rel = w.kb().relation("rightmove").unwrap();
+        let rel = pair[0].kb().relation("rightmove").unwrap();
         vec![rel.tuples()[rel.len() / 2].clone()]
     };
-    for (_, w) in &mut fleet {
+    for w in &mut pair {
         let rel = w.kb().relation("rightmove").unwrap();
         let row = rel.len() / 2;
         w.remove_source_rows("rightmove", &[row]).unwrap();
         w.run().expect("post-removal run succeeds");
     }
-    compare(&fleet, "after removal");
-    for (_, w) in &mut fleet {
+    assert_identical(&pair, "after removal");
+    for w in &mut pair {
         let mut rel = w.kb().relation("rightmove").unwrap().clone();
         for t in &removed_rows {
             rel.push(t.clone()).unwrap();
@@ -340,7 +351,7 @@ fn delete_then_reinsert_identical_across_modes() {
         w.add_source(rel);
         w.run().expect("post-reinsert run succeeds");
     }
-    compare(&fleet, "after reinsert");
+    assert_identical(&pair, "after reinsert");
 }
 
 /// Delete-everything: draining a source to zero rows (and wrangling over
@@ -352,27 +363,22 @@ fn delete_everything_identical_across_modes() {
         universe: UniverseConfig { properties: 30, seed: 29 },
         ..Default::default()
     });
-    let mut fleet = vec![("a", wrangler(&scenario)), ("b", wrangler(&scenario))];
-    let compare = |fleet: &[(&str, Wrangler)], stage: &str| {
-        let baseline = observe(&fleet[0].1);
-        for (name, w) in &fleet[1..] {
-            assert_eq!(observe(w), baseline, "{name} diverged at {stage}");
-        }
-    };
-    for (_, w) in &mut fleet {
+    let dir = TempDir::new("drain");
+    let mut pair = pair(&scenario, &dir);
+    for w in &mut pair {
         w.run().expect("bootstrap succeeds");
     }
-    compare(&fleet, "bootstrap");
+    assert_identical(&pair, "at bootstrap");
 
-    for (_, w) in &mut fleet {
+    for w in &mut pair {
         let len = w.kb().relation("onthemarket").unwrap().len();
         let rows: Vec<usize> = (0..len).collect();
         w.remove_source_rows("onthemarket", &rows).unwrap();
         w.run().expect("run over a drained source succeeds");
     }
-    compare(&fleet, "after draining onthemarket");
+    assert_identical(&pair, "after draining onthemarket");
 
-    for (_, w) in &mut fleet {
+    for w in &mut pair {
         let mut rel = w.kb().relation("onthemarket").unwrap().clone();
         assert!(rel.is_empty());
         for t in scenario.onthemarket.tuples().iter().take(5) {
@@ -381,7 +387,7 @@ fn delete_everything_identical_across_modes() {
         w.add_source(rel);
         w.run().expect("recovery run succeeds");
     }
-    compare(&fleet, "after recovery");
+    assert_identical(&pair, "after recovery");
 }
 
 /// The result store against the scratch path: every generated candidate

@@ -1,11 +1,11 @@
 //! Differential tests for the observability layer: the **structural**
-//! counters (the `pipeline.*` names) must be byte-identical with and
-//! without durability — observability observes the pipeline's semantic
-//! structure, never its storage — and the report a run leaves behind
-//! must survive being written out as JSON and read back.
+//! counters (the `pipeline.*` names) must be byte-identical between an
+//! in-memory wrangle and one whose base writes a WAL
+//! (`kb_mut().persist_to`) — observability observes the pipeline's
+//! semantic structure, never its storage — and the report a run leaves
+//! behind must survive being written out as JSON and read back.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 use vada::Wrangler;
 use vada_common::csv;
@@ -13,22 +13,13 @@ use vada_common::obs::{span_shape, structural_span_shape, Json, Obs};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 
-/// Serialises the tests in this binary around the env-read knob default:
-/// the durability default comes from `VADA_WAL` — so every Wrangler in
-/// this file is built under the lock with it pinned (the tests drive
-/// durability explicitly; an ambient CI leg must not re-enable it).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_pinned_env<T>(f: impl FnOnce() -> T) -> T {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("VADA_WAL");
-    f()
-}
+mod common;
+use common::TempDir;
 
 /// What one wrangle leaves behind: the result catalog (byte-for-byte),
 /// the registry's counters (split structural / full), the span tree
 /// in both renderings — the structural slice (`orchestrator/` spans,
-/// pinned across the whole matrix) and the full deep tree — and the
+/// identical in memory and durable) and the full deep tree — and the
 /// report written as JSON.
 struct Observed {
     json: String,
@@ -40,18 +31,16 @@ struct Observed {
 }
 
 /// Drive the pay-as-you-go pipeline (bootstrap, data context, an edit
-/// phase, a re-run) under one knob combination with a live registry.
-fn wrangle(wal: bool) -> Observed {
+/// phase, a re-run) with a live registry, in memory or — given a
+/// directory — with the base writing its WAL there.
+fn wrangle(wal: Option<&TempDir>) -> Observed {
     let s = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 60, seed: 11 },
         ..Default::default()
     });
     let mut w = Wrangler::new();
-    if wal {
-        let dir =
-            std::env::temp_dir().join(format!("vada-obs-equivalence-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        w.set_durability(vada_common::Durability::Wal(dir)).expect("durable dir initialises");
+    if let Some(dir) = wal {
+        w.kb_mut().persist_to(dir).expect("durable dir initialises");
     }
     w.set_obs(Obs::enabled());
     w.add_source(s.rightmove.clone());
@@ -69,6 +58,7 @@ fn wrangle(wal: bool) -> Observed {
     // and the fallback machinery
     w.remove_source_rows("rightmove", &[1, 3]).expect("removal applies");
     w.run().expect("edit re-run succeeds");
+    w.kb().storage_health().expect("the WAL stayed healthy");
 
     let mut sections: Vec<String> = w
         .kb()
@@ -92,11 +82,11 @@ fn wrangle(wal: bool) -> Observed {
     }
 }
 
-/// The headline pin: every knob combination tallies the same structural
-/// counters — and materialises the same catalog — as in-memory.
+/// The headline pin: a durable wrangle tallies the same structural
+/// counters — and materialises the same catalog — as an in-memory one.
 #[test]
 fn structural_counters_identical_across_the_knob_matrix() {
-    let baseline = with_pinned_env(|| wrangle(false));
+    let baseline = wrangle(None);
     assert!(
         baseline.structural.get("pipeline.orchestrator.steps").copied().unwrap_or(0) > 0,
         "the pipeline must take orchestrator steps: {:?}",
@@ -143,10 +133,11 @@ fn structural_counters_identical_across_the_knob_matrix() {
         baseline.full_spans
     );
 
-    // the durability knob: a WAL-backed run is structurally identical too
+    // a WAL-backed run is structurally identical too
     // (wal.* diagnostics appear, but only under the pipeline-neutral
     // mode-scoped namespace — and as wal/append spans in the full tree)
-    let durable = with_pinned_env(|| wrangle(true));
+    let dir = TempDir::new("obs-matrix");
+    let durable = wrangle(Some(&dir));
     assert_eq!(durable.structural, baseline.structural, "WAL leg diverged structurally");
     assert_eq!(durable.catalog, baseline.catalog, "WAL leg changed the catalog");
     assert_eq!(
@@ -176,8 +167,9 @@ fn structural_counters_identical_across_the_knob_matrix() {
 /// in-memory wrangle's.
 #[test]
 fn report_json_parses_and_matches_the_in_memory_run() {
-    let durable = with_pinned_env(|| wrangle(true));
-    let in_memory = with_pinned_env(|| wrangle(false));
+    let dir = TempDir::new("obs-report");
+    let durable = wrangle(Some(&dir));
+    let in_memory = wrangle(None);
     assert!(durable.counters.get("wal.appends").copied().unwrap_or(0) > 0, "the leg is durable");
 
     let text = &durable.json;
