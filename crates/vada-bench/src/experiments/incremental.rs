@@ -136,8 +136,8 @@ struct EditRow {
 /// An interactive edit session over the `wrangle_paygo` scenario:
 /// `cycles` cycles of append, remove, reprice and annotate, each followed
 /// by a re-run. Its counters and span tree pin what re-wrangling after an edit
-/// costs — which transducers re-run, what is re-materialised and what is
-/// reused.
+/// costs — which transducers re-run, what is re-materialised, what an
+/// incremental session maintains and what is reused.
 fn measure_wrangle_edit(properties: usize, cycles: usize, obs: &Obs) -> EditRow {
     let scenario = ScenarioConfig {
         universe: UniverseConfig { properties, seed: 20170514 },

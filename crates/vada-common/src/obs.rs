@@ -117,6 +117,9 @@ pub mod key {
 
     /// Full (from-scratch) mapping executions.
     pub const MAP_FULL: &str = "map.execute.full";
+    /// Stand-alone mapping refreshes answered by the mapping's incremental
+    /// session from the journal's row events, not by an engine run.
+    pub const MAP_INCREMENTAL: &str = "map.execute.incremental";
     /// Mapping executions answered from the stored materialisation: the
     /// journal proved no source changed since it was built.
     pub const MAP_REUSED: &str = "map.execute.reused";

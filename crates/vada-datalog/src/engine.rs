@@ -153,15 +153,15 @@ impl FactSet {
         self.probe(hash_values(values), |f| f.values() == values).ok()
     }
 
-    /// Whether this set holds fact `row` of `other` — the same answer as
-    /// `self.contains(&other.tuples()[row])`, but probed with the hash
+    /// The row this set holds fact `row` of `other` at — the same answer as
+    /// `self.find(other.tuples()[row].values())`, but probed with the hash
     /// `other` stored for the fact instead of hashing its values again.
-    pub fn contains_row_of(&self, other: &FactSet, row: usize) -> bool {
+    pub fn row_of(&self, other: &FactSet, row: usize) -> Option<usize> {
         if self.tuples.is_empty() {
-            return false;
+            return None;
         }
         let t = &other.tuples[row];
-        self.probe(other.hashes[row], |f| f == t).is_ok()
+        self.probe(other.hashes[row], |f| f == t).ok()
     }
 
     /// Membership test.

@@ -3,6 +3,13 @@
 //! and feeds *changes* through the engine's existing semi-naive machinery,
 //! so a re-run after a small edit costs O(change) instead of O(database).
 //!
+//! Its consumer in the wrangle is the mapping result store
+//! (`vada_map::ResultStore`): a stand-alone mapping part keeps a session
+//! from its first refresh after a row-level source edit on, and the store
+//! feeds it the knowledge-base journal's appended, removed and tail-rewritten
+//! rows as [`apply`](IncrementalSession::apply) and
+//! [`retract`](IncrementalSession::retract) steps.
+//!
 //! ## Contract
 //!
 //! The session's output is **byte-identical** to evaluating the program
@@ -483,9 +490,9 @@ pub struct IncrementalSession {
     /// The most recent step; the registry's tallies are the totals.
     last: Option<DeltaOutcome>,
     /// Outcome tallies (bootstrap / incremental / fallback-by-reason) and
-    /// the session store's `datalog.index.*`: the engine config's registry
-    /// when it is enabled, otherwise a private enabled one, so the counts
-    /// are always available.
+    /// the session store's `datalog.index.*`: the engine config's registry,
+    /// disabled or not. [`IncrementalSession::last_outcome`] answers without
+    /// one.
     obs: Obs,
     /// Set while a failed `apply`/`retract` may have left `db`
     /// half-updated; every later delta refuses until `run_full`
@@ -501,9 +508,7 @@ impl std::fmt::Debug for IncrementalSession {
         f.debug_struct("IncrementalSession")
             .field("rules", &self.program.rules.len())
             .field("facts", &self.db.total_facts())
-            .field("bootstrap", &self.obs.get(obs_key::INC_BOOTSTRAP))
-            .field("incremental", &self.obs.get(obs_key::INC_INCREMENTAL))
-            .field("full_fallback", &self.obs.get(obs_key::INC_FALLBACK))
+            .field("last", &self.last)
             .field("poisoned", &self.poisoned)
             .finish()
     }
@@ -516,7 +521,7 @@ impl IncrementalSession {
     pub fn new(config: EngineConfig, source: &str) -> Result<IncrementalSession> {
         let program = parse_program(source)?;
         let strat = stratify(&program)?;
-        let obs = if config.obs.is_enabled() { config.obs.clone() } else { Obs::enabled() };
+        let obs = config.obs.clone();
         let mut store = IndexStore::default();
         store.obs = obs.clone();
         let info = ProgramInfo::build(&program, &strat, &mut store)?;
@@ -572,7 +577,8 @@ impl IncrementalSession {
         self.last.as_ref()
     }
 
-    /// The registry holding this session's outcome tallies.
+    /// The registry this session records its outcome tallies into: the
+    /// one its engine config names, so a disabled one keeps none.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -2152,7 +2158,12 @@ mod tests {
             input.insert("k", tuple![i % 17]);
             input.insert("w", tuple![i, i * 2]);
         }
-        let mut s = session(src, input.clone());
+        let mut s = IncrementalSession::new(
+            EngineConfig { obs: Obs::enabled(), ..EngineConfig::default() },
+            src,
+        )
+        .unwrap();
+        s.run_full(input.clone()).unwrap();
         let mut builds = 0;
         for round in 0..9i64 {
             let rows = |from: i64| (from..from + 8).map(|i| ("a".to_string(), tuple![i % 17, i]));

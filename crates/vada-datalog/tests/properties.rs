@@ -170,7 +170,8 @@ proptest! {
         }
         for (row, t) in every.tuples().iter().enumerate() {
             let held = oracle.set.contains(t);
-            prop_assert_eq!(fs.contains_row_of(&every, row), held, "row of {}", t);
+            let found = fs.row_of(&every, row).map(|r| &fs.tuples()[r]);
+            prop_assert_eq!(found, held.then_some(t), "row of {}", t);
         }
         // remove-then-reinsert moves a fact to the end, like a first insert
         if let Some(first) = oracle.tuples.first().cloned() {

@@ -17,12 +17,13 @@
 //! let mut src = Relation::empty(Schema::all_str("listings", &["price"]));
 //! src.push(tuple!["100"]).unwrap();
 //! kb.register_source(src.clone());
-//! let seen = kb.version();
+//! let seen = kb.mark();
 //!
 //! // appending rows and re-registering is recorded as a monotone delta
 //! src.push(tuple!["200"]).unwrap();
 //! kb.register_source(src);
-//! let events = kb.drain_deltas_since(seen).expect("within the window");
+//! let events: Vec<_> =
+//!     kb.changes_since(&seen, &["listings"]).expect("within the window").collect();
 //! match &events[0].change {
 //!     DeltaChange::RowsAppended { relation, rows } => {
 //!         assert_eq!(relation, "listings");
@@ -33,8 +34,9 @@
 //! ```
 //!
 //! The journal keeps a bounded window of recent events; a consumer whose
-//! watermark has fallen out of the window gets `None` from
-//! [`KnowledgeBase::drain_deltas_since`](crate::KnowledgeBase::drain_deltas_since)
+//! [`JournalMark`] has fallen out of the window (or belongs to another
+//! lineage) gets `Err` from
+//! [`KnowledgeBase::changes_since`](crate::KnowledgeBase::changes_since)
 //! and must fall back to a full run — the same contract as a non-monotone
 //! event, so staleness can never produce wrong results.
 
@@ -171,8 +173,8 @@ pub struct DeltaEvent {
 /// ([`DeltaJournal::lineage`]) and the KB version it had consumed through.
 /// Taken with [`KnowledgeBase::mark`](crate::KnowledgeBase::mark) when a
 /// consumer builds something from the base, and handed back to
-/// [`KnowledgeBase::changed_since`](crate::KnowledgeBase::changed_since) to
-/// ask whether the relations it was built from have been touched since.
+/// [`KnowledgeBase::changes_since`](crate::KnowledgeBase::changes_since) to
+/// ask how the relations it was built from have been touched since.
 /// A mark from another lineage (a clone, or the original of one) or one
 /// the bounded window has pruned past can vouch for nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -501,19 +501,6 @@ impl KnowledgeBase {
         self.version
     }
 
-    /// The change-journal entries recorded after `version`, oldest first —
-    /// the consumer side of the delta journal. Returns `None` when the
-    /// journal's bounded window no longer reaches back that far, in which
-    /// case the caller must treat everything as changed (full run).
-    ///
-    /// Reading does not remove events (the window is pruned by capacity,
-    /// not by consumption), so any number of consumers can each keep their
-    /// own watermark — typically the [`KnowledgeBase::version`] observed at
-    /// the end of their previous run.
-    pub fn drain_deltas_since(&self, version: u64) -> Option<Vec<DeltaEvent>> {
-        self.journal.events_since(version)
-    }
-
     /// The change journal itself (read access).
     pub fn journal(&self) -> &DeltaJournal {
         &self.journal
@@ -525,26 +512,41 @@ impl KnowledgeBase {
         JournalMark { lineage: self.journal.lineage(), version: self.version }
     }
 
+    /// The events after `mark` that name one of `relations`, oldest first —
+    /// the consumer side of the change journal. `Err` says why the journal
+    /// cannot vouch for the slice at all: the mark belongs to another
+    /// lineage, or the bounded window has pruned past it. Callers then treat
+    /// everything as changed and read afresh.
+    ///
+    /// Reading does not remove events (the window is pruned by capacity,
+    /// not by consumption), so any number of consumers can each keep their
+    /// own mark.
+    pub fn changes_since<'a, R: AsRef<str>>(
+        &'a self,
+        mark: &JournalMark,
+        relations: &'a [R],
+    ) -> std::result::Result<impl Iterator<Item = &'a DeltaEvent> + 'a, String> {
+        if self.journal.lineage() != mark.lineage {
+            return Err("knowledge-base journal lineage changed since the mark".into());
+        }
+        let events = self
+            .journal
+            .scan_since(mark.version)
+            .ok_or("journal window no longer covers the mark")?;
+        Ok(events.filter(move |e| {
+            e.change.relation().is_some_and(|r| relations.iter().any(|n| n.as_ref() == r))
+        }))
+    }
+
     /// Whether any of `relations` may have changed since `mark`: `Ok(false)`
     /// only when the journal proves that no event after the mark named one
-    /// of them. `Err` says why the journal cannot vouch at all — the mark
-    /// belongs to another lineage, or the bounded window has pruned past
-    /// it — and callers treat it as changed.
+    /// of them. `Err` as for [`KnowledgeBase::changes_since`].
     pub fn changed_since(
         &self,
         mark: &JournalMark,
         relations: &[impl AsRef<str>],
     ) -> std::result::Result<bool, String> {
-        if self.journal.lineage() != mark.lineage {
-            return Err("knowledge-base journal lineage changed since the mark".into());
-        }
-        let mut events = self
-            .journal
-            .scan_since(mark.version)
-            .ok_or("journal window no longer covers the mark")?;
-        Ok(events.any(|e| {
-            e.change.relation().is_some_and(|r| relations.iter().any(|n| n.as_ref() == r))
-        }))
+        Ok(self.changes_since(mark, relations)?.next().is_some())
     }
 
     /// The version at which `aspect` last changed (0 if never). Aspects:
@@ -1480,16 +1482,26 @@ mod tests {
         assert_eq!(kb.clone().query(q).unwrap(), after);
     }
 
+    /// Every journal event after `mark`, checked to be exactly the events
+    /// `changes_since` names for `relation`: an edit journals nothing else.
+    fn journalled_since(kb: &KnowledgeBase, mark: &JournalMark, relation: &str) -> Vec<DeltaEvent> {
+        let all: Vec<DeltaEvent> = kb.journal().events_since(mark.version).unwrap();
+        let relations = [relation];
+        let named: Vec<&DeltaEvent> = kb.changes_since(mark, &relations).unwrap().collect();
+        assert_eq!(named, all.iter().collect::<Vec<_>>(), "an event that names no {relation}");
+        all
+    }
+
     #[test]
     fn journal_classifies_appends_and_replacements() {
         let mut kb = kb_with_scenario();
-        let seen = kb.version();
+        let seen = kb.mark();
 
         // growing re-registration → monotone append with the suffix
         let mut grown = kb.relation("rightmove").unwrap().clone();
         grown.push(tuple!["410000", "3 kings ave", "EH1 1AA"]).unwrap();
         kb.register_source(grown.clone());
-        let events = kb.drain_deltas_since(seen).unwrap();
+        let events = journalled_since(&kb, &seen, "rightmove");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].seq, kb.version());
         assert_eq!(events[0].aspect, "relations");
@@ -1504,18 +1516,19 @@ mod tests {
         // rewriting an existing row → replacement
         let mut rewritten = grown;
         rewritten.replace(0, tuple!["1", "x", "y"]).unwrap();
-        let seen = kb.version();
+        let seen = kb.mark();
         kb.register_source(rewritten);
-        let events = kb.drain_deltas_since(seen).unwrap();
+        let events = journalled_since(&kb, &seen, "rightmove");
         assert!(matches!(
             events[0].change,
             DeltaChange::RelationReplaced { ref relation } if relation == "rightmove"
         ));
 
         // metadata mutations are journalled as aspect changes
-        let seen = kb.version();
+        let seen = kb.mark();
         kb.clear_mappings();
-        let events = kb.drain_deltas_since(seen).unwrap();
+        // (no relation: only the journal itself lists it)
+        let events: Vec<_> = kb.journal().scan_since(seen.version).unwrap().collect();
         assert_eq!(events[0].aspect, "mappings");
         assert!(!events[0].change.is_monotone());
     }
@@ -1526,12 +1539,12 @@ mod tests {
         let mut grown = kb.relation("rightmove").unwrap().clone();
         grown.push(tuple!["410000", "3 kings ave", "EH1 1AA"]).unwrap();
         kb.register_source(grown);
-        let seen = kb.version();
+        let seen = kb.mark();
 
         let removed = kb.remove_rows("rightmove", &[0]).unwrap();
         assert_eq!(removed, vec![tuple!["250000", "12 High St", "M13 9PL"]]);
         assert_eq!(kb.relation("rightmove").unwrap().len(), 1);
-        let events = kb.drain_deltas_since(seen).unwrap();
+        let events = journalled_since(&kb, &seen, "rightmove");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].aspect, "relations");
         match &events[0].change {
@@ -1558,10 +1571,10 @@ mod tests {
         kb.register_source(grown);
 
         // tail rewrite: the last row changes in place
-        let seen = kb.version();
+        let seen = kb.mark();
         kb.update_source("rightmove", &[(1, tuple!["420000", "3 kings ave", "EH1 1AA"])])
             .unwrap();
-        let events = kb.drain_deltas_since(seen).unwrap();
+        let events = journalled_since(&kb, &seen, "rightmove");
         match &events[0].change {
             DeltaChange::RowsReplaced { relation, removed, added, positions, tail } => {
                 assert_eq!(relation, "rightmove");
@@ -1574,9 +1587,9 @@ mod tests {
         }
 
         // mid-relation rewrite: recorded, but not a tail
-        let seen = kb.version();
+        let seen = kb.mark();
         kb.update_source("rightmove", &[(0, tuple!["1", "x", "M1 1AA"])]).unwrap();
-        let events = kb.drain_deltas_since(seen).unwrap();
+        let events = journalled_since(&kb, &seen, "rightmove");
         assert!(matches!(
             &events[0].change,
             DeltaChange::RowsReplaced { tail: false, .. }
@@ -1600,12 +1613,13 @@ mod tests {
     fn journal_window_forces_full_fallback_when_stale() {
         let mut kb = KnowledgeBase::new();
         kb.register_target_schema(Schema::all_str("t", &["a"]));
-        let stale = 0u64;
+        let stale = kb.mark();
         for i in 0..(crate::delta::DEFAULT_JOURNAL_CAPACITY + 4) {
             kb.stage_document(format!("d{i}"), "a\n1\n");
         }
-        assert!(kb.drain_deltas_since(stale).is_none(), "window must have pruned");
-        assert!(kb.drain_deltas_since(kb.version()).unwrap().is_empty());
+        let err = kb.changes_since(&stale, &["t"]).err().expect("window must have pruned");
+        assert!(err.contains("window"), "{err}");
+        assert_eq!(kb.changes_since(&kb.mark(), &["t"]).unwrap().count(), 0);
     }
 
     #[test]
@@ -1625,6 +1639,14 @@ mod tests {
         assert_eq!(kb.changed_since(&mark, &["a", "c"]), Ok(true));
         kb.update_source("a", &[(0, tuple!["2"])]).unwrap();
         assert_eq!(kb.changed_since(&mark, &["a"]), Ok(true));
+        // the events themselves: only those naming a listed relation
+        let named = |rels: &[&str]| -> Vec<String> {
+            let events = kb.changes_since(&mark, rels).unwrap();
+            events.map(|e| e.change.relation().unwrap().to_string()).collect()
+        };
+        assert_eq!(named(&["a"]), ["a"]);
+        assert_eq!(named(&["c", "a"]), ["c", "a"]);
+        assert!(named(&["zz"]).is_empty());
         assert_eq!(kb.changed_since(&kb.mark(), &["a"]), Ok(false));
 
         // a clone is another history, even where its versions coincide

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use vada_common::obs::key as obs_key;
+use vada_common::obs::{key as obs_key, SpanGuard};
 use vada_common::{AttrType, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
 use vada_datalog::parse_program;
@@ -120,14 +120,25 @@ pub fn execute_mapping(
             .collect::<Result<Vec<_>>>()?;
         Ok(input_db(inputs.iter().map(|(s, rows)| (*s, rows))))
     };
+    let _span = execute_span(mapping, kb);
     Ok(materialise(cfg, mapping, target, kb, scratch)?.0)
+}
+
+/// The span one materialisation of `mapping` records under, in the
+/// knowledge base's registry: input build and engine run, or a session's
+/// step, nest underneath.
+pub(crate) fn execute_span<'a>(mapping: &MappingDef, kb: &'a KnowledgeBase) -> SpanGuard<'a> {
+    let span = kb.obs().span("map/execute");
+    span.attr("mapping", &mapping.id);
+    span.attr("target", &mapping.target);
+    span
 }
 
 /// One engine run of `mapping` into `target` over the database `input`
 /// builds: the coerced result, and the engine's raw target facts it was
 /// coerced from — row `i` of the result is fact `i`. The facts are the
 /// run's own fact set, not a copy. The run records into the knowledge
-/// base's registry.
+/// base's registry, inside the caller's [`execute_span`].
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
@@ -138,11 +149,6 @@ pub(crate) fn materialise(
     let program = parse_program(&mapping.rules)?;
     let obs = kb.obs();
     obs.incr(obs_key::MAP_FULL);
-    // wraps input build + engine run: the engine's stratum spans nest
-    // underneath
-    let span = obs.span("map/execute");
-    span.attr("mapping", &mapping.id);
-    span.attr("target", &mapping.target);
     let input = input()?;
     let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
     // a mapping materialises its whole target relation — an all-free
@@ -150,11 +156,37 @@ pub(crate) fn materialise(
     let output = engine.run(&program, input)?;
 
     let facts = output.shared_fact_set(&target.name).unwrap_or_default();
-    let mut rel = Relation::empty(target.clone());
-    for t in facts.tuples() {
-        rel.push(coerce_fact(t, target, &mapping.id)?)?;
+    Ok((coerce_rows(&facts, target, &mapping.id, None)?, facts))
+}
+
+/// The rows of the raw target `facts` coerced into `target`, row for row.
+/// A fact an earlier run also derived keeps the row it was coerced to
+/// there (`earlier`: that run's facts and rows); only the others are
+/// coerced. The earlier facts are walked in step with `facts`, so a fact
+/// is looked up only where the order departs from theirs.
+pub(crate) fn coerce_rows(
+    facts: &FactSet,
+    target: &Schema,
+    mapping_id: &str,
+    earlier: Option<(&FactSet, &Relation)>,
+) -> Result<Relation> {
+    let mut rows = Vec::with_capacity(facts.len());
+    let mut next = 0;
+    for (row, t) in facts.tuples().iter().enumerate() {
+        let kept = earlier.and_then(|(f, r)| {
+            let at = match f.tuples().get(next) {
+                Some(e) if e == t => next,
+                _ => f.row_of(facts, row)?,
+            };
+            next = at + 1;
+            Some(r.tuples()[at].clone())
+        });
+        rows.push(match kept {
+            Some(kept) => kept,
+            None => coerce_fact(t, target, mapping_id)?,
+        });
     }
-    Ok((rel, facts))
+    Relation::from_tuples(target.clone(), rows)
 }
 
 /// Coerce one derived target fact into the typed target schema.

@@ -15,11 +15,12 @@
 //! * [`store`] — the result store the mapping transducers execute
 //!   through, and the one home of candidate results: one materialisation
 //!   per mapping *structure*, handed back while the knowledge-base delta
-//!   journal proves no source changed, re-run through [`execute`]
-//!   otherwise — a union assembled from its per-source parts, so that an
-//!   edit to one source re-runs only the parts reading it, and kept as
-//!   those parts rather than copied; every run over one version of a
-//!   source shares one execution input;
+//!   journal proves no source changed, refreshed otherwise — a mapping
+//!   re-run through [`execute`], or maintained by an incremental session
+//!   while its sources take only row-level edits; a union assembled from
+//!   its per-source parts, so that an edit to one source refreshes only
+//!   the parts reading it, and kept as those parts rather than copied;
+//!   every run over one version of a source shares one execution input;
 //! * [`select`] — ranks candidates by weighted utility over their quality
 //!   metrics, with weights from the AHP user context (paper §2.2/Fig 3(d)
 //!   "mapping selection based on multi-dimensional optimisation").

@@ -6,28 +6,47 @@
 //! is only a position in one generation pass, and a caller-built mapping
 //! may carry any id, so the id proves nothing about what it computes):
 //! the result plus the [journal mark](vada_kb::JournalMark) it is current
-//! at. On re-execution it asks the knowledge base whether any of the
-//! mapping's sources changed since that mark
-//! ([`KnowledgeBase::changed_since`](vada_kb::KnowledgeBase::changed_since)).
+//! at. On re-execution it asks the knowledge base which events named one
+//! of the mapping's sources since that mark
+//! ([`KnowledgeBase::changes_since`](vada_kb::KnowledgeBase::changes_since)).
 //! When the journal proves none did, nothing the mapping reads has changed
 //! and the stored result is handed back as is — no parse, no input
 //! database, no engine run (`map.execute.reused`). Otherwise the entry is
-//! rebuilt and stored again: a stale mapping is re-run, never maintained.
-//! How it is rebuilt depends on the mapping:
+//! refreshed and stored again. How depends on the mapping and on the
+//! events:
 //!
 //! * A mapping without [`parts`](vada_kb::MappingDef::parts) runs through
-//!   the engine exactly as [`execute_mapping`] does (`map.execute.full`).
-//!   Its entry is the run: the coerced rows, the engine's raw target facts
-//!   beside them, and a *version* number no other run of the store gets.
+//!   the engine exactly as [`execute_mapping`] does (`map.execute.full`)
+//!   when it is first materialised. Its entry is the run: the coerced rows,
+//!   the engine's raw target facts beside them, and a *version* number no
+//!   other run of the store gets.
+//! * Such a mapping is then **maintained**, not re-run, while the journal
+//!   names only row-level edits of its sources: rows appended, rows
+//!   removed, the last rows rewritten. Its first such refresh starts a
+//!   [`vada_datalog::IncrementalSession`] over the sources as they stand
+//!   (`map.execute.full` too); every later one feeds the session the
+//!   edited rows — appended rows as new facts, removed rows as retractions
+//!   (`map.execute.incremental`). The rows follow the session: a fact the
+//!   previous version also derived keeps its coerced row, and only new
+//!   facts are coerced. The engine reads a source as its distinct rows in
+//!   first-occurrence order, so a removed row whose tuple another row
+//!   still holds retracts nothing; if the copy that takes its place lies
+//!   past another distinct row's first occurrence, the session's order is
+//!   no longer a fresh read's, and the mapping re-runs. So does every
+//!   refresh the session cannot replay — a relation-level event, a rewrite
+//!   of rows that are not the last ones, a mark the journal cannot vouch
+//!   for — and the session is dropped. So does a step that fails: the
+//!   engine run then yields exactly a from-scratch run's result or error,
+//!   and a failed run drops the entry.
 //! * A union is **assembled** from its parts (`map.execute.assembled`).
 //!   Each part is a mapping in its own right, with its own entry — the
-//!   same entry as the stand-alone candidate of that structure. The parts
-//!   are brought up to date first: a fresh one is reused, a stale one
-//!   re-runs. The union's rows are then their rows in part order, keeping
-//!   a row only when its *raw* fact came from no earlier part. Coercion
-//!   can map distinct facts to equal rows, and the engine keeps both, so
-//!   the union does too. After an edit to one source, only the parts that
-//!   read it re-run.
+//!   same entry as the stand-alone candidate of that structure, session
+//!   included. The parts are brought up to date first: a fresh one is
+//!   reused, a stale one refreshes. The union's rows are then their rows
+//!   in part order, keeping a row only when its *raw* fact came from no
+//!   earlier part. Coercion can map distinct facts to equal rows, and the
+//!   engine keeps both, so the union does too. After an edit to one
+//!   source, only the parts that read it refresh.
 //!
 //! **A union is not copied.** Its entry holds its parts' runs (shared, not
 //! copied) and, per part, the rows assembly drops — all that the raw-fact
@@ -39,17 +58,17 @@
 //! that keeps its own copy ([`Candidate::to_relation`]) gets the rows
 //! copied straight out of the parts, and nothing is kept for it.
 //!
-//! **One input per source version.** An engine run reads its sources from
-//! an execution input the store keeps per source relation: the rows as one
-//! shared fact set, at the journal mark it was built at. A mapping reads
-//! nothing else: a postcode's district is computed in the rules, by the
-//! engine's `district` function. Every run over the same version of a
-//! source loads the same fact set, without copying a tuple
-//! (`map.input.reused`); the engine copies it only if it writes to it. An
-//! input is rebuilt when the journal cannot prove its source unchanged
-//! since its mark (`map.input.built`), and dropped once its source is gone
-//! from the knowledge base. The input database holds the same facts in the
-//! same order as loading every row one by one.
+//! **One input per source version.** An engine run, or a session's start,
+//! reads its sources from an execution input the store keeps per source
+//! relation: the rows as one shared fact set, at the journal mark it was
+//! built at. A mapping reads nothing else: a postcode's district is
+//! computed in the rules, by the engine's `district` function. Every run
+//! over the same version of a source loads the same fact set, without
+//! copying a tuple (`map.input.reused`); the engine copies it only if it
+//! writes to it. An input is rebuilt when the journal cannot prove its
+//! source unchanged since its mark (`map.input.built`), and dropped once
+//! its source is gone from the knowledge base. The input database holds
+//! the same facts in the same order as loading every row one by one.
 //!
 //! The output is byte-identical to [`execute_mapping`], which builds its
 //! input from scratch, on the same knowledge base in every case, row order
@@ -68,8 +87,12 @@
 //! // the store tallies its work in the knowledge base's registry
 //! kb.set_obs(Obs::enabled());
 //! let tally = |kb: &KnowledgeBase| {
-//!     [key::MAP_FULL, key::MAP_REUSED, key::MAP_ASSEMBLED].map(|k| kb.obs().get(k))
+//!     [key::MAP_FULL, key::MAP_INCREMENTAL, key::MAP_REUSED, key::MAP_ASSEMBLED]
+//!         .map(|k| kb.obs().get(k))
 //! };
+//! let cfg = ExecuteConfig::default();
+//! // a from-scratch execution, on a clone: a clone records into no registry
+//! let scratch = |m: &MappingDef, kb: &KnowledgeBase| execute_mapping(&cfg, m, &kb.clone());
 //! let mut listings = Relation::empty(Schema::all_str("listings", &["street", "price"]));
 //! listings.push(tuple!["1 high st", "250000"]).unwrap();
 //! kb.register_source(listings.clone());
@@ -86,23 +109,32 @@
 //! };
 //!
 //! let mut store = ResultStore::default();
-//! let cfg = ExecuteConfig::default();
 //! let first = store.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(first.len(), 1);
 //!
 //! // nothing the mapping reads has changed: the stored result comes back
 //! store.execute(&cfg, &mapping, &kb).unwrap();
-//! assert_eq!(tally(&kb), [1, 1, 0]);
+//! assert_eq!(tally(&kb), [1, 0, 1, 0]);
 //!
-//! // append a row and re-execute: the journal names `listings`, so the
-//! // entry is re-materialised…
+//! // append a row and re-execute: the journal names a row-level edit of
+//! // `listings`, so the entry starts an incremental session over the
+//! // source as it stands…
 //! listings.push(tuple!["2 park rd", "300000"]).unwrap();
 //! kb.register_source(listings.clone());
 //! let second = store.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(second.len(), 2);
-//! assert_eq!(tally(&kb), [2, 1, 0]);
-//! // …byte-identical to a from-scratch execution, which it was
-//! assert_eq!(second.tuples(), execute_mapping(&cfg, &mapping, &kb).unwrap().tuples());
+//! assert_eq!(tally(&kb), [2, 0, 1, 0]);
+//! // …byte-identical to a from-scratch execution
+//! assert_eq!(second.tuples(), scratch(&mapping, &kb).unwrap().tuples());
+//!
+//! // from then on the session is fed what changed: the appended row is
+//! // derived, the removed one retracted, and the engine runs no program
+//! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
+//! kb.register_source(listings);
+//! kb.remove_rows("listings", &[1]).unwrap();
+//! let third = store.execute(&cfg, &mapping, &kb).unwrap();
+//! assert_eq!(tally(&kb), [2, 1, 1, 0]);
+//! assert_eq!(third.tuples(), scratch(&mapping, &kb).unwrap().tuples());
 //!
 //! // a second source, and the union of both, recorded as its two parts;
 //! // the first part has the structure of `mapping`, so it is that entry
@@ -125,12 +157,11 @@
 //!     ..mapping.clone()
 //! };
 //! let assembled = store.execute(&cfg, &union, &kb).unwrap().clone();
-//! // one engine run, for `adverts` (the scratch execution above was the
-//! // third); the `listings` part came from the store
-//! assert_eq!(tally(&kb), [4, 1, 1]);
+//! // one engine run, for `adverts`; the `listings` part came from the store
+//! assert_eq!(tally(&kb), [3, 1, 1, 1]);
 //! // a fact both parts derive appears once; `£250,000` is a second fact
 //! // that coerces to an equal row, and stays, as in the engine's answer
-//! assert_eq!(assembled.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
+//! assert_eq!(assembled.tuples(), scratch(&union, &kb).unwrap().tuples());
 //! assert_eq!(assembled.len(), 3);
 //! // the entry itself is the parts' rows and the row the second drops
 //! // (handing the entry back as its parts is a store hit)
@@ -142,25 +173,30 @@
 //!     .collect();
 //! assert_eq!(parts, [(2, vec![]), (2, vec![0])]);
 //!
-//! // an edit to `listings` re-runs its part only
-//! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
+//! // an edit to `listings` refreshes its part only, through its session
+//! let mut listings = kb.relation("listings").unwrap().clone();
+//! listings.push(tuple!["4 elm rd", "210000"]).unwrap();
 //! kb.register_source(listings);
 //! let edited = store.execute(&cfg, &union, &kb).unwrap();
-//! assert_eq!(tally(&kb), [6, 2, 2]);
-//! assert_eq!(edited.tuples(), execute_mapping(&cfg, &union, &kb).unwrap().tuples());
+//! assert_eq!(tally(&kb), [3, 2, 2, 2]);
+//! assert_eq!(edited.tuples(), scratch(&union, &kb).unwrap().tuples());
 //! ```
 //!
 //! [`execute_mapping`]: crate::execute_mapping
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::key as obs_key;
-use vada_common::{Relation, Result, Schema, VadaError};
-use vada_datalog::engine::FactSet;
-use vada_kb::{JournalMark, KnowledgeBase, MappingDef};
+use vada_common::{Relation, Result, Schema, Tuple, VadaError};
+use vada_datalog::engine::{EngineConfig, FactSet};
+use vada_datalog::IncrementalSession;
+use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, MappingDef};
 
-use crate::execute::{input_db, materialise, registered_target, source_input, ExecuteConfig};
+use crate::execute::{
+    coerce_rows, execute_span, input_db, materialise, registered_target, source_input,
+    ExecuteConfig,
+};
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
@@ -190,6 +226,9 @@ struct Materialisation {
     parts: Vec<(Arc<Run>, Vec<usize>)>,
     /// A union's own rows, built on first request and kept.
     union: OnceLock<Relation>,
+    /// A mapping without parts keeps an incremental session from its first
+    /// refresh by row-level edits on; `None` before that, and for a union.
+    session: Option<Box<Session>>,
 }
 
 impl Materialisation {
@@ -222,6 +261,150 @@ impl Materialisation {
         }
         let schema = self.parts[0].0.rows.schema().clone();
         Relation::from_tuples(schema, rows).expect("parts share the target schema")
+    }
+}
+
+/// One row-level edit of a source, as a session replays it: the removed
+/// rows go first, then the appended ones.
+struct RowEdit<'a> {
+    source: &'a str,
+    removed: &'a [Tuple],
+    added: &'a [Tuple],
+}
+
+/// The row-level edit `change` makes, or `None` when a session cannot
+/// replay it: a relation-level event, or a rewrite of rows that are not the
+/// last ones (the new rows take the old rows' places, which no append
+/// reproduces).
+fn row_edit(change: &DeltaChange) -> Option<RowEdit<'_>> {
+    let (source, removed, added): (&String, &[Tuple], &[Tuple]) = match change {
+        DeltaChange::RowsAppended { relation, rows } => (relation, &[], rows),
+        DeltaChange::RowsRemoved { relation, rows, .. } => (relation, rows, &[]),
+        DeltaChange::RowsReplaced { relation, removed, added, tail: true, .. } => {
+            (relation, removed, added)
+        }
+        _ => return None,
+    };
+    Some(RowEdit { source, removed, added })
+}
+
+/// Whether `held` is `rows`' distinct tuples in first-occurrence order, as
+/// [`source_input`] would read them: walked in step, with a lookup only for
+/// a row that is not the next tuple `held` expects — it must repeat one
+/// already passed.
+fn reads_as(held: &FactSet, rows: &[Tuple]) -> bool {
+    let mut next = 0;
+    let mut repeats = FactSet::default();
+    // per distinct repeated tuple, how far `held` had been walked at its
+    // first repeat
+    let mut walked = Vec::new();
+    for t in rows {
+        if held.tuples().get(next) == Some(t) {
+            next += 1;
+        } else if repeats.insert(t.clone()) {
+            walked.push(next);
+        }
+    }
+    next == held.len()
+        && walked.iter().enumerate().all(|(r, &w)| held.row_of(&repeats, r).is_some_and(|at| at < w))
+}
+
+/// A mapping's incremental session, and what replaying the journal into it
+/// takes besides: per source, how many rows beyond the first hold each
+/// tuple that several rows hold.
+#[derive(Debug)]
+struct Session {
+    inc: IncrementalSession,
+    repeats: BTreeMap<String, HashMap<Tuple, usize>>,
+}
+
+impl Session {
+    /// A session over `sources` as the knowledge base holds them now, each
+    /// loaded from its execution input.
+    fn start<'a>(
+        cfg: &ExecuteConfig,
+        rules: &str,
+        sources: impl IntoIterator<Item = (&'a str, &'a Arc<FactSet>)> + Clone,
+        kb: &KnowledgeBase,
+    ) -> Result<Session> {
+        let engine = EngineConfig { obs: kb.obs().clone(), ..cfg.engine.clone() };
+        let mut inc = IncrementalSession::new(engine, rules)?;
+        let mut repeats = BTreeMap::new();
+        for (source, input) in sources.clone() {
+            // the input is the rows' first occurrences in order, so a row
+            // that is not the next of them repeats an earlier one
+            let mut n: HashMap<Tuple, usize> = HashMap::new();
+            let mut first = input.tuples().iter().peekable();
+            for t in kb.relation(source)?.iter() {
+                if first.next_if(|f| *f == t).is_none() {
+                    *n.entry(t.clone()).or_insert(0) += 1;
+                }
+            }
+            repeats.insert(source.to_string(), n);
+        }
+        inc.run_full(input_db(sources))?;
+        Ok(Session { inc, repeats })
+    }
+
+    /// Feed `edits` to the session, oldest first, and name the sources the
+    /// session may now hold in another order than a fresh read does.
+    ///
+    /// The engine reads a source as its distinct rows in first-occurrence
+    /// order. A removed row whose tuple another row still holds is not
+    /// retracted, and that is right unless it was the tuple's first
+    /// occurrence and the copy taking its place lies past another distinct
+    /// row's first occurrence; the source of such a row is named.
+    fn replay<'e>(&mut self, edits: &[RowEdit<'e>]) -> Result<BTreeSet<&'e str>> {
+        let mut unsure = BTreeSet::new();
+        for edit in edits {
+            if !edit.removed.is_empty() && self.remove(edit.source, edit.removed)? {
+                unsure.insert(edit.source);
+            }
+            if !edit.added.is_empty() {
+                self.append(edit.source, edit.added)?;
+            }
+        }
+        Ok(unsure)
+    }
+
+    /// Count the repeats among `rows`, appended to `source`, and feed the
+    /// rows to the session, which skips a tuple it already holds, as a
+    /// fresh read does.
+    fn append(&mut self, source: &str, rows: &[Tuple]) -> Result<()> {
+        let held = self.inc.database().fact_set(source);
+        let repeats = self.repeats.entry(source.to_string()).or_default();
+        let mut batch = HashSet::new();
+        for t in rows {
+            if !batch.insert(t) || held.is_some_and(|f| f.contains(t)) {
+                *repeats.entry(t.clone()).or_insert(0) += 1;
+            }
+        }
+        self.inc.apply(rows.iter().map(|t| (source.to_string(), t.clone())).collect())?;
+        Ok(())
+    }
+
+    /// Retract the tuples of `rows`, removed from `source`, that no row
+    /// holds any more; whether some removed tuple still has a row.
+    fn remove(&mut self, source: &str, rows: &[Tuple]) -> Result<bool> {
+        let repeats = self.repeats.entry(source.to_string()).or_default();
+        let mut gone = Vec::new();
+        let mut survives = false;
+        for t in rows {
+            match repeats.get_mut(t) {
+                Some(n) => {
+                    *n -= 1;
+                    if *n == 0 {
+                        repeats.remove(t);
+                    }
+                    survives = true;
+                }
+                None => gone.push((source.to_string(), t.clone())),
+            }
+        }
+        if !gone.is_empty() {
+            self.inc.retract(gone)?;
+        }
+        Ok(survives)
     }
 }
 
@@ -350,15 +533,15 @@ impl ResultStore {
     }
 
     /// Materialise `mapping`: the stored result when the journal proves
-    /// no source changed since it was built, a rebuilt one otherwise — run
-    /// through the engine, or for a union assembled from its parts. The
-    /// result is byte-identical to
+    /// no source changed since it was built, a refreshed one otherwise —
+    /// run through the engine or its incremental session, or for a union
+    /// assembled from its parts. The result is byte-identical to
     /// [`execute_mapping`](crate::execute_mapping) on the same knowledge
     /// base — including row order — in every case. A failed
-    /// rebuild leaves no entry for the mapping (nor for a part that
+    /// refresh leaves no entry for the mapping (nor for a part that
     /// failed), so a stale result is never handed back. The
     /// `map.execute.*` and `map.input.*` tallies and spans go to the
-    /// knowledge base's registry.
+    /// knowledge base's registry, and so do a session's `incremental.*`.
     pub fn execute(
         &mut self,
         cfg: &ExecuteConfig,
@@ -386,18 +569,17 @@ impl ResultStore {
             kb.obs().incr(obs_key::MAP_REUSED);
             return Ok(Candidate(&self.entries[&fp]));
         }
-        let rebuilt = if mapping.parts.is_empty() {
-            self.run(cfg, mapping, target, kb).map(|run| vec![(run, Vec::new())])
+        if mapping.parts.is_empty() {
+            self.refresh(cfg, mapping, &fp, target, kb)?;
         } else {
-            self.assemble(cfg, mapping, target, kb)
-        };
-        match rebuilt {
-            Ok(parts) => self.insert(fp.clone(), parts, kb),
-            Err(e) => {
-                // the journal names a source since the mark, so the
-                // pre-edit result can never be handed back: free it now
-                self.forget(&fp);
-                return Err(e);
+            match self.assemble(cfg, mapping, target, kb) {
+                Ok(parts) => self.insert(fp.clone(), parts, None, kb),
+                Err(e) => {
+                    // the journal names a source since the mark, so the
+                    // pre-edit result can never be handed back: free it now
+                    self.forget(&fp);
+                    return Err(e);
+                }
             }
         }
         while self.lru.len() > self.capacity {
@@ -437,6 +619,93 @@ impl ResultStore {
         Ok(())
     }
 
+    /// Bring the entry of `mapping`, a mapping without parts stored under
+    /// `fp` (if at all) and not current, up to date: through its session
+    /// when [`ResultStore::step`] can, by an engine run otherwise. A step
+    /// that fails falls back to the run too, so a refresh yields exactly a
+    /// from-scratch run's result or error. Stores the run and hands it back;
+    /// a failure leaves no entry under `fp`.
+    fn refresh(
+        &mut self,
+        cfg: &ExecuteConfig,
+        mapping: &MappingDef,
+        fp: &str,
+        target: &Schema,
+        kb: &KnowledgeBase,
+    ) -> Result<Arc<Run>> {
+        // one span per refresh, whichever way it goes
+        let _span = execute_span(mapping, kb);
+        let stepped = match self.entries.remove(fp) {
+            Some(stale) => self.step(cfg, mapping, target, kb, stale).ok().flatten(),
+            None => None,
+        };
+        let refreshed = match stepped {
+            Some((run, session)) => Ok((run, Some(session))),
+            None => self.run(cfg, mapping, target, kb).map(|run| (run, None)),
+        };
+        match refreshed {
+            Ok((run, session)) => {
+                self.insert(fp.to_string(), vec![(run.clone(), Vec::new())], session, kb);
+                Ok(run)
+            }
+            Err(e) => {
+                self.forget(fp);
+                Err(e)
+            }
+        }
+    }
+
+    /// Refresh the stale entry of `mapping`, a mapping without parts,
+    /// through its incremental session, starting one on the first refresh.
+    /// `Ok(None)` asks for an engine run instead, as an error does, and the
+    /// session is dropped either way. A step answers `Ok(None)` when the
+    /// journal cannot vouch for the entry's mark or names an event of a source that is not a
+    /// row-level edit (see [`row_edit`]), when the entry is not one run
+    /// (a union of the same rules and sources stored it), or when a removed
+    /// row's surviving copy left the session holding a source's rows in
+    /// another order than a fresh read (see [`Session::replay`] and
+    /// [`reads_as`]).
+    fn step(
+        &mut self,
+        cfg: &ExecuteConfig,
+        mapping: &MappingDef,
+        target: &Schema,
+        kb: &KnowledgeBase,
+        stale: Materialisation,
+    ) -> Result<Option<(Arc<Run>, Box<Session>)>> {
+        let Ok(events) = kb.changes_since(&stale.mark, &mapping.sources) else {
+            return Ok(None);
+        };
+        let Some(edits) = events.map(|e| row_edit(&e.change)).collect::<Option<Vec<_>>>() else {
+            return Ok(None);
+        };
+        let Some(earlier) = stale.whole_run().cloned() else { return Ok(None) };
+        let (session, counter) = match stale.session {
+            Some(mut session) => {
+                for source in session.replay(&edits)? {
+                    let rows = kb.relation(source)?.tuples();
+                    let held = session.inc.database().fact_set(source);
+                    if !held.is_some_and(|h| reads_as(h, rows)) {
+                        return Ok(None);
+                    }
+                }
+                (session, obs_key::MAP_INCREMENTAL)
+            }
+            None => {
+                for source in &mapping.sources {
+                    self.input(source, kb)?;
+                }
+                let inputs = mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1));
+                (Box::new(Session::start(cfg, &mapping.rules, inputs, kb)?), obs_key::MAP_FULL)
+            }
+        };
+        let facts = session.inc.database().shared_fact_set(&target.name).unwrap_or_default();
+        let rows = coerce_rows(&facts, target, &mapping.id, Some((&earlier.facts, &earlier.rows)))?;
+        kb.obs().incr(counter);
+        self.next_version += 1;
+        Ok(Some((Arc::new(Run { version: self.next_version, rows, facts }), session)))
+    }
+
     /// One engine run of `mapping` over the kept inputs of its sources.
     fn run(
         &mut self,
@@ -465,7 +734,7 @@ impl ResultStore {
         kb: &KnowledgeBase,
     ) -> Result<Vec<(Arc<Run>, Vec<usize>)>> {
         kb.obs().incr(obs_key::MAP_ASSEMBLED);
-        // stale parts re-run beneath this span
+        // stale parts refresh beneath this span
         let span = kb.obs().span("map/assemble");
         span.attr("mapping", &union.id);
         span.attr("target", &union.target);
@@ -486,16 +755,7 @@ impl ResultStore {
                         matches_used: Vec::new(),
                         parts: Vec::new(),
                     };
-                    match self.run(cfg, &part_mapping, target, kb) {
-                        Ok(run) => {
-                            self.insert(fp, vec![(run.clone(), Vec::new())], kb);
-                            run
-                        }
-                        Err(e) => {
-                            self.forget(&fp);
-                            return Err(e);
-                        }
-                    }
+                    self.refresh(cfg, &part_mapping, &fp, target, kb)?
                 }
             };
             runs.push(run);
@@ -507,7 +767,7 @@ impl ResultStore {
             .map(|(k, run)| {
                 let earlier = &runs[..k];
                 let dropped = (0..run.facts.len())
-                    .filter(|&row| earlier.iter().any(|e| e.facts.contains_row_of(&run.facts, row)))
+                    .filter(|&row| earlier.iter().any(|e| e.facts.row_of(&run.facts, row).is_some()))
                     .collect();
                 (run.clone(), dropped)
             })
@@ -515,12 +775,19 @@ impl ResultStore {
         Ok(parts)
     }
 
-    /// Store `parts` under `fp`, current now, as the most recently used.
-    /// Eviction waits for the end of [`ResultStore::candidate`], so
-    /// assembling a union never evicts one of its own parts.
-    fn insert(&mut self, fp: String, parts: Vec<(Arc<Run>, Vec<usize>)>, kb: &KnowledgeBase) {
+    /// Store `parts` (and a mapping's `session`) under `fp`, current now, as
+    /// the most recently used. Eviction waits for the end of
+    /// [`ResultStore::candidate`], so assembling a union never evicts one of
+    /// its own parts.
+    fn insert(
+        &mut self,
+        fp: String,
+        parts: Vec<(Arc<Run>, Vec<usize>)>,
+        session: Option<Box<Session>>,
+        kb: &KnowledgeBase,
+    ) {
         self.touch(&fp);
-        let entry = Materialisation { mark: kb.mark(), parts, union: OnceLock::new() };
+        let entry = Materialisation { mark: kb.mark(), parts, union: OnceLock::new(), session };
         self.entries.insert(fp, entry);
     }
 
@@ -596,10 +863,33 @@ mod tests {
         assert_eq!(got.tuples(), scratch.tuples());
     }
 
-    /// `(materialised from scratch, reused)` so far, as the store tallied
-    /// them in `kb`'s registry.
+    /// `(refreshed, reused)` so far, as the store tallied them in `kb`'s
+    /// registry: a refresh is an engine run or a session step.
     fn tally(kb: &KnowledgeBase) -> (u64, u64) {
-        (kb.obs().get(obs_key::MAP_FULL), kb.obs().get(obs_key::MAP_REUSED))
+        let obs = kb.obs();
+        (obs.get(obs_key::MAP_FULL) + obs.get(obs_key::MAP_INCREMENTAL), obs.get(obs_key::MAP_REUSED))
+    }
+
+    /// `[engine runs and session starts, session steps]` so far.
+    fn paths(kb: &KnowledgeBase) -> [u64; 2] {
+        [obs_key::MAP_FULL, obs_key::MAP_INCREMENTAL].map(|k| kb.obs().get(k))
+    }
+
+    /// How many `map/execute` spans `kb`'s registry holds.
+    fn execute_spans(kb: &KnowledgeBase) -> usize {
+        kb.obs().span_records().iter().filter(|r| r.name == "map/execute").count()
+    }
+
+    /// How many entries keep an incremental session.
+    fn sessions(store: &ResultStore) -> usize {
+        store.entries.values().filter(|e| e.session.is_some()).count()
+    }
+
+    /// `rows` appended to `source`, re-registered.
+    fn append(kb: &mut KnowledgeBase, source: &str, rows: &[vada_common::Tuple]) {
+        let mut rel = kb.relation(source).unwrap().clone();
+        rel.extend(rows.iter().cloned()).unwrap();
+        kb.register_source(rel);
     }
 
     #[test]
@@ -761,16 +1051,135 @@ mod tests {
         mapping.id = "m2".into();
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (1, 1));
-        let mut rm = kb.relation("rightmove").unwrap().clone();
-        rm.push(tuple!["500000", "4 mill ln", "EH1 1AA"]).unwrap();
-        kb.register_source(rm);
+        // a first materialisation starts no session; the first row-level
+        // refresh does
+        assert_eq!(sessions(&store), 0);
+        append(&mut kb, "rightmove", &[tuple!["500000", "4 mill ln", "EH1 1AA"]]);
         checked(&mut store, &mapping, &kb);
         assert_eq!(store.entries.len(), 1);
-        // changed rules: new fingerprint, a second entry
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 0]));
+        // changed rules: new fingerprint, a second entry, with no session
+        // until its own first row-level refresh
+        let joined = mapping.clone();
         mapping.rules = "property(S, PC, P, null) :- rightmove(P, S, PC).".into();
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (3, 1));
-        assert_eq!(store.entries.len(), 2);
+        assert_eq!((store.entries.len(), sessions(&store)), (2, 1));
+        append(&mut kb, "rightmove", &[tuple!["1", "5 elm rd", "M1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        checked(&mut store, &joined, &kb);
+        // the new structure started a fresh session, the first one stepped
+        assert_eq!((sessions(&store), paths(&kb)), (2, [4, 1]));
+    }
+
+    // ---- the incremental session of a mapping without parts ----
+
+    #[test]
+    fn a_removed_row_whose_copy_follows_it_stays_incremental() {
+        let (mut kb, mapping) = kb_and_mapping();
+        let mut store = ResultStore::default();
+        checked(&mut store, &mapping, &kb);
+        // two copies of a new row side by side, then a row of its own: the
+        // refresh starts the session
+        let twin = tuple!["410000", "3 kings ave", "M1 1AA"];
+        append(&mut kb, "rightmove", &[twin.clone(), twin, tuple!["9", "7 new rd", "EH1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!(paths(&kb), [2, 0]);
+
+        // removing the first copy: the second takes its place, and no other
+        // row's first occurrence lies between them
+        kb.remove_rows("rightmove", &[2]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!(paths(&kb), [2, 1]);
+        // a copy of the first row, far behind it, removed again: the first
+        // occurrence never moved
+        append(&mut kb, "rightmove", &[tuple!["£250,000", "12 high st", "M1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        let last = kb.relation("rightmove").unwrap().len() - 1;
+        kb.remove_rows("rightmove", &[last]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        // removing the twin's last copy and the row after it retracts both
+        kb.remove_rows("rightmove", &[2, 3]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 4]));
+    }
+
+    #[test]
+    fn reads_as_is_a_fresh_reads_order() {
+        let [a, t, b] = ["a", "t", "b"].map(|v| tuple![v]);
+        let mut held = FactSet::default();
+        for f in [&a, &t, &b] {
+            held.insert(f.clone());
+        }
+        let reads = |rows: &[&vada_common::Tuple]| {
+            let rows: Vec<_> = rows.iter().map(|&r| r.clone()).collect();
+            reads_as(&held, &rows)
+        };
+        assert!(reads(&[&a, &t, &b]));
+        assert!(reads(&[&a, &a, &t, &a, &b, &t]));
+        // `t` first occurs before `a`, although it occurs after it too
+        assert!(!reads(&[&t, &a, &t, &b]));
+        assert!(!reads(&[&a, &b, &t]));
+        assert!(!reads(&[&a, &t]));
+        assert!(!reads(&[&a, &t, &b, &tuple!["c"]]));
+    }
+
+    #[test]
+    fn a_removed_row_whose_copy_lies_past_another_row_reruns() {
+        let (mut kb, mapping) = kb_and_mapping();
+        let mut store = ResultStore::default();
+        checked(&mut store, &mapping, &kb);
+        // both in a covered district, so the two rows' order shows
+        let (u, v) = (tuple!["410000", "3 kings ave", "M1 1AA"], tuple!["9", "7 new rd", "M1 2AB"]);
+        append(&mut kb, "rightmove", &[u.clone(), v, u]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!(paths(&kb), [2, 0]);
+
+        // the copy that takes the first one's place lies past `v`, so the
+        // engine now reads `v` first: the mapping re-runs, without a session,
+        // and the refresh is still one execute span
+        let spans = execute_spans(&kb);
+        kb.remove_rows("rightmove", &[2]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (0, [3, 0]));
+        assert_eq!(execute_spans(&kb), spans + 1);
+        // the next row-level refresh starts a new one
+        append(&mut kb, "rightmove", &[tuple!["5", "1 mill ln", "M1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (1, [4, 0]));
+    }
+
+    #[test]
+    fn a_mid_relation_rewrite_drops_the_session() {
+        let (mut kb, mapping) = kb_and_mapping();
+        let mut store = ResultStore::default();
+        checked(&mut store, &mapping, &kb);
+        append(&mut kb, "rightmove", &[tuple!["410000", "3 kings ave", "M1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        // a tail rewrite is a retraction, then an append…
+        kb.update_source("rightmove", &[(2, tuple!["1", "3 kings ave", "M1 1AA"])]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 1]));
+        // …a rewrite of row 0 of 3 takes the old row's place: a re-run
+        kb.update_source("rightmove", &[(0, tuple!["111", "12 high st", "M1 1AA"])]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (0, [3, 1]));
+    }
+
+    #[test]
+    fn edits_to_the_second_source_step_the_joined_session() {
+        let (mut kb, mapping) = kb_and_mapping();
+        let mut store = ResultStore::default();
+        checked(&mut store, &mapping, &kb);
+        append(&mut kb, "rightmove", &[tuple!["410000", "3 kings ave", "EH1 1AA"]]);
+        checked(&mut store, &mapping, &kb);
+        // `EH1` now covers two listings the complement rule kept…
+        append(&mut kb, "deprivation", &[tuple!["EH1", "900"]]);
+        checked(&mut store, &mapping, &kb);
+        // …and no longer does
+        kb.remove_rows("deprivation", &[1]).unwrap();
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 2]));
     }
 
     // ---- when is the stored result handed back? ----
@@ -968,21 +1377,94 @@ mod tests {
             parts: vec![],
         };
         checked(&mut store, &mapping, &kb);
-        assert_eq!(store.entries.len(), 1);
+        append(&mut kb, "s", &[tuple![2]]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!((store.entries.len(), sessions(&store)), (1, 1));
 
-        // a row that breaks the arithmetic: the refresh fails and must not
-        // leave the pre-edit result behind as a hit
-        src.push(tuple!["not a number"]).unwrap();
-        kb.register_source(src.clone());
+        // a row that breaks the arithmetic: the session's step fails and
+        // must not leave the pre-edit result behind as a hit
+        append(&mut kb, "s", &[tuple!["not a number"]]);
         let cfg = ExecuteConfig::default();
         let err = store.execute(&cfg, &mapping, &kb).unwrap_err();
         assert_eq!(err.kind(), "eval", "{err}");
+        let scratch = execute_mapping(&cfg, &mapping, &kb.clone()).unwrap_err();
+        assert_eq!(err.to_string(), scratch.to_string());
         assert!(store.entries.is_empty() && store.lru.is_empty());
         assert!(store.execute(&cfg, &mapping, &kb).is_err(), "no stale hit");
         assert_eq!(kb.obs().get(obs_key::MAP_REUSED), 0);
 
-        kb.remove_rows("s", &[1]).unwrap();
+        // the next run materialises afresh, and the next edit starts a new
+        // session
+        kb.remove_rows("s", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
+        append(&mut kb, "s", &[tuple![3]]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!(sessions(&store), 1);
+        assert_eq!(kb.obs().get(obs_key::MAP_INCREMENTAL), 0);
+    }
+
+    #[test]
+    fn a_failed_step_fails_as_a_scratch_run_does() {
+        // two sources, each gaining a row that breaks the arithmetic: the
+        // session meets them in journal order (`r` first), the engine in
+        // rule order (`s` first), and the refresh reports the engine's error
+        let mut store = ResultStore::default();
+        let mut kb = KnowledgeBase::new();
+        kb.set_obs(Obs::enabled());
+        for name in ["s", "r"] {
+            let mut src = Relation::empty(Schema::all_str(name, &["a"]));
+            src.push(tuple![1]).unwrap();
+            kb.register_source(src);
+        }
+        kb.register_target_schema(Schema::new("t", [("a", AttrType::Str)]).unwrap());
+        let mapping = MappingDef {
+            id: "m".into(),
+            target: "t".into(),
+            rules: "t(Y) :- s(X), Y = X + 0.\nt(Y) :- r(X), Y = X + 1.\n".into(),
+            sources: vec!["r".into(), "s".into()],
+            matches_used: vec![],
+            parts: vec![],
+        };
+        checked(&mut store, &mapping, &kb);
+        append(&mut kb, "s", &[tuple![2]]);
+        checked(&mut store, &mapping, &kb);
+        assert_eq!(sessions(&store), 1);
+
+        append(&mut kb, "r", &[tuple!["bad r"]]);
+        append(&mut kb, "s", &[tuple!["bad s"]]);
+        let cfg = ExecuteConfig::default();
+        let err = store.execute(&cfg, &mapping, &kb).unwrap_err();
+        let scratch = execute_mapping(&cfg, &mapping, &kb.clone()).unwrap_err();
+        assert_eq!(err.to_string(), scratch.to_string());
+        assert!(store.entries.is_empty(), "no stale hit");
+
+        kb.remove_rows("r", &[1]).unwrap();
+        kb.remove_rows("s", &[2]).unwrap();
+        checked(&mut store, &mapping, &kb);
+    }
+
+    #[test]
+    fn an_entry_a_union_stored_is_not_stepped() {
+        // a union and a mapping without parts with the same rules and
+        // sources share one fingerprint, so the plain mapping may find the
+        // union's entry: it is not one run, and the refresh runs the engine
+        let (mut kb, mapping) = kb_and_mapping();
+        let rules = "property(S, PC, P, null) :- rightmove(P, S, PC).\n";
+        let plain = MappingDef {
+            rules: format!("{rules}{rules}"),
+            sources: vec!["rightmove".into()],
+            ..mapping
+        };
+        let part = MappingPart { rules: rules.into(), sources: vec!["rightmove".into()] };
+        let union = MappingDef { parts: vec![part.clone(), part], ..plain.clone() };
+        let mut store = ResultStore::default();
+        checked(&mut store, &union, &kb);
+        append(&mut kb, "rightmove", &[tuple!["410000", "3 kings ave", "M1 1AA"]]);
+        checked(&mut store, &plain, &kb);
+        assert_eq!(sessions(&store), 0);
+        append(&mut kb, "rightmove", &[tuple!["5", "1 mill ln", "M1 1AA"]]);
+        checked(&mut store, &plain, &kb);
+        assert_eq!(sessions(&store), 1);
     }
 
     // ---- unions, assembled from their parts ----

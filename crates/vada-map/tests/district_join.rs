@@ -9,7 +9,7 @@
 //!   only that source, so every append, removal and tail rewrite of the
 //!   joined `rightmove` part takes the fast path and matches a scratch run.
 
-use vada_common::obs::key as obs_key;
+use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{AttrType, Relation, Schema, Tuple, Value};
 use vada_datalog::engine::{Database, Engine, EngineConfig};
 use vada_datalog::{parse_program, DeltaMode, IncrementalSession};
@@ -407,7 +407,9 @@ fn joined_part_takes_the_incremental_path_on_every_rightmove_edit() {
         }
         db
     };
-    let mut session = IncrementalSession::new(EngineConfig::default(), &part.rules).unwrap();
+    // the fallback tallies are read off the registry the session is given
+    let engine = EngineConfig { obs: Obs::enabled(), ..EngineConfig::default() };
+    let mut session = IncrementalSession::new(engine, &part.rules).unwrap();
     session.run_full(input(&rows)).unwrap();
 
     let check = |session: &IncrementalSession, rows: &[Tuple], step: &str| {

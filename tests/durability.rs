@@ -42,7 +42,8 @@ fn fingerprint(kb: &KnowledgeBase) -> String {
         out.push_str(&format!("aspect {aspect}={}\n", kb.aspect_version(aspect)));
     }
     for e in kb
-        .drain_deltas_since(kb.journal().pruned_through())
+        .journal()
+        .scan_since(kb.journal().pruned_through())
         .expect("a journal serves its own pruned-through watermark")
     {
         out.push_str(&format!("{e:?}\n"));
@@ -458,20 +459,34 @@ fn pre_crash_watermark_resumes_o_change_after_reopen() {
     kb.persist_to(&dir).unwrap();
     kb.register_source(s.deprivation.clone());
     let lineage = kb.journal().lineage();
-    let watermark = kb.version();
+    let (watermark, version) = (kb.mark(), kb.version());
     let first_row = kb.relation("rightmove").unwrap().tuples()[0].clone();
     drop(kb);
 
+    let sources = ["rightmove", "deprivation"];
     let mut kb = KnowledgeBase::open(&dir).unwrap();
     assert_eq!(kb.journal().lineage(), lineage, "recovery must keep the lineage id");
     assert_eq!(
-        kb.drain_deltas_since(watermark),
+        kb.journal().events_since(version),
         Some(vec![]),
-        "unchanged reopened base must read as no change since the pre-crash watermark"
+        "unchanged reopened base must journal nothing since the pre-crash watermark"
+    );
+    assert_eq!(
+        kb.changes_since(&watermark, &sources).map(|events| events.count()),
+        Ok(0),
+        "the pre-crash mark must still pass the lineage and window checks"
     );
     kb.remove_rows("rightmove", &[0]).unwrap();
-    let events = kb.drain_deltas_since(watermark).expect("post-recovery edits must replay");
+    let events = kb
+        .journal()
+        .events_since(version)
+        .expect("post-recovery edits must replay");
     assert_eq!(events.len(), 1);
+    assert_eq!(
+        kb.changes_since(&watermark, &sources).map(|named| named.count()),
+        Ok(1),
+        "the mark reads the edit through the lineage-checked cursor too"
+    );
     assert_eq!(
         events[0].change,
         DeltaChange::RowsRemoved {

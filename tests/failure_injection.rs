@@ -248,7 +248,7 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
         src.push(tuple![format!("{i}"), format!("{}", i + 1)]).unwrap();
     }
     kb.register_source(src);
-    let seen = kb.version();
+    let (seen, seen_version) = (kb.mark(), kb.version());
     let removed = kb.remove_rows("edges", &[2]).unwrap();
     assert_eq!(removed.len(), 1);
 
@@ -268,8 +268,9 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
     session.run_full(input2).unwrap();
     assert!(session.retract(vec![("e".into(), tuple![1])]).is_err());
 
-    let events = kb.drain_deltas_since(seen).expect("window covers the removal");
+    let events = kb.journal().events_since(seen_version).expect("window covers the removal");
     assert_eq!(events.len(), 1, "exactly the one retraction event");
+    assert_eq!(kb.changes_since(&seen, &["edges"]).map(|named| named.count()), Ok(1));
     match &events[0].change {
         DeltaChange::RowsRemoved { relation, rows, .. } => {
             assert_eq!(relation, "edges");
@@ -278,7 +279,7 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
         other => panic!("expected RowsRemoved, got {other:?}"),
     }
     // the journal is still append-only readable from zero
-    assert!(kb.drain_deltas_since(0).is_some());
+    assert!(kb.journal().events_since(0).is_some());
 }
 
 #[test]

@@ -504,7 +504,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     let cfg = ExecuteConfig::default();
     let mut store = ResultStore::default();
     store.execute(&cfg, &mapping, &kb).unwrap();
-    let journal_before = kb.drain_deltas_since(0).unwrap().len();
+    let journal_before = kb.journal().len();
 
     // poison row: the re-materialisation errors mid-way
     src.push(Tuple::new(vec![Value::str("boom")])).unwrap();
@@ -513,7 +513,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     assert_eq!(err.kind(), "eval", "{err}");
     // reading the journal never mutates it: the failed run added exactly
     // the one append event, nothing was rolled back or duplicated
-    assert_eq!(kb.drain_deltas_since(0).unwrap().len(), journal_before + 1);
+    assert_eq!(kb.journal().len(), journal_before + 1);
     // the pre-edit result is gone, not handed back as a stale hit
     assert!(store.execute(&cfg, &mapping, &kb).is_err());
     assert_eq!(kb.obs().get(key::MAP_REUSED), 0);
@@ -527,4 +527,151 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     assert_eq!(rel.len(), 2);
     let scratch = vada_map::execute_mapping(&cfg, &mapping, &kb).unwrap();
     assert_eq!(rel.tuples(), scratch.tuples());
+}
+
+/// The result store's incremental sessions against the scratch path, edit
+/// by edit: every generated candidate, executed through one store, equals a
+/// fresh `execute_mapping` after each of the row edits a session must get
+/// right or refuse — a removed row whose copy follows it (the sessions
+/// step), one whose copy lies past another row (the parts re-run), a
+/// mid-relation rewrite (re-run, sessions dropped), and an append and a
+/// removal on `deprivation`, the joined parts' second source.
+#[test]
+fn store_sessions_match_scratch_across_row_edits() {
+    use vada_common::obs::{key, Obs};
+    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
+
+    let scenario = Scenario::generate(ScenarioConfig {
+        universe: UniverseConfig { properties: 60, seed: 31 },
+        ..Default::default()
+    });
+    let mut w = wrangler(&scenario);
+    w.run().expect("bootstrap succeeds");
+    w.set_obs(Obs::enabled());
+    let mappings: Vec<_> = w.kb().mappings().cloned().collect();
+    let cfg = ExecuteConfig::default();
+    let mut store = ResultStore::default();
+    // executes every candidate and returns what the store spent on them:
+    // `[engine runs and session starts, session steps]`
+    let mut compare = |w: &Wrangler, stage: &str| {
+        let paths = || [key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| w.obs().get(k));
+        let before = paths();
+        // a clone records into no registry
+        let scratch_kb = w.kb().clone();
+        for mapping in &mappings {
+            let got = store.execute(&cfg, mapping, w.kb()).unwrap();
+            let scratch = execute_mapping(&cfg, mapping, &scratch_kb).unwrap();
+            assert_eq!(got.tuples(), scratch.tuples(), "{} {stage}", mapping.id);
+        }
+        let after = paths();
+        [after[0] - before[0], after[1] - before[1]]
+    };
+    // a new listing row: one of the source's rows on a street of its own
+    // (a cell every candidate keeps as it is, so row order shows)
+    let row = |w: &Wrangler, tag: &str| {
+        let rel = w.kb().relation("rightmove").unwrap();
+        let street = rel.schema().require("street").unwrap();
+        let template = rel.tuples()[tag.len() % rel.len()].clone();
+        template.with_value(street, Value::str(format!("{tag} street")))
+    };
+    let append = |w: &mut Wrangler, source: &str, rows: Vec<Tuple>| {
+        let mut rel = w.kb().relation(source).unwrap().clone();
+        rel.extend(rows).unwrap();
+        w.add_source(rel);
+    };
+
+    compare(&w, "at bootstrap");
+    // the two parts that read `rightmove` start their sessions
+    let n = w.kb().relation("rightmove").unwrap().len();
+    let (x, y) = (row(&w, "twin"), row(&w, "solo"));
+    append(&mut w, "rightmove", vec![x.clone(), x, y]);
+    assert_eq!(compare(&w, "after the first append"), [2, 0]);
+    // the first twin goes, the second takes its place: both step
+    w.remove_source_rows("rightmove", &[n]).unwrap();
+    assert_eq!(compare(&w, "after removing a row whose copy follows it"), [0, 2]);
+
+    let n = w.kb().relation("rightmove").unwrap().len();
+    let (u, v) = (row(&w, "u"), row(&w, "v"));
+    append(&mut w, "rightmove", vec![u.clone(), v, u]);
+    assert_eq!(compare(&w, "after the second append"), [0, 2]);
+    // `u`'s copy lies past `v`: both parts re-run, their sessions dropped
+    w.remove_source_rows("rightmove", &[n]).unwrap();
+    assert_eq!(compare(&w, "after removing a row whose copy lies past another"), [2, 0]);
+
+    let z = row(&w, "zed");
+    append(&mut w, "rightmove", vec![z]);
+    assert_eq!(compare(&w, "after the third append"), [2, 0]);
+    let mid = row(&w, "mid");
+    w.update_source_rows("rightmove", &[(0, mid)]).unwrap();
+    assert_eq!(compare(&w, "after a mid-relation rewrite"), [2, 0]);
+
+    // the joined `rightmove` part gets a session again; a `deprivation`
+    // edit then steps it and starts the joined `onthemarket` part's
+    let w_row = row(&w, "w");
+    append(&mut w, "rightmove", vec![w_row]);
+    assert_eq!(compare(&w, "after the fourth append"), [2, 0]);
+    let dep = w.kb().relation("deprivation").unwrap();
+    let covered = dep.tuples()[0].clone();
+    let last = covered.arity() - 1;
+    let recounted = covered.with_value(last, Value::str("12345"));
+    append(&mut w, "deprivation", vec![recounted]);
+    assert_eq!(compare(&w, "after a deprivation append"), [1, 1]);
+    w.remove_source_rows("deprivation", &[0]).unwrap();
+    assert_eq!(compare(&w, "after a deprivation removal"), [0, 2]);
+}
+
+/// A session step that fails surfaces the error a scratch run gives, leaves
+/// no stale hit behind, and the next execution recovers.
+#[test]
+fn a_failed_session_step_surfaces_the_error_and_the_next_execution_recovers() {
+    use vada_common::obs::{key, Obs};
+    use vada_common::{Relation, Schema};
+    use vada_kb::{KnowledgeBase, MappingDef};
+    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
+
+    let mut kb = KnowledgeBase::new();
+    kb.set_obs(Obs::enabled());
+    let mut src = Relation::empty(Schema::all_str("s", &["a"]));
+    src.push(Tuple::new(vec![Value::Int(1)])).unwrap();
+    kb.register_source(src.clone());
+    kb.register_target_schema(Schema::all_str("t", &["a"]));
+    let mapping = MappingDef {
+        id: "m".into(),
+        target: "t".into(),
+        rules: "t(Y) :- s(X), Y = X + 1.".into(),
+        sources: vec!["s".into()],
+        matches_used: vec![],
+        parts: vec![],
+    };
+    let cfg = ExecuteConfig::default();
+    let mut store = ResultStore::default();
+    let compare = |store: &mut ResultStore, kb: &KnowledgeBase| {
+        let got = store.execute(&cfg, &mapping, kb).map(|r| r.tuples().to_vec());
+        let scratch = execute_mapping(&cfg, &mapping, &kb.clone()).map(|r| r.tuples().to_vec());
+        match (got, scratch) {
+            (Ok(got), Ok(scratch)) => assert_eq!(got, scratch),
+            (Err(got), Err(scratch)) => assert_eq!(got.to_string(), scratch.to_string()),
+            (got, scratch) => panic!("store {got:?} vs scratch {scratch:?}"),
+        }
+    };
+    compare(&mut store, &kb);
+    // the first append starts the session, the second steps it
+    for n in [2, 3] {
+        src.push(Tuple::new(vec![Value::Int(n)])).unwrap();
+        kb.register_source(src.clone());
+        compare(&mut store, &kb);
+    }
+    assert_eq!([key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| kb.obs().get(k)), [2, 1]);
+
+    // a row that breaks the arithmetic, mid-session
+    src.push(Tuple::new(vec![Value::str("boom")])).unwrap();
+    kb.register_source(src);
+    let err = store.execute(&cfg, &mapping, &kb).unwrap_err();
+    assert_eq!(err.kind(), "eval", "{err}");
+    compare(&mut store, &kb);
+    assert_eq!(kb.obs().get(key::MAP_REUSED), 0, "no stale hit");
+
+    kb.remove_rows("s", &[3]).unwrap();
+    compare(&mut store, &kb);
+    assert_eq!(store.execute(&cfg, &mapping, &kb).unwrap().len(), 3);
 }
