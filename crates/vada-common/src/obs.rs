@@ -64,10 +64,9 @@ pub mod key {
 
     /// Datalog queries answered by the knowledge base.
     pub const KB_QUERIES: &str = "kb.queries";
-    /// Dependency-cache from-scratch rebuilds.
-    pub const DEPCACHE_REBUILDS: &str = "kb.depcache.rebuilds";
-    /// Dependency-cache journal-driven patches.
-    pub const DEPCACHE_PATCHES: &str = "kb.depcache.patches";
+    /// Dependency-view predicates built, each for the first query at a
+    /// knowledge-base version that names it.
+    pub const DEPCACHE_BUILDS: &str = "kb.depcache.builds";
     /// Storage failures observed (each detaching failure, not just the
     /// sticky first).
     pub const STORAGE_ERRORS: &str = "kb.storage.errors";

@@ -3,7 +3,7 @@
 
 use vada_common::obs::key as obs_key;
 use vada_common::Result;
-use vada_kb::{JournalMark, KnowledgeBase};
+use vada_kb::{JournalMark, KnowledgeBase, Since};
 
 /// A value derived from some knowledge-base relations, kept with the key it
 /// was derived under and the journal mark it is current at. Lives in the
@@ -21,8 +21,8 @@ impl<K, V> Default for Prepared<K, V> {
 }
 
 impl<K: PartialEq, V> Prepared<K, V> {
-    /// The kept value when it was built under `key` and the journal proves
-    /// that none of `relations` changed since; otherwise `build` it afresh
+    /// The kept value when it was built under `key` and `relations` are
+    /// [`Since::Unchanged`] since its mark; otherwise `build` it afresh
     /// and keep that. A reuse advances the mark, so steady edits to other
     /// relations never push it out of the journal window. Tallies
     /// `quality.reference.{prepared,reused}`. A failed build keeps nothing.
@@ -34,7 +34,7 @@ impl<K: PartialEq, V> Prepared<K, V> {
         build: impl FnOnce() -> Result<V>,
     ) -> Result<&mut V> {
         let current = self.kept.as_ref().is_some_and(|(kept_key, mark, _)| {
-            *kept_key == key && kb.changed_since(mark, relations) == Ok(false)
+            *kept_key == key && kb.since(mark, relations) == Since::Unchanged
         });
         if current {
             kb.obs().incr(obs_key::QUALITY_REF_REUSED);

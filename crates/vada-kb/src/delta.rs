@@ -1,29 +1,35 @@
 //! The knowledge-base **change journal**: every mutation of the
 //! [`KnowledgeBase`](crate::KnowledgeBase) is recorded as a
 //! [`DeltaEvent`] with a monotone sequence number equal to the KB version
-//! the mutation produced, so any consumer can ask *"what changed since I
-//! last ran?"* and pay O(change) instead of re-reading the whole base.
+//! the mutation produced. A consumer keeps a [`JournalMark`] beside what
+//! it built from the base and asks
+//! [`KnowledgeBase::since`](crate::KnowledgeBase::since) how the relations
+//! it watches changed since then, paying O(change) instead of re-reading
+//! the whole base. The answer is a [`Since`]: unchanged, the row-level
+//! events to replay, or rebuild.
 //!
-//! Events distinguish **monotone** changes (rows appended to an existing
-//! relation — the shape the incremental Datalog path can evaluate as a
-//! delta) from **non-monotone** ones (a relation replaced or removed, or a
-//! metadata aspect rewritten), which force consumers back to a full run.
+//! Events distinguish **row-level** changes (rows appended, removed or
+//! rewritten in place — the shapes an incremental consumer can replay)
+//! from **relation-level** ones (a relation added, replaced or removed),
+//! which send consumers back to a full read. Metadata edits name no
+//! relation.
 //!
 //! ```
 //! use vada_common::{tuple, Relation, Schema};
-//! use vada_kb::{DeltaChange, KnowledgeBase};
+//! use vada_kb::{DeltaChange, KnowledgeBase, Since};
 //!
 //! let mut kb = KnowledgeBase::new();
 //! let mut src = Relation::empty(Schema::all_str("listings", &["price"]));
 //! src.push(tuple!["100"]).unwrap();
 //! kb.register_source(src.clone());
 //! let seen = kb.mark();
+//! kb.stage_document("doc", "a\n1\n");
+//! assert_eq!(kb.since(&seen, &["listings"]), Since::Unchanged);
 //!
-//! // appending rows and re-registering is recorded as a monotone delta
+//! // appending rows and re-registering is recorded as a row-level event
 //! src.push(tuple!["200"]).unwrap();
 //! kb.register_source(src);
-//! let events: Vec<_> =
-//!     kb.changes_since(&seen, &["listings"]).expect("within the window").collect();
+//! let Since::Rows(events) = kb.since(&seen, &["listings"]) else { panic!("rows") };
 //! match &events[0].change {
 //!     DeltaChange::RowsAppended { relation, rows } => {
 //!         assert_eq!(relation, "listings");
@@ -31,14 +37,16 @@
 //!     }
 //!     other => panic!("expected an append, got {other:?}"),
 //! }
+//!
+//! // replacing the relation is relation-level: read it afresh
+//! kb.register_source(Relation::empty(Schema::all_str("listings", &["price"])));
+//! assert_eq!(kb.since(&seen, &["listings"]), Since::Rebuild);
 //! ```
 //!
-//! The journal keeps a bounded window of recent events; a consumer whose
-//! [`JournalMark`] has fallen out of the window (or belongs to another
-//! lineage) gets `Err` from
-//! [`KnowledgeBase::changes_since`](crate::KnowledgeBase::changes_since)
-//! and must fall back to a full run — the same contract as a non-monotone
-//! event, so staleness can never produce wrong results.
+//! The journal keeps a bounded window of recent events. A mark the window
+//! has pruned past, one from another lineage, or one ahead of everything
+//! the journal recorded answers [`Since::Rebuild`] as well, so staleness
+//! can never produce wrong results.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,16 +181,33 @@ pub struct DeltaEvent {
 /// ([`DeltaJournal::lineage`]) and the KB version it had consumed through.
 /// Taken with [`KnowledgeBase::mark`](crate::KnowledgeBase::mark) when a
 /// consumer builds something from the base, and handed back to
-/// [`KnowledgeBase::changes_since`](crate::KnowledgeBase::changes_since) to
-/// ask how the relations it was built from have been touched since.
-/// A mark from another lineage (a clone, or the original of one) or one
-/// the bounded window has pruned past can vouch for nothing.
+/// [`KnowledgeBase::since`](crate::KnowledgeBase::since) to ask how the
+/// relations it was built from changed since. A mark from another lineage
+/// (a clone, or the original of one), one the bounded window has pruned
+/// past, or one ahead of the journal vouches for nothing: it answers
+/// [`Since::Rebuild`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalMark {
     /// Journal lineage the version was taken against.
     pub(crate) lineage: u64,
     /// KB version consumed through.
     pub(crate) version: u64,
+}
+
+/// How the relations a consumer watches changed since its
+/// [`JournalMark`]: the answer of
+/// [`KnowledgeBase::since`](crate::KnowledgeBase::since).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Since<'a> {
+    /// No event after the mark names a watched relation.
+    Unchanged,
+    /// The events after the mark that name a watched relation, oldest
+    /// first, every one row-level ([`DeltaChange::is_row_level`]).
+    Rows(Vec<&'a DeltaEvent>),
+    /// The journal cannot vouch for the watched relations — the mark is
+    /// from another lineage, pruned past or ahead of the journal, or an
+    /// event after it added, replaced or removed one of them: read afresh.
+    Rebuild,
 }
 
 /// Default cap on retained events. Generous enough for many orchestration
@@ -290,9 +315,10 @@ impl DeltaJournal {
         }
     }
 
-    /// The events with `seq > version`, oldest first — or `None` when the
-    /// journal cannot prove that slice is complete, in which case the
-    /// consumer must fall back to a full read. Two ways to lose the proof:
+    /// The events with `seq > version`, oldest first, borrowed — or `None`
+    /// when the journal cannot prove that slice is complete, in which case
+    /// the consumer must fall back to a full read. Two ways to lose the
+    /// proof:
     ///
     /// - the bounded window has pruned past `version` (some event with
     ///   `seq > version` was dropped — retraction events are as prunable as
@@ -302,14 +328,6 @@ impl DeltaJournal {
     ///   (a watermark taken from a different lineage, e.g. a knowledge base
     ///   that advanced and was then rolled back to an earlier clone): the
     ///   empty slice would falsely claim "nothing changed".
-    pub fn events_since(&self, version: u64) -> Option<Vec<DeltaEvent>> {
-        Some(self.scan_since(version)?.cloned().collect())
-    }
-
-    /// [`events_since`](Self::events_since) without the copy: a borrowing
-    /// scan over the same slice, `None` under the same two conditions.
-    /// For consumers that only classify events (which relation, which
-    /// aspect) and never keep the row payloads.
     pub fn scan_since(&self, version: u64) -> Option<impl Iterator<Item = &DeltaEvent>> {
         if version < self.pruned_through || version > self.last_seq {
             return None;
@@ -341,7 +359,7 @@ impl DeltaJournal {
 
     /// Process-unique identity of this journal's history. Sequence numbers
     /// alone cannot distinguish two histories that diverged from a common
-    /// clone point — the watermark guard in [`events_since`](Self::events_since)
+    /// clone point — the watermark guard in [`scan_since`](Self::scan_since)
     /// only catches a rolled-back journal until it re-advances past the
     /// watermark. Cloning a [`KnowledgeBase`](crate::KnowledgeBase) (and
     /// hence its journal) therefore assigns the clone a fresh lineage;
@@ -364,20 +382,21 @@ mod tests {
         }
     }
 
+    /// The sequence numbers [`DeltaJournal::scan_since`] serves after `version`.
+    fn seqs(j: &DeltaJournal, version: u64) -> Option<Vec<u64>> {
+        Some(j.scan_since(version)?.map(|e| e.seq).collect())
+    }
+
     #[test]
-    fn events_since_filters_by_seq() {
+    fn scan_since_filters_by_seq() {
         let mut j = DeltaJournal::default();
         j.record(1, "relations", append("a", 1));
         j.record(2, "matches", DeltaChange::AspectChanged { detail: "add_match".into() });
         j.record(5, "relations", append("a", 2));
-        let since2 = j.events_since(2).unwrap();
-        assert_eq!(since2.len(), 1);
-        assert_eq!(since2[0].seq, 5);
-        assert_eq!(j.events_since(0).unwrap().len(), 3);
-        assert!(j.events_since(5).unwrap().is_empty());
-        // the borrowing scan serves the same slice without copying
-        let seqs: Vec<u64> = j.scan_since(1).unwrap().map(|e| e.seq).collect();
-        assert_eq!(seqs, [2, 5]);
+        assert_eq!(seqs(&j, 2), Some(vec![5]));
+        assert_eq!(seqs(&j, 1), Some(vec![2, 5]));
+        assert_eq!(seqs(&j, 0).unwrap().len(), 3);
+        assert_eq!(seqs(&j, 5), Some(vec![]));
         assert!(j.scan_since(6).is_none());
     }
 
@@ -389,9 +408,9 @@ mod tests {
         j.record(3, "relations", append("a", 1));
         // seq 1 was pruned: a consumer at version 0 cannot be served
         assert_eq!(j.pruned_through(), 1);
-        assert!(j.events_since(0).is_none());
+        assert!(j.scan_since(0).is_none());
         // a consumer at version 1 (or later) still can
-        assert_eq!(j.events_since(1).unwrap().len(), 2);
+        assert_eq!(seqs(&j, 1), Some(vec![2, 3]));
         assert_eq!(j.len(), 2);
     }
 
@@ -448,9 +467,9 @@ mod tests {
         // the retraction at seq 1 has been pruned: a consumer at version 0
         // would miss it entirely
         assert_eq!(j.pruned_through(), 1);
-        assert!(j.events_since(0).is_none());
+        assert!(j.scan_since(0).is_none());
         // a consumer that already saw seq 1 is still served the appends
-        let tail = j.events_since(1).unwrap();
+        let tail: Vec<&DeltaEvent> = j.scan_since(1).unwrap().collect();
         assert_eq!(tail.len(), 2);
         assert!(tail.iter().all(|e| e.change.is_monotone()));
     }
@@ -458,7 +477,7 @@ mod tests {
     #[test]
     fn window_arithmetic_at_the_exact_default_capacity_boundary() {
         // Audit pin for the 4096-event window (issue: suspected
-        // `events_since`/`pruned_through` off-by-one at the boundary).
+        // `scan_since`/`pruned_through` off-by-one at the boundary).
         // The audited invariants, pinned at window, window-1, window+1:
         //  - pruning starts with event `capacity + 1`, not `capacity`;
         //  - after pruning, `pruned_through` equals the dropped seq, and a
@@ -472,22 +491,22 @@ mod tests {
         }
         // window - 1 events: nothing pruned, watermark 0 fully served
         assert_eq!(j.pruned_through(), 0);
-        assert_eq!(j.events_since(0).unwrap().len(), (cap - 1) as usize);
+        assert_eq!(seqs(&j, 0).unwrap().len(), (cap - 1) as usize);
 
         // exactly `window` events: still nothing pruned
         j.record(cap, "staged", DeltaChange::AspectChanged { detail: "staged".into() });
         assert_eq!(j.pruned_through(), 0);
         assert_eq!(j.len(), cap as usize);
-        assert_eq!(j.events_since(0).unwrap().len(), cap as usize);
+        assert_eq!(seqs(&j, 0).unwrap().len(), cap as usize);
 
         // window + 1: seq 1 is dropped; watermark 0 loses service, the
         // watermark equal to pruned_through keeps it
         j.record(cap + 1, "staged", DeltaChange::AspectChanged { detail: "staged".into() });
         assert_eq!(j.pruned_through(), 1);
         assert_eq!(j.len(), cap as usize);
-        assert!(j.events_since(0).is_none());
-        assert_eq!(j.events_since(1).unwrap().len(), cap as usize);
-        assert_eq!(j.events_since(2).unwrap().len(), (cap - 1) as usize);
+        assert!(j.scan_since(0).is_none());
+        assert_eq!(seqs(&j, 1).unwrap().len(), cap as usize);
+        assert_eq!(seqs(&j, 2).unwrap().len(), (cap - 1) as usize);
     }
 
     #[test]
@@ -496,7 +515,7 @@ mod tests {
         for s in 1..=3 {
             j.record(s, "relations", append("a", 1));
         }
-        let events: Vec<DeltaEvent> = j.events_since(j.pruned_through()).unwrap();
+        let events: Vec<DeltaEvent> = j.scan_since(j.pruned_through()).unwrap().cloned().collect();
         let restored = DeltaJournal::restore(
             j.lineage(),
             j.pruned_through(),
@@ -509,7 +528,8 @@ mod tests {
         assert_eq!(restored.last_seq(), j.last_seq());
         assert_eq!(restored.capacity(), 2);
         for v in 0..=4 {
-            assert_eq!(restored.events_since(v), j.events_since(v), "watermark {v}");
+            let (got, want) = (restored.scan_since(v), j.scan_since(v));
+            assert_eq!(got.map(Vec::from_iter), want.map(Vec::from_iter), "watermark {v}");
         }
         // new journals never reuse the restored identity
         assert!(DeltaJournal::default().lineage() > restored.lineage());
@@ -525,8 +545,8 @@ mod tests {
         j.record(1, "relations", append("a", 1));
         j.record(2, "relations", append("a", 1));
         assert_eq!(j.last_seq(), 2);
-        assert_eq!(j.events_since(2).unwrap().len(), 0);
-        assert!(j.events_since(3).is_none());
-        assert!(DeltaJournal::default().events_since(1).is_none());
+        assert_eq!(seqs(&j, 2), Some(vec![]));
+        assert!(j.scan_since(3).is_none());
+        assert!(DeltaJournal::default().scan_since(1).is_none());
     }
 }

@@ -26,7 +26,7 @@ pub mod storage;
 pub mod store;
 
 pub use catalog::{Catalog, RelationKind};
-pub use delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark};
+pub use delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark, Since};
 pub use storage::{Snapshot, StoredRelation, WalRecord};
 pub use meta::{
     CellVeto,

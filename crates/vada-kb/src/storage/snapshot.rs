@@ -4,7 +4,7 @@
 //! *extensional* knowledge base byte-identically: the catalog (every
 //! relation with its kind, schema, and rows), the version counter,
 //! per-aspect versions, and the delta journal's full retained window plus
-//! watermarks and lineage — so `changes_since` answers identically
+//! watermarks and lineage — so `KnowledgeBase::since` answers identically
 //! before and after a reopen. Derived metadata (matches, mappings, CFDs,
 //! feedback, …) is deliberately out of scope: it is re-derived by running
 //! the wrangling pipeline over the recovered catalog.

@@ -1,17 +1,17 @@
 //! The [`KnowledgeBase`] facade: typed state plus the Datalog fact view.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use parking_lot::Mutex;
 use vada_common::obs::{key as obs_key, Obs};
-use vada_common::{Relation, Result, Schema, Tuple, VadaError, Value};
-use vada_datalog::ast::Program;
+use vada_common::{tuple, Relation, Result, Schema, Tuple, VadaError};
+use vada_datalog::ast::{Literal, Program};
 use vada_datalog::engine::{Database, Engine};
 use vada_datalog::parser::parse_query;
 
 use crate::catalog::{Catalog, RelationKind};
-use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark};
+use crate::delta::{DeltaChange, DeltaEvent, DeltaJournal, JournalMark, Since};
 use crate::storage::{self, RecordRef, RelationRef, Snapshot, SnapshotRef, WalRecord};
 use crate::meta::{
     CellVeto, CfdRule, ContextKind, FeedbackRecord, FeedbackTarget, MappingDef, MatchDef,
@@ -39,7 +39,7 @@ pub struct KnowledgeBase {
     version: u64,
     aspect_versions: BTreeMap<&'static str, u64>,
     journal: DeltaJournal,
-    /// cached dependency view, patched from journal deltas (see
+    /// the dependency view at one version, filled per query (see
     /// [`KnowledgeBase::query`]).
     dep_cache: Mutex<DepCache>,
     /// write-ahead log + snapshot directory, when durable (see
@@ -54,13 +54,17 @@ pub struct KnowledgeBase {
     obs: Obs,
 }
 
-/// The dependency fact view cache: the database as of `version`. The
-/// rebuild/patch maintenance counters live on the [`Obs`] registry
-/// (`kb.depcache.*`).
+/// The dependency fact view at one knowledge-base version: the predicates
+/// queries have named since the version last moved, each built whole from
+/// current state. Built predicates are tallied as `kb.depcache.builds`.
 #[derive(Debug, Default)]
 struct DepCache {
-    /// `(kb version the view reflects, the view)`.
-    entry: Option<(u64, Database)>,
+    /// The KB version the view reflects.
+    version: u64,
+    /// The facts of every built predicate.
+    db: Database,
+    /// The predicates built at `version`, with or without facts.
+    built: BTreeSet<&'static str>,
 }
 
 /// Every predicate of the dependency fact view, in the canonical build
@@ -84,45 +88,6 @@ const ALL_DEPENDENCY_PREDICATES: &[&str] = &[
     "staged_document",
     "context_binding",
 ];
-
-/// Which dependency-view predicates each journal aspect owns — the patch
-/// granularity of the incremental view maintenance. `clear_mappings` also
-/// resets the selection while bumping only `mappings`, so that aspect owns
-/// `selected_mapping` too.
-const ASPECT_PREDICATES: &[(&str, &[&str])] = &[
-    ("relations", &["relation", "attr", "has_instances", "result_available"]),
-    ("result", &["relation", "attr", "has_instances", "result_available"]),
-    ("intermediates", &["relation", "attr", "has_instances", "result_available"]),
-    ("target", &["target_relation", "target_attr"]),
-    ("matches", &["match"]),
-    ("mappings", &["mapping", "selected_mapping"]),
-    ("selection", &["selected_mapping"]),
-    ("cfds", &["cfd", "cfd_available"]),
-    ("quality", &["quality"]),
-    ("feedback", &["feedback"]),
-    ("user_context", &["user_context"]),
-    ("data_context", &["data_context", "context_binding"]),
-    ("staged", &["staged_document"]),
-];
-
-/// The predicates to refresh for a set of changed aspects, deduplicated,
-/// in canonical build order. An aspect missing from the table (a future
-/// mutation site this map was not taught about) conservatively refreshes
-/// everything rather than silently serving stale facts.
-fn predicates_of_aspects(aspects: &std::collections::BTreeSet<&str>) -> Vec<&'static str> {
-    let mut preds: std::collections::BTreeSet<&'static str> = Default::default();
-    for aspect in aspects {
-        match ASPECT_PREDICATES.iter().find(|(a, _)| a == aspect) {
-            Some((_, owned)) => preds.extend(owned.iter().copied()),
-            None => return ALL_DEPENDENCY_PREDICATES.to_vec(),
-        }
-    }
-    ALL_DEPENDENCY_PREDICATES
-        .iter()
-        .copied()
-        .filter(|p| preds.contains(p))
-        .collect()
-}
 
 impl Clone for KnowledgeBase {
     fn clone(&self) -> Self {
@@ -512,41 +477,34 @@ impl KnowledgeBase {
         JournalMark { lineage: self.journal.lineage(), version: self.version }
     }
 
-    /// The events after `mark` that name one of `relations`, oldest first —
-    /// the consumer side of the change journal. `Err` says why the journal
-    /// cannot vouch for the slice at all: the mark belongs to another
-    /// lineage, or the bounded window has pruned past it. Callers then treat
-    /// everything as changed and read afresh.
-    ///
-    /// Reading does not remove events (the window is pruned by capacity,
-    /// not by consumption), so any number of consumers can each keep their
-    /// own mark.
-    pub fn changes_since<'a, R: AsRef<str>>(
-        &'a self,
-        mark: &JournalMark,
-        relations: &'a [R],
-    ) -> std::result::Result<impl Iterator<Item = &'a DeltaEvent> + 'a, String> {
-        if self.journal.lineage() != mark.lineage {
-            return Err("knowledge-base journal lineage changed since the mark".into());
+    /// How `relations` changed since `mark` — the one question every
+    /// journal consumer asks. [`Since::Unchanged`] when no event after the
+    /// mark names one of them; [`Since::Rows`] with those events when every
+    /// one is row-level; [`Since::Rebuild`] when the mark is from another
+    /// lineage, pruned past or ahead of the journal, or an event after it is
+    /// relation-level. Reading removes nothing (the window is pruned by
+    /// capacity, not by consumption), so any number of consumers can each
+    /// keep their own mark.
+    pub fn since(&self, mark: &JournalMark, relations: &[impl AsRef<str>]) -> Since<'_> {
+        let events = match self.journal.scan_since(mark.version) {
+            Some(events) if mark.lineage == self.journal.lineage() => events,
+            _ => return Since::Rebuild,
+        };
+        let mut rows = Vec::new();
+        for e in events {
+            if !e.change.relation().is_some_and(|r| relations.iter().any(|n| n.as_ref() == r)) {
+                continue;
+            }
+            if !e.change.is_row_level() {
+                return Since::Rebuild;
+            }
+            rows.push(e);
         }
-        let events = self
-            .journal
-            .scan_since(mark.version)
-            .ok_or("journal window no longer covers the mark")?;
-        Ok(events.filter(move |e| {
-            e.change.relation().is_some_and(|r| relations.iter().any(|n| n.as_ref() == r))
-        }))
-    }
-
-    /// Whether any of `relations` may have changed since `mark`: `Ok(false)`
-    /// only when the journal proves that no event after the mark named one
-    /// of them. `Err` as for [`KnowledgeBase::changes_since`].
-    pub fn changed_since(
-        &self,
-        mark: &JournalMark,
-        relations: &[impl AsRef<str>],
-    ) -> std::result::Result<bool, String> {
-        Ok(self.changes_since(mark, relations)?.next().is_some())
+        if rows.is_empty() {
+            Since::Unchanged
+        } else {
+            Since::Rows(rows)
+        }
     }
 
     /// The version at which `aspect` last changed (0 if never). Aspects:
@@ -961,50 +919,35 @@ impl KnowledgeBase {
     /// dependency from paper Table 1) against the knowledge-base fact view.
     /// Returns the distinct bindings of the query's variables.
     ///
-    /// The view is maintained **incrementally**: it is built once, then
-    /// patched per query from the delta journal — only the predicates owned
-    /// by aspects that actually changed are refreshed (see
-    /// [`ASPECT_PREDICATES`]), so a run of metadata mutations never pays
-    /// for re-enumerating the catalog's attribute facts and vice versa.
-    /// Patching clears and re-inserts whole predicates from current state,
-    /// which reproduces exactly the fact order of a from-scratch build; a
-    /// journal window too stale to prove the change set falls back to a
-    /// full rebuild.
+    /// The view is kept for one knowledge-base version and filled lazily:
+    /// a query builds only the predicates it names, positively or under
+    /// `not`, that no earlier query at this version built, and any
+    /// mutation starts the view again empty. Each predicate is built whole
+    /// from current state by the same code as a from-scratch
+    /// [`build_dependency_db`](Self::build_dependency_db), so every answer
+    /// — order included — is the fresh build's. A predicate the view does
+    /// not define has no facts, as in a fresh build.
     pub fn query(&self, query_src: &str) -> Result<Vec<Tuple>> {
         let q = parse_query(query_src)?;
         self.obs.incr(obs_key::KB_QUERIES);
-        let mut cache = self.dep_cache.lock();
-        match cache.entry.take() {
-            Some((v, db)) if v == self.version => {
-                cache.entry = Some((v, db));
-            }
-            Some((v, mut db)) => {
-                match self.journal.scan_since(v) {
-                    Some(events) => {
-                        let changed: std::collections::BTreeSet<&str> =
-                            events.map(|e| e.aspect).collect();
-                        for pred in predicates_of_aspects(&changed) {
-                            db.clear_predicate(pred);
-                            self.insert_dependency_pred(&mut db, pred);
-                        }
-                        self.obs.incr(obs_key::DEPCACHE_PATCHES);
-                        cache.entry = Some((self.version, db));
-                    }
-                    None => {
-                        self.obs.incr(obs_key::DEPCACHE_REBUILDS);
-                        cache.entry = Some((self.version, self.build_dependency_db()));
-                    }
-                }
-            }
-            None => {
-                self.obs.incr(obs_key::DEPCACHE_REBUILDS);
-                cache.entry = Some((self.version, self.build_dependency_db()));
+        let mut guard = self.dep_cache.lock();
+        let cache = &mut *guard;
+        if cache.version != self.version {
+            *cache = DepCache { version: self.version, ..DepCache::default() };
+        }
+        for literal in &q.body {
+            let (Literal::Pos(atom) | Literal::Neg(atom)) = literal else { continue };
+            let Some(&pred) = ALL_DEPENDENCY_PREDICATES.iter().find(|p| **p == atom.pred) else {
+                continue;
+            };
+            if cache.built.insert(pred) {
+                self.insert_dependency_pred(&mut cache.db, pred);
+                self.obs.incr(obs_key::DEPCACHE_BUILDS);
             }
         }
-        let (_, db) = cache.entry.as_ref().expect("populated above");
         // the dependency view is a pure extensional fact base (no program
         // rules), so run_query short-circuits to direct query evaluation
-        Engine::default().run_query(&Program { rules: Vec::new() }, db, &q)
+        Engine::default().run_query(&Program { rules: Vec::new() }, &cache.db, &q)
     }
 
     /// Whether a dependency query has at least one answer.
@@ -1035,190 +978,104 @@ impl KnowledgeBase {
 
     /// Insert every fact of one dependency-view predicate from current
     /// state. The single definition of each predicate's contents: the
-    /// from-scratch build and the journal-driven patch both call this, so
-    /// a patched view is byte-identical (facts *and* their order) to a
-    /// rebuilt one.
+    /// from-scratch build and the per-query fill both call this, so a
+    /// filled predicate is byte-identical (facts *and* their order) to a
+    /// freshly built one.
     fn insert_dependency_pred(&self, db: &mut Database, pred: &str) {
+        let mut put = |fact: Tuple| {
+            db.insert(pred, fact);
+        };
+        let relations = || self.catalog.entries();
+        let target = self.target_schema.iter();
         match pred {
             "relation" => {
-                for (name, kind, rel) in self.catalog.entries() {
-                    db.insert(
-                        "relation",
-                        Tuple::new(vec![
-                            Value::str(name),
-                            Value::str(kind.tag()),
-                            Value::Int(rel.len() as i64),
-                        ]),
-                    );
+                for (name, kind, rel) in relations() {
+                    put(tuple![name, kind.tag(), rel.len() as i64]);
                 }
             }
             "attr" => {
-                for (name, _, rel) in self.catalog.entries() {
+                for (name, _, rel) in relations() {
                     for (pos, a) in rel.schema().attributes().iter().enumerate() {
-                        db.insert(
-                            "attr",
-                            Tuple::new(vec![
-                                Value::str(name),
-                                Value::str(&a.name),
-                                Value::Int(pos as i64),
-                                Value::str(a.ty.name()),
-                            ]),
-                        );
+                        put(tuple![name, a.name.as_str(), pos as i64, a.ty.name()]);
                     }
                 }
             }
             "has_instances" => {
-                for (name, _, rel) in self.catalog.entries() {
-                    if !rel.is_empty() {
-                        db.insert("has_instances", Tuple::new(vec![Value::str(name)]));
-                    }
+                for (name, _, _) in relations().filter(|(_, _, rel)| !rel.is_empty()) {
+                    put(tuple![name]);
                 }
             }
             "result_available" => {
-                for (name, kind, _) in self.catalog.entries() {
-                    if kind == RelationKind::Result {
-                        db.insert("result_available", Tuple::new(vec![Value::str(name)]));
-                    }
+                for (name, _, _) in relations().filter(|(_, k, _)| *k == RelationKind::Result) {
+                    put(tuple![name]);
                 }
             }
-            "target_relation" => {
-                if let Some(schema) = &self.target_schema {
-                    db.insert("target_relation", Tuple::new(vec![Value::str(&schema.name)]));
-                }
-            }
+            "target_relation" => target.for_each(|schema| put(tuple![schema.name.as_str()])),
             "target_attr" => {
-                if let Some(schema) = &self.target_schema {
+                for schema in target {
                     for (pos, a) in schema.attributes().iter().enumerate() {
-                        db.insert(
-                            "target_attr",
-                            Tuple::new(vec![
-                                Value::str(&schema.name),
-                                Value::str(&a.name),
-                                Value::Int(pos as i64),
-                                Value::str(a.ty.name()),
-                            ]),
-                        );
+                        put(tuple![schema.name.as_str(), a.name.as_str(), pos as i64, a.ty.name()]);
                     }
                 }
             }
             "match" => {
                 for m in self.matches.values() {
-                    db.insert(
-                        "match",
-                        Tuple::new(vec![
-                            Value::str(&m.id),
-                            Value::str(&m.src_rel),
-                            Value::str(&m.src_attr),
-                            Value::str(&m.tgt_attr),
-                            Value::Float(m.score),
-                            Value::str(&m.matcher),
-                        ]),
-                    );
+                    let (id, rel, attr) = (m.id.as_str(), m.src_rel.as_str(), m.src_attr.as_str());
+                    put(tuple![id, rel, attr, m.tgt_attr.as_str(), m.score, m.matcher.as_str()]);
                 }
             }
             "mapping" => {
                 for m in self.mappings.values() {
-                    db.insert(
-                        "mapping",
-                        Tuple::new(vec![Value::str(&m.id), Value::str(&m.target)]),
-                    );
+                    put(tuple![m.id.as_str(), m.target.as_str()]);
                 }
             }
             "selected_mapping" => {
-                if let Some(id) = &self.selected_mapping {
-                    db.insert("selected_mapping", Tuple::new(vec![Value::str(id)]));
-                }
+                self.selected_mapping.iter().for_each(|m| put(tuple![m.as_str()]));
             }
             "cfd" => {
                 for c in self.cfds.values() {
-                    db.insert(
-                        "cfd",
-                        Tuple::new(vec![
-                            Value::str(&c.id),
-                            Value::str(&c.relation),
-                            Value::str(&c.rhs.0),
-                            Value::Int(c.support as i64),
-                        ]),
-                    );
+                    let rhs = c.rhs.0.as_str();
+                    put(tuple![c.id.as_str(), c.relation.as_str(), rhs, c.support as i64]);
                 }
             }
             "cfd_available" => {
                 for c in self.cfds.values() {
-                    db.insert("cfd_available", Tuple::new(vec![Value::str(&c.relation)]));
+                    put(tuple![c.relation.as_str()]);
                 }
             }
             "quality" => {
                 for q in &self.quality {
-                    db.insert(
-                        "quality",
-                        Tuple::new(vec![
-                            Value::str(&q.entity_kind),
-                            Value::str(&q.entity),
-                            Value::str(&q.metric),
-                            Value::str(&q.criterion),
-                            Value::Float(q.value),
-                        ]),
-                    );
+                    let (kind, entity) = (q.entity_kind.as_str(), q.entity.as_str());
+                    put(tuple![kind, entity, q.metric.as_str(), q.criterion.as_str(), q.value]);
                 }
             }
             "feedback" => {
                 for f in &self.feedback {
                     let (kind, rel, row, attr) = match &f.target {
-                        FeedbackTarget::Tuple { relation, row } => {
-                            ("tuple", relation.clone(), *row, String::new())
-                        }
+                        FeedbackTarget::Tuple { relation, row } => ("tuple", relation, *row, ""),
                         FeedbackTarget::Attribute { relation, row, attr } => {
-                            ("attribute", relation.clone(), *row, attr.clone())
+                            ("attribute", relation, *row, attr.as_str())
                         }
                     };
-                    db.insert(
-                        "feedback",
-                        Tuple::new(vec![
-                            Value::str(&f.id),
-                            Value::str(kind),
-                            Value::str(rel),
-                            Value::Int(row as i64),
-                            Value::str(attr),
-                            Value::str(f.verdict.tag()),
-                        ]),
-                    );
+                    let (id, rel) = (f.id.as_str(), rel.as_str());
+                    put(tuple![id, kind, rel, row as i64, attr, f.verdict.tag()]);
                 }
             }
             "user_context" => {
                 for s in &self.user_context {
-                    db.insert(
-                        "user_context",
-                        Tuple::new(vec![
-                            Value::str(&s.more_important),
-                            Value::str(&s.less_important),
-                            Value::str(&s.strength),
-                        ]),
-                    );
+                    let (more, less) = (s.more_important.as_str(), s.less_important.as_str());
+                    put(tuple![more, less, s.strength.as_str()]);
                 }
             }
             "data_context" => {
                 for (rel, kind) in &self.context_kinds {
-                    db.insert(
-                        "data_context",
-                        Tuple::new(vec![Value::str(rel), Value::str(kind.tag())]),
-                    );
+                    put(tuple![rel.as_str(), kind.tag()]);
                 }
             }
-            "staged_document" => {
-                for name in self.staged.keys() {
-                    db.insert("staged_document", Tuple::new(vec![Value::str(name)]));
-                }
-            }
+            "staged_document" => self.staged.keys().for_each(|name| put(tuple![name.as_str()])),
             "context_binding" => {
                 for (rel, ctx_attr, tgt_attr) in &self.context_bindings {
-                    db.insert(
-                        "context_binding",
-                        Tuple::new(vec![
-                            Value::str(rel),
-                            Value::str(ctx_attr),
-                            Value::str(tgt_attr),
-                        ]),
-                    );
+                    put(tuple![rel.as_str(), ctx_attr.as_str(), tgt_attr.as_str()]);
                 }
             }
             other => unreachable!("unknown dependency predicate `{other}`"),
@@ -1345,104 +1202,28 @@ mod tests {
         assert_eq!(rows.len(), 1);
     }
 
-    /// Render a database fully: predicates sorted, facts in insertion
-    /// order — the order-sensitive view queries observe.
-    fn dump(db: &Database) -> String {
-        let mut out = String::new();
-        for pred in db.predicates() {
-            for t in db.facts(pred) {
-                out.push_str(&format!("{pred}{t:?}\n"));
-            }
-        }
-        out
+    /// Dependency-view predicates built so far, off the registry
+    /// [`KnowledgeBase::set_obs`] attached.
+    fn builds(kb: &KnowledgeBase) -> u64 {
+        kb.obs().get(obs_key::DEPCACHE_BUILDS)
     }
 
-    /// `(from-scratch builds, journal-driven patches)` of the dependency
-    /// view, off the registry attached with [`observed`].
-    fn depcache(kb: &KnowledgeBase) -> (u64, u64) {
-        let obs = kb.obs();
-        (obs.get(obs_key::DEPCACHE_REBUILDS), obs.get(obs_key::DEPCACHE_PATCHES))
-    }
-
-    /// [`kb_with_scenario`] recording into a live registry.
-    fn observed() -> KnowledgeBase {
+    #[test]
+    fn dependency_view_builds_only_the_predicates_a_query_names() {
         let mut kb = kb_with_scenario();
         kb.set_obs(Obs::enabled());
-        kb
-    }
-
-    #[test]
-    fn dependency_view_is_patched_not_rebuilt_on_metadata_change() {
-        let mut kb = observed();
+        assert!(!kb.query_satisfied("relation(R, _, _), not has_instances(R)").unwrap());
+        assert_eq!(builds(&kb), 2, "a positive and a negated predicate");
         kb.query_satisfied("relation(_, _, _)").unwrap();
-        assert_eq!(depcache(&kb), (1, 0), "first query builds");
-        kb.query_satisfied("relation(_, _, _)").unwrap();
-        assert_eq!(depcache(&kb), (1, 0), "unchanged version is a pure hit");
-
-        // a metadata-only mutation must patch, never rebuild
-        kb.add_match(MatchDef {
-            id: "m0".into(),
-            src_rel: "rightmove".into(),
-            src_attr: "price".into(),
-            tgt_attr: "price".into(),
-            score: 0.9,
-            matcher: "schema".into(),
-        });
-        assert!(kb.query_satisfied("match(_, _, _, _, _, _)").unwrap());
-        assert_eq!(depcache(&kb), (1, 1), "metadata change patches");
-
-        // row-level relation edits patch too
-        kb.remove_rows("rightmove", &[0]).unwrap();
-        assert!(!kb.query_satisfied("has_instances(\"rightmove\")").unwrap());
-        assert_eq!(depcache(&kb), (1, 2));
-    }
-
-    #[test]
-    fn patched_dependency_view_is_byte_identical_to_a_fresh_build() {
-        let mut kb = observed();
-        kb.query_satisfied("relation(_, _, _)").unwrap();
-        // a mixed mutation sequence touching many aspects
-        let mut grown = kb.relation("rightmove").unwrap().clone();
-        grown.push(tuple!["410000", "3 kings ave", "EH1 1AA"]).unwrap();
-        kb.register_source(grown);
-        kb.add_mapping(MappingDef {
-            id: "map0".into(),
-            target: "property".into(),
-            rules: "property(S, P, C) :- rightmove(S, P, C).".into(),
-            sources: vec!["rightmove".into()],
-            matches_used: vec![],
-            parts: vec![],
-        });
-        kb.select_mapping("map0").unwrap();
-        kb.add_cfd(CfdRule {
-            id: "c0".into(),
-            relation: "rightmove".into(),
-            lhs: vec![("postcode".into(), None)],
-            rhs: ("street".into(), None),
-            support: 3,
-        });
+        assert_eq!(builds(&kb), 2, "a built predicate is kept at one version");
+        // a predicate built empty counts as built; an unknown one is never built
+        assert!(!kb.query_satisfied("cfd_available(_)").unwrap());
+        assert!(!kb.query_satisfied("cfd_available(R), nosuch(R)").unwrap());
+        assert_eq!(builds(&kb), 3);
+        // any mutation starts the view again
         kb.stage_document("doc", "a\n1\n");
-        kb.update_source("rightmove", &[(0, tuple!["1", "x", "M1 1AA"])]).unwrap();
-        kb.clear_mappings();
-        // force the patch path, then compare against a from-scratch build
         kb.query_satisfied("relation(_, _, _)").unwrap();
-        let (rebuilds, patches) = depcache(&kb);
-        assert_eq!(rebuilds, 1, "only the initial build");
-        assert!(patches >= 1);
-        let cache = kb.dep_cache.lock();
-        let (_, patched) = cache.entry.as_ref().unwrap();
-        assert_eq!(dump(patched), dump(&kb.build_dependency_db()));
-    }
-
-    #[test]
-    fn stale_journal_window_falls_back_to_rebuild() {
-        let mut kb = observed();
-        kb.query_satisfied("relation(_, _, _)").unwrap();
-        for i in 0..(crate::delta::DEFAULT_JOURNAL_CAPACITY + 4) {
-            kb.stage_document(format!("d{i}"), "a\n1\n");
-        }
-        assert!(kb.query_satisfied("staged_document(\"d0\")").unwrap());
-        assert_eq!(depcache(&kb).0, 2, "pruned window forces a rebuild");
+        assert_eq!(builds(&kb), 4);
     }
 
     #[test]
@@ -1459,37 +1240,15 @@ mod tests {
         assert!(kb.query_satisfied("cfd_available(\"address\")").unwrap());
     }
 
-    #[test]
-    fn dependency_query_answers_track_the_patched_view() {
-        let mut kb = observed();
-        let q = "relation(\"rightmove\", K, R)";
-        let cold = kb.query(q).unwrap();
-        assert!(!cold.is_empty());
-
-        // a journal-patchable mutation elsewhere leaves the answer alone
-        kb.stage_document("doc", "a\n1\n");
-        assert_eq!(kb.query(q).unwrap(), cold);
-
-        // a patch that rewrites the queried predicate itself: the answer
-        // tracks the new state and equals a freshly built view's (a clone
-        // starts with an empty dependency cache)
-        let mut grown = kb.relation("rightmove").unwrap().clone();
-        grown.push(tuple!["410000", "3 kings ave", "EH1 1AA"]).unwrap();
-        kb.register_source(grown);
-        let after = kb.query(q).unwrap();
-        assert_ne!(after, cold, "the row count changed");
-        assert_eq!(depcache(&kb).0, 1, "patched, never rebuilt");
-        assert_eq!(kb.clone().query(q).unwrap(), after);
-    }
-
-    /// Every journal event after `mark`, checked to be exactly the events
-    /// `changes_since` names for `relation`: an edit journals nothing else.
+    /// Every journal event after `mark`, checked to name `relation` (an
+    /// edit journals nothing else) and to be what `since` answers for it.
     fn journalled_since(kb: &KnowledgeBase, mark: &JournalMark, relation: &str) -> Vec<DeltaEvent> {
-        let all: Vec<DeltaEvent> = kb.journal().events_since(mark.version).unwrap();
-        let relations = [relation];
-        let named: Vec<&DeltaEvent> = kb.changes_since(mark, &relations).unwrap().collect();
-        assert_eq!(named, all.iter().collect::<Vec<_>>(), "an event that names no {relation}");
-        all
+        let all: Vec<&DeltaEvent> = kb.journal().scan_since(mark.version).unwrap().collect();
+        assert!(all.iter().all(|e| e.change.relation() == Some(relation)), "not all {relation}");
+        let rows = all.iter().all(|e| e.change.is_row_level());
+        let want = if rows { Since::Rows(all.clone()) } else { Since::Rebuild };
+        assert_eq!(kb.since(mark, &[relation]), want);
+        all.into_iter().cloned().collect()
     }
 
     #[test]
@@ -1531,6 +1290,7 @@ mod tests {
         let events: Vec<_> = kb.journal().scan_since(seen.version).unwrap().collect();
         assert_eq!(events[0].aspect, "mappings");
         assert!(!events[0].change.is_monotone());
+        assert_eq!(kb.since(&seen, &["rightmove"]), Since::Unchanged);
     }
 
     #[test]
@@ -1617,46 +1377,42 @@ mod tests {
         for i in 0..(crate::delta::DEFAULT_JOURNAL_CAPACITY + 4) {
             kb.stage_document(format!("d{i}"), "a\n1\n");
         }
-        let err = kb.changes_since(&stale, &["t"]).err().expect("window must have pruned");
-        assert!(err.contains("window"), "{err}");
-        assert_eq!(kb.changes_since(&kb.mark(), &["t"]).unwrap().count(), 0);
+        assert_eq!(kb.since(&stale, &["t"]), Since::Rebuild, "the window must have pruned");
+        assert_eq!(kb.since(&kb.mark(), &["t"]), Since::Unchanged);
     }
 
     #[test]
-    fn changed_since_names_relations_and_refuses_foreign_or_pruned_marks() {
+    fn since_names_row_events_and_refuses_foreign_pruned_or_future_marks() {
         let mut kb = KnowledgeBase::with_journal_capacity(4);
-        let mut a = Relation::empty(Schema::all_str("a", &["x"]));
-        a.push(tuple!["1"]).unwrap();
-        kb.register_source(a.clone());
-        kb.register_source(Relation::empty(Schema::all_str("b", &["x"])));
-        let mark = kb.mark();
-        assert_eq!(kb.changed_since(&mark, &["a", "b"]), Ok(false));
-        // metadata and other relations leave `a` unchanged
-        kb.set_user_context(Vec::new());
-        kb.update_source("b", &[]).unwrap();
-        kb.register_source(Relation::empty(Schema::all_str("c", &["x"])));
-        assert_eq!(kb.changed_since(&mark, &["a"]), Ok(false));
-        assert_eq!(kb.changed_since(&mark, &["a", "c"]), Ok(true));
-        kb.update_source("a", &[(0, tuple!["2"])]).unwrap();
-        assert_eq!(kb.changed_since(&mark, &["a"]), Ok(true));
-        // the events themselves: only those naming a listed relation
-        let named = |rels: &[&str]| -> Vec<String> {
-            let events = kb.changes_since(&mark, rels).unwrap();
-            events.map(|e| e.change.relation().unwrap().to_string()).collect()
-        };
-        assert_eq!(named(&["a"]), ["a"]);
-        assert_eq!(named(&["c", "a"]), ["c", "a"]);
-        assert!(named(&["zz"]).is_empty());
-        assert_eq!(kb.changed_since(&kb.mark(), &["a"]), Ok(false));
-
-        // a clone is another history, even where its versions coincide
-        let clone = kb.clone();
-        assert!(clone.changed_since(&kb.mark(), &["a"]).unwrap_err().contains("lineage"));
-        // the window of four events prunes past `mark`
-        for _ in 0..4 {
-            kb.set_user_context(Vec::new());
+        for name in ["a", "b"] {
+            let mut rel = Relation::empty(Schema::all_str(name, &["x"]));
+            rel.push(tuple!["1"]).unwrap();
+            kb.register_source(rel);
         }
-        assert!(kb.changed_since(&mark, &["zz"]).unwrap_err().contains("window"));
+        let mark = kb.mark();
+        assert_eq!(kb.since(&mark, &["a", "b"]), Since::Unchanged);
+        // metadata-only edits and edits to unwatched relations leave `a` unchanged
+        kb.set_user_context(Vec::new());
+        kb.update_source("b", &[(0, tuple!["2"])]).unwrap();
+        kb.register_source(Relation::empty(Schema::all_str("c", &["x"])));
+        assert_eq!(kb.since(&mark, &["a"]), Since::Unchanged);
+        // a relation-level event on a watched relation
+        assert_eq!(kb.since(&mark, &["a", "c"]), Since::Rebuild);
+        // the row events naming a watched relation, oldest first
+        kb.update_source("a", &[(0, tuple!["2"])]).unwrap();
+        let Since::Rows(events) = kb.since(&mark, &["zz", "a", "b"]) else { panic!("rows") };
+        let named: Vec<_> = events.iter().map(|e| e.change.relation().unwrap()).collect();
+        assert_eq!(named, ["b", "a"]);
+        assert_eq!(kb.since(&kb.mark(), &["a"]), Since::Unchanged);
+
+        // a mark ahead of the journal vouches for nothing
+        let ahead = JournalMark { version: kb.version() + 1, ..kb.mark() };
+        assert_eq!(kb.since(&ahead, &["a"]), Since::Rebuild);
+        // a clone is another history, even where its versions coincide
+        assert_eq!(kb.clone().since(&kb.mark(), &["a"]), Since::Rebuild);
+        // the window of four events prunes past `mark`
+        kb.set_user_context(Vec::new());
+        assert_eq!(kb.since(&mark, &["zz"]), Since::Rebuild);
     }
 
     #[test]

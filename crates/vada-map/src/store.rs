@@ -6,23 +6,24 @@
 //! is only a position in one generation pass, and a caller-built mapping
 //! may carry any id, so the id proves nothing about what it computes):
 //! the result plus the [journal mark](vada_kb::JournalMark) it is current
-//! at. On re-execution it asks the knowledge base which events named one
-//! of the mapping's sources since that mark
-//! ([`KnowledgeBase::changes_since`](vada_kb::KnowledgeBase::changes_since)).
-//! When the journal proves none did, nothing the mapping reads has changed
-//! and the stored result is handed back as is — no parse, no input
-//! database, no engine run (`map.execute.reused`). Otherwise the entry is
-//! refreshed and stored again. How depends on the mapping and on the
-//! events:
+//! at. On re-execution it asks the knowledge base how the mapping's sources
+//! changed since that mark
+//! ([`KnowledgeBase::since`](vada_kb::KnowledgeBase::since)). When the
+//! answer is [`Since::Unchanged`](vada_kb::Since::Unchanged), nothing the
+//! mapping reads has changed and the stored result is handed back as is —
+//! no parse, no input database, no engine run (`map.execute.reused`).
+//! Otherwise the entry is refreshed and stored again. How depends on the
+//! mapping and on the answer:
 //!
 //! * A mapping without [`parts`](vada_kb::MappingDef::parts) runs through
 //!   the engine exactly as [`execute_mapping`] does (`map.execute.full`)
 //!   when it is first materialised. Its entry is the run: the coerced rows,
 //!   the engine's raw target facts beside them, and a *version* number no
 //!   other run of the store gets.
-//! * Such a mapping is then **maintained**, not re-run, while the journal
-//!   names only row-level edits of its sources: rows appended, rows
-//!   removed, the last rows rewritten. Its first such refresh starts a
+//! * Such a mapping is then **maintained**, not re-run, while the answer
+//!   is [`Since::Rows`](vada_kb::Since::Rows) and every event in it is one
+//!   the session can replay: rows appended, rows removed, the last rows
+//!   rewritten. Its first such refresh starts a
 //!   [`vada_datalog::IncrementalSession`] over the sources as they stand
 //!   (`map.execute.full` too); every later one feeds the session the
 //!   edited rows — appended rows as new facts, removed rows as retractions
@@ -33,9 +34,10 @@
 //!   still holds retracts nothing; if the copy that takes its place lies
 //!   past another distinct row's first occurrence, the session's order is
 //!   no longer a fresh read's, and the mapping re-runs. So does every
-//!   refresh the session cannot replay — a relation-level event, a rewrite
-//!   of rows that are not the last ones, a mark the journal cannot vouch
-//!   for — and the session is dropped. So does a step that fails: the
+//!   refresh the session cannot replay — [`Since::Rebuild`](vada_kb::Since::Rebuild)
+//!   (a relation-level event, or a mark the journal cannot vouch for) or a
+//!   rewrite of rows that are not the last ones — and the session is
+//!   dropped. So does a step that fails: the
 //!   engine run then yields exactly a from-scratch run's result or error,
 //!   and a failed run drops the entry.
 //! * A union is **assembled** from its parts (`map.execute.assembled`).
@@ -65,8 +67,9 @@
 //! computed in the rules, by the engine's `district` function. Every run
 //! over the same version of a source loads the same fact set, without
 //! copying a tuple (`map.input.reused`); the engine copies it only if it
-//! writes to it. An input is rebuilt when the journal cannot prove its
-//! source unchanged since its mark (`map.input.built`), and dropped once
+//! writes to it. An input is rebuilt when its source is not
+//! [`Since::Unchanged`](vada_kb::Since::Unchanged) since its mark
+//! (`map.input.built`), and dropped once
 //! its source is gone from the knowledge base. The input database holds
 //! the same facts in the same order as loading every row one by one.
 //!
@@ -191,7 +194,7 @@ use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Schema, Tuple, VadaError};
 use vada_datalog::engine::{EngineConfig, FactSet};
 use vada_datalog::IncrementalSession;
-use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, MappingDef};
+use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, MappingDef, Since};
 
 use crate::execute::{
     coerce_rows, execute_span, input_db, materialise, registered_target, source_input,
@@ -272,10 +275,9 @@ struct RowEdit<'a> {
     added: &'a [Tuple],
 }
 
-/// The row-level edit `change` makes, or `None` when a session cannot
-/// replay it: a relation-level event, or a rewrite of rows that are not the
-/// last ones (the new rows take the old rows' places, which no append
-/// reproduces).
+/// The edit `change`, a row-level event, makes — or `None` for a rewrite of
+/// rows that are not the last ones, which a session cannot replay (the new
+/// rows take the old rows' places, which no append reproduces).
 fn row_edit(change: &DeltaChange) -> Option<RowEdit<'_>> {
     let (source, removed, added): (&String, &[Tuple], &[Tuple]) = match change {
         DeltaChange::RowsAppended { relation, rows } => (relation, &[], rows),
@@ -594,7 +596,7 @@ impl ResultStore {
     /// recency if so.
     fn vouch(&mut self, fp: &str, sources: &[String], kb: &KnowledgeBase) -> bool {
         let Some(entry) = self.entries.get_mut(fp) else { return false };
-        if kb.changed_since(&entry.mark, sources) != Ok(false) {
+        if kb.since(&entry.mark, sources) != Since::Unchanged {
             return false;
         }
         entry.mark = kb.mark();
@@ -606,7 +608,7 @@ impl ResultStore {
     /// proves the source unchanged since it was built, a new one otherwise.
     fn input(&mut self, source: &str, kb: &KnowledgeBase) -> Result<()> {
         if let Some((mark, _)) = self.inputs.get_mut(source) {
-            if kb.changed_since(mark, &[source]) == Ok(false) {
+            if kb.since(mark, &[source]) == Since::Unchanged {
                 *mark = kb.mark();
                 kb.obs().incr(obs_key::MAP_INPUT_REUSED);
                 return Ok(());
@@ -658,9 +660,10 @@ impl ResultStore {
     /// Refresh the stale entry of `mapping`, a mapping without parts,
     /// through its incremental session, starting one on the first refresh.
     /// `Ok(None)` asks for an engine run instead, as an error does, and the
-    /// session is dropped either way. A step answers `Ok(None)` when the
-    /// journal cannot vouch for the entry's mark or names an event of a source that is not a
-    /// row-level edit (see [`row_edit`]), when the entry is not one run
+    /// session is dropped either way. A step answers `Ok(None)` when
+    /// [`KnowledgeBase::since`] does not answer the entry's mark with row
+    /// events, or one of them is a rewrite a session cannot replay (see
+    /// [`row_edit`]), when the entry is not one run
     /// (a union of the same rules and sources stored it), or when a removed
     /// row's surviving copy left the session holding a source's rows in
     /// another order than a fresh read (see [`Session::replay`] and
@@ -673,12 +676,11 @@ impl ResultStore {
         kb: &KnowledgeBase,
         stale: Materialisation,
     ) -> Result<Option<(Arc<Run>, Box<Session>)>> {
-        let Ok(events) = kb.changes_since(&stale.mark, &mapping.sources) else {
+        let Since::Rows(events) = kb.since(&stale.mark, &mapping.sources) else {
             return Ok(None);
         };
-        let Some(edits) = events.map(|e| row_edit(&e.change)).collect::<Option<Vec<_>>>() else {
-            return Ok(None);
-        };
+        let edits: Option<Vec<_>> = events.into_iter().map(|e| row_edit(&e.change)).collect();
+        let Some(edits) = edits else { return Ok(None) };
         let Some(earlier) = stale.whole_run().cloned() else { return Ok(None) };
         let (session, counter) = match stale.session {
             Some(mut session) => {

@@ -18,7 +18,7 @@ use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 use vada_common::obs::key as obs_key;
 use vada_kb::storage::{Wal, SNAPSHOT_FILE, WAL_FILE};
-use vada_kb::{ContextKind, DeltaChange, KnowledgeBase, PairwiseStatement};
+use vada_kb::{ContextKind, DeltaChange, KnowledgeBase, PairwiseStatement, Since};
 
 mod common;
 use common::TempDir;
@@ -467,24 +467,25 @@ fn pre_crash_watermark_resumes_o_change_after_reopen() {
     let mut kb = KnowledgeBase::open(&dir).unwrap();
     assert_eq!(kb.journal().lineage(), lineage, "recovery must keep the lineage id");
     assert_eq!(
-        kb.journal().events_since(version),
-        Some(vec![]),
+        kb.journal().scan_since(version).map(|events| events.count()),
+        Some(0),
         "unchanged reopened base must journal nothing since the pre-crash watermark"
     );
     assert_eq!(
-        kb.changes_since(&watermark, &sources).map(|events| events.count()),
-        Ok(0),
+        kb.since(&watermark, &sources),
+        Since::Unchanged,
         "the pre-crash mark must still pass the lineage and window checks"
     );
     kb.remove_rows("rightmove", &[0]).unwrap();
-    let events = kb
+    let events: Vec<_> = kb
         .journal()
-        .events_since(version)
-        .expect("post-recovery edits must replay");
+        .scan_since(version)
+        .expect("post-recovery edits must replay")
+        .collect();
     assert_eq!(events.len(), 1);
     assert_eq!(
-        kb.changes_since(&watermark, &sources).map(|named| named.count()),
-        Ok(1),
+        kb.since(&watermark, &sources),
+        Since::Rows(events.clone()),
         "the mark reads the edit through the lineage-checked cursor too"
     );
     assert_eq!(

@@ -241,7 +241,7 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
     // a deletion-path failure lives entirely inside the consumer session:
     // the knowledge-base journal records exactly the row-level retraction
     // event and stays readable for any other consumer
-    use vada_kb::DeltaChange;
+    use vada_kb::{DeltaChange, Since};
     let mut kb = KnowledgeBase::new();
     let mut src = Relation::empty(Schema::all_str("edges", &["a", "b"]));
     for i in 0..5i64 {
@@ -268,9 +268,10 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
     session.run_full(input2).unwrap();
     assert!(session.retract(vec![("e".into(), tuple![1])]).is_err());
 
-    let events = kb.journal().events_since(seen_version).expect("window covers the removal");
+    let events: Vec<_> =
+        kb.journal().scan_since(seen_version).expect("window covers the removal").collect();
     assert_eq!(events.len(), 1, "exactly the one retraction event");
-    assert_eq!(kb.changes_since(&seen, &["edges"]).map(|named| named.count()), Ok(1));
+    assert_eq!(kb.since(&seen, &["edges"]), Since::Rows(events.clone()));
     match &events[0].change {
         DeltaChange::RowsRemoved { relation, rows, .. } => {
             assert_eq!(relation, "edges");
@@ -279,7 +280,7 @@ fn failed_deletion_leaves_the_kb_journal_consistent() {
         other => panic!("expected RowsRemoved, got {other:?}"),
     }
     // the journal is still append-only readable from zero
-    assert!(kb.journal().events_since(0).is_some());
+    assert!(kb.journal().scan_since(0).is_some());
 }
 
 #[test]
