@@ -25,10 +25,11 @@ use crate::error::{Result, VadaError};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Version of the value/tuple encoding. Bump on any change to the byte
+/// Version of the value/tuple encoding, and of the journal-event records the
+/// knowledge base composes from it. Bump on any change to either byte
 /// layout; persistent containers store it in their headers and refuse
 /// versions they do not understand.
-pub const FORMAT_VERSION: u8 = 1;
+pub const FORMAT_VERSION: u8 = 2;
 
 // ---------------------------------------------------------------------
 // primitive writers

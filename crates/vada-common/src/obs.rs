@@ -145,6 +145,14 @@ pub mod key {
     /// Candidate parts whose kept tallies mapping quality used again — a
     /// part read by a union, or one no edit touched.
     pub const QUALITY_METRICS_REUSED: &str = "quality.metrics.reused";
+    /// Result rows the repair transducer chased: every row after a
+    /// relation-level change to the result or a change to what repair reads
+    /// beside it, otherwise only the rows edited since its last run.
+    pub const REPAIR_ROWS_CHASED: &str = "quality.repair.rows_chased";
+    /// Blocks of two or more result rows duplicate detection scored: every
+    /// block after a relation-level change to the result, otherwise only
+    /// the blocks a row entered or left since its last run.
+    pub const FUSION_BLOCKS_SCORED: &str = "fusion.blocks.scored";
 
 }
 

@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -18,8 +19,24 @@ use crate::value::Value;
 /// copy by collecting an iterator of known length (`FromIterator` over a
 /// slice, range or array iterator) or by draining a reused buffer
 /// ([`Tuple::from_drain`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Eq, PartialOrd, Ord)]
 pub struct Tuple(Arc<[Value]>);
+
+/// Equal when the values are. A row compared with a clone of itself — the
+/// common case, since rows pass between layers by refcount — is answered by
+/// the pointer alone (`Arc`'s own shortcut does not apply to slices).
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+/// The values' hash, as equality compares the values.
+impl Hash for Tuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl Tuple {
     /// Build a tuple from values.

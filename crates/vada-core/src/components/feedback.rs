@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use vada_common::{Relation, Result, Value};
+use vada_common::{Relation, Result, Tuple, Value};
 use vada_kb::{CellVeto, FeedbackTarget, KnowledgeBase, Verdict};
 
 use crate::transducer::{Activity, RunOutcome, Transducer};
@@ -27,11 +27,32 @@ fn key_attrs(rel: &Relation) -> Vec<String> {
 /// Apply vetoes to a relation: null vetoed cells, drop vetoed rows.
 /// Returns the number of cells/rows changed.
 pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
-    if vetoes.is_empty() {
-        return 0;
+    let Vetoed { changes, dropped, .. } = null_vetoed_cells(rel, vetoes);
+    if !dropped.is_empty() {
+        let mut row = 0usize;
+        rel.retain(|_| {
+            let keep = !dropped.contains(&row);
+            row += 1;
+            keep
+        });
     }
-    let mut changes = 0usize;
-    let mut dropped_rows: HashSet<usize> = HashSet::new();
+    changes
+}
+
+/// What vetoes did to a relation, its vetoed rows not yet dropped.
+struct Vetoed {
+    /// Cells nulled plus rows vetoed.
+    changes: usize,
+    /// Rows with a cell nulled, ascending, each once (dropped ones too).
+    nulled: Vec<usize>,
+    /// Rows vetoed whole.
+    dropped: HashSet<usize>,
+}
+
+/// Null vetoed cells in place, every veto reading the rows as the vetoes
+/// before it left them, and collect the rows vetoed whole.
+fn null_vetoed_cells(rel: &mut Relation, vetoes: &[CellVeto]) -> Vetoed {
+    let mut vetoed = Vetoed { changes: 0, nulled: Vec::new(), dropped: HashSet::new() };
     for veto in vetoes {
         let key_cols: Option<Vec<(usize, &Value)>> = veto
             .key
@@ -40,7 +61,7 @@ pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
             .collect();
         let Some(key_cols) = key_cols else { continue };
         for row in 0..rel.len() {
-            if dropped_rows.contains(&row) {
+            if vetoed.dropped.contains(&row) {
                 continue;
             }
             let t = &rel.tuples()[row];
@@ -49,8 +70,8 @@ pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
             }
             match &veto.attr {
                 None => {
-                    dropped_rows.insert(row);
-                    changes += 1;
+                    vetoed.dropped.insert(row);
+                    vetoed.changes += 1;
                 }
                 Some(attr) => {
                     let Some(col) = rel.schema().index_of(attr) else { continue };
@@ -61,25 +82,21 @@ pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
                     if veto.value.as_ref().is_none_or(|v| v == cell) {
                         let fixed = t.with_value(col, Value::Null);
                         rel.replace(row, fixed).expect("same arity");
-                        changes += 1;
+                        vetoed.nulled.push(row);
+                        vetoed.changes += 1;
                     }
                 }
             }
         }
     }
-    if !dropped_rows.is_empty() {
-        let mut row = 0usize;
-        rel.retain(|_| {
-            let keep = !dropped_rows.contains(&row);
-            row += 1;
-            keep
-        });
-    }
-    changes
+    vetoed.nulled.sort_unstable();
+    vetoed.nulled.dedup();
+    vetoed
 }
 
 /// Convert fresh feedback annotations into durable vetoes and apply them
-/// to the current result.
+/// to the current result, writing only the rows they change: the rows with
+/// a nulled cell as one row-level rewrite, the vetoed rows as one removal.
 #[derive(Debug, Default)]
 pub struct FeedbackRepair {
     processed: HashSet<String>,
@@ -147,14 +164,19 @@ impl Transducer for FeedbackRepair {
             return Ok(RunOutcome::noop("no fresh incorrect annotations"));
         }
         let mut repaired = result;
-        let changed = apply_vetoes(&mut repaired, &new_vetoes);
+        let Vetoed { changes: changed, nulled, dropped } =
+            null_vetoed_cells(&mut repaired, &new_vetoes);
         let n = new_vetoes.len();
         for v in new_vetoes {
             kb.add_veto(v);
         }
-        if changed > 0 {
-            kb.put_result(repaired);
-        }
+        let rewritten: Vec<(usize, Tuple)> = nulled
+            .into_iter()
+            .filter(|row| !dropped.contains(row))
+            .map(|row| (row, repaired.tuples()[row].clone()))
+            .collect();
+        kb.update_source(&target, &rewritten)?;
+        kb.remove_rows(&target, &dropped.into_iter().collect::<Vec<_>>())?;
         Ok(RunOutcome::new(
             format!("{n} vetoes recorded, {changed} cells/rows changed"),
             changed.max(n),

@@ -17,10 +17,18 @@
 //! | Feedback  | `feedback_repair`     | feedback annotations                    |
 //! | Feedback  | `mapping_evaluation`  | feedback annotations                    |
 //!
+//! Four of them write the result. `mapping_execution` stores it whole.
+//! `result_repair`, `data_fusion` and `feedback_repair` edit it row by row
+//! (`KnowledgeBase::update_source` / `remove_rows`), writing only the rows
+//! they change. `result_repair` and `duplicate_detection` follow those row
+//! edits between runs and re-check only the rows and blocks they touched;
+//! after a whole-result write they check everything, through the same code.
+//!
 //! [`Transducer`]: crate::transducer::Transducer
 
 pub mod extraction;
 pub mod feedback;
+mod follow;
 pub mod fusion_t;
 pub mod mapping;
 pub mod matching;

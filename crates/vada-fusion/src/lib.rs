@@ -20,6 +20,8 @@ pub mod fuse;
 pub mod similarity;
 
 pub use blocking::{block_by_keys, blocking_stats, BlockingStats};
-pub use cluster::{cluster_relation, cluster_relation_scored, ClusterConfig, UnionFind};
+pub use cluster::{
+    cluster_relation, cluster_relation_scored, BlockClusters, ClusterConfig, Refreshed, UnionFind,
+};
 pub use fuse::{fuse_clusters, FusionReport, Survivorship};
 pub use similarity::{record_similarity, FieldKind, FieldSpec};

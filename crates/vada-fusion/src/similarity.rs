@@ -16,7 +16,7 @@ pub enum FieldKind {
 }
 
 /// One compared field with its weight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldSpec {
     /// Column index in the tuples being compared.
     pub col: usize,

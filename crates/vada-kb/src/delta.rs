@@ -122,21 +122,12 @@ pub enum DeltaChange {
         relation: String,
     },
     /// A metadata aspect changed (matches, mappings, CFDs, feedback,
-    /// quality, contexts, selection, staged documents…). Non-monotone for
-    /// relation consumers, but carries the aspect so consumers can ignore
-    /// aspects they do not read.
-    AspectChanged {
-        /// Short human-readable detail (e.g. the mutating operation).
-        detail: String,
-    },
+    /// quality, contexts, selection, staged documents…). Names no relation;
+    /// the event's [`DeltaEvent::aspect`] says which aspect moved.
+    AspectChanged,
 }
 
 impl DeltaChange {
-    /// Whether the change is a pure fact insertion.
-    pub fn is_monotone(&self) -> bool {
-        matches!(self, DeltaChange::RowsAppended { .. })
-    }
-
     /// Whether the change names the exact rows it touched (appends,
     /// removals, in-place rewrites) — the granularity the retraction-capable
     /// incremental path consumes. Relation-level events (`RelationAdded`,
@@ -159,7 +150,7 @@ impl DeltaChange {
             | DeltaChange::RelationAdded { relation }
             | DeltaChange::RelationReplaced { relation }
             | DeltaChange::RelationRemoved { relation } => Some(relation),
-            DeltaChange::AspectChanged { .. } => None,
+            DeltaChange::AspectChanged => None,
         }
     }
 }
@@ -391,7 +382,7 @@ mod tests {
     fn scan_since_filters_by_seq() {
         let mut j = DeltaJournal::default();
         j.record(1, "relations", append("a", 1));
-        j.record(2, "matches", DeltaChange::AspectChanged { detail: "add_match".into() });
+        j.record(2, "matches", DeltaChange::AspectChanged);
         j.record(5, "relations", append("a", 2));
         assert_eq!(seqs(&j, 2), Some(vec![5]));
         assert_eq!(seqs(&j, 1), Some(vec![2, 5]));
@@ -416,17 +407,7 @@ mod tests {
 
     #[test]
     fn monotonicity_classification() {
-        assert!(append("r", 1).is_monotone());
-        assert!(!DeltaChange::RelationAdded { relation: "r".into() }.is_monotone());
-        assert!(!DeltaChange::RelationReplaced { relation: "r".into() }.is_monotone());
-        assert!(!DeltaChange::RelationRemoved { relation: "r".into() }.is_monotone());
-        assert!(!DeltaChange::AspectChanged { detail: "x".into() }.is_monotone());
-        assert_eq!(append("r", 1).relation(), Some("r"));
-        assert_eq!(
-            DeltaChange::AspectChanged { detail: "x".into() }.relation(),
-            None
-        );
-        // row-level but not monotone: the retraction shapes
+        // the row-level shapes: appends, removals, in-place rewrites
         let removed = DeltaChange::RowsRemoved {
             relation: "r".into(),
             rows: vec![tuple![1]],
@@ -439,12 +420,22 @@ mod tests {
             positions: vec![0],
             tail: true,
         };
-        assert!(!removed.is_monotone() && removed.is_row_level());
-        assert!(!replaced.is_monotone() && replaced.is_row_level());
-        assert_eq!(removed.relation(), Some("r"));
-        assert_eq!(replaced.relation(), Some("r"));
-        assert!(append("r", 1).is_row_level());
-        assert!(!DeltaChange::RelationReplaced { relation: "r".into() }.is_row_level());
+        for change in [append("r", 1), removed, replaced] {
+            assert!(change.is_row_level(), "{change:?}");
+            assert_eq!(change.relation(), Some("r"));
+        }
+        // relation-level shapes name their relation but no rows
+        for change in [
+            DeltaChange::RelationAdded { relation: "r".into() },
+            DeltaChange::RelationReplaced { relation: "r".into() },
+            DeltaChange::RelationRemoved { relation: "r".into() },
+        ] {
+            assert!(!change.is_row_level(), "{change:?}");
+            assert_eq!(change.relation(), Some("r"));
+        }
+        // metadata names no relation
+        assert!(!DeltaChange::AspectChanged.is_row_level());
+        assert_eq!(DeltaChange::AspectChanged.relation(), None);
     }
 
     #[test]
@@ -471,7 +462,7 @@ mod tests {
         // a consumer that already saw seq 1 is still served the appends
         let tail: Vec<&DeltaEvent> = j.scan_since(1).unwrap().collect();
         assert_eq!(tail.len(), 2);
-        assert!(tail.iter().all(|e| e.change.is_monotone()));
+        assert!(tail.iter().all(|e| matches!(e.change, DeltaChange::RowsAppended { .. })));
     }
 
     #[test]
@@ -487,21 +478,21 @@ mod tests {
         let cap = DEFAULT_JOURNAL_CAPACITY as u64;
         let mut j = DeltaJournal::default();
         for s in 1..cap {
-            j.record(s, "staged", DeltaChange::AspectChanged { detail: "staged".into() });
+            j.record(s, "staged", DeltaChange::AspectChanged);
         }
         // window - 1 events: nothing pruned, watermark 0 fully served
         assert_eq!(j.pruned_through(), 0);
         assert_eq!(seqs(&j, 0).unwrap().len(), (cap - 1) as usize);
 
         // exactly `window` events: still nothing pruned
-        j.record(cap, "staged", DeltaChange::AspectChanged { detail: "staged".into() });
+        j.record(cap, "staged", DeltaChange::AspectChanged);
         assert_eq!(j.pruned_through(), 0);
         assert_eq!(j.len(), cap as usize);
         assert_eq!(seqs(&j, 0).unwrap().len(), cap as usize);
 
         // window + 1: seq 1 is dropped; watermark 0 loses service, the
         // watermark equal to pruned_through keeps it
-        j.record(cap + 1, "staged", DeltaChange::AspectChanged { detail: "staged".into() });
+        j.record(cap + 1, "staged", DeltaChange::AspectChanged);
         assert_eq!(j.pruned_through(), 1);
         assert_eq!(j.len(), cap as usize);
         assert!(j.scan_since(0).is_none());

@@ -229,10 +229,7 @@ pub fn encode_change(change: &DeltaChange, out: &mut Vec<u8>) {
             put_u8(out, CHANGE_RELATION_REMOVED);
             put_str(out, relation);
         }
-        DeltaChange::AspectChanged { detail } => {
-            put_u8(out, CHANGE_ASPECT_CHANGED);
-            put_str(out, detail);
-        }
+        DeltaChange::AspectChanged => put_u8(out, CHANGE_ASPECT_CHANGED),
     }
 }
 
@@ -268,7 +265,7 @@ pub fn decode_change(r: &mut Reader<'_>) -> Result<DeltaChange> {
         CHANGE_RELATION_REMOVED => {
             Ok(DeltaChange::RelationRemoved { relation: r.str()?.to_string() })
         }
-        CHANGE_ASPECT_CHANGED => Ok(DeltaChange::AspectChanged { detail: r.str()?.to_string() }),
+        CHANGE_ASPECT_CHANGED => Ok(DeltaChange::AspectChanged),
         other => Err(VadaError::Storage(format!("unknown delta-change tag {other}"))),
     }
 }
@@ -393,7 +390,7 @@ mod tests {
         });
         round_trip(DeltaChange::RelationReplaced { relation: "r".into() });
         round_trip(DeltaChange::RelationRemoved { relation: "r".into() });
-        round_trip(DeltaChange::AspectChanged { detail: "matches".into() });
+        round_trip(DeltaChange::AspectChanged);
     }
 
     #[test]

@@ -125,16 +125,18 @@ mod tests {
 
     /// `snapshot.bin` and `wal.log` exactly as the encoders wrote them
     /// before they took borrows (owned `Snapshot` / `WalRecord`, frame
-    /// assembled from a separate payload buffer, bytewise CRC).
+    /// assembled from a separate payload buffer, bytewise CRC). Format
+    /// version 2 (header byte 7): metadata events carry no detail string.
+    /// Nothing else in these bytes moved with it.
     const GOLDEN_SNAPSHOT: &[&str] = &[
-        "56414441534e500133d74bf009000000000000000300000000000000020000000000000000100000",
+        "56414441534e500233d74bf009000000000000000300000000000000020000000000000000100000",
         "00000000020000000900000072656c6174696f6e7309000000000000000600000074617267657401",
         "000000000000000100000009000000000000000900000072656c6174696f6e730001000000730100",
         "00000100000004010000007901000000000100000073010000000100000061030000007374720200",
         "00000100000004010000007801000000040100000079",
     ];
     const GOLDEN_WAL: &[&str] = &[
-        "5641444157414c014a000000cc8431ae07000000000000000900000072656c6174696f6e73010100",
+        "5641444157414c024a000000cc8431ae07000000000000000900000072656c6174696f6e73010100",
         "00007301000100000073010000000100000061030000007374720200000001000000040100000078",
         "010000000401000000793600000072431ce708000000000000000900000072656c6174696f6e7302",
         "0100000073010000000100000004010000007801000000000000000000000000",

@@ -182,11 +182,7 @@ impl KnowledgeBase {
     }
 
     fn touch(&mut self, aspect: &'static str) {
-        self.touch_with(aspect, DeltaChange::AspectChanged { detail: aspect.to_string() });
-    }
-
-    fn touch_with(&mut self, aspect: &'static str, change: DeltaChange) {
-        self.touch_full(aspect, change, None);
+        self.touch_full(aspect, DeltaChange::AspectChanged, None);
     }
 
     /// The single version-bump path: checkpoint if the log has grown to a
@@ -432,7 +428,7 @@ impl KnowledgeBase {
             }
             // metadata state is not persisted; the event still advances
             // the version and the journal window below
-            (DeltaChange::AspectChanged { .. }, _) => {}
+            (DeltaChange::AspectChanged, _) => {}
         }
         self.version = seq;
         self.aspect_versions.insert(aspect, seq);
@@ -537,12 +533,16 @@ impl KnowledgeBase {
         self.catalog.put(kind, rel);
     }
 
-    /// Remove the rows at the given (pre-removal) indices from a catalog
-    /// relation, preserving the relative order of the remaining rows, and
-    /// journal a row-level [`DeltaChange::RowsRemoved`] with the removed
-    /// tuples — the shape the retraction-capable incremental path consumes
-    /// without re-reading the relation. Returns the removed tuples in
-    /// ascending row order. Removing zero rows is a no-op (no version bump).
+    /// Remove the rows at the given (pre-removal) indices from any catalog
+    /// relation — a source, a context, an intermediate or the result —
+    /// preserving the relative order of the remaining rows, and journal a
+    /// row-level [`DeltaChange::RowsRemoved`] with the removed tuples under
+    /// the aspect the relation's kind registers under (`result` for the
+    /// result). That is the shape the retraction-capable incremental path
+    /// and the result's consumers follow without re-reading the relation,
+    /// and the WAL logs it without a relation payload. Returns the removed
+    /// tuples in ascending row order. Removing zero rows is a no-op (no
+    /// version bump).
     pub fn remove_rows(&mut self, name: &str, rows: &[usize]) -> Result<Vec<Tuple>> {
         let kind = self
             .catalog
@@ -585,13 +585,17 @@ impl KnowledgeBase {
         Ok(removed)
     }
 
-    /// Rewrite rows of a source or context relation in place (`edits` pairs
-    /// a pre-existing row index with its new tuple), journalling a
-    /// row-level [`DeltaChange::RowsReplaced`] carrying both the previous
-    /// and the new contents. The remaining rows keep their positions; the
-    /// event's `tail` flag records whether every rewritten row sat in the
-    /// trailing positions (the only case a retract-then-append consumer can
-    /// replay without changing the scan order).
+    /// Rewrite rows of any catalog relation in place — a source, a context,
+    /// an intermediate or the result (`edits` pairs a pre-existing row
+    /// index with its new tuple) — journalling a row-level
+    /// [`DeltaChange::RowsReplaced`] carrying both the previous and the new
+    /// contents, under the aspect the relation's kind registers under. The
+    /// remaining rows keep their positions; the event's `tail` flag records
+    /// whether every rewritten row sat in the trailing positions (the only
+    /// case a retract-then-append consumer can replay without changing the
+    /// scan order). Repair, fusion and feedback write their fixes to the
+    /// result through this and [`KnowledgeBase::remove_rows`], so the WAL
+    /// logs their edits without a relation payload.
     pub fn update_source(&mut self, name: &str, edits: &[(usize, Tuple)]) -> Result<()> {
         let kind = self
             .catalog
@@ -1289,7 +1293,7 @@ mod tests {
         // (no relation: only the journal itself lists it)
         let events: Vec<_> = kb.journal().scan_since(seen.version).unwrap().collect();
         assert_eq!(events[0].aspect, "mappings");
-        assert!(!events[0].change.is_monotone());
+        assert_eq!(events[0].change, DeltaChange::AspectChanged);
         assert_eq!(kb.since(&seen, &["rightmove"]), Since::Unchanged);
     }
 

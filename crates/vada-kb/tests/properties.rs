@@ -67,7 +67,7 @@ fn arb_change() -> impl Strategy<Value = DeltaChange> {
         ),
         arb_name().prop_map(|relation| DeltaChange::RelationReplaced { relation }),
         arb_name().prop_map(|relation| DeltaChange::RelationRemoved { relation }),
-        arb_name().prop_map(|detail| DeltaChange::AspectChanged { detail }),
+        arb_name().prop_map(|_| DeltaChange::AspectChanged),
     ]
 }
 

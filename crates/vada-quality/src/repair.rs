@@ -21,7 +21,7 @@ use vada_kb::CfdRule;
 use crate::violations::resolve_columns;
 
 /// Repair configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepairConfig {
     /// Minimum Jaro-Winkler similarity for a fuzzy snap.
     pub fuzzy_threshold: f64,

@@ -9,15 +9,30 @@
 //! a mapping executed through the
 //! journal-validated [`vada_map::ResultStore`] is byte-identical to a
 //! scratch `execute_mapping` on the same knowledge base, whether the
-//! store re-materialised it or handed the stored result back.
+//! store re-materialised it or handed the stored result back. Result repair
+//! and duplicate detection, which follow the result's row edits between
+//! runs, are checked on every run against fresh instances run on a copy of
+//! the same base, and the durable base logs the result edits of repair,
+//! fusion and feedback as row-level records without a relation payload.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vada::Wrangler;
+use vada::components::fusion_t::CLUSTERS_REL;
+use vada::components::{DuplicateDetection, ResultRepair};
+use vada::{default_transducers, Activity, RunOutcome, Transducer, Wrangler};
+use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{csv, Tuple, Value};
 use vada_extract::sources::target_schema;
 use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
-use vada_kb::{ContextKind, FeedbackRecord, FeedbackTarget, PairwiseStatement, Verdict};
+use vada_kb::storage::{Wal, WAL_FILE};
+use vada_kb::{
+    ContextKind, DeltaChange, FeedbackRecord, FeedbackTarget, KnowledgeBase, PairwiseStatement,
+    Verdict,
+};
 
 mod common;
 use common::TempDir;
@@ -290,6 +305,210 @@ fn randomized_edit_scripts_identical_across_modes() {
             assert_identical(&pair, &format!("after step {step} (seed {seed}, {batch:?})"));
         }
     }
+}
+
+/// The work a kept transducer and its fresh twins tallied under one
+/// counter, summed over runs: `(kept, fresh, runs)`.
+type Work = Rc<RefCell<BTreeMap<String, (u64, u64, usize)>>>;
+
+/// A transducer checked on every run against a fresh twin: the twin runs
+/// on a copy of the knowledge base first, then the kept one on the base,
+/// and the two must report the same outcome and leave the same result and
+/// the same published clusters. `counter` is the work tally they are
+/// compared by.
+struct Checked<T> {
+    kept: T,
+    fresh: fn() -> T,
+    counter: &'static str,
+    work: Work,
+}
+
+impl<T: Transducer> Transducer for Checked<T> {
+    fn name(&self) -> &str {
+        self.kept.name()
+    }
+
+    fn activity(&self) -> Activity {
+        self.kept.activity()
+    }
+
+    fn input_dependency(&self) -> &str {
+        self.kept.input_dependency()
+    }
+
+    fn input_aspects(&self) -> &'static [&'static str] {
+        self.kept.input_aspects()
+    }
+
+    fn run(&mut self, kb: &mut KnowledgeBase) -> vada_common::Result<RunOutcome> {
+        let mut copy = kb.clone();
+        copy.set_obs(Obs::enabled());
+        let want = (self.fresh)().run(&mut copy);
+        let before = kb.obs().get(self.counter);
+        let got = self.kept.run(kb);
+        let outcome = |r: &vada_common::Result<RunOutcome>| {
+            r.as_ref().map(|o| (o.summary.clone(), o.writes)).map_err(|e| e.to_string())
+        };
+        let name = self.kept.name().to_string();
+        assert_eq!(outcome(&got), outcome(&want), "{name} diverged from a fresh run");
+        let target = kb.target_schema().expect("a result implies a target").name.clone();
+        for rel in [target.as_str(), CLUSTERS_REL] {
+            let rows = |kb: &KnowledgeBase| kb.relation(rel).ok().map(|r| r.tuples().to_vec());
+            assert_eq!(rows(kb), rows(&copy), "{name} left `{rel}` unlike a fresh run");
+        }
+        let mut work = self.work.borrow_mut();
+        let tally = work.entry(name).or_default();
+        tally.0 += kb.obs().get(self.counter) - before;
+        tally.1 += copy.obs().get(self.counter);
+        tally.2 += 1;
+        got
+    }
+}
+
+/// The default fleet with result repair and duplicate detection checked
+/// against fresh twins, and a registry attached for their tallies.
+fn checked(mut w: Wrangler, work: &Work) -> Wrangler {
+    let fleet = default_transducers()
+        .into_iter()
+        .map(|t| -> Box<dyn Transducer> {
+            match t.name() {
+                "result_repair" => Box::new(Checked {
+                    kept: ResultRepair::default(),
+                    fresh: ResultRepair::default,
+                    counter: obs_key::REPAIR_ROWS_CHASED,
+                    work: work.clone(),
+                }),
+                "duplicate_detection" => Box::new(Checked {
+                    kept: DuplicateDetection::default(),
+                    fresh: DuplicateDetection::default,
+                    counter: obs_key::FUSION_BLOCKS_SCORED,
+                    work: work.clone(),
+                }),
+                _ => t,
+            }
+        })
+        .collect();
+    let kb = std::mem::take(w.kb_mut());
+    w = Wrangler::with_transducers(fleet);
+    *w.kb_mut() = kb;
+    w.set_obs(Obs::enabled());
+    w
+}
+
+/// After every step of the seeded edit scripts — source edits, context,
+/// matches, user context and annotation rounds — in memory and durable,
+/// every run of result repair and duplicate detection leaves what fresh
+/// instances leave on the same base, while chasing fewer rows and scoring
+/// fewer blocks than they do over the script.
+#[test]
+fn repair_and_detection_match_fresh_runs_after_every_step() {
+    for seed in [3u64, 17, 42] {
+        // seed-logged so a failing case is reproducible from the test output
+        println!("repair_and_detection_match_fresh_runs_after_every_step: seed {seed}");
+        let scenario = Scenario::generate(ScenarioConfig {
+            universe: UniverseConfig { properties: 60, seed: 7 + seed },
+            ..Default::default()
+        });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut script = random_script(&mut rng, 5);
+        // repair needs the reference, and every script annotates
+        if !script.iter().flatten().any(|e| matches!(e, Edit::AddContext)) {
+            script.insert(0, vec![Edit::AddContext]);
+        }
+        script.push(vec![Edit::Feedback { row: 7 }, Edit::Feedback { row: 19 }]);
+
+        let dir = TempDir::new(&format!("checked-{seed}"));
+        let works: [Work; 2] = Default::default();
+        let [memory, durable] = pair(&scenario, &dir);
+        let mut pair = [checked(memory, &works[0]), checked(durable, &works[1])];
+        for w in &mut pair {
+            w.run().expect("bootstrap succeeds");
+        }
+        assert_identical(&pair, &format!("at bootstrap (seed {seed})"));
+        for (step, batch) in script.iter().enumerate() {
+            for w in &mut pair {
+                for edit in batch {
+                    apply_edit(w, &scenario, edit);
+                }
+                w.run().expect("edit step succeeds");
+            }
+            assert_identical(&pair, &format!("after step {step} (seed {seed}, {batch:?})"));
+        }
+        for work in &works {
+            let work = work.borrow();
+            for name in ["result_repair", "duplicate_detection"] {
+                let (kept, fresh, runs) = work[name];
+                assert!(runs > 0, "{name} never ran (seed {seed})");
+                assert!(
+                    kept < fresh,
+                    "{name} did a fresh run's work: {kept} of {fresh} (seed {seed})"
+                );
+            }
+        }
+    }
+}
+
+/// Repair, fusion and feedback edit the result row by row: in a durable
+/// base, every WAL record their steps append names the result only
+/// row-level, and none carries a relation payload.
+#[test]
+fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
+    let scenario = Scenario::generate(ScenarioConfig {
+        universe: UniverseConfig { properties: 60, seed: 9 },
+        ..Default::default()
+    });
+    let dir = TempDir::new("row-edit-log");
+    let mut w = Wrangler::new();
+    w.kb_mut().persist_to(&dir).expect("the WAL directory initialises");
+    let mut w = register(w, &scenario);
+    w.run().expect("bootstrap succeeds");
+    for batch in [
+        vec![Edit::AddContext],
+        vec![Edit::UpdateRow { source: "rightmove", nth: 5, tail: false }],
+        vec![Edit::Feedback { row: 3 }, Edit::Feedback { row: 11 }],
+    ] {
+        for edit in &batch {
+            apply_edit(&mut w, &scenario, edit);
+        }
+        w.run().expect("edit step succeeds");
+    }
+    let target = w.kb().target_schema().unwrap().name.clone();
+    let last = w.kb().version();
+    let steps: Vec<(String, u64, u64)> = w
+        .trace()
+        .entries()
+        .iter()
+        .map(|e| (e.transducer.clone(), e.kb_version_before, e.kb_version_after))
+        .collect();
+    drop(w);
+    let (_, records) = Wal::open(dir.join(WAL_FILE)).expect("the log reopens");
+    assert_eq!(records.len() as u64, last, "the log holds every event: no checkpoint yet");
+
+    let mut result_edits: BTreeMap<&str, Vec<&'static str>> = BTreeMap::new();
+    for (name, before, after) in &steps {
+        let name = match name.as_str() {
+            n @ ("result_repair" | "data_fusion" | "feedback_repair") => n,
+            _ => continue,
+        };
+        for r in records.iter().filter(|r| (before + 1..=*after).contains(&r.event.seq)) {
+            assert!(r.payload.is_none(), "{name} logged a relation payload: {:?}", r.event);
+            if r.event.change.relation() == Some(target.as_str()) {
+                assert!(r.event.change.is_row_level(), "{name} logged {:?}", r.event.change);
+                let shape = match r.event.change {
+                    DeltaChange::RowsRemoved { .. } => "removed",
+                    _ => "rewritten",
+                };
+                result_edits.entry(name).or_default().push(shape);
+            }
+        }
+    }
+    for name in ["result_repair", "data_fusion", "feedback_repair"] {
+        assert!(
+            result_edits.contains_key(name),
+            "{name} never edited the result: {result_edits:?}"
+        );
+    }
+    assert!(result_edits["data_fusion"].contains(&"removed"), "{result_edits:?}");
 }
 
 /// Mapping ids are positions in a generation pass's output, so the same
