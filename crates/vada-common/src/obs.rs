@@ -132,6 +132,15 @@ pub mod key {
     /// the source unchanged since the input was built.
     pub const MAP_INPUT_REUSED: &str = "map.input.reused";
 
+    /// Sources instance matching matched against the context side: every
+    /// source after the context side was rebuilt, otherwise only those an
+    /// edit reached before their sample frontier.
+    pub const MATCH_INSTANCE_MATCHED: &str = "match.instance.matched";
+    /// Sources whose kept instance matches a run wrote again: the journal
+    /// proved the source unchanged, or edited only at or past its sample
+    /// frontier.
+    pub const MATCH_INSTANCE_REUSED: &str = "match.instance.reused";
+
     /// Reference-derived state a quality transducer built afresh: reference
     /// populations, a fuzzy repair index, learned CFDs — once per version
     /// of the context relations it reads.

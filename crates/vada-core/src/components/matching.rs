@@ -1,12 +1,47 @@
 //! Matching transducers: schema-level and instance-level.
+//!
+//! Both keep each source's correspondences between runs, with the journal
+//! mark they are current at, and match again only the sources an edit
+//! reached: a row edit to one source re-reads that source alone. A run
+//! still writes every source's correspondences, in source order, exactly as
+//! a fresh run writes them.
+//!
+//! * Schema matching keeps them under its configuration and the target
+//!   schema. A row event never changes a schema, so only a relation-level
+//!   change (a re-registration with another schema, say) matches a source
+//!   again.
+//! * Instance matching prepares the context side once per configuration,
+//!   bindings and version of the bound context relations, and keeps each
+//!   source's correspondences with its **sample frontier**
+//!   ([`vada_match::match_source`]): one past the last row any column's
+//!   sample read, or `None` when some column was short. Row events leave a
+//!   source's correspondences exact, so they are reused, when its frontier
+//!   is `Some` and every row the events removed or rewrote sits at or past
+//!   it; appends then never matter. Any other change to a source matches it
+//!   again, and a rebuilt context side matches every source again.
 
-use vada_common::Result;
-use vada_kb::{KnowledgeBase, MatchDef};
+use vada_common::obs::key as obs_key;
+use vada_common::{Result, Schema};
+use vada_kb::{DeltaChange, DeltaEvent, KnowledgeBase, MatchDef};
 use vada_match::{
-    instance_match, schema_match, ContextColumn, InstanceMatchConfig, SchemaMatchConfig,
+    match_source, schema_match, Correspondence, InstanceMatchConfig, PreparedContext,
+    SchemaMatchConfig,
 };
 
+use crate::components::prepared::{PerRelation, Prepared};
 use crate::transducer::{Activity, RunOutcome, Transducer};
+
+/// The match a correspondence found by `matcher` is written as.
+fn match_def(corr: Correspondence, matcher: &str) -> MatchDef {
+    MatchDef {
+        id: format!("{matcher}:{}.{}->{}", corr.src_rel, corr.src_attr, corr.tgt_attr),
+        src_rel: corr.src_rel,
+        src_attr: corr.src_attr,
+        tgt_attr: corr.tgt_attr,
+        score: corr.score,
+        matcher: matcher.into(),
+    }
+}
 
 /// Name-based schema matching (paper Table 1: needs source & target
 /// schemas).
@@ -14,6 +49,30 @@ use crate::transducer::{Activity, RunOutcome, Transducer};
 pub struct SchemaMatching {
     /// Matcher configuration.
     pub config: SchemaMatchConfig,
+    matched: PerRelation<(SchemaMatchConfig, Schema), Vec<MatchDef>>,
+}
+
+impl SchemaMatching {
+    /// The matches a run writes, in write order: each source's, in source
+    /// order.
+    pub(crate) fn matches(&mut self, kb: &KnowledgeBase) -> Result<Vec<MatchDef>> {
+        let target = kb.target_schema().expect("dependency guarantees a target schema");
+        let sources = kb.source_names();
+        self.matched.retain(&sources);
+        let mut out = Vec::new();
+        for source in &sources {
+            let build = || {
+                let schema = kb.relation(source)?.schema();
+                let found = schema_match(&self.config, schema, target);
+                Ok(found.into_iter().map(|corr| match_def(corr, "schema")).collect())
+            };
+            let key = (self.config.clone(), target.clone());
+            // a row event never changes a schema
+            let (matches, _) = self.matched.get_or_build(kb, source, key, |_, _| true, build)?;
+            out.extend(matches.iter().cloned());
+        }
+        Ok(out)
+    }
 }
 
 impl Transducer for SchemaMatching {
@@ -34,25 +93,10 @@ impl Transducer for SchemaMatching {
     }
 
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
-        let target = kb
-            .target_schema()
-            .expect("dependency guarantees a target schema")
-            .clone();
-        let mut written = 0usize;
-        for source in kb.source_names() {
-            let schema = kb.relation(&source)?.schema().clone();
-            for corr in schema_match(&self.config, &schema, &target) {
-                let id = format!("schema:{}.{}->{}", corr.src_rel, corr.src_attr, corr.tgt_attr);
-                kb.add_match(MatchDef {
-                    id,
-                    src_rel: corr.src_rel,
-                    src_attr: corr.src_attr,
-                    tgt_attr: corr.tgt_attr,
-                    score: corr.score,
-                    matcher: "schema".into(),
-                });
-                written += 1;
-            }
+        let matches = self.matches(kb)?;
+        let written = matches.len();
+        for m in matches {
+            kb.add_match(m);
         }
         Ok(RunOutcome::new(
             format!("{written} schema-level correspondences"),
@@ -60,6 +104,10 @@ impl Transducer for SchemaMatching {
         ))
     }
 }
+
+/// A context binding: `(context relation, context attribute, target
+/// attribute)`.
+type Binding = (String, String, String);
 
 /// Instance-based matching: needs instances on both sides; the target side
 /// gets them from data-context relations bound to target attributes
@@ -69,6 +117,76 @@ impl Transducer for SchemaMatching {
 pub struct InstanceMatching {
     /// Matcher configuration.
     pub config: InstanceMatchConfig,
+    context: Prepared<(InstanceMatchConfig, Vec<Binding>), Matched>,
+}
+
+/// The context side, and each source's matches against it with the
+/// source's sample frontier. Kept as one value, so a rebuilt context side
+/// starts with no source matched.
+#[derive(Debug)]
+struct Matched {
+    context: PreparedContext,
+    sources: PerRelation<(), (Vec<MatchDef>, Option<usize>)>,
+}
+
+/// Whether row events leave a source's instance matches exact: its sample
+/// frontier is known and no event removed or rewrote a row before it.
+fn past_the_sample(frontier: Option<usize>, events: &[&DeltaEvent]) -> bool {
+    let Some(frontier) = frontier else {
+        return false;
+    };
+    events.iter().all(|event| match &event.change {
+        DeltaChange::RowsAppended { .. } => true,
+        DeltaChange::RowsRemoved { positions, .. }
+        | DeltaChange::RowsReplaced { positions, .. } => {
+            positions.iter().all(|&row| row >= frontier)
+        }
+        _ => false,
+    })
+}
+
+impl InstanceMatching {
+    /// The matches a run writes, in write order: each source's, in source
+    /// order. Tallies `match.instance.{matched,reused}` once per source.
+    pub(crate) fn matches(&mut self, kb: &KnowledgeBase) -> Result<Vec<MatchDef>> {
+        let bindings = kb.context_bindings();
+        let relations: Vec<&str> = bindings.iter().map(|(rel, _, _)| rel.as_str()).collect();
+        let build = || {
+            let columns = bindings
+                .iter()
+                .map(|(rel, ctx_attr, tgt_attr)| {
+                    Ok((kb.relation(rel)?, ctx_attr.as_str(), tgt_attr.as_str()))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let context = PreparedContext::from_bindings(&self.config, columns);
+            Ok(Matched { context, sources: PerRelation::default() })
+        };
+        let key = (self.config.clone(), bindings.to_vec());
+        let (matched, _) = self.context.get_or_build(kb, key, &relations, |_, _| false, build)?;
+        let sources = kb.source_names();
+        matched.sources.retain(&sources);
+        let mut out = Vec::new();
+        for source in &sources {
+            let src = kb.relation(source)?;
+            let build = || {
+                let (found, frontier) = match_source(&self.config, src, &matched.context);
+                let matches = found.into_iter().map(|corr| match_def(corr, "instance")).collect();
+                Ok((matches, frontier))
+            };
+            let valid = |(_, frontier): &(_, Option<usize>), events: &[&DeltaEvent]| {
+                past_the_sample(*frontier, events)
+            };
+            let ((matches, _), reused) =
+                matched.sources.get_or_build(kb, source, (), valid, build)?;
+            kb.obs().incr(if reused {
+                obs_key::MATCH_INSTANCE_REUSED
+            } else {
+                obs_key::MATCH_INSTANCE_MATCHED
+            });
+            out.extend(matches.iter().cloned());
+        }
+        Ok(out)
+    }
 }
 
 impl Transducer for InstanceMatching {
@@ -89,28 +207,10 @@ impl Transducer for InstanceMatching {
     }
 
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
-        // target instances from context bindings
-        let mut columns: Vec<ContextColumn> = Vec::new();
-        for (ctx_rel, ctx_attr, tgt_attr) in kb.context_bindings().to_vec() {
-            let rel = kb.relation(&ctx_rel)?;
-            columns.push(ContextColumn::from_relation(rel, &ctx_attr, &tgt_attr));
-        }
-        // match every source in place, then write: no source is copied
-        let mut found = Vec::new();
-        for source in kb.source_names() {
-            found.extend(instance_match(&self.config, kb.relation(&source)?, &columns));
-        }
-        let written = found.len();
-        for corr in found {
-            let id = format!("instance:{}.{}->{}", corr.src_rel, corr.src_attr, corr.tgt_attr);
-            kb.add_match(MatchDef {
-                id,
-                src_rel: corr.src_rel,
-                src_attr: corr.src_attr,
-                tgt_attr: corr.tgt_attr,
-                score: corr.score,
-                matcher: "instance".into(),
-            });
+        let matches = self.matches(kb)?;
+        let written = matches.len();
+        for m in matches {
+            kb.add_match(m);
         }
         Ok(RunOutcome::new(
             format!("{written} instance-level correspondences"),

@@ -32,6 +32,8 @@ mod follow;
 pub mod fusion_t;
 pub mod mapping;
 pub mod matching;
+#[cfg(test)]
+mod per_source_tests;
 mod prepared;
 pub mod quality;
 pub mod repair_t;

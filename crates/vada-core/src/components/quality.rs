@@ -15,7 +15,7 @@ use vada_quality::{
 };
 
 use crate::components::mapping::SharedStore;
-use crate::components::prepared::Prepared;
+use crate::components::prepared::{PerRelation, Prepared};
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Learn CFDs from data-context relations (paper Table 1: "CFD Learning —
@@ -90,8 +90,45 @@ impl Transducer for CfdLearning {
 /// Profile sources: per-attribute completeness quality facts
 /// (paper §2.3: "adding quality metrics on sources ... to the knowledge
 /// base").
+///
+/// Keeps each source's facts with the journal mark they are current at,
+/// and measures again only the sources whose rows changed since.
 #[derive(Debug, Default)]
-pub struct SourceProfiling;
+pub struct SourceProfiling {
+    profiles: PerRelation<(), Vec<QualityFact>>,
+}
+
+impl SourceProfiling {
+    /// The facts a run writes, in write order: each source's, in source
+    /// order.
+    pub(crate) fn facts(&mut self, kb: &KnowledgeBase) -> Result<Vec<QualityFact>> {
+        let sources = kb.source_names();
+        self.profiles.retain(&sources);
+        let mut out = Vec::new();
+        for source in &sources {
+            let build = || {
+                let rel = kb.relation(source)?;
+                rel.schema()
+                    .attr_names()
+                    .into_iter()
+                    .map(|attr| {
+                        Ok(QualityFact {
+                            entity_kind: "source".into(),
+                            entity: source.clone(),
+                            metric: "completeness".into(),
+                            criterion: format!("completeness({attr})"),
+                            value: rel.completeness(attr)?,
+                        })
+                    })
+                    .collect()
+            };
+            // any row event may move a completeness
+            let (facts, _) = self.profiles.get_or_build(kb, source, (), |_, _| false, build)?;
+            out.extend(facts.iter().cloned());
+        }
+        Ok(out)
+    }
+}
 
 impl Transducer for SourceProfiling {
     fn name(&self) -> &str {
@@ -111,26 +148,11 @@ impl Transducer for SourceProfiling {
     }
 
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
+        let facts = self.facts(kb)?;
+        let written = facts.len();
         kb.clear_quality("source");
-        let mut written = 0usize;
-        for source in kb.source_names() {
-            let rel = kb.relation(&source)?;
-            let metrics = rel
-                .schema()
-                .attr_names()
-                .into_iter()
-                .map(|attr| Ok((format!("completeness({attr})"), rel.completeness(attr)?)))
-                .collect::<Result<Vec<_>>>()?;
-            for (criterion, value) in metrics {
-                kb.add_quality(QualityFact {
-                    entity_kind: "source".into(),
-                    entity: source.clone(),
-                    metric: "completeness".into(),
-                    criterion,
-                    value,
-                });
-                written += 1;
-            }
+        for fact in facts {
+            kb.add_quality(fact);
         }
         Ok(RunOutcome::new(format!("{written} source metrics"), written))
     }
@@ -443,7 +465,7 @@ mod tests {
     #[test]
     fn source_profiling_writes_completeness() {
         let mut kb = kb();
-        let mut t = SourceProfiling;
+        let mut t = SourceProfiling::default();
         assert!(t.ready(&kb).unwrap());
         t.run(&mut kb).unwrap();
         let price_fact = kb

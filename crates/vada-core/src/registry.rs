@@ -24,7 +24,7 @@ pub fn default_transducers() -> Vec<Box<dyn Transducer>> {
         Box::new(InstanceMatching::default()),
         Box::new(MappingGeneration::default()),
         Box::new(CfdLearning::default()),
-        Box::new(SourceProfiling),
+        Box::new(SourceProfiling::default()),
         Box::new(MappingQuality::with_store(store.clone())),
         Box::new(MappingSelection),
         Box::new(MappingExecution::with_store(store)),

@@ -1,7 +1,5 @@
 //! Survivorship: collapsing duplicate clusters into single tuples.
 
-use std::collections::HashMap;
-
 use vada_common::{Relation, Result, Tuple, VadaError, Value};
 
 /// Survivorship rule applied per cluster.
@@ -35,6 +33,36 @@ impl FusionReport {
     }
 }
 
+/// The majority value of one attribute over a cluster's `(row, value)`
+/// cells, in cluster order: nulls do not vote, most votes wins, a tie goes
+/// to the value whose earliest contributing row comes first, and the
+/// survivor is the winning value as the first member in cluster order
+/// holds it. `votes` is scratch space, one entry per distinct value
+/// (compared by `Value`'s `Eq`); clusters are small, so a linear scan
+/// beats hashing.
+fn majority<'v>(
+    cells: impl Iterator<Item = (usize, &'v Value)>,
+    votes: &mut Vec<(&'v Value, usize, usize)>,
+) -> Value {
+    votes.clear();
+    for (row, v) in cells {
+        if v.is_null() {
+            continue;
+        }
+        match votes.iter_mut().find(|(seen, _, _)| *seen == v) {
+            Some((_, n, first)) => {
+                *n += 1;
+                *first = (*first).min(row);
+            }
+            None => votes.push((v, 1, row)),
+        }
+    }
+    votes
+        .iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)))
+        .map_or(Value::Null, |(v, _, _)| (*v).clone())
+}
+
 /// Fuse `rel`'s duplicate `clusters` into one tuple each.
 ///
 /// `trust` supplies per-row trust scores for
@@ -62,8 +90,8 @@ pub fn fuse_clusters(
     let trust_of = |row: usize| trust.map_or(1.0, |t| t[row]);
     let mut fused: Vec<Tuple> = Vec::with_capacity(clusters.len());
     let mut merged = 0usize;
-    // value → (votes, earliest contributing row), cleared per attribute
-    let mut votes: HashMap<&Value, (usize, usize)> = HashMap::new();
+    // (value, votes, earliest contributing row), cleared per attribute
+    let mut votes: Vec<(&Value, usize, usize)> = Vec::new();
     for (ci, cluster) in clusters.iter().enumerate() {
         if let Some(row) = cluster.iter().find(|&&r| r >= tuples.len()) {
             return Err(VadaError::Schema(format!(
@@ -88,22 +116,7 @@ pub fn fuse_clusters(
                         tuples[best].clone()
                     }
                     Survivorship::Majority => (0..arity)
-                        .map(|col| {
-                            votes.clear();
-                            for &r in rows {
-                                let v = &tuples[r][col];
-                                if v.is_null() {
-                                    continue;
-                                }
-                                let e = votes.entry(v).or_insert((0, r));
-                                e.0 += 1;
-                                e.1 = e.1.min(r);
-                            }
-                            votes
-                                .iter()
-                                .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
-                                .map_or(Value::Null, |(v, _)| (*v).clone())
-                        })
+                        .map(|col| majority(rows.iter().map(|&r| (r, &tuples[r][col])), &mut votes))
                         .collect(),
                     Survivorship::TrustWeighted => (0..arity)
                         .map(|col| {
@@ -242,5 +255,94 @@ mod tests {
         let (fused, _) =
             fuse_clusters(&rel, &[vec![0, 1]], Survivorship::Majority, None).unwrap();
         assert!(fused.tuples()[0][0].is_null());
+    }
+
+    /// The majority rule as it was first written — a `HashMap` of value →
+    /// (votes, earliest contributing row) per attribute — kept as the
+    /// oracle for [`majority`].
+    fn hashed_majority(rel: &Relation, rows: &[usize], col: usize) -> Value {
+        let mut votes: std::collections::HashMap<&Value, (usize, usize)> = Default::default();
+        for &r in rows {
+            let v = &rel.tuples()[r][col];
+            if v.is_null() {
+                continue;
+            }
+            let e = votes.entry(v).or_insert((0, r));
+            e.0 += 1;
+            e.1 = e.1.min(r);
+        }
+        votes
+            .iter()
+            .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
+            .map_or(Value::Null, |(v, _)| (*v).clone())
+    }
+
+    /// A value and its representation: `Int(3)` and `Float(3.0)` are equal
+    /// under `Value`'s `Eq` and must survive as the member that holds the
+    /// winner first, in cluster order.
+    fn shape(v: &Value) -> (Value, &'static str) {
+        let kind = match v {
+            Value::Null => "null",
+            Value::Bool(_) => "bool",
+            Value::Int(_) => "int",
+            Value::Float(_) => "float",
+            Value::Str(_) => "str",
+        };
+        (v.clone(), kind)
+    }
+
+    #[test]
+    fn majority_survives_as_the_hashed_form_did_on_seeded_clusters() {
+        let pool = [
+            Value::Null,
+            Value::Null,
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Int(4),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Bool(true),
+            Value::str("12 high st"),
+            Value::str("12 hgih st"),
+        ];
+        for seed in 1..=40u64 {
+            // xorshift64, seeded per case so a failure names its seed
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            let n = 1 + next(40);
+            let tuples: Vec<Tuple> =
+                (0..n).map(|_| (0..3).map(|_| pool[next(pool.len())].clone()).collect()).collect();
+            let rel =
+                Relation::from_tuples(Schema::all_str("r", &["a", "b", "c"]), tuples).unwrap();
+            // clusters of every size, members out of row order
+            let mut rows: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                rows.swap(i, next(i + 1));
+            }
+            let mut clusters = Vec::new();
+            while !rows.is_empty() {
+                let size = (1 + next(8)).min(rows.len());
+                clusters.push(rows.drain(..size).collect::<Vec<_>>());
+            }
+            let (fused, _) = fuse_clusters(&rel, &clusters, Survivorship::Majority, None).unwrap();
+            for (cluster, got) in clusters.iter().zip(fused.tuples()) {
+                for col in 0..3 {
+                    let want = match cluster.as_slice() {
+                        [row] => rel.tuples()[*row][col].clone(),
+                        rows => hashed_majority(&rel, rows, col),
+                    };
+                    assert_eq!(
+                        shape(&got[col]),
+                        shape(&want),
+                        "seed {seed}, {cluster:?}, col {col}"
+                    );
+                }
+            }
+        }
     }
 }

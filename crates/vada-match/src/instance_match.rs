@@ -10,6 +10,20 @@
 //!
 //! Input dependency (paper Table 1, "Instance Matching"): source *and*
 //! target instances must be available.
+//!
+//! The work comes in two pieces. A [`PreparedContext`] holds the context
+//! side — each context column's sampled value set and profile — and is
+//! built once for any number of sources. [`match_source`] matches one
+//! source against it, reading each source column once, only as far as its
+//! first `sample` non-null values. [`instance_match`] is the two composed.
+//!
+//! **The sample frontier.** `match_source` also returns one past the last
+//! row any column's sample read, or `None` when some column holds fewer
+//! than `max(sample, 1)` non-null values (then every row was read). The
+//! rows from the frontier on never reached the result, so while it is
+//! `Some`, appending rows, or removing or rewriting rows at or past it,
+//! leaves the correspondences exactly as matching the edited source gives:
+//! a caller that follows a source's row edits may keep them.
 
 use std::collections::HashSet;
 
@@ -44,7 +58,7 @@ impl ContextColumn {
 }
 
 /// Configuration for the instance matcher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceMatchConfig {
     /// Minimum score to report.
     pub threshold: f64,
@@ -112,41 +126,133 @@ fn value_set(sample: &[&Value]) -> HashSet<String> {
     sample.iter().filter(|v| !v.is_null()).map(|v| normalize(&v.to_string())).collect()
 }
 
-/// The first `sample` non-null values, and whether there is any non-null
-/// value at all (a sample cap of 0 empties the sample, not the column).
-fn sample_of<'v>(values: impl Iterator<Item = &'v Value>, sample: usize) -> Option<Vec<&'v Value>> {
-    let mut non_null = values.filter(|v| !v.is_null()).peekable();
-    non_null.peek()?;
-    Some(non_null.take(sample).collect())
+/// One context column as the matcher compares against it: the value set
+/// and numeric profile of its sample.
+#[derive(Debug)]
+struct PreparedColumn {
+    tgt_attr: String,
+    set: HashSet<String>,
+    profile: NumericProfile,
 }
 
-/// Match source columns against context-supplied target instances.
-pub fn instance_match(
+impl PreparedColumn {
+    /// The first `sample` of `values`; `None` when there are none at all
+    /// (a sample cap of 0 empties the sample, not the column).
+    fn new<'v>(
+        tgt_attr: &str,
+        values: impl Iterator<Item = &'v Value>,
+        sample: usize,
+    ) -> Option<PreparedColumn> {
+        let mut values = values.peekable();
+        values.peek()?;
+        let sample: Vec<&Value> = values.take(sample).collect();
+        Some(PreparedColumn {
+            tgt_attr: tgt_attr.to_string(),
+            set: value_set(&sample),
+            profile: profile(&sample),
+        })
+    }
+}
+
+/// The context side of instance matching, prepared once and compared
+/// against any number of sources with [`match_source`]: per context column
+/// that holds a value, the value set and numeric profile of its first
+/// `sample` values. Prepare it under the configuration the sources are
+/// matched under.
+#[derive(Debug)]
+pub struct PreparedContext {
+    columns: Vec<PreparedColumn>,
+}
+
+impl PreparedContext {
+    /// The context side of `context`, each column's values taken as given.
+    pub fn new(cfg: &InstanceMatchConfig, context: &[ContextColumn]) -> PreparedContext {
+        let columns = context
+            .iter()
+            .filter_map(|ctx| PreparedColumn::new(&ctx.tgt_attr, ctx.values.iter(), cfg.sample))
+            .collect();
+        PreparedContext { columns }
+    }
+
+    /// The context side read straight from the bound relations: each
+    /// `(relation, context attribute, target attribute)` binding
+    /// contributes the first `sample` non-null values of its column — what
+    /// [`ContextColumn::from_relation`] followed by [`PreparedContext::new`]
+    /// gives, without copying any column.
+    pub fn from_bindings<'r>(
+        cfg: &InstanceMatchConfig,
+        bindings: impl IntoIterator<Item = (&'r Relation, &'r str, &'r str)>,
+    ) -> PreparedContext {
+        let columns = bindings
+            .into_iter()
+            .filter_map(|(rel, ctx_attr, tgt_attr)| {
+                let i = rel.schema().index_of(ctx_attr)?;
+                let values = rel.iter().map(move |t| &t[i]).filter(|v| !v.is_null());
+                PreparedColumn::new(tgt_attr, values, cfg.sample)
+            })
+            .collect();
+        PreparedContext { columns }
+    }
+}
+
+/// One pass over column `col`: its first `sample` non-null values, and one
+/// past the row of the last value the pass read. The pass reads at least
+/// the first non-null value, so it knows the column holds one even under a
+/// sample cap of 0. `None` when the column holds no non-null value; the
+/// row is `None` when it holds fewer than `max(sample, 1)`, since then
+/// every row was read.
+fn sample_column(
+    src: &Relation,
+    col: usize,
+    sample: usize,
+) -> Option<(Vec<&Value>, Option<usize>)> {
+    let wanted = sample.max(1);
+    let mut values = Vec::new();
+    let mut read = 0usize;
+    for (row, t) in src.iter().enumerate() {
+        let v = &t[col];
+        if v.is_null() {
+            continue;
+        }
+        if values.len() < sample {
+            values.push(v);
+        }
+        read += 1;
+        if read == wanted {
+            return Some((values, Some(row + 1)));
+        }
+    }
+    (read > 0).then_some((values, None))
+}
+
+/// Match one source against a prepared context side.
+///
+/// Returns the correspondences and the source's **sample frontier**: one
+/// past the last row any column's sample read, or `None` when some column
+/// holds fewer than `max(sample, 1)` non-null values. Rows at or past the
+/// frontier were never read, so while the frontier is `Some`, appending
+/// rows, or removing or rewriting rows at or past it, leaves the result
+/// exactly as matching the edited source would.
+pub fn match_source(
     cfg: &InstanceMatchConfig,
     src: &Relation,
-    context: &[ContextColumn],
-) -> Vec<Correspondence> {
-    // the context side is the same for every source attribute
-    let context: Vec<(&ContextColumn, HashSet<String>, NumericProfile)> = context
-        .iter()
-        .filter(|ctx| !ctx.values.is_empty())
-        .map(|ctx| {
-            let sample: Vec<&Value> = ctx.values.iter().take(cfg.sample).collect();
-            (ctx, value_set(&sample), profile(&sample))
-        })
-        .collect();
+    context: &PreparedContext,
+) -> (Vec<Correspondence>, Option<usize>) {
     let mut out = Vec::new();
+    let mut frontier = Some(0);
     for (i, sa) in src.schema().attributes().iter().enumerate() {
-        let Some(sample) = sample_of(src.iter().map(|t| &t[i]), cfg.sample) else {
+        let Some((sample, end)) = sample_column(src, i, cfg.sample) else {
+            frontier = None;
             continue;
         };
+        frontier = frontier.zip(end).map(|(f, end)| f.max(end));
         let src_set = value_set(&sample);
         let src_profile = profile(&sample);
-        for (ctx, ctx_set, ctx_profile) in &context {
-            let inter = src_set.intersection(ctx_set).count();
-            let union = src_set.len() + ctx_set.len() - inter;
+        for ctx in &context.columns {
+            let inter = src_set.intersection(&ctx.set).count();
+            let union = src_set.len() + ctx.set.len() - inter;
             let overlap = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
-            let prof = profile_similarity(&src_profile, ctx_profile);
+            let prof = profile_similarity(&src_profile, &ctx.profile);
             let score = if prof > 0.0 {
                 cfg.overlap_weight * overlap + (1.0 - cfg.overlap_weight) * prof
             } else {
@@ -162,13 +268,23 @@ pub fn instance_match(
                     evidence: format!(
                         "value overlap {overlap:.2}, profile {prof:.2} over {} src / {} ctx values",
                         src_set.len(),
-                        ctx_set.len()
+                        ctx.set.len()
                     ),
                 });
             }
         }
     }
-    out
+    (out, frontier)
+}
+
+/// Match source columns against context-supplied target instances: the
+/// one-shot composition of [`PreparedContext::new`] and [`match_source`].
+pub fn instance_match(
+    cfg: &InstanceMatchConfig,
+    src: &Relation,
+    context: &[ContextColumn],
+) -> Vec<Correspondence> {
+    match_source(cfg, src, &PreparedContext::new(cfg, context)).0
 }
 
 #[cfg(test)]
@@ -251,5 +367,33 @@ mod tests {
         assert_eq!(c.values, vec![Value::str("M1 1AA")]);
         let missing = ContextColumn::from_relation(&r, "nope", "x");
         assert!(missing.values.is_empty());
+    }
+
+    #[test]
+    fn reading_bindings_in_place_prepares_what_copied_columns_do() {
+        let mut r = rel("address", &["street", "postcode"], vec![]);
+        for (street, postcode) in
+            [("1 high st", None), ("2 park rd", Some("M1 1AB")), ("9", Some("3"))]
+        {
+            let postcode = postcode.map_or(Value::Null, Value::str);
+            r.push(Tuple::new(vec![Value::str(street), postcode])).unwrap();
+        }
+        let src = rel("s", &["a", "b"], vec![vec!["M1 1AB", "1 high st"], vec!["3", "9"]]);
+        let bindings = [("street", "street"), ("postcode", "postcode"), ("nope", "x")];
+        for sample in [0, 1, 2, 500] {
+            let cfg = InstanceMatchConfig { sample, threshold: 0.0, ..Default::default() };
+            let copied: Vec<ContextColumn> =
+                bindings.iter().map(|(c, t)| ContextColumn::from_relation(&r, c, t)).collect();
+            let in_place =
+                PreparedContext::from_bindings(&cfg, bindings.iter().map(|(c, t)| (&r, *c, *t)));
+            let (got, _) = match_source(&cfg, &src, &in_place);
+            let want = instance_match(&cfg, &src, &copied);
+            let shape = |c: &Correspondence| (c.pair_key(), c.score.to_bits(), c.evidence.clone());
+            assert_eq!(
+                got.iter().map(shape).collect::<Vec<_>>(),
+                want.iter().map(shape).collect::<Vec<_>>(),
+                "sample {sample}"
+            );
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   *instances* for the target side — in VADA these come from the data
 //!   context (reference/master/example relations bound to target
 //!   attributes, paper §2.2): value-set overlap plus numeric-profile
-//!   similarity.
+//!   similarity. It is the composition of a [`PreparedContext`], built
+//!   once, and [`match_source`] per source, which also reports how far into
+//!   the source its sample read.
 //!
 //! [`combine`](combine::combine) merges the two evidence streams; the
 //! pay-as-you-go story of the demo is visible here as match precision
@@ -25,5 +27,7 @@ pub mod schema_match;
 
 pub use combine::{combine, CombineConfig};
 pub use correspondence::Correspondence;
-pub use instance_match::{instance_match, ContextColumn, InstanceMatchConfig};
+pub use instance_match::{
+    instance_match, match_source, ContextColumn, InstanceMatchConfig, PreparedContext,
+};
 pub use schema_match::{schema_match, SchemaMatchConfig};

@@ -40,7 +40,7 @@ const SYNONYMS: &[(&str, &str)] = &[
 ];
 
 /// Configuration for the schema matcher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaMatchConfig {
     /// Minimum score to report a correspondence.
     pub threshold: f64,

@@ -309,3 +309,75 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The sample frontier: `match_source` reports one past the last row any
+// column's sample read, or `None` when some column is short of
+// `max(sample, 1)` non-null values. While it is `Some`, the rows from it on
+// never reached the result: appends, and removals or rewrites at or past
+// it, change neither the correspondences nor the frontier.
+// ---------------------------------------------------------------------------
+
+/// A row of three columns; the first two hold nulls often enough that
+/// short columns are common.
+fn frontier_row((a, b, c): (u8, u8, u8)) -> vada_common::Tuple {
+    let sparse = |i: u8| if i.is_multiple_of(3) { vada_common::Value::Null } else { cell(i) };
+    vada_common::Tuple::new(vec![sparse(a), sparse(b), cell(c)])
+}
+
+proptest! {
+    #[test]
+    fn the_sample_frontier_bounds_what_an_edit_can_change(
+        rows in proptest::collection::vec((0u8..12, 0u8..12, 0u8..12), 0..24),
+        context in proptest::collection::vec(proptest::collection::vec(0u8..12, 0..10), 0..3),
+        sample in 0usize..5,
+        // (kind, position past the frontier, cells)
+        edits in proptest::collection::vec((0u8..3, 0usize..32, (0u8..12, 0u8..12, 0u8..12)), 0..6),
+    ) {
+        use vada_common::Relation;
+        use vada_match::{match_source, ContextColumn, InstanceMatchConfig, PreparedContext};
+        let mut src = Relation::empty(Schema::all_str("s", &["a", "b", "c"]));
+        for r in rows {
+            src.push(frontier_row(r)).unwrap();
+        }
+        let context: Vec<ContextColumn> = context
+            .into_iter()
+            .enumerate()
+            .map(|(i, values)| ContextColumn {
+                tgt_attr: format!("t{i}"),
+                values: values.into_iter().map(cell).collect(),
+            })
+            .collect();
+        // a bar of zero reports every pair, so every score is compared
+        let cfg = InstanceMatchConfig { sample, threshold: 0.0, ..Default::default() };
+        let prepared = PreparedContext::new(&cfg, &context);
+        let shape = |corrs: &[Correspondence]| {
+            corrs
+                .iter()
+                .map(|c| (c.pair_key(), c.score.to_bits(), c.evidence.clone()))
+                .collect::<Vec<_>>()
+        };
+        let (corrs, frontier) = match_source(&cfg, &src, &prepared);
+        let short = (0..3).any(|col| {
+            src.iter().filter(|t| !t[col].is_null()).count() < sample.max(1)
+        });
+        prop_assert_eq!(frontier.is_none(), short, "frontier {:?}", frontier);
+        let Some(frontier) = frontier else { return Ok(()) };
+        prop_assert!(frontier <= src.len());
+        let want = shape(&corrs);
+        for (kind, past, cells) in edits {
+            let beyond = src.len() - frontier;
+            match kind {
+                0 => src.push(frontier_row(cells)).unwrap(),
+                1 if beyond > 0 => {
+                    src.remove_rows(&[frontier + past % beyond]).unwrap();
+                }
+                2 if beyond > 0 => src.replace(frontier + past % beyond, frontier_row(cells)).unwrap(),
+                _ => continue,
+            }
+            let (got, moved) = match_source(&cfg, &src, &prepared);
+            prop_assert_eq!(shape(&got), want.clone(), "edit {} at {}", kind, past);
+            prop_assert_eq!(moved, Some(frontier));
+        }
+    }
+}
