@@ -125,6 +125,14 @@ pub mod key {
     /// Union mappings assembled from their parts' stored results instead
     /// of being run as one program.
     pub const MAP_ASSEMBLED: &str = "map.execute.assembled";
+    /// Mapping executions that stored the whole result: the first, and any
+    /// run the diff's conditions do not hold for.
+    pub const MAP_RESULT_WHOLE: &str = "map.result.whole";
+    /// Mapping executions that wrote the result as a diff of their previous
+    /// output: the blocks the edit reached, removed and inserted row by row.
+    pub const MAP_RESULT_DIFFED: &str = "map.result.diffed";
+    /// Result rows those diffs removed or inserted.
+    pub const MAP_RESULT_DIFF_ROWS: &str = "map.result.diff_rows";
     /// Source execution inputs the result store built: once per version of
     /// a source some mapping executes against.
     pub const MAP_INPUT_BUILT: &str = "map.input.built";
@@ -156,7 +164,8 @@ pub mod key {
     pub const QUALITY_METRICS_REUSED: &str = "quality.metrics.reused";
     /// Result rows the repair transducer chased: every row after a
     /// relation-level change to the result or a change to what repair reads
-    /// beside it, otherwise only the rows edited since its last run.
+    /// beside it, otherwise only the rows edited or inserted since its last
+    /// run.
     pub const REPAIR_ROWS_CHASED: &str = "quality.repair.rows_chased";
     /// Blocks of two or more result rows duplicate detection scored: every
     /// block after a relation-level change to the result, otherwise only

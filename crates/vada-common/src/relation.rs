@@ -147,6 +147,53 @@ impl Relation {
         Ok(removed)
     }
 
+    /// Insert `rows[i]` so that it ends up at index `positions[i]` of the
+    /// grown relation (`positions` strictly ascending, each below the new
+    /// length), keeping the relative order of the rows already there.
+    /// Validates everything ([`check_insert`](Self::check_insert)) before
+    /// the first row moves. The cost is the rows inserted plus the tail
+    /// behind the first of them.
+    pub fn insert_rows(&mut self, positions: &[usize], rows: &[Tuple]) -> Result<()> {
+        self.check_insert(positions, rows)?;
+        insert_at(&mut self.tuples, positions, |i| rows[i].clone());
+        Ok(())
+    }
+
+    /// Whether [`insert_rows`](Self::insert_rows) accepts `positions` and
+    /// `rows`: as many of each, positions strictly ascending and inside the
+    /// grown relation, every row of the schema's arity.
+    pub fn check_insert(&self, positions: &[usize], rows: &[Tuple]) -> Result<()> {
+        if positions.len() != rows.len() {
+            return Err(VadaError::Schema(format!(
+                "{} position(s) for {} inserted row(s)",
+                positions.len(),
+                rows.len()
+            )));
+        }
+        let len = self.tuples.len() + rows.len();
+        if let Some(pair) = positions.windows(2).find(|pair| pair[0] >= pair[1]) {
+            return Err(VadaError::Schema(format!(
+                "insert positions {} and {} are not ascending",
+                pair[0], pair[1]
+            )));
+        }
+        if let Some(&last) = positions.last().filter(|&&last| last >= len) {
+            return Err(VadaError::Schema(format!(
+                "insert position {last} out of range for `{}` ({len} rows after the insert)",
+                self.schema.name
+            )));
+        }
+        if let Some(t) = rows.iter().find(|t| t.arity() != self.schema.arity()) {
+            return Err(VadaError::Schema(format!(
+                "tuple arity {} does not match schema `{}` arity {}",
+                t.arity(),
+                self.schema.name,
+                self.schema.arity()
+            )));
+        }
+        Ok(())
+    }
+
     /// Retain only tuples matching the predicate.
     pub fn retain(&mut self, f: impl FnMut(&Tuple) -> bool) {
         self.tuples.retain(f);
@@ -225,6 +272,28 @@ impl Relation {
     }
 }
 
+/// Insert `positions.len()` items into `items` so that the `i`-th, built by
+/// `new(i)`, ends up at index `positions[i]` of the grown vector, keeping
+/// the relative order of the items already there. `positions` must be
+/// strictly ascending and inside the grown vector. The cost is the items
+/// inserted plus the tail behind the first of them. Whatever is kept row
+/// by row beside a relation makes room for an insert through this, as
+/// [`Relation::insert_rows`] does for the rows themselves.
+pub fn insert_at<T>(items: &mut Vec<T>, positions: &[usize], mut new: impl FnMut(usize) -> T) {
+    let Some(&first) = positions.first() else { return };
+    let len = items.len() + positions.len();
+    let mut tail = items.split_off(first).into_iter();
+    let mut next = 0;
+    for at in first..len {
+        if positions.get(next) == Some(&at) {
+            items.push(new(next));
+            next += 1;
+        } else {
+            items.push(tail.next().expect("positions inside the grown vector"));
+        }
+    }
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} [{} rows]", self.schema, self.tuples.len())
@@ -290,6 +359,35 @@ mod tests {
         assert_eq!(r.tuples(), &[tuple![2, "y"]]);
         assert!(r.remove_rows(&[5]).is_err());
         assert!(r.remove_rows(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn insert_rows_lands_each_row_at_its_post_insert_position() {
+        let mut r = rel();
+        let before = r.tuples().to_vec();
+        r.insert_rows(&[0, 2, 5], &[tuple![7, "a"], tuple![8, "b"], tuple![9, "c"]]).unwrap();
+        assert_eq!(r.len(), 6);
+        assert_eq!(
+            r.tuples(),
+            &[
+                tuple![7, "a"],
+                before[0].clone(),
+                tuple![8, "b"],
+                before[1].clone(),
+                before[2].clone(),
+                tuple![9, "c"],
+            ]
+        );
+        // refused whole: out of range, not ascending, a count or an arity
+        // that disagrees
+        let kept = r.tuples().to_vec();
+        assert!(r.insert_rows(&[7], &[tuple![1, "x"]]).is_err());
+        assert!(r.insert_rows(&[1, 1], &[tuple![1, "x"], tuple![1, "y"]]).is_err());
+        assert!(r.insert_rows(&[1], &[]).is_err());
+        assert!(r.insert_rows(&[0], &[tuple![1]]).is_err());
+        assert_eq!(r.tuples(), kept.as_slice());
+        r.insert_rows(&[], &[]).unwrap();
+        assert_eq!(r.tuples(), kept.as_slice());
     }
 
     #[test]

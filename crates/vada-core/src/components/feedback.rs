@@ -29,9 +29,10 @@ fn key_attrs(rel: &Relation) -> Vec<String> {
 pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
     let Vetoed { changes, dropped, .. } = null_vetoed_cells(rel, vetoes);
     if !dropped.is_empty() {
+        let mut gone = dropped.iter().copied().peekable();
         let mut row = 0usize;
         rel.retain(|_| {
-            let keep = !dropped.contains(&row);
+            let keep = gone.next_if_eq(&row).is_none();
             row += 1;
             keep
         });
@@ -45,52 +46,90 @@ struct Vetoed {
     changes: usize,
     /// Rows with a cell nulled, ascending, each once (dropped ones too).
     nulled: Vec<usize>,
-    /// Rows vetoed whole.
-    dropped: HashSet<usize>,
+    /// Rows vetoed whole, ascending.
+    dropped: Vec<usize>,
 }
 
-/// Null vetoed cells in place, every veto reading the rows as the vetoes
-/// before it left them, and collect the rows vetoed whole.
+/// The vetoes keyed on one list of key columns, as `(first key value, veto
+/// index)`, sorted: the vetoes a row can meet are the run holding its value
+/// in the first column, in veto order. A list of no columns keys every row.
+struct KeyList<'v> {
+    cols: Vec<usize>,
+    vetoes: Vec<(Option<&'v Value>, usize)>,
+}
+
+/// Null vetoed cells in place and collect the rows vetoed whole, every
+/// veto reading the rows as the vetoes before it left them. A veto changes
+/// only the rows its key matches, so each row takes the vetoes in order on
+/// its own: the vetoes are sorted by their first key value, and a row
+/// meets only those whose first key value it holds — as the vetoes before
+/// left it. The cost is the rows times the logarithm of the vetoes, plus
+/// the matches, not rows times vetoes.
 fn null_vetoed_cells(rel: &mut Relation, vetoes: &[CellVeto]) -> Vetoed {
-    let mut vetoed = Vetoed { changes: 0, nulled: Vec::new(), dropped: HashSet::new() };
-    for veto in vetoes {
-        let key_cols: Option<Vec<(usize, &Value)>> = veto
-            .key
+    let mut vetoed = Vetoed { changes: 0, nulled: Vec::new(), dropped: Vec::new() };
+    let mut lists: Vec<KeyList> = Vec::new();
+    for (v, veto) in vetoes.iter().enumerate() {
+        // a veto naming an attribute the relation lacks vetoes nothing
+        let Some(cols) =
+            veto.key.iter().map(|(a, _)| rel.schema().index_of(a)).collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
+        let list = match lists.iter().position(|l| l.cols == cols) {
+            Some(list) => list,
+            None => {
+                lists.push(KeyList { cols, vetoes: Vec::new() });
+                lists.len() - 1
+            }
+        };
+        lists[list].vetoes.push((veto.key.first().map(|(_, value)| value), v));
+    }
+    if lists.is_empty() {
+        return vetoed;
+    }
+    for list in &mut lists {
+        list.vetoes.sort();
+    }
+    for row in 0..rel.len() {
+        let mut next = 0;
+        // the first veto from `next` on whose first key value the row holds
+        while let Some(v) = lists
             .iter()
-            .map(|(a, v)| rel.schema().index_of(a).map(|i| (i, v)))
-            .collect();
-        let Some(key_cols) = key_cols else { continue };
-        for row in 0..rel.len() {
-            if vetoed.dropped.contains(&row) {
-                continue;
-            }
+            .filter_map(|list| {
+                let first = list.cols.first().map(|&c| &rel.tuples()[row][c]);
+                let at = list.vetoes.partition_point(|&keyed| keyed < (first, next));
+                list.vetoes.get(at).filter(|(value, _)| *value == first).map(|&(_, v)| v)
+            })
+            .min()
+        {
+            next = v + 1;
+            let veto = &vetoes[v];
             let t = &rel.tuples()[row];
-            if !key_cols.iter().all(|(i, v)| &t[*i] == *v) {
+            let holds = veto
+                .key
+                .iter()
+                .all(|(a, value)| rel.schema().index_of(a).is_some_and(|c| t[c] == *value));
+            if !holds {
                 continue;
             }
-            match &veto.attr {
-                None => {
-                    vetoed.dropped.insert(row);
-                    vetoed.changes += 1;
-                }
-                Some(attr) => {
-                    let Some(col) = rel.schema().index_of(attr) else { continue };
-                    let cell = &t[col];
-                    if cell.is_null() {
-                        continue;
-                    }
-                    if veto.value.as_ref().is_none_or(|v| v == cell) {
-                        let fixed = t.with_value(col, Value::Null);
-                        rel.replace(row, fixed).expect("same arity");
-                        vetoed.nulled.push(row);
-                        vetoed.changes += 1;
-                    }
-                }
+            let Some(attr) = &veto.attr else {
+                vetoed.dropped.push(row);
+                vetoed.changes += 1;
+                break;
+            };
+            let Some(col) = rel.schema().index_of(attr) else { continue };
+            let cell = &t[col];
+            if cell.is_null() || veto.value.as_ref().is_some_and(|v| v != cell) {
+                continue;
             }
+            let fixed = t.with_value(col, Value::Null);
+            rel.replace(row, fixed).expect("same arity");
+            if vetoed.nulled.last() != Some(&row) {
+                vetoed.nulled.push(row);
+            }
+            vetoed.changes += 1;
         }
     }
-    vetoed.nulled.sort_unstable();
-    vetoed.nulled.dedup();
     vetoed
 }
 
@@ -172,11 +211,11 @@ impl Transducer for FeedbackRepair {
         }
         let rewritten: Vec<(usize, Tuple)> = nulled
             .into_iter()
-            .filter(|row| !dropped.contains(row))
+            .filter(|row| dropped.binary_search(row).is_err())
             .map(|row| (row, repaired.tuples()[row].clone()))
             .collect();
         kb.update_source(&target, &rewritten)?;
-        kb.remove_rows(&target, &dropped.into_iter().collect::<Vec<_>>())?;
+        kb.remove_rows(&target, &dropped)?;
         Ok(RunOutcome::new(
             format!("{n} vetoes recorded, {changed} cells/rows changed"),
             changed.max(n),
@@ -306,6 +345,119 @@ mod tests {
         result.push(tuple!["2 park rd", "M1 1AB", 3]).unwrap();
         kb.put_result(result);
         kb
+    }
+
+    /// The veto application the key index replaced, kept as the oracle:
+    /// every veto scans every row.
+    fn nested_loop(rel: &mut Relation, vetoes: &[CellVeto]) -> (usize, Vec<usize>, Vec<usize>) {
+        let (mut changes, mut nulled, mut dropped) = (0, Vec::new(), HashSet::new());
+        for veto in vetoes {
+            let key_cols: Option<Vec<(usize, &Value)>> = veto
+                .key
+                .iter()
+                .map(|(a, v)| rel.schema().index_of(a).map(|i| (i, v)))
+                .collect();
+            let Some(key_cols) = key_cols else { continue };
+            for row in 0..rel.len() {
+                if dropped.contains(&row) {
+                    continue;
+                }
+                let t = &rel.tuples()[row];
+                if !key_cols.iter().all(|(i, v)| &t[*i] == *v) {
+                    continue;
+                }
+                match &veto.attr {
+                    None => {
+                        dropped.insert(row);
+                        changes += 1;
+                    }
+                    Some(attr) => {
+                        let Some(col) = rel.schema().index_of(attr) else { continue };
+                        let cell = &t[col];
+                        if cell.is_null() {
+                            continue;
+                        }
+                        if veto.value.as_ref().is_none_or(|v| v == cell) {
+                            let fixed = t.with_value(col, Value::Null);
+                            rel.replace(row, fixed).expect("same arity");
+                            nulled.push(row);
+                            changes += 1;
+                        }
+                    }
+                }
+            }
+        }
+        nulled.sort_unstable();
+        nulled.dedup();
+        let mut dropped: Vec<usize> = dropped.into_iter().collect();
+        dropped.sort_unstable();
+        (changes, nulled, dropped)
+    }
+
+    #[test]
+    fn indexed_vetoes_match_the_nested_loop_on_seeded_relations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // few values, so keys collide and vetoes overlap; ints and floats
+        // that `Eq` unifies; nulls in keys, so a veto keyed on a null
+        // matches the rows an earlier veto nulled
+        let values = [
+            Value::Null,
+            Value::str("a"),
+            Value::str("b"),
+            Value::Int(3),
+            Value::Float(3.0),
+        ];
+        let attrs = ["street", "postcode", "price", "beds"];
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pick = |rng: &mut StdRng| values[rng.gen_range(0..values.len())].clone();
+            let schema = Schema::all_str("property", &attrs);
+            let rows: Vec<Tuple> = (0..rng.gen_range(0..40))
+                .map(|_| (0..attrs.len()).map(|_| pick(&mut rng)).collect())
+                .collect();
+            let rel = Relation::from_tuples(schema, rows).unwrap();
+            let vetoes: Vec<CellVeto> = (0..rng.gen_range(0..12))
+                .map(|_| {
+                    // key lists of one or two attributes, in either order,
+                    // now and then one the relation lacks
+                    let mut key: Vec<(String, Value)> = Vec::new();
+                    for _ in 0..rng.gen_range(1..3) {
+                        let attr = match rng.gen_range(0..12) {
+                            0 => "district",
+                            n => attrs[n % 2],
+                        };
+                        if key.iter().all(|(a, _)| a != attr) {
+                            key.push((attr.to_string(), pick(&mut rng)));
+                        }
+                    }
+                    let attr = match rng.gen_range(0..6) {
+                        0 => None,
+                        1 => Some("missing".to_string()),
+                        n => Some(attrs[n % attrs.len()].to_string()),
+                    };
+                    let value = rng.gen_bool(0.5).then(|| pick(&mut rng));
+                    CellVeto { key, attr, value }
+                })
+                .collect();
+            let mut want = rel.clone();
+            let (changes, nulled, dropped) = nested_loop(&mut want, &vetoes);
+            let mut got = rel.clone();
+            let vetoed = null_vetoed_cells(&mut got, &vetoes);
+            let context = format!("seed {seed}: {vetoes:?}");
+            assert_eq!(got.tuples(), want.tuples(), "{context}");
+            assert_eq!(vetoed.changes, changes, "{context}");
+            assert_eq!(vetoed.nulled, nulled, "{context}");
+            assert_eq!(vetoed.dropped, dropped, "{context}");
+            // and applied: the same rows dropped, the same count
+            let mut applied = rel.clone();
+            assert_eq!(apply_vetoes(&mut applied, &vetoes), changes, "{context}");
+            let kept: Vec<Tuple> = (0..want.len())
+                .filter(|row| dropped.binary_search(row).is_err())
+                .map(|row| want.tuples()[row].clone())
+                .collect();
+            assert_eq!(applied.tuples(), kept.as_slice(), "{context}");
+        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Following a relation's row edits: a transducer that keeps state aligned
-//! with the rows of a relation replays the journal's row events into it
-//! instead of reading the relation afresh.
+//! with the rows of a relation replays the journal's row events — appends,
+//! removals, rewrites and inserts — into it instead of reading the relation
+//! afresh. Three kinds of state follow the result: the rows repair must
+//! chase ([`DirtyRows`]), detection's blocks ([`BlockClusters`]), and which
+//! output row each stored row holds, for mapping execution's diff
+//! ([`Origins`]).
 
+use vada_common::relation::insert_at;
 use vada_fusion::BlockClusters;
 use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, Since};
 
@@ -13,6 +18,8 @@ pub(crate) trait RowAligned {
     fn remove(&mut self, positions: &[usize]);
     /// The rows at `positions` were rewritten in place.
     fn replace(&mut self, positions: &[usize]);
+    /// Rows were inserted at `positions` (post-insert, ascending).
+    fn insert(&mut self, positions: &[usize]);
 }
 
 /// Replay `relation`'s row events since `mark` into `state`. `false` when
@@ -34,13 +41,27 @@ pub(crate) fn follow(
             DeltaChange::RowsAppended { rows, .. } => state.append(rows.len()),
             DeltaChange::RowsRemoved { positions, .. } => state.remove(positions),
             DeltaChange::RowsReplaced { positions, .. } => state.replace(positions),
+            DeltaChange::RowsInserted { positions, .. } => state.insert(positions),
             _ => unreachable!("`since` answers Rows only with row-level events"),
         }
     }
     true
 }
 
-/// Which rows changed since a mark: `true` for a row appended or rewritten.
+/// Drop the items at `positions` (ascending) from `items`, keeping the
+/// order of the rest.
+fn remove_at<T>(items: &mut Vec<T>, positions: &[usize]) {
+    let mut gone = positions.iter().copied().peekable();
+    let mut row = 0;
+    items.retain(|_| {
+        let keep = gone.next_if_eq(&row).is_none();
+        row += 1;
+        keep
+    });
+}
+
+/// Which rows changed since a mark: `true` for a row appended, rewritten or
+/// inserted.
 #[derive(Debug)]
 pub(crate) struct DirtyRows(Vec<bool>);
 
@@ -62,19 +83,17 @@ impl RowAligned for DirtyRows {
     }
 
     fn remove(&mut self, positions: &[usize]) {
-        let mut gone = positions.iter().copied().peekable();
-        let mut row = 0;
-        self.0.retain(|_| {
-            let keep = gone.next_if_eq(&row).is_none();
-            row += 1;
-            keep
-        });
+        remove_at(&mut self.0, positions);
     }
 
     fn replace(&mut self, positions: &[usize]) {
         for &row in positions {
             self.0[row] = true;
         }
+    }
+
+    fn insert(&mut self, positions: &[usize]) {
+        insert_at(&mut self.0, positions, |_| true);
     }
 }
 
@@ -89,5 +108,38 @@ impl RowAligned for BlockClusters {
 
     fn replace(&mut self, positions: &[usize]) {
         BlockClusters::replace(self, positions);
+    }
+
+    fn insert(&mut self, positions: &[usize]) {
+        BlockClusters::insert(self, positions);
+    }
+}
+
+/// Which row of its own output each row of the result holds, for mapping
+/// execution: the result's row `s` holds output row `self.0[s]`, or
+/// [`Origins::FOREIGN`] when something other than execution put it there.
+/// Repair, fusion and feedback rewrite rows in place and remove them, so a
+/// row keeps its origin until it is removed.
+#[derive(Debug)]
+pub(crate) struct Origins(pub(crate) Vec<u32>);
+
+impl Origins {
+    /// The origin of a row execution did not write.
+    pub(crate) const FOREIGN: u32 = u32::MAX;
+}
+
+impl RowAligned for Origins {
+    fn append(&mut self, n: usize) {
+        self.0.resize(self.0.len() + n, Origins::FOREIGN);
+    }
+
+    fn remove(&mut self, positions: &[usize]) {
+        remove_at(&mut self.0, positions);
+    }
+
+    fn replace(&mut self, _: &[usize]) {}
+
+    fn insert(&mut self, positions: &[usize]) {
+        insert_at(&mut self.0, positions, |_| Origins::FOREIGN);
     }
 }

@@ -6,9 +6,11 @@
 //! changes — each merged cluster's first row becomes its survivor, the
 //! other members are removed — and detection keeps each block's clusters
 //! between runs, re-scoring only the blocks the result's row edits since
-//! its last run touched. A relation-level change to the result (mapping
-//! execution's re-put) or a new configuration makes detection score every
-//! block, through the same code.
+//! its last run touched — mapping execution's diff among them, which
+//! removes and re-inserts whole blocks. A relation-level change to the
+//! result (mapping execution's whole put) or a new configuration makes
+//! detection score every block, through the same code. The blocking
+//! attribute comes from `locality`, which mapping execution reads too.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +22,7 @@ use vada_fusion::{
 use vada_kb::{JournalMark, KnowledgeBase};
 
 use crate::components::follow::follow;
+use crate::components::locality::block_attr;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
 /// Name of the intermediate relation carrying detected clusters.
@@ -103,13 +106,8 @@ impl Transducer for DuplicateDetection {
             .name
             .clone();
         let result = kb.relation(&target)?;
-        let block_key = if result.schema().index_of("postcode").is_some() {
-            "postcode".to_string()
-        } else {
-            result.schema().attr(0).name.clone()
-        };
         let cfg = ClusterConfig {
-            block_keys: vec![block_key],
+            block_keys: vec![block_attr(result.schema()).to_string()],
             fields: field_spec_for(result.schema()),
             threshold: self.threshold,
         };

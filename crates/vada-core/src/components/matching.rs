@@ -130,7 +130,8 @@ struct Matched {
 }
 
 /// Whether row events leave a source's instance matches exact: its sample
-/// frontier is known and no event removed or rewrote a row before it.
+/// frontier is known and no event removed, rewrote or inserted a row
+/// before it.
 fn past_the_sample(frontier: Option<usize>, events: &[&DeltaEvent]) -> bool {
     let Some(frontier) = frontier else {
         return false;
@@ -138,7 +139,8 @@ fn past_the_sample(frontier: Option<usize>, events: &[&DeltaEvent]) -> bool {
     events.iter().all(|event| match &event.change {
         DeltaChange::RowsAppended { .. } => true,
         DeltaChange::RowsRemoved { positions, .. }
-        | DeltaChange::RowsReplaced { positions, .. } => {
+        | DeltaChange::RowsReplaced { positions, .. }
+        | DeltaChange::RowsInserted { positions, .. } => {
             positions.iter().all(|&row| row >= frontier)
         }
         _ => false,

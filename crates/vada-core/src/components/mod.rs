@@ -17,12 +17,18 @@
 //! | Feedback  | `feedback_repair`     | feedback annotations                    |
 //! | Feedback  | `mapping_evaluation`  | feedback annotations                    |
 //!
-//! Four of them write the result. `mapping_execution` stores it whole.
-//! `result_repair`, `data_fusion` and `feedback_repair` edit it row by row
+//! Four of them write the result, all but the first store row by row.
+//! `mapping_execution` stores it whole the first time and whenever what the
+//! result was built under changed; otherwise it diffs its output against
+//! its previous output and restores only the blocks the diff reached
+//! (`KnowledgeBase::remove_rows` / `insert_rows`). `result_repair`,
+//! `data_fusion` and `feedback_repair` edit it row by row
 //! (`KnowledgeBase::update_source` / `remove_rows`), writing only the rows
-//! they change. `result_repair` and `duplicate_detection` follow those row
-//! edits between runs and re-check only the rows and blocks they touched;
-//! after a whole-result write they check everything, through the same code.
+//! they change. `result_repair` and `duplicate_detection` follow all of
+//! those row edits between runs and re-check only the rows and blocks they
+//! touched; after a whole-result write they check everything, through the
+//! same code. What keeps that work local — the block, and repair never
+//! moving a row out of it — is stated once, in `locality`.
 //!
 //! [`Transducer`]: crate::transducer::Transducer
 
@@ -30,6 +36,7 @@ pub mod extraction;
 pub mod feedback;
 mod follow;
 pub mod fusion_t;
+mod locality;
 pub mod mapping;
 pub mod matching;
 #[cfg(test)]

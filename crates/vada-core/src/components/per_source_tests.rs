@@ -1,7 +1,7 @@
 //! Transducers that keep per-source results write exactly what fresh ones
 //! write: after every step of seeded scripts over sources, the target, the
-//! data context and the configurations — appends, removals and rewrites on
-//! both sides of the sample frontier, re-registration with another schema,
+//! data context and the configurations — appends, removals, rewrites and
+//! inserts on both sides of the sample frontier, re-registration with another schema,
 //! sources added and removed, context edits and rebinding, and continuing
 //! on a clone — schema matching, instance matching and source profiling
 //! each produce a fresh instance's writes on the same base, in the same
@@ -119,11 +119,19 @@ fn mutate(
         2 | 3 if present && len > 0 => {
             kb.remove_rows(name, &positions(rng, len)).unwrap();
         }
-        4 | 5 if present && len > 0 => {
+        4 if present && len > 0 => {
             let schema = kb.relation(name).unwrap().schema().clone();
             let edits: Vec<_> =
                 positions(rng, len).into_iter().map(|p| (p, row(rng, &schema))).collect();
             kb.update_source(name, &edits).unwrap();
+        }
+        // insert, before or after the frontier (post-insert positions of
+        // the grown relation)
+        5 if present => {
+            let schema = kb.relation(name).unwrap().schema().clone();
+            let rows: Vec<_> =
+                positions(rng, len + 1).into_iter().map(|p| (p, row(rng, &schema))).collect();
+            kb.insert_rows(name, &rows).unwrap();
         }
         // add a source, or re-register one (most likely with another schema)
         6 => kb.register_source(source(rng, name)),

@@ -26,8 +26,9 @@ use crate::transducer::{Activity, RunOutcome, Transducer};
 /// Keeps the CFDs it learned, with the configuration and context relations
 /// it learned them under and the journal mark they are current at. A run
 /// whose configuration and contexts are the same, and for which the journal
-/// proves that no context relation changed, re-emits the kept CFDs through
-/// the same `clear_cfds` + `add_cfd` writes instead of learning them again.
+/// proves that no context relation changed, takes the kept CFDs instead of
+/// learning them again. CFDs the base already holds, ids included, are not
+/// written again, so the `cfds` aspect moves only when they change.
 #[derive(Debug, Default)]
 pub struct CfdLearning {
     /// Learner configuration.
@@ -75,15 +76,20 @@ impl Transducer for CfdLearning {
                 Ok(cfds)
             },
         )?;
+        let written = cfds.len();
+        let summary = format!("{written} CFDs from {} context relation(s)", names.len());
+        // the base holds them already (keyed, so in id order): no write, so
+        // the `cfds` aspect moves only when the CFDs do
+        let mut by_id: Vec<&CfdRule> = cfds.iter().collect();
+        by_id.sort_by(|a, b| a.id.cmp(&b.id));
+        if kb.cfds().eq(by_id) {
+            return Ok(RunOutcome::noop(format!("{summary}, unchanged")));
+        }
         kb.clear_cfds();
         for cfd in cfds.iter() {
             kb.add_cfd(cfd.clone());
         }
-        let written = cfds.len();
-        Ok(RunOutcome::new(
-            format!("{written} CFDs from {} context relation(s)", names.len()),
-            written,
-        ))
+        Ok(RunOutcome::new(summary, written))
     }
 }
 

@@ -5,19 +5,23 @@
 //! Repair is row-local — a row's fixes read only that row, the lookups and
 //! the fuzzy index — so after a converged run every row is at its
 //! fixpoint until it is edited. The transducer therefore chases only the
-//! rows appended or rewritten since its last run, and writes back only the
-//! rows it fixed, as one row-level edit. A relation-level change to the
-//! result, a pruned journal window, another reference, CFD set or
-//! configuration, an edited reference, or a chase that did not converge
-//! makes it chase every row, through the same code.
+//! rows appended, rewritten or inserted since its last run (mapping
+//! execution's diff inserts the rows of the blocks it restores), and
+//! writes back only the rows it fixed, as one row-level edit. A
+//! relation-level change to the result (mapping execution's whole put), a
+//! pruned journal window, another reference, CFD set or configuration, an
+//! edited reference, or a chase that did not converge makes it chase every
+//! row, through the same code. The reference and the fuzzy attributes come
+//! from `locality`, where mapping execution reads whether repair can move a
+//! row between blocks.
 
 use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Tuple};
-use vada_context::data_context::cfd_training_contexts;
 use vada_kb::{CfdRule, JournalMark, KnowledgeBase, Since};
 use vada_quality::{repair, FuzzyIndex, RepairConfig};
 
 use crate::components::follow::{follow, DirtyRows};
+use crate::components::locality::{fuzzy_attrs, repair_reference};
 use crate::components::prepared::Prepared;
 use crate::transducer::{Activity, RunOutcome, Transducer};
 
@@ -75,11 +79,10 @@ impl Transducer for ResultRepair {
             .expect("result implies target")
             .name
             .clone();
-        let contexts = cfd_training_contexts(kb)?;
-        let Some((reference_name, _)) = contexts.first() else {
+        let Some(reference_name) = repair_reference(kb)? else {
             return Ok(RunOutcome::noop("no reference context for repair"));
         };
-        let reference = kb.relation(reference_name)?;
+        let reference = kb.relation(&reference_name)?;
         let cfds: Vec<CfdRule> = kb.cfds().cloned().collect();
         let key = RepairKey {
             target: target.clone(),
@@ -94,7 +97,7 @@ impl Transducer for ResultRepair {
             .at_fixpoint
             .take()
             .filter(|(kept, mark, _)| {
-                *kept == key && kb.since(mark, &[reference_name]) == Since::Unchanged
+                *kept == key && kb.since(mark, &[&reference_name]) == Since::Unchanged
             })
             .and_then(|(_, mark, len)| {
                 let mut dirty = DirtyRows::clean(len);
@@ -102,19 +105,11 @@ impl Transducer for ResultRepair {
             })
             .map_or_else(|| (0..result.len()).collect(), |dirty| dirty.positions());
         kb.obs().add(obs_key::REPAIR_ROWS_CHASED, rows.len() as u64);
-        // fuzzy street repair grouped by postcode when both attrs exist on
-        // both sides
-        let fuzzy = ["street", "postcode"]
-            .iter()
-            .all(|a| {
-                result.schema().index_of(a).is_some() && reference.schema().index_of(a).is_some()
-            })
-            .then_some(("street", "postcode"));
-        let index = match fuzzy {
+        let index = match fuzzy_attrs(result.schema(), reference.schema()) {
             Some((fuzzy_attr, group_attr)) => {
                 let key = (reference_name.clone(), fuzzy_attr, group_attr);
                 let build = || Ok(FuzzyIndex::new(reference, fuzzy_attr, group_attr));
-                self.fuzzy_index.reuse_or_build(kb, key, &[reference_name], build)?.as_ref()
+                self.fuzzy_index.reuse_or_build(kb, key, &[&reference_name], build)?.as_ref()
             }
             None => None,
         };

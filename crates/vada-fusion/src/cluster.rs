@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use vada_common::error::guard_stage;
+use vada_common::relation::insert_at;
 use vada_common::text::blocking_key;
 use vada_common::{Relation, Result, Tuple, VadaError};
 
@@ -246,6 +247,13 @@ impl BlockClusters {
             row += 1;
             !gone[row - 1]
         });
+    }
+
+    /// Rows were inserted at `positions` (post-insert indices, ascending);
+    /// the rows already there kept their order. The new rows are blocked,
+    /// and their blocks touched, at the next refresh.
+    pub fn insert(&mut self, positions: &[usize]) {
+        insert_at(&mut self.block_of, positions, |_| UNBLOCKED);
     }
 
     /// The rows at `positions` were rewritten in place.
@@ -519,6 +527,20 @@ mod tests {
         assert_eq!(step.clusters, duplicates(&cfg, &rel));
         assert_eq!(step.clusters, vec![vec![0, 2, 5]]);
         assert_eq!(step.blocks_scored, 1);
+
+        // an insert ahead of the EH1 cluster: the inserted row's block
+        // alone is scored, the cluster's rows shift
+        rel.insert_rows(&[1], &[tuple!["1 Mill Ln", "90000", "G1 1AA"]]).unwrap();
+        kept.insert(&[1]);
+        let step = kept.refresh(&cfg, &rel).unwrap();
+        assert_eq!(step.clusters, duplicates(&cfg, &rel));
+        assert_eq!(step.clusters, vec![vec![0, 3, 6], vec![1, 4]]);
+        assert_eq!(step.blocks_scored, 1);
+        rel.remove_rows(&[1]).unwrap();
+        kept.remove(&[1]);
+        let step = kept.refresh(&cfg, &rel).unwrap();
+        assert_eq!(step.clusters, vec![vec![0, 2, 5]]);
+        assert_eq!(step.blocks_scored, 0, "G1 is back to one row");
 
         // every row unblocked again: blocks come back as they were scored,
         // so none is scored again

@@ -8,10 +8,10 @@
 //! the whole base. The answer is a [`Since`]: unchanged, the row-level
 //! events to replay, or rebuild.
 //!
-//! Events distinguish **row-level** changes (rows appended, removed or
-//! rewritten in place — the shapes an incremental consumer can replay)
-//! from **relation-level** ones (a relation added, replaced or removed),
-//! which send consumers back to a full read. Metadata edits name no
+//! Events distinguish **row-level** changes (rows appended, removed,
+//! rewritten in place or inserted — the shapes an incremental consumer can
+//! replay) from **relation-level** ones (a relation added, replaced or
+//! removed), which send consumers back to a full read. Metadata edits name no
 //! relation.
 //!
 //! ```
@@ -109,6 +109,23 @@ pub enum DeltaChange {
         /// Whether the rewritten rows were the trailing rows.
         tail: bool,
     },
+    /// Rows were inserted into an existing relation
+    /// ([`KnowledgeBase::insert_rows`](crate::KnowledgeBase::insert_rows)):
+    /// the rows already there keep their relative order, and `rows[i]`
+    /// lands at `positions[i]`, an index into the relation *after* the
+    /// insert. Row-level: a consumer that keeps state row by row makes room
+    /// at `positions`, and WAL replay inserts exactly there — an append is
+    /// the case where every position is past the old rows. Mapping
+    /// execution writes the result's restored blocks this way.
+    RowsInserted {
+        /// Relation name.
+        relation: String,
+        /// The inserted tuples, in ascending (post-insert) row order.
+        rows: Vec<Tuple>,
+        /// The post-insert indices of `rows` (same order, strictly
+        /// ascending).
+        positions: Vec<usize>,
+    },
     /// A relation was replaced with content that is not an extension of
     /// what was there (rows retracted or rewritten, or the schema
     /// changed). Non-monotone.
@@ -129,8 +146,8 @@ pub enum DeltaChange {
 
 impl DeltaChange {
     /// Whether the change names the exact rows it touched (appends,
-    /// removals, in-place rewrites) — the granularity the retraction-capable
-    /// incremental path consumes. Relation-level events (`RelationAdded`,
+    /// removals, in-place rewrites, inserts) — the granularity the
+    /// retraction-capable incremental path consumes. Relation-level events (`RelationAdded`,
     /// `RelationReplaced`, `RelationRemoved`) are not row-level.
     pub fn is_row_level(&self) -> bool {
         matches!(
@@ -138,6 +155,7 @@ impl DeltaChange {
             DeltaChange::RowsAppended { .. }
                 | DeltaChange::RowsRemoved { .. }
                 | DeltaChange::RowsReplaced { .. }
+                | DeltaChange::RowsInserted { .. }
         )
     }
 
@@ -147,6 +165,7 @@ impl DeltaChange {
             DeltaChange::RowsAppended { relation, .. }
             | DeltaChange::RowsRemoved { relation, .. }
             | DeltaChange::RowsReplaced { relation, .. }
+            | DeltaChange::RowsInserted { relation, .. }
             | DeltaChange::RelationAdded { relation }
             | DeltaChange::RelationReplaced { relation }
             | DeltaChange::RelationRemoved { relation } => Some(relation),

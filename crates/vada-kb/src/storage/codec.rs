@@ -178,6 +178,7 @@ const CHANGE_ROWS_REPLACED: u8 = 3;
 const CHANGE_RELATION_REPLACED: u8 = 4;
 const CHANGE_RELATION_REMOVED: u8 = 5;
 const CHANGE_ASPECT_CHANGED: u8 = 6;
+const CHANGE_ROWS_INSERTED: u8 = 7;
 
 fn put_positions(out: &mut Vec<u8>, positions: &[usize]) {
     put_u32(out, positions.len() as u32);
@@ -221,6 +222,12 @@ pub fn encode_change(change: &DeltaChange, out: &mut Vec<u8>) {
             put_positions(out, positions);
             put_u8(out, *tail as u8);
         }
+        DeltaChange::RowsInserted { relation, rows, positions } => {
+            put_u8(out, CHANGE_ROWS_INSERTED);
+            put_str(out, relation);
+            encode_tuples(rows, out);
+            put_positions(out, positions);
+        }
         DeltaChange::RelationReplaced { relation } => {
             put_u8(out, CHANGE_RELATION_REPLACED);
             put_str(out, relation);
@@ -258,6 +265,11 @@ pub fn decode_change(r: &mut Reader<'_>) -> Result<DeltaChange> {
                     return Err(VadaError::Storage(format!("invalid tail byte {other}")));
                 }
             },
+        }),
+        CHANGE_ROWS_INSERTED => Ok(DeltaChange::RowsInserted {
+            relation: r.str()?.to_string(),
+            rows: decode_tuples(r)?,
+            positions: read_positions(r)?,
         }),
         CHANGE_RELATION_REPLACED => {
             Ok(DeltaChange::RelationReplaced { relation: r.str()?.to_string() })
@@ -387,6 +399,11 @@ mod tests {
             added: vec![tuple![2]],
             positions: vec![0],
             tail: true,
+        });
+        round_trip(DeltaChange::RowsInserted {
+            relation: "r".into(),
+            rows: vec![tuple![1, "x"], tuple![3, "z"]],
+            positions: vec![0, 4],
         });
         round_trip(DeltaChange::RelationReplaced { relation: "r".into() });
         round_trip(DeltaChange::RelationRemoved { relation: "r".into() });

@@ -407,6 +407,10 @@ impl KnowledgeBase {
                     rel.replace(*pos, tuple.clone())?;
                 }
             }
+            (DeltaChange::RowsInserted { relation, rows, positions }, _) => {
+                let rel = self.catalog.get_mut(relation).ok_or_else(|| missing(relation))?;
+                rel.insert_rows(positions, rows)?;
+            }
             (
                 DeltaChange::RelationAdded { .. } | DeltaChange::RelationReplaced { .. },
                 Some(stored),
@@ -650,6 +654,47 @@ impl KnowledgeBase {
         for (row, tuple) in sorted {
             rel.replace(row, tuple).expect("range and arity validated above");
         }
+        Ok(())
+    }
+
+    /// Insert rows into any catalog relation — `rows` pairs each new tuple
+    /// with the index it takes in the relation *after* the insert (strictly
+    /// ascending) — keeping the relative order of the rows already there,
+    /// and journal a row-level [`DeltaChange::RowsInserted`] under the
+    /// aspect the relation's kind registers under. Mapping execution
+    /// restores the result's blocks through this and
+    /// [`KnowledgeBase::remove_rows`], so the WAL logs its diff without a
+    /// relation payload. Inserting zero rows is a no-op (no version bump).
+    pub fn insert_rows(&mut self, name: &str, rows: &[(usize, Tuple)]) -> Result<()> {
+        let kind = self
+            .catalog
+            .kind(name)
+            .ok_or_else(|| VadaError::Kb(format!("unknown relation `{name}`")))?;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let (positions, rows): (Vec<usize>, Vec<Tuple>) = rows.iter().cloned().unzip();
+        // validate up front: the event must be durable before the insert
+        // lands (write-ahead), so the apply below cannot be allowed to fail
+        self.catalog
+            .get(name)
+            .expect("kind implies presence")
+            .check_insert(&positions, &rows)
+            .map_err(|e| VadaError::Kb(e.message().to_string()))?;
+        self.touch_full(
+            Self::aspect_of_kind(kind),
+            DeltaChange::RowsInserted {
+                relation: name.to_string(),
+                rows: rows.clone(),
+                positions: positions.clone(),
+            },
+            None,
+        );
+        self.catalog
+            .get_mut(name)
+            .expect("kind implies presence")
+            .insert_rows(&positions, &rows)
+            .expect("validated above");
         Ok(())
     }
 
@@ -1325,6 +1370,38 @@ mod tests {
         assert_eq!(kb.version(), v);
         assert!(kb.remove_rows("nope", &[0]).is_err());
         assert!(kb.remove_rows("rightmove", &[99]).is_err());
+    }
+
+    #[test]
+    fn insert_rows_journals_a_row_level_insert() {
+        let mut kb = kb_with_scenario();
+        let before = kb.relation("rightmove").unwrap().tuples().to_vec();
+        let seen = kb.mark();
+        let new = [tuple!["1", "1 new st", "G1 1AA"], tuple!["2", "2 new st", "G1 1AA"]];
+        kb.insert_rows("rightmove", &[(0, new[0].clone()), (2, new[1].clone())]).unwrap();
+        let after = kb.relation("rightmove").unwrap().tuples().to_vec();
+        assert_eq!(after, vec![new[0].clone(), before[0].clone(), new[1].clone()]);
+        let events = journalled_since(&kb, &seen, "rightmove");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].aspect, "relations");
+        assert!(events[0].change.is_row_level());
+        match &events[0].change {
+            DeltaChange::RowsInserted { relation, rows, positions } => {
+                assert_eq!(relation, "rightmove");
+                assert_eq!(rows, &new);
+                assert_eq!(positions, &[0, 2]);
+            }
+            other => panic!("expected RowsInserted, got {other:?}"),
+        }
+        // an empty insert is a no-op; a refused one changes nothing
+        let v = kb.version();
+        kb.insert_rows("rightmove", &[]).unwrap();
+        assert!(kb.insert_rows("nope", &[(0, new[0].clone())]).is_err());
+        assert!(kb.insert_rows("rightmove", &[(9, new[0].clone())]).is_err());
+        assert!(kb.insert_rows("rightmove", &[(1, new[0].clone()), (1, new[1].clone())]).is_err());
+        assert!(kb.insert_rows("rightmove", &[(0, tuple!["1"])]).is_err());
+        assert_eq!(kb.version(), v);
+        assert_eq!(kb.relation("rightmove").unwrap().tuples(), after.as_slice());
     }
 
     #[test]

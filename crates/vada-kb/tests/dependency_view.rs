@@ -95,6 +95,10 @@ fn mutate(kb: &mut KnowledgeBase, rng: &mut StdRng) {
         }
         0 => kb.register_source(relation(rng, source)),
         1 => drop(kb.remove_rows(source, &[rng.gen_range(0..len.max(1))])),
+        2 if rng.gen_bool(0.5) => {
+            let arity = kb.relation(source).map_or(1, |r| r.schema().arity());
+            drop(kb.insert_rows(source, &[(rng.gen_range(0..len + 1), row(rng, arity))]));
+        }
         2 => {
             let arity = kb.relation(source).map_or(1, |r| r.schema().arity());
             drop(kb.update_source(source, &[(rng.gen_range(0..len.max(1)), row(rng, arity))]));

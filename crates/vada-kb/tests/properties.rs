@@ -65,6 +65,9 @@ fn arb_change() -> impl Strategy<Value = DeltaChange> {
                 tail,
             }
         ),
+        (arb_name(), arb_rows(), arb_positions()).prop_map(|(relation, rows, positions)| {
+            DeltaChange::RowsInserted { relation, rows, positions }
+        }),
         arb_name().prop_map(|relation| DeltaChange::RelationReplaced { relation }),
         arb_name().prop_map(|relation| DeltaChange::RelationRemoved { relation }),
         arb_name().prop_map(|_| DeltaChange::AspectChanged),

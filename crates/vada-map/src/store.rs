@@ -1214,7 +1214,7 @@ mod tests {
     #[test]
     fn store_misses_on_every_kind_of_source_change() {
         type Change = fn(&mut KnowledgeBase);
-        let changes: [(&str, Change); 5] = [
+        let changes: [(&str, Change); 6] = [
             ("RowsAppended", |kb| {
                 let mut rm = kb.relation("rightmove").unwrap().clone();
                 rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
@@ -1226,6 +1226,9 @@ mod tests {
             ("RowsReplaced", |kb| {
                 kb.update_source("rightmove", &[(1, tuple!["1", "9 park rd", "EH1 1AA"])])
                     .unwrap();
+            }),
+            ("RowsInserted", |kb| {
+                kb.insert_rows("rightmove", &[(0, tuple!["1", "9 park rd", "EH1 1AA"])]).unwrap();
             }),
             ("RelationReplaced", |kb| {
                 let mut rm = Relation::empty(kb.relation("rightmove").unwrap().schema().clone());

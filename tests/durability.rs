@@ -112,7 +112,7 @@ fn mixed_schema(name: &str) -> Schema {
 /// `k` and the truncation loop can pair each boundary with the
 /// fingerprint captured after that step.
 fn random_mutation(kb: &mut KnowledgeBase, rng: &mut StdRng, step: usize) {
-    match rng.gen_range(0usize..8) {
+    match rng.gen_range(0usize..9) {
         // grown re-registration → monotone RowsAppended
         0 => {
             let mut grown = kb.relation("mixed").unwrap().clone();
@@ -125,6 +125,16 @@ fn random_mutation(kb: &mut KnowledgeBase, rng: &mut StdRng, step: usize) {
         1 if kb.relation("mixed").unwrap().len() > 2 => {
             let len = kb.relation("mixed").unwrap().len();
             kb.remove_rows("mixed", &[rng.gen_range(0usize..len)]).unwrap();
+        }
+        // row-level insert, one or two rows anywhere, the ends included
+        7 => {
+            let len = kb.relation("mixed").unwrap().len();
+            let first = rng.gen_range(0usize..len + 1);
+            let mut rows = vec![(first, adversarial_row(rng))];
+            if rng.gen_range(0usize..2) == 0 {
+                rows.push((rng.gen_range(first + 1..len + 2), adversarial_row(rng)));
+            }
+            kb.insert_rows("mixed", &rows).unwrap();
         }
         // in-place rewrite, tail or mid
         2 => {
@@ -177,14 +187,15 @@ struct Epoch {
 /// `kb`, then crash it everywhere: within every checkpoint epoch, truncate
 /// the log at **every** record boundary plus torn cuts inside every record,
 /// reopen, and compare byte-for-byte against the state the uninterrupted
-/// run had at exactly that point. Returns how many epochs the run crossed.
+/// run had at exactly that point. Returns how many epochs the run crossed
+/// and how many steps inserted rows.
 fn crash_at_every_boundary(
     label: &str,
     mut kb: KnowledgeBase,
     dir: &std::path::Path,
     rng: &mut StdRng,
     steps: usize,
-) -> usize {
+) -> (usize, usize) {
     let wal_path = dir.join(WAL_FILE);
     let snap_path = dir.join(SNAPSHOT_FILE);
     let on_disk = || (std::fs::read(&snap_path).unwrap(), std::fs::read(&wal_path).unwrap());
@@ -193,11 +204,15 @@ fn crash_at_every_boundary(
     let mut fingerprints = vec![fingerprint(&kb)];
     let mut epochs = Vec::new();
     let mut base = 0;
+    let mut inserts = 0;
     for step in 0..steps {
         let before = kb.version();
         let (snapshot, log) = on_disk();
         random_mutation(&mut kb, rng, step);
         assert_eq!(kb.version(), before + 1, "script steps must be single-event");
+        let last = kb.journal().scan_since(before).and_then(|mut events| events.next());
+        let inserted = last.is_some_and(|e| matches!(e.change, DeltaChange::RowsInserted { .. }));
+        inserts += usize::from(inserted);
         fingerprints.push(fingerprint(&kb));
         if std::fs::read(&wal_path).unwrap().len() < log.len() {
             // this step checkpointed first: the log it found is complete,
@@ -242,7 +257,7 @@ fn crash_at_every_boundary(
         }
     }
     assert_eq!(records, steps, "one WAL record per step, each in exactly one epoch");
-    epochs.len()
+    (epochs.len(), inserts)
 }
 
 /// The core differential: a randomized edit script against a durable KB,
@@ -280,10 +295,11 @@ fn truncation_at_every_record_boundary_recovers_that_exact_state() {
             kb.storage_health().unwrap();
 
             let label = format!("seed {seed} capacity {capacity:?}");
-            let epochs = crash_at_every_boundary(&label, kb, &dir, &mut rng, steps);
+            let (epochs, inserts) = crash_at_every_boundary(&label, kb, &dir, &mut rng, steps);
             // a checkpoint lands on the event after the log reaches `capacity` records
             let expected = capacity.map_or(1, |c| 1 + (steps - 1) / c);
             assert_eq!(epochs, expected, "{label}");
+            assert!(inserts > 0, "{label}: the script inserted no rows");
         }
     }
 }

@@ -14,6 +14,9 @@
 //! runs, are checked on every run against fresh instances run on a copy of
 //! the same base, and the durable base logs the result edits of repair,
 //! fusion and feedback as row-level records without a relation payload.
+//! Mapping execution, which writes the result as a row diff of its own
+//! previous output, is checked against a fleet whose execution always puts
+//! the whole result: the two leave byte-identical results after every step.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -22,17 +25,19 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vada::components::fusion_t::CLUSTERS_REL;
-use vada::components::{DuplicateDetection, ResultRepair};
+use vada::components::feedback::apply_vetoes;
+use vada::components::{DuplicateDetection, MappingExecution, ResultRepair};
 use vada::{default_transducers, Activity, RunOutcome, Transducer, Wrangler};
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{csv, Tuple, Value};
 use vada_extract::sources::target_schema;
-use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
+use vada_extract::{ErrorModel, Scenario, ScenarioConfig, UniverseConfig};
 use vada_kb::storage::{Wal, WAL_FILE};
 use vada_kb::{
-    ContextKind, DeltaChange, FeedbackRecord, FeedbackTarget, KnowledgeBase, PairwiseStatement,
-    Verdict,
+    CfdRule, ContextKind, DeltaChange, FeedbackRecord, FeedbackTarget, KnowledgeBase,
+    PairwiseStatement, Verdict,
 };
+use vada_map::{execute_mapping, ExecuteConfig};
 
 mod common;
 use common::TempDir;
@@ -89,6 +94,39 @@ enum Edit {
     /// as retract+append, mid-relation rewrites force a rebuild — both
     /// must stay byte-identical.
     UpdateRow { source: &'static str, nth: u64, tail: bool },
+    /// Rewrite a row as a copy of the row after it (a mid-relation
+    /// rewrite): a duplicate that fusion merges, and the row's old cluster
+    /// split.
+    CopyRow { source: &'static str, nth: u64 },
+    /// Null a row's postcode: its result row leaves its block for a block
+    /// of its own.
+    NullPostcode { source: &'static str, nth: u64, tail: bool },
+    /// Mark a result row incorrect as a whole (a veto that drops the row).
+    FeedbackRow { row: u64 },
+    /// Mark the price of a result row that repair or fusion rewrote
+    /// incorrect: the veto, taken from the rewritten row, changes no row of
+    /// the mapping's output.
+    FeedbackRepaired { nth: usize },
+    /// Rename the streets of the address rows at the postcodes of result
+    /// rows whose street repair rewrote (a data-context edit): repair loses
+    /// the fixes it made there.
+    RenameContextStreets { nth: u64 },
+    /// Register the address reference with a few streets listed again
+    /// under another postcode, so no CFD `street → postcode` holds on it.
+    AddAmbiguousContext,
+    /// Register a second reference, from which a CFD `street → postcode`
+    /// is learned: repair then writes the block attribute.
+    PostcodeReference,
+    /// Add a CFD `postcode → street` by hand: repair runs under it until
+    /// CFD learning, at the next source edit, puts the learned ones back.
+    AddCfd,
+    /// Select another candidate mapping by hand.
+    Reselect { nth: usize },
+    /// Put the result back whole, its rows reversed (a relation-level
+    /// write of the result from outside the fleet).
+    ReverseResult,
+    /// Narrow the target schema to all but its description.
+    NarrowTarget,
 }
 
 fn random_script(rng: &mut StdRng, steps: usize) -> Vec<Vec<Edit>> {
@@ -205,6 +243,24 @@ fn apply_edit(w: &mut Wrangler, scenario: &Scenario, edit: &Edit) {
             )
             .unwrap();
         }
+        Edit::AddAmbiguousContext => {
+            let mut address = scenario.address.clone();
+            let postcode = address.schema().require("postcode").unwrap();
+            let n = address.len();
+            let again: Vec<Tuple> = (0..4.min(n))
+                .map(|i| {
+                    let other = address.tuples()[(i + n / 2) % n][postcode].clone();
+                    address.tuples()[i].with_value(postcode, other)
+                })
+                .collect();
+            address.extend(again).unwrap();
+            w.add_data_context(
+                address,
+                ContextKind::Reference,
+                &[("street", "street"), ("postcode", "postcode")],
+            )
+            .unwrap();
+        }
         Edit::UserContext { strength } => {
             w.set_user_context(vec![PairwiseStatement {
                 more_important: "completeness(crimerank)".into(),
@@ -240,7 +296,153 @@ fn apply_edit(w: &mut Wrangler, scenario: &Scenario, edit: &Edit) {
             w.update_source_rows(source, &[(row, Tuple::new(values))])
                 .expect("row exists");
         }
+        Edit::CopyRow { source, nth } => {
+            let rel = w.kb().relation(source).expect("source exists");
+            if rel.len() < 2 {
+                return;
+            }
+            let row = (*nth as usize) % (rel.len() - 1);
+            let copy = rel.tuples()[row + 1].clone();
+            w.update_source_rows(source, &[(row, copy)]).expect("row exists");
+        }
+        Edit::NullPostcode { source, nth, tail } => {
+            let rel = w.kb().relation(source).expect("source exists");
+            if rel.is_empty() {
+                return;
+            }
+            let row = if *tail { rel.len() - 1 } else { (*nth as usize) % rel.len() };
+            let pc_col = rel.schema().attr_names().iter().position(|a| a.contains("post"));
+            let Some(pc_col) = pc_col else { return };
+            let nulled = rel.tuples()[row].with_value(pc_col, Value::Null);
+            w.update_source_rows(source, &[(row, nulled)]).expect("row exists");
+        }
+        Edit::FeedbackRow { row } => {
+            let Some(result) = w.result() else { return };
+            if result.is_empty() {
+                return;
+            }
+            let row = (*row as usize) % result.len();
+            w.add_feedback([FeedbackRecord {
+                id: format!("fb_row_{row}"),
+                target: FeedbackTarget::Tuple { relation: result.name().to_string(), row },
+                verdict: Verdict::Incorrect,
+            }]);
+        }
+        Edit::RenameContextStreets { nth } => {
+            let Ok(address) = w.kb().relation("address") else { return };
+            let Some(result) = w.result() else { return };
+            let at = result.schema().require("postcode").unwrap();
+            let repaired: Vec<Value> = rewritten_rows(w, &["street", "postcode"])
+                .into_iter()
+                .map(|row| result.tuples()[row][at].clone())
+                .collect();
+            let (street, postcode) = (
+                address.schema().require("street").unwrap(),
+                address.schema().require("postcode").unwrap(),
+            );
+            let renamed: Vec<(usize, Tuple)> = address
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| repaired.contains(&t[postcode]))
+                .map(|(row, t)| (row, t.with_value(street, Value::str(format!("{nth} quay {row}")))))
+                .collect();
+            w.kb_mut().update_source("address", &renamed).expect("rows exist");
+        }
+        Edit::FeedbackRepaired { nth } => {
+            let repaired = rewritten_rows(w, &["street", "postcode", "price"]);
+            let Some(&row) = repaired.get(nth % repaired.len().max(1)) else { return };
+            let result = w.result().expect("a result");
+            w.add_feedback([FeedbackRecord {
+                id: format!("fb_repaired_{row}"),
+                target: FeedbackTarget::Attribute {
+                    relation: result.name().to_string(),
+                    row,
+                    attr: "price".into(),
+                },
+                verdict: Verdict::Incorrect,
+            }]);
+        }
+        Edit::PostcodeReference => {
+            // streets that name one postcode each in the address list
+            let address = &scenario.address;
+            let (street, postcode) = (
+                address.schema().require("street").unwrap(),
+                address.schema().require("postcode").unwrap(),
+            );
+            let mut seen = std::collections::BTreeMap::new();
+            for t in address.iter() {
+                seen.entry(t[street].clone()).or_insert_with(Vec::new).push(t[postcode].clone());
+            }
+            let mut rel = vada_common::Relation::empty(vada_common::Schema::all_str(
+                "street_postcodes",
+                &["street", "postcode"],
+            ));
+            for (s, postcodes) in seen.into_iter().filter(|(_, p)| p.len() == 1).take(40) {
+                rel.push(Tuple::new(vec![s, postcodes[0].clone()])).unwrap();
+            }
+            w.add_data_context(
+                rel,
+                ContextKind::Reference,
+                &[("street", "street"), ("postcode", "postcode")],
+            )
+            .unwrap();
+        }
+        Edit::AddCfd => w.kb_mut().add_cfd(CfdRule {
+            id: "by_hand".into(),
+            relation: "address".into(),
+            lhs: vec![("postcode".into(), None)],
+            rhs: ("street".into(), None),
+            support: 5,
+        }),
+        Edit::ReverseResult => {
+            let Some(result) = w.result() else { return };
+            let mut reversed = vada_common::Relation::empty(result.schema().clone());
+            reversed.extend(result.tuples().iter().rev().cloned()).unwrap();
+            w.kb_mut().put_result(reversed);
+        }
+        Edit::NarrowTarget => {
+            let schema = target_schema();
+            let kept: Vec<_> = schema
+                .attributes()
+                .iter()
+                .filter(|a| a.name != "description")
+                .map(|a| (a.name.as_str(), a.ty))
+                .collect();
+            w.set_target(vada_common::Schema::new("property", kept).unwrap());
+        }
+        Edit::Reselect { nth } => {
+            let mut ids: Vec<String> = w.kb().mappings().map(|m| m.id.clone()).collect();
+            ids.sort();
+            let current = w.kb().selected_mapping().map(str::to_string);
+            let Some(other) = ids.into_iter().cycle().skip(*nth).take(8).find(|id| Some(id) != current.as_ref())
+            else {
+                return;
+            };
+            w.kb_mut().select_mapping(&other).expect("a candidate");
+        }
     }
+}
+
+/// The result rows, with a price, whose values of `attrs` no row of the
+/// selected mapping's output has together: rows repair or fusion rewrote
+/// there.
+fn rewritten_rows(w: &Wrangler, attrs: &[&str]) -> Vec<usize> {
+    let (Some(result), Some(id)) = (w.result(), w.kb().selected_mapping()) else {
+        return Vec::new();
+    };
+    let mapping = w.kb().get_mapping(id).expect("the selected mapping");
+    let raw = execute_mapping(&ExecuteConfig::default(), mapping, w.kb()).expect("it executes");
+    let key = |rel: &vada_common::Relation, t: &Tuple| -> Vec<Value> {
+        attrs.iter().map(|a| t[rel.schema().require(a).unwrap()].clone()).collect()
+    };
+    let raw_keys: std::collections::HashSet<_> = raw.iter().map(|t| key(&raw, t)).collect();
+    let price = result.schema().require("price").unwrap();
+    (0..result.len())
+        .filter(|&row| {
+            let t = &result.tuples()[row];
+            !t[price].is_null() && !raw_keys.contains(&key(result, t))
+        })
+        .collect()
 }
 
 /// Register the scenario's listing and deprivation sources and the target.
@@ -448,9 +650,10 @@ fn repair_and_detection_match_fresh_runs_after_every_step() {
     }
 }
 
-/// Repair, fusion and feedback edit the result row by row: in a durable
-/// base, every WAL record their steps append names the result only
-/// row-level, and none carries a relation payload.
+/// Repair, fusion and feedback edit the result row by row, and so does a
+/// mapping execution that writes a diff: in a durable base, every WAL
+/// record their steps append names the result only row-level, and none
+/// carries a relation payload.
 #[test]
 fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
     let scenario = Scenario::generate(ScenarioConfig {
@@ -462,7 +665,10 @@ fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
     w.kb_mut().persist_to(&dir).expect("the WAL directory initialises");
     let mut w = register(w, &scenario);
     w.run().expect("bootstrap succeeds");
+    // the first edit's execution writes a diff: no reference yet, so no
+    // CFD that could write the postcode
     for batch in [
+        vec![Edit::UpdateRow { source: "rightmove", nth: 8, tail: false }],
         vec![Edit::AddContext],
         vec![Edit::UpdateRow { source: "rightmove", nth: 5, tail: false }],
         vec![Edit::Feedback { row: 3 }, Edit::Feedback { row: 11 }],
@@ -474,11 +680,18 @@ fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
     }
     let target = w.kb().target_schema().unwrap().name.clone();
     let last = w.kb().version();
+    // an execution that wrote a diff names the blocks it restored
     let steps: Vec<(String, u64, u64)> = w
         .trace()
         .entries()
         .iter()
-        .map(|e| (e.transducer.clone(), e.kb_version_before, e.kb_version_after))
+        .map(|e| {
+            let name = match e.transducer.as_str() {
+                "mapping_execution" if e.summary.contains("restored") => "diffed_execution",
+                name => name,
+            };
+            (name.to_string(), e.kb_version_before, e.kb_version_after)
+        })
         .collect();
     drop(w);
     let (_, records) = Wal::open(dir.join(WAL_FILE)).expect("the log reopens");
@@ -487,7 +700,7 @@ fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
     let mut result_edits: BTreeMap<&str, Vec<&'static str>> = BTreeMap::new();
     for (name, before, after) in &steps {
         let name = match name.as_str() {
-            n @ ("result_repair" | "data_fusion" | "feedback_repair") => n,
+            n @ ("result_repair" | "data_fusion" | "feedback_repair" | "diffed_execution") => n,
             _ => continue,
         };
         for r in records.iter().filter(|r| (before + 1..=*after).contains(&r.event.seq)) {
@@ -496,19 +709,174 @@ fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
                 assert!(r.event.change.is_row_level(), "{name} logged {:?}", r.event.change);
                 let shape = match r.event.change {
                     DeltaChange::RowsRemoved { .. } => "removed",
+                    DeltaChange::RowsInserted { .. } => "inserted",
                     _ => "rewritten",
                 };
                 result_edits.entry(name).or_default().push(shape);
             }
         }
     }
-    for name in ["result_repair", "data_fusion", "feedback_repair"] {
+    for name in ["result_repair", "data_fusion", "feedback_repair", "diffed_execution"] {
         assert!(
             result_edits.contains_key(name),
             "{name} never edited the result: {result_edits:?}"
         );
     }
     assert!(result_edits["data_fusion"].contains(&"removed"), "{result_edits:?}");
+    assert!(result_edits["diffed_execution"].contains(&"inserted"), "{result_edits:?}");
+}
+
+/// Mapping execution as it was before it wrote diffs, kept as the oracle:
+/// the selected mapping executed from scratch, the vetoes applied, the
+/// whole result put.
+struct WholePut(MappingExecution);
+
+impl Transducer for WholePut {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn activity(&self) -> Activity {
+        self.0.activity()
+    }
+
+    fn input_dependency(&self) -> &str {
+        self.0.input_dependency()
+    }
+
+    fn input_aspects(&self) -> &'static [&'static str] {
+        self.0.input_aspects()
+    }
+
+    fn run(&mut self, kb: &mut KnowledgeBase) -> vada_common::Result<RunOutcome> {
+        let id = kb.selected_mapping().expect("a selection").to_string();
+        let mapping = kb.get_mapping(&id).expect("the selected mapping").clone();
+        let mut result = execute_mapping(&ExecuteConfig::default(), &mapping, kb)?;
+        apply_vetoes(&mut result, kb.vetoes());
+        let rows = result.len();
+        kb.put_result(result);
+        Ok(RunOutcome::new(format!("materialised {rows} rows from {id}"), rows))
+    }
+}
+
+/// A seeded script over every edit the diff path must survive or refuse:
+/// appends, removals, tail and mid-relation rewrites, copies that make and
+/// split clusters, null postcodes, annotations that add vetoes, a
+/// data-context edit, a relation-level write of the result, a
+/// re-selection, a CFD added by hand, a reference whose CFD writes the
+/// postcode, and a narrowed target. The address reference comes first, so repair and fusion run
+/// throughout, with no CFD writing the postcode until the second reference
+/// arrives; the rarer edits are placed, the rest drawn.
+fn diff_script(rng: &mut StdRng, steps: usize) -> Vec<Vec<Edit>> {
+    let source = |rng: &mut StdRng| if rng.gen_bool(0.7) { "rightmove" } else { "onthemarket" };
+    let mut script = vec![vec![Edit::AddAmbiguousContext]];
+    for step in 0..steps {
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(1usize..3) {
+            let (src, nth) = (source(rng), rng.gen_range(0u64..1000));
+            let edit = match rng.gen_range(0usize..16) {
+                0..=2 => Edit::GrowSource {
+                    source: src,
+                    rows: rng.gen_range(1usize..4),
+                    fresh_postcode: rng.gen_bool(0.3),
+                },
+                3..=5 => Edit::RemoveRows { source: src, nth, count: rng.gen_range(1usize..3) },
+                6..=8 => Edit::UpdateRow { source: src, nth, tail: rng.gen_bool(0.4) },
+                9..=11 => Edit::CopyRow { source: src, nth },
+                12 | 13 => Edit::NullPostcode { source: src, nth, tail: rng.gen_bool(0.3) },
+                // an annotation round marks several rows, so some are fused
+                // or repaired ones
+                14 => {
+                    batch.extend((1..6).map(|k| Edit::Feedback { row: nth + 37 * k }));
+                    Edit::Feedback { row: nth }
+                }
+                _ => Edit::FeedbackRow { row: nth },
+            };
+            batch.push(edit);
+        }
+        // alone, so no source edit masks the edit; the postcode reference
+        // last, since no diff runs after it
+        match step {
+            2 => batch = vec![Edit::RenameContextStreets { nth: rng.gen_range(0u64..1000) }],
+            4 => batch = vec![Edit::ReverseResult],
+            6 => batch = vec![Edit::Reselect { nth: rng.gen_range(0usize..8) }],
+            8 => batch = vec![Edit::AddCfd],
+            10 => batch = vec![Edit::NarrowTarget],
+            // fewer annotations than mapping evaluation judges on, so the
+            // mapping stays and the next source edit may diff
+            11 => batch = (0..2).map(|nth| Edit::FeedbackRepaired { nth }).collect(),
+            12 => {
+                let grow = Edit::GrowSource { source: "rightmove", rows: 1, fresh_postcode: false };
+                batch = vec![grow]
+            }
+            13 => batch.push(Edit::PostcodeReference),
+            _ => {}
+        }
+        script.push(batch);
+    }
+    script
+}
+
+/// After every step of seeded edit scripts, the result the default fleet
+/// maintains — mapping execution writing a row diff of its own output,
+/// repair, detection and fusion following it — is byte-identical to the
+/// one a fleet whose execution always puts the whole result leaves, in
+/// memory and in a durable base; and the default fleet takes both the
+/// diff and the whole put.
+#[test]
+fn diffed_execution_matches_whole_puts_after_every_step() {
+    for seed in [1u64, 4, 9, 16] {
+        // seed-logged so a failing case is reproducible from the test output
+        println!("diffed_execution_matches_whole_puts_after_every_step: seed {seed}");
+        // typos common enough that repair and fusion rewrite many rows, so a
+        // veto keyed on a rewritten row misses its raw rows
+        let errors = ErrorModel { typo_rate: 0.3, ..ErrorModel::realistic() };
+        let scenario = Scenario::generate(ScenarioConfig {
+            universe: UniverseConfig { properties: 120, seed: 31 + seed },
+            duplicate_rate: 0.3,
+            rightmove_errors: errors,
+            onthemarket_errors: errors,
+            ..Default::default()
+        });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let script = diff_script(&mut rng, 15);
+        let dir = TempDir::new(&format!("diffed-{seed}"));
+        let mut pair = pair(&scenario, &dir);
+        for w in &mut pair {
+            w.set_obs(Obs::enabled());
+        }
+        let oracle: Vec<Box<dyn Transducer>> = default_transducers()
+            .into_iter()
+            .map(|t| -> Box<dyn Transducer> {
+                match t.name() {
+                    "mapping_execution" => Box::new(WholePut(MappingExecution::default())),
+                    _ => t,
+                }
+            })
+            .collect();
+        let mut oracle = register(Wrangler::with_transducers(oracle), &scenario);
+        let result = |w: &Wrangler| w.result().map(csv::write_relation);
+        let step = |pair: &mut [Wrangler; 2], oracle: &mut Wrangler, batch: &[Edit], stage: &str| {
+            for w in pair.iter_mut().chain([&mut *oracle]) {
+                for edit in batch {
+                    apply_edit(w, &scenario, edit);
+                }
+                w.run().expect("the step succeeds");
+            }
+            assert_identical(pair, stage);
+            assert_eq!(result(&pair[0]), result(oracle), "diverged from whole puts {stage}");
+        };
+        step(&mut pair, &mut oracle, &[], &format!("at bootstrap (seed {seed})"));
+        for (n, batch) in script.iter().enumerate() {
+            let stage = format!("after step {n} (seed {seed}, {batch:?})");
+            step(&mut pair, &mut oracle, batch, &stage);
+        }
+        for w in &pair {
+            let (diffed, whole) =
+                (w.obs().get(obs_key::MAP_RESULT_DIFFED), w.obs().get(obs_key::MAP_RESULT_WHOLE));
+            assert!(diffed > 0 && whole > 1, "seed {seed}: {diffed} diffed, {whole} whole puts");
+        }
+    }
 }
 
 /// Mapping ids are positions in a generation pass's output, so the same
@@ -621,7 +989,7 @@ fn delete_everything_identical_across_modes() {
 #[test]
 fn store_backed_execution_matches_scratch_with_noop_reexecutions() {
     use vada_common::obs::{key, Obs};
-    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
+    use vada_map::ResultStore;
 
     for seed in [5u64, 23, 71] {
         // seed-logged so a failing case is reproducible from the test output
@@ -704,7 +1072,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
     use vada_common::obs::{key, Obs};
     use vada_common::{Relation, Schema};
     use vada_kb::{KnowledgeBase, MappingDef};
-    use vada_map::{ExecuteConfig, ResultStore};
+    use vada_map::ResultStore;
 
     let mut kb = KnowledgeBase::new();
     kb.set_obs(Obs::enabled());
@@ -758,7 +1126,7 @@ fn failed_refresh_surfaces_the_error_and_the_next_execution_recovers() {
 #[test]
 fn store_sessions_match_scratch_across_row_edits() {
     use vada_common::obs::{key, Obs};
-    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
+    use vada_map::ResultStore;
 
     let scenario = Scenario::generate(ScenarioConfig {
         universe: UniverseConfig { properties: 60, seed: 31 },
@@ -846,7 +1214,7 @@ fn a_failed_session_step_surfaces_the_error_and_the_next_execution_recovers() {
     use vada_common::obs::{key, Obs};
     use vada_common::{Relation, Schema};
     use vada_kb::{KnowledgeBase, MappingDef};
-    use vada_map::{execute_mapping, ExecuteConfig, ResultStore};
+    use vada_map::ResultStore;
 
     let mut kb = KnowledgeBase::new();
     kb.set_obs(Obs::enabled());
