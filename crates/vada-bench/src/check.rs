@@ -2,10 +2,10 @@
 //!
 //! Re-runs the baseline experiment families and diffs the *structural*
 //! channels (counters and span shapes) against the committed
-//! `BENCH_baseline.json`. Wall-clock numbers are never compared — they
-//! belong to the timing channel and drift with the machine. Counters are
-//! compared exactly unless a key carries a declared tolerance band
-//! (environment-sensitive magnitudes like `wal.bytes`); span shapes are
+//! `BENCH_baseline.json`. Wall-clock numbers are never compared — a span's
+//! `micros` drifts with the machine and no shape renders it. Every counter
+//! is compared exactly — `wal.bytes` included: the log never records a
+//! path, so its bytes reproduce from any directory — and span shapes are
 //! compared byte-for-byte. A key present on one side but not the other is
 //! a hard error in *either* direction: a vanished counter means lost
 //! coverage, a new one means the baseline is stale.
@@ -16,41 +16,13 @@
 
 use std::collections::BTreeMap;
 
-use vada_common::obs::{key, Json};
+use vada_common::obs::Json;
 
 use crate::experiments::incremental::{measure_families, BASELINE_PATH, BASELINE_SCHEMA};
 
-/// Relative tolerance for one counter key: `0.0` means exact match.
-/// The table is the declared list of environment-sensitive counters —
-/// everything else is scheduling-invariant and must reproduce exactly.
-pub fn tolerance(counter: &str) -> f64 {
-    match counter {
-        // WAL byte totals shift with serialization details the cost model
-        // does not pin (path lengths never land in the log, but record
-        // framing may breathe a little across environments)
-        k if k == key::WAL_BYTES => 0.10,
-        _ => 0.0,
-    }
-}
-
-/// The inclusive band a counter is allowed to land in, given its baseline
-/// value. Exact keys collapse to `[b, b]`; banded keys widen by the
-/// relative tolerance, rounded outward so integer observations on the
-/// boundary pass.
-pub fn allowed_band(counter: &str, baseline: u64) -> (u64, u64) {
-    let rel = tolerance(counter);
-    if rel == 0.0 {
-        return (baseline, baseline);
-    }
-    let b = baseline as f64;
-    let lo = (b * (1.0 - rel)).floor().max(0.0) as u64;
-    let hi = (b * (1.0 + rel)).ceil() as u64;
-    (lo, hi)
-}
-
 /// Diff one family's observed counter snapshot against its baseline.
 /// Returns one human-readable failure line per regression; an empty vec
-/// means the family's cost model is unchanged (within declared bands).
+/// means the family's cost model is unchanged.
 pub fn diff_counters(
     family: &str,
     baseline: &BTreeMap<String, u64>,
@@ -63,19 +35,10 @@ pub fn diff_counters(
                 "FAIL {family} / {k}: present in baseline ({b}) but missing from this run \
                  — structural coverage was lost"
             )),
-            Some(&o) => {
-                let (lo, hi) = allowed_band(k, b);
-                if o < lo || o > hi {
-                    let band = if lo == hi {
-                        format!("exactly {lo}")
-                    } else {
-                        format!("{lo}..={hi} (±{:.0}%)", tolerance(k) * 100.0)
-                    };
-                    failures.push(format!(
-                        "FAIL {family} / {k}: baseline {b}, observed {o}, allowed {band}"
-                    ));
-                }
-            }
+            Some(&o) if o != b => failures.push(format!(
+                "FAIL {family} / {k}: baseline {b}, observed {o}, allowed exactly {b}"
+            )),
+            Some(_) => {}
         }
     }
     for (k, &o) in observed {
@@ -239,7 +202,7 @@ pub fn run_check() -> Result<String, String> {
     if failures.is_empty() {
         Ok(format!(
             "bench --check: OK — {compared} counters across {} families match the \
-             baseline (declared bands respected), {shape_lines} span-tree lines \
+             baseline, {shape_lines} span-tree lines \
              byte-identical",
             base_counters.len()
         ))
@@ -272,21 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_counters_pass_in_band_and_fail_outside() {
-        let base = m(&[("wal.bytes", 1000)]);
-        assert!(diff_counters("fam", &base, &m(&[("wal.bytes", 1099)])).is_empty());
-        assert!(diff_counters("fam", &base, &m(&[("wal.bytes", 901)])).is_empty());
-        // the band is rounded outward, so the exact ±10% boundary passes
-        assert!(diff_counters("fam", &base, &m(&[("wal.bytes", 1100)])).is_empty());
-        let over = diff_counters("fam", &base, &m(&[("wal.bytes", 1101)]));
-        assert_eq!(over.len(), 1);
-        assert!(over[0].contains("900..=1100"), "{}", over[0]);
-        assert!(over[0].contains("±10%"), "{}", over[0]);
-        let under = diff_counters("fam", &base, &m(&[("wal.bytes", 899)]));
-        assert_eq!(under.len(), 1, "{under:?}");
-    }
-
-    #[test]
     fn missing_keys_are_hard_errors_in_both_directions() {
         let base = m(&[("a", 1), ("b", 2)]);
         let lost = diff_counters("fam", &base, &m(&[("a", 1)]));
@@ -312,12 +260,5 @@ mod tests {
         assert_eq!(diverged.len(), 1);
         assert!(diverged[0].contains("line 2"), "{}", diverged[0]);
         assert!(diverged[0].contains("datalog/run"), "{}", diverged[0]);
-    }
-
-    #[test]
-    fn band_math_rounds_outward_and_never_underflows() {
-        assert_eq!(allowed_band("wal.bytes", 0), (0, 0));
-        assert_eq!(allowed_band("wal.bytes", 10), (9, 11));
-        assert_eq!(allowed_band("anything.else", 7), (7, 7));
     }
 }

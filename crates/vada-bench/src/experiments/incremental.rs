@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vada_common::obs::{json_escape, Obs};
+use vada_common::obs::{json_escape, span_shape, Obs};
 use vada_common::{tuple, Relation, Schema, Tuple};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_datalog::{parse_program, Database, Engine, EngineConfig};
@@ -432,22 +432,6 @@ fn report_table<R: BaselineRow>(rows: &[R]) -> String {
     table(R::COLUMNS, &rows.iter().map(R::cells).collect::<Vec<_>>())
 }
 
-/// Canonical span-tree rendering for one experiment family, fit for exact
-/// comparison across runs: the `bytes` attribute is redacted because byte
-/// magnitudes are environment-sensitive (they get a tolerance band in the
-/// *counter* channel as `wal.bytes`, not exactness in the span channel).
-fn family_shapes(obs: &Obs) -> Vec<String> {
-    let records: Vec<_> = obs
-        .span_records()
-        .into_iter()
-        .map(|mut r| {
-            r.attrs.retain(|(k, _)| k != "bytes");
-            r
-        })
-        .collect();
-    vada_common::obs::span_shape(&records)
-}
-
 /// Everything one measurement pass produces: the structural rows feeding
 /// the human-readable report, plus the counters and span shapes that
 /// `BENCH_baseline.json` pins and `--check` diffs.
@@ -499,7 +483,8 @@ pub(crate) fn measure_families() -> Families {
         (EditRow::FAMILY, &edit_obs),
     ];
     let counters = families.iter().map(|(f, obs)| (*f, obs.counters())).collect();
-    let span_shapes = families.iter().map(|(f, obs)| (*f, family_shapes(obs))).collect();
+    let span_shapes =
+        families.iter().map(|(f, obs)| (*f, span_shape(&obs.span_records(), |_| true))).collect();
     Families { rows, retractions, recoveries, magics, wrangles, edits, counters, span_shapes }
 }
 
@@ -638,7 +623,7 @@ mod tests {
         assert!(built > 0 && built + loaded >= full, "{built} + {loaded} vs {full}");
         assert!(wobs.get("quality.metrics.computed") > 0);
         assert!(wobs.get("quality.metrics.reused") >= 2 * assembled, "{:?}", wobs.counters());
-        let wshapes = family_shapes(&wobs);
+        let wshapes = span_shape(&wobs.span_records(), |_| true);
         assert!(wshapes.iter().any(|l| l.contains("orchestrator/step")), "{wshapes:?}");
         // (every materialisation opens a map/execute span carrying the
         // mapping id: its position in the generation pass's output)
@@ -661,7 +646,7 @@ mod tests {
         // 17 records at an 8-event window: a checkpoint per window
         assert_eq!(snapshot.get("wal.compactions").copied(), Some(2));
         assert!(snapshot.get("magic.rewrite.applied").copied().unwrap_or(0) > 0);
-        let shapes = family_shapes(&obs);
+        let shapes = span_shape(&obs.span_records(), |_| true);
         assert!(
             shapes.iter().any(|l| l.contains("datalog/stratum")),
             "the measurement pass must record deep spans: {shapes:?}"
@@ -671,8 +656,8 @@ mod tests {
             "the recovery pass must record wal spans: {shapes:?}"
         );
         assert!(
-            shapes.iter().all(|l| !l.contains("bytes=")),
-            "byte magnitudes are redacted from the pinned shapes: {shapes:?}"
+            shapes.iter().filter(|l| l.contains("wal/append")).all(|l| l.contains(";bytes=")),
+            "byte magnitudes are pinned with the shapes: {shapes:?}"
         );
         let json = to_json(&Families {
             rows: vec![r],

@@ -12,9 +12,9 @@
 //!   *semantic events* (stratum passes, delta outcomes, WAL appends,
 //!   dep-cache patches), never scheduling artifacts;
 //! - a **span tree**: hierarchical [`SpanGuard`]s opened on coordinating
-//!   threads only, carrying structural attributes; wall-clock durations
-//!   are quarantined in a separate timing channel so structural output
-//!   stays byte-comparable;
+//!   threads only, carrying structural attributes; each span keeps its
+//!   wall-clock duration in its own [`SpanRecord::micros`], never in an
+//!   attribute, so a rendered [`span_shape`] stays byte-comparable;
 //! - a **report** ([`ObsReport`]) read after the run: a counter summary
 //!   ([`ObsReport::render`]) and a lossless JSON document
 //!   ([`ObsReport::to_json`]), which [`Json`] parses back.
@@ -36,10 +36,9 @@
 //! ## Cost contract
 //!
 //! [`Obs`] is a cheap clonable handle; [`Obs::disabled`] is a
-//! const-constructible no-op stub ([`Obs::disabled_ref`] hands out the
-//! `&'static` instance). When disabled, every counter call is a single
-//! branch, spans are elided entirely (no allocation, no lock), and no
-//! state is ever observable — the property suite pins this.
+//! const-constructible no-op stub. When disabled, every counter call is a
+//! single branch, spans are elided entirely (no allocation, no lock), and
+//! no state is ever observable — the property suite pins this.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -211,8 +210,8 @@ pub fn slug(s: &str) -> String {
 // collector
 // ---------------------------------------------------------------------
 
-/// One recorded span: a named stage with structural attributes. Durations
-/// live in the separate timing channel ([`Timing`]), never here.
+/// One recorded span: a named stage with structural attributes and the
+/// wall-clock time it took.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// 1-based id; 0 is the implicit root.
@@ -223,15 +222,9 @@ pub struct SpanRecord {
     pub name: String,
     /// Structural attributes in insertion order.
     pub attrs: Vec<(String, String)>,
-}
-
-/// One wall-clock measurement, quarantined from the structural channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timing {
-    /// The span this measurement belongs to.
-    pub span: u64,
-    /// Elapsed microseconds between open and close.
-    pub micros: u64,
+    /// Elapsed microseconds between open and close (`None` while open).
+    /// Not an attribute: [`span_shape`] never renders it.
+    pub micros: Option<u64>,
 }
 
 struct SpanState {
@@ -244,7 +237,6 @@ struct SpanState {
 pub struct ObsCollector {
     counters: Mutex<BTreeMap<String, u64>>,
     spans: Mutex<SpanState>,
-    timings: Mutex<Vec<Timing>>,
 }
 
 impl ObsCollector {
@@ -252,7 +244,6 @@ impl ObsCollector {
         ObsCollector {
             counters: Mutex::new(BTreeMap::new()),
             spans: Mutex::new(SpanState { records: Vec::new(), stack: Vec::new() }),
-            timings: Mutex::new(Vec::new()),
         }
     }
 }
@@ -288,13 +279,6 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// The `&'static` disabled stub, for call sites that want to borrow
-    /// an observability handle unconditionally.
-    pub fn disabled_ref() -> &'static Obs {
-        static DISABLED: Obs = Obs::disabled();
-        &DISABLED
-    }
-
     /// An enabled in-memory collector.
     pub fn enabled() -> Obs {
         Obs { inner: Some(Arc::new(ObsCollector::new())) }
@@ -309,13 +293,6 @@ impl Obs {
     /// determinism contract pins byte-identical in memory and durable.
     pub fn is_structural(name: &str) -> bool {
         name.starts_with("pipeline.")
-    }
-
-    /// Whether a span name belongs to the structural span class — the
-    /// spans pinned byte-identical in memory and durable (the rest of the
-    /// tree is mode-scoped: it exists only in its mode).
-    pub fn is_structural_span(name: &str) -> bool {
-        name.starts_with("orchestrator/")
     }
 
     /// Add `n` to the named monotone counter. No-op when disabled.
@@ -368,6 +345,7 @@ impl Obs {
                 parent,
                 name: name.to_string(),
                 attrs: Vec::new(),
+                micros: None,
             });
             spans.stack.push(id);
             id
@@ -393,32 +371,23 @@ impl Obs {
         }
     }
 
-    /// The timing channel: one entry per closed span, quarantined from
-    /// every structural surface.
-    pub fn timings(&self) -> Vec<Timing> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(c) => lock(&c.timings).clone(),
-        }
-    }
-
-    /// A full programmatic report: counters, span tree and timing channel.
+    /// A full programmatic report: counters and the span tree.
     pub fn report(&self) -> ObsReport {
         ObsReport {
             enabled: self.is_enabled(),
             counters: self.counters(),
             spans: self.span_records(),
-            timings: self.timings(),
         }
     }
 
-    /// Close span `id`: record the timing into the separate channel and
-    /// pop it from the open stack.
+    /// Close span `id`: record its duration and pop it from the open stack.
     fn close_span(&self, id: u64, started: Instant) {
         let Some(c) = &self.inner else { return };
         let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        lock(&c.timings).push(Timing { span: id, micros });
         let mut spans = lock(&c.spans);
+        if let Some(r) = spans.records.get_mut(id as usize - 1) {
+            r.micros = Some(micros);
+        }
         if let Some(pos) = spans.stack.iter().rposition(|&s| s == id) {
             spans.stack.truncate(pos);
         }
@@ -433,49 +402,34 @@ impl Obs {
     }
 }
 
-/// Canonical structural rendering of a span list: one line per span,
-/// `<id> <parent> <name> k=v;k=v` — ids, parent edges, names, and
-/// structural attributes only, never durations. Two trees are
-/// byte-comparable exactly when their shapes match, which is what the
-/// equivalence suites and the bench `--check` gate compare.
-pub fn span_shape(spans: &[SpanRecord]) -> Vec<String> {
-    spans.iter().map(shape_line).collect()
-}
-
-fn shape_line(s: &SpanRecord) -> String {
-    shape_line_with(s.id, s.parent, s)
-}
-
-fn shape_line_with(id: u64, parent: u64, s: &SpanRecord) -> String {
-    let mut line = format!("{id} {parent} {}", s.name);
-    for (i, (k, v)) in s.attrs.iter().enumerate() {
-        line.push(if i == 0 { ' ' } else { ';' });
-        line.push_str(k);
-        line.push('=');
-        line.push_str(v);
-    }
-    line
-}
-
-/// [`span_shape`] restricted to the structural span class
-/// ([`Obs::is_structural_span`]), with ids renumbered densely and each
-/// parent edge lifted to the nearest structural ancestor — so the
-/// rendering is identical across modes even though mode-scoped spans
-/// shift the absolute ids between runs.
-pub fn structural_span_shape(spans: &[SpanRecord]) -> Vec<String> {
+/// Canonical structural rendering of the spans `keep` selects: one line
+/// per span, `<id> <parent> <name> k=v;k=v` — ids, parent edges, names and
+/// structural attributes only, never durations. Kept spans are renumbered
+/// densely in open order and each parent edge is lifted to the nearest kept
+/// ancestor, so a slice renders the same across modes even though the
+/// spans left out shift the absolute ids; keeping every span renders the
+/// tree as recorded. Two trees are byte-comparable exactly when their
+/// shapes match, which is what the equivalence suites and the bench
+/// `--check` gate compare.
+pub fn span_shape(spans: &[SpanRecord], keep: impl Fn(&SpanRecord) -> bool) -> Vec<String> {
     let parent_of: BTreeMap<u64, u64> = spans.iter().map(|s| (s.id, s.parent)).collect();
-    let structural: Vec<&SpanRecord> =
-        spans.iter().filter(|s| Obs::is_structural_span(&s.name)).collect();
+    let kept: Vec<&SpanRecord> = spans.iter().filter(|s| keep(s)).collect();
     let renum: BTreeMap<u64, u64> =
-        structural.iter().enumerate().map(|(i, s)| (s.id, i as u64 + 1)).collect();
-    structural
-        .iter()
+        kept.iter().enumerate().map(|(i, s)| (s.id, i as u64 + 1)).collect();
+    kept.iter()
         .map(|s| {
             let mut p = s.parent;
             while p != 0 && !renum.contains_key(&p) {
                 p = parent_of.get(&p).copied().unwrap_or(0);
             }
-            shape_line_with(renum[&s.id], renum.get(&p).copied().unwrap_or(0), s)
+            let mut line = format!("{} {} {}", renum[&s.id], renum.get(&p).unwrap_or(&0), s.name);
+            for (i, (k, v)) in s.attrs.iter().enumerate() {
+                line.push(if i == 0 { ' ' } else { ';' });
+                line.push_str(k);
+                line.push('=');
+                line.push_str(v);
+            }
+            line
         })
         .collect()
 }
@@ -499,13 +453,15 @@ fn span_json(r: &SpanRecord) -> String {
         line.push_str(&json_escape(v));
         line.push('"');
     }
-    line.push_str("}}");
+    line.push_str("},\"micros\":");
+    line.push_str(&r.micros.map_or("null".to_string(), |m| m.to_string()));
+    line.push('}');
     line
 }
 
 /// RAII handle for an open span: attach structural attributes while the
-/// stage runs; the drop closes the span and records its duration into
-/// the quarantined timing channel. The disabled stub's guard does nothing.
+/// stage runs; the drop closes the span and records its duration on it.
+/// The disabled stub's guard does nothing.
 pub struct SpanGuard<'a> {
     obs: &'a Obs,
     /// 0 when the span was elided (disabled handle).
@@ -546,10 +502,8 @@ pub struct ObsReport {
     pub enabled: bool,
     /// Every counter, sorted by name.
     pub counters: BTreeMap<String, u64>,
-    /// The span tree in open order.
+    /// The span tree in open order, each span with its duration.
     pub spans: Vec<SpanRecord>,
-    /// The quarantined timing channel.
-    pub timings: Vec<Timing>,
 }
 
 impl ObsReport {
@@ -575,8 +529,7 @@ impl ObsReport {
         out
     }
 
-    /// Lossless JSON object: counters, spans and timings (a separate
-    /// array).
+    /// Lossless JSON object: counters, and spans with their `micros`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"enabled\":");
         out.push_str(if self.enabled { "true" } else { "false" });
@@ -598,13 +551,6 @@ impl ObsReport {
                 out.push(',');
             }
             out.push_str(&span_json(s));
-        }
-        out.push_str("],\"timings\":[");
-        for (i, t) in self.timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"span\":{},\"micros\":{}}}", t.span, t.micros));
         }
         out.push_str("]}");
         out
@@ -872,18 +818,9 @@ mod tests {
         assert_eq!(obs.get("anything"), 0);
         assert!(obs.counters().is_empty());
         assert_eq!(obs.span_records().len(), 0);
-        assert!(obs.timings().is_empty());
         let report = obs.report();
         assert!(!report.enabled);
         assert!(report.counters.is_empty() && report.spans.is_empty());
-    }
-
-    #[test]
-    fn disabled_ref_is_static_and_shared() {
-        let a = Obs::disabled_ref();
-        let b = Obs::disabled_ref();
-        assert!(std::ptr::eq(a, b));
-        assert!(!a.is_enabled());
     }
 
     #[test]
@@ -939,8 +876,8 @@ mod tests {
         assert_eq!(spans[1].parent, spans[0].id);
         assert_eq!(spans[2].parent, spans[0].id);
         assert_eq!(spans[1].attrs, vec![("transducer".into(), "mapping".into())]);
-        // durations live only in the timing channel, one per closed span
-        assert_eq!(obs.timings().len(), 3);
+        // every closed span carries its duration, never as an attribute
+        assert!(spans.iter().all(|s| s.micros.is_some()));
         assert!(spans.iter().all(|s| s.attrs.iter().all(|(k, _)| k != "micros")));
     }
 
@@ -963,7 +900,10 @@ mod tests {
         );
         let spans = parsed.get("spans").unwrap();
         match spans {
-            Json::Arr(items) => assert_eq!(items.len(), 1),
+            Json::Arr(items) => {
+                assert_eq!(items.len(), 1);
+                assert_eq!(items[0].get("micros").and_then(Json::as_u64), report.spans[0].micros);
+            }
             other => panic!("spans not an array: {other:?}"),
         }
         assert!(report.render().contains("pipeline.orchestrator.writes = 4"));
@@ -987,10 +927,10 @@ mod tests {
         }));
         assert!(result.is_err());
         // both guards closed on the way out: no dangling open spans, and
-        // each closed span recorded its timing
+        // each closed span recorded its duration
         assert_eq!(obs.open_span_count(), 0, "unwind must close every span");
         assert_eq!(obs.span_records().len(), 2);
-        assert_eq!(obs.timings().len(), 2);
+        assert!(obs.span_records().iter().all(|s| s.micros.is_some()));
         // a span opened after the panic is a clean top-level root, not a
         // child of a zombie
         {
@@ -1014,7 +954,7 @@ mod tests {
             }
         }
         let spans = obs.span_records();
-        let full = span_shape(&spans);
+        let full = span_shape(&spans, |_| true);
         assert_eq!(
             full,
             vec![
@@ -1025,7 +965,7 @@ mod tests {
         );
         // structural view renumbers densely and lifts parents over the
         // mode-scoped span in the middle
-        let structural = structural_span_shape(&spans);
+        let structural = span_shape(&spans, |s| s.name.starts_with("orchestrator/"));
         assert_eq!(
             structural,
             vec!["1 0 orchestrator/run steps=1", "2 1 orchestrator/step transducer=mapping"]

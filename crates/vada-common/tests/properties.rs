@@ -359,9 +359,8 @@ proptest! {
 proptest! {
     /// The disabled observability stub is observably free: any script of
     /// counter bumps, spans and attributes leaves no trace — no counter
-    /// values, no span ids, an empty report. This
-    /// is the property that lets `Obs::disabled_ref()` sit on every hot path
-    /// unconditionally.
+    /// values, no span ids, an empty report. This is the property that lets
+    /// a disabled handle sit on every hot path unconditionally.
     #[test]
     fn disabled_obs_collection_is_observably_free(
         script in proptest::collection::vec(("[a-z.]{1,12}", 0u64..1000), 0..24)
@@ -384,7 +383,6 @@ proptest! {
         prop_assert!(!report.enabled);
         prop_assert!(report.counters.is_empty());
         prop_assert!(report.spans.is_empty());
-        prop_assert!(report.timings.is_empty());
     }
 }
 

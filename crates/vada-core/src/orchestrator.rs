@@ -117,10 +117,6 @@ impl Orchestrator {
             }
             let chosen = self.policy.choose(&eligible, &self.transducers);
             let before = kb.version();
-            // before/after counter snapshots bracket the whole step, so
-            // the trace entry's delta includes everything the substrate
-            // tallied on the step's behalf (engine passes, WAL appends, …)
-            let counters_before = obs.counters();
             let span = obs.span("orchestrator/step");
             let started = Instant::now();
             let t = &mut self.transducers[chosen];
@@ -136,14 +132,6 @@ impl Orchestrator {
             span.attr("activity", t.activity().tag());
             span.attr("writes", outcome.writes);
             drop(span);
-            let counters = obs
-                .counters()
-                .into_iter()
-                .filter_map(|(name, v)| {
-                    let delta = v - counters_before.get(&name).copied().unwrap_or(0);
-                    (delta > 0).then_some((name, delta))
-                })
-                .collect();
             self.last_run.insert(t.name().to_string(), after);
             self.trace.push(TraceEntry {
                 step: self.step,
@@ -155,7 +143,6 @@ impl Orchestrator {
                 summary: outcome.summary,
                 writes: outcome.writes,
                 duration: started.elapsed(),
-                counters,
             });
             self.step += 1;
             executed += 1;

@@ -28,10 +28,6 @@ pub struct TraceEntry {
     pub writes: usize,
     /// Wall-clock duration.
     pub duration: Duration,
-    /// Observability counters this step moved: `(name, delta)` pairs in
-    /// name order, taken as a before/after snapshot of the orchestrator's
-    /// registry around the run. Empty when observability is disabled.
-    pub counters: Vec<(String, u64)>,
 }
 
 impl fmt::Display for TraceEntry {
@@ -98,54 +94,6 @@ impl Trace {
         }
         out
     }
-
-    /// Render only the stable fields — no wall-clock, no counters. Two
-    /// runs that wrangled identically produce identical `render_stable`
-    /// output at every knob setting, so it is safe to diff or snapshot.
-    pub fn render_stable(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The whole trace as one JSON object — lossless, including durations
-    /// (microseconds) and per-step counter deltas.
-    pub fn to_json(&self) -> String {
-        use vada_common::obs::json_escape;
-        let mut out = String::from("{\"entries\":[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"step\":{},\"transducer\":\"{}\",\"activity\":\"{}\",\
-                 \"input_dependency\":\"{}\",\"kb_version_before\":{},\
-                 \"kb_version_after\":{},\"summary\":\"{}\",\"writes\":{},\
-                 \"duration_micros\":{},\"counters\":{{",
-                e.step,
-                json_escape(&e.transducer),
-                e.activity.tag(),
-                json_escape(&e.input_dependency),
-                e.kb_version_before,
-                e.kb_version_after,
-                json_escape(&e.summary),
-                e.writes,
-                e.duration.as_micros(),
-            ));
-            for (j, (name, delta)) in e.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json_escape(name), delta));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +111,6 @@ mod tests {
             summary: "ok".into(),
             writes: 4,
             duration: Duration::from_millis(1),
-            counters: vec![("pipeline.orchestrator.steps".to_string(), 1)],
         }
     }
 
@@ -188,33 +135,5 @@ mod tests {
         assert!(s.contains("#7"));
         assert!(s.contains("cfd_learning"));
         assert!(s.contains("writes=4"));
-    }
-
-    #[test]
-    fn render_stable_has_no_wall_clock() {
-        let mut t = Trace::default();
-        t.push(entry(0, "schema_matching"));
-        assert!(t.render().contains("us)"));
-        assert!(!t.render_stable().contains("us)"));
-    }
-
-    #[test]
-    fn to_json_is_lossless_and_parses() {
-        let mut t = Trace::default();
-        t.push(entry(3, "mapping_execution"));
-        let json = t.to_json();
-        let doc = vada_common::obs::Json::parse(&json).unwrap();
-        let entries = doc.get("entries").unwrap().items().unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.get("step").unwrap().as_u64(), Some(3));
-        assert_eq!(e.get("transducer").unwrap().as_str(), Some("mapping_execution"));
-        assert_eq!(e.get("activity").unwrap().as_str(), Some("matching"));
-        assert_eq!(e.get("duration_micros").unwrap().as_u64(), Some(1000));
-        let counters = e.get("counters").unwrap();
-        assert_eq!(
-            counters.get("pipeline.orchestrator.steps").unwrap().as_u64(),
-            Some(1)
-        );
     }
 }

@@ -60,8 +60,10 @@ impl fmt::Display for Activity {
 pub struct RunOutcome {
     /// One-line summary for the trace.
     pub summary: String,
-    /// How many records/facts/cells the run wrote. A run that writes 0
-    /// does not re-trigger downstream transducers (fixpoint detection).
+    /// How many records/facts/cells the run wrote, as reported to the trace
+    /// and the `pipeline.orchestrator.writes` counter. Scheduling never
+    /// reads it: a downstream transducer re-fires when an aspect it reads
+    /// moved to a newer knowledge-base version, whatever this says.
     pub writes: usize,
 }
 

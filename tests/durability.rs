@@ -410,7 +410,7 @@ fn single_row_edits_checkpoint_once_per_window() {
 
 /// A knowledge base records nothing until a registry is attached. A
 /// stand-alone durable base — a long edit session outside any wrangler —
-/// keeps no counters, spans or timings for its edits and queries, however
+/// keeps no counters or spans for its edits and queries, however
 /// many it makes. An attached registry sees exactly the events after the
 /// attach, and a clone of the attached base records into nothing.
 #[test]
@@ -436,7 +436,7 @@ fn a_knowledge_base_records_nothing_until_a_registry_is_attached() {
     let report = kb.obs().report();
     assert!(!report.enabled, "a fresh base starts with the disabled stub");
     assert!(report.counters.is_empty(), "{:?}", report.counters);
-    assert!(report.spans.is_empty() && report.timings.is_empty(), "{} spans", report.spans.len());
+    assert!(report.spans.is_empty(), "{} spans", report.spans.len());
 
     let obs = Obs::enabled();
     kb.set_obs(obs.clone());
