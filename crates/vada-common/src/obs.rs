@@ -156,11 +156,16 @@ pub mod key {
     /// unchanged since it was built.
     pub const QUALITY_REF_REUSED: &str = "quality.reference.reused";
     /// Candidate parts whose metric tallies mapping quality counted over
-    /// their rows: once per version of a part's result.
+    /// all their rows: once per version of a part's result that has no
+    /// kept parent tally to follow.
     pub const QUALITY_METRICS_COMPUTED: &str = "quality.metrics.computed";
     /// Candidate parts whose kept tallies mapping quality used again — a
     /// part read by a union, or one no edit touched.
     pub const QUALITY_METRICS_REUSED: &str = "quality.metrics.reused";
+    /// Candidate parts whose tallies mapping quality derived from their
+    /// parent version's: the removed rows' tally taken away, the inserted
+    /// rows' added — once per version a session step made.
+    pub const QUALITY_METRICS_FOLLOWED: &str = "quality.metrics.followed";
     /// Result rows the repair transducer chased: every row after a
     /// relation-level change to the result or a change to what repair reads
     /// beside it, otherwise only the rows edited or inserted since its last

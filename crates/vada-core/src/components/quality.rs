@@ -1,7 +1,6 @@
 //! Quality transducers: CFD learning, source profiling, and per-mapping
 //! quality metrics.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use vada_common::error::guard_stage;
@@ -190,19 +189,23 @@ type Binding = (String, String, String);
 ///
 /// **Tallies.** Completeness, coverage and accuracy are ratios of integer
 /// counts ([`MetricTally`]): rows, non-null cells per target attribute, and
-/// `(hits, total)` per bound reference attribute. They are counted once per
+/// `(hits, total)` per bound reference attribute. They are kept per
 /// *version of a part* — a run's rows, as the store names them
-/// ([`Part::version`](vada_map::Part::version)) — and kept. A candidate's
-/// tally is the sum of its parts' tallies minus the tallies of the rows it
-/// drops, so a union is measured from its parts and never copied, and a
-/// part no edit touched is not counted again. The division comes last, with
-/// the same formulas as measuring the candidate's relation, so every
-/// quality fact is bit-identical to that. The kept tallies are dropped when
-/// the populations are rebuilt or the bindings or the target schema
-/// change, and a part version no candidate read in a run is forgotten at
-/// its end. Consistency does not add up over parts, since violation groups
-/// span them: it is measured on the candidate's relation — built, for a
-/// union, only when some CFD names only target attributes.
+/// ([`Part::version`](vada_map::Part::version)). A version a session step
+/// made names its parent ([`Part::parent`](vada_map::Part::parent)), and
+/// when the parent's tally is kept, the new one follows from it: the
+/// removed rows' tally taken away, the inserted rows' added. Only a version
+/// without a kept parent is measured over all its rows. A candidate's tally
+/// is the sum of its parts' tallies minus the tallies of the rows it drops,
+/// so a union is measured from its parts and never copied, and a part no
+/// edit touched is not counted again. The division comes last, with the
+/// same formulas as measuring the candidate's relation, so every quality
+/// fact is bit-identical to that. The kept tallies are dropped when the
+/// populations are rebuilt or the bindings or the target schema change,
+/// and a part version no candidate read in a run is forgotten at its end.
+/// Consistency does not add up over parts, since violation groups span
+/// them: it is measured on the candidate's relation — built, for a union,
+/// only when some CFD names only target attributes.
 #[derive(Debug, Default)]
 pub struct MappingQuality {
     store: SharedStore,
@@ -320,19 +323,30 @@ impl Transducer for MappingQuality {
         for mapping in &mappings {
             let candidate = store.candidate(&cfg, mapping, kb)?;
             let schema = candidate.schema();
+            let span = obs.span("quality/tally");
+            let (mut measured, mut followed) = (0usize, 0usize);
+            let mut count = |rows: Vec<&Tuple>| measure(rows, schema, &bindings, populations);
             let mut tally: Option<MetricTally> = None;
             for part in candidate.parts() {
                 read.insert(part.version);
-                let counted = match tallies.by_version.entry(part.version) {
-                    Entry::Occupied(kept) => {
-                        obs.incr(obs_key::QUALITY_METRICS_REUSED);
-                        kept.into_mut()
-                    }
-                    Entry::Vacant(slot) => {
-                        obs.incr(obs_key::QUALITY_METRICS_COMPUTED);
-                        slot.insert(measure(part.rows.iter(), schema, &bindings, populations))
-                    }
-                };
+                let rows = part.rows.tuples();
+                let at = |positions: &[usize]| positions.iter().map(|&row| &rows[row]).collect();
+                if tallies.by_version.contains_key(&part.version) {
+                    obs.incr(obs_key::QUALITY_METRICS_REUSED);
+                } else if let Some(mut counted) =
+                    part.parent.and_then(|parent| tallies.by_version.get(&parent)).cloned()
+                {
+                    obs.incr(obs_key::QUALITY_METRICS_FOLLOWED);
+                    followed += 1;
+                    counted.subtract(&count(part.removed.iter().collect()));
+                    counted.add(&count(at(part.inserted)));
+                    tallies.by_version.insert(part.version, counted);
+                } else {
+                    obs.incr(obs_key::QUALITY_METRICS_COMPUTED);
+                    measured += 1;
+                    tallies.by_version.insert(part.version, count(rows.iter().collect()));
+                }
+                let counted = &tallies.by_version[&part.version];
                 let sum = match &mut tally {
                     Some(sum) => {
                         sum.add(counted);
@@ -341,10 +355,12 @@ impl Transducer for MappingQuality {
                     None => tally.insert(counted.clone()),
                 };
                 if !part.dropped.is_empty() {
-                    let dropped = part.dropped.iter().map(|&row| &part.rows.tuples()[row]);
-                    sum.subtract(&measure(dropped, schema, &bindings, populations));
+                    sum.subtract(&count(at(part.dropped)));
                 }
             }
+            span.attr("measured", measured);
+            span.attr("followed", followed);
+            drop(span);
             let tally = tally.expect("a candidate has at least one part");
             let mut add = |metric: &str, criterion: String, value: f64| {
                 kb.add_quality(mapping_fact(&mapping.id, metric, criterion, value));
@@ -589,21 +605,26 @@ mod tests {
         kb.add_mapping(candidate("rm", &[(rm, "rightmove")]));
         kb.add_mapping(candidate("otm", &[(om, "onthemarket")]));
         kb.add_mapping(candidate("union", &[(rm, "rightmove"), (om, "onthemarket")]));
-        let keys = [obs_key::QUALITY_METRICS_COMPUTED, obs_key::QUALITY_METRICS_REUSED];
+        let keys = [
+            obs_key::QUALITY_METRICS_COMPUTED,
+            obs_key::QUALITY_METRICS_REUSED,
+            obs_key::QUALITY_METRICS_FOLLOWED,
+        ];
         let tallies = || keys.map(|k| obs.get(k));
         let mut t = MappingQuality::default();
         t.run(&mut kb).unwrap();
         assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
         // the two parts measured, the union derived from them
-        assert_eq!(tallies(), [2, 2]);
+        assert_eq!(tallies(), [2, 2, 0]);
 
-        // an edit to rightmove: its part is measured again, the rest kept
+        // an edit to rightmove: its part's tally follows the edit from the
+        // previous version's, the rest are kept
         let mut rows = kb.relation("rightmove").unwrap().clone();
         rows.push(tuple!["99", "5 queens dr", "EH1 1AA"]).unwrap();
         kb.register_source(rows);
         t.run(&mut kb).unwrap();
         assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
-        assert_eq!(tallies(), [2 + 1, 2 + 3]);
+        assert_eq!(tallies(), [2, 2 + 3, 1]);
 
         // a CFD over target attributes: consistency needs the union's rows
         kb.add_cfd(CfdRule {
@@ -630,6 +651,6 @@ mod tests {
         let before = tallies();
         t.run(&mut kb).unwrap();
         assert_eq!(mapping_facts(&kb), measured_from_scratch(&kb));
-        assert_eq!(tallies(), [before[0] + 2, before[1] + 2]);
+        assert_eq!(tallies(), [before[0] + 2, before[1] + 2, before[2]]);
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! Its consumer in the wrangle is the mapping result store
 //! (`vada_map::ResultStore`): a stand-alone mapping part keeps a session
-//! from its first refresh after a row-level source edit on, and the store
+//! from its first refresh after a row-level source edit on. The session
+//! [adopts](IncrementalSession::adopt) the part's last engine run — its
+//! input and whole output, so nothing is derived twice — and the store
 //! feeds it the knowledge-base journal's appended, removed and tail-rewritten
 //! rows as [`apply`](IncrementalSession::apply) and
 //! [`retract`](IncrementalSession::retract) steps.
@@ -27,9 +29,16 @@
 //! [`IncrementalSession::retract`] removes extensional facts and maintains
 //! the materialization in O(change) by **derivation counting**, the
 //! classic algorithm for non-recursive views. The session keeps per-fact,
-//! per-rule derivation counts (captured lazily on the first retraction
-//! after a full run — append-only workloads never pay for them — then
-//! maintained by both the append and the deletion path). A deletion
+//! per-rule derivation counts, maintained by both the append and the
+//! deletion path. A rule that derives each fact at most once — every
+//! variable its positive literals bind is in its head, or computed from
+//! head variables — keeps none: it counts 1 for exactly the facts it
+//! emits, which a single-rule head's facts, or a tracked head's segment
+//! (condition 6 below), already record. A tracked multi-rule head's other
+//! counts come with its segments, from the one enumeration that captures
+//! them after a full or adopted run; every other counted head's are
+//! captured on the first retraction after it — append-only workloads never
+//! pay for them. A deletion
 //! enumerates exactly the destroyed derivations — each rule runs once per
 //! shrunk body occurrence with that occurrence bound to the removed facts,
 //! earlier occurrences reading the post-removal view and later ones the
@@ -135,7 +144,7 @@ use vada_common::obs::{key as obs_key, slug, Obs};
 use vada_common::{Result, Tuple, VadaError};
 
 use crate::analysis::{stratify, Stratification};
-use crate::ast::{Literal, Program};
+use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule};
 use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
 use crate::index::IndexStore;
 use crate::parser::parse_program;
@@ -221,6 +230,9 @@ struct ProgramInfo {
     /// Heads maintained by derivation counting under retractions:
     /// non-cyclic, no aggregate rule, no ground facts.
     counted: BTreeSet<String>,
+    /// Counted heads whose every defining rule is [`injective`]: a rule
+    /// derives each fact of the head at most once.
+    unit: BTreeSet<String>,
     /// Heads whose scratch insertion order equals the emission order of
     /// their defining rules over the final database — every rule is
     /// *initial-complete*: each same-stratum derived body predicate is
@@ -334,6 +346,11 @@ impl ProgramInfo {
                 counted.insert(head.clone());
             }
         }
+        let unit = counted
+            .iter()
+            .filter(|h| defining[*h].iter().all(|&ri| injective(&program.rules[ri])))
+            .cloned()
+            .collect();
         // the retraction plan's units: the counted heads, none on a cycle,
         // so a head that reaches another has strictly fewer ancestors and
         // sorting by that count is a topological order
@@ -377,9 +394,41 @@ impl ProgramInfo {
             rules,
             tracked_candidates,
             counted,
+            unit,
             order_reconstructible,
             units,
         })
+    }
+}
+
+/// Whether no two bindings of `rule`'s body give the same head tuple, so the
+/// rule derives each fact at most once: every variable a positive literal
+/// binds is a head variable, or computed by an `=` from such variables.
+fn injective(rule: &Rule) -> bool {
+    if rule.has_aggregate() || !rule.existential_vars().is_empty() {
+        return false;
+    }
+    let mut known: BTreeSet<_> = (rule.head_terms.iter())
+        .filter_map(|t| match t {
+            HeadTerm::Term(t) => t.var(),
+            HeadTerm::Agg(..) => None,
+        })
+        .collect();
+    loop {
+        let before = known.len();
+        for lit in &rule.body {
+            let Literal::Cmp(CmpOp::Eq, l, r) = lit else { continue };
+            for (var, expr) in [(l.as_var(), r), (r.as_var(), l)] {
+                let mut inputs = BTreeSet::new();
+                expr.vars(&mut inputs);
+                if let Some(var) = var.filter(|_| inputs.is_subset(&known)) {
+                    known.insert(var);
+                }
+            }
+        }
+        if known.len() == before {
+            return rule.positive_vars().is_subset(&known);
+        }
     }
 }
 
@@ -450,7 +499,8 @@ impl HeadSegments {
 /// (input prefix + per-rule emissions), per-rule derivation counts and
 /// emission segments (slot-aligned with `info.defining[head]`), the
 /// region ends in `rebuilt` (as [`HeadSegments::ends`]), and the total
-/// emission count. Produced by `IncrementalSession::enumerate_head`.
+/// emission count. Produced by `IncrementalSession::enumerate_head`;
+/// `counts` is empty unless asked for.
 struct HeadEnumeration {
     rebuilt: FactSet,
     counts: Vec<(usize, HashMap<Tuple, u64>)>,
@@ -473,12 +523,14 @@ pub struct IncrementalSession {
     /// Emission segments for tracked multi-rule terminal heads.
     segments: BTreeMap<String, HeadSegments>,
     /// Per counted head, aligned with its defining rules in program order:
-    /// derivation counts over the current materialization. Captured
-    /// *lazily* on the first retraction after a full run (append-only
-    /// workloads never pay for them), incremented by append deltas,
-    /// decremented by retractions; a fact leaves exactly when its total
-    /// reaches zero. `None` until captured.
-    counts: Option<BTreeMap<String, Vec<(usize, HashMap<Tuple, u64>)>>>,
+    /// derivation counts over the current materialization. A tracked head's
+    /// come with its segments, from the same enumeration; every other
+    /// head's are captured on the first retraction after a full run
+    /// (append-only workloads never pay for them). Incremented by append
+    /// deltas, decremented by retractions; a fact leaves exactly when its
+    /// total reaches zero. A head is absent until captured, and for good
+    /// when its counts are [implicit](IncrementalSession::implicit).
+    counts: BTreeMap<String, Vec<(usize, HashMap<Tuple, u64>)>>,
     /// Counted heads whose captured per-rule emission order reproduced the
     /// scratch insertion order exactly — the heads the order-repair step
     /// may rebuild by re-enumeration. Captured together with `counts`.
@@ -534,7 +586,7 @@ impl IncrementalSession {
             base: Database::new(),
             db: Database::new(),
             segments: BTreeMap::new(),
-            counts: None,
+            counts: BTreeMap::new(),
             order_exact: BTreeSet::new(),
             store,
             last: None,
@@ -557,14 +609,36 @@ impl IncrementalSession {
     /// for the counting invariants.
     #[doc(hidden)]
     pub fn derivation_counts(&self, pred: &str) -> Option<HashMap<Tuple, u64>> {
-        let per_rule = self.counts.as_ref()?.get(pred)?;
         let mut total: HashMap<Tuple, u64> = HashMap::new();
-        for (_, counts) in per_rule {
+        if self.implicit(pred) {
+            let emitted: Vec<&[Tuple]> = match self.segments.get(pred) {
+                Some(segs) => segs.by_rule.iter().map(|(_, seg)| seg.tuples()).collect(),
+                None => vec![self.db.facts(pred)],
+            };
+            for t in emitted.into_iter().flatten() {
+                *total.entry(t.clone()).or_insert(0) += 1;
+            }
+            return Some(total);
+        }
+        for (_, counts) in self.counts.get(pred)? {
             for (t, n) in counts {
                 *total.entry(t.clone()).or_insert(0) += n;
             }
         }
         Some(total)
+    }
+
+    /// Whether counted `head`'s derivation counts go without keeping: its
+    /// rules each derive a fact at most once (`ProgramInfo::unit`), so a
+    /// rule counts 1 for exactly the facts it emits — the head's facts for
+    /// a single rule whose head has no input facts, a rule's segment for a
+    /// tracked head.
+    fn implicit(&self, head: &str) -> bool {
+        self.info.unit.contains(head)
+            && match self.info.defining[head].len() {
+                1 => self.base.fact_set(head).is_none_or(|f| f.is_empty()),
+                _ => self.segments.contains_key(head),
+            }
     }
 
     /// The materialized database (inputs plus everything derived).
@@ -628,6 +702,25 @@ impl IncrementalSession {
         self.full_run(input, DeltaMode::Bootstrap, None, 0, 0)
     }
 
+    /// A session for `source` that starts from a run the caller already
+    /// has: `output` is the whole database [`Engine::run`] derived from
+    /// `input` under this program. Nothing is derived again; the session
+    /// is then exactly what [`run_full`](IncrementalSession::run_full) over
+    /// `input` leaves, and its step is tallied as a bootstrap.
+    pub fn adopt(
+        config: EngineConfig,
+        source: &str,
+        input: Database,
+        output: Database,
+    ) -> Result<IncrementalSession> {
+        let mut session = IncrementalSession::new(config, source)?;
+        let obs = session.obs.clone();
+        let span = obs.span("incremental/adopt");
+        span.attr("facts", input.total_facts());
+        session.settle(input, output, DeltaMode::Bootstrap, None, 0, 0)?;
+        Ok(session)
+    }
+
     fn full_run(
         &mut self,
         input: Database,
@@ -637,12 +730,27 @@ impl IncrementalSession {
         removed_facts: usize,
     ) -> Result<&Database> {
         let db = self.engine.run(&self.program, input.clone())?;
+        self.settle(input, db, mode, fallback_reason, delta_facts, removed_facts)?;
+        Ok(&self.db)
+    }
+
+    /// Take `db`, the program's fixpoint over `input`, as the whole session
+    /// state — the one path both a full run and an adopted run end in:
+    /// capture the tracked heads' segments (and their counts), drop every
+    /// other count, and record the step.
+    fn settle(
+        &mut self,
+        input: Database,
+        db: Database,
+        mode: DeltaMode,
+        fallback_reason: Option<String>,
+        delta_facts: usize,
+        removed_facts: usize,
+    ) -> Result<()> {
         let derived = db.total_facts().saturating_sub(input.total_facts());
         // the new database's epochs say nothing about the old one's rows
         self.store.reset();
-        self.segments = self.capture_segments(&input, &db)?;
-        self.counts = None;
-        self.order_exact = BTreeSet::new();
+        self.capture_segments(&input, &db)?;
         self.base = input;
         self.db = db;
         self.poisoned = false;
@@ -655,7 +763,7 @@ impl IncrementalSession {
             derived_facts: derived,
             ..DeltaOutcome::noop()
         });
-        Ok(&self.db)
+        Ok(())
     }
 
     /// Refuse a delta or a retraction before bootstrap, or after a failed
@@ -680,19 +788,34 @@ impl IncrementalSession {
     /// stratum). A head whose reconstruction does not reproduce the
     /// scratch order exactly is silently dropped from tracking — deltas
     /// touching it then fall back to full runs instead of risking drift.
-    fn capture_segments(
-        &self,
-        input: &Database,
-        db: &Database,
-    ) -> Result<BTreeMap<String, HeadSegments>> {
-        let mut out = BTreeMap::new();
+    /// The same enumeration counts derivations: a counted candidate keeps
+    /// them, unless its rules are injective (tracked, its counts are then
+    /// implicit), and is order-exact exactly when it is tracked. Every other
+    /// count is dropped, for [`ensure_counts`](Self::ensure_counts).
+    fn capture_segments(&mut self, input: &Database, db: &Database) -> Result<()> {
+        let mut segments = BTreeMap::new();
+        let mut counts = BTreeMap::new();
+        let mut order_exact = BTreeSet::new();
         for head in &self.info.tracked_candidates {
-            let e = self.enumerate_head(head, input, db)?;
-            if e.rebuilt.tuples() == db.facts(head) {
-                out.insert(head.clone(), HeadSegments { by_rule: e.segments, ends: e.ends });
+            let unit = self.info.unit.contains(head);
+            let e = self.enumerate_head(head, input, db, !unit)?;
+            let exact = e.rebuilt.tuples() == db.facts(head);
+            if self.info.counted.contains(head) {
+                if exact {
+                    order_exact.insert(head.clone());
+                }
+                if !unit {
+                    counts.insert(head.clone(), e.counts);
+                }
+            }
+            if exact {
+                segments.insert(head.clone(), HeadSegments { by_rule: e.segments, ends: e.ends });
             }
         }
-        Ok(out)
+        self.segments = segments;
+        self.counts = counts;
+        self.order_exact = order_exact;
+        Ok(())
     }
 
     /// Re-enumerate the defining rules of `head` over `db`, in the slot
@@ -708,6 +831,7 @@ impl IncrementalSession {
         head: &str,
         prefix: &Database,
         db: &Database,
+        count: bool,
     ) -> Result<HeadEnumeration> {
         let mut rebuilt = FactSet::default();
         if let Some(p) = prefix.fact_set(head) {
@@ -725,7 +849,9 @@ impl IncrementalSession {
             let mut cnt: HashMap<Tuple, u64> = HashMap::new();
             for t in self.engine.eval_rule(&cr, db, None, Some(&self.store), None)? {
                 emissions += 1;
-                *cnt.entry(t.clone()).or_insert(0) += 1;
+                if count {
+                    *cnt.entry(t.clone()).or_insert(0) += 1;
+                }
                 seg.insert(t.clone());
                 rebuilt.insert(t);
             }
@@ -736,29 +862,33 @@ impl IncrementalSession {
         Ok(HeadEnumeration { rebuilt, counts, segments, ends, emissions })
     }
 
-    /// Capture derivation counts for every counted head over the *current*
-    /// materialization, plus the set of heads whose reconstructed emission
-    /// order reproduces the stored insertion order exactly (the heads the
-    /// order-repair step may rebuild by re-enumeration). Lazy: runs on the
-    /// first retraction after a full run, so append-only workloads never
-    /// re-enumerate rules for bookkeeping they do not use; from then on
-    /// the append and deletion paths keep the counts in step until the
-    /// next full run drops them.
+    /// Capture derivation counts over the *current* materialization for
+    /// every counted head the full run's segment capture did not count and
+    /// whose counts are not [implicit](Self::implicit), noting which of
+    /// them reproduce the stored insertion order exactly when re-enumerated
+    /// (the heads the order-repair step may rebuild). Called on every
+    /// retraction, it enumerates only on the first after a full run, so
+    /// append-only workloads never re-enumerate rules for bookkeeping they
+    /// do not use; from then on the append and deletion paths keep every
+    /// count in step until the next full run drops them.
     fn ensure_counts(&mut self) -> Result<()> {
-        if self.counts.is_some() {
+        let missing: Vec<String> = (self.info.counted.iter())
+            .filter(|h| !self.counts.contains_key(*h) && !self.implicit(h))
+            .cloned()
+            .collect();
+        if missing.is_empty() {
             return Ok(());
         }
-        let mut counts = BTreeMap::new();
-        let mut order_exact = BTreeSet::new();
-        for head in self.info.counted.clone() {
-            let e = self.enumerate_head(&head, &self.base, &self.db)?;
+        let obs = self.obs.clone();
+        let span = obs.span("incremental/counts");
+        span.attr("heads", missing.len());
+        for head in missing {
+            let e = self.enumerate_head(&head, &self.base, &self.db, true)?;
             if e.rebuilt.tuples() == self.db.facts(&head) {
-                order_exact.insert(head.clone());
+                self.order_exact.insert(head.clone());
             }
-            counts.insert(head, e.counts);
+            self.counts.insert(head, e.counts);
         }
-        self.counts = Some(counts);
-        self.order_exact = order_exact;
         Ok(())
     }
 
@@ -976,7 +1106,7 @@ impl IncrementalSession {
                     let pred = cr.rule.head_pred.as_str();
                     // every emission is one new derivation: keep the
                     // retraction path's counts (if captured) in step
-                    if let Some(rcs) = self.counts.as_mut().and_then(|c| c.get_mut(pred)) {
+                    if let Some(rcs) = self.counts.get_mut(pred) {
                         let (_, cnt) = rcs
                             .iter_mut()
                             .find(|(r, _)| *r == ri)
@@ -1165,6 +1295,14 @@ impl IncrementalSession {
         // reader enumerates its inputs in their insertion order
         let suspects = self.closure_of(suspects);
         for p in &suspects {
+            // a head counted implicitly was never enumerated: check now
+            let reconstructible = self.info.order_reconstructible.contains(p);
+            if reconstructible && !self.order_exact.contains(p) && self.implicit(p) {
+                let e = self.enumerate_head(p, &self.base, &self.db, false)?;
+                if e.rebuilt.tuples() == self.db.facts(p) {
+                    self.order_exact.insert(p.clone());
+                }
+            }
             let multi = self.info.defining.get(p).map_or(0, |v| v.len()) >= 2;
             let repairable = self.info.order_reconstructible.contains(p)
                 && self.order_exact.contains(p)
@@ -1186,12 +1324,8 @@ impl IncrementalSession {
             }
         }
         for (head, head_dec) in &dec {
-            let per_rule = self
-                .counts
-                .as_mut()
-                .expect("counts captured before planning")
-                .get_mut(head)
-                .expect("counted head has counts");
+            // implicit counts: the decrement is the emission leaving
+            let Some(per_rule) = self.counts.get_mut(head) else { continue };
             for (slot, dmap) in head_dec.iter().enumerate() {
                 let (_, cmap) = &mut per_rule[slot];
                 for (t, d) in dmap {
@@ -1217,11 +1351,10 @@ impl IncrementalSession {
         // per-rule count reaches zero
         for (head, head_dec) in &dec {
             if let Some(segs) = self.segments.get_mut(head) {
-                let per_rule = &self.counts.as_ref().expect("counts captured")[head];
+                let per_rule = self.counts.get(head);
                 for (slot, (_, seg)) in segs.by_rule.iter_mut().enumerate() {
-                    seg.remove_all(
-                        head_dec[slot].keys().filter(|t| !per_rule[slot].1.contains_key(*t)),
-                    );
+                    let left = |t: &&Tuple| per_rule.is_none_or(|c| !c[slot].1.contains_key(*t));
+                    seg.remove_all(head_dec[slot].keys().filter(left));
                 }
             }
         }
@@ -1299,21 +1432,28 @@ impl IncrementalSession {
                 emit_order.push(t);
             }
         }
-        let per_rule = self
-            .counts
-            .as_ref()
-            .expect("counts captured before planning")
-            .get(head)
-            .expect("counted head has counts");
+        let per_rule = self.counts.get(head);
+        if per_rule.is_none() && !self.implicit(head) {
+            return Err(VadaError::Eval(format!(
+                "counts of `{head}` not captured before planning (internal invariant)"
+            )));
+        }
         let mut decided: HashSet<Tuple> = HashSet::new();
         for t in emit_order {
             if !decided.insert(t.clone()) {
                 continue;
             }
-            let old: u64 = per_rule
-                .iter()
-                .map(|(_, c)| c.get(&t).copied().unwrap_or(0))
-                .sum();
+            // an implicit count is 1 per rule emitting the fact, and a
+            // destroyed derivation was emitted
+            let old: u64 = match (per_rule, self.segments.get(head)) {
+                (Some(per_rule), _) => {
+                    per_rule.iter().map(|(_, c)| c.get(&t).copied().unwrap_or(0)).sum()
+                }
+                (None, Some(segs)) => {
+                    segs.by_rule.iter().map(|(_, seg)| u64::from(seg.contains(&t))).sum()
+                }
+                (None, None) => 1,
+            };
             let lost: u64 = head_dec.iter().map(|c| c.get(&t).copied().unwrap_or(0)).sum();
             if lost > old {
                 return Err(VadaError::Eval(format!(
@@ -1341,8 +1481,9 @@ impl IncrementalSession {
     /// refreshing its counts and segments. Returns the rebuilt fact set
     /// and the number of derivations enumerated (the repair work).
     fn repair_head_order(&mut self, head: &str) -> Result<(FactSet, usize)> {
-        let e = self.enumerate_head(head, &self.base, &self.db)?;
-        if let Some(per_rule) = self.counts.as_mut().and_then(|c| c.get_mut(head)) {
+        let count = self.counts.contains_key(head);
+        let e = self.enumerate_head(head, &self.base, &self.db, count)?;
+        if let Some(per_rule) = self.counts.get_mut(head) {
             *per_rule = e.counts;
         }
         if let Some(segs) = self.segments.get_mut(head) {
@@ -2014,6 +2155,26 @@ mod tests {
         assert_eq!(out.mode, DeltaMode::FullFallback);
         assert!(out.fallback_reason.as_deref().unwrap().contains("derived"), "{out:?}");
         assert_eq!(dump(s.database()), scratch(src, &input));
+    }
+
+    #[test]
+    fn injective_rules_are_those_whose_head_fixes_the_binding() {
+        let injective_of = |src: &str| {
+            parse_program(src).unwrap().rules.iter().map(injective).collect::<Vec<_>>()
+        };
+        // every body variable in the head, or computed from head variables
+        assert_eq!(
+            injective_of(
+                "p(S, PC, C) :- rm(S, PC), D = district(PC), D != null, dep(D, C). \
+                 q(X) :- r(X, Y), Y = X + 1. w(X, Z) :- q(X), s(X, Z), not t(Z, X)."
+            ),
+            [true, true, true]
+        );
+        // a variable projected away, an existential head, an aggregate
+        assert_eq!(
+            injective_of("q(X) :- r(X, _). e(X, Y) :- r(X, X). n(X, count(Y)) :- r(X, Y)."),
+            [false, false, false]
+        );
     }
 
     #[test]

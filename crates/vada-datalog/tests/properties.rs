@@ -391,6 +391,104 @@ proptest! {
     }
 
     #[test]
+    fn adopted_sessions_match_full_runs_after_every_edit(
+        rows in proptest::collection::vec((0u8..4, 0u8..5, 0u8..8), 1..30),
+        script in proptest::collection::vec((0u8..3, 0u8..4, 0u8..5, 0u8..8), 1..16)
+    ) {
+        // tracked multi-rule terminal heads: `all`, whose rules project a
+        // variable away, so its counts come with its segments, and `both`,
+        // whose rules derive a fact once each, so its segments are its
+        // counts; `picked` counted on the first retraction, and `wide`,
+        // downstream of it, derived once per binding
+        use vada_datalog::incremental::IncrementalSession;
+        use vada_datalog::parser::parse_query;
+        use vada_datalog::EngineConfig;
+        let src = "all(X) :- a(X, Y). all(X) :- b(X, Y). \
+                   both(X, Y) :- a(X, Y). both(X, Y) :- b(X, Y). \
+                   picked(X) :- a(X, Y), k(Y). wide(X, Z) :- picked(X), w(X, Z).";
+        // per counted head, one body per defining rule: the oracle counts a
+        // fact's derivations as the distinct bindings of those bodies (the
+        // head is the prefix of the binding) over the scratch fixpoint
+        let bodies = [
+            ("all", "a(X, Y)"),
+            ("all", "b(X, Y)"),
+            ("both", "a(X, Y)"),
+            ("both", "b(X, Y)"),
+            ("picked", "a(X, Y), k(Y)"),
+            ("wide", "picked(X), w(X, Z)"),
+        ];
+        let fact = |pred: u8, x: u8, y: u8| {
+            let name = ["a", "b", "k", "w"][pred as usize];
+            let t = if name == "k" { tuple![y as i64] } else { tuple![x as i64, y as i64] };
+            (name.to_string(), t)
+        };
+        let mut input = Database::new();
+        for &(p, x, y) in &rows {
+            let (name, t) = fact(p, x, y);
+            input.insert(&name, t);
+        }
+        let program = parse_program(src).unwrap();
+        let output = Engine::default().run(&program, input.clone()).unwrap();
+        let mut adopted =
+            IncrementalSession::adopt(EngineConfig::default(), src, input.clone(), output).unwrap();
+        let mut full = IncrementalSession::new(EngineConfig::default(), src).unwrap();
+        full.run_full(input.clone()).unwrap();
+        for head in ["all", "both"] {
+            let counted = adopted.derivation_counts(head).is_some();
+            prop_assert!(counted, "{} counted with the segments", head);
+        }
+
+        for (step, &(op, p, x, y)) in script.iter().enumerate() {
+            let delta = if op == 0 {
+                // retract an existing fact, picked structurally
+                let name = fact(p, 0, 0).0;
+                let facts = input.facts(&name);
+                if facts.is_empty() {
+                    continue;
+                }
+                let t = facts[(x as usize * 8 + y as usize) % facts.len()].clone();
+                input.remove(&name, &t);
+                vec![(name, t)]
+            } else {
+                let delta = vec![fact(p, x, y), fact(p, (x + 1) % 5, y)];
+                for (name, t) in &delta {
+                    input.insert(name, t.clone());
+                }
+                delta
+            };
+            for session in [&mut adopted, &mut full] {
+                if op == 0 {
+                    session.retract(delta.clone()).unwrap();
+                } else {
+                    session.apply(delta.clone()).unwrap();
+                }
+            }
+            let (got, want) = (adopted.database(), full.database());
+            prop_assert_eq!(got.predicates(), want.predicates(), "step {}", step);
+            for pred in want.predicates() {
+                prop_assert_eq!(got.facts(pred), want.facts(pred), "step {}: {}", step, pred);
+            }
+            let scratch = Engine::default().run(&program, input.clone()).unwrap();
+            for head in ["all", "both", "picked", "wide"] {
+                let mut oracle: std::collections::HashMap<Tuple, u64> = Default::default();
+                for (_, body) in bodies.iter().filter(|(h, _)| *h == head) {
+                    let query = parse_query(body).unwrap();
+                    for binding in Engine::default().eval_query(&query, &scratch).unwrap() {
+                        let arity = scratch.facts(head).first().map_or(0, |t| t.arity());
+                        let fact: Tuple = binding.iter().take(arity).cloned().collect();
+                        *oracle.entry(fact).or_insert(0) += 1;
+                    }
+                }
+                for session in [&adopted, &full] {
+                    if let Some(counts) = session.derivation_counts(head) {
+                        prop_assert_eq!(&counts, &oracle, "step {}: counts of {}", step, head);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn magic_restriction_equals_full_on_demanded_atoms(
         edges in proptest::collection::vec((0u8..10, 0u8..10), 1..40),
         start in 0u8..10

@@ -1,6 +1,7 @@
 //! Mapping execution: run the Vadalog program against the source
 //! relations and coerce the answers into the typed target schema.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use vada_common::obs::{key as obs_key, SpanGuard};
@@ -61,16 +62,24 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
     }
 }
 
+/// Per tuple that several rows of a source hold, how many rows beyond the
+/// first hold it.
+pub(crate) type Repeats = HashMap<Tuple, usize>;
+
 /// The execution input of one source relation: its rows as facts, in
-/// first-occurrence order. The handle is shared, so every execution over the
-/// same version of the source loads it without copying a tuple.
-pub(crate) fn source_input(rel: &Relation) -> Arc<FactSet> {
+/// first-occurrence order, and its [`Repeats`]. The handle is shared, so
+/// every execution over the same version of the source loads it without
+/// copying a tuple.
+pub(crate) fn source_input(rel: &Relation) -> (Arc<FactSet>, Repeats) {
     let mut rows = FactSet::default();
+    let mut repeats = HashMap::new();
     rows.reserve(rel.len());
     for t in rel.iter() {
-        rows.insert(t.clone());
+        if !rows.insert(t.clone()) {
+            *repeats.entry(t.clone()).or_insert(0) += 1;
+        }
     }
-    Arc::new(rows)
+    (Arc::new(rows), repeats)
 }
 
 /// The execution database of a mapping: each source's rows under its name,
@@ -116,7 +125,7 @@ pub fn execute_mapping(
         let inputs = mapping
             .sources
             .iter()
-            .map(|s| Ok((s.as_str(), source_input(kb.relation(s)?))))
+            .map(|s| Ok((s.as_str(), source_input(kb.relation(s)?).0)))
             .collect::<Result<Vec<_>>>()?;
         Ok(input_db(inputs.iter().map(|(s, rows)| (*s, rows))))
     };
@@ -135,17 +144,18 @@ pub(crate) fn execute_span<'a>(mapping: &MappingDef, kb: &'a KnowledgeBase) -> S
 }
 
 /// One engine run of `mapping` into `target` over the database `input`
-/// builds: the coerced result, and the engine's raw target facts it was
-/// coerced from — row `i` of the result is fact `i`. The facts are the
-/// run's own fact set, not a copy. The run records into the knowledge
-/// base's registry, inside the caller's [`execute_span`].
+/// builds: the coerced result, the engine's raw target facts it was
+/// coerced from — row `i` of the result is fact `i` — and the input and
+/// whole output databases. The facts are the output's own fact set, and the
+/// databases share their fact sets: nothing is a copy. The run records
+/// into the knowledge base's registry, inside the caller's [`execute_span`].
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     target: &Schema,
     kb: &KnowledgeBase,
     input: impl FnOnce() -> Result<Database>,
-) -> Result<(Relation, Arc<FactSet>)> {
+) -> Result<(Relation, Arc<FactSet>, Database, Database)> {
     let program = parse_program(&mapping.rules)?;
     let obs = kb.obs();
     obs.incr(obs_key::MAP_FULL);
@@ -153,24 +163,38 @@ pub(crate) fn materialise(
     let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
     // a mapping materialises its whole target relation — an all-free
     // access pattern demand cannot restrict — so it runs the full fixpoint
-    let output = engine.run(&program, input)?;
+    let output = engine.run(&program, input.clone())?;
 
     let facts = output.shared_fact_set(&target.name).unwrap_or_default();
-    Ok((coerce_rows(&facts, target, &mapping.id, None)?, facts))
+    Ok((coerce_rows(&facts, target, &mapping.id, None)?.0, facts, input, output))
+}
+
+/// What a run's rows changed since an earlier run's: the earlier rows
+/// whose fact the run no longer derives, and those facts, row for row; and
+/// the positions of the rows coerced afresh, ascending — every row, without
+/// an earlier run.
+#[derive(Debug, Default)]
+pub(crate) struct RowDiff {
+    pub removed: Vec<Tuple>,
+    pub removed_facts: Vec<Tuple>,
+    pub inserted: Vec<usize>,
 }
 
 /// The rows of the raw target `facts` coerced into `target`, row for row.
 /// A fact an earlier run also derived keeps the row it was coerced to
 /// there (`earlier`: that run's facts and rows); only the others are
 /// coerced. The earlier facts are walked in step with `facts`, so a fact
-/// is looked up only where the order departs from theirs.
+/// is looked up only where the order departs from theirs; the walk's
+/// findings come back as the [`RowDiff`] from the earlier run.
 pub(crate) fn coerce_rows(
     facts: &FactSet,
     target: &Schema,
     mapping_id: &str,
     earlier: Option<(&FactSet, &Relation)>,
-) -> Result<Relation> {
+) -> Result<(Relation, RowDiff)> {
     let mut rows = Vec::with_capacity(facts.len());
+    let mut diff = RowDiff::default();
+    let mut kept_rows = vec![false; earlier.map_or(0, |(f, _)| f.len())];
     let mut next = 0;
     for (row, t) in facts.tuples().iter().enumerate() {
         let kept = earlier.and_then(|(f, r)| {
@@ -179,14 +203,24 @@ pub(crate) fn coerce_rows(
                 _ => f.row_of(facts, row)?,
             };
             next = at + 1;
+            kept_rows[at] = true;
             Some(r.tuples()[at].clone())
         });
         rows.push(match kept {
             Some(kept) => kept,
-            None => coerce_fact(t, target, mapping_id)?,
+            None => {
+                diff.inserted.push(row);
+                coerce_fact(t, target, mapping_id)?
+            }
         });
     }
-    Relation::from_tuples(target.clone(), rows)
+    if let Some((f, r)) = earlier {
+        for at in (0..f.len()).filter(|&at| !kept_rows[at]) {
+            diff.removed.push(r.tuples()[at].clone());
+            diff.removed_facts.push(f.tuples()[at].clone());
+        }
+    }
+    Ok((Relation::from_tuples(target.clone(), rows)?, diff))
 }
 
 /// Coerce one derived target fact into the typed target schema.

@@ -19,17 +19,19 @@
 //!   the engine exactly as [`execute_mapping`] does (`map.execute.full`)
 //!   when it is first materialised. Its entry is the run: the coerced rows,
 //!   the engine's raw target facts beside them, and a *version* number no
-//!   other run of the store gets.
+//!   other run of the store gets, and what the run read and wrote, shared.
 //! * Such a mapping is then **maintained**, not re-run, while the answer
 //!   is [`Since::Rows`](vada_kb::Since::Rows) and every event in it is one
 //!   the session can replay: rows appended, rows removed, the last rows
 //!   rewritten. Its first such refresh starts a
-//!   [`vada_datalog::IncrementalSession`] over the sources as they stand
-//!   (`map.execute.full` too); every later one feeds the session the
-//!   edited rows — appended rows as new facts, removed rows as retractions
-//!   (`map.execute.incremental`). The rows follow the session: a fact the
-//!   previous version also derived keeps its coerced row, and only new
-//!   facts are coerced. The engine reads a source as its distinct rows in
+//!   [`vada_datalog::IncrementalSession`] that
+//!   [adopts](vada_datalog::IncrementalSession::adopt) the run, and every
+//!   refresh feeds the session the edited rows — appended rows as new
+//!   facts, removed rows as retractions (`map.execute.incremental`). The
+//!   rows follow the session: a fact the previous version also derived
+//!   keeps its coerced row, and only new facts are coerced; the version
+//!   names its parent and what changed since ([`Part::parent`]). The
+//!   engine reads a source as its distinct rows in
 //!   first-occurrence order, so a removed row whose tuple another row
 //!   still holds retracts nothing; if the copy that takes its place lies
 //!   past another distinct row's first occurrence, the session's order is
@@ -48,21 +50,22 @@
 //!   in part order, keeping a row only when its *raw* fact came from no
 //!   earlier part. Coercion can map distinct facts to equal rows, and the
 //!   engine keeps both, so the union does too. After an edit to one
-//!   source, only the parts that read it refresh.
+//!   source, only the parts that read it refresh, and only the raw facts
+//!   their steps removed or inserted are looked up in the other parts.
 //!
 //! **A union is not copied.** Its entry holds its parts' runs (shared, not
-//! copied) and, per part, the rows assembly drops — all that the raw-fact
-//! probe finds. [`ResultStore::candidate`] hands an entry back as these
-//! [`Part`]s, so a consumer that only counts over rows (mapping quality's
-//! tallies) never needs the union's relation. The relation is built on the
-//! first request — [`ResultStore::execute`], or [`Candidate::relation`] —
-//! and kept in the entry until the entry is rebuilt or evicted. A consumer
+//! copied) and, per part, the rows assembly drops. [`ResultStore::candidate`]
+//! hands an entry back as these [`Part`]s, so a consumer that only counts
+//! over rows (mapping quality's tallies) never needs the union's relation.
+//! The relation is built on the first request — [`ResultStore::execute`],
+//! or [`Candidate::relation`] — and kept in the entry until the entry is
+//! rebuilt or evicted. A consumer
 //! that keeps its own copy ([`Candidate::to_relation`]) gets the rows
 //! copied straight out of the parts, and nothing is kept for it.
 //!
-//! **One input per source version.** An engine run, or a session's start,
-//! reads its sources from an execution input the store keeps per source
-//! relation: the rows as one shared fact set, at the journal mark it was
+//! **One input per source version.** An engine run reads its sources from
+//! an execution input the store keeps per source relation: the rows as one
+//! shared fact set, and the rows that repeat one, at the journal mark it was
 //! built at. A mapping reads nothing else: a postcode's district is
 //! computed in the rules, by the engine's `district` function. Every run
 //! over the same version of a source loads the same fact set, without
@@ -120,23 +123,23 @@
 //! assert_eq!(tally(&kb), [1, 0, 1, 0]);
 //!
 //! // append a row and re-execute: the journal names a row-level edit of
-//! // `listings`, so the entry starts an incremental session over the
-//! // source as it stands…
+//! // `listings`, so the entry starts an incremental session from its
+//! // engine run and feeds it the appended row — no program runs…
 //! listings.push(tuple!["2 park rd", "300000"]).unwrap();
 //! kb.register_source(listings.clone());
 //! let second = store.execute(&cfg, &mapping, &kb).unwrap();
 //! assert_eq!(second.len(), 2);
-//! assert_eq!(tally(&kb), [2, 0, 1, 0]);
+//! assert_eq!(tally(&kb), [1, 1, 1, 0]);
 //! // …byte-identical to a from-scratch execution
 //! assert_eq!(second.tuples(), scratch(&mapping, &kb).unwrap().tuples());
 //!
 //! // from then on the session is fed what changed: the appended row is
-//! // derived, the removed one retracted, and the engine runs no program
+//! // derived, the removed one retracted
 //! listings.push(tuple!["3 mill ln", "180000"]).unwrap();
 //! kb.register_source(listings);
 //! kb.remove_rows("listings", &[1]).unwrap();
 //! let third = store.execute(&cfg, &mapping, &kb).unwrap();
-//! assert_eq!(tally(&kb), [2, 1, 1, 0]);
+//! assert_eq!(tally(&kb), [1, 2, 1, 0]);
 //! assert_eq!(third.tuples(), scratch(&mapping, &kb).unwrap().tuples());
 //!
 //! // a second source, and the union of both, recorded as its two parts;
@@ -161,7 +164,7 @@
 //! };
 //! let assembled = store.execute(&cfg, &union, &kb).unwrap().clone();
 //! // one engine run, for `adverts`; the `listings` part came from the store
-//! assert_eq!(tally(&kb), [3, 1, 1, 1]);
+//! assert_eq!(tally(&kb), [2, 2, 1, 1]);
 //! // a fact both parts derive appears once; `£250,000` is a second fact
 //! // that coerces to an equal row, and stays, as in the engine's answer
 //! assert_eq!(assembled.tuples(), scratch(&union, &kb).unwrap().tuples());
@@ -181,38 +184,45 @@
 //! listings.push(tuple!["4 elm rd", "210000"]).unwrap();
 //! kb.register_source(listings);
 //! let edited = store.execute(&cfg, &union, &kb).unwrap();
-//! assert_eq!(tally(&kb), [3, 2, 2, 2]);
+//! assert_eq!(tally(&kb), [2, 3, 2, 2]);
 //! assert_eq!(edited.tuples(), scratch(&union, &kb).unwrap().tuples());
 //! ```
 //!
 //! [`execute_mapping`]: crate::execute_mapping
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Schema, Tuple, VadaError};
-use vada_datalog::engine::{EngineConfig, FactSet};
+use vada_datalog::engine::{Database, EngineConfig, FactSet};
 use vada_datalog::IncrementalSession;
 use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, MappingDef, Since};
 
 use crate::execute::{
     coerce_rows, execute_span, input_db, materialise, registered_target, source_input,
-    ExecuteConfig,
+    ExecuteConfig, Repeats, RowDiff,
 };
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
 
-/// One engine run's result: the coerced rows and, row for row beside them,
-/// the engine's raw target facts they were coerced from — what a union
-/// deduplicates on when the run is one of its parts.
+/// One engine run's or session step's result: the coerced rows and, row for
+/// row beside them, the engine's raw target facts they were coerced from —
+/// what a union deduplicates on when the run is one of its parts.
 #[derive(Debug)]
 struct Run {
     /// Names these rows among every run of this store.
     version: u64,
     rows: Relation,
     facts: Arc<FactSet>,
+    /// A session step's parent: the version it replaced, and the rows it
+    /// removed and inserted since — the rows, not the parent, so no chain
+    /// of versions stays alive.
+    parent: Option<(u64, RowDiff)>,
+    /// An engine run's input database, its whole output and the sources'
+    /// [`Repeats`], all shared: what a session adopts.
+    start: Option<(Database, Database, BTreeMap<String, Arc<Repeats>>)>,
 }
 
 /// One stored materialisation and the journal position it is current at.
@@ -317,34 +327,19 @@ fn reads_as(held: &FactSet, rows: &[Tuple]) -> bool {
 #[derive(Debug)]
 struct Session {
     inc: IncrementalSession,
-    repeats: BTreeMap<String, HashMap<Tuple, usize>>,
+    repeats: BTreeMap<String, Repeats>,
 }
 
 impl Session {
-    /// A session over `sources` as the knowledge base holds them now, each
-    /// loaded from its execution input.
-    fn start<'a>(
-        cfg: &ExecuteConfig,
-        rules: &str,
-        sources: impl IntoIterator<Item = (&'a str, &'a Arc<FactSet>)> + Clone,
-        kb: &KnowledgeBase,
-    ) -> Result<Session> {
+    /// A session that starts where an engine run of `rules` ended ([`Run`]'s
+    /// `start`): no program runs.
+    fn adopt(cfg: &ExecuteConfig, rules: &str, run: &Run, kb: &KnowledgeBase) -> Result<Session> {
+        let Some((input, output, repeats)) = &run.start else {
+            return Err(VadaError::Kb("only an engine run can be adopted".into()));
+        };
         let engine = EngineConfig { obs: kb.obs().clone(), ..cfg.engine.clone() };
-        let mut inc = IncrementalSession::new(engine, rules)?;
-        let mut repeats = BTreeMap::new();
-        for (source, input) in sources.clone() {
-            // the input is the rows' first occurrences in order, so a row
-            // that is not the next of them repeats an earlier one
-            let mut n: HashMap<Tuple, usize> = HashMap::new();
-            let mut first = input.tuples().iter().peekable();
-            for t in kb.relation(source)?.iter() {
-                if first.next_if(|f| *f == t).is_none() {
-                    *n.entry(t.clone()).or_insert(0) += 1;
-                }
-            }
-            repeats.insert(source.to_string(), n);
-        }
-        inc.run_full(input_db(sources))?;
+        let inc = IncrementalSession::adopt(engine, rules, input.clone(), output.clone())?;
+        let repeats = repeats.iter().map(|(s, n)| (s.clone(), Repeats::clone(n))).collect();
         Ok(Session { inc, repeats })
     }
 
@@ -428,6 +423,14 @@ pub struct Part<'a> {
     /// The rows of `rows` the candidate drops, ascending: those whose raw
     /// fact an earlier part already produced.
     pub dropped: &'a [usize],
+    /// The version a session step made these rows from; `None` for an
+    /// engine run's, which have no `removed` or `inserted` rows either.
+    pub parent: Option<u64>,
+    /// The parent's rows these no longer hold: the parent's rows minus
+    /// these, plus the `inserted` ones, are `rows` as a multiset.
+    pub removed: &'a [Tuple],
+    /// The positions in `rows` of the rows new since the parent, ascending.
+    pub inserted: &'a [usize],
 }
 
 impl<'a> Candidate<'a> {
@@ -435,10 +438,13 @@ impl<'a> Candidate<'a> {
     /// dropped ones, in this order. A mapping without parts is one part
     /// that drops nothing.
     pub fn parts(self) -> impl Iterator<Item = Part<'a>> {
-        self.0.parts.iter().map(|(run, dropped)| Part {
-            version: run.version,
-            rows: &run.rows,
-            dropped,
+        self.0.parts.iter().map(|(run, dropped)| {
+            let (parent, removed, inserted) = match &run.parent {
+                Some((version, diff)) => (Some(*version), &diff.removed[..], &diff.inserted[..]),
+                None => (None, &[][..], &[][..]),
+            };
+            let (version, rows) = (run.version, &run.rows);
+            Part { version, rows, dropped, parent, removed, inserted }
         })
     }
 
@@ -473,9 +479,9 @@ pub struct ResultStore {
     /// Fingerprints in least→most recently used order.
     lru: Vec<String>,
     capacity: usize,
-    /// Per source relation, its execution input and the journal position it
-    /// is current at.
-    inputs: BTreeMap<String, (JournalMark, Arc<FactSet>)>,
+    /// Per source relation, the journal position its execution input (see
+    /// [`source_input`]) is current at, and the input.
+    inputs: BTreeMap<String, (JournalMark, Arc<FactSet>, Arc<Repeats>)>,
     /// The version the next run gets.
     next_version: u64,
 }
@@ -574,11 +580,13 @@ impl ResultStore {
         if mapping.parts.is_empty() {
             self.refresh(cfg, mapping, &fp, target, kb)?;
         } else {
-            match self.assemble(cfg, mapping, target, kb) {
+            // the journal names a source since the mark, so the pre-edit
+            // result can never be handed back: assembly follows it, and a
+            // failure frees it
+            let stale = self.entries.remove(&fp);
+            match self.assemble(cfg, mapping, target, kb, stale) {
                 Ok(parts) => self.insert(fp.clone(), parts, None, kb),
                 Err(e) => {
-                    // the journal names a source since the mark, so the
-                    // pre-edit result can never be handed back: free it now
                     self.forget(&fp);
                     return Err(e);
                 }
@@ -606,19 +614,18 @@ impl ResultStore {
 
     /// The execution input of `source`: the kept one while the journal
     /// proves the source unchanged since it was built, a new one otherwise.
-    fn input(&mut self, source: &str, kb: &KnowledgeBase) -> Result<()> {
-        if let Some((mark, _)) = self.inputs.get_mut(source) {
-            if kb.since(mark, &[source]) == Since::Unchanged {
-                *mark = kb.mark();
-                kb.obs().incr(obs_key::MAP_INPUT_REUSED);
-                return Ok(());
-            }
+    fn input(&mut self, source: &str, kb: &KnowledgeBase) -> Result<(Arc<FactSet>, Arc<Repeats>)> {
+        let kept = self.inputs.get_mut(source);
+        if kept.is_some_and(|(mark, ..)| kb.since(mark, &[source]) == Since::Unchanged) {
+            kb.obs().incr(obs_key::MAP_INPUT_REUSED);
+        } else {
+            let (rows, repeats) = source_input(kb.relation(source)?);
+            kb.obs().incr(obs_key::MAP_INPUT_BUILT);
+            self.inputs.insert(source.to_string(), (kb.mark(), rows, Arc::new(repeats)));
         }
-        self.inputs.remove(source);
-        let input = source_input(kb.relation(source)?);
-        kb.obs().incr(obs_key::MAP_INPUT_BUILT);
-        self.inputs.insert(source.to_string(), (kb.mark(), input));
-        Ok(())
+        let (mark, rows, repeats) = self.inputs.get_mut(source).expect("kept or just built");
+        *mark = kb.mark();
+        Ok((rows.clone(), repeats.clone()))
     }
 
     /// Bring the entry of `mapping`, a mapping without parts stored under
@@ -658,9 +665,10 @@ impl ResultStore {
     }
 
     /// Refresh the stale entry of `mapping`, a mapping without parts,
-    /// through its incremental session, starting one on the first refresh.
-    /// `Ok(None)` asks for an engine run instead, as an error does, and the
-    /// session is dropped either way. A step answers `Ok(None)` when
+    /// through its incremental session, which the first refresh adopts from
+    /// the entry's engine run ([`Session::adopt`]). `Ok(None)` asks for an
+    /// engine run instead, as an error does, and the session is dropped
+    /// either way. A step answers `Ok(None)` when
     /// [`KnowledgeBase::since`] does not answer the entry's mark with row
     /// events, or one of them is a rewrite a session cannot replay (see
     /// [`row_edit`]), when the entry is not one run
@@ -682,30 +690,25 @@ impl ResultStore {
         let edits: Option<Vec<_>> = events.into_iter().map(|e| row_edit(&e.change)).collect();
         let Some(edits) = edits else { return Ok(None) };
         let Some(earlier) = stale.whole_run().cloned() else { return Ok(None) };
-        let (session, counter) = match stale.session {
-            Some(mut session) => {
-                for source in session.replay(&edits)? {
-                    let rows = kb.relation(source)?.tuples();
-                    let held = session.inc.database().fact_set(source);
-                    if !held.is_some_and(|h| reads_as(h, rows)) {
-                        return Ok(None);
-                    }
-                }
-                (session, obs_key::MAP_INCREMENTAL)
-            }
-            None => {
-                for source in &mapping.sources {
-                    self.input(source, kb)?;
-                }
-                let inputs = mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1));
-                (Box::new(Session::start(cfg, &mapping.rules, inputs, kb)?), obs_key::MAP_FULL)
-            }
+        let mut session = match stale.session {
+            Some(session) => session,
+            None => Box::new(Session::adopt(cfg, &mapping.rules, &earlier, kb)?),
         };
+        for source in session.replay(&edits)? {
+            let rows = kb.relation(source)?.tuples();
+            let held = session.inc.database().fact_set(source);
+            if !held.is_some_and(|h| reads_as(h, rows)) {
+                return Ok(None);
+            }
+        }
         let facts = session.inc.database().shared_fact_set(&target.name).unwrap_or_default();
-        let rows = coerce_rows(&facts, target, &mapping.id, Some((&earlier.facts, &earlier.rows)))?;
-        kb.obs().incr(counter);
+        let (rows, diff) =
+            coerce_rows(&facts, target, &mapping.id, Some((&earlier.facts, &earlier.rows)))?;
+        kb.obs().incr(obs_key::MAP_INCREMENTAL);
         self.next_version += 1;
-        Ok(Some((Arc::new(Run { version: self.next_version, rows, facts }), session)))
+        let parent = Some((earlier.version, diff));
+        let run = Run { version: self.next_version, rows, facts, parent, start: None };
+        Ok(Some((Arc::new(run), session)))
     }
 
     /// One engine run of `mapping` over the kept inputs of its sources.
@@ -716,24 +719,28 @@ impl ResultStore {
         target: &Schema,
         kb: &KnowledgeBase,
     ) -> Result<Arc<Run>> {
-        let (rows, facts) = materialise(cfg, mapping, target, kb, || {
+        let mut repeats = BTreeMap::new();
+        let (rows, facts, input, output) = materialise(cfg, mapping, target, kb, || {
             for source in &mapping.sources {
-                self.input(source, kb)?;
+                repeats.insert(source.clone(), self.input(source, kb)?.1);
             }
             Ok(input_db(mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1))))
         })?;
         self.next_version += 1;
-        Ok(Arc::new(Run { version: self.next_version, rows, facts }))
+        let start = Some((input, output, repeats));
+        Ok(Arc::new(Run { version: self.next_version, rows, facts, parent: None, start }))
     }
 
     /// Bring every part of `union` up to date, then record, per part, the
-    /// rows whose raw fact an earlier part already produced.
+    /// rows whose raw fact an earlier part already produced ([`overlaps`],
+    /// following `stale`, the union's previous entry).
     fn assemble(
         &mut self,
         cfg: &ExecuteConfig,
         union: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
+        stale: Option<Materialisation>,
     ) -> Result<Vec<(Arc<Run>, Vec<usize>)>> {
         kb.obs().incr(obs_key::MAP_ASSEMBLED);
         // stale parts refresh beneath this span
@@ -762,19 +769,7 @@ impl ResultStore {
             };
             runs.push(run);
         }
-
-        let parts = runs
-            .iter()
-            .enumerate()
-            .map(|(k, run)| {
-                let earlier = &runs[..k];
-                let dropped = (0..run.facts.len())
-                    .filter(|&row| earlier.iter().any(|e| e.facts.row_of(&run.facts, row).is_some()))
-                    .collect();
-                (run.clone(), dropped)
-            })
-            .collect();
-        Ok(parts)
+        Ok(overlaps(runs, stale.map(|s| s.parts).unwrap_or_default()))
     }
 
     /// Store `parts` (and a mapping's `session`) under `fp`, current now, as
@@ -806,10 +801,64 @@ impl ResultStore {
     }
 }
 
+/// A union's `runs`, in part order, each with the rows whose raw fact an
+/// earlier run already produced. `previous` is what the union held before
+/// the parts refreshed. Where each run is the one held there or a session
+/// step from it, only the facts those steps removed or inserted can have
+/// changed side, and only they are looked up; otherwise every row of every
+/// run is probed against the runs before it.
+fn overlaps(
+    runs: Vec<Arc<Run>>,
+    mut previous: Vec<(Arc<Run>, Vec<usize>)>,
+) -> Vec<(Arc<Run>, Vec<usize>)> {
+    let follows = previous.len() == runs.len()
+        && runs.iter().zip(&previous).all(|(run, (held, _))| {
+            run.version == held.version
+                || run.parent.as_ref().is_some_and(|(parent, _)| *parent == held.version)
+        });
+    if !follows {
+        previous.clear();
+    }
+    let mut previous = previous.into_iter();
+    // the facts the steps of the runs so far removed or inserted
+    let mut changed = FactSet::default();
+    let mut out = Vec::with_capacity(runs.len());
+    for (k, run) in runs.iter().enumerate() {
+        let drops =
+            |row: &usize| runs[..k].iter().any(|e| e.facts.row_of(&run.facts, *row).is_some());
+        let Some((held, dropped)) = previous.next() else {
+            out.push((run.clone(), (0..run.facts.len()).filter(drops).collect()));
+            continue;
+        };
+        if let Some((_, diff)) = run.parent.as_ref().filter(|_| run.version != held.version) {
+            let inserted = diff.inserted.iter().map(|&row| &run.facts.tuples()[row]);
+            for f in diff.removed_facts.iter().chain(inserted) {
+                changed.insert(f.clone());
+            }
+        }
+        if run.version == held.version && changed.is_empty() {
+            out.push((held, dropped));
+            continue;
+        }
+        // a row dropped before whose fact no step touched is still dropped;
+        // a touched fact is, where an earlier run holds it too
+        let was: HashSet<usize> =
+            (0..changed.len()).filter_map(|i| held.facts.row_of(&changed, i)).collect();
+        let kept = (dropped.iter().filter(|row| !was.contains(row)))
+            .filter_map(|&row| run.facts.row_of(&held.facts, row));
+        let touched = (0..changed.len()).filter_map(|i| run.facts.row_of(&changed, i));
+        let mut dropped: Vec<usize> = kept.chain(touched.filter(drops)).collect();
+        dropped.sort_unstable();
+        out.push((run.clone(), dropped));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::execute_mapping;
+    use std::collections::HashMap;
     use vada_common::{tuple, AttrType, Obs};
     use vada_kb::MappingPart;
     use vada_quality::{MetricTally, ReferencePopulation};
@@ -1054,12 +1103,12 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (1, 1));
         // a first materialisation starts no session; the first row-level
-        // refresh does
+        // refresh does, adopting the engine run: a step, not a run
         assert_eq!(sessions(&store), 0);
         append(&mut kb, "rightmove", &[tuple!["500000", "4 mill ln", "EH1 1AA"]]);
         checked(&mut store, &mapping, &kb);
         assert_eq!(store.entries.len(), 1);
-        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 0]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [1, 1]));
         // changed rules: new fingerprint, a second entry, with no session
         // until its own first row-level refresh
         let joined = mapping.clone();
@@ -1071,7 +1120,7 @@ mod tests {
         checked(&mut store, &mapping, &kb);
         checked(&mut store, &joined, &kb);
         // the new structure started a fresh session, the first one stepped
-        assert_eq!((sessions(&store), paths(&kb)), (2, [4, 1]));
+        assert_eq!((sessions(&store), paths(&kb)), (2, [2, 3]));
     }
 
     // ---- the incremental session of a mapping without parts ----
@@ -1086,13 +1135,13 @@ mod tests {
         let twin = tuple!["410000", "3 kings ave", "M1 1AA"];
         append(&mut kb, "rightmove", &[twin.clone(), twin, tuple!["9", "7 new rd", "EH1 1AA"]]);
         checked(&mut store, &mapping, &kb);
-        assert_eq!(paths(&kb), [2, 0]);
+        assert_eq!(paths(&kb), [1, 1]);
 
         // removing the first copy: the second takes its place, and no other
         // row's first occurrence lies between them
         kb.remove_rows("rightmove", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!(paths(&kb), [2, 1]);
+        assert_eq!(paths(&kb), [1, 2]);
         // a copy of the first row, far behind it, removed again: the first
         // occurrence never moved
         append(&mut kb, "rightmove", &[tuple!["£250,000", "12 high st", "M1 1AA"]]);
@@ -1103,7 +1152,7 @@ mod tests {
         // removing the twin's last copy and the row after it retracts both
         kb.remove_rows("rightmove", &[2, 3]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 4]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [1, 5]));
     }
 
     #[test]
@@ -1135,7 +1184,7 @@ mod tests {
         let (u, v) = (tuple!["410000", "3 kings ave", "M1 1AA"], tuple!["9", "7 new rd", "M1 2AB"]);
         append(&mut kb, "rightmove", &[u.clone(), v, u]);
         checked(&mut store, &mapping, &kb);
-        assert_eq!(paths(&kb), [2, 0]);
+        assert_eq!(paths(&kb), [1, 1]);
 
         // the copy that takes the first one's place lies past `v`, so the
         // engine now reads `v` first: the mapping re-runs, without a session,
@@ -1143,12 +1192,12 @@ mod tests {
         let spans = execute_spans(&kb);
         kb.remove_rows("rightmove", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (0, [3, 0]));
+        assert_eq!((sessions(&store), paths(&kb)), (0, [2, 1]));
         assert_eq!(execute_spans(&kb), spans + 1);
-        // the next row-level refresh starts a new one
+        // the next row-level refresh starts a new one, from that run
         append(&mut kb, "rightmove", &[tuple!["5", "1 mill ln", "M1 1AA"]]);
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (1, [4, 0]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 2]));
     }
 
     #[test]
@@ -1161,11 +1210,11 @@ mod tests {
         // a tail rewrite is a retraction, then an append…
         kb.update_source("rightmove", &[(2, tuple!["1", "3 kings ave", "M1 1AA"])]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 1]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [1, 2]));
         // …a rewrite of row 0 of 3 takes the old row's place: a re-run
         kb.update_source("rightmove", &[(0, tuple!["111", "12 high st", "M1 1AA"])]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (0, [3, 1]));
+        assert_eq!((sessions(&store), paths(&kb)), (0, [2, 2]));
     }
 
     #[test]
@@ -1181,7 +1230,7 @@ mod tests {
         // …and no longer does
         kb.remove_rows("deprivation", &[1]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 2]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [1, 3]));
     }
 
     // ---- when is the stored result handed back? ----
@@ -1399,13 +1448,13 @@ mod tests {
         assert_eq!(kb.obs().get(obs_key::MAP_REUSED), 0);
 
         // the next run materialises afresh, and the next edit starts a new
-        // session
+        // session from it: the two sessions' first steps are the only ones
         kb.remove_rows("s", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
         append(&mut kb, "s", &[tuple![3]]);
         checked(&mut store, &mapping, &kb);
         assert_eq!(sessions(&store), 1);
-        assert_eq!(kb.obs().get(obs_key::MAP_INCREMENTAL), 0);
+        assert_eq!(kb.obs().get(obs_key::MAP_INCREMENTAL), 2);
     }
 
     #[test]
@@ -1636,19 +1685,20 @@ mod tests {
         let mut rm = kb.relation("rightmove").unwrap().clone();
         rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
         kb.register_source(rm);
-        // unions first: each re-runs its rightmove part and reuses its
-        // onthemarket part, and the stand-alone candidates are then all
-        // current — onthemarket's untouched, rightmove's just refreshed
+        // unions first: each steps its rightmove part, whose session adopts
+        // the part's engine run, and reuses its onthemarket part; the
+        // stand-alone candidates are then all current — onthemarket's
+        // untouched, rightmove's just refreshed
         candidates.reverse();
         for c in &candidates {
             store.execute(&cfg, c, &kb).unwrap();
         }
-        assert_eq!(counts(), [4 + 2, 2 + 2, 4]);
+        assert_eq!(counts(), [4, 2 + 2, 4]);
         for c in &candidates {
             checked(&mut store, c, &kb);
         }
 
-        // the stale part ran beneath its union's assembly span: none at
+        // the stale part stepped beneath its union's assembly span: none at
         // first sight (the parts were current), one each after the edit
         let spans = obs.span_records();
         let beneath: Vec<Vec<&str>> = spans
@@ -1661,6 +1711,74 @@ mod tests {
             [vec![], vec![], vec!["map/execute"], vec!["map/execute"]],
             "{beneath:?}"
         );
+    }
+
+    #[test]
+    fn part_diffs_rebuild_their_rows_and_unions_drop_what_probing_drops() {
+        let (mut kb, mut candidates) = union_kb();
+        let cfg = ExecuteConfig::default();
+        let mut store = ResultStore::default();
+        // every part version's rows, and each union's part versions
+        let mut rows_of: HashMap<u64, Vec<Tuple>> = HashMap::new();
+        let mut held_by: HashMap<String, Vec<u64>> = HashMap::new();
+        let (mut stepped, mut followed) = (0, 0);
+        let mut steps = vec![("first sight", None)];
+        steps.extend(union_edits().map(|(name, edit)| (name, Some(edit))));
+        for (step, edit) in steps {
+            if let Some(edit) = edit {
+                edit(&mut kb);
+            }
+            candidates.reverse();
+            for c in &candidates {
+                let candidate = store.candidate(&cfg, c, &kb).unwrap();
+                let held = &candidate.0.parts;
+                for (k, part) in candidate.parts().enumerate() {
+                    let at = format!("{step}: {} part {k}", c.id);
+                    match part.parent {
+                        Some(parent) => {
+                            // the parent's rows, less the removed, plus the
+                            // inserted, are the rows (as a multiset)
+                            let mut rebuilt = rows_of[&parent].clone();
+                            for row in part.removed {
+                                let gone = rebuilt.iter().position(|r| r == row).expect(&at);
+                                rebuilt.swap_remove(gone);
+                            }
+                            let rows = part.rows.tuples();
+                            rebuilt.extend(part.inserted.iter().map(|&i| rows[i].clone()));
+                            let mut rows = part.rows.tuples().to_vec();
+                            rebuilt.sort();
+                            rows.sort();
+                            assert_eq!(rebuilt, rows, "{at}");
+                            stepped += 1;
+                        }
+                        None => {
+                            assert!(part.removed.is_empty() && part.inserted.is_empty(), "{at}")
+                        }
+                    }
+                    rows_of.insert(part.version, part.rows.tuples().to_vec());
+                    // the dropped rows are those whose raw fact an earlier
+                    // part holds, however assembly found them
+                    let facts = &held[k].0.facts;
+                    let probed: Vec<usize> = (0..facts.len())
+                        .filter(|&row| {
+                            held[..k].iter().any(|(e, _)| e.facts.contains(&facts.tuples()[row]))
+                        })
+                        .collect();
+                    assert_eq!(part.dropped, probed, "{at}");
+                }
+                let versions: Vec<u64> = candidate.parts().map(|p| p.version).collect();
+                let before = held_by.insert(c.id.clone(), versions);
+                if let Some(before) = before.filter(|_| held.len() > 1) {
+                    // the union followed its parts when each is the one it
+                    // held or a step from it, and one of them stepped
+                    let mut parts = candidate.parts().zip(&before);
+                    let follows = parts.all(|(p, &v)| p.version == v || p.parent == Some(v));
+                    let stepped = candidate.parts().any(|p| p.parent.is_some());
+                    followed += usize::from(follows && stepped);
+                }
+            }
+        }
+        assert!(stepped > 0 && followed > 0, "{stepped} stepped parts, {followed} followed unions");
     }
 
     /// `rows` counted as mapping quality counts them: the bound target

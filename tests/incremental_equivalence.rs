@@ -26,7 +26,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vada::components::fusion_t::CLUSTERS_REL;
 use vada::components::feedback::apply_vetoes;
-use vada::components::{DuplicateDetection, MappingExecution, ResultRepair};
+use vada::components::{
+    DuplicateDetection, MappingExecution, MappingQuality, MappingSelection, ResultRepair,
+};
 use vada::{default_transducers, Activity, RunOutcome, Transducer, Wrangler};
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{csv, Tuple, Value};
@@ -567,13 +569,70 @@ impl<T: Transducer> Transducer for Checked<T> {
     }
 }
 
+/// Every mapping quality fact, in write order, with its value's bits.
+fn mapping_quality_facts(kb: &KnowledgeBase) -> Vec<(String, String, u64)> {
+    kb.quality_facts()
+        .iter()
+        .filter(|q| q.entity_kind == "mapping")
+        .map(|q| (q.entity.clone(), q.criterion.clone(), q.value.to_bits()))
+        .collect()
+}
+
+/// The mapping selection picks over `kb`'s quality facts, on a copy.
+fn selected_over(kb: &KnowledgeBase) -> Option<String> {
+    let mut copy = kb.clone();
+    MappingSelection.run(&mut copy).expect("selection runs");
+    copy.selected_mapping().map(str::to_string)
+}
+
+/// Mapping quality checked on every run against a fresh instance with a
+/// private store: the fresh one runs on a copy of the knowledge base first,
+/// then the kept one, which follows its parts' edits, on the base. Both
+/// must report the same outcome and write the same mapping quality facts —
+/// in the same order, to the bit — and selection must pick the same mapping
+/// over either.
+struct QualityChecked(Box<dyn Transducer>);
+
+impl Transducer for QualityChecked {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn activity(&self) -> Activity {
+        self.0.activity()
+    }
+
+    fn input_dependency(&self) -> &str {
+        self.0.input_dependency()
+    }
+
+    fn input_aspects(&self) -> &'static [&'static str] {
+        self.0.input_aspects()
+    }
+
+    fn run(&mut self, kb: &mut KnowledgeBase) -> vada_common::Result<RunOutcome> {
+        let mut copy = kb.clone();
+        let want = MappingQuality::default().run(&mut copy);
+        let got = self.0.run(kb);
+        let outcome = |r: &vada_common::Result<RunOutcome>| {
+            r.as_ref().map(|o| (o.summary.clone(), o.writes)).map_err(|e| e.to_string())
+        };
+        assert_eq!(outcome(&got), outcome(&want), "mapping quality diverged from a fresh run");
+        assert_eq!(mapping_quality_facts(kb), mapping_quality_facts(&copy));
+        assert_eq!(selected_over(kb), selected_over(&copy), "selection diverged");
+        got
+    }
+}
+
 /// The default fleet with result repair and duplicate detection checked
-/// against fresh twins, and a registry attached for their tallies.
+/// against fresh twins, mapping quality against a fresh instance, and a
+/// registry attached for their tallies.
 fn checked(mut w: Wrangler, work: &Work) -> Wrangler {
     let fleet = default_transducers()
         .into_iter()
         .map(|t| -> Box<dyn Transducer> {
             match t.name() {
+                "mapping_quality" => Box::new(QualityChecked(t)),
                 "result_repair" => Box::new(Checked {
                     kept: ResultRepair::default(),
                     fresh: ResultRepair::default,
@@ -601,7 +660,9 @@ fn checked(mut w: Wrangler, work: &Work) -> Wrangler {
 /// matches, user context and annotation rounds — in memory and durable,
 /// every run of result repair and duplicate detection leaves what fresh
 /// instances leave on the same base, while chasing fewer rows and scoring
-/// fewer blocks than they do over the script.
+/// fewer blocks than they do over the script; and every run of mapping
+/// quality writes the facts a fresh instance writes, selecting the same
+/// mapping, while following some part versions' tallies from their parents.
 #[test]
 fn repair_and_detection_match_fresh_runs_after_every_step() {
     for seed in [3u64, 17, 42] {
@@ -635,6 +696,10 @@ fn repair_and_detection_match_fresh_runs_after_every_step() {
                 w.run().expect("edit step succeeds");
             }
             assert_identical(&pair, &format!("after step {step} (seed {seed}, {batch:?})"));
+        }
+        for w in &pair {
+            let followed = w.obs().get(obs_key::QUALITY_METRICS_FOLLOWED);
+            assert!(followed > 0, "no tally followed an edit (seed {seed})");
         }
         for work in &works {
             let work = work.borrow();
@@ -1139,7 +1204,8 @@ fn store_sessions_match_scratch_across_row_edits() {
     let cfg = ExecuteConfig::default();
     let mut store = ResultStore::default();
     // executes every candidate and returns what the store spent on them:
-    // `[engine runs and session starts, session steps]`
+    // `[engine runs, session steps]` — a session's start adopts the part's
+    // engine run and steps from it, so it counts as a step
     let mut compare = |w: &Wrangler, stage: &str| {
         let paths = || [key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| w.obs().get(k));
         let before = paths();
@@ -1172,7 +1238,7 @@ fn store_sessions_match_scratch_across_row_edits() {
     let n = w.kb().relation("rightmove").unwrap().len();
     let (x, y) = (row(&w, "twin"), row(&w, "solo"));
     append(&mut w, "rightmove", vec![x.clone(), x, y]);
-    assert_eq!(compare(&w, "after the first append"), [2, 0]);
+    assert_eq!(compare(&w, "after the first append"), [0, 2]);
     // the first twin goes, the second takes its place: both step
     w.remove_source_rows("rightmove", &[n]).unwrap();
     assert_eq!(compare(&w, "after removing a row whose copy follows it"), [0, 2]);
@@ -1187,7 +1253,7 @@ fn store_sessions_match_scratch_across_row_edits() {
 
     let z = row(&w, "zed");
     append(&mut w, "rightmove", vec![z]);
-    assert_eq!(compare(&w, "after the third append"), [2, 0]);
+    assert_eq!(compare(&w, "after the third append"), [0, 2]);
     let mid = row(&w, "mid");
     w.update_source_rows("rightmove", &[(0, mid)]).unwrap();
     assert_eq!(compare(&w, "after a mid-relation rewrite"), [2, 0]);
@@ -1196,13 +1262,13 @@ fn store_sessions_match_scratch_across_row_edits() {
     // edit then steps it and starts the joined `onthemarket` part's
     let w_row = row(&w, "w");
     append(&mut w, "rightmove", vec![w_row]);
-    assert_eq!(compare(&w, "after the fourth append"), [2, 0]);
+    assert_eq!(compare(&w, "after the fourth append"), [0, 2]);
     let dep = w.kb().relation("deprivation").unwrap();
     let covered = dep.tuples()[0].clone();
     let last = covered.arity() - 1;
     let recounted = covered.with_value(last, Value::str("12345"));
     append(&mut w, "deprivation", vec![recounted]);
-    assert_eq!(compare(&w, "after a deprivation append"), [1, 1]);
+    assert_eq!(compare(&w, "after a deprivation append"), [0, 2]);
     w.remove_source_rows("deprivation", &[0]).unwrap();
     assert_eq!(compare(&w, "after a deprivation removal"), [0, 2]);
 }
@@ -1248,7 +1314,7 @@ fn a_failed_session_step_surfaces_the_error_and_the_next_execution_recovers() {
         kb.register_source(src.clone());
         compare(&mut store, &kb);
     }
-    assert_eq!([key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| kb.obs().get(k)), [2, 1]);
+    assert_eq!([key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| kb.obs().get(k)), [1, 2]);
 
     // a row that breaks the arithmetic, mid-session
     src.push(Tuple::new(vec![Value::str("boom")])).unwrap();
