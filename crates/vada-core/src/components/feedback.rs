@@ -27,6 +27,12 @@ fn key_attrs(rel: &Relation) -> Vec<String> {
 /// Apply vetoes to a relation: null vetoed cells, drop vetoed rows.
 /// Returns the number of cells/rows changed.
 pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
+    veto_rows(rel, vetoes).0
+}
+
+/// [`apply_vetoes`], also returning the rows it dropped, as they stood
+/// before the drop, ascending.
+pub(crate) fn veto_rows(rel: &mut Relation, vetoes: &[CellVeto]) -> (usize, Vec<usize>) {
     let Vetoed { changes, dropped, .. } = null_vetoed_cells(rel, vetoes);
     if !dropped.is_empty() {
         let mut gone = dropped.iter().copied().peekable();
@@ -37,7 +43,7 @@ pub fn apply_vetoes(rel: &mut Relation, vetoes: &[CellVeto]) -> usize {
             keep
         });
     }
-    changes
+    (changes, dropped)
 }
 
 /// What vetoes did to a relation, its vetoed rows not yet dropped.

@@ -9,12 +9,13 @@ use vada_common::obs::key as obs_key;
 use vada_common::text::blocking_key;
 use vada_common::{Result, Schema, Tuple, VadaError};
 use vada_context::UserContext;
-use vada_kb::{CellVeto, JournalMark, KnowledgeBase, MappingDef, Since};
+use vada_kb::{CellVeto, JournalMark, KnowledgeBase, Since};
 use vada_map::{
-    generate_candidates, rank_mappings, ExecuteConfig, MapGenConfig, MappingScore, ResultStore,
+    generate_candidates, rank_mappings, ExecuteConfig, MapGenConfig, MappingScore, Part,
+    ResultStore,
 };
 
-use crate::components::feedback::apply_vetoes;
+use crate::components::feedback::veto_rows;
 use crate::components::follow::{follow, Origins};
 use crate::components::locality::{block_attr, repair_keeps_blocks, repair_reference};
 use crate::criteria::canonicalize_statements;
@@ -166,19 +167,33 @@ impl Transducer for MappingSelection {
 /// positions, as two row-level edits. Outside those blocks
 /// the output rows are the same rows in the same order, and what is stored
 /// there is what the chain makes of them, so the chain, which follows row
-/// edits, ends where it would after a whole put. That rests on five
-/// conditions, checked on every run; when one fails the whole result is
-/// put, as on the first run:
+/// edits, ends where it would after a whole put.
+///
+/// The row diff is the store's. Execution keeps, per part of its output
+/// ([`Part`]), the part's version and the output row each of its rows
+/// became. A row of the next output pairs with a row of the previous one
+/// when its part is the version written there, or a refresh of that
+/// version ([`Part::parent`]) in which the row continues one
+/// ([`Part::continues`]); rows the candidate or a veto dropped pair on
+/// neither side. A part that neither is nor refreshes a written version —
+/// a re-selected structure, a changed target: the store's fingerprints pin
+/// rules, sources and target — pairs nothing, and its blocks are restored
+/// whole. A pair that would cross an earlier one stays unpaired, so the
+/// pairing is order-preserving, and any order-preserving pairing of equal
+/// rows is an exact diff. An output none of whose rows pairs is put whole,
+/// as on the first run: the diff would restore every block, and a changed
+/// target's rows would not fit the relation written before. So is one
+/// where a condition fails; the diff rests on four, checked on every run:
 ///
 /// 1. the journal vouches for the result's row events since the mark
 ///    ([`KnowledgeBase::since`] answers `Unchanged` or `Rows`), and every
 ///    stored row is one execution wrote;
-/// 2. the target schema and the selected mapping are unchanged;
-/// 3. the vetoes are the ones it last applied — a new veto means
-///    `feedback_repair` edited fused rows in place;
-/// 4. repair's inputs are unchanged since the mark: the data-context
+/// 2. the vetoes are the ones it last applied — a new veto means
+///    `feedback_repair` edited fused rows in place — so whether a veto
+///    drops or rewrites a row depends on the row alone;
+/// 3. repair's inputs are unchanged since the mark: the data-context
 ///    relations and bindings, and the CFDs;
-/// 5. repair cannot move a row between blocks: no CFD it applies writes
+/// 4. repair cannot move a row between blocks: no CFD it applies writes
 ///    the block attribute, and it does not snap that attribute.
 #[derive(Debug, Default)]
 pub struct MappingExecution {
@@ -192,6 +207,8 @@ struct Written {
     under: Under,
     /// The output rows, vetoes applied, in output order.
     raw: Vec<Tuple>,
+    /// The parts the output was made of.
+    chains: Vec<Chain>,
     /// Their blocks, computed by the first diff after a whole put.
     blocks: Option<RawBlocks>,
     /// The journal mark after the write.
@@ -200,12 +217,10 @@ struct Written {
     origins: Origins,
 }
 
-/// What an output is written under: conditions 2 to 4, besides the
+/// What an output is written under: conditions 2 and 3, besides the
 /// context relations' rows.
 #[derive(Debug, PartialEq)]
 struct Under {
-    schema: Schema,
-    mapping: MappingDef,
     vetoes: Vec<CellVeto>,
     /// The version the CFDs last changed at: not their content, since
     /// repair may have run under other CFDs in between.
@@ -215,15 +230,67 @@ struct Under {
 }
 
 impl Under {
-    fn of(kb: &KnowledgeBase, mapping: &MappingDef, schema: &Schema) -> Under {
+    fn of(kb: &KnowledgeBase) -> Under {
         Under {
-            schema: schema.clone(),
-            mapping: mapping.clone(),
             vetoes: kb.vetoes().to_vec(),
             cfds: kb.aspect_version("cfds"),
             data_context: kb.aspect_version("data_context"),
         }
     }
+}
+
+/// One part of an output: the part's version and, per row of the part, the
+/// output row it became, or [`NEW`] when the candidate or a veto dropped it.
+#[derive(Debug)]
+struct Chain {
+    version: u64,
+    at: Vec<u32>,
+}
+
+/// No row: an output row that pairs with no row of the previous output, or
+/// a part's row that no output row holds.
+const NEW: u32 = u32::MAX;
+
+/// The chains of the output `parts` make once the vetoes drop the rows at
+/// `vetoed` (positions among the candidate's rows, ascending), and per row
+/// of that output, the row of the output `written` describes that it pairs
+/// with, or [`NEW`]. Part `k` pairs with the written part `k` only, through
+/// its version or its parent's; a pair that would cross an earlier one
+/// stays unpaired.
+fn pair_parts(written: &[Chain], parts: &[Part<'_>], vetoed: &[usize]) -> (Vec<Chain>, Vec<u32>) {
+    let mut vetoed = vetoed.iter().copied().peekable();
+    let (mut candidate_row, mut next_old) = (0, 0);
+    let mut kept = Vec::new();
+    let mut chains = Vec::with_capacity(parts.len());
+    for (k, part) in parts.iter().enumerate() {
+        // the row of the written output a row of this part is
+        let was = |row: usize| match written.get(k) {
+            Some(w) if w.version == part.version => Some(w.at[row]),
+            Some(w) if part.parent == Some(w.version) => part.continues[row].map(|r| w.at[r]),
+            _ => None,
+        };
+        let mut dropped = part.dropped.iter().copied().peekable();
+        let mut at = Vec::with_capacity(part.rows.len());
+        for row in 0..part.rows.len() {
+            // the candidate drops the row, or a veto does
+            let gone = dropped.next_if_eq(&row).is_some() || {
+                candidate_row += 1;
+                vetoed.next_if_eq(&(candidate_row - 1)).is_some()
+            };
+            if gone {
+                at.push(NEW);
+                continue;
+            }
+            let old = was(row).filter(|&old| old != NEW && old >= next_old);
+            if let Some(old) = old {
+                next_old = old + 1;
+            }
+            at.push(kept.len() as u32);
+            kept.push(old.unwrap_or(NEW));
+        }
+        chains.push(Chain { version: part.version, at });
+    }
+    (chains, kept)
 }
 
 /// A block id for a row whose block attribute is null: a block of its own.
@@ -260,10 +327,10 @@ struct Diffed {
 }
 
 impl Written {
-    /// Whether the next output may be written as a diff against this one:
-    /// the five conditions of [`MappingExecution`]. Brings the origins up
-    /// to date as it checks the first.
-    fn diffable(&mut self, kb: &KnowledgeBase, under: &Under) -> Result<bool> {
+    /// Whether the next output, typed in `schema`, may be written as a diff
+    /// against this one: the four conditions of [`MappingExecution`]. Brings
+    /// the origins up to date as it checks the first.
+    fn diffable(&mut self, kb: &KnowledgeBase, under: &Under, schema: &Schema) -> Result<bool> {
         if self.under != *under {
             return Ok(false);
         }
@@ -274,26 +341,28 @@ impl Written {
         }
         if let Some(reference) = repair_reference(kb)? {
             let reference = kb.relation(&reference)?.schema();
-            if !repair_keeps_blocks(&under.schema, reference, kb.cfds()) {
+            if !repair_keeps_blocks(schema, reference, kb.cfds()) {
                 return Ok(false);
             }
         }
-        Ok(follow(kb, &self.mark, &under.schema.name, &mut self.origins)
+        Ok(follow(kb, &self.mark, &schema.name, &mut self.origins)
             && !self.origins.0.contains(&Origins::FOREIGN))
     }
 
-    /// Write `raw`, the next output, as the diff against this one: remove
-    /// the stored rows of every block the diff reached and insert that
-    /// block's rows of `raw` at their output positions. Returns what `raw`
-    /// was written as, and what the write did.
+    /// Write `raw`, the next output, typed in `schema`, as the diff against
+    /// this one, `kept` pairing its rows with this one's ([`pair_parts`]):
+    /// remove the stored rows of every block the diff reached and insert
+    /// that block's rows of `raw` at their output positions. Returns the
+    /// blocks of `raw` and the origins after the write, and what the write
+    /// did.
     fn diff(
         mut self,
         kb: &mut KnowledgeBase,
-        under: Under,
-        raw: Vec<Tuple>,
-    ) -> Result<(Written, Diffed)> {
-        let col = under.schema.require(block_attr(&under.schema))?;
-        let kept = pair_rows(&self.raw, &raw);
+        schema: &Schema,
+        raw: &[Tuple],
+        kept: &[u32],
+    ) -> Result<(RawBlocks, Origins, Diffed)> {
+        let col = schema.require(block_attr(schema))?;
         let mut key = String::new();
         let mut blocks = match self.blocks.take() {
             Some(blocks) => blocks,
@@ -309,7 +378,7 @@ impl Written {
         }
         let block_of_new: Vec<u32> = raw
             .iter()
-            .zip(&kept)
+            .zip(kept)
             .map(|(t, &i)| match i {
                 NEW => blocks.id(t, col, &mut key),
                 i => blocks.of[i as usize],
@@ -320,7 +389,7 @@ impl Written {
         let mut touched = vec![false; blocks.ids.len()];
         let (mut unkeyed, mut reached) = (0, 0);
         let gone = blocks.of.iter().zip(&new_of_old).filter(|(_, &j)| j == NEW).map(|(b, _)| b);
-        let added = block_of_new.iter().zip(&kept).filter(|(_, &i)| i == NEW).map(|(b, _)| b);
+        let added = block_of_new.iter().zip(kept).filter(|(_, &i)| i == NEW).map(|(b, _)| b);
         for &b in gone.chain(added) {
             match b {
                 UNKEYED => unkeyed += 1,
@@ -347,7 +416,7 @@ impl Written {
         }
         let mut inserts = Vec::new();
         let mut stays = stays.into_iter().peekable();
-        for (j, (&b, &i)) in block_of_new.iter().zip(&kept).enumerate() {
+        for (j, (&b, &i)) in block_of_new.iter().zip(kept).enumerate() {
             if !restored(b, i != NEW) {
                 continue;
             }
@@ -358,117 +427,13 @@ impl Written {
             origins.push(j as u32);
         }
         origins.extend(stays);
-        let target = under.schema.name.clone();
-        kb.remove_rows(&target, &removals)?;
-        kb.insert_rows(&target, &inserts)?;
+        kb.remove_rows(&schema.name, &removals)?;
+        kb.insert_rows(&schema.name, &inserts)?;
         blocks.of = block_of_new;
         let diffed =
             Diffed { blocks: reached + unkeyed, removed: removals.len(), inserted: inserts.len() };
-        let written = Written {
-            under,
-            raw,
-            blocks: Some(blocks),
-            mark: kb.mark(),
-            origins: Origins(origins),
-        };
-        Ok((written, diffed))
+        Ok((blocks, Origins(origins), diffed))
     }
-}
-
-/// A row of the next output that pairs with no row of the previous one.
-const NEW: u32 = u32::MAX;
-
-/// Edits past which [`pair_rows`] stops looking for pairs between the
-/// common prefix and suffix.
-const DIFF_BUDGET: usize = 512;
-
-/// An order-preserving pairing of the rows of `old` and `new` with equal
-/// content — compared as [`Tuple`] compares, pointer first and content on
-/// a miss — as large as any: per row of `new`, the row of `old` it pairs
-/// with, or [`NEW`]. The common prefix and suffix pair up front; between
-/// them, Myers' greedy search for the shortest edit script pairs the rest
-/// unless it takes more than [`DIFF_BUDGET`] edits, when nothing there
-/// pairs. Any order-preserving pairing is a correct diff; a larger one
-/// restores fewer blocks.
-fn pair_rows(old: &[Tuple], new: &[Tuple]) -> Vec<u32> {
-    let mut kept = vec![NEW; new.len()];
-    let prefix = old.iter().zip(new).take_while(|(a, b)| a == b).count();
-    let (old_rest, new_rest) = (&old[prefix..], &new[prefix..]);
-    let suffix =
-        old_rest.iter().rev().zip(new_rest.iter().rev()).take_while(|(a, b)| a == b).count();
-    for (j, slot) in kept.iter_mut().enumerate().take(prefix) {
-        *slot = j as u32;
-    }
-    for k in 1..=suffix {
-        kept[new.len() - k] = (old.len() - k) as u32;
-    }
-    let (a, b) = (&old_rest[..old_rest.len() - suffix], &new_rest[..new_rest.len() - suffix]);
-    for (x, y) in shortest_edit(a, b, DIFF_BUDGET).unwrap_or_default() {
-        kept[prefix + y] = (prefix + x) as u32;
-    }
-    kept
-}
-
-/// The pairs `(x, y)` with `a[x] == b[y]` of a longest common subsequence
-/// of `a` and `b`, ascending, by Myers' O((n + m) d) greedy search — or
-/// `None` when it takes more than `budget` insertions and deletions.
-fn shortest_edit(a: &[Tuple], b: &[Tuple], budget: usize) -> Option<Vec<(usize, usize)>> {
-    let (n, m) = (a.len() as isize, b.len() as isize);
-    let limit = budget.min(a.len() + b.len()) as isize;
-    // v[off + k]: the furthest x reached on diagonal k = x - y; round d's
-    // values for k in -d..=d are kept at trace[d * d..][..2 * d + 1]
-    let off = limit + 1;
-    let mut v = vec![0isize; 2 * off as usize + 1];
-    let mut trace: Vec<u32> = Vec::new();
-    let furthest = |v: &[isize], k: isize| v[(off + k) as usize];
-    for d in 0..=limit {
-        let mut done = false;
-        for k in (-d..=d).step_by(2) {
-            let down = k == -d || (k != d && furthest(&v, k - 1) < furthest(&v, k + 1));
-            let mut x = if down { furthest(&v, k + 1) } else { furthest(&v, k - 1) + 1 };
-            let mut y = x - k;
-            while x < n && y < m && a[x as usize] == b[y as usize] {
-                x += 1;
-                y += 1;
-            }
-            v[(off + k) as usize] = x;
-            done |= x >= n && y >= m;
-        }
-        trace.extend(v[(off - d) as usize..=(off + d) as usize].iter().map(|&x| x as u32));
-        if done {
-            return Some(backtrack(&trace, n, m, d));
-        }
-    }
-    None
-}
-
-/// Walk the rounds of [`shortest_edit`] back from `(n, m)` at round `d`,
-/// collecting the pairs its diagonal moves made.
-fn backtrack(trace: &[u32], n: isize, m: isize, d: isize) -> Vec<(usize, usize)> {
-    let at = |d: isize, k: isize| trace[(d * d + d + k) as usize] as isize;
-    let mut pairs = Vec::new();
-    let (mut x, mut y) = (n, m);
-    for d in (0..=d).rev() {
-        let k = x - y;
-        let (start_x, prev) = if d == 0 {
-            (0, None)
-        } else {
-            let down = k == -d || (k != d && at(d - 1, k - 1) < at(d - 1, k + 1));
-            let prev_k = if down { k + 1 } else { k - 1 };
-            let prev_x = at(d - 1, prev_k);
-            (if down { prev_x } else { prev_x + 1 }, Some((prev_x, prev_x - prev_k)))
-        };
-        while x > start_x {
-            x -= 1;
-            y -= 1;
-            pairs.push((x as usize, y as usize));
-        }
-        if let Some((px, py)) = prev {
-            (x, y) = (px, py);
-        }
-    }
-    pairs.reverse();
-    pairs
 }
 
 impl MappingExecution {
@@ -508,46 +473,50 @@ impl Transducer for MappingExecution {
             .get_mapping(&id)
             .ok_or_else(|| VadaError::Kb(format!("selected mapping `{id}` vanished")))?
             .clone();
-        // the one copy: the result the vetoes apply to and the KB keeps
-        let mut result = self
-            .store
-            .borrow_mut()
-            .candidate(&ExecuteConfig::default(), &mapping, kb)?
-            .to_relation();
-        let vetoed = apply_vetoes(&mut result, kb.vetoes());
+        let (result, vetoed, chains, kept) = {
+            let mut store = self.store.borrow_mut();
+            let candidate = store.candidate(&ExecuteConfig::default(), &mapping, kb)?;
+            // the one copy: the result the vetoes apply to and the KB keeps
+            let mut result = candidate.to_relation();
+            let (vetoed, gone) = veto_rows(&mut result, kb.vetoes());
+            let parts: Vec<Part> = candidate.parts().collect();
+            let written = self.written.as_ref().map_or(&[][..], |w| &w.chains);
+            let (chains, kept) = pair_parts(written, &parts, &gone);
+            (result, vetoed, chains, kept)
+        };
         let rows = result.len();
-        let under = Under::of(kb, &mapping, result.schema());
-        // taken out, so a failed write leaves nothing kept
+        let raw = result.tuples().to_vec();
+        let under = Under::of(kb);
+        // taken out, so a failed write leaves nothing kept; an output none
+        // of whose rows pairs is put whole
         let diffable = match self.written.take() {
-            Some(mut last) => last.diffable(kb, &under)?.then_some(last),
-            None => None,
+            Some(mut last) if kept.iter().any(|&old| old != NEW) => {
+                last.diffable(kb, &under, result.schema())?.then_some(last)
+            }
+            _ => None,
         };
         let summary = format!("materialised {rows} rows from {id} ({vetoed} cells vetoed)");
-        if let Some(last) = diffable {
-            let (written, diffed) = last.diff(kb, under, result.tuples().to_vec())?;
-            self.written = Some(written);
-            let writes = diffed.removed + diffed.inserted;
-            kb.obs().incr(obs_key::MAP_RESULT_DIFFED);
-            kb.obs().add(obs_key::MAP_RESULT_DIFF_ROWS, writes as u64);
-            return Ok(RunOutcome::new(
-                format!(
+        let (blocks, origins, outcome) = match diffable {
+            Some(last) => {
+                let (blocks, origins, diffed) = last.diff(kb, result.schema(), &raw, &kept)?;
+                let writes = diffed.removed + diffed.inserted;
+                kb.obs().incr(obs_key::MAP_RESULT_DIFFED);
+                kb.obs().add(obs_key::MAP_RESULT_DIFF_ROWS, writes as u64);
+                let summary = format!(
                     "{summary}; restored {} block(s): {} row(s) removed, {} inserted",
                     diffed.blocks, diffed.removed, diffed.inserted
-                ),
-                writes,
-            ));
-        }
-        let raw = result.tuples().to_vec();
-        kb.put_result(result);
-        kb.obs().incr(obs_key::MAP_RESULT_WHOLE);
-        self.written = Some(Written {
-            under,
-            raw,
-            blocks: None,
-            mark: kb.mark(),
-            origins: Origins((0..rows as u32).collect()),
-        });
-        Ok(RunOutcome::new(summary, rows))
+                );
+                (Some(blocks), origins, RunOutcome::new(summary, writes))
+            }
+            None => {
+                kb.put_result(result);
+                kb.obs().incr(obs_key::MAP_RESULT_WHOLE);
+                (None, Origins((0..rows as u32).collect()), RunOutcome::new(summary, rows))
+            }
+        };
+        let mark = kb.mark();
+        self.written = Some(Written { under, raw, chains, blocks, mark, origins });
+        Ok(outcome)
     }
 }
 
@@ -648,63 +617,44 @@ mod tests {
         assert_eq!(first, second, "regeneration replaces candidates");
     }
 
-    /// The length of a longest common subsequence, by the textbook table.
-    fn lcs_len(a: &[Tuple], b: &[Tuple]) -> usize {
-        let mut table = vec![vec![0usize; b.len() + 1]; a.len() + 1];
-        for i in (0..a.len()).rev() {
-            for j in (0..b.len()).rev() {
-                table[i][j] = if a[i] == b[j] {
-                    table[i + 1][j + 1] + 1
-                } else {
-                    table[i + 1][j].max(table[i][j + 1])
-                };
-            }
-        }
-        table[0][0]
-    }
-
     #[test]
-    fn pair_rows_pairs_a_longest_common_subsequence() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..300u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            // few distinct rows, so rows repeat; some shared by pointer
-            let pool: Vec<Tuple> = (0..rng.gen_range(1..6)).map(|v| tuple![v as i64]).collect();
-            let old: Vec<Tuple> = (0..rng.gen_range(0..30))
-                .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-                .collect();
-            let mut new = old.clone();
-            for _ in 0..rng.gen_range(0..8) {
-                match rng.gen_range(0..3) {
-                    0 if !new.is_empty() => {
-                        new.remove(rng.gen_range(0..new.len()));
-                    }
-                    1 => {
-                        // equal content, another pointer
-                        let v = rng.gen_range(0..pool.len() as i64);
-                        new.insert(rng.gen_range(0..new.len() + 1), tuple![v]);
-                    }
-                    _ => new.push(tuple![99]),
-                }
-            }
-            let kept = pair_rows(&old, &new);
-            let pairs: Vec<(usize, usize)> = kept
-                .iter()
-                .enumerate()
-                .filter(|(_, &i)| i != NEW)
-                .map(|(j, &i)| (i as usize, j))
-                .collect();
-            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "seed {seed}: not order-preserving");
-            assert!(pairs.iter().all(|&(i, j)| old[i] == new[j]), "seed {seed}: unequal pair");
-            assert_eq!(pairs.len(), lcs_len(&old, &new), "seed {seed}: not a longest pairing");
-        }
-        // past the budget only the common prefix and suffix pair
-        let old: Vec<Tuple> = (0..DIFF_BUDGET as i64 + 2).map(|v| tuple![v]).collect();
-        let mut new: Vec<Tuple> = old.iter().rev().cloned().collect();
-        new.insert(0, old[0].clone());
-        new.push(old[old.len() - 1].clone());
-        let paired = pair_rows(&old, &new).iter().filter(|&&i| i != NEW).count();
-        assert_eq!(paired, 2);
+    fn pair_parts_pairs_through_part_versions_and_keeps_order() {
+        let rows = |n: usize| {
+            let rows = (0..n).map(|i| tuple![i as i64]).collect();
+            Relation::from_tuples(Schema::new("t", [("a", AttrType::Int)]).unwrap(), rows).unwrap()
+        };
+        let (five, two, one) = (rows(5), rows(2), rows(1));
+        let part = |version, rows, dropped, parent, continues| Part {
+            version,
+            rows,
+            dropped,
+            parent,
+            removed: &[],
+            inserted: &[],
+            continues,
+        };
+        // the last output: part 1's rows at 0..4 (its third dropped), part
+        // 2's at 4 and 5, part 7's at 6
+        let written = [
+            Chain { version: 1, at: vec![0, 1, NEW, 2, 3] },
+            Chain { version: 2, at: vec![4, 5] },
+            Chain { version: 7, at: vec![6] },
+        ];
+        let parts = [
+            // a refresh of version 1 that moved its fourth row before its
+            // second, and inserted a row
+            part(3, &five, &[], Some(1), &[Some(0), Some(3), None, Some(1), Some(4)][..]),
+            // version 2 again, the union now dropping its first row
+            part(2, &two, &[0], None, &[]),
+            // a refresh of a version the last output did not hold
+            part(9, &one, &[], Some(8), &[Some(0)]),
+        ];
+        // a veto drops the inserted row: the candidate's third
+        let (chains, kept) = pair_parts(&written, &parts, &[2]);
+        let at: Vec<(u64, Vec<u32>)> = chains.into_iter().map(|c| (c.version, c.at)).collect();
+        assert_eq!(at, [(3, vec![0, 1, NEW, 2, 3]), (2, vec![NEW, 4]), (9, vec![5])]);
+        // the moved row would cross the pair before it, so it stays
+        // unpaired; so does the row of the unknown version
+        assert_eq!(kept, [0, 2, NEW, 3, 5, NEW]);
     }
 }

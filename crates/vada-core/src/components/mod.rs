@@ -21,7 +21,10 @@
 //! `mapping_execution` stores it whole the first time and whenever what the
 //! result was built under changed; otherwise it diffs its output against
 //! its previous output and restores only the blocks the diff reached
-//! (`KnowledgeBase::remove_rows` / `insert_rows`). `result_repair`,
+//! (`KnowledgeBase::remove_rows` / `insert_rows`). The diff is the result
+//! store's: each part of the output names the version it refreshed and
+//! the row of it each row continues, so execution pairs rows without
+//! comparing the two outputs. `result_repair`,
 //! `data_fusion` and `feedback_repair` edit it row by row
 //! (`KnowledgeBase::update_source` / `remove_rows`), writing only the rows
 //! they change. `result_repair` and `duplicate_detection` follow all of

@@ -18,7 +18,7 @@
 //! positive literal with bound positions walks a row-id chained index on
 //! them (see [`crate::index`]): over the full database, the run's
 //! [`IndexStore`], registered from each stratum's lookup shapes and
-//! extended over appended rows before every batch of independent rules;
+//! extended over appended rows before every rule evaluation;
 //! over a delta or a filtered view, an index built once per rule
 //! evaluation.
 
@@ -546,9 +546,9 @@ impl Engine {
         let obs = &self.config.obs;
         // shared hash indexes over the growing database, registered from
         // each stratum's compiled lookup shapes and refreshed incrementally
-        // before every batch of independent rules; identical to the
-        // per-pass lazy indexes by construction, so it only changes
-        // wall-clock.
+        // before every rule evaluation, so a rule sees what the rules before
+        // it wrote; identical to the per-pass lazy indexes by construction,
+        // so it only changes wall-clock.
         let mut store = IndexStore::default();
         store.obs = obs.clone();
 
@@ -624,40 +624,17 @@ impl Engine {
                 }
                 fresh
             };
-            // body predicates per rule, for independence batching: a rule
-            // that reads a predicate written earlier in the same pass must
-            // observe those writes, so the shared indexes are refreshed
-            // before it runs. Negated predicates live in lower strata
-            // (stratified), but are included for robustness.
-            let rule_reads: Vec<BTreeSet<&str>> = compiled
-                .iter()
-                .map(|cr| {
-                    cr.rule
-                        .positive_preds()
-                        .chain(cr.rule.negative_preds())
-                        .collect()
-                })
-                .collect();
-            let rule_heads: Vec<&str> =
-                compiled.iter().map(|cr| cr.rule.head_pred.as_str()).collect();
-
-            // initial pass: all rules, full database, in rule order. The
-            // shared indexes are refreshed once per maximal run of
-            // consecutive independent rules — no rule of a run reads what
-            // an earlier one wrote, so its indexes stay current.
+            // initial pass: all rules, full database, in rule order
             let mut delta = Database::new();
             // facts the last pass added: what keeps the iteration going
             let mut fresh = 0usize;
-            let all_rules: Vec<usize> = (0..compiled.len()).collect();
             obs.incr(obs_key::STRATUM_PASSES);
-            for batch in independent_batches(&all_rules, &rule_reads, &rule_heads) {
+            for cr in &compiled {
                 store.refresh(&db, fault)?;
-                for ci in batch {
-                    let derived = guard_stage("datalog/stratum-initial", || {
-                        self.eval_rule(&compiled[ci], &db, None, Some(&store), demand)
-                    })?;
-                    fresh += absorb(&mut db, &mut delta, rule_heads[ci], derived);
-                }
+                let derived = guard_stage("datalog/stratum-initial", || {
+                    self.eval_rule(cr, &db, None, Some(&store), demand)
+                })?;
+                fresh += absorb(&mut db, &mut delta, &cr.rule.head_pred, derived);
             }
             self.check_size(&db)?;
 
@@ -676,8 +653,7 @@ impl Engine {
                 // one pass per occurrence of a recursive predicate, in
                 // flattened (rule, occurrence) order; pass eligibility
                 // depends only on the previous iteration's delta, so the
-                // work list is fixed up front and batches by the same
-                // independence rule.
+                // work list is fixed up front.
                 let mut passes: Vec<(usize, usize)> = Vec::new();
                 for (ci, cr) in compiled.iter().enumerate() {
                     if cr.rule.has_aggregate() {
@@ -696,23 +672,15 @@ impl Engine {
                         passes.push((ci, occ));
                     }
                 }
-                let pass_rules: Vec<usize> = passes.iter().map(|&(ci, _)| ci).collect();
                 obs.incr(obs_key::DELTA_PASSES);
-                for batch in independent_batches(&pass_rules, &rule_reads, &rule_heads) {
+                for (ci, occ) in passes {
+                    let cr = &compiled[ci];
                     store.refresh(&db, fault)?;
-                    for pi in batch {
-                        let (ci, occ) = passes[pi];
-                        let derived = guard_stage("datalog/stratum-delta", || {
-                            self.eval_rule(
-                                &compiled[ci],
-                                &db,
-                                Some(DeltaSpec::Insert { delta: &delta, occ }),
-                                Some(&store),
-                                demand,
-                            )
-                        })?;
-                        new_fresh += absorb(&mut db, &mut new_delta, rule_heads[ci], derived);
-                    }
+                    let derived = guard_stage("datalog/stratum-delta", || {
+                        let spec = DeltaSpec::Insert { delta: &delta, occ };
+                        self.eval_rule(cr, &db, Some(spec), Some(&store), demand)
+                    })?;
+                    new_fresh += absorb(&mut db, &mut new_delta, &cr.rule.head_pred, derived);
                 }
                 self.check_size(&db)?;
                 delta = new_delta;
@@ -799,33 +767,6 @@ impl Engine {
         outcome?;
         Ok(results)
     }
-}
-
-/// Split a sequence of work items (each evaluating one rule) into maximal
-/// runs that may share one refresh of the run's [`IndexStore`]: an item
-/// joins the current run iff its rule's body predicates don't intersect
-/// the head predicates the run already writes, so every index it reads is
-/// still current. Returns runs of work-item indices.
-fn independent_batches(
-    item_rules: &[usize],
-    reads: &[BTreeSet<&str>],
-    heads: &[&str],
-) -> Vec<Vec<usize>> {
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    let mut cur: Vec<usize> = Vec::new();
-    let mut cur_heads: BTreeSet<&str> = BTreeSet::new();
-    for (item, &ri) in item_rules.iter().enumerate() {
-        if reads[ri].iter().any(|p| cur_heads.contains(p)) {
-            batches.push(std::mem::take(&mut cur));
-            cur_heads.clear();
-        }
-        cur.push(item);
-        cur_heads.insert(heads[ri]);
-    }
-    if !cur.is_empty() {
-        batches.push(cur);
-    }
-    batches
 }
 
 /// Build the head tuple for a satisfied binding, inventing skolems for

@@ -167,8 +167,8 @@ impl Iterator for Rows<'_> {
 /// Persistent join indexes over the growing fixpoint database, shared by
 /// every rule evaluation of a run: `(pred, cols) →` [`RowIndex`].
 /// Registered up front from the compiled lookup shapes of each stratum and
-/// refreshed *incrementally* before every batch of independent rules
-/// (facts only ever append during a run), they serve every full-database
+/// refreshed *incrementally* before every rule evaluation (facts only
+/// ever append during a run), they serve every full-database
 /// lookup; delta and filtered sources build a [`RowIndex`] per call. Rows
 /// are identical to what a per-call build would file, so the store affects
 /// wall-clock only. An

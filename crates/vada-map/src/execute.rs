@@ -130,7 +130,8 @@ pub fn execute_mapping(
         Ok(input_db(inputs.iter().map(|(s, rows)| (*s, rows))))
     };
     let _span = execute_span(mapping, kb);
-    Ok(materialise(cfg, mapping, target, kb, scratch)?.0)
+    let facts = materialise(cfg, mapping, target, kb, scratch)?.0;
+    Ok(coerce_rows(&facts, target, &mapping.id, None)?.0)
 }
 
 /// The span one materialisation of `mapping` records under, in the
@@ -144,18 +145,17 @@ pub(crate) fn execute_span<'a>(mapping: &MappingDef, kb: &'a KnowledgeBase) -> S
 }
 
 /// One engine run of `mapping` into `target` over the database `input`
-/// builds: the coerced result, the engine's raw target facts it was
-/// coerced from — row `i` of the result is fact `i` — and the input and
-/// whole output databases. The facts are the output's own fact set, and the
-/// databases share their fact sets: nothing is a copy. The run records
-/// into the knowledge base's registry, inside the caller's [`execute_span`].
+/// builds: the engine's raw target facts, and the input and whole output
+/// databases. The facts are the output's own fact set, and the databases
+/// share their fact sets: nothing is a copy. The run records into the
+/// knowledge base's registry, inside the caller's [`execute_span`].
 pub(crate) fn materialise(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     target: &Schema,
     kb: &KnowledgeBase,
     input: impl FnOnce() -> Result<Database>,
-) -> Result<(Relation, Arc<FactSet>, Database, Database)> {
+) -> Result<(Arc<FactSet>, Database, Database)> {
     let program = parse_program(&mapping.rules)?;
     let obs = kb.obs();
     obs.incr(obs_key::MAP_FULL);
@@ -164,20 +164,19 @@ pub(crate) fn materialise(
     // a mapping materialises its whole target relation — an all-free
     // access pattern demand cannot restrict — so it runs the full fixpoint
     let output = engine.run(&program, input.clone())?;
-
-    let facts = output.shared_fact_set(&target.name).unwrap_or_default();
-    Ok((coerce_rows(&facts, target, &mapping.id, None)?.0, facts, input, output))
+    Ok((output.shared_fact_set(&target.name).unwrap_or_default(), input, output))
 }
 
 /// What a run's rows changed since an earlier run's: the earlier rows
-/// whose fact the run no longer derives, and those facts, row for row; and
-/// the positions of the rows coerced afresh, ascending — every row, without
-/// an earlier run.
+/// whose fact the run no longer derives, and those facts, row for row; the
+/// positions of the rows coerced afresh, ascending — every row, without an
+/// earlier run; and per row, the earlier row it continues, if any.
 #[derive(Debug, Default)]
 pub(crate) struct RowDiff {
     pub removed: Vec<Tuple>,
     pub removed_facts: Vec<Tuple>,
     pub inserted: Vec<usize>,
+    pub continues: Vec<Option<usize>>,
 }
 
 /// The rows of the raw target `facts` coerced into `target`, row for row.
@@ -204,10 +203,11 @@ pub(crate) fn coerce_rows(
             };
             next = at + 1;
             kept_rows[at] = true;
-            Some(r.tuples()[at].clone())
+            Some((at, r.tuples()[at].clone()))
         });
+        diff.continues.push(kept.as_ref().map(|(at, _)| *at));
         rows.push(match kept {
-            Some(kept) => kept,
+            Some((_, kept)) => kept,
             None => {
                 diff.inserted.push(row);
                 coerce_fact(t, target, mapping_id)?

@@ -41,7 +41,9 @@
 //!   rewrite of rows that are not the last ones — and the session is
 //!   dropped. So does a step that fails: the
 //!   engine run then yields exactly a from-scratch run's result or error,
-//!   and a failed run drops the entry.
+//!   and a failed run drops the entry. A re-run is coerced against the run
+//!   it replaces, as a step is, so every refresh of a stored entry names
+//!   its parent and the row diff since.
 //! * A union is **assembled** from its parts (`map.execute.assembled`).
 //!   Each part is a mapping in its own right, with its own entry — the
 //!   same entry as the stand-alone candidate of that structure, session
@@ -216,9 +218,9 @@ struct Run {
     version: u64,
     rows: Relation,
     facts: Arc<FactSet>,
-    /// A session step's parent: the version it replaced, and the rows it
-    /// removed and inserted since — the rows, not the parent, so no chain
-    /// of versions stays alive.
+    /// The version this run refreshed, and what its rows changed since —
+    /// the rows, not the parent, so no chain of versions stays alive;
+    /// `None` for a mapping's first run.
     parent: Option<(u64, RowDiff)>,
     /// An engine run's input database, its whole output and the sources'
     /// [`Repeats`], all shared: what a session adopts.
@@ -423,14 +425,19 @@ pub struct Part<'a> {
     /// The rows of `rows` the candidate drops, ascending: those whose raw
     /// fact an earlier part already produced.
     pub dropped: &'a [usize],
-    /// The version a session step made these rows from; `None` for an
-    /// engine run's, which have no `removed` or `inserted` rows either.
+    /// The version these rows replaced: every refresh of a stored entry,
+    /// session step or engine run, names the run it refreshed. `None` for a
+    /// mapping's first run, which has no `removed`, `inserted` or
+    /// `continues` rows either.
     pub parent: Option<u64>,
     /// The parent's rows these no longer hold: the parent's rows minus
     /// these, plus the `inserted` ones, are `rows` as a multiset.
     pub removed: &'a [Tuple],
     /// The positions in `rows` of the rows new since the parent, ascending.
     pub inserted: &'a [usize],
+    /// Per row of `rows`, the parent's row it continues — the same raw
+    /// fact, so the same row — or `None` for an inserted one.
+    pub continues: &'a [Option<usize>],
 }
 
 impl<'a> Candidate<'a> {
@@ -439,12 +446,16 @@ impl<'a> Candidate<'a> {
     /// that drops nothing.
     pub fn parts(self) -> impl Iterator<Item = Part<'a>> {
         self.0.parts.iter().map(|(run, dropped)| {
-            let (parent, removed, inserted) = match &run.parent {
-                Some((version, diff)) => (Some(*version), &diff.removed[..], &diff.inserted[..]),
-                None => (None, &[][..], &[][..]),
-            };
-            let (version, rows) = (run.version, &run.rows);
-            Part { version, rows, dropped, parent, removed, inserted }
+            let diff = run.parent.as_ref().map(|(_, diff)| diff);
+            Part {
+                version: run.version,
+                rows: &run.rows,
+                dropped,
+                parent: run.parent.as_ref().map(|(version, _)| *version),
+                removed: diff.map_or(&[], |d| &d.removed),
+                inserted: diff.map_or(&[], |d| &d.inserted),
+                continues: diff.map_or(&[], |d| &d.continues),
+            }
         })
     }
 
@@ -644,13 +655,15 @@ impl ResultStore {
     ) -> Result<Arc<Run>> {
         // one span per refresh, whichever way it goes
         let _span = execute_span(mapping, kb);
-        let stepped = match self.entries.remove(fp) {
+        let stale = self.entries.remove(fp);
+        let earlier = stale.as_ref().and_then(|s| s.whole_run().cloned());
+        let stepped = match stale {
             Some(stale) => self.step(cfg, mapping, target, kb, stale).ok().flatten(),
             None => None,
         };
         let refreshed = match stepped {
             Some((run, session)) => Ok((run, Some(session))),
-            None => self.run(cfg, mapping, target, kb).map(|run| (run, None)),
+            None => self.run(cfg, mapping, target, kb, earlier.as_deref()).map(|run| (run, None)),
         };
         match refreshed {
             Ok((run, session)) => {
@@ -711,24 +724,30 @@ impl ResultStore {
         Ok(Some((Arc::new(run), session)))
     }
 
-    /// One engine run of `mapping` over the kept inputs of its sources.
+    /// One engine run of `mapping` over the kept inputs of its sources,
+    /// coerced against the `earlier` run it replaces, if any, which it then
+    /// names as its parent.
     fn run(
         &mut self,
         cfg: &ExecuteConfig,
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
+        earlier: Option<&Run>,
     ) -> Result<Arc<Run>> {
         let mut repeats = BTreeMap::new();
-        let (rows, facts, input, output) = materialise(cfg, mapping, target, kb, || {
+        let (facts, input, output) = materialise(cfg, mapping, target, kb, || {
             for source in &mapping.sources {
                 repeats.insert(source.clone(), self.input(source, kb)?.1);
             }
             Ok(input_db(mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1))))
         })?;
+        let before = earlier.map(|e| (&*e.facts, &e.rows));
+        let (rows, diff) = coerce_rows(&facts, target, &mapping.id, before)?;
         self.next_version += 1;
+        let parent = earlier.map(|e| (e.version, diff));
         let start = Some((input, output, repeats));
-        Ok(Arc::new(Run { version: self.next_version, rows, facts, parent: None, start }))
+        Ok(Arc::new(Run { version: self.next_version, rows, facts, parent, start }))
     }
 
     /// Bring every part of `union` up to date, then record, per part, the
@@ -803,8 +822,8 @@ impl ResultStore {
 
 /// A union's `runs`, in part order, each with the rows whose raw fact an
 /// earlier run already produced. `previous` is what the union held before
-/// the parts refreshed. Where each run is the one held there or a session
-/// step from it, only the facts those steps removed or inserted can have
+/// the parts refreshed. Where each run is the one held there or a refresh
+/// of it, only the facts those refreshes removed or inserted can have
 /// changed side, and only they are looked up; otherwise every row of every
 /// run is probed against the runs before it.
 fn overlaps(
@@ -1721,21 +1740,51 @@ mod tests {
         // every part version's rows, and each union's part versions
         let mut rows_of: HashMap<u64, Vec<Tuple>> = HashMap::new();
         let mut held_by: HashMap<String, Vec<u64>> = HashMap::new();
-        let (mut stepped, mut followed) = (0, 0);
+        let (mut stepped, mut followed, mut rerun) = (0, 0, 0);
         let mut steps = vec![("first sight", None)];
         steps.extend(union_edits().map(|(name, edit)| (name, Some(edit))));
         for (step, edit) in steps {
             if let Some(edit) = edit {
                 edit(&mut kb);
             }
+            let runs = kb.obs().get(obs_key::MAP_FULL);
             candidates.reverse();
             for c in &candidates {
                 let candidate = store.candidate(&cfg, c, &kb).unwrap();
                 let held = &candidate.0.parts;
                 for (k, part) in candidate.parts().enumerate() {
                     let at = format!("{step}: {} part {k}", c.id);
+                    // every refresh of a stored part names the version it
+                    // replaced, an engine re-run's included
+                    let before = held_by.get(&c.id).map(|v| v[k]);
+                    if before.is_some_and(|v| v != part.version) {
+                        assert_eq!(part.parent, before, "{at}");
+                    }
                     match part.parent {
                         Some(parent) => {
+                            // the continued rows are the parent's rows, and
+                            // the rows they leave out are the removed ones;
+                            // the rows continuing none are the inserted ones
+                            let parent_rows = &rows_of[&parent];
+                            let rows = part.rows.tuples();
+                            assert_eq!(part.continues.len(), rows.len(), "{at}");
+                            let mut continued = vec![false; parent_rows.len()];
+                            let mut fresh = Vec::new();
+                            for (row, from) in part.continues.iter().enumerate() {
+                                match *from {
+                                    Some(from) => {
+                                        assert_eq!(rows[row], parent_rows[from], "{at}");
+                                        assert!(!continued[from], "{at}: row {from} twice");
+                                        continued[from] = true;
+                                    }
+                                    None => fresh.push(row),
+                                }
+                            }
+                            assert_eq!(part.inserted, fresh, "{at}");
+                            let left: Vec<&Tuple> = (parent_rows.iter().zip(&continued))
+                                .filter_map(|(t, &c)| (!c).then_some(t))
+                                .collect();
+                            assert_eq!(left, part.removed.iter().collect::<Vec<_>>(), "{at}");
                             // the parent's rows, less the removed, plus the
                             // inserted, are the rows (as a multiset)
                             let mut rebuilt = rows_of[&parent].clone();
@@ -1767,6 +1816,13 @@ mod tests {
                     assert_eq!(part.dropped, probed, "{at}");
                 }
                 let versions: Vec<u64> = candidate.parts().map(|p| p.version).collect();
+                rerun += usize::from(
+                    step == "rewrite rightmove mid-relation"
+                        && kb.obs().get(obs_key::MAP_FULL) > runs
+                        && candidate.parts().zip(&held_by[&c.id]).any(|(p, &v)| {
+                            p.version != v && p.parent == Some(v)
+                        }),
+                );
                 let before = held_by.insert(c.id.clone(), versions);
                 if let Some(before) = before.filter(|_| held.len() > 1) {
                     // the union followed its parts when each is the one it
@@ -1779,6 +1835,9 @@ mod tests {
             }
         }
         assert!(stepped > 0 && followed > 0, "{stepped} stepped parts, {followed} followed unions");
+        // the mid-relation rewrite re-ran the rightmove parts through the
+        // engine, and each re-run named the run it replaced
+        assert!(rerun > 0, "no re-run after the mid-relation rewrite named its parent");
     }
 
     /// `rows` counted as mapping quality counts them: the bound target

@@ -791,6 +791,19 @@ fn repair_fusion_and_vetoes_log_row_edits_without_a_relation_payload() {
     assert!(result_edits["diffed_execution"].contains(&"inserted"), "{result_edits:?}");
 }
 
+/// Whether `edit` only edits a source's rows: appends, removals, rewrites
+/// at the tail or mid-relation, copies and null postcodes.
+fn is_source_row_edit(edit: &Edit) -> bool {
+    matches!(
+        edit,
+        Edit::GrowSource { .. }
+            | Edit::RemoveRows { .. }
+            | Edit::UpdateRow { .. }
+            | Edit::CopyRow { .. }
+            | Edit::NullPostcode { .. }
+    )
+}
+
 /// Mapping execution as it was before it wrote diffs, kept as the oracle:
 /// the selected mapping executed from scratch, the vetoes applied, the
 /// whole result put.
@@ -887,9 +900,12 @@ fn diff_script(rng: &mut StdRng, steps: usize) -> Vec<Vec<Edit>> {
 /// repair, detection and fusion following it — is byte-identical to the
 /// one a fleet whose execution always puts the whole result leaves, in
 /// memory and in a durable base; and the default fleet takes both the
-/// diff and the whole put.
+/// diff and the whole put, and writes source row edits as a diff — an
+/// engine re-run of a part included — while nothing else it checks moved.
 #[test]
 fn diffed_execution_matches_whole_puts_after_every_step() {
+    // diffed steps whose parts the store refreshed by an engine run
+    let mut reruns = 0;
     for seed in [1u64, 4, 9, 16] {
         // seed-logged so a failing case is reproducible from the test output
         println!("diffed_execution_matches_whole_puts_after_every_step: seed {seed}");
@@ -932,16 +948,52 @@ fn diffed_execution_matches_whole_puts_after_every_step() {
             assert_eq!(result(&pair[0]), result(oracle), "diverged from whole puts {stage}");
         };
         step(&mut pair, &mut oracle, &[], &format!("at bootstrap (seed {seed})"));
+        let writes = |w: &Wrangler| {
+            (w.obs().get(obs_key::MAP_RESULT_DIFFED), w.obs().get(obs_key::MAP_RESULT_WHOLE))
+        };
+        // the selected mapping's structure: re-scoring after a source edit
+        // may select another
+        let selected = |w: &Wrangler| {
+            let m = w.kb().selected_mapping().and_then(|id| w.kb().get_mapping(id))?;
+            Some((m.rules.clone(), m.sources.clone()))
+        };
+        // whether execution's last write is still what it checks against:
+        // it wrote in the last step, which added no annotation (a veto), and
+        // no CFD writes the postcode yet
+        let (mut current, mut postcode_cfd, mut checked) = (false, false, 0);
         for (n, batch) in script.iter().enumerate() {
             let stage = format!("after step {n} (seed {seed}, {batch:?})");
+            let (before, was_selected) = (pair.each_ref().map(writes), selected(&pair[0]));
+            let runs = pair[0].obs().get(obs_key::MAP_FULL);
             step(&mut pair, &mut oracle, batch, &stage);
+            // source row edits alone that keep the selection are then
+            // written as a diff, whether the store refreshed the parts by a
+            // session step or an engine re-run
+            let kept_selection = selected(&pair[0]) == was_selected;
+            if current && kept_selection && batch.iter().all(is_source_row_edit) {
+                checked += 1;
+                reruns += usize::from(pair[0].obs().get(obs_key::MAP_FULL) > runs);
+                for (w, (diffed, whole)) in pair.iter().zip(before) {
+                    assert_eq!(writes(w), (diffed + 1, whole), "not written as a diff {stage}");
+                }
+            }
+            let annotated = batch.iter().any(|e| {
+                matches!(
+                    e,
+                    Edit::Feedback { .. } | Edit::FeedbackRow { .. } | Edit::FeedbackRepaired { .. }
+                )
+            });
+            postcode_cfd |= batch.iter().any(|e| matches!(e, Edit::PostcodeReference));
+            current = writes(&pair[0]) != before[0] && !annotated && !postcode_cfd;
         }
+        assert!(checked > 0, "seed {seed}: no step of source row edits was checked");
         for w in &pair {
             let (diffed, whole) =
                 (w.obs().get(obs_key::MAP_RESULT_DIFFED), w.obs().get(obs_key::MAP_RESULT_WHOLE));
             assert!(diffed > 0 && whole > 1, "seed {seed}: {diffed} diffed, {whole} whole puts");
         }
     }
+    assert!(reruns > 0, "no diffed step followed an engine re-run");
 }
 
 /// Mapping ids are positions in a generation pass's output, so the same
