@@ -302,7 +302,7 @@ fn measure_retraction(n: usize, k: usize, rounds: usize, obs: &Obs) -> RetractRo
         // measurement into a no-op
         assert_eq!(outcome.removed_facts, k, "every removal must hit a live base row");
         assert!(outcome.retracted_facts > 0, "retraction must cascade: {outcome:?}");
-        inc_work = outcome.retracted_facts + outcome.rederived_facts;
+        inc_work = outcome.retracted_facts;
     }
 
     RetractRow { base_rows: n, removed_rows: k, full_derivations, incremental_work: inc_work }

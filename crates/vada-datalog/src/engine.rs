@@ -105,8 +105,8 @@ impl FactSet {
     /// facts already present (or repeated in the block) are skipped.
     /// Returns how many were inserted. Only the inserted facts are hashed:
     /// they are appended, then rotated into place by one integer pass over
-    /// the table. With [`FactSet::move_row`], the incremental layer's
-    /// splice primitive — public only for the property suite's oracle.
+    /// the table. The incremental layer's splice primitive — public only
+    /// for the property suite's oracle.
     #[doc(hidden)]
     pub fn insert_at(&mut self, row: usize, facts: impl IntoIterator<Item = Tuple>) -> usize {
         assert!(row <= self.len(), "insert_at row {row} past the end ({})", self.len());
@@ -117,14 +117,6 @@ impl FactSet {
         let added = self.len() - before;
         self.rotate_rows(row, self.len(), added);
         added
-    }
-
-    /// Move the fact at row `from` to row `to` (`to <= from`), shifting rows
-    /// `to..from` up by one. Clones and hashes nothing.
-    #[doc(hidden)]
-    pub fn move_row(&mut self, from: usize, to: usize) {
-        assert!(to <= from && from < self.len(), "move_row {from} -> {to} out of order or range");
-        self.rotate_rows(to, from + 1, 1);
     }
 
     /// Rotate rows `lo..hi` right by `k`: the last `k` of them move to `lo`,
@@ -420,11 +412,10 @@ impl Database {
         }
     }
 
-    /// Replace the fact set of one predicate wholesale. Used by the
-    /// incremental layer's order repair, which re-enumerates a head in
-    /// scratch order, and by the demand rewrite to share extensional
-    /// relations; never exposed publicly because arbitrary replacement
-    /// would break the append-only order reasoning.
+    /// Replace the fact set of one predicate wholesale. Used by the demand
+    /// rewrite to share extensional relations; never exposed publicly
+    /// because arbitrary replacement would break the append-only order
+    /// reasoning.
     pub(crate) fn set_fact_set(&mut self, pred: &str, fs: impl Into<Arc<FactSet>>) {
         self.rels.insert(pred.to_string(), fs.into());
         // replacement gives no prefix guarantee, so row ids may have moved
@@ -432,9 +423,8 @@ impl Database {
     }
 
     /// A predicate's fact set, for an in-place reorder
-    /// ([`FactSet::insert_at`], [`FactSet::move_row`]): the incremental
-    /// layer's splice of a multi-rule head. Row ids move, so the reorder
-    /// epoch is bumped.
+    /// ([`FactSet::insert_at`]): the incremental layer's splice of a
+    /// multi-rule head. Row ids move, so the reorder epoch is bumped.
     pub(crate) fn reorder(&mut self, pred: &str) -> &mut FactSet {
         self.bump_epoch(pred);
         Arc::make_mut(self.rels.entry(pred.to_string()).or_default())

@@ -28,39 +28,33 @@
 //!
 //! [`IncrementalSession::retract`] removes extensional facts and maintains
 //! the materialization in O(change) by **derivation counting**, the
-//! classic algorithm for non-recursive views. The session keeps per-fact,
-//! per-rule derivation counts, maintained by both the append and the
-//! deletion path. A rule that derives each fact at most once — every
-//! variable its positive literals bind is in its head, or computed from
-//! head variables — keeps none: it counts 1 for exactly the facts it
-//! emits, which a single-rule head's facts, or a tracked head's segment
-//! (condition 6 below), already record. A tracked multi-rule head's other
+//! classic algorithm for non-recursive views. The session keeps per-fact
+//! derivation counts, maintained by both the append and the
+//! deletion path. A head whose rules each derive a fact at most once —
+//! every variable their positive literals bind is in the head, or computed
+//! from head variables — keeps none: each rule counts 1 for exactly the
+//! facts it emits, which a single-rule head's facts, or a tracked head's
+//! segments (condition 6 below), already record. A tracked multi-rule head's other
 //! counts come with its segments, from the one enumeration that captures
 //! them after a full or adopted run; every other counted head's are
-//! captured on the first retraction after it — append-only workloads never
-//! pay for them. A deletion
+//! captured on the first retraction that reaches it — append-only
+//! workloads, and heads no retraction reaches, never pay for them. A deletion
 //! enumerates exactly the destroyed derivations — each rule runs once per
 //! shrunk body occurrence with that occurrence bound to the removed facts,
 //! earlier occurrences reading the post-removal view and later ones the
-//! pre-removal view — and decrements counts; a fact leaves the
-//! materialization exactly when its count reaches zero.
+//! pre-removal view — and tallies them per fact against its count; a fact
+//! leaves the materialization exactly when it lost every derivation.
 //!
-//! Deletion preserves the byte-identity contract through an **order
-//! repair** step: counting alone cannot reproduce scratch insertion order,
-//! because a fact that loses its *first* derivation but keeps a later one
-//! moves to the position of its first *surviving* derivation in a scratch
-//! run. Removing facts whose support vanished entirely is order-safe (the
-//! surviving enumeration is a subsequence of the old one), so the session
-//! tracks exactly the predicates holding a partially-supported fact —
-//! plus everything downstream of them — and re-establishes their scratch
-//! order by re-enumerating their defining rules over the repaired
-//! database. Pure removals splice: a tracked multi-rule head (condition 6
-//! below) loses the removed rows in place, and each of its region ends
-//! moves down by the removed row ids below it, so its order stays
-//! `dedup(input ++ seg_0 ++ … ++ seg_n)` without a rebuild. Repair is
-//! exact only for initial-pass-only heads (validated
-//! against the scratch order at capture time); a partially-supported fact
-//! in a non-reconstructible predicate falls back to a full re-derivation.
+//! Deletion keeps the byte-identity contract by counting alone only when
+//! no fact is left partly supported. Removing facts whose support vanished
+//! entirely is order-safe: the surviving enumeration is a subsequence of
+//! the old one. A fact that loses some derivations but keeps another may
+//! move in a scratch run, to the position of its first *surviving*
+//! derivation, so such a retraction re-derives from scratch (*"partially
+//! supported fact in `{head}`"*). Pure removals splice: a tracked
+//! multi-rule head (condition 6 below) loses the removed rows in place, and
+//! each of its region ends moves down by the removed row ids below it, so
+//! its order stays `dedup(input ++ seg_0 ++ … ++ seg_n)` without a rebuild.
 //!
 //! Counting is unsound on a positive cycle, so a deletion reaching a
 //! recursive predicate falls back, exactly as an append does (condition 4
@@ -103,9 +97,11 @@
 //!    (*"multi-rule predicate is read downstream"*). Its stored order is
 //!    then `dedup(input ++ seg_0 ++ … ++ seg_n)` over per-rule emission
 //!    segments, and the session records where each rule's region ends.
-//!    An emission new to `seg_r` is spliced in place: absent from the head,
-//!    it is inserted at the end of region `r`; sitting in a later region,
-//!    it moves there; sitting in an earlier one, it stays.
+//!    An emission new to `seg_r` and absent from the head is inserted at
+//!    the end of region `r`. One the head already holds, in its input or
+//!    in another rule's region, keeps or changes its scratch row depending
+//!    on where it sits, so the delta re-derives instead (*"emission
+//!    already held in `{head}`"*).
 //!
 //! ## Example
 //!
@@ -177,13 +173,9 @@ pub struct DeltaOutcome {
     /// Facts newly derived by this step (for full runs: all derived facts).
     pub derived_facts: usize,
     /// Derived facts that left the materialization (counting decrements
-    /// reaching zero).
+    /// reaching zero) — the deletion path's work, the quantity the
+    /// O(change) benchmark pins against full re-derivation.
     pub retracted_facts: usize,
-    /// Derivations re-enumerated by the order-repair step — the deletion
-    /// path's re-derivation work. Together with `retracted_facts` this is
-    /// the total deletion-side work, the quantity the O(change) benchmark
-    /// pins against full re-derivation.
-    pub rederived_facts: usize,
 }
 
 impl DeltaOutcome {
@@ -196,7 +188,6 @@ impl DeltaOutcome {
             removed_facts: 0,
             derived_facts: 0,
             retracted_facts: 0,
-            rederived_facts: 0,
         }
     }
 }
@@ -233,14 +224,6 @@ struct ProgramInfo {
     /// Counted heads whose every defining rule is [`injective`]: a rule
     /// derives each fact of the head at most once.
     unit: BTreeSet<String>,
-    /// Heads whose scratch insertion order equals the emission order of
-    /// their defining rules over the final database — every rule is
-    /// *initial-complete*: each same-stratum derived body predicate is
-    /// fully populated (by earlier initial-complete rules) before the rule
-    /// first fires, so the initial pass emits everything in final order
-    /// and the semi-naive re-passes derive only duplicates. The heads the
-    /// order-repair step may rebuild by re-enumeration.
-    order_reconstructible: BTreeSet<String>,
     /// The retraction plan: every counted head, in topological order of
     /// the positive dependency graph.
     units: Vec<String>,
@@ -357,35 +340,6 @@ impl ProgramInfo {
         let mut units: Vec<String> = counted.iter().cloned().collect();
         let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
         units.sort_by_cached_key(|h| (depth(h), h.clone()));
-        // initial-complete rules, in program order: every same-stratum
-        // derived body predicate is fully emitted by strictly earlier
-        // initial-complete rules (lower strata are complete regardless)
-        let mut initial_complete = vec![false; program.rules.len()];
-        for ri in 0..program.rules.len() {
-            let Some(info) = &rules[ri] else { continue };
-            let head_stratum = strat.stratum_of(&info.head);
-            initial_complete[ri] = info.positive.iter().all(|p| {
-                let Some(djs) = defining.get(p) else {
-                    return true; // extensional (or ground-only): fixed input
-                };
-                if fact_heads.contains(p) {
-                    return strat.stratum_of(p) < head_stratum;
-                }
-                if strat.stratum_of(p) < head_stratum {
-                    return true;
-                }
-                djs.iter().all(|&rj| rj < ri && initial_complete[rj])
-            });
-        }
-        let mut order_reconstructible = BTreeSet::new();
-        for (head, ris) in &defining {
-            if fact_heads.contains(head) {
-                continue;
-            }
-            if ris.iter().all(|&ri| initial_complete[ri]) {
-                order_reconstructible.insert(head.clone());
-            }
-        }
         Ok(ProgramInfo {
             defining,
             read_neg,
@@ -395,7 +349,6 @@ impl ProgramInfo {
             tracked_candidates,
             counted,
             unit,
-            order_reconstructible,
             units,
         })
     }
@@ -449,42 +402,24 @@ struct HeadSegments {
 
 impl HeadSegments {
     /// Splice rule slot `slot`'s emissions into `head`, the stored order:
-    /// each one new to the slot's segment is inserted at the end of the
-    /// slot's region if the head lacks it, moved there from a later region,
-    /// or left in an earlier one. Consecutive inserts go in as one block.
-    /// Returns how many facts the head gained.
-    fn splice(&mut self, head: &mut FactSet, slot: usize, emitted: Vec<Tuple>) -> usize {
-        let mut block: Vec<Tuple> = Vec::new();
-        let mut gained = 0;
+    /// the ones new to the slot's segment go in as one block at the end of
+    /// the slot's region. Returns how many facts the head gained, or `None`
+    /// when the head already holds one of them (module docs, condition 6).
+    fn splice(&mut self, head: &mut FactSet, slot: usize, emitted: Vec<Tuple>) -> Option<usize> {
+        let mut block = Vec::new();
         for t in emitted {
-            if !self.by_rule[slot].1.insert(t.clone()) {
-                continue;
-            }
-            match head.find(t.values()) {
-                None => block.push(t),
-                Some(row) => {
-                    let region = self.ends.partition_point(|&end| end <= row);
-                    if region > slot + 1 {
-                        // the pending block lands first, ahead of `row`
-                        let added = self.insert_block(head, slot, std::mem::take(&mut block));
-                        gained += added;
-                        head.move_row(row + added, self.ends[slot + 1]);
-                        for end in &mut self.ends[slot + 1..region] {
-                            *end += 1;
-                        }
-                    }
+            if self.by_rule[slot].1.insert(t.clone()) {
+                if head.contains(&t) {
+                    return None;
                 }
+                block.push(t);
             }
         }
-        gained + self.insert_block(head, slot, block)
-    }
-
-    fn insert_block(&mut self, head: &mut FactSet, slot: usize, block: Vec<Tuple>) -> usize {
         let added = head.insert_at(self.ends[slot + 1], block);
         for end in &mut self.ends[slot + 1..] {
             *end += added;
         }
-        added
+        Some(added)
     }
 
     /// Move every region end down by the removed rows (ascending) below it.
@@ -496,17 +431,16 @@ impl HeadSegments {
 }
 
 /// One head's re-enumeration over a database: its scratch-order fact set
-/// (input prefix + per-rule emissions), per-rule derivation counts and
-/// emission segments (slot-aligned with `info.defining[head]`), the
-/// region ends in `rebuilt` (as [`HeadSegments::ends`]), and the total
-/// emission count. Produced by `IncrementalSession::enumerate_head`;
-/// `counts` is empty unless asked for.
+/// (input prefix + per-rule emissions), its derivation counts and its
+/// per-rule emission segments (slot-aligned with `info.defining[head]`),
+/// the region ends in `rebuilt` (as [`HeadSegments::ends`]). Produced by
+/// `IncrementalSession::enumerate_head`; `counts` is empty unless asked
+/// for.
 struct HeadEnumeration {
     rebuilt: FactSet,
-    counts: Vec<(usize, HashMap<Tuple, u64>)>,
+    counts: HashMap<Tuple, u64>,
     segments: Vec<(usize, FactSet)>,
     ends: Vec<usize>,
-    emissions: usize,
 }
 
 /// A persistent evaluation session for one program. See the module docs.
@@ -522,19 +456,15 @@ pub struct IncrementalSession {
     db: Database,
     /// Emission segments for tracked multi-rule terminal heads.
     segments: BTreeMap<String, HeadSegments>,
-    /// Per counted head, aligned with its defining rules in program order:
-    /// derivation counts over the current materialization. A tracked head's
+    /// Per counted head: each fact's derivation count over the current
+    /// materialization, summed over its defining rules. A tracked head's
     /// come with its segments, from the same enumeration; every other
-    /// head's are captured on the first retraction after a full run
-    /// (append-only workloads never pay for them). Incremented by append
-    /// deltas, decremented by retractions; a fact leaves exactly when its
-    /// total reaches zero. A head is absent until captured, and for good
-    /// when its counts are [implicit](IncrementalSession::implicit).
-    counts: BTreeMap<String, Vec<(usize, HashMap<Tuple, u64>)>>,
-    /// Counted heads whose captured per-rule emission order reproduced the
-    /// scratch insertion order exactly — the heads the order-repair step
-    /// may rebuild by re-enumeration. Captured together with `counts`.
-    order_exact: BTreeSet<String>,
+    /// head's are captured on the first retraction that reaches it after a
+    /// full run (append-only workloads never pay for them). Incremented by
+    /// append deltas; a retraction that commits drops the facts that lost
+    /// every derivation. A head is absent until captured, and for
+    /// good when its counts are [implicit](IncrementalSession::implicit).
+    counts: BTreeMap<String, HashMap<Tuple, u64>>,
     /// Hash indexes over `db` for every lookup shape of the program's
     /// rules, registered at build, refreshed before each delta and
     /// retraction pass, and reset when a full run replaces `db`.
@@ -587,7 +517,6 @@ impl IncrementalSession {
             db: Database::new(),
             segments: BTreeMap::new(),
             counts: BTreeMap::new(),
-            order_exact: BTreeSet::new(),
             store,
             last: None,
             poisoned: false,
@@ -605,25 +534,21 @@ impl IncrementalSession {
     }
 
     /// Total derivation count per fact of a counted predicate (`None` when
-    /// the predicate is not maintained by counting). Test introspection
-    /// for the counting invariants.
+    /// the predicate is not maintained by counting, or no retraction has
+    /// captured its counts yet). Test introspection for the counting
+    /// invariants.
     #[doc(hidden)]
     pub fn derivation_counts(&self, pred: &str) -> Option<HashMap<Tuple, u64>> {
-        let mut total: HashMap<Tuple, u64> = HashMap::new();
-        if self.implicit(pred) {
-            let emitted: Vec<&[Tuple]> = match self.segments.get(pred) {
-                Some(segs) => segs.by_rule.iter().map(|(_, seg)| seg.tuples()).collect(),
-                None => vec![self.db.facts(pred)],
-            };
-            for t in emitted.into_iter().flatten() {
-                *total.entry(t.clone()).or_insert(0) += 1;
-            }
-            return Some(total);
+        if !self.implicit(pred) {
+            return self.counts.get(pred).cloned();
         }
-        for (_, counts) in self.counts.get(pred)? {
-            for (t, n) in counts {
-                *total.entry(t.clone()).or_insert(0) += n;
-            }
+        let emitted: Vec<&[Tuple]> = match self.segments.get(pred) {
+            Some(segs) => segs.by_rule.iter().map(|(_, seg)| seg.tuples()).collect(),
+            None => vec![self.db.facts(pred)],
+        };
+        let mut total: HashMap<Tuple, u64> = HashMap::new();
+        for t in emitted.into_iter().flatten() {
+            *total.entry(t.clone()).or_insert(0) += 1;
         }
         Some(total)
     }
@@ -790,31 +715,23 @@ impl IncrementalSession {
     /// touching it then fall back to full runs instead of risking drift.
     /// The same enumeration counts derivations: a counted candidate keeps
     /// them, unless its rules are injective (tracked, its counts are then
-    /// implicit), and is order-exact exactly when it is tracked. Every other
-    /// count is dropped, for [`ensure_counts`](Self::ensure_counts).
+    /// implicit). Every other count is dropped, for
+    /// [`ensure_counts`](Self::ensure_counts).
     fn capture_segments(&mut self, input: &Database, db: &Database) -> Result<()> {
         let mut segments = BTreeMap::new();
         let mut counts = BTreeMap::new();
-        let mut order_exact = BTreeSet::new();
         for head in &self.info.tracked_candidates {
             let unit = self.info.unit.contains(head);
             let e = self.enumerate_head(head, input, db, !unit)?;
-            let exact = e.rebuilt.tuples() == db.facts(head);
-            if self.info.counted.contains(head) {
-                if exact {
-                    order_exact.insert(head.clone());
-                }
-                if !unit {
-                    counts.insert(head.clone(), e.counts);
-                }
+            if self.info.counted.contains(head) && !unit {
+                counts.insert(head.clone(), e.counts);
             }
-            if exact {
+            if e.rebuilt.tuples() == db.facts(head) {
                 segments.insert(head.clone(), HeadSegments { by_rule: e.segments, ends: e.ends });
             }
         }
         self.segments = segments;
         self.counts = counts;
-        self.order_exact = order_exact;
         Ok(())
     }
 
@@ -822,10 +739,10 @@ impl IncrementalSession {
     /// order of `info.defining[head]`: the prefix facts `head` holds in
     /// `prefix` (the extensional input), then each rule's emissions in
     /// program order. The single reconstruction primitive behind segment
-    /// capture, lazy count capture, and order repair — every consumer
-    /// indexes counts/segments by the same positional slot, so keeping
-    /// one loop keeps the alignment structural. Lookups go through the
-    /// session store where it is current for `db`.
+    /// capture and lazy count capture — every consumer of the segments
+    /// indexes them by the same positional slot, so keeping one loop keeps
+    /// the alignment structural. Lookups go through the session store where
+    /// it is current for `db`.
     fn enumerate_head(
         &self,
         head: &str,
@@ -839,40 +756,37 @@ impl IncrementalSession {
                 rebuilt.insert(t.clone());
             }
         }
-        let mut counts: Vec<(usize, HashMap<Tuple, u64>)> = Vec::new();
+        let mut counts: HashMap<Tuple, u64> = HashMap::new();
         let mut segments: Vec<(usize, FactSet)> = Vec::new();
         let mut ends = vec![rebuilt.len()];
-        let mut emissions = 0usize;
         for &ri in &self.info.defining[head] {
             let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
             let mut seg = FactSet::default();
-            let mut cnt: HashMap<Tuple, u64> = HashMap::new();
             for t in self.engine.eval_rule(&cr, db, None, Some(&self.store), None)? {
-                emissions += 1;
                 if count {
-                    *cnt.entry(t.clone()).or_insert(0) += 1;
+                    *counts.entry(t.clone()).or_insert(0) += 1;
                 }
                 seg.insert(t.clone());
                 rebuilt.insert(t);
             }
-            counts.push((ri, cnt));
             segments.push((ri, seg));
             ends.push(rebuilt.len());
         }
-        Ok(HeadEnumeration { rebuilt, counts, segments, ends, emissions })
+        Ok(HeadEnumeration { rebuilt, counts, segments, ends })
     }
 
     /// Capture derivation counts over the *current* materialization for
-    /// every counted head the full run's segment capture did not count and
-    /// whose counts are not [implicit](Self::implicit), noting which of
-    /// them reproduce the stored insertion order exactly when re-enumerated
-    /// (the heads the order-repair step may rebuild). Called on every
-    /// retraction, it enumerates only on the first after a full run, so
-    /// append-only workloads never re-enumerate rules for bookkeeping they
-    /// do not use; from then on the append and deletion paths keep every
-    /// count in step until the next full run drops them.
-    fn ensure_counts(&mut self) -> Result<()> {
-        let missing: Vec<String> = (self.info.counted.iter())
+    /// every counted head in `affected` that the full run's segment capture
+    /// did not count and whose counts are not [implicit](Self::implicit).
+    /// Called on every retraction, it enumerates a head only on the first
+    /// retraction after a full run that reaches it, so append-only
+    /// workloads, and heads no retraction reaches, never re-enumerate rules
+    /// for bookkeeping they do not use; from then on the append and
+    /// deletion paths keep every captured count in step until the next full
+    /// run drops them.
+    fn ensure_counts(&mut self, affected: &BTreeSet<String>) -> Result<()> {
+        let missing: Vec<String> = (affected.iter())
+            .filter(|h| self.info.counted.contains(*h))
             .filter(|h| !self.counts.contains_key(*h) && !self.implicit(h))
             .cloned()
             .collect();
@@ -884,9 +798,6 @@ impl IncrementalSession {
         span.attr("heads", missing.len());
         for head in missing {
             let e = self.enumerate_head(&head, &self.base, &self.db, true)?;
-            if e.rebuilt.tuples() == self.db.facts(&head) {
-                self.order_exact.insert(head.clone());
-            }
             self.counts.insert(head, e.counts);
         }
         Ok(())
@@ -996,9 +907,8 @@ impl IncrementalSession {
     }
 
     /// `seeds` closed under rule heads: a rule with a seed (or closed)
-    /// positive body predicate adds its head. The same closure serves the
-    /// affected-set computation and the order-suspect propagation — both
-    /// flow along positive reads.
+    /// positive body predicate adds its head: the predicates a delta or a
+    /// retraction of `seeds` reaches.
     fn closure_of(&self, seeds: BTreeSet<String>) -> BTreeSet<String> {
         let mut closed = seeds;
         loop {
@@ -1106,11 +1016,7 @@ impl IncrementalSession {
                     let pred = cr.rule.head_pred.as_str();
                     // every emission is one new derivation: keep the
                     // retraction path's counts (if captured) in step
-                    if let Some(rcs) = self.counts.get_mut(pred) {
-                        let (_, cnt) = rcs
-                            .iter_mut()
-                            .find(|(r, _)| *r == ri)
-                            .expect("firing rule defines this head");
+                    if let Some(cnt) = self.counts.get_mut(pred) {
                         for t in &out {
                             *cnt.entry(t.clone()).or_insert(0) += 1;
                         }
@@ -1122,7 +1028,11 @@ impl IncrementalSession {
                             .iter()
                             .position(|(r, _)| *r == ri)
                             .expect("firing rule defines this head");
-                        derived += segs.splice(self.db.reorder(pred), slot, out);
+                        let Some(added) = segs.splice(self.db.reorder(pred), slot, out) else {
+                            let reason = format!("emission already held in `{pred}`");
+                            return self.fallback_rerun(reason, delta_facts, 0);
+                        };
+                        derived += added;
                         continue;
                     }
                     for t in out {
@@ -1245,8 +1155,9 @@ impl IncrementalSession {
         None
     }
 
-    /// The retraction fast path: counting over the affected units, then
-    /// order repair. `fresh` holds facts already removed from `base`.
+    /// The retraction fast path: counting over the affected units, with
+    /// a full re-derivation when a fact is left partly supported. `fresh`
+    /// holds facts already removed from `base`.
     fn retract_fast(
         &mut self,
         fresh: Vec<(String, Tuple)>,
@@ -1256,12 +1167,11 @@ impl IncrementalSession {
         // not touched it — so one refresh serves the count capture and
         // every counting pass
         self.store.refresh(&self.db, self.fault)?;
-        // first retraction since the last full run: capture the counts it
-        // plans against
-        self.ensure_counts()?;
+        // first retraction reaching a head since the last full run: capture
+        // the counts it plans against
+        self.ensure_counts(&affected)?;
         let removed_facts = fresh.len();
         let mut retracted = 0usize;
-        let mut rederived = 0usize;
 
         // the removal set, grown as consequences lose their support; `db`
         // is not touched until the whole plan is known
@@ -1274,87 +1184,34 @@ impl IncrementalSession {
         // the complete removal sets of its inputs
         let units: Vec<String> =
             self.info.units.iter().filter(|h| affected.contains(*h)).cloned().collect();
-        // planned count decrements per counted head, aligned with its
-        // defining rules
-        let mut dec: BTreeMap<String, Vec<HashMap<Tuple, u64>>> = BTreeMap::new();
-        // heads left holding a partially-supported fact: their insertion
-        // order is suspect and must be repaired
-        let mut suspects: BTreeSet<String> = BTreeSet::new();
-
+        // per counted head, the facts that lost every derivation
+        let mut gone: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
         for head in &units {
-            self.plan_counted_retraction(
-                head,
-                &mut removed,
-                &mut dec,
-                &mut suspects,
-                &mut retracted,
-            )?;
-        }
-
-        // everything downstream of a suspect inherits its order doubt: a
-        // reader enumerates its inputs in their insertion order
-        let suspects = self.closure_of(suspects);
-        for p in &suspects {
-            // a head counted implicitly was never enumerated: check now
-            let reconstructible = self.info.order_reconstructible.contains(p);
-            if reconstructible && !self.order_exact.contains(p) && self.implicit(p) {
-                let e = self.enumerate_head(p, &self.base, &self.db, false)?;
-                if e.rebuilt.tuples() == self.db.facts(p) {
-                    self.order_exact.insert(p.clone());
-                }
-            }
-            let multi = self.info.defining.get(p).map_or(0, |v| v.len()) >= 2;
-            let repairable = self.info.order_reconstructible.contains(p)
-                && self.order_exact.contains(p)
-                && (!multi || self.segments.contains_key(p));
-            if !repairable {
-                let reason = format!(
-                    "scratch order of `{p}` not reconstructible after partial retraction"
-                );
+            if self.plan_counted_retraction(head, &mut removed, &mut gone, &mut retracted)? {
+                let reason = format!("partially supported fact in `{head}`");
                 return self.fallback_rerun(reason, 0, removed_facts);
             }
         }
 
-        // ---- commit: everything below is pure bookkeeping plus the
-        // order-repair re-enumerations ----
+        // ---- commit: everything below is pure bookkeeping ----
         for pred in removed.predicates() {
             let rows = self.db.remove_facts(pred, removed.facts(pred));
             if let Some(segs) = self.segments.get_mut(pred) {
                 segs.shift_ends(&rows);
             }
         }
-        for (head, head_dec) in &dec {
-            // implicit counts: the decrement is the emission leaving
-            let Some(per_rule) = self.counts.get_mut(head) else { continue };
-            for (slot, dmap) in head_dec.iter().enumerate() {
-                let (_, cmap) = &mut per_rule[slot];
-                for (t, d) in dmap {
-                    match cmap.get_mut(t) {
-                        Some(n) if *n > *d => *n -= d,
-                        Some(n) if *n == *d => {
-                            cmap.remove(t);
-                        }
-                        // n < d (per-rule over-decrement) or no entry at
-                        // all: the counts have drifted — fail loudly
-                        // instead of letting later retractions misfire
-                        _ => {
-                            return Err(VadaError::Eval(format!(
-                                "retraction decremented more derivations of `{head}` than \
-                                 were counted for one rule (internal invariant)"
-                            )));
-                        }
-                    }
+        // a planned fact lost every derivation: its count reaches zero
+        // (implicit counts go with the emission), and it leaves each
+        // rule's segment that held it
+        for (head, gone) in &gone {
+            if let Some(counts) = self.counts.get_mut(head) {
+                for t in gone {
+                    counts.remove(t);
                 }
             }
-        }
-        // tracked segments: a tuple leaves rule `ri`'s segment when its
-        // per-rule count reaches zero
-        for (head, head_dec) in &dec {
             if let Some(segs) = self.segments.get_mut(head) {
-                let per_rule = self.counts.get(head);
-                for (slot, (_, seg)) in segs.by_rule.iter_mut().enumerate() {
-                    let left = |t: &&Tuple| per_rule.is_none_or(|c| !c[slot].1.contains_key(*t));
-                    seg.remove_all(head_dec[slot].keys().filter(left));
+                for (_, seg) in &mut segs.by_rule {
+                    seg.remove_all(gone);
                 }
             }
         }
@@ -1364,36 +1221,27 @@ impl IncrementalSession {
             ));
         }
 
-        // ---- order repair, upstream before downstream (unit order) ----
-        for head in units.iter().filter(|h| suspects.contains(*h)) {
-            self.store.refresh(&self.db, self.fault)?;
-            let (rebuilt, work) = self.repair_head_order(head)?;
-            rederived += work;
-            self.db.set_fact_set(head, rebuilt);
-        }
-
         self.poisoned = false;
         self.record_outcome(DeltaOutcome {
             removed_facts,
             retracted_facts: retracted,
-            rederived_facts: rederived,
             ..DeltaOutcome::noop()
         });
         Ok(&self.db)
     }
 
     /// Enumerate the derivations destroyed by `removed` for one counted
-    /// head, plan its count decrements, extend `removed` with the facts
-    /// whose support vanished entirely, and mark the head suspect when a
-    /// fact survives on partial support.
+    /// head, record in `gone` the facts whose support vanished entirely and
+    /// extend `removed` with those the input does not hold. Returns whether
+    /// a fact keeps only part of its derivations — its scratch row may then
+    /// move, and the plan stops there.
     fn plan_counted_retraction(
         &self,
         head: &str,
         removed: &mut Database,
-        dec: &mut BTreeMap<String, Vec<HashMap<Tuple, u64>>>,
-        suspects: &mut BTreeSet<String>,
+        gone: &mut BTreeMap<String, Vec<Tuple>>,
         retracted: &mut usize,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let ris = &self.info.defining[head];
         let mut passes: Vec<(usize, usize)> = Vec::new(); // (slot, occurrence)
         for (slot, &ri) in ris.iter().enumerate() {
@@ -1405,14 +1253,15 @@ impl IncrementalSession {
             }
         }
         if passes.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         let compiled: Vec<CompiledRule> = ris
             .iter()
             .map(|&ri| CompiledRule::compile(&self.program.rules[ri], ri))
             .collect::<Result<_>>()?;
         let removed_view: &Database = removed;
-        let mut head_dec: Vec<HashMap<Tuple, u64>> = vec![HashMap::new(); ris.len()];
+        // destroyed derivations per fact, and the facts in emission order
+        let mut lost: HashMap<Tuple, u64> = HashMap::new();
         let mut emit_order: Vec<Tuple> = Vec::new();
         for &(slot, occ) in &passes {
             let out = guard_stage("datalog/incremental-retract", || {
@@ -1428,74 +1277,56 @@ impl IncrementalSession {
                 )
             })?;
             for t in out {
-                *head_dec[slot].entry(t.clone()).or_insert(0) += 1;
+                *lost.entry(t.clone()).or_insert(0) += 1;
                 emit_order.push(t);
             }
         }
-        let per_rule = self.counts.get(head);
-        if per_rule.is_none() && !self.implicit(head) {
+        let counts = self.counts.get(head);
+        if counts.is_none() && !self.implicit(head) {
             return Err(VadaError::Eval(format!(
                 "counts of `{head}` not captured before planning (internal invariant)"
             )));
         }
-        let mut decided: HashSet<Tuple> = HashSet::new();
+        let mut head_gone: Vec<Tuple> = Vec::new();
         for t in emit_order {
-            if !decided.insert(t.clone()) {
-                continue;
-            }
+            // the first emission of a fact decides it
+            let Some(lost) = lost.remove(&t) else { continue };
             // an implicit count is 1 per rule emitting the fact, and a
             // destroyed derivation was emitted
-            let old: u64 = match (per_rule, self.segments.get(head)) {
-                (Some(per_rule), _) => {
-                    per_rule.iter().map(|(_, c)| c.get(&t).copied().unwrap_or(0)).sum()
-                }
+            let old: u64 = match (counts, self.segments.get(head)) {
+                (Some(counts), _) => counts.get(&t).copied().unwrap_or(0),
                 (None, Some(segs)) => {
                     segs.by_rule.iter().map(|(_, seg)| u64::from(seg.contains(&t))).sum()
                 }
                 (None, None) => 1,
             };
-            let lost: u64 = head_dec.iter().map(|c| c.get(&t).copied().unwrap_or(0)).sum();
             if lost > old {
                 return Err(VadaError::Eval(format!(
                     "retraction destroyed more derivations of `{head}` than were counted \
                      (internal invariant)"
                 )));
             }
-            if lost == old && !self.base.contains(head, &t) {
-                // support gone: the fact leaves, cascading downstream
-                removed.insert(head, t);
-                *retracted += 1;
-            } else if lost < old {
+            if lost < old {
                 // partial support: the fact stays, but its first
                 // derivation may be among the destroyed ones
-                suspects.insert(head.to_string());
+                return Ok(true);
             }
+            if !self.base.contains(head, &t) {
+                // support gone: the fact leaves, cascading downstream
+                removed.insert(head, t.clone());
+                *retracted += 1;
+            }
+            head_gone.push(t);
         }
-        dec.insert(head.to_string(), head_dec);
-        Ok(())
-    }
-
-    /// Re-enumerate the defining rules of one suspect head over the
-    /// repaired database, rebuilding its scratch insertion order (input
-    /// prefix first, then per-rule emissions in program order) and
-    /// refreshing its counts and segments. Returns the rebuilt fact set
-    /// and the number of derivations enumerated (the repair work).
-    fn repair_head_order(&mut self, head: &str) -> Result<(FactSet, usize)> {
-        let count = self.counts.contains_key(head);
-        let e = self.enumerate_head(head, &self.base, &self.db, count)?;
-        if let Some(per_rule) = self.counts.get_mut(head) {
-            *per_rule = e.counts;
-        }
-        if let Some(segs) = self.segments.get_mut(head) {
-            *segs = HeadSegments { by_rule: e.segments, ends: e.ends };
-        }
-        Ok((e.rebuilt, e.emissions))
+        gone.insert(head.to_string(), head_gone);
+        Ok(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vada_common::obs::span_shape;
     use vada_common::tuple;
 
     /// Scratch evaluation of `source` over `input`, dumped in the
@@ -1892,7 +1723,6 @@ mod tests {
         assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
         assert_eq!(out.removed_facts, 1);
         assert_eq!(out.retracted_facts, 1, "q(7,70) loses its only support");
-        assert_eq!(out.rederived_facts, 0);
         assert_eq!(dump(s.database()), scratch(src, &shrunk));
     }
 
@@ -1917,10 +1747,10 @@ mod tests {
     }
 
     #[test]
-    fn partial_support_repairs_order_exactly() {
+    fn partial_support_falls_back_to_scratch_order() {
         // q(X) is derived once per matching r-row: removing r(1,"a") leaves
         // q(1) supported by r(1,"b") only — in a scratch run q(1) now
-        // appears *after* q(2), so the repair step must reorder
+        // appears *after* q(2), so the retraction re-derives
         let src = "q(X) :- r(X, _).";
         let mut input = Database::new();
         input.insert("r", tuple![1, "a"]);
@@ -1930,18 +1760,23 @@ mod tests {
         assert_eq!(s.database().facts("q"), &[tuple![1], tuple![2]]);
         s.retract(vec![("r".into(), tuple![1, "a"])]).unwrap();
         let out = s.last_outcome().unwrap();
-        assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
-        assert_eq!(out.retracted_facts, 0, "q(1) keeps one derivation");
-        assert!(out.rederived_facts > 0, "order repair re-enumerated q: {out:?}");
+        assert_eq!(out.mode, DeltaMode::FullFallback, "{out:?}");
+        assert_eq!(out.fallback_reason.as_deref(), Some("partially supported fact in `q`"));
+        assert_eq!(out.removed_facts, 1);
         assert_eq!(s.database().facts("q"), &[tuple![2], tuple![1]]);
         let mut shrunk = Database::new();
         shrunk.insert("r", tuple![2, "a"]);
         shrunk.insert("r", tuple![1, "b"]);
         assert_eq!(dump(s.database()), scratch(src, &shrunk));
-        // counts follow the repair: q(1) is down to one derivation
+        // a removal that takes a fact's only support counts again
+        s.retract(vec![("r".into(), tuple![2, "a"])]).unwrap();
+        let out = s.last_outcome().unwrap();
+        assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
+        assert_eq!(out.retracted_facts, 1, "q(2) loses its only support");
+        shrunk.remove("r", &tuple![2, "a"]);
+        assert_eq!(dump(s.database()), scratch(src, &shrunk));
         let counts = s.derivation_counts("q").unwrap();
-        assert_eq!(counts.get(&tuple![1]), Some(&1));
-        assert_eq!(counts.get(&tuple![2]), Some(&1));
+        assert_eq!(counts, HashMap::from([(tuple![1], 1)]));
     }
 
     #[test]
@@ -1950,27 +1785,110 @@ mod tests {
         let mut input = Database::new();
         input.insert("a", tuple![1]);
         input.insert("a", tuple![2]);
+        input.insert("a", tuple![3]);
         input.insert("b", tuple![10]);
         input.insert("b", tuple![2]);
         let mut s = session(src, input.clone());
-        assert_eq!(s.database().facts("all"), &[tuple![1], tuple![2], tuple![10]]);
+        assert_eq!(s.database().facts("all"), &[tuple![1], tuple![2], tuple![3], tuple![10]]);
+
+        // retract a(1): all(1) loses its only support, and the removal
+        // splices out of rule A's region
+        s.retract(vec![("a".into(), tuple![1])]).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        input.remove("a", &tuple![1]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+
+        // a later append lands at the end of rule A's region
+        s.apply(vec![("a".into(), tuple![5])]).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        input.insert("a", tuple![5]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+        assert_eq!(s.database().facts("all"), &[tuple![2], tuple![3], tuple![5], tuple![10]]);
 
         // retract a(2): all(2) survives through rule B, but moves to B's
-        // segment position in a scratch run
+        // segment position in a scratch run, so the session re-derives
         s.retract(vec![("a".into(), tuple![2])]).unwrap();
         let out = s.last_outcome().unwrap();
-        assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
-        let mut shrunk = Database::new();
-        shrunk.insert("a", tuple![1]);
-        shrunk.insert("b", tuple![10]);
-        shrunk.insert("b", tuple![2]);
-        assert_eq!(dump(s.database()), scratch(src, &shrunk));
-        assert_eq!(s.database().facts("all"), &[tuple![1], tuple![10], tuple![2]]);
+        assert_eq!(out.mode, DeltaMode::FullFallback, "{out:?}");
+        assert_eq!(out.fallback_reason.as_deref(), Some("partially supported fact in `all`"));
+        input.remove("a", &tuple![2]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+        assert_eq!(s.database().facts("all"), &[tuple![3], tuple![5], tuple![10], tuple![2]]);
 
-        // and a later append still lands correctly mid-sequence
-        s.apply(vec![("a".into(), tuple![5])]).unwrap();
-        shrunk.insert("a", tuple![5]);
-        assert_eq!(dump(s.database()), scratch(src, &shrunk));
+        // the re-derivation captured the segments again
+        s.apply(vec![("a".into(), tuple![6])]).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        input.insert("a", tuple![6]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+    }
+
+    #[test]
+    fn append_of_a_fact_another_rule_holds_falls_back() {
+        // `all(2)` sits in rule B's region: rule A deriving it would move it
+        // up in a scratch run; `all(1)` sits in rule A's region, where rule
+        // B deriving it leaves it; `all(7)` is an input fact. Each append
+        // re-derives, and the session stays live and byte-identical.
+        let src = "all(X) :- a(X). all(X) :- b(X).";
+        let mut input = Database::new();
+        input.insert("all", tuple![7]);
+        input.insert("a", tuple![1]);
+        input.insert("b", tuple![2]);
+        let mut s = session(src, input.clone());
+        for (pred, v) in [("a", 2i64), ("b", 1), ("a", 7), ("b", 3)] {
+            s.apply(vec![(pred.into(), tuple![v])]).unwrap();
+            input.insert(pred, tuple![v]);
+            let out = s.last_outcome().unwrap();
+            if v == 3 {
+                assert_eq!(out.mode, DeltaMode::Incremental, "{out:?}");
+            } else {
+                assert_eq!(out.mode, DeltaMode::FullFallback, "{pred}({v}): {out:?}");
+                let reason = out.fallback_reason.as_deref();
+                assert_eq!(reason, Some("emission already held in `all`"));
+                assert_eq!(out.delta_facts, 1);
+            }
+            assert_eq!(dump(s.database()), scratch(src, &input), "{pred}({v})");
+        }
+        assert_eq!(s.database().facts("all"), &[tuple![7], tuple![1], tuple![2], tuple![3]]);
+    }
+
+    #[test]
+    fn retraction_captures_counts_only_for_heads_it_reaches() {
+        // `aux` reads only `dep` and derives a fact once per `dep` row, so
+        // it keeps explicit counts; `out` derives each fact once
+        let src = "aux(X) :- dep(X, _). out(X, Y) :- prim(X, Y), aux(X).";
+        let mut input = Database::new();
+        for i in 0..6i64 {
+            input.insert("prim", tuple![i, i * 10]);
+            input.insert("dep", tuple![i % 3, i]);
+        }
+        input.insert("dep", tuple![9i64, 0i64]);
+        input.insert("prim", tuple![9i64, 90i64]);
+        let config = EngineConfig { obs: Obs::enabled(), ..EngineConfig::default() };
+        let mut s = IncrementalSession::new(config, src).unwrap();
+        s.run_full(input.clone()).unwrap();
+        let counts_spans = |s: &IncrementalSession| {
+            let spans = s.obs().span_records();
+            span_shape(&spans, |r| r.name == "incremental/counts")
+        };
+
+        s.retract(vec![("prim".into(), tuple![1i64, 10i64]), ("prim".into(), tuple![4i64, 40i64])])
+            .unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        input.remove("prim", &tuple![1i64, 10i64]);
+        input.remove("prim", &tuple![4i64, 40i64]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+        assert_eq!(s.derivation_counts("aux"), None, "aux is not reached");
+        assert!(counts_spans(&s).is_empty(), "{:?}", counts_spans(&s));
+
+        // a retraction that reaches `aux` captures its counts
+        s.retract(vec![("dep".into(), tuple![9i64, 0i64])]).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        input.remove("dep", &tuple![9i64, 0i64]);
+        assert_eq!(dump(s.database()), scratch(src, &input));
+        assert_eq!(counts_spans(&s), ["1 0 incremental/counts heads=1"]);
+        let counts = s.derivation_counts("aux").unwrap();
+        let want = HashMap::from([(tuple![0i64], 2), (tuple![1i64], 2), (tuple![2i64], 2)]);
+        assert_eq!(counts, want);
     }
 
     #[test]
@@ -2188,18 +2106,22 @@ mod tests {
         let mut s = session(src, input.clone());
         s.apply(vec![("r".into(), tuple![1i64, 50i64])]).unwrap();
         input.insert("r", tuple![1i64, 50i64]);
-        s.retract(vec![("r".into(), tuple![1i64, 1i64]), ("w".into(), tuple![2i64, 200i64])])
-            .unwrap();
+        // both of q(3)'s rows and one w row: every fact the retraction
+        // reaches loses all of its derivations, so counting commits
+        let gone =
+            [("r", tuple![3i64, 3i64]), ("r", tuple![3i64, 7i64]), ("w", tuple![2i64, 200i64])];
+        s.retract(gone.iter().map(|(p, t)| (p.to_string(), t.clone())).collect()).unwrap();
+        assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental);
+        // and an append after it keeps the captured counts in step
+        s.apply(vec![("r".into(), tuple![1i64, 60i64])]).unwrap();
+        input.insert("r", tuple![1i64, 60i64]);
         // reference counts: enumerate each rule over the scratch fixpoint
         let mut shrunk = Database::new();
-        for t in input.facts("r") {
-            if t != &tuple![1i64, 1i64] {
-                shrunk.insert("r", t.clone());
-            }
-        }
-        for t in input.facts("w") {
-            if t != &tuple![2i64, 200i64] {
-                shrunk.insert("w", t.clone());
+        for pred in ["r", "w"] {
+            for t in input.facts(pred) {
+                if !gone.contains(&(pred, t.clone())) {
+                    shrunk.insert(pred, t.clone());
+                }
             }
         }
         let program = parse_program(src).unwrap();
@@ -2248,8 +2170,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         // `u` is tracked and its rules overlap: a value in `a` and `b` is
-        // derived twice, appending it to `a` moves it into an earlier region,
-        // and retracting one of its derivations sends `u` through repair
+        // derived twice, so appending it to `a` while `b` holds it, or
+        // retracting one of its derivations, re-derives `u` from scratch
         let src = "u(X) :- a(X). u(X) :- b(X). u(X) :- c(X, _). v(X, Y) :- c(X, Y), k(Y).";
         let fact = |pred: &str, rng: &mut StdRng| {
             let (x, y) = (rng.gen_range(0i64..6), rng.gen_range(0i64..3));
@@ -2265,8 +2187,10 @@ mod tests {
         input.insert("c", tuple![4, 0]);
         let mut s = session(src, input);
         s.apply(vec![("a".into(), tuple![6])]).unwrap();
+        let out = s.last_outcome().unwrap();
+        assert_eq!(out.fallback_reason.as_deref(), Some("emission already held in `u`"));
         assert_eq!(s.database().facts("u"), &[tuple![6], tuple![5], tuple![4]]);
-        let mut repairs = 0;
+        let (mut fast, mut fallbacks) = (0, 0);
         for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut input = Database::new();
@@ -2295,15 +2219,25 @@ mod tests {
                 }
                 if retracting {
                     s.retract(edits).unwrap();
-                    repairs += usize::from(s.last_outcome().unwrap().rederived_facts > 0);
                 } else {
                     s.apply(edits).unwrap();
                 }
-                assert_eq!(s.last_outcome().unwrap().mode, DeltaMode::Incremental, "seed {seed}");
+                let out = s.last_outcome().unwrap();
+                if out.mode == DeltaMode::Incremental {
+                    fast += 1;
+                } else {
+                    // the only fallbacks are the two reorderings
+                    let want = match retracting {
+                        true => "partially supported fact in `u`",
+                        false => "emission already held in `u`",
+                    };
+                    assert_eq!(out.fallback_reason.as_deref(), Some(want), "seed {seed}");
+                    fallbacks += 1;
+                }
                 assert_eq!(dump(s.database()), scratch(src, &input), "seed {seed} step {step}");
             }
         }
-        assert!(repairs > 0, "no retraction went through order repair");
+        assert!(fast > 0 && fallbacks > 0, "fast {fast}, fallbacks {fallbacks}");
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl OracleSet {
         self.tuples.splice(row..row, block);
         added
     }
-
-    fn move_row(&mut self, from: usize, to: usize) {
-        let t = self.tuples.remove(from);
-        self.tuples.insert(to, t);
-    }
 }
 
 /// A fact of arity 0–3 over values chosen to collide under `Value`'s
@@ -114,13 +109,13 @@ fn store_fact(code: u16) -> Tuple {
 proptest! {
     #[test]
     fn fact_set_matches_the_two_copy_oracle(
-        script in proptest::collection::vec((0u8..10, 0u16..6912), 1..600)
+        script in proptest::collection::vec((0u8..9, 0u16..6912), 1..600)
     ) {
-        // random insert / contains / remove / remove_all / insert_at /
-        // move_row scripts, long enough to double the table several times,
-        // compared with the old representation after every step: the
-        // reorders must re-label every row id the table holds, and the
-        // removals report the rows they emptied
+        // random insert / contains / remove / remove_all / insert_at
+        // scripts, long enough to double the table several times, compared
+        // with the old representation after every step: a block insert
+        // must re-label every row id the table holds, and the removals
+        // report the rows they emptied
         use vada_datalog::engine::FactSet;
         let mut fs = FactSet::default();
         let mut oracle = OracleSet::default();
@@ -136,7 +131,7 @@ proptest! {
                         (0..5).map(|k| store_fact(code.wrapping_add(k * 13))).collect();
                     prop_assert_eq!(fs.remove_all(&gone), oracle.remove_all(&gone));
                 }
-                8 => {
+                _ => {
                     // a block of three, present or repeated facts among them
                     let row = code as usize % (len + 1);
                     let block: Vec<Tuple> =
@@ -146,14 +141,6 @@ proptest! {
                         oracle.insert_at(row, block),
                         "insert_at {} row {}", code, row
                     );
-                }
-                _ => {
-                    if len > 0 {
-                        let from = code as usize % len;
-                        let to = code as usize / 7 % (from + 1);
-                        fs.move_row(from, to);
-                        oracle.move_row(from, to);
-                    }
                 }
             }
             prop_assert_eq!(fs.tuples(), oracle.tuples.as_slice());
@@ -328,10 +315,12 @@ proptest! {
     fn counting_invariants_hold_under_retraction(
         rows in proptest::collection::vec((0u8..6, 0u8..12), 1..30),
         links in proptest::collection::vec((0u8..6, 0u8..12), 1..20),
-        kills in proptest::collection::vec((0u8..2, 0u8..30), 1..8)
+        kills in proptest::collection::vec((0u8..3, 0u8..30), 1..8)
     ) {
         // a two-level non-recursive program maintained by counting: q has
-        // one derivation per matching r row, wide multiplies q by w
+        // one derivation per matching r row, wide multiplies q by w; a kill
+        // takes one r or w row, or every r row of one X (so `q(X)` loses
+        // its whole support and counting commits)
         use vada_datalog::incremental::{DeltaMode, IncrementalSession};
         use vada_datalog::EngineConfig;
         let src = "q(X) :- r(X, _). wide(X, Z) :- q(X), w(X, Z).";
@@ -348,6 +337,13 @@ proptest! {
         // retract a random subset of existing facts (structural pick)
         let mut removals: Vec<(String, Tuple)> = Vec::new();
         for &(which, nth) in &kills {
+            if which == 2 {
+                let x = (nth % 6) as i64;
+                for t in input.facts("r").iter().filter(|t| t[0].as_int() == Some(x)) {
+                    removals.push(("r".to_string(), t.clone()));
+                }
+                continue;
+            }
             let pred = if which == 0 { "r" } else { "w" };
             let facts = input.facts(pred);
             if facts.is_empty() {
@@ -363,12 +359,16 @@ proptest! {
                 }
             }
         }
+        let r_shrank = removals.iter().any(|(p, _)| p == "r");
         session.retract(removals).unwrap();
-        prop_assert_eq!(
-            session.last_outcome().unwrap().mode,
-            DeltaMode::Incremental,
-            "counting never falls back on this program: {:?}",
-            session.last_outcome()
+        // counting falls back on this program only when a `q` fact keeps
+        // some of its `r` rows (`wide` derives each fact once)
+        let out = session.last_outcome().unwrap();
+        let fell_back = out.mode == DeltaMode::FullFallback;
+        prop_assert!(
+            out.mode == DeltaMode::Incremental
+                || out.fallback_reason.as_deref() == Some("partially supported fact in `q`"),
+            "counting falls back only on partial support: {:?}", out
         );
 
         // reference: the scratch fixpoint over the shrunk input, with
@@ -376,17 +376,22 @@ proptest! {
         let program = parse_program(src).unwrap();
         let scratch = Engine::default().run(&program, shrunk.clone()).unwrap();
         for pred in ["q", "wide"] {
-            let counts = session.derivation_counts(pred).unwrap();
-            // zero iff the fact left the fixpoint (counts drop their zero
-            // entries, so the key set IS the positive-count set)
-            let alive: std::collections::BTreeSet<&Tuple> = counts.keys().collect();
-            let expect: std::collections::BTreeSet<&Tuple> = scratch.facts(pred).iter().collect();
-            prop_assert_eq!(alive, expect, "count support drifted for {}", pred);
             prop_assert_eq!(
                 session.database().facts(pred),
                 scratch.facts(pred),
                 "facts or order drifted for {}", pred
             );
+            // `q`'s counts are captured by a retraction that reaches it and
+            // dropped by a re-derivation; `wide`'s are its facts
+            let Some(counts) = session.derivation_counts(pred) else {
+                prop_assert!(pred == "q" && (fell_back || !r_shrank), "{} uncounted", pred);
+                continue;
+            };
+            // zero iff the fact left the fixpoint (counts drop their zero
+            // entries, so the key set IS the positive-count set)
+            let alive: std::collections::BTreeSet<&Tuple> = counts.keys().collect();
+            let expect: std::collections::BTreeSet<&Tuple> = scratch.facts(pred).iter().collect();
+            prop_assert_eq!(alive, expect, "count support drifted for {}", pred);
         }
     }
 
