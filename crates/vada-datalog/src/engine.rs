@@ -1779,4 +1779,119 @@ mod tests {
         assert!(has("x", "y"));
         assert!(!has("a", "x"));
     }
+
+    /// The stratum loop with no rule settled: every same-stratum head read
+    /// positively feeds the delta, and every rule re-fires on it. Returns
+    /// the fixpoint and the semi-naive iterations it took, summed over the
+    /// strata.
+    fn refire_everything(program: &Program, mut db: Database) -> (Database, u64) {
+        let engine = Engine::default();
+        let strat = stratify(program).unwrap();
+        for rule in program.rules.iter().filter(|r| r.is_fact()) {
+            let t: Tuple = (rule.head_terms.iter())
+                .map(|ht| match ht {
+                    HeadTerm::Term(Term::Const(v)) => v.clone(),
+                    _ => unreachable!("a ground fact"),
+                })
+                .collect();
+            db.insert(&rule.head_pred, t);
+        }
+        let mut iterations = 0;
+        for stratum in 0..strat.stratum_count {
+            let compiled: Vec<CompiledRule> = (strat.strata_rules[stratum].iter())
+                .map(|&ri| CompiledRule::compile(&program.rules[ri], ri).unwrap())
+                .collect();
+            let recursive = strat.recursive_preds(program, stratum);
+            let absorb = |db: &mut Database, delta: &mut Database, head: &str, out: Vec<Tuple>| {
+                let mut fresh = 0;
+                for t in out {
+                    if db.insert(head, t.clone()) {
+                        fresh += 1;
+                        if recursive.contains(head) {
+                            delta.insert(head, t);
+                        }
+                    }
+                }
+                fresh
+            };
+            let mut delta = Database::new();
+            let mut fresh = 0;
+            for cr in &compiled {
+                let out = engine.eval_rule(cr, &db, None, None, None).unwrap();
+                fresh += absorb(&mut db, &mut delta, &cr.rule.head_pred, out);
+            }
+            while fresh > 0 {
+                iterations += 1;
+                let mut passes = Vec::new();
+                for (ci, cr) in compiled.iter().enumerate() {
+                    for (occ, &li) in cr.positive_lit_indices.iter().enumerate() {
+                        let Literal::Pos(atom) = &cr.rule.body[li] else { continue };
+                        if !cr.rule.has_aggregate()
+                            && recursive.contains(&atom.pred)
+                            && !delta.facts(&atom.pred).is_empty()
+                        {
+                            passes.push((ci, occ));
+                        }
+                    }
+                }
+                let mut new_delta = Database::new();
+                fresh = 0;
+                for (ci, occ) in passes {
+                    let cr = &compiled[ci];
+                    let spec = DeltaSpec::Insert { delta: &delta, occ };
+                    let out = engine.eval_rule(cr, &db, Some(spec), None, None).unwrap();
+                    fresh += absorb(&mut db, &mut new_delta, &cr.rule.head_pred, out);
+                }
+                delta = new_delta;
+            }
+        }
+        (db, iterations)
+    }
+
+    #[test]
+    fn settled_rules_keep_every_fact_and_its_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let programs = [
+            // the benchmark's reasoner program, and with its consumer first
+            "all(X, P) :- a(X, P). all(X, P) :- b(X, P). \
+             picked(X, P) :- a(X, P), k(X). wide(X, P, Q) :- picked(X, P), w(P, Q).",
+            "wide(X, P, Q) :- picked(X, P), w(P, Q). picked(X, P) :- a(X, P), k(X). \
+             all(X, P) :- b(X, P). all(X, P) :- a(X, P).",
+            // a three-level chain in reverse rule order
+            "c3(X, Y) :- c2(X, Y), k(Y). c2(X, Z) :- c1(X, Y), e(Y, Z). c1(X, Y) :- e(X, Y), k(X).",
+            // a head defined on both sides of its reader
+            "r(X, Y) :- a(X, Y). q(X) :- r(X, Y), k(Y). r(X, Y) :- e(X, Y). s(X) :- q(X), k(X).",
+            // transitive closure, and a rule reading it
+            "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z). loop(X) :- tc(X, X).",
+            // a negation stratum and an aggregate stratum above a chain
+            "c1(X, Y) :- e(X, Y). c2(X, Z) :- c1(X, Y), e(Y, Z). \
+             open(X) :- k(X), not c2(X, X). deg(X, count(Y)) :- c2(X, Y). \
+             hub(X) :- deg(X, N), N > 2. open_hub(X) :- open(X), hub(X).",
+        ];
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut input = Database::new();
+            for _ in 0..120 {
+                let v = |rng: &mut StdRng| rng.gen_range(0..24i64);
+                input.insert("a", tuple![v(&mut rng), v(&mut rng)]);
+                input.insert("b", tuple![v(&mut rng), v(&mut rng)]);
+                input.insert("e", tuple![v(&mut rng), v(&mut rng)]);
+                input.insert("w", tuple![v(&mut rng), v(&mut rng)]);
+                input.insert("k", tuple![v(&mut rng)]);
+            }
+            for src in programs {
+                let program = parse_program(src).unwrap();
+                let (expected, iterations) = refire_everything(&program, input.clone());
+                let obs = vada_common::Obs::enabled();
+                let engine = Engine::new(EngineConfig { obs: obs.clone(), ..Default::default() });
+                let got = engine.run(&program, input.clone()).unwrap();
+                assert_eq!(got.predicates(), expected.predicates(), "seed {seed}: {src}");
+                for pred in expected.predicates() {
+                    assert_eq!(got.facts(pred), expected.facts(pred), "seed {seed}, `{pred}`: {src}");
+                }
+                assert_eq!(obs.get(obs_key::DELTA_PASSES), iterations, "seed {seed}: {src}");
+            }
+        }
+    }
 }
