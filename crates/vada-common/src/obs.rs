@@ -83,11 +83,13 @@ pub mod key {
     pub const STRATUM_PASSES: &str = "datalog.stratum.passes";
     /// Semi-naive delta re-passes evaluated.
     pub const DELTA_PASSES: &str = "datalog.delta.passes";
-    /// Shared-index refreshes over the growing database.
+    /// Requests for a fact set's join index that filed at least one row:
+    /// an index over facts that did not change since it was last asked
+    /// for is not counted.
     pub const INDEX_BUILDS: &str = "datalog.index.builds";
-    /// Shared-index probes served.
+    /// Probes served by the join indexes fact sets keep.
     pub const INDEX_PROBES: &str = "datalog.index.probes";
-    /// Join-planner choices: literals planned against a shared index.
+    /// Join-planner choices: literals planned against an index.
     pub const JOIN_INDEXED: &str = "datalog.join.indexed";
     /// Join-planner choices: literals with no bound column — a rule's
     /// generators, enumerated in full. Every rule has at least its

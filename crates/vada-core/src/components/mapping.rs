@@ -205,16 +205,23 @@ pub struct MappingExecution {
 #[derive(Debug)]
 struct Written {
     under: Under,
-    /// The output rows, vetoes applied, in output order.
-    raw: Vec<Tuple>,
+    /// What the next diff reads of the output.
+    raw: Raw,
     /// The parts the output was made of.
     chains: Vec<Chain>,
-    /// Their blocks, computed by the first diff after a whole put.
-    blocks: Option<RawBlocks>,
     /// The journal mark after the write.
     mark: JournalMark,
     /// Per stored row, the output row it holds, as of `mark`.
     origins: Origins,
+}
+
+/// What a diff reads of the output it follows: after a whole put, the
+/// output rows, vetoes applied, in output order, until the first diff
+/// computes their blocks; from then on, only the blocks.
+#[derive(Debug)]
+enum Raw {
+    Rows(Vec<Tuple>),
+    Blocks(RawBlocks),
 }
 
 /// What an output is written under: conditions 2 and 3, besides the
@@ -356,7 +363,7 @@ impl Written {
     /// blocks of `raw` and the origins after the write, and what the write
     /// did.
     fn diff(
-        mut self,
+        self,
         kb: &mut KnowledgeBase,
         schema: &Schema,
         raw: &[Tuple],
@@ -364,15 +371,15 @@ impl Written {
     ) -> Result<(RawBlocks, Origins, Diffed)> {
         let col = schema.require(block_attr(schema))?;
         let mut key = String::new();
-        let mut blocks = match self.blocks.take() {
-            Some(blocks) => blocks,
-            None => {
+        let mut blocks = match self.raw {
+            Raw::Blocks(blocks) => blocks,
+            Raw::Rows(rows) => {
                 let mut blocks = RawBlocks::default();
-                blocks.of = self.raw.iter().map(|t| blocks.id(t, col, &mut key)).collect();
+                blocks.of = rows.iter().map(|t| blocks.id(t, col, &mut key)).collect();
                 blocks
             }
         };
-        let mut new_of_old = vec![NEW; self.raw.len()];
+        let mut new_of_old = vec![NEW; blocks.of.len()];
         for (j, &i) in kept.iter().enumerate().filter(|(_, &i)| i != NEW) {
             new_of_old[i as usize] = j as u32;
         }
@@ -485,7 +492,6 @@ impl Transducer for MappingExecution {
             (result, vetoed, chains, kept)
         };
         let rows = result.len();
-        let raw = result.tuples().to_vec();
         let under = Under::of(kb);
         // taken out, so a failed write leaves nothing kept; an output none
         // of whose rows pairs is put whole
@@ -496,9 +502,10 @@ impl Transducer for MappingExecution {
             _ => None,
         };
         let summary = format!("materialised {rows} rows from {id} ({vetoed} cells vetoed)");
-        let (blocks, origins, outcome) = match diffable {
+        let (raw, origins, outcome) = match diffable {
             Some(last) => {
-                let (blocks, origins, diffed) = last.diff(kb, result.schema(), &raw, &kept)?;
+                let (blocks, origins, diffed) =
+                    last.diff(kb, result.schema(), result.tuples(), &kept)?;
                 let writes = diffed.removed + diffed.inserted;
                 kb.obs().incr(obs_key::MAP_RESULT_DIFFED);
                 kb.obs().add(obs_key::MAP_RESULT_DIFF_ROWS, writes as u64);
@@ -506,16 +513,17 @@ impl Transducer for MappingExecution {
                     "{summary}; restored {} block(s): {} row(s) removed, {} inserted",
                     diffed.blocks, diffed.removed, diffed.inserted
                 );
-                (Some(blocks), origins, RunOutcome::new(summary, writes))
+                (Raw::Blocks(blocks), origins, RunOutcome::new(summary, writes))
             }
             None => {
+                let raw = Raw::Rows(result.tuples().to_vec());
                 kb.put_result(result);
                 kb.obs().incr(obs_key::MAP_RESULT_WHOLE);
-                (None, Origins((0..rows as u32).collect()), RunOutcome::new(summary, rows))
+                (raw, Origins((0..rows as u32).collect()), RunOutcome::new(summary, rows))
             }
         };
         let mark = kb.mark();
-        self.written = Some(Written { under, raw, chains, blocks, mark, origins });
+        self.written = Some(Written { under, raw, chains, mark, origins });
         Ok(outcome)
     }
 }

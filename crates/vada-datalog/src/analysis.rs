@@ -47,6 +47,37 @@ impl Stratification {
         }
         rec
     }
+
+    /// Which rules of `stratum` re-fire in its semi-naive loop (aligned
+    /// with `strata_rules[stratum]`), and the predicates they read
+    /// positively — the only heads whose new facts feed the delta. A rule
+    /// *settles* in the initial pass, and never re-fires, when every head it
+    /// reads positively that this stratum defines is defined only by
+    /// settled rules earlier in pass order: its initial evaluation saw
+    /// those inputs complete, so a delta pass could only re-derive facts it
+    /// already has. Aggregate rules read lower strata only, so they settle.
+    pub(crate) fn refiring<'p>(
+        &self,
+        program: &'p Program,
+        stratum: usize,
+    ) -> (Vec<bool>, BTreeSet<&'p str>) {
+        let rules = &self.strata_rules[stratum];
+        let mut refires: Vec<bool> = Vec::with_capacity(rules.len());
+        for &ri in rules {
+            // a rule not yet seen, or one that re-fires, leaves `p` open
+            let complete = |p: &str| {
+                let defines = rules.iter().map(|&rj| program.rules[rj].head_pred == p);
+                defines.enumerate().all(|(j, d)| !d || refires.get(j) == Some(&false))
+            };
+            let settles = program.rules[ri].positive_preds().all(complete);
+            refires.push(!settles);
+        }
+        let read = (rules.iter().zip(&refires))
+            .filter(|&(_, &r)| r)
+            .flat_map(|(&ri, _)| program.rules[ri].positive_preds())
+            .collect();
+        (refires, read)
+    }
 }
 
 /// Stratify `program`, or fail with [`VadaError::Program`] if negation or

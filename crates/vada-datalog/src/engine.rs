@@ -7,24 +7,26 @@
 //! 2. Load ground facts.
 //! 3. Per stratum (ascending): one *initial pass* evaluates every rule
 //!    against the current database; then **semi-naive iteration** re-fires
-//!    only rules with a recursive positive literal, once per occurrence of a
-//!    recursive predicate, with that occurrence restricted to the previous
-//!    iteration's delta.
+//!    only the rules that can still derive something (a rule whose
+//!    same-stratum inputs were complete when it first ran *settles*; see
+//!    `Stratification::refiring`), once per occurrence of a
+//!    predicate a re-firing rule reads, with that occurrence restricted to
+//!    the previous iteration's delta.
 //! 4. Aggregate rules run in the initial pass only — stratification
 //!    guarantees their inputs live in strictly lower strata.
 //!
 //! Join orders are compiled per rule with a greedy ordering that places
 //! comparisons and negations as soon as their variables are bound. A
 //! positive literal with bound positions walks a row-id chained index on
-//! them (see [`crate::index`]): over the full database, the run's
-//! [`IndexStore`], registered from each stratum's lookup shapes and
-//! extended over appended rows before every rule evaluation;
-//! over a delta or a filtered view, an index built once per rule
-//! evaluation.
+//! them (see [`crate::index`]): over the full database, the index its
+//! [`FactSet`] keeps, extended over the rows appended since it was last
+//! asked for, so a rule sees what the rules before it wrote and facts that
+//! do not change are indexed once whatever runs read them; over a delta or
+//! a filtered view, an index built once per rule evaluation.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, Obs};
@@ -33,7 +35,7 @@ use vada_common::{Result, Tuple, VadaError, Value};
 use crate::analysis::stratify;
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
 use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
-use crate::index::{hash_values, probe, reseat, IndexStore, RowIndex, Rows};
+use crate::index::{hash_values, probe, reseat, RowIndex, Rows};
 use crate::magic::{self, Demand};
 use crate::skolem;
 
@@ -41,7 +43,7 @@ use crate::skolem;
 /// tuple arena plus an open-addressing table of **row ids** into it. A probe
 /// hashes the candidate's values and compares against `tuples[row]`, so no
 /// tuple is ever stored (or cloned) twice.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FactSet {
     tuples: Vec<Tuple>,
     /// `hash_values(tuples[row])` per row, kept in lockstep with the arena,
@@ -54,9 +56,64 @@ pub struct FactSet {
     /// `tuples.len()`, so every probe sequence ends at a free slot. Row ids
     /// are `usize` — an arena too long for its own ids cannot exist.
     slots: Vec<usize>,
+    /// The join indexes the engine has asked for, one per column shape
+    /// ([`FactSet::index`]). Appends leave them covering a prefix; every
+    /// mutation that moves a row id drops them.
+    indexes: Mutex<Vec<(Vec<usize>, Arc<KeptIndex>)>>,
+}
+
+/// A join index a [`FactSet`] keeps: its rows `0..covered`, filed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeptIndex {
+    covered: usize,
+    pub(crate) rows: RowIndex,
+}
+
+/// A copy starts with the original's indexes, and copies one only when it
+/// extends it.
+impl Clone for FactSet {
+    fn clone(&self) -> FactSet {
+        FactSet {
+            tuples: self.tuples.clone(),
+            hashes: self.hashes.clone(),
+            slots: self.slots.clone(),
+            indexes: Mutex::new(self.kept().clone()),
+        }
+    }
 }
 
 impl FactSet {
+    /// The kept indexes. A panic while they were locked may have left one
+    /// half-extended, so they are dropped then, never served.
+    fn kept(&self) -> MutexGuard<'_, Vec<(Vec<usize>, Arc<KeptIndex>)>> {
+        self.indexes.lock().unwrap_or_else(|poisoned| {
+            self.indexes.clear_poison();
+            let mut kept = poisoned.into_inner();
+            kept.clear();
+            kept
+        })
+    }
+
+    /// The join index over these facts on `cols`, extended over the rows
+    /// appended since it was last asked for, and whether that filed any
+    /// row. The handle serves one rule evaluation; the set keeps the index
+    /// for the next, so facts that do not change are indexed once.
+    pub(crate) fn index(&self, cols: &[usize]) -> (Arc<KeptIndex>, bool) {
+        let mut kept = self.kept();
+        let at = kept.iter().position(|(c, _)| c == cols).unwrap_or_else(|| {
+            kept.push((cols.to_vec(), Arc::default()));
+            kept.len() - 1
+        });
+        let index = &mut kept[at].1;
+        let built = index.covered < self.len();
+        if built {
+            let index = Arc::make_mut(index);
+            index.rows.extend(&self.tuples, cols, index.covered..self.tuples.len());
+            index.covered = self.tuples.len();
+        }
+        (Arc::clone(index), built)
+    }
+
     /// [`probe`] over the facts: `Ok(row)` of the first fact `is_match`
     /// accepts, or `Err(slot)` of the free slot that ends the sequence.
     /// The table must be non-empty.
@@ -129,6 +186,7 @@ impl FactSet {
         self.tuples[lo..hi].rotate_right(k);
         self.hashes[lo..hi].rotate_right(k);
         let split = hi - k;
+        self.indexes = Mutex::default();
         for id in &mut self.slots {
             // `FREE` is past every `hi`, so free slots never match
             if (lo..hi).contains(id) {
@@ -216,6 +274,7 @@ impl FactSet {
         self.tuples.truncate(kept);
         self.hashes.truncate(kept);
         self.rebuild(self.slots.len());
+        self.indexes = Mutex::default();
     }
 
     /// Facts in insertion order.
@@ -242,19 +301,11 @@ impl FactSet {
 /// A fact database: predicate name → fact set. Relations are
 /// reference-counted and copied on first write, so cloning a database costs
 /// O(#predicates) and a relation nobody writes is never copied — an engine
-/// run shares its untouched extensional input with the caller.
+/// run shares its untouched extensional input, and the join indexes it
+/// keeps, with the caller.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     rels: HashMap<String, Arc<FactSet>>,
-    /// Per-predicate *reorder epoch*: bumped by every mutation that can
-    /// shrink or rewrite a predicate's row-id space (removals, clears,
-    /// wholesale replacement) — never by inserts, which only append. A
-    /// shared index records the epoch it was built against, so an index
-    /// that survives across mutations can tell "rows were appended"
-    /// (extend in O(change)) from "row ids moved" (rebuild), even when the
-    /// predicate regrows to its old length. Kept outside [`FactSet`] deliberately: `clear_predicate`
-    /// drops the fact set entirely, and the epoch must survive that.
-    epochs: HashMap<String, u64>,
 }
 
 impl Database {
@@ -288,14 +339,9 @@ impl Database {
     /// Remove a fact, preserving the insertion order of the remaining facts
     /// of the predicate; returns `true` if it was present.
     pub fn remove(&mut self, pred: &str, t: &Tuple) -> bool {
-        let removed = self
-            .rels
+        self.rels
             .get_mut(pred)
-            .is_some_and(|rel| rel.contains(t) && Arc::make_mut(rel).remove(t).is_some());
-        if removed {
-            self.bump_epoch(pred);
-        }
-        removed
+            .is_some_and(|rel| rel.contains(t) && Arc::make_mut(rel).remove(t).is_some())
     }
 
     /// Remove every listed fact of one predicate in a single pass,
@@ -311,7 +357,6 @@ impl Database {
         let rows = rel.rows_of(gone);
         if !rows.is_empty() {
             Arc::make_mut(rel).remove_rows(&rows);
-            self.bump_epoch(pred);
         }
         rows
     }
@@ -322,19 +367,7 @@ impl Database {
     /// fact order a from-scratch build would have, because insertion order
     /// within a predicate is first-insert order.
     pub fn clear_predicate(&mut self, pred: &str) {
-        if self.rels.remove(pred).is_some() {
-            self.bump_epoch(pred);
-        }
-    }
-
-    /// The predicate's reorder epoch; 0 until a shrinking/rewriting
-    /// mutation first touches it.
-    pub(crate) fn epoch(&self, pred: &str) -> u64 {
-        self.epochs.get(pred).copied().unwrap_or(0)
-    }
-
-    fn bump_epoch(&mut self, pred: &str) {
-        *self.epochs.entry(pred.to_string()).or_insert(0) += 1;
+        self.rels.remove(pred);
     }
 
     /// Facts for a predicate (empty slice if unknown).
@@ -412,21 +445,18 @@ impl Database {
         }
     }
 
-    /// Replace the fact set of one predicate wholesale. Used by the demand
-    /// rewrite to share extensional relations; never exposed publicly
-    /// because arbitrary replacement would break the append-only order
-    /// reasoning.
+    /// Replace the fact set of one predicate wholesale, indexes and all.
+    /// Used by the demand rewrite to share extensional relations; never
+    /// exposed publicly because arbitrary replacement would break the
+    /// append-only order reasoning.
     pub(crate) fn set_fact_set(&mut self, pred: &str, fs: impl Into<Arc<FactSet>>) {
         self.rels.insert(pred.to_string(), fs.into());
-        // replacement gives no prefix guarantee, so row ids may have moved
-        self.bump_epoch(pred);
     }
 
     /// A predicate's fact set, for an in-place reorder
     /// ([`FactSet::insert_at`]): the incremental layer's splice of a
-    /// multi-rule head. Row ids move, so the reorder epoch is bumped.
+    /// multi-rule head. A reorder that moves rows drops the set's indexes.
     pub(crate) fn reorder(&mut self, pred: &str) -> &mut FactSet {
-        self.bump_epoch(pred);
         Arc::make_mut(self.rels.entry(pred.to_string()).or_default())
     }
 }
@@ -442,9 +472,9 @@ pub struct EngineConfig {
     /// Total derived-fact cap.
     pub max_facts: usize,
     /// Test-only fault injection: `Some("magic-rewrite")` panics inside the
-    /// demand-rewrite stage, `Some("index-build")` inside the shared-index
-    /// refresh. Both surface as [`VadaError::Parallel`] naming the stage,
-    /// exactly like a panic inside a rule evaluation.
+    /// demand-rewrite stage, `Some("index-build")` at every request for a
+    /// fact set's join index. Both surface as [`VadaError::Parallel`]
+    /// naming the stage, exactly like a panic inside a rule evaluation.
     pub inject_fault: Option<&'static str>,
     /// Counter registry for evaluation telemetry (`datalog.*`,
     /// `magic.*`). Defaults to the disabled stub — a single branch per
@@ -534,13 +564,6 @@ impl Engine {
         let strat = stratify(program)?;
         let fault = self.config.inject_fault;
         let obs = &self.config.obs;
-        // shared hash indexes over the growing database, registered from
-        // each stratum's compiled lookup shapes and refreshed incrementally
-        // before every rule evaluation, so a rule sees what the rules before
-        // it wrote; identical to the per-pass lazy indexes by construction,
-        // so it only changes wall-clock.
-        let mut store = IndexStore::default();
-        store.obs = obs.clone();
 
         // ground facts
         for rule in &program.rules {
@@ -584,23 +607,20 @@ impl Engine {
                 // generators, enumerated in full — a per-rule compile
                 // decision, so the tallies are knob-invariant up to the
                 // program being evaluated
-                let indexed = cr.indexed_lookups().len();
+                let indexed = cr.bound_positions.iter().filter(|cols| !cols.is_empty()).count();
                 obs.add(obs_key::JOIN_INDEXED, indexed as u64);
                 obs.add(
                     obs_key::JOIN_GENERATOR,
                     (cr.positive_lit_indices.len() - indexed) as u64,
                 );
-                for (pred, cols) in cr.indexed_lookups() {
-                    store.register(pred, cols);
-                }
             }
-            let recursive = strat.recursive_preds(program, stratum);
+            let (refires, read) = strat.refiring(program, stratum);
             // a rule's emissions (already filtered by demand) enter the
             // database under its own head; returns how many were new. Only
-            // a recursive head's new facts are copied into the delta — no
-            // pass ever reads the others back.
-            let absorb = |db: &mut Database, delta: &mut Database, head, derived: Vec<Tuple>| {
-                let feeds_delta = recursive.contains(head);
+            // the new facts of a head a re-firing rule reads are copied into
+            // the delta — no pass ever reads the others back.
+            let absorb = |db: &mut Database, delta: &mut Database, head: &str, derived: Vec<Tuple>| {
+                let feeds_delta = read.contains(head);
                 let mut fresh = 0usize;
                 for t in derived {
                     if feeds_delta {
@@ -620,9 +640,8 @@ impl Engine {
             let mut fresh = 0usize;
             obs.incr(obs_key::STRATUM_PASSES);
             for cr in &compiled {
-                store.refresh(&db, fault)?;
                 let derived = guard_stage("datalog/stratum-initial", || {
-                    self.eval_rule(cr, &db, None, Some(&store), demand)
+                    self.eval_rule(cr, &db, None, fault, demand)
                 })?;
                 fresh += absorb(&mut db, &mut delta, &cr.rule.head_pred, derived);
             }
@@ -640,35 +659,28 @@ impl Engine {
                 }
                 let mut new_delta = Database::new();
                 let mut new_fresh = 0usize;
-                // one pass per occurrence of a recursive predicate, in
-                // flattened (rule, occurrence) order; pass eligibility
-                // depends only on the previous iteration's delta, so the
-                // work list is fixed up front.
+                // one pass per occurrence, in a re-firing rule, of a
+                // predicate the previous iteration grew, in flattened (rule,
+                // occurrence) order; pass eligibility depends only on that
+                // delta, so the work list is fixed up front. A settled rule
+                // runs none: each would re-derive facts it already has.
                 let mut passes: Vec<(usize, usize)> = Vec::new();
-                for (ci, cr) in compiled.iter().enumerate() {
-                    if cr.rule.has_aggregate() {
-                        continue;
-                    }
+                for (ci, cr) in compiled.iter().enumerate().filter(|&(ci, _)| refires[ci]) {
                     for (occ, lit_idx) in cr.positive_lit_indices.iter().enumerate() {
                         let Literal::Pos(atom) = &cr.rule.body[*lit_idx] else {
                             continue;
                         };
-                        if !recursive.contains(&atom.pred) {
-                            continue;
+                        if !delta.facts(&atom.pred).is_empty() {
+                            passes.push((ci, occ));
                         }
-                        if delta.facts(&atom.pred).is_empty() {
-                            continue;
-                        }
-                        passes.push((ci, occ));
                     }
                 }
                 obs.incr(obs_key::DELTA_PASSES);
                 for (ci, occ) in passes {
                     let cr = &compiled[ci];
-                    store.refresh(&db, fault)?;
                     let derived = guard_stage("datalog/stratum-delta", || {
                         let spec = DeltaSpec::Insert { delta: &delta, occ };
-                        self.eval_rule(cr, &db, Some(spec), Some(&store), demand)
+                        self.eval_rule(cr, &db, Some(spec), fault, demand)
                     })?;
                     new_fresh += absorb(&mut db, &mut new_delta, &cr.rule.head_pred, derived);
                 }
@@ -687,7 +699,7 @@ impl Engine {
     pub fn eval_query(&self, query: &Rule, db: &Database) -> Result<Vec<Tuple>> {
         let cr = CompiledRule::compile(query, usize::MAX)?;
         let mut answers = FactSet::default();
-        for t in self.eval_rule(&cr, db, None, None, None)? {
+        for t in self.eval_rule(&cr, db, None, self.config.inject_fault, None)? {
             answers.insert(t);
         }
         Ok(answers.into_tuples())
@@ -711,18 +723,18 @@ impl Engine {
     /// Evaluate one rule; returns its head tuples in emission order
     /// (possibly with duplicates — the caller dedups on insert, under the
     /// compiled rule's head predicate), less those `demand` does not keep.
-    /// `shared` is the run's [`IndexStore`] over `db`, serving
-    /// full-database lookups; delta/filtered sources, and every source
-    /// without a store, build their index lazily per call.
+    /// Full-database lookups read the indexes `db`'s fact sets keep;
+    /// delta/filtered sources build their index lazily per call. `fault`
+    /// is the caller's injection knob (see [`EngineConfig::inject_fault`]).
     pub(crate) fn eval_rule(
         &self,
         cr: &CompiledRule,
         db: &Database,
         spec: Option<DeltaSpec<'_>>,
-        shared: Option<&IndexStore>,
+        fault: Option<&'static str>,
         demand: Option<&Demand>,
     ) -> Result<Vec<Tuple>> {
-        let ctx = EvalCtx::new(cr, db, spec, shared);
+        let ctx = EvalCtx::new(cr, db, spec, fault, &self.config.obs)?;
         let mut binding: Binding = vec![None; cr.rule.var_count];
         let mut scratch = vec![Scratch::default(); cr.order.len()];
         let mut results = Vec::new();
@@ -751,8 +763,8 @@ impl Engine {
         // which (literal, binding) probes the evaluation performs — fixed
         // by the program and database; one add per evaluation keeps the
         // registry lock off the probe path
-        if let Some(store) = shared.filter(|_| ctx.probes.get() > 0) {
-            store.obs.add(obs_key::INDEX_PROBES, ctx.probes.get());
+        if ctx.probes.get() > 0 {
+            self.config.obs.add(obs_key::INDEX_PROBES, ctx.probes.get());
         }
         outcome?;
         Ok(results)
@@ -1051,19 +1063,6 @@ impl<'a> CompiledRule<'a> {
     pub(crate) fn occurrence_of(&self, lit_idx: usize) -> Option<usize> {
         self.positive_lit_indices.iter().position(|&i| i == lit_idx)
     }
-
-    /// The `(pred, bound columns)` lookup shapes this rule performs against
-    /// the full database — the shapes worth a shared persistent index.
-    pub(crate) fn indexed_lookups(&self) -> Vec<(&str, &[usize])> {
-        self.order
-            .iter()
-            .zip(self.bound_positions.iter())
-            .filter_map(|(&li, cols)| match &self.rule.body[li] {
-                Literal::Pos(a) if !cols.is_empty() => Some((a.pred.as_str(), cols.as_slice())),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// How one rule evaluation sources its positive literals — the engine's
@@ -1101,9 +1100,9 @@ struct Source<'a> {
     facts: &'a [Tuple],
     /// Facts to treat as absent (the retraction views).
     minus: Option<&'a FactSet>,
-    /// The run's shared index for this lookup shape, when the literal reads
-    /// the full database and the store is current.
-    shared: Option<&'a RowIndex>,
+    /// The index the fact set keeps for this lookup shape, when the literal
+    /// is bound and reads the full database.
+    kept: Option<Arc<KeptIndex>>,
     /// Slot in [`EvalCtx::lazy`] of the per-call index otherwise.
     lazy: usize,
 }
@@ -1132,27 +1131,30 @@ struct EvalCtx<'a> {
     lits: Vec<Resolved<'a>>,
     /// Lazily built indexes, one per distinct (source, pred, cols) shape.
     lazy: Vec<OnceCell<RowIndex>>,
-    /// Shared-index probes served, flushed to the registry by `eval_rule`.
+    /// Kept-index probes served, flushed to the registry by `eval_rule`.
     probes: Cell<u64>,
 }
 
 impl<'a> EvalCtx<'a> {
+    /// Resolve each literal's source. A bound literal over the full
+    /// database asks its fact set for an index: `"index-build"` as `fault`
+    /// panics at every such request, and `datalog.index.builds` counts the
+    /// requests that filed a row.
     fn new(
         cr: &CompiledRule,
         db: &'a Database,
         spec: Option<DeltaSpec<'a>>,
-        shared: Option<&'a IndexStore>,
-    ) -> EvalCtx<'a> {
+        fault: Option<&'static str>,
+        obs: &Obs,
+    ) -> Result<EvalCtx<'a>> {
         // index namespaces: the full database, the delta, a filtered view
         const FULL: u8 = 0;
         const DELTA: u8 = 1;
         const FILTERED: u8 = 2;
         let mut shapes: Vec<(u8, &str, &[usize])> = Vec::new();
-        let lits = cr
-            .order
-            .iter()
-            .zip(&cr.bound_positions)
-            .map(|(&lit_idx, cols)| match &cr.rule.body[lit_idx] {
+        let mut lits = Vec::with_capacity(cr.order.len());
+        for (&lit_idx, cols) in cr.order.iter().zip(&cr.bound_positions) {
+            lits.push(match &cr.rule.body[lit_idx] {
                 Literal::Pos(atom) => {
                     let (source, tag, minus) = match (spec, cr.occurrence_of(lit_idx)) {
                         (Some(DeltaSpec::Insert { delta, occ }), Some(o)) if o == occ => {
@@ -1171,34 +1173,48 @@ impl<'a> EvalCtx<'a> {
                         shapes.push(shape);
                         shapes.len() - 1
                     });
+                    let kept = if tag == FULL && !cols.is_empty() {
+                        guard_stage("datalog/index_build", || {
+                            if fault == Some("index-build") {
+                                panic!("injected index-build fault");
+                            }
+                            Ok(db.fact_set(&atom.pred).map(|fs| {
+                                let (index, built) = fs.index(cols);
+                                if built {
+                                    obs.incr(obs_key::INDEX_BUILDS);
+                                }
+                                index
+                            }))
+                        })?
+                    } else {
+                        None
+                    };
                     Resolved::Pos(Source {
                         facts: source.facts(&atom.pred),
                         minus: minus.and_then(|m| m.fact_set(&atom.pred)),
-                        shared: shared
-                            .filter(|_| tag == FULL && !cols.is_empty())
-                            .and_then(|s| s.current(db, &atom.pred, cols)),
+                        kept,
                         lazy,
                     })
                 }
                 Literal::Neg(atom) => Resolved::Neg(db.fact_set(&atom.pred)),
                 Literal::Cmp(..) => Resolved::Cmp,
-            })
-            .collect();
-        EvalCtx {
+            });
+        }
+        Ok(EvalCtx {
             lits,
             lazy: shapes.iter().map(|_| OnceCell::new()).collect(),
             probes: Cell::new(0),
-        }
+        })
     }
 
     /// Row ids of `src` whose projection on `cols` (non-empty) equals
     /// `key`, ascending — a walk along the chain of the index that serves
     /// them.
-    fn matching_rows<'c>(&'c self, src: &Source<'c>, cols: &[usize], key: &[Value]) -> Rows<'c> {
-        let index = match src.shared {
+    fn matching_rows<'c>(&'c self, src: &'c Source, cols: &[usize], key: &[Value]) -> Rows<'c> {
+        let index = match &src.kept {
             Some(index) => {
                 self.probes.set(self.probes.get() + 1);
-                index
+                &index.rows
             }
             None => self.lazy[src.lazy].get_or_init(|| {
                 let mut index = RowIndex::default();
@@ -1364,16 +1380,9 @@ mod tests {
             .unwrap()
     }
 
-    /// The row ids the store serves for `key`; `None` when it is stale.
-    fn lookup(
-        store: &IndexStore,
-        db: &Database,
-        pred: &str,
-        cols: &[usize],
-        key: &Tuple,
-    ) -> Option<Vec<usize>> {
-        let index = store.current(db, pred, cols)?;
-        Some(index.rows(db.facts(pred), cols, key.values()).collect())
+    /// The row ids `fs`'s kept index on `cols` serves for `key`.
+    fn lookup(fs: &FactSet, cols: &[usize], key: &Tuple) -> Vec<usize> {
+        fs.index(cols).0.rows.rows(fs.tuples(), cols, key.values()).collect()
     }
 
     #[test]
@@ -1561,19 +1570,16 @@ mod tests {
         assert!(!copy.remove("p", &tuple![99]));
         assert!(copy.remove_facts("p", &[tuple![98]]).is_empty());
         assert!(copy.shares("p", &original));
-        assert_eq!(copy.epoch("p"), 0);
 
         // an append, a removal and a clear on the clone never reach the
-        // original — facts or epoch
+        // original
         assert!(copy.insert("p", tuple![10]));
         assert!(copy.remove("p", &tuple![0]));
         copy.clear_predicate("q");
         assert!(!copy.shares("p", &original));
         assert_eq!(copy.facts("p"), &[tuple![1], tuple![2], tuple![3], tuple![10]]);
-        assert_eq!((copy.epoch("p"), copy.epoch("q")), (1, 1));
         assert_eq!(original.facts("p"), p_before);
         assert_eq!(original.facts("q"), q_before);
-        assert_eq!((original.epoch("p"), original.epoch("q")), (0, 0));
 
         // and the reverse
         let copy = original.clone();
@@ -1581,7 +1587,6 @@ mod tests {
         assert_eq!(original.remove_facts("q", &[tuple![1, 1]]), vec![1]);
         assert_eq!(copy.facts("p"), p_before);
         assert_eq!(copy.facts("q"), q_before);
-        assert_eq!(copy.epoch("q"), 0);
         assert!(copy.contains("q", &tuple![1, 1]) && !original.contains("q", &tuple![1, 1]));
     }
 
@@ -1618,7 +1623,8 @@ mod tests {
         assert_eq!(engine.run_query(&tc, &edges, &query).unwrap().len(), 197);
         assert_eq!(edges.predicates(), vec!["e"]);
         assert_eq!(edges.facts("e"), e_before);
-        assert_eq!(edges.epoch("e"), 0);
+        // the query's index over `e` stays with the caller's relation
+        assert!(!edges.fact_set("e").unwrap().index(&[0]).1);
         let demanded = engine.run_directed(&tc, edges.clone(), &query).unwrap();
         assert!(demanded.shares("e", &edges));
         assert_eq!(demanded.facts("tc").len(), 197);
@@ -1626,111 +1632,113 @@ mod tests {
 
     #[test]
     fn shrunk_then_regrown_predicate_is_reindexed() {
-        // regression: `covered` used to be treated as an append-only
-        // watermark, so a predicate that shrank and regrew to the same
-        // length kept serving the old row ids — and the join's term
-        // re-check silently *dropped* the rows that moved
+        // a fact set that shrinks and regrows to the length its index
+        // covers must not serve the old row ids: the join's term re-check
+        // would silently drop the rows that moved
         let mut db = Database::new();
         for (a, b) in [(1, 10), (2, 20), (3, 30)] {
             db.insert("e", tuple![a, b]);
         }
-        let mut store = IndexStore::default();
-        store.register("e", &[0]);
-        store.refresh(&db, None).unwrap();
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![2]));
+        assert_eq!(lookup(db.fact_set("e").unwrap(), &[0], &tuple![3]), vec![2]);
 
-        // shrink by one row, regrow to the same length with a new row:
-        // facts are now [(1,10), (3,30), (4,40)] — same length as covered
+        // facts are now [(1,10), (3,30), (4,40)] — the length indexed
         db.remove("e", &tuple![2, 20]);
         db.insert("e", tuple![4, 40]);
-        store.refresh(&db, None).unwrap();
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![1]));
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![4]), Some(vec![2]));
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![2]), Some(vec![]));
+        let e = db.fact_set("e").unwrap();
+        assert_eq!(lookup(e, &[0], &tuple![3]), vec![1]);
+        assert_eq!(lookup(e, &[0], &tuple![4]), vec![2]);
+        assert_eq!(lookup(e, &[0], &tuple![2]), Vec::<usize>::new());
 
         // the observable symptom: an indexed join must match a scan-join
-        let program = parse_program("q(Y) :- e(4, Y).").unwrap();
-        let cr = CompiledRule::compile(&program.rules[0], 0).unwrap();
+        let program = parse_program("q(Y) :- e(4, Y). q(Y) :- e(X, Y), X >= 4, X <= 4.").unwrap();
         let engine = Engine::default();
-        let scan = engine.eval_rule(&cr, &db, None, None, None).unwrap();
-        let indexed = engine.eval_rule(&cr, &db, None, Some(&store), None).unwrap();
+        let [indexed, scan] = [0, 1].map(|ri| {
+            let cr = CompiledRule::compile(&program.rules[ri], ri).unwrap();
+            engine.eval_rule(&cr, &db, None, None, None).unwrap()
+        });
         assert_eq!(scan, vec![tuple![40]]);
         assert_eq!(indexed, scan);
 
-        // clear-and-reinsert to the same length (the dependency-view
-        // patch pattern) must rebuild too, via the reorder epoch
-        db.clear_predicate("e");
-        for (a, b) in [(7, 70), (8, 80), (9, 90)] {
-            db.insert("e", tuple![a, b]);
-        }
-        store.refresh(&db, None).unwrap();
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![8]), Some(vec![1]));
-        assert_eq!(lookup(&store, &db, "e", &[0], &tuple![3]), Some(vec![]));
+        // a splice moves rows without shrinking the set
+        db.reorder("e").insert_at(0, [tuple![3, 31]]);
+        let e = db.fact_set("e").unwrap();
+        assert_eq!(lookup(e, &[0], &tuple![3]), vec![0, 2]);
+        assert_eq!(lookup(e, &[0], &tuple![4]), vec![3]);
     }
 
     #[test]
     fn stale_index_is_never_served_between_refreshes() {
-        // between refreshes, a mutated predicate must make `lookup` bail
-        // to the lazy path (`None`) rather than answer from stale state —
-        // including the regrow-to-the-same-length case, which the length
-        // check alone cannot see
-        let mut db = Database::new();
-        db.insert("p", tuple![1]);
-        db.insert("p", tuple![2]);
-        let mut store = IndexStore::default();
-        store.register("p", &[0]);
-        store.refresh(&db, None).unwrap();
-        db.remove("p", &tuple![1]);
-        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), None);
-        db.insert("p", tuple![3]);
-        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), None);
-        store.refresh(&db, None).unwrap();
-        assert_eq!(lookup(&store, &db, "p", &[0], &tuple![2]), Some(vec![0]));
+        // a copy-on-write clone starts with the original's index and copies
+        // it when it extends it, so appends to the clone never reach the
+        // original's, and a shrink of the original never reaches the clone's
+        let mut original = FactSet::default();
+        original.insert(tuple![1, 10]);
+        original.insert(tuple![2, 20]);
+        assert_eq!(lookup(&original, &[0], &tuple![2]), vec![1]);
+        let mut copy = original.clone();
+        let (shared, built) = copy.index(&[0]);
+        assert!(!built && Arc::ptr_eq(&shared, &original.index(&[0]).0));
+
+        copy.insert(tuple![2, 21]);
+        copy.insert(tuple![3, 30]);
+        assert_eq!(lookup(&copy, &[0], &tuple![2]), vec![1, 2]);
+        assert_eq!(lookup(&original, &[0], &tuple![2]), vec![1]);
+        assert_eq!(lookup(&original, &[0], &tuple![3]), Vec::<usize>::new());
+
+        original.remove(&tuple![1, 10]);
+        original.insert(tuple![3, 31]);
+        original.insert(tuple![4, 40]);
+        assert_eq!(lookup(&original, &[0], &tuple![3]), vec![1]);
+        assert_eq!(lookup(&copy, &[0], &tuple![3]), vec![3]);
+        assert_eq!(lookup(&copy, &[0], &tuple![1]), vec![0]);
     }
 
     #[test]
     fn index_builds_counter_tracks_work_not_calls() {
-        let obs = vada_common::Obs::enabled();
-        let mut db = Database::new();
-        let mut store = IndexStore::default();
-        store.obs = obs.clone();
-
-        // nothing registered: refreshing is free and uncounted
-        store.refresh(&db, None).unwrap();
-        assert_eq!(obs.get(obs_key::INDEX_BUILDS), 0);
-
-        store.register("p", &[0]);
-        store.refresh(&db, None).unwrap();
-        assert_eq!(obs.get(obs_key::INDEX_BUILDS), 0, "empty predicate: no rows indexed");
-
-        db.insert("p", tuple![1]);
-        assert!(store.refresh(&db, None).unwrap());
-        assert_eq!(obs.get(obs_key::INDEX_BUILDS), 1);
-
-        // warm: nothing changed, nothing counted
-        assert!(!store.refresh(&db, None).unwrap());
-        store.refresh(&db, None).unwrap();
-        assert_eq!(obs.get(obs_key::INDEX_BUILDS), 1);
-
-        // appended rows extend (and count once per refresh that works)
-        db.insert("p", tuple![2]);
-        db.insert("p", tuple![3]);
-        assert!(store.refresh(&db, None).unwrap());
+        let obs = Obs::enabled();
+        let engine = Engine::new(EngineConfig { obs: obs.clone(), ..Default::default() });
+        let program = parse_program(
+            "picked(X, P) :- a(X, P), k(X). wide(X, P, Q) :- picked(X, P), w(P, Q).",
+        )
+        .unwrap();
+        let mut input = Database::new();
+        for i in 0..50i64 {
+            input.insert("a", tuple![i % 7, i]);
+            input.insert("k", tuple![i % 5]);
+            input.insert("w", tuple![i, i * 2]);
+        }
+        // `k` and `w` are indexed; `a` and `picked` are read whole
+        let first = engine.run(&program, input.clone()).unwrap();
         assert_eq!(obs.get(obs_key::INDEX_BUILDS), 2);
+        let probes = obs.get(obs_key::INDEX_PROBES);
+        assert!(probes > 0);
 
-        // a shrink rebuilds — that is work too
-        db.remove("p", &tuple![2]);
-        assert!(store.refresh(&db, None).unwrap());
+        // the same input again: its indexes are kept, only probed
+        let second = engine.run(&program, input.clone()).unwrap();
+        assert_eq!(obs.get(obs_key::INDEX_BUILDS), 2, "a second run re-indexed its input");
+        assert_eq!(obs.get(obs_key::INDEX_PROBES), 2 * probes);
+        assert_eq!(second.facts("wide"), first.facts("wide"));
+
+        // an appended row is work again, once
+        input.insert("k", tuple![6]);
+        engine.run(&program, input.clone()).unwrap();
+        engine.run(&program, input).unwrap();
         assert_eq!(obs.get(obs_key::INDEX_BUILDS), 3);
     }
 
     #[test]
     fn injected_index_build_fault_fires_even_on_warm_refreshes() {
-        // the fault knob must keep its call-site identity: it fires on
-        // every refresh call, not only on refreshes that have work to do
-        let db = Database::new();
-        let mut store = IndexStore::default();
-        let err = store.refresh(&db, Some("index-build")).unwrap_err();
+        // the fault keeps its call-site identity: it fires at every index
+        // request, not only at requests that have rows to file
+        let program = parse_program("q(Y) :- p(X), r(X, Y).").unwrap();
+        let mut db = Database::new();
+        db.insert("p", tuple![1]);
+        db.insert("r", tuple![1, 2]);
+        Engine::default().run(&program, db.clone()).unwrap();
+        assert!(!db.fact_set("r").unwrap().index(&[0]).1, "warm");
+        let faulty = Engine::new(EngineConfig { inject_fault: Some("index-build"), ..Default::default() });
+        let err = faulty.run(&program, db).unwrap_err();
+        assert_eq!(err.kind(), "parallel", "{err}");
         assert!(err.to_string().contains("datalog/index_build"), "{err}");
     }
 

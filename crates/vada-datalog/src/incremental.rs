@@ -62,10 +62,11 @@
 //! aggregate, and deletions affecting a predicate that mixes ground facts
 //! with rules — same contract, reason recorded in the outcome.
 //!
-//! Every pass reads its full-database lookups through one
-//! [`IndexStore`] that lives as long as the session: appends extend an
-//! index in O(change), a reorder rebuilds it, and an index over a relation
-//! no delta touches is built once.
+//! Every pass reads its full-database lookups through the indexes the
+//! session's fact sets keep: appends extend an index in O(change), a
+//! removal or a reorder drops it, and an index over a relation no delta
+//! touches is built once — shared with the engine run the session adopted
+//! or re-derived from, since both read the same fact sets.
 //!
 //! ## Order-safety analysis (appends)
 //!
@@ -142,7 +143,6 @@ use vada_common::{Result, Tuple, VadaError};
 use crate::analysis::{stratify, Stratification};
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule};
 use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
-use crate::index::IndexStore;
 use crate::parser::parse_program;
 
 /// How one call to [`IncrementalSession::apply`] (or
@@ -230,13 +230,8 @@ struct ProgramInfo {
 }
 
 impl ProgramInfo {
-    /// Analyse `program` once, registering every rule's lookup shapes in
-    /// `store`.
-    fn build(
-        program: &Program,
-        strat: &Stratification,
-        store: &mut IndexStore,
-    ) -> Result<ProgramInfo> {
+    /// Analyse `program` once.
+    fn build(program: &Program, strat: &Stratification) -> Result<ProgramInfo> {
         let mut defining: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut read_pos = BTreeSet::new();
         let mut read_neg = BTreeSet::new();
@@ -250,9 +245,6 @@ impl ProgramInfo {
             }
             defining.entry(rule.head_pred.clone()).or_default().push(ri);
             let cr = CompiledRule::compile(rule, ri)?;
-            for (pred, cols) in cr.indexed_lookups() {
-                store.register(pred, cols);
-            }
             let outermost_occ = cr
                 .order
                 .iter()
@@ -465,14 +457,10 @@ pub struct IncrementalSession {
     /// every derivation. A head is absent until captured, and for
     /// good when its counts are [implicit](IncrementalSession::implicit).
     counts: BTreeMap<String, HashMap<Tuple, u64>>,
-    /// Hash indexes over `db` for every lookup shape of the program's
-    /// rules, registered at build, refreshed before each delta and
-    /// retraction pass, and reset when a full run replaces `db`.
-    store: IndexStore,
     /// The most recent step; the registry's tallies are the totals.
     last: Option<DeltaOutcome>,
     /// Outcome tallies (bootstrap / incremental / fallback-by-reason) and
-    /// the session store's `datalog.index.*`: the engine config's registry,
+    /// its passes' `datalog.index.*`: the engine config's registry,
     /// disabled or not. [`IncrementalSession::last_outcome`] answers without
     /// one.
     obs: Obs,
@@ -504,9 +492,7 @@ impl IncrementalSession {
         let program = parse_program(source)?;
         let strat = stratify(&program)?;
         let obs = config.obs.clone();
-        let mut store = IndexStore::default();
-        store.obs = obs.clone();
-        let info = ProgramInfo::build(&program, &strat, &mut store)?;
+        let info = ProgramInfo::build(&program, &strat)?;
         Ok(IncrementalSession {
             engine: Engine::new(config),
             obs,
@@ -517,7 +503,6 @@ impl IncrementalSession {
             db: Database::new(),
             segments: BTreeMap::new(),
             counts: BTreeMap::new(),
-            store,
             last: None,
             poisoned: false,
             bootstrapped: false,
@@ -526,8 +511,9 @@ impl IncrementalSession {
     }
 
     /// Arm (or clear) an injected failure point — fault-injection hook for
-    /// the deletion-path tests and, as `"index-build"`, the session store's
-    /// refresh; a no-op unless a pass reaches the named point.
+    /// the deletion-path tests and, as `"index-build"`, the index requests
+    /// of delta and retraction passes; a no-op unless a pass reaches the
+    /// named point.
     #[doc(hidden)]
     pub fn inject_fault(&mut self, point: Option<&'static str>) {
         self.fault = point;
@@ -673,8 +659,6 @@ impl IncrementalSession {
         removed_facts: usize,
     ) -> Result<()> {
         let derived = db.total_facts().saturating_sub(input.total_facts());
-        // the new database's epochs say nothing about the old one's rows
-        self.store.reset();
         self.capture_segments(&input, &db)?;
         self.base = input;
         self.db = db;
@@ -741,8 +725,7 @@ impl IncrementalSession {
     /// program order. The single reconstruction primitive behind segment
     /// capture and lazy count capture — every consumer of the segments
     /// indexes them by the same positional slot, so keeping one loop keeps
-    /// the alignment structural. Lookups go through the session store where
-    /// it is current for `db`.
+    /// the alignment structural.
     fn enumerate_head(
         &self,
         head: &str,
@@ -762,7 +745,7 @@ impl IncrementalSession {
         for &ri in &self.info.defining[head] {
             let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
             let mut seg = FactSet::default();
-            for t in self.engine.eval_rule(&cr, db, None, Some(&self.store), None)? {
+            for t in self.engine.eval_rule(&cr, db, None, None, None)? {
                 if count {
                     *counts.entry(t.clone()).or_insert(0) += 1;
                 }
@@ -971,9 +954,6 @@ impl IncrementalSession {
             .filter(|p| !self.info.defining.contains_key(*p))
             .map(|p| p.as_str())
             .collect();
-        // a non-delta literal never reads an affected predicate (condition
-        // 5), so one refresh serves every wave
-        self.store.refresh(&self.db, self.fault)?;
 
         for stratum in 0..self.strat.stratum_count {
             // rules of this stratum with an affected outermost literal,
@@ -1009,7 +989,7 @@ impl IncrementalSession {
                             cr,
                             &self.db,
                             Some(DeltaSpec::Insert { delta: &pending, occ }),
-                            Some(&self.store),
+                            self.fault,
                             None,
                         )
                     })?;
@@ -1163,10 +1143,6 @@ impl IncrementalSession {
         fresh: Vec<(String, Tuple)>,
         affected: BTreeSet<String>,
     ) -> Result<&Database> {
-        // planning reads `db` as it stands — the pending base removal has
-        // not touched it — so one refresh serves the count capture and
-        // every counting pass
-        self.store.refresh(&self.db, self.fault)?;
         // first retraction reaching a head since the last full run: capture
         // the counts it plans against
         self.ensure_counts(&affected)?;
@@ -1272,7 +1248,7 @@ impl IncrementalSession {
                     &compiled[slot],
                     &self.db,
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
-                    Some(&self.store),
+                    self.fault,
                     None,
                 )
             })?;
@@ -2287,8 +2263,9 @@ mod tests {
         input.insert("r", tuple![1, 10]);
         let mut s = session(src, input.clone());
         s.inject_fault(Some("index-build"));
-        // a full run never refreshes the session store, so it recovers
-        // with the fault still armed; the next pass of either kind fails
+        // the session's fault reaches only its own passes' index requests,
+        // so a full run recovers with it still armed; the next pass of
+        // either kind fails
         for retracting in [false, true] {
             let edit = vec![("p".into(), tuple![if retracting { 1 } else { 2 }])];
             let err = if retracting { s.retract(edit) } else { s.apply(edit) }.unwrap_err();

@@ -1,18 +1,14 @@
 //! Row-id hash tables over a fact arena. [`FactSet`](crate::engine::FactSet)
 //! and the join index [`RowIndex`] share one layout: a power-of-two table
 //! of ids, walked by linear probing ([`probe`]) and compared against the
-//! arena, so neither stores a tuple twice. [`IndexStore`] keeps a run's (or
-//! a session's) join indexes over the full database current.
+//! arena, so neither stores a tuple twice. A fact set keeps the join
+//! indexes the engine asks of it ([`FactSet::index`](crate::engine::FactSet::index)),
+//! so every run and session that shares the facts shares their indexes.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::OnceLock;
 
-use vada_common::error::guard_stage;
-use vada_common::obs::{key as obs_key, Obs};
-use vada_common::{Result, Tuple, Value};
-
-use crate::engine::Database;
+use vada_common::{Tuple, Value};
 
 /// Marks a free slot in a table, and the end of a [`RowIndex`] chain.
 pub(crate) const FREE: usize = usize::MAX;
@@ -65,7 +61,7 @@ pub(crate) fn reseat(slots: &mut Vec<usize>, capacity: usize, hashes: impl Itera
 /// groups and one `next` link per row; a probe compares the key against
 /// its group's first row, so no key is built or stored, and a lookup costs
 /// the rows it yields.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RowIndex {
     groups: Vec<Group>,
     /// Linear-probing table over `groups`: a group id or [`FREE`] per
@@ -77,7 +73,7 @@ pub(crate) struct RowIndex {
 }
 
 /// The rows sharing one projection: its hash, and the ends of its chain.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Group {
     hash: u64,
     first: usize,
@@ -164,112 +160,6 @@ impl Iterator for Rows<'_> {
     }
 }
 
-/// Persistent join indexes over the growing fixpoint database, shared by
-/// every rule evaluation of a run: `(pred, cols) →` [`RowIndex`].
-/// Registered up front from the compiled lookup shapes of each stratum and
-/// refreshed *incrementally* before every rule evaluation (facts only
-/// ever append during a run), they serve every full-database
-/// lookup; delta and filtered sources build a [`RowIndex`] per call. Rows
-/// are identical to what a per-call build would file, so the store affects
-/// wall-clock only. An
-/// [`IncrementalSession`](crate::incremental::IncrementalSession) keeps one
-/// for its whole lifetime, so an index over a relation its deltas never
-/// touch is built once per session.
-#[derive(Default)]
-pub(crate) struct IndexStore {
-    indexes: HashMap<String, HashMap<Vec<usize>, SharedIndex>>,
-    /// Evaluation telemetry (`datalog.index.*`); the run's registry,
-    /// cloned in by `run_impl`.
-    pub(crate) obs: Obs,
-}
-
-#[derive(Default)]
-struct SharedIndex {
-    /// How many rows of the predicate are already indexed.
-    covered: usize,
-    /// The predicate's [`Database::epoch`] the covered rows were read
-    /// under. `covered` alone cannot be trusted: a predicate that shrinks
-    /// and regrows to the same length keeps its old length while its row
-    /// ids point at different facts, so the index is version-keyed on the
-    /// reorder epoch and rebuilt whenever it no longer matches.
-    epoch: u64,
-    map: RowIndex,
-}
-
-impl IndexStore {
-    /// Ensure an index exists for this lookup shape (idempotent).
-    pub(crate) fn register(&mut self, pred: &str, cols: &[usize]) {
-        self.indexes
-            .entry(pred.to_string())
-            .or_default()
-            .entry(cols.to_vec())
-            .or_default();
-    }
-
-    /// Drop every index's rows, keeping the registered shapes, so the next
-    /// refresh rebuilds each from row 0 — for an owner that swaps in a
-    /// different database, whose epochs say nothing about the old one's.
-    pub(crate) fn reset(&mut self) {
-        for index in self
-            .indexes
-            .values_mut()
-            .flat_map(|shapes| shapes.values_mut())
-        {
-            *index = SharedIndex::default();
-        }
-    }
-
-    /// Bring every registered index up to date with `db`: an index whose
-    /// predicate only grew is extended over the appended rows in
-    /// O(change); one whose predicate shrank or changed reorder epoch is
-    /// rebuilt from row 0 (its row ids may point at different facts —
-    /// including the shrink-and-regrow-to-the-same-length case a bare
-    /// length watermark cannot see). `datalog.index.builds` counts only
-    /// refreshes that indexed at least one row, so the counter tracks
-    /// actual work, not call sites. `fault` is the engine's injection
-    /// knob: `"index-build"` panics here (on every call, whether or not
-    /// work was pending, so fault identity is schedule-independent),
-    /// surfacing as a [`VadaError::Parallel`](vada_common::VadaError)
-    /// naming the `datalog/index_build` stage.
-    pub(crate) fn refresh(&mut self, db: &Database, fault: Option<&'static str>) -> Result<bool> {
-        let mut built = false;
-        guard_stage("datalog/index_build", || {
-            if fault == Some("index-build") {
-                panic!("injected index-build fault");
-            }
-            for (pred, shapes) in self.indexes.iter_mut() {
-                let facts = db.facts(pred);
-                let epoch = db.epoch(pred);
-                for (cols, index) in shapes.iter_mut() {
-                    if index.epoch != epoch || facts.len() < index.covered {
-                        *index = SharedIndex { epoch, ..SharedIndex::default() };
-                    }
-                    if index.covered == facts.len() {
-                        continue;
-                    }
-                    built = true;
-                    index.map.extend(facts, cols, index.covered..facts.len());
-                    index.covered = facts.len();
-                }
-            }
-            Ok(())
-        })?;
-        if built {
-            self.obs.incr(obs_key::INDEX_BUILDS);
-        }
-        Ok(built)
-    }
-
-    /// The index for this lookup shape, if it is registered and covers the
-    /// predicate's current length *and* reorder epoch (`None` falls back
-    /// to a per-call index).
-    pub(crate) fn current(&self, db: &Database, pred: &str, cols: &[usize]) -> Option<&RowIndex> {
-        let index = self.indexes.get(pred)?.get(cols)?;
-        (index.covered == db.facts(pred).len() && index.epoch == db.epoch(pred))
-            .then_some(&index.map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,23 +224,20 @@ mod tests {
             whole.extend(&facts, &cols, 0..facts.len());
             check(&whole, &facts, &cols, &all)?;
 
-            // over a prefix, then extended over the rest: the store's
-            // refresh path, through a database that dedups the facts
-            let mut db = Database::new();
+            // over a prefix, then extended over the rest: a fact set's kept
+            // index, asked for before and after appends that dedup the facts
+            let mut kept = FactSet::default();
             let split = split.min(facts.len());
             for t in &facts[..split] {
-                db.insert("p", t.clone());
+                kept.insert(t.clone());
             }
-            let mut store = IndexStore::default();
-            store.register("p", &cols);
-            store.refresh(&db, None).unwrap();
+            kept.index(&cols);
             for t in &facts[split..] {
-                db.insert("p", t.clone());
+                kept.insert(t.clone());
             }
-            store.refresh(&db, None).unwrap();
-            let stored = db.facts("p");
-            let index = store.current(&db, "p", &cols).expect("refreshed");
-            check(index, stored, &cols, &(0..stored.len()).collect::<Vec<_>>())?;
+            let index = kept.index(&cols).0;
+            let stored = kept.tuples();
+            check(&index.rows, stored, &cols, &(0..stored.len()).collect::<Vec<_>>())?;
 
             // over a view with some facts filtered out
             let mut minus = FactSet::default();
