@@ -2216,6 +2216,111 @@ mod tests {
         assert!(fast > 0 && fallbacks > 0, "fast {fast}, fallbacks {fallbacks}");
     }
 
+    impl IncrementalSession {
+        /// A tracked head's region ends and, per defining rule in program
+        /// order, the facts of its segment; `None` for an untracked head.
+        fn segment_view(&self, head: &str) -> Option<(Vec<usize>, Vec<HashSet<Tuple>>)> {
+            let segs = self.segments.get(head)?;
+            let members = segs.by_rule.iter().map(|(_, seg)| seg.tuples().iter().cloned());
+            Some((segs.ends.clone(), members.map(HashSet::from_iter).collect()))
+        }
+    }
+
+    /// The region ends and per-rule segments of `head` by re-enumeration:
+    /// the facts `input` holds for it, then each defining rule's emissions
+    /// over `db`, in program order.
+    fn enumerate_segments(
+        program: &Program,
+        head: &str,
+        input: &Database,
+        db: &Database,
+    ) -> (Vec<usize>, Vec<HashSet<Tuple>>) {
+        let mut rebuilt = FactSet::default();
+        for t in input.facts(head) {
+            rebuilt.insert(t.clone());
+        }
+        let mut ends = vec![rebuilt.len()];
+        let mut segments = Vec::new();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            if rule.head_pred != head || rule.is_fact() {
+                continue;
+            }
+            let cr = CompiledRule::compile(rule, ri).unwrap();
+            let emitted = Engine::default().eval_rule(&cr, db, None, None, None).unwrap();
+            for t in &emitted {
+                rebuilt.insert(t.clone());
+            }
+            segments.push(emitted.into_iter().collect());
+            ends.push(rebuilt.len());
+        }
+        assert_eq!(rebuilt.tuples(), db.facts(head), "`{head}` is not in scratch order");
+        (ends, segments)
+    }
+
+    #[test]
+    fn tracked_segments_match_a_re_enumeration_after_every_step() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // tracked heads whose rules overlap; `p` with an extensional prefix
+        // on odd seeds, `q` never; rules deriving one fact twice
+        let programs = [
+            ("u(X) :- a(X). u(X) :- b(X). u(X) :- a(X), b(X).", ["u", "u"]),
+            ("p(X) :- a(X). p(X) :- b(X). q(X) :- b(X). q(X) :- c(X, _).", ["p", "q"]),
+            ("d(X) :- c(X, _). d(Y) :- c(_, Y). d(X) :- a(X).", ["d", "d"]),
+        ];
+        let fact = |pred: &str, rng: &mut StdRng| match pred {
+            "c" => tuple![rng.gen_range(0i64..5), rng.gen_range(0i64..5)],
+            _ => tuple![rng.gen_range(0i64..6)],
+        };
+        let (mut fast, mut fallbacks) = (0, 0);
+        for (src, heads) in programs {
+            let program = parse_program(src).unwrap();
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut input = Database::new();
+                if seed % 2 == 1 {
+                    input.insert(heads[0], tuple![3]);
+                }
+                for pred in ["a", "b", "c"].repeat(3) {
+                    input.insert(pred, fact(pred, &mut rng));
+                }
+                let mut s = session(src, input.clone());
+                for step in 0..18 {
+                    let retracting = rng.gen_range(0usize..3) == 0;
+                    let edits: Vec<(String, Tuple)> = (0..rng.gen_range(1usize..4))
+                        .map(|_| {
+                            let pred = ["a", "b", "c"][rng.gen_range(0usize..3)];
+                            (pred.to_string(), fact(pred, &mut rng))
+                        })
+                        .collect();
+                    for (p, t) in &edits {
+                        if retracting {
+                            input.remove(p, t);
+                        } else {
+                            input.insert(p, t.clone());
+                        }
+                    }
+                    if retracting {
+                        s.retract(edits).unwrap();
+                    } else {
+                        s.apply(edits).unwrap();
+                    }
+                    match s.last_outcome().unwrap().mode {
+                        DeltaMode::Incremental => fast += 1,
+                        _ => fallbacks += 1,
+                    }
+                    for head in heads {
+                        let want = enumerate_segments(&program, head, &input, s.database());
+                        let got = s.segment_view(head);
+                        assert_eq!(got, Some(want), "{src} seed {seed} step {step} `{head}`");
+                    }
+                    assert_eq!(dump(s.database()), scratch(src, &input), "{src} seed {seed}");
+                }
+            }
+        }
+        assert!(fast > 0 && fallbacks > 0, "fast {fast}, fallbacks {fallbacks}");
+    }
+
     #[test]
     fn steady_state_pairs_build_no_index() {
         // the `k` and `w` indexes are built by the first apply, then only
