@@ -56,11 +56,7 @@ impl Stratification {
     /// settled rules earlier in pass order: its initial evaluation saw
     /// those inputs complete, so a delta pass could only re-derive facts it
     /// already has. Aggregate rules read lower strata only, so they settle.
-    pub(crate) fn refiring<'p>(
-        &self,
-        program: &'p Program,
-        stratum: usize,
-    ) -> (Vec<bool>, BTreeSet<&'p str>) {
+    pub(crate) fn refiring(&self, program: &Program, stratum: usize) -> (Vec<bool>, BTreeSet<String>) {
         let rules = &self.strata_rules[stratum];
         let mut refires: Vec<bool> = Vec::with_capacity(rules.len());
         for &ri in rules {
@@ -74,7 +70,7 @@ impl Stratification {
         }
         let read = (rules.iter().zip(&refires))
             .filter(|&(_, &r)| r)
-            .flat_map(|(&ri, _)| program.rules[ri].positive_preds())
+            .flat_map(|(&ri, _)| program.rules[ri].positive_preds().map(str::to_string))
             .collect();
         (refires, read)
     }

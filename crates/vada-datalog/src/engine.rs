@@ -25,16 +25,17 @@
 //! a filtered view, an index built once per rule evaluation.
 
 use std::cell::{Cell, OnceCell};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{Result, Tuple, VadaError, Value};
 
-use crate::analysis::stratify;
+use crate::analysis::{stratify, Stratification};
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
 use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
+use crate::incremental::HeadSegments;
 use crate::index::{hash_values, probe, reseat, RowIndex, Rows};
 use crate::magic::{self, Demand};
 use crate::skolem;
@@ -511,7 +512,7 @@ impl Engine {
     /// Evaluate `program` starting from `db` (extensional facts); returns
     /// the database extended with all derived facts.
     pub fn run(&self, program: &Program, db: Database) -> Result<Database> {
-        self.run_impl(program, db, None)
+        self.run_plan(&Plan::new(program)?, db, None, &mut BTreeMap::new())
     }
 
     /// Demand-driven evaluation: compute the [`Demand`] a query's bound
@@ -522,7 +523,18 @@ impl Engine {
     /// touch is kept — so `eval_query` over either database returns the
     /// same answers in the same order.
     pub fn run_directed(&self, program: &Program, db: Database, query: &Rule) -> Result<Database> {
-        let demand = magic::demand_for(self, program, &db, query)?;
+        self.run_demanded(&Plan::new(program)?, db, &CompiledRule::query(query))
+    }
+
+    /// [`Engine::run_directed`] over a compiled program and query; a query
+    /// that does not compile leaves the fixpoint unrestricted.
+    fn run_demanded(
+        &self,
+        plan: &Plan,
+        db: Database,
+        query: &Result<CompiledRule>,
+    ) -> Result<Database> {
+        let demand = magic::demand_for(self, plan, &db, query)?;
         let obs = &self.config.obs;
         if demand.is_unrestricted() {
             obs.incr(obs_key::MAGIC_UNRESTRICTED);
@@ -531,7 +543,7 @@ impl Engine {
             obs.add(obs_key::MAGIC_RULES, demand.magic_rule_count() as u64);
             obs.add(obs_key::MAGIC_DEMAND_FACTS, demand.demand_fact_count() as u64);
         }
-        self.run_impl(program, db, Some(&demand))
+        self.run_plan(plan, db, Some(&demand), &mut BTreeMap::new())
     }
 
     /// Answer a stand-alone query over `program` + `db`, demand-driven:
@@ -540,44 +552,45 @@ impl Engine {
     /// the query over [`Engine::run`]'s full fixpoint. An empty program
     /// short-circuits to [`Engine::eval_query`] against `db` as-is (no
     /// clone, no fixpoint) — the knowledge-base dependency view takes
-    /// this path.
+    /// this path. The query is compiled once, for both.
     pub fn run_query(&self, program: &Program, db: &Database, query: &Rule) -> Result<Vec<Tuple>> {
         if program.rules.is_empty() {
             return self.eval_query(query, db);
         }
-        let demanded = self.run_directed(program, db.clone(), query)?;
-        self.eval_query(query, &demanded)
+        let query = CompiledRule::query(query);
+        let demanded = self.run_demanded(&Plan::new(program)?, db.clone(), &query)?;
+        self.answers(&query?, &demanded)
     }
 
     /// The [`Demand`] this engine would evaluate `query` under — exposed
     /// for the `vada-datalog` property suite.
     pub fn demand(&self, program: &Program, db: &Database, query: &Rule) -> Result<Demand> {
-        magic::demand_for(self, program, db, query)
+        magic::demand_for(self, &Plan::new(program)?, db, &CompiledRule::query(query))
     }
 
-    fn run_impl(
+    /// Evaluate `plan` from `db`: the one fixpoint loop behind every run.
+    /// As it absorbs the emissions of a head `tracked` names, it records
+    /// the head's per-rule regions there (see [`HeadSegments::record`]).
+    pub(crate) fn run_plan(
         &self,
-        program: &Program,
+        plan: &Plan,
         mut db: Database,
         demand: Option<&Demand>,
+        tracked: &mut BTreeMap<String, HeadSegments>,
     ) -> Result<Database> {
-        let strat = stratify(program)?;
+        let strat = &plan.strat;
         let fault = self.config.inject_fault;
         let obs = &self.config.obs;
 
         // ground facts
-        for rule in &program.rules {
-            if rule.is_fact() {
-                let t: Tuple = rule
-                    .head_terms
-                    .iter()
-                    .map(|ht| match ht {
-                        HeadTerm::Term(Term::Const(v)) => v.clone(),
-                        _ => unreachable!("is_fact guarantees constant terms"),
-                    })
-                    .collect();
-                db.insert(&rule.head_pred, t);
-            }
+        for cr in plan.rules.iter().filter(|cr| cr.rule.is_fact()) {
+            let t: Tuple = (cr.rule.head_terms.iter())
+                .map(|ht| match ht {
+                    HeadTerm::Term(Term::Const(v)) => v.clone(),
+                    _ => unreachable!("is_fact guarantees constant terms"),
+                })
+                .collect();
+            db.insert(&cr.rule.head_pred, t);
         }
 
         // one run-level span so stratum children group under their
@@ -597,10 +610,7 @@ impl Engine {
             let stratum_span = obs.span("datalog/stratum");
             stratum_span.attr("stratum", stratum);
             stratum_span.attr("rules", rule_idxs.len());
-            let compiled: Vec<CompiledRule> = rule_idxs
-                .iter()
-                .map(|&ri| CompiledRule::compile(&program.rules[ri], ri))
-                .collect::<Result<_>>()?;
+            let compiled: Vec<&CompiledRule> = rule_idxs.iter().map(|&ri| &plan.rules[ri]).collect();
             for cr in &compiled {
                 // join-planner telemetry: which positive literals have a
                 // bound column (served by an index) and which are
@@ -614,12 +624,16 @@ impl Engine {
                     (cr.positive_lit_indices.len() - indexed) as u64,
                 );
             }
-            let (refires, read) = strat.refiring(program, stratum);
+            let (refires, read) = &plan.refiring[stratum];
             // a rule's emissions (already filtered by demand) enter the
             // database under its own head; returns how many were new. Only
             // the new facts of a head a re-firing rule reads are copied into
-            // the delta — no pass ever reads the others back.
-            let absorb = |db: &mut Database, delta: &mut Database, head: &str, derived: Vec<Tuple>| {
+            // the delta — no pass ever reads the others back. A tracked head
+            // is read by no rule.
+            let mut absorb = |db: &mut Database, delta: &mut Database, head: &str, derived: Vec<Tuple>| {
+                if let Some(segs) = tracked.get_mut(head) {
+                    return segs.record(db, head, derived);
+                }
                 let feeds_delta = read.contains(head);
                 let mut fresh = 0usize;
                 for t in derived {
@@ -677,7 +691,7 @@ impl Engine {
                 }
                 obs.incr(obs_key::DELTA_PASSES);
                 for (ci, occ) in passes {
-                    let cr = &compiled[ci];
+                    let cr = compiled[ci];
                     let derived = guard_stage("datalog/stratum-delta", || {
                         let spec = DeltaSpec::Insert { delta: &delta, occ };
                         self.eval_rule(cr, &db, Some(spec), fault, demand)
@@ -697,9 +711,13 @@ impl Engine {
     /// [`parse_query`](crate::parser::parse_query)) against a fixed
     /// database; returns the distinct head tuples.
     pub fn eval_query(&self, query: &Rule, db: &Database) -> Result<Vec<Tuple>> {
-        let cr = CompiledRule::compile(query, usize::MAX)?;
+        self.answers(&CompiledRule::query(query)?, db)
+    }
+
+    /// [`Engine::eval_query`] for a compiled query.
+    fn answers(&self, query: &CompiledRule, db: &Database) -> Result<Vec<Tuple>> {
         let mut answers = FactSet::default();
-        for t in self.eval_rule(&cr, db, None, self.config.inject_fault, None)? {
+        for t in self.eval_rule(query, db, None, self.config.inject_fault, None)? {
             answers.insert(t);
         }
         Ok(answers.into_tuples())
@@ -925,10 +943,35 @@ fn aggregate(
     Ok(())
 }
 
+/// A program worked out once for evaluation: its stratification, which
+/// rules of each stratum re-fire in its semi-naive loop, and every rule
+/// compiled. An engine run builds one; an incremental session keeps its
+/// own, for its analysis, append waves, retraction plans and count
+/// captures; the demand rewrite reads its join orders.
+pub(crate) struct Plan {
+    pub(crate) strat: Stratification,
+    /// Per stratum, [`Stratification::refiring`]: which of its rules
+    /// re-fire, and the predicates those read positively.
+    refiring: Vec<(Vec<bool>, BTreeSet<String>)>,
+    /// Aligned with the program's rules, ground facts included.
+    pub(crate) rules: Vec<CompiledRule>,
+}
+
+impl Plan {
+    pub(crate) fn new(program: &Program) -> Result<Plan> {
+        let strat = stratify(program)?;
+        let refiring = (0..strat.stratum_count).map(|s| strat.refiring(program, s)).collect();
+        let rules = (program.rules.iter().enumerate())
+            .map(|(ri, rule)| CompiledRule::compile(rule, ri))
+            .collect::<Result<_>>()?;
+        Ok(Plan { strat, refiring, rules })
+    }
+}
+
 /// A rule with a precomputed evaluation order and per-literal bound-position
 /// information.
-pub(crate) struct CompiledRule<'a> {
-    pub(crate) rule: &'a Rule,
+pub(crate) struct CompiledRule {
+    pub(crate) rule: Rule,
     rule_idx: usize,
     /// Evaluation order: indices into `rule.body`.
     pub(crate) order: Vec<usize>,
@@ -940,8 +983,13 @@ pub(crate) struct CompiledRule<'a> {
     pub(crate) positive_lit_indices: Vec<usize>,
 }
 
-impl<'a> CompiledRule<'a> {
-    pub(crate) fn compile(rule: &'a Rule, rule_idx: usize) -> Result<CompiledRule<'a>> {
+impl CompiledRule {
+    /// A stand-alone query, compiled as a rule with no place in a program.
+    pub(crate) fn query(query: &Rule) -> Result<CompiledRule> {
+        CompiledRule::compile(query, usize::MAX)
+    }
+
+    pub(crate) fn compile(rule: &Rule, rule_idx: usize) -> Result<CompiledRule> {
         let body = &rule.body;
         let mut placed = vec![false; body.len()];
         let mut bound: BTreeSet<usize> = BTreeSet::new();
@@ -1056,6 +1104,7 @@ impl<'a> CompiledRule<'a> {
             .map(|(i, _)| i)
             .collect();
 
+        let rule = rule.clone();
         Ok(CompiledRule { rule, rule_idx, order, bound_positions, positive_lit_indices })
     }
 

@@ -4,13 +4,14 @@
 //! so a re-run after a small edit costs O(change) instead of O(database).
 //!
 //! Its consumer in the wrangle is the mapping result store
-//! (`vada_map::ResultStore`): a stand-alone mapping part keeps a session
-//! from its first refresh after a row-level source edit on. The session
-//! [adopts](IncrementalSession::adopt) the part's last engine run — its
-//! input and whole output, so nothing is derived twice — and the store
-//! feeds it the knowledge-base journal's appended, removed and tail-rewritten
-//! rows as [`apply`](IncrementalSession::apply) and
-//! [`retract`](IncrementalSession::retract) steps.
+//! (`vada_map::ResultStore`): a stand-alone mapping part is materialised by
+//! a session's [`run_full`](IncrementalSession::run_full), and the store
+//! keeps the session and feeds it the knowledge-base journal's appended,
+//! removed and tail-rewritten rows as [`apply`](IncrementalSession::apply)
+//! and [`retract`](IncrementalSession::retract) steps. The full run is the
+//! engine's own fixpoint loop over the session's compiled program; as it
+//! inserts a tracked head's facts it records where each rule's region of
+//! them ends (condition 6 below), so nothing is derived twice.
 //!
 //! ## Contract
 //!
@@ -34,11 +35,10 @@
 //! every variable their positive literals bind is in the head, or computed
 //! from head variables — keeps none: each rule counts 1 for exactly the
 //! facts it emits, which a single-rule head's facts, or a tracked head's
-//! segments (condition 6 below), already record. A tracked multi-rule head's other
-//! counts come with its segments, from the one enumeration that captures
-//! them after a full or adopted run; every other counted head's are
-//! captured on the first retraction that reaches it — append-only
-//! workloads, and heads no retraction reaches, never pay for them. A deletion
+//! segments (condition 6 below), already record. Every other counted
+//! head's counts, a tracked head's among them, are captured on the first
+//! retraction that reaches it — append-only workloads, and heads no
+//! retraction reaches, never pay for them. A deletion
 //! enumerates exactly the destroyed derivations — each rule runs once per
 //! shrunk body occurrence with that occurrence bound to the removed facts,
 //! earlier occurrences reading the post-removal view and later ones the
@@ -65,8 +65,8 @@
 //! Every pass reads its full-database lookups through the indexes the
 //! session's fact sets keep: appends extend an index in O(change), a
 //! removal or a reorder drops it, and an index over a relation no delta
-//! touches is built once — shared with the engine run the session adopted
-//! or re-derived from, since both read the same fact sets.
+//! touches is built once — shared with the full run the session last
+//! derived from, since both read the same fact sets.
 //!
 //! ## Order-safety analysis (appends)
 //!
@@ -97,7 +97,9 @@
 //!    nowhere) with rules firing only in the initial pass
 //!    (*"multi-rule predicate is read downstream"*). Its stored order is
 //!    then `dedup(input ++ seg_0 ++ … ++ seg_n)` over per-rule emission
-//!    segments, and the session records where each rule's region ends.
+//!    segments, and the full run records where each rule's region ends as
+//!    it inserts the head's facts, and which of a rule's emissions the head
+//!    held before that region; the session keeps both in step.
 //!    An emission new to `seg_r` and absent from the head is inserted at
 //!    the end of region `r`. One the head already holds, in its input or
 //!    in another rule's region, keeps or changes its scratch row depending
@@ -140,9 +142,8 @@ use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, slug, Obs};
 use vada_common::{Result, Tuple, VadaError};
 
-use crate::analysis::{stratify, Stratification};
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule};
-use crate::engine::{CompiledRule, Database, DeltaSpec, Engine, EngineConfig, FactSet};
+use crate::engine::{Database, DeltaSpec, Engine, EngineConfig, FactSet, Plan};
 use crate::parser::parse_program;
 
 /// How one call to [`IncrementalSession::apply`] (or
@@ -230,8 +231,8 @@ struct ProgramInfo {
 }
 
 impl ProgramInfo {
-    /// Analyse `program` once.
-    fn build(program: &Program, strat: &Stratification) -> Result<ProgramInfo> {
+    /// Analyse `program`, compiled as `plan`, once.
+    fn build(program: &Program, plan: &Plan) -> ProgramInfo {
         let mut defining: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut read_pos = BTreeSet::new();
         let mut read_neg = BTreeSet::new();
@@ -244,7 +245,7 @@ impl ProgramInfo {
                 continue;
             }
             defining.entry(rule.head_pred.clone()).or_default().push(ri);
-            let cr = CompiledRule::compile(rule, ri)?;
+            let cr = &plan.rules[ri];
             let outermost_occ = cr
                 .order
                 .iter()
@@ -264,8 +265,8 @@ impl ProgramInfo {
             }));
         }
         let mut stratum_recursive = BTreeSet::new();
-        for stratum in 0..strat.stratum_count {
-            stratum_recursive.extend(strat.recursive_preds(program, stratum));
+        for stratum in 0..plan.strat.stratum_count {
+            stratum_recursive.extend(plan.strat.recursive_preds(program, stratum));
         }
         // positive reachability over body-pred → head edges; a predicate
         // that reaches itself lies on a genuine cycle
@@ -289,8 +290,8 @@ impl ProgramInfo {
         // a multi-rule head can keep scratch order under deltas only when
         // nothing observes that order downstream (terminal) and its rules
         // fire exclusively in the initial pass (no body predicate the
-        // stratification deems recursive — the conservative set, so the
-        // per-rule segments captured by post-hoc re-evaluation are exact)
+        // stratification deems recursive — the conservative set), once
+        // each, so a run records their regions as it inserts their facts
         let mut tracked_candidates = BTreeSet::new();
         for (head, ris) in &defining {
             if ris.len() < 2
@@ -332,7 +333,7 @@ impl ProgramInfo {
         let mut units: Vec<String> = counted.iter().cloned().collect();
         let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
         units.sort_by_cached_key(|h| (depth(h), h.clone()));
-        Ok(ProgramInfo {
+        ProgramInfo {
             defining,
             read_neg,
             cyclic,
@@ -342,7 +343,7 @@ impl ProgramInfo {
             counted,
             unit,
             units,
-        })
+        }
     }
 }
 
@@ -377,22 +378,61 @@ fn injective(rule: &Rule) -> bool {
     }
 }
 
-/// The recorded emission order of one tracked head: one deduplicated
-/// segment per defining rule, in program order, and where each rule's
-/// region of the stored order ends. The stored order is
-/// `dedup(input ++ seg_0 ++ … ++ seg_n)` — the scratch insertion order,
-/// because the tracked head's rules fire once each, in rule order, over
-/// inputs that are finalized before their stratum starts.
-struct HeadSegments {
-    /// `(rule index, emissions)` in program order.
-    by_rule: Vec<(usize, FactSet)>,
+/// Where a tracked head's rules put its facts. Its stored order is
+/// `dedup(input ++ seg_0 ++ … ++ seg_n)` over one emission segment per
+/// defining rule, in program order — the scratch insertion order, because
+/// the head's rules fire once each, in rule order, over inputs that are
+/// finalized before their stratum starts. A run records, as it inserts the
+/// head's facts, where each rule's region of that order ends and which of
+/// the rule's emissions the head held before the region: a segment is its
+/// region plus those.
+#[derive(Default)]
+pub(crate) struct HeadSegments {
     /// Region ends in the stored order: `ends[0]` closes the extensional
     /// prefix, `ends[s + 1]` the region of the rule in slot `s` — the
     /// facts whose first segment is `seg_s`.
     ends: Vec<usize>,
+    /// Per slot, the emissions of its rule that the head held before the
+    /// rule's region.
+    held: Vec<FactSet>,
 }
 
 impl HeadSegments {
+    /// Insert the emissions of the head's next rule into `db`, recording
+    /// the rule's region and what of it the head already held; returns how
+    /// many facts were new. The engine's insert for a tracked head.
+    pub(crate) fn record(&mut self, db: &mut Database, head: &str, emitted: Vec<Tuple>) -> usize {
+        let start = db.facts(head).len();
+        if self.ends.is_empty() {
+            self.ends.push(start);
+        }
+        let mut held = FactSet::default();
+        for t in emitted {
+            // only a fact already stored is looked up again
+            if !db.insert(head, t.clone())
+                && db.fact_set(head).and_then(|f| f.find(t.values())).is_some_and(|row| row < start)
+            {
+                held.insert(t);
+            }
+        }
+        let end = db.facts(head).len();
+        self.ends.push(end);
+        self.held.push(held);
+        end - start
+    }
+
+    /// Whether slot `slot`'s segment holds `t`, stored at `row` if at all.
+    fn holds(&self, slot: usize, row: Option<usize>, t: &Tuple) -> bool {
+        let region = self.ends[slot]..self.ends[slot + 1];
+        row.is_some_and(|row| region.contains(&row)) || self.held[slot].contains(t)
+    }
+
+    /// How many segments hold `t`, a fact of `head`, the stored order.
+    fn count(&self, head: &FactSet, t: &Tuple) -> u64 {
+        let row = head.find(t.values());
+        (0..self.held.len()).filter(|&slot| self.holds(slot, row, t)).count() as u64
+    }
+
     /// Splice rule slot `slot`'s emissions into `head`, the stored order:
     /// the ones new to the slot's segment go in as one block at the end of
     /// the slot's region. Returns how many facts the head gained, or `None`
@@ -400,12 +440,14 @@ impl HeadSegments {
     fn splice(&mut self, head: &mut FactSet, slot: usize, emitted: Vec<Tuple>) -> Option<usize> {
         let mut block = Vec::new();
         for t in emitted {
-            if self.by_rule[slot].1.insert(t.clone()) {
-                if head.contains(&t) {
-                    return None;
-                }
-                block.push(t);
+            let row = head.find(t.values());
+            if self.holds(slot, row, &t) {
+                continue;
             }
+            if row.is_some() {
+                return None;
+            }
+            block.push(t);
         }
         let added = head.insert_at(self.ends[slot + 1], block);
         for end in &mut self.ends[slot + 1..] {
@@ -422,37 +464,23 @@ impl HeadSegments {
     }
 }
 
-/// One head's re-enumeration over a database: its scratch-order fact set
-/// (input prefix + per-rule emissions), its derivation counts and its
-/// per-rule emission segments (slot-aligned with `info.defining[head]`),
-/// the region ends in `rebuilt` (as [`HeadSegments::ends`]). Produced by
-/// `IncrementalSession::enumerate_head`; `counts` is empty unless asked
-/// for.
-struct HeadEnumeration {
-    rebuilt: FactSet,
-    counts: HashMap<Tuple, u64>,
-    segments: Vec<(usize, FactSet)>,
-    ends: Vec<usize>,
-}
-
 /// A persistent evaluation session for one program. See the module docs.
 pub struct IncrementalSession {
     engine: Engine,
-    program: Program,
-    strat: Stratification,
+    plan: Plan,
     info: ProgramInfo,
     /// Extensional input facts accumulated so far (what a scratch run
     /// would start from). Used for fallback re-derivation.
     base: Database,
     /// Materialized database: `base` plus everything derived.
     db: Database,
-    /// Emission segments for tracked multi-rule terminal heads.
+    /// Emission segments for tracked multi-rule terminal heads, as the
+    /// last full run recorded them.
     segments: BTreeMap<String, HeadSegments>,
     /// Per counted head: each fact's derivation count over the current
-    /// materialization, summed over its defining rules. A tracked head's
-    /// come with its segments, from the same enumeration; every other
-    /// head's are captured on the first retraction that reaches it after a
-    /// full run (append-only workloads never pay for them). Incremented by
+    /// materialization, summed over its defining rules, captured on the
+    /// first retraction that reaches the head after a full run
+    /// (append-only workloads never pay for them). Incremented by
     /// append deltas; a retraction that commits drops the facts that lost
     /// every derivation. A head is absent until captured, and for
     /// good when its counts are [implicit](IncrementalSession::implicit).
@@ -476,7 +504,7 @@ pub struct IncrementalSession {
 impl std::fmt::Debug for IncrementalSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalSession")
-            .field("rules", &self.program.rules.len())
+            .field("rules", &self.plan.rules.len())
             .field("facts", &self.db.total_facts())
             .field("last", &self.last)
             .field("poisoned", &self.poisoned)
@@ -490,14 +518,13 @@ impl IncrementalSession {
     /// [`apply`](IncrementalSession::apply).
     pub fn new(config: EngineConfig, source: &str) -> Result<IncrementalSession> {
         let program = parse_program(source)?;
-        let strat = stratify(&program)?;
+        let plan = Plan::new(&program)?;
         let obs = config.obs.clone();
-        let info = ProgramInfo::build(&program, &strat)?;
+        let info = ProgramInfo::build(&program, &plan);
         Ok(IncrementalSession {
             engine: Engine::new(config),
             obs,
-            program,
-            strat,
+            plan,
             info,
             base: Database::new(),
             db: Database::new(),
@@ -528,15 +555,13 @@ impl IncrementalSession {
         if !self.implicit(pred) {
             return self.counts.get(pred).cloned();
         }
-        let emitted: Vec<&[Tuple]> = match self.segments.get(pred) {
-            Some(segs) => segs.by_rule.iter().map(|(_, seg)| seg.tuples()).collect(),
-            None => vec![self.db.facts(pred)],
+        let facts = self.db.fact_set(pred);
+        let count = |t: &Tuple| match (self.segments.get(pred), facts) {
+            (Some(segs), Some(facts)) => segs.count(facts, t),
+            _ => 1,
         };
-        let mut total: HashMap<Tuple, u64> = HashMap::new();
-        for t in emitted.into_iter().flatten() {
-            *total.entry(t.clone()).or_insert(0) += 1;
-        }
-        Some(total)
+        let counted = facts.into_iter().flat_map(|f| f.tuples()).map(|t| (t.clone(), count(t)));
+        Some(counted.filter(|&(_, n)| n > 0).collect())
     }
 
     /// Whether counted `head`'s derivation counts go without keeping: its
@@ -613,25 +638,9 @@ impl IncrementalSession {
         self.full_run(input, DeltaMode::Bootstrap, None, 0, 0)
     }
 
-    /// A session for `source` that starts from a run the caller already
-    /// has: `output` is the whole database [`Engine::run`] derived from
-    /// `input` under this program. Nothing is derived again; the session
-    /// is then exactly what [`run_full`](IncrementalSession::run_full) over
-    /// `input` leaves, and its step is tallied as a bootstrap.
-    pub fn adopt(
-        config: EngineConfig,
-        source: &str,
-        input: Database,
-        output: Database,
-    ) -> Result<IncrementalSession> {
-        let mut session = IncrementalSession::new(config, source)?;
-        let obs = session.obs.clone();
-        let span = obs.span("incremental/adopt");
-        span.attr("facts", input.total_facts());
-        session.settle(input, output, DeltaMode::Bootstrap, None, 0, 0)?;
-        Ok(session)
-    }
-
+    /// Run the program over `input` and take the result as the whole
+    /// session state: the database, the tracked heads' segments the run
+    /// recorded, and no counts. Records the step.
     fn full_run(
         &mut self,
         input: Database,
@@ -640,26 +649,13 @@ impl IncrementalSession {
         delta_facts: usize,
         removed_facts: usize,
     ) -> Result<&Database> {
-        let db = self.engine.run(&self.program, input.clone())?;
-        self.settle(input, db, mode, fallback_reason, delta_facts, removed_facts)?;
-        Ok(&self.db)
-    }
-
-    /// Take `db`, the program's fixpoint over `input`, as the whole session
-    /// state — the one path both a full run and an adopted run end in:
-    /// capture the tracked heads' segments (and their counts), drop every
-    /// other count, and record the step.
-    fn settle(
-        &mut self,
-        input: Database,
-        db: Database,
-        mode: DeltaMode,
-        fallback_reason: Option<String>,
-        delta_facts: usize,
-        removed_facts: usize,
-    ) -> Result<()> {
+        let mut segments: BTreeMap<String, HeadSegments> = (self.info.tracked_candidates.iter())
+            .map(|head| (head.clone(), HeadSegments::default()))
+            .collect();
+        let db = self.engine.run_plan(&self.plan, input.clone(), None, &mut segments)?;
         let derived = db.total_facts().saturating_sub(input.total_facts());
-        self.capture_segments(&input, &db)?;
+        self.segments = segments;
+        self.counts = BTreeMap::new();
         self.base = input;
         self.db = db;
         self.poisoned = false;
@@ -672,7 +668,7 @@ impl IncrementalSession {
             derived_facts: derived,
             ..DeltaOutcome::noop()
         });
-        Ok(())
+        Ok(&self.db)
     }
 
     /// Refuse a delta or a retraction before bootstrap, or after a failed
@@ -691,82 +687,15 @@ impl IncrementalSession {
         Ok(())
     }
 
-    /// Capture per-rule emission segments for every tracked candidate by
-    /// re-evaluating its defining rules over the final database (sound
-    /// because tracked rules only read predicates finalized before their
-    /// stratum). A head whose reconstruction does not reproduce the
-    /// scratch order exactly is silently dropped from tracking — deltas
-    /// touching it then fall back to full runs instead of risking drift.
-    /// The same enumeration counts derivations: a counted candidate keeps
-    /// them, unless its rules are injective (tracked, its counts are then
-    /// implicit). Every other count is dropped, for
-    /// [`ensure_counts`](Self::ensure_counts).
-    fn capture_segments(&mut self, input: &Database, db: &Database) -> Result<()> {
-        let mut segments = BTreeMap::new();
-        let mut counts = BTreeMap::new();
-        for head in &self.info.tracked_candidates {
-            let unit = self.info.unit.contains(head);
-            let e = self.enumerate_head(head, input, db, !unit)?;
-            if self.info.counted.contains(head) && !unit {
-                counts.insert(head.clone(), e.counts);
-            }
-            if e.rebuilt.tuples() == db.facts(head) {
-                segments.insert(head.clone(), HeadSegments { by_rule: e.segments, ends: e.ends });
-            }
-        }
-        self.segments = segments;
-        self.counts = counts;
-        Ok(())
-    }
-
-    /// Re-enumerate the defining rules of `head` over `db`, in the slot
-    /// order of `info.defining[head]`: the prefix facts `head` holds in
-    /// `prefix` (the extensional input), then each rule's emissions in
-    /// program order. The single reconstruction primitive behind segment
-    /// capture and lazy count capture — every consumer of the segments
-    /// indexes them by the same positional slot, so keeping one loop keeps
-    /// the alignment structural.
-    fn enumerate_head(
-        &self,
-        head: &str,
-        prefix: &Database,
-        db: &Database,
-        count: bool,
-    ) -> Result<HeadEnumeration> {
-        let mut rebuilt = FactSet::default();
-        if let Some(p) = prefix.fact_set(head) {
-            for t in p.tuples() {
-                rebuilt.insert(t.clone());
-            }
-        }
-        let mut counts: HashMap<Tuple, u64> = HashMap::new();
-        let mut segments: Vec<(usize, FactSet)> = Vec::new();
-        let mut ends = vec![rebuilt.len()];
-        for &ri in &self.info.defining[head] {
-            let cr = CompiledRule::compile(&self.program.rules[ri], ri)?;
-            let mut seg = FactSet::default();
-            for t in self.engine.eval_rule(&cr, db, None, None, None)? {
-                if count {
-                    *counts.entry(t.clone()).or_insert(0) += 1;
-                }
-                seg.insert(t.clone());
-                rebuilt.insert(t);
-            }
-            segments.push((ri, seg));
-            ends.push(rebuilt.len());
-        }
-        Ok(HeadEnumeration { rebuilt, counts, segments, ends })
-    }
-
     /// Capture derivation counts over the *current* materialization for
-    /// every counted head in `affected` that the full run's segment capture
-    /// did not count and whose counts are not [implicit](Self::implicit).
-    /// Called on every retraction, it enumerates a head only on the first
-    /// retraction after a full run that reaches it, so append-only
-    /// workloads, and heads no retraction reaches, never re-enumerate rules
-    /// for bookkeeping they do not use; from then on the append and
-    /// deletion paths keep every captured count in step until the next full
-    /// run drops them.
+    /// every counted head in `affected` whose counts are neither kept yet
+    /// nor [implicit](Self::implicit), by enumerating its rules. Called on
+    /// every retraction, it enumerates a head only on the first retraction
+    /// after a full run that reaches it, so append-only workloads, and
+    /// heads no retraction reaches, never re-enumerate rules for
+    /// bookkeeping they do not use; from then on the append and deletion
+    /// paths keep every captured count in step until the next full run
+    /// drops them.
     fn ensure_counts(&mut self, affected: &BTreeSet<String>) -> Result<()> {
         let missing: Vec<String> = (affected.iter())
             .filter(|h| self.info.counted.contains(*h))
@@ -780,8 +709,13 @@ impl IncrementalSession {
         let span = obs.span("incremental/counts");
         span.attr("heads", missing.len());
         for head in missing {
-            let e = self.enumerate_head(&head, &self.base, &self.db, true)?;
-            self.counts.insert(head, e.counts);
+            let mut counts: HashMap<Tuple, u64> = HashMap::new();
+            for &ri in &self.info.defining[&head] {
+                for t in self.engine.eval_rule(&self.plan.rules[ri], &self.db, None, None, None)? {
+                    *counts.entry(t).or_insert(0) += 1;
+                }
+            }
+            self.counts.insert(head, counts);
         }
         Ok(())
     }
@@ -955,11 +889,11 @@ impl IncrementalSession {
             .map(|p| p.as_str())
             .collect();
 
-        for stratum in 0..self.strat.stratum_count {
+        for stratum in 0..self.plan.strat.stratum_count {
             // rules of this stratum with an affected outermost literal,
             // in program order; each fires exactly once
             let mut waiting: Vec<(usize, usize)> = Vec::new(); // (rule idx, occurrence)
-            for &ri in &self.strat.strata_rules[stratum] {
+            for &ri in &self.plan.strat.strata_rules[stratum] {
                 let Some(info) = &self.info.rules[ri] else { continue };
                 let Some(occ) = info.outermost_occ else { continue };
                 if affected.contains(&info.positive[occ]) {
@@ -979,11 +913,8 @@ impl IncrementalSession {
                     ));
                 }
                 waiting = rest;
-                let compiled: Vec<CompiledRule> = wave
-                    .iter()
-                    .map(|&(ri, _)| CompiledRule::compile(&self.program.rules[ri], ri))
-                    .collect::<Result<_>>()?;
-                for (&(ri, occ), cr) in wave.iter().zip(&compiled) {
+                for &(ri, occ) in &wave {
+                    let cr = &self.plan.rules[ri];
                     let out = guard_stage("datalog/incremental-delta", || {
                         self.engine.eval_rule(
                             cr,
@@ -1003,10 +934,8 @@ impl IncrementalSession {
                     }
                     if let Some(segs) = self.segments.get_mut(pred) {
                         // tracked (terminal) head: spliced into place
-                        let slot = segs
-                            .by_rule
-                            .iter()
-                            .position(|(r, _)| *r == ri)
+                        let slot = (self.info.defining[pred].iter())
+                            .position(|&r| r == ri)
                             .expect("firing rule defines this head");
                         let Some(added) = segs.splice(self.db.reorder(pred), slot, out) else {
                             let reason = format!("emission already held in `{pred}`");
@@ -1186,8 +1115,8 @@ impl IncrementalSession {
                 }
             }
             if let Some(segs) = self.segments.get_mut(head) {
-                for (_, seg) in &mut segs.by_rule {
-                    seg.remove_all(gone);
+                for held in &mut segs.held {
+                    held.remove_all(gone);
                 }
             }
         }
@@ -1231,10 +1160,6 @@ impl IncrementalSession {
         if passes.is_empty() {
             return Ok(false);
         }
-        let compiled: Vec<CompiledRule> = ris
-            .iter()
-            .map(|&ri| CompiledRule::compile(&self.program.rules[ri], ri))
-            .collect::<Result<_>>()?;
         let removed_view: &Database = removed;
         // destroyed derivations per fact, and the facts in emission order
         let mut lost: HashMap<Tuple, u64> = HashMap::new();
@@ -1245,7 +1170,7 @@ impl IncrementalSession {
                     panic!("injected fault at retract-enumerate (fault-injection hook)");
                 }
                 self.engine.eval_rule(
-                    &compiled[slot],
+                    &self.plan.rules[ris[slot]],
                     &self.db,
                     Some(DeltaSpec::Delete { removed: removed_view, occ }),
                     self.fault,
@@ -1269,12 +1194,10 @@ impl IncrementalSession {
             let Some(lost) = lost.remove(&t) else { continue };
             // an implicit count is 1 per rule emitting the fact, and a
             // destroyed derivation was emitted
-            let old: u64 = match (counts, self.segments.get(head)) {
-                (Some(counts), _) => counts.get(&t).copied().unwrap_or(0),
-                (None, Some(segs)) => {
-                    segs.by_rule.iter().map(|(_, seg)| u64::from(seg.contains(&t))).sum()
-                }
-                (None, None) => 1,
+            let old: u64 = match (counts, self.segments.get(head), self.db.fact_set(head)) {
+                (Some(counts), ..) => counts.get(&t).copied().unwrap_or(0),
+                (None, Some(segs), Some(facts)) => segs.count(facts, &t),
+                (None, ..) => 1,
             };
             if lost > old {
                 return Err(VadaError::Eval(format!(
@@ -1302,6 +1225,7 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CompiledRule;
     use vada_common::obs::span_shape;
     use vada_common::tuple;
 
@@ -2221,8 +2145,12 @@ mod tests {
         /// order, the facts of its segment; `None` for an untracked head.
         fn segment_view(&self, head: &str) -> Option<(Vec<usize>, Vec<HashSet<Tuple>>)> {
             let segs = self.segments.get(head)?;
-            let members = segs.by_rule.iter().map(|(_, seg)| seg.tuples().iter().cloned());
-            Some((segs.ends.clone(), members.map(HashSet::from_iter).collect()))
+            let facts = self.db.facts(head);
+            let members = (0..segs.held.len()).map(|s| {
+                let region = facts[segs.ends[s]..segs.ends[s + 1]].iter();
+                region.chain(segs.held[s].tuples()).cloned().collect()
+            });
+            Some((segs.ends.clone(), members.collect()))
         }
     }
 

@@ -52,7 +52,7 @@ use vada_common::error::guard_stage;
 use vada_common::{Result, Tuple, Value};
 
 use crate::ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
-use crate::engine::{CompiledRule, Database, Engine, EngineConfig, FactSet};
+use crate::engine::{CompiledRule, Database, Engine, EngineConfig, FactSet, Plan};
 
 /// Guard cap: distinct adornments per predicate before giving up.
 const MAX_ADORNMENTS: usize = 16;
@@ -184,7 +184,7 @@ struct Analysis {
 }
 
 struct St<'p> {
-    program: &'p Program,
+    plan: &'p Plan,
     idb: BTreeSet<&'p str>,
     by_head: BTreeMap<&'p str, Vec<usize>>,
     rules: Vec<Rule>,
@@ -206,7 +206,7 @@ impl<'p> St<'p> {
             }
             if let Some(ris) = self.by_head.get(p.as_str()) {
                 for &ri in ris {
-                    let r = &self.program.rules[ri];
+                    let r = &self.plan.rules[ri].rule;
                     for q in r.positive_preds().chain(r.negative_preds()) {
                         if self.idb.contains(q) && !self.unrestricted.contains(q) {
                             stack.push(q.to_string());
@@ -228,20 +228,17 @@ fn expr_all_bound(e: &Expr, bound: &BTreeSet<usize>) -> bool {
 /// through evaluable literals; emits one magic rule per bound IDB atom.
 /// Returns whether any IDB atom had a bound position (the all-free test).
 fn propagate(
-    rule: &Rule,
+    compiled: &CompiledRule,
     source: Atom,
     mut bound: BTreeSet<usize>,
     var_count: usize,
     var_names: Vec<String>,
     st: &mut St<'_>,
 ) -> std::result::Result<bool, String> {
-    let order = CompiledRule::compile(rule, usize::MAX)
-        .map_err(|e| format!("unorderable rule `{rule}`: {e}"))?
-        .order
-        .clone();
+    let rule = &compiled.rule;
     let mut included: Vec<Literal> = vec![Literal::Pos(source)];
     let mut any_bound_idb = false;
-    for &li in &order {
+    for &li in &compiled.order {
         match &rule.body[li] {
             Literal::Cmp(CmpOp::Eq, l, r) => {
                 let lb = expr_all_bound(l, &bound);
@@ -339,17 +336,20 @@ fn propagate(
 /// The static rewrite: seed demand from the query's bound arguments and
 /// close it over every reachable (predicate, adornment) pair. `Err` is a
 /// *fallback*, not a failure — the caller answers with the identity demand.
-fn analyze(program: &Program, query: &Rule) -> std::result::Result<Analysis, String> {
-    let idb = program.idb_predicates();
+fn analyze(
+    plan: &Plan,
+    query: &Result<CompiledRule>,
+) -> std::result::Result<Analysis, String> {
+    let query = query.as_ref().map_err(|e| format!("unorderable query: {e}"))?;
     let mut by_head: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (ri, r) in program.rules.iter().enumerate() {
-        if !r.is_fact() {
-            by_head.entry(r.head_pred.as_str()).or_default().push(ri);
+    for (ri, cr) in plan.rules.iter().enumerate() {
+        if !cr.rule.is_fact() {
+            by_head.entry(cr.rule.head_pred.as_str()).or_default().push(ri);
         }
     }
     let mut st = St {
-        program,
-        idb,
+        plan,
+        idb: by_head.keys().copied().collect(),
         by_head,
         rules: Vec::new(),
         adorn: BTreeMap::new(),
@@ -371,13 +371,13 @@ fn analyze(program: &Program, query: &Rule) -> std::result::Result<Analysis, Str
         query,
         seed_atom,
         BTreeSet::new(),
-        query.var_count,
-        query.var_names.clone(),
+        query.rule.var_count,
+        query.rule.var_names.clone(),
         &mut st,
     )?;
-    let query_reads_idb = query
+    let query_reads_idb = (query.rule)
         .positive_preds()
-        .chain(query.negative_preds())
+        .chain(query.rule.negative_preds())
         .any(|p| st.idb.contains(p));
     if query_reads_idb && !any_bound {
         return Err("all-free query: identity rewrite".into());
@@ -389,19 +389,19 @@ fn analyze(program: &Program, query: &Rule) -> std::result::Result<Analysis, Str
         }
         let Some(ris) = st.by_head.get(pred.as_str()).cloned() else { continue };
         for ri in ris {
-            let r = &program.rules[ri];
-            if cols.iter().any(|&c| c >= r.head_terms.len()) {
+            let r = &plan.rules[ri];
+            if cols.iter().any(|&c| c >= r.rule.head_terms.len()) {
                 // this rule's head arity cannot produce facts matching the
                 // adornment's shape; its emissions are judged (and its body
                 // demanded) via other adornments only
                 continue;
             }
-            let mut var_names = r.var_names.clone();
-            let mut var_count = r.var_count;
+            let mut var_names = r.rule.var_names.clone();
+            let mut var_count = r.rule.var_count;
             let mut terms = Vec::with_capacity(cols.len());
             let mut bound = BTreeSet::new();
             for &c in &cols {
-                match &r.head_terms[c] {
+                match &r.rule.head_terms[c] {
                     HeadTerm::Term(t) => {
                         if let Term::Var(v, _) = t {
                             bound.insert(*v);
@@ -435,14 +435,14 @@ fn analyze(program: &Program, query: &Rule) -> std::result::Result<Analysis, Str
 /// — `db`'s own, shared rather than copied, plus the program's ground
 /// fact-rules (the main run loads those only after demand is computed; one
 /// landing in a shared relation copies it first).
-fn demand_input(analysis: &Analysis, program: &Program, db: &Database) -> Database {
+fn demand_input(analysis: &Analysis, plan: &Plan, db: &Database) -> Database {
     let mut mdb = Database::new();
     for pred in &analysis.ext_reads {
         if let Some(rel) = db.shared_fact_set(pred) {
             mdb.set_fact_set(pred, rel);
         }
     }
-    for rule in &program.rules {
+    for rule in plan.rules.iter().map(|cr| &cr.rule) {
         if rule.is_fact() && analysis.ext_reads.contains(&rule.head_pred) {
             let t: Tuple = rule
                 .head_terms
@@ -458,23 +458,24 @@ fn demand_input(analysis: &Analysis, program: &Program, db: &Database) -> Databa
     mdb
 }
 
-/// Compute the [`Demand`] for `query` over `program` and the extensional
-/// `db`. Analysis shortfalls fall back to the identity demand (directed ≡
+/// Compute the [`Demand`] for `query` over the program `plan` compiles and
+/// the extensional `db`. Analysis shortfalls — an unorderable query among
+/// them — fall back to the identity demand (directed ≡
 /// undirected by construction) — only injected rewrite-stage panics
 /// surface as errors, through the same [`guard_stage`] as every engine
 /// stage.
 pub(crate) fn demand_for(
     engine: &Engine,
-    program: &Program,
+    plan: &Plan,
     db: &Database,
-    query: &Rule,
+    query: &Result<CompiledRule>,
 ) -> Result<Demand> {
     let fault = engine.config().inject_fault;
     let analysis = guard_stage("datalog/magic_rewrite", || {
         if fault == Some("magic-rewrite") {
             panic!("injected magic-rewrite fault");
         }
-        Ok(analyze(program, query))
+        Ok(analyze(plan, query))
     })?;
     let analysis = match analysis {
         Ok(a) => a,
@@ -492,7 +493,7 @@ pub(crate) fn demand_for(
         });
     }
 
-    let mdb = demand_input(&analysis, program, db);
+    let mdb = demand_input(&analysis, plan, db);
 
     let mcfg = EngineConfig { inject_fault: None, ..engine.config().clone() };
     let magic_db = match Engine::new(mcfg).run(&analysis.magic, mdb) {
@@ -535,7 +536,7 @@ mod tests {
     fn demand(src: &str, q: &str, db: &Database) -> Demand {
         let program = parse_program(src).unwrap();
         let query = parse_query(q).unwrap();
-        demand_for(&Engine::default(), &program, db, &query).unwrap()
+        Engine::default().demand(&program, db, &query).unwrap()
     }
 
     #[test]
@@ -566,8 +567,8 @@ mod tests {
         let program =
             parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).").unwrap();
         let query = parse_query("tc(3, W)").unwrap();
-        let analysis = analyze(&program, &query).unwrap();
-        let input = demand_input(&analysis, &program, &db);
+        let analysis = analyze(&Plan::new(&program).unwrap(), &CompiledRule::query(&query)).unwrap();
+        let input = demand_input(&analysis, &Plan::new(&program).unwrap(), &db);
         assert!(input.shares("edge", &db));
         let magic_db = Engine::default().run(&analysis.magic, input).unwrap();
         assert!(magic_db.shares("edge", &db), "the demand run copied");
@@ -577,7 +578,7 @@ mod tests {
             "edge(900, 901). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).",
         )
         .unwrap();
-        let input = demand_input(&analysis, &with_fact, &db);
+        let input = demand_input(&analysis, &Plan::new(&with_fact).unwrap(), &db);
         assert!(!input.shares("edge", &db));
         assert_eq!((input.facts("edge").len(), db.facts("edge").len()), (201, 200));
     }
@@ -673,7 +674,7 @@ mod tests {
             inject_fault: Some("magic-rewrite"),
             ..EngineConfig::default()
         });
-        let err = demand_for(&engine, &program, &Database::new(), &query).unwrap_err();
+        let err = engine.demand(&program, &Database::new(), &query).unwrap_err();
         assert_eq!(err.kind(), "parallel", "{err}");
         assert!(err.message().contains("datalog/magic_rewrite"), "{err}");
     }

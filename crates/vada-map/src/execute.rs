@@ -112,59 +112,40 @@ pub(crate) fn registered_target<'a>(
 }
 
 /// Execute a mapping from scratch and return the result in the target
-/// schema. The transducers go through
-/// [`ResultStore`](crate::ResultStore), which runs the engine the same way
-/// only when its stored materialisation is stale.
+/// schema: one engine run over an input built from the sources' rows. The
+/// transducers go through [`ResultStore`](crate::ResultStore), whose
+/// incremental sessions materialise the mapping only when its stored
+/// result is stale, byte-identically to this.
 pub fn execute_mapping(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
     let target = registered_target(mapping, kb)?;
-    let scratch = || {
-        let inputs = mapping
-            .sources
-            .iter()
-            .map(|s| Ok((s.as_str(), source_input(kb.relation(s)?).0)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(input_db(inputs.iter().map(|(s, rows)| (*s, rows))))
-    };
     let _span = execute_span(mapping, kb);
-    let facts = materialise(cfg, mapping, target, kb, scratch)?.0;
+    let program = parse_program(&mapping.rules)?;
+    let obs = kb.obs();
+    obs.incr(obs_key::MAP_FULL);
+    let inputs = (mapping.sources.iter())
+        .map(|s| Ok((s.as_str(), source_input(kb.relation(s)?).0)))
+        .collect::<Result<Vec<_>>>()?;
+    let input = input_db(inputs.iter().map(|(s, rows)| (*s, rows)));
+    let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
+    // a mapping materialises its whole target relation — an all-free
+    // access pattern demand cannot restrict — so it runs the full fixpoint
+    let output = engine.run(&program, input)?;
+    let facts = output.shared_fact_set(&target.name).unwrap_or_default();
     Ok(coerce_rows(&facts, target, &mapping.id, None)?.0)
 }
 
 /// The span one materialisation of `mapping` records under, in the
 /// knowledge base's registry: input build and engine run, or a session's
-/// step, nest underneath.
+/// full run or step, nest underneath.
 pub(crate) fn execute_span<'a>(mapping: &MappingDef, kb: &'a KnowledgeBase) -> SpanGuard<'a> {
     let span = kb.obs().span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
     span
-}
-
-/// One engine run of `mapping` into `target` over the database `input`
-/// builds: the engine's raw target facts, and the input and whole output
-/// databases. The facts are the output's own fact set, and the databases
-/// share their fact sets: nothing is a copy. The run records into the
-/// knowledge base's registry, inside the caller's [`execute_span`].
-pub(crate) fn materialise(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    target: &Schema,
-    kb: &KnowledgeBase,
-    input: impl FnOnce() -> Result<Database>,
-) -> Result<(Arc<FactSet>, Database, Database)> {
-    let program = parse_program(&mapping.rules)?;
-    let obs = kb.obs();
-    obs.incr(obs_key::MAP_FULL);
-    let input = input()?;
-    let engine = Engine::new(EngineConfig { obs: obs.clone(), ..cfg.engine.clone() });
-    // a mapping materialises its whole target relation — an all-free
-    // access pattern demand cannot restrict — so it runs the full fixpoint
-    let output = engine.run(&program, input.clone())?;
-    Ok((output.shared_fact_set(&target.name).unwrap_or_default(), input, output))
 }
 
 /// What a run's rows changed since an earlier run's: the earlier rows

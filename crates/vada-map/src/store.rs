@@ -15,19 +15,19 @@
 //! Otherwise the entry is refreshed and stored again. How depends on the
 //! mapping and on the answer:
 //!
-//! * A mapping without [`parts`](vada_kb::MappingDef::parts) runs through
-//!   the engine exactly as [`execute_mapping`] does (`map.execute.full`)
-//!   when it is first materialised. Its entry is the run: the coerced rows,
+//! * A mapping without [`parts`](vada_kb::MappingDef::parts) is first
+//!   materialised by a [`vada_datalog::IncrementalSession`] of its rules:
+//!   its [full run](vada_datalog::IncrementalSession::run_full) over the
+//!   sources' execution inputs derives what [`execute_mapping`]'s engine
+//!   run does (`map.execute.full`). Its entry is the run: the coerced rows,
 //!   the engine's raw target facts beside them, and a *version* number no
-//!   other run of the store gets, and what the run read and wrote, shared.
+//!   other run of the store gets; the session stays with the entry.
 //! * Such a mapping is then **maintained**, not re-run, while the answer
 //!   is [`Since::Rows`](vada_kb::Since::Rows) and every event in it is one
 //!   the session can replay: rows appended, rows removed, the last rows
-//!   rewritten. Its first such refresh starts a
-//!   [`vada_datalog::IncrementalSession`] that
-//!   [adopts](vada_datalog::IncrementalSession::adopt) the run, and every
-//!   refresh feeds the session the edited rows — appended rows as new
-//!   facts, removed rows as retractions (`map.execute.incremental`). The
+//!   rewritten. Every such refresh feeds the session the edited rows —
+//!   appended rows as new facts, removed rows as retractions
+//!   (`map.execute.incremental`). The
 //!   rows follow the session: a fact the previous version also derived
 //!   keeps its coerced row, and only new facts are coerced; the version
 //!   names its parent and what changed since ([`Part::parent`]). The
@@ -38,9 +38,9 @@
 //!   no longer a fresh read's, and the mapping re-runs. So does every
 //!   refresh the session cannot replay — [`Since::Rebuild`](vada_kb::Since::Rebuild)
 //!   (a relation-level event, or a mark the journal cannot vouch for) or a
-//!   rewrite of rows that are not the last ones — and the session is
-//!   dropped. So does a step that fails: the
-//!   engine run then yields exactly a from-scratch run's result or error,
+//!   rewrite of rows that are not the last ones — through the same
+//!   session's full run. So does a step that fails: the
+//!   full run then yields exactly a from-scratch run's result or error,
 //!   and a failed run drops the entry. A re-run is coerced against the run
 //!   it replaces, as a step is, so every refresh of a stored entry names
 //!   its parent and the row diff since.
@@ -125,8 +125,8 @@
 //! assert_eq!(tally(&kb), [1, 0, 1, 0]);
 //!
 //! // append a row and re-execute: the journal names a row-level edit of
-//! // `listings`, so the entry starts an incremental session from its
-//! // engine run and feeds it the appended row — no program runs…
+//! // `listings`, so the entry's incremental session, which made the first
+//! // result, is fed the appended row — no program runs…
 //! listings.push(tuple!["2 park rd", "300000"]).unwrap();
 //! kb.register_source(listings.clone());
 //! let second = store.execute(&cfg, &mapping, &kb).unwrap();
@@ -197,19 +197,19 @@ use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::key as obs_key;
 use vada_common::{Relation, Result, Schema, Tuple, VadaError};
-use vada_datalog::engine::{Database, EngineConfig, FactSet};
+use vada_datalog::engine::{EngineConfig, FactSet};
 use vada_datalog::IncrementalSession;
 use vada_kb::{DeltaChange, JournalMark, KnowledgeBase, MappingDef, Since};
 
 use crate::execute::{
-    coerce_rows, execute_span, input_db, materialise, registered_target, source_input,
-    ExecuteConfig, Repeats, RowDiff,
+    coerce_rows, execute_span, input_db, registered_target, source_input, ExecuteConfig,
+    Repeats, RowDiff,
 };
 
 /// Cap on retained entries; the least recently used is evicted beyond it.
 pub const DEFAULT_STORE_CAPACITY: usize = 16;
 
-/// One engine run's or session step's result: the coerced rows and, row for
+/// One full run's or session step's result: the coerced rows and, row for
 /// row beside them, the engine's raw target facts they were coerced from —
 /// what a union deduplicates on when the run is one of its parts.
 #[derive(Debug)]
@@ -222,9 +222,6 @@ struct Run {
     /// the rows, not the parent, so no chain of versions stays alive;
     /// `None` for a mapping's first run.
     parent: Option<(u64, RowDiff)>,
-    /// An engine run's input database, its whole output and the sources'
-    /// [`Repeats`], all shared: what a session adopts.
-    start: Option<(Database, Database, BTreeMap<String, Arc<Repeats>>)>,
 }
 
 /// One stored materialisation and the journal position it is current at.
@@ -241,8 +238,8 @@ struct Materialisation {
     parts: Vec<(Arc<Run>, Vec<usize>)>,
     /// A union's own rows, built on first request and kept.
     union: OnceLock<Relation>,
-    /// A mapping without parts keeps an incremental session from its first
-    /// refresh by row-level edits on; `None` before that, and for a union.
+    /// The incremental session a mapping without parts is materialised
+    /// by; `None` for a union.
     session: Option<Box<Session>>,
 }
 
@@ -325,24 +322,20 @@ fn reads_as(held: &FactSet, rows: &[Tuple]) -> bool {
 
 /// A mapping's incremental session, and what replaying the journal into it
 /// takes besides: per source, how many rows beyond the first hold each
-/// tuple that several rows hold.
+/// tuple that several rows hold — the execution input's, shared until an
+/// edit changes them.
 #[derive(Debug)]
 struct Session {
     inc: IncrementalSession,
-    repeats: BTreeMap<String, Repeats>,
+    repeats: BTreeMap<String, Arc<Repeats>>,
 }
 
 impl Session {
-    /// A session that starts where an engine run of `rules` ended ([`Run`]'s
-    /// `start`): no program runs.
-    fn adopt(cfg: &ExecuteConfig, rules: &str, run: &Run, kb: &KnowledgeBase) -> Result<Session> {
-        let Some((input, output, repeats)) = &run.start else {
-            return Err(VadaError::Kb("only an engine run can be adopted".into()));
-        };
+    /// A session of `rules`, not run yet, recording into the knowledge
+    /// base's registry.
+    fn new(cfg: &ExecuteConfig, rules: &str, kb: &KnowledgeBase) -> Result<Session> {
         let engine = EngineConfig { obs: kb.obs().clone(), ..cfg.engine.clone() };
-        let inc = IncrementalSession::adopt(engine, rules, input.clone(), output.clone())?;
-        let repeats = repeats.iter().map(|(s, n)| (s.clone(), Repeats::clone(n))).collect();
-        Ok(Session { inc, repeats })
+        Ok(Session { inc: IncrementalSession::new(engine, rules)?, repeats: BTreeMap::new() })
     }
 
     /// Feed `edits` to the session, oldest first, and name the sources the
@@ -371,7 +364,7 @@ impl Session {
     /// fresh read does.
     fn append(&mut self, source: &str, rows: &[Tuple]) -> Result<()> {
         let held = self.inc.database().fact_set(source);
-        let repeats = self.repeats.entry(source.to_string()).or_default();
+        let repeats = Arc::make_mut(self.repeats.entry(source.to_string()).or_default());
         let mut batch = HashSet::new();
         for t in rows {
             if !batch.insert(t) || held.is_some_and(|f| f.contains(t)) {
@@ -385,7 +378,7 @@ impl Session {
     /// Retract the tuples of `rows`, removed from `source`, that no row
     /// holds any more; whether some removed tuple still has a row.
     fn remove(&mut self, source: &str, rows: &[Tuple]) -> Result<bool> {
-        let repeats = self.repeats.entry(source.to_string()).or_default();
+        let repeats = Arc::make_mut(self.repeats.entry(source.to_string()).or_default());
         let mut gone = Vec::new();
         let mut survives = false;
         for t in rows {
@@ -641,10 +634,10 @@ impl ResultStore {
 
     /// Bring the entry of `mapping`, a mapping without parts stored under
     /// `fp` (if at all) and not current, up to date: through its session
-    /// when [`ResultStore::step`] can, by an engine run otherwise. A step
-    /// that fails falls back to the run too, so a refresh yields exactly a
-    /// from-scratch run's result or error. Stores the run and hands it back;
-    /// a failure leaves no entry under `fp`.
+    /// when [`ResultStore::step`] can, by the session's full run otherwise.
+    /// A step that fails falls back to the full run too, so a refresh yields
+    /// exactly a from-scratch run's result or error. Stores the run and
+    /// hands it back; a failure leaves no entry under `fp`.
     fn refresh(
         &mut self,
         cfg: &ExecuteConfig,
@@ -657,16 +650,20 @@ impl ResultStore {
         let _span = execute_span(mapping, kb);
         let stale = self.entries.remove(fp);
         let earlier = stale.as_ref().and_then(|s| s.whole_run().cloned());
-        let stepped = match stale {
-            Some(stale) => self.step(cfg, mapping, target, kb, stale).ok().flatten(),
-            None => None,
+        let mark = stale.as_ref().map(|s| s.mark);
+        let mut session = stale.and_then(|s| s.session);
+        let stepped = match (mark, &earlier, &mut session) {
+            (Some(mark), Some(earlier), Some(session)) => {
+                self.step(mapping, target, kb, mark, earlier, session).ok().flatten()
+            }
+            _ => None,
         };
         let refreshed = match stepped {
-            Some((run, session)) => Ok((run, Some(session))),
-            None => self.run(cfg, mapping, target, kb, earlier.as_deref()).map(|run| (run, None)),
+            Some(run) => Ok(run),
+            None => self.run(cfg, mapping, target, kb, earlier.as_deref(), &mut session),
         };
         match refreshed {
-            Ok((run, session)) => {
+            Ok(run) => {
                 self.insert(fp.to_string(), vec![(run.clone(), Vec::new())], session, kb);
                 Ok(run)
             }
@@ -677,36 +674,28 @@ impl ResultStore {
         }
     }
 
-    /// Refresh the stale entry of `mapping`, a mapping without parts,
-    /// through its incremental session, which the first refresh adopts from
-    /// the entry's engine run ([`Session::adopt`]). `Ok(None)` asks for an
-    /// engine run instead, as an error does, and the session is dropped
-    /// either way. A step answers `Ok(None)` when
-    /// [`KnowledgeBase::since`] does not answer the entry's mark with row
-    /// events, or one of them is a rewrite a session cannot replay (see
-    /// [`row_edit`]), when the entry is not one run
-    /// (a union of the same rules and sources stored it), or when a removed
-    /// row's surviving copy left the session holding a source's rows in
-    /// another order than a fresh read (see [`Session::replay`] and
-    /// [`reads_as`]).
+    /// Refresh the stale entry of `mapping`, a mapping without parts, whose
+    /// result `earlier` is current at `mark`, through its incremental
+    /// `session`. `Ok(None)` asks for a full run instead, as an error does.
+    /// A step answers `Ok(None)` when [`KnowledgeBase::since`] does not
+    /// answer the mark with row events, or one of them is a rewrite a
+    /// session cannot replay (see [`row_edit`]), or when a removed row's
+    /// surviving copy left the session holding a source's rows in another
+    /// order than a fresh read (see [`Session::replay`] and [`reads_as`]).
     fn step(
         &mut self,
-        cfg: &ExecuteConfig,
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-        stale: Materialisation,
-    ) -> Result<Option<(Arc<Run>, Box<Session>)>> {
-        let Since::Rows(events) = kb.since(&stale.mark, &mapping.sources) else {
+        mark: JournalMark,
+        earlier: &Run,
+        session: &mut Session,
+    ) -> Result<Option<Arc<Run>>> {
+        let Since::Rows(events) = kb.since(&mark, &mapping.sources) else {
             return Ok(None);
         };
         let edits: Option<Vec<_>> = events.into_iter().map(|e| row_edit(&e.change)).collect();
         let Some(edits) = edits else { return Ok(None) };
-        let Some(earlier) = stale.whole_run().cloned() else { return Ok(None) };
-        let mut session = match stale.session {
-            Some(session) => session,
-            None => Box::new(Session::adopt(cfg, &mapping.rules, &earlier, kb)?),
-        };
         for source in session.replay(&edits)? {
             let rows = kb.relation(source)?.tuples();
             let held = session.inc.database().fact_set(source);
@@ -720,13 +709,12 @@ impl ResultStore {
         kb.obs().incr(obs_key::MAP_INCREMENTAL);
         self.next_version += 1;
         let parent = Some((earlier.version, diff));
-        let run = Run { version: self.next_version, rows, facts, parent, start: None };
-        Ok(Some((Arc::new(run), session)))
+        Ok(Some(Arc::new(Run { version: self.next_version, rows, facts, parent })))
     }
 
-    /// One engine run of `mapping` over the kept inputs of its sources,
-    /// coerced against the `earlier` run it replaces, if any, which it then
-    /// names as its parent.
+    /// One full run of `mapping` over the kept inputs of its sources, in
+    /// `session` (a new one if `None`), coerced against the `earlier` run it
+    /// replaces, if any, which it then names as its parent.
     fn run(
         &mut self,
         cfg: &ExecuteConfig,
@@ -734,20 +722,26 @@ impl ResultStore {
         target: &Schema,
         kb: &KnowledgeBase,
         earlier: Option<&Run>,
+        session: &mut Option<Box<Session>>,
     ) -> Result<Arc<Run>> {
+        let session = match session {
+            Some(session) => session,
+            None => session.insert(Box::new(Session::new(cfg, &mapping.rules, kb)?)),
+        };
+        kb.obs().incr(obs_key::MAP_FULL);
         let mut repeats = BTreeMap::new();
-        let (facts, input, output) = materialise(cfg, mapping, target, kb, || {
-            for source in &mapping.sources {
-                repeats.insert(source.clone(), self.input(source, kb)?.1);
-            }
-            Ok(input_db(mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1))))
-        })?;
+        for source in &mapping.sources {
+            repeats.insert(source.clone(), self.input(source, kb)?.1);
+        }
+        let input = input_db(mapping.sources.iter().map(|s| (s.as_str(), &self.inputs[s].1)));
+        session.repeats = repeats;
+        let output = session.inc.run_full(input)?;
+        let facts = output.shared_fact_set(&target.name).unwrap_or_default();
         let before = earlier.map(|e| (&*e.facts, &e.rows));
         let (rows, diff) = coerce_rows(&facts, target, &mapping.id, before)?;
         self.next_version += 1;
         let parent = earlier.map(|e| (e.version, diff));
-        let start = Some((input, output, repeats));
-        Ok(Arc::new(Run { version: self.next_version, rows, facts, parent, start }))
+        Ok(Arc::new(Run { version: self.next_version, rows, facts, parent }))
     }
 
     /// Bring every part of `union` up to date, then record, per part, the
@@ -934,13 +928,13 @@ mod tests {
     }
 
     /// `(refreshed, reused)` so far, as the store tallied them in `kb`'s
-    /// registry: a refresh is an engine run or a session step.
+    /// registry: a refresh is a session's full run or its step.
     fn tally(kb: &KnowledgeBase) -> (u64, u64) {
         let obs = kb.obs();
         (obs.get(obs_key::MAP_FULL) + obs.get(obs_key::MAP_INCREMENTAL), obs.get(obs_key::MAP_REUSED))
     }
 
-    /// `[engine runs and session starts, session steps]` so far.
+    /// `[full runs, session steps]` so far.
     fn paths(kb: &KnowledgeBase) -> [u64; 2] {
         [obs_key::MAP_FULL, obs_key::MAP_INCREMENTAL].map(|k| kb.obs().get(k))
     }
@@ -1121,24 +1115,24 @@ mod tests {
         mapping.id = "m2".into();
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (1, 1));
-        // a first materialisation starts no session; the first row-level
-        // refresh does, adopting the engine run: a step, not a run
-        assert_eq!(sessions(&store), 0);
+        // a first materialisation is its session's full run; the first
+        // row-level refresh steps that session: a step, not a run
+        assert_eq!(sessions(&store), 1);
         append(&mut kb, "rightmove", &[tuple!["500000", "4 mill ln", "EH1 1AA"]]);
         checked(&mut store, &mapping, &kb);
         assert_eq!(store.entries.len(), 1);
         assert_eq!((sessions(&store), paths(&kb)), (1, [1, 1]));
-        // changed rules: new fingerprint, a second entry, with no session
-        // until its own first row-level refresh
+        // changed rules: new fingerprint, a second entry, with a session of
+        // its own from its first materialisation
         let joined = mapping.clone();
         mapping.rules = "property(S, PC, P, null) :- rightmove(P, S, PC).".into();
         checked(&mut store, &mapping, &kb);
         assert_eq!(tally(&kb), (3, 1));
-        assert_eq!((store.entries.len(), sessions(&store)), (2, 1));
+        assert_eq!((store.entries.len(), sessions(&store)), (2, 2));
         append(&mut kb, "rightmove", &[tuple!["1", "5 elm rd", "M1 1AA"]]);
         checked(&mut store, &mapping, &kb);
         checked(&mut store, &joined, &kb);
-        // the new structure started a fresh session, the first one stepped
+        // both sessions stepped
         assert_eq!((sessions(&store), paths(&kb)), (2, [2, 3]));
     }
 
@@ -1206,21 +1200,21 @@ mod tests {
         assert_eq!(paths(&kb), [1, 1]);
 
         // the copy that takes the first one's place lies past `v`, so the
-        // engine now reads `v` first: the mapping re-runs, without a session,
-        // and the refresh is still one execute span
+        // engine now reads `v` first: the mapping re-runs, in its session's
+        // full run, and the refresh is still one execute span
         let spans = execute_spans(&kb);
         kb.remove_rows("rightmove", &[2]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (0, [2, 1]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 1]));
         assert_eq!(execute_spans(&kb), spans + 1);
-        // the next row-level refresh starts a new one, from that run
+        // the next row-level refresh steps the session from that run
         append(&mut kb, "rightmove", &[tuple!["5", "1 mill ln", "M1 1AA"]]);
         checked(&mut store, &mapping, &kb);
         assert_eq!((sessions(&store), paths(&kb)), (1, [2, 2]));
     }
 
     #[test]
-    fn a_mid_relation_rewrite_drops_the_session() {
+    fn a_mid_relation_rewrite_reruns_in_the_session() {
         let (mut kb, mapping) = kb_and_mapping();
         let mut store = ResultStore::default();
         checked(&mut store, &mapping, &kb);
@@ -1230,10 +1224,11 @@ mod tests {
         kb.update_source("rightmove", &[(2, tuple!["1", "3 kings ave", "M1 1AA"])]).unwrap();
         checked(&mut store, &mapping, &kb);
         assert_eq!((sessions(&store), paths(&kb)), (1, [1, 2]));
-        // …a rewrite of row 0 of 3 takes the old row's place: a re-run
+        // …a rewrite of row 0 of 3 takes the old row's place: a re-run, in
+        // the same session
         kb.update_source("rightmove", &[(0, tuple!["111", "12 high st", "M1 1AA"])]).unwrap();
         checked(&mut store, &mapping, &kb);
-        assert_eq!((sessions(&store), paths(&kb)), (0, [2, 2]));
+        assert_eq!((sessions(&store), paths(&kb)), (1, [2, 2]));
     }
 
     #[test]
@@ -1520,7 +1515,8 @@ mod tests {
     fn an_entry_a_union_stored_is_not_stepped() {
         // a union and a mapping without parts with the same rules and
         // sources share one fingerprint, so the plain mapping may find the
-        // union's entry: it is not one run, and the refresh runs the engine
+        // union's entry: it is not one run and has no session, so the
+        // refresh is a full run in a new session
         let (mut kb, mapping) = kb_and_mapping();
         let rules = "property(S, PC, P, null) :- rightmove(P, S, PC).\n";
         let plain = MappingDef {
@@ -1532,12 +1528,14 @@ mod tests {
         let union = MappingDef { parts: vec![part.clone(), part], ..plain.clone() };
         let mut store = ResultStore::default();
         checked(&mut store, &union, &kb);
+        // the part's entry keeps a session, the union's none
+        assert_eq!((sessions(&store), paths(&kb)), (1, [1, 0]));
         append(&mut kb, "rightmove", &[tuple!["410000", "3 kings ave", "M1 1AA"]]);
         checked(&mut store, &plain, &kb);
-        assert_eq!(sessions(&store), 0);
+        assert_eq!((sessions(&store), paths(&kb)), (2, [2, 0]));
         append(&mut kb, "rightmove", &[tuple!["5", "1 mill ln", "M1 1AA"]]);
         checked(&mut store, &plain, &kb);
-        assert_eq!(sessions(&store), 1);
+        assert_eq!((sessions(&store), paths(&kb)), (2, [2, 1]));
     }
 
     // ---- unions, assembled from their parts ----
@@ -1704,8 +1702,8 @@ mod tests {
         let mut rm = kb.relation("rightmove").unwrap().clone();
         rm.push(tuple!["410000", "3 kings ave", "M1 1AA"]).unwrap();
         kb.register_source(rm);
-        // unions first: each steps its rightmove part, whose session adopts
-        // the part's engine run, and reuses its onthemarket part; the
+        // unions first: each steps the session its rightmove part was
+        // materialised in, and reuses its onthemarket part; the
         // stand-alone candidates are then all current — onthemarket's
         // untouched, rightmove's just refreshed
         candidates.reverse();

@@ -1256,8 +1256,8 @@ fn store_sessions_match_scratch_across_row_edits() {
     let cfg = ExecuteConfig::default();
     let mut store = ResultStore::default();
     // executes every candidate and returns what the store spent on them:
-    // `[engine runs, session steps]` — a session's start adopts the part's
-    // engine run and steps from it, so it counts as a step
+    // `[full runs, session steps]` — a part's session is started by its
+    // first materialisation, and every later refresh of it is a step
     let mut compare = |w: &Wrangler, stage: &str| {
         let paths = || [key::MAP_FULL, key::MAP_INCREMENTAL].map(|k| w.obs().get(k));
         let before = paths();

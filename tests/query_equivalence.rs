@@ -334,10 +334,11 @@ fn injected_rewrite_fault_is_identical_at_every_level() {
     session.run_full(build_db(&rows)).unwrap();
 }
 
-/// Failure injection: a panic in the shared-index build stage surfaces as
-/// the same error through `run_query` and `Engine::run` alike (the index
-/// store serves demanded and full runs), and through incremental
-/// sessions' full materialization.
+/// Failure injection: a panic where a rule asks a fact set for its join
+/// index (the `datalog/index_build` stage) surfaces as the same error
+/// through `run_query` and `Engine::run` alike (demanded and full runs read
+/// their indexes the same way), and through incremental sessions' full
+/// materialization.
 #[test]
 fn injected_index_build_fault_is_identical_at_every_level() {
     let mut rng = StdRng::seed_from_u64(11);
