@@ -2315,4 +2315,192 @@ mod tests {
         input.remove("p", &tuple![1]);
         assert_eq!(dump(s.database()), scratch(src, &input));
     }
+
+    /// The session's analysis of its program, as the session answers it:
+    /// its tracked, counted and `unit` heads, the predicates on a positive
+    /// cycle, the retraction order, each rule's outermost positive
+    /// occurrence (`None` for a ground fact) and the closure of every
+    /// single-predicate seed.
+    #[derive(Debug, PartialEq)]
+    struct AnalysisView {
+        tracked: BTreeSet<String>,
+        counted: BTreeSet<String>,
+        unit: BTreeSet<String>,
+        cyclic: BTreeSet<String>,
+        units: Vec<String>,
+        outermost: Vec<Option<usize>>,
+        closures: BTreeMap<String, BTreeSet<String>>,
+    }
+
+    impl IncrementalSession {
+        fn analysis_view(&self, program: &Program) -> AnalysisView {
+            let closures = (program.all_predicates().into_iter())
+                .map(|p| (p.to_string(), self.closure_of(BTreeSet::from([p.to_string()]))))
+                .collect();
+            let outermost = self.info.rules.iter().map(|r| r.as_ref().and_then(|r| r.outermost_occ));
+            AnalysisView {
+                tracked: self.info.tracked_candidates.clone(),
+                counted: self.info.counted.clone(),
+                unit: self.info.unit.clone(),
+                cyclic: self.info.cyclic.clone(),
+                units: self.info.units.clone(),
+                outermost: outermost.collect(),
+                closures,
+            }
+        }
+    }
+
+    /// The analysis worked out from scratch, the way the session first
+    /// derived it: a head → rules map, the positive and negated reads, the
+    /// ground-fact heads and positive reachability, each walked here on its
+    /// own; closures by a fixpoint over every rule.
+    fn reference_analysis(program: &Program) -> AnalysisView {
+        let strat = crate::analysis::stratify(program).unwrap();
+        let mut defining: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let (mut read_pos, mut read_neg, mut fact_heads) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let mut outermost = Vec::new();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            if rule.is_fact() {
+                fact_heads.insert(rule.head_pred.as_str());
+                outermost.push(None);
+                continue;
+            }
+            defining.entry(rule.head_pred.as_str()).or_default().push(ri);
+            let cr = CompiledRule::compile(rule, ri).unwrap();
+            let first = cr.order.iter().find(|&&i| matches!(rule.body[i], Literal::Pos(_)));
+            outermost.push(first.and_then(|&i| cr.occurrence_of(i)));
+            read_pos.extend(rule.positive_preds());
+            read_neg.extend(rule.negative_preds());
+        }
+        let mut stratum_recursive = BTreeSet::new();
+        for stratum in 0..strat.stratum_count {
+            stratum_recursive.extend(strat.recursive_preds(program, stratum));
+        }
+        let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for rule in program.rules.iter().filter(|r| !r.is_fact()) {
+            for p in rule.positive_preds() {
+                edges.entry(p).or_default().insert(rule.head_pred.as_str());
+            }
+        }
+        let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for &start in edges.keys() {
+            let (mut seen, mut stack) = (BTreeSet::new(), vec![start]);
+            while let Some(p) = stack.pop() {
+                stack.extend(edges.get(p).into_iter().flatten().filter(|&&q| seen.insert(q)));
+            }
+            reach.insert(start, seen);
+        }
+        let reaches = |p: &str, q: &str| reach.get(p).is_some_and(|r| r.contains(q));
+        let cyclic: BTreeSet<String> =
+            reach.keys().filter(|p| reaches(p, p)).map(|p| p.to_string()).collect();
+        let mut tracked = BTreeSet::new();
+        for (&head, ris) in &defining {
+            if ris.len() < 2
+                || read_pos.contains(head)
+                || read_neg.contains(head)
+                || fact_heads.contains(head)
+            {
+                continue;
+            }
+            let initial_pass_only = ris.iter().all(|&ri| {
+                program.rules[ri].positive_preds().all(|p| !stratum_recursive.contains(p))
+            });
+            if initial_pass_only {
+                tracked.insert(head.to_string());
+            }
+        }
+        let mut counted = BTreeSet::new();
+        for (&head, ris) in &defining {
+            if cyclic.contains(head) || fact_heads.contains(head) {
+                continue;
+            }
+            if !ris.iter().any(|&ri| program.rules[ri].has_aggregate()) {
+                counted.insert(head.to_string());
+            }
+        }
+        let unit = (counted.iter())
+            .filter(|h| defining[h.as_str()].iter().all(|&ri| injective(&program.rules[ri])))
+            .cloned()
+            .collect();
+        let mut units: Vec<String> = counted.iter().cloned().collect();
+        let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
+        units.sort_by_cached_key(|h| (depth(h), h.clone()));
+        let closure = |seed: &str| {
+            let mut closed = BTreeSet::from([seed.to_string()]);
+            loop {
+                let mut changed = false;
+                for rule in program.rules.iter().filter(|r| !r.is_fact()) {
+                    if !closed.contains(&rule.head_pred)
+                        && rule.positive_preds().any(|p| closed.contains(p))
+                    {
+                        closed.insert(rule.head_pred.clone());
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    return closed;
+                }
+            }
+        };
+        let closures =
+            program.all_predicates().into_iter().map(|p| (p.to_string(), closure(p))).collect();
+        AnalysisView { tracked, counted, unit, cyclic, units, outermost, closures }
+    }
+
+    #[test]
+    fn session_analysis_matches_a_re_derivation_per_program() {
+        let programs = [
+            // this module's sessions and examples
+            "big(X) :- n(X), X >= 10.",
+            "q(X, Y) :- p(X), r(X, Y).",
+            "mid(X) :- p(X). top(X, Y) :- mid(X), k(X, Y).",
+            "lonely(X) :- node(X), not linked(X). linked(X) :- edge(X, _). \
+             total(count(X)) :- node(X).",
+            "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z).",
+            "all(X) :- a(X). all(X) :- b(X).",
+            "all(X) :- a(X). all(X) :- b(X). big(X) :- all(X), X > 5.",
+            "q(X) :- p(X).",
+            "owner(X, Z) :- prop(X).",
+            "all(X, Y) :- a(X, Y). all(X, Y) :- b(X, Y). picked(X, Y) :- a(X, Y), k(X). \
+             wide(X, Y, Z) :- picked(X, Y), w(Y, Z).",
+            "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z). q(X, Y) :- p(X), r(X, Y).",
+            "q(X) :- r(X, _).",
+            "aux(X) :- dep(X, _). out(X, Y) :- prim(X, Y), aux(X).",
+            "size(X) :- pinned(X). size(count(X)) :- node(X).",
+            "all(X) :- a(X). all(X) :- b(X). q(X, Y) :- a(X), w(X, Y).",
+            "q(X) :- r(X, _). wide(X, Z) :- q(X), w(X, Z).",
+            "q(Y) :- p(X), Y = X * 2.",
+            "u(X) :- a(X). u(X) :- b(X). u(X) :- c(X, _). v(X, Y) :- c(X, Y), k(Y).",
+            "u(X) :- a(X). u(X) :- b(X). u(X) :- a(X), b(X).",
+            "p(X) :- a(X). p(X) :- b(X). q(X) :- b(X). q(X) :- c(X, _).",
+            "d(X) :- c(X, _). d(Y) :- c(_, Y). d(X) :- a(X).",
+            "p(S, PC, C) :- rm(S, PC), D = district(PC), D != null, dep(D, C). \
+             q(X) :- r(X, Y), Y = X + 1. w(X, Z) :- q(X), s(X, Z), not t(Z, X).",
+            "q(X) :- r(X, _). e(X, Y) :- r(X, X). n(X, count(Y)) :- r(X, Y).",
+            // the benchmark harness's reasoner programs
+            "all(X, P) :- a(X, P). all(X, P) :- b(X, P). picked(X, P) :- a(X, P), k(X). \
+             wide(X, P, Q) :- picked(X, P), w(P, Q).",
+            "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).",
+            // a joined mapping part: the join and its antijoin complement
+            "property(S4, S1, S2, S0, A1) :- rightmove(S0, S1, S2, S3, S4, S5), \
+             D = district(S2), D != null, deprivation(D, A1). \
+             property(S4, S1, S2, S0, null) :- rightmove(S0, S1, S2, S3, S4, S5), \
+             D = district(S2), not aux_has_deprivation_rightmove(D). \
+             aux_has_deprivation_rightmove(D) :- deprivation(D, A1), D != null.",
+            // `h`'s rule reading `a` settles in the initial pass, yet `a` is
+            // read in its own stratum: the conservative test leaves `h`
+            // untracked
+            "a(X) :- e(X). h(X) :- a(X). h(X) :- e2(X).",
+            // ground facts beside rules, on a head and on a body predicate
+            "p(1). p(X) :- q(X). r(X) :- p(X). q(2). s(X) :- q(X), r(X).",
+        ];
+        for src in programs {
+            let program = parse_program(src).unwrap();
+            let s = IncrementalSession::new(EngineConfig::default(), src).unwrap();
+            assert_eq!(s.analysis_view(&program), reference_analysis(&program), "{src}");
+        }
+        let disagree = parse_program("a(X) :- e(X). h(X) :- a(X). h(X) :- e2(X).").unwrap();
+        assert!(reference_analysis(&disagree).tracked.is_empty());
+    }
 }
