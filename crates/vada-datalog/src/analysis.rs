@@ -26,12 +26,14 @@ pub struct Stratification {
 
 impl Stratification {
     /// The stratum of `pred` (predicates never mentioned default to 0).
+    #[cfg(test)]
     pub fn stratum_of(&self, pred: &str) -> usize {
         self.pred_stratum.get(pred).copied().unwrap_or(0)
     }
 
     /// Head predicates that are recursive within `stratum` — i.e. appear in
     /// a positive body literal of some rule of the same stratum.
+    #[cfg(test)]
     pub fn recursive_preds(&self, program: &Program, stratum: usize) -> BTreeSet<String> {
         let mut heads: BTreeSet<&str> = BTreeSet::new();
         for &ri in &self.strata_rules[stratum] {

@@ -363,15 +363,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// All predicates defined in rule heads (the IDB).
-    pub fn idb_predicates(&self) -> BTreeSet<&str> {
-        self.rules
-            .iter()
-            .filter(|r| !r.is_fact())
-            .map(|r| r.head_pred.as_str())
-            .collect()
-    }
-
     /// All predicates mentioned anywhere.
     pub fn all_predicates(&self) -> BTreeSet<&str> {
         let mut out = BTreeSet::new();

@@ -3,7 +3,7 @@
 //!
 //! ## Algorithm
 //!
-//! 1. `stratify` (see [`crate::analysis`]) the program.
+//! 1. Stratify the program (the crate's `analysis` module).
 //! 2. Load ground facts.
 //! 3. Per stratum (ascending): one *initial pass* evaluates every rule
 //!    against the current database; then **semi-naive iteration** re-fires
@@ -35,7 +35,7 @@ use vada_common::{Result, Tuple, VadaError, Value};
 use crate::analysis::{stratify, Stratification};
 use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule, Term};
 use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
-use crate::incremental::HeadSegments;
+use crate::incremental::{injective, HeadSegments};
 use crate::index::{hash_values, probe, reseat, RowIndex, Rows};
 use crate::magic::{self, Demand};
 use crate::skolem;
@@ -360,15 +360,6 @@ impl Database {
             Arc::make_mut(rel).remove_rows(&rows);
         }
         rows
-    }
-
-    /// Drop every fact of one predicate. Used by the knowledge-base
-    /// dependency-view patcher to refresh a predicate group in place:
-    /// clearing and re-inserting from current state reproduces exactly the
-    /// fact order a from-scratch build would have, because insertion order
-    /// within a predicate is first-insert order.
-    pub fn clear_predicate(&mut self, pred: &str) {
-        self.rels.remove(pred);
     }
 
     /// Facts for a predicate (empty slice if unknown).
@@ -943,11 +934,13 @@ fn aggregate(
     Ok(())
 }
 
-/// A program worked out once for evaluation: its stratification, which
-/// rules of each stratum re-fire in its semi-naive loop, and every rule
-/// compiled. An engine run builds one; an incremental session keeps its
-/// own, for its analysis, append waves, retraction plans and count
-/// captures; the demand rewrite reads its join orders.
+/// A program worked out once: its stratification, which rules of each
+/// stratum re-fire in its semi-naive loop, every rule compiled, and what an
+/// incremental session's order-safety analysis reads of it (module docs of
+/// [`crate::incremental`]). An engine run builds one and reads the first
+/// three; a session keeps its own, for its analysis, append waves,
+/// retraction plans and count captures; the demand rewrite reads its join
+/// orders and its head map.
 pub(crate) struct Plan {
     pub(crate) strat: Stratification,
     /// Per stratum, [`Stratification::refiring`]: which of its rules
@@ -955,6 +948,30 @@ pub(crate) struct Plan {
     refiring: Vec<(Vec<bool>, BTreeSet<String>)>,
     /// Aligned with the program's rules, ground facts included.
     pub(crate) rules: Vec<CompiledRule>,
+    /// Head predicate → its rules (ground facts excluded), in program order.
+    pub(crate) defining: BTreeMap<String, Vec<usize>>,
+    /// Heads of ground facts.
+    pub(crate) fact_heads: BTreeSet<String>,
+    /// Predicates a rule reads under negation.
+    pub(crate) read_neg: BTreeSet<String>,
+    /// Positive reachability: per predicate a rule reads positively, every
+    /// head its rules reach, transitively.
+    reach: BTreeMap<String, BTreeSet<String>>,
+    /// Predicates on a positive dependency cycle.
+    pub(crate) cyclic: BTreeSet<String>,
+    /// Multi-rule heads whose per-rule segments a run records: read by no
+    /// rule, mixed with no ground fact, and no rule of theirs reads a head
+    /// that a rule of its own stratum reads.
+    pub(crate) tracked: BTreeSet<String>,
+    /// Heads maintained by derivation counting under retractions: on no
+    /// cycle, with no aggregate rule and no ground facts.
+    pub(crate) counted: BTreeSet<String>,
+    /// Counted heads whose every rule is
+    /// [`injective`](crate::incremental::injective).
+    pub(crate) unit: BTreeSet<String>,
+    /// The counted heads in topological order of the positive dependency
+    /// graph: the order a retraction plans them in.
+    pub(crate) units: Vec<String>,
 }
 
 impl Plan {
@@ -964,7 +981,97 @@ impl Plan {
         let rules = (program.rules.iter().enumerate())
             .map(|(ri, rule)| CompiledRule::compile(rule, ri))
             .collect::<Result<_>>()?;
-        Ok(Plan { strat, refiring, rules })
+        let (mut defining, mut fact_heads) = (BTreeMap::new(), BTreeSet::new());
+        let (mut read_pos, mut read_neg) = (BTreeSet::new(), BTreeSet::new());
+        // positive edges, body predicate → head
+        let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        // heads a rule of their own stratum reads positively
+        let mut own_stratum_read = BTreeSet::new();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            if rule.is_fact() {
+                fact_heads.insert(rule.head_pred.clone());
+                continue;
+            }
+            defining.entry(rule.head_pred.clone()).or_insert_with(Vec::new).push(ri);
+            read_neg.extend(rule.negative_preds().map(str::to_string));
+            let stratum = strat.pred_stratum[&rule.head_pred];
+            for p in rule.positive_preds() {
+                read_pos.insert(p);
+                edges.entry(p).or_default().insert(rule.head_pred.as_str());
+                if strat.pred_stratum[p] == stratum {
+                    own_stratum_read.insert(p);
+                }
+            }
+        }
+        own_stratum_read.retain(|p| defining.contains_key(*p));
+        let mut reach: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for &start in edges.keys() {
+            let (mut seen, mut stack) = (BTreeSet::new(), vec![start]);
+            while let Some(p) = stack.pop() {
+                stack.extend(edges.get(p).into_iter().flatten().filter(|&&q| seen.insert(q)));
+            }
+            reach.insert(start.to_string(), seen.into_iter().map(str::to_string).collect());
+        }
+        let cyclic: BTreeSet<String> =
+            reach.iter().filter(|(p, r)| r.contains(*p)).map(|(p, _)| p.clone()).collect();
+        // a multi-rule head keeps scratch order under deltas only when
+        // nothing observes that order downstream (terminal) and its rules
+        // fire exclusively in the initial pass, once each, so a run records
+        // their regions as it inserts their facts
+        let initial_pass_only =
+            |ri: usize| program.rules[ri].positive_preds().all(|p| !own_stratum_read.contains(p));
+        let tracked = (defining.iter())
+            .filter(|(head, ris)| {
+                ris.len() > 1
+                    && !read_pos.contains(head.as_str())
+                    && !read_neg.contains(*head)
+                    && !fact_heads.contains(*head)
+                    && ris.iter().all(|&ri| initial_pass_only(ri))
+            })
+            .map(|(head, _)| head.clone())
+            .collect();
+        let counted: BTreeSet<String> = (defining.iter())
+            .filter(|(head, ris)| {
+                !cyclic.contains(*head)
+                    && !fact_heads.contains(*head)
+                    && !ris.iter().any(|&ri| program.rules[ri].has_aggregate())
+            })
+            .map(|(head, _)| head.clone())
+            .collect();
+        let unit = (counted.iter())
+            .filter(|h| defining[*h].iter().all(|&ri| injective(&program.rules[ri])))
+            .cloned()
+            .collect();
+        // none of the counted heads lies on a cycle, so a head that reaches
+        // another has strictly fewer ancestors and sorting by that count is
+        // a topological order
+        let mut units: Vec<String> = counted.iter().cloned().collect();
+        let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
+        units.sort_by_cached_key(|h| (depth(h), h.clone()));
+        Ok(Plan {
+            strat,
+            refiring,
+            rules,
+            defining,
+            fact_heads,
+            read_neg,
+            reach,
+            cyclic,
+            tracked,
+            counted,
+            unit,
+            units,
+        })
+    }
+
+    /// `seeds` and every head they reach: the predicates a delta or a
+    /// retraction of `seeds` affects.
+    pub(crate) fn closure_of(&self, seeds: BTreeSet<String>) -> BTreeSet<String> {
+        let reached: Vec<String> =
+            seeds.iter().flat_map(|p| self.reach.get(p)).flatten().cloned().collect();
+        let mut closed = seeds;
+        closed.extend(reached);
+        closed
     }
 }
 
@@ -981,6 +1088,9 @@ pub(crate) struct CompiledRule {
     /// Indices (into `rule.body`) of positive literals in source order —
     /// used for delta-occurrence numbering.
     pub(crate) positive_lit_indices: Vec<usize>,
+    /// Occurrence (among positive literals) of the one the join order
+    /// enumerates first, if any.
+    pub(crate) outermost: Option<usize>,
 }
 
 impl CompiledRule {
@@ -995,6 +1105,7 @@ impl CompiledRule {
         let mut bound: BTreeSet<usize> = BTreeSet::new();
         let mut order: Vec<usize> = Vec::with_capacity(body.len());
         let mut bound_positions: Vec<Vec<usize>> = Vec::with_capacity(body.len());
+        let mut outermost = None;
 
         let lit_vars = |lit: &Literal| -> BTreeSet<usize> {
             let mut s = BTreeSet::new();
@@ -1088,6 +1199,8 @@ impl CompiledRule {
                     .map(|(p, _)| p)
                     .collect();
                 bound_positions.push(positions);
+                let occ = body[..i].iter().filter(|l| matches!(l, Literal::Pos(_))).count();
+                outermost.get_or_insert(occ);
             } else {
                 bound_positions.push(Vec::new());
             }
@@ -1105,7 +1218,7 @@ impl CompiledRule {
             .collect();
 
         let rule = rule.clone();
-        Ok(CompiledRule { rule, rule_idx, order, bound_positions, positive_lit_indices })
+        Ok(CompiledRule { rule, rule_idx, order, bound_positions, positive_lit_indices, outermost })
     }
 
     /// Occurrence number (among positive literals) of body literal `lit_idx`.
@@ -1620,11 +1733,11 @@ mod tests {
         assert!(copy.remove_facts("p", &[tuple![98]]).is_empty());
         assert!(copy.shares("p", &original));
 
-        // an append, a removal and a clear on the clone never reach the
-        // original
+        // an append, a removal and emptying a relation on the clone never
+        // reach the original
         assert!(copy.insert("p", tuple![10]));
         assert!(copy.remove("p", &tuple![0]));
-        copy.clear_predicate("q");
+        assert_eq!(copy.remove_facts("q", original.facts("q")).len(), q_before.len());
         assert!(!copy.shares("p", &original));
         assert_eq!(copy.facts("p"), &[tuple![1], tuple![2], tuple![3], tuple![10]]);
         assert_eq!(original.facts("p"), p_before);

@@ -70,6 +70,13 @@
 //!
 //! ## Order-safety analysis (appends)
 //!
+//! What the analysis knows of the program — which rules define each head,
+//! what they read and negate, positive reachability, and from those the
+//! cyclic, tracked, counted and `unit` heads and the retraction order — is
+//! worked out once, with the rest of the program's plan (`engine::Plan`),
+//! when the session is made; a step only meets it with the predicates its
+//! facts reach.
+//!
 //! A delta (a batch of new extensional facts) takes the fast path only
 //! when every condition below holds; each names the fallback reason it
 //! produces. Writing `affected` for the delta predicates closed under
@@ -142,7 +149,7 @@ use vada_common::error::guard_stage;
 use vada_common::obs::{key as obs_key, slug, Obs};
 use vada_common::{Result, Tuple, VadaError};
 
-use crate::ast::{CmpOp, HeadTerm, Literal, Program, Rule};
+use crate::ast::{CmpOp, HeadTerm, Literal, Rule};
 use crate::engine::{Database, DeltaSpec, Engine, EngineConfig, FactSet, Plan};
 use crate::parser::parse_program;
 
@@ -193,164 +200,10 @@ impl DeltaOutcome {
     }
 }
 
-/// Per-rule static info the eligibility analysis consults.
-struct RuleInfo {
-    head: String,
-    /// Positive body predicates in source (occurrence) order.
-    positive: Vec<String>,
-    /// Occurrence index (among positive literals) of the positive literal
-    /// the compiled join order enumerates first, if any.
-    outermost_occ: Option<usize>,
-    has_aggregate: bool,
-}
-
-/// Program-wide static info, computed once per session.
-struct ProgramInfo {
-    /// head predicate → defining rule indices (non-fact rules).
-    defining: BTreeMap<String, Vec<usize>>,
-    /// Predicates appearing negated anywhere.
-    read_neg: BTreeSet<String>,
-    /// Predicates on a genuine positive dependency cycle — the set that
-    /// refuses the fast path.
-    cyclic: BTreeSet<String>,
-    /// Heads of ground-fact rules in the program.
-    fact_heads: BTreeSet<String>,
-    /// Aligned with `program.rules`; `None` for ground facts.
-    rules: Vec<Option<RuleInfo>>,
-    /// Multi-rule terminal heads eligible for segment tracking.
-    tracked_candidates: BTreeSet<String>,
-    /// Heads maintained by derivation counting under retractions:
-    /// non-cyclic, no aggregate rule, no ground facts.
-    counted: BTreeSet<String>,
-    /// Counted heads whose every defining rule is [`injective`]: a rule
-    /// derives each fact of the head at most once.
-    unit: BTreeSet<String>,
-    /// The retraction plan: every counted head, in topological order of
-    /// the positive dependency graph.
-    units: Vec<String>,
-}
-
-impl ProgramInfo {
-    /// Analyse `program`, compiled as `plan`, once.
-    fn build(program: &Program, plan: &Plan) -> ProgramInfo {
-        let mut defining: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut read_pos = BTreeSet::new();
-        let mut read_neg = BTreeSet::new();
-        let mut fact_heads = BTreeSet::new();
-        let mut rules: Vec<Option<RuleInfo>> = Vec::with_capacity(program.rules.len());
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if rule.is_fact() {
-                fact_heads.insert(rule.head_pred.clone());
-                rules.push(None);
-                continue;
-            }
-            defining.entry(rule.head_pred.clone()).or_default().push(ri);
-            let cr = &plan.rules[ri];
-            let outermost_occ = cr
-                .order
-                .iter()
-                .find(|&&i| matches!(rule.body[i], Literal::Pos(_)))
-                .and_then(|&i| cr.occurrence_of(i));
-            let positive: Vec<String> =
-                rule.positive_preds().map(|p| p.to_string()).collect();
-            let negative: Vec<String> =
-                rule.negative_preds().map(|p| p.to_string()).collect();
-            read_pos.extend(positive.iter().cloned());
-            read_neg.extend(negative);
-            rules.push(Some(RuleInfo {
-                head: rule.head_pred.clone(),
-                positive,
-                outermost_occ,
-                has_aggregate: rule.has_aggregate(),
-            }));
-        }
-        let mut stratum_recursive = BTreeSet::new();
-        for stratum in 0..plan.strat.stratum_count {
-            stratum_recursive.extend(plan.strat.recursive_preds(program, stratum));
-        }
-        // positive reachability over body-pred → head edges; a predicate
-        // that reaches itself lies on a genuine cycle
-        let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for rule in program.rules.iter().filter(|r| !r.is_fact()) {
-            for p in rule.positive_preds() {
-                edges.entry(p).or_default().insert(rule.head_pred.as_str());
-            }
-        }
-        let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for &start in edges.keys() {
-            let (mut seen, mut stack) = (BTreeSet::new(), vec![start]);
-            while let Some(p) = stack.pop() {
-                stack.extend(edges.get(p).into_iter().flatten().filter(|&&q| seen.insert(q)));
-            }
-            reach.insert(start, seen);
-        }
-        let reaches = |p: &str, q: &str| reach.get(p).is_some_and(|r| r.contains(q));
-        let cyclic: BTreeSet<String> =
-            reach.keys().filter(|p| reaches(p, p)).map(|p| p.to_string()).collect();
-        // a multi-rule head can keep scratch order under deltas only when
-        // nothing observes that order downstream (terminal) and its rules
-        // fire exclusively in the initial pass (no body predicate the
-        // stratification deems recursive — the conservative set), once
-        // each, so a run records their regions as it inserts their facts
-        let mut tracked_candidates = BTreeSet::new();
-        for (head, ris) in &defining {
-            if ris.len() < 2
-                || read_pos.contains(head)
-                || read_neg.contains(head)
-                || fact_heads.contains(head)
-            {
-                continue;
-            }
-            let initial_pass_only = ris.iter().all(|&ri| {
-                rules[ri].as_ref().is_some_and(|info| {
-                    info.positive.iter().all(|p| !stratum_recursive.contains(p))
-                })
-            });
-            if initial_pass_only {
-                tracked_candidates.insert(head.clone());
-            }
-        }
-        let mut counted = BTreeSet::new();
-        for (head, ris) in &defining {
-            if cyclic.contains(head) || fact_heads.contains(head) {
-                continue;
-            }
-            let has_agg = ris
-                .iter()
-                .any(|&ri| rules[ri].as_ref().is_some_and(|i| i.has_aggregate));
-            if !has_agg {
-                counted.insert(head.clone());
-            }
-        }
-        let unit = counted
-            .iter()
-            .filter(|h| defining[*h].iter().all(|&ri| injective(&program.rules[ri])))
-            .cloned()
-            .collect();
-        // the retraction plan's units: the counted heads, none on a cycle,
-        // so a head that reaches another has strictly fewer ancestors and
-        // sorting by that count is a topological order
-        let mut units: Vec<String> = counted.iter().cloned().collect();
-        let depth = |x: &str| reach.values().filter(|r| r.contains(x)).count();
-        units.sort_by_cached_key(|h| (depth(h), h.clone()));
-        ProgramInfo {
-            defining,
-            read_neg,
-            cyclic,
-            fact_heads,
-            rules,
-            tracked_candidates,
-            counted,
-            unit,
-            units,
-        }
-    }
-}
-
 /// Whether no two bindings of `rule`'s body give the same head tuple, so the
 /// rule derives each fact at most once: every variable a positive literal
 /// binds is a head variable, or computed by an `=` from such variables.
-fn injective(rule: &Rule) -> bool {
+pub(crate) fn injective(rule: &Rule) -> bool {
     if rule.has_aggregate() || !rule.existential_vars().is_empty() {
         return false;
     }
@@ -468,7 +321,6 @@ impl HeadSegments {
 pub struct IncrementalSession {
     engine: Engine,
     plan: Plan,
-    info: ProgramInfo,
     /// Extensional input facts accumulated so far (what a scratch run
     /// would start from). Used for fallback re-derivation.
     base: Database,
@@ -520,12 +372,10 @@ impl IncrementalSession {
         let program = parse_program(source)?;
         let plan = Plan::new(&program)?;
         let obs = config.obs.clone();
-        let info = ProgramInfo::build(&program, &plan);
         Ok(IncrementalSession {
             engine: Engine::new(config),
             obs,
             plan,
-            info,
             base: Database::new(),
             db: Database::new(),
             segments: BTreeMap::new(),
@@ -565,13 +415,13 @@ impl IncrementalSession {
     }
 
     /// Whether counted `head`'s derivation counts go without keeping: its
-    /// rules each derive a fact at most once (`ProgramInfo::unit`), so a
+    /// rules each derive a fact at most once (`Plan::unit`), so a
     /// rule counts 1 for exactly the facts it emits — the head's facts for
     /// a single rule whose head has no input facts, a rule's segment for a
     /// tracked head.
     fn implicit(&self, head: &str) -> bool {
-        self.info.unit.contains(head)
-            && match self.info.defining[head].len() {
+        self.plan.unit.contains(head)
+            && match self.plan.defining[head].len() {
                 1 => self.base.fact_set(head).is_none_or(|f| f.is_empty()),
                 _ => self.segments.contains_key(head),
             }
@@ -649,7 +499,7 @@ impl IncrementalSession {
         delta_facts: usize,
         removed_facts: usize,
     ) -> Result<&Database> {
-        let mut segments: BTreeMap<String, HeadSegments> = (self.info.tracked_candidates.iter())
+        let mut segments: BTreeMap<String, HeadSegments> = (self.plan.tracked.iter())
             .map(|head| (head.clone(), HeadSegments::default()))
             .collect();
         let db = self.engine.run_plan(&self.plan, input.clone(), None, &mut segments)?;
@@ -698,7 +548,7 @@ impl IncrementalSession {
     /// drops them.
     fn ensure_counts(&mut self, affected: &BTreeSet<String>) -> Result<()> {
         let missing: Vec<String> = (affected.iter())
-            .filter(|h| self.info.counted.contains(*h))
+            .filter(|h| self.plan.counted.contains(*h))
             .filter(|h| !self.counts.contains_key(*h) && !self.implicit(h))
             .cloned()
             .collect();
@@ -710,7 +560,7 @@ impl IncrementalSession {
         span.attr("heads", missing.len());
         for head in missing {
             let mut counts: HashMap<Tuple, u64> = HashMap::new();
-            for &ri in &self.info.defining[&head] {
+            for &ri in &self.plan.defining[&head] {
                 for t in self.engine.eval_rule(&self.plan.rules[ri], &self.db, None, None, None)? {
                     *counts.entry(t).or_insert(0) += 1;
                 }
@@ -764,47 +614,40 @@ impl IncrementalSession {
     /// batch of fresh extensional facts; `Some(reason)` refuses the fast
     /// path.
     fn refuse_reason(&self, fresh: &[(String, Tuple)]) -> Option<String> {
-        let affected = self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
+        let affected = self.plan.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
         for p in &affected {
-            if self.info.read_neg.contains(p) {
+            if self.plan.read_neg.contains(p) {
                 return Some(format!("negated predicate `{p}` changed"));
             }
-            if self.info.cyclic.contains(p) {
+            if self.plan.cyclic.contains(p) {
                 return Some(format!("recursive predicate `{p}` changed"));
             }
         }
-        for info in self.info.rules.iter().flatten() {
-            let hits: Vec<usize> = info
-                .positive
-                .iter()
-                .enumerate()
+        for cr in self.plan.rules.iter().filter(|cr| !cr.rule.is_fact()) {
+            let rule = &cr.rule;
+            let hits: Vec<usize> = (rule.positive_preds().enumerate())
                 .filter(|(_, p)| affected.contains(*p))
                 .map(|(occ, _)| occ)
                 .collect();
             if hits.is_empty() {
                 continue;
             }
-            if info.has_aggregate {
-                return Some(format!(
-                    "aggregate input changed (head `{}`)",
-                    info.head
-                ));
+            let head = &rule.head_pred;
+            if rule.has_aggregate() {
+                return Some(format!("aggregate input changed (head `{head}`)"));
             }
             if hits.len() > 1 {
-                return Some(format!(
-                    "multiple changed body literals in a rule for `{}`",
-                    info.head
-                ));
+                return Some(format!("multiple changed body literals in a rule for `{head}`"));
             }
-            if info.outermost_occ != Some(hits[0]) {
+            if cr.outermost != Some(hits[0]) {
+                let changed = rule.positive_preds().nth(hits[0]).expect("a positive occurrence");
                 return Some(format!(
-                    "changed literal `{}` is not the outermost generator in a rule for `{}`",
-                    info.positive[hits[0]], info.head
+                    "changed literal `{changed}` is not the outermost generator in a rule for `{head}`"
                 ));
             }
         }
         for h in &affected {
-            let n_rules = self.info.defining.get(h).map_or(0, |v| v.len());
+            let n_rules = self.plan.defining.get(h).map_or(0, |v| v.len());
             if n_rules >= 2 && !self.segments.contains_key(h) {
                 return Some(format!(
                     "multi-rule predicate `{h}` is read downstream or untracked"
@@ -820,28 +663,7 @@ impl IncrementalSession {
         facts
             .iter()
             .map(|(p, _)| p)
-            .find(|p| self.info.defining.contains_key(*p) || self.info.fact_heads.contains(*p))
-    }
-
-    /// `seeds` closed under rule heads: a rule with a seed (or closed)
-    /// positive body predicate adds its head: the predicates a delta or a
-    /// retraction of `seeds` reaches.
-    fn closure_of(&self, seeds: BTreeSet<String>) -> BTreeSet<String> {
-        let mut closed = seeds;
-        loop {
-            let mut changed = false;
-            for info in self.info.rules.iter().flatten() {
-                if !closed.contains(&info.head)
-                    && info.positive.iter().any(|p| closed.contains(p))
-                {
-                    closed.insert(info.head.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                return closed;
-            }
-        }
+            .find(|p| self.plan.defining.contains_key(*p) || self.plan.fact_heads.contains(*p))
     }
 
     fn fallback_rerun(
@@ -873,7 +695,7 @@ impl IncrementalSession {
         self.poisoned = true; // cleared on success
         let delta_facts = fresh.len();
         let mut derived = 0usize;
-        let affected = self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
+        let affected = self.plan.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
         // pending new facts per predicate, in arrival order — the delta
         // the engine's occurrence-restricted passes consume
         let mut pending = Database::new();
@@ -885,7 +707,7 @@ impl IncrementalSession {
         // fired; extensional deltas are complete from the start
         let mut ready: BTreeSet<&str> = affected
             .iter()
-            .filter(|p| !self.info.defining.contains_key(*p))
+            .filter(|p| !self.plan.defining.contains_key(*p))
             .map(|p| p.as_str())
             .collect();
 
@@ -894,17 +716,17 @@ impl IncrementalSession {
             // in program order; each fires exactly once
             let mut waiting: Vec<(usize, usize)> = Vec::new(); // (rule idx, occurrence)
             for &ri in &self.plan.strat.strata_rules[stratum] {
-                let Some(info) = &self.info.rules[ri] else { continue };
-                let Some(occ) = info.outermost_occ else { continue };
-                if affected.contains(&info.positive[occ]) {
+                let cr = &self.plan.rules[ri];
+                let Some(occ) = cr.outermost else { continue };
+                if cr.rule.positive_preds().nth(occ).is_some_and(|p| affected.contains(p)) {
                     waiting.push((ri, occ));
                 }
             }
             while !waiting.is_empty() {
                 let (wave, rest): (Vec<(usize, usize)>, Vec<(usize, usize)>) =
                     waiting.iter().copied().partition(|&(ri, occ)| {
-                        let info = self.info.rules[ri].as_ref().expect("non-fact rule");
-                        ready.contains(info.positive[occ].as_str())
+                        let outer = self.plan.rules[ri].rule.positive_preds().nth(occ);
+                        outer.is_some_and(|p| ready.contains(p))
                     });
                 if wave.is_empty() {
                     self.poisoned = true;
@@ -934,7 +756,7 @@ impl IncrementalSession {
                     }
                     if let Some(segs) = self.segments.get_mut(pred) {
                         // tracked (terminal) head: spliced into place
-                        let slot = (self.info.defining[pred].iter())
+                        let slot = (self.plan.defining[pred].iter())
                             .position(|&r| r == ri)
                             .expect("firing rule defines this head");
                         let Some(added) = segs.splice(self.db.reorder(pred), slot, out) else {
@@ -953,8 +775,7 @@ impl IncrementalSession {
                 }
                 // every head whose (single) defining rule fired is complete
                 for &(ri, _) in &wave {
-                    let info = self.info.rules[ri].as_ref().expect("non-fact rule");
-                    ready.insert(info.head.as_str());
+                    ready.insert(self.plan.rules[ri].rule.head_pred.as_str());
                 }
             }
             if self.db.total_facts() > self.engine.config().max_facts {
@@ -1006,7 +827,7 @@ impl IncrementalSession {
             return Ok(&self.db);
         }
 
-        let affected = self.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
+        let affected = self.plan.closure_of(fresh.iter().map(|(p, _)| p.clone()).collect());
         if let Some(reason) = self.refuse_retraction(&affected) {
             return self.fallback_rerun(reason, 0, fresh.len());
         }
@@ -1044,21 +865,21 @@ impl IncrementalSession {
     /// passes reaches counted heads only.
     fn refuse_retraction(&self, affected: &BTreeSet<String>) -> Option<String> {
         for p in affected {
-            if self.info.read_neg.contains(p) {
+            if self.plan.read_neg.contains(p) {
                 return Some(format!("negated predicate `{p}` shrank"));
             }
-            if self.info.cyclic.contains(p) {
+            if self.plan.cyclic.contains(p) {
                 return Some(format!("recursive predicate `{p}` shrank"));
             }
-            if self.info.fact_heads.contains(p) && self.info.defining.contains_key(p) {
+            if self.plan.fact_heads.contains(p) && self.plan.defining.contains_key(p) {
                 return Some(format!("predicate `{p}` mixes ground facts and rules"));
             }
         }
-        for info in self.info.rules.iter().flatten() {
+        for rule in self.plan.rules.iter().map(|cr| &cr.rule) {
             // an aggregate rule's head is affected exactly when the rule
             // reads an affected predicate, or it shares the head with one
-            if info.has_aggregate && affected.contains(&info.head) {
-                return Some(format!("aggregate input shrank (head `{}`)", info.head));
+            if rule.has_aggregate() && affected.contains(&rule.head_pred) {
+                return Some(format!("aggregate input shrank (head `{}`)", rule.head_pred));
             }
         }
         None
@@ -1088,7 +909,7 @@ impl IncrementalSession {
         // the affected units of the static plan, so every unit fires with
         // the complete removal sets of its inputs
         let units: Vec<String> =
-            self.info.units.iter().filter(|h| affected.contains(*h)).cloned().collect();
+            self.plan.units.iter().filter(|h| affected.contains(*h)).cloned().collect();
         // per counted head, the facts that lost every derivation
         let mut gone: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
         for head in &units {
@@ -1147,11 +968,10 @@ impl IncrementalSession {
         gone: &mut BTreeMap<String, Vec<Tuple>>,
         retracted: &mut usize,
     ) -> Result<bool> {
-        let ris = &self.info.defining[head];
+        let ris = &self.plan.defining[head];
         let mut passes: Vec<(usize, usize)> = Vec::new(); // (slot, occurrence)
         for (slot, &ri) in ris.iter().enumerate() {
-            let info = self.info.rules[ri].as_ref().expect("non-fact rule");
-            for (occ, p) in info.positive.iter().enumerate() {
+            for (occ, p) in self.plan.rules[ri].rule.positive_preds().enumerate() {
                 if !removed.facts(p).is_empty() {
                     passes.push((slot, occ));
                 }
@@ -1225,6 +1045,7 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Program;
     use crate::engine::CompiledRule;
     use vada_common::obs::span_shape;
     use vada_common::tuple;
@@ -2335,15 +2156,15 @@ mod tests {
     impl IncrementalSession {
         fn analysis_view(&self, program: &Program) -> AnalysisView {
             let closures = (program.all_predicates().into_iter())
-                .map(|p| (p.to_string(), self.closure_of(BTreeSet::from([p.to_string()]))))
+                .map(|p| (p.to_string(), self.plan.closure_of(BTreeSet::from([p.to_string()]))))
                 .collect();
-            let outermost = self.info.rules.iter().map(|r| r.as_ref().and_then(|r| r.outermost_occ));
+            let outermost = self.plan.rules.iter().map(|cr| cr.outermost);
             AnalysisView {
-                tracked: self.info.tracked_candidates.clone(),
-                counted: self.info.counted.clone(),
-                unit: self.info.unit.clone(),
-                cyclic: self.info.cyclic.clone(),
-                units: self.info.units.clone(),
+                tracked: self.plan.tracked.clone(),
+                counted: self.plan.counted.clone(),
+                unit: self.plan.unit.clone(),
+                cyclic: self.plan.cyclic.clone(),
+                units: self.plan.units.clone(),
                 outermost: outermost.collect(),
                 closures,
             }

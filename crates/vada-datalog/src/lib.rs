@@ -37,7 +37,7 @@
 //! approximate the guarantee with the guard and document the difference in
 //! DESIGN.md).
 
-pub mod analysis;
+mod analysis;
 pub mod ast;
 pub mod builtins;
 pub mod engine;
@@ -48,7 +48,6 @@ pub mod magic;
 pub mod parser;
 pub mod skolem;
 
-pub use analysis::{stratify, Stratification};
 pub use ast::{Atom, CmpOp, Expr, HeadTerm, Literal, Program, Rule, Term};
 pub use engine::{Database, Engine, EngineConfig};
 pub use incremental::{DeltaMode, DeltaOutcome, IncrementalSession};

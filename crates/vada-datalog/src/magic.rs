@@ -185,8 +185,6 @@ struct Analysis {
 
 struct St<'p> {
     plan: &'p Plan,
-    idb: BTreeSet<&'p str>,
-    by_head: BTreeMap<&'p str, Vec<usize>>,
     rules: Vec<Rule>,
     adorn: BTreeMap<String, Vec<Vec<usize>>>,
     unrestricted: BTreeSet<String>,
@@ -194,23 +192,26 @@ struct St<'p> {
     work: VecDeque<(String, Vec<usize>)>,
 }
 
-impl<'p> St<'p> {
+impl St<'_> {
+    /// Whether a rule defines `pred`: its demand is derived, not read.
+    fn idb(&self, pred: &str) -> bool {
+        self.plan.defining.contains_key(pred)
+    }
+
     /// `pred` (and, transitively, every predicate its rules read) must be
     /// derived in full: its facts feed negation, or demand cannot bind any
     /// of its arguments.
     fn mark_unrestricted(&mut self, pred: &str) {
         let mut stack = vec![pred.to_string()];
         while let Some(p) = stack.pop() {
-            if !self.idb.contains(p.as_str()) || !self.unrestricted.insert(p.clone()) {
+            if !self.idb(&p) || !self.unrestricted.insert(p.clone()) {
                 continue;
             }
-            if let Some(ris) = self.by_head.get(p.as_str()) {
-                for &ri in ris {
-                    let r = &self.plan.rules[ri].rule;
-                    for q in r.positive_preds().chain(r.negative_preds()) {
-                        if self.idb.contains(q) && !self.unrestricted.contains(q) {
-                            stack.push(q.to_string());
-                        }
+            for &ri in &self.plan.defining[&p] {
+                let r = &self.plan.rules[ri].rule;
+                for q in r.positive_preds().chain(r.negative_preds()) {
+                    if self.idb(q) && !self.unrestricted.contains(q) {
+                        stack.push(q.to_string());
                     }
                 }
             }
@@ -262,7 +263,7 @@ fn propagate(
                     included.push(rule.body[li].clone());
                 }
             }
-            Literal::Pos(atom) if !st.idb.contains(atom.pred.as_str()) => {
+            Literal::Pos(atom) if !st.idb(&atom.pred) => {
                 // extensional: joinable at demand time, but only include it
                 // when connected to a binding (an unconnected atom would be
                 // a cross product; skipping it is a sound over-approximation)
@@ -324,7 +325,7 @@ fn propagate(
             Literal::Neg(atom) => {
                 // negation must see the complete relation; restricting it
                 // (or anything it is derived from) would flip answers
-                if st.idb.contains(atom.pred.as_str()) {
+                if st.idb(&atom.pred) {
                     st.mark_unrestricted(&atom.pred);
                 }
             }
@@ -341,16 +342,8 @@ fn analyze(
     query: &Result<CompiledRule>,
 ) -> std::result::Result<Analysis, String> {
     let query = query.as_ref().map_err(|e| format!("unorderable query: {e}"))?;
-    let mut by_head: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (ri, cr) in plan.rules.iter().enumerate() {
-        if !cr.rule.is_fact() {
-            by_head.entry(cr.rule.head_pred.as_str()).or_default().push(ri);
-        }
-    }
     let mut st = St {
         plan,
-        idb: by_head.keys().copied().collect(),
-        by_head,
         rules: Vec::new(),
         adorn: BTreeMap::new(),
         unrestricted: BTreeSet::new(),
@@ -378,7 +371,7 @@ fn analyze(
     let query_reads_idb = (query.rule)
         .positive_preds()
         .chain(query.rule.negative_preds())
-        .any(|p| st.idb.contains(p));
+        .any(|p| st.idb(p));
     if query_reads_idb && !any_bound {
         return Err("all-free query: identity rewrite".into());
     }
@@ -387,8 +380,8 @@ fn analyze(
         if st.unrestricted.contains(&pred) {
             continue;
         }
-        let Some(ris) = st.by_head.get(pred.as_str()).cloned() else { continue };
-        for ri in ris {
+        let Some(ris) = plan.defining.get(&pred) else { continue };
+        for &ri in ris {
             let r = &plan.rules[ri];
             if cols.iter().any(|&c| c >= r.rule.head_terms.len()) {
                 // this rule's head arity cannot produce facts matching the
