@@ -11,7 +11,6 @@
 pub mod codec;
 pub mod csv;
 pub mod error;
-pub mod idgen;
 pub mod obs;
 pub mod relation;
 pub mod schema;

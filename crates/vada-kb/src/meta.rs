@@ -99,7 +99,8 @@ pub struct MappingPart {
 /// `Some(v)` pattern is a constant-CFD position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CfdRule {
-    /// Unique CFD id.
+    /// CFD id: the learner makes it the rule's content, its
+    /// [`display`](CfdRule::display), so a rule learned twice keeps its id.
     pub id: String,
     /// Relation the dependency was learned on (a context relation); it is
     /// *checked* on any relation containing the named attributes.

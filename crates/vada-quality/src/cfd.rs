@@ -15,11 +15,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use vada_common::idgen::IdGen;
 use vada_common::{Relation, Value};
 use vada_kb::CfdRule;
-
-static CFD_IDS: IdGen = IdGen::new("cfd");
 
 /// Learner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,7 +192,7 @@ pub fn learn_cfds(cfg: &CfdLearnConfig, rel: &Relation) -> Vec<CfdRule> {
                     if support >= cfg.min_support {
                         found.push((lhs_set.clone(), rhs));
                         out.push(CfdRule {
-                            id: CFD_IDS.next_id(),
+                            id: String::new(),
                             relation: rel.name().to_string(),
                             lhs: lhs_set.iter().map(|&c| (attr_name(c), None)).collect(),
                             rhs: (attr_name(rhs), None),
@@ -299,16 +296,16 @@ pub fn learn_cfds(cfg: &CfdLearnConfig, rel: &Relation) -> Vec<CfdRule> {
                 }
             }
         }
-        // ids are assigned after the deterministic sort, so the id ↔ rule
-        // association no longer depends on scan order
+        // the cap keeps the largest supports, ties broken by content
         constants.sort_by_cached_key(|c| (std::cmp::Reverse(c.support), c.display()));
         constants.truncate(cfg.max_constant_cfds);
-        for mut rule in constants {
-            rule.id = CFD_IDS.next_id();
-            out.push(rule);
-        }
+        out.extend(constants);
     }
 
+    // a rule's id is its content, so the same rule learned twice is one
+    for rule in &mut out {
+        rule.id = rule.display();
+    }
     out
 }
 
@@ -362,6 +359,19 @@ mod tests {
         // postcode → city holds, so {street, postcode} → city must not be
         // reported
         assert!(!has_variable_fd(&cfds, &["street", "postcode"], "city"));
+    }
+
+    #[test]
+    fn relearning_a_relation_gives_equal_ids_in_equal_order() {
+        let ids = |cfg: &CfdLearnConfig| {
+            learn_cfds(cfg, &address()).into_iter().map(|c| c.id).collect::<Vec<_>>()
+        };
+        let loose = CfdLearnConfig { min_pattern_support: 2, ..Default::default() };
+        for cfg in [CfdLearnConfig::default(), loose] {
+            let first = ids(&cfg);
+            assert!(!first.is_empty());
+            assert_eq!(ids(&cfg), first);
+        }
     }
 
     #[test]

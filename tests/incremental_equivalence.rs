@@ -1286,7 +1286,8 @@ fn store_sessions_match_scratch_across_row_edits() {
     };
 
     compare(&w, "at bootstrap");
-    // the two parts that read `rightmove` start their sessions
+    // the two parts that read `rightmove` step the sessions their first
+    // materialisation at bootstrap started
     let n = w.kb().relation("rightmove").unwrap().len();
     let (x, y) = (row(&w, "twin"), row(&w, "solo"));
     append(&mut w, "rightmove", vec![x.clone(), x, y]);

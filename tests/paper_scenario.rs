@@ -333,8 +333,8 @@ fn resolve_and_repair_stage_outputs_are_pinned_at_scale() {
     digests.push(("learn.listings", fnv1a(&render_cfds(&listing_cfds))));
     let mut rendered = String::new();
     for v in detect_violations(&dirty, &listing_cfds) {
-        // rule ids come from a process-global counter: name the rule by
-        // its position in the learned list instead
+        // the rule by its position in the learned list, the form the
+        // digest was taken in
         let rule = listing_cfds.iter().position(|c| c.id == v.cfd_id).expect("known rule");
         writeln!(rendered, "rule {rule} {} {:?}", v.attr, v.rows).unwrap();
     }
